@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt bench bench-sim bench-smoke bench-e2e-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
-# short-seed integrity/scrub suite, the short-seed boot-storm suite and the
-# sharded-router scale suite.
-check: build vet test fmt chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
+# short-seed integrity/scrub suite, the short-seed boot-storm suite, the
+# sharded-router scale suite and the end-to-end benchmark's smoke test.
+check: build vet test fmt chaos-smoke scrub-smoke bootstorm-smoke scale-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -44,9 +44,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch' -benchtime 1x ./internal/shard/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
+# bench-e2e-smoke runs the host-clock benchmark's own smoke test (bench/ is
+# a module of its own, so `go test ./...` does not reach it): every workload
+# on 1/200 of its window, untraced and traced, checked against what
+# BENCHMARK.json declares. It keeps the benchmark building against the
+# simulator's API; `bash bench/run.sh` is the measurement.
+bench-e2e-smoke:
+	$(GO) test -C bench .
+
 # sim-smoke is the DES-kernel gate: the scheduler and harness under the
-# race detector (property tests against the reference heap included), plus
-# the golden-CSV determinism check — every experiment with a checked-in
+# race detector (property tests against the reference heap and, for
+# Thread.Spin, against the per-round poll loop included), plus the
+# golden-CSV determinism check — every experiment with a checked-in
 # quick-mode golden must render byte-identical output.
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...

@@ -12,7 +12,10 @@ import (
 // the full router fast path (VSQ poll, classification, HQ dispatch, HCQ
 // completion) with the classifier on each execution tier. Virtual-time
 // behaviour is identical across tiers; this benchmark tracks the
-// simulator's own overhead, which the compiled tier exists to cut.
+// simulator's own overhead, which the compiled tier exists to cut. events/op
+// is the scheduler events one I/O costs — deterministic, unlike ns/op — and
+// is where idle poll rounds show: a QD1 hop leaves the worker polling across
+// the whole device latency.
 func BenchmarkRouterHop(b *testing.B) {
 	for _, tier := range []string{"compiled", "interpreter"} {
 		b.Run(tier, func(b *testing.B) {
@@ -24,8 +27,10 @@ func BenchmarkRouterHop(b *testing.B) {
 				b.Fatal(err)
 			}
 			done := false
+			var events uint64
 			r.env.Go("bench", func(p *sim.Proc) {
 				b.ResetTimer()
+				events = r.env.Dispatched()
 				for i := 0; i < b.N; i++ {
 					req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8, Buf: base, BufPages: pages}
 					if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); !st.OK() {
@@ -33,6 +38,7 @@ func BenchmarkRouterHop(b *testing.B) {
 					}
 				}
 				b.StopTimer()
+				events = r.env.Dispatched() - events
 				done = true
 				r.env.Stop()
 			})
@@ -40,6 +46,7 @@ func BenchmarkRouterHop(b *testing.B) {
 			if !done {
 				b.Fatal("benchmark did not finish")
 			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		})
 	}
 }

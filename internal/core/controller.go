@@ -83,8 +83,50 @@ type vqState struct {
 	pendingVCQ []nvme.Completion
 
 	dispatchSeq uint64
-	deadlines   []hqDeadline // FIFO: uniform deadlines, submission order
-	lostHTags   []lostTag    // FIFO: quarantined tags awaiting completion
+	deadlines   fifo[hqDeadline] // uniform deadlines, submission order
+	lostHTags   fifo[lostTag]    // quarantined tags awaiting completion
+}
+
+// fifo is a head-indexed queue: pop advances head instead of reslicing the
+// front away, and the backing array is reused — from the start once the
+// queue drains, or by sliding the live part down when it fills — so a steady
+// push/pop cycle never reallocates and the array stays within twice the
+// peak population.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (f *fifo[T]) len() int  { return len(f.items) - f.head }
+func (f *fifo[T]) front() *T { return &f.items[f.head] }
+func (f *fifo[T]) pop()      { f.removeAt(0) }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.items) == cap(f.items) && f.head > 0 {
+		// Full: shed the consumed prefix instead of letting append carry
+		// it into a bigger array — in place when that frees at least half
+		// (the pops that made the room pay for the slide), else into an
+		// array twice the live size.
+		live := f.items[f.head:]
+		dst := f.items[:0]
+		if f.head < len(live) {
+			dst = make([]T, 0, 2*len(live))
+		}
+		f.items, f.head = append(dst, live...), 0
+	}
+	f.items = append(f.items, v)
+}
+
+// removeAt deletes the i-th queued element, keeping the others in order.
+func (f *fifo[T]) removeAt(i int) {
+	if i == 0 {
+		f.head++
+	} else {
+		f.items = append(f.items[:f.head+i], f.items[f.head+i+1:]...)
+	}
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	}
 }
 
 // hqDeadline is one armed fast-path deadline.
@@ -102,13 +144,52 @@ type lostTag struct {
 
 // releaseLost frees cid if it is quarantined (its late completion arrived).
 func (vq *vqState) releaseLost(cid uint16) {
-	for i, lt := range vq.lostHTags {
+	l := &vq.lostHTags
+	for i, lt := range l.items[l.head:] {
 		if lt.cid == cid {
-			vq.lostHTags = append(vq.lostHTags[:i], vq.lostHTags[i+1:]...)
+			l.removeAt(i)
 			vq.freeHTags = append(vq.freeHTags, cid)
 			return
 		}
 	}
+}
+
+// settled reports whether the deadline's hop already completed (its tag is
+// free or reassigned). A settled entry never becomes live again.
+func (vq *vqState) settled(ent *hqDeadline) bool {
+	return vq.htagSeq[ent.cid] != ent.seq || vq.htags[ent.cid].req == nil
+}
+
+// trimDeadlines drops settled entries from the head of the deadline queue
+// (they would be discarded unseen at expiry). The worker calls it whenever a
+// hop completes, so the head, when there is one, is the oldest hop still in
+// flight: nextTimed is O(1), a QD1 stream's completed hops do not chop
+// every idle gap in two, and the queue holds the hops in flight rather than
+// the last FastPathDeadline's worth of dispatches.
+func (vq *vqState) trimDeadlines() {
+	for vq.deadlines.len() > 0 && vq.settled(vq.deadlines.front()) {
+		vq.deadlines.pop()
+	}
+}
+
+// nextTimed returns the earliest instant at which expireDeadlines has
+// something to do — the oldest hop deadline or the oldest quarantined tag's
+// reclaim time — or sim.Never. It is what an empty poll round may not be
+// skipped across.
+func (vq *vqState) nextTimed(r *Router) sim.Time {
+	t := sim.Never
+	if r.FastPathDeadline <= 0 {
+		return t
+	}
+	if vq.deadlines.len() > 0 {
+		t = vq.deadlines.front().at
+	}
+	if vq.lostHTags.len() > 0 {
+		if at := vq.lostHTags.front().since.Add(r.HTagReclaim); at < t {
+			t = at
+		}
+	}
+	return t
 }
 
 // expireDeadlines pops overdue fast-path hops — quarantining their tags —
@@ -120,22 +201,22 @@ func (vq *vqState) expireDeadlines(r *Router) []hop {
 	}
 	now := r.env.Now()
 	var aborted []hop
-	for len(vq.deadlines) > 0 && vq.deadlines[0].at <= now {
-		ent := vq.deadlines[0]
-		vq.deadlines = vq.deadlines[1:]
-		if vq.htagSeq[ent.cid] != ent.seq || vq.htags[ent.cid].req == nil {
-			continue // hop already completed (tag free or reassigned)
+	for vq.deadlines.len() > 0 && vq.deadlines.front().at <= now {
+		ent := *vq.deadlines.front()
+		vq.deadlines.pop()
+		if vq.settled(&ent) {
+			continue
 		}
 		h := vq.htags[ent.cid]
 		vq.htags[ent.cid] = hop{}
-		vq.lostHTags = append(vq.lostHTags, lostTag{cid: ent.cid, since: now})
+		vq.lostHTags.push(lostTag{cid: ent.cid, since: now})
 		r.HQTimeouts++
 		aborted = append(aborted, h)
 	}
-	for len(vq.lostHTags) > 0 && now.Sub(vq.lostHTags[0].since) >= r.HTagReclaim {
-		lt := vq.lostHTags[0]
-		vq.lostHTags = vq.lostHTags[1:]
-		vq.freeHTags = append(vq.freeHTags, lt.cid)
+	for vq.lostHTags.len() > 0 && now.Sub(vq.lostHTags.front().since) >= r.HTagReclaim {
+		cid := vq.lostHTags.front().cid
+		vq.lostHTags.pop()
+		vq.freeHTags = append(vq.freeHTags, cid)
 		r.HTagsReclaimed++
 	}
 	return aborted
@@ -804,7 +885,7 @@ func (w *worker) dispatchHQ(h hop) {
 	vq.dispatchSeq++
 	vq.htagSeq[htag] = vq.dispatchSeq
 	if dl := w.r.FastPathDeadline; dl > 0 {
-		vq.deadlines = append(vq.deadlines, hqDeadline{cid: htag, seq: vq.dispatchSeq, at: w.r.env.Now().Add(dl)})
+		vq.deadlines.push(hqDeadline{cid: htag, seq: vq.dispatchSeq, at: w.r.env.Now().Add(dl)})
 	}
 	vc.part.Dev.Ring(vq.hqp.SQ.ID)
 }

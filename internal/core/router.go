@@ -223,13 +223,15 @@ func (w *worker) post(fn func()) {
 // apply effects) with adaptive parking when every attached VM is idle.
 func (w *worker) run(p *sim.Proc) {
 	c := w.r.costs
+	var effects []func() // backing array reused across rounds
 	for {
 		var work sim.Duration
 		outstanding := 0
 
 		// Phase 1: gather. Data-structure work happens instantly; the CPU
 		// time it represents is charged in phase 2 before effects land.
-		var effects []func()
+		clear(effects) // drop the previous round's closures
+		effects = effects[:0]
 
 		// Kernel-path completions fan in from other contexts through the
 		// lock-free inbox; drain what is visible this round.
@@ -289,6 +291,7 @@ func (w *worker) run(p *sim.Proc) {
 					}
 					vq.htags[cid] = hop{}
 					vq.freeHTags = append(vq.freeHTags, cid)
+					vq.trimDeadlines()
 					st := e.Status()
 					effects = append(effects, func() { w.finishHop(h, targetHQ, st) })
 				}
@@ -330,8 +333,16 @@ func (w *worker) run(p *sim.Proc) {
 				w.wake.Wait()
 				continue
 			}
-			// Busy-poll while requests are in flight or throttled.
-			w.thread.Exec(p, work)
+			// Busy-poll while requests are in flight or throttled. With a
+			// backlog every round re-evaluates the token buckets, and a
+			// non-empty inbox is work for the very next round; otherwise
+			// the rounds up to the next event or timed condition would all
+			// gather nothing, and one spin stands in for them.
+			if backlog > 0 || w.comps.Len() > 0 || w.ctrl.Len() > 0 {
+				w.thread.Exec(p, work)
+			} else {
+				w.thread.Spin(p, work, w.nextTimed())
+			}
 			continue
 		}
 
@@ -345,6 +356,24 @@ func (w *worker) run(p *sim.Proc) {
 		w.flushCompletions(p)
 		w.flushRetries(p)
 	}
+}
+
+// nextTimed returns the earliest instant at which a gather can find work
+// with no event having run in between: a hop deadline or tag reclaim on any
+// queue, or the end of an SLO window in the arbiter's Tick.
+func (w *worker) nextTimed() sim.Time {
+	t := sim.Never
+	if w.qos != nil {
+		t = w.qos.NextWindowEnd()
+	}
+	for _, vc := range w.vcs {
+		for _, vq := range vc.vqs {
+			if at := vq.nextTimed(w.r); at < t {
+				t = at
+			}
+		}
+	}
+	return t
 }
 
 // flushCompletions posts queued VCQ entries and injects interrupts.

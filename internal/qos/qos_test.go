@@ -391,3 +391,59 @@ func BenchmarkArbiterScan8(b *testing.B) {
 		admitOne(a, pending, sim.Time(i))
 	}
 }
+
+// TestNextWindowEndBoundsTickSkipping drives two identical arbiters with the
+// same random latency observations. One is ticked on every 250 ns poll round;
+// the other skips the rounds in between, but never across NextWindowEnd —
+// what an idle-round-eliding worker does. Tick evaluates the admission
+// controller once per call however many windows it rolls, so only that bound
+// keeps the two controllers (clean-run count, sheds, restores, per-tenant
+// window tallies) in step.
+func TestNextWindowEndBoundsTickSkipping(t *testing.T) {
+	const round = 250
+	build := func() (*Arbiter, []*Tenant) {
+		a := NewArbiter(Config{Window: 20 * sim.Microsecond, RecoverWindows: 3})
+		return a, []*Tenant{
+			a.AddTenant("slo", TenantConfig{SLOTargetP99: 50 * sim.Microsecond}),
+			a.AddTenant("be", TenantConfig{BestEffort: true}),
+			a.AddTenant("plain", TenantConfig{}),
+		}
+	}
+	ref, refT := build()
+	got, gotT := build()
+	if got.NextWindowEnd() != 0 {
+		t.Fatal("a tenant without a window yet must hold the caller to the next round")
+	}
+	rng := rand.New(rand.NewSource(3))
+	var refNow, gotNow sim.Time
+	for step := 0; step < 4000; step++ {
+		// An event some rounds ahead: a completion with a random latency.
+		event := gotNow + sim.Time(rng.Intn(300)+1)*round
+		lat := sim.Duration(rng.Intn(90)+1) * sim.Microsecond
+		for refNow < event {
+			ref.Tick(refNow)
+			refNow += round
+		}
+		for gotNow < event {
+			got.Tick(gotNow)
+			// Skip to the last round boundary strictly before the bound.
+			h := min(event, got.NextWindowEnd())
+			gotNow += max(1, (h-1-gotNow)/round) * round
+		}
+		ref.ObserveLatency(refT[0], lat)
+		got.ObserveLatency(gotT[0], lat)
+		if ref.cleanRuns != got.cleanRuns || ref.overloaded != got.overloaded ||
+			ref.Sheds != got.Sheds || ref.Restores != got.Restores {
+			t.Fatalf("step %d: controller diverged: per-round clean=%d over=%v sheds=%d restores=%d, skipping clean=%d over=%v sheds=%d restores=%d",
+				step, ref.cleanRuns, ref.overloaded, ref.Sheds, ref.Restores, got.cleanRuns, got.overloaded, got.Sheds, got.Restores)
+		}
+		for i := range refT {
+			if refT[i].met != gotT[i].met || refT[i].missed != gotT[i].missed || refT[i].winEnd != gotT[i].winEnd {
+				t.Fatalf("step %d tenant %d: windows diverged", step, i)
+			}
+		}
+	}
+	if ref.Sheds == 0 || ref.Restores == 0 {
+		t.Fatalf("scenario never shed (%d) or restored (%d): nothing was tested", ref.Sheds, ref.Restores)
+	}
+}

@@ -250,6 +250,22 @@ func (a *Arbiter) Tick(now sim.Time) {
 	}
 }
 
+// NextWindowEnd returns the earliest instant at which Tick rolls a tenant's
+// SLO window (sim.Never with no tenants). Tick evaluates the admission
+// controller once per call, however many windows that call rolls, so a
+// caller that elides idle poll rounds must not skip a Tick across this
+// instant. A tenant whose first window the next Tick has yet to open
+// reports time zero: nothing may be skipped until it has one.
+func (a *Arbiter) NextWindowEnd() sim.Time {
+	end := sim.Never
+	for _, t := range a.tenants {
+		if t.winEnd < end {
+			end = t.winEnd
+		}
+	}
+	return end
+}
+
 // Overloaded reports whether the admission controller is currently in
 // the shedding state.
 func (a *Arbiter) Overloaded() bool { return a.overloaded }

@@ -10,7 +10,8 @@ import (
 // BenchmarkShardDispatch measures one 4 KiB read round trip through the
 // sharded fleet, routed (classifier executes every command) against
 // promoted (direct SQ→HSQ mapping, classifier elided) — the host-side cost
-// the promotion tier removes.
+// the promotion tier removes. events/op is the scheduler events per round
+// trip (see BenchmarkRouterHop).
 func BenchmarkShardDispatch(b *testing.B) {
 	for _, tier := range []string{"routed", "promoted"} {
 		b.Run(tier, func(b *testing.B) {
@@ -29,8 +30,10 @@ func BenchmarkShardDispatch(b *testing.B) {
 				bases[i], pages[i] = base, pg
 			}
 			done := false
+			var events uint64
 			bench.env.Go("bench", func(p *sim.Proc) {
 				b.ResetTimer()
+				events = bench.env.Dispatched()
 				for i := 0; i < b.N; i++ {
 					t := i % 2
 					req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8,
@@ -40,6 +43,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 					}
 				}
 				b.StopTimer()
+				events = bench.env.Dispatched() - events
 				done = true
 				bench.env.Stop()
 			})
@@ -47,6 +51,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 			if !done {
 				b.Fatal("benchmark did not finish")
 			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		})
 	}
 }

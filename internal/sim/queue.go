@@ -143,6 +143,31 @@ func (q *queue) next(limit Time) (event, bool) {
 	}
 }
 
+// peek returns the timestamp of the earliest queued event (dead ones
+// included) without consuming it or moving anything between tiers. The tiers
+// are ordered — cur <= slot < wheel < over — so the first non-empty one holds
+// the minimum; only the wheel's first occupied bucket needs a (short) scan.
+func (q *queue) peek() (Time, bool) {
+	switch {
+	case q.curHead < len(q.cur):
+		return q.cur[q.curHead].t, true
+	case q.slotHead < len(q.slot):
+		return q.slot[q.slotHead].t, true
+	case q.wheelN > 0:
+		b := q.buckets[q.nextOccupied(q.bucketIdx)]
+		t := b[0].t
+		for _, ev := range b[1:] {
+			if ev.t < t {
+				t = ev.t
+			}
+		}
+		return t, true
+	case q.over.len() > 0:
+		return q.over.min().t, true
+	}
+	return 0, false
+}
+
 // promote refills cur with the next instant's batch: the maximal run of
 // equal-time events at the queue's minimum, in seq order. It reports false
 // when the queue is empty or the next event lies beyond limit.

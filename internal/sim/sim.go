@@ -55,8 +55,9 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// maxTime is the run limit used by Run (no bound).
-const maxTime = Time(1<<63 - 1)
+// Never is a timestamp that does not arrive: the run limit used by Run, and
+// the Spin bound of a poller with no time-driven condition.
+const Never = Time(1<<63 - 1)
 
 // Add returns the timestamp d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
@@ -84,6 +85,8 @@ type Env struct {
 	q     queue
 	limit Time // dispatch bound of the run in progress
 
+	dispatched uint64 // events popped, dead ones included
+
 	idle      chan struct{} // hands the run token back to Run/Close
 	cur       *Proc
 	procs     []*Proc // every spawned, unfinished process (Close needs them)
@@ -102,7 +105,7 @@ type Env struct {
 func New(seed int64) *Env {
 	return &Env{
 		idle:  make(chan struct{}),
-		limit: maxTime,
+		limit: Never,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
@@ -122,6 +125,11 @@ func (e *Env) Live() int { return e.live }
 // QueueLen reports the number of queued events, including lazily-cancelled
 // ones not yet reclaimed (see QueueDead).
 func (e *Env) QueueLen() int { return e.q.size }
+
+// Dispatched reports how many events the scheduler has popped since the
+// environment was created (lazily-cancelled ones included): the host-side
+// work a simulation costs, for events-per-operation benchmarks.
+func (e *Env) Dispatched() uint64 { return e.dispatched }
 
 // QueueDead reports the number of queued events known to be dead: cancelled
 // timeouts and wakes for finished processes. They are skipped at dispatch
@@ -425,6 +433,7 @@ func (e *Env) dispatch() *Proc {
 		if !ok {
 			return nil
 		}
+		e.dispatched++
 		e.now = ev.t
 		if ev.fn != nil {
 			ev.fn()
@@ -490,7 +499,7 @@ func (e *Env) runLoop() Time {
 // the final time.
 func (e *Env) Run() Time {
 	e.stopped = false
-	e.limit = maxTime
+	e.limit = Never
 	return e.runLoop()
 }
 
@@ -503,7 +512,7 @@ func (e *Env) RunUntil(t Time) {
 	if e.now < t && !e.stopped {
 		e.now = t
 	}
-	e.limit = maxTime
+	e.limit = Never
 }
 
 // Stop makes the in-progress Run or RunUntil return after the current event.

@@ -99,10 +99,11 @@ func (p *mdevPort) SetIRQ(qid uint16, fn func()) {
 // in-module mediation, shadow HCQs back into VCQs.
 func (p *mdevPort) poll(pr *sim.Proc) {
 	c := p.h.Params
+	var effects []func() // backing array reused across rounds
 	for {
 		var work sim.Duration
-		type eff func()
-		var effects []eff
+		clear(effects) // drop the previous round's closures
+		effects = effects[:0]
 		for _, vq := range p.vqs {
 			vq := vq
 			work += c.Router.PollVQ
@@ -168,7 +169,9 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 				p.wake.Wait()
 				continue
 			}
-			p.th.Exec(pr, work)
+			// Commands are in flight and every gather condition is
+			// event-driven: spin until the next event can change one.
+			p.th.Spin(pr, work, sim.Never)
 			continue
 		}
 		p.th.Exec(pr, work)

@@ -299,13 +299,17 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 			// recent event spacing suggests polling will succeed;
 			// otherwise block in ppoll and pay the wake-up plus a fresh
 			// event-loop turn — the QD1 regime.
-			if plugged || (pollWorthwhile && idleSpin < par.QEMUPollNS) {
-				// Keep polling: either a plug timer is running or event
-				// spacing suggests more work is imminent.
+			if plugged {
+				// Keep polling: a plug timer is running.
 				th.Exec(p, sim.Microsecond)
-				if !plugged {
-					idleSpin += sim.Microsecond
-				}
+				continue
+			}
+			if pollWorthwhile && idleSpin < par.QEMUPollNS {
+				// Event spacing suggests more work is imminent: spin out
+				// the poll window (nothing is plugged, so only an event or
+				// the window's end changes what the next round finds).
+				n := th.Spin(p, sim.Microsecond, p.Now().Add(par.QEMUPollNS-idleSpin))
+				idleSpin += sim.Duration(n) * sim.Microsecond
 				continue
 			}
 			pollWorthwhile = false

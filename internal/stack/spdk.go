@@ -144,7 +144,7 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 		}
 		if !did {
 			// Reactors never sleep: this is SPDK's defining CPU cost.
-			th.Exec(p, s.spin)
+			th.Spin(p, s.spin, sim.Never)
 		}
 	}
 }

@@ -177,7 +177,7 @@ func (f *Framework) hint() {
 func (f *Framework) pollLoop(p *sim.Proc, th *sim.Thread) {
 	var idle sim.Duration
 	for {
-		did := false
+		did, swept := false, f.env.Now()
 		for _, att := range f.atts {
 			if f.sweep(p, th, att) {
 				did = true
@@ -202,8 +202,8 @@ func (f *Framework) pollLoop(p *sim.Proc, th *sim.Thread) {
 			idle = 0
 			continue
 		}
-		th.Exec(p, f.costs.Poll)
-		idle += f.costs.Poll
+		// Spin on, up to the rest of the idle budget (see spin.go).
+		idle = f.spin(p, th, idle, swept)
 	}
 }
 

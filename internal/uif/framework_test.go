@@ -24,10 +24,18 @@ type uifRig struct {
 	qp   *nvme.QueuePair
 	v    *vm.VM
 	fw   *uif.Framework
+	att  *uif.Attachment
 	ring *blockdev.URing
 }
 
 func newUIFRig(t *testing.T, threads int, handler uif.Handler) *uifRig {
+	t.Helper()
+	return newUIFRigOn(t, []int{9, 10}[:threads], handler)
+}
+
+// newUIFRigOn pins one UIF polling thread to each of the given cores (the
+// router worker runs on core 8).
+func newUIFRigOn(t *testing.T, cores []int, handler uif.Handler) *uifRig {
 	t.Helper()
 	env := sim.New(1)
 	cpu := sim.NewCPU(env, 16)
@@ -42,14 +50,14 @@ func newUIFRig(t *testing.T, threads int, handler uif.Handler) *uifRig {
 		t.Fatal(err)
 	}
 	var ths []*sim.Thread
-	for i := 0; i < threads; i++ {
-		ths = append(ths, cpu.ThreadOn(9+i, "uif"))
+	for _, c := range cores {
+		ths = append(ths, cpu.ThreadOn(c, "uif"))
 	}
 	fw := uif.NewFramework(env, uif.DefaultCosts(), ths)
 	bdev := blockdev.NewNVMeBlockDev(env, device.WholeNamespace(dev, 1), cpu, 14, blockdev.DefaultCosts())
 	ring := blockdev.NewURing(env, bdev, blockdev.DefaultURingCosts())
-	fw.Attach(vc.AttachUIF(64), handler, ring)
-	return &uifRig{env: env, cpu: cpu, dev: dev, vc: vc, v: v, fw: fw, ring: ring, qp: vc.CreateQP(64)}
+	att := fw.Attach(vc.AttachUIF(64), handler, ring)
+	return &uifRig{env: env, cpu: cpu, dev: dev, vc: vc, v: v, fw: fw, att: att, ring: ring, qp: vc.CreateQP(64)}
 }
 
 func (r *uifRig) run(t *testing.T, fn func(p *sim.Proc)) {
