@@ -27,15 +27,20 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-sim measures the DES kernel hot paths (event queue, process switch,
-# timers, resources) with allocation counts; results/simbench.txt holds the
-# before/after snapshot of the scheduler rewrite.
+# timers, resources as processes and as AcquireFunc continuations) with
+# allocation counts; results/simbench.txt holds the snapshots.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 300ms ./internal/sim/
 
 # bench-smoke compiles and runs every microbenchmark exactly once. It is a
 # CI gate against benchmarks rotting (build or runtime failures), not a
 # performance measurement; use `make bench` or `make bench-sim` for numbers.
+# It also runs the device's callback-tier command service in lockstep with
+# its process-based reference once under the race detector: the hop
+# benchmarks' events/op and switches/op mean what they say only while the
+# two stay indistinguishable.
 bench-smoke:
+	$(GO) test -race -run 'TestLockstepWithProcessReference' ./internal/device/
 	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile' -benchtime 1x ./internal/ebpf/
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite' -benchtime 1x ./internal/storfn/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/

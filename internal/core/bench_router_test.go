@@ -15,7 +15,9 @@ import (
 // simulator's own overhead, which the compiled tier exists to cut. events/op
 // is the scheduler events one I/O costs — deterministic, unlike ns/op — and
 // is where idle poll rounds show: a QD1 hop leaves the worker polling across
-// the whole device latency.
+// the whole device latency. switches/op are the events among them that hand
+// the run token to another goroutine (the expensive kind), spawns/op the
+// processes started per I/O.
 func BenchmarkRouterHop(b *testing.B) {
 	for _, tier := range []string{"compiled", "interpreter"} {
 		b.Run(tier, func(b *testing.B) {
@@ -27,10 +29,10 @@ func BenchmarkRouterHop(b *testing.B) {
 				b.Fatal(err)
 			}
 			done := false
-			var events uint64
+			var events, switches, spawns uint64
 			r.env.Go("bench", func(p *sim.Proc) {
 				b.ResetTimer()
-				events = r.env.Dispatched()
+				events, switches, spawns = r.env.Dispatched(), r.env.Switches(), r.env.Spawns()
 				for i := 0; i < b.N; i++ {
 					req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8, Buf: base, BufPages: pages}
 					if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); !st.OK() {
@@ -38,7 +40,7 @@ func BenchmarkRouterHop(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				events = r.env.Dispatched() - events
+				events, switches, spawns = r.env.Dispatched()-events, r.env.Switches()-switches, r.env.Spawns()-spawns
 				done = true
 				r.env.Stop()
 			})
@@ -47,6 +49,8 @@ func BenchmarkRouterHop(b *testing.B) {
 				b.Fatal("benchmark did not finish")
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+			b.ReportMetric(float64(spawns)/float64(b.N), "spawns/op")
 		})
 	}
 }

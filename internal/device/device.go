@@ -1,7 +1,7 @@
 package device
 
 import (
-	"fmt"
+	"bytes"
 
 	"nvmetro/internal/fault"
 	"nvmetro/internal/nvme"
@@ -62,18 +62,10 @@ type Namespace struct {
 
 // queueState tracks one hardware queue pair.
 type queueState struct {
-	qp   *nvme.QueuePair
-	mem  nvme.Memory // DMA context for commands on this queue
-	cond *sim.Cond   // doorbell signal
-
-	// Command hand-off to dev-cmd handler processes. Handlers start in
-	// spawn order (their start events share a timestamp and dispatch in
-	// seq order), so a FIFO pairs the i-th spawned handler with the i-th
-	// popped command — one cached closure serves every command, instead
-	// of a fresh capturing closure per spawn.
-	run      func(*sim.Proc)
-	pending  []nvme.Command
-	pendHead int
+	qp    *nvme.QueuePair
+	mem   nvme.Memory // DMA context for commands on this queue
+	fetch func()      // SQ fetch callback, bound once
+	armed bool        // SQ found empty: the next doorbell schedules fetch
 }
 
 // Device is the simulated NVMe SSD.
@@ -88,11 +80,11 @@ type Device struct {
 	queues map[uint16]*queueState
 	nextQ  uint16
 	inj    *fault.Injector
+	free   []*cmdState // idle command states; in-flight ones are bounded by queue depth
 
-	// Reusable data-path buffers. Only valid across park-free windows:
-	// every Store.ReadBlocks fully overwrites its buffer, and the windows
-	// using these touch no simulation primitive, so no other command can
-	// interleave.
+	// Reusable read-side buffers. Only valid within one callback: every
+	// Store.ReadBlocks fully overwrites its buffer, and no other command
+	// can interleave before the callback returns.
 	scratch, scratch2 []byte
 
 	// Stats
@@ -181,10 +173,10 @@ func (d *Device) CreateQueuePair(depth uint32, mem nvme.Memory) *nvme.QueuePair 
 	d.nextQ++
 	id := d.nextQ
 	qp := nvme.NewQueuePair(id, depth)
-	st := &queueState{qp: qp, mem: mem, cond: sim.NewCond(d.env)}
-	st.run = func(hp *sim.Proc) { d.handle(hp, st) }
+	st := &queueState{qp: qp, mem: mem}
+	st.fetch = func() { d.fetch(st) }
 	d.queues[id] = st
-	d.env.Go(fmt.Sprintf("dev-sq%d", id), func(p *sim.Proc) { d.serveQueue(p, st) })
+	d.env.After(0, st.fetch) // the controller looks at a new SQ once unprompted
 	return qp
 }
 
@@ -192,20 +184,20 @@ func (d *Device) CreateQueuePair(depth uint32, mem nvme.Memory) *nvme.QueuePair 
 // (the submission doorbell write). It is asynchronous and free for the
 // caller: MMIO posted writes cost nothing on the CPU side.
 func (d *Device) Ring(qid uint16) {
-	if st := d.queues[qid]; st != nil {
-		st.cond.Signal(nil)
+	if st := d.queues[qid]; st != nil && st.armed {
+		st.armed = false
+		d.env.After(0, st.fetch)
 	}
 }
 
-func (d *Device) serveQueue(p *sim.Proc, st *queueState) {
+// fetch drains the SQ, starting one command state per entry. Doorbells that
+// arrive while a fetch is scheduled are absorbed by it.
+func (d *Device) fetch(st *queueState) {
 	var cmd nvme.Command
-	for {
-		for st.qp.SQ.Pop(&cmd) {
-			st.pending = append(st.pending, cmd)
-			d.env.Go("dev-cmd", st.run)
-		}
-		st.cond.Wait()
+	for st.qp.SQ.Pop(&cmd) {
+		d.env.After(0, d.getCmd(st, &cmd).step)
 	}
+	st.armed = true
 }
 
 // jittered applies deterministic pseudo-random latency variation.
@@ -220,72 +212,228 @@ func (d *Device) jittered(base sim.Duration) sim.Duration {
 	return base
 }
 
-func (d *Device) handle(p *sim.Proc, st *queueState) {
-	cmd := st.pending[st.pendHead]
-	st.pendHead++
-	if st.pendHead == len(st.pending) {
-		st.pending = st.pending[:0]
-		st.pendHead = 0
+// after schedules fn like a process Sleep would: a negative d is now.
+func (d *Device) after(dur sim.Duration, fn func()) {
+	if dur < 0 {
+		dur = 0
 	}
-	status := nvme.SCSuccess
+	d.env.After(dur, fn)
+}
+
+// leg is one stop of a command's walk through the device: queue FIFO for
+// res (nil: nothing to queue for), stay for dur, release. With jit, dur is
+// a base latency drawn through jittered once the unit is granted.
+type leg struct {
+	res *sim.Resource
+	dur sim.Duration
+	jit bool
+}
+
+// Phases of the current leg, then of the completion.
+const (
+	phAcquire = iota // queue for the leg's resource
+	phHold           // granted: stay for the leg's duration
+	phRelease        // duration over: release, next leg
+	phPost           // service and fault decision done: post until the CQ takes it
+)
+
+// cmdState is one in-flight command. A device command runs on no CPU
+// thread — it only queues on resources and sleeps — so it is a continuation
+// on the scheduler's callback tier, not a process: every resource grant and
+// timer expiry re-enters step, which pushes at most one further event, at
+// the point a handler process would have parked.
+type cmdState struct {
+	d    *Device
+	st   *queueState
+	step func() // c.run, bound once
+	cmd  nvme.Command
+
+	legs  [3]leg // frontend, then what decode adds: media and bus, or one plain delay
+	n, pc int
+	phase int
+
+	status nvme.Status
+	ns     *Namespace
+	segs   []nvme.Segment
+	buf    []byte // write payload, grow-only: it outlives the bus and media legs
+}
+
+func (d *Device) getCmd(st *queueState, cmd *nvme.Command) *cmdState {
+	var c *cmdState
+	if n := len(d.free); n > 0 {
+		c = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		c = &cmdState{d: d}
+		c.step = c.run
+	}
+	// Controller frontend: command fetch, decode, DMA descriptor setup.
+	c.legs[0] = leg{res: d.ctrl, dur: d.p.CtrlOver}
+	c.st, c.cmd, c.n, c.pc, c.phase, c.status = st, *cmd, 1, 0, phAcquire, nvme.SCSuccess
+	return c
+}
+
+func (d *Device) putCmd(c *cmdState) {
+	c.st, c.ns, c.segs = nil, nil, nil
+	d.free = append(d.free, c)
+}
+
+func (c *cmdState) run() {
+	d := c.d
+	for c.pc < c.n {
+		l := &c.legs[c.pc]
+		switch c.phase {
+		case phAcquire:
+			c.phase = phHold
+			if l.res != nil && !l.res.AcquireFunc(c.step) {
+				return
+			}
+		case phHold:
+			c.phase = phRelease
+			dur := l.dur
+			if l.jit {
+				dur = d.jittered(dur)
+			}
+			d.after(dur, c.step)
+			return
+		case phRelease:
+			if l.res != nil {
+				l.res.Release()
+			}
+			c.phase = phAcquire
+			if c.pc++; c.pc == 1 {
+				c.decode()
+			}
+		}
+	}
+	if c.phase != phPost {
+		c.phase = phPost
+		if c.n > 1 {
+			c.finish()
+		}
+		// Fault injection: a media error overrides a successful status; a drop
+		// suppresses the completion; a stuck completion is held before posting.
+		if fd := d.inj.Decide(classOf(c.cmd.Opcode())); fd.Faulty() {
+			if !fd.Status.OK() && c.status.OK() {
+				c.status = fd.Status
+				d.MediaErrors++
+			}
+			if fd.Drop {
+				d.DroppedComps++
+				d.putCmd(c)
+				return
+			}
+			if fd.Delay > 0 {
+				d.StuckComps++
+				d.after(fd.Delay, c.step)
+				return
+			}
+		}
+	}
+	// Post the completion; retry if the consumer has not drained the CQ.
 	// DW0 is command-specific in real NVMe; this controller echoes the
 	// reserved CDW3 so drivers can stamp a submission generation there
 	// and detect late completions for reclaimed tags (blockdev quarantine).
-	result := cmd.CDW(3)
-
-	// Controller frontend: command fetch, decode, DMA descriptor setup.
-	d.ctrl.Use(p, d.p.CtrlOver)
-
-	switch cmd.Opcode() {
-	case nvme.OpRead:
-		status = d.doRead(p, st, &cmd)
-	case nvme.OpWrite:
-		status = d.doWrite(p, st, &cmd, false)
-	case nvme.OpWriteZeroes:
-		status = d.doWrite(p, st, &cmd, true)
-	case nvme.OpCompare:
-		status = d.doCompare(p, st, &cmd)
-	case nvme.OpFlush:
-		d.Others++
-		p.Sleep(d.jittered(d.p.FlushLat))
-	case nvme.OpDSM:
-		d.Others++
-		// Deallocate: model as near-free metadata update.
-		p.Sleep(d.jittered(5 * sim.Microsecond))
-		if ns := d.ns[cmd.NSID()]; ns != nil {
-			ns.Store.TrimBlocks(cmd.SLBA(), cmd.Blocks())
-		}
-	default:
-		if cmd.Opcode() >= nvme.OpVendorStart {
-			// Vendor commands complete quickly with success; NVMetro's
-			// compatibility claim is that these pass through untouched.
-			d.Others++
-			p.Sleep(d.jittered(10 * sim.Microsecond))
-		} else {
-			status = nvme.SCInvalidOpcode
-		}
+	qp := c.st.qp
+	if !qp.CQ.Post(c.cmd.CID(), qp.SQ.ID, qp.SQ.Head(), c.status, c.cmd.CDW(3)) {
+		d.after(5*sim.Microsecond, c.step)
+		return
 	}
+	d.putCmd(c)
+}
 
-	// Fault injection: a media error overrides a successful status; a drop
-	// suppresses the completion; a stuck completion is held before posting.
-	if fd := d.inj.Decide(classOf(cmd.Opcode())); fd.Faulty() {
-		if !fd.Status.OK() && status.OK() {
-			status = fd.Status
-			d.MediaErrors++
-		}
-		if fd.Drop {
-			d.DroppedComps++
+// decode runs as the frontend lets go of the command: it validates it,
+// copies write data out of guest memory and adds the opcode's legs. A
+// rejected command adds none and completes with c.status.
+func (c *cmdState) decode() {
+	d, cmd := c.d, &c.cmd
+	delay := func(base sim.Duration) {
+		d.Others++
+		c.legs[1], c.n = leg{dur: base, jit: true}, 2
+	}
+	switch op := cmd.Opcode(); op {
+	case nvme.OpRead, nvme.OpCompare, nvme.OpWrite, nvme.OpWriteZeroes:
+		if c.ns, c.status = d.checkRange(cmd); !c.status.OK() {
 			return
 		}
-		if fd.Delay > 0 {
-			d.StuckComps++
-			p.Sleep(fd.Delay)
+		nbytes := cmd.Blocks() << d.p.LBAShift
+		if op != nvme.OpWriteZeroes {
+			var err error
+			if c.segs, err = nvme.WalkPRP(c.st.mem, cmd.PRP1(), cmd.PRP2(), nbytes); err != nil {
+				c.status = nvme.SCDataXferError
+				return
+			}
 		}
+		bus := func(res *sim.Resource, bw float64) leg {
+			return leg{res: res, dur: d.p.BusOver + sim.Duration(float64(nbytes)/bw*1e9)}
+		}
+		switch op {
+		case nvme.OpRead, nvme.OpCompare:
+			c.legs[1] = leg{res: d.units, dur: d.p.ReadBase, jit: true}
+			c.legs[2], c.n = bus(d.rbus, d.p.ReadBW), 3
+		case nvme.OpWrite:
+			buf := scratchBuf(&c.buf, nbytes)
+			if err := nvme.ReadSegments(c.st.mem, c.segs, buf); err != nil {
+				c.status = nvme.SCDataXferError
+				return
+			}
+			c.legs[1] = bus(d.wbus, d.p.WriteBW)
+			c.legs[2], c.n = leg{res: d.units, dur: d.p.WriteBase, jit: true}, 3
+		case nvme.OpWriteZeroes:
+			clear(scratchBuf(&c.buf, nbytes))
+			c.legs[1], c.n = leg{res: d.units, dur: d.p.WriteBase, jit: true}, 2
+		}
+	case nvme.OpFlush:
+		delay(d.p.FlushLat)
+	case nvme.OpDSM:
+		// Deallocate: model as near-free metadata update.
+		if c.ns, c.status = d.checkRange(cmd); c.status.OK() {
+			delay(5 * sim.Microsecond)
+		}
+	default:
+		if op < nvme.OpVendorStart {
+			c.status = nvme.SCInvalidOpcode
+			return
+		}
+		// Vendor commands complete quickly with success; NVMetro's
+		// compatibility claim is that these pass through untouched.
+		delay(10 * sim.Microsecond)
 	}
+}
 
-	// Post the completion; retry if the consumer has not drained the CQ.
-	for !st.qp.CQ.Post(cmd.CID(), st.qp.SQ.ID, st.qp.SQ.Head(), status, result) {
-		p.Sleep(5 * sim.Microsecond)
+// finish moves the data of a command whose legs have all run.
+func (c *cmdState) finish() {
+	d, cmd, mem := c.d, &c.cmd, c.st.mem
+	nbytes := cmd.Blocks() << d.p.LBAShift
+	switch cmd.Opcode() {
+	case nvme.OpRead:
+		buf := scratchBuf(&d.scratch, nbytes)
+		c.ns.Store.ReadBlocks(cmd.SLBA(), buf)
+		if err := nvme.WriteSegments(mem, c.segs, buf); err != nil {
+			c.status = nvme.SCDataXferError
+			return
+		}
+		d.Reads++
+		d.BytesRead += uint64(nbytes)
+	case nvme.OpWrite, nvme.OpWriteZeroes:
+		c.ns.Store.WriteBlocks(cmd.SLBA(), c.buf[:nbytes])
+		d.Writes++
+		d.BytesWrit += uint64(nbytes)
+	case nvme.OpCompare:
+		want := scratchBuf(&d.scratch, nbytes)
+		if err := nvme.ReadSegments(mem, c.segs, want); err != nil {
+			c.status = nvme.SCDataXferError
+			return
+		}
+		have := scratchBuf(&d.scratch2, nbytes)
+		c.ns.Store.ReadBlocks(cmd.SLBA(), have)
+		if !bytes.Equal(want, have) {
+			c.status = nvme.SCCompareFailure
+			return
+		}
+		d.Others++
+	case nvme.OpDSM:
+		c.ns.Store.TrimBlocks(cmd.SLBA(), cmd.Blocks())
 	}
 }
 
@@ -303,95 +451,9 @@ func (d *Device) checkRange(cmd *nvme.Command) (*Namespace, nvme.Status) {
 	if ns == nil {
 		return nil, nvme.SCInvalidNS
 	}
-	if cmd.SLBA()+uint64(cmd.Blocks()) > ns.Info.Size {
+	// The guest owns SLBA: lba+blocks may wrap, size-lba cannot.
+	if lba, size := cmd.SLBA(), ns.Info.Size; lba > size || uint64(cmd.Blocks()) > size-lba {
 		return nil, nvme.SCLBAOutOfRange
 	}
 	return ns, nvme.SCSuccess
-}
-
-func (d *Device) transfer(p *sim.Proc, bus *sim.Resource, nbytes uint32, bw float64) {
-	t := d.p.BusOver + sim.Duration(float64(nbytes)/bw*1e9)
-	bus.Use(p, t)
-}
-
-func (d *Device) doRead(p *sim.Proc, st *queueState, cmd *nvme.Command) nvme.Status {
-	ns, status := d.checkRange(cmd)
-	if !status.OK() {
-		return status
-	}
-	nbytes := cmd.Blocks() << d.p.LBAShift
-	segs, err := nvme.WalkPRP(st.mem, cmd.PRP1(), cmd.PRP2(), nbytes)
-	if err != nil {
-		return nvme.SCDataXferError
-	}
-	d.units.Acquire()
-	p.Sleep(d.jittered(d.p.ReadBase))
-	d.units.Release()
-	d.transfer(p, d.rbus, nbytes, d.p.ReadBW)
-
-	buf := scratchBuf(&d.scratch, nbytes)
-	ns.Store.ReadBlocks(cmd.SLBA(), buf)
-	if err := nvme.WriteSegments(st.mem, segs, buf); err != nil {
-		return nvme.SCDataXferError
-	}
-	d.Reads++
-	d.BytesRead += uint64(nbytes)
-	return nvme.SCSuccess
-}
-
-func (d *Device) doWrite(p *sim.Proc, st *queueState, cmd *nvme.Command, zeroes bool) nvme.Status {
-	ns, status := d.checkRange(cmd)
-	if !status.OK() {
-		return status
-	}
-	nbytes := cmd.Blocks() << d.p.LBAShift
-	buf := make([]byte, nbytes)
-	if !zeroes {
-		segs, err := nvme.WalkPRP(st.mem, cmd.PRP1(), cmd.PRP2(), nbytes)
-		if err != nil {
-			return nvme.SCDataXferError
-		}
-		if err := nvme.ReadSegments(st.mem, segs, buf); err != nil {
-			return nvme.SCDataXferError
-		}
-		d.transfer(p, d.wbus, nbytes, d.p.WriteBW)
-	}
-	d.units.Acquire()
-	p.Sleep(d.jittered(d.p.WriteBase))
-	d.units.Release()
-
-	ns.Store.WriteBlocks(cmd.SLBA(), buf)
-	d.Writes++
-	d.BytesWrit += uint64(nbytes)
-	return nvme.SCSuccess
-}
-
-func (d *Device) doCompare(p *sim.Proc, st *queueState, cmd *nvme.Command) nvme.Status {
-	ns, status := d.checkRange(cmd)
-	if !status.OK() {
-		return status
-	}
-	nbytes := cmd.Blocks() << d.p.LBAShift
-	segs, err := nvme.WalkPRP(st.mem, cmd.PRP1(), cmd.PRP2(), nbytes)
-	if err != nil {
-		return nvme.SCDataXferError
-	}
-	d.units.Acquire()
-	p.Sleep(d.jittered(d.p.ReadBase))
-	d.units.Release()
-	d.transfer(p, d.rbus, nbytes, d.p.ReadBW)
-
-	want := scratchBuf(&d.scratch, nbytes)
-	if err := nvme.ReadSegments(st.mem, segs, want); err != nil {
-		return nvme.SCDataXferError
-	}
-	have := scratchBuf(&d.scratch2, nbytes)
-	ns.Store.ReadBlocks(cmd.SLBA(), have)
-	for i := range want {
-		if want[i] != have[i] {
-			return nvme.SCCompareFailure
-		}
-	}
-	d.Others++
-	return nvme.SCSuccess
 }

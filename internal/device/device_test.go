@@ -421,3 +421,112 @@ func TestMemStoreCrossChunk(t *testing.T) {
 		t.Fatal("cross chunk round trip")
 	}
 }
+
+// TestHostileRangeRejected: the guest owns SLBA and NLB, so the range check
+// must not wrap. At SLBA = 2^64-1 a wrapped sum passes, and a write
+// materialises a store chunk far outside the namespace.
+func TestHostileRangeRejected(t *testing.T) {
+	p := Default970EvoPlus()
+	p.Blocks = 1000
+	store := NewMemStore(512)
+	r := newRig(t, p, store)
+	cases := []struct {
+		name   string
+		slba   uint64
+		blocks uint32
+		want   nvme.Status
+	}{
+		{"last block", 999, 1, nvme.SCSuccess},
+		{"empty tail is still a 1-block command", 1000, 1, nvme.SCLBAOutOfRange},
+		{"straddles the end", 999, 2, nvme.SCLBAOutOfRange},
+		{"wraps to 0", ^uint64(0), 1, nvme.SCLBAOutOfRange},
+		{"wraps past 0", ^uint64(0), 2, nvme.SCLBAOutOfRange},
+		{"wraps into the namespace", ^uint64(0) - 500, 1000, nvme.SCLBAOutOfRange},
+	}
+	r.run(t, func(pr *sim.Proc) {
+		buf := r.mem.MustAllocPages(1)
+		for _, tc := range cases {
+			for _, op := range []uint8{nvme.OpRead, nvme.OpWrite, nvme.OpCompare, nvme.OpWriteZeroes, nvme.OpDSM} {
+				if tc.want.OK() && op == nvme.OpCompare {
+					continue // would fail on content, not on range
+				}
+				if st := r.submit(pr, nvme.NewRW(op, 0, 1, tc.slba, tc.blocks, buf, 0)); st != tc.want {
+					t.Errorf("%s, opcode %#x: %v, want %v", tc.name, op, st, tc.want)
+				}
+			}
+		}
+	})
+	if store.Resident() != 1 {
+		t.Errorf("%d chunks resident, want only the last block's", store.Resident())
+	}
+}
+
+func TestPartitionTranslateHostile(t *testing.T) {
+	env := sim.New(1)
+	parts := Carve(New(env, Default970EvoPlus(), NullStore{}), 1, 4)
+	per := parts[0].Blocks
+	for _, tc := range []struct {
+		lba    uint64
+		blocks uint32
+		ok     bool
+	}{
+		{per - 1, 1, true},
+		{per, 1, false},
+		{per - 1, 2, false},
+		{^uint64(0), 1, false}, // wrapped sum is 0: would map to the neighbour's last block
+		{^uint64(0), 2, false},
+		{^uint64(0) - 500, 1000, false},
+	} {
+		got, ok := parts[1].Translate(tc.lba, tc.blocks)
+		if ok != tc.ok || (ok && got != parts[1].Start+tc.lba) {
+			t.Errorf("Translate(%#x, %d) = %#x, %v; want ok=%v", tc.lba, tc.blocks, got, ok, tc.ok)
+		}
+	}
+}
+
+// TestWriteZeroesAfterWriteReusesBuffer: the write payload buffer rides on
+// the pooled command state, so a WriteZeroes picking up the state of a
+// preceding non-zero write of the same size must clear it.
+func TestWriteZeroesAfterWriteReusesBuffer(t *testing.T) {
+	r := newRig(t, Default970EvoPlus(), NewMemStore(512))
+	r.run(t, func(pr *sim.Proc) {
+		if st := r.rw(pr, nvme.OpWrite, 40, bytes.Repeat([]byte{0xee}, 4096)); !st.OK() {
+			t.Error(st)
+		}
+		if len(r.dev.free) != 1 || len(r.dev.free[0].buf) != 4096 || r.dev.free[0].buf[0] != 0xee {
+			t.Errorf("want the write's state, payload intact, on the free list; %d states", len(r.dev.free))
+		}
+		if st := r.submit(pr, nvme.NewRW(nvme.OpWriteZeroes, 0, 1, 80, 8, 0, 0)); !st.OK() {
+			t.Error(st)
+		}
+		got := bytes.Repeat([]byte{1}, 4096)
+		if st := r.rw(pr, nvme.OpRead, 80, got); !st.OK() {
+			t.Error(st)
+		}
+		if !bytes.Equal(got, make([]byte, 4096)) {
+			t.Error("write zeroes stored a stale payload")
+		}
+	})
+}
+
+// TestNoSpawnPerCommand: at steady state a device command costs no process,
+// and the command states in flight are recycled, not accumulated.
+func TestNoSpawnPerCommand(t *testing.T) {
+	r := newRig(t, Default970EvoPlus(), NullStore{})
+	r.run(t, func(pr *sim.Proc) {
+		buf := make([]byte, 512)
+		r.rw(pr, nvme.OpRead, 0, buf)
+		spawns := r.env.Spawns()
+		for i := 0; i < 1000; i++ {
+			if st := r.rw(pr, nvme.OpRead, uint64(i), buf); !st.OK() {
+				t.Error(st)
+			}
+		}
+		if got := r.env.Spawns(); got != spawns {
+			t.Errorf("%d processes spawned across 1000 commands", got-spawns)
+		}
+		if len(r.dev.free) != 1 {
+			t.Errorf("%d idle command states after QD1 traffic, want 1", len(r.dev.free))
+		}
+	})
+}

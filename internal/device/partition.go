@@ -43,9 +43,10 @@ func (p Partition) Info() nvme.NamespaceInfo {
 }
 
 // Translate converts a partition-relative LBA range to device LBAs,
-// reporting false when the range exceeds the partition.
+// reporting false when the range exceeds the partition. The guest owns lba:
+// lba+blocks may wrap, Blocks-lba cannot.
 func (p Partition) Translate(lba uint64, blocks uint32) (uint64, bool) {
-	if lba+uint64(blocks) > p.Blocks {
+	if lba > p.Blocks || uint64(blocks) > p.Blocks-lba {
 		return 0, false
 	}
 	return p.Start + lba, true

@@ -10,8 +10,9 @@ import (
 // BenchmarkShardDispatch measures one 4 KiB read round trip through the
 // sharded fleet, routed (classifier executes every command) against
 // promoted (direct SQ→HSQ mapping, classifier elided) — the host-side cost
-// the promotion tier removes. events/op is the scheduler events per round
-// trip (see BenchmarkRouterHop).
+// the promotion tier removes. events/op, switches/op and spawns/op are the
+// scheduler events, run-token hand-offs and process spawns per round trip
+// (see BenchmarkRouterHop).
 func BenchmarkShardDispatch(b *testing.B) {
 	for _, tier := range []string{"routed", "promoted"} {
 		b.Run(tier, func(b *testing.B) {
@@ -30,10 +31,10 @@ func BenchmarkShardDispatch(b *testing.B) {
 				bases[i], pages[i] = base, pg
 			}
 			done := false
-			var events uint64
+			var events, switches, spawns uint64
 			bench.env.Go("bench", func(p *sim.Proc) {
 				b.ResetTimer()
-				events = bench.env.Dispatched()
+				events, switches, spawns = bench.env.Dispatched(), bench.env.Switches(), bench.env.Spawns()
 				for i := 0; i < b.N; i++ {
 					t := i % 2
 					req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8,
@@ -43,7 +44,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				events = bench.env.Dispatched() - events
+				events, switches, spawns = bench.env.Dispatched()-events, bench.env.Switches()-switches, bench.env.Spawns()-spawns
 				done = true
 				bench.env.Stop()
 			})
@@ -52,6 +53,8 @@ func BenchmarkShardDispatch(b *testing.B) {
 				b.Fatal("benchmark did not finish")
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+			b.ReportMetric(float64(spawns)/float64(b.N), "spawns/op")
 		})
 	}
 }

@@ -171,3 +171,36 @@ func BenchmarkWaitTimeoutSignaled(b *testing.B) {
 	b.ResetTimer()
 	env.Run()
 }
+
+// BenchmarkResourceHandoffFunc is BenchmarkResourceHandoff with the four
+// contenders as AcquireFunc continuations instead of processes: the same
+// two events per hold (grant, expiry), but every one a callback — no run
+// token changes hands.
+func BenchmarkResourceHandoffFunc(b *testing.B) {
+	env := New(1)
+	r := NewResource(env, 1)
+	const workers = 4
+	per := b.N / workers
+	for w := 0; w < workers; w++ {
+		left := per
+		var granted, expired func()
+		granted = func() { env.After(100*Nanosecond, expired) }
+		expired = func() {
+			r.Release()
+			if left--; left > 0 && r.AcquireFunc(granted) {
+				granted()
+			}
+		}
+		env.After(0, func() {
+			if left > 0 && r.AcquireFunc(granted) {
+				granted()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	if env.Switches() != 0 {
+		b.Fatalf("%d process switches on the callback tier", env.Switches())
+	}
+}

@@ -5,7 +5,8 @@ package sim
 // Tokens are pooled on the environment: the waiter recycles its token after
 // resuming, unless a timeout event may still reference it.
 type waitTok struct {
-	p        *Proc
+	p        *Proc  // parked process, or
+	fn       func() // continuation of a Resource.AcquireFunc waiter
 	fired    bool
 	signaled bool
 	hasTimer bool // a queued timeout event references this token

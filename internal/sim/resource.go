@@ -25,7 +25,8 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of waiters — processes and AcquireFunc
+// callbacks — queued to acquire.
 func (r *Resource) QueueLen() int {
 	n := 0
 	for _, t := range r.q[r.head:] {
@@ -61,6 +62,23 @@ func (r *Resource) Acquire() {
 	r.env.putTok(tok)
 }
 
+// AcquireFunc is Acquire for code that has no process to park: a component
+// that never runs on a CPU thread and only queues on resources and timers
+// (a device command) is a continuation, not a stack. It reports true when a
+// unit was taken on the spot. Otherwise fn joins the same FIFO waiter list
+// as parked processes and Release runs it as a callback event at the
+// hand-over instant, already owning the unit. fn runs in scheduler context
+// and must not block.
+func (r *Resource) AcquireFunc(fn func()) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	tok := r.env.getTok(nil)
+	tok.fn = fn
+	r.q = append(r.q, tok)
+	return false
+}
+
 // Release returns a unit, waking the head waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -79,8 +97,12 @@ func (r *Resource) Release() {
 		}
 		tok.fired = true
 		tok.signaled = true
-		// Hand the unit over without decrementing inUse.
-		r.env.push(r.env.now, tok.p, nil)
+		// Hand the unit over without decrementing inUse. A callback waiter
+		// holds no reference to its token, so it is recycled here.
+		r.env.push(r.env.now, tok.p, tok.fn)
+		if tok.fn != nil {
+			r.env.putTok(tok)
+		}
 		return
 	}
 	r.q = r.q[:0]

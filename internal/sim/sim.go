@@ -86,6 +86,8 @@ type Env struct {
 	limit Time // dispatch bound of the run in progress
 
 	dispatched uint64 // events popped, dead ones included
+	switches   uint64 // run token handed to a process on another goroutine
+	spawns     uint64 // Go calls
 
 	idle      chan struct{} // hands the run token back to Run/Close
 	cur       *Proc
@@ -130,6 +132,16 @@ func (e *Env) QueueLen() int { return e.q.size }
 // environment was created (lazily-cancelled ones included): the host-side
 // work a simulation costs, for events-per-operation benchmarks.
 func (e *Env) Dispatched() uint64 { return e.dispatched }
+
+// Switches reports how many times the run token was handed to a process
+// parked on another goroutine — one channel rendezvous through the Go
+// scheduler each. Fused self-resumes (a process whose own wake is the next
+// event keeps running) and callback events cost none and are not counted.
+func (e *Env) Switches() uint64 { return e.switches }
+
+// Spawns reports how many processes Go has started since the environment
+// was created.
+func (e *Env) Spawns() uint64 { return e.spawns }
 
 // QueueDead reports the number of queued events known to be dead: cancelled
 // timeouts and wakes for finished processes. They are skipped at dispatch
@@ -232,12 +244,13 @@ func (p *Proc) Now() Time { return p.env.now }
 // context, callback context, or before Run.
 //
 // The process runs on a pooled worker goroutine when one is idle, so
-// spawn-heavy workloads (one process per device command) pay neither a
-// goroutine launch nor the one-time stack pre-grow per process.
+// spawn-heavy workloads (one process per request) pay neither a goroutine
+// launch nor the one-time stack pre-grow per process.
 func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go after Close")
 	}
+	e.spawns++
 	var w *worker
 	if n := len(e.pool); n > 0 {
 		w = e.pool[n-1]
@@ -346,7 +359,7 @@ func (e *Env) workerLoop(w *worker) {
 			fused = true
 			continue
 		}
-		next.resume <- false
+		e.handOff(next)
 	}
 }
 
@@ -381,6 +394,13 @@ func (e *Env) retire(p *Proc, r any) {
 
 var errStopSentinel = errors.New("sim: stop")
 
+// handOff passes the run token to next, which is parked on another
+// goroutine.
+func (e *Env) handOff(next *Proc) {
+	e.switches++
+	next.resume <- false
+}
+
 // park blocks the calling process until the scheduler resumes it. Callers
 // must have arranged a wake-up (event or condition) beforehand. The parking
 // process itself runs the dispatch loop: if its own wake-up is the next
@@ -395,7 +415,7 @@ func (p *Proc) park() {
 	}
 	if next != nil {
 		e.cur = next
-		next.resume <- false
+		e.handOff(next)
 	} else {
 		e.idle <- struct{}{}
 	}
@@ -483,7 +503,7 @@ func (e *Env) runLoop() Time {
 			return e.now
 		}
 		e.cur = p
-		p.resume <- false
+		e.handOff(p)
 		<-e.idle
 		e.cur = nil
 		if e.fail != nil {
@@ -575,6 +595,6 @@ func (e *Env) putTok(tok *waitTok) {
 	if tok.hasTimer {
 		return
 	}
-	tok.val = nil
+	tok.val, tok.fn = nil, nil
 	e.tokFree = append(e.tokFree, tok)
 }

@@ -214,6 +214,83 @@ func TestResourceFIFOHandoff(t *testing.T) {
 	}
 }
 
+// TestResourceAcquireFuncFIFO mixes parked processes and AcquireFunc
+// continuations in one waiter list: grants follow arrival order whatever
+// the waiter's kind, a late TryAcquire cannot barge past a queued callback,
+// QueueLen counts both, the continuation runs at the hand-over instant
+// already owning the unit, and its token goes back to the free list.
+func TestResourceAcquireFuncFIFO(t *testing.T) {
+	env := New(1)
+	r := NewResource(env, 1)
+	var order []int
+	var at []Time
+	grant := func(i int) {
+		order = append(order, i)
+		at = append(at, env.Now())
+	}
+	hold := func(i int) func() {
+		return func() {
+			grant(i)
+			if r.InUse() != 1 {
+				t.Errorf("waiter %d runs with InUse %d", i, r.InUse())
+			}
+			env.After(Microsecond, r.Release)
+		}
+	}
+	if !r.AcquireFunc(func() { t.Error("fn ran although the unit was free") }) {
+		t.Fatal("free unit not taken on the spot")
+	}
+	grant(0)
+	env.After(Microsecond, r.Release)
+	for i := 1; i <= 4; i++ {
+		i := i
+		if i%2 == 0 {
+			env.Go("proc", func(p *Proc) {
+				r.Acquire()
+				grant(i)
+				p.Sleep(Microsecond)
+				r.Release()
+			})
+			continue
+		}
+		env.After(0, func() {
+			if r.AcquireFunc(hold(i)) {
+				t.Errorf("waiter %d barged", i)
+			}
+		})
+	}
+	env.After(0, func() {
+		if r.QueueLen() != 4 {
+			t.Errorf("QueueLen %d, want 4", r.QueueLen())
+		}
+		if r.TryAcquire() {
+			t.Error("TryAcquire barged past queued waiters")
+		}
+	})
+	env.Run()
+	// The t=0 events dispatch in push order, so the waiters queued as
+	// 1 (callback), 2 (process), 3, 4; each holds the unit for 1 us.
+	for i, v := range order {
+		if v != i || at[i] != Time(i)*Time(Microsecond) {
+			t.Fatalf("grant order %v at %v", order, at)
+		}
+	}
+	if len(order) != 5 || r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Fatalf("order %v, InUse %d, QueueLen %d", order, r.InUse(), r.QueueLen())
+	}
+	free := len(env.tokFree)
+	if !r.AcquireFunc(nil) || r.AcquireFunc(func() {}) {
+		t.Fatal("second AcquireFunc on a held unit must queue")
+	}
+	if len(env.tokFree) != free-1 {
+		t.Fatalf("queued callback took no pooled token: free list %d -> %d", free, len(env.tokFree))
+	}
+	r.Release()
+	if len(env.tokFree) != free {
+		t.Fatalf("token not recycled at hand-over: free list %d, want %d", len(env.tokFree), free)
+	}
+}
+
 func TestCoreAccounting(t *testing.T) {
 	env := New(1)
 	cpu := NewCPU(env, 2)
@@ -351,5 +428,36 @@ func TestYieldInterleaving(t *testing.T) {
 	env.Run()
 	if fmt.Sprint(log) != "[a1 b1 a2]" {
 		t.Fatalf("log %v", log)
+	}
+}
+
+// TestSwitchAndSpawnCounters pins what Switches and Spawns count: a lone
+// sleeper is handed the token once and then resumes itself (fused, not
+// counted); callbacks never count; two processes alternating count one
+// hand-off per wake.
+func TestSwitchAndSpawnCounters(t *testing.T) {
+	env := New(1)
+	env.Go("lone", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	env.After(50*Microsecond, func() {})
+	env.Run()
+	if env.Spawns() != 1 || env.Switches() != 1 {
+		t.Fatalf("lone sleeper: %d spawns, %d switches, want 1 and 1", env.Spawns(), env.Switches())
+	}
+	for i := 0; i < 2; i++ {
+		env.Go("pair", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+	env.Run()
+	// 2 starts + 10 wakes each, every one finding the other process (or,
+	// for the first start, Run) holding the token.
+	if env.Spawns() != 3 || env.Switches() != 1+22 {
+		t.Fatalf("pair: %d spawns, %d switches, want 3 and 23", env.Spawns(), env.Switches())
 	}
 }
