@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt bench bench-sim bench-smoke bench-e2e-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt loc bench bench-sim bench-smoke bench-e2e-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
@@ -22,6 +22,13 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# loc prints the repo's Go line counts (all lines, bench/ excluded), non-test
+# and test apart: net-negative non-test LOC is a headline result of the
+# simplification round (ROADMAP), so CHANGES.md entries cite it before/after.
+loc:
+	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -83,9 +90,10 @@ scrub-smoke:
 	$(GO) test -race -run 'TestScrub' ./internal/harness/
 
 # scale-smoke runs the sharded-router suite under the race detector: the
-# lock-free MPSC ring and static-verdict unit tests, the fleet placement /
-# promotion-fence / per-shard QoS-merge tests, and the scale experiment's
-# any-workers determinism and near-linear-scaling shape checks.
+# lock-free MPSC ring and static-verdict unit tests, the placement /
+# promotion-fence / per-shard QoS-merge tests over core.Router (they live
+# in internal/shard), and the scale experiment's any-workers determinism
+# and near-linear-scaling shape checks.
 scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/

@@ -14,7 +14,6 @@ import (
 	"nvmetro"
 	"nvmetro/internal/core"
 	"nvmetro/internal/harness"
-	"nvmetro/internal/stack"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -56,7 +55,10 @@ func BenchmarkAblationFastPathLatency(b *testing.B) {
 	sys := nvmetro.NewSystem(nvmetro.Defaults())
 	defer sys.Close()
 	guest := sys.NewVM(1, 32<<20)
-	disk := sys.AttachNVMetro(guest, sys.WholeDisk())
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	res := sys.RunFIO(nvmetro.FIOConfig{
 		Mode: nvmetro.RandRead, BlockSize: 512, QD: 1,
 		Warmup: 1 * nvmetro.Millisecond, Duration: nvmetro.Duration(b.N) * 100 * nvmetro.Microsecond,
@@ -94,17 +96,19 @@ func BenchmarkAblationInterpretedVsNativeClassifier(b *testing.B) {
 		sys := nvmetro.NewSystem(nvmetro.Defaults())
 		defer sys.Close()
 		guest := sys.NewVM(2, 64<<20)
-		sol := stack.NewNVMetro(sys.Host)
-		disk := sol.Provision(guest, sys.WholeDisk())
+		disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if native {
-			sol.ControllerFor(guest).SetNativeClassifier(func(ctx []byte) uint64 {
+			disk.Ctrl.SetNativeClassifier(func(ctx []byte) uint64 {
 				return core.ActSendHQ | core.ActWillCompleteHQ
 			})
 		}
 		res := sys.RunFIO(nvmetro.FIOConfig{
 			Mode: nvmetro.RandRead, BlockSize: 512, QD: 128,
 			Warmup: nvmetro.Millisecond, Duration: 8 * nvmetro.Millisecond,
-		}, []nvmetro.FIOTarget{{Disk: disk, VM: guest, VCPU: guest.VCPU(0)}, {Disk: disk, VM: guest, VCPU: guest.VCPU(1)}})
+		}, disk.Targets(2))
 		return res.KIOPS()
 	}
 	var interp, native float64

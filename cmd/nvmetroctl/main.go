@@ -108,20 +108,16 @@ func main() {
 	}
 
 	parts := sys.CarveDisk(*nvms)
-	var disks []*nvmetro.AttachedDisk
+	var spec nvmetro.Spec
+	switch *function {
+	case "encryption", "sgx":
+		spec.Encrypt = &nvmetro.Encryption{Key: bytes.Repeat([]byte{0x42}, 64), SGX: *function == "sgx"}
+	case "replication":
+		spec.Replicate = remote
+	}
+	var disks []*nvmetro.Volume
 	for i := 0; i < *nvms; i++ {
-		v := sys.NewVM(1, 32<<20)
-		var d *nvmetro.AttachedDisk
-		switch *function {
-		case "encryption":
-			d = sys.AttachEncrypted(v, parts[i], bytes.Repeat([]byte{0x42}, 64), false)
-		case "sgx":
-			d = sys.AttachEncrypted(v, parts[i], bytes.Repeat([]byte{0x42}, 64), true)
-		case "replication":
-			d = sys.AttachReplicated(v, parts[i], remote)
-		default:
-			d = sys.AttachNVMetro(v, parts[i])
-		}
+		d := must(sys.Attach(sys.NewVM(1, 32<<20), parts[i], spec))
 		disks = append(disks, d)
 		fmt.Printf("vm%d: virtual NVMe controller attached over partition [%d, +%d blocks), function=%s\n",
 			i, parts[i].Start, parts[i].Blocks, *function)
@@ -162,6 +158,15 @@ func main() {
 	}
 }
 
+// must exits on an Attach error: every Spec here is fixed by the flags.
+func must(v *nvmetro.Volume, err error) *nvmetro.Volume {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return v
+}
+
 // shardCmd is the `nvmetroctl shard` subcommand: a sharded-fleet demo and
 // state dump — per-shard tenant assignment, promotion tier and MPSC inbox
 // depths, plus an optional live demotion/re-promotion episode.
@@ -192,15 +197,15 @@ func shardCmd(args []string) {
 	sys := nvmetro.NewSystem(cfg)
 	defer sys.Close()
 
-	sol := sys.NewNVMetroSharded(n)
+	pool := sys.NewNVMetroSharded(n)
 	fmt.Printf("host: %d cores, %d dispatch shards, path promotion enabled\n", cfg.Cores, n)
 
-	var disks []*nvmetro.AttachedDisk
+	var disks []*nvmetro.Volume
 	var targets []nvmetro.FIOTarget
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 32<<20)
 		part := sys.AddNamespace(1 << 18) // whole namespace: promotable layout
-		d := sys.AttachShared(sol, v, part)
+		d := must(sys.Attach(v, part, nvmetro.Spec{Pool: pool}))
 		disks = append(disks, d)
 		targets = append(targets, d.Targets(1)...)
 		fmt.Printf("vm%d: whole namespace %d, shard %d\n", i, part.NSID, d.Ctrl.WorkerID())
@@ -213,7 +218,7 @@ func shardCmd(args []string) {
 	}, targets)
 	fmt.Printf("results: %.1f kIOPS, p50=%.1fus p99=%.1fus, guest errors=%d\n\n",
 		res.KIOPS(), float64(res.Lat.Median())/1e3, float64(res.Lat.P99())/1e3, res.Errors)
-	fmt.Print(sol.Fleet().Dump())
+	fmt.Print(pool.Dump())
 
 	if !*swap {
 		return
@@ -242,7 +247,7 @@ func shardCmd(args []string) {
 		Warmup: nvmetro.Millisecond, Duration: 4 * nvmetro.Millisecond,
 	}, targets)
 	fmt.Printf("vm0 promoted=%v (re-promoted through the control inbox)\n\n", vc.Promoted())
-	fmt.Print(sol.Fleet().Dump())
+	fmt.Print(pool.Dump())
 }
 
 // chaosCmd is the `nvmetroctl chaos` subcommand: run one supervised
@@ -267,25 +272,25 @@ func chaosCmd(args []string) {
 	pol.Seed = *seed
 	v := sys.NewVM(1, 32<<20)
 	part := sys.WholeDisk()
-	var (
-		disk *nvmetro.AttachedDisk
-		sup  *nvmetro.Supervisor
-		site string
-	)
+	spec := nvmetro.Spec{Supervise: &pol}
+	var site string
 	switch *function {
 	case "encryption":
-		disk, sup = sys.AttachEncryptedSupervised(v, part, bytes.Repeat([]byte{0x42}, 64), pol)
+		spec.Encrypt = &nvmetro.Encryption{Key: bytes.Repeat([]byte{0x42}, 64)}
 		site = "uif-encryptor"
 	case "cache":
-		disk, sup = sys.AttachCachedSupervised(v, part, nvmetro.DefaultCacheParams(), pol)
+		cp := nvmetro.DefaultCacheParams()
+		spec.Cache = &cp
 		site = "uif-cacher"
 	case "replication":
-		disk, sup = sys.AttachReplicatedSupervised(v, part, sys.NewRemoteHost(4), pol)
+		spec.Replicate = sys.NewRemoteHost(4)
 		site = "uif-replicator"
 	default:
 		fmt.Fprintf(os.Stderr, "unknown function %q\n", *function)
 		os.Exit(2)
 	}
+	disk := must(sys.Attach(v, part, spec))
+	sup := disk.Supervisor
 
 	plan := nvmetro.NewFaultPlan(*seed)
 	switch *kind {
@@ -367,15 +372,15 @@ func scrubCmd(args []string) {
 	defer sys.Close()
 
 	v := sys.NewVM(1, 32<<20)
-	var pd *nvmetro.ProtectedDisk
+	scrub := nvmetro.DefaultScrubConfig()
+	spec := nvmetro.Spec{Integrity: &scrub}
 	if *replica {
-		remote := sys.NewRemoteHost(4)
-		pd = sys.AttachReplicatedProtected(v, sys.WholeDisk(), remote, nvmetro.DefaultScrubConfig())
+		spec.Replicate = sys.NewRemoteHost(4)
 		fmt.Println("remote mirror attached over NVMe-oF fabric (repair source)")
 	} else {
-		pd = sys.AttachProtected(v, sys.WholeDisk(), nvmetro.DefaultScrubConfig())
 		fmt.Println("no replica: unrepairable damage will be quarantined")
 	}
+	pd := must(sys.Attach(v, sys.WholeDisk(), spec))
 
 	fmt.Printf("running randrw over a %d-block working set, fault=%s, scrub active...\n",
 		workBlocks, *kind)
@@ -461,11 +466,11 @@ func snapCmd(args []string) {
 	fmt.Printf("host: %d cores; golden image %d MiB sealed (%d chunks, base CRC %08x)\n",
 		cfg.Cores, *image, img.Index().Chunks(), img.BaseCRC())
 
-	var disks []*nvmetro.ClonedDisk
+	var disks []*nvmetro.Volume
 	var targets []nvmetro.FIOTarget
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 16<<20)
-		d := sys.AttachCloned(v, img)
+		d := must(sys.Attach(v, nvmetro.Partition{}, nvmetro.Spec{CloneOf: img}))
 		disks = append(disks, d)
 		targets = append(targets, d.Targets(1)...)
 		fmt.Printf("vm%d: cloned namespace %d attached (0 chunks copied)\n",
@@ -520,7 +525,7 @@ func qosCmd(args []string) {
 	sys := nvmetro.NewSystem(cfg)
 	defer sys.Close()
 
-	sol := sys.NewNVMetroShared(1).WithQoS(nvmetro.QoSConfig{})
+	pool := sys.NewNVMetroShared(1).WithQoS(nvmetro.QoSConfig{})
 	fmt.Printf("host: %d cores, one shared router worker, WFQ arbiter enabled\n", cfg.Cores)
 
 	contracts := []struct {
@@ -536,9 +541,8 @@ func qosCmd(args []string) {
 	var targets []nvmetro.FIOTarget
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 32<<20)
-		d := sys.AttachShared(sol, v, parts[i])
 		c := contracts[i%len(contracts)]
-		sol.SetQoS(v, c.tc)
+		d := must(sys.Attach(v, parts[i], nvmetro.Spec{Pool: pool, QoS: &c.tc}))
 		targets = append(targets, d.Targets(1)...)
 		fmt.Printf("vm%d: %s contract %+v\n", i, c.label, c.tc)
 	}
@@ -550,7 +554,7 @@ func qosCmd(args []string) {
 	}, targets)
 	fmt.Printf("aggregate: %.1f kIOPS, %.1f MB/s\n\n", res.KIOPS(), res.MBps())
 
-	printQoSTable(sol.QoSArbiter().Snapshot(sys.Env.Now()))
+	printQoSTable(pool.Router().QoSSnapshot(sys.Env.Now()))
 }
 
 // printQoSTable renders per-tenant arbiter state as an aligned table.

@@ -20,7 +20,11 @@ func main() {
 
 	guest := sys.NewVM(2, 64<<20)
 	cp := nvmetro.DefaultCacheParams() // 16 MiB ARC, hot on the 2nd access
-	disk, cacher := sys.AttachCached(guest, sys.WholeDisk(), cp)
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{Cache: &cp})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cacher := disk.Cacher()
 
 	data := bytes.Repeat([]byte("hot block! "), 400)[:4096]
 	ok := sys.Run(10*nvmetro.Second, func(p *nvmetro.Proc) {

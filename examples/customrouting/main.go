@@ -12,9 +12,7 @@ import (
 	"log"
 
 	"nvmetro"
-	"nvmetro/internal/core"
 	"nvmetro/internal/ebpf"
-	"nvmetro/internal/stack"
 	"nvmetro/internal/vm"
 )
 
@@ -91,13 +89,11 @@ func main() {
 	fmt.Printf("custom classifier assembled (%d insns) and verified\n", len(prog.Insns))
 
 	// Attach NVMetro and install the custom classifier on the controller.
-	sol := stack.NewNVMetro(sys.Host)
-	var ctrl *core.Controller
-	solDisk := sol.Provision(guest, part)
-	// Reach the controller through the router the solution built: the
-	// Provision call attached exactly one VM.
-	ctrl = findController(sol, guest)
-	if err := ctrl.LoadClassifier(prog); err != nil {
+	disk, err := sys.Attach(guest, part, nvmetro.Spec{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := disk.Ctrl.LoadClassifier(prog); err != nil {
 		log.Fatal(err)
 	}
 
@@ -108,7 +104,7 @@ func main() {
 		guest.Mem.WriteAt(buf, base)
 		try := func(op vm.Op, lba uint64) string {
 			r := &nvmetro.Req{Op: op, LBA: lba, Blocks: 1, Buf: base, BufPages: pages}
-			return vm.SubmitAndWait(p, solDisk, guest.VCPU(0), r).String()
+			return vm.SubmitAndWait(p, disk.Disk, guest.VCPU(0), r).String()
 		}
 		fmt.Printf("write LBA 100        (writable half):  %s\n", try(vm.OpWrite, 100))
 		fmt.Printf("write LBA %d (protected half): %s\n", watermark+100, try(vm.OpWrite, watermark+100))
@@ -122,9 +118,4 @@ func main() {
 	if !ok {
 		log.Fatal("did not finish")
 	}
-}
-
-// findController retrieves the controller the solution attached for v.
-func findController(sol *stack.NVMetro, v *nvmetro.VM) *core.Controller {
-	return sol.ControllerFor(v)
 }

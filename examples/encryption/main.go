@@ -20,7 +20,10 @@ func main() {
 
 	key := bytes.Repeat([]byte{0xA5, 0x5A}, 32) // 512-bit XTS key
 	guest := sys.NewVM(2, 64<<20)
-	disk := sys.AttachEncrypted(guest, sys.WholeDisk(), key, false /* useSGX */)
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{Encrypt: &nvmetro.Encryption{Key: key}})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	secret := bytes.Repeat([]byte("TOP-SECRET! "), 256) // 3 KiB, padded to blocks
 	secret = secret[:2560]                              // 5 blocks

@@ -19,7 +19,10 @@ func main() {
 	// One VM with 2 vCPUs and 64 MiB of guest memory, attached to the whole
 	// device through NVMetro (virtual queues + eBPF-routed fast path).
 	guest := sys.NewVM(2, 64<<20)
-	disk := sys.AttachNVMetro(guest, sys.WholeDisk())
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Run a guest program: write a block, read it back, check integrity.
 	ok := sys.Run(10*nvmetro.Second, func(p *nvmetro.Proc) {

@@ -20,7 +20,10 @@ func main() {
 
 	remote := sys.NewRemoteHost(4)
 	guest := sys.NewVM(2, 64<<20)
-	disk := sys.AttachReplicated(guest, sys.WholeDisk(), remote)
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{Replicate: remote})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	payload := bytes.Repeat([]byte{0xC0, 0xDE}, 2048) // 4 KiB
 	ok := sys.Run(10*nvmetro.Second, func(p *nvmetro.Proc) {

@@ -296,19 +296,19 @@ func (vc *Controller) SetGuard(g BlockGuard) {
 	vc.guardShift = vc.part.Dev.Params().LBAShift
 }
 
-// Attach creates a virtual controller for v over part, served by one of the
-// router's workers (round-robin). The controller starts with the default
-// fast-path classifier; Restrict left enabled confines fast-path commands
-// to the partition.
+// Attach creates a virtual controller for v over part on the router's
+// least-loaded worker: fewest tenants, lowest worker ID on ties. With no
+// tenant detach this is the round-robin sequence 0, 1, …, n-1, 0, …; the
+// rule is stated by load so it stays right once tenants can leave. The
+// controller starts with the default fast-path classifier; Restrict left
+// enabled confines fast-path commands to the partition.
 func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
-	return r.AttachWorker(len(r.allControllers())%len(r.workers), v, part)
-}
-
-// AttachWorker creates a virtual controller served by the given worker
-// (shard) — tenant placement policy belongs to the caller (package shard
-// balances by load; Attach round-robins).
-func (r *Router) AttachWorker(i int, v *vm.VM, part device.Partition) *Controller {
-	w := r.workers[i]
+	w := r.workers[0]
+	for _, c := range r.workers[1:] {
+		if len(c.vcs) < len(w.vcs) {
+			w = c
+		}
+	}
 	vc := &Controller{
 		router:   r,
 		w:        w,
@@ -326,14 +326,6 @@ func (r *Router) AttachWorker(i int, v *vm.VM, part device.Partition) *Controlle
 	}
 	w.vcs = append(w.vcs, vc)
 	return vc
-}
-
-func (r *Router) allControllers() []*Controller {
-	var out []*Controller
-	for _, w := range r.workers {
-		out = append(out, w.vcs...)
-	}
-	return out
 }
 
 // VM returns the attached VM.

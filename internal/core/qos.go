@@ -30,9 +30,9 @@ func (r *Router) EnableQoS(cfg qos.Config) *qos.Arbiter {
 	if !r.qosEnabled() {
 		for _, w := range r.workers {
 			w.qos = qos.NewArbiter(cfg)
-		}
-		for _, vc := range r.allControllers() {
-			vc.registerTenant()
+			for _, vc := range w.vcs {
+				vc.registerTenant()
+			}
 		}
 	}
 	return r.workers[0].qos

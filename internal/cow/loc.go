@@ -2,23 +2,18 @@ package cow
 
 import (
 	_ "embed"
-	"strings"
+
+	"nvmetro/internal/loc"
 )
 
 // Source of the snapshot/clone layer, embedded for Table I (implementation
 // size as evidence of how much machinery the layered store needs below the
-// router). Table I cannot embed across packages, so the count lives here.
+// router).
 
 //go:embed cow.go
 var cowGoSrc string
 
 // Lines reports non-empty source line counts for Table I rows.
 func Lines() map[string]int {
-	n := 0
-	for _, l := range strings.Split(cowGoSrc, "\n") {
-		if strings.TrimSpace(l) != "" {
-			n++
-		}
-	}
-	return map[string]int{"cow-store": n}
+	return map[string]int{"cow-store": loc.Lines(cowGoSrc)}
 }

@@ -136,7 +136,7 @@ func runScale(o Options, vms int, episode bool) scaleRun {
 		out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
 	}
 
-	r := sol.Fleet().Router()
+	r := sol.Router()
 	for _, vc := range vcs {
 		if vc.Promoted() {
 			out.promoted++

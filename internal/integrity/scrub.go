@@ -38,9 +38,17 @@ func DefaultScrubConfig() ScrubConfig {
 	return ScrubConfig{Rate: 100e6 * qos.DefaultClassCost(qos.ClassScavenger), ChunkBlocks: 256}
 }
 
-func (c ScrubConfig) withDefaults(shift uint8) (ScrubConfig, error) {
+// Validate rejects policies that cannot work.
+func (c ScrubConfig) Validate() error {
 	if c.Rate <= 0 {
-		return c, fmt.Errorf("integrity: scrub rate must be positive, got %g", c.Rate)
+		return fmt.Errorf("integrity: scrub rate must be positive, got %g", c.Rate)
+	}
+	return nil
+}
+
+func (c ScrubConfig) withDefaults(shift uint8) (ScrubConfig, error) {
+	if err := c.Validate(); err != nil {
+		return c, err
 	}
 	if c.ChunkBlocks == 0 {
 		c.ChunkBlocks = 256

@@ -19,7 +19,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 			bench := newBench(2, 2)
 			defer bench.env.Close()
 			if tier == "promoted" {
-				bench.fleet.EnablePromotion()
+				bench.router.EnablePromotion()
 			}
 			bases := make([]uint64, 2)
 			pages := make([][]uint64, 2)

@@ -1,6 +1,9 @@
 // Package shard is the per-core sharded dispatch subsystem: a fleet of
 // router workers, one per host core, replacing the single shared router
-// loop for multi-tenant stacks.
+// loop for multi-tenant stacks. The dispatch machinery is core.Router's own
+// (a router's workers are the shards); this package holds the lock-free
+// ring it fans in through (shard/ring), the control-plane view of a sharded
+// router, and the subsystem's tests.
 //
 // Each shard owns its tenants exclusively — their VSQ/VCQ pairs, QoS
 // arbiter state and promotion decisions — and runs its own
@@ -23,68 +26,20 @@ import (
 	"strings"
 
 	"nvmetro/internal/core"
-	"nvmetro/internal/device"
-	"nvmetro/internal/metrics"
-	"nvmetro/internal/qos"
-	"nvmetro/internal/sim"
-	"nvmetro/internal/vm"
 )
 
-// Fleet is a sharded router: one core.Router whose workers are treated as
-// independent per-core shards, plus fleet-level placement, promotion and
-// QoS-merge policy.
+// Fleet is the control-plane view of a sharded router. Placement
+// (Router.Attach), promotion and the per-shard QoS merge live on the router
+// itself.
 type Fleet struct {
-	env    *sim.Env
 	router *core.Router
-	counts []int // tenants per shard, maintained by Attach
 }
 
-// New builds a fleet with one shard per thread. threads must be distinct
-// host threads — one per core for the paper's deployment shape.
-func New(env *sim.Env, costs core.RouterCosts, threads []*sim.Thread) *Fleet {
-	return &Fleet{
-		env:    env,
-		router: core.NewRouter(env, costs, threads),
-		counts: make([]int, len(threads)),
-	}
-}
+// Of returns the fleet view of r.
+func Of(r *core.Router) *Fleet { return &Fleet{router: r} }
 
 // Router exposes the underlying router for policy tuning and stats.
 func (f *Fleet) Router() *core.Router { return f.router }
-
-// Shards returns the number of shards in the fleet.
-func (f *Fleet) Shards() int { return f.router.Workers() }
-
-// Attach places a tenant on the least-loaded shard (fewest tenants,
-// lowest shard ID on ties — deterministic) and returns its controller.
-func (f *Fleet) Attach(v *vm.VM, part device.Partition) *core.Controller {
-	best := 0
-	for i, n := range f.counts {
-		if n < f.counts[best] {
-			best = i
-		}
-	}
-	f.counts[best]++
-	return f.router.AttachWorker(best, v, part)
-}
-
-// EnablePromotion turns on the adaptive path-promotion tier fleet-wide.
-func (f *Fleet) EnablePromotion() { f.router.EnablePromotion() }
-
-// EnableQoS installs a per-shard WFQ arbiter on every shard.
-func (f *Fleet) EnableQoS(cfg qos.Config) { f.router.EnableQoS(cfg) }
-
-// QoSSnapshot returns the merged fleet-wide tenant snapshot.
-func (f *Fleet) QoSSnapshot(now sim.Time) []qos.TenantSnapshot {
-	return f.router.QoSSnapshot(now)
-}
-
-// CollectQoS folds every shard's arbiter counters into cs.
-func (f *Fleet) CollectQoS(cs *metrics.CounterSet) { f.router.CollectQoS(cs) }
-
-// Info snapshots every shard's tenant assignment, promotion state and
-// inbox depths.
-func (f *Fleet) Info() []core.ShardInfo { return f.router.ShardInfos() }
 
 // Dump renders the fleet state for the control plane (nvmetroctl shard).
 func (f *Fleet) Dump() string {
@@ -92,7 +47,7 @@ func (f *Fleet) Dump() string {
 	r := f.router
 	fmt.Fprintf(&b, "fleet: shards=%d promote=%v promotions=%d demotions=%d promoted-ops=%d\n",
 		r.Workers(), r.PromotionEnabled(), r.Promotions, r.Demotions, r.PromotedOps)
-	for _, si := range f.Info() {
+	for _, si := range r.ShardInfos() {
 		state := "awake"
 		if si.Asleep {
 			state = "parked"

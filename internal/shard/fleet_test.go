@@ -15,17 +15,18 @@ import (
 	"nvmetro/internal/vm"
 )
 
-// bench is a sharded test bed: one device, a fleet of shards, VMs with
-// NVMetro disks over whole per-VM namespaces (the promotable layout — a
-// whole namespace keeps the default pure fast-path classifier).
+// bench is a sharded test bed: one device, a router whose workers are the
+// shards, VMs with NVMetro disks over whole per-VM namespaces (the
+// promotable layout — a whole namespace keeps the default pure fast-path
+// classifier).
 type bench struct {
-	env   *sim.Env
-	cpu   *sim.CPU
-	dev   *device.Device
-	fleet *shard.Fleet
-	vms   []*vm.VM
-	vcs   []*core.Controller
-	disks []*vm.NVMeDisk
+	env    *sim.Env
+	cpu    *sim.CPU
+	dev    *device.Device
+	router *core.Router
+	vms    []*vm.VM
+	vcs    []*core.Controller
+	disks  []*vm.NVMeDisk
 }
 
 func newBench(shards, vms int) *bench {
@@ -40,7 +41,7 @@ func newBench(shards, vms int) *bench {
 		threads = append(threads, cpu.ThreadOn(4+i, "shard"))
 	}
 	b := &bench{env: env, cpu: cpu, dev: dev,
-		fleet: shard.New(env, core.DefaultRouterCosts(), threads)}
+		router: core.NewRouter(env, core.DefaultRouterCosts(), threads)}
 	for i := 0; i < vms; i++ {
 		nsid := uint32(1)
 		if i > 0 {
@@ -48,7 +49,7 @@ func newBench(shards, vms int) *bench {
 			dev.AddNamespace(nsid, 1<<18, device.NewMemStore(512))
 		}
 		v := vm.New(env, i+1, cpu, i%4, 1, 32<<20, vm.DefaultVirtCosts())
-		vc := b.fleet.Attach(v, device.WholeNamespace(dev, nsid))
+		vc := b.router.Attach(v, device.WholeNamespace(dev, nsid))
 		disk := vm.NewNVMeDisk(v, vc, 64, vm.DefaultDriverCosts())
 		b.vms = append(b.vms, v)
 		b.vcs = append(b.vcs, vc)
@@ -80,12 +81,16 @@ func (b *bench) io(p *sim.Proc, i int, op vm.Op, lba uint64, n int) nvme.Status 
 	return vm.SubmitAndWait(p, b.disks[i], v.VCPU(0), r)
 }
 
-// TestPlacementBalanced: least-loaded placement spreads tenants evenly.
+// TestPlacementBalanced: least-loaded placement spreads tenants evenly, and
+// Router.Attach reproduces, tenant by tenant, the placement sequence of the
+// rule the fleet used to apply on top of it (a per-shard tenant count;
+// fewest tenants, lowest shard ID on ties) for 1…64 tenants on 1…8 workers
+// — which, while no tenant can detach, is also round-robin.
 func TestPlacementBalanced(t *testing.T) {
 	b := newBench(4, 10)
 	defer b.env.Close()
 	min, max := 10, 0
-	for _, si := range b.fleet.Info() {
+	for _, si := range b.router.ShardInfos() {
 		if n := len(si.VMs); n < min {
 			min = n
 		}
@@ -96,8 +101,35 @@ func TestPlacementBalanced(t *testing.T) {
 	if max-min > 1 {
 		t.Fatalf("unbalanced placement: min=%d max=%d", min, max)
 	}
-	if b.fleet.Shards() != 4 {
-		t.Fatalf("Shards = %d", b.fleet.Shards())
+	if b.router.Workers() != 4 {
+		t.Fatalf("Workers = %d", b.router.Workers())
+	}
+
+	part := device.WholeNamespace(b.dev, 1)
+	vms := make([]*vm.VM, 64)
+	for i := range vms {
+		vms[i] = vm.New(b.env, 100+i, b.cpu, 0, 1, 1<<20, vm.DefaultVirtCosts())
+	}
+	for workers := 1; workers <= 8; workers++ {
+		threads := make([]*sim.Thread, workers)
+		for i := range threads {
+			threads[i] = b.cpu.ThreadOn(i%b.cpu.NumCores(), "shard")
+		}
+		r := core.NewRouter(b.env, core.DefaultRouterCosts(), threads)
+		counts := make([]int, workers)
+		for i, v := range vms {
+			want := 0
+			for j, n := range counts {
+				if n < counts[want] {
+					want = j
+				}
+			}
+			counts[want]++
+			if got := r.Attach(v, part).WorkerID(); got != want || got != i%workers {
+				t.Fatalf("%d workers, tenant %d: placed on worker %d, least-loaded rule says %d, round-robin %d",
+					workers, i+1, got, want, i%workers)
+			}
+		}
 	}
 }
 
@@ -111,7 +143,7 @@ func TestPromotionElidesClassification(t *testing.T) {
 		b := newBench(2, 2)
 		defer b.env.Close()
 		if promote {
-			b.fleet.EnablePromotion()
+			b.router.EnablePromotion()
 		}
 		var dt sim.Duration
 		b.run(t, func(p *sim.Proc) {
@@ -123,7 +155,7 @@ func TestPromotionElidesClassification(t *testing.T) {
 			}
 			dt = b.env.Now().Sub(t0)
 		})
-		return dt, b.fleet.Router()
+		return dt, b.router
 	}
 
 	routedT, routed := elapsed(false)
@@ -157,8 +189,8 @@ func TestHotSwapDemotionFence(t *testing.T) {
 	const pre, post = 50, 50
 	b := newBench(2, 1)
 	defer b.env.Close()
-	b.fleet.EnablePromotion()
-	r := b.fleet.Router()
+	b.router.EnablePromotion()
+	r := b.router
 	vc := b.vcs[0]
 
 	classified := 0
@@ -217,7 +249,7 @@ func TestHotSwapDemotionFence(t *testing.T) {
 func TestAttachUIFDemotes(t *testing.T) {
 	b := newBench(1, 1)
 	defer b.env.Close()
-	b.fleet.EnablePromotion()
+	b.router.EnablePromotion()
 	vc := b.vcs[0]
 	b.run(t, func(p *sim.Proc) {
 		if st := b.io(p, 0, vm.OpRead, 0, 512); !st.OK() {
@@ -249,7 +281,7 @@ func TestQoSMergePerShard(t *testing.T) {
 	const vms, perVM = 6, 10
 	b := newBench(3, vms)
 	defer b.env.Close()
-	b.fleet.EnableQoS(qos.Config{})
+	b.router.EnableQoS(qos.Config{})
 	b.run(t, func(p *sim.Proc) {
 		for i := 0; i < vms; i++ {
 			for j := 0; j < perVM; j++ {
@@ -260,7 +292,7 @@ func TestQoSMergePerShard(t *testing.T) {
 		}
 	})
 
-	arbs := b.fleet.Router().QoSArbiters()
+	arbs := b.router.QoSArbiters()
 	if len(arbs) != 3 {
 		t.Fatalf("QoSArbiters = %d, want 3", len(arbs))
 	}
@@ -272,7 +304,7 @@ func TestQoSMergePerShard(t *testing.T) {
 		t.Fatalf("per-shard tenants sum to %d, want %d", perShard, vms)
 	}
 
-	snap := b.fleet.QoSSnapshot(b.env.Now())
+	snap := b.router.QoSSnapshot(b.env.Now())
 	seen := map[string]bool{}
 	for _, ts := range snap {
 		if seen[ts.Name] {
@@ -288,7 +320,7 @@ func TestQoSMergePerShard(t *testing.T) {
 	}
 
 	var cs metrics.CounterSet
-	b.fleet.CollectQoS(&cs)
+	b.router.CollectQoS(&cs)
 	total := uint64(0)
 	for i := 1; i <= vms; i++ {
 		total += cs.Get("qos_vm" + string(rune('0'+i)) + "_admitted")
@@ -302,7 +334,7 @@ func TestQoSMergePerShard(t *testing.T) {
 func TestDumpFormat(t *testing.T) {
 	b := newBench(2, 3)
 	defer b.env.Close()
-	b.fleet.EnablePromotion()
+	b.router.EnablePromotion()
 	b.run(t, func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			if st := b.io(p, i, vm.OpRead, 0, 512); !st.OK() {
@@ -310,7 +342,7 @@ func TestDumpFormat(t *testing.T) {
 			}
 		}
 	})
-	d := b.fleet.Dump()
+	d := shard.Of(b.router).Dump()
 	for _, want := range []string{"fleet: shards=2", "shard 0:", "shard 1:", "vm1", "vm2", "vm3", "promoted"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("dump missing %q:\n%s", want, d)

@@ -2,24 +2,16 @@ package stack
 
 import (
 	_ "embed"
-	"strings"
+
+	"nvmetro/internal/loc"
 )
 
 // Source of the golden-image/clone wiring, embedded for Table I (the
-// snapshot feature's footprint above the cow layer). Cross-package embeds
-// are impossible, so the count lives next to the source.
+// snapshot feature's footprint above the cow layer).
 
 //go:embed snapshots.go
 var snapshotsGoSrc string
 
 // SnapshotWiringLines reports the non-empty source line count of the
 // solution-level snapshot/clone wiring for Table I.
-func SnapshotWiringLines() int {
-	n := 0
-	for _, l := range strings.Split(snapshotsGoSrc, "\n") {
-		if strings.TrimSpace(l) != "" {
-			n++
-		}
-	}
-	return n
-}
+func SnapshotWiringLines() int { return loc.Lines(snapshotsGoSrc) }

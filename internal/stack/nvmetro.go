@@ -3,6 +3,7 @@ package stack
 import (
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/core"
+	"nvmetro/internal/cow"
 	"nvmetro/internal/device"
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/nvmeof"
@@ -16,113 +17,141 @@ import (
 	"nvmetro/internal/vm"
 )
 
-// NVMetro is the paper's system as a provisionable solution. The basic
-// configuration runs the "dummy" fast-path classifier (or the partition
-// classifier when the VM is confined to a partition); the WithEncryption
-// and WithReplication options wire the complete storage functions.
+// NVMetro is the paper's system as a provisionable solution. The With*
+// options declare how every volume it provisions is composed — storage
+// function × supervision × integrity × clone — and Provision resolves that
+// declaration once per VM, in one fixed order. The basic configuration runs
+// the "dummy" fast-path classifier (or the partition classifier when the VM
+// is confined to a partition).
 type NVMetro struct {
-	h *Host
-	// SharedWorkers > 0 runs one router with that many worker threads
-	// shared by all VMs (the Fig. 5 scalability setup); otherwise each VM
-	// gets its own router worker (the main evaluation setup).
-	SharedWorkers int
-	// Shards > 0 runs the per-core sharded dispatch subsystem instead:
-	// a shard.Fleet with that many shards, least-loaded tenant placement
-	// and the adaptive path-promotion tier enabled (the scale sweep
-	// configuration). Mutually exclusive with SharedWorkers.
-	Shards int
-
-	shared     *core.Router
-	fl         *shard.Fleet
-	fw         *uif.Framework
-	setup      func(vc *core.Controller)
-	name       string
-	byVM       map[*vm.VM]*core.Controller
-	byCacher   map[*core.Controller]*storfn.Cacher
-	byCacheSup map[*core.Controller]*storfn.CacherSupervision
-	bySup      map[*core.Controller]*supervise.Supervisor
-	byRepl     map[*core.Controller]*replParts
-	byInteg    map[*core.Controller]*integWiring
-	qosCfg     *qos.Config
-	supPol     *supervise.Policy
-	integCfg   *integrity.ScrubConfig
-	golden     *GoldenImage
-	xform      bool // the UIF transforms data (encryption): device bytes != guest bytes
+	h    *Host
+	name string
+	rt   *routers
+	spec volumeSpec
+	fw   *uif.Framework
+	vols map[*vm.VM]*volume
 }
 
-// replParts records the replication plumbing of one controller so the
-// integrity layer can guard the fan-out and scrub the mirror.
-type replParts struct {
-	rep *storfn.Replicator
-	att *uif.Attachment
-	sec blockdev.BlockDevice
-	fn  *storfn.ReplicatorSupervision // nil unless supervised
+// routers is where a solution's controllers attach. workers == 0 gives
+// every VM a router with one worker of its own (the main evaluation setup);
+// workers > 0 runs one router with that many workers for all VMs (the
+// Fig. 5 scalability setup), and promote additionally runs the workers as
+// per-core shards with the adaptive path-promotion tier on (the scale sweep
+// configuration). Solutions made by NewNVMetroOn share one.
+type routers struct {
+	workers int
+	promote bool
+	qos     *qos.Config
+	shared  *core.Router // built by the first Provision when workers > 0
 }
 
-// integWiring is one controller's end-to-end integrity state.
-type integWiring struct {
-	dom *integrity.Domain
-	scr *integrity.Scrubber
-	rs  *storfn.Resyncer
+// volumeSpec is what the With* options set: the composition of each volume.
+type volumeSpec struct {
+	fn        function
+	supervise *supervise.Policy
+	integrity *integrity.ScrubConfig
+	golden    *GoldenImage
+}
+
+// function declares the storage function; each With* of a function replaces
+// the whole value, so a solution carries at most one.
+type function struct {
+	kind      fnKind
+	key       []byte                                           // fnEncrypt, fnEncryptSGX
+	secondary func(part device.Partition) blockdev.BlockDevice // fnReplicate
+	cache     storfn.CacheParams                               // fnCache
+}
+
+type fnKind int
+
+const (
+	fnNone fnKind = iota
+	fnEncrypt
+	fnEncryptSGX
+	fnReplicate
+	fnCache
+)
+
+// volume is everything Provision built for one VM.
+type volume struct {
+	vc    *core.Controller
+	fn    supervise.Function    // the storage function's storfn declaration
+	att   *uif.Attachment       // its first UIF attachment generation
+	sup   *supervise.Supervisor // nil unless supervised
+	sec   blockdev.BlockDevice  // the replication secondary
+	dom   *integrity.Domain
+	scr   *integrity.Scrubber
+	rs    *storfn.Resyncer
+	clone *cow.Store // nil unless provisioned via CloneFrom
+}
+
+// uifDepth is the notify queue depth of every storage-function attachment.
+const uifDepth = 512
+
+func newNVMetro(h *Host, name string, rt *routers) *NVMetro {
+	return &NVMetro{h: h, name: name, rt: rt, vols: make(map[*vm.VM]*volume)}
 }
 
 // NewNVMetro creates the basic configuration.
-func NewNVMetro(h *Host) *NVMetro {
-	return &NVMetro{h: h, name: "NVMetro", byVM: make(map[*vm.VM]*core.Controller)}
-}
+func NewNVMetro(h *Host) *NVMetro { return newNVMetro(h, "NVMetro", &routers{}) }
 
 // NewNVMetroShared creates the shared-worker configuration.
 func NewNVMetroShared(h *Host, workers int) *NVMetro {
-	return &NVMetro{h: h, SharedWorkers: workers, name: "NVMetro", byVM: make(map[*vm.VM]*core.Controller)}
+	return newNVMetro(h, "NVMetro", &routers{workers: workers})
 }
 
 // NewNVMetroSharded creates the per-core sharded configuration: tenants
-// spread over a fleet of per-core dispatch shards with adaptive path
-// promotion enabled (package shard).
+// spread over per-core dispatch shards with adaptive path promotion
+// enabled.
 func NewNVMetroSharded(h *Host, shards int) *NVMetro {
-	return &NVMetro{h: h, Shards: shards, name: "NVMetro Sharded", byVM: make(map[*vm.VM]*core.Controller)}
+	return newNVMetro(h, "NVMetro Sharded", &routers{workers: shards, promote: true})
 }
 
-// Fleet returns the shard fleet (nil outside the sharded configuration or
-// before the first Provision).
-func (s *NVMetro) Fleet() *shard.Fleet { return s.fl }
-
-// fleet lazily builds the shard fleet, one host thread per shard.
-func (s *NVMetro) fleet() *shard.Fleet {
-	if s.fl == nil {
-		var threads []*sim.Thread
-		for i := 0; i < s.Shards; i++ {
-			threads = append(threads, s.h.HostThread("shard"))
-		}
-		s.fl = shard.New(s.h.Env, s.h.Params.Router, threads)
-		s.fl.EnablePromotion()
-		if s.qosCfg != nil {
-			s.fl.EnableQoS(*s.qosCfg)
-		}
-	}
-	return s.fl
-}
+// NewNVMetroOn creates a solution with an empty volume declaration whose
+// controllers attach to pool's routers — how differently composed volumes
+// share one worker pool.
+func NewNVMetroOn(pool *NVMetro) *NVMetro { return newNVMetro(pool.h, pool.name, pool.rt) }
 
 // Name implements Solution.
 func (s *NVMetro) Name() string { return s.name }
 
-func (s *NVMetro) router() *core.Router {
-	if s.SharedWorkers > 0 {
-		if s.shared == nil {
-			var threads []*sim.Thread
-			for i := 0; i < s.SharedWorkers; i++ {
-				threads = append(threads, s.h.HostThread("router"))
-			}
-			s.shared = core.NewRouter(s.h.Env, s.h.Params.Router, threads)
-			if s.qosCfg != nil {
-				s.shared.EnableQoS(*s.qosCfg)
-			}
-		}
-		return s.shared
+// Router returns the router every VM of a shared or sharded configuration
+// attaches to (nil in the router-per-VM configuration, or before the first
+// Provision).
+func (s *NVMetro) Router() *core.Router { return s.rt.shared }
+
+// Fleet returns the control-plane view of Router (nil when that is).
+func (s *NVMetro) Fleet() *shard.Fleet {
+	if s.rt.shared == nil {
+		return nil
 	}
-	r := core.NewRouter(s.h.Env, s.h.Params.Router, []*sim.Thread{s.h.HostThread("router")})
-	if s.qosCfg != nil {
-		r.EnableQoS(*s.qosCfg)
+	return shard.Of(s.rt.shared)
+}
+
+// router returns the router the next controller attaches to, building it on
+// fresh host threads when none exists yet.
+func (s *NVMetro) router() *core.Router {
+	rt := s.rt
+	if rt.shared != nil {
+		return rt.shared
+	}
+	tag := "router"
+	if rt.promote {
+		tag = "shard"
+	}
+	threads := make([]*sim.Thread, max(rt.workers, 1))
+	for i := range threads {
+		threads[i] = s.h.HostThread(tag)
+	}
+	r := core.NewRouter(s.h.Env, s.h.Params.Router, threads)
+	if rt.promote {
+		r.EnablePromotion()
+	}
+	if rt.qos != nil {
+		r.EnableQoS(*rt.qos)
+	}
+	if rt.workers > 0 {
+		rt.shared = r
 	}
 	return r
 }
@@ -137,35 +166,156 @@ func (s *NVMetro) router() *core.Router {
 // as tenants immediately); EnableQoS keeps the first config if one was
 // already installed.
 func (s *NVMetro) WithQoS(cfg qos.Config) *NVMetro {
-	s.qosCfg = &cfg
-	if s.shared != nil {
-		s.shared.EnableQoS(cfg)
+	s.rt.qos = &cfg
+	if s.rt.shared != nil {
+		s.rt.shared.EnableQoS(cfg)
 	}
-	if s.fl != nil {
-		s.fl.EnableQoS(cfg)
-	}
-	for _, vc := range s.byVM {
-		vc.Router().EnableQoS(cfg)
+	for _, vol := range s.vols {
+		vol.vc.Router().EnableQoS(cfg)
 	}
 	return s
 }
 
 // SetQoS replaces the QoS contract of an already-provisioned VM.
 func (s *NVMetro) SetQoS(v *vm.VM, tc qos.TenantConfig) {
-	vc := s.byVM[v]
+	vc := s.vol(v).vc
 	if vc == nil {
 		panic("stack: SetQoS before Provision")
 	}
 	vc.SetQoS(tc)
 }
 
-// QoSArbiter returns the shared router's arbiter for inspection (nil
-// unless WithQoS was configured and a shared router exists).
-func (s *NVMetro) QoSArbiter() *qos.Arbiter {
-	if s.shared == nil {
-		return nil
+// WithEncryption configures the transparent-encryption storage function:
+// the encryptor classifier plus a plain or SGX XTS-AES UIF. The paper uses
+// 2 UIF threads for the plain variant and 1 worker + 1 SGX switchless
+// thread for the enclave variant.
+func (s *NVMetro) WithEncryption(key []byte, useSGX bool) *NVMetro {
+	s.name, s.spec.fn = "NVMetro Encr.", function{kind: fnEncrypt, key: key}
+	if useSGX {
+		s.name, s.spec.fn.kind = "NVMetro SGX", fnEncryptSGX
 	}
-	return s.shared.QoS()
+	return s
+}
+
+// WithReplication configures live disk replication: the replicator
+// classifier multicasts writes to the local fast path and to a UIF that
+// forwards them to the remote secondary over NVMe-oF. secondary returns
+// the remote block device backing a given local partition.
+func (s *NVMetro) WithReplication(secondary func(part device.Partition) blockdev.BlockDevice) *NVMetro {
+	s.name, s.spec.fn = "NVMetro Repl.", function{kind: fnReplicate, secondary: secondary}
+	return s
+}
+
+// WithCache configures the classifier-steered host block cache: the cache
+// classifier tracks per-bucket read heat and diverts hot reads to a Cacher
+// UIF serving them from host memory; all writes pass through the UIF's
+// invalidation window so cached data can never go stale.
+func (s *NVMetro) WithCache(cp storfn.CacheParams) *NVMetro {
+	s.name, s.spec.fn = "NVMetro Cache", function{kind: fnCache, cache: cp}
+	return s
+}
+
+// WithSupervision runs every storage-function UIF this solution attaches
+// under a supervisor with the given watchdog/restart policy. The SGX
+// encryptor variant is excluded (enclave relaunch is out of scope).
+func (s *NVMetro) WithSupervision(pol supervise.Policy) *NVMetro {
+	s.spec.supervise = &pol
+	return s
+}
+
+// WithIntegrity enables end-to-end data integrity: a per-controller PI
+// domain stamped at the mediation point and verified at the guest
+// completion boundary, the blockdev and fabric read completions, the cache
+// serve/fill path and the replica fan-out, plus a background scrubber with
+// the given policy. Composes with the base, replication and cache
+// configurations; under encryption only the guest boundary is guarded
+// (device bytes are ciphertext, so below-UIF boundaries have no plaintext
+// expectation to check and scrubbing is skipped).
+func (s *NVMetro) WithIntegrity(cfg integrity.ScrubConfig) *NVMetro {
+	s.spec.integrity = &cfg
+	return s
+}
+
+// Provision implements Solution. It is the one place a volume declaration
+// is resolved, always in the order router → controller → storage function →
+// integrity → disk: host threads and simulation processes are allocated as
+// the steps run, so the order is part of every experiment's pinned output.
+func (s *NVMetro) Provision(v *vm.VM, part device.Partition) vm.Disk {
+	vol := &volume{vc: s.router().Attach(v, part)}
+	s.vols[v] = vol
+	s.wireFunction(vol)
+	if s.spec.integrity != nil {
+		s.wireIntegrity(vol)
+	}
+	return vm.NewNVMeDisk(v, vol.vc, 128, s.h.Params.Driver)
+}
+
+// nsBlockDev opens a host block device (a queue pair of its own) onto the
+// namespace part lives in.
+func (s *NVMetro) nsBlockDev(part device.Partition) *blockdev.NVMeBlockDev {
+	return blockdev.NewNVMeBlockDev(s.h.Env, device.WholeNamespace(part.Dev, part.NSID), s.h.CPU, s.h.guestCores, s.h.Params.Block)
+}
+
+// wireFunction installs the declared storage function on vol's controller:
+// each function is its storfn declaration (classifier ↔ handler pairing and
+// recovery policy in one supervise.Function), a UIF thread count and a ring
+// onto its backend. Without a function, a VM confined to a partition gets
+// the partition classifier.
+func (s *NVMetro) wireFunction(vol *volume) {
+	vc, f, env := vol.vc, &s.spec.fn, s.h.Env
+	part := vc.Partition()
+	switch f.kind {
+	case fnEncrypt:
+		ring := blockdev.NewURing(env, s.nsBlockDev(part), s.h.Params.URing)
+		s.launch(vol, 2, ring, storfn.NewEncryptorSupervision(part, f.key, s.h.Params.Enc))
+	case fnEncryptSGX:
+		// The one function outside launch: an enclave has no recovery
+		// policy, so it is never supervised and has no declaration of its
+		// own. It borrows the plain encryptor's for the classifier and runs
+		// 1 UIF worker beside the enclave's switchless thread.
+		ring := blockdev.NewURing(env, s.nsBlockDev(part), s.h.Params.URing)
+		enclave, err := sgx.Launch(env, s.h.CPU, f.key, sgx.DefaultCosts())
+		if err != nil {
+			panic(err)
+		}
+		vol.att = s.framework(1).Attach(vc.AttachUIF(uifDepth), storfn.NewSGXEncryptor(enclave, s.h.Params.Enc), ring)
+		storfn.NewEncryptorSupervision(part, f.key, s.h.Params.Enc).Promote(vc, vol.att)
+	case fnReplicate:
+		vol.sec = f.secondary(part)
+		ring := blockdev.NewURing(env, vol.sec, s.h.Params.URing)
+		s.launch(vol, 1, ring, storfn.NewReplicatorSupervision(part, storfn.NewReplicator()))
+	case fnCache:
+		p := f.cache
+		p.Cache.BlockSize = uint32(1) << part.Dev.Params().LBAShift
+		ring := blockdev.NewURing(env, s.nsBlockDev(part), s.h.Params.URing)
+		s.launch(vol, 2, ring, storfn.NewCacherSupervision(env, part, p))
+	default:
+		if part.Start != 0 || part.Blocks != part.Dev.Namespace(part.NSID).Info.Size {
+			prog, _ := storfn.PartitionClassifier(part)
+			if err := vc.LoadClassifier(prog); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// launch starts fn's UIF on the (single-process, multi-VM) framework, which
+// the first launch creates with the given thread count: through
+// supervise.Launch under the configured policy, otherwise by the same
+// attach → Rebuild → Promote sequence without a watchdog.
+func (s *NVMetro) launch(vol *volume, threads int, ring *blockdev.URing, fn supervise.Function) {
+	fw := s.framework(threads)
+	vol.fn = fn
+	if pol := s.spec.supervise; pol != nil {
+		sup, err := supervise.Launch(s.h.Env, fw, vol.vc, ring, uifDepth, fn, *pol)
+		if err != nil {
+			panic(err)
+		}
+		vol.sup, vol.att = sup, sup.Attachment()
+		return
+	}
+	vol.att = fw.Attach(vol.vc.AttachUIF(uifDepth), fn.Rebuild(), ring)
+	fn.Promote(vol.vc, vol.att)
 }
 
 // framework lazily creates the (single-process, multi-VM) UIF framework.
@@ -180,291 +330,99 @@ func (s *NVMetro) framework(threads int) *uif.Framework {
 	return s.fw
 }
 
-// ControllerFor returns the virtual controller provisioned for v (the
-// control-plane handle used to swap classifiers or attach UIFs live).
-func (s *NVMetro) ControllerFor(v *vm.VM) *core.Controller { return s.byVM[v] }
-
-// WithSupervision runs every storage-function UIF this solution attaches
-// under a supervisor with the given watchdog/restart policy. Applies to
-// VMs provisioned after the call; the SGX encryptor variant is excluded
-// (enclave relaunch is out of scope).
-func (s *NVMetro) WithSupervision(pol supervise.Policy) *NVMetro {
-	if err := pol.Validate(); err != nil {
-		panic(err)
-	}
-	s.supPol = &pol
-	if s.bySup == nil {
-		s.bySup = make(map[*core.Controller]*supervise.Supervisor)
-	}
-	return s
-}
-
-// SupervisorFor returns the supervisor attached to v's storage function,
-// or nil when WithSupervision is not configured.
-func (s *NVMetro) SupervisorFor(v *vm.VM) *supervise.Supervisor {
-	return s.bySup[s.byVM[v]]
-}
-
-// launchSupervised starts fn's UIF under the configured supervision policy.
-func (s *NVMetro) launchSupervised(vc *core.Controller, fw *uif.Framework, ring *blockdev.URing, fn supervise.Function) *supervise.Supervisor {
-	sup, err := supervise.Launch(s.h.Env, fw, vc, ring, 512, fn, *s.supPol)
-	if err != nil {
-		panic(err)
-	}
-	s.bySup[vc] = sup
-	return sup
-}
-
-// Provision implements Solution.
-func (s *NVMetro) Provision(v *vm.VM, part device.Partition) vm.Disk {
-	var vc *core.Controller
-	if s.Shards > 0 {
-		vc = s.fleet().Attach(v, part)
-	} else {
-		vc = s.router().Attach(v, part)
-	}
-	s.byVM[v] = vc
-	if s.setup != nil {
-		s.setup(vc)
-	} else if part.Start != 0 || part.Blocks != part.Dev.Namespace(part.NSID).Info.Size {
-		prog, _ := storfn.PartitionClassifier(part)
-		if err := vc.LoadClassifier(prog); err != nil {
-			panic(err)
-		}
-	}
-	if s.integCfg != nil {
-		s.wireIntegrity(vc)
-	}
-	return vm.NewNVMeDisk(v, vc, 128, s.h.Params.Driver)
-}
-
-// WithIntegrity enables end-to-end data integrity on every VM provisioned
-// afterwards: a per-controller PI domain stamped at the mediation point and
-// verified at the guest completion boundary, the blockdev and fabric read
-// completions, the cache serve/fill path and the replica fan-out, plus a
-// background scrubber with the given policy. Composes with the base,
-// replication and cache configurations; under encryption only the guest
-// boundary is guarded (device bytes are ciphertext, so below-UIF boundaries
-// have no plaintext expectation to check and scrubbing is skipped).
-func (s *NVMetro) WithIntegrity(cfg integrity.ScrubConfig) *NVMetro {
-	s.integCfg = &cfg
-	if s.byInteg == nil {
-		s.byInteg = make(map[*core.Controller]*integWiring)
-	}
-	return s
-}
-
 // wireIntegrity builds one controller's PI domain, attaches a guard to
 // every boundary the active configuration exposes, and starts its scrubber.
-func (s *NVMetro) wireIntegrity(vc *core.Controller) {
+func (s *NVMetro) wireIntegrity(vol *volume) {
+	vc := vol.vc
 	part := vc.Partition()
 	dom, err := integrity.NewDomain(part.Dev.Params().BlockSize())
 	if err != nil {
 		panic(err)
 	}
-	w := &integWiring{dom: dom}
-	s.byInteg[vc] = w
+	vol.dom = dom
 	vc.SetGuard(dom.Guard("guest"))
-	if s.xform {
+	if k := s.spec.fn.kind; k == fnEncrypt || k == fnEncryptSGX {
 		return // ciphertext below the UIF: no device-side expectation
 	}
 	shift := part.Dev.Params().LBAShift
 
 	// The scrub leg: a dedicated host queue pair onto the same device,
 	// verifying read completions like any kernel-path consumer would.
-	bdev := blockdev.NewNVMeBlockDev(s.h.Env, device.WholeNamespace(part.Dev, part.NSID), s.h.CPU, s.h.guestCores, s.h.Params.Block)
+	bdev := s.nsBlockDev(part)
 	bdev.SetVerifier(&integrity.SectorGuard{G: dom.Guard("blockdev"), Size: blockdev.SectorSize})
-	scr, err := integrity.NewScrubber(s.h.Env, dom, bdev, s.h.HostThread("scrub"), shift, *s.integCfg)
+	scr, err := integrity.NewScrubber(s.h.Env, dom, bdev, s.h.HostThread("scrub"), shift, *s.spec.integrity)
 	if err != nil {
 		panic(err)
 	}
-	w.scr = scr
+	vol.scr = scr
 
-	if c := s.cacherOf(vc); c != nil {
+	switch fn := vol.fn.(type) {
+	case *storfn.CacherSupervision:
+		c := fn.Cacher()
 		c.Guard = dom.Guard("cache")
 		scr.SetCache(c.Cache())
-	}
-	if rp := s.byRepl[vc]; rp != nil {
-		rp.rep.Guard = dom.Guard("replica")
-		if ini, ok := rp.sec.(*nvmeof.Initiator); ok {
+	case *storfn.ReplicatorSupervision:
+		rep := fn.Replicator()
+		rep.Guard = dom.Guard("replica")
+		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
 			ini.SetVerifier(&integrity.SectorGuard{G: dom.Guard("fabric"), Size: blockdev.SectorSize})
 		}
-		rs, err := storfn.NewResyncer(s.h.Env, rp.rep, bdev, rp.att, s.h.HostThread("resync"), shift, storfn.DefaultResyncConfig())
+		rs, err := storfn.NewResyncer(s.h.Env, rep, bdev, vol.att, s.h.HostThread("resync"), shift, storfn.DefaultResyncConfig())
 		if err != nil {
 			panic(err)
 		}
-		w.rs = rs
-		if rp.fn != nil {
-			rp.fn.SetResyncer(rs)
-		}
-		scr.SetReplica(rp.rep, rs, rp.att)
+		vol.rs = rs
+		fn.SetResyncer(rs)
+		scr.SetReplica(rep, rs, vol.att)
 	}
 }
 
-// cacherOf returns the current cache UIF generation for vc, if any.
-func (s *NVMetro) cacherOf(vc *core.Controller) *storfn.Cacher {
-	if cs := s.byCacheSup[vc]; cs != nil {
-		return cs.Cacher()
+// vol returns v's record (the zero record before Provision).
+func (s *NVMetro) vol(v *vm.VM) volume {
+	if vol := s.vols[v]; vol != nil {
+		return *vol
 	}
-	return s.byCacher[vc]
+	return volume{}
 }
+
+// ControllerFor returns the virtual controller provisioned for v (the
+// control-plane handle used to swap classifiers or attach UIFs live).
+func (s *NVMetro) ControllerFor(v *vm.VM) *core.Controller { return s.vol(v).vc }
+
+// SupervisorFor returns the supervisor attached to v's storage function,
+// or nil when WithSupervision is not configured.
+func (s *NVMetro) SupervisorFor(v *vm.VM) *supervise.Supervisor { return s.vol(v).sup }
 
 // IntegrityDomainFor returns the PI domain wired for v's controller, or
 // nil when WithIntegrity is not configured.
-func (s *NVMetro) IntegrityDomainFor(v *vm.VM) *integrity.Domain {
-	if w := s.byInteg[s.byVM[v]]; w != nil {
-		return w.dom
-	}
-	return nil
-}
+func (s *NVMetro) IntegrityDomainFor(v *vm.VM) *integrity.Domain { return s.vol(v).dom }
 
 // ScrubberFor returns the background scrubber wired for v's controller, or
 // nil when WithIntegrity is not configured (or the configuration has no
 // device-side expectation to scrub).
-func (s *NVMetro) ScrubberFor(v *vm.VM) *integrity.Scrubber {
-	if w := s.byInteg[s.byVM[v]]; w != nil {
-		return w.scr
-	}
-	return nil
-}
+func (s *NVMetro) ScrubberFor(v *vm.VM) *integrity.Scrubber { return s.vol(v).scr }
 
 // ResyncerFor returns the mirror-consistency engine created for v's
 // replicated, integrity-wired controller (nil otherwise).
-func (s *NVMetro) ResyncerFor(v *vm.VM) *storfn.Resyncer {
-	if w := s.byInteg[s.byVM[v]]; w != nil {
-		return w.rs
-	}
-	return nil
-}
+func (s *NVMetro) ResyncerFor(v *vm.VM) *storfn.Resyncer { return s.vol(v).rs }
 
 // ReplicatorFor returns the replication state for v's controller, or nil
 // when WithReplication is not configured.
 func (s *NVMetro) ReplicatorFor(v *vm.VM) *storfn.Replicator {
-	if rp := s.byRepl[s.byVM[v]]; rp != nil {
-		return rp.rep
+	if fn, ok := s.vol(v).fn.(*storfn.ReplicatorSupervision); ok {
+		return fn.Replicator()
 	}
 	return nil
-}
-
-// WithEncryption configures the transparent-encryption storage function:
-// the encryptor classifier plus a plain or SGX XTS-AES UIF. The paper uses
-// 2 UIF threads for the plain variant and 1 worker + 1 SGX switchless
-// thread for the enclave variant.
-func (s *NVMetro) WithEncryption(key []byte, useSGX bool) *NVMetro {
-	s.name = "NVMetro Encr."
-	if useSGX {
-		s.name = "NVMetro SGX"
-	}
-	s.xform = true
-	s.setup = func(vc *core.Controller) {
-		part := vc.Partition()
-		bdev := blockdev.NewNVMeBlockDev(s.h.Env, device.WholeNamespace(part.Dev, part.NSID), s.h.CPU, s.h.guestCores, s.h.Params.Block)
-		ring := blockdev.NewURing(s.h.Env, bdev, s.h.Params.URing)
-		if s.supPol != nil && !useSGX {
-			s.launchSupervised(vc, s.framework(2), ring,
-				storfn.NewEncryptorSupervision(part, key, s.h.Params.Enc))
-			return
-		}
-		prog, _ := storfn.EncryptorClassifier(part)
-		if err := vc.LoadClassifier(prog); err != nil {
-			panic(err)
-		}
-		var handler uif.Handler
-		nthreads := 2
-		if useSGX {
-			enclave, err := sgx.Launch(s.h.Env, s.h.CPU, key, sgx.DefaultCosts())
-			if err != nil {
-				panic(err)
-			}
-			handler = storfn.NewSGXEncryptor(enclave, s.h.Params.Enc)
-			nthreads = 1 // 1 UIF worker + the enclave's switchless thread
-		} else {
-			enc, err := storfn.NewEncryptor(key, s.h.Params.Enc)
-			if err != nil {
-				panic(err)
-			}
-			handler = enc
-		}
-		s.framework(nthreads).Attach(vc.AttachUIF(512), handler, ring)
-	}
-	return s
-}
-
-// WithReplication configures live disk replication: the replicator
-// classifier multicasts writes to the local fast path and to a UIF that
-// forwards them to the remote secondary over NVMe-oF. secondary returns
-// the remote block device backing a given local partition.
-func (s *NVMetro) WithReplication(secondary func(part device.Partition) blockdev.BlockDevice) *NVMetro {
-	s.name = "NVMetro Repl."
-	if s.byRepl == nil {
-		s.byRepl = make(map[*core.Controller]*replParts)
-	}
-	s.setup = func(vc *core.Controller) {
-		part := vc.Partition()
-		sec := secondary(part)
-		ring := blockdev.NewURing(s.h.Env, sec, s.h.Params.URing)
-		rep := storfn.NewReplicator()
-		if s.supPol != nil {
-			fn := storfn.NewReplicatorSupervision(part, rep)
-			sup := s.launchSupervised(vc, s.framework(1), ring, fn)
-			s.byRepl[vc] = &replParts{rep: rep, att: sup.Attachment(), sec: sec, fn: fn}
-			return
-		}
-		prog, _ := storfn.ReplicatorClassifier(part)
-		if err := vc.LoadClassifier(prog); err != nil {
-			panic(err)
-		}
-		att := s.framework(1).Attach(vc.AttachUIF(512), rep, ring)
-		s.byRepl[vc] = &replParts{rep: rep, att: att, sec: sec}
-	}
-	return s
-}
-
-// WithCache configures the classifier-steered host block cache: the cache
-// classifier tracks per-bucket read heat and diverts hot reads to a Cacher
-// UIF serving them from host memory; all writes pass through the UIF's
-// invalidation window so cached data can never go stale.
-func (s *NVMetro) WithCache(cp storfn.CacheParams) *NVMetro {
-	s.name = "NVMetro Cache"
-	if s.byCacher == nil {
-		s.byCacher = make(map[*core.Controller]*storfn.Cacher)
-	}
-	s.setup = func(vc *core.Controller) {
-		part := vc.Partition()
-		p := cp
-		p.Cache.BlockSize = uint32(1) << part.Dev.Params().LBAShift
-		bdev := blockdev.NewNVMeBlockDev(s.h.Env, device.WholeNamespace(part.Dev, part.NSID), s.h.CPU, s.h.guestCores, s.h.Params.Block)
-		ring := blockdev.NewURing(s.h.Env, bdev, s.h.Params.URing)
-		if s.supPol != nil {
-			cs := storfn.NewCacherSupervision(s.h.Env, part, p)
-			s.launchSupervised(vc, s.framework(2), ring, cs)
-			if s.byCacheSup == nil {
-				s.byCacheSup = make(map[*core.Controller]*storfn.CacherSupervision)
-			}
-			s.byCacheSup[vc] = cs
-			return
-		}
-		nq := vc.AttachUIF(512)
-		cacher := storfn.NewCacher(s.h.Env, p)
-		s.byCacher[vc] = cacher
-		prog, _ := storfn.CacheClassifier(part, cacher.Hints(), p.HotThreshold)
-		if err := vc.LoadClassifier(prog); err != nil {
-			panic(err)
-		}
-		s.framework(2).Attach(nq, cacher, ring)
-	}
-	return s
 }
 
 // CacherFor returns the cache UIF provisioned for v's controller (stats,
 // cache and heat-map access), or nil when WithCache is not configured.
 // Under supervision this is the current generation — a restart replaces it.
 func (s *NVMetro) CacherFor(v *vm.VM) *storfn.Cacher {
-	vc := s.byVM[v]
-	if cs := s.byCacheSup[vc]; cs != nil {
-		return cs.Cacher()
+	if fn, ok := s.vol(v).fn.(*storfn.CacherSupervision); ok {
+		return fn.Cacher()
 	}
-	return s.byCacher[vc]
+	return nil
 }
 
 // RemoteHost is a second machine holding the replication secondary.

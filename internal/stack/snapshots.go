@@ -15,7 +15,6 @@ type GoldenImage struct {
 	h      *Host
 	idx    *cow.Index
 	master *cow.Store
-	clones map[*vm.VM]*cow.Store
 }
 
 // NewGoldenImage creates an empty golden image of the given size on the
@@ -31,7 +30,6 @@ func NewGoldenImage(h *Host, blocks uint64, cacheChunks uint64) *GoldenImage {
 		h:      h,
 		idx:    idx,
 		master: cow.NewStore(idx, blocks, nil),
-		clones: make(map[*vm.VM]*cow.Store),
 	}
 }
 
@@ -72,12 +70,9 @@ func (g *GoldenImage) Collect(cs *metrics.CounterSet) { g.idx.Collect(cs) }
 // via CloneFrom get a freshly cloned namespace instead of a partition of
 // the device's flat namespace 1.
 func (s *NVMetro) WithSnapshots(g *GoldenImage) *NVMetro {
-	s.golden = g
+	s.spec.golden = g
 	return s
 }
-
-// Golden returns the armed golden image (nil without WithSnapshots).
-func (s *NVMetro) Golden() *GoldenImage { return s.golden }
 
 // CloneFrom clones the golden image onto a fresh namespace of the host
 // device and provisions v over the whole of it, composing with whatever
@@ -85,22 +80,18 @@ func (s *NVMetro) Golden() *GoldenImage { return s.golden }
 // itself copies no data; the namespace is ready as soon as the metadata
 // references are taken.
 func (s *NVMetro) CloneFrom(v *vm.VM) vm.Disk {
-	if s.golden == nil {
+	if s.spec.golden == nil {
 		panic("stack: CloneFrom without WithSnapshots")
 	}
-	c := s.golden.CloneStore()
+	c := s.spec.golden.CloneStore()
 	dev := s.h.Dev
 	nsid := dev.NextNSID()
 	dev.AddNamespace(nsid, c.Blocks(), c)
-	s.golden.clones[v] = c
-	return s.Provision(v, device.WholeNamespace(dev, nsid))
+	disk := s.Provision(v, device.WholeNamespace(dev, nsid))
+	s.vols[v].clone = c
+	return disk
 }
 
 // CloneStoreFor returns the CoW store backing v's cloned namespace (nil
 // when v was not provisioned via CloneFrom).
-func (s *NVMetro) CloneStoreFor(v *vm.VM) *cow.Store {
-	if s.golden == nil {
-		return nil
-	}
-	return s.golden.clones[v]
-}
+func (s *NVMetro) CloneStoreFor(v *vm.VM) *cow.Store { return s.vol(v).clone }

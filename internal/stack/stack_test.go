@@ -238,16 +238,16 @@ func TestWithQoSAfterProvision(t *testing.T) {
 	v1 := h.NewVM(1, 16<<20)
 	sol.Provision(v1, parts[0])
 	sol.WithQoS(qos.Config{})
-	if sol.QoSArbiter() == nil {
+	if sol.Router().QoS() == nil {
 		t.Fatal("WithQoS after Provision left the shared router without an arbiter")
 	}
-	if n := len(sol.QoSArbiter().Tenants()); n != 1 {
+	if n := len(sol.Router().QoS().Tenants()); n != 1 {
 		t.Fatalf("tenants = %d, want 1 (already-provisioned VM must register)", n)
 	}
 	sol.SetQoS(v1, qos.TenantConfig{Weight: 2}) // must not panic
 	v2 := h.NewVM(1, 16<<20)
 	sol.Provision(v2, parts[1])
-	if n := len(sol.QoSArbiter().Tenants()); n != 2 {
+	if n := len(sol.Router().QoS().Tenants()); n != 2 {
 		t.Fatalf("tenants = %d, want 2 after provisioning another VM", n)
 	}
 

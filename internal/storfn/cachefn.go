@@ -1,6 +1,8 @@
 package storfn
 
 import (
+	"fmt"
+
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/cache"
 	"nvmetro/internal/core"
@@ -117,6 +119,20 @@ func DefaultCacheParams() CacheParams {
 		BucketShift:  3,
 		Cache:        cache.DefaultConfig(),
 	}
+}
+
+// Validate rejects parameters the cache function cannot run with.
+func (p CacheParams) Validate() error {
+	if p.CopyRate <= 0 {
+		return fmt.Errorf("storfn: cache CopyRate must be positive, got %g", p.CopyRate)
+	}
+	if p.MaxBuckets <= 0 {
+		return fmt.Errorf("storfn: cache MaxBuckets must be positive, got %d", p.MaxBuckets)
+	}
+	if p.BucketShift >= 64 {
+		return fmt.Errorf("storfn: cache BucketShift must be below 64, got %d", p.BucketShift)
+	}
+	return nil
 }
 
 // CacheClassifier returns the host-cache classifier for the partition with

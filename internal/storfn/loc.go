@@ -2,7 +2,8 @@ package storfn
 
 import (
 	_ "embed"
-	"strings"
+
+	"nvmetro/internal/loc"
 )
 
 // Source code of the storage functions, embedded for Table I (the paper
@@ -17,51 +18,24 @@ var replicatorGoSrc string
 //go:embed cachefn.go
 var cachefnGoSrc string
 
-// countLines counts non-empty source lines.
-func countLines(src string) int {
-	n := 0
-	for _, l := range strings.Split(src, "\n") {
-		if strings.TrimSpace(l) != "" {
-			n++
-		}
-	}
-	return n
-}
-
 // LineCounts reports implementation sizes for Table I. Classifier sizes are
 // assembly lines; UIF sizes are Go lines of the respective files. The SGX
 // UIF shares encryptor.go; its SGX-specific portion is the SGXEncryptor
-// half of the file plus the enclave runtime.
+// half of the file plus the enclave runtime. cachefn.go's UIF portion is
+// the Go code past the embedded classifier assembly and its parameter
+// plumbing.
 func LineCounts() map[string]int {
 	srcs := ClassifierSources()
-	plain, sgx := splitEncryptorSource()
+	plain, sgx := loc.Split(encryptorGoSrc, "// SGXEncryptor")
+	_, cacher := loc.Split(cachefnGoSrc, "// Cacher is the host-cache UIF")
 	return map[string]int{
-		"encryptor-classifier":  countLines(srcs["encryptor"]),
-		"replicator-classifier": countLines(srcs["replicator"]),
-		"partition-classifier":  countLines(srcs["partition"]),
-		"cache-classifier":      countLines(srcs["cache"]),
+		"encryptor-classifier":  loc.Lines(srcs["encryptor"]),
+		"replicator-classifier": loc.Lines(srcs["replicator"]),
+		"partition-classifier":  loc.Lines(srcs["partition"]),
+		"cache-classifier":      loc.Lines(srcs["cache"]),
 		"encryptor-uif":         plain,
 		"sgx-uif":               sgx,
-		"replicator-uif":        countLines(replicatorGoSrc),
-		"cache-uif":             cacherUIFSource(),
+		"replicator-uif":        loc.Lines(replicatorGoSrc),
+		"cache-uif":             cacher,
 	}
-}
-
-// cacherUIFSource counts cachefn.go's UIF portion (the Go code past the
-// embedded classifier assembly and its parameter plumbing).
-func cacherUIFSource() int {
-	idx := strings.Index(cachefnGoSrc, "// Cacher is the host-cache UIF")
-	if idx < 0 {
-		return countLines(cachefnGoSrc)
-	}
-	return countLines(cachefnGoSrc[idx:])
-}
-
-// splitEncryptorSource splits encryptor.go at the SGX variant boundary.
-func splitEncryptorSource() (plain, sgx int) {
-	idx := strings.Index(encryptorGoSrc, "// SGXEncryptor")
-	if idx < 0 {
-		return countLines(encryptorGoSrc), 0
-	}
-	return countLines(encryptorGoSrc[:idx]), countLines(encryptorGoSrc[idx:])
 }

@@ -2,7 +2,8 @@ package uif
 
 import (
 	_ "embed"
-	"strings"
+
+	"nvmetro/internal/loc"
 )
 
 //go:embed framework.go
@@ -11,12 +12,4 @@ var frameworkSrc string
 // FrameworkLines reports the UIF framework's size for Table I (the paper's
 // C++ framework spans ~1100 lines; the routing, parsing, polling and
 // io_uring plumbing live here).
-func FrameworkLines() int {
-	n := 0
-	for _, l := range strings.Split(frameworkSrc, "\n") {
-		if strings.TrimSpace(l) != "" {
-			n++
-		}
-	}
-	return n
-}
+func FrameworkLines() int { return loc.Lines(frameworkSrc) }

@@ -6,16 +6,20 @@
 //
 //	sys := nvmetro.NewSystem(nvmetro.Defaults())
 //	vm1 := sys.NewVM(4, 64<<20)
-//	disk := sys.AttachNVMetro(vm1, sys.WholeDisk())
-//	res := sys.RunFIO(nvmetro.FIOConfig{...}, disk.Targets(1))
+//	vol, err := sys.Attach(vm1, sys.WholeDisk(), nvmetro.Spec{})
+//	res := sys.RunFIO(nvmetro.FIOConfig{...}, vol.Targets(1))
 //
-// Storage functions (transparent encryption, live replication) attach with
-// one call, custom eBPF classifiers can be assembled from text and loaded
-// live, and every table/figure of the paper's evaluation can be regenerated
-// through RunExperiment.
+// A volume is declared, not assembled: Spec names the storage function
+// (transparent encryption, live replication, host cache), supervision,
+// integrity, the golden image to clone and the worker pool to join, and
+// Attach resolves the whole declaration in one call. Custom eBPF
+// classifiers can be assembled from text and loaded live through
+// Volume.Ctrl, and every table/figure of the paper's evaluation can be
+// regenerated through RunExperiment.
 package nvmetro
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -29,12 +33,12 @@ import (
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/qos"
-	"nvmetro/internal/shard"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/storfn"
 	"nvmetro/internal/supervise"
 	"nvmetro/internal/vm"
+	"nvmetro/internal/xts"
 )
 
 // Re-exported core types. The aliases make the internal packages' documented
@@ -88,12 +92,6 @@ type (
 	QoSTenantConfig = qos.TenantConfig
 	// QoSTenantSnapshot is a point-in-time view of one tenant's QoS state.
 	QoSTenantSnapshot = qos.TenantSnapshot
-	// SharedNVMetro is the shared-worker NVMetro solution handle, used for
-	// multi-tenant setups (QoS arbitration, Fig. 5 scaling).
-	SharedNVMetro = stack.NVMetro
-	// ShardFleet is the per-core sharded dispatch fleet: per-shard tenant
-	// ownership, lock-free completion fan-in and adaptive path promotion.
-	ShardFleet = shard.Fleet
 	// ShardInfo is a point-in-time view of one shard's tenant assignment,
 	// promotion state and inbox depths.
 	ShardInfo = core.ShardInfo
@@ -224,15 +222,140 @@ func (s *System) NewVM(vcpus int, memBytes uint64) *VM {
 	return s.Host.NewVM(vcpus, memBytes)
 }
 
-// AttachedDisk couples a provisioned disk with its VM for workload helpers.
-type AttachedDisk struct {
+// Encryption selects the transparent XTS-AES encryption storage function.
+type Encryption struct {
+	// Key is the 256- or 512-bit XTS key (two AES keys).
+	Key []byte
+	// SGX runs the cipher in the enclave-backed UIF variant.
+	SGX bool
+}
+
+// Spec declares what one NVMetro volume is made of; the zero Spec is a
+// plain routed disk running the default fast-path classifier
+// (partition-confining when part is a true partition). Every field
+// composes with every other unless its comment says otherwise, and Attach
+// reports an invalid declaration as an error before building anything.
+type Spec struct {
+	// The storage function (classifier + UIF): at most one of the three.
+	//
+	// Encrypt stores ciphertext: writes are encrypted and reads decrypted in
+	// the UIF, on-disk format compatible with dm-crypt.
+	Encrypt *Encryption
+	// Replicate mirrors writes synchronously to the remote host; reads stay
+	// local.
+	Replicate *RemoteHost
+	// Cache steers hot reads to a caching UIF (an eBPF classifier counts
+	// per-bucket read heat) while every write passes through the UIF's
+	// invalidation window, so cached blocks can never go stale.
+	Cache *CacheParams
+
+	// Supervise runs the storage function's UIF under a watchdog: a crashed
+	// or wedged UIF is detected, routing degrades the way the function
+	// declares safe (encryption fail-stops, the cache is bypassed, the
+	// mirror goes primary-only with dirty tracking) and the UIF restarts
+	// under backoff. Needs a storage function; the SGX encryptor has no
+	// recovery policy and cannot be supervised.
+	Supervise *SupervisePolicy
+	// Integrity adds end-to-end block protection info: writes are stamped at
+	// the mediation point, reads verified at every trust boundary, and a
+	// background Scrubber cross-checks stored content — repairing from the
+	// replica when Replicate is set, quarantining what it cannot repair.
+	// Under Encrypt only the guest boundary is guarded.
+	Integrity *ScrubConfig
+	// CloneOf provisions the volume over a fresh namespace cloned from the
+	// golden image instead of over a partition (pass the zero Partition).
+	// The clone copies no data: reads resolve through the image's shared
+	// layer chain, the first write to a chunk breaks that chunk private.
+	CloneOf *GoldenImage
+
+	// Pool attaches the volume to a shared set of router workers instead of
+	// giving it a worker of its own.
+	Pool *Pool
+	// QoS is the volume's contract with its pool's arbiter (weight, rate
+	// caps, SLO); needs a Pool created WithQoS.
+	QoS *QoSTenantConfig
+}
+
+// validate reports the first reason spec cannot be attached over part.
+func (spec Spec) validate(part Partition) error {
+	functions := 0
+	if e := spec.Encrypt; e != nil {
+		functions++
+		if _, err := xts.New(e.Key); err != nil {
+			return err
+		}
+		if e.SGX && spec.Supervise != nil {
+			return errors.New("the SGX encryptor cannot be supervised")
+		}
+	}
+	if spec.Replicate != nil {
+		functions++
+	}
+	if spec.Cache != nil {
+		functions++
+		if err := spec.Cache.Validate(); err != nil {
+			return err
+		}
+	}
+	if functions > 1 {
+		return errors.New("more than one storage function")
+	}
+	if spec.Supervise != nil {
+		if functions == 0 {
+			return errors.New("Supervise without a storage function")
+		}
+		if err := spec.Supervise.Validate(); err != nil {
+			return err
+		}
+	}
+	if spec.Integrity != nil {
+		if err := spec.Integrity.Validate(); err != nil {
+			return err
+		}
+	}
+	if spec.CloneOf != nil && part != (Partition{}) {
+		return errors.New("CloneOf provisions its own namespace: pass the zero Partition")
+	}
+	if spec.CloneOf == nil && part.Dev == nil {
+		return errors.New("no partition")
+	}
+	if spec.QoS != nil && (spec.Pool == nil || !spec.Pool.qos) {
+		return errors.New("a QoS contract needs a Pool created WithQoS")
+	}
+	return nil
+}
+
+// Volume is one attached disk with every handle its Spec produced. Handles
+// of features the Spec left out are nil.
+type Volume struct {
 	VM   *VM
 	Disk Disk
-	Ctrl *Controller // nil for non-NVMetro solutions
+	// Ctrl is the volume's virtual NVMe controller — the control-plane
+	// handle for loading classifiers and attaching UIFs live. Set for every
+	// Attach; nil only for AttachBaseline's comparison stacks.
+	Ctrl *Controller
+
+	Supervisor *Supervisor      // Spec.Supervise
+	Domain     *IntegrityDomain // Spec.Integrity
+	Scrubber   *Scrubber        // Spec.Integrity, except under Encrypt
+	Resyncer   *Resyncer        // Spec.Integrity with Spec.Replicate
+	Store      *CowStore        // Spec.CloneOf: the clone's CoW store
+
+	sol *stack.NVMetro
+}
+
+// Cacher returns the cache UIF of a Spec.Cache volume (hit/miss statistics,
+// the cache itself, the classifier's heat map), nil otherwise. Under
+// supervision it is the current generation: a restart replaces it.
+func (d *Volume) Cacher() *Cacher {
+	if d.sol == nil {
+		return nil
+	}
+	return d.sol.CacherFor(d.VM)
 }
 
 // Targets builds fio job placements on the first n vCPUs.
-func (d *AttachedDisk) Targets(n int) []FIOTarget {
+func (d *Volume) Targets(n int) []FIOTarget {
 	var out []FIOTarget
 	for i := 0; i < n; i++ {
 		out = append(out, FIOTarget{Disk: d.Disk, VM: d.VM, VCPU: d.VM.VCPU(i % d.VM.NumVCPUs())})
@@ -240,22 +363,90 @@ func (d *AttachedDisk) Targets(n int) []FIOTarget {
 	return out
 }
 
-// AttachNVMetro gives the VM an NVMetro virtual controller over part, with
-// the default fast-path classifier (partition-confining when part is a true
-// partition).
-func (s *System) AttachNVMetro(v *VM, part Partition) *AttachedDisk {
+// Attach gives v an NVMetro virtual controller over part, composed as spec
+// declares.
+func (s *System) Attach(v *VM, part Partition, spec Spec) (*Volume, error) {
+	if err := spec.validate(part); err != nil {
+		return nil, fmt.Errorf("nvmetro: invalid volume spec: %w", err)
+	}
 	sol := stack.NewNVMetro(s.Host)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}
+	if spec.Pool != nil {
+		sol = stack.NewNVMetroOn(spec.Pool.sol)
+	}
+	switch {
+	case spec.Encrypt != nil:
+		sol.WithEncryption(spec.Encrypt.Key, spec.Encrypt.SGX)
+	case spec.Replicate != nil:
+		sol.WithReplication(spec.Replicate.Secondary())
+	case spec.Cache != nil:
+		sol.WithCache(*spec.Cache)
+	}
+	if spec.Supervise != nil {
+		sol.WithSupervision(*spec.Supervise)
+	}
+	if spec.Integrity != nil {
+		sol.WithIntegrity(*spec.Integrity)
+	}
+	var disk Disk
+	if spec.CloneOf != nil {
+		disk = sol.WithSnapshots(spec.CloneOf).CloneFrom(v)
+	} else {
+		disk = sol.Provision(v, part)
+	}
+	if spec.QoS != nil {
+		sol.SetQoS(v, *spec.QoS)
+	}
+	return &Volume{
+		VM: v, Disk: disk, Ctrl: sol.ControllerFor(v),
+		Supervisor: sol.SupervisorFor(v),
+		Domain:     sol.IntegrityDomainFor(v),
+		Scrubber:   sol.ScrubberFor(v),
+		Resyncer:   sol.ResyncerFor(v),
+		Store:      sol.CloneStoreFor(v),
+		sol:        sol,
+	}, nil
 }
 
-// AttachEncrypted provisions an NVMetro disk with the transparent
-// XTS-AES encryption storage function (classifier + UIF). Set useSGX for
-// the enclave-backed variant.
-func (s *System) AttachEncrypted(v *VM, part Partition, key []byte, useSGX bool) *AttachedDisk {
-	sol := stack.NewNVMetro(s.Host).WithEncryption(key, useSGX)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}
+// Pool is a set of router workers shared by every volume attached with
+// Spec.Pool (by default each volume gets a worker of its own).
+type Pool struct {
+	sol *stack.NVMetro
+	qos bool
+}
+
+// NewNVMetroShared creates a pool of the given number of router workers
+// (one router serving every volume of the pool): the multi-tenant setup of
+// the QoS and Fig. 5 scaling evaluations.
+func (s *System) NewNVMetroShared(workers int) *Pool {
+	return &Pool{sol: stack.NewNVMetroShared(s.Host, workers)}
+}
+
+// NewNVMetroSharded creates a pool of per-core dispatch shards (one host
+// thread each) with least-loaded tenant placement and adaptive path
+// promotion enabled.
+func (s *System) NewNVMetroSharded(shards int) *Pool {
+	return &Pool{sol: stack.NewNVMetroSharded(s.Host, shards)}
+}
+
+// WithQoS enables the WFQ arbiter on the pool's workers: volumes register
+// as tenants with a default contract unless their Spec.QoS says otherwise.
+func (p *Pool) WithQoS(cfg QoSConfig) *Pool {
+	p.sol.WithQoS(cfg)
+	p.qos = true
+	return p
+}
+
+// Router returns the pool's router — counters, ShardInfos, QoSSnapshot —
+// or nil before the first volume is attached.
+func (p *Pool) Router() *Router { return p.sol.Router() }
+
+// Dump renders the pool's per-shard tenant assignment, promotion tier and
+// inbox depths ("" before the first volume is attached).
+func (p *Pool) Dump() string {
+	if fl := p.sol.Fleet(); fl != nil {
+		return fl.Dump()
+	}
+	return ""
 }
 
 // RemoteHost is a second machine reachable over a simulated NVMe-oF fabric.
@@ -266,14 +457,6 @@ type RemoteHost = stack.RemoteHost
 func (s *System) NewRemoteHost(cores int) *RemoteHost {
 	mode := s.cfg.Backing
 	return stack.NewRemoteHost(s.Env, cores, s.cfg.Params.Device, device.NewStore(mode, s.cfg.Params.Device.BlockSize()))
-}
-
-// AttachReplicated provisions an NVMetro disk with the live-replication
-// storage function: reads local, writes mirrored synchronously to remote.
-func (s *System) AttachReplicated(v *VM, part Partition, remote *RemoteHost) *AttachedDisk {
-	sol := stack.NewNVMetro(s.Host).WithReplication(remote.Secondary())
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}
 }
 
 // CacheParams configures the classifier-steered host block cache storage
@@ -287,50 +470,12 @@ type Cacher = storfn.Cacher
 // DefaultCacheParams returns the calibrated cache configuration.
 func DefaultCacheParams() CacheParams { return storfn.DefaultCacheParams() }
 
-// AttachCached provisions an NVMetro disk with the host block cache storage
-// function: an eBPF classifier counts per-bucket read heat and steers hot
-// reads to a caching UIF, while every write passes through the UIF's
-// invalidation window so cached blocks can never go stale. The returned
-// Cacher exposes hit/miss statistics and the cache itself.
-func (s *System) AttachCached(v *VM, part Partition, cp CacheParams) (*AttachedDisk, *Cacher) {
-	sol := stack.NewNVMetro(s.Host).WithCache(cp)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.CacherFor(v)
-}
-
 // DefaultSupervisePolicy returns the calibrated UIF watchdog policy.
 func DefaultSupervisePolicy() SupervisePolicy { return supervise.DefaultPolicy() }
 
 // NewFaultPlan creates a deterministic fault schedule; arm sites on it
 // (e.g. WithUIFCrash) and hand per-site injectors to a Supervisor.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
-
-// AttachEncryptedSupervised is AttachEncrypted under UIF supervision: the
-// returned Supervisor detects a crashed or wedged encryptor, fail-stops
-// routing (never plaintext) and restarts it under backoff.
-func (s *System) AttachEncryptedSupervised(v *VM, part Partition, key []byte, pol SupervisePolicy) (*AttachedDisk, *Supervisor) {
-	sol := stack.NewNVMetro(s.Host).WithEncryption(key, false).WithSupervision(pol)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.SupervisorFor(v)
-}
-
-// AttachCachedSupervised is AttachCached under UIF supervision: on failure
-// the cache is bypassed (reads fall back to the device) and the restarted
-// generation begins cold, so no stale block can ever be served.
-func (s *System) AttachCachedSupervised(v *VM, part Partition, cp CacheParams, pol SupervisePolicy) (*AttachedDisk, *Supervisor) {
-	sol := stack.NewNVMetro(s.Host).WithCache(cp).WithSupervision(pol)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.SupervisorFor(v)
-}
-
-// AttachReplicatedSupervised is AttachReplicated under UIF supervision: on
-// failure writes continue primary-only with dirty-region tracking and the
-// mirror resynchronizes after the restart.
-func (s *System) AttachReplicatedSupervised(v *VM, part Partition, remote *RemoteHost, pol SupervisePolicy) (*AttachedDisk, *Supervisor) {
-	sol := stack.NewNVMetro(s.Host).WithReplication(remote.Secondary()).WithSupervision(pol)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.SupervisorFor(v)
-}
 
 // DefaultScrubConfig returns the calibrated background-scrub policy.
 func DefaultScrubConfig() ScrubConfig { return integrity.DefaultScrubConfig() }
@@ -345,87 +490,12 @@ func NewCorruptingStore(inner Store, plan *FaultPlan, site string, blockSize uin
 	return integrity.NewCorruptingStore(inner, plan, site, blockSize, blocks)
 }
 
-// ProtectedDisk bundles an integrity-protected attachment's handles: the
-// disk plus its protection-info domain, background scrubber and (for
-// replicated attachments) the resync engine.
-type ProtectedDisk struct {
-	*AttachedDisk
-	Scrubber *Scrubber
-	Domain   *IntegrityDomain
-	Resyncer *Resyncer // nil without replication
-}
-
-// AttachProtected provisions an NVMetro disk with end-to-end block
-// protection info: writes are stamped at the mediation point, reads are
-// verified at every trust boundary, and the returned Scrubber cross-
-// checks stored content in the background, quarantining damage it cannot
-// repair (no replica to repair from).
-func (s *System) AttachProtected(v *VM, part Partition, cfg ScrubConfig) *ProtectedDisk {
-	sol := stack.NewNVMetro(s.Host).WithIntegrity(cfg)
-	disk := sol.Provision(v, part)
-	return &ProtectedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Scrubber:     sol.ScrubberFor(v),
-		Domain:       sol.IntegrityDomainFor(v),
-	}
-}
-
-// AttachReplicatedProtected is AttachProtected over the live-replication
-// storage function: the scrubber additionally cross-checks primary
-// against replica and repairs damaged primary blocks from the in-sync
-// mirror via targeted resync.
-func (s *System) AttachReplicatedProtected(v *VM, part Partition, remote *RemoteHost, cfg ScrubConfig) *ProtectedDisk {
-	sol := stack.NewNVMetro(s.Host).WithReplication(remote.Secondary()).WithIntegrity(cfg)
-	disk := sol.Provision(v, part)
-	return &ProtectedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Scrubber:     sol.ScrubberFor(v),
-		Domain:       sol.IntegrityDomainFor(v),
-		Resyncer:     sol.ResyncerFor(v),
-	}
-}
-
 // NewGoldenImage creates an empty golden image of blocks logical blocks on
 // the host device's block size. cacheChunks > 0 fronts the shared chunk
 // index with a content-addressed cache (one cache line per unique chunk,
 // shared by every clone). Load content through Image.Master(), then Seal.
 func (s *System) NewGoldenImage(blocks, cacheChunks uint64) *GoldenImage {
 	return stack.NewGoldenImage(s.Host, blocks, cacheChunks)
-}
-
-// ClonedDisk bundles one tenant's clone: the attached disk plus the CoW
-// store backing its private namespace.
-type ClonedDisk struct {
-	*AttachedDisk
-	Store *CowStore
-}
-
-// AttachCloned clones the golden image onto a fresh device namespace and
-// provisions v over it with an NVMetro controller. The clone copies no
-// data: reads resolve through the image's shared layer chain (and shared
-// content cache, when configured), and the tenant's first write to any
-// chunk breaks exactly that chunk private.
-func (s *System) AttachCloned(v *VM, img *GoldenImage) *ClonedDisk {
-	sol := stack.NewNVMetro(s.Host).WithSnapshots(img)
-	disk := sol.CloneFrom(v)
-	return &ClonedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Store:        sol.CloneStoreFor(v),
-	}
-}
-
-// AttachClonedProtected is AttachCloned with end-to-end protection info:
-// stamps and guards are per-clone (each clone has its own domain and
-// quarantine set, so one tenant's damage never leaks into another's view),
-// and PI generations survive CoW breaks because the break happens below
-// the stamped guest boundary.
-func (s *System) AttachClonedProtected(v *VM, img *GoldenImage, cfg ScrubConfig) (*ClonedDisk, *IntegrityDomain) {
-	sol := stack.NewNVMetro(s.Host).WithSnapshots(img).WithIntegrity(cfg)
-	disk := sol.CloneFrom(v)
-	return &ClonedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Store:        sol.CloneStoreFor(v),
-	}, sol.IntegrityDomainFor(v)
 }
 
 // Baseline names accepted by AttachBaseline.
@@ -437,8 +507,10 @@ const (
 	BaselineSPDK        = "spdk"
 )
 
-// AttachBaseline provisions one of the paper's comparison stacks.
-func (s *System) AttachBaseline(name string, v *VM, part Partition) (*AttachedDisk, error) {
+// AttachBaseline provisions one of the paper's comparison stacks. They are
+// different systems, not NVMetro compositions: no Spec applies, and the
+// returned Volume carries only VM and Disk.
+func (s *System) AttachBaseline(name string, v *VM, part Partition) (*Volume, error) {
 	var sol stack.Solution
 	switch name {
 	case BaselineMDev:
@@ -454,30 +526,7 @@ func (s *System) AttachBaseline(name string, v *VM, part Partition) (*AttachedDi
 	default:
 		return nil, fmt.Errorf("nvmetro: unknown baseline %q", name)
 	}
-	return &AttachedDisk{VM: v, Disk: sol.Provision(v, part)}, nil
-}
-
-// NewNVMetroShared creates a shared-worker NVMetro solution: one router
-// with the given worker count serving every VM provisioned through it. Use
-// AttachShared to provision disks, and WithQoS on the returned handle to
-// arbitrate the shared worker between tenants.
-func (s *System) NewNVMetroShared(workers int) *SharedNVMetro {
-	return stack.NewNVMetroShared(s.Host, workers)
-}
-
-// AttachShared provisions an NVMetro disk for v on the given shared
-// solution.
-func (s *System) AttachShared(sol *SharedNVMetro, v *VM, part Partition) *AttachedDisk {
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)}
-}
-
-// NewNVMetroSharded creates the per-core sharded NVMetro solution: a fleet
-// of dispatch shards (one host thread each) with least-loaded tenant
-// placement and adaptive path promotion enabled. Provision disks with
-// AttachShared; inspect the fleet through the handle's Fleet method.
-func (s *System) NewNVMetroSharded(shards int) *SharedNVMetro {
-	return stack.NewNVMetroSharded(s.Host, shards)
+	return &Volume{VM: v, Disk: sol.Provision(v, part)}, nil
 }
 
 // AddNamespace creates a fresh namespace of the given size (in device

@@ -14,7 +14,10 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	sys := nvmetro.NewSystem(nvmetro.Defaults())
 	defer sys.Close()
 	guest := sys.NewVM(2, 64<<20)
-	disk := sys.AttachNVMetro(guest, sys.WholeDisk())
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	data := bytes.Repeat([]byte{0xfe, 0xed}, 1024)
 	ok := sys.Run(10*nvmetro.Second, func(p *nvmetro.Proc) {
@@ -50,7 +53,10 @@ func TestPublicAPIEncryptionAndFIO(t *testing.T) {
 	defer sys.Close()
 	guest := sys.NewVM(2, 64<<20)
 	key := bytes.Repeat([]byte{9}, 64)
-	disk := sys.AttachEncrypted(guest, sys.WholeDisk(), key, false)
+	disk, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{Encrypt: &nvmetro.Encryption{Key: key}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := sys.RunFIO(nvmetro.FIOConfig{
 		Mode: nvmetro.RandWrite, BlockSize: 4096, QD: 8,
 		Warmup: nvmetro.Millisecond, Duration: 5 * nvmetro.Millisecond,
