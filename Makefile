@@ -34,10 +34,13 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-sim measures the DES kernel hot paths (event queue, process switch,
-# timers, resources as processes and as AcquireFunc continuations) with
-# allocation counts; results/simbench.txt holds the snapshots.
+# timers, resources as processes and as AcquireFunc continuations, idle poll
+# rounds alone and beside a second poller) with allocation counts, and what
+# those rounds cost a shard per idle tenant scanned; results/simbench.txt
+# holds the snapshots.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 300ms ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkShardIdleTenants' -benchmem -benchtime 300ms ./internal/shard/
 
 # bench-smoke compiles and runs every microbenchmark exactly once. It is a
 # CI gate against benchmarks rotting (build or runtime failures), not a
@@ -53,7 +56,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/
 	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x ./internal/cow/
-	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch' -benchtime 1x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch|BenchmarkShardIdleTenants' -benchtime 1x ./internal/shard/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
 # bench-e2e-smoke runs the host-clock benchmark's own smoke test (bench/ is

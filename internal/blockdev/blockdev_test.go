@@ -113,6 +113,45 @@ func TestDiscardAndFlushThroughBlockLayer(t *testing.T) {
 	})
 }
 
+// TestURingReapSurvivesInterleaving: what Reap returns must stay intact while
+// the reaper works through it, because the reaper yields per entry (a UIF
+// continuation runs on the polling thread) while completions keep arriving
+// and a second polling thread reaps the same ring. Every completion is seen
+// exactly once, by one reaper.
+func TestURingReapSurvivesInterleaving(t *testing.T) {
+	env, cpu, bdev, _, th := bed()
+	ring := blockdev.NewURing(env, bdev, blockdev.DefaultURingCosts())
+	const n = 64
+	seen := map[uint64]int{}
+	reaper := func(th *sim.Thread) func(*sim.Proc) {
+		return func(p *sim.Proc) {
+			for {
+				for _, cqe := range ring.Reap(p, th, 8) {
+					th.Exec(p, 7*sim.Microsecond) // the other reaper and the device run here
+					seen[cqe.UserData]++
+				}
+				p.Sleep(sim.Microsecond)
+			}
+		}
+	}
+	env.Go("reaper-a", reaper(cpu.NewThread("a")))
+	env.Go("reaper-b", reaper(cpu.NewThread("b")))
+	runP(t, env, func(p *sim.Proc) {
+		for i := uint64(0); i < n; i++ {
+			ring.Submit(p, th, blockdev.BioWrite, i*8, make([]byte, 4096), i)
+		}
+		p.Sleep(2 * sim.Millisecond)
+	})
+	for i := uint64(0); i < n; i++ {
+		if seen[i] != 1 {
+			t.Fatalf("completion %d seen %d times (of %d distinct)", i, seen[i], len(seen))
+		}
+	}
+	if len(seen) != n || ring.Pending() != 0 {
+		t.Fatalf("%d distinct completions, %d pending; want %d, 0", len(seen), ring.Pending(), n)
+	}
+}
+
 func TestURingUserDataAndOrdering(t *testing.T) {
 	env, cpu, bdev, _, th := bed()
 	_ = cpu

@@ -58,7 +58,12 @@ func (u *URing) Submit(p *sim.Proc, thread *sim.Thread, op BioOp, sector uint64,
 }
 
 // Reap drains up to max completion entries (0 = all), charging the reaping
-// thread per entry.
+// thread per entry. The result is the consumed front of the queue's own
+// storage, handed over rather than copied out: completions posted from now on
+// land behind it (or in a new array) and never in it, so it stays intact
+// while the reaper works through it — yielding per entry, with completions
+// arriving and a second polling thread reaping meanwhile — which a result
+// buffer reused across calls would not.
 func (u *URing) Reap(p *sim.Proc, thread *sim.Thread, max int) []URingCQE {
 	n := len(u.cq)
 	if max > 0 && n > max {
@@ -67,8 +72,7 @@ func (u *URing) Reap(p *sim.Proc, thread *sim.Thread, max int) []URingCQE {
 	if n == 0 {
 		return nil
 	}
-	out := make([]URingCQE, n)
-	copy(out, u.cq)
+	out := u.cq[:n:n]
 	u.cq = u.cq[n:]
 	u.Reaped += uint64(n)
 	thread.Exec(p, u.costs.Reap*sim.Duration(n))

@@ -260,12 +260,40 @@ func (c *Cache) Read(lba uint64, blocks uint64, buf []byte) bool {
 		sh := c.shardOf(key)
 		e := sh.data[key]
 		copy(buf[int(b)*bs:(int(b)+1)*bs], e.data)
-		sh.hits++
-		sh.reuse.Record(int64(sh.ops - e.lastOp))
-		e.lastOp = sh.ops
-		sh.pol.Hit(key)
+		sh.hit(key, e)
 	}
 	return true
+}
+
+// hit books one served read of resident block key: the hit, its reuse
+// distance and the replacement policy's touch. Caller holds sh.mu.
+func (sh *shard) hit(key uint64, e *entry) {
+	sh.hits++
+	sh.reuse.Record(int64(sh.ops - e.lastOp))
+	e.lastOp = sh.ops
+	sh.pol.Hit(key)
+}
+
+// View is Read for one block without the copy: it returns the resident
+// block itself, or nil on a miss, with the access counted exactly as Read
+// counts it (hit or miss, reuse distance, replacement-policy touch). The
+// bytes are the cache's own and read-only; they are what the block holds
+// until something installs over, invalidates or evicts it, so a caller whose
+// blocks can change reads them before it lets anything else at the cache. A
+// caller whose blocks are immutable (content-addressed chunks) may hold them
+// as long as it likes: an evicted line is dropped, never recycled.
+func (c *Cache) View(lba uint64) []byte {
+	sh := c.shardOf(lba)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.ops++
+	e, ok := sh.data[lba]
+	if !ok {
+		sh.misses++
+		return nil
+	}
+	sh.hit(lba, e)
+	return e.data
 }
 
 // Contains reports whether every block of [lba, lba+blocks) is resident,

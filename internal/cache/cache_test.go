@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"nvmetro/internal/metrics"
@@ -311,6 +312,49 @@ func TestCollectDeterministicAcrossRuns(t *testing.T) {
 	}
 	if !ha.Equal(hb) {
 		t.Fatalf("same op sequence produced different reuse histograms: %v vs %v", ha, hb)
+	}
+}
+
+// TestViewCountsLikeRead runs one op sequence against two caches, reading
+// single blocks by copy (Read) on one and in place (View) on the other: the
+// bytes, every counter, the reuse histogram and — through what later fills
+// evict — the replacement state must not be able to tell them apart.
+func TestViewCountsLikeRead(t *testing.T) {
+	byCopy, inPlace := New(testCfg(16)), New(testCfg(16))
+	bs := int(byCopy.BlockSize())
+	buf := make([]byte, bs)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 4000; i++ {
+		lba := uint64(r.Intn(48))
+		switch r.Intn(8) {
+		case 0, 1:
+			for _, c := range []*Cache{byCopy, inPlace} {
+				c.CommitFill(c.BeginFill(lba, 1), blk(bs, byte(lba)))
+			}
+		case 2:
+			for _, c := range []*Cache{byCopy, inPlace} {
+				c.Invalidate(lba, 1)
+			}
+		default:
+			hit, view := byCopy.Read(lba, 1, buf), inPlace.View(lba)
+			if hit != (view != nil) || hit && !bytes.Equal(view, buf) {
+				t.Fatalf("op %d lba %d: Read hit=%v %x, View %x", i, lba, hit, buf, view)
+			}
+		}
+	}
+	var a, b metrics.CounterSet
+	byCopy.Collect(&a)
+	inPlace.Collect(&b)
+	if !a.Equal(&b) || byCopy.Hits() == 0 || byCopy.Misses() == 0 {
+		t.Fatalf("View is not counted as Read is:\n%s\n%s", &a, &b)
+	}
+	if !byCopy.ReuseHistogram().Equal(inPlace.ReuseHistogram()) {
+		t.Fatalf("reuse histograms differ: %v vs %v", byCopy.ReuseHistogram(), inPlace.ReuseHistogram())
+	}
+	for lba := uint64(0); lba < 48; lba++ {
+		if byCopy.Contains(lba, 1) != inPlace.Contains(lba, 1) {
+			t.Fatalf("resident sets differ at lba %d: the replacement policy saw different hits", lba)
+		}
 	}
 }
 

@@ -325,6 +325,7 @@ func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
 		vc.registerTenant()
 	}
 	w.vcs = append(w.vcs, vc)
+	w.rewired = true
 	return vc
 }
 
@@ -479,6 +480,7 @@ func (vc *Controller) CreateQP(depth uint32) *nvme.QueuePair {
 		vq.freeHTags = append(vq.freeHTags, uint16(i))
 	}
 	vc.vqs = append(vc.vqs, vq)
+	vc.w.rewired = true
 	return &nvme.QueuePair{SQ: vq.vsq, CQ: vq.vcq}
 }
 

@@ -32,6 +32,7 @@ func (vc *Controller) AttachUIF(depth uint32) *NotifyQueues {
 		ncq: nvme.NewCQ(0, depth),
 	}
 	vc.nq = nq
+	vc.w.rewired = true
 	// A notify consumer means the classifier's verdict is about to matter
 	// (the usual next step is loading an NQ-routing program): fence the
 	// direct mapping now, synchronously, like a classifier hot-swap.
@@ -42,6 +43,7 @@ func (vc *Controller) AttachUIF(depth uint32) *NotifyQueues {
 // DetachUIF removes the notify attachment.
 func (vc *Controller) DetachUIF() {
 	vc.nq = nil
+	vc.w.rewired = true
 	vc.refreshPromotion()
 }
 

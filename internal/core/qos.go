@@ -30,6 +30,7 @@ func (r *Router) EnableQoS(cfg qos.Config) *qos.Arbiter {
 	if !r.qosEnabled() {
 		for _, w := range r.workers {
 			w.qos = qos.NewArbiter(cfg)
+			w.rewired = true
 			for _, vc := range w.vcs {
 				vc.registerTenant()
 			}

@@ -199,6 +199,11 @@ type worker struct {
 	comps  *ring.MPSC   // kernel-path completion fan-in
 	ctrl   *ring.MPSC   // control-plane posts (reconcile, promotion fences)
 	asleep bool
+	// rewired is set by whatever changes the set of things a gather walks —
+	// a tenant attached, an arbiter installed, notify queues or a queue pair
+	// created or removed — and cleared when a gather starts: idle rounds may
+	// not be spun across it (see look).
+	rewired bool
 }
 
 // hint wakes the worker if it parked itself due to inactivity.
@@ -222,110 +227,15 @@ func (w *worker) post(fn func()) {
 // run is the worker main loop: a two-phase poll (gather work, charge CPU,
 // apply effects) with adaptive parking when every attached VM is idle.
 func (w *worker) run(p *sim.Proc) {
-	c := w.r.costs
+	look := w.look
 	var effects []func() // backing array reused across rounds
 	for {
-		var work sim.Duration
-		outstanding := 0
-
 		// Phase 1: gather. Data-structure work happens instantly; the CPU
 		// time it represents is charged in phase 2 before effects land.
-		clear(effects) // drop the previous round's closures
-		effects = effects[:0]
-
-		// Kernel-path completions fan in from other contexts through the
-		// lock-free inbox; drain what is visible this round.
-		w.comps.Drain(func(fn func()) {
-			work += c.PollVQ
-			effects = append(effects, fn)
-		})
-
-		for _, vc := range w.vcs {
-			work += c.PollVQ
-			outstanding += vc.outstanding
-			// Notify-path completions (one NCQ per controller).
-			if vc.nq != nil {
-				var e nvme.Completion
-				for vc.nq.ncq.Pop(&e) {
-					h, ok := vc.takeNTag(e.CID())
-					if !ok {
-						continue
-					}
-					st := e.Status()
-					effects = append(effects, func() { w.finishHop(h, targetNQ, st) })
-				}
-			}
-			for _, vq := range vc.vqs {
-				// New guest submissions (the arbitrated pass below handles
-				// these when QoS is enabled).
-				if w.qos == nil {
-					var cmd nvme.Command
-					for vq.vsq.Pop(&cmd) {
-						vc.outstanding++
-						outstanding++
-						req := &request{vq: vq, gcid: cmd.CID(), cmd: cmd, t0: w.r.env.Now()}
-						if vc.promoted {
-							// Promoted tenant: the classifier's verdict is a
-							// proven constant, so the hop maps SQ→HSQ
-							// directly — no classifier charge, no execution.
-							effects = append(effects, func() { w.directDispatch(req) })
-						} else {
-							work += vc.classifyCost(c)
-							effects = append(effects, func() { w.classifyAndRoute(req, HookVSQ, 0) })
-						}
-					}
-				}
-				// Fast-path completions.
-				var e nvme.Completion
-				for vq.hqp.CQ.Pop(&e) {
-					cid := e.CID()
-					h := vq.htags[cid]
-					if h.req == nil {
-						// No live host tag: the late completion of a hop
-						// the deadline sweep already aborted. Count it
-						// (silent drops would hide injected faults) and
-						// release the quarantined tag.
-						w.r.StaleComps++
-						vq.releaseLost(cid)
-						continue
-					}
-					vq.htags[cid] = hop{}
-					vq.freeHTags = append(vq.freeHTags, cid)
-					vq.trimDeadlines()
-					st := e.Status()
-					effects = append(effects, func() { w.finishHop(h, targetHQ, st) })
-				}
-				// Deadline sweep: abort fast-path hops that outlived their
-				// deadline and recycle quarantined tags whose completion
-				// never arrived.
-				for _, h := range vq.expireDeadlines(w.r) {
-					h := h
-					effects = append(effects, func() { w.finishHop(h, targetHQ, nvme.SCAbortRequested) })
-				}
-			}
-		}
-
-		// Externally posted work (supervision reconciliation, promotion
-		// fences) runs after the per-controller gather so NCQ completions
-		// consumed above cannot race the reconcile sweep within the round.
-		w.ctrl.Drain(func(fn func()) {
-			work += c.PollVQ
-			effects = append(effects, fn)
-		})
-
-		// Arbitrated admission pass: WFQ + token buckets + admission
-		// control decide which VSQ heads enter this round. Commands left
-		// throttled in their rings are backlog the worker must keep
-		// polling for (time must advance for buckets to refill).
-		backlog := 0
-		if w.qos != nil {
-			var admitted int
-			admitted, backlog = w.gatherQoS(&effects, &work)
-			outstanding += admitted
-		}
+		work, idle := w.gather(&effects)
 
 		if len(effects) == 0 {
-			if outstanding == 0 && backlog == 0 {
+			if idle {
 				// Nothing in flight anywhere: park until a doorbell hint,
 				// kernel completion or UIF notification arrives. This is
 				// the "stop polling during inactivity" behaviour.
@@ -333,16 +243,9 @@ func (w *worker) run(p *sim.Proc) {
 				w.wake.Wait()
 				continue
 			}
-			// Busy-poll while requests are in flight or throttled. With a
-			// backlog every round re-evaluates the token buckets, and a
-			// non-empty inbox is work for the very next round; otherwise
-			// the rounds up to the next event or timed condition would all
-			// gather nothing, and one spin stands in for them.
-			if backlog > 0 || w.comps.Len() > 0 || w.ctrl.Len() > 0 {
-				w.thread.Exec(p, work)
-			} else {
-				w.thread.Spin(p, work, w.nextTimed())
-			}
+			// Busy-poll while requests are in flight or throttled: rounds
+			// of this gather's cost until one has something to look at.
+			w.thread.Spin(p, work, look)
 			continue
 		}
 
@@ -358,22 +261,143 @@ func (w *worker) run(p *sim.Proc) {
 	}
 }
 
-// nextTimed returns the earliest instant at which a gather can find work
-// with no event having run in between: a hop deadline or tag reclaim on any
-// queue, or the end of an SLO window in the arbiter's Tick.
-func (w *worker) nextTimed() sim.Time {
-	t := sim.Never
-	if w.qos != nil {
-		t = w.qos.NextWindowEnd()
-	}
+// gather is one poll round's look at everything the worker serves: it
+// consumes what is visible — inbox entries, completions on every path, guest
+// submissions, overdue deadlines — and leaves the routing effects that follow
+// from it in *out (whose backing array it reuses), returning the CPU time the
+// round costs. idle reports that nothing is in flight or throttled anywhere,
+// so the worker may park rather than poll on.
+func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
+	c := w.r.costs
+	outstanding := 0
+	w.rewired = false
+	clear(*out) // drop the previous round's closures
+	effects := (*out)[:0]
+
+	// Kernel-path completions fan in from other contexts through the
+	// lock-free inbox; drain what is visible this round.
+	w.comps.Drain(func(fn func()) {
+		work += c.PollVQ
+		effects = append(effects, fn)
+	})
+
 	for _, vc := range w.vcs {
+		work += c.PollVQ
+		outstanding += vc.outstanding
+		// Notify-path completions (one NCQ per controller).
+		if vc.nq != nil {
+			var e nvme.Completion
+			for vc.nq.ncq.Pop(&e) {
+				h, ok := vc.takeNTag(e.CID())
+				if !ok {
+					continue
+				}
+				st := e.Status()
+				effects = append(effects, func() { w.finishHop(h, targetNQ, st) })
+			}
+		}
 		for _, vq := range vc.vqs {
-			if at := vq.nextTimed(w.r); at < t {
-				t = at
+			// New guest submissions (the arbitrated pass below handles
+			// these when QoS is enabled).
+			if w.qos == nil {
+				var cmd nvme.Command
+				for vq.vsq.Pop(&cmd) {
+					vc.outstanding++
+					outstanding++
+					req := &request{vq: vq, gcid: cmd.CID(), cmd: cmd, t0: w.r.env.Now()}
+					if vc.promoted {
+						// Promoted tenant: the classifier's verdict is a
+						// proven constant, so the hop maps SQ→HSQ
+						// directly — no classifier charge, no execution.
+						effects = append(effects, func() { w.directDispatch(req) })
+					} else {
+						work += vc.classifyCost(c)
+						effects = append(effects, func() { w.classifyAndRoute(req, HookVSQ, 0) })
+					}
+				}
+			}
+			// Fast-path completions.
+			var e nvme.Completion
+			for vq.hqp.CQ.Pop(&e) {
+				cid := e.CID()
+				h := vq.htags[cid]
+				if h.req == nil {
+					// No live host tag: the late completion of a hop
+					// the deadline sweep already aborted. Count it
+					// (silent drops would hide injected faults) and
+					// release the quarantined tag.
+					w.r.StaleComps++
+					vq.releaseLost(cid)
+					continue
+				}
+				vq.htags[cid] = hop{}
+				vq.freeHTags = append(vq.freeHTags, cid)
+				vq.trimDeadlines()
+				st := e.Status()
+				effects = append(effects, func() { w.finishHop(h, targetHQ, st) })
+			}
+			// Deadline sweep: abort fast-path hops that outlived their
+			// deadline and recycle quarantined tags whose completion
+			// never arrived.
+			for _, h := range vq.expireDeadlines(w.r) {
+				h := h
+				effects = append(effects, func() { w.finishHop(h, targetHQ, nvme.SCAbortRequested) })
 			}
 		}
 	}
-	return t
+
+	// Externally posted work (supervision reconciliation, promotion
+	// fences) runs after the per-controller gather so NCQ completions
+	// consumed above cannot race the reconcile sweep within the round.
+	w.ctrl.Drain(func(fn func()) {
+		work += c.PollVQ
+		effects = append(effects, fn)
+	})
+
+	// Arbitrated admission pass: WFQ + token buckets + admission
+	// control decide which VSQ heads enter this round. Commands left
+	// throttled in their rings are backlog the worker must keep
+	// polling for (time must advance for buckets to refill).
+	backlog := 0
+	if w.qos != nil {
+		var admitted int
+		admitted, backlog = w.gatherQoS(&effects, &work)
+		outstanding += admitted
+	}
+	*out = effects
+	return work, outstanding == 0 && backlog == 0
+}
+
+// look is the gather of run reduced to looking, for the rounds Spin runs
+// without the worker: zero when a gather now would find something — an inbox
+// entry, a completion on any NCQ or HCQ, a VSQ head (admissible or not: with a
+// QoS backlog every round re-evaluates the token buckets and counts the
+// deferral) — or would walk a different set of queues than the one whose cost
+// the rounds charge; otherwise the earliest instant the clock alone gives it
+// something: a hop deadline or tag reclaim on any queue, or the end of an SLO
+// window (Tick evaluates the admission controller once per call, so no round
+// may be skipped across one). Everything else a gather reads is the worker's
+// own and only changes in its effects.
+func (w *worker) look(int) sim.Time {
+	if w.rewired || w.comps.Len() > 0 || w.ctrl.Len() > 0 {
+		return 0
+	}
+	until := sim.Never
+	if w.qos != nil {
+		until = w.qos.NextWindowEnd()
+	}
+	for _, vc := range w.vcs {
+		if vc.nq != nil && vc.nq.ncq.Peek() {
+			return 0
+		}
+		for _, vq := range vc.vqs {
+			if !vq.vsq.Empty() || vq.hqp.CQ.Peek() {
+				return 0
+			}
+			until = min(until, vq.nextTimed(w.r))
+		}
+	}
+	return until
 }
 
 // flushCompletions posts queued VCQ entries and injects interrupts.

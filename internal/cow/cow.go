@@ -150,25 +150,27 @@ func (ix *Index) release(key uint64) {
 	ix.mu.Unlock()
 }
 
-// read copies the chunk at key into dst, going through the shared cache
-// when one is configured (misses fill from the index; sealed chunks are
-// immutable so there are no coherence windows to arbitrate).
-func (ix *Index) read(key uint64, dst []byte) {
+// view returns the sealed chunk at key without copying it, going through
+// the shared cache when one is configured: the resident line on a hit, else
+// the index's own bytes, which fill the cache on the way (sealed chunks are
+// immutable so there are no coherence windows to arbitrate). Either way the
+// bytes are read-only and stay what they are for as long as the caller's
+// layer holds its reference — a chunk is content-addressed, never rewritten
+// in place, and an evicted cache line is dropped, not recycled — so a reader
+// takes the part it wants and nothing is staged.
+func (ix *Index) view(key uint64) []byte {
 	if ix.cache != nil {
-		if ix.cache.Read(key, 1, dst) {
-			return
+		if data := ix.cache.View(key); data != nil {
+			return data
 		}
-		ix.mu.Lock()
-		data := ix.chunks[key].data
-		ix.mu.Unlock()
-		copy(dst, data)
-		ix.cache.CommitFill(ix.cache.BeginFill(key, 1), data)
-		return
 	}
 	ix.mu.Lock()
 	data := ix.chunks[key].data
 	ix.mu.Unlock()
-	copy(dst, data)
+	if ix.cache != nil {
+		ix.cache.CommitFill(ix.cache.BeginFill(key, 1), data)
+	}
+	return data
 }
 
 // Chunks reports the number of unique chunks resident in the index.
@@ -279,7 +281,6 @@ type Store struct {
 	broken   storfn.DirtyRegions
 
 	nextSeq *uint64 // layer sequence counter, shared within the domain
-	scratch []byte  // partial-chunk staging buffer (single-writer, like MemStore)
 
 	// Counters (single writer per store: the device proc serving its
 	// namespace, like MemStore).
@@ -328,30 +329,33 @@ func (s *Store) BrokenExtents() []storfn.Range { return s.broken.Ranges() }
 // BrokenBlocks returns the total CoW-broken block count.
 func (s *Store) BrokenBlocks() uint64 { return s.broken.Blocks() }
 
-// resolveShared copies the chunk's sealed/base content into dst (one full
-// chunk), returning true when any layer or the base supplied bytes and
-// false when the chunk is logically zero. It never consults private state.
-func (s *Store) resolveShared(cn uint64, dst []byte) bool {
+// resolveShared copies the chunk's sealed/base content from byte off on into
+// dst (whole blocks, within the chunk), returning true when any layer or the
+// base supplied bytes and false when the chunk is logically zero. It never
+// consults private state. A sealed chunk is read in place — only the bytes
+// asked for move — and counts as one chunk read whatever part is taken.
+func (s *Store) resolveShared(cn, off uint64, dst []byte) bool {
 	for i := len(s.chain) - 1; i >= 0; i-- {
 		if e, ok := s.chain[i].entries[cn]; ok {
 			if e.white {
 				clear(dst)
 				return false
 			}
-			s.idx.read(e.hash, dst)
+			copy(dst, s.idx.view(e.hash)[off:])
 			s.SharedReads++
 			return true
 		}
 	}
 	if s.base != nil {
-		lba := cn * uint64(s.cfg.ChunkBlocks)
+		bs := uint64(s.cfg.BlockSize)
+		lba := cn*uint64(s.cfg.ChunkBlocks) + off/bs
 		// Clamp the tail chunk to the device size.
-		nb := uint64(s.cfg.ChunkBlocks)
+		nb := uint64(len(dst)) / bs
 		if lba+nb > s.blocks {
 			nb = s.blocks - lba
-			clear(dst[nb*uint64(s.cfg.BlockSize):])
+			clear(dst[nb*bs:])
 		}
-		s.base.ReadBlocks(lba, dst[:nb*uint64(s.cfg.BlockSize)])
+		s.base.ReadBlocks(lba, dst[:nb*bs])
 		s.BaseReads++
 		return true
 	}
@@ -359,10 +363,11 @@ func (s *Store) resolveShared(cn uint64, dst []byte) bool {
 	return false
 }
 
-// readChunk copies the chunk's current logical content into dst.
-func (s *Store) readChunk(cn uint64, dst []byte) {
+// readChunk copies the chunk's current logical content from byte off on into
+// dst.
+func (s *Store) readChunk(cn, off uint64, dst []byte) {
 	if c := s.mut[cn]; c != nil {
-		copy(dst, c)
+		copy(dst, c[off:])
 		s.PrivateReads++
 		return
 	}
@@ -371,7 +376,7 @@ func (s *Store) readChunk(cn uint64, dst []byte) {
 		s.ZeroReads++
 		return
 	}
-	if !s.resolveShared(cn, dst) {
+	if !s.resolveShared(cn, off, dst) {
 		s.ZeroReads++
 	}
 }
@@ -401,7 +406,7 @@ func (s *Store) materialize(cn uint64, fill bool) []byte {
 	if !wasWhite && s.sharedHas(cn) {
 		s.CowBreaks++
 		if fill {
-			s.resolveShared(cn, c)
+			s.resolveShared(cn, 0, c)
 			s.ChunkCopies++
 		}
 	}
@@ -421,17 +426,7 @@ func (s *Store) ReadBlocks(lba uint64, buf []byte) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		// Fast path: whole-chunk aligned reads resolve straight into buf;
-		// partial reads stage through a chunk-sized scratch copy.
-		if off == 0 && n == s.cfg.chunkBytes() {
-			s.readChunk(cn, buf[:n])
-		} else {
-			if s.scratch == nil {
-				s.scratch = make([]byte, s.cfg.chunkBytes())
-			}
-			s.readChunk(cn, s.scratch)
-			copy(buf[:n], s.scratch[off:])
-		}
+		s.readChunk(cn, off, buf[:n])
 		buf = buf[n:]
 		lba += uint64(n) / bs
 	}

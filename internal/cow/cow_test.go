@@ -2,6 +2,7 @@ package cow
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -310,6 +311,120 @@ func TestSharedCacheCrossTenant(t *testing.T) {
 	}
 	a.Close()
 	b.Close()
+	golden.Close()
+}
+
+// TestPartialReadCounters pins what a sub-chunk read costs in the store's
+// books whichever way the chunk resolves: one chunk read in exactly one of
+// the four read counters, and for a sealed chunk one access to the shared
+// cache — the same as a whole-chunk read, although only the bytes asked for
+// are moved.
+func TestPartialReadCounters(t *testing.T) {
+	const blocks = 64 * 6
+	rng := rand.New(rand.NewSource(3))
+	base := device.NewMemStore(512)
+	img := fill(rng, blocks*512)
+	base.WriteBlocks(0, img)
+	ix := NewIndex(Config{BlockSize: 512, CacheChunks: 16})
+	s := NewStore(ix, blocks, base)
+	mem := device.NewMemStore(512)
+	mem.WriteBlocks(0, img)
+	both := func(lba uint64, buf []byte) { s.WriteBlocks(lba, buf); mem.WriteBlocks(lba, buf) }
+	both(0, fill(rng, 64*512))  // chunk 0: sealed below
+	both(64, fill(rng, 64*512)) // chunk 1: sealed, then trimmed in a later layer
+	s.Snapshot()
+	s.TrimBlocks(64, 64)
+	mem.TrimBlocks(64, 64)
+	s.Snapshot()
+	both(2*64+5, fill(rng, 512)) // chunk 2: private
+	s.TrimBlocks(3*64, 64)       // chunk 3: private whiteout
+	mem.TrimBlocks(3*64, 64)
+	// chunk 4: falls through to the base.
+
+	type counts struct{ private, zero, shared, base, hits, misses uint64 }
+	read := func() counts {
+		return counts{s.PrivateReads, s.ZeroReads, s.SharedReads, s.BaseReads, ix.Cache().Hits(), ix.Cache().Misses()}
+	}
+	for _, tc := range []struct {
+		name  string
+		chunk uint64
+		want  counts // per read
+	}{
+		{"sealed, cold", 0, counts{shared: 1, misses: 1}},
+		{"sealed, resident", 0, counts{shared: 1, hits: 1}},
+		{"sealed whiteout", 1, counts{zero: 1}},
+		{"private", 2, counts{private: 1}},
+		{"private whiteout", 3, counts{zero: 1}},
+		{"base", 4, counts{base: 1}},
+	} {
+		for _, r := range []struct{ off, n uint64 }{{7, 3}, {0, 64}} { // partial, then whole
+			if tc.name == "sealed, cold" && r.off == 0 {
+				continue // the partial read has filled the cache
+			}
+			before := read()
+			got, want := make([]byte, r.n*512), make([]byte, r.n*512)
+			s.ReadBlocks(tc.chunk*64+r.off, got)
+			mem.ReadBlocks(tc.chunk*64+r.off, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: blocks %d+%d read wrong", tc.name, r.off, r.n)
+			}
+			after := read()
+			delta := counts{after.private - before.private, after.zero - before.zero, after.shared - before.shared,
+				after.base - before.base, after.hits - before.hits, after.misses - before.misses}
+			if delta != tc.want {
+				t.Fatalf("%s: blocks %d+%d counted %+v, want %+v", tc.name, r.off, r.n, delta, tc.want)
+			}
+		}
+	}
+}
+
+// TestSealedChunkBytesNeverChange is why a reader may take a sealed chunk in
+// place instead of staging a copy (DESIGN §11): the bytes are content-
+// addressed, so the index never rewrites them and the cache only ever drops
+// a line, never recycles its buffer. A view taken before the line is evicted
+// and refilled must still read the same afterwards, as must the refilled one.
+func TestSealedChunkBytesNeverChange(t *testing.T) {
+	const chunks = 64
+	rng := rand.New(rand.NewSource(17))
+	ix := NewIndex(Config{BlockSize: 512, CacheChunks: 8}) // one line per cache shard
+	golden := NewStore(ix, chunks*64, nil)
+	img := fill(rng, chunks*64*512)
+	golden.WriteBlocks(0, img)
+	layer := golden.Snapshot()
+	clone := golden.Clone()
+
+	key := layer.entries[0].hash
+	if ix.view(key); !ix.Cache().Contains(key, 1) {
+		t.Fatal("a miss did not fill the shared cache")
+	}
+	held := ix.view(key) // the resident line itself
+	want := crc32.ChecksumIEEE(img[:64*512])
+	if crc32.ChecksumIEEE(held) != want {
+		t.Fatal("view of chunk 0 does not hold chunk 0")
+	}
+	// Sub-chunk reads of every other chunk push chunk 0 out of its shard.
+	got := make([]byte, 512)
+	for cn := uint64(1); cn < chunks; cn++ {
+		clone.ReadBlocks(cn*64+cn%64, got)
+		if off := (cn*64 + cn%64) * 512; !bytes.Equal(got, img[off:off+512]) {
+			t.Fatalf("chunk %d block %d read wrong", cn, cn%64)
+		}
+	}
+	if ix.Cache().Contains(key, 1) {
+		t.Fatal("chunk 0 was not evicted: the test needs a smaller cache")
+	}
+	if crc32.ChecksumIEEE(held) != want {
+		t.Fatal("an evicted line's bytes changed under a reader holding them")
+	}
+	misses := ix.Cache().Misses()
+	clone.ReadBlocks(9, got) // refill
+	if ix.Cache().Misses() != misses+1 || !bytes.Equal(got, img[9*512:10*512]) {
+		t.Fatalf("refill: %d misses (want %d), data ok=%v", ix.Cache().Misses(), misses+1, bytes.Equal(got, img[9*512:10*512]))
+	}
+	if crc32.ChecksumIEEE(held) != want || crc32.ChecksumIEEE(ix.view(key)) != want {
+		t.Fatal("chunk 0 reads differently across an eviction and refill")
+	}
+	clone.Close()
 	golden.Close()
 }
 

@@ -171,11 +171,15 @@ func (h *Histogram) Equal(o *Histogram) bool {
 	return true
 }
 
-// Reset clears the histogram.
+// Reset clears the histogram. Only the buckets between the smallest and the
+// largest recorded value can be non-zero (bucketIndex is monotonic), so a
+// histogram nothing was recorded into costs nothing to reset and a narrow one
+// little: the QoS arbiter resets one per tenant per SLO window.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
+	if h.total == 0 {
+		return
 	}
+	clear(h.counts[bucketIndex(h.min) : bucketIndex(h.max)+1])
 	h.total, h.sum, h.max = 0, 0, 0
 	h.min = math.MaxInt64
 }

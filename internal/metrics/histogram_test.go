@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -137,6 +138,37 @@ func TestHistogramReset(t *testing.T) {
 	h.Record(7)
 	if h.Min() != 7 || h.Max() != 7 {
 		t.Fatal("record after reset broken")
+	}
+}
+
+// TestHistogramResetLeavesNothingBehind: Reset clears only the bucket range
+// the recorded (or merged) values span, and nothing at all when empty; what
+// it leaves must be indistinguishable from a new histogram.
+func TestHistogramResetLeavesNothingBehind(t *testing.T) {
+	fresh := NewHistogram()
+	rng := rand.New(rand.NewSource(1))
+	h := NewHistogram()
+	for round := 0; round < 200; round++ {
+		switch round % 4 {
+		case 0: // nothing recorded since the last Reset
+		case 1: // negative values are recorded as zero
+			h.Record(-5)
+			h.Record(math.MaxInt64)
+		case 2: // buckets filled by a merge
+			o := NewHistogram()
+			for i := rng.Intn(50); i >= 0; i-- {
+				o.Record(rng.Int63n(1 << uint(1+rng.Intn(62))))
+			}
+			h.Merge(o)
+		default:
+			for i := rng.Intn(50); i >= 0; i-- {
+				h.Record(rng.Int63n(1 << uint(1+rng.Intn(40))))
+			}
+		}
+		h.Reset()
+		if !h.Equal(fresh) {
+			t.Fatalf("round %d: a reset histogram differs from a new one: %v", round, h)
+		}
 	}
 }
 

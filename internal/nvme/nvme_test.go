@@ -149,8 +149,11 @@ func TestCQFullDetection(t *testing.T) {
 			t.Fatalf("pop %d: %v", i, &e)
 		}
 	}
-	if q.Pop(&e) {
+	if q.Pop(&e) || q.Peek() {
 		t.Fatal("pop from empty")
+	}
+	if e.CID() != 2 {
+		t.Fatalf("a failed pop overwrote the caller's entry: %v", &e)
 	}
 }
 

@@ -140,16 +140,22 @@ func (q *CQ) Push(e *Completion) bool {
 // Peek reports whether a new entry is visible to the consumer (phase match)
 // without consuming it.
 func (q *CQ) Peek() bool {
+	if q.head == q.tail {
+		return false // the poller's common case: no entry to copy out
+	}
 	var e Completion
 	copy(e[:], q.buf[q.head*CompletionSize:])
-	return e.Phase() == q.consPh && q.head != q.tail
+	return e.Phase() == q.consPh
 }
 
 // Pop consumes the next completion entry, reporting false when none is
 // visible. Popping advances the consumer head (the CQ doorbell).
 func (q *CQ) Pop(e *Completion) bool {
+	if q.head == q.tail {
+		return false // the poller's common case: no entry to copy out
+	}
 	copy(e[:], q.buf[q.head*CompletionSize:])
-	if e.Phase() != q.consPh || q.head == q.tail {
+	if e.Phase() != q.consPh {
 		return false
 	}
 	q.head = (q.head + 1) % q.size

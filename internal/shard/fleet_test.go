@@ -30,10 +30,14 @@ type bench struct {
 }
 
 func newBench(shards, vms int) *bench {
-	env := sim.New(1)
-	cpu := sim.NewCPU(env, 4+shards)
 	p := device.Default970EvoPlus()
 	p.JitterPct, p.TailProb = 0, 0
+	return newBenchOn(shards, vms, p)
+}
+
+func newBenchOn(shards, vms int, p device.Params) *bench {
+	env := sim.New(1)
+	cpu := sim.NewCPU(env, 4+shards)
 	store := device.NewMemStore(512)
 	dev := device.New(env, p, store)
 	var threads []*sim.Thread

@@ -174,55 +174,118 @@ func newThread(core *Core, tag string) *Thread {
 // Exec runs d of work on the thread's core, accounted under the thread tag.
 func (t *Thread) Exec(p *Proc, d Duration) { t.Core.exec(p, t.busy, d) }
 
-// Spin busy-polls on the thread's core in rounds of length round. It behaves
-// exactly like the loop
+// Spin busy-polls on the thread's core in rounds of length round until the
+// caller's poll has something to look at. It is the loop
 //
-//	for { t.Exec(p, round); if <caller's poll finds work> { break } }
+//	for { t.Exec(p, round); if poll(1) <= p.Now() { return } }
 //
-// for a caller whose poll can only find work after another simulation event
-// has run or once virtual time reaches until (Never when no poll condition is
-// time-driven) — but costs one scheduled event instead of one per round. It
-// returns how many rounds elapsed (always >= 1); the caller polls again and
-// calls Spin again if that poll is still empty. The empty poll must have
-// taken no virtual time, or it is already out of date: a caller whose poll
-// did passes until = Now() and gets the single round Exec would run.
+// with the rounds that look at nothing run in scheduler context: the wake at
+// a round boundary is handled inside the event dispatch, and the process is
+// resumed — a run-token hand-off through the Go scheduler, then the caller's
+// full gather — only when there is a reason to. It returns the rounds elapsed
+// (>= 1); the caller polls for real and calls Spin again if that finds nothing.
 //
-// The rounds are elided only while nothing can observe them. The spin stops
-// at the last round boundary strictly before the horizon — the earliest of
-// the next queued event, the limit of the run in progress (CPU snapshots are
-// taken between RunUntil calls) and until — so the round that crosses the
-// horizon is scheduled on its own, at the instant and with the sequence
-// number the per-round loop would give it, and same-instant ties dispatch in
-// the same order. A spin that had to wait for the core runs a single round:
-// the caller's empty poll is stale by then, and a waiter queued behind it
-// takes the core at the next round boundary. Every other process therefore
-// sees the virtual times, per-tag CPU figures and event order of the
-// per-round loop.
-func (t *Thread) Spin(p *Proc, round Duration, until Time) (rounds int) {
+// poll is the caller's poll reduced to looking. It reports the earliest
+// instant at which the real poll could find something to do, given what is
+// visible now: any time at or before Now (zero will do) for "look now", a
+// later time when only the clock will produce it (a deadline, the end of a
+// budget), Never when only another event can. It is called on entry — where
+// "look now" buys the single round Exec would run, which is the right answer
+// when the caller's own empty poll took virtual time and something arrived
+// behind its back — and again at every round boundary reached, so a bound
+// another event moves mid-spin is honoured. It runs with no current process
+// (entry excepted) and must change nothing another party can observe:
+// no event, no random draw, no blocking primitive. It may say "look" when the
+// real poll would then find nothing (that costs what every round used to
+// cost) but never the reverse: whenever the real poll would take an effect,
+// or charge virtual time, poll must say "look".
+//
+// rounds is how many rounds have completed since the previous call (0 on
+// entry). A caller that keeps books per round — polls counted, an idle
+// budget — credits them there, the way Spin credits CPU time, and not from
+// the return value: a spin outlives the instants at which other processes
+// and RunUntil limits read those books.
+//
+// Three rules keep every other party's view — virtual times, per-tag CPU at
+// every RunUntil limit, the (t, seq) order of all events — that of the
+// per-round loop. Each boundary reached costs exactly the one event the
+// loop's next Exec would push, pushed at the same point of the dispatch
+// order; what is elided are boundaries nothing can observe: the wake is set
+// at the last boundary strictly before the horizon — the earliest of the
+// next queued event, the limit of the run in progress and poll's answer — so
+// the round that crosses the horizon is scheduled on its own, as the loop
+// would schedule it, and same-instant ties dispatch in the same order. A
+// process queued for the core gets it at the next boundary: a non-empty wait
+// list returns the spinner, whose release hands the core over. And a spin
+// that itself had to queue for the core starts with a single round, because
+// the caller's empty poll is stale by the time the core is granted.
+func (t *Thread) Spin(p *Proc, round Duration, poll func(rounds int) Time) (rounds int) {
 	e, res := p.env, t.Core.res
-	rounds = 1
+	armed := 1
 	if !res.TryAcquire() {
 		res.Acquire()
-	} else if round > 0 {
-		h := until
-		if e.limit < h {
-			h = e.limit
-		}
-		if next, ok := e.q.peek(); ok && next < h {
-			h = next
-		}
-		if h == Never {
-			panic("sim: Spin with no queued event, run limit or until would never return")
-		}
-		// Last boundary strictly before h; the division is skipped when
-		// fewer than two rounds fit (pollers bounding each other).
-		if span := h - 1 - e.now; span >= 2*Time(round) {
-			rounds = int(span / Time(round))
-		}
+	} else {
+		armed = e.spinRounds(round, poll(0))
 	}
-	d := Duration(rounds) * round
-	p.Sleep(d)
+	s := &p.spin
+	*s = spinState{th: t, round: round, poll: poll, armed: armed}
+	p.Sleep(Duration(armed) * round)
+	// Env.respin credited the rounds and decided the process had to come
+	// back; it left the core held, as Exec does across its Sleep.
+	rounds = s.rounds
+	*s = spinState{}
 	res.Release()
-	*t.busy += d
 	return rounds
+}
+
+// spinState is a process parked in Thread.Spin: what Env.respin needs to run
+// its round boundaries without it. th is nil outside Spin.
+type spinState struct {
+	th     *Thread
+	round  Duration
+	poll   func(rounds int) Time
+	armed  int // rounds the queued wake covers
+	rounds int // rounds completed
+}
+
+// spinRounds sizes one step of a spin from a boundary at the current instant:
+// the number of whole rounds that end strictly before the horizon, at least 1.
+func (e *Env) spinRounds(round Duration, until Time) int {
+	if round <= 0 {
+		return 1 // a zero-cost model: every round is a yield at this instant
+	}
+	h := until
+	if e.limit < h {
+		h = e.limit
+	}
+	if next, ok := e.q.peek(); ok && next < h {
+		h = next
+	}
+	if h == Never {
+		panic("sim: Spin with no queued event, run limit or poll bound would never return")
+	}
+	// The division is skipped when fewer than two rounds fit (a horizon
+	// closer than that is the common case in a busy system).
+	if span := h - 1 - e.now; span >= 2*Time(round) {
+		return int(span / Time(round))
+	}
+	return 1
+}
+
+// respin handles the round-boundary wake of p, parked in Thread.Spin, in
+// scheduler context. It reports false when the process has to be resumed;
+// otherwise it has queued the next boundary — the single push the resumed
+// process's next Exec would have made, at the same dispatch position.
+func (e *Env) respin(p *Proc) bool {
+	s := &p.spin
+	t := s.th
+	*t.busy += Duration(s.armed) * s.round
+	s.rounds += s.armed
+	until := s.poll(s.armed)
+	if res := t.Core.res; until <= e.now || res.head != len(res.q) {
+		return false // something to look at, or a waiter takes the core here
+	}
+	s.armed = e.spinRounds(s.round, until)
+	e.push(e.now.Add(Duration(s.armed)*s.round), p, nil)
+	return true
 }

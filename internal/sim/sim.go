@@ -217,7 +217,8 @@ type Proc struct {
 	w      *worker
 	idx    int // position in env.procs
 	done   bool
-	wakes  int // queued events targeting this process
+	wakes  int       // queued events targeting this process
+	spin   spinState // set while parked in Thread.Spin
 }
 
 // worker is one pooled process goroutine. While idle it blocks on ch with
@@ -265,7 +266,7 @@ func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 		p = e.procFree[n-1]
 		e.procFree[n-1] = nil
 		e.procFree = e.procFree[:n-1]
-		p.name, p.resume, p.w, p.done, p.wakes = name, w.ch, w, false, 0
+		p.name, p.resume, p.w, p.done, p.wakes, p.spin = name, w.ch, w, false, 0, spinState{}
 	} else {
 		p = &Proc{env: e, name: name, resume: w.ch, w: w}
 	}
@@ -474,6 +475,9 @@ func (e *Env) dispatch() *Proc {
 		if p.done {
 			q.dead-- // stale wake for a finished process
 			continue
+		}
+		if p.spin.th != nil && e.respin(p) {
+			continue // an idle poll round: stays in scheduler context
 		}
 		return p
 	}

@@ -11,12 +11,17 @@ import (
 // that charges one Exec per empty poll round. One randomized world — timers,
 // callbacks, sleeping processes, timeout waits that get cancelled, a
 // contender thread pinned to the poller's core, a poll condition that turns
-// true by the clock alone, polls that take time yet find nothing — is run
-// twice from the same seed, once with the reference per-round loop and once
-// with Spin, under the same random RunUntil limits. Everything any other
-// party can observe must match: the dispatch order and times of all
-// non-poller events, what the poller found and after how many rounds, the
-// CPU snapshot at every limit, and the final time.
+// true by the clock alone and is armed by other parties while the poller
+// spins, polls that take time yet find nothing — is run twice from the same
+// seed, once with the reference per-round loop and once with Spin, under the
+// same random RunUntil limits. Everything any other party can observe must
+// match: the dispatch order and times of all non-poller events, what the
+// poller found and after how many rounds, the poller's own count of its
+// polls as the sleepers and every limit read it, the CPU snapshot at every
+// limit and the final time. A third run spins with a poll that says "look" at
+// every boundary reached — the spin that comes back to its process each time
+// — and must dispatch exactly as many events as the one that looks for
+// itself: the predicate moves rounds off the goroutines, not out of the queue.
 
 const (
 	spinRound = 250 * Nanosecond
@@ -24,13 +29,21 @@ const (
 )
 
 type spinObs struct {
-	log   []string
-	snaps []map[string]Duration
-	nows  []Time
-	disp  uint64
+	log      []string
+	snaps    []map[string]Duration
+	polls    []int
+	nows     []Time
+	disp     uint64
+	switches uint64
 }
 
-func runSpinWorld(seed int64, limits []Time, useSpin bool) spinObs {
+const (
+	perRound   = iota // the reference: one Exec per empty poll
+	spinReturn        // Spin, resumed at every boundary reached
+	spinLook          // Spin with the poll's own readiness check
+)
+
+func runSpinWorld(seed int64, limits []Time, mode int) spinObs {
 	env := New(seed)
 	defer env.Close()
 	rng := rand.New(rand.NewSource(seed)) // never drawn from by the poller
@@ -42,8 +55,9 @@ func runSpinWorld(seed int64, limits []Time, useSpin bool) spinObs {
 	delay := func(max int) Duration { return Duration(rng.Intn(max)+1) * spinGrain }
 
 	pending := 0      // event-driven poll condition
-	deadline := Never // time-driven poll condition (the Spin until)
+	deadline := Never // time-driven poll condition, armed by the other parties
 	stale := 0        // entries that cost the poller time to discard but are not work
+	polls := 0        // the poller's books: polls made, elided ones included
 	disturb := func() {
 		switch rng.Intn(7) {
 		case 0, 1:
@@ -58,10 +72,20 @@ func runSpinWorld(seed int64, limits []Time, useSpin bool) spinObs {
 	}
 
 	poller := cpu.ThreadOn(0, "poll")
+	// The poll below, reduced to looking. Discarding a stale entry is charged,
+	// so it has to be looked at although it is not work.
+	look := func(n int) Time {
+		polls += n
+		if pending > 0 || stale > 0 || (mode == spinReturn && n > 0) {
+			return 0
+		}
+		return deadline
+	}
 	env.Go("poller", func(p *Proc) {
 		rounds := 0
 		for {
-			found, polled := false, p.Now()
+			found := false
+			polls++
 			if pending > 0 {
 				pending--
 				found = true
@@ -81,12 +105,11 @@ func runSpinWorld(seed int64, limits []Time, useSpin bool) spinObs {
 			switch {
 			case found:
 				poller.Exec(p, 2*spinRound)
-			case useSpin && p.Now() != polled:
-				// The empty poll took time, so it is already out of date:
-				// one round, whatever the clock-driven bound says.
-				rounds += poller.Spin(p, spinRound, p.Now())
-			case useSpin:
-				rounds += poller.Spin(p, spinRound, deadline)
+			case mode != perRound:
+				// The empty poll may have taken time and be out of date
+				// already: Spin looks again on entry.
+				rounds += poller.Spin(p, spinRound, look)
+				polls-- // the poll at the boundary Spin came back on is the next one above
 			default:
 				poller.Exec(p, spinRound)
 				rounds++
@@ -125,7 +148,7 @@ func runSpinWorld(seed int64, limits []Time, useSpin bool) spinObs {
 		env.Go("sleeper", func(p *Proc) {
 			for {
 				p.Sleep(delay(3000))
-				note("sleeper %d", i)
+				note("sleeper %d sees %d polls", i, polls)
 				disturb()
 				if rng.Intn(3) == 0 {
 					other.Exec(p, delay(20))
@@ -144,14 +167,35 @@ func runSpinWorld(seed int64, limits []Time, useSpin bool) spinObs {
 	for _, l := range limits {
 		env.RunUntil(l)
 		o.snaps = append(o.snaps, cpu.Snapshot().busy)
+		o.polls = append(o.polls, polls)
 		o.nows = append(o.nows, env.Now())
 	}
-	o.disp = env.Dispatched()
+	o.disp, o.switches = env.Dispatched(), env.Switches()
 	return o
 }
 
+// sameView fails the test unless got shows every other party what ref does.
+func sameView(t *testing.T, seed int64, name string, ref, got spinObs) {
+	t.Helper()
+	for i := 0; i < len(ref.log) || i < len(got.log); i++ {
+		if i >= len(ref.log) || i >= len(got.log) || ref.log[i] != got.log[i] {
+			t.Fatalf("seed %d: logs diverge at entry %d:\n per-round: %q\n %s: %q",
+				seed, i, ref.log[min(i, len(ref.log)):min(i+1, len(ref.log))], name, got.log[min(i, len(got.log)):min(i+1, len(got.log))])
+		}
+	}
+	if !reflect.DeepEqual(ref.snaps, got.snaps) {
+		t.Fatalf("seed %d: CPU snapshots diverged:\n per-round: %v\n %s: %v", seed, ref.snaps, name, got.snaps)
+	}
+	if !reflect.DeepEqual(ref.polls, got.polls) {
+		t.Fatalf("seed %d: the poller's poll count at the limits diverged:\n per-round: %v\n %s: %v", seed, ref.polls, name, got.polls)
+	}
+	if !reflect.DeepEqual(ref.nows, got.nows) {
+		t.Fatalf("seed %d: clocks diverged: %v vs %v (%s)", seed, ref.nows, got.nows, name)
+	}
+}
+
 func TestSpinMatchesPerRoundLoop(t *testing.T) {
-	var refEvents, spinEvents uint64
+	var refEvents, spinEvents, backSwitches, spinSwitches uint64
 	for seed := int64(1); seed <= 60; seed++ {
 		lr := rand.New(rand.NewSource(-seed))
 		var limits []Time
@@ -161,32 +205,34 @@ func TestSpinMatchesPerRoundLoop(t *testing.T) {
 			at += Time(lr.Intn(40000)+1) * spinGrain
 			limits = append(limits, at+Time(lr.Intn(3)-1))
 		}
-		ref := runSpinWorld(seed, limits, false)
-		got := runSpinWorld(seed, limits, true)
-		for i := 0; i < len(ref.log) || i < len(got.log); i++ {
-			if i >= len(ref.log) || i >= len(got.log) || ref.log[i] != got.log[i] {
-				t.Fatalf("seed %d: logs diverge at entry %d:\n per-round: %q\n spin:      %q",
-					seed, i, ref.log[min(i, len(ref.log)):min(i+1, len(ref.log))], got.log[min(i, len(got.log)):min(i+1, len(got.log))])
-			}
-		}
-		if !reflect.DeepEqual(ref.snaps, got.snaps) {
-			t.Fatalf("seed %d: CPU snapshots diverged:\n per-round: %v\n spin:      %v", seed, ref.snaps, got.snaps)
-		}
-		if !reflect.DeepEqual(ref.nows, got.nows) {
-			t.Fatalf("seed %d: clocks diverged: %v vs %v", seed, ref.nows, got.nows)
+		ref := runSpinWorld(seed, limits, perRound)
+		back := runSpinWorld(seed, limits, spinReturn)
+		got := runSpinWorld(seed, limits, spinLook)
+		sameView(t, seed, "spin, resumed", ref, back)
+		sameView(t, seed, "spin", ref, got)
+		if back.disp != got.disp {
+			t.Fatalf("seed %d: looking in scheduler context changed the event count: %d against %d when resumed at every boundary",
+				seed, got.disp, back.disp)
 		}
 		refEvents += ref.disp
 		spinEvents += got.disp
+		backSwitches += back.switches
+		spinSwitches += got.switches
 	}
-	// The point of Spin: the same world for far fewer scheduled events.
+	// The point of Spin: the same world for far fewer scheduled events, and
+	// the boundaries still reached handled without the poller's goroutine.
 	if spinEvents*3 > refEvents {
 		t.Fatalf("spin dispatched %d events against %d per-round: expected at least 3x fewer", spinEvents, refEvents)
+	}
+	if spinSwitches >= backSwitches {
+		t.Fatalf("spin took %d run-token hand-offs against %d when resumed at every boundary: expected fewer", spinSwitches, backSwitches)
 	}
 }
 
 // TestSpinSingleRoundWhenCoreContended is the stale-poll rule in isolation:
-// a spin that had to queue for the core charges exactly one round, because
-// whatever ran in the meantime may have produced work.
+// a spin that had to queue for the core starts with exactly one round and
+// looks at its end, whatever the caller's poll made of things before the
+// wait: whatever ran in the meantime may have produced work.
 func TestSpinSingleRoundWhenCoreContended(t *testing.T) {
 	env := New(1)
 	defer env.Close()
@@ -196,7 +242,14 @@ func TestSpinSingleRoundWhenCoreContended(t *testing.T) {
 	var rounds int
 	var woke Time
 	env.Go("poller", func(p *Proc) {
-		rounds = poll.Spin(p, spinRound, Never)
+		// On entry nothing is in sight (asked then, Spin would run out to the
+		// event a millisecond away); at a boundary there is.
+		rounds = poll.Spin(p, spinRound, func(n int) Time {
+			if n == 0 {
+				return Never
+			}
+			return 0
+		})
 		woke = p.Now()
 	})
 	env.After(Millisecond, func() {})
@@ -207,8 +260,9 @@ func TestSpinSingleRoundWhenCoreContended(t *testing.T) {
 }
 
 // TestSpinLandsStrictlyBeforeHorizon checks the landing rule on each bound:
-// the spin stops at the last round boundary strictly before the next event,
-// the run limit or until, and an event already due costs one round.
+// a step of the spin stops at the last round boundary strictly before the
+// next event, the run limit or the poll's bound, and an event already due
+// costs one round.
 func TestSpinLandsStrictlyBeforeHorizon(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -226,7 +280,15 @@ func TestSpinLandsStrictlyBeforeHorizon(t *testing.T) {
 		env := New(1)
 		th := NewCPU(env, 1).ThreadOn(0, "poll")
 		var rounds int
-		env.Go("poller", func(p *Proc) { rounds = th.Spin(p, spinRound, tc.until) })
+		env.Go("poller", func(p *Proc) {
+			// Come back at the first boundary reached: one step.
+			rounds = th.Spin(p, spinRound, func(n int) Time {
+				if n > 0 {
+					return 0
+				}
+				return tc.until
+			})
+		})
 		env.At(tc.event, func() {})
 		env.RunUntil(tc.limit)
 		env.Close()
@@ -236,33 +298,147 @@ func TestSpinLandsStrictlyBeforeHorizon(t *testing.T) {
 	}
 }
 
-// BenchmarkSpin is one idle gap of the router's QD1 shape per op: a poller
-// with a 250 ns round waits out an 80 us device latency (320 rounds), then
-// handles the completion.
-func BenchmarkSpin(b *testing.B) {
+// TestSpinStaysInSchedulerContext is what the poll argument buys: a poller
+// idle across 100 wakes of another process that are none of its business is
+// never resumed — every boundary it reaches is one event, handled where it
+// is popped — and comes back on the first boundary at which its poll has
+// something to see.
+func TestSpinStaysInSchedulerContext(t *testing.T) {
 	env := New(1)
 	defer env.Close()
 	th := NewCPU(env, 1).ThreadOn(0, "poll")
-	done := false
-	env.Go("device", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(80 * Microsecond)
-			done = true
-		}
-		env.Stop()
+	ready, rounds, calls := false, 0, 0
+	var woke Time
+	env.Go("poller", func(p *Proc) {
+		rounds = th.Spin(p, spinRound, func(int) Time {
+			calls++
+			if ready {
+				return 0
+			}
+			return Never
+		})
+		woke = p.Now()
 	})
+	env.Go("ticker", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(1100)
+		}
+		p.Sleep(100)
+		ready = true
+	})
+	env.RunUntil(Time(Millisecond))
+	// 110100 lies in the round ending at 110250 = 441 rounds.
+	if rounds != 441 || woke != 110250 {
+		t.Fatalf("%d rounds, back at %v; want 441 rounds ending at 110.250us", rounds, woke)
+	}
+	// Two spawn starts, the poller's first park, its resume at the end: the
+	// ticker dispatches the poller's boundaries between its own sleeps.
+	if sw := env.Switches(); sw > 4 {
+		t.Fatalf("%d run-token hand-offs, want at most 4: the idle boundaries must not resume the poller", sw)
+	}
+	if calls < 200 {
+		t.Fatalf("poll consulted %d times, want one per boundary reached (>= 200)", calls)
+	}
+}
+
+// TestSpinRederivesBound is the first trap of keeping a spin alive across
+// other parties' events: a time bound that one of them sets while the poller
+// spins. A bound read once, on entry, would be Never here and the poller
+// would sail past its deadline to the next event.
+func TestSpinRederivesBound(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	th := NewCPU(env, 1).ThreadOn(0, "poll")
+	deadline, rounds := Never, 0
+	env.Go("poller", func(p *Proc) {
+		rounds = th.Spin(p, spinRound, func(int) Time { return deadline })
+	})
+	env.At(1000, func() { deadline = 2100 })
+	env.At(Time(Millisecond), func() {})
+	env.RunUntil(Time(2 * Millisecond))
+	if rounds != 9 {
+		t.Fatalf("%d rounds, want 9: the first boundary at or past the deadline set mid-spin is 2.250us", rounds)
+	}
+}
+
+// TestSpinYieldsCoreToWaiter is the third: a thread that queues for the
+// spinner's core gets it at the next round boundary, as it would between two
+// Execs, although the spinner's poll has nothing to see.
+func TestSpinYieldsCoreToWaiter(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	cpu := NewCPU(env, 1)
+	poll, other := cpu.ThreadOn(0, "poll"), cpu.ThreadOn(0, "other")
+	var spun []int
 	env.Go("poller", func(p *Proc) {
 		for {
-			if done {
-				done = false
-				th.Exec(p, 2*spinRound)
-			} else {
-				th.Spin(p, spinRound, Never)
-			}
+			spun = append(spun, poll.Spin(p, spinRound, func(int) Time { return Never }))
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	env.RunUntil(1 << 62)
-	b.ReportMetric(float64(env.Dispatched())/float64(b.N), "events/op")
+	var ran Time
+	env.Go("other", func(p *Proc) {
+		p.Sleep(1100)
+		other.Exec(p, 100)
+		ran = p.Now()
+	})
+	env.RunUntil(3000)
+	if ran != 1350 {
+		t.Fatalf("waiter finished at %v, want 1.350us: the core is due at the 1.250us boundary", ran)
+	}
+	if len(spun) == 0 || spun[0] != 5 {
+		t.Fatalf("spins %v, want the first to come back after 5 rounds", spun)
+	}
+}
+
+// BenchmarkSpin is one idle gap of the router's QD1 shape per op: a poller
+// with a 250 ns round waits out an 80 us device latency (320 rounds), then
+// handles the completion. Alone, the horizon elision makes the gap one event.
+// With a second poller beside it each one's next boundary is the other's
+// horizon, so every round is an event — handled in scheduler context by the
+// poll argument, where it used to resume the poller to look for itself
+// ("resumed" is that spin, kept as the baseline).
+func BenchmarkSpin(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		pollers int
+		resume  bool
+	}{{"alone", 1, false}, {"pair", 2, false}, {"pair-resumed", 2, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			env := New(1)
+			defer env.Close()
+			cpu := NewCPU(env, bc.pollers)
+			done := false
+			env.Go("device", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Sleep(80 * Microsecond)
+					done = true
+				}
+				env.Stop()
+			})
+			for i := 0; i < bc.pollers; i++ {
+				i, th := i, cpu.ThreadOn(i, "poll")
+				look := func(n int) Time {
+					if (i == 0 && done) || (bc.resume && n > 0) {
+						return 0
+					}
+					return Never
+				}
+				env.Go("poller", func(p *Proc) {
+					for {
+						if i == 0 && done {
+							done = false
+							th.Exec(p, 2*spinRound)
+						} else {
+							th.Spin(p, spinRound, look)
+						}
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.RunUntil(1 << 62)
+			b.ReportMetric(float64(env.Dispatched())/float64(b.N), "events/op")
+			b.ReportMetric(float64(env.Switches())/float64(b.N), "switches/op")
+		})
+	}
 }

@@ -99,9 +99,25 @@ func (p *mdevPort) SetIRQ(qid uint16, fn func()) {
 // in-module mediation, shadow HCQs back into VCQs.
 func (p *mdevPort) poll(pr *sim.Proc) {
 	c := p.h.Params
+	// look is the gather below reduced to looking, for the rounds Spin runs
+	// without this process. Every gather condition is event-driven; a queue
+	// pair created since the last gather changes what a round costs.
+	gathered := 0
+	look := func(int) sim.Time {
+		if len(p.vqs) != gathered {
+			return 0
+		}
+		for _, vq := range p.vqs {
+			if vq.hqp.CQ.Peek() || !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
+				return 0
+			}
+		}
+		return sim.Never
+	}
 	var effects []func() // backing array reused across rounds
 	for {
 		var work sim.Duration
+		gathered = len(p.vqs)
 		clear(effects) // drop the previous round's closures
 		effects = effects[:0]
 		for _, vq := range p.vqs {
@@ -169,9 +185,9 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 				p.wake.Wait()
 				continue
 			}
-			// Commands are in flight and every gather condition is
-			// event-driven: spin until the next event can change one.
-			p.th.Spin(pr, work, sim.Never)
+			// Commands are in flight: spin until a round has something
+			// to look at.
+			p.th.Spin(pr, work, look)
 			continue
 		}
 		p.th.Exec(pr, work)

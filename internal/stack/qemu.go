@@ -128,6 +128,15 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 	turnDue := true
 	var lastWork sim.Time
 	pollWorthwhile := false
+	// look is the unplugged loop body reduced to looking, for the rounds of
+	// the poll window that Spin runs without this process.
+	var pollEnd sim.Time
+	look := func(int) sim.Time {
+		if ring.Pending() > 0 || q.anyAvail() {
+			return 0
+		}
+		return pollEnd
+	}
 
 	// The event-loop turn (ppoll return, fd dispatch, bottom halves) is
 	// paid when a sleeping thread wakes to process work; a thread in the
@@ -306,9 +315,11 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 			}
 			if pollWorthwhile && idleSpin < par.QEMUPollNS {
 				// Event spacing suggests more work is imminent: spin out
-				// the poll window (nothing is plugged, so only an event or
-				// the window's end changes what the next round finds).
-				n := th.Spin(p, sim.Microsecond, p.Now().Add(par.QEMUPollNS-idleSpin))
+				// the poll window (nothing is plugged, so only a completion,
+				// an available chain or the window's end changes what the
+				// next round finds).
+				pollEnd = p.Now().Add(par.QEMUPollNS - idleSpin)
+				n := th.Spin(p, sim.Microsecond, look)
 				idleSpin += sim.Duration(n) * sim.Microsecond
 				continue
 			}

@@ -96,6 +96,24 @@ func (s *SPDK) Provision(v *vm.VM, part device.Partition) vm.Disk {
 // assigned to it round-robin.
 func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 	par := s.h.Params
+	// look is the pass below reduced to looking, for the rounds Spin runs
+	// without this process: a completion on, or a chain it has a CID for
+	// available in, any queue assigned to this reactor.
+	look := func(int) sim.Time {
+		flat := 0
+		for _, sess := range s.sessions {
+			for qi, vq := range sess.queues {
+				flat++
+				if (flat-1)%par.SPDKReactors != idx {
+					continue
+				}
+				if sess.qps[qi].CQ.Peek() || len(sess.freeCID[qi]) > 0 && vq.Ring.AvailPending() {
+					return 0
+				}
+			}
+		}
+		return sim.Never
+	}
 	for {
 		did := false
 		flat := 0
@@ -144,7 +162,7 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 		}
 		if !did {
 			// Reactors never sleep: this is SPDK's defining CPU cost.
-			th.Spin(p, s.spin, sim.Never)
+			th.Spin(p, s.spin, look)
 		}
 	}
 }

@@ -175,9 +175,9 @@ func (f *Framework) hint() {
 }
 
 func (f *Framework) pollLoop(p *sim.Proc, th *sim.Thread) {
-	var idle sim.Duration
+	idle, idler := sim.Duration(0), f.newSpinner(th)
 	for {
-		did, swept := false, f.env.Now()
+		did := false
 		for _, att := range f.atts {
 			if f.sweep(p, th, att) {
 				did = true
@@ -203,7 +203,7 @@ func (f *Framework) pollLoop(p *sim.Proc, th *sim.Thread) {
 			continue
 		}
 		// Spin on, up to the rest of the idle budget (see spin.go).
-		idle = f.spin(p, th, idle, swept)
+		idle = idler.spin(p, idle)
 	}
 }
 
