@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test fmt loc bench bench-sim bench-smoke bench-e2e-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt loc bench bench-sim bench-smoke bench-e2e-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
-# short-seed integrity/scrub suite, the short-seed boot-storm suite, the
-# sharded-router scale suite and the end-to-end benchmark's smoke test.
-check: build vet test fmt chaos-smoke scrub-smoke bootstorm-smoke scale-smoke bench-e2e-smoke
+# short-seed integrity/scrub suite, the tenant-confinement suite, the
+# short-seed boot-storm suite, the sharded-router scale suite and the
+# end-to-end benchmark's smoke test.
+check: build vet test fmt chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -91,6 +92,13 @@ chaos-smoke:
 scrub-smoke:
 	$(GO) test -race ./internal/integrity/
 	$(GO) test -race -run 'TestScrub' ./internal/harness/
+
+# confine-smoke runs the tenant-isolation property under the race detector:
+# hostile LBA ranges (past the end, wrapping 2^64) with every ranged opcode on
+# every stack through the public facade, and the one definition of a tenant's
+# extent they all go through (device.Partition).
+confine-smoke:
+	$(GO) test -race -run 'TestConfinementEveryStack|TestPartitionTranslate' . ./internal/device/
 
 # scale-smoke runs the sharded-router suite under the race detector: the
 # lock-free MPSC ring and static-verdict unit tests, the placement /

@@ -210,14 +210,22 @@ func (d *NVMeBlockDev) NumSectors() uint64 {
 	return d.part.Blocks << d.shift / SectorSize
 }
 
-// lba converts a 512-byte sector to a device LBA within the partition.
-func (d *NVMeBlockDev) lba(sector uint64) uint64 {
-	return d.part.Start + sector*SectorSize>>d.shift
-}
-
-// SubmitBio implements BlockDevice.
+// SubmitBio implements BlockDevice. A bio reaching outside the partition
+// fails LBAOutOfRange without touching the device: the sectors come from
+// whoever sits above — for the virtio baselines, the guest.
 func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 	thread.Exec(p, d.costs.Submit)
+	var lba uint64
+	var blocks uint32
+	if b.Op != BioFlush {
+		var ok bool
+		if lba, blocks, ok = d.part.TranslateSectors(b.Sector, b.Sectors()); !ok {
+			if b.OnDone != nil {
+				b.OnDone(nvme.SCLBAOutOfRange)
+			}
+			return
+		}
+	}
 	for len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
 		d.waitCID.Wait()
 	}
@@ -233,8 +241,8 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 		cmd.SetOpcode(nvme.OpDSM)
 		cmd.SetCID(cid)
 		cmd.SetNSID(d.nsid)
-		cmd.SetSLBA(d.lba(b.Sector))
-		cmd.SetNLB(uint16(uint64(b.NSect)*SectorSize>>d.shift - 1))
+		cmd.SetSLBA(lba)
+		cmd.SetNLB(uint16(blocks - 1))
 	case BioRead, BioWrite:
 		npages := (len(b.Data) + guestmem.PageSize - 1) / guestmem.PageSize
 		pend.pages = d.pool.get(npages)
@@ -254,7 +262,6 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 		if b.Op == BioWrite {
 			op = nvme.OpWrite
 		}
-		blocks := uint32(len(b.Data)) >> d.shift
 		prp1, prp2, err := nvme.BuildPRP(d.hostmem, pend.pages, func() uint64 {
 			pg := d.pool.get(1)
 			pend.listPages = append(pend.listPages, pg[0])
@@ -271,7 +278,7 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 			}
 			return
 		}
-		cmd = nvme.NewRW(op, cid, d.nsid, d.lba(b.Sector), blocks, prp1, prp2)
+		cmd = nvme.NewRW(op, cid, d.nsid, lba, blocks, prp1, prp2)
 	}
 	pend.cmd = cmd
 	d.push(cid, pend)

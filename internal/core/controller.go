@@ -227,11 +227,10 @@ func (vq *vqState) expireDeadlines(r *Router) []hop {
 // any NVMe-speaking guest works unmodified, and carries the per-VM
 // classifier, notify queues and kernel target.
 type Controller struct {
-	router   *Router
-	w        *worker
-	vm       *vm.VM
-	part     device.Partition
-	restrict bool
+	router *Router
+	w      *worker
+	vm     *vm.VM
+	part   device.Partition
 
 	prog   *ebpf.Program
 	cprog  *ebpf.CompiledProgram
@@ -300,8 +299,9 @@ func (vc *Controller) SetGuard(g BlockGuard) {
 // least-loaded worker: fewest tenants, lowest worker ID on ties. With no
 // tenant detach this is the round-robin sequence 0, 1, …, n-1, 0, …; the
 // rule is stated by load so it stays right once tenants can leave. The
-// controller starts with the default fast-path classifier; Restrict left
-// enabled confines fast-path commands to the partition.
+// controller starts with the default fast-path classifier; whatever
+// classifier runs, no command leaves the router for a range outside part
+// (see confined).
 func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
 	w := r.workers[0]
 	for _, c := range r.workers[1:] {
@@ -310,13 +310,12 @@ func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
 		}
 	}
 	vc := &Controller{
-		router:   r,
-		w:        w,
-		vm:       v,
-		part:     part,
-		restrict: true,
-		cvm:      ebpf.NewVM(nil),
-		ntags:    make(map[uint16]ntagEntry),
+		router: r,
+		w:      w,
+		vm:     v,
+		part:   part,
+		cvm:    ebpf.NewVM(nil),
+		ntags:  make(map[uint16]ntagEntry),
 	}
 	if err := vc.LoadClassifier(DefaultClassifier()); err != nil {
 		panic(fmt.Sprintf("core: default classifier rejected: %v", err))
@@ -342,10 +341,6 @@ func (vc *Controller) Outstanding() int { return vc.outstanding }
 
 // Partition returns the backing partition.
 func (vc *Controller) Partition() device.Partition { return vc.part }
-
-// SetRestrict toggles router-enforced LBA confinement of fast-path commands
-// to the partition (defense in depth on top of classifier mediation).
-func (vc *Controller) SetRestrict(on bool) { vc.restrict = on }
 
 // LoadClassifier verifies, compiles and installs a classifier; it can be
 // swapped at any time without disturbing in-flight requests ("install,
@@ -601,7 +596,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 // program is pure (no ctx writes, no map mutation, no class tagging), so
 // the command maps SQ→HSQ directly with no classifier execution, no ctx
 // marshalling and no copy-back. Everything downstream of classification —
-// restriction, guard admission, tag allocation, deadlines, backpressure —
+// confinement, guard admission, tag allocation, deadlines, backpressure —
 // is shared with the routed tier via dispatchHQ. Runs in worker effect
 // context.
 func (w *worker) directDispatch(req *request) {
@@ -629,10 +624,15 @@ func (w *worker) directDispatch(req *request) {
 // command (the classifier has run, so the SLBA is device-absolute):
 // writes are stamped from the guest payload before dispatch, and reads of
 // quarantined ranges are refused with a media error before touching any
-// backend. Returns false when the request was completed here.
+// backend. Returns false when the request was completed here. A range outside
+// the partition is left alone: the dispatch it is headed for refuses it (see
+// confined), and a write that will not happen must not be stamped.
 func (w *worker) guardAdmit(req *request) bool {
 	vc := req.vq.vc
 	lba, blocks := req.cmd.SLBA(), uint64(req.cmd.Blocks())
+	if !vc.part.Contains(lba, uint32(blocks)) {
+		return true
+	}
 	switch req.cmd.Opcode() {
 	case nvme.OpRead:
 		if vc.guard.Quarantined(lba, blocks) {
@@ -839,19 +839,29 @@ func (w *worker) maybeRelease(req *request) {
 
 // --- per-path dispatch ---------------------------------------------------
 
+// confined is where the router enforces the tenant's extent, on every path
+// and after classification: classifiers mediate — they rewrite the guest's
+// LBA to a device LBA — but a classifier the verifier accepted can still get
+// the arithmetic wrong, and a tenant may supply its own. A ranged command
+// whose device range lies outside the partition fails its hop here and
+// reaches no backend.
+func (w *worker) confined(h hop, t target) bool {
+	cmd := &h.req.cmd
+	if !cmd.Ranged() || h.req.vq.vc.part.Contains(cmd.SLBA(), cmd.Blocks()) {
+		return true
+	}
+	w.finishHop(h, t, nvme.SCLBAOutOfRange)
+	return false
+}
+
 // dispatchHQ forwards the request's command to the shadowing host queue.
 func (w *worker) dispatchHQ(h hop) {
 	req := h.req
 	vq := req.vq
 	vc := vq.vc
 	w.r.FastPath++
-	if vc.restrict && req.cmd.IsIO() {
-		lba := req.cmd.SLBA()
-		blocks := uint64(req.cmd.Blocks())
-		if lba < vc.part.Start || lba+blocks > vc.part.Start+vc.part.Blocks {
-			w.finishHop(h, targetHQ, nvme.SCLBAOutOfRange)
-			return
-		}
+	if !w.confined(h, targetHQ) {
+		return
 	}
 	if len(vq.freeHTags) == 0 || vq.hqp.SQ.Full() {
 		w.r.Backpressure++
@@ -889,6 +899,9 @@ func (w *worker) dispatchNQ(h hop) {
 	req := h.req
 	vc := req.vq.vc
 	w.r.NotifyPath++
+	if !w.confined(h, targetNQ) {
+		return
+	}
 	if vc.nq == nil {
 		w.finishHop(h, targetNQ, nvme.SCInternal)
 		return
@@ -950,6 +963,9 @@ func (vc *Controller) OldestNotifyAge(now sim.Time) sim.Duration {
 func (w *worker) dispatchKQ(h hop) {
 	vc := h.req.vq.vc
 	w.r.KernelPath++
+	if !w.confined(h, targetKQ) {
+		return
+	}
 	if vc.kt == nil {
 		w.finishHop(h, targetKQ, nvme.SCInternal)
 		return

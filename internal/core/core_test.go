@@ -305,18 +305,86 @@ func TestKernelPath(t *testing.T) {
 	}
 }
 
+// TestRestrictRejectsUntranslatedOOB: the router confines what classifiers
+// produce. A verifier-accepted classifier that does not translate (a constant
+// verdict is as wrong as mediation gets) routes the guest's LBAs as device
+// LBAs; whichever path it picks and whatever the ranged opcode, a range
+// outside the partition fails LBAOutOfRange and no backend sees it.
 func TestRestrictRejectsUntranslatedOOB(t *testing.T) {
-	r := newRig(1)
-	parts := device.Carve(r.dev, 1, 2)
-	// Default classifier does NOT translate; restrict must catch guest
-	// LBAs below the partition start.
-	v, _, disk := r.addVM(0, parts[1])
-	r.run(t, func(p *sim.Proc) {
-		if st := doIO(p, v, disk, vm.OpWrite, 0, make([]byte, 512)); st != nvme.SCLBAOutOfRange {
-			t.Fatalf("restrict: %v", st)
-		}
-	})
+	for _, tc := range []struct {
+		name    string
+		verdict uint64
+	}{
+		{"HQ", core.ActSendHQ | core.ActWillCompleteHQ},
+		{"NQ", core.ActSendNQ | core.ActWillCompleteNQ},
+		{"KQ", core.ActSendKQ | core.ActWillCompleteKQ},
+		{"multicast", core.ActSendHQ | core.ActSendNQ | core.ActSendKQ |
+			core.ActWillCompleteHQ | core.ActWillCompleteNQ | core.ActWillCompleteKQ},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(1)
+			parts := device.Carve(r.dev, 1, 4)
+			part := parts[1]
+			v, vc, disk := r.addVM(0, part)
+			prog := ebpf.NewBuilder().MovImm64(ebpf.R0, tc.verdict).Exit().MustProgram("untranslated")
+			if err := vc.LoadClassifier(prog); err != nil {
+				t.Fatal(err)
+			}
+			u := attachFakeUIF(r.env, vc)
+			kt := &fakeKernelTarget{env: r.env, delay: 30 * sim.Microsecond}
+			vc.SetKernelTarget(kt)
+			guard := &recordingGuard{}
+			vc.SetGuard(guard)
+			r.run(t, func(p *sim.Proc) {
+				base, pages, err := v.Mem.AllocBuffer(1024)
+				if err != nil {
+					panic(err)
+				}
+				for _, op := range []vm.Op{vm.OpRead, vm.OpWrite, vm.OpTrim} {
+					for _, lba := range []uint64{0, part.Start - 1, part.Start + part.Blocks - 1, part.Start + part.Blocks, ^uint64(0)} {
+						req := &vm.Req{Op: op, LBA: lba, Blocks: 2, Buf: base, BufPages: pages}
+						if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); st != nvme.SCLBAOutOfRange {
+							t.Errorf("%v at device LBA %#x: %v, want LBAOutOfRange", op, lba, st)
+						}
+					}
+				}
+				// The same classifier inside the partition is served.
+				req := &vm.Req{Op: vm.OpWrite, LBA: part.Start + 8, Blocks: 2, Buf: base, BufPages: pages}
+				if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); !st.OK() {
+					t.Errorf("in-range write: %v", st)
+				}
+			})
+			// sends is how many commands may reach the backend behind bit:
+			// the one in-range write, if the verdict routes there at all.
+			sends := func(bit uint64) int {
+				if tc.verdict&bit != 0 {
+					return 1
+				}
+				return 0
+			}
+			if len(u.seen) != sends(core.ActSendNQ) || kt.count != sends(core.ActSendKQ) ||
+				int(r.dev.Reads+r.dev.Writes+r.dev.Others) != sends(core.ActSendHQ) {
+				t.Errorf("backends saw uif=%d kernel=%d device=%d commands; only the in-range write may reach them",
+					len(u.seen), kt.count, r.dev.Reads+r.dev.Writes+r.dev.Others)
+			}
+			if n := vc.Outstanding(); n != 0 {
+				t.Errorf("%d commands outstanding", n)
+			}
+			// A refused write never happened: it leaves no protection info.
+			if len(guard.stamped) != 1 || guard.stamped[0] != part.Start+8 {
+				t.Errorf("guard stamped LBAs %#x, want only the in-range write's", guard.stamped)
+			}
+		})
+	}
 }
+
+// recordingGuard is a BlockGuard that accepts everything and remembers what
+// it was asked to stamp.
+type recordingGuard struct{ stamped []uint64 }
+
+func (g *recordingGuard) Stamp(lba uint64, _ []byte)   { g.stamped = append(g.stamped, lba) }
+func (g *recordingGuard) Verify(uint64, []byte) bool   { return true }
+func (g *recordingGuard) Quarantined(_, _ uint64) bool { return false }
 
 func TestClassifierRejectedByVerifier(t *testing.T) {
 	r := newRig(1)

@@ -316,15 +316,8 @@ func (s *Store) Index() *Index { return s.idx }
 // Layers returns the sealed chain, bottom to top.
 func (s *Store) Layers() []*Layer { return append([]*Layer(nil), s.chain...) }
 
-// SharedLayers returns how many bottom layers were inherited at clone time.
-func (s *Store) SharedLayers() int { return s.shared }
-
 // Dirty reports whether the store has unsealed private state.
 func (s *Store) Dirty() bool { return len(s.mut) > 0 || len(s.mutWhite) > 0 }
-
-// BrokenExtents returns the CoW-broken extents (blocks diverged from the
-// inherited chain since the last snapshot), coalesced in LBA order.
-func (s *Store) BrokenExtents() []storfn.Range { return s.broken.Ranges() }
 
 // BrokenBlocks returns the total CoW-broken block count.
 func (s *Store) BrokenBlocks() uint64 { return s.broken.Blocks() }

@@ -481,6 +481,14 @@ func TestPartitionTranslateHostile(t *testing.T) {
 		if ok != tc.ok || (ok && got != parts[1].Start+tc.lba) {
 			t.Errorf("Translate(%#x, %d) = %#x, %v; want ok=%v", tc.lba, tc.blocks, got, ok, tc.ok)
 		}
+		// Contains sees what a translation that did not check would have
+		// produced: Start+lba, wrapped like a classifier's 64-bit add.
+		if in := parts[1].Contains(parts[1].Start+tc.lba, tc.blocks); in != tc.ok {
+			t.Errorf("Contains(Start+%#x, %d) = %v, want %v", tc.lba, tc.blocks, in, tc.ok)
+		}
+	}
+	if parts[1].Contains(parts[1].Start-1, 2) {
+		t.Error("Contains accepts a range starting in the neighbour below")
 	}
 }
 

@@ -5,8 +5,11 @@ import "nvmetro/internal/nvme"
 // Partition is a fixed LBA window of a namespace, the unit a virtual
 // controller is attached to ("virtual controllers can be attached to an
 // entire NVMe namespace on the drive, or a fixed partition of that
-// namespace"). LBA translation from partition-relative to device addresses
-// is done by the I/O classifier (NVMetro) or the mediation layer (MDev).
+// namespace"). It is the one definition of a tenant's extent: whoever turns a
+// guest-relative range into device addresses (the mediation layer of MDev, the
+// host block device under QEMU, vhost-scsi and the dm targets, the SPDK
+// reactor) does it with Translate, and the NVMetro router, whose classifiers
+// do the rewriting in eBPF, checks what they produced with Contains.
 type Partition struct {
 	Dev    *Device
 	NSID   uint32
@@ -50,4 +53,27 @@ func (p Partition) Translate(lba uint64, blocks uint32) (uint64, bool) {
 		return 0, false
 	}
 	return p.Start + lba, true
+}
+
+// TranslateSectors is Translate for a range in 512-byte sectors, the unit of
+// the host block layer and of virtio-blk, returning the block count too. A
+// range of no whole block is refused with the rest: NLB, being 0-based,
+// cannot say "none", and a command built from it would span 65536 blocks.
+func (p Partition) TranslateSectors(sector uint64, nsect uint32) (lba uint64, blocks uint32, ok bool) {
+	per := p.BlockSize() / 512
+	if blocks = nsect / per; blocks == 0 {
+		return 0, 0, false
+	}
+	lba, ok = p.Translate(sector/uint64(per), blocks)
+	return lba, blocks, ok
+}
+
+// Contains reports whether the device range [abs, abs+blocks) lies inside the
+// partition: Translate's check for a command whose LBA was already rewritten.
+func (p Partition) Contains(abs uint64, blocks uint32) bool {
+	if abs < p.Start {
+		return false
+	}
+	_, ok := p.Translate(abs-p.Start, blocks)
+	return ok
 }

@@ -86,9 +86,6 @@ func (b *Builder) ALU32Imm(op uint8, dst uint8, imm int32) *Builder {
 // AddImm is shorthand for ALUImm(ALUAdd, ...).
 func (b *Builder) AddImm(dst uint8, imm int32) *Builder { return b.ALUImm(ALUAdd, dst, imm) }
 
-// OrImm is shorthand for ALUImm(ALUOr, ...).
-func (b *Builder) OrImm(dst uint8, imm int32) *Builder { return b.ALUImm(ALUOr, dst, imm) }
-
 // Load emits dst = *(size*)(src+off).
 func (b *Builder) Load(size uint8, dst, src uint8, off int16) *Builder {
 	return b.emit(Insn{Op: ClassLDX | size | ModeMEM, Dst: dst, Src: src, Off: off})

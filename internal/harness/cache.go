@@ -60,11 +60,7 @@ func runCache(o Options, cp storfn.CacheParams, cfg fio.Config, jobs int) cacheR
 	cacher := sol.CacherFor(v)
 	vc := sol.ControllerFor(v)
 
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
-	out := cacheRun{res: fio.Run(env, h.CPU, targets, cfg)}
+	out := cacheRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
 
 	// Workload-phase hit ratio, before the probes skew the request mix.

@@ -127,10 +127,7 @@ func runChaosStack(o Options, mkSol func(h *stack.Host) *stack.NVMetro, plan *fa
 		inj = plan.Injector(site)
 		sup.SetFaultInjector(inj)
 	}
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
+	targets := fioTargets(v, disk, jobs)
 	out := chaosRun{converged: true, mirrorOK: true}
 	out.res = fio.Run(env, h.CPU, targets, cfg)
 	vc := sol.ControllerFor(v)
@@ -190,10 +187,7 @@ func runChaosRepl(o Options, plan *fault.Plan, outages []outageSpec, rcfg storfn
 	}
 
 	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
+	targets := fioTargets(v, disk, jobs)
 	out := chaosRun{}
 	out.res = fio.Run(env, h.CPU, targets, cfg)
 	out.drained = drainOutstanding(env, vc.Outstanding)
@@ -201,17 +195,7 @@ func runChaosRepl(o Options, plan *fault.Plan, outages []outageSpec, rcfg storfn
 	out.tail = fio.Run(env, h.CPU, targets, chaosTailCfg(o, cfg))
 	out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
 
-	// Drive the mirror to convergence; the last outage (or the chaos
-	// degradation itself) may have outlived the workload, leaving no
-	// link-up to retrigger the drain.
-	deadline := env.Now().Add(2 * sim.Second)
-	for rs.State() != storfn.StateInSync && env.Now() < deadline {
-		if rs.State() == storfn.StateDegraded {
-			rs.Trigger()
-		}
-		env.RunUntil(env.Now().Add(sim.Millisecond))
-	}
-	out.converged = rs.State() == storfn.StateInSync && rep.Dirty.Blocks() == 0
+	out.converged = driveInSync(env, rs, sim.Millisecond, env.Now().Add(2*sim.Second)) && rep.Dirty.Blocks() == 0
 	out.mirrorOK = store.ContentCRC() == rstore.ContentCRC()
 
 	collectChaos(&out, sup, vc, inj)

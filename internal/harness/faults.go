@@ -105,11 +105,7 @@ func runFaultNVMetro(o Options, plan *fault.Plan, tune func(*core.Router), cfg f
 	vc := router.Attach(v, device.WholeNamespace(h.Dev, 1))
 	disk := vm.NewNVMeDisk(v, vc, 128, h.Params.Driver)
 
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
-	out := faultRun{res: fio.Run(env, h.CPU, targets, cfg)}
+	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
 	collectDevice(&out.counters, "dev", h.Dev)
 	collectRouter(&out.counters, router)
@@ -126,11 +122,7 @@ func runFaultMDev(o Options, plan *fault.Plan, cfg fio.Config, jobs int) faultRu
 	h.Dev.InjectFaults(plan.Injector("device"))
 	v := h.NewVM(4, 512<<20)
 	disk := stack.NewMDev(h).Provision(v, device.WholeNamespace(h.Dev, 1))
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
-	out := faultRun{res: fio.Run(env, h.CPU, targets, cfg), drained: true}
+	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg), drained: true}
 	collectDevice(&out.counters, "dev", h.Dev)
 	out.counters.Add("fio.errors", out.res.Errors)
 	return out
@@ -164,11 +156,7 @@ func runFaultRepl(o Options, plan *fault.Plan, tune func(*core.Router), cfg fio.
 	fw.Attach(vc.AttachUIF(512), rep, ring)
 	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
 
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
-	out := faultRun{res: fio.Run(env, h.CPU, targets, cfg)}
+	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
 	collectDevice(&out.counters, "rdev", remote.Dev)
 	collectRouter(&out.counters, router)

@@ -26,7 +26,7 @@ func TestGoldenCSVs(t *testing.T) {
 		ids = []string{
 			"fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "qos", "fault",
 			"resync", "cache", "chaos", "scrub", "bootstorm",
-			"scale", "table1", "table2",
+			"scale", "table2",
 		}
 	}
 	covered := map[string]bool{}

@@ -97,24 +97,10 @@ func runResync(o Options, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fi
 	ini.OnReconnect(rs.OnLinkUp)
 
 	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
-	out := resyncRun{res: fio.Run(env, h.CPU, targets, cfg)}
+	out := resyncRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
 
-	// Drive the drain to convergence. Nudge the resyncer when it sits
-	// Degraded: the last outage may have outlived the workload, leaving no
-	// link-up to retrigger it.
-	deadline := env.Now().Add(2 * sim.Second)
-	for rs.State() != storfn.StateInSync && env.Now() < deadline {
-		if rs.State() == storfn.StateDegraded {
-			rs.Trigger()
-		}
-		env.RunUntil(env.Now().Add(sim.Millisecond))
-	}
-	out.converged = rs.State() == storfn.StateInSync
+	out.converged = driveInSync(env, rs, sim.Millisecond, env.Now().Add(2*sim.Second))
 	out.finalDirty = rep.Dirty.Blocks()
 	out.mirrorMatch = store.ContentCRC() == rstore.ContentCRC()
 
@@ -123,6 +109,20 @@ func runResync(o Options, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fi
 	rs.Collect(&out.counters)
 	out.counters.Add("fio.errors", out.res.Errors)
 	return out
+}
+
+// driveInSync steps the simulation until the mirror has drained to InSync or
+// the deadline passes, reporting which. It nudges the resyncer whenever it
+// sits Degraded: the last outage (or a chaos degradation) may have outlived
+// the workload, leaving no link-up to retrigger the drain.
+func driveInSync(env *sim.Env, rs *storfn.Resyncer, step sim.Duration, deadline sim.Time) bool {
+	for rs.State() != storfn.StateInSync && env.Now() < deadline {
+		if rs.State() == storfn.StateDegraded {
+			rs.Trigger()
+		}
+		env.RunUntil(env.Now().Add(step))
+	}
+	return rs.State() == storfn.StateInSync
 }
 
 // resyncTable exercises the resync engine across outage shapes: a single

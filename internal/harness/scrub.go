@@ -12,7 +12,6 @@ import (
 	"nvmetro/internal/qos"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
-	"nvmetro/internal/storfn"
 	"nvmetro/internal/vm"
 )
 
@@ -211,11 +210,7 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 		scr.Start()
 	}
 	cfg := scrubCfg(o)
-	var targets []fio.Target
-	for i := 0; i < 4; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
-	}
-	out.res = fio.Run(env, h.CPU, targets, cfg)
+	out.res = fio.Run(env, h.CPU, fioTargets(v, disk, 4), cfg)
 	out.drained = drainOutstanding(env, vc.Outstanding)
 
 	// Drive scrub (and resync) to a fixpoint: repeat passes until one
@@ -223,21 +218,16 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 	if scrubOn {
 		scr.Stop()
 		deadline := env.Now().Add(2 * sim.Second)
-		step := func() { env.RunUntil(env.Now().Add(100 * sim.Microsecond)) }
+		const step = 100 * sim.Microsecond
 		last, stable := scr.Suspects, 0
 		for stable < 2 && env.Now() < deadline {
 			target := scr.Passes + 1
 			scr.Trigger()
 			for scr.Passes < target && env.Now() < deadline {
-				step()
+				env.RunUntil(env.Now().Add(step))
 			}
 			if rs != nil {
-				for rs.State() != storfn.StateInSync && env.Now() < deadline {
-					if rs.State() == storfn.StateDegraded {
-						rs.Trigger()
-					}
-					step()
-				}
+				driveInSync(env, rs, step, deadline)
 			}
 			if scr.Suspects == last {
 				stable++

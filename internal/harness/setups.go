@@ -10,6 +10,7 @@ import (
 	"nvmetro/internal/lsm"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
+	"nvmetro/internal/vm"
 	"nvmetro/internal/ycsb"
 )
 
@@ -101,11 +102,16 @@ func runFio(o Options, mk solFactory, cfg fio.Config, jobs int) fio.Result {
 	v := h.NewVM(4, 512<<20)
 	sol := mk(env, h)
 	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	var targets []fio.Target
-	for i := 0; i < jobs; i++ {
-		targets = append(targets, fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())})
+	return fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)
+}
+
+// fioTargets places jobs fio jobs on v's disk, round-robin over its vCPUs.
+func fioTargets(v *vm.VM, disk vm.Disk, jobs int) []fio.Target {
+	targets := make([]fio.Target, jobs)
+	for i := range targets {
+		targets[i] = fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())}
 	}
-	return fio.Run(env, h.CPU, targets, cfg)
+	return targets
 }
 
 // runFioScaled runs the Fig. 5 setup: n single-vCPU VMs over partitions of

@@ -56,9 +56,6 @@ func NewCorruptingStore(inner device.Store, plan *fault.Plan, site string, block
 	}
 }
 
-// Inner returns the wrapped store (for content fingerprinting).
-func (s *CorruptingStore) Inner() device.Store { return s.inner }
-
 // Injector returns the store's fault injector (for counter export).
 func (s *CorruptingStore) Injector() *fault.Injector { return s.inj }
 

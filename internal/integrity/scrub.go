@@ -107,7 +107,6 @@ type Scrubber struct {
 	ioDone     *sim.Cond
 	pending    bool
 	continuous bool
-	running    bool
 	divergence bool
 
 	// Detection latency: the first confirmed-corrupt block of the run.
@@ -179,18 +178,13 @@ func (s *Scrubber) Start() {
 // Stop ends continuous mode after the current pass.
 func (s *Scrubber) Stop() { s.continuous = false }
 
-// Running reports whether a pass is in progress.
-func (s *Scrubber) Running() bool { return s.running }
-
 func (s *Scrubber) run(p *sim.Proc) {
 	for {
 		for !s.pending {
 			s.kick.Wait()
 		}
 		s.pending = false
-		s.running = true
 		s.pass(p)
-		s.running = false
 		if s.continuous {
 			p.Sleep(s.cfg.Interval)
 			s.pending = true

@@ -277,6 +277,3 @@ func (db *DB) Close(p *sim.Proc) error {
 	db.closed = true
 	return db.fs.SyncAll(p)
 }
-
-// Tables reports the current SSTable count (for tests).
-func (db *DB) Tables() int { return len(db.tables) }

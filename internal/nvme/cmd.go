@@ -131,6 +131,11 @@ func (c *Command) IsIO() bool {
 	return false
 }
 
+// Ranged reports whether the command addresses an LBA range through SLBA and
+// NLB: the data-moving opcodes and dataset management. These are the
+// commands a tenant's partition confines.
+func (c *Command) Ranged() bool { return c.IsIO() || c.Opcode() == OpDSM }
+
 func (c *Command) String() string {
 	return fmt.Sprintf("cmd{op=%#02x cid=%d nsid=%d slba=%d nlb=%d}",
 		c.Opcode(), c.CID(), c.NSID(), c.SLBA(), c.NLB())

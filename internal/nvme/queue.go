@@ -30,9 +30,6 @@ func (q *SQ) Size() uint32 { return q.size }
 // Head returns the consumer index.
 func (q *SQ) Head() uint32 { return q.head }
 
-// Tail returns the producer index (the shadow doorbell value).
-func (q *SQ) Tail() uint32 { return q.tail }
-
 // Len returns the number of occupied entries.
 func (q *SQ) Len() uint32 { return (q.tail + q.size - q.head) % q.size }
 

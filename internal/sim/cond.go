@@ -25,17 +25,6 @@ type Cond struct {
 // NewCond returns a condition bound to env.
 func NewCond(env *Env) *Cond { return &Cond{env: env} }
 
-// Waiters reports how many processes are currently parked on the condition.
-func (c *Cond) Waiters() int {
-	n := 0
-	for _, t := range c.waiters[c.head:] {
-		if !t.fired {
-			n++
-		}
-	}
-	return n
-}
-
 // Wait parks the calling process until Signal or Broadcast wakes it.
 // It returns the value passed to Signal (nil for Broadcast).
 func (c *Cond) Wait() any {

@@ -37,26 +37,6 @@ func (c *Core) exec(p *Proc, busy *Duration, d Duration) {
 	*busy += d
 }
 
-// TryExec occupies the core only if it is currently idle, reporting success.
-func (c *Core) TryExec(p *Proc, tag string, d Duration) bool {
-	if !c.res.TryAcquire() {
-		return false
-	}
-	p.Sleep(d)
-	c.res.Release()
-	*c.slot(tag) += d
-	return true
-}
-
-// Busy returns total busy time accumulated on the core.
-func (c *Core) Busy() Duration {
-	var t Duration
-	for _, d := range c.busy {
-		t += *d
-	}
-	return t
-}
-
 // CPU is a set of cores with round-robin assignment for thread placement.
 type CPU struct {
 	env   *Env

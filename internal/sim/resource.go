@@ -19,9 +19,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, cap: capacity}
 }
 
-// Cap returns the capacity.
-func (r *Resource) Cap() int { return r.cap }
-
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 

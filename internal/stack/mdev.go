@@ -124,27 +124,25 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 			vq := vq
 			work += c.Router.PollVQ
 			var cmd nvme.Command
+			newDone := 0 // VCQ entries this round posts, rejections included: each is owed the interrupt
 			for !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
 				vq.vsq.Pop(&cmd)
 				p.outstanding++
 				work += c.MDevMediate
 				gcid := cmd.CID()
 				// In-module mediation: bounds check + LBA translation.
-				bad := false
-				if cmd.IsIO() || cmd.Opcode() == nvme.OpDSM {
+				if cmd.Ranged() {
 					dlba, ok := p.part.Translate(cmd.SLBA(), cmd.Blocks())
 					if !ok {
-						bad = true
-					} else {
-						cmd.SetSLBA(dlba)
+						work += c.Router.CompleteVCQ
+						effects = append(effects, func() {
+							vq.vcq.Post(gcid, vq.qid, vq.vsq.Head(), nvme.SCLBAOutOfRange, 0)
+							p.outstanding--
+						})
+						newDone++
+						continue
 					}
-				}
-				if bad {
-					effects = append(effects, func() {
-						vq.vcq.Post(gcid, vq.qid, vq.vsq.Head(), nvme.SCLBAOutOfRange, 0)
-						p.outstanding--
-					})
-					continue
+					cmd.SetSLBA(dlba)
 				}
 				htag := vq.freeTags[len(vq.freeTags)-1]
 				vq.freeTags = vq.freeTags[:len(vq.freeTags)-1]
@@ -157,7 +155,6 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 				})
 			}
 			var e nvme.Completion
-			newDone := 0
 			for vq.hqp.CQ.Pop(&e) {
 				htag := e.CID()
 				gcid := vq.guestCIDs[htag]

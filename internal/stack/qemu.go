@@ -236,8 +236,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 			for i := 0; i < len(batch); {
 				r := batch[i]
 				t := types[i]
-				switch t {
-				case virtio.BlkTFlush:
+				if t == virtio.BlkTFlush || t == virtio.BlkTDiscard {
 					fr := r
 					fvq := vq
 					bio := &blockdev.Bio{Op: blockdev.BioFlush, OnDone: func(st nvme.Status) {
@@ -250,19 +249,10 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 							fn()
 						}
 					}}
-					q.bdev.SubmitBio(p, th, bio)
-					i++
-					continue
-				case virtio.BlkTDiscard:
-					sector, nsect := r.DiscardSegment(vq)
-					fr := r
-					fvq := vq
-					bio := &blockdev.Bio{Op: blockdev.BioDiscard, Sector: sector, NSect: nsect, OnDone: func(st nvme.Status) {
-						fr.Complete(fvq, 0)
-						if fn := q.irqs[fvq]; fn != nil {
-							fn()
-						}
-					}}
+					if t == virtio.BlkTDiscard {
+						bio.Op = blockdev.BioDiscard
+						bio.Sector, bio.NSect = r.DiscardSegment(vq)
+					}
 					q.bdev.SubmitBio(p, th, bio)
 					i++
 					continue

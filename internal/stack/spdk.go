@@ -133,15 +133,7 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 					delete(sess.inflight[qi], e.CID())
 					sess.freeCID[qi] = append(sess.freeCID[qi], e.CID())
 					th.Exec(p, par.SPDKParse)
-					status := byte(0)
-					if !e.Status().OK() {
-						status = 1
-					}
-					tag.req.Complete(tag.vq, status)
-					th.Exec(p, par.SPDKInject)
-					if fn := sess.irqs[tag.vq]; fn != nil {
-						fn()
-					}
+					s.complete(p, th, sess, tag.vq, tag.req, e.Status().OK())
 					did = true
 				}
 				// New guest submissions.
@@ -156,7 +148,9 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 						panic(err)
 					}
 					th.Exec(p, par.SPDKParse+par.SPDKNVMe)
-					s.submit(sess, qi, vq, r)
+					if !s.submit(sess, qi, vq, r) {
+						s.complete(p, th, sess, vq, r, false)
+					}
 				}
 			}
 		}
@@ -167,26 +161,51 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 	}
 }
 
+// complete returns a finished request to the guest and injects the interrupt.
+func (s *SPDK) complete(p *sim.Proc, th *sim.Thread, sess *spdkSession, vq *virtio.Queue, r virtio.DeviceReq, ok bool) {
+	status := byte(0)
+	if !ok {
+		status = 1
+	}
+	r.Complete(vq, status)
+	th.Exec(p, s.h.Params.SPDKInject)
+	if fn := sess.irqs[vq]; fn != nil {
+		fn()
+	}
+}
+
 // submit translates a virtio-blk request into an NVMe command on the
 // exclusive userspace queue, zero-copy: the PRP entries point straight at
-// the guest's data pages through the vhost-user mapping.
-func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.DeviceReq) {
+// the guest's data pages through the vhost-user mapping. It reports false,
+// with nothing submitted, for a request reaching outside the partition: the
+// sectors are the guest's.
+func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.DeviceReq) bool {
 	t, sector := r.BlkHeader(vq)
+	nsect := uint32(r.DataLen() / 512)
+	if t == virtio.BlkTDiscard {
+		sector, nsect = r.DiscardSegment(vq)
+	}
+	var lba uint64
+	var blocks uint32
+	if t != virtio.BlkTFlush {
+		var ok bool
+		if lba, blocks, ok = sess.part.TranslateSectors(sector, nsect); !ok {
+			return false
+		}
+	}
 	cid := sess.freeCID[qi][len(sess.freeCID[qi])-1]
 	sess.freeCID[qi] = sess.freeCID[qi][:len(sess.freeCID[qi])-1]
 
-	shift := sess.part.Dev.Params().LBAShift
 	var cmd nvme.Command
 	switch t {
 	case virtio.BlkTFlush:
 		cmd = nvme.NewFlush(cid, sess.part.NSID)
 	case virtio.BlkTDiscard:
-		dsec, dnum := r.DiscardSegment(vq)
 		cmd.SetOpcode(nvme.OpDSM)
 		cmd.SetCID(cid)
 		cmd.SetNSID(sess.part.NSID)
-		cmd.SetSLBA(sess.part.Start + dsec*512>>shift)
-		cmd.SetNLB(uint16(uint64(dnum)*512>>shift - 1))
+		cmd.SetSLBA(lba)
+		cmd.SetNLB(uint16(blocks - 1))
 	case virtio.BlkTIn, virtio.BlkTOut:
 		op := nvme.OpRead
 		if t == virtio.BlkTOut {
@@ -201,8 +220,6 @@ func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.Devi
 		if err != nil {
 			panic(err)
 		}
-		lba := sess.part.Start + sector*512>>shift
-		blocks := uint32(r.DataLen()) >> shift
 		cmd = nvme.NewRW(op, cid, sess.part.NSID, lba, blocks, prp1, prp2)
 	}
 	sess.inflight[qi][cid] = spdkTag{req: r, vq: vq, read: t == virtio.BlkTIn}
@@ -210,6 +227,7 @@ func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.Devi
 		panic("stack: spdk SQ full with free CIDs available")
 	}
 	sess.part.Dev.Ring(sess.qps[qi].SQ.ID)
+	return true
 }
 
 // mappedMem is the SPDK process's address space: the VM's memory mapped at

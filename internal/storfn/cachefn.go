@@ -24,26 +24,7 @@ import (
 // leave stale data resident.
 const cacheSrc = `
 ; cache classifier: hot reads and all writes to the cache UIF
-	mov   r9, r1            ; r9 = ctx
-	mov   r2, 0
-	stxw  [r10-4], r2       ; key = 0
-	ldmap r1, cfg
-	mov   r2, r10
-	add   r2, -4
-	call  map_lookup_elem
-	jeq   r0, 0, internal
-	ldxdw r6, [r0+0]        ; partition start
-	ldxdw r7, [r0+8]        ; partition blocks
-	ldxb  r3, [r9+32]       ; opcode
-	jeq   r3, 0, passthru   ; flush: no LBA
-	ldxdw r4, [r9+72]       ; slba
-	ldxw  r5, [r9+80]
-	and   r5, 0xffff
-	add   r5, 1
-	add   r5, r4
-	jgt   r5, r7, oob
-	add   r4, r6
-	stxdw [r9+72], r4       ; direct mediation: rewrite the LBA
+` + mediateSrc + `
 	jeq   r3, 1, to_uif     ; writes: invalidation window lives in the UIF
 	jne   r3, 2, passthru   ; admin etc.: fast path
 ; --- read: heat accounting on the translated LBA ---
@@ -84,13 +65,7 @@ cold_first:
 passthru:
 	mov   r0, 0x410000      ; SEND_HQ | WILL_COMPLETE_HQ
 	exit
-oob:
-	mov   r0, 0x2000080     ; COMPLETE | LBAOutOfRange
-	exit
-internal:
-	mov   r0, 0x2000006     ; COMPLETE | InternalError
-	exit
-`
+` + exitSrc
 
 // CacheParams configures the cache storage function.
 type CacheParams struct {

@@ -20,10 +20,15 @@ import (
 // core.CtxOff*): hook at 0, error at 4, command at 32; within the command,
 // opcode at +0 (ctx 32), SLBA at +40 (ctx 72), CDW12 at +48 (ctx 80).
 
-// partitionSrc is the baseline classifier: confine the VM to its partition
-// (bounds check + LBA translation) and send everything to the fast path.
-const partitionSrc = `
-; partition classifier: translate guest LBAs to device LBAs, fast path only
+// mediateSrc is the direct-mediation prologue every shipped classifier is
+// composed from: look the partition up in the cfg map, bounds-check the
+// guest's range and rewrite SLBA to a device LBA. The check is
+// device.Partition.Translate's — slba > size || nblocks > size - slba — so
+// no guest-chosen SLBA can wrap it. It enters with r1 = ctx and falls
+// through with r9 = ctx, r3 = opcode, r4 = device SLBA, r5 = block count and
+// r6 = partition start (r7 is spent); flush, which carries no LBA, leaves for
+// the composing source's passthru label, failures for exitSrc's.
+const mediateSrc = `
 	mov   r9, r1            ; r9 = ctx
 	mov   r2, 0
 	stxw  [r10-4], r2       ; key = 0
@@ -39,14 +44,16 @@ const partitionSrc = `
 	ldxdw r4, [r9+72]       ; slba
 	ldxw  r5, [r9+80]       ; cdw12
 	and   r5, 0xffff        ; nlb (0-based)
-	add   r5, 1
-	add   r5, r4            ; end LBA
+	add   r5, 1             ; block count
+	jgt   r4, r7, oob       ; starts past the end
+	sub   r7, r4            ; blocks left from slba: cannot wrap
 	jgt   r5, r7, oob
 	add   r4, r6            ; direct mediation: rewrite the LBA
 	stxdw [r9+72], r4
-passthru:
-	mov   r0, 0x410000      ; SEND_HQ | WILL_COMPLETE_HQ
-	exit
+`
+
+// exitSrc is the shared tail of every composed classifier.
+const exitSrc = `
 oob:
 	mov   r0, 0x2000080     ; COMPLETE | LBAOutOfRange
 	exit
@@ -55,34 +62,25 @@ internal:
 	exit
 `
 
+// partitionSrc is the baseline classifier: confine the VM to its partition
+// (bounds check + LBA translation) and send everything to the fast path.
+const partitionSrc = `
+; partition classifier: translate guest LBAs to device LBAs, fast path only
+` + mediateSrc + `
+passthru:
+	mov   r0, 0x410000      ; SEND_HQ | WILL_COMPLETE_HQ
+	exit
+` + exitSrc
+
 // encryptorSrc is the data-encryption classifier (paper Listing 1):
 // reads go to the device first, then to the UIF for decryption; writes go
 // to the UIF, which encrypts and persists them itself.
 const encryptorSrc = `
 ; encryptor classifier (Listing 1 + partition mediation)
-	mov   r9, r1            ; r9 = ctx
-	ldxw  r2, [r9+0]        ; current hook
+	ldxw  r2, [r1+0]        ; current hook
 	jeq   r2, 1, hcq_hook   ; HOOK_HCQ: device read finished
 ; --- HOOK_VSQ: new request ---
-	mov   r2, 0
-	stxw  [r10-4], r2
-	ldmap r1, cfg
-	mov   r2, r10
-	add   r2, -4
-	call  map_lookup_elem
-	jeq   r0, 0, internal
-	ldxdw r6, [r0+0]        ; partition start
-	ldxdw r7, [r0+8]        ; partition blocks
-	ldxb  r3, [r9+32]       ; opcode
-	jeq   r3, 0, passthru   ; flush
-	ldxdw r4, [r9+72]       ; slba
-	ldxw  r5, [r9+80]
-	and   r5, 0xffff
-	add   r5, 1
-	add   r5, r4
-	jgt   r5, r7, oob
-	add   r4, r6
-	stxdw [r9+72], r4       ; translate LBA
+` + mediateSrc + `
 	jeq   r3, 2, is_read
 	jeq   r3, 1, is_write
 passthru:
@@ -95,46 +93,21 @@ is_write:
 	mov   r0, 0x820000      ; SEND_NQ | WILL_COMPLETE_NQ (UIF encrypts+writes)
 	exit
 hcq_hook:
-	ldxw  r0, [r9+4]        ; device read status
+	ldxw  r0, [r1+4]        ; device read status
 	jne   r0, 0, dev_err
 	mov   r0, 0x820000      ; ciphertext in guest buffer: UIF decrypts
 	exit
 dev_err:
 	or    r0, 0x2000000     ; forward the error | COMPLETE
 	exit
-oob:
-	mov   r0, 0x2000080     ; COMPLETE | LBAOutOfRange
-	exit
-internal:
-	mov   r0, 0x2000006     ; COMPLETE | InternalError
-	exit
-`
+` + exitSrc
 
 // replicatorSrc is the disk-mirroring classifier: reads are served by the
 // local (primary) disk only; writes go synchronously to both the primary
 // disk and the UIF, which forwards them to the remote secondary.
 const replicatorSrc = `
 ; replicator classifier: read local, write both
-	mov   r9, r1
-	mov   r2, 0
-	stxw  [r10-4], r2
-	ldmap r1, cfg
-	mov   r2, r10
-	add   r2, -4
-	call  map_lookup_elem
-	jeq   r0, 0, internal
-	ldxdw r6, [r0+0]
-	ldxdw r7, [r0+8]
-	ldxb  r3, [r9+32]
-	jeq   r3, 0, passthru
-	ldxdw r4, [r9+72]
-	ldxw  r5, [r9+80]
-	and   r5, 0xffff
-	add   r5, 1
-	add   r5, r4
-	jgt   r5, r7, oob
-	add   r4, r6
-	stxdw [r9+72], r4
+` + mediateSrc + `
 	jeq   r3, 1, is_write
 passthru:
 	mov   r0, 0x410000      ; reads and admin: local fast path only
@@ -142,13 +115,7 @@ passthru:
 is_write:
 	mov   r0, 0xc30000      ; SEND_HQ|SEND_NQ|WILL_COMPLETE_HQ|WILL_COMPLETE_NQ
 	exit
-oob:
-	mov   r0, 0x2000080
-	exit
-internal:
-	mov   r0, 0x2000006
-	exit
-`
+` + exitSrc
 
 // buildWithConfig assembles src with the partition config map attached.
 func buildWithConfig(src, name string, cfg *ebpf.ArrayMap) *ebpf.Program {

@@ -10,13 +10,14 @@ import (
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
+	"nvmetro/internal/nvme"
 	"nvmetro/internal/storfn"
 )
 
 // shippedClassifiers builds every shipped classifier with fresh map
 // instances (so two builds mutate independent state).
 func shippedClassifiers() map[string]func() *ebpf.Program {
-	part := device.Partition{Start: 4096, Blocks: 8192}
+	part := parityPart
 	return map[string]func() *ebpf.Program{
 		"partition": func() *ebpf.Program {
 			p, _ := storfn.PartitionClassifier(part)
@@ -34,11 +35,29 @@ func shippedClassifiers() map[string]func() *ebpf.Program {
 			p, _, _ := storfn.QoSClassifier(part)
 			return p
 		},
+		"qosclass": func() *ebpf.Program {
+			p, _, _ := storfn.QoSClassClassifier(part)
+			return p
+		},
 		"cache": func() *ebpf.Program {
 			p, _ := storfn.CacheClassifier(part, core.NewHotHints(3, 1<<10), 2)
 			return p
 		},
 	}
+}
+
+// parityPart is the partition every shipped classifier above mediates.
+var parityPart = device.Partition{Start: 4096, Blocks: 8192}
+
+// boundaryCases are guest ranges at the partition's edges and at the top of
+// the LBA space, where a 64-bit lba+blocks wraps.
+var boundaryCases = []struct {
+	lba    uint64
+	blocks uint32
+}{
+	{0, 1}, {0, 8192 - 4096}, {8191, 1}, {8190, 2}, {8192 - 1000, 1000},
+	{8192, 1}, {8191, 2}, {8192 - 999, 1000}, {0, 65536},
+	{^uint64(0), 1}, {^uint64(0), 2}, {^uint64(0) - 499, 1000}, {^uint64(0) - 65535, 65536},
 }
 
 // genCtx synthesizes a classifier context: half structured (plausible NVMe
@@ -60,8 +79,13 @@ func genCtx(rng *rand.Rand) []byte {
 // TestShippedClassifierParity runs every shipped classifier on both
 // execution tiers (independent map state each) across a shared command
 // sequence and requires identical action words and context writebacks —
-// the contract that lets the router run them compiled by default.
+// the contract that lets the router run them compiled by default. On the
+// boundary cases both tiers must also agree with device.Partition.Translate,
+// the definition their shared mediation prologue restates in eBPF: out of
+// range is refused with the SLBA untouched, in range is rewritten to exactly
+// the device LBA, for every ranged opcode.
 func TestShippedClassifierParity(t *testing.T) {
+	const oob = uint64(core.ActComplete) | uint64(nvme.SCLBAOutOfRange)
 	for name, build := range shippedClassifiers() {
 		t.Run(name, func(t *testing.T) {
 			progI := build()
@@ -71,20 +95,43 @@ func TestShippedClassifierParity(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			vmI, vmC := ebpf.NewVM(nil), ebpf.NewVM(nil)
-			rng := rand.New(rand.NewSource(42))
-			for i := 0; i < 500; i++ {
-				ctxI := genCtx(rng)
+			// both runs ctxI on the two tiers and returns the action word,
+			// leaving the agreed writeback in ctxI.
+			both := func(what string, ctxI []byte) uint64 {
 				ctxC := append([]byte(nil), ctxI...)
 				retI, errI := vmI.Run(progI, ctxI)
 				retC, errC := vmC.RunCompiled(cp, ctxC)
 				if (errI == nil) != (errC == nil) {
-					t.Fatalf("cmd %d: error mismatch: %v vs %v", i, errI, errC)
+					t.Fatalf("%s: error mismatch: %v vs %v", what, errI, errC)
 				}
 				if errI == nil && retI != retC {
-					t.Fatalf("cmd %d: action %#x (interp) != %#x (compiled)", i, retI, retC)
+					t.Fatalf("%s: action %#x (interp) != %#x (compiled)", what, retI, retC)
 				}
 				if !bytes.Equal(ctxI, ctxC) {
-					t.Fatalf("cmd %d: ctx writeback diverged", i)
+					t.Fatalf("%s: ctx writeback diverged", what)
+				}
+				return retI
+			}
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < 500; i++ {
+				both(fmt.Sprintf("cmd %d", i), genCtx(rng))
+			}
+			for _, op := range []uint8{nvme.OpRead, nvme.OpWrite, nvme.OpWriteZeroes, nvme.OpDSM} {
+				for _, c := range boundaryCases {
+					ctx := make([]byte, core.CtxSize)
+					cmd := (*nvme.Command)(ctx[core.CtxOffCmd:])
+					cmd.SetOpcode(op)
+					cmd.SetSLBA(c.lba)
+					cmd.SetNLB(uint16(c.blocks - 1))
+					what := fmt.Sprintf("op %#x at (%#x, %d)", op, c.lba, c.blocks)
+					ret := both(what, ctx)
+					abs, ok := parityPart.Translate(c.lba, c.blocks)
+					if !ok {
+						abs = c.lba
+					}
+					if (ret == oob) == ok || cmd.SLBA() != abs {
+						t.Errorf("%s: action %#x, SLBA %#x; Translate says %#x, %v", what, ret, cmd.SLBA(), abs, ok)
+					}
 				}
 			}
 		})

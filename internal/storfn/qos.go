@@ -15,27 +15,8 @@ import (
 // implemented inside the storage stack itself.
 const qosSrc = `
 ; token-bucket QoS + partition mediation
-	mov   r9, r1
-	mov   r2, 0
-	stxw  [r10-4], r2
-	ldmap r1, cfg
-	mov   r2, r10
-	add   r2, -4
-	call  map_lookup_elem
-	jeq   r0, 0, internal
-	ldxdw r6, [r0+0]        ; partition start
-	ldxdw r7, [r0+8]        ; partition blocks
-	ldxb  r3, [r9+32]       ; opcode
-	jeq   r3, 0, passthru   ; flush is free
-	ldxdw r4, [r9+72]       ; slba
-	ldxw  r5, [r9+80]
-	and   r5, 0xffff
-	add   r5, 1             ; nblocks
-	mov   r8, r5
-	add   r5, r4
-	jgt   r5, r7, oob
-	add   r4, r6
-	stxdw [r9+72], r4       ; translate LBA
+` + mediateSrc + `
+	mov   r8, r5            ; block count, across the helper call
 ; charge the token bucket
 	mov   r2, 0
 	stxw  [r10-4], r2
@@ -54,13 +35,7 @@ passthru:
 throttle:
 	mov   r0, 0x2000082     ; COMPLETE | NamespaceNotReady (retryable)
 	exit
-oob:
-	mov   r0, 0x2000080
-	exit
-internal:
-	mov   r0, 0x2000006
-	exit
-`
+` + exitSrc
 
 // QoSClassifier returns the token-bucket classifier plus its two live maps:
 // the partition config and the token bucket (refill by SetU64(0, 0, n)).
@@ -90,15 +65,6 @@ var classifierExtra = map[string]string{}
 const qosClassSrc = `
 ; class-tagging partition classifier
 	mov   r9, r1
-	mov   r2, 0
-	stxw  [r10-4], r2
-	ldmap r1, cfg
-	mov   r2, r10
-	add   r2, -4
-	call  map_lookup_elem
-	jeq   r0, 0, internal
-	ldxdw r6, [r0+0]        ; partition start
-	ldxdw r7, [r0+8]        ; partition blocks
 	ldxb  r8, [r9+32]       ; opcode
 ; tag the scheduling class for this opcode
 	stxw  [r10-4], r8
@@ -110,25 +76,12 @@ const qosClassSrc = `
 	ldxb  r1, [r0+0]
 	call  qos_set_class
 tagged:
-	jeq   r8, 0, passthru   ; flush carries no LBA
-	ldxdw r4, [r9+72]       ; slba
-	ldxw  r5, [r9+80]
-	and   r5, 0xffff
-	add   r5, 1             ; nblocks
-	add   r5, r4
-	jgt   r5, r7, oob
-	add   r4, r6
-	stxdw [r9+72], r4       ; translate LBA
+	mov   r1, r9
+` + mediateSrc + `
 passthru:
 	mov   r0, 0x410000      ; SEND_HQ | WILL_COMPLETE_HQ
 	exit
-oob:
-	mov   r0, 0x2000080
-	exit
-internal:
-	mov   r0, 0x2000006
-	exit
-`
+` + exitSrc
 
 // QoSClassClassifier returns the class-tagging partition classifier plus
 // its live maps: the partition config and the per-opcode class policy map

@@ -1,8 +1,6 @@
 package storfn
 
 import (
-	"encoding/binary"
-
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
@@ -147,26 +145,23 @@ func (s *ReplicatorSupervision) Reconcile(cmd nvme.Command) core.ReconcileDecisi
 // same degraded-mirror mode a secondary outage produces, entered from the
 // router instead of the UIF.
 func (s *ReplicatorSupervision) Degrade(vc *core.Controller) {
-	part := s.part
 	vc.SetNativeClassifier(func(ctx []byte) uint64 {
 		const fast = uint64(core.ActSendHQ | core.ActWillCompleteHQ)
-		op := ctx[core.CtxOffCmd]
-		if op == nvme.OpFlush {
+		cmd := (*nvme.Command)(ctx[core.CtxOffCmd:])
+		if cmd.Opcode() == nvme.OpFlush {
 			return fast
 		}
-		slba := binary.LittleEndian.Uint64(ctx[core.CtxOffCmd+40:])
-		nlb := uint64(binary.LittleEndian.Uint32(ctx[core.CtxOffCmd+48:])&0xffff) + 1
-		if slba+nlb > part.Blocks {
+		abs, ok := s.part.Translate(cmd.SLBA(), cmd.Blocks())
+		if !ok {
 			return core.ActComplete | uint64(nvme.SCLBAOutOfRange)
 		}
-		abs := slba + part.Start
-		binary.LittleEndian.PutUint64(ctx[core.CtxOffCmd+40:], abs)
-		if op == nvme.OpWrite {
-			s.rep.Dirty.Add(abs, nlb)
+		cmd.SetSLBA(abs)
+		if cmd.Opcode() == nvme.OpWrite {
+			s.rep.Dirty.Add(abs, uint64(cmd.Blocks()))
 			s.rep.Degraded++
 			s.DegradedWrites++
 			if s.rs != nil {
-				s.rs.noteSecondaryFailure(abs, nlb)
+				s.rs.noteSecondaryFailure(abs, uint64(cmd.Blocks()))
 			}
 		}
 		return fast

@@ -44,7 +44,6 @@ type VM struct {
 	Mem   *guestmem.Memory
 	Costs VirtCosts
 	vcpus []*sim.Thread
-	next  int
 }
 
 // New creates a VM with memBytes of guest memory and vcpus vCPU threads
@@ -62,13 +61,6 @@ func (v *VM) NumVCPUs() int { return len(v.vcpus) }
 
 // VCPU returns vCPU i.
 func (v *VM) VCPU(i int) *sim.Thread { return v.vcpus[i] }
-
-// NextVCPU assigns vCPUs round-robin (for placing workload jobs).
-func (v *VM) NextVCPU() *sim.Thread {
-	t := v.vcpus[v.next%len(v.vcpus)]
-	v.next++
-	return t
-}
 
 // Op is a guest block operation type.
 type Op uint8
