@@ -35,8 +35,9 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-sim measures the DES kernel hot paths (event queue, process switch,
-# timers, resources as processes and as AcquireFunc continuations, idle poll
-# rounds alone and beside a second poller) with allocation counts, and what
+# timers, resources as processes and as AcquireFunc continuations, an
+# interrupt handler as a WaitFunc/ExecFunc continuation, idle poll rounds
+# alone and beside a second poller) with allocation counts, and what
 # those rounds cost a shard per idle tenant scanned; results/simbench.txt
 # holds the snapshots.
 bench-sim:
@@ -46,12 +47,14 @@ bench-sim:
 # bench-smoke compiles and runs every microbenchmark exactly once. It is a
 # CI gate against benchmarks rotting (build or runtime failures), not a
 # performance measurement; use `make bench` or `make bench-sim` for numbers.
-# It also runs the device's callback-tier command service in lockstep with
-# its process-based reference once under the race detector: the hop
-# benchmarks' events/op and switches/op mean what they say only while the
-# two stay indistinguishable.
+# It also runs the two callback-tier components — the device's command
+# service and the guest driver's interrupt handler — in lockstep with their
+# process-based references once under the race detector: the hop benchmarks'
+# events/op and switches/op mean what they say only while each pair stays
+# indistinguishable.
 bench-smoke:
 	$(GO) test -race -run 'TestLockstepWithProcessReference' ./internal/device/
+	$(GO) test -race -run 'TestIRQLockstepWithProcessReference' ./internal/vm/
 	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile' -benchtime 1x ./internal/ebpf/
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite' -benchtime 1x ./internal/storfn/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
@@ -70,11 +73,14 @@ bench-e2e-smoke:
 
 # sim-smoke is the DES-kernel gate: the scheduler and harness under the
 # race detector (property tests against the reference heap and, for
-# Thread.Spin, against the per-round poll loop included), plus the
-# golden-CSV determinism check — every experiment with a checked-in
+# Thread.Spin, against the per-round poll loop included; the run token
+# moves by coroutine switch, which carries the detector's happens-before
+# edges, and the Goexit, Close and ExecFunc/WaitFunc tests run here too),
+# the per-hop event/switch budget, plus the golden-CSV determinism check — every experiment with a checked-in
 # quick-mode golden must render byte-identical output.
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
+	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the

@@ -99,6 +99,9 @@ type NVMeBlockDev struct {
 	pool     *dmaPool
 	irq      *sim.Thread
 	irqCond  *sim.Cond
+	cqe      nvme.Completion // entry the irq handler is completing
+	irqDrain func()          // the handler's steps, bound once
+	irqDone  func()
 	inflight map[uint16]*pendingBio
 	freeCIDs []uint16
 	waitCID  *sim.Cond
@@ -179,7 +182,9 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 		d.freeCIDs = append(d.freeCIDs, i)
 	}
 	d.qp.CQ.OnPost = func() { d.irqCond.Signal(nil) }
-	env.Go(fmt.Sprintf("kernel/nvme-irq-ns%d", part.NSID), d.irqLoop)
+	d.irqDrain, d.irqDone = d.drainCQ, d.completeCQE
+	// The irq handler starts waiting one event from now.
+	env.After(0, d.irqWait)
 	env.Go(fmt.Sprintf("kernel/nvme-retry-ns%d", part.NSID), d.retryLoop)
 	return d
 }
@@ -375,37 +380,43 @@ func (d *NVMeBlockDev) retryLoop(p *sim.Proc) {
 	}
 }
 
-func (d *NVMeBlockDev) irqLoop(p *sim.Proc) {
-	var e nvme.Completion
-	for {
-		d.irqCond.Wait()
-		for d.qp.CQ.Pop(&e) {
-			d.irq.Exec(p, d.costs.Complete)
-			cid := e.CID()
-			gen := e.Result() // the device echoes the submission generation
-			pend := d.inflight[cid]
-			if pend == nil || pend.gen != gen {
-				// A completion that doesn't belong to the tag's current
-				// occupant: the late arrival of a timed-out attempt.
-				if le, ok := d.lost[cid]; ok && le.gen == gen {
-					// Still quarantined: release the tag.
-					delete(d.lost, cid)
-					d.Stale++
-					d.freeCIDs = append(d.freeCIDs, cid)
-					d.waitCID.Signal(nil)
-				} else {
-					// The tag was already reclaimed (and possibly reused
-					// by pend): count it stale, never deliver it.
-					d.StaleReclaimed++
-				}
-				continue
-			}
-			delete(d.inflight, cid)
-			d.freeCIDs = append(d.freeCIDs, cid)
-			d.waitCID.Signal(nil)
-			d.finishBio(pend, e.Status())
-		}
+// The completion interrupt handler is a continuation on the irq thread
+// (Cond.WaitFunc, Thread.ExecFunc), not a process: interrupt -> pop ->
+// per-CQE cost -> bookkeeping -> pop ... -> wait. An interrupt raised while
+// it runs finds no waiter; the drain loop finds that entry by itself.
+
+func (d *NVMeBlockDev) irqWait() { d.irqCond.WaitFunc(d.irqDrain) }
+
+func (d *NVMeBlockDev) drainCQ() {
+	if !d.qp.CQ.Pop(&d.cqe) {
+		d.irqWait()
+		return
 	}
+	d.irq.ExecFunc(d.costs.Complete, d.irqDone)
+}
+
+func (d *NVMeBlockDev) completeCQE() {
+	cid := d.cqe.CID()
+	gen := d.cqe.Result() // the device echoes the submission generation
+	if pend := d.inflight[cid]; pend != nil && pend.gen == gen {
+		delete(d.inflight, cid)
+		d.freeCIDs = append(d.freeCIDs, cid)
+		d.waitCID.Signal(nil)
+		d.finishBio(pend, d.cqe.Status())
+	} else if le, ok := d.lost[cid]; ok && le.gen == gen {
+		// A completion that doesn't belong to the tag's current occupant:
+		// the late arrival of a timed-out attempt. Still quarantined:
+		// release the tag.
+		delete(d.lost, cid)
+		d.Stale++
+		d.freeCIDs = append(d.freeCIDs, cid)
+		d.waitCID.Signal(nil)
+	} else {
+		// The tag was already reclaimed (and possibly reused by pend):
+		// count it stale, never deliver it.
+		d.StaleReclaimed++
+	}
+	d.drainCQ()
 }
 
 // finishBio copies read data back, releases DMA resources and reports the

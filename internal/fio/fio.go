@@ -295,8 +295,26 @@ func (j *job) run(p *sim.Proc) {
 		interval = sim.Duration(int64(sim.Second) / int64(j.cfg.RateIOPS))
 	}
 	nextAt := p.Now()
+	// One request and one completion callback per queue slot, re-armed at
+	// every submission: a slot is free again only once its OnDone ran.
 	slots := make([]int, 0, j.cfg.QD)
-	for s := 0; s < j.cfg.QD; s++ {
+	reqs := make([]vm.Req, j.cfg.QD)
+	for s := range reqs {
+		slot := s
+		reqs[s] = vm.Req{Blocks: blocks, Buf: j.bufs[s], BufPages: j.pages[s]}
+		reqs[s].OnDone = func(done *vm.Req) {
+			slots = append(slots, slot)
+			if done.Completed > j.measFrom && done.Completed <= j.measTo {
+				if done.Status.OK() {
+					j.ops.Inc()
+					j.bytes.Add(uint64(j.cfg.BlockSize))
+					j.lat.Record(int64(done.Latency()))
+				} else {
+					j.errors.Inc()
+				}
+			}
+			j.comp.Signal(nil)
+		}
 		slots = append(slots, s)
 	}
 
@@ -312,26 +330,10 @@ func (j *job) run(p *sim.Proc) {
 			if interval > 0 && nextAt < p.Now() {
 				nextAt = p.Now() // do not accumulate missed slots
 			}
-			r := &vm.Req{
-				Op:       j.nextOp(),
-				LBA:      j.nextLBA(blocks),
-				Blocks:   blocks,
-				Buf:      j.bufs[slot],
-				BufPages: j.pages[slot],
-			}
-			r.OnDone = func(done *vm.Req) {
-				slots = append(slots, slot)
-				if done.Completed > j.measFrom && done.Completed <= j.measTo {
-					if done.Status.OK() {
-						j.ops.Inc()
-						j.bytes.Add(uint64(j.cfg.BlockSize))
-						j.lat.Record(int64(done.Latency()))
-					} else {
-						j.errors.Inc()
-					}
-				}
-				j.comp.Signal(nil)
-			}
+			r := &reqs[slot]
+			r.Reset()
+			r.Op = j.nextOp()
+			r.LBA = j.nextLBA(blocks)
 			j.t.Disk.Submit(p, j.t.VCPU, r)
 		}
 		// Wait for a completion or the next rate slot.

@@ -2,18 +2,19 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"testing"
 )
 
 // The benchmark suite measures the scheduler hot paths that dominate harness
-// wall clock: timer push/pop (Sleep, After), process switching (park/resume
-// rendezvous), same-instant callback batches, and mixed multi-process
+// wall clock: timer push/pop (Sleep, After), process switching (park, yield
+// to the trampoline, next), same-instant callback batches, and mixed multi-process
 // workloads shaped like the router/device loops. Run with -benchmem: the
 // steady-state paths must report 0 allocs/op.
 
 // BenchmarkSleepWake is the single-process timer path: every event resumes
 // the process that is already running the dispatch loop (fused self-resume;
-// no goroutine switch at all in the new core).
+// no switch at all).
 func BenchmarkSleepWake(b *testing.B) {
 	env := New(1)
 	env.Go("p", func(p *Proc) {
@@ -48,8 +49,8 @@ func BenchmarkAfterCallback(b *testing.B) {
 }
 
 // BenchmarkCondPingPong is the two-process switch path: every event hands
-// the run token to the other goroutine (one channel rendezvous per switch in
-// the new core, two in the old one).
+// the run token to the other process (a yield to the trampoline and its next,
+// two coroutine switches; one op is two hand-offs).
 func BenchmarkCondPingPong(b *testing.B) {
 	env := New(1)
 	c1, c2 := NewCond(env), NewCond(env)
@@ -203,4 +204,71 @@ func BenchmarkResourceHandoffFunc(b *testing.B) {
 	if env.Switches() != 0 {
 		b.Fatalf("%d process switches on the callback tier", env.Switches())
 	}
+}
+
+// BenchmarkExecFunc is an interrupt handler as a continuation: a WaitFunc
+// waiter signalled every microsecond charges one ExecFunc on a core it
+// shares with nobody and waits again. Three callback events per op (the
+// signaller's tick, the wake, the end of the hold), no process, no
+// allocation.
+func BenchmarkExecFunc(b *testing.B) {
+	env := New(1)
+	th := NewCPU(env, 1).ThreadOn(0, "irq")
+	c := NewCond(env)
+	n := 0
+	var wait, entry, tick func()
+	wait = func() { c.WaitFunc(entry) }
+	entry = func() { th.ExecFunc(500*Nanosecond, wait) }
+	tick = func() {
+		c.Signal(nil)
+		if n++; n < b.N {
+			env.After(Microsecond, tick)
+		}
+	}
+	wait()
+	env.After(Microsecond, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	if env.Switches() != 0 || *th.busy != Duration(b.N)*500*Nanosecond {
+		b.Fatalf("%d switches, %v charged for %d ops", env.Switches(), *th.busy, b.N)
+	}
+}
+
+// BenchmarkBareHandOff prices the two ways to move a run token between
+// parked stacks with nothing else going on, per hand-off: "channel" is the
+// rendezvous the kernel used (send to the target's channel, block on one's
+// own — a pass through the Go scheduler), "coroutine" is what it uses now
+// (the parked side yields to a trampoline, whose next enters the target: two
+// runtime coroutine switches). DESIGN §12 quotes both at GOMAXPROCS=1.
+func BenchmarkBareHandOff(b *testing.B) {
+	b.Run("channel", func(b *testing.B) {
+		ping, pong := make(chan bool), make(chan bool)
+		go func() {
+			for range ping {
+				pong <- false
+			}
+			close(pong)
+		}()
+		for i := 0; i < b.N; i += 2 {
+			ping <- false
+			<-pong
+		}
+		close(ping)
+		<-pong
+	})
+	b.Run("coroutine", func(b *testing.B) {
+		var next [2]func() (*Proc, bool)
+		for i := range next {
+			var stop func()
+			next[i], stop = iter.Pull(func(yield func(*Proc) bool) {
+				for yield(nil) {
+				}
+			})
+			defer stop()
+		}
+		for i := 0; i < b.N; i++ {
+			next[i&1]()
+		}
+	})
 }

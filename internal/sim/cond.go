@@ -6,11 +6,26 @@ package sim
 // resuming, unless a timeout event may still reference it.
 type waitTok struct {
 	p        *Proc  // parked process, or
-	fn       func() // continuation of a Resource.AcquireFunc waiter
+	fn       func() // continuation of an AcquireFunc or WaitFunc waiter
 	fired    bool
 	signaled bool
 	hasTimer bool // a queued timeout event references this token
 	val      any  // optional payload handed over by Signal
+}
+
+// enqueue appends tok to a head-indexed waiter list (entries before *head
+// are consumed). A list that never drains — a saturated resource always has
+// someone waiting — must not keep its consumed prefix forever: when the
+// storage is full and at least half of it is consumed, the live entries
+// slide to the front instead of the storage growing, so it stays within
+// twice the deepest backlog at amortized constant cost.
+func enqueue(q []*waitTok, head *int, tok *waitTok) []*waitTok {
+	if h := *head; h > 0 && len(q) == cap(q) && h >= len(q)/2 {
+		n := copy(q, q[h:])
+		clear(q[n:])
+		q, *head = q[:n], 0
+	}
+	return append(q, tok)
 }
 
 // Cond is a FIFO condition variable for simulated processes. Unlike
@@ -30,7 +45,7 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 func (c *Cond) Wait() any {
 	p := c.env.current()
 	tok := c.env.getTok(p)
-	c.waiters = append(c.waiters, tok)
+	c.waiters = enqueue(c.waiters, &c.head, tok)
 	p.park()
 	val := tok.val
 	c.env.putTok(tok) // fired tokens are popped from waiters before the wake
@@ -44,10 +59,22 @@ func (c *Cond) Wait() any {
 func (c *Cond) WaitTimeout(d Duration) (any, bool) {
 	p := c.env.current()
 	tok := c.env.getTok(p)
-	c.waiters = append(c.waiters, tok)
+	c.waiters = enqueue(c.waiters, &c.head, tok)
 	c.env.pushTimer(c.env.now.Add(d), tok)
 	p.park()
 	return tok.val, tok.signaled
+}
+
+// WaitFunc is Wait for code that has no process to park (see
+// Resource.AcquireFunc): fn joins the same FIFO waiter list as parked
+// processes, and the Signal or Broadcast that reaches it schedules it as a
+// callback event at that instant — the event that would have woken the
+// process. fn runs in scheduler context and must not block; the signal's
+// value is dropped.
+func (c *Cond) WaitFunc(fn func()) {
+	tok := c.env.getTok(nil)
+	tok.fn = fn
+	c.waiters = enqueue(c.waiters, &c.head, tok)
 }
 
 // pop removes and returns the first unfired waiter, or nil. Consumed slots
@@ -94,7 +121,8 @@ func (c *Cond) Broadcast() {
 }
 
 // fire marks tok signaled, cancels its pending timeout if any, and queues
-// the wake for its process.
+// the wake for its process or its continuation. A callback waiter holds no
+// reference to its token, so it is recycled here.
 func (c *Cond) fire(tok *waitTok, val any) {
 	tok.fired = true
 	tok.signaled = true
@@ -102,5 +130,8 @@ func (c *Cond) fire(tok *waitTok, val any) {
 	if tok.hasTimer {
 		c.env.cancelTimer(tok)
 	}
-	c.env.push(c.env.now, tok.p, nil)
+	c.env.push(c.env.now, tok.p, tok.fn)
+	if tok.fn != nil {
+		c.env.putTok(tok)
+	}
 }

@@ -154,6 +154,59 @@ func newThread(core *Core, tag string) *Thread {
 // Exec runs d of work on the thread's core, accounted under the thread tag.
 func (t *Thread) Exec(p *Proc, d Duration) { t.Core.exec(p, t.busy, d) }
 
+// ExecFunc is Exec for code that has no process to park: an interrupt
+// handler is a leaf — it waits on one condition, charges CPU and calls
+// non-blocking completion callbacks — so it is a continuation, not a stack.
+// ExecFunc queues for the core FIFO among processes and continuations alike
+// (Resource.AcquireFunc), holds it for d (negative d clamped like Sleep),
+// releases it, credits d to the thread's tag and runs then in scheduler
+// context. Each wake of the process it replaces — the core grant when the
+// core was busy, the end of the hold — is one callback event pushed where
+// Exec would push it, so the (t, seq) order of a converted component is that
+// of its process form. Steady state allocates nothing: the state is pooled
+// on the environment and its two continuations are bound once.
+func (t *Thread) ExecFunc(d Duration, then func()) {
+	e := t.Core.env
+	var x *execState
+	if n := len(e.execFree); n > 0 {
+		x = e.execFree[n-1]
+		e.execFree[n-1] = nil
+		e.execFree = e.execFree[:n-1]
+	} else {
+		x = &execState{}
+		x.granted, x.expired = x.hold, x.finish
+	}
+	x.th, x.d, x.then = t, d, then
+	if t.Core.res.AcquireFunc(x.granted) {
+		x.hold()
+	}
+}
+
+// execState is one ExecFunc in flight.
+type execState struct {
+	th               *Thread
+	d                Duration
+	then             func()
+	granted, expired func() // hold and finish, bound once
+}
+
+// hold runs owning the core: on the spot, or as the grant event.
+func (x *execState) hold() {
+	x.th.Core.env.After(max(x.d, 0), x.expired)
+}
+
+// finish is the end of the hold: what Exec does after its Sleep, then the
+// caller's continuation.
+func (x *execState) finish() {
+	t, then := x.th, x.then
+	t.Core.res.Release()
+	*t.busy += x.d
+	x.th, x.then = nil, nil
+	e := t.Core.env
+	e.execFree = append(e.execFree, x)
+	then()
+}
+
 // Spin busy-polls on the thread's core in rounds of length round until the
 // caller's poll has something to look at. It is the loop
 //
@@ -161,9 +214,9 @@ func (t *Thread) Exec(p *Proc, d Duration) { t.Core.exec(p, t.busy, d) }
 //
 // with the rounds that look at nothing run in scheduler context: the wake at
 // a round boundary is handled inside the event dispatch, and the process is
-// resumed — a run-token hand-off through the Go scheduler, then the caller's
-// full gather — only when there is a reason to. It returns the rounds elapsed
-// (>= 1); the caller polls for real and calls Spin again if that finds nothing.
+// resumed — a run-token hand-off, then the caller's full gather — only when
+// there is a reason to. It returns the rounds elapsed (>= 1); the caller
+// polls for real and calls Spin again if that finds nothing.
 //
 // poll is the caller's poll reduced to looking. It reports the earliest
 // instant at which the real poll could find something to do, given what is

@@ -52,7 +52,7 @@ func (r *Resource) Acquire() {
 	}
 	p := r.env.current()
 	tok := r.env.getTok(p)
-	r.q = append(r.q, tok)
+	r.q = enqueue(r.q, &r.head, tok)
 	p.park()
 	// Ownership was transferred by Release; inUse already accounts for us,
 	// and Release popped the token, so it can be recycled.
@@ -72,7 +72,7 @@ func (r *Resource) AcquireFunc(fn func()) bool {
 	}
 	tok := r.env.getTok(nil)
 	tok.fn = fn
-	r.q = append(r.q, tok)
+	r.q = enqueue(r.q, &r.head, tok)
 	return false
 }
 

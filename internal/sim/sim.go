@@ -3,37 +3,45 @@
 // reproduction: every host thread, vCPU, device and fabric link runs as a
 // simulated process on a virtual clock.
 //
-// The model follows SimPy-style process interaction: processes are ordinary
-// goroutines, but the scheduler hands out a single run token, so exactly one
-// process executes at any instant. All cross-process interaction goes through
-// sim primitives (Sleep, Cond, Resource, events), which makes simulations
-// deterministic given a seed and free of data races by construction.
+// The model follows SimPy-style process interaction: processes are
+// coroutines (iter.Pull), and the scheduler hands out a single run token,
+// so exactly one process executes at any instant. All cross-process
+// interaction goes through sim primitives (Sleep, Cond, Resource, events),
+// which makes simulations deterministic given a seed and free of data races
+// by construction.
 //
 // The scheduler is built for throughput: events live by value in a tiered
 // timer wheel (see queue.go), so Sleep/At/After are allocation-free in
 // steady state; same-instant callback batches dispatch in a tight loop
-// without touching the run token; and the run token travels directly from
-// the yielding process to the next runnable one — a single channel
-// rendezvous per switch, or none at all when a process's own timer is the
-// next event. Event dispatch order is the exact (t, seq) total order of the
-// original heap scheduler, so traces are bit-identical.
+// without touching the run token; a parking process runs the dispatch loop
+// on its own stack and keeps running when its own timer is the next event;
+// and a real hand-off is the parking coroutine yielding the next process to
+// a trampoline in Run, which enters it — two runtime coroutine switches,
+// half the price of the one channel rendezvous through the Go scheduler
+// they replaced. Code that only waits has no process at all: a component
+// that queues on resources (Resource.AcquireFunc), waits on a condition
+// (Cond.WaitFunc) or charges a CPU thread (Thread.ExecFunc) from a leaf runs
+// as continuations in scheduler context, each costing the event its process
+// form would cost and no switch. Event dispatch order is the exact (t, seq)
+// total order of the original heap scheduler, so traces are bit-identical.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime"
 )
 
-// growStack forces one stack growth at worker-goroutine birth, while the
-// stack is still empty and the copy is nearly free. Because the yielding
-// goroutine itself runs the dispatch loop (baton passing), scheduler frames
-// stack on top of arbitrarily deep user code; without the pre-grow, every
-// process goroutine pays several stack doublings — each copying a deep live
-// stack — as soon as it parks (runtime.copystack showed up at ~16% of a
-// full fig5 sweep). Workers are pooled (see workerLoop), so the cost is
-// paid once per pool slot, not once per process.
+// growStack forces one stack growth at worker-coroutine birth, while the
+// stack is still empty and the copy is nearly free. Because the parking
+// process itself runs the dispatch loop, scheduler frames stack on top of
+// arbitrarily deep user code; without the pre-grow, every process pays
+// several stack doublings — each copying a deep live stack — as soon as it
+// parks (runtime.copystack showed up at ~16% of a full fig5 sweep). Workers
+// are pooled (see workerLoop), so the cost is paid once per pool slot, not
+// once per process.
 //
 //go:noinline
 func growStack() {
@@ -76,9 +84,9 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 var ErrStopped = errors.New("sim: environment closed")
 
 // Env is a simulation environment: a virtual clock plus a tiered event
-// queue. It is not safe for concurrent use from multiple OS threads; all
-// access must come from the goroutine currently holding the run token (the
-// Run caller or the running simulated process).
+// queue. It is not safe for concurrent use; all access must come from
+// whoever currently holds the run token (the Run caller or the running
+// simulated process).
 type Env struct {
 	now   Time
 	seq   uint64
@@ -86,10 +94,9 @@ type Env struct {
 	limit Time // dispatch bound of the run in progress
 
 	dispatched uint64 // events popped, dead ones included
-	switches   uint64 // run token handed to a process on another goroutine
+	switches   uint64 // run token handed to another process's coroutine
 	spawns     uint64 // Go calls
 
-	idle      chan struct{} // hands the run token back to Run/Close
 	cur       *Proc
 	procs     []*Proc // every spawned, unfinished process (Close needs them)
 	procsDead int
@@ -98,15 +105,15 @@ type Env struct {
 	fail      any // panic value captured from a process or callback
 	stopped   bool
 	rng       *rand.Rand
-	tokFree   []*waitTok // free list for wait tokens
-	pool      []*worker  // idle worker goroutines awaiting a process
-	procFree  []*Proc    // retired Procs with no queue references, reusable
+	tokFree   []*waitTok   // free list for wait tokens
+	execFree  []*execState // free list for Thread.ExecFunc states
+	pool      []*worker    // idle worker coroutines awaiting a process
+	procFree  []*Proc      // retired Procs with no queue references, reusable
 }
 
 // New creates an environment whose random source is seeded with seed.
 func New(seed int64) *Env {
 	return &Env{
-		idle:  make(chan struct{}),
 		limit: Never,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -134,9 +141,10 @@ func (e *Env) QueueLen() int { return e.q.size }
 func (e *Env) Dispatched() uint64 { return e.dispatched }
 
 // Switches reports how many times the run token was handed to a process
-// parked on another goroutine — one channel rendezvous through the Go
-// scheduler each. Fused self-resumes (a process whose own wake is the next
-// event keeps running) and callback events cost none and are not counted.
+// parked on another coroutine — a yield to the trampoline in Run and its
+// next into the target, two runtime coroutine switches. Fused self-resumes
+// (a process whose own wake is the next event keeps running) and callback
+// events cost none and are not counted.
 func (e *Env) Switches() uint64 { return e.switches }
 
 // Spawns reports how many processes Go has started since the environment
@@ -204,31 +212,35 @@ func (e *Env) After(d Duration, fn func()) {
 }
 
 // Proc is a simulated process. Its methods must be called from the process's
-// own goroutine while it holds the run token.
+// own coroutine while it holds the run token.
 //
 // A Proc is a fresh identity per Go call — queued wakes reference it, and a
-// stale wake for a finished Proc must stay dead — but the goroutine running
-// it is a pooled worker whose (already grown) stack and resume channel are
-// recycled across processes.
+// stale wake for a finished Proc must stay dead — but the coroutine running
+// it is a pooled worker whose (already grown) stack is recycled across
+// processes.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan bool // run token entry (the worker's channel); value: stop flag
-	w      *worker
-	idx    int // position in env.procs
-	done   bool
-	wakes  int       // queued events targeting this process
-	spin   spinState // set while parked in Thread.Spin
+	env   *Env
+	name  string
+	w     *worker
+	idx   int // position in env.procs
+	done  bool
+	wakes int       // queued events targeting this process
+	spin  spinState // set while parked in Thread.Spin
 }
 
-// worker is one pooled process goroutine. While idle it blocks on ch with
-// p == nil; Go assigns p/body and the scheduler's next send on ch starts
-// the body. p and body are only written while the worker is parked and only
-// read after the wake-up receive, so the handoff is race-free.
+// worker is one pooled process coroutine (iter.Pull over workerLoop). The
+// trampoline in runLoop enters it with next; the coroutine leaves with
+// yield, naming the process the run token goes to (nil: the run is over).
+// While idle it sits in yield with p == nil; Go assigns p/body and the
+// trampoline's next call starts the body. Only the holder of the run token
+// touches p and body, and a coroutine switch orders the two sides (for the
+// race detector too), so the hand-over is race-free.
 type worker struct {
-	ch   chan bool
-	p    *Proc
-	body func(*Proc)
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
+	p     *Proc
+	body  func(*Proc)
 }
 
 // Name returns the process name given to Go.
@@ -244,8 +256,8 @@ func (p *Proc) Now() Time { return p.env.now }
 // after the currently running process yields. Safe to call from process
 // context, callback context, or before Run.
 //
-// The process runs on a pooled worker goroutine when one is idle, so
-// spawn-heavy workloads (one process per request) pay neither a goroutine
+// The process runs on a pooled worker coroutine when one is idle, so
+// spawn-heavy workloads (one process per request) pay neither a coroutine
 // launch nor the one-time stack pre-grow per process.
 func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 	if e.closed {
@@ -258,17 +270,17 @@ func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 	} else {
-		w = &worker{ch: make(chan bool)}
-		go e.workerLoop(w)
+		w = &worker{}
+		w.next, w.stop = iter.Pull(e.workerLoop(w))
 	}
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
 		p = e.procFree[n-1]
 		e.procFree[n-1] = nil
 		e.procFree = e.procFree[:n-1]
-		p.name, p.resume, p.w, p.done, p.wakes, p.spin = name, w.ch, w, false, 0, spinState{}
+		p.name, p.w, p.done, p.wakes, p.spin = name, w, false, 0, spinState{}
 	} else {
-		p = &Proc{env: e, name: name, resume: w.ch, w: w}
+		p = &Proc{env: e, name: name, w: w}
 	}
 	w.p = p
 	w.body = body
@@ -312,55 +324,37 @@ func (e *Env) removeProc(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// workerLoop is the body of a pooled process goroutine. Each iteration runs
+// workerLoop is the body of a pooled process coroutine. Each iteration runs
 // one process to completion, retires it, and keeps the simulation moving:
-// the worker returns itself to the pool, then continues the dispatch loop
-// and hands the run token straight to the next runnable process, bouncing
-// through the Run goroutine only when the queue drains, the environment
-// closes, or a failure must propagate. The worker exits on Close/failure;
-// otherwise it parks on its channel awaiting the next assignment.
-func (e *Env) workerLoop(w *worker) {
-	growStack()
-	fused := false
-	for {
-		if !fused {
-			if stop := <-w.ch; stop {
-				// Close: either an assigned process that never started
-				// (retire it unrun) or an idle pool worker being drained.
-				p := w.p
-				w.p, w.body = nil, nil
-				if p == nil {
-					return
-				}
-				e.retire(p, nil)
-				e.idle <- struct{}{}
+// the worker returns itself to the pool, continues the dispatch loop on its
+// own stack, and yields the next runnable process to the trampoline (nil
+// when the queue drains or the run stops). The coroutine ends on Close or a
+// failure; otherwise it sits in yield awaiting the next assignment.
+func (e *Env) workerLoop(w *worker) iter.Seq[*Proc] {
+	return func(yield func(*Proc) bool) {
+		w.yield = yield
+		growStack()
+		for {
+			p, body := w.p, w.body
+			w.p, w.body = nil, nil
+			e.retire(p, e.execBody(p, body))
+			if e.closed || e.fail != nil {
 				return
 			}
+			// Pool before dispatching so a callback that spawns can reuse
+			// this worker immediately.
+			e.pool = append(e.pool, w)
+			next := e.dispatchSafe()
+			if next != nil && next.w == w {
+				// A dispatch callback assigned our own next process: run it
+				// inline, no switch.
+				e.cur = next
+				continue
+			}
+			if !yield(next) {
+				return // Close; it retires an assigned process unrun
+			}
 		}
-		fused = false
-		p, body := w.p, w.body
-		w.p, w.body = nil, nil
-		e.retire(p, e.execBody(p, body))
-		if e.closed || e.fail != nil {
-			e.idle <- struct{}{}
-			return
-		}
-		// Pool before dispatching so a callback that spawns can reuse this
-		// worker immediately.
-		e.pool = append(e.pool, w)
-		next := e.dispatchSafe()
-		if next == nil {
-			e.idle <- struct{}{}
-			continue // stay pooled; a later Go will resume us
-		}
-		e.cur = next
-		if next.w == w {
-			// A dispatch callback assigned our own next process: run it
-			// inline rather than deadlock on a self-send.
-			fused = true
-			continue
-		}
-		e.handOff(next)
 	}
 }
 
@@ -395,35 +389,21 @@ func (e *Env) retire(p *Proc, r any) {
 
 var errStopSentinel = errors.New("sim: stop")
 
-// handOff passes the run token to next, which is parked on another
-// goroutine.
-func (e *Env) handOff(next *Proc) {
-	e.switches++
-	next.resume <- false
-}
-
 // park blocks the calling process until the scheduler resumes it. Callers
 // must have arranged a wake-up (event or condition) beforehand. The parking
 // process itself runs the dispatch loop: if its own wake-up is the next
-// process event, it simply keeps running (no goroutine switch); otherwise
-// it hands the run token directly to the next runnable process.
+// process event, it simply keeps running (no switch); otherwise it yields
+// the next runnable process to the trampoline in runLoop, which enters it.
 func (p *Proc) park() {
 	e := p.env
 	next := e.dispatchSafe()
 	if next == p {
 		e.cur = p
-		return // fused self-resume: no channel operations
+		return // fused self-resume: no coroutine switch
 	}
-	if next != nil {
-		e.cur = next
-		e.handOff(next)
-	} else {
-		e.idle <- struct{}{}
-	}
-	if stop := <-p.resume; stop {
+	if !p.w.yield(next) {
 		panic(errStopSentinel)
 	}
-	e.cur = p
 }
 
 // Sleep suspends the process for d virtual time. Negative or zero d yields
@@ -442,8 +422,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // dispatch pops and runs events in (t, seq) order until a process must be
 // resumed or the queue is exhausted up to the run limit. Callback events and
-// timer firings run inline in the calling goroutine, so same-instant
-// callback batches never touch the run token. Returns the process to hand
+// timer firings run inline on the caller's stack, so same-instant callback
+// batches never touch the run token. Returns the process to hand
 // the run token to (which may be the caller itself — it should just keep
 // running), or nil when the run is over (drained, limit, or Stop).
 func (e *Env) dispatch() *Proc {
@@ -486,7 +466,7 @@ func (e *Env) dispatch() *Proc {
 
 // dispatchSafe is dispatch for process-context callers: a panic out of a
 // callback (or a bad schedule) is captured and re-raised from the Run
-// caller, as it would be if the callback had run on the Run goroutine.
+// caller, as it would be if the callback had run on the Run caller's stack.
 func (e *Env) dispatchSafe() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -497,25 +477,24 @@ func (e *Env) dispatchSafe() (next *Proc) {
 	return e.dispatch()
 }
 
-// runLoop drives dispatch from the Run caller's goroutine, parking while
-// simulated processes pass the run token among themselves.
+// runLoop drives dispatch from the Run caller's goroutine and is the
+// trampoline the run token bounces off: a process that parks yields the
+// next one to run, and the loop enters it. A hand-off is therefore two
+// coroutine switches and never passes through the Go scheduler. A panic in a
+// process or callback is re-raised here; runtime.Goexit in a process (a
+// test's t.Fatal) ends the Run caller's goroutine the same way.
 func (e *Env) runLoop() Time {
-	for {
-		p := e.dispatch()
-		if p == nil {
-			e.cur = nil
-			return e.now
-		}
+	for p := e.dispatch(); p != nil; {
 		e.cur = p
-		e.handOff(p)
-		<-e.idle
-		e.cur = nil
-		if e.fail != nil {
-			f := e.fail
-			e.fail = nil
-			panic(f)
-		}
+		e.switches++
+		p, _ = p.w.next()
 	}
+	e.cur = nil
+	if f := e.fail; f != nil {
+		e.fail = nil
+		panic(f)
+	}
+	return e.now
 }
 
 // Run processes events until the queue is empty (all processes are either
@@ -543,8 +522,8 @@ func (e *Env) RunUntil(t Time) {
 // Callable from process or callback context.
 func (e *Env) Stop() { e.stopped = true }
 
-// Close terminates every parked process by delivering a stop panic, releasing
-// their goroutines. The environment must not be used afterwards.
+// Close terminates every parked process by delivering a stop panic, ending
+// their coroutines. The environment must not be used afterwards.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -555,15 +534,19 @@ func (e *Env) Close() {
 		if p.done {
 			continue
 		}
-		// Every unfinished process is blocked on its resume channel —
-		// parked, or assigned to a worker and not yet started.
-		p.resume <- true
-		<-e.idle
+		// Every unfinished process sits in a yield — parked, or assigned to
+		// a pooled worker — or on a coroutine that has not started. stop
+		// unwinds a parked body; the other two never ran one (nor did a
+		// process whose coroutine runtime.Goexit ended), so they are
+		// retired here.
+		p.w.stop()
+		if !p.done {
+			p.w.p, p.w.body = nil, nil
+			e.retire(p, nil)
+		}
 	}
-	// Idle pooled workers have no process assigned; a stop send makes them
-	// exit without touching the idle channel.
 	for _, w := range e.pool {
-		w.ch <- true
+		w.stop()
 	}
 	e.pool = nil
 	e.procs = nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -459,5 +460,190 @@ func TestSwitchAndSpawnCounters(t *testing.T) {
 	// for the first start, Run) holding the token.
 	if env.Spawns() != 3 || env.Switches() != 1+22 {
 		t.Fatalf("pair: %d spawns, %d switches, want 3 and 23", env.Spawns(), env.Switches())
+	}
+}
+
+// TestExecFuncFIFOWithProcesses queues continuations and processes for one
+// core: grants follow arrival order whatever the waiter's kind, every hold
+// lasts its duration (a negative one is clamped like Sleep but credited as
+// given, as Exec does), the tag is credited before the continuation runs,
+// and the continuation runs in scheduler context.
+func TestExecFuncFIFOWithProcesses(t *testing.T) {
+	env := New(1)
+	cpu := NewCPU(env, 1)
+	irq := cpu.ThreadOn(0, "irq")
+	guest := cpu.ThreadOn(0, "guest")
+	type grant struct {
+		who  int
+		done Time
+	}
+	var log []grant
+	snap := cpu.Snapshot()
+	busy := func(tag string) Duration { return cpu.Since(snap).ByTag[tag] }
+	for i := 0; i < 6; i++ {
+		i := i
+		if i%2 == 1 {
+			env.Go("proc", func(p *Proc) {
+				guest.Exec(p, 2*Microsecond)
+				log = append(log, grant{i, p.Now()})
+			})
+			continue
+		}
+		env.After(0, func() {
+			irq.ExecFunc(Microsecond, func() {
+				log = append(log, grant{i, env.Now()})
+				if env.cur != nil {
+					t.Errorf("continuation %d runs with a current process", i)
+				}
+				if want := Duration(i/2+1) * Microsecond; busy("irq") != want {
+					t.Errorf("continuation %d sees irq busy %v, want %v", i, busy("irq"), want)
+				}
+			})
+		})
+	}
+	end := env.Run()
+	// Arrival order at t=0 is push order 0..5; holds alternate 1 us / 2 us.
+	at := Time(0)
+	for i, g := range log {
+		at += Time(1+i%2) * Time(Microsecond)
+		if g.who != i || g.done != at {
+			t.Fatalf("grant log %v", log)
+		}
+	}
+	if len(log) != 6 || end != Time(9*Microsecond) || busy("guest") != 6*Microsecond {
+		t.Fatalf("log %v, end %v, guest busy %v", log, end, busy("guest"))
+	}
+
+	ran := false
+	irq.ExecFunc(-5, func() { ran = true })
+	if end2 := env.Run(); !ran || end2 != end || busy("irq") != 3*Microsecond-5 {
+		t.Fatalf("negative hold: ran %v, end %v (was %v), irq busy %v", ran, end2, end, busy("irq"))
+	}
+	if len(env.execFree) != 3 {
+		t.Fatalf("%d pooled exec states, want the 3 that were in flight at once", len(env.execFree))
+	}
+}
+
+// TestCondWaitFuncFIFO mixes parked processes and WaitFunc continuations on
+// one condition: signals reach them in arrival order, a signal with nobody
+// waiting is lost for both kinds alike, and Broadcast reaches every waiter.
+func TestCondWaitFuncFIFO(t *testing.T) {
+	env := New(1)
+	c := NewCond(env)
+	var order []int
+	if c.Signal(nil) {
+		t.Fatal("signal found a waiter on a fresh cond")
+	}
+	for i := 0; i < 4; i++ {
+		i := i
+		if i%2 == 0 {
+			env.Go("w", func(p *Proc) { c.Wait(); order = append(order, i) })
+		} else {
+			env.After(0, func() { c.WaitFunc(func() { order = append(order, i) }) })
+		}
+	}
+	env.After(Microsecond, func() { c.Signal(nil); c.Signal(nil) })
+	env.After(2*Microsecond, func() {
+		if fmt.Sprint(order) != "[0 1]" {
+			t.Errorf("after two signals: %v", order)
+		}
+		c.Broadcast()
+	})
+	env.Run()
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Fatalf("wake order %v", order)
+	}
+	free := len(env.tokFree)
+	c.WaitFunc(func() {})
+	c.Signal(nil)
+	if len(env.tokFree) != free {
+		t.Fatalf("WaitFunc token not recycled at the signal: free list %d, want %d", len(env.tokFree), free)
+	}
+}
+
+// TestGoexitInProcessEndsRun: runtime.Goexit in a process body — a test's
+// t.Fatal — propagates through the coroutine to Run's caller, whose
+// goroutine exits running its deferred calls; it used to exit holding the
+// run token and hang Run. Close still releases the other processes.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	env := New(1)
+	ticks := 0
+	env.Go("looper", func(p *Proc) {
+		for {
+			p.Sleep(Microsecond)
+			ticks++
+		}
+	})
+	env.Go("fatal", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		runtime.Goexit()
+	})
+	done := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(done)
+		env.Run()
+		returned = true
+	}()
+	<-done
+	if returned || ticks < 9 {
+		t.Fatalf("Run returned=%v after %d ticks; want its goroutine ended by the Goexit at 10 us", returned, ticks)
+	}
+	env.Close()
+	if env.Live() != 0 {
+		t.Fatalf("live after close %d", env.Live())
+	}
+}
+
+// TestClosePooledWorkerNeverStarted: a process assigned to a pooled worker
+// (one that already ran a body) and never started is retired unrun by Close,
+// like one on a fresh worker.
+func TestClosePooledWorkerNeverStarted(t *testing.T) {
+	env := New(1)
+	env.Go("first", func(p *Proc) {})
+	env.Run()
+	if len(env.pool) != 1 {
+		t.Fatalf("pool %d, want the retired worker", len(env.pool))
+	}
+	env.Go("never", func(p *Proc) { t.Error("body must not run") })
+	if len(env.pool) != 0 {
+		t.Fatal("Go did not reuse the pooled worker")
+	}
+	env.Close()
+	if env.Live() != 0 {
+		t.Fatalf("live %d", env.Live())
+	}
+}
+
+// TestWaiterListStaysBounded: a saturated resource always has somebody
+// queued, so its waiter list never drains; the storage must track the
+// backlog, not the number of acquires ever made (it used to keep every
+// consumed slot: 8 bytes per device command on a saturated device).
+func TestWaiterListStaysBounded(t *testing.T) {
+	env := New(1)
+	r := NewResource(env, 1)
+	const waiters, rounds = 5, 20000
+	for i := 0; i < waiters; i++ {
+		left := rounds
+		var granted, expired func()
+		granted = func() { env.After(Microsecond, expired) }
+		expired = func() {
+			r.Release()
+			if left--; left > 0 && r.AcquireFunc(granted) {
+				granted()
+			}
+		}
+		env.After(0, func() {
+			if r.AcquireFunc(granted) {
+				granted()
+			}
+		})
+	}
+	env.Run()
+	if r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Fatalf("InUse %d, QueueLen %d at the end", r.InUse(), r.QueueLen())
+	}
+	if c := cap(r.q); c > 4*waiters {
+		t.Fatalf("waiter storage grew to %d slots for a backlog of %d over %d acquires", c, waiters-1, waiters*rounds)
 	}
 }

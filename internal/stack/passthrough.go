@@ -1,8 +1,6 @@
 package stack
 
 import (
-	"fmt"
-
 	"nvmetro/internal/device"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/sim"
@@ -62,12 +60,17 @@ func (p *ptPort) SetIRQ(qid uint16, fn func()) {
 	th := p.h.HostThread("kernel/irq")
 	fwd := p.v.Costs.HWIRQForward
 	hostCost := p.h.Params.PTHostIRQ
-	p.h.Env.Go(fmt.Sprintf("pt-irq-vm%d-q%d", p.v.ID, qid), func(pr *sim.Proc) {
-		for {
-			cond.Wait()
-			th.Exec(pr, hostCost)
-			pr.Sleep(fwd)
-			fn()
-		}
-	})
+	// The forwarder is a continuation (Cond.WaitFunc, Thread.ExecFunc), not
+	// a process: host handler cost, forwarding delay, guest callback, wait.
+	// It starts waiting one event from now; an interrupt raised while it is
+	// busy finds no waiter.
+	var wait, host, forward, deliver func()
+	wait = func() { cond.WaitFunc(host) }
+	host = func() { th.ExecFunc(hostCost, forward) }
+	forward = func() { p.h.Env.After(max(fwd, 0), deliver) }
+	deliver = func() {
+		fn()
+		wait()
+	}
+	p.h.Env.After(0, wait)
 }

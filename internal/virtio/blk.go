@@ -2,7 +2,6 @@ package virtio
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"nvmetro/internal/guestmem"
 	"nvmetro/internal/nvme"
@@ -52,6 +51,13 @@ type queueState struct {
 	byHead  map[uint16]int
 	slotCnd *sim.Cond
 	irqCnd  *sim.Cond
+
+	// The interrupt handler is a continuation on the vCPU (Cond.WaitFunc,
+	// Thread.ExecFunc), not a process; head is the used element it is
+	// completing.
+	d                      *driverBase
+	head                   uint16
+	entry, drain, complete func() // its steps, bound once
 }
 
 // driverBase is shared machinery between the blk and scsi drivers.
@@ -79,7 +85,9 @@ func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16,
 			byHead:  make(map[uint16]int),
 			slotCnd: sim.NewCond(v.Env),
 			irqCnd:  sim.NewCond(v.Env),
+			d:       d,
 		}
+		st.entry, st.drain, st.complete = st.irqEntry, st.irqDrain, st.irqComplete
 		for j := 0; j < depth; j++ {
 			page := v.Mem.MustAllocPages(1)
 			st.slots = append(st.slots, slot{hdrAddr: page, statusAddr: page + 256})
@@ -88,7 +96,8 @@ func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16,
 		tr.SetIRQ(st.q, func() { st.irqCnd.Signal(nil) })
 		d.qs[vcpu] = st
 		d.order = append(d.order, st)
-		v.Env.Go(fmt.Sprintf("vm%d/%s-irq-q%d", v.ID, name, i), func(p *sim.Proc) { d.irqLoop(p, st) })
+		// The handler starts waiting one event from now.
+		v.Env.After(0, st.irqWait)
 	}
 }
 
@@ -135,30 +144,39 @@ func (d *driverBase) Submit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
 	}
 }
 
-func (d *driverBase) irqLoop(p *sim.Proc, st *queueState) {
-	for {
-		st.irqCnd.Wait()
-		st.vcpu.Exec(p, d.v.Costs.GuestIRQ)
-		for {
-			head, ok := st.q.Ring.PopUsed()
-			if !ok {
-				break
-			}
-			st.vcpu.Exec(p, d.costs.Complete)
-			si, ok := st.byHead[head]
-			if !ok {
-				panic("virtio: used element for unknown head")
-			}
-			delete(st.byHead, head)
-			s := &st.slots[si]
-			r := s.req
-			s.req = nil
-			status := d.status(st, s)
-			st.free = append(st.free, si)
-			st.slotCnd.Signal(nil)
-			r.Complete(d.v.Env, status)
-		}
+// The interrupt handler: interrupt -> entry cost on the owning vCPU -> pop
+// used -> per-element cost -> bookkeeping -> pop ... -> wait. An interrupt
+// raised while it runs finds no waiter; the drain loop finds that element by
+// itself.
+
+func (st *queueState) irqWait() { st.irqCnd.WaitFunc(st.entry) }
+
+func (st *queueState) irqEntry() { st.vcpu.ExecFunc(st.d.v.Costs.GuestIRQ, st.drain) }
+
+func (st *queueState) irqDrain() {
+	head, ok := st.q.Ring.PopUsed()
+	if !ok {
+		st.irqWait()
+		return
 	}
+	st.head = head
+	st.vcpu.ExecFunc(st.d.costs.Complete, st.complete)
+}
+
+func (st *queueState) irqComplete() {
+	si, ok := st.byHead[st.head]
+	if !ok {
+		panic("virtio: used element for unknown head")
+	}
+	delete(st.byHead, st.head)
+	s := &st.slots[si]
+	r := s.req
+	s.req = nil
+	status := st.d.status(st, s)
+	st.free = append(st.free, si)
+	st.slotCnd.Signal(nil)
+	r.Complete(st.d.v.Env, status)
+	st.irqDrain()
 }
 
 func readByte(mem *guestmem.Memory, addr uint64) byte {

@@ -38,8 +38,9 @@ func DefaultDriverCosts() DriverCosts {
 }
 
 // qpState is a per-queue-pair driver context: tag allocation, outstanding
-// request tracking and the completion handler.
+// request tracking and the completion interrupt handler.
 type qpState struct {
+	d         *NVMeDisk
 	qp        *nvme.QueuePair
 	vcpu      *sim.Thread
 	reqs      []*Req     // by CID
@@ -47,6 +48,11 @@ type qpState struct {
 	free      []uint16   // free CIDs
 	slotCond  *sim.Cond  // waiters for a free slot
 	irqCond   *sim.Cond  // completion notification
+
+	// The interrupt handler is a continuation on the vCPU (Cond.WaitFunc,
+	// Thread.ExecFunc), not a process; cqe is the entry it is completing.
+	cqe                    nvme.Completion
+	entry, drain, complete func() // its steps, bound once
 }
 
 // NVMeDisk is the guest NVMe driver: it implements Disk on top of a Port,
@@ -65,26 +71,36 @@ type NVMeDisk struct {
 func NewNVMeDisk(v *VM, port Port, depth uint32, costs DriverCosts) *NVMeDisk {
 	d := &NVMeDisk{vm: v, port: port, costs: costs, info: port.Namespace(), qps: make(map[*sim.Thread]*qpState)}
 	for i := 0; i < v.NumVCPUs(); i++ {
-		vcpu := v.VCPU(i)
-		st := &qpState{
-			qp:       port.CreateQP(depth),
-			vcpu:     vcpu,
-			reqs:     make([]*Req, depth),
-			slotCond: sim.NewCond(v.Env),
-			irqCond:  sim.NewCond(v.Env),
-		}
-		st.listPages = make([][]uint64, depth)
-		for cid := uint16(0); cid < uint16(depth); cid++ {
-			st.free = append(st.free, cid)
-			// One PRP list page per slot supports transfers to 2 MiB.
-			st.listPages[cid] = []uint64{v.Mem.MustAllocPages(1)}
-		}
+		st := d.newQP(v.VCPU(i), depth)
 		port.SetIRQ(st.qp.SQ.ID, func() { st.irqCond.Signal(nil) })
-		d.qps[vcpu] = st
-		d.order = append(d.order, st)
-		v.Env.Go(fmt.Sprintf("vm%d/nvme-irq-q%d", v.ID, st.qp.SQ.ID), func(p *sim.Proc) { d.completionLoop(p, st) })
+		// The handler starts waiting one event from now; an interrupt
+		// before that finds nobody, like any interrupt it is busy for.
+		v.Env.After(0, st.irqWait)
 	}
 	return d
+}
+
+// newQP creates the queue pair of one vCPU, its handler not yet wired.
+func (d *NVMeDisk) newQP(vcpu *sim.Thread, depth uint32) *qpState {
+	v := d.vm
+	st := &qpState{
+		d:        d,
+		qp:       d.port.CreateQP(depth),
+		vcpu:     vcpu,
+		reqs:     make([]*Req, depth),
+		slotCond: sim.NewCond(v.Env),
+		irqCond:  sim.NewCond(v.Env),
+	}
+	st.listPages = make([][]uint64, depth)
+	for cid := uint16(0); cid < uint16(depth); cid++ {
+		st.free = append(st.free, cid)
+		// One PRP list page per slot supports transfers to 2 MiB.
+		st.listPages[cid] = []uint64{v.Mem.MustAllocPages(1)}
+	}
+	st.entry, st.drain, st.complete = st.irqEntry, st.irqDrain, st.irqComplete
+	d.qps[vcpu] = st
+	d.order = append(d.order, st)
+	return st
 }
 
 // BlockSize implements Disk.
@@ -157,23 +173,34 @@ func (d *NVMeDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *Req) {
 	d.port.Ring(st.qp.SQ.ID)
 }
 
-func (d *NVMeDisk) completionLoop(p *sim.Proc, st *qpState) {
-	var e nvme.Completion
-	for {
-		st.irqCond.Wait()
-		// Interrupt handler entry on the owning vCPU.
-		st.vcpu.Exec(p, d.vm.Costs.GuestIRQ)
-		for st.qp.CQ.Pop(&e) {
-			st.vcpu.Exec(p, d.costs.Complete)
-			cid := e.CID()
-			r := st.reqs[cid]
-			if r == nil {
-				panic(fmt.Sprintf("vm: completion for idle cid %d", cid))
-			}
-			st.reqs[cid] = nil
-			st.free = append(st.free, cid)
-			st.slotCond.Signal(nil)
-			r.Complete(d.vm.Env, e.Status())
-		}
+// The completion interrupt handler: interrupt -> entry cost on the owning
+// vCPU -> pop -> per-CQE cost -> bookkeeping -> pop ... -> wait. Every step
+// that takes time is one ExecFunc, so the handler contends for the vCPU
+// with the guest's submitting processes FIFO, as an interrupt thread would.
+// An interrupt raised while it runs finds no waiter and is dropped: the
+// drain loop finds that entry by itself.
+
+func (st *qpState) irqWait() { st.irqCond.WaitFunc(st.entry) }
+
+func (st *qpState) irqEntry() { st.vcpu.ExecFunc(st.d.vm.Costs.GuestIRQ, st.drain) }
+
+func (st *qpState) irqDrain() {
+	if !st.qp.CQ.Pop(&st.cqe) {
+		st.irqWait()
+		return
 	}
+	st.vcpu.ExecFunc(st.d.costs.Complete, st.complete)
+}
+
+func (st *qpState) irqComplete() {
+	cid := st.cqe.CID()
+	r := st.reqs[cid]
+	if r == nil {
+		panic(fmt.Sprintf("vm: completion for idle cid %d", cid))
+	}
+	st.reqs[cid] = nil
+	st.free = append(st.free, cid)
+	st.slotCond.Signal(nil)
+	r.Complete(st.d.vm.Env, st.cqe.Status())
+	st.irqDrain()
 }

@@ -129,6 +129,13 @@ func (r *Req) Complete(env *sim.Env, status nvme.Status) {
 	}
 }
 
+// Reset re-arms a completed request for another submission: the completion
+// state is cleared; the operation, buffers and OnDone stay. The issuer may
+// only reset a request whose completion it has seen.
+func (r *Req) Reset() {
+	r.Status, r.Submitted, r.Completed, r.done = nvme.SCSuccess, 0, 0, false
+}
+
 // Done reports whether the request has completed.
 func (r *Req) Done() bool { return r.done }
 
