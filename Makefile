@@ -55,7 +55,7 @@ bench-sim:
 bench-smoke:
 	$(GO) test -race -run 'TestLockstepWithProcessReference' ./internal/device/
 	$(GO) test -race -run 'TestIRQLockstepWithProcessReference' ./internal/vm/
-	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile' -benchtime 1x ./internal/ebpf/
+	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile|BenchmarkVerifier|BenchmarkInterpreter' -benchtime 1x ./internal/ebpf/
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite' -benchtime 1x ./internal/storfn/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/

@@ -9,8 +9,11 @@
 //	nvmetro-asm -hex my-classifier.s     # also print the encoded bytecode
 //	nvmetro-asm -compile my-classifier.s # also print the compiled op stream
 //
-// Programs referencing `ldmap rX, cfg` are assembled against the standard
-// partition config map (one 16-byte entry).
+// Every ALU mnemonic (add sub mul div mod or and xor lsh rsh arsh mov neg)
+// also has a 32-bit form with a `32` suffix (add32 … mov32 neg32); the
+// disassembly prints whichever width was verified and reassembles to the same
+// bytes. Programs referencing `ldmap rX, cfg` are assembled against the
+// standard partition config map (one 16-byte entry).
 package main
 
 import (
@@ -57,7 +60,8 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: nvmetro-asm [-hex] <file.s> | -builtin | -dump <name>")
+		fmt.Fprintln(os.Stderr, "usage: nvmetro-asm [-hex] [-compile] <file.s> | -builtin | -dump <name>\n"+
+			"  ALU mnemonics take a 32 suffix for the 32-bit forms: add32 sub32 … arsh32 mov32 neg32")
 		os.Exit(2)
 	}
 

@@ -14,7 +14,8 @@ import (
 //	mov   r0, 0             ; or mov r0, r3
 //	lddw  r1, 0x1122334455  ; 64-bit immediate (two slots)
 //	ldmap r1, config        ; load a map reference by name
-//	add   r2, -8            ; alu: add sub mul div mod or and xor lsh rsh arsh neg
+//	add   r2, -8            ; alu: add sub mul div mod or and xor lsh rsh arsh, and unary neg r2
+//	add32 r2, r3            ; 32-bit forms, result zero-extended: add32 … arsh32 mov32 neg32
 //	ldxw  r3, [r1+8]        ; loads: ldxb ldxh ldxw ldxdw
 //	stxdw [r10-8], r3       ; stores: stxb stxh stxw stxdw
 //	stw   [r1+0], 7         ; immediate stores: stb sth stw stdw
@@ -22,16 +23,31 @@ import (
 //	call  map_lookup_elem   ; helper by name or number
 //	exit
 
-var aluOps = map[string]uint8{
-	"add": ALUAdd, "sub": ALUSub, "mul": ALUMul, "div": ALUDiv, "mod": ALUMod,
-	"or": ALUOr, "and": ALUAnd, "xor": ALUXor, "lsh": ALULsh, "rsh": ALURsh,
-	"arsh": ALUArsh, "mov": ALUMov,
+// aluNames is every ALU mnemonic: the table rows plus the two ops that are
+// not binary. A "32" suffix selects the 32-bit class, in both directions.
+var aluNames = append(aluTable[:nALU:nALU], movRow, negRow)
+
+func aluMnemonic(m string) (class, op uint8, ok bool) {
+	class = ClassALU64
+	if base, is32 := strings.CutSuffix(m, "32"); is32 {
+		m, class = base, ClassALU
+	}
+	row := rowNamed(aluNames, m)
+	if row < 0 {
+		return 0, 0, false
+	}
+	return class, aluNames[row].code, true
 }
 
-var jmpOps = map[string]uint8{
-	"jeq": JmpEq, "jne": JmpNe, "jgt": JmpGt, "jge": JmpGe, "jlt": JmpLt,
-	"jle": JmpLe, "jsgt": JmpSGt, "jsge": JmpSGe, "jslt": JmpSLt, "jsle": JmpSLe,
-	"jset": JmpSet,
+func aluName(class, op uint8) string {
+	row := rowOf(aluNames, op)
+	switch {
+	case row < 0:
+		return ""
+	case class == ClassALU:
+		return aluNames[row].name + "32"
+	}
+	return aluNames[row].name
 }
 
 var sizeSuffix = map[string]uint8{"b": SizeB, "h": SizeH, "w": SizeW, "dw": SizeDW}
@@ -134,6 +150,9 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 		return nil
 	}
 
+	aluClass, aluOp, isALU := aluMnemonic(op)
+	jmpRow := rowNamed(condTable[:], op)
+
 	switch {
 	case op == "exit":
 		if err := need(0); err != nil {
@@ -182,7 +201,7 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 			return fmt.Errorf("unknown map %q", args[1])
 		}
 		b.LoadMap(d, m)
-	case op == "neg":
+	case isALU && aluOp == ALUNeg:
 		if err := need(1); err != nil {
 			return err
 		}
@@ -190,8 +209,8 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 		if err != nil {
 			return err
 		}
-		b.emit(Insn{Op: ClassALU64 | ALUNeg, Dst: d})
-	case aluOps[op] != 0 || op == "add":
+		b.emit(Insn{Op: aluClass | ALUNeg, Dst: d})
+	case isALU:
 		if err := need(2); err != nil {
 			return err
 		}
@@ -199,11 +218,10 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 		if err != nil {
 			return err
 		}
-		code := aluOps[op]
 		if s, err := reg(args[1]); err == nil {
-			b.emit(Insn{Op: ClassALU64 | code | SrcX, Dst: d, Src: s})
+			b.emit(Insn{Op: aluClass | aluOp | SrcX, Dst: d, Src: s})
 		} else if v, err := imm(args[1]); err == nil {
-			b.emit(Insn{Op: ClassALU64 | code | SrcK, Dst: d, Imm: int32(v)})
+			b.emit(Insn{Op: aluClass | aluOp | SrcK, Dst: d, Imm: int32(v)})
 		} else {
 			return err
 		}
@@ -258,7 +276,7 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 			return err
 		}
 		b.StoreImm(size, d, off, int32(v))
-	case jmpOps[op] != 0:
+	case jmpRow >= 0:
 		if err := need(3); err != nil {
 			return err
 		}
@@ -267,9 +285,9 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 			return err
 		}
 		if s, err := reg(args[1]); err == nil {
-			b.JumpReg(jmpOps[op], d, s, args[2])
+			b.JumpReg(condTable[jmpRow].code, d, s, args[2])
 		} else if v, err := imm(args[1]); err == nil {
-			b.JumpImm(jmpOps[op], d, int32(v), args[2])
+			b.JumpImm(condTable[jmpRow].code, d, int32(v), args[2])
 		} else {
 			return err
 		}
@@ -326,15 +344,6 @@ func Disassemble(p *Program) string {
 	return sb.String()
 }
 
-func nameOf(m map[string]uint8, code uint8) string {
-	for n, c := range m {
-		if c == code {
-			return n
-		}
-	}
-	return ""
-}
-
 func sizeName(op uint8) string {
 	switch op & 0x18 {
 	case SizeB:
@@ -351,15 +360,12 @@ func disasmOne(in Insn, _ Insn) (string, error) {
 	switch in.Class() {
 	case ClassALU64, ClassALU:
 		op := in.Op & 0xf0
-		name := nameOf(aluOps, op)
-		if op == ALUAdd {
-			name = "add"
-		}
-		if op == ALUNeg {
-			return fmt.Sprintf("neg r%d", in.Dst), nil
-		}
+		name := aluName(in.Class(), op)
 		if name == "" {
 			return "", fmt.Errorf("bad alu %#x", in.Op)
+		}
+		if op == ALUNeg {
+			return fmt.Sprintf("%s r%d", name, in.Dst), nil
 		}
 		if in.Op&SrcX != 0 {
 			return fmt.Sprintf("%s r%d, r%d", name, in.Dst, in.Src), nil
@@ -381,10 +387,11 @@ func disasmOne(in Insn, _ Insn) (string, error) {
 		case JmpA:
 			return "ja", nil
 		}
-		name := nameOf(jmpOps, op)
-		if name == "" {
+		row := rowOf(condTable[:], op)
+		if row < 0 {
 			return "", fmt.Errorf("bad jmp %#x", in.Op)
 		}
+		name := condTable[row].name
 		if in.Op&SrcX != 0 {
 			return fmt.Sprintf("%s r%d, r%d,", name, in.Dst, in.Src), nil
 		}

@@ -27,7 +27,8 @@ import (
 //
 // The interpreter (interp.go) remains the reference implementation; the
 // randomized differential test in compile_test.go holds the two tiers to
-// identical r0/fault/map-state behaviour.
+// identical r0/fault/map-state behaviour, and TestCompiledOpsMatchSemantics
+// holds every specialised ALU and jump op to sem.go.
 
 // copCode is the dense opcode of one pre-decoded operation.
 type copCode uint8
@@ -145,36 +146,44 @@ const (
 	cCallGeneric // imm = helper id
 )
 
+// copNames names the ops that are not specialisations of a table row; String
+// derives the rest.
 var copNames = map[copCode]string{
 	cBad: "bad", cExit: "exit", cMovImm: "mov_imm", cLdMap: "ld_map",
 	cMovReg: "mov_reg", cMovReg32: "mov_reg32",
-	cAddReg: "add_reg", cSubReg: "sub_reg", cMulReg: "mul_reg", cDivReg: "div_reg",
-	cModReg: "mod_reg", cOrReg: "or_reg", cAndReg: "and_reg", cXorReg: "xor_reg",
-	cLshReg: "lsh_reg", cRshReg: "rsh_reg", cArshReg: "arsh_reg",
-	cAddImm: "add_imm", cSubImm: "sub_imm", cMulImm: "mul_imm", cDivImm: "div_imm",
-	cModImm: "mod_imm", cOrImm: "or_imm", cAndImm: "and_imm", cXorImm: "xor_imm",
-	cLshImm: "lsh_imm", cRshImm: "rsh_imm", cArshImm: "arsh_imm", cNeg: "neg",
-	cAddReg32: "add_reg32", cSubReg32: "sub_reg32", cMulReg32: "mul_reg32",
-	cDivReg32: "div_reg32", cModReg32: "mod_reg32", cOrReg32: "or_reg32",
-	cAndReg32: "and_reg32", cXorReg32: "xor_reg32", cLshReg32: "lsh_reg32",
-	cRshReg32: "rsh_reg32", cArshReg32: "arsh_reg32",
-	cAddImm32: "add_imm32", cSubImm32: "sub_imm32", cMulImm32: "mul_imm32",
-	cDivImm32: "div_imm32", cModImm32: "mod_imm32", cOrImm32: "or_imm32",
-	cAndImm32: "and_imm32", cXorImm32: "xor_imm32", cLshImm32: "lsh_imm32",
-	cRshImm32: "rsh_imm32", cArshImm32: "arsh_imm32", cNeg32: "neg32",
 	cLd8: "ld8", cLd16: "ld16", cLd32: "ld32", cLd64: "ld64",
 	cSt8: "st8", cSt16: "st16", cSt32: "st32", cSt64: "st64",
 	cStImm8: "st8_imm", cStImm16: "st16_imm", cStImm32: "st32_imm", cStImm64: "st64_imm",
-	cJa: "ja", cJEqImm: "jeq_imm", cJNeImm: "jne_imm", cJGtImm: "jgt_imm",
-	cJGeImm: "jge_imm", cJLtImm: "jlt_imm", cJLeImm: "jle_imm",
-	cJSGtImm: "jsgt_imm", cJSGeImm: "jsge_imm", cJSLtImm: "jslt_imm",
-	cJSLeImm: "jsle_imm", cJSetImm: "jset_imm",
-	cJEqReg: "jeq_reg", cJNeReg: "jne_reg", cJGtReg: "jgt_reg", cJGeReg: "jge_reg",
-	cJLtReg: "jlt_reg", cJLeReg: "jle_reg", cJSGtReg: "jsgt_reg", cJSGeReg: "jsge_reg",
-	cJSLtReg: "jslt_reg", cJSLeReg: "jsle_reg", cJSetReg: "jset_reg",
-	cCallLookup: "call_map_lookup", cCallUpdate: "call_map_update",
+	cJa: "ja", cCallLookup: "call_map_lookup", cCallUpdate: "call_map_update",
 	cCallDelete: "call_map_delete", cCallPrandom: "call_prandom",
 	cCallQoS: "call_qos_set_class", cCallGeneric: "call_generic",
+}
+
+// String names an op as Dump prints it: add_reg, lsh_imm32, neg32, jsgt_reg.
+func (c copCode) String() string {
+	form := func(imm bool) string {
+		if imm {
+			return "_imm"
+		}
+		return "_reg"
+	}
+	if r, is64, imm, ok := c.alu(); ok {
+		name := r.name
+		if r.code != ALUNeg {
+			name += form(imm)
+		}
+		if !is64 {
+			name += "32"
+		}
+		return name
+	}
+	if r, imm, ok := c.cond(); ok {
+		return r.name + form(imm)
+	}
+	if name, ok := copNames[c]; ok {
+		return name
+	}
+	return fmt.Sprintf("op%d", uint8(c))
 }
 
 // cop is one pre-decoded operation. off carries the memory displacement for
@@ -357,17 +366,17 @@ func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
 				}
 				o.code, o.off = cJa, t
 			default:
-				base, ok := condBase[op]
-				if !ok {
+				row := rowOf(condTable[:], op)
+				if row < 0 {
 					return nil, fmt.Errorf("ebpf compile: unknown jump op %#x at %d", in.Op, pc)
 				}
 				t, err := target(pc, in.Off)
 				if err != nil {
 					return nil, err
 				}
-				o.code, o.off = base, t
+				o.code, o.off = cJEqImm+copCode(row), t
 				if in.Op&SrcX != 0 {
-					o.code += cJEqReg - cJEqImm
+					o.code += copCode(nCond)
 				} else {
 					o.imm = uint64(int64(in.Imm))
 				}
@@ -389,80 +398,35 @@ func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
 	return cp, nil
 }
 
-// condBase maps a conditional-jump nibble to its immediate-form opcode (the
-// register form is at a fixed distance).
-var condBase = map[uint8]copCode{
-	JmpEq: cJEqImm, JmpNe: cJNeImm, JmpGt: cJGtImm, JmpGe: cJGeImm,
-	JmpLt: cJLtImm, JmpLe: cJLeImm, JmpSGt: cJSGtImm, JmpSGe: cJSGeImm,
-	JmpSLt: cJSLtImm, JmpSLe: cJSLeImm, JmpSet: cJSetImm,
-}
-
-// alu64Base / alu32Base map an ALU nibble to its register-form opcode; the
-// immediate form is at a fixed distance (cAddImm - cAddReg).
-var alu64Base = map[uint8]copCode{
-	ALUAdd: cAddReg, ALUSub: cSubReg, ALUMul: cMulReg, ALUDiv: cDivReg,
-	ALUMod: cModReg, ALUOr: cOrReg, ALUAnd: cAndReg, ALUXor: cXorReg,
-	ALULsh: cLshReg, ALURsh: cRshReg, ALUArsh: cArshReg,
-}
-var alu32Base = map[uint8]copCode{
-	ALUAdd: cAddReg32, ALUSub: cSubReg32, ALUMul: cMulReg32, ALUDiv: cDivReg32,
-	ALUMod: cModReg32, ALUOr: cOrReg32, ALUAnd: cAndReg32, ALUXor: cXorReg32,
-	ALULsh: cLshReg32, ALURsh: cRshReg32, ALUArsh: cArshReg32,
-}
-
 func compileALU(in Insn) (cop, error) {
 	is64 := in.Class() == ClassALU64
 	op := in.Op & 0xf0
 	o := cop{dst: in.Dst, src: in.Src}
-	switch op {
-	case ALUMov:
-		if in.Op&SrcX != 0 {
-			if is64 {
-				o.code = cMovReg
-			} else {
-				o.code = cMovReg32
-			}
-		} else {
-			o.code = cMovImm
-			if is64 {
-				o.imm = uint64(int64(in.Imm))
-			} else {
-				o.imm = uint64(uint32(in.Imm))
-			}
-		}
-		return o, nil
-	case ALUNeg:
-		if is64 {
-			o.code = cNeg
-		} else {
-			o.code = cNeg32
-		}
-		return o, nil
-	}
-	base := alu64Base[op]
+	// Pre-widen the immediate exactly as aluSem would at runtime: sign-
+	// extended, then truncated for 32-bit ops.
+	imm, base := uint64(int64(in.Imm)), cAddReg
 	if !is64 {
-		base = alu32Base[op]
+		imm, base = uint64(uint32(imm)), cAddReg32
 	}
-	if base == cBad {
+	row := rowOf(aluTable[:], op)
+	switch {
+	case op == ALUMov && in.Op&SrcX == 0:
+		o.code, o.imm = cMovImm, imm
+	case op == ALUMov && is64:
+		o.code = cMovReg
+	case op == ALUMov:
+		o.code = cMovReg32
+	case op == ALUNeg:
+		o.code = base + copCode(2*nALU)
+	case row < 0:
 		return o, fmt.Errorf("ebpf compile: unknown ALU op %#x", op)
-	}
-	o.code = base
-	if in.Op&SrcX == 0 { // immediate form
-		o.code += cAddImm - cAddReg
-		// Pre-widen exactly as the interpreter would at runtime: the
-		// immediate is sign-extended, then truncated for 32-bit ops; shift
-		// amounts are pre-masked (&63, except 32-bit arsh's &31).
-		b := uint64(int64(in.Imm))
-		if !is64 {
-			b = uint64(uint32(b))
+	case in.Op&SrcX != 0:
+		o.code = base + copCode(row)
+	default:
+		o.code, o.imm = base+copCode(nALU+row), imm
+		if m := shiftMask(op, is64); m != 0 {
+			o.imm &= m // shift amounts are pre-masked too
 		}
-		switch {
-		case op == ALUArsh && !is64:
-			b &= 31
-		case op == ALULsh || op == ALURsh || op == ALUArsh:
-			b &= 63
-		}
-		o.imm = b
 	}
 	return o, nil
 }
@@ -499,11 +463,7 @@ func compileCall(id int32, helpers *HelperRegistry) cop {
 func (cp *CompiledProgram) Dump() string {
 	var sb strings.Builder
 	for i, o := range cp.ops {
-		name := copNames[o.code]
-		if name == "" {
-			name = fmt.Sprintf("op%d", o.code)
-		}
-		fmt.Fprintf(&sb, "%4d: %-16s dst=r%-2d src=r%-2d off=%-6d imm=%#x", i, name, o.dst, o.src, o.off, o.imm)
+		fmt.Fprintf(&sb, "%4d: %-16s dst=r%-2d src=r%-2d off=%-6d imm=%#x", i, o.code, o.dst, o.src, o.off, o.imm)
 		pc := int(cp.insnOf[i])
 		src := cp.src.Insns[pc]
 		if s, err := disasmOne(src, Insn{}); err == nil {

@@ -12,6 +12,10 @@ import (
 
 const diffCtxSize = 64
 
+// edgeOperands are the scalars where shift masks, 32-bit truncation and
+// signedness change an op's result.
+var edgeOperands = []uint64{0, 1, 31, 32, 63, 64, 1 << 31, 1<<32 - 1, 1 << 63, ^uint64(0)}
+
 // diffMaps is one tier's map instances: geometry fixed, contents cloned so
 // both tiers mutate independent state.
 type diffMaps struct {
@@ -54,7 +58,9 @@ func (dm diffMaps) equal(o diffMaps) error {
 // construction. Register roles: r6 = ctx pointer, r7-r9 = long-lived
 // scalars, r0-r5 = per-snippet temporaries. Stack slots [-8], [-16] hold
 // initialized u64s; [-4] holds the map key; [-24..-9) holds map values.
-func genProgram(rng *rand.Rand, dm diffMaps) *Program {
+// A pure program draws only ALU snippets and branches over its constants, so
+// StaticVerdict must prove it.
+func genProgram(rng *rand.Rand, dm diffMaps, pure bool) *Program {
 	b := NewBuilder()
 	label := 0
 	next := func() string { label++; return fmt.Sprintf("L%d", label) }
@@ -77,7 +83,11 @@ func genProgram(rng *rand.Rand, dm diffMaps) *Program {
 	b.Store(SizeDW, R10, -24, R9)
 
 	emitSnippet := func() {
-		switch rng.Intn(13) {
+		kinds := 14
+		if pure {
+			kinds = 5
+		}
+		switch rng.Intn(kinds) {
 		case 0: // 64-bit ALU, register source
 			b.ALU(aluOps[rng.Intn(len(aluOps))], reg(), reg())
 		case 1: // 64-bit ALU, immediate (including 0: div/mod-by-zero)
@@ -164,8 +174,44 @@ func genProgram(rng *rand.Rand, dm diffMaps) *Program {
 			b.MovImm(R1, int32(rng.Intn(6)))
 			b.Call(HelperQoSSetClass)
 			b.ALU(ALUAdd, reg(), R0)
-		default: // prandom
+		case 12: // prandom
 			b.Call(HelperGetPrandom)
+			b.ALU(ALUAdd, reg(), R0)
+		default:
+			// Stack pointer ± a scalar only the verifier's fold knows: r2 =
+			// a <op> b is corrected by a constant to ±8 or ±16, so the load is
+			// in bounds iff verifier, interpreter and compiled tier all
+			// compute the fold aluSem does.
+			op, is64 := aluOps[rng.Intn(len(aluOps))], rng.Intn(2) == 0
+			operand := func() uint64 {
+				if rng.Intn(2) == 0 {
+					return edgeOperands[rng.Intn(len(edgeOperands))]
+				}
+				return rng.Uint64()
+			}
+			x, y := operand(), operand()
+			cls := uint8(ClassALU)
+			if is64 {
+				cls = ClassALU64
+			}
+			b.MovImm64(R2, x)
+			if rng.Intn(2) == 0 {
+				y = uint64(int64(int32(y))) // what the immediate form can carry
+				b.emit(Insn{Op: cls | op | SrcK, Dst: R2, Imm: int32(y)})
+			} else {
+				b.MovImm64(R3, y)
+				b.emit(Insn{Op: cls | op | SrcX, Dst: R2, Src: R3})
+			}
+			folded, _ := aluSem(op, is64, x, y)
+			delta, ptrOp := uint64(8<<rng.Intn(2)), uint8(ALUSub)
+			if rng.Intn(2) == 0 {
+				delta, ptrOp = -delta, ALUAdd
+			}
+			b.MovImm64(R4, delta-folded)
+			b.ALU(ALUAdd, R2, R4)
+			b.MovReg(R3, R10)
+			b.ALU(ptrOp, R3, R2)
+			b.Load(SizeDW, R0, R3, 0)
 			b.ALU(ALUAdd, reg(), R0)
 		}
 	}
@@ -217,11 +263,15 @@ func errClass(err error) string {
 }
 
 // TestDifferentialCompiledVsInterpreter generates random verifier-accepted
-// programs and checks that the compiled tier and the interpreter agree on
-// r0, fault class, ctx bytes and final map contents across invocations.
+// programs and checks that neither tier ever reaches a defense-in-depth
+// check (no fault, no fuel exhaustion), that the compiled tier and the
+// interpreter agree on r0, ctx bytes and final map contents across
+// invocations, and that a StaticVerdict proof is what every invocation
+// returns.
 func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 	const programs = 300
 	const invocations = 4
+	proved := 0
 	for seed := int64(0); seed < programs; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		mapsI := newDiffMaps()
@@ -231,7 +281,8 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 		}
 		mapsC := mapsI.clone()
 
-		progI := genProgram(rng, mapsI)
+		pure := seed%5 == 0
+		progI := genProgram(rng, mapsI, pure)
 		// The compiled tier's program references its own map instances at
 		// the same indices (genProgram registers maps in a fixed order).
 		progC := &Program{Insns: progI.Insns, Name: progI.Name}
@@ -255,6 +306,14 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
 
+		verdict, constant := cp.StaticVerdict()
+		if pure && !constant {
+			t.Fatalf("seed %d: StaticVerdict did not prove a constant-only program\n%s", seed, Disassemble(progI))
+		}
+		if constant {
+			proved++
+		}
+
 		vmI, vmC := NewVM(nil), NewVM(nil)
 		for inv := 0; inv < invocations; inv++ {
 			ctxI := make([]byte, diffCtxSize)
@@ -263,13 +322,17 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 
 			retI, errI := vmI.Run(progI, ctxI)
 			retC, errC := vmC.RunCompiled(cp, ctxC)
-			if errClass(errI) != errClass(errC) {
-				t.Fatalf("seed %d inv %d: error class %q vs %q (%v / %v)\n%s",
-					seed, inv, errClass(errI), errClass(errC), errI, errC, Disassemble(progI))
+			if errI != nil || errC != nil {
+				t.Fatalf("seed %d inv %d: verifier-accepted program failed at run time: interp %v, compiled %v\n%s",
+					seed, inv, errI, errC, Disassemble(progI))
 			}
-			if errI == nil && retI != retC {
+			if retI != retC {
 				t.Fatalf("seed %d inv %d: r0 %#x (interp) != %#x (compiled)\n%s",
 					seed, inv, retI, retC, Disassemble(progI))
+			}
+			if constant && retC != verdict {
+				t.Fatalf("seed %d inv %d: StaticVerdict proved %#x, invocation returned %#x\n%s",
+					seed, inv, verdict, retC, Disassemble(progI))
 			}
 			if !bytes.Equal(ctxI, ctxC) {
 				t.Fatalf("seed %d inv %d: ctx diverged\ninterp:   %x\ncompiled: %x\n%s",
@@ -282,6 +345,96 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 		}
 		if err := mapsI.equal(mapsC); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, Disassemble(progI))
+		}
+	}
+	if proved < programs/5 {
+		t.Fatalf("StaticVerdict proved %d programs, want the %d constant-only ones at least", proved, programs/5)
+	}
+}
+
+// TestCompiledOpsMatchSemantics pins RunCompiled's specialised loop to
+// sem.go: every ALU and conditional-jump copCode, reached by compiling the
+// instruction it specialises, must decode back to that instruction and
+// compute what aluSem/condSem say on boundary operands in either position.
+func TestCompiledOpsMatchSemantics(t *testing.T) {
+	seen := map[copCode]bool{}
+	vm := NewVM(nil)
+	// run compiles [lddw r2,a; lddw r3,b; in; tail...] and returns the
+	// compiled form of in together with r0.
+	run := func(in Insn, a, b uint64, tail ...Insn) (cop, uint64) {
+		t.Helper()
+		bld := NewBuilder().MovImm64(R2, a).MovImm64(R3, b)
+		bld.emit(in)
+		for _, x := range tail {
+			bld.emit(x)
+		}
+		cp, err := Compile(bld.MustProgram("op"), nil)
+		if err != nil {
+			t.Fatalf("%v: %v", in, err)
+		}
+		got, err := vm.RunCompiled(cp, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", in, err)
+		}
+		seen[cp.ops[2].code] = true
+		return cp.ops[2], got
+	}
+	movR0R2 := Insn{Op: ClassALU64 | ALUMov | SrcX, Dst: R0, Src: R2}
+	movR0 := func(imm int32) Insn { return Insn{Op: ClassALU64 | ALUMov | SrcK, Dst: R0, Imm: imm} }
+	exit := Insn{Op: ClassJMP | JmpExit}
+	aluRows := append(aluTable[:nALU:nALU], negRow)
+
+	for _, a := range edgeOperands {
+		for _, b := range edgeOperands {
+			for _, srcX := range []bool{true, false} {
+				in, src := Insn{Op: SrcX, Dst: R2, Src: R3}, b
+				if !srcX {
+					in, src = Insn{Op: SrcK, Dst: R2, Imm: int32(b)}, uint64(int64(int32(b)))
+				}
+				for _, r := range aluRows {
+					for _, is64 := range []bool{true, false} {
+						if r.code == ALUNeg && srcX {
+							continue // unary: only the form without a source register
+						}
+						in := in
+						in.Op |= ClassALU | r.code
+						if is64 {
+							in.Op |= ClassALU64
+						}
+						o, got := run(in, a, b, movR0R2, exit)
+						dr, d64, dimm, ok := o.code.alu()
+						if !ok || dr != r || d64 != is64 || dimm == srcX {
+							t.Fatalf("%v compiled to %v, which decodes to (%v, is64=%v, imm=%v, %v)", in, o.code, dr, d64, dimm, ok)
+						}
+						if want, _ := aluSem(r.code, is64, a, src); got != want {
+							t.Errorf("%v (%v) on %#x, %#x: compiled tier %#x, aluSem %#x", in, o.code, a, src, got, want)
+						}
+					}
+				}
+				for _, r := range condTable {
+					in := in
+					in.Op |= ClassJMP | r.code
+					in.Off = 2 // over "mov r0, 0; exit" to "mov r0, 1; exit"
+					o, got := run(in, a, b, movR0(0), exit, movR0(1), exit)
+					dr, dimm, ok := o.code.cond()
+					if !ok || dr != r || dimm == srcX {
+						t.Fatalf("%v compiled to %v, which decodes to (%v, imm=%v, %v)", in, o.code, dr, dimm, ok)
+					}
+					if want, _ := condSem(r.code, a, src); (got == 1) != want {
+						t.Errorf("%v (%v) on %#x, %#x: compiled tier taken=%d, condSem %v", in, o.code, a, src, got, want)
+					}
+				}
+			}
+		}
+	}
+	for c := cAddReg; c <= cNeg32; c++ {
+		if !seen[c] {
+			t.Errorf("ALU op %v never reached", c)
+		}
+	}
+	for c := cJEqImm; c <= cJSetReg; c++ {
+		if !seen[c] {
+			t.Errorf("jump op %v never reached", c)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package ebpf
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -341,6 +343,99 @@ func TestVerifierRejectsUnboundedPtrArith(t *testing.T) {
 	wantReject(t, b.MustProgram("ptrarith"), 8, "unbounded")
 }
 
+// neg reads its destination like every other ALU op: on an uninitialized
+// register the compiled tier would negate whatever the previous invocation
+// left in the slot, and on a map reference the tiers disagree (the interpreter
+// faults, the compiled tier negates the untagged word).
+func TestVerifierRejectsNegUninit(t *testing.T) {
+	for _, cls := range []uint8{ClassALU64, ClassALU} {
+		b := NewBuilder()
+		b.emit(Insn{Op: cls | ALUNeg, Dst: R6})
+		p := b.MovReg(R0, R6).MovImm(R6, 5).Exit().MustProgram("neguninit")
+		wantReject(t, p, 0, "uninitialized r6")
+	}
+}
+
+func TestVerifierRejectsNegMapRef(t *testing.T) {
+	b := NewBuilder().LoadMap(R1, NewArrayMap(8, 1))
+	b.emit(Insn{Op: ClassALU64 | ALUNeg, Dst: R1})
+	wantReject(t, b.MovReg(R0, R1).Exit().MustProgram("negmap"), 0, "arithmetic on map_ptr")
+}
+
+func TestVerifierRejectsUnknownJumpOp(t *testing.T) {
+	p := &Program{Insns: []Insn{
+		{Op: ClassALU64 | ALUMov | SrcK, Dst: R0, Imm: 0},
+		{Op: ClassJMP | 0xe0 | SrcK, Dst: R0, Off: 0},
+		{Op: ClassJMP | JmpExit},
+	}}
+	wantReject(t, p, 0, "unknown jump op")
+}
+
+// TestVerifierRejectsFoldedArsh32OOB: a 32-bit arsh of 0x80000000 by 31 is
+// 0xffffffff (the runtimes shift an int32 by b&31), so r10-16 plus it lies
+// 4 GiB past the stack. A verifier folding it as a 64-bit shift saw +1, an
+// initialized byte of the slot.
+func TestVerifierRejectsFoldedArsh32OOB(t *testing.T) {
+	b := NewBuilder().StoreImm(SizeDW, R10, -16, 0)
+	b.emit(Insn{Op: ClassALU | ALUMov | SrcK, Dst: R2, Imm: -0x80000000})
+	b.ALU32Imm(ALUArsh, R2, 31)
+	p := b.MovReg(R3, R10).AddImm(R3, -16).ALU(ALUAdd, R3, R2).
+		Load(SizeB, R0, R3, 0).Exit().MustProgram("arsh32oob")
+	wantReject(t, p, 0, "stack access")
+}
+
+// TestVerifierFoldMatchesRun holds the verifier's known-scalar fold to what
+// both runtimes compute, on the corners where a hand-copied fold went (arsh32)
+// or could go wrong: width-dependent shift masks, truncated divisors, neg32.
+func TestVerifierFoldMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   uint8
+		is64 bool
+		a, b uint64
+	}{
+		{"arsh32 sign", ALUArsh, false, 0x80000000, 31},
+		{"arsh32 masks with 31", ALUArsh, false, 0x80000000, 33},
+		{"arsh32 ignores high dst bits", ALUArsh, false, 0xffffffff_00000010, 4},
+		{"arsh64", ALUArsh, true, 1 << 63, 63},
+		{"lsh32 by 31", ALULsh, false, 3, 31},
+		{"lsh32 by 32", ALULsh, false, 1, 32},
+		{"lsh32 by 64", ALULsh, false, 1, 64},
+		{"rsh32 by 31", ALURsh, false, 0xffffffff_80000000, 31},
+		{"rsh32 by 63", ALURsh, false, 0x80000000, 63},
+		{"div32 by zero", ALUDiv, false, 7, 0},
+		{"div32 by 2^32", ALUDiv, false, 7, 1 << 32},
+		{"mod32 by zero", ALUMod, false, 0xdead_0000_0007, 0},
+		{"mod32 by 2^32", ALUMod, false, 0xdead_0000_0007, 1 << 32},
+		{"div64 by zero", ALUDiv, true, 7, 0},
+		{"mod64 by zero", ALUMod, true, 7, 0},
+		{"neg32", ALUNeg, false, 1, 0},
+		{"neg32 of 2^32", ALUNeg, false, 1 << 32, 0},
+		{"neg64", ALUNeg, true, 1, 0},
+	} {
+		cls := uint8(ClassALU)
+		if tc.is64 {
+			cls = ClassALU64
+		}
+		in := Insn{Op: cls | tc.op | SrcX, Dst: R2, Src: R3}
+		st := &vstate{}
+		st.regs[R2] = vreg{t: rtScalar, known: true, val: tc.a}
+		st.regs[R3] = vreg{t: rtScalar, known: true, val: tc.b}
+		if err := (&Verifier{}).checkALU(st, in, 0); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b := NewBuilder().MovImm64(R2, tc.a).MovImm64(R3, tc.b)
+		b.emit(in)
+		got, err := runBoth(t, b.MovReg(R0, R2).Exit().MustProgram(tc.name), nil, 0)
+		if err != nil {
+			t.Fatalf("%s: run: %v", tc.name, err)
+		}
+		if folded := st.regs[R2]; !folded.known || folded.val != got {
+			t.Errorf("%s: verifier folds %#x (known=%v), runtimes compute %#x", tc.name, folded.val, folded.known, got)
+		}
+	}
+}
+
 func TestVerifierRejectsTooLong(t *testing.T) {
 	b := NewBuilder()
 	for i := 0; i < MaxInsns+1; i++ {
@@ -466,6 +561,38 @@ func TestDisassembleReassemble(t *testing.T) {
 		b, err2 := vm.Run(p2, append([]byte{}, ctx...))
 		if err1 != nil || err2 != nil || a != b {
 			t.Fatalf("ctx %v: %d/%v vs %d/%v", ctx, a, err1, b, err2)
+		}
+	}
+
+	// Every row of the two op tables (and mov, neg) at both widths and in both
+	// source forms must come back byte for byte, or nvmetro-asm's output is
+	// not the program that was verified.
+	b := NewBuilder()
+	for _, cls := range []uint8{ClassALU64, ClassALU} {
+		for _, r := range aluNames {
+			if r.code == ALUNeg {
+				b.emit(Insn{Op: cls | ALUNeg, Dst: R4})
+				continue
+			}
+			b.emit(Insn{Op: cls | r.code | SrcX, Dst: R3, Src: R7})
+			b.emit(Insn{Op: cls | r.code | SrcK, Dst: R5, Imm: -9})
+		}
+	}
+	for i, r := range condTable {
+		l := fmt.Sprintf("t%d", i)
+		b.JumpReg(r.code, R1, R2, l).JumpImm(r.code, R3, -2, l).MovImm(R0, int32(i)).Label(l)
+	}
+	p = b.Exit().MustProgram("everyop")
+	text = Disassemble(p)
+	if p2, err = Assemble(text, "everyop2", nil, nil); err != nil {
+		t.Fatalf("reassemble: %v\n%s", err, text)
+	}
+	if !bytes.Equal(p.Encode(), p2.Encode()) {
+		t.Fatalf("round trip changed the program:\n%s\n-- reassembled --\n%s", text, Disassemble(p2))
+	}
+	for _, want := range []string{"add32 r3, r7", "mov32 r5, -9", "neg32 r4", "arsh r3, r7", "jsle r3, -2, "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("disassembly lacks %q", want)
 		}
 	}
 }

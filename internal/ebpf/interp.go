@@ -242,158 +242,65 @@ func (vm *VM) store(dst val, off int64, size int, v uint64) error {
 func (vm *VM) alu(r []val, in Insn) error {
 	is64 := in.Class() == ClassALU64
 	op := in.Op & 0xf0
-	var src uint64
+	src := scalar(uint64(int64(in.Imm))) // sign-extended immediate
 	if in.Op&SrcX != 0 {
-		if r[in.Src].kind != kScalar && !(op == ALUMov) {
-			return fmt.Errorf("%w: ALU on pointer source", ErrFault)
-		}
-		src = r[in.Src].n
-	} else {
-		src = uint64(int64(in.Imm)) // sign-extended immediate
+		src = r[in.Src]
 	}
 
-	// MOV copies the whole tagged value when the source is a register.
+	// MOV copies the whole tagged value; only a scalar can be narrowed.
 	if op == ALUMov {
-		if in.Op&SrcX != 0 {
-			r[in.Dst] = r[in.Src]
-			if !is64 {
-				if r[in.Dst].kind != kScalar {
-					return fmt.Errorf("%w: 32-bit mov of pointer", ErrFault)
-				}
-				r[in.Dst].n = uint64(uint32(r[in.Dst].n))
+		if !is64 {
+			if src.kind != kScalar {
+				return fmt.Errorf("%w: 32-bit mov of pointer", ErrFault)
 			}
-		} else {
-			v := src
-			if !is64 {
-				v = uint64(uint32(v))
-			}
-			r[in.Dst] = scalar(v)
+			src.n = uint64(uint32(src.n))
 		}
+		r[in.Dst] = src
 		return nil
+	}
+	if src.kind != kScalar {
+		return fmt.Errorf("%w: ALU on pointer source", ErrFault)
 	}
 
-	dst := r[in.Dst]
-	// Pointer arithmetic: ptr +/- scalar keeps the region.
-	if dst.kind == kPtr {
-		if !is64 || (op != ALUAdd && op != ALUSub) {
-			return fmt.Errorf("%w: invalid pointer arithmetic", ErrFault)
-		}
-		if op == ALUAdd {
-			dst.n += src
-		} else {
-			dst.n -= src
-		}
-		r[in.Dst] = dst
-		return nil
-	}
-	if dst.kind != kScalar {
+	// Pointer arithmetic: ptr +/- scalar keeps the region and moves n.
+	dst := &r[in.Dst]
+	switch {
+	case dst.kind == kPtr && (!is64 || (op != ALUAdd && op != ALUSub)):
+		return fmt.Errorf("%w: invalid pointer arithmetic", ErrFault)
+	case dst.kind == kMap:
 		return fmt.Errorf("%w: ALU on map reference", ErrFault)
 	}
-
-	a, b := dst.n, src
-	if !is64 {
-		a, b = uint64(uint32(a)), uint64(uint32(b))
-	}
-	var out uint64
-	switch op {
-	case ALUAdd:
-		out = a + b
-	case ALUSub:
-		out = a - b
-	case ALUMul:
-		out = a * b
-	case ALUDiv:
-		if b == 0 {
-			out = 0
-		} else {
-			out = a / b
-		}
-	case ALUMod:
-		if b == 0 {
-			out = a
-		} else {
-			out = a % b
-		}
-	case ALUOr:
-		out = a | b
-	case ALUAnd:
-		out = a & b
-	case ALUXor:
-		out = a ^ b
-	case ALULsh:
-		out = a << (b & 63)
-	case ALURsh:
-		out = a >> (b & 63)
-	case ALUArsh:
-		if is64 {
-			out = uint64(int64(a) >> (b & 63))
-		} else {
-			out = uint64(int32(uint32(a)) >> (b & 31))
-		}
-	case ALUNeg:
-		out = -a
-	default:
+	out, ok := aluSem(op, is64, dst.n, src.n)
+	if !ok {
 		return fmt.Errorf("%w: unknown ALU op %#x", ErrFault, op)
 	}
-	if !is64 {
-		out = uint64(uint32(out))
-	}
-	r[in.Dst] = scalar(out)
+	dst.n = out
 	return nil
 }
 
 func (vm *VM) branch(r []val, in Insn) (bool, error) {
 	op := in.Op & 0xf0
-	var a, b uint64
-	dst := r[in.Dst]
+	a, b := cmpAddr(r[in.Dst]), uint64(int64(in.Imm))
 	if in.Op&SrcX != 0 {
-		srcv := r[in.Src]
-		// Pointer comparisons are only meaningful scalar-vs-scalar or
-		// same-region; the verifier restricts to null checks and scalars.
-		a, b = dst.n, srcv.n
-		if dst.kind == kPtr {
-			a = regionAddr(dst)
-		}
-		if srcv.kind == kPtr {
-			b = regionAddr(srcv)
-		}
-	} else {
-		a = dst.n
-		if dst.kind == kPtr {
-			a = regionAddr(dst)
-		}
-		b = uint64(int64(in.Imm))
+		b = cmpAddr(r[in.Src])
 	}
-	switch op {
-	case JmpEq:
-		return a == b, nil
-	case JmpNe:
-		return a != b, nil
-	case JmpGt:
-		return a > b, nil
-	case JmpGe:
-		return a >= b, nil
-	case JmpLt:
-		return a < b, nil
-	case JmpLe:
-		return a <= b, nil
-	case JmpSGt:
-		return int64(a) > int64(b), nil
-	case JmpSGe:
-		return int64(a) >= int64(b), nil
-	case JmpSLt:
-		return int64(a) < int64(b), nil
-	case JmpSLe:
-		return int64(a) <= int64(b), nil
-	case JmpSet:
-		return a&b != 0, nil
+	taken, ok := condSem(op, a, b)
+	if !ok {
+		return false, fmt.Errorf("%w: unknown jump op %#x", ErrFault, op)
 	}
-	return false, fmt.Errorf("%w: unknown jump op %#x", ErrFault, op)
+	return taken, nil
 }
 
-// regionAddr gives pointers a non-zero comparable representation so that
-// null checks (ptr == 0) behave: a live pointer never compares equal to 0.
-func regionAddr(v val) uint64 { return 0x5a5a_0000_0000_0000 + v.n }
+// cmpAddr is a branch operand: scalars compare by value; pointers get a
+// non-zero representation so that null checks (ptr == 0) behave — a live
+// pointer never compares equal to 0. (The verifier restricts pointer
+// comparisons to null checks.)
+func cmpAddr(v val) uint64 {
+	if v.kind == kPtr {
+		return 0x5a5a_0000_0000_0000 + v.n
+	}
+	return v.n
+}
 
 func (vm *VM) call(r []val, id int32) error {
 	h := vm.helpers.get(id)

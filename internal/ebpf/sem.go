@@ -1,0 +1,172 @@
+package ebpf
+
+import "slices"
+
+// One statement of what an ALU op and a conditional jump mean. The
+// interpreter (VM.alu, VM.branch), the verifier's known-scalar fold
+// (checkALU) and StaticVerdict call aluSem/condSem; the compiler, the
+// assembler and the disassembler index the two op tables. The only other
+// place these semantics are written down is RunCompiled's width- and
+// form-specialised loop (crun.go), which TestCompiledOpsMatchSemantics holds
+// to this file opcode by opcode.
+
+// opRow is one operation: its opcode nibble and its assembler mnemonic.
+type opRow struct {
+	code uint8
+	name string
+}
+
+// aluTable lists the binary ALU ops and condTable the conditional jumps, both
+// in copCode order: row i of aluTable compiles to cAddReg+i, row i of
+// condTable to cJEqImm+i, and the other widths and forms lie whole tables
+// apart (see copCode.alu and copCode.cond).
+var aluTable = [...]opRow{
+	{ALUAdd, "add"}, {ALUSub, "sub"}, {ALUMul, "mul"}, {ALUDiv, "div"},
+	{ALUMod, "mod"}, {ALUOr, "or"}, {ALUAnd, "and"}, {ALUXor, "xor"},
+	{ALULsh, "lsh"}, {ALURsh, "rsh"}, {ALUArsh, "arsh"},
+}
+
+var condTable = [...]opRow{
+	{JmpEq, "jeq"}, {JmpNe, "jne"}, {JmpGt, "jgt"}, {JmpGe, "jge"},
+	{JmpLt, "jlt"}, {JmpLe, "jle"}, {JmpSGt, "jsgt"}, {JmpSGe, "jsge"},
+	{JmpSLt, "jslt"}, {JmpSLe, "jsle"}, {JmpSet, "jset"},
+}
+
+// The two ALU ops that are not binary: mov copies a tagged value, neg is unary.
+var movRow, negRow = opRow{ALUMov, "mov"}, opRow{ALUNeg, "neg"}
+
+const (
+	nALU     = len(aluTable)
+	nCond    = len(condTable)
+	aluBlock = 2*nALU + 1 // ALU copCodes per width: register forms, immediate forms, neg
+)
+
+// rowOf returns the index of the row with the given opcode nibble, or -1.
+func rowOf(table []opRow, code uint8) int {
+	return slices.IndexFunc(table, func(r opRow) bool { return r.code == code })
+}
+
+// rowNamed returns the index of the row with the given mnemonic, or -1.
+func rowNamed(table []opRow, name string) int {
+	return slices.IndexFunc(table, func(r opRow) bool { return r.name == name })
+}
+
+// shiftMask is what a shift op masks its amount with (0 for any other op):
+// 63 at either width, except that 32-bit arsh uses 31. The 32-bit lsh/rsh
+// therefore yield 0 for amounts 32..63 instead of wrapping.
+func shiftMask(op uint8, is64 bool) uint64 {
+	switch {
+	case op == ALUArsh && !is64:
+		return 31
+	case op == ALULsh || op == ALURsh || op == ALUArsh:
+		return 63
+	}
+	return 0
+}
+
+// aluSem computes dst = dst <op> src on scalars (ALUNeg ignores b; ALUMov is
+// not here, it copies tagged values). 32-bit ops see both operands truncated
+// and zero-extend their result. Division by zero yields 0 and modulo by zero
+// leaves the dividend, as in the kernel. ok is false for an undefined op.
+func aluSem(op uint8, is64 bool, a, b uint64) (out uint64, ok bool) {
+	if !is64 {
+		a, b = uint64(uint32(a)), uint64(uint32(b))
+	}
+	switch op {
+	case ALUAdd:
+		out = a + b
+	case ALUSub:
+		out = a - b
+	case ALUMul:
+		out = a * b
+	case ALUDiv:
+		if b != 0 {
+			out = a / b
+		}
+	case ALUMod:
+		out = a
+		if b != 0 {
+			out = a % b
+		}
+	case ALUOr:
+		out = a | b
+	case ALUAnd:
+		out = a & b
+	case ALUXor:
+		out = a ^ b
+	case ALULsh:
+		out = a << (b & shiftMask(op, is64))
+	case ALURsh:
+		out = a >> (b & shiftMask(op, is64))
+	case ALUArsh:
+		sh := b & shiftMask(op, is64)
+		out = uint64(int64(a) >> sh)
+		if !is64 {
+			out = uint64(int32(a) >> sh)
+		}
+	case ALUNeg:
+		out = -a
+	default:
+		return 0, false
+	}
+	if !is64 {
+		out = uint64(uint32(out))
+	}
+	return out, true
+}
+
+// condSem evaluates a conditional jump's predicate on two 64-bit operands.
+// ok is false for an undefined op.
+func condSem(op uint8, a, b uint64) (taken, ok bool) {
+	switch op {
+	case JmpEq:
+		return a == b, true
+	case JmpNe:
+		return a != b, true
+	case JmpGt:
+		return a > b, true
+	case JmpGe:
+		return a >= b, true
+	case JmpLt:
+		return a < b, true
+	case JmpLe:
+		return a <= b, true
+	case JmpSGt:
+		return int64(a) > int64(b), true
+	case JmpSGe:
+		return int64(a) >= int64(b), true
+	case JmpSLt:
+		return int64(a) < int64(b), true
+	case JmpSLe:
+		return int64(a) <= int64(b), true
+	case JmpSet:
+		return a&b != 0, true
+	}
+	return false, false
+}
+
+// alu decodes an ALU copCode back to the row it specialises: each width is
+// one block of register forms, immediate forms and neg, in aluTable order.
+// neg reads no source register and decodes as an immediate form.
+func (c copCode) alu() (r opRow, is64, imm, ok bool) {
+	if c < cAddReg || c > cNeg32 {
+		return opRow{}, false, false, false
+	}
+	i := int(c - cAddReg)
+	is64 = i < aluBlock
+	i %= aluBlock
+	if i == 2*nALU {
+		return negRow, is64, true, true
+	}
+	return aluTable[i%nALU], is64, i >= nALU, true
+}
+
+// cond decodes a conditional-jump copCode: immediate forms, then register
+// forms, each in condTable order.
+func (c copCode) cond() (r opRow, imm, ok bool) {
+	if c < cJEqImm || c > cJSetReg {
+		return opRow{}, false, false
+	}
+	i := int(c - cJEqImm)
+	return condTable[i%nCond], i < nCond, true
+}

@@ -13,10 +13,11 @@ package ebpf
 // The analysis is a forward abstract interpretation over the same lattice
 // family the verifier uses, but tracking concrete constants: each register
 // is Const(v), a pointer of known provenance (ctx, stack, or a helper
-// window), a map reference, or Unknown. ALU ops fold constants with
-// bit-for-bit RunCompiled semantics; conditional jumps with Const operands
-// follow only the taken edge (so verdicts that differ only on statically
-// dead branches still prove constant); everything else joins both edges.
+// window), a map reference, or Unknown. ALU ops fold constants through
+// aluSem, the function the interpreter and the verifier compute with;
+// conditional jumps with Const operands follow only the edge condSem takes
+// (so verdicts that differ only on statically dead branches still prove
+// constant); everything else joins both edges.
 // Stack stores are invisible outside the invocation (the VM clears the
 // frame per run) and are allowed; any other store, and any helper beyond
 // the pure lookup/prandom pair, vetoes the proof.
@@ -126,6 +127,45 @@ func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
 		}
 		s := states[pc]
 		o := &cp.ops[pc]
+
+		// ALU ops and conditional jumps decode back to (op, width, form) and
+		// evaluate through the shared semantics; b is the source operand.
+		b := aval{k: avConst, n: o.imm}
+		if r, is64, imm, ok := o.code.alu(); ok {
+			if !imm {
+				b = s[o.src]
+			}
+			d := s[o.dst]
+			switch {
+			case d.isPtr() && is64 && (r.code == ALUAdd || r.code == ALUSub) && (b.k == avConst || b.k == avUnknown):
+				// Pointer arithmetic moves the offset; provenance survives.
+				s[o.dst] = aval{k: d.k}
+			case d.k == avConst && b.k == avConst:
+				n, _ := aluSem(r.code, is64, d.n, b.n)
+				s[o.dst] = aval{k: avConst, n: n}
+			default:
+				s[o.dst] = aval{k: avUnknown}
+			}
+			flow(pc+1, &s)
+			continue
+		}
+		if r, imm, ok := o.code.cond(); ok {
+			if !imm {
+				b = s[o.src]
+			}
+			// Const operands follow only the edge the runtime takes (cmpBase
+			// is the identity on scalars); anything else joins both edges.
+			known := s[o.dst].k == avConst && b.k == avConst
+			taken, _ := condSem(r.code, s[o.dst].n, b.n)
+			if !known || taken {
+				flow(int(o.off), &s)
+			}
+			if !known || !taken {
+				flow(pc+1, &s)
+			}
+			continue
+		}
+
 		switch o.code {
 		case cExit:
 			r0 := s[R0]
@@ -151,68 +191,6 @@ func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
 				s[o.dst] = aval{k: avUnknown}
 			}
 
-		case cAddReg, cSubReg:
-			d, r := s[o.dst], s[o.src]
-			switch {
-			case d.isPtr() && r.k == avConst || d.isPtr() && r.k == avUnknown:
-				// Pointer arithmetic moves the offset; provenance survives.
-				s[o.dst] = aval{k: d.k}
-			case d.k == avConst && r.k == avConst:
-				if o.code == cAddReg {
-					s[o.dst] = aval{k: avConst, n: d.n + r.n}
-				} else {
-					s[o.dst] = aval{k: avConst, n: d.n - r.n}
-				}
-			default:
-				s[o.dst] = aval{k: avUnknown}
-			}
-		case cAddImm, cSubImm:
-			d := s[o.dst]
-			switch {
-			case d.isPtr():
-				s[o.dst] = aval{k: d.k}
-			case d.k == avConst:
-				if o.code == cAddImm {
-					s[o.dst] = aval{k: avConst, n: d.n + o.imm}
-				} else {
-					s[o.dst] = aval{k: avConst, n: d.n - o.imm}
-				}
-			default:
-				s[o.dst] = aval{k: avUnknown}
-			}
-
-		case cMulReg, cDivReg, cModReg, cOrReg, cAndReg, cXorReg,
-			cLshReg, cRshReg, cArshReg,
-			cAddReg32, cSubReg32, cMulReg32, cDivReg32, cModReg32,
-			cOrReg32, cAndReg32, cXorReg32, cLshReg32, cRshReg32, cArshReg32:
-			d, r := s[o.dst], s[o.src]
-			if d.k == avConst && r.k == avConst {
-				s[o.dst] = aval{k: avConst, n: foldALU(o.code, d.n, r.n)}
-			} else {
-				s[o.dst] = aval{k: avUnknown}
-			}
-		case cMulImm, cDivImm, cModImm, cOrImm, cAndImm, cXorImm,
-			cLshImm, cRshImm, cArshImm,
-			cAddImm32, cSubImm32, cMulImm32, cDivImm32, cModImm32,
-			cOrImm32, cAndImm32, cXorImm32, cLshImm32, cRshImm32, cArshImm32:
-			if d := s[o.dst]; d.k == avConst {
-				s[o.dst] = aval{k: avConst, n: foldALU(o.code, d.n, o.imm)}
-			} else {
-				s[o.dst] = aval{k: avUnknown}
-			}
-		case cNeg:
-			if d := s[o.dst]; d.k == avConst {
-				s[o.dst] = aval{k: avConst, n: -d.n}
-			} else {
-				s[o.dst] = aval{k: avUnknown}
-			}
-		case cNeg32:
-			if d := s[o.dst]; d.k == avConst {
-				s[o.dst] = aval{k: avConst, n: uint64(uint32(-uint32(d.n)))}
-			} else {
-				s[o.dst] = aval{k: avUnknown}
-			}
-
 		case cLd8, cLd16, cLd32, cLd64:
 			// Loads are pure; the loaded value is runtime-dependent.
 			s[o.dst] = aval{k: avUnknown}
@@ -229,34 +207,6 @@ func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
 		case cJa:
 			flow(int(o.off), &s)
 			continue
-		case cJEqImm, cJNeImm, cJGtImm, cJGeImm, cJLtImm, cJLeImm,
-			cJSGtImm, cJSGeImm, cJSLtImm, cJSLeImm, cJSetImm:
-			if d := s[o.dst]; d.k == avConst {
-				if evalCond(o.code, d.n, o.imm) {
-					flow(int(o.off), &s)
-				} else {
-					flow(pc+1, &s)
-				}
-				continue
-			}
-			flow(int(o.off), &s)
-			flow(pc+1, &s)
-			continue
-		case cJEqReg, cJNeReg, cJGtReg, cJGeReg, cJLtReg, cJLeReg,
-			cJSGtReg, cJSGeReg, cJSLtReg, cJSLeReg, cJSetReg:
-			d, r := s[o.dst], s[o.src]
-			if d.k == avConst && r.k == avConst {
-				if evalCond(o.code-(cJEqReg-cJEqImm), d.n, r.n) {
-					flow(int(o.off), &s)
-				} else {
-					flow(pc+1, &s)
-				}
-				continue
-			}
-			flow(int(o.off), &s)
-			flow(pc+1, &s)
-			continue
-
 		case cCallLookup, cCallPrandom:
 			// Pure: lookup returns a map-value pointer or null and mutates
 			// nothing; prandom derives from the invocation counter without
@@ -280,111 +230,4 @@ func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
 		return 0, false
 	}
 	return verdict, true
-}
-
-// foldALU replicates RunCompiled's ALU semantics on two known scalars.
-// Register and immediate forms share semantics (immediates were pre-widened
-// and shift immediates pre-masked at compile time, matching the masking
-// applied to register operands here).
-func foldALU(code copCode, a, b uint64) uint64 {
-	switch code {
-	case cMulReg, cMulImm:
-		return a * b
-	case cDivReg, cDivImm:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case cModReg, cModImm:
-		if b == 0 {
-			return a
-		}
-		return a % b
-	case cOrReg, cOrImm:
-		return a | b
-	case cAndReg, cAndImm:
-		return a & b
-	case cXorReg, cXorImm:
-		return a ^ b
-	case cLshReg:
-		return a << (b & 63)
-	case cLshImm:
-		return a << b
-	case cRshReg:
-		return a >> (b & 63)
-	case cRshImm:
-		return a >> b
-	case cArshReg:
-		return uint64(int64(a) >> (b & 63))
-	case cArshImm:
-		return uint64(int64(a) >> b)
-
-	case cAddReg32, cAddImm32:
-		return uint64(uint32(a) + uint32(b))
-	case cSubReg32, cSubImm32:
-		return uint64(uint32(a) - uint32(b))
-	case cMulReg32, cMulImm32:
-		return uint64(uint32(a) * uint32(b))
-	case cDivReg32, cDivImm32:
-		if uint32(b) == 0 {
-			return 0
-		}
-		return uint64(uint32(a) / uint32(b))
-	case cModReg32, cModImm32:
-		if uint32(b) == 0 {
-			return uint64(uint32(a))
-		}
-		return uint64(uint32(a) % uint32(b))
-	case cOrReg32, cOrImm32:
-		return uint64(uint32(a) | uint32(b))
-	case cAndReg32, cAndImm32:
-		return uint64(uint32(a) & uint32(b))
-	case cXorReg32, cXorImm32:
-		return uint64(uint32(a) ^ uint32(b))
-	case cLshReg32:
-		return uint64(uint32(uint64(uint32(a)) << (uint64(uint32(b)) & 63)))
-	case cLshImm32:
-		return uint64(uint32(uint64(uint32(a)) << b))
-	case cRshReg32:
-		return uint64(uint32(uint64(uint32(a)) >> (uint64(uint32(b)) & 63)))
-	case cRshImm32:
-		return uint64(uint32(uint64(uint32(a)) >> b))
-	case cArshReg32:
-		return uint64(uint32(int32(uint32(a)) >> (uint64(uint32(b)) & 31)))
-	case cArshImm32:
-		return uint64(uint32(int32(uint32(a)) >> b))
-	}
-	return 0
-}
-
-// evalCond replicates the immediate-form branch predicates on two known
-// scalars (register forms are normalized to the immediate opcode by the
-// caller). cmpBase is the identity on scalars, so Const operands compare
-// exactly as at runtime.
-func evalCond(code copCode, a, b uint64) bool {
-	switch code {
-	case cJEqImm:
-		return a == b
-	case cJNeImm:
-		return a != b
-	case cJGtImm:
-		return a > b
-	case cJGeImm:
-		return a >= b
-	case cJLtImm:
-		return a < b
-	case cJLeImm:
-		return a <= b
-	case cJSGtImm:
-		return int64(a) > int64(b)
-	case cJSGeImm:
-		return int64(a) >= int64(b)
-	case cJSLtImm:
-		return int64(a) < int64(b)
-	case cJSLeImm:
-		return int64(a) <= int64(b)
-	case cJSetImm:
-		return a&b != 0
-	}
-	return false
 }

@@ -237,95 +237,50 @@ func (v *Verifier) checkALU(st *vstate, in Insn, pc int) error {
 		src = vreg{t: rtScalar, known: true, val: uint64(int64(in.Imm))}
 	}
 
+	is64 := in.Class() == ClassALU64
 	if op == ALUMov {
-		if in.Class() == ClassALU && src.t != rtScalar {
-			return fmt.Errorf("%w: 32-bit mov of %v at %d", ErrVerify, src.t, pc)
+		if !is64 {
+			if src.t != rtScalar {
+				return fmt.Errorf("%w: 32-bit mov of %v at %d", ErrVerify, src.t, pc)
+			}
+			src.val = uint64(uint32(src.val))
 		}
-		dst := src
-		if in.Class() == ClassALU {
-			dst.val = uint64(uint32(dst.val))
-		}
-		st.regs[in.Dst] = dst
+		st.regs[in.Dst] = src
 		return nil
 	}
 
+	// Every remaining op, neg included, reads its destination.
 	dst := st.regs[in.Dst]
-	if op != ALUNeg && dst.t == rtUninit {
+	if dst.t == rtUninit {
 		return fmt.Errorf("%w: use of uninitialized r%d at %d", ErrVerify, in.Dst, pc)
 	}
 	if dst.pointer() {
-		if in.Class() != ClassALU64 || (op != ALUAdd && op != ALUSub) {
+		if !is64 || (op != ALUAdd && op != ALUSub) {
 			return fmt.Errorf("%w: invalid arithmetic on %v at %d", ErrVerify, dst.t, pc)
 		}
 		if src.t != rtScalar || !src.known {
 			return fmt.Errorf("%w: pointer arithmetic with unbounded scalar at %d", ErrVerify, pc)
 		}
-		if op == ALUAdd {
-			dst.off += int64(src.val)
-		} else {
-			dst.off -= int64(src.val)
-		}
+		off, _ := aluSem(op, true, uint64(dst.off), src.val)
+		dst.off = int64(off)
 		st.regs[in.Dst] = dst
 		return nil
 	}
-	if dst.t != rtScalar && op != ALUNeg {
+	if dst.t != rtScalar {
 		return fmt.Errorf("%w: arithmetic on %v at %d", ErrVerify, dst.t, pc)
 	}
 	if src.t != rtScalar {
 		return fmt.Errorf("%w: arithmetic with %v source at %d", ErrVerify, src.t, pc)
 	}
 
+	// Known scalars fold through the same function the runtimes compute with.
+	val, ok := aluSem(op, is64, dst.val, src.val)
+	if !ok {
+		return fmt.Errorf("%w: unknown ALU op %#x at %d", ErrVerify, op, pc)
+	}
 	out := vreg{t: rtScalar}
 	if dst.known && src.known {
-		is64 := in.Class() == ClassALU64
-		a, b := dst.val, src.val
-		if !is64 {
-			a, b = uint64(uint32(a)), uint64(uint32(b))
-		}
-		out.known = true
-		switch op {
-		case ALUAdd:
-			out.val = a + b
-		case ALUSub:
-			out.val = a - b
-		case ALUMul:
-			out.val = a * b
-		case ALUDiv:
-			if b != 0 {
-				out.val = a / b
-			}
-		case ALUMod:
-			if b == 0 {
-				out.val = a
-			} else {
-				out.val = a % b
-			}
-		case ALUOr:
-			out.val = a | b
-		case ALUAnd:
-			out.val = a & b
-		case ALUXor:
-			out.val = a ^ b
-		case ALULsh:
-			out.val = a << (b & 63)
-		case ALURsh:
-			out.val = a >> (b & 63)
-		case ALUArsh:
-			out.val = uint64(int64(a) >> (b & 63))
-		case ALUNeg:
-			out.val = -a
-		default:
-			return fmt.Errorf("%w: unknown ALU op %#x at %d", ErrVerify, op, pc)
-		}
-		if !is64 {
-			out.val = uint64(uint32(out.val))
-		}
-	} else {
-		switch op {
-		case ALUAdd, ALUSub, ALUMul, ALUDiv, ALUMod, ALUOr, ALUAnd, ALUXor, ALULsh, ALURsh, ALUArsh, ALUNeg:
-		default:
-			return fmt.Errorf("%w: unknown ALU op %#x at %d", ErrVerify, op, pc)
-		}
+		out.known, out.val = true, val
 	}
 	st.regs[in.Dst] = out
 	return nil
@@ -415,6 +370,9 @@ func (v *Verifier) checkCall(st *vstate, in Insn, pc int) error {
 // for the taken and fall-through paths.
 func (v *Verifier) checkBranch(st *vstate, in Insn, pc int) (taken, fall *vstate, err error) {
 	op := in.Op & 0xf0
+	if rowOf(condTable[:], op) < 0 {
+		return nil, nil, fmt.Errorf("%w: unknown jump op %#x at %d", ErrVerify, op, pc)
+	}
 	dst := st.regs[in.Dst]
 	if dst.t == rtUninit {
 		return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", ErrVerify, in.Dst, pc)
