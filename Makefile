@@ -56,7 +56,8 @@ bench-smoke:
 	$(GO) test -race -run 'TestLockstepWithProcessReference' ./internal/device/
 	$(GO) test -race -run 'TestIRQLockstepWithProcessReference' ./internal/vm/
 	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile|BenchmarkVerifier|BenchmarkInterpreter' -benchtime 1x ./internal/ebpf/
-	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite' -benchtime 1x ./internal/storfn/
+	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite|BenchmarkEncryptorWrite4K' -benchtime 1x -benchmem ./internal/storfn/
+	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt4K|BenchmarkDecrypt4K' -benchtime 1x -benchmem ./internal/xts/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/
 	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x ./internal/cow/
@@ -85,11 +86,18 @@ sim-smoke:
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the
 # watchdog/reconcile unit tests, the per-function crash/wedge recovery
-# tests and the short-seed end-to-end chaos experiment.
+# tests and the short-seed end-to-end chaos experiment; then the payload
+# plane's two safety properties — no timer keeps a completed payload
+# reachable (and timeouts still fire on the instant), and nothing touches a
+# request buffer after its completion is posted (every storage function,
+# kill-restart included, and the notify-path goldens, with released buffers
+# poisoned).
 chaos-smoke:
 	$(GO) test -race -run 'TestWatchdog|TestBackoff|TestHealthy|TestClassifierHotSwap' ./internal/supervise/ ./internal/nvmeof/
 	$(GO) test -race -run 'TestSupervised' ./internal/storfn/
 	$(GO) test -race -run 'TestChaos' ./internal/harness/
+	$(GO) test -race -run 'Deadline|TestTimeoutsFire|TestSetRecoveryShortens|TestResends' ./internal/sim/ ./internal/blockdev/ ./internal/nvmeof/
+	$(GO) test -race -run 'TestPoisoned' ./internal/uif/
 
 # scrub-smoke runs the end-to-end data-integrity suite under the race
 # detector: PI domain/corrupting-store unit tests and the short-seed

@@ -109,6 +109,7 @@ type NVMeBlockDev struct {
 
 	lost      map[uint16]lostCID // quarantined CIDs: timed out, completion pending
 	genSeq    uint32             // submission-generation sequence (stamped in CDW3)
+	deadlines *sim.Deadlines     // per-attempt timeouts, keyed (CID, generation)
 	retryQ    []*pendingBio
 	retryCond *sim.Cond
 
@@ -177,6 +178,7 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 		lost:      make(map[uint16]lostCID),
 		retryCond: sim.NewCond(env),
 	}
+	d.deadlines = sim.NewDeadlines(env, d.awaited, d.onTimeout)
 	d.qp = part.Dev.CreateQueuePair(1024, hostmem)
 	for i := uint16(0); i < 1023; i++ {
 		d.freeCIDs = append(d.freeCIDs, i)
@@ -191,6 +193,8 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 
 // SetRecovery replaces the error-recovery policy (before or between I/O).
 // Invalid policies are rejected and the previous policy stays active.
+// Attempts outstanding at the time keep the deadline they were submitted
+// under.
 func (d *NVMeBlockDev) SetRecovery(rec Recovery) error {
 	if err := rec.Validate(); err != nil {
 		return err
@@ -306,27 +310,27 @@ func (d *NVMeBlockDev) push(cid uint16, pend *pendingBio) {
 	}
 	d.Submitted++
 	d.dev.Ring(d.qp.SQ.ID)
-	d.armDeadline(cid, pend)
-}
-
-// armDeadline schedules the timeout check for the current attempt.
-func (d *NVMeBlockDev) armDeadline(cid uint16, pend *pendingBio) {
-	if d.rec.Timeout <= 0 {
-		return
+	// The deadline is queued by (CID, generation), never as a closure over
+	// pend: a timer that can reach pend keeps the bio's payload alive for
+	// the whole Timeout after the bio completed.
+	if d.rec.Timeout > 0 {
+		d.deadlines.Add(uint32(cid), pend.gen, d.env.Now().Add(d.rec.Timeout))
 	}
-	attempt := pend.attempts
-	d.env.After(d.rec.Timeout, func() {
-		if d.inflight[cid] == pend && pend.attempts == attempt {
-			d.onTimeout(cid, pend)
-		}
-	})
 }
 
-// onTimeout aborts a command that missed its deadline: the CID is
+// awaited reports whether attempt gen still occupies cid.
+func (d *NVMeBlockDev) awaited(cid, gen uint32) bool {
+	pend := d.inflight[uint16(cid)]
+	return pend != nil && pend.gen == gen
+}
+
+// onTimeout aborts an attempt that missed its deadline: the CID is
 // quarantined against late completions and the command is either
 // resubmitted after exponential backoff or failed to the bio issuer.
 // Runs in scheduler callback context (non-blocking).
-func (d *NVMeBlockDev) onTimeout(cid uint16, pend *pendingBio) {
+func (d *NVMeBlockDev) onTimeout(id, _ uint32) {
+	cid := uint16(id)
+	pend := d.inflight[cid]
 	d.Timeouts++
 	delete(d.inflight, cid)
 	d.quarantine(cid, pend.gen)

@@ -427,3 +427,24 @@ func TestGhostHitsObserved(t *testing.T) {
 		t.Fatal("ghost re-admission not observed")
 	}
 }
+
+// TestARCHitAllocatesNothing: a hit on a T2 resident, the steady state of a
+// hot set, moves a list element and allocates nothing; the first re-reference
+// (T1 -> T2) keeps the key's entry.
+func TestARCHitAllocatesNothing(t *testing.T) {
+	pol := NewARC(64)
+	for k := uint64(0); k < 32; k++ {
+		pol.Admit(k)
+		pol.Hit(k) // T1 -> T2
+	}
+	k := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		pol.Hit(k % 32)
+		k += 7
+	}); n != 0 {
+		t.Errorf("%v allocs per hit on a T2 resident, want 0", n)
+	}
+	if pol.Len() != 32 {
+		t.Errorf("resident count %d after hits only, want 32", pol.Len())
+	}
+}

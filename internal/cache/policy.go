@@ -127,10 +127,18 @@ func NewARC(capacity int) ReplacementPolicy {
 func (a *arcPolicy) Len() int          { return a.t1.Len() + a.t2.Len() }
 func (a *arcPolicy) GhostHits() uint64 { return a.ghostHits }
 
-// promote moves a tracked key to T2's MRU position.
+// promote moves a tracked key to T2's MRU position. The common case, a hit
+// on a T2 resident, moves the element and allocates nothing; a key arriving
+// from another list takes its polEntry along.
 func (a *arcPolicy) promote(e *list.Element, key uint64) {
-	e.Value.(*polEntry).home.Remove(e)
-	a.idx[key] = pushMRU(a.t2, key)
+	ent := e.Value.(*polEntry)
+	if ent.home == a.t2 {
+		a.t2.MoveToFront(e)
+		return
+	}
+	ent.home.Remove(e)
+	ent.home = a.t2
+	a.idx[key] = a.t2.PushFront(ent)
 }
 
 func (a *arcPolicy) Hit(key uint64) {

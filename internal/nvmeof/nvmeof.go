@@ -7,9 +7,12 @@
 package nvmeof
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nvmetro/internal/blockdev"
+	"nvmetro/internal/bufpool"
 	"nvmetro/internal/fault"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/sim"
@@ -149,6 +152,7 @@ func (t *Target) run(p *sim.Proc) {
 			continue
 		}
 		c := t.queue[0]
+		t.queue[0] = capsule{} // the consumed slot must not keep the payload reachable
 		t.queue = t.queue[1:]
 		t.th.Exec(p, t.PerCmd)
 		t.Served++
@@ -195,6 +199,7 @@ func DefaultInitiatorRecovery() InitiatorRecovery {
 
 // ofPending is one in-flight command on the initiator.
 type ofPending struct {
+	id      uint32 // submission sequence; i.pend is ordered by it
 	op      blockdev.BioOp
 	sector  uint64
 	nsect   uint32
@@ -221,6 +226,10 @@ type Initiator struct {
 	pend   []*ofPending // FIFO; deterministic requeue order
 	onUp   []func()     // upper-layer reconnect hooks (e.g. resync triggers)
 
+	bufs      bufpool.Pool // capsule payloads and read-reply scratch
+	pendSeq   uint32
+	deadlines *sim.Deadlines // per-attempt response deadlines, keyed (id, attempt)
+
 	// Stats
 	Sent           uint64
 	Retries        uint64 // resends after a per-attempt timeout
@@ -242,6 +251,9 @@ type ReadVerifier interface {
 // NewInitiator connects to tgt over link.
 func NewInitiator(env *sim.Env, link *Link, tgt *Target) *Initiator {
 	i := &Initiator{env: env, link: link, tgt: tgt, PerCmd: 1500 * sim.Nanosecond, rec: DefaultInitiatorRecovery()}
+	i.deadlines = sim.NewDeadlines(env,
+		func(id, attempt uint32) bool { return i.awaited(id, attempt) != nil },
+		func(id, attempt uint32) { i.onTimeout(i.awaited(id, attempt)) })
 	link.OnUp(i.onLinkUp)
 	return i
 }
@@ -273,6 +285,7 @@ func (rec InitiatorRecovery) Validate() error {
 
 // SetRecovery replaces the recovery policy (call before traffic starts).
 // Invalid policies are rejected and the previous policy stays active.
+// Attempts outstanding at the time keep the deadline they were sent under.
 func (i *Initiator) SetRecovery(rec InitiatorRecovery) error {
 	if err := rec.Validate(); err != nil {
 		return err
@@ -299,14 +312,16 @@ func (i *Initiator) NumSectors() uint64 { return i.tgt.bdev.NumSectors() }
 func (i *Initiator) SubmitBio(p *sim.Proc, th *sim.Thread, b *blockdev.Bio) {
 	th.Exec(p, i.PerCmd)
 	i.Sent++
-	pe := &ofPending{op: b.Op, sector: b.Sector, nsect: b.NSect, dst: b.Data, done: b.OnDone, size: capsuleHeader}
+	i.pendSeq++
+	pe := &ofPending{id: i.pendSeq, op: b.Op, sector: b.Sector, nsect: b.NSect, dst: b.Data, done: b.OnDone, size: capsuleHeader}
 	if b.Op == blockdev.BioWrite {
 		// In-capsule data (RDMA write); copy because the caller may reuse
 		// its buffer after completion.
-		pe.payload = append([]byte(nil), b.Data...)
+		pe.payload = i.bufs.Get(len(b.Data))
+		copy(pe.payload, b.Data)
 		pe.size += len(pe.payload)
 	} else if b.Op == blockdev.BioRead {
-		pe.payload = make([]byte, len(b.Data))
+		pe.payload = i.bufs.Get(len(b.Data))
 	}
 	i.pend = append(i.pend, pe)
 	i.send(pe)
@@ -331,13 +346,22 @@ func (i *Initiator) send(pe *ofPending) {
 		})
 		i.tgt.wake.Signal(nil)
 	})
+	// The deadline is queued by (id, attempt), never as a closure over pe:
+	// a timer that can reach pe keeps the payload alive for the whole
+	// Timeout after the command finished.
 	if i.rec.Timeout > 0 {
-		i.env.After(i.rec.Timeout, func() {
-			if !pe.fin && pe.attempt == attempt {
-				i.onTimeout(pe)
-			}
-		})
+		i.deadlines.Add(pe.id, uint32(attempt), i.env.Now().Add(i.rec.Timeout))
 	}
+}
+
+// awaited returns the pending command id if its current attempt is the
+// given one, nil if it finished or was resent since.
+func (i *Initiator) awaited(id, attempt uint32) *ofPending {
+	n, ok := slices.BinarySearchFunc(i.pend, id, func(pe *ofPending, id uint32) int { return cmp.Compare(pe.id, id) })
+	if !ok || uint32(i.pend[n].attempt) != attempt {
+		return nil
+	}
+	return i.pend[n]
 }
 
 // complete finishes pe on a response for the given attempt. Responses for
@@ -349,6 +373,13 @@ func (i *Initiator) complete(pe *ofPending, attempt int, st nvme.Status, rdata [
 		return
 	}
 	i.finish(pe, st, rdata)
+	if pe.attempt == 1 {
+		// The one capsule that ever carried the payload has been answered,
+		// so the target is done with it. After a resend an earlier
+		// attempt's capsule may still sit in the fabric or the target's
+		// queue: that payload is left to the garbage collector.
+		i.bufs.Put(pe.payload)
+	}
 }
 
 func (i *Initiator) finish(pe *ofPending, st nvme.Status, rdata []byte) {
@@ -371,7 +402,7 @@ func (i *Initiator) finish(pe *ofPending, st nvme.Status, rdata []byte) {
 func (i *Initiator) unqueue(pe *ofPending) {
 	for n, q := range i.pend {
 		if q == pe {
-			i.pend = append(i.pend[:n], i.pend[n+1:]...)
+			i.pend = slices.Delete(i.pend, n, n+1)
 			return
 		}
 	}

@@ -13,19 +13,20 @@ type waitTok struct {
 	val      any  // optional payload handed over by Signal
 }
 
-// enqueue appends tok to a head-indexed waiter list (entries before *head
-// are consumed). A list that never drains — a saturated resource always has
-// someone waiting — must not keep its consumed prefix forever: when the
-// storage is full and at least half of it is consumed, the live entries
-// slide to the front instead of the storage growing, so it stays within
-// twice the deepest backlog at amortized constant cost.
-func enqueue(q []*waitTok, head *int, tok *waitTok) []*waitTok {
+// enqueue appends v to a head-indexed list (entries before *head are
+// consumed): the waiter lists and the deadline queue. A list that never
+// drains — a saturated resource always has someone waiting — must not keep
+// its consumed prefix forever: when the storage is full and at least half of
+// it is consumed, the live entries slide to the front instead of the storage
+// growing, so it stays within twice the deepest backlog at amortized
+// constant cost.
+func enqueue[T any](q []T, head *int, v T) []T {
 	if h := *head; h > 0 && len(q) == cap(q) && h >= len(q)/2 {
 		n := copy(q, q[h:])
 		clear(q[n:])
 		q, *head = q[:n], 0
 	}
-	return append(q, tok)
+	return append(q, v)
 }
 
 // Cond is a FIFO condition variable for simulated processes. Unlike

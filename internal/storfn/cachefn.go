@@ -205,7 +205,7 @@ func (c *Cacher) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme
 	start := c.env.Now()
 	switch req.Cmd.Opcode() {
 	case nvme.OpRead:
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if c.cache.Read(lba, blocks, buf) {
 			if c.Guard == nil || c.Guard.Verify(lba, buf) {
 				th.Exec(p, c.copyCost(n))
@@ -248,7 +248,7 @@ func (c *Cacher) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme
 		})
 		return true, 0
 	case nvme.OpWrite:
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if err := req.ReadData(buf); err != nil {
 			return false, nvme.SCDataXferError
 		}
@@ -321,7 +321,7 @@ func (c *CachedReplicator) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (
 	n := int(req.NBytes())
 	switch req.Cmd.Opcode() {
 	case nvme.OpRead:
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if c.Cache.Read(lba, blocks, buf) {
 			if c.Guard == nil || c.Guard.Verify(lba, buf) {
 				th.Exec(p, c.copyCost(n))
@@ -364,7 +364,7 @@ func (c *CachedReplicator) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (
 		})
 		return true, 0
 	case nvme.OpWrite:
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if err := req.ReadData(buf); err != nil {
 			return false, nvme.SCDataXferError
 		}

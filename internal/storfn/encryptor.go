@@ -21,8 +21,8 @@ func DefaultEncryptorCosts() EncryptorCosts {
 
 // Encryptor is the transparent-encryption UIF (paper Listing 2): reads are
 // decrypted in place after the device fills the guest buffer with
-// ciphertext; writes are encrypted into a temporary buffer and persisted
-// by the UIF itself through io_uring. The XTS format matches dm-crypt with
+// ciphertext; writes are encrypted in a request buffer and persisted by the
+// UIF itself through io_uring. The XTS format matches dm-crypt with
 // plain64 sector tweaks.
 type Encryptor struct {
 	cipher *xts.Cipher
@@ -55,7 +55,7 @@ func (e *Encryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, n
 	case nvme.OpRead:
 		// do_read: iterate the data blocks and decrypt in place.
 		n := int(req.NBytes())
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if err := req.ReadData(buf); err != nil {
 			return false, nvme.SCDataXferError
 		}
@@ -69,20 +69,20 @@ func (e *Encryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, n
 		e.Reads++
 		return false, nvme.SCSuccess
 	case nvme.OpWrite:
-		// do_write_async: encrypt into a temporary buffer, then write the
-		// ciphertext to disk with io_uring; respond when the write lands.
+		// do_write_async: encrypt the copy pulled from the guest in place,
+		// then write the ciphertext to disk with io_uring; respond when the
+		// write lands.
 		n := int(req.NBytes())
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if err := req.ReadData(buf); err != nil {
 			return false, nvme.SCDataXferError
 		}
 		th.Exec(p, e.cryptCost(n)+e.copyCost(n))
-		ct := make([]byte, n)
-		if err := e.cipher.EncryptBlocks(ct, buf, req.Sector(), 512); err != nil {
+		if err := e.cipher.EncryptBlocks(buf, buf, req.Sector(), 512); err != nil {
 			return false, nvme.SCInternal
 		}
 		e.Writes++
-		req.SubmitBackendWrite(p, th, ct)
+		req.SubmitBackendWrite(p, th, buf)
 		return true, 0
 	default:
 		// The classifier only routes reads and writes here.
@@ -116,7 +116,7 @@ func (e *SGXEncryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool
 	switch req.Cmd.Opcode() {
 	case nvme.OpRead:
 		n := int(req.NBytes())
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if err := req.ReadData(buf); err != nil {
 			return false, nvme.SCDataXferError
 		}
@@ -137,14 +137,13 @@ func (e *SGXEncryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool
 		return true, 0
 	case nvme.OpWrite:
 		n := int(req.NBytes())
-		buf := make([]byte, n)
+		buf := req.Buffer(n)
 		if err := req.ReadData(buf); err != nil {
 			return false, nvme.SCDataXferError
 		}
 		th.Exec(p, e.copyCost(n))
-		ct := make([]byte, n)
 		e.enclave.SubmitSwitchless(p, th, &sgx.Job{
-			Op: sgx.OpEncrypt, Dst: ct, Src: buf, Sector: req.Sector(), SectorSize: 512,
+			Op: sgx.OpEncrypt, Dst: buf, Src: buf, Sector: req.Sector(), SectorSize: 512,
 			Done: func(err error) {
 				if err != nil {
 					req.CompleteAsync(nvme.SCInternal)
@@ -153,7 +152,7 @@ func (e *SGXEncryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool
 				e.Writes++
 				// Hop back onto a UIF polling thread for the io_uring write.
 				req.Attachment().Defer(func(p *sim.Proc, th *sim.Thread) {
-					req.SubmitBackendWrite(p, th, ct)
+					req.SubmitBackendWrite(p, th, buf)
 				})
 			},
 		})

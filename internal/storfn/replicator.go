@@ -58,7 +58,7 @@ func (r *Replicator) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, 
 		return false, nvme.SCInvalidOpcode
 	}
 	n := int(req.NBytes())
-	buf := make([]byte, n)
+	buf := req.Buffer(n)
 	if err := req.ReadData(buf); err != nil {
 		return false, nvme.SCDataXferError
 	}

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"nvmetro/internal/blockdev"
+	"nvmetro/internal/bufpool"
 	"nvmetro/internal/core"
 	"nvmetro/internal/fault"
 	"nvmetro/internal/nvme"
@@ -56,6 +57,9 @@ type Request struct {
 	att *Attachment
 
 	segs []nvme.Segment
+
+	bufs   [][]byte // handed out by Buffer, taken back when the completion is posted
+	bufArr [2][]byte
 }
 
 // AttState is the liveness state of one attachment's servicing.
@@ -96,6 +100,7 @@ type Attachment struct {
 	pendingRing map[uint64]ringWait
 	deferred    []func(p *sim.Proc, th *sim.Thread)
 	backlog     []backendIO
+	bufs        bufpool.Pool // request payload buffers (Request.Buffer)
 
 	inj          *fault.Injector
 	state        AttState
@@ -110,7 +115,7 @@ type Attachment struct {
 }
 
 type ringWait struct {
-	tag     uint16
+	req     *Request // the guest request waiting, nil for host-side backend I/O
 	andThen func(p *sim.Proc, th *sim.Thread, st nvme.Status)
 	// failable marks host-side backend waits (SubmitBackendIO): their
 	// andThen tolerates running with nil p/th, so Kill can fail them
@@ -318,8 +323,8 @@ func (f *Framework) sweep(p *sim.Proc, th *sim.Thread, att *Attachment) bool {
 			delete(att.pendingRing, cqe.UserData)
 			if w.andThen != nil {
 				w.andThen(p, th, cqe.Status)
-			} else {
-				att.complete(p, th, w.tag, cqe.Status)
+			} else if w.req != nil {
+				att.complete(p, th, w.req, cqe.Status)
 			}
 			att.AsyncDone++
 			att.progress++
@@ -356,24 +361,44 @@ func (f *Framework) sweep(p *sim.Proc, th *sim.Thread, att *Attachment) bool {
 		req := &Request{Cmd: cmd, Tag: tag, att: att}
 		async, st := att.handler.Work(p, th, req)
 		if !async {
-			att.complete(p, th, tag, st)
+			att.complete(p, th, req, st)
 		}
 		did = true
 	}
 	return did
 }
 
-func (att *Attachment) complete(p *sim.Proc, th *sim.Thread, tag uint16, st nvme.Status) {
+// complete posts req's completion and takes its buffers back: that is the
+// one release point, so a handler has no release call to forget, and the
+// rule a handler must keep is that nothing it started still reads or writes
+// a request buffer once it completes the request.
+func (att *Attachment) complete(p *sim.Proc, th *sim.Thread, req *Request, st nvme.Status) {
 	if att.state == AttDead {
 		// A dead process posts nothing; the router's reconciliation owns
-		// the command.
+		// the command. Its buffers die with it: backend I/O it left in
+		// flight may still land in them.
 		return
 	}
 	th.Exec(p, att.f.costs.Complete)
-	if !att.nq.Complete(tag, st) {
+	if !att.nq.Complete(req.Tag, st) {
 		panic("uif: NCQ full")
 	}
+	for _, b := range req.bufs {
+		if poisonReleased {
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = 0xDB
+			}
+		}
+		att.bufs.Put(b)
+	}
+	req.bufs = nil
 }
+
+// poisonReleased makes complete overwrite (0xDB) every buffer it takes
+// back, so a late reader sees garbage, which the data checks of the tests
+// that switch it on catch. Set from _test.go only.
+var poisonReleased bool
 
 // State returns the attachment's liveness state.
 func (att *Attachment) State() AttState { return att.state }
@@ -516,6 +541,18 @@ func (r *Request) segments() ([]nvme.Segment, error) {
 	return r.segs, nil
 }
 
+// Buffer returns an n-byte buffer that belongs to the request: it comes from
+// the attachment's free list and goes back when the request's completion is
+// posted. Its contents are unspecified.
+func (r *Request) Buffer(n int) []byte {
+	if r.bufs == nil {
+		r.bufs = r.bufArr[:0]
+	}
+	b := r.att.bufs.Get(n)
+	r.bufs = append(r.bufs, b)
+	return b
+}
+
 // ReadData copies the request's data pages out of the VM into buf.
 func (r *Request) ReadData(buf []byte) error {
 	segs, err := r.segments()
@@ -538,7 +575,7 @@ func (r *Request) WriteData(buf []byte) error {
 // CompleteAsync finishes an async request from any simulation context.
 func (r *Request) CompleteAsync(st nvme.Status) {
 	r.att.Defer(func(p *sim.Proc, th *sim.Thread) {
-		r.att.complete(p, th, r.Tag, st)
+		r.att.complete(p, th, r, st)
 	})
 }
 
@@ -546,12 +583,12 @@ func (r *Request) CompleteAsync(st nvme.Status) {
 // via io_uring and completes the request with the write's status — the
 // paper's queue_writev path.
 func (r *Request) SubmitBackendWrite(p *sim.Proc, th *sim.Thread, data []byte) {
-	r.att.submitRing(p, th, blockdev.BioWrite, r.Sector(), data, ringWait{tag: r.Tag})
+	r.att.submitRing(p, th, blockdev.BioWrite, r.Sector(), data, ringWait{req: r})
 }
 
 // SubmitBackendWriteThen is SubmitBackendWrite with a custom continuation.
 func (r *Request) SubmitBackendWriteThen(p *sim.Proc, th *sim.Thread, data []byte, andThen func(p *sim.Proc, th *sim.Thread, st nvme.Status)) {
-	r.att.submitRing(p, th, blockdev.BioWrite, r.Sector(), data, ringWait{tag: r.Tag, andThen: andThen})
+	r.att.submitRing(p, th, blockdev.BioWrite, r.Sector(), data, ringWait{req: r, andThen: andThen})
 }
 
 // SubmitBackendReadThen reads the request's range from the backend into buf
@@ -559,5 +596,5 @@ func (r *Request) SubmitBackendWriteThen(p *sim.Proc, th *sim.Thread, data []byt
 // function's miss path, which must see the data before completing the guest
 // request so it can install the block into the host cache.
 func (r *Request) SubmitBackendReadThen(p *sim.Proc, th *sim.Thread, buf []byte, andThen func(p *sim.Proc, th *sim.Thread, st nvme.Status)) {
-	r.att.submitRing(p, th, blockdev.BioRead, r.Sector(), buf, ringWait{tag: r.Tag, andThen: andThen})
+	r.att.submitRing(p, th, blockdev.BioRead, r.Sector(), buf, ringWait{req: r, andThen: andThen})
 }

