@@ -60,7 +60,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt4K|BenchmarkDecrypt4K' -benchtime 1x -benchmem ./internal/xts/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/
-	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x ./internal/cow/
+	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x -benchmem ./internal/cow/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch|BenchmarkShardIdleTenants' -benchtime 1x ./internal/shard/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
@@ -100,11 +100,14 @@ chaos-smoke:
 	$(GO) test -race -run 'TestPoisoned' ./internal/uif/
 
 # scrub-smoke runs the end-to-end data-integrity suite under the race
-# detector: PI domain/corrupting-store unit tests and the short-seed
-# scrub experiment (detection, replica repair, quarantine, determinism,
-# QoS contract under active scrub).
+# detector: PI domain/corrupting-store unit tests, the router's guard
+# boundary (corrupt reads over every PRP shape, the reused staging buffer,
+# no garbage per guarded hop) with the PRP walk it stages through, and the
+# short-seed scrub experiment (detection, replica repair, quarantine,
+# determinism, QoS contract under active scrub).
 scrub-smoke:
 	$(GO) test -race ./internal/integrity/
+	$(GO) test -race -run 'TestGuardRejectsCorruptRead|TestGuardStagingReuse|TestGuardedHopAllocs|TestAppendPRP' ./internal/core/ ./internal/nvme/
 	$(GO) test -race -run 'TestScrub' ./internal/harness/
 
 # confine-smoke runs the tenant-isolation property under the race detector:
@@ -124,9 +127,11 @@ scale-smoke:
 	$(GO) test -race -run 'TestScale' ./internal/harness/
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
-# the cow layer's model-based and property tests, the stack-level clone
-# round trip through the router fast path, and the small-fleet boot-storm
-# experiment (shared-vs-flat table, clone-cost flatness, determinism).
+# the cow layer's model-based and property tests (page-granular private
+# chunks and their break source across a cache eviction included), the
+# stack-level clone round trip through the router fast path, and the
+# small-fleet boot-storm experiment (shared-vs-flat table, clone-cost
+# flatness, determinism).
 bootstorm-smoke:
 	$(GO) test -race ./internal/cow/
 	$(GO) test -race -run 'TestClone' ./internal/stack/

@@ -281,6 +281,7 @@ type settledRange struct {
 // imports core — so the dependency is inverted through this interface.
 type BlockGuard interface {
 	Stamp(lba uint64, data []byte)
+	StampZeroes(lba, blocks uint64)
 	Verify(lba uint64, data []byte) bool
 	Quarantined(lba, blocks uint64) bool
 }
@@ -642,20 +643,15 @@ func (w *worker) guardAdmit(req *request) bool {
 		}
 		vc.guardReads = append(vc.guardReads, req)
 	case nvme.OpWrite:
-		nbytes := uint32(blocks) << vc.guardShift
-		segs, err := nvme.WalkPRP(vc.vm.Mem, req.cmd.PRP1(), req.cmd.PRP2(), nbytes)
-		if err != nil {
+		buf, ok := w.stage(req)
+		if !ok {
 			return true // unmappable payload: the data path reports it
-		}
-		buf := make([]byte, nbytes)
-		if err := nvme.ReadSegments(vc.vm.Mem, segs, buf); err != nil {
-			return true
 		}
 		vc.guard.Stamp(lba, buf)
 		req.stamped = true
 		vc.activeWrites = append(vc.activeWrites, req)
 	case nvme.OpWriteZeroes:
-		vc.guard.Stamp(lba, make([]byte, blocks<<vc.guardShift))
+		vc.guard.StampZeroes(lba, blocks)
 		req.stamped = true
 		vc.activeWrites = append(vc.activeWrites, req)
 	}
@@ -744,13 +740,8 @@ func (w *worker) verifyGuestRead(req *request) nvme.Status {
 	if vc.writeInFlight(lba, blocks) {
 		return nvme.SCSuccess
 	}
-	nbytes := uint32(blocks) << vc.guardShift
-	segs, err := nvme.WalkPRP(vc.vm.Mem, req.cmd.PRP1(), req.cmd.PRP2(), nbytes)
-	if err != nil {
-		return nvme.SCSuccess
-	}
-	buf := make([]byte, nbytes)
-	if err := nvme.ReadSegments(vc.vm.Mem, segs, buf); err != nil {
+	buf, ok := w.stage(req)
+	if !ok {
 		return nvme.SCSuccess
 	}
 	if !vc.guard.Verify(lba, buf) {
@@ -758,6 +749,27 @@ func (w *worker) verifyGuestRead(req *request) nvme.Status {
 		return nvme.SCGuardCheck
 	}
 	return nvme.SCSuccess
+}
+
+// stage copies a guarded command's payload out of guest memory into the
+// worker's staging buffer, which the next stage overwrites: a guard stamps or
+// verifies it on the spot and keeps nothing. The PRPs are walked before the
+// buffer grows, so only a transfer the walk accepted sizes it — at most
+// maxPRPList list entries, about 2 MiB per worker whatever length the guest
+// claims. ok is false when the payload is unmappable.
+func (w *worker) stage(req *request) (buf []byte, ok bool) {
+	mem := req.vq.vc.vm.Mem
+	nbytes := uint32(req.cmd.Blocks()) << req.vq.vc.guardShift
+	segs, err := nvme.AppendPRP(w.segs[:0], &w.entry, mem, req.cmd.PRP1(), req.cmd.PRP2(), nbytes)
+	w.segs = segs
+	if err != nil {
+		return nil, false
+	}
+	if cap(w.staging) < int(nbytes) {
+		w.staging = make([]byte, nbytes)
+	}
+	buf = w.staging[:nbytes]
+	return buf, nvme.ReadSegments(mem, segs, buf) == nil
 }
 
 // finishHop handles completion of one routed hop.

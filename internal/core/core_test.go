@@ -383,6 +383,7 @@ func TestRestrictRejectsUntranslatedOOB(t *testing.T) {
 type recordingGuard struct{ stamped []uint64 }
 
 func (g *recordingGuard) Stamp(lba uint64, _ []byte)   { g.stamped = append(g.stamped, lba) }
+func (g *recordingGuard) StampZeroes(lba, _ uint64)    { g.stamped = append(g.stamped, lba) }
 func (g *recordingGuard) Verify(uint64, []byte) bool   { return true }
 func (g *recordingGuard) Quarantined(_, _ uint64) bool { return false }
 

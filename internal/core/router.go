@@ -204,6 +204,11 @@ type worker struct {
 	// created or removed — and cleared when a gather starts: idle rounds may
 	// not be spun across it (see look).
 	rewired bool
+
+	// Guard staging (see stage), reused from one guarded command to the next.
+	segs    []nvme.Segment
+	entry   [8]byte
+	staging []byte
 }
 
 // hint wakes the worker if it parked itself due to inactivity.

@@ -63,3 +63,23 @@ func BenchmarkCowWriteBreak(b *testing.B) {
 	b.StopTimer()
 	c.Close()
 }
+
+// BenchmarkCowReadPrivate measures a 4 KiB read out of chunks a boot write
+// broke private one page at a time: one read in eight takes the written page,
+// the rest the unwritten pages' sealed source.
+func BenchmarkCowReadPrivate(b *testing.B) {
+	g := benchGolden(8192, 128)
+	const chunks = 8192 / 64
+	c := g.Clone()
+	defer c.Close()
+	buf := make([]byte, 4096)
+	for cn := uint64(0); cn < chunks; cn++ {
+		c.WriteBlocks(cn*64+8*(cn%8), buf)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ReadBlocks(uint64(i%chunks)*64+8*uint64(i/chunks%8), buf)
+	}
+}

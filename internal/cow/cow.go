@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"nvmetro/internal/cache"
+	"nvmetro/internal/guestmem"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/storfn"
 )
@@ -51,6 +52,15 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) chunkBytes() int { return int(c.ChunkBlocks) * int(c.BlockSize) }
+
+// pageBytes is the granule a private chunk is held in: a guest page, or the
+// whole chunk when pages do not tile it.
+func (c Config) pageBytes() int {
+	if c.chunkBytes()%guestmem.PageSize != 0 {
+		return c.chunkBytes()
+	}
+	return guestmem.PageSize
+}
 
 // idxEnt is one deduplicated chunk.
 type idxEnt struct {
@@ -157,17 +167,21 @@ func (ix *Index) release(key uint64) {
 // bytes are read-only and stay what they are for as long as the caller's
 // layer holds its reference — a chunk is content-addressed, never rewritten
 // in place, and an evicted cache line is dropped, not recycled — so a reader
-// takes the part it wants and nothing is staged.
-func (ix *Index) view(key uint64) []byte {
+// takes the part it wants and nothing is staged. With own set the cache sees
+// the same access but the index's own bytes come back even on a hit: what a
+// CoW break keeps as its source, which the index holds anyway while the chain
+// references the chunk, where a kept cache line would outlive its eviction.
+func (ix *Index) view(key uint64, own bool) []byte {
+	var line []byte
 	if ix.cache != nil {
-		if data := ix.cache.View(key); data != nil {
-			return data
+		if line = ix.cache.View(key); line != nil && !own {
+			return line
 		}
 	}
 	ix.mu.Lock()
 	data := ix.chunks[key].data
 	ix.mu.Unlock()
-	if ix.cache != nil {
+	if ix.cache != nil && line == nil {
 		ix.cache.CommitFill(ix.cache.BeginFill(key, 1), data)
 	}
 	return data
@@ -261,23 +275,76 @@ func sealCRC(entries map[uint64]layerEnt) uint32 {
 	return crc.Sum32()
 }
 
+// private is a chunk broken off the shared chain (or first written in fresh
+// space), held one page at a time: a write allocates and fills only the pages
+// it touches, and a page not yet written still reads from src — the chunk's
+// content at the break, the index's own bytes (Index.view), or nil for
+// zeros. A chunk broken over a Backing has every page filled at the break
+// instead: unlike sealed chunks, a backing store's bytes may change under it.
+type private struct {
+	src   []byte
+	pages [][]byte
+}
+
+// read copies the chunk's bytes from off on into dst; ps is the page size.
+func (p *private) read(off int, dst []byte, ps int) {
+	for len(dst) > 0 {
+		po := off % ps
+		n := min(len(dst), ps-po)
+		switch pg := p.pages[off/ps]; {
+		case pg != nil:
+			copy(dst[:n], pg[po:])
+		case p.src != nil:
+			copy(dst[:n], p.src[off:])
+		default:
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+n
+	}
+}
+
+// write overwrites n bytes from off with data, or with zeros when data is
+// nil. Only the pages it touches are allocated, and one it covers in part is
+// filled with its current content first (read-modify-write per page).
+func (p *private) write(off, n int, data []byte, ps int) {
+	for n > 0 {
+		i, po := off/ps, off%ps
+		k := min(n, ps-po)
+		pg := p.pages[i]
+		if pg == nil {
+			pg = make([]byte, ps)
+			if k < ps && p.src != nil {
+				copy(pg, p.src[i*ps:])
+			}
+			p.pages[i] = pg
+		}
+		if data == nil {
+			clear(pg[po : po+k])
+		} else {
+			copy(pg[po:], data[:k])
+			data = data[k:]
+		}
+		off, n = off+k, n-k
+	}
+}
+
 // Store is a writable copy-on-write view over a layer chain, implementing
 // device.Store behind a namespace. Reads resolve top-down: private dirty
 // chunks, then sealed layers newest-first, then the backing store (nil
-// means zeros). The first write into a shared chunk materializes it
-// private — a CoW break — and records the extent in a DirtyRegions set, so
-// divergence from the golden image is enumerable exactly like a degraded
-// mirror's backlog.
+// means zeros). The first write into a shared chunk breaks it private — a
+// CoW break — and records the extent in a DirtyRegions set, so divergence
+// from the golden image is enumerable exactly like a degraded mirror's
+// backlog.
 type Store struct {
 	cfg    Config
 	idx    *Index
 	base   Backing // fall-through below the chain; nil reads zeros
 	blocks uint64
 
-	chain    []*Layer          // bottom .. top, all sealed
-	shared   int               // chain[:shared] was inherited at clone time
-	mut      map[uint64][]byte // private dirty chunks
-	mutWhite map[uint64]bool   // private whiteouts (trimmed chunks)
+	chain    []*Layer            // bottom .. top, all sealed
+	shared   int                 // chain[:shared] was inherited at clone time
+	mut      map[uint64]*private // private dirty chunks
+	mutWhite map[uint64]bool     // private whiteouts (trimmed chunks)
 	broken   storfn.DirtyRegions
 
 	nextSeq *uint64 // layer sequence counter, shared within the domain
@@ -301,7 +368,7 @@ func NewStore(idx *Index, blocks uint64, base Backing) *Store {
 		idx:      idx,
 		base:     base,
 		blocks:   blocks,
-		mut:      make(map[uint64][]byte),
+		mut:      make(map[uint64]*private),
 		mutWhite: make(map[uint64]bool),
 		nextSeq:  &seq,
 	}
@@ -322,22 +389,30 @@ func (s *Store) Dirty() bool { return len(s.mut) > 0 || len(s.mutWhite) > 0 }
 // BrokenBlocks returns the total CoW-broken block count.
 func (s *Store) BrokenBlocks() uint64 { return s.broken.Blocks() }
 
+// top returns the chunk's mapping in the newest sealed layer that has one.
+func (s *Store) top(cn uint64) (layerEnt, bool) {
+	for i := len(s.chain) - 1; i >= 0; i-- {
+		if e, ok := s.chain[i].entries[cn]; ok {
+			return e, true
+		}
+	}
+	return layerEnt{}, false
+}
+
 // resolveShared copies the chunk's sealed/base content from byte off on into
 // dst (whole blocks, within the chunk), returning true when any layer or the
 // base supplied bytes and false when the chunk is logically zero. It never
 // consults private state. A sealed chunk is read in place — only the bytes
 // asked for move — and counts as one chunk read whatever part is taken.
 func (s *Store) resolveShared(cn, off uint64, dst []byte) bool {
-	for i := len(s.chain) - 1; i >= 0; i-- {
-		if e, ok := s.chain[i].entries[cn]; ok {
-			if e.white {
-				clear(dst)
-				return false
-			}
-			copy(dst, s.idx.view(e.hash)[off:])
-			s.SharedReads++
-			return true
+	if e, ok := s.top(cn); ok {
+		if e.white {
+			clear(dst)
+			return false
 		}
+		copy(dst, s.idx.view(e.hash, false)[off:])
+		s.SharedReads++
+		return true
 	}
 	if s.base != nil {
 		bs := uint64(s.cfg.BlockSize)
@@ -359,8 +434,8 @@ func (s *Store) resolveShared(cn, off uint64, dst []byte) bool {
 // readChunk copies the chunk's current logical content from byte off on into
 // dst.
 func (s *Store) readChunk(cn, off uint64, dst []byte) {
-	if c := s.mut[cn]; c != nil {
-		copy(dst, c[off:])
+	if p := s.mut[cn]; p != nil {
+		p.read(int(off), dst, s.cfg.pageBytes())
 		s.PrivateReads++
 		return
 	}
@@ -378,35 +453,43 @@ func (s *Store) readChunk(cn, off uint64, dst []byte) {
 // content for the chunk (the condition under which making it private is a
 // CoW break rather than a write into fresh space).
 func (s *Store) sharedHas(cn uint64) bool {
-	for i := len(s.chain) - 1; i >= 0; i-- {
-		if e, ok := s.chain[i].entries[cn]; ok {
-			return !e.white
-		}
+	if e, ok := s.top(cn); ok {
+		return !e.white
 	}
 	return s.base != nil
 }
 
-// materialize returns the chunk's private buffer, breaking it off the
-// shared chain on first touch. When fill is true the existing content is
-// copied in (read-modify-write); a caller about to overwrite the whole
-// chunk passes false and saves the copy.
-func (s *Store) materialize(cn uint64, fill bool) []byte {
-	if c := s.mut[cn]; c != nil {
-		return c
+// materialize returns the chunk's private record, breaking it off the shared
+// chain on first touch. When fill is true the break reads the shared content
+// for a read-modify-write — once, as one chunk read: a sealed chunk becomes
+// the record's source, a backing store's chunk is copied into every page. A
+// caller about to overwrite the whole chunk passes false and saves the read.
+func (s *Store) materialize(cn uint64, fill bool) *private {
+	if p := s.mut[cn]; p != nil {
+		return p
 	}
-	c := make([]byte, s.cfg.chunkBytes())
-	wasWhite := s.mutWhite[cn]
-	if !wasWhite && s.sharedHas(cn) {
+	ps := s.cfg.pageBytes()
+	p := &private{pages: make([][]byte, s.cfg.chunkBytes()/ps)}
+	if !s.mutWhite[cn] && s.sharedHas(cn) {
 		s.CowBreaks++
 		if fill {
-			s.resolveShared(cn, 0, c)
 			s.ChunkCopies++
+			if e, ok := s.top(cn); ok {
+				p.src = s.idx.view(e.hash, true)
+				s.SharedReads++
+			} else {
+				flat := make([]byte, s.cfg.chunkBytes())
+				s.resolveShared(cn, 0, flat)
+				for i := range p.pages {
+					p.pages[i] = flat[i*ps : (i+1)*ps : (i+1)*ps]
+				}
+			}
 		}
 	}
 	delete(s.mutWhite, cn)
-	s.mut[cn] = c
+	s.mut[cn] = p
 	s.broken.Add(cn*uint64(s.cfg.ChunkBlocks), uint64(s.cfg.ChunkBlocks))
-	return c
+	return p
 }
 
 // ReadBlocks implements device.Store.
@@ -435,8 +518,7 @@ func (s *Store) WriteBlocks(lba uint64, buf []byte) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		c := s.materialize(cn, off != 0 || n != s.cfg.chunkBytes())
-		copy(c[off:], buf[:n])
+		s.materialize(cn, off != 0 || n != s.cfg.chunkBytes()).write(int(off), n, buf[:n], s.cfg.pageBytes())
 		buf = buf[n:]
 		lba += uint64(n) / bs
 	}
@@ -444,7 +526,7 @@ func (s *Store) WriteBlocks(lba uint64, buf []byte) {
 
 // TrimBlocks implements device.Store. Wholly covered chunks become private
 // whiteouts (dropping any private buffer and shadowing sealed content);
-// partially covered chunks are materialized and zeroed.
+// partially covered chunks are broken private and the range zeroed.
 func (s *Store) TrimBlocks(lba uint64, blocks uint32) {
 	cb := uint64(s.cfg.ChunkBlocks)
 	bs := uint64(s.cfg.BlockSize)
@@ -463,8 +545,7 @@ func (s *Store) TrimBlocks(lba uint64, blocks uint32) {
 			s.mutWhite[cn] = true
 			s.broken.Add(cn*cb, cb)
 		} else {
-			c := s.materialize(cn, true)
-			clear(c[off*bs : (off+n)*bs])
+			s.materialize(cn, true).write(int(off*bs), int(n*bs), nil, s.cfg.pageBytes())
 		}
 		lba += n
 	}
@@ -473,15 +554,18 @@ func (s *Store) TrimBlocks(lba uint64, blocks uint32) {
 // Snapshot seals the private dirty state into a new immutable layer and
 // appends it to the chain, returning the layer (nil when nothing was
 // dirty). Cost is O(dirty chunks), independent of image size: each dirty
-// chunk is interned once in the index (all-zero chunks become whiteouts,
-// preserving ContentCRC's zero-skip semantics and deduplicating trimmed
-// space for free) and the private maps are reset.
+// chunk is flattened into one buffer and interned once in the index
+// (all-zero chunks become whiteouts, preserving ContentCRC's zero-skip
+// semantics and deduplicating trimmed space for free) and the private maps
+// are reset.
 func (s *Store) Snapshot() *Layer {
 	if !s.Dirty() {
 		return nil
 	}
 	entries := make(map[uint64]layerEnt, len(s.mut)+len(s.mutWhite))
-	for cn, c := range s.mut {
+	for cn, p := range s.mut {
+		c := make([]byte, s.cfg.chunkBytes())
+		p.read(0, c, s.cfg.pageBytes())
 		if allZero(c) {
 			entries[cn] = layerEnt{white: true}
 			continue
@@ -494,7 +578,7 @@ func (s *Store) Snapshot() *Layer {
 	(*s.nextSeq)++
 	l := &Layer{seq: *s.nextSeq, entries: entries, crc: sealCRC(entries), refs: 1}
 	s.chain = append(s.chain, l)
-	s.mut = make(map[uint64][]byte)
+	s.mut = make(map[uint64]*private)
 	s.mutWhite = make(map[uint64]bool)
 	s.broken = storfn.DirtyRegions{}
 	return l
@@ -518,7 +602,7 @@ func (s *Store) Clone() *Store {
 		blocks:   s.blocks,
 		chain:    append([]*Layer(nil), s.chain...),
 		shared:   len(s.chain),
-		mut:      make(map[uint64][]byte),
+		mut:      make(map[uint64]*private),
 		mutWhite: make(map[uint64]bool),
 		nextSeq:  s.nextSeq,
 	}
@@ -545,7 +629,7 @@ func (s *Store) Close() {
 		}
 	}
 	s.chain = nil
-	s.mut = make(map[uint64][]byte)
+	s.mut = make(map[uint64]*private)
 	s.mutWhite = make(map[uint64]bool)
 }
 
@@ -609,12 +693,17 @@ func (s *Store) DivergenceCRC() uint32 {
 		cns = append(cns, cn)
 	}
 	sort.Slice(cns, func(i, j int) bool { return cns[i] < cns[j] })
+	var flat []byte
 	for _, cn := range cns {
 		binary.LittleEndian.PutUint64(buf[0:], cn)
-		if c := s.mut[cn]; c != nil {
+		if p := s.mut[cn]; p != nil {
+			if flat == nil {
+				flat = make([]byte, s.cfg.chunkBytes())
+			}
+			p.read(0, flat, s.cfg.pageBytes())
 			buf[16] = 0
 			crc.Write(buf[:17])
-			crc.Write(c)
+			crc.Write(flat)
 		} else {
 			buf[16] = 1
 			crc.Write(buf[:17])

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nvmetro/internal/device"
+	"nvmetro/internal/metrics"
 )
 
 // oracle pairs a cow.Store with a MemStore receiving the same operations;
@@ -50,6 +51,33 @@ func fill(rng *rand.Rand, n int) []byte {
 	return b
 }
 
+// pageWrite is the write a private chunk is held for: one whole 4 KiB page,
+// page aligned, or (sub) a few blocks inside one page. It returns the lba.
+func (o *oracle) pageWrite(rng *rand.Rand, blocks int, sub bool) uint64 {
+	lba := uint64(rng.Intn(blocks/8)) * 8
+	n := 8
+	if sub {
+		n = 1 + rng.Intn(7)
+		lba += uint64(rng.Intn(8 - n + 1))
+	}
+	o.write(lba, fill(rng, n*512))
+	return lba
+}
+
+// privateBytes is what the store's private chunks hold of their own: every
+// page buffer plus each record's header (the record and its page table).
+func (s *Store) privateBytes() int {
+	const sliceHeader = 24
+	n := 0
+	for _, p := range s.mut {
+		n += 2*sliceHeader + len(p.pages)*sliceHeader
+		for _, pg := range p.pages {
+			n += cap(pg)
+		}
+	}
+	return n
+}
+
 // TestCowOracle drives random writes, trims, snapshots and clones against
 // a MemStore oracle: every read and every ContentCRC must match, on the
 // original store and across snapshot boundaries.
@@ -60,11 +88,16 @@ func TestCowOracle(t *testing.T) {
 	for i := 0; i < 800; i++ {
 		lba := uint64(rng.Intn(blocks - 130))
 		n := 1 + rng.Intn(130) // spans chunk boundaries (chunk = 64 blocks)
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0:
 			o.trim(lba, uint32(n))
 		case 1:
 			o.cow.Snapshot()
+		case 3, 4:
+			// Page-granular private chunks: whole aligned pages and writes
+			// inside one page, so chunks stay partly private across the
+			// snapshots and clones around them.
+			lba = o.pageWrite(rng, blocks-130, rng.Intn(2) == 0)
 		case 2:
 			// Clone-and-continue: the clone must read identically, and
 			// abandoning it must not disturb the parent.
@@ -104,11 +137,13 @@ func TestCowOracleWithCache(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		lba := uint64(rng.Intn(blocks - 130))
 		n := 1 + rng.Intn(130)
-		switch rng.Intn(8) {
+		switch rng.Intn(10) {
 		case 0:
 			o.trim(lba, uint32(n))
 		case 1:
 			o.cow.Snapshot()
+		case 2, 3:
+			lba = o.pageWrite(rng, blocks-130, rng.Intn(2) == 0)
 		default:
 			o.write(lba, fill(rng, n*512))
 		}
@@ -394,10 +429,10 @@ func TestSealedChunkBytesNeverChange(t *testing.T) {
 	clone := golden.Clone()
 
 	key := layer.entries[0].hash
-	if ix.view(key); !ix.Cache().Contains(key, 1) {
+	if ix.view(key, false); !ix.Cache().Contains(key, 1) {
 		t.Fatal("a miss did not fill the shared cache")
 	}
-	held := ix.view(key) // the resident line itself
+	held := ix.view(key, false) // the resident line itself
 	want := crc32.ChecksumIEEE(img[:64*512])
 	if crc32.ChecksumIEEE(held) != want {
 		t.Fatal("view of chunk 0 does not hold chunk 0")
@@ -421,7 +456,7 @@ func TestSealedChunkBytesNeverChange(t *testing.T) {
 	if ix.Cache().Misses() != misses+1 || !bytes.Equal(got, img[9*512:10*512]) {
 		t.Fatalf("refill: %d misses (want %d), data ok=%v", ix.Cache().Misses(), misses+1, bytes.Equal(got, img[9*512:10*512]))
 	}
-	if crc32.ChecksumIEEE(held) != want || crc32.ChecksumIEEE(ix.view(key)) != want {
+	if crc32.ChecksumIEEE(held) != want || crc32.ChecksumIEEE(ix.view(key, false)) != want {
 		t.Fatal("chunk 0 reads differently across an eviction and refill")
 	}
 	clone.Close()
@@ -493,4 +528,104 @@ func TestLayerInfos(t *testing.T) {
 	}
 	c.Close()
 	g.Close()
+}
+
+// TestBreakHoldsOnlyTouchedPages: a 4 KiB boot write that breaks a 32 KiB
+// shared chunk keeps one page of its own, not the chunk — the rest still
+// reads from the sealed bytes — while the books count the break exactly as a
+// whole-chunk copy did. Snapshotting and cloning the partly private chunks
+// flattens them back to the same content.
+func TestBreakHoldsOnlyTouchedPages(t *testing.T) {
+	const chunks = 128
+	const header = 256 // a record and its page table, per chunk
+	rng := rand.New(rand.NewSource(21))
+	ix := NewIndex(Config{BlockSize: 512})
+	golden := NewStore(ix, chunks*64, nil)
+	mem := device.NewMemStore(512)
+	img := fill(rng, chunks*64*512)
+	golden.WriteBlocks(0, img)
+	mem.WriteBlocks(0, img)
+	golden.Snapshot()
+	o := &oracle{cow: golden.Clone(), mem: mem}
+	for cn := uint64(0); cn < chunks; cn++ {
+		o.write(cn*64+8*(cn%8), fill(rng, 4096)) // one page, a different one per chunk
+	}
+	if got, max := o.cow.privateBytes(), chunks*(4096+header); got > max {
+		t.Fatalf("%d one-page breaks hold %d private bytes, want <= %d (a whole chunk each would be %d)",
+			chunks, got, max, chunks*64*512)
+	}
+	if o.cow.CowBreaks != chunks || o.cow.ChunkCopies != chunks || o.cow.SharedReads != chunks {
+		t.Fatalf("breaks %d, copies %d, shared reads %d; want %d of each",
+			o.cow.CowBreaks, o.cow.ChunkCopies, o.cow.SharedReads, chunks)
+	}
+	o.check(t, 0, chunks*64)
+	div := o.cow.DivergenceCRC()
+	if div == 0 {
+		t.Fatal("partly private clone reports no divergence")
+	}
+	c := o.cow.Clone() // seals the partly private chunks
+	if c.ContentCRC() != mem.ContentCRC() || o.cow.ContentCRC() != mem.ContentCRC() {
+		t.Fatal("sealing partly private chunks changed their content")
+	}
+	c.Close()
+	o.cow.Close()
+	golden.Close()
+}
+
+// TestBreakSourceOutlivesEviction: a break takes its source from the index,
+// not the cache line, in the one cache access a read-modify-write break has
+// always made (a miss that fills cold, a hit resident). The unwritten pages
+// then read right after the line is evicted, without touching the cache.
+func TestBreakSourceOutlivesEviction(t *testing.T) {
+	const chunks = 64
+	rng := rand.New(rand.NewSource(23))
+	ix := NewIndex(Config{BlockSize: 512, CacheChunks: 8}) // one line per cache shard
+	golden := NewStore(ix, chunks*64, nil)
+	mem := device.NewMemStore(512)
+	img := fill(rng, chunks*64*512)
+	golden.WriteBlocks(0, img)
+	mem.WriteBlocks(0, img)
+	layer := golden.Snapshot()
+	o := &oracle{cow: golden.Clone(), mem: mem}
+	cache := ix.Cache()
+
+	key := layer.entries[0].hash
+	h, m := cache.Hits(), cache.Misses()
+	o.write(16, fill(rng, 4096)) // cold break of chunk 0: a miss that fills
+	if cache.Hits() != h || cache.Misses() != m+1 || !cache.Contains(key, 1) {
+		t.Fatalf("cold break: %d hits, %d misses, resident %v; want one miss that fills",
+			cache.Hits()-h, cache.Misses()-m, cache.Contains(key, 1))
+	}
+	o.check(t, 64, 8) // chunk 1 resident
+	h, m = cache.Hits(), cache.Misses()
+	o.write(64+3, fill(rng, 512)) // resident break of chunk 1: a hit
+	if cache.Hits() != h+1 || cache.Misses() != m {
+		t.Fatalf("resident break: %d hits, %d misses; want one hit", cache.Hits()-h, cache.Misses()-m)
+	}
+	if p := o.cow.mut[0]; &p.src[0] != &ix.chunks[key].data[0] {
+		t.Fatal("the break's source is not the index's own copy of the chunk")
+	}
+
+	// Push chunk 0's line out of its shard.
+	for cn := uint64(2); cn < chunks; cn++ {
+		o.check(t, cn*64+cn%64, 1)
+	}
+	if cache.Contains(key, 1) {
+		t.Fatal("chunk 0 was not evicted: the test needs a smaller cache")
+	}
+	var before, after metrics.CounterSet
+	ix.Collect(&before)
+	reads := o.cow.PrivateReads
+	o.check(t, 0, 64) // source pages and the private one
+	ix.Collect(&after)
+	for _, name := range before.Names() {
+		if before.Get(name) != after.Get(name) {
+			t.Fatalf("a private read moved %s: %d -> %d", name, before.Get(name), after.Get(name))
+		}
+	}
+	if o.cow.PrivateReads != reads+1 {
+		t.Fatalf("private read counted %d, want 1", o.cow.PrivateReads-reads)
+	}
+	o.cow.Close()
+	golden.Close()
 }

@@ -254,8 +254,9 @@ type cmdState struct {
 
 	status nvme.Status
 	ns     *Namespace
-	segs   []nvme.Segment
-	buf    []byte // write payload, grow-only: it outlives the bus and media legs
+	segs   []nvme.Segment // the command's PRP walk, appended into from one command to the next
+	entry  [8]byte        // PRP list entry scratch for the walk
+	buf    []byte         // write payload, grow-only: it outlives the bus and media legs
 }
 
 func (d *Device) getCmd(st *queueState, cmd *nvme.Command) *cmdState {
@@ -274,7 +275,7 @@ func (d *Device) getCmd(st *queueState, cmd *nvme.Command) *cmdState {
 }
 
 func (d *Device) putCmd(c *cmdState) {
-	c.st, c.ns, c.segs = nil, nil, nil
+	c.st, c.ns, c.segs = nil, nil, c.segs[:0]
 	d.free = append(d.free, c)
 }
 
@@ -359,7 +360,7 @@ func (c *cmdState) decode() {
 		nbytes := cmd.Blocks() << d.p.LBAShift
 		if op != nvme.OpWriteZeroes {
 			var err error
-			if c.segs, err = nvme.WalkPRP(c.st.mem, cmd.PRP1(), cmd.PRP2(), nbytes); err != nil {
+			if c.segs, err = nvme.AppendPRP(c.segs[:0], &c.entry, c.st.mem, cmd.PRP1(), cmd.PRP2(), nbytes); err != nil {
 				c.status = nvme.SCDataXferError
 				return
 			}

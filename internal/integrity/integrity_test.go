@@ -155,6 +155,42 @@ func TestGuardCounters(t *testing.T) {
 	}
 }
 
+// TestStampZeroesMatchesStampOfZeros: a Write Zeroes stamp leaves exactly the
+// PI records, Stamped counts and quarantine that stamping a materialised
+// zero buffer did, and costs no allocation even at the largest range a guest
+// can name (NLB 65536 at 512-byte blocks: the old path's 32 MiB buffer).
+func TestStampZeroesMatchesStampOfZeros(t *testing.T) {
+	const blockSize, blocks, lba = 512, 65536, 1000
+	oldD, _ := NewDomain(blockSize)
+	newD, _ := NewDomain(blockSize)
+	oldG, newG := oldD.Guard("guest"), newD.Guard("guest")
+	for _, g := range []*Guard{oldG, newG} {
+		g.Stamp(lba+5, fill(0x5a, 3*blockSize)) // earlier contents to supersede
+		g.d.Quarantine(lba+blocks-2, 4)         // straddles the range's end
+	}
+	oldG.Stamp(lba, make([]byte, blocks*blockSize))
+	newG.StampZeroes(lba, blocks)
+	if oldG.Stamped != newG.Stamped || oldD.Stamped() != newD.Stamped() {
+		t.Fatalf("Stamped %d/%d blocks, want %d/%d", newG.Stamped, newD.Stamped(), oldG.Stamped, oldD.Stamped())
+	}
+	for b := uint64(lba - 1); b <= lba+blocks+2; b++ {
+		want, wok := oldD.Record(b)
+		got, ok := newD.Record(b)
+		if got != want || ok != wok {
+			t.Fatalf("block %d: record %+v (%v), want %+v (%v)", b, got, ok, want, wok)
+		}
+	}
+	if got, want := newD.QuarantineRanges(), oldD.QuarantineRanges(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("quarantine %v, want %v", got, want)
+	}
+	if !newD.Verify(lba, make([]byte, 8*blockSize)) {
+		t.Fatal("zeroed blocks do not verify as zeros")
+	}
+	if n := testing.AllocsPerRun(5, func() { newG.StampZeroes(lba, blocks) }); n != 0 {
+		t.Fatalf("StampZeroes of %d blocks: %.0f allocations, want 0", blocks, n)
+	}
+}
+
 func TestSectorGuard(t *testing.T) {
 	d, _ := NewDomain(bs)
 	g := d.Guard("sector")

@@ -45,6 +45,7 @@ type Record struct {
 type Domain struct {
 	blockSize uint32
 	shift     uint8
+	zeroCRC   uint32 // CRC of one all-zero block (StampZeroes)
 	gen       uint64
 	pi        map[uint64]Record
 	quar      storfn.DirtyRegions
@@ -61,6 +62,7 @@ func NewDomain(blockSize uint32) (*Domain, error) {
 	return &Domain{
 		blockSize: blockSize,
 		shift:     uint8(bits.TrailingZeros32(blockSize)),
+		zeroCRC:   crc32.ChecksumIEEE(make([]byte, blockSize)),
 		pi:        make(map[uint64]Record),
 	}, nil
 }
@@ -87,6 +89,17 @@ func (d *Domain) Stamp(lba uint64, data []byte) {
 	for i := uint64(0); i < blocks; i++ {
 		off := int(i) * bs
 		d.pi[lba+i] = Record{CRC: crc32.ChecksumIEEE(data[off : off+bs]), Gen: d.gen}
+	}
+	d.quar.Remove(lba, blocks)
+}
+
+// StampZeroes is Stamp of blocks all-zero blocks at lba (Write Zeroes)
+// without materialising them: every record carries the domain's zero-block
+// CRC, so no buffer the length of the guest's range is ever allocated.
+func (d *Domain) StampZeroes(lba, blocks uint64) {
+	d.gen++
+	for i := uint64(0); i < blocks; i++ {
+		d.pi[lba+i] = Record{CRC: d.zeroCRC, Gen: d.gen}
 	}
 	d.quar.Remove(lba, blocks)
 }
@@ -210,6 +223,16 @@ func (g *Guard) Stamp(lba uint64, data []byte) {
 	}
 	g.Stamped += uint64(len(data)) >> g.d.shift
 	g.d.Stamp(lba, data)
+}
+
+// StampZeroes records PI for blocks zeroed blocks at lba through this
+// boundary.
+func (g *Guard) StampZeroes(lba, blocks uint64) {
+	if g == nil {
+		return
+	}
+	g.Stamped += blocks
+	g.d.StampZeroes(lba, blocks)
 }
 
 // Verify checks data at lba against the domain, counting per block.

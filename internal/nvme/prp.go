@@ -37,64 +37,79 @@ const maxPRPList = 512
 //   - otherwise PRP2 points at a PRP list: packed little-endian 8-byte page
 //     pointers in guest memory, whose last entry chains to a further list
 //     when the transfer needs more entries than one list page holds.
+//
+// The segments are the caller's to keep; a caller that walks one command's
+// PRPs at a time and drops them before the next uses AppendPRP instead.
 func WalkPRP(mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, error) {
+	return AppendPRP(nil, nil, mem, prp1, prp2, nbytes)
+}
+
+// AppendPRP is WalkPRP into caller-owned memory: it appends the segments to
+// segs and reads PRP list entries through *entry (allocated on the first list
+// read when nil), so a caller that keeps both from one command to the next —
+// the router's guard staging, the device's command state — walks without
+// allocating. On error it returns segs as passed. Callers whose segments
+// outlive the next walk (the UIF framework's requests, the kernel adapter's
+// bios) keep calling WalkPRP.
+func AppendPRP(segs []Segment, entry *[8]byte, mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, error) {
 	if nbytes == 0 {
-		return nil, nil
+		return segs, nil
 	}
-	var segs []Segment
 	first := uint32(PageSize - prp1%PageSize) // bytes available in first page
 	if first >= nbytes {
-		return []Segment{{Addr: prp1, Len: nbytes}}, nil
+		return append(segs, Segment{Addr: prp1, Len: nbytes}), nil
 	}
-	segs = append(segs, Segment{Addr: prp1, Len: first})
+	out := append(segs, Segment{Addr: prp1, Len: first})
 	rem := nbytes - first
 
 	if rem <= PageSize {
 		if prp2 == 0 || prp2%PageSize != 0 {
-			return nil, fmt.Errorf("%w: PRP2 %#x not page aligned", ErrBadPRP, prp2)
+			return segs, fmt.Errorf("%w: PRP2 %#x not page aligned", ErrBadPRP, prp2)
 		}
-		return append(segs, Segment{Addr: prp2, Len: rem}), nil
+		return append(out, Segment{Addr: prp2, Len: rem}), nil
 	}
 
 	// PRP2 is a pointer to a PRP list.
 	listAddr := prp2
 	if listAddr == 0 || listAddr%8 != 0 {
-		return nil, fmt.Errorf("%w: PRP list pointer %#x", ErrBadPRP, listAddr)
+		return segs, fmt.Errorf("%w: PRP list pointer %#x", ErrBadPRP, listAddr)
 	}
-	entry := make([]byte, 8)
+	if entry == nil {
+		entry = new([8]byte)
+	}
 	entriesInPage := func(addr uint64) int { return int((PageSize - addr%PageSize) / 8) }
 	avail := entriesInPage(listAddr)
 	for n := 0; rem > 0; n++ {
 		if n >= maxPRPList {
-			return nil, fmt.Errorf("%w: list too long", ErrBadPRP)
+			return segs, fmt.Errorf("%w: list too long", ErrBadPRP)
 		}
-		if err := mem.ReadAt(entry, listAddr); err != nil {
-			return nil, err
+		if err := mem.ReadAt(entry[:], listAddr); err != nil {
+			return segs, err
 		}
-		ptr := leU64(entry)
+		ptr := leU64(entry[:])
 		// The last entry of a full list page chains to the next list page
 		// if more entries are still needed.
 		if avail == 1 && rem > PageSize {
 			if ptr == 0 || ptr%PageSize != 0 {
-				return nil, fmt.Errorf("%w: chain pointer %#x", ErrBadPRP, ptr)
+				return segs, fmt.Errorf("%w: chain pointer %#x", ErrBadPRP, ptr)
 			}
 			listAddr = ptr
 			avail = entriesInPage(listAddr)
 			continue
 		}
 		if ptr == 0 || ptr%PageSize != 0 {
-			return nil, fmt.Errorf("%w: list entry %#x", ErrBadPRP, ptr)
+			return segs, fmt.Errorf("%w: list entry %#x", ErrBadPRP, ptr)
 		}
 		l := uint32(PageSize)
 		if rem < l {
 			l = rem
 		}
-		segs = append(segs, Segment{Addr: ptr, Len: l})
+		out = append(out, Segment{Addr: ptr, Len: l})
 		rem -= l
 		listAddr += 8
 		avail--
 	}
-	return segs, nil
+	return out, nil
 }
 
 func leU64(b []byte) uint64 {
