@@ -10,32 +10,27 @@ import (
 
 // BenchmarkRouterHop measures host wall-clock per guest I/O driven through
 // the full router fast path (VSQ poll, classification, HQ dispatch, HCQ
-// completion) with the classifier on each execution tier. Virtual-time
-// behaviour is identical across tiers; this benchmark tracks the
-// simulator's own overhead, which the compiled tier exists to cut. events/op
+// completion); it tracks the simulator's own overhead. events/op
 // is the scheduler events one I/O costs — deterministic, unlike ns/op — and
 // is where idle poll rounds show: a QD1 hop leaves the worker polling across
 // the whole device latency. switches/op are the events among them that hand
 // the run token to another process (the expensive kind), spawns/op the
 // processes started per I/O.
 func BenchmarkRouterHop(b *testing.B) {
-	for _, tier := range []string{"compiled", "interpreter"} {
-		b.Run(tier, func(b *testing.B) {
-			events, switches, spawns := routedHops(b, tier == "interpreter", b.N, b.ResetTimer, b.StopTimer)
-			b.ReportMetric(float64(events)/float64(b.N), "events/op")
-			b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
-			b.ReportMetric(float64(spawns)/float64(b.N), "spawns/op")
-		})
-	}
+	b.Run("compiled", func(b *testing.B) {
+		events, switches, spawns := routedHops(b, b.N, b.ResetTimer, b.StopTimer)
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+		b.ReportMetric(float64(spawns)/float64(b.N), "spawns/op")
+	})
 }
 
 // routedHops drives n QD1 reads through the router fast path and returns
 // the scheduler events, run-token hand-offs and process spawns they cost,
 // counted between start and stop.
-func routedHops(tb testing.TB, interpreted bool, n int, start, stop func()) (events, switches, spawns uint64) {
+func routedHops(tb testing.TB, n int, start, stop func()) (events, switches, spawns uint64) {
 	r := newRig(1)
-	v, vc, disk := r.addVM(1, device.WholeNamespace(r.dev, 1))
-	vc.SetInterpreted(interpreted)
+	v, _, disk := r.addVM(1, device.WholeNamespace(r.dev, 1))
 	base, pages, err := v.Mem.AllocBuffer(4096)
 	if err != nil {
 		tb.Fatal(err)
@@ -71,11 +66,9 @@ func routedHops(tb testing.TB, interpreted bool, n int, start, stop func()) (eve
 func TestHopSwitchBudget(t *testing.T) {
 	const n = 500
 	nop := func() {}
-	for _, interpreted := range []bool{false, true} {
-		events, switches, spawns := routedHops(t, interpreted, n, nop, nop)
-		if events > 21*n || switches > 2*n || spawns > 0 {
-			t.Errorf("interpreted=%v: %d hops cost %d events, %d switches, %d spawns; budget per hop is 21 / 2 / 0",
-				interpreted, n, events, switches, spawns)
-		}
+	events, switches, spawns := routedHops(t, n, nop, nop)
+	if events > 21*n || switches > 2*n || spawns > 0 {
+		t.Errorf("%d hops cost %d events, %d switches, %d spawns; budget per hop is 21 / 2 / 0",
+			n, events, switches, spawns)
 	}
 }

@@ -232,9 +232,7 @@ type Controller struct {
 	vm     *vm.VM
 	part   device.Partition
 
-	prog   *ebpf.Program
 	cprog  *ebpf.CompiledProgram
-	interp bool // run the reference interpreter instead of the compiled tier
 	native NativeClassifier
 	cvm    *ebpf.VM
 	ctx    ctxBuf
@@ -346,25 +344,17 @@ func (vc *Controller) Partition() device.Partition { return vc.part }
 // LoadClassifier verifies, compiles and installs a classifier; it can be
 // swapped at any time without disturbing in-flight requests ("install,
 // migrate and remove storage functions on the fly"). Classifiers execute on
-// the compiled tier (the kernel-JIT analogue); the interpreter remains
-// available via SetInterpreted for differential testing.
+// the compiled tier only (the kernel-JIT analogue): the router runs nothing
+// the verifier has not accepted and the compiler has not translated.
 func (vc *Controller) LoadClassifier(p *ebpf.Program) error {
 	cp, err := ebpf.Compile(p, NewVerifier())
 	if err != nil {
 		return fmt.Errorf("core: classifier rejected: %w", err)
 	}
-	vc.prog = p
 	vc.cprog = cp
 	vc.staticRet, vc.staticOK = cp.StaticVerdict()
 	vc.refreshPromotion()
 	return nil
-}
-
-// SetInterpreted selects the reference interpreter over the compiled tier
-// (for differential testing; virtual routing cost is identical either way).
-func (vc *Controller) SetInterpreted(on bool) {
-	vc.interp = on
-	vc.refreshPromotion()
 }
 
 // classifyCost returns the virtual CPU cost of one classification under the
@@ -392,18 +382,17 @@ func (vc *Controller) SetNativeClassifier(fn NativeClassifier) {
 
 // promotable reports whether the controller currently qualifies for the
 // direct SQ→HSQ tier: promotion enabled on the router, an eBPF classifier
-// on the compiled tier (native and interpreted classifiers are opaque to
-// the static analysis), no UIF attached (a notify consumer implies the
-// verdict is about to matter), and a proven constant verdict equal to the
-// pure fast-path action word.
+// (a native one is opaque to the static analysis), no UIF attached (a
+// notify consumer implies the verdict is about to matter), and a proven
+// constant verdict equal to the pure fast-path action word.
 func (vc *Controller) promotable() bool {
-	return vc.router.promote && vc.staticOK && vc.native == nil && !vc.interp &&
+	return vc.router.promote && vc.staticOK && vc.native == nil &&
 		vc.nq == nil && vc.staticRet == uint64(ActSendHQ|ActWillCompleteHQ)
 }
 
 // refreshPromotion re-evaluates the controller's dispatch tier after any
 // event that can change the verdict (LoadClassifier, AttachUIF/DetachUIF,
-// SetNativeClassifier, SetInterpreted, EnablePromotion).
+// SetNativeClassifier, EnablePromotion).
 //
 // Demotion is synchronous — this is the hot-swap fence: by the time
 // LoadClassifier returns, no command admitted afterwards can bypass the
@@ -515,12 +504,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 		}
 	} else {
 		var err error
-		if vc.cprog != nil && !vc.interp {
-			ret, err = vc.cvm.RunCompiled(vc.cprog, vc.ctx[:])
-		} else {
-			ret, err = vc.cvm.Run(vc.prog, vc.ctx[:])
-		}
-		if err != nil {
+		if ret, err = vc.cvm.RunCompiled(vc.cprog, vc.ctx[:]); err != nil {
 			// A faulting classifier fails the request rather than the
 			// host — the isolation property eBPF buys us.
 			w.completeReq(req, nvme.SCInternal)

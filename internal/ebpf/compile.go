@@ -14,9 +14,11 @@ import (
 //     map index at compile time,
 //   - jump offsets become absolute, pre-validated op indices (so the run
 //     loop needs no pc bounds check),
-//   - ALU, load and store instructions are specialized per width and per
-//     immediate/register form, with immediates pre-widened (sign-extended
-//     or masked) so the run loop does no per-op conversion,
+//   - loads and stores are specialized per access size; ALU ops and
+//     conditional jumps are not specialized at all: each compiles to one op
+//     carrying the instruction's opcode byte and executes through aluSem or
+//     condSem (sem.go), the same functions the interpreter and the verifier
+//     compute with,
 //   - helper calls to the standard map helpers compile to direct
 //     implementations — ArrayMap lookups additionally inline the index
 //     computation and skip the helper dispatch entirely,
@@ -25,16 +27,17 @@ import (
 //     are elided: the verifier's type lattice has already proven them.
 //     Memory bounds checks and the fuel limit stay as defense in depth.
 //
-// The interpreter (interp.go) remains the reference implementation; the
-// randomized differential test in compile_test.go holds the two tiers to
-// identical r0/fault/map-state behaviour, and TestCompiledOpsMatchSemantics
-// holds every specialised ALU and jump op to sem.go.
+// The interpreter (interp.go) remains the reference implementation, used
+// only by tests: the randomized differential test in compile_test.go holds
+// the two tiers to identical r0/fault/map-state behaviour.
 
 // copCode is the dense opcode of one pre-decoded operation.
 type copCode uint8
 
-// Pre-decoded opcodes. ALU ops are specialized per width (64/32) and per
-// source form (register/immediate); loads and stores per access size.
+// Pre-decoded opcodes. Loads and stores are specialised per access size and
+// moves per form; every binary ALU op and neg is one cALU and every
+// conditional jump one cJmp, which carry the instruction's opcode byte in
+// cop.op and execute through sem.go.
 const (
 	cBad copCode = iota
 	cExit
@@ -42,58 +45,7 @@ const (
 	cLdMap    // r[dst] = reference to map #off
 	cMovReg   // r[dst] = r[src]
 	cMovReg32 // r[dst] = u32(r[src])
-
-	// 64-bit ALU, register source.
-	cAddReg
-	cSubReg
-	cMulReg
-	cDivReg
-	cModReg
-	cOrReg
-	cAndReg
-	cXorReg
-	cLshReg
-	cRshReg
-	cArshReg
-	// 64-bit ALU, immediate source (imm pre-sign-extended; shifts pre-masked).
-	cAddImm
-	cSubImm
-	cMulImm
-	cDivImm
-	cModImm
-	cOrImm
-	cAndImm
-	cXorImm
-	cLshImm
-	cRshImm
-	cArshImm
-	cNeg
-
-	// 32-bit ALU, register source.
-	cAddReg32
-	cSubReg32
-	cMulReg32
-	cDivReg32
-	cModReg32
-	cOrReg32
-	cAndReg32
-	cXorReg32
-	cLshReg32
-	cRshReg32
-	cArshReg32
-	// 32-bit ALU, immediate source (imm pre-truncated; shifts pre-masked).
-	cAddImm32
-	cSubImm32
-	cMulImm32
-	cDivImm32
-	cModImm32
-	cOrImm32
-	cAndImm32
-	cXorImm32
-	cLshImm32
-	cRshImm32
-	cArshImm32
-	cNeg32
+	cALU      // r[dst] = aluSem(op, r[dst], r[src] or imm)
 
 	// Loads (register destination is always a fresh scalar).
 	cLd8
@@ -113,28 +65,7 @@ const (
 
 	// Jumps; off is the absolute target op index.
 	cJa
-	cJEqImm
-	cJNeImm
-	cJGtImm
-	cJGeImm
-	cJLtImm
-	cJLeImm
-	cJSGtImm
-	cJSGeImm
-	cJSLtImm
-	cJSLeImm
-	cJSetImm
-	cJEqReg
-	cJNeReg
-	cJGtReg
-	cJGeReg
-	cJLtReg
-	cJLeReg
-	cJSGtReg
-	cJSGeReg
-	cJSLtReg
-	cJSLeReg
-	cJSetReg
+	cJmp // taken iff condSem(op, r[dst], r[src] or imm)
 
 	// Helper calls. The standard map helpers compile to direct
 	// implementations; anything else goes through the registry bridge.
@@ -146,8 +77,7 @@ const (
 	cCallGeneric // imm = helper id
 )
 
-// copNames names the ops that are not specialisations of a table row; String
-// derives the rest.
+// copNames names the ops that do not take their name from a table row.
 var copNames = map[copCode]string{
 	cBad: "bad", cExit: "exit", cMovImm: "mov_imm", cLdMap: "ld_map",
 	cMovReg: "mov_reg", cMovReg32: "mov_reg32",
@@ -159,41 +89,47 @@ var copNames = map[copCode]string{
 	cCallQoS: "call_qos_set_class", cCallGeneric: "call_generic",
 }
 
-// String names an op as Dump prints it: add_reg, lsh_imm32, neg32, jsgt_reg.
-func (c copCode) String() string {
-	form := func(imm bool) string {
-		if imm {
-			return "_imm"
-		}
-		return "_reg"
-	}
-	if r, is64, imm, ok := c.alu(); ok {
-		name := r.name
-		if r.code != ALUNeg {
-			name += form(imm)
-		}
-		if !is64 {
-			name += "32"
-		}
-		return name
-	}
-	if r, imm, ok := c.cond(); ok {
-		return r.name + form(imm)
-	}
-	if name, ok := copNames[c]; ok {
-		return name
-	}
-	return fmt.Sprintf("op%d", uint8(c))
-}
-
-// cop is one pre-decoded operation. off carries the memory displacement for
-// loads/stores, the absolute target op index for jumps, and the map index
-// for cLdMap; imm carries the pre-widened immediate (or helper id).
+// cop is one pre-decoded operation. op is the source instruction's opcode
+// byte (op nibble, register/immediate form, width class), which cALU and
+// cJmp execute by. off carries the memory displacement for loads/stores,
+// the absolute target op index for jumps, and the map index for cLdMap; imm
+// carries the pre-widened immediate (or helper id).
 type cop struct {
 	code     copCode
 	dst, src uint8
+	op       uint8
 	off      int32
 	imm      uint64
+}
+
+// nibble, regSrc and is64 decode op: the table row's opcode nibble, the
+// register form, and the 64-bit ALU class.
+func (o cop) nibble() uint8 { return o.op & 0xf0 }
+func (o cop) regSrc() bool  { return o.op&SrcX != 0 }
+func (o cop) is64() bool    { return o.op&0x07 == ClassALU64 }
+
+// String names an op as Dump prints it: add_reg, lsh_imm32, neg32, jsgt_reg.
+func (o cop) String() string {
+	form := "_imm"
+	if o.regSrc() {
+		form = "_reg"
+	}
+	switch o.code {
+	case cALU:
+		if o.nibble() == ALUNeg {
+			form = ""
+		}
+		if !o.is64() {
+			form += "32"
+		}
+		return aluNames[rowOf(aluNames, o.nibble())].name + form
+	case cJmp:
+		return condTable[rowOf(condTable[:], o.nibble())].name + form
+	}
+	if name, ok := copNames[o.code]; ok {
+		return name
+	}
+	return fmt.Sprintf("op%d", uint8(o.code))
 }
 
 // CompiledProgram is the pre-decoded form of a verifier-accepted program,
@@ -366,18 +302,15 @@ func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
 				}
 				o.code, o.off = cJa, t
 			default:
-				row := rowOf(condTable[:], op)
-				if row < 0 {
+				if rowOf(condTable[:], op) < 0 {
 					return nil, fmt.Errorf("ebpf compile: unknown jump op %#x at %d", in.Op, pc)
 				}
 				t, err := target(pc, in.Off)
 				if err != nil {
 					return nil, err
 				}
-				o.code, o.off = cJEqImm+copCode(row), t
-				if in.Op&SrcX != 0 {
-					o.code += copCode(nCond)
-				} else {
+				o.code, o.op, o.off = cJmp, in.Op, t
+				if in.Op&SrcX == 0 {
 					o.imm = uint64(int64(in.Imm))
 				}
 			}
@@ -401,14 +334,13 @@ func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
 func compileALU(in Insn) (cop, error) {
 	is64 := in.Class() == ClassALU64
 	op := in.Op & 0xf0
-	o := cop{dst: in.Dst, src: in.Src}
-	// Pre-widen the immediate exactly as aluSem would at runtime: sign-
-	// extended, then truncated for 32-bit ops.
-	imm, base := uint64(int64(in.Imm)), cAddReg
+	o := cop{code: cALU, dst: in.Dst, src: in.Src, op: in.Op}
+	// The immediate is stored widened as aluSem widens it: sign-extended,
+	// then truncated for 32-bit ops, and shift amounts masked.
+	imm := uint64(int64(in.Imm))
 	if !is64 {
-		imm, base = uint64(uint32(imm)), cAddReg32
+		imm = uint64(uint32(imm))
 	}
-	row := rowOf(aluTable[:], op)
 	switch {
 	case op == ALUMov && in.Op&SrcX == 0:
 		o.code, o.imm = cMovImm, imm
@@ -417,15 +349,13 @@ func compileALU(in Insn) (cop, error) {
 	case op == ALUMov:
 		o.code = cMovReg32
 	case op == ALUNeg:
-		o.code = base + copCode(2*nALU)
-	case row < 0:
+		// unary: aluSem ignores the source, so imm stays 0
+	case rowOf(aluTable[:], op) < 0:
 		return o, fmt.Errorf("ebpf compile: unknown ALU op %#x", op)
-	case in.Op&SrcX != 0:
-		o.code = base + copCode(row)
-	default:
-		o.code, o.imm = base+copCode(nALU+row), imm
+	case in.Op&SrcX == 0:
+		o.imm = imm
 		if m := shiftMask(op, is64); m != 0 {
-			o.imm &= m // shift amounts are pre-masked too
+			o.imm &= m
 		}
 	}
 	return o, nil
@@ -463,7 +393,7 @@ func compileCall(id int32, helpers *HelperRegistry) cop {
 func (cp *CompiledProgram) Dump() string {
 	var sb strings.Builder
 	for i, o := range cp.ops {
-		fmt.Fprintf(&sb, "%4d: %-16s dst=r%-2d src=r%-2d off=%-6d imm=%#x", i, o.code, o.dst, o.src, o.off, o.imm)
+		fmt.Fprintf(&sb, "%4d: %-16s dst=r%-2d src=r%-2d off=%-6d imm=%#x", i, o, o.dst, o.src, o.off, o.imm)
 		pc := int(cp.insnOf[i])
 		src := cp.src.Insns[pc]
 		if s, err := disasmOne(src, Insn{}); err == nil {

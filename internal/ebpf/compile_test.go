@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // --- differential test: randomized verifier-accepted programs ------------
@@ -352,12 +354,15 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 	}
 }
 
-// TestCompiledOpsMatchSemantics pins RunCompiled's specialised loop to
-// sem.go: every ALU and conditional-jump copCode, reached by compiling the
-// instruction it specialises, must decode back to that instruction and
-// compute what aluSem/condSem say on boundary operands in either position.
+// TestCompiledOpsMatchSemantics holds RunCompiled's cALU and cJmp to sem.go:
+// for every table row, width and form, the compiled op must decode back to
+// the instruction it came from and compute what aluSem/condSem say on
+// boundary operands in either position. A pointer row checks that 64-bit
+// add/sub of a scalar keeps a stack pointer's window.
 func TestCompiledOpsMatchSemantics(t *testing.T) {
-	seen := map[copCode]bool{}
+	if n := unsafe.Sizeof(cop{}); n != 16 {
+		t.Errorf("a compiled op is %d bytes, want 16: op must fit the padding", n)
+	}
 	vm := NewVM(nil)
 	// run compiles [lddw r2,a; lddw r3,b; in; tail...] and returns the
 	// compiled form of in together with r0.
@@ -376,65 +381,92 @@ func TestCompiledOpsMatchSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", in, err)
 		}
-		seen[cp.ops[2].code] = true
 		return cp.ops[2], got
+	}
+	// operand is "r2 <op> r3" or "r2 <op> imm(b)" without its op and class,
+	// and the source value the instruction means.
+	operand := func(srcX bool, b uint64) (Insn, uint64) {
+		if srcX {
+			return Insn{Op: SrcX, Dst: R2, Src: R3}, b
+		}
+		return Insn{Op: SrcK, Dst: R2, Imm: int32(b)}, uint64(int64(int32(b)))
+	}
+	// decodes reports whether o's fields give back in's op, width and form.
+	decodes := func(o cop, code copCode, in Insn) bool {
+		return o.code == code && o.op == in.Op && o.nibble() == in.Op&0xf0 &&
+			o.is64() == (in.Class() == ClassALU64) && o.regSrc() == (in.Op&SrcX != 0) &&
+			o.dst == in.Dst && o.src == in.Src
 	}
 	movR0R2 := Insn{Op: ClassALU64 | ALUMov | SrcX, Dst: R0, Src: R2}
 	movR0 := func(imm int32) Insn { return Insn{Op: ClassALU64 | ALUMov | SrcK, Dst: R0, Imm: imm} }
 	exit := Insn{Op: ClassJMP | JmpExit}
-	aluRows := append(aluTable[:nALU:nALU], negRow)
 
-	for _, a := range edgeOperands {
-		for _, b := range edgeOperands {
+	for _, r := range append(aluTable[:nALU:nALU], negRow) {
+		for _, class := range []uint8{ClassALU64, ClassALU} {
 			for _, srcX := range []bool{true, false} {
-				in, src := Insn{Op: SrcX, Dst: R2, Src: R3}, b
-				if !srcX {
-					in, src = Insn{Op: SrcK, Dst: R2, Imm: int32(b)}, uint64(int64(int32(b)))
+				if r.code == ALUNeg && srcX {
+					continue // unary: only the form without a source register
 				}
-				for _, r := range aluRows {
-					for _, is64 := range []bool{true, false} {
-						if r.code == ALUNeg && srcX {
-							continue // unary: only the form without a source register
-						}
-						in := in
-						in.Op |= ClassALU | r.code
-						if is64 {
-							in.Op |= ClassALU64
-						}
+				for _, a := range edgeOperands {
+					for _, b := range edgeOperands {
+						in, src := operand(srcX, b)
+						in.Op |= class | r.code
 						o, got := run(in, a, b, movR0R2, exit)
-						dr, d64, dimm, ok := o.code.alu()
-						if !ok || dr != r || d64 != is64 || dimm == srcX {
-							t.Fatalf("%v compiled to %v, which decodes to (%v, is64=%v, imm=%v, %v)", in, o.code, dr, d64, dimm, ok)
+						if !decodes(o, cALU, in) {
+							t.Fatalf("%v compiled to %v %+v", in, o, o)
 						}
-						if want, _ := aluSem(r.code, is64, a, src); got != want {
-							t.Errorf("%v (%v) on %#x, %#x: compiled tier %#x, aluSem %#x", in, o.code, a, src, got, want)
+						if want, _ := aluSem(r.code, class == ClassALU64, a, src); got != want {
+							t.Errorf("%v (%v) on %#x, %#x: compiled tier %#x, aluSem %#x", in, o, a, src, got, want)
 						}
-					}
-				}
-				for _, r := range condTable {
-					in := in
-					in.Op |= ClassJMP | r.code
-					in.Off = 2 // over "mov r0, 0; exit" to "mov r0, 1; exit"
-					o, got := run(in, a, b, movR0(0), exit, movR0(1), exit)
-					dr, dimm, ok := o.code.cond()
-					if !ok || dr != r || dimm == srcX {
-						t.Fatalf("%v compiled to %v, which decodes to (%v, imm=%v, %v)", in, o.code, dr, dimm, ok)
-					}
-					if want, _ := condSem(r.code, a, src); (got == 1) != want {
-						t.Errorf("%v (%v) on %#x, %#x: compiled tier taken=%d, condSem %v", in, o.code, a, src, got, want)
 					}
 				}
 			}
 		}
 	}
-	for c := cAddReg; c <= cNeg32; c++ {
-		if !seen[c] {
-			t.Errorf("ALU op %v never reached", c)
+	for _, r := range condTable {
+		for _, srcX := range []bool{true, false} {
+			for _, a := range edgeOperands {
+				for _, b := range edgeOperands {
+					in, src := operand(srcX, b)
+					in.Op |= ClassJMP | r.code
+					in.Off = 2 // over "mov r0, 0; exit" to "mov r0, 1; exit"
+					o, got := run(in, a, b, movR0(0), exit, movR0(1), exit)
+					if !decodes(o, cJmp, in) {
+						t.Fatalf("%v compiled to %v %+v", in, o, o)
+					}
+					if want, _ := condSem(r.code, a, src); (got == 1) != want {
+						t.Errorf("%v (%v) on %#x, %#x: compiled tier taken=%d, condSem %v", in, o, a, src, got, want)
+					}
+				}
+			}
 		}
 	}
-	for c := cJEqImm; c <= cJSetReg; c++ {
-		if !seen[c] {
-			t.Errorf("jump op %v never reached", c)
+
+	// Pointer row: r3 = r10 moved down 16 by add or sub, in either form, then
+	// a load through r3 must read the slot stored at [r10-16].
+	const slot = 0x1122_3344_5566_7788
+	for _, op := range []uint8{ALUAdd, ALUSub} {
+		delta := int32(-16)
+		if op == ALUSub {
+			delta = 16
+		}
+		for _, in := range []Insn{
+			{Op: ClassALU64 | op | SrcK, Dst: R3, Imm: delta},
+			{Op: ClassALU64 | op | SrcX, Dst: R3, Src: R4},
+		} {
+			bld := NewBuilder().MovImm64(R2, slot).Store(SizeDW, R10, -16, R2).
+				MovReg(R3, R10).MovImm(R4, delta)
+			bld.emit(in)
+			cp, err := Compile(bld.Load(SizeDW, R0, R3, 0).Exit().MustProgram("ptr"), nil)
+			if err != nil {
+				t.Fatalf("%v: %v", in, err)
+			}
+			if o := cp.ops[4]; !decodes(o, cALU, in) {
+				t.Fatalf("%v compiled to %v %+v", in, o, o)
+			}
+			if got, err := vm.RunCompiled(cp, nil); err != nil || got != slot {
+				t.Errorf("%v on a stack pointer: r0 %#x, err %v; want %#x", in, got, err, uint64(slot))
+			}
 		}
 	}
 }
@@ -604,6 +636,36 @@ func TestCompiledBoundsDefenseInDepth(t *testing.T) {
 	}
 	if _, err := NewVM(nil).RunCompiled(cp, nil); !errors.Is(err, ErrFault) {
 		t.Fatalf("want ErrFault, got %v", err)
+	}
+}
+
+// TestCompiledFaultsNameTheirInstruction: a compiled-tier fault says what
+// went wrong and cites the instruction that raised it. The ld_imm64 ahead of
+// each faulting op makes its instruction index differ from its op index.
+func TestCompiledFaultsNameTheirInstruction(t *testing.T) {
+	const id = 99
+	reg := DefaultHelpers()
+	reg.Register(id, "custom", nil, RetScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
+	p := NewBuilder().MovImm64(R6, 1).MovImm(R0, 0).Call(id).Exit().MustProgram("custom")
+	cp, err := Compile(p, &Verifier{Helpers: reg})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	// The VM's registry lacks the helper the program was verified against.
+	_, err = NewVM(nil).RunCompiled(cp, nil)
+	if !errors.Is(err, ErrFault) || !strings.Contains(err.Error(), "unknown helper at insn 3") {
+		t.Errorf("unknown helper: got %v, want a fault citing insn 3", err)
+	}
+
+	p = NewBuilder().MovImm64(R6, 1).MovImm(R0, 0).MovImm(R1, 0).Exit().MustProgram("badop")
+	cp, err = Compile(p, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	cp.ops[2].code = cBad
+	_, err = NewVM(nil).RunCompiled(cp, nil)
+	if !errors.Is(err, ErrFault) || !strings.Contains(err.Error(), "undefined op at insn 3") {
+		t.Errorf("undefined op: got %v, want a fault citing insn 3", err)
 	}
 }
 

@@ -30,6 +30,7 @@ const (
 	cfMap
 	cfHelperArg
 	cfUnknownHelper
+	cfBadOp
 )
 
 // emptyCtx substitutes for a nil ctx so that r1 still carries a (zero-length)
@@ -49,10 +50,7 @@ func prandomU32(invocations uint64) uint64 {
 // cfail builds the fault error; kept out of RunCompiled so the hot loop has
 // no fmt machinery on the success path.
 func (vm *VM) cfail(cp *CompiledProgram, pc int, k cfaultKind) (uint64, error) {
-	insn := -1
-	if pc >= 0 && pc < len(cp.insnOf) {
-		insn = int(cp.insnOf[pc])
-	}
+	insn := cp.insnOf[pc]
 	switch k {
 	case cfMap:
 		return 0, fmt.Errorf("%w: bad map reference at insn %d", ErrFault, insn)
@@ -60,6 +58,8 @@ func (vm *VM) cfail(cp *CompiledProgram, pc int, k cfaultKind) (uint64, error) {
 		return 0, fmt.Errorf("%w: helper argument out of bounds at insn %d", ErrFault, insn)
 	case cfUnknownHelper:
 		return 0, fmt.Errorf("%w: unknown helper at insn %d", ErrFault, insn)
+	case cfBadOp:
+		return 0, fmt.Errorf("%w: undefined op at insn %d", ErrFault, insn)
 	default:
 		return 0, fmt.Errorf("%w: memory access out of bounds at insn %d", ErrFault, insn)
 	}
@@ -111,132 +111,19 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 		case cMovReg32:
 			r[o.dst] = creg{n: uint64(uint32(r[o.src].n))}
 
-		// 64-bit ALU. Pointer add/sub works through the same path: the
-		// window travels with the register and only n moves.
-		case cAddReg:
-			r[o.dst].n += r[o.src].n
-		case cSubReg:
-			r[o.dst].n -= r[o.src].n
-		case cMulReg:
-			r[o.dst].n *= r[o.src].n
-		case cDivReg:
-			if b := r[o.src].n; b == 0 {
-				r[o.dst].n = 0
+		case cALU:
+			// A 64-bit result keeps dst's pointer window (pointer add/sub
+			// moves only n); a 32-bit result is a fresh scalar.
+			d, b := &r[o.dst], o.imm
+			if o.regSrc() {
+				b = r[o.src].n
+			}
+			n, _ := aluSem(o.nibble(), o.is64(), d.n, b)
+			if o.is64() {
+				d.n = n
 			} else {
-				r[o.dst].n /= b
+				*d = creg{n: n}
 			}
-		case cModReg:
-			if b := r[o.src].n; b != 0 {
-				r[o.dst].n %= b
-			}
-		case cOrReg:
-			r[o.dst].n |= r[o.src].n
-		case cAndReg:
-			r[o.dst].n &= r[o.src].n
-		case cXorReg:
-			r[o.dst].n ^= r[o.src].n
-		case cLshReg:
-			r[o.dst].n <<= r[o.src].n & 63
-		case cRshReg:
-			r[o.dst].n >>= r[o.src].n & 63
-		case cArshReg:
-			r[o.dst].n = uint64(int64(r[o.dst].n) >> (r[o.src].n & 63))
-		case cAddImm:
-			r[o.dst].n += o.imm
-		case cSubImm:
-			r[o.dst].n -= o.imm
-		case cMulImm:
-			r[o.dst].n *= o.imm
-		case cDivImm:
-			if o.imm == 0 {
-				r[o.dst].n = 0
-			} else {
-				r[o.dst].n /= o.imm
-			}
-		case cModImm:
-			if o.imm != 0 {
-				r[o.dst].n %= o.imm
-			}
-		case cOrImm:
-			r[o.dst].n |= o.imm
-		case cAndImm:
-			r[o.dst].n &= o.imm
-		case cXorImm:
-			r[o.dst].n ^= o.imm
-		case cLshImm: // shift imm pre-masked at compile time
-			r[o.dst].n <<= o.imm
-		case cRshImm:
-			r[o.dst].n >>= o.imm
-		case cArshImm:
-			r[o.dst].n = uint64(int64(r[o.dst].n) >> o.imm)
-		case cNeg:
-			r[o.dst].n = -r[o.dst].n
-
-		// 32-bit ALU: operands truncated to u32 first, result truncated
-		// again — bit-for-bit the interpreter's widen/narrow sequence.
-		case cAddReg32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) + uint32(r[o.src].n))}
-		case cSubReg32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) - uint32(r[o.src].n))}
-		case cMulReg32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) * uint32(r[o.src].n))}
-		case cDivReg32:
-			a, b := uint32(r[o.dst].n), uint32(r[o.src].n)
-			if b == 0 {
-				r[o.dst] = creg{}
-			} else {
-				r[o.dst] = creg{n: uint64(a / b)}
-			}
-		case cModReg32:
-			a, b := uint32(r[o.dst].n), uint32(r[o.src].n)
-			if b != 0 {
-				a = a % b
-			}
-			r[o.dst] = creg{n: uint64(a)}
-		case cOrReg32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) | uint32(r[o.src].n))}
-		case cAndReg32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) & uint32(r[o.src].n))}
-		case cXorReg32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) ^ uint32(r[o.src].n))}
-		case cLshReg32: // interpreter shifts the widened u32 by b&63, then narrows
-			r[o.dst] = creg{n: uint64(uint32(uint64(uint32(r[o.dst].n)) << (uint64(uint32(r[o.src].n)) & 63)))}
-		case cRshReg32:
-			r[o.dst] = creg{n: uint64(uint32(uint64(uint32(r[o.dst].n)) >> (uint64(uint32(r[o.src].n)) & 63)))}
-		case cArshReg32: // 32-bit arsh masks with &31, unlike the other shifts
-			r[o.dst] = creg{n: uint64(uint32(int32(uint32(r[o.dst].n)) >> (uint64(uint32(r[o.src].n)) & 31)))}
-		case cAddImm32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) + uint32(o.imm))}
-		case cSubImm32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) - uint32(o.imm))}
-		case cMulImm32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) * uint32(o.imm))}
-		case cDivImm32:
-			if uint32(o.imm) == 0 {
-				r[o.dst] = creg{}
-			} else {
-				r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) / uint32(o.imm))}
-			}
-		case cModImm32:
-			a := uint32(r[o.dst].n)
-			if b := uint32(o.imm); b != 0 {
-				a = a % b
-			}
-			r[o.dst] = creg{n: uint64(a)}
-		case cOrImm32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) | uint32(o.imm))}
-		case cAndImm32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) & uint32(o.imm))}
-		case cXorImm32:
-			r[o.dst] = creg{n: uint64(uint32(r[o.dst].n) ^ uint32(o.imm))}
-		case cLshImm32: // shift imm pre-masked at compile time
-			r[o.dst] = creg{n: uint64(uint32(uint64(uint32(r[o.dst].n)) << o.imm))}
-		case cRshImm32:
-			r[o.dst] = creg{n: uint64(uint32(uint64(uint32(r[o.dst].n)) >> o.imm))}
-		case cArshImm32:
-			r[o.dst] = creg{n: uint64(uint32(int32(uint32(r[o.dst].n)) >> o.imm))}
-		case cNeg32:
-			r[o.dst] = creg{n: uint64(uint32(-uint32(r[o.dst].n)))}
 
 		case cLd8:
 			s := &r[o.src]
@@ -318,92 +205,13 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 
 		case cJa:
 			pc = int(o.off)
-		case cJEqImm:
-			if cmpBase(&r[o.dst]) == o.imm {
-				pc = int(o.off)
+		case cJmp:
+			d, b := &r[o.dst], o.imm
+			if o.regSrc() {
+				s := &r[o.src]
+				b = cmpOperand(s.data != nil, s.n)
 			}
-		case cJNeImm:
-			if cmpBase(&r[o.dst]) != o.imm {
-				pc = int(o.off)
-			}
-		case cJGtImm:
-			if cmpBase(&r[o.dst]) > o.imm {
-				pc = int(o.off)
-			}
-		case cJGeImm:
-			if cmpBase(&r[o.dst]) >= o.imm {
-				pc = int(o.off)
-			}
-		case cJLtImm:
-			if cmpBase(&r[o.dst]) < o.imm {
-				pc = int(o.off)
-			}
-		case cJLeImm:
-			if cmpBase(&r[o.dst]) <= o.imm {
-				pc = int(o.off)
-			}
-		case cJSGtImm:
-			if int64(cmpBase(&r[o.dst])) > int64(o.imm) {
-				pc = int(o.off)
-			}
-		case cJSGeImm:
-			if int64(cmpBase(&r[o.dst])) >= int64(o.imm) {
-				pc = int(o.off)
-			}
-		case cJSLtImm:
-			if int64(cmpBase(&r[o.dst])) < int64(o.imm) {
-				pc = int(o.off)
-			}
-		case cJSLeImm:
-			if int64(cmpBase(&r[o.dst])) <= int64(o.imm) {
-				pc = int(o.off)
-			}
-		case cJSetImm:
-			if cmpBase(&r[o.dst])&o.imm != 0 {
-				pc = int(o.off)
-			}
-		case cJEqReg:
-			if cmpBase(&r[o.dst]) == cmpBase(&r[o.src]) {
-				pc = int(o.off)
-			}
-		case cJNeReg:
-			if cmpBase(&r[o.dst]) != cmpBase(&r[o.src]) {
-				pc = int(o.off)
-			}
-		case cJGtReg:
-			if cmpBase(&r[o.dst]) > cmpBase(&r[o.src]) {
-				pc = int(o.off)
-			}
-		case cJGeReg:
-			if cmpBase(&r[o.dst]) >= cmpBase(&r[o.src]) {
-				pc = int(o.off)
-			}
-		case cJLtReg:
-			if cmpBase(&r[o.dst]) < cmpBase(&r[o.src]) {
-				pc = int(o.off)
-			}
-		case cJLeReg:
-			if cmpBase(&r[o.dst]) <= cmpBase(&r[o.src]) {
-				pc = int(o.off)
-			}
-		case cJSGtReg:
-			if int64(cmpBase(&r[o.dst])) > int64(cmpBase(&r[o.src])) {
-				pc = int(o.off)
-			}
-		case cJSGeReg:
-			if int64(cmpBase(&r[o.dst])) >= int64(cmpBase(&r[o.src])) {
-				pc = int(o.off)
-			}
-		case cJSLtReg:
-			if int64(cmpBase(&r[o.dst])) < int64(cmpBase(&r[o.src])) {
-				pc = int(o.off)
-			}
-		case cJSLeReg:
-			if int64(cmpBase(&r[o.dst])) <= int64(cmpBase(&r[o.src])) {
-				pc = int(o.off)
-			}
-		case cJSetReg:
-			if cmpBase(&r[o.dst])&cmpBase(&r[o.src]) != 0 {
+			if taken, _ := condSem(o.nibble(), cmpOperand(d.data != nil, d.n), b); taken {
 				pc = int(o.off)
 			}
 
@@ -462,24 +270,18 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 			}
 			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
 		case cCallGeneric:
-			if err := vm.ccallGeneric(cp, r, int32(uint32(o.imm))); err != nil {
+			h := vm.helpers.get(int32(uint32(o.imm)))
+			if h == nil {
+				return vm.cfail(cp, at, cfUnknownHelper)
+			}
+			if err := vm.ccallGeneric(cp, r, h); err != nil {
 				return 0, err
 			}
 
 		default:
-			return vm.cfail(cp, at, cfMem)
+			return vm.cfail(cp, at, cfBadOp)
 		}
 	}
-}
-
-// cmpBase gives branch operands the interpreter's comparison base: scalars
-// compare by value, pointers by their synthetic region address so null
-// checks behave (a live pointer never equals 0).
-func cmpBase(r *creg) uint64 {
-	if r.data != nil {
-		return 0x5a5a_0000_0000_0000 + r.n
-	}
-	return r.n
 }
 
 // markStackWrite maintains the stack low-water mark so the next invocation
@@ -514,15 +316,10 @@ func cwindow(r *creg, n int) ([]byte, bool) {
 	return r.data[pos : pos+int64(n)], true
 }
 
-// ccallGeneric bridges a non-specialized helper through the interpreter's
-// registry, converting between compiled and tagged register forms. This
+// ccallGeneric calls h, a non-specialized helper from the VM's registry,
+// converting between compiled and tagged register forms. This
 // path may allocate; no shipped classifier uses custom helpers.
-func (vm *VM) ccallGeneric(cp *CompiledProgram, r *[NumRegs]creg, id int32) error {
-	h := vm.helpers.get(id)
-	if h == nil {
-		_, err := vm.cfail(cp, -1, cfUnknownHelper)
-		return err
-	}
+func (vm *VM) ccallGeneric(cp *CompiledProgram, r *[NumRegs]creg, h *helperImpl) error {
 	var tagged [NumRegs]val
 	for i := range r {
 		c := &r[i]

@@ -280,26 +280,17 @@ func (vm *VM) alu(r []val, in Insn) error {
 
 func (vm *VM) branch(r []val, in Insn) (bool, error) {
 	op := in.Op & 0xf0
-	a, b := cmpAddr(r[in.Dst]), uint64(int64(in.Imm))
+	d := r[in.Dst]
+	a, b := cmpOperand(d.kind == kPtr, d.n), uint64(int64(in.Imm))
 	if in.Op&SrcX != 0 {
-		b = cmpAddr(r[in.Src])
+		s := r[in.Src]
+		b = cmpOperand(s.kind == kPtr, s.n)
 	}
 	taken, ok := condSem(op, a, b)
 	if !ok {
 		return false, fmt.Errorf("%w: unknown jump op %#x", ErrFault, op)
 	}
 	return taken, nil
-}
-
-// cmpAddr is a branch operand: scalars compare by value; pointers get a
-// non-zero representation so that null checks (ptr == 0) behave — a live
-// pointer never compares equal to 0. (The verifier restricts pointer
-// comparisons to null checks.)
-func cmpAddr(v val) uint64 {
-	if v.kind == kPtr {
-		return 0x5a5a_0000_0000_0000 + v.n
-	}
-	return v.n
 }
 
 func (vm *VM) call(r []val, id int32) error {

@@ -2,13 +2,12 @@ package ebpf
 
 import "slices"
 
-// One statement of what an ALU op and a conditional jump mean. The
-// interpreter (VM.alu, VM.branch), the verifier's known-scalar fold
-// (checkALU) and StaticVerdict call aluSem/condSem; the compiler, the
-// assembler and the disassembler index the two op tables. The only other
-// place these semantics are written down is RunCompiled's width- and
-// form-specialised loop (crun.go), which TestCompiledOpsMatchSemantics holds
-// to this file opcode by opcode.
+// One statement of what an ALU op and a conditional jump mean. Both
+// execution tiers (VM.alu and VM.branch in the interpreter, the cALU and cJmp
+// cases of RunCompiled), the verifier's known-scalar fold (checkALU) and
+// StaticVerdict call aluSem/condSem and compare through cmpOperand; the
+// verifier, the compiler, the assembler, the disassembler and Dump index the
+// two op tables. Nothing else in the package states these semantics.
 
 // opRow is one operation: its opcode nibble and its assembler mnemonic.
 type opRow struct {
@@ -16,10 +15,9 @@ type opRow struct {
 	name string
 }
 
-// aluTable lists the binary ALU ops and condTable the conditional jumps, both
-// in copCode order: row i of aluTable compiles to cAddReg+i, row i of
-// condTable to cJEqImm+i, and the other widths and forms lie whole tables
-// apart (see copCode.alu and copCode.cond).
+// aluTable lists the binary ALU ops and condTable the conditional jumps: the
+// ops the verifier and the compiler accept, under the names the assembler,
+// the disassembler and Dump use.
 var aluTable = [...]opRow{
 	{ALUAdd, "add"}, {ALUSub, "sub"}, {ALUMul, "mul"}, {ALUDiv, "div"},
 	{ALUMod, "mod"}, {ALUOr, "or"}, {ALUAnd, "and"}, {ALUXor, "xor"},
@@ -35,11 +33,7 @@ var condTable = [...]opRow{
 // The two ALU ops that are not binary: mov copies a tagged value, neg is unary.
 var movRow, negRow = opRow{ALUMov, "mov"}, opRow{ALUNeg, "neg"}
 
-const (
-	nALU     = len(aluTable)
-	nCond    = len(condTable)
-	aluBlock = 2*nALU + 1 // ALU copCodes per width: register forms, immediate forms, neg
-)
+const nALU = len(aluTable)
 
 // rowOf returns the index of the row with the given opcode nibble, or -1.
 func rowOf(table []opRow, code uint8) int {
@@ -145,28 +139,13 @@ func condSem(op uint8, a, b uint64) (taken, ok bool) {
 	return false, false
 }
 
-// alu decodes an ALU copCode back to the row it specialises: each width is
-// one block of register forms, immediate forms and neg, in aluTable order.
-// neg reads no source register and decodes as an immediate form.
-func (c copCode) alu() (r opRow, is64, imm, ok bool) {
-	if c < cAddReg || c > cNeg32 {
-		return opRow{}, false, false, false
+// cmpOperand is a branch operand as condSem sees it: a scalar by value, a
+// pointer by a synthetic non-zero address, so that a null check (ptr == 0)
+// on a live pointer is never taken. (The verifier restricts pointer
+// comparisons to null checks.)
+func cmpOperand(isPtr bool, n uint64) uint64 {
+	if isPtr {
+		return 0x5a5a_0000_0000_0000 + n
 	}
-	i := int(c - cAddReg)
-	is64 = i < aluBlock
-	i %= aluBlock
-	if i == 2*nALU {
-		return negRow, is64, true, true
-	}
-	return aluTable[i%nALU], is64, i >= nALU, true
-}
-
-// cond decodes a conditional-jump copCode: immediate forms, then register
-// forms, each in condTable order.
-func (c copCode) cond() (r opRow, imm, ok bool) {
-	if c < cJEqImm || c > cJSetReg {
-		return opRow{}, false, false
-	}
-	i := int(c - cJEqImm)
-	return condTable[i%nCond], i < nCond, true
+	return n
 }

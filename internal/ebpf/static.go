@@ -128,35 +128,30 @@ func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
 		s := states[pc]
 		o := &cp.ops[pc]
 
-		// ALU ops and conditional jumps decode back to (op, width, form) and
-		// evaluate through the shared semantics; b is the source operand.
+		// b is an ALU op's or a conditional jump's source operand.
 		b := aval{k: avConst, n: o.imm}
-		if r, is64, imm, ok := o.code.alu(); ok {
-			if !imm {
-				b = s[o.src]
-			}
+		if o.regSrc() {
+			b = s[o.src]
+		}
+		switch o.code {
+		case cALU:
 			d := s[o.dst]
-			switch {
-			case d.isPtr() && is64 && (r.code == ALUAdd || r.code == ALUSub) && (b.k == avConst || b.k == avUnknown):
+			switch op := o.nibble(); {
+			case d.isPtr() && o.is64() && (op == ALUAdd || op == ALUSub) && (b.k == avConst || b.k == avUnknown):
 				// Pointer arithmetic moves the offset; provenance survives.
 				s[o.dst] = aval{k: d.k}
 			case d.k == avConst && b.k == avConst:
-				n, _ := aluSem(r.code, is64, d.n, b.n)
+				n, _ := aluSem(op, o.is64(), d.n, b.n)
 				s[o.dst] = aval{k: avConst, n: n}
 			default:
 				s[o.dst] = aval{k: avUnknown}
 			}
-			flow(pc+1, &s)
-			continue
-		}
-		if r, imm, ok := o.code.cond(); ok {
-			if !imm {
-				b = s[o.src]
-			}
-			// Const operands follow only the edge the runtime takes (cmpBase
-			// is the identity on scalars); anything else joins both edges.
+		case cJmp:
+			// Const operands follow only the edge the runtime takes
+			// (cmpOperand is the identity on scalars); anything else joins
+			// both edges.
 			known := s[o.dst].k == avConst && b.k == avConst
-			taken, _ := condSem(r.code, s[o.dst].n, b.n)
+			taken, _ := condSem(o.nibble(), s[o.dst].n, b.n)
 			if !known || taken {
 				flow(int(o.off), &s)
 			}
@@ -164,9 +159,7 @@ func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
 				flow(pc+1, &s)
 			}
 			continue
-		}
 
-		switch o.code {
 		case cExit:
 			r0 := s[R0]
 			if r0.k != avConst {
