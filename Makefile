@@ -27,12 +27,13 @@ fmt:
 # loc prints the repo's Go line counts (all lines, bench/ excluded), non-test
 # and test apart: net-negative non-test LOC is a headline result of the
 # simplification round (ROADMAP), so CHANGES.md entries cite it before/after.
-# The last line is the classifier runtime's own non-test count, which the
-# ROADMAP holds under 3,000 lines.
+# The last two lines are the non-test counts of the classifier runtime, which
+# the ROADMAP holds under 3,000 lines, and of the router.
 loc:
 	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@printf 'test Go lines:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@printf 'internal/ebpf non-test Go lines: %s\n' "$$(find ./internal/ebpf -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/core non-test Go lines: %s\n' "$$(find ./internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem

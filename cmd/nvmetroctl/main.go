@@ -18,7 +18,7 @@
 // tenants spread least-loaded over the shards, each on its own whole
 // namespace so the statically-provable default classifier promotes them to
 // the direct SQ→HSQ mapping. After the workload it dumps the fleet view —
-// per-shard tenant assignment, promotion tier, MPSC inbox depths — and,
+// per-shard tenant assignment, promotion tier, inbox depths — and,
 // with -swap, hot-swaps vm0's classifier to demonstrate the demotion fence
 // and the deferred re-promotion.
 //
@@ -168,7 +168,7 @@ func must(v *nvmetro.Volume, err error) *nvmetro.Volume {
 }
 
 // shardCmd is the `nvmetroctl shard` subcommand: a sharded-fleet demo and
-// state dump — per-shard tenant assignment, promotion tier and MPSC inbox
+// state dump — per-shard tenant assignment, promotion tier and inbox
 // depths, plus an optional live demotion/re-promotion episode.
 func shardCmd(args []string) {
 	fs := flag.NewFlagSet("shard", flag.ExitOnError)

@@ -10,8 +10,8 @@ import (
 )
 
 // These tests hold the notify queues at a shallow depth with a slow UIF
-// consumer so the router's dispatchNQ path hits NSQ-full on most rounds and
-// must defer through the retry list. Every command still has to complete
+// consumer so the router's notify-path dispatch hits NSQ-full on most rounds
+// and must defer through the retry list. Every command still has to complete
 // exactly once with its correct generation-stamped CID (a mismatched tag
 // would either panic the guest driver on an idle CID or show up as a stale
 // completion), and the worker must keep making progress rather than stall

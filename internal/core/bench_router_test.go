@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"nvmetro/internal/device"
@@ -18,6 +19,7 @@ import (
 // processes started per I/O.
 func BenchmarkRouterHop(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
 		events, switches, spawns := routedHops(b, b.N, b.ResetTimer, b.StopTimer)
 		b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
@@ -27,7 +29,9 @@ func BenchmarkRouterHop(b *testing.B) {
 
 // routedHops drives n QD1 reads through the router fast path and returns
 // the scheduler events, run-token hand-offs and process spawns they cost,
-// counted between start and stop.
+// counted between start and stop. Twenty reads before start warm the rig up:
+// they start the worker and touch the event wheel's buckets the hop pattern
+// files into, each of which allocates once.
 func routedHops(tb testing.TB, n int, start, stop func()) (events, switches, spawns uint64) {
 	r := newRig(1)
 	v, _, disk := r.addVM(1, device.WholeNamespace(r.dev, 1))
@@ -35,15 +39,21 @@ func routedHops(tb testing.TB, n int, start, stop func()) (events, switches, spa
 	if err != nil {
 		tb.Fatal(err)
 	}
+	read := func(p *sim.Proc, i int) {
+		req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8, Buf: base, BufPages: pages}
+		if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); !st.OK() {
+			tb.Fatalf("io %d failed: %v", i, st)
+		}
+	}
 	done := false
 	r.env.Go("bench", func(p *sim.Proc) {
+		for i := 0; i < 20; i++ {
+			read(p, 0)
+		}
 		start()
 		events, switches, spawns = r.env.Dispatched(), r.env.Switches(), r.env.Spawns()
-		for i := 0; i < n; i++ {
-			req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8, Buf: base, BufPages: pages}
-			if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); !st.OK() {
-				tb.Fatalf("io %d failed: %v", i, st)
-			}
+		for i := 1; i <= n; i++ {
+			read(p, i)
 		}
 		stop()
 		events, switches, spawns = r.env.Dispatched()-events, r.env.Switches()-switches, r.env.Spawns()-spawns
@@ -62,13 +72,21 @@ func routedHops(tb testing.TB, n int, start, stop func()) (events, switches, spa
 // wake and the router worker's; the device and the guest's interrupt
 // handler are continuations), and no spawn. The counts are exact, so a
 // change that puts a process back on the command path fails here whatever
-// the host's timing noise.
+// the host's timing noise. It also pins the heap allocations a hop costs: 4,
+// three of them the driver's (its vm.Req, the Req's Cond and the cond's
+// waiter slot) and one the router's request.
 func TestHopSwitchBudget(t *testing.T) {
 	const n = 500
-	nop := func() {}
-	events, switches, spawns := routedHops(t, n, nop, nop)
+	var ms runtime.MemStats
+	var mallocs uint64
+	start := func() { runtime.ReadMemStats(&ms); mallocs = ms.Mallocs }
+	stop := func() { runtime.ReadMemStats(&ms); mallocs = ms.Mallocs - mallocs }
+	events, switches, spawns := routedHops(t, n, start, stop)
 	if events > 21*n || switches > 2*n || spawns > 0 {
 		t.Errorf("%d hops cost %d events, %d switches, %d spawns; budget per hop is 21 / 2 / 0",
 			n, events, switches, spawns)
+	}
+	if mallocs > 4*n {
+		t.Errorf("%d hops cost %d heap allocations; budget per hop is 4", n, mallocs)
 	}
 }

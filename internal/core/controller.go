@@ -13,7 +13,7 @@ import (
 )
 
 // target indexes the three I/O paths.
-type target int
+type target uint8
 
 const (
 	targetHQ target = iota
@@ -22,15 +22,16 @@ const (
 	numTargets
 )
 
-func hookFor(t target) uint32 {
-	switch t {
-	case targetHQ:
-		return HookHCQ
-	case targetNQ:
-		return HookNCQ
-	default:
-		return HookKCQ
-	}
+// routeBits is each path's part of a classifier verdict — send to it, hook
+// its completion, count its completion toward the guest's — and the hook a
+// hooked completion invokes the classifier at.
+var routeBits = [numTargets]struct {
+	send, hook, willComplete uint64
+	compHook                 uint32
+}{
+	targetHQ: {ActSendHQ, ActHookHCQ, ActWillCompleteHQ, HookHCQ},
+	targetNQ: {ActSendNQ, ActHookNCQ, ActWillCompleteNQ, HookNCQ},
+	targetKQ: {ActSendKQ, ActHookKCQ, ActWillCompleteKQ, HookKCQ},
 }
 
 // disposition records what happens when a routed hop completes.
@@ -78,148 +79,75 @@ type vqState struct {
 	hqp        *nvme.QueuePair
 	irq        func()
 	htags      []hop
-	htagSeq    []uint64 // dispatch epoch per tag, guards stale deadline entries
+	htagSeq    []uint32 // dispatch epoch per tag: which hop a deadline is for
+	lost       []uint32 // per tag, the epoch it was quarantined in; 0 if it is not
 	freeHTags  []uint16
 	pendingVCQ []nvme.Completion
 
-	dispatchSeq uint64
-	deadlines   fifo[hqDeadline] // uniform deadlines, submission order
-	lostHTags   fifo[lostTag]    // quarantined tags awaiting completion
+	dispatchSeq uint32
+	hops        tagTimer // fast-path hop deadlines, keyed by (tag, dispatch epoch)
+	reclaims    tagTimer // quarantined tags' reclaim, keyed by (tag, quarantine epoch)
 }
 
-// fifo is a head-indexed queue: pop advances head instead of reslicing the
-// front away, and the backing array is reused — from the start once the
-// queue drains, or by sliding the live part down when it fills — so a steady
-// push/pop cycle never reallocates and the array stays within twice the
-// peak population.
-type fifo[T any] struct {
-	items []T
-	head  int
+// tagTimer is a sim.Deadlines over a queue's host tags and the entries its
+// timer has found due since the last gather. The timer only records: the
+// gather acts, right after popping the queue's HCQ, and re-checks that the
+// entry is still live, so a completion that lands between the two still wins
+// and nothing is aborted from scheduler context.
+type tagTimer struct {
+	*sim.Deadlines
+	due []tagEpoch
 }
 
-func (f *fifo[T]) len() int  { return len(f.items) - f.head }
-func (f *fifo[T]) front() *T { return &f.items[f.head] }
-func (f *fifo[T]) pop()      { f.removeAt(0) }
+// tagEpoch names one use of a host tag.
+type tagEpoch struct{ tag, epoch uint32 }
 
-func (f *fifo[T]) push(v T) {
-	if len(f.items) == cap(f.items) && f.head > 0 {
-		// Full: shed the consumed prefix instead of letting append carry
-		// it into a bigger array — in place when that frees at least half
-		// (the pops that made the room pay for the slide), else into an
-		// array twice the live size.
-		live := f.items[f.head:]
-		dst := f.items[:0]
-		if f.head < len(live) {
-			dst = make([]T, 0, 2*len(live))
-		}
-		f.items, f.head = append(dst, live...), 0
-	}
-	f.items = append(f.items, v)
+func (tt *tagTimer) record(tag, epoch uint32) { tt.due = append(tt.due, tagEpoch{tag, epoch}) }
+
+// inFlight reports whether the hop dispatched on tag in epoch is still
+// awaited.
+func (vq *vqState) inFlight(tag, epoch uint32) bool {
+	return vq.htagSeq[tag] == epoch && vq.htags[tag].req != nil
 }
 
-// removeAt deletes the i-th queued element, keeping the others in order.
-func (f *fifo[T]) removeAt(i int) {
-	if i == 0 {
-		f.head++
-	} else {
-		f.items = append(f.items[:f.head+i], f.items[f.head+i+1:]...)
-	}
-	if f.head == len(f.items) {
-		f.items, f.head = f.items[:0], 0
-	}
-}
-
-// hqDeadline is one armed fast-path deadline.
-type hqDeadline struct {
-	cid uint16
-	seq uint64
-	at  sim.Time
-}
-
-// lostTag is one quarantined host tag.
-type lostTag struct {
-	cid   uint16
-	since sim.Time
-}
+// quarantined reports whether tag is still quarantined since epoch.
+func (vq *vqState) quarantined(tag, epoch uint32) bool { return vq.lost[tag] == epoch }
 
 // releaseLost frees cid if it is quarantined (its late completion arrived).
 func (vq *vqState) releaseLost(cid uint16) {
-	l := &vq.lostHTags
-	for i, lt := range l.items[l.head:] {
-		if lt.cid == cid {
-			l.removeAt(i)
-			vq.freeHTags = append(vq.freeHTags, cid)
-			return
-		}
+	if vq.lost[cid] != 0 {
+		vq.lost[cid] = 0
+		vq.freeHTags = append(vq.freeHTags, cid)
 	}
 }
 
-// settled reports whether the deadline's hop already completed (its tag is
-// free or reassigned). A settled entry never becomes live again.
-func (vq *vqState) settled(ent *hqDeadline) bool {
-	return vq.htagSeq[ent.cid] != ent.seq || vq.htags[ent.cid].req == nil
-}
-
-// trimDeadlines drops settled entries from the head of the deadline queue
-// (they would be discarded unseen at expiry). The worker calls it whenever a
-// hop completes, so the head, when there is one, is the oldest hop still in
-// flight: nextTimed is O(1), a QD1 stream's completed hops do not chop
-// every idle gap in two, and the queue holds the hops in flight rather than
-// the last FastPathDeadline's worth of dispatches.
-func (vq *vqState) trimDeadlines() {
-	for vq.deadlines.len() > 0 && vq.settled(vq.deadlines.front()) {
-		vq.deadlines.pop()
-	}
-}
-
-// nextTimed returns the earliest instant at which expireDeadlines has
-// something to do — the oldest hop deadline or the oldest quarantined tag's
-// reclaim time — or sim.Never. It is what an empty poll round may not be
-// skipped across.
-func (vq *vqState) nextTimed(r *Router) sim.Time {
-	t := sim.Never
-	if r.FastPathDeadline <= 0 {
-		return t
-	}
-	if vq.deadlines.len() > 0 {
-		t = vq.deadlines.front().at
-	}
-	if vq.lostHTags.len() > 0 {
-		if at := vq.lostHTags.front().since.Add(r.HTagReclaim); at < t {
-			t = at
-		}
-	}
-	return t
-}
-
-// expireDeadlines pops overdue fast-path hops — quarantining their tags —
-// and recycles quarantined tags past the reclaim window. It returns the
-// aborted hops for the worker to fail with SCAbortRequested.
-func (vq *vqState) expireDeadlines(r *Router) []hop {
-	if r.FastPathDeadline <= 0 {
-		return nil
-	}
-	now := r.env.Now()
-	var aborted []hop
-	for vq.deadlines.len() > 0 && vq.deadlines.front().at <= now {
-		ent := *vq.deadlines.front()
-		vq.deadlines.pop()
-		if vq.settled(&ent) {
+// expire acts on what vq's timers found due. A hop still in flight at its
+// deadline fails back to the guest with SCAbortRequested and its tag is
+// quarantined: the device may yet complete it, so the tag is reused only once
+// that late completion arrives or HTagReclaim passes. A tag still quarantined
+// at its reclaim instant is freed.
+func (w *worker) expire(vq *vqState, effects []effect) []effect {
+	for _, d := range vq.hops.due {
+		if !vq.inFlight(d.tag, d.epoch) {
 			continue
 		}
-		h := vq.htags[ent.cid]
-		vq.htags[ent.cid] = hop{}
-		vq.lostHTags.push(lostTag{cid: ent.cid, since: now})
-		r.HQTimeouts++
-		aborted = append(aborted, h)
+		h := vq.htags[d.tag]
+		vq.htags[d.tag] = hop{}
+		vq.lost[d.tag] = d.epoch
+		vq.reclaims.Add(d.tag, d.epoch, w.r.env.Now().Add(w.r.HTagReclaim))
+		w.r.HQTimeouts++
+		effects = append(effects, effect{kind: effFinish, t: targetHQ, st: nvme.SCAbortRequested, h: h})
 	}
-	for vq.lostHTags.len() > 0 && now.Sub(vq.lostHTags.front().since) >= r.HTagReclaim {
-		cid := vq.lostHTags.front().cid
-		vq.lostHTags.pop()
-		vq.freeHTags = append(vq.freeHTags, cid)
-		r.HTagsReclaimed++
+	vq.hops.due = vq.hops.due[:0]
+	for _, d := range vq.reclaims.due {
+		if vq.quarantined(d.tag, d.epoch) {
+			vq.lost[d.tag] = 0
+			vq.freeHTags = append(vq.freeHTags, uint16(d.tag))
+			w.r.HTagsReclaimed++
+		}
 	}
-	return aborted
+	vq.reclaims.due = vq.reclaims.due[:0]
+	return effects
 }
 
 // Controller is the virtual NVMe controller NVMetro exposes to one VM,
@@ -254,7 +182,7 @@ type Controller struct {
 	nextNTag uint16
 	kt       KernelTarget
 
-	retry       []func()
+	retry       []effect // dispatches a full queue refused, retried after the round
 	outstanding int
 	tenant      *qos.Tenant // arbiter state, nil until Router.EnableQoS
 
@@ -459,8 +387,11 @@ func (vc *Controller) CreateQP(depth uint32) *nvme.QueuePair {
 		vcq:     nvme.NewCQ(vc.nextQID, depth),
 		hqp:     vc.part.Dev.CreateQueuePair(depth, vc.vm.Mem),
 		htags:   make([]hop, depth),
-		htagSeq: make([]uint64, depth),
+		htagSeq: make([]uint32, depth),
+		lost:    make([]uint32, depth),
 	}
+	vq.hops.Deadlines = sim.NewDeadlines(vc.router.env, vq.inFlight, vq.hops.record)
+	vq.reclaims.Deadlines = sim.NewDeadlines(vc.router.env, vq.quarantined, vq.reclaims.record)
 	for i := uint32(0); i < depth; i++ {
 		vq.freeHTags = append(vq.freeHTags, uint16(i))
 	}
@@ -533,46 +464,36 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 		return
 	}
 
-	dispOf := func(sendBit, hookBit, compBit uint64) (disposition, bool) {
-		if actions&sendBit == 0 {
-			return dispNone, false
+	// One leg per path the verdict sends to. Every leg is counted before any
+	// is dispatched, so a leg that fails at once cannot complete the request
+	// ahead of its siblings.
+	var legs [numTargets]hop
+	n := 0
+	for t, b := range routeBits {
+		if actions&b.send == 0 {
+			continue
 		}
+		d := dispNone
 		switch {
-		case actions&hookBit != 0:
-			return dispHook, true
-		case actions&compBit != 0:
-			return dispComplete, true
+		case actions&b.hook != 0:
+			d = dispHook
+		case actions&b.willComplete != 0:
+			d = dispComplete
+			req.waiters++
 		}
-		return dispNone, true
+		legs[t] = hop{req, d}
+		req.pending++
+		n++
 	}
-
-	type send struct {
-		fn func(hop)
-		h  hop
-	}
-	var sends []send
-	if d, ok := dispOf(ActSendHQ, ActHookHCQ, ActWillCompleteHQ); ok {
-		sends = append(sends, send{w.dispatchHQ, hop{req, d}})
-	}
-	if d, ok := dispOf(ActSendNQ, ActHookNCQ, ActWillCompleteNQ); ok {
-		sends = append(sends, send{w.dispatchNQ, hop{req, d}})
-	}
-	if d, ok := dispOf(ActSendKQ, ActHookKCQ, ActWillCompleteKQ); ok {
-		sends = append(sends, send{w.dispatchKQ, hop{req, d}})
-	}
-	if len(sends) == 0 {
+	if n == 0 {
 		// No action at all: a buggy classifier must not wedge the guest.
 		w.completeReq(req, nvme.SCInternal)
 		return
 	}
-	for _, s := range sends {
-		req.pending++
-		if s.h.disp == dispComplete {
-			req.waiters++
+	for t, h := range legs {
+		if h.req != nil {
+			w.dispatch(h, target(t))
 		}
-	}
-	for _, s := range sends {
-		s.fn(s.h)
 	}
 }
 
@@ -582,7 +503,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 // the command maps SQ→HSQ directly with no classifier execution, no ctx
 // marshalling and no copy-back. Everything downstream of classification —
 // confinement, guard admission, tag allocation, deadlines, backpressure —
-// is shared with the routed tier via dispatchHQ. Runs in worker effect
+// is shared with the routed tier via dispatch. Runs in worker effect
 // context.
 func (w *worker) directDispatch(req *request) {
 	vc := req.vq.vc
@@ -602,7 +523,7 @@ func (w *worker) directDispatch(req *request) {
 	}
 	req.pending++
 	req.waiters++
-	w.dispatchHQ(hop{req, dispComplete})
+	w.dispatch(hop{req, dispComplete}, targetHQ)
 }
 
 // guardAdmit runs the protection-info admission step for a routed guest
@@ -761,14 +682,15 @@ func (w *worker) finishHop(h hop, t target, status nvme.Status) {
 	req := h.req
 	req.pending--
 	if !status.OK() {
-		(*w.r.pathErrors(t))++
+		_, errs := w.r.path(t)
+		(*errs)++
 		if req.status.OK() {
 			req.status = status
 		}
 	}
 	switch h.disp {
 	case dispHook:
-		w.classifyAndRoute(req, hookFor(t), status)
+		w.classifyAndRoute(req, routeBits[t].compHook, status)
 	case dispComplete:
 		req.waiters--
 		if req.waiters == 0 {
@@ -850,76 +772,89 @@ func (w *worker) confined(h hop, t target) bool {
 	return false
 }
 
-// dispatchHQ forwards the request's command to the shadowing host queue.
-func (w *worker) dispatchHQ(h hop) {
-	req := h.req
-	vq := req.vq
-	vc := vq.vc
-	w.r.FastPath++
-	if !w.confined(h, targetHQ) {
+// dispatch sends hop h down path t: the path counts the attempt, the
+// tenant's extent is enforced (see confined) and the path's send hands the
+// command over. When the queue is full the hop becomes a retry record,
+// attempted again once the round's completions are posted.
+func (w *worker) dispatch(h hop, t target) {
+	sent, _ := w.r.path(t)
+	(*sent)++
+	if !w.confined(h, t) {
 		return
 	}
-	if len(vq.freeHTags) == 0 || vq.hqp.SQ.Full() {
+	var took bool
+	switch t {
+	case targetHQ:
+		took = w.sendHQ(h)
+	case targetNQ:
+		took = w.sendNQ(h)
+	default:
+		took = w.sendKQ(h)
+	}
+	if !took {
 		w.r.Backpressure++
-		vc.retry = append(vc.retry, func() { w.dispatchHQ(h) })
-		return
+		vc := h.req.vq.vc
+		vc.retry = append(vc.retry, effect{kind: effDispatch, t: t, h: h})
+	}
+}
+
+// sendHQ forwards the hop's command to the shadowing host queue under a free
+// host tag and arms the hop's deadline. It reports false when no tag is free
+// or the HSQ is full.
+func (w *worker) sendHQ(h hop) bool {
+	vq := h.req.vq
+	vc := vq.vc
+	if len(vq.freeHTags) == 0 || vq.hqp.SQ.Full() {
+		return false
 	}
 	htag := vq.freeHTags[len(vq.freeHTags)-1]
 	vq.freeHTags = vq.freeHTags[:len(vq.freeHTags)-1]
 	vq.htags[htag] = h
-	cmd := req.cmd
+	cmd := h.req.cmd
 	cmd.SetCID(htag)
 	// The guest driver always addresses NSID 1 of its virtual controller;
 	// the attachment's partition says which device namespace that maps to
 	// (clone namespaces sit at NSID >= 2).
 	cmd.SetNSID(vc.part.NSID)
 	if !vq.hqp.SQ.Push(&cmd) {
-		// Backpressure, not a panic: undo the tag grab and retry on the
-		// next worker iteration, exactly like the full-before-check case.
+		// Backpressure, not a panic: give the tag back, exactly like the
+		// full-before-check case.
 		vq.htags[htag] = hop{}
 		vq.freeHTags = append(vq.freeHTags, htag)
-		w.r.Backpressure++
-		vc.retry = append(vc.retry, func() { w.dispatchHQ(h) })
-		return
+		return false
 	}
 	vq.dispatchSeq++
 	vq.htagSeq[htag] = vq.dispatchSeq
 	if dl := w.r.FastPathDeadline; dl > 0 {
-		vq.deadlines.push(hqDeadline{cid: htag, seq: vq.dispatchSeq, at: w.r.env.Now().Add(dl)})
+		vq.hops.Add(uint32(htag), vq.dispatchSeq, w.r.env.Now().Add(dl))
 	}
 	vc.part.Dev.Ring(vq.hqp.SQ.ID)
+	return true
 }
 
-// dispatchNQ exports the request to the attached UIF via the notify queues.
-func (w *worker) dispatchNQ(h hop) {
-	req := h.req
-	vc := req.vq.vc
-	w.r.NotifyPath++
-	if !w.confined(h, targetNQ) {
-		return
-	}
+// sendNQ exports the hop's command to the attached UIF via the notify queues.
+// It reports false when the NSQ is full; with no UIF attached the hop fails.
+func (w *worker) sendNQ(h hop) bool {
+	vc := h.req.vq.vc
 	if vc.nq == nil {
 		w.finishHop(h, targetNQ, nvme.SCInternal)
-		return
+		return true
 	}
 	if vc.nq.nsq.Full() {
-		w.r.Backpressure++
-		vc.retry = append(vc.retry, func() { w.dispatchNQ(h) })
-		return
+		return false
 	}
 	vc.nextNTag++
 	tag := vc.nextNTag
 	vc.ntags[tag] = ntagEntry{h: h, at: w.r.env.Now()}
-	cmd := req.cmd
+	cmd := h.req.cmd
 	cmd.SetCID(tag)
 	if !vc.nq.nsq.Push(&cmd) {
-		// Backpressure, not a panic: drop the tag and retry later.
+		// Backpressure, not a panic: drop the tag (it stays spent).
 		delete(vc.ntags, tag)
-		w.r.Backpressure++
-		vc.retry = append(vc.retry, func() { w.dispatchNQ(h) })
-		return
+		return false
 	}
 	vc.nq.notify()
+	return true
 }
 
 // ntagEntry is one in-flight notify-path hop, timestamped at dispatch so
@@ -955,23 +890,21 @@ func (vc *Controller) OldestNotifyAge(now sim.Time) sim.Duration {
 	return oldest
 }
 
-// dispatchKQ sends the request down the host kernel block layer.
-func (w *worker) dispatchKQ(h hop) {
+// sendKQ sends the hop's command down the host kernel block layer, which
+// never refuses one; with no kernel target installed the hop fails.
+func (w *worker) sendKQ(h hop) bool {
 	vc := h.req.vq.vc
-	w.r.KernelPath++
-	if !w.confined(h, targetKQ) {
-		return
-	}
 	if vc.kt == nil {
 		w.finishHop(h, targetKQ, nvme.SCInternal)
-		return
+		return true
 	}
 	vc.kt.Submit(h.req.cmd, vc.vm.Mem, func(st nvme.Status) {
-		// The block layer completes on its own context; fan the completion
-		// into the owning shard through the lock-free inbox.
-		w.comps.Push(func() { w.finishHop(h, targetKQ, st) })
+		// The block layer completes on its own context; the completion
+		// joins the owning shard's inbox.
+		w.comps = append(w.comps, effect{kind: effFinish, t: targetKQ, st: st, h: h})
 		w.hint()
 	})
+	return true
 }
 
 // encode helpers used by classifier config maps (documented layout for the
@@ -998,7 +931,7 @@ var _ vm.Port = (*Controller)(nil)
 // (exposed to the control plane and tests).
 func (vc *Controller) DebugState() string {
 	s := fmt.Sprintf("outstanding=%d ntags=%d retry=%d workerAsleep=%v comps=%d ctrl=%d",
-		vc.outstanding, len(vc.ntags), len(vc.retry), vc.w.asleep, vc.w.comps.Len(), vc.w.ctrl.Len())
+		vc.outstanding, len(vc.ntags), len(vc.retry), vc.w.asleep, len(vc.w.comps), len(vc.w.ctrl))
 	if vc.nq != nil {
 		s += fmt.Sprintf(" nsq=%d ncq=%d", vc.nq.nsq.Len(), vc.nq.ncq.Len())
 	}

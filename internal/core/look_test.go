@@ -9,7 +9,6 @@ import (
 	"nvmetro/internal/device"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/qos"
-	"nvmetro/internal/shard/ring"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/vm"
 )
@@ -32,7 +31,7 @@ func newLookBench(seed int64, tenants int, withQoS bool) *lookBench {
 	p := device.Default970EvoPlus()
 	b := &lookBench{env: env, cpu: cpu, dev: device.New(env, p, device.NewMemStore(512))}
 	b.r = &Router{env: env, costs: DefaultRouterCosts(), FastPathDeadline: 300 * sim.Microsecond, HTagReclaim: 700 * sim.Microsecond}
-	b.w = &worker{r: b.r, thread: cpu.ThreadOn(3, "router"), wake: sim.NewCond(env), comps: ring.New(), ctrl: ring.New()}
+	b.w = &worker{r: b.r, thread: cpu.ThreadOn(3, "router"), wake: sim.NewCond(env)}
 	b.r.workers = []*worker{b.w}
 	if withQoS {
 		b.r.EnableQoS(qos.Config{Window: 20 * sim.Microsecond})
@@ -67,7 +66,14 @@ func (b *lookBench) books() string {
 		}
 	}
 	for i, vq := range b.vqs {
-		s += fmt.Sprintf("q%d[vsq=%d hcq=%d dl=%d lost=%d free=%d] ", i, vq.vsq.Len(), vq.hqp.CQ.Len(), vq.deadlines.len(), vq.lostHTags.len(), len(vq.freeHTags))
+		lost := 0
+		for _, e := range vq.lost {
+			if e != 0 {
+				lost++
+			}
+		}
+		s += fmt.Sprintf("q%d[vsq=%d hcq=%d dl=%d/%d due=%d/%d lost=%d free=%d] ", i, vq.vsq.Len(), vq.hqp.CQ.Len(),
+			vq.hops.Len(), vq.reclaims.Len(), len(vq.hops.due), len(vq.reclaims.due), lost, len(vq.freeHTags))
 	}
 	for _, vc := range b.w.vcs {
 		if vc.nq != nil {
@@ -81,7 +87,18 @@ func (b *lookBench) books() string {
 		}
 		s += "] "
 	}
-	return s + fmt.Sprintf("comps=%d ctrl=%d", b.w.comps.Len(), b.w.ctrl.Len())
+	return s + fmt.Sprintf("comps=%d ctrl=%d", len(b.w.comps), len(b.w.ctrl))
+}
+
+// due reports whether a deadline timer has recorded something the worker has
+// not gathered yet.
+func (b *lookBench) due() bool {
+	for _, vq := range b.vqs {
+		if len(vq.hops.due) > 0 || len(vq.reclaims.due) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // check is the soundness property at the current instant: if look reports
@@ -95,7 +112,7 @@ func (b *lookBench) check(t *testing.T, what string) (ready bool) {
 	until := b.w.look(0)
 	ready = until <= now
 	before := b.books()
-	var effects []func()
+	var effects []effect
 	work, _ := b.w.gather(&effects)
 	if !ready {
 		if len(effects) != 0 || b.books() != before {
@@ -116,9 +133,11 @@ func (b *lookBench) check(t *testing.T, what string) (ready bool) {
 // deadlines, quarantined tags and SLO windows in random states at random
 // instants and checks look against a real gather each time; then, for every
 // time bound look hands out, the instant just before it (still nothing) and
-// the bound itself.
+// the bound itself. A deadline timer that fires on the way to a bound is a
+// scheduler event, which ends a spin step by itself: look must see what it
+// recorded, and the bound is not looked at past it.
 func TestReadyNeverMissesWork(t *testing.T) {
-	var sawReady, sawIdle, sawTimed int
+	var sawReady, sawIdle, sawTimed, sawTimers int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		b := newLookBench(seed, 5, seed%2 == 0)
@@ -140,7 +159,7 @@ func TestReadyNeverMissesWork(t *testing.T) {
 				vq.hqp.CQ.Post(uint16(rng.Intn(8)), vq.qid, 0, nvme.SCSuccess, 0)
 			case 2:
 				what = "kernel completion"
-				b.w.comps.Push(func() {})
+				b.w.comps = append(b.w.comps, effect{kind: effFinish, t: targetKQ})
 			case 3:
 				what = "control post"
 				b.w.post(func() {})
@@ -152,7 +171,7 @@ func TestReadyNeverMissesWork(t *testing.T) {
 					vq.dispatchSeq++
 					vq.htags[cid] = hop{req: &request{vq: vq, pending: 1}}
 					vq.htagSeq[cid] = vq.dispatchSeq
-					vq.deadlines.push(hqDeadline{cid: cid, seq: vq.dispatchSeq, at: b.env.Now().Add(sim.Duration(rng.Intn(3000)))})
+					vq.hops.Add(uint32(cid), vq.dispatchSeq, b.env.Now().Add(sim.Duration(rng.Intn(3000))))
 				}
 			case 5:
 				what = "notify completion"
@@ -161,8 +180,10 @@ func TestReadyNeverMissesWork(t *testing.T) {
 				}
 			}
 			b.advance(sim.Duration(rng.Intn(4)) * sim.Duration(rng.Intn(2000)))
-			if b.check(t, what) {
+			if due := b.due(); b.check(t, what) {
 				sawReady++
+			} else if due {
+				t.Fatalf("seed %d step %d: a deadline timer recorded work and look did not see it", seed, step)
 			} else {
 				sawIdle++
 			}
@@ -175,6 +196,13 @@ func TestReadyNeverMissesWork(t *testing.T) {
 					break
 				}
 				b.advance(until.Sub(b.env.Now()) - 1)
+				if b.due() {
+					if !b.check(t, "deadline timer") {
+						t.Fatalf("seed %d step %d: a deadline timer recorded work and look did not see it", seed, step)
+					}
+					sawTimers++
+					break
+				}
 				if b.check(t, "just before the bound") {
 					t.Fatalf("seed %d step %d: look promised nothing before %v and says look at %v", seed, step, until, b.env.Now())
 				}
@@ -186,8 +214,8 @@ func TestReadyNeverMissesWork(t *testing.T) {
 			}
 		}
 	}
-	if sawReady < 1000 || sawIdle < 1000 || sawTimed < 1000 {
-		t.Fatalf("weak run: %d ready, %d idle, %d timed bounds checked", sawReady, sawIdle, sawTimed)
+	if sawReady < 1000 || sawIdle < 1000 || sawTimed < 1000 || sawTimers < 50 {
+		t.Fatalf("weak run: %d ready, %d idle, %d timed bounds, %d timers before a bound checked", sawReady, sawIdle, sawTimed, sawTimers)
 	}
 }
 

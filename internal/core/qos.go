@@ -124,7 +124,7 @@ const qosAdmitBatch = 8
 // while backlog remains, so simulated time advances and buckets refill —
 // parking would deadlock the guest against a bucket that can never
 // refill).
-func (w *worker) gatherQoS(effects *[]func(), work *sim.Duration) (admitted, backlog int) {
+func (w *worker) gatherQoS(effects *[]effect, work *sim.Duration) (admitted, backlog int) {
 	q := w.qos
 	now := w.r.env.Now()
 	q.Tick(now)
@@ -166,12 +166,7 @@ func (w *worker) gatherQoS(effects *[]func(), work *sim.Duration) (admitted, bac
 		admitted++
 		base := q.Serve(vc.tenant, bestBytes, now)
 		req := &request{vq: best, gcid: bestCmd.CID(), cmd: bestCmd, t0: now, qosBase: base}
-		if vc.promoted {
-			*effects = append(*effects, func() { w.directDispatch(req) })
-		} else {
-			*work += vc.classifyCost(w.r.costs)
-			*effects = append(*effects, func() { w.classifyAndRoute(req, HookVSQ, 0) })
-		}
+		*effects = append(*effects, w.admit(req, work))
 	}
 	for _, vc := range w.vcs {
 		for _, vq := range vc.vqs {

@@ -77,7 +77,7 @@ func (vc *Controller) ReconcileNotify(decide func(cmd nvme.Command) ReconcileDec
 				nh := hop{req: req, disp: dispComplete}
 				req.pending++
 				req.waiters++
-				w.dispatchHQ(nh)
+				w.dispatch(nh, targetHQ)
 				w.finishHop(h, targetNQ, nvme.SCSuccess)
 				continue
 			}

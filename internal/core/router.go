@@ -5,7 +5,6 @@ import (
 
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/qos"
-	"nvmetro/internal/shard/ring"
 	"nvmetro/internal/sim"
 )
 
@@ -54,7 +53,7 @@ type KernelTarget interface {
 // path. Each worker owns its tenants exclusively — their queues, QoS
 // arbiter state and promotion decisions — so workers never contend;
 // cross-shard traffic (kernel completions, control posts) enters through
-// each worker's lock-free MPSC inboxes.
+// each worker's two inboxes.
 type Router struct {
 	env     *sim.Env
 	costs   RouterCosts
@@ -113,10 +112,7 @@ func NewRouter(env *sim.Env, costs RouterCosts, threads []*sim.Thread) *Router {
 		HTagReclaim:      200 * sim.Millisecond,
 	}
 	for i, th := range threads {
-		w := &worker{
-			r: r, id: i, thread: th, wake: sim.NewCond(env),
-			comps: ring.New(), ctrl: ring.New(),
-		}
+		w := &worker{r: r, id: i, thread: th, wake: sim.NewCond(env)}
 		r.workers = append(r.workers, w)
 		env.Go(fmt.Sprintf("router-w%d", i), w.run)
 	}
@@ -139,15 +135,16 @@ func (r *Router) EnablePromotion() {
 // PromotionEnabled reports whether the promotion tier is active.
 func (r *Router) PromotionEnabled() bool { return r.promote }
 
-// pathErrors returns the per-path error counter for target t.
-func (r *Router) pathErrors(t target) *uint64 {
+// path returns target t's counters: dispatch attempts and non-OK hop
+// completions.
+func (r *Router) path(t target) (sent, errs *uint64) {
 	switch t {
 	case targetHQ:
-		return &r.FastPathErrors
+		return &r.FastPath, &r.FastPathErrors
 	case targetNQ:
-		return &r.NotifyPathErrors
+		return &r.NotifyPath, &r.NotifyPathErrors
 	default:
-		return &r.KernelPathErrors
+		return &r.KernelPath, &r.KernelPathErrors
 	}
 }
 
@@ -161,8 +158,8 @@ type ShardInfo struct {
 	Asleep    bool
 	VMs       []int  // attached VM IDs, attach order
 	Promoted  []bool // parallel to VMs: direct-mapping tenants
-	CompDepth int    // kernel-completion MPSC inbox depth
-	CtrlDepth int    // control-plane MPSC inbox depth
+	CompDepth int    // kernel-completion inbox depth
+	CtrlDepth int    // control-plane inbox depth
 	QoS       bool   // per-shard arbiter installed
 }
 
@@ -173,8 +170,8 @@ func (r *Router) ShardInfos() []ShardInfo {
 		si := ShardInfo{
 			ID:        w.id,
 			Asleep:    w.asleep,
-			CompDepth: w.comps.Len(),
-			CtrlDepth: w.ctrl.Len(),
+			CompDepth: len(w.comps),
+			CtrlDepth: len(w.ctrl),
 			QoS:       w.qos != nil,
 		}
 		for _, vc := range w.vcs {
@@ -187,8 +184,9 @@ func (r *Router) ShardInfos() []ShardInfo {
 }
 
 // worker is one router polling thread — a shard. It owns its tenants'
-// queues and QoS arbiter exclusively; the only state other contexts may
-// touch are the two MPSC inboxes and the parked flag behind the wake cond.
+// queues and QoS arbiter exclusively; the only state other contexts touch
+// are the two inboxes and the parked flag behind the wake cond. One
+// simulated process runs at a time, so none of it takes a lock.
 type worker struct {
 	r      *Router
 	id     int
@@ -196,8 +194,8 @@ type worker struct {
 	wake   *sim.Cond
 	vcs    []*Controller
 	qos    *qos.Arbiter // nil until EnableQoS; per-shard arbiter state
-	comps  *ring.MPSC   // kernel-path completion fan-in
-	ctrl   *ring.MPSC   // control-plane posts (reconcile, promotion fences)
+	comps  []effect     // kernel-path completions, posted by the block layer
+	ctrl   []effect     // control-plane posts (reconcile, promotion grants)
 	asleep bool
 	// rewired is set by whatever changes the set of things a gather walks —
 	// a tenant attached, an arbiter installed, notify queues or a queue pair
@@ -211,6 +209,44 @@ type worker struct {
 	staging []byte
 }
 
+// effectKind says what applying an effect does.
+type effectKind uint8
+
+const (
+	effRoute    effectKind = iota // classify h.req, a new guest command, and route it
+	effDirect                     // map h.req, a promoted tenant's command, SQ→HSQ
+	effFinish                     // hop h completed on path t with status st
+	effDispatch                   // send hop h down path t again (backpressure retry)
+	effPost                       // run fn, a control-plane post
+)
+
+// effect is a piece of work the worker has found and not yet done: a
+// gather's routing effects, an inbox entry and a backpressure retry are all
+// records of this one type, and apply is the only place they turn into calls.
+type effect struct {
+	kind effectKind
+	t    target
+	st   nvme.Status
+	h    hop
+	fn   func()
+}
+
+// apply does e. Runs in worker effect context.
+func (w *worker) apply(e effect) {
+	switch e.kind {
+	case effRoute:
+		w.classifyAndRoute(e.h.req, HookVSQ, 0)
+	case effDirect:
+		w.directDispatch(e.h.req)
+	case effFinish:
+		w.finishHop(e.h, e.t, e.st)
+	case effDispatch:
+		w.dispatch(e.h, e.t)
+	case effPost:
+		e.fn()
+	}
+}
+
 // hint wakes the worker if it parked itself due to inactivity.
 func (w *worker) hint() {
 	if w.asleep {
@@ -219,13 +255,12 @@ func (w *worker) hint() {
 	}
 }
 
-// post queues fn to run as a routing effect on the worker's next
-// iteration — the external-work channel the supervision subsystem uses to
-// run reconciliation in worker context, where completions and retries are
-// flushed in the same round. Safe from any simulation context; with real
-// shard threads the MPSC makes it safe from any thread.
+// post queues fn to run as an effect of the worker's next round — the
+// external-work channel the supervision subsystem uses to run reconciliation
+// in worker context, where completions and retries are flushed in the same
+// round. Safe from any simulation context.
 func (w *worker) post(fn func()) {
-	w.ctrl.Push(fn)
+	w.ctrl = append(w.ctrl, effect{kind: effPost, fn: fn})
 	w.hint()
 }
 
@@ -233,7 +268,7 @@ func (w *worker) post(fn func()) {
 // apply effects) with adaptive parking when every attached VM is idle.
 func (w *worker) run(p *sim.Proc) {
 	look := w.look
-	var effects []func() // backing array reused across rounds
+	var effects []effect // backing array reused across rounds
 	for {
 		// Phase 1: gather. Data-structure work happens instantly; the CPU
 		// time it represents is charged in phase 2 before effects land.
@@ -258,33 +293,30 @@ func (w *worker) run(p *sim.Proc) {
 		w.thread.Exec(p, work)
 
 		// Phase 3: apply routing effects and post completions.
-		for _, fn := range effects {
-			fn()
+		for _, e := range effects {
+			w.apply(e)
 		}
 		w.flushCompletions(p)
-		w.flushRetries(p)
+		w.flushRetries()
 	}
 }
 
 // gather is one poll round's look at everything the worker serves: it
 // consumes what is visible — inbox entries, completions on every path, guest
-// submissions, overdue deadlines — and leaves the routing effects that follow
-// from it in *out (whose backing array it reuses), returning the CPU time the
-// round costs. idle reports that nothing is in flight or throttled anywhere,
-// so the worker may park rather than poll on.
-func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
+// submissions, deadlines the timers found due — and leaves the routing
+// effects that follow from it in *out (whose backing array it reuses),
+// returning the CPU time the round costs. idle reports that nothing is in
+// flight or throttled anywhere, so the worker may park rather than poll on.
+func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 	c := w.r.costs
 	outstanding := 0
 	w.rewired = false
-	clear(*out) // drop the previous round's closures
+	clear(*out) // drop the previous round's requests
 	effects := (*out)[:0]
 
-	// Kernel-path completions fan in from other contexts through the
-	// lock-free inbox; drain what is visible this round.
-	w.comps.Drain(func(fn func()) {
-		work += c.PollVQ
-		effects = append(effects, fn)
-	})
+	// Kernel-path completions posted since the last round.
+	work += sim.Duration(len(w.comps)) * c.PollVQ
+	effects = drain(&w.comps, effects)
 
 	for _, vc := range w.vcs {
 		work += c.PollVQ
@@ -293,12 +325,9 @@ func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
 		if vc.nq != nil {
 			var e nvme.Completion
 			for vc.nq.ncq.Pop(&e) {
-				h, ok := vc.takeNTag(e.CID())
-				if !ok {
-					continue
+				if h, ok := vc.takeNTag(e.CID()); ok {
+					effects = append(effects, effect{kind: effFinish, t: targetNQ, st: e.Status(), h: h})
 				}
-				st := e.Status()
-				effects = append(effects, func() { w.finishHop(h, targetNQ, st) })
 			}
 		}
 		for _, vq := range vc.vqs {
@@ -310,15 +339,7 @@ func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
 					vc.outstanding++
 					outstanding++
 					req := &request{vq: vq, gcid: cmd.CID(), cmd: cmd, t0: w.r.env.Now()}
-					if vc.promoted {
-						// Promoted tenant: the classifier's verdict is a
-						// proven constant, so the hop maps SQ→HSQ
-						// directly — no classifier charge, no execution.
-						effects = append(effects, func() { w.directDispatch(req) })
-					} else {
-						work += vc.classifyCost(c)
-						effects = append(effects, func() { w.classifyAndRoute(req, HookVSQ, 0) })
-					}
+					effects = append(effects, w.admit(req, &work))
 				}
 			}
 			// Fast-path completions.
@@ -328,7 +349,7 @@ func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
 				h := vq.htags[cid]
 				if h.req == nil {
 					// No live host tag: the late completion of a hop
-					// the deadline sweep already aborted. Count it
+					// whose deadline already aborted it. Count it
 					// (silent drops would hide injected faults) and
 					// release the quarantined tag.
 					w.r.StaleComps++
@@ -337,27 +358,20 @@ func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
 				}
 				vq.htags[cid] = hop{}
 				vq.freeHTags = append(vq.freeHTags, cid)
-				vq.trimDeadlines()
-				st := e.Status()
-				effects = append(effects, func() { w.finishHop(h, targetHQ, st) })
+				effects = append(effects, effect{kind: effFinish, t: targetHQ, st: e.Status(), h: h})
 			}
-			// Deadline sweep: abort fast-path hops that outlived their
-			// deadline and recycle quarantined tags whose completion
-			// never arrived.
-			for _, h := range vq.expireDeadlines(w.r) {
-				h := h
-				effects = append(effects, func() { w.finishHop(h, targetHQ, nvme.SCAbortRequested) })
-			}
+			// Then what the queue's timers found due: a completion
+			// popped above beats a deadline that passed since the last
+			// round.
+			effects = w.expire(vq, effects)
 		}
 	}
 
 	// Externally posted work (supervision reconciliation, promotion
-	// fences) runs after the per-controller gather so NCQ completions
+	// grants) runs after the per-controller gather so NCQ completions
 	// consumed above cannot race the reconcile sweep within the round.
-	w.ctrl.Drain(func(fn func()) {
-		work += c.PollVQ
-		effects = append(effects, fn)
-	})
+	work += sim.Duration(len(w.ctrl)) * c.PollVQ
+	effects = drain(&w.ctrl, effects)
 
 	// Arbitrated admission pass: WFQ + token buckets + admission
 	// control decide which VSQ heads enter this round. Commands left
@@ -373,36 +387,56 @@ func (w *worker) gather(out *[]func()) (work sim.Duration, idle bool) {
 	return work, outstanding == 0 && backlog == 0
 }
 
+// drain moves an inbox's records onto effects and empties it.
+func drain(inbox *[]effect, effects []effect) []effect {
+	effects = append(effects, *inbox...)
+	clear(*inbox)
+	*inbox = (*inbox)[:0]
+	return effects
+}
+
+// admit is a new guest command's routing effect. A promoted tenant's command
+// maps SQ→HSQ directly: the classifier's verdict is a proven constant, so
+// nothing runs and nothing is charged. Any other command is classified, at a
+// cost added to *work.
+func (w *worker) admit(req *request, work *sim.Duration) effect {
+	vc := req.vq.vc
+	if vc.promoted {
+		return effect{kind: effDirect, h: hop{req: req}}
+	}
+	*work += vc.classifyCost(w.r.costs)
+	return effect{kind: effRoute, h: hop{req: req}}
+}
+
 // look is the gather of run reduced to looking, for the rounds Spin runs
 // without the worker: zero when a gather now would find something — an inbox
 // entry, a completion on any NCQ or HCQ, a VSQ head (admissible or not: with a
 // QoS backlog every round re-evaluates the token buckets and counts the
-// deferral) — or would walk a different set of queues than the one whose cost
-// the rounds charge; otherwise the earliest instant the clock alone gives it
-// something: a hop deadline or tag reclaim on any queue, or the end of an SLO
-// window (Tick evaluates the admission controller once per call, so no round
-// may be skipped across one). Everything else a gather reads is the worker's
+// deferral), a hop deadline or tag reclaim a queue's timer found due — or
+// would walk a different set of queues than the one whose cost the rounds
+// charge; otherwise the end of the current SLO window (Tick evaluates the
+// admission controller once per call, so no round may be skipped across one).
+// Deadlines need no bound here: a due timer is a scheduler event, and an event
+// ends a spin step by itself. Everything else a gather reads is the worker's
 // own and only changes in its effects.
 func (w *worker) look(int) sim.Time {
-	if w.rewired || w.comps.Len() > 0 || w.ctrl.Len() > 0 {
+	if w.rewired || len(w.comps) > 0 || len(w.ctrl) > 0 {
 		return 0
-	}
-	until := sim.Never
-	if w.qos != nil {
-		until = w.qos.NextWindowEnd()
 	}
 	for _, vc := range w.vcs {
 		if vc.nq != nil && vc.nq.ncq.Peek() {
 			return 0
 		}
 		for _, vq := range vc.vqs {
-			if !vq.vsq.Empty() || vq.hqp.CQ.Peek() {
+			if !vq.vsq.Empty() || vq.hqp.CQ.Peek() || len(vq.hops.due) > 0 || len(vq.reclaims.due) > 0 {
 				return 0
 			}
-			until = min(until, vq.nextTimed(w.r))
 		}
 	}
-	return until
+	if w.qos != nil {
+		return w.qos.NextWindowEnd()
+	}
+	return sim.Never
 }
 
 // flushCompletions posts queued VCQ entries and injects interrupts.
@@ -422,7 +456,9 @@ func (w *worker) flushCompletions(p *sim.Proc) {
 				n++
 				cost += c.CompleteVCQ
 			}
-			vq.pendingVCQ = vq.pendingVCQ[n:]
+			// Copy what the VCQ refused down to the front: reslicing the
+			// front away would make the next append reallocate.
+			vq.pendingVCQ = append(vq.pendingVCQ[:0], vq.pendingVCQ[n:]...)
 			if n > 0 {
 				cost += c.IRQInject
 				w.thread.Exec(p, cost)
@@ -434,16 +470,13 @@ func (w *worker) flushCompletions(p *sim.Proc) {
 	}
 }
 
-// flushRetries re-attempts dispatches that found a full HSQ/NSQ earlier.
-func (w *worker) flushRetries(p *sim.Proc) {
+// flushRetries re-attempts dispatches that found a full queue earlier.
+func (w *worker) flushRetries() {
 	for _, vc := range w.vcs {
-		if len(vc.retry) == 0 {
-			continue
-		}
 		pending := vc.retry
 		vc.retry = nil
-		for _, fn := range pending {
-			fn()
+		for _, e := range pending {
+			w.apply(e)
 		}
 	}
 }

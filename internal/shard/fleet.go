@@ -1,18 +1,19 @@
 // Package shard is the per-core sharded dispatch subsystem: a fleet of
 // router workers, one per host core, replacing the single shared router
 // loop for multi-tenant stacks. The dispatch machinery is core.Router's own
-// (a router's workers are the shards); this package holds the lock-free
-// ring it fans in through (shard/ring), the control-plane view of a sharded
-// router, and the subsystem's tests.
+// (a router's workers are the shards); this package holds the control-plane
+// view of a sharded router and the subsystem's tests. Its lock-free ring
+// (shard/ring) is no longer the router's fan-in; only the benchmark's
+// probes time it.
 //
 // Each shard owns its tenants exclusively — their VSQ/VCQ pairs, QoS
 // arbiter state and promotion decisions — and runs its own
 // poll/classify/dispatch cycle on its own host thread. Shards never take
 // a cross-shard lock: kernel-path completions and control-plane posts fan
-// into the owning shard through lock-free MPSC rings (package
-// shard/ring), and fleet-wide QoS views merge the per-shard arbiter
-// snapshots (tenants are disjoint across shards, so concatenation is the
-// merge).
+// into the owning shard's two inboxes, which its next poll round drains
+// (the simulator runs one process at a time), and fleet-wide QoS views
+// merge the per-shard arbiter snapshots (tenants are disjoint across
+// shards, so concatenation is the merge).
 //
 // The fleet also hosts the adaptive path-promotion tier: when static
 // analysis proves a tenant's classifier always returns the pure fast-path
