@@ -66,6 +66,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/
 	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x -benchmem ./internal/cow/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch|BenchmarkShardIdleTenants' -benchtime 1x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkGuardVerify4K' -benchtime 1x -benchmem ./internal/integrity/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
 # bench-e2e-smoke runs the host-clock benchmark's own smoke test (bench/ is

@@ -15,8 +15,8 @@ import (
 
 // Feature IDs (subset).
 const (
-	FeatNumQueues  uint32 = 0x07
-	FeatIRQCoalesc uint32 = 0x08
+	FeatNumQueues     uint32 = 0x07
+	FeatIntCoalescing uint32 = 0x08
 )
 
 // maxQueuesAdvertised is what Set Features (Number of Queues) grants.
@@ -84,7 +84,7 @@ func (vc *Controller) adminGetFeatures(cmd *nvme.Command) (nvme.Status, uint32) 
 	case FeatNumQueues:
 		n := uint32(maxQueuesAdvertised - 1)
 		return nvme.SCSuccess, n<<16 | n // NCQA | NSQA (0-based)
-	case FeatIRQCoalesc:
+	case FeatIntCoalescing:
 		return nvme.SCSuccess, 0
 	}
 	return nvme.SCInvalidField, 0
@@ -103,7 +103,7 @@ func (vc *Controller) adminSetFeatures(cmd *nvme.Command) (nvme.Status, uint32) 
 			ncq = maxQueuesAdvertised - 1
 		}
 		return nvme.SCSuccess, ncq<<16 | nsq
-	case FeatIRQCoalesc:
+	case FeatIntCoalescing:
 		return nvme.SCSuccess, 0
 	}
 	return nvme.SCInvalidField, 0

@@ -90,19 +90,23 @@ type vqState struct {
 }
 
 // tagTimer is a sim.Deadlines over a queue's host tags and the entries its
-// timer has found due since the last gather. The timer only records: the
-// gather acts, right after popping the queue's HCQ, and re-checks that the
-// entry is still live, so a completion that lands between the two still wins
-// and nothing is aborted from scheduler context.
+// timer has found due since the last gather. The timer only records, and
+// makes the tenant ready: the gather acts, right after popping the queue's
+// HCQ, and re-checks that the entry is still live, so a completion that lands
+// between the two still wins and nothing is aborted from scheduler context.
 type tagTimer struct {
 	*sim.Deadlines
+	vc  *Controller
 	due []tagEpoch
 }
 
 // tagEpoch names one use of a host tag.
 type tagEpoch struct{ tag, epoch uint32 }
 
-func (tt *tagTimer) record(tag, epoch uint32) { tt.due = append(tt.due, tagEpoch{tag, epoch}) }
+func (tt *tagTimer) record(tag, epoch uint32) {
+	tt.due = append(tt.due, tagEpoch{tag, epoch})
+	tt.vc.markReady()
+}
 
 // inFlight reports whether the hop dispatched on tag in epoch is still
 // awaited.
@@ -157,6 +161,7 @@ func (w *worker) expire(vq *vqState, effects []effect) []effect {
 type Controller struct {
 	router *Router
 	w      *worker
+	pos    int // index in w.vcs: the tenant's place in the worker's position sets
 	vm     *vm.VM
 	part   device.Partition
 
@@ -239,6 +244,7 @@ func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
 	vc := &Controller{
 		router: r,
 		w:      w,
+		pos:    len(w.vcs),
 		vm:     v,
 		part:   part,
 		cvm:    ebpf.NewVM(nil),
@@ -392,6 +398,8 @@ func (vc *Controller) CreateQP(depth uint32) *nvme.QueuePair {
 	}
 	vq.hops.Deadlines = sim.NewDeadlines(vc.router.env, vq.inFlight, vq.hops.record)
 	vq.reclaims.Deadlines = sim.NewDeadlines(vc.router.env, vq.quarantined, vq.reclaims.record)
+	vq.hops.vc, vq.reclaims.vc = vc, vc
+	vq.vsq.OnPush, vq.hqp.CQ.OnPost = vc.markReady, vc.markReady
 	for i := uint32(0); i < depth; i++ {
 		vq.freeHTags = append(vq.freeHTags, uint16(i))
 	}
@@ -733,6 +741,7 @@ func (w *worker) completeReq(req *request, status nvme.Status) {
 	e.SetSQHD(uint16(req.vq.vsq.Head()))
 	e.SetStatus(status)
 	req.vq.pendingVCQ = append(req.vq.pendingVCQ, e)
+	w.posting.add(vc.pos)
 	w.maybeRelease(req)
 }
 
@@ -747,6 +756,7 @@ func (w *worker) maybeRelease(req *request) {
 	}
 	if req.completed && req.pending == 0 {
 		req.vq.vc.outstanding--
+		w.outstanding--
 		if req.vq.vc.outstanding < 0 {
 			panic("core: outstanding underflow")
 		}
@@ -795,6 +805,7 @@ func (w *worker) dispatch(h hop, t target) {
 		w.r.Backpressure++
 		vc := h.req.vq.vc
 		vc.retry = append(vc.retry, effect{kind: effDispatch, t: t, h: h})
+		w.retrying.add(vc.pos)
 	}
 }
 

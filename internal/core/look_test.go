@@ -101,19 +101,70 @@ func (b *lookBench) due() bool {
 	return false
 }
 
+// busy is a tenant's clause of look as it was before the ready set: its NCQ,
+// VSQs, HCQs and deadline timers, walked.
+func busy(vc *Controller) bool {
+	if vc.nq != nil && vc.nq.ncq.Peek() {
+		return true
+	}
+	for _, vq := range vc.vqs {
+		if !vq.vsq.Empty() || vq.hqp.CQ.Peek() || len(vq.hops.due) > 0 || len(vq.reclaims.due) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// walkLook is look as it was before the ready set: every tenant walked.
+func (b *lookBench) walkLook() sim.Time {
+	w := b.w
+	if w.rewired || len(w.comps) > 0 || len(w.ctrl) > 0 {
+		return 0
+	}
+	for _, vc := range w.vcs {
+		if busy(vc) {
+			return 0
+		}
+	}
+	if w.qos != nil {
+		return w.qos.NextWindowEnd()
+	}
+	return sim.Never
+}
+
+// inSet reports whether tenant position i is in s.
+func inSet(s *posSet, i int) bool { return s.next(i) == i }
+
+// readySound: every tenant with something in its queues is in the ready set,
+// and look says what the walk of every tenant says.
+func (b *lookBench) readySound(t *testing.T, what string) {
+	t.Helper()
+	for i, vc := range b.w.vcs {
+		if busy(vc) && !inSet(&b.w.ready, i) {
+			t.Fatalf("%s at %v: tenant %d has work and is not in the ready set", what, b.env.Now(), i)
+		}
+	}
+	if got, want := b.w.look(0), b.walkLook(); got != want {
+		t.Fatalf("%s at %v: look says %v, a walk of every tenant says %v", what, b.env.Now(), got, want)
+	}
+}
+
 // check is the soundness property at the current instant: if look reports
 // nothing to see, a real gather finds nothing — no effect, nothing consumed,
 // no counter or arbiter state moved — and costs exactly an idle round, so the
 // round Spin elided in its place was the round the worker would have run.
+// Before and after the gather the ready set must be sound (see readySound).
 // It reports what look said and drains whatever was there either way.
 func (b *lookBench) check(t *testing.T, what string) (ready bool) {
 	t.Helper()
 	now := b.env.Now()
+	b.readySound(t, what)
 	until := b.w.look(0)
 	ready = until <= now
 	before := b.books()
 	var effects []effect
 	work, _ := b.w.gather(&effects)
+	b.readySound(t, what+", after a gather")
 	if !ready {
 		if len(effects) != 0 || b.books() != before {
 			t.Fatalf("%s at %v: look saw nothing before %v, yet a gather took %d effects\n before: %s\n after:  %s",
@@ -131,11 +182,15 @@ func (b *lookBench) check(t *testing.T, what string) (ready bool) {
 
 // TestReadyNeverMissesWork puts a multi-tenant worker's rings, inboxes,
 // deadlines, quarantined tags and SLO windows in random states at random
-// instants and checks look against a real gather each time; then, for every
-// time bound look hands out, the instant just before it (still nothing) and
-// the bound itself. A deadline timer that fires on the way to a bound is a
-// scheduler event, which ends a spin step by itself: look must see what it
-// recorded, and the bound is not looked at past it.
+// instants and checks look against a real gather and against a walk of every
+// tenant each time, and that every tenant with work is in the ready set; then,
+// for every time bound look hands out, the instant just before it (still
+// nothing) and the bound itself. A deadline timer that fires on the way to a
+// bound is a scheduler event, which ends a spin step by itself: look must see
+// what it recorded, and the bound is not looked at past it. Each step reaches
+// the queues the way their producers do — a guest pushes without ringing, the
+// device and the UIF post — so only the queues' own hooks can make a tenant
+// ready.
 func TestReadyNeverMissesWork(t *testing.T) {
 	var sawReady, sawIdle, sawTimed, sawTimers int
 	for seed := int64(1); seed <= 40; seed++ {
@@ -179,6 +234,7 @@ func TestReadyNeverMissesWork(t *testing.T) {
 					nq.ncq.Post(uint16(step), 0, 0, nvme.SCSuccess, 0)
 				}
 			}
+			b.readySound(t, what)
 			b.advance(sim.Duration(rng.Intn(4)) * sim.Duration(rng.Intn(2000)))
 			if due := b.due(); b.check(t, what) {
 				sawReady++
@@ -217,6 +273,80 @@ func TestReadyNeverMissesWork(t *testing.T) {
 	if sawReady < 1000 || sawIdle < 1000 || sawTimed < 1000 || sawTimers < 50 {
 		t.Fatalf("weak run: %d ready, %d idle, %d timed bounds, %d timers before a bound checked", sawReady, sawIdle, sawTimed, sawTimers)
 	}
+	t.Run("posting and retrying", testPostingAndRetrying)
+}
+
+// testPostingAndRetrying: a tenant whose VCQ is full keeps its place in the
+// posting set, and one whose HSQ is full keeps its place in the retrying set,
+// across every flush that leaves work behind, and leaves once it is drained;
+// no other tenant is ever in either set.
+func testPostingAndRetrying(t *testing.T) {
+	b := newLookBench(1, 3, false)
+	b.advance(1) // the device looks at its new queues once
+	w, vq := b.w, b.vqs[1]
+	only := func(s *posSet, want bool, what string) {
+		t.Helper()
+		for i := range w.vcs {
+			if in := inSet(s, i); in != (want && i == 1) {
+				t.Fatalf("%s: tenant %d in the set: %v", what, i, in)
+			}
+		}
+	}
+	flush := func() {
+		b.env.Go("flush", func(p *sim.Proc) {
+			w.flushCompletions(p)
+			w.flushRetries()
+		})
+		b.advance(sim.Millisecond)
+	}
+	var work sim.Duration
+
+	// Twelve completions for a VCQ that holds seven.
+	for i := 0; i < 12; i++ {
+		cmd := nvme.NewRW(nvme.OpRead, uint16(i), 1, 0, 1, 0, 0)
+		w.completeReq(w.admit(vq, &cmd, 0, &work).h.req, nvme.SCSuccess)
+	}
+	only(&w.posting, true, "completions waiting")
+	flush()
+	if len(vq.pendingVCQ) != 5 {
+		t.Fatalf("%d completions wait after a flush into an empty 8-deep VCQ, want 5", len(vq.pendingVCQ))
+	}
+	only(&w.posting, true, "VCQ full")
+	flush() // the guest has consumed nothing: the VCQ is still full
+	only(&w.posting, true, "VCQ still full")
+	var e nvme.Completion
+	for vq.vcq.Pop(&e) {
+	}
+	flush()
+	if len(vq.pendingVCQ) != 0 {
+		t.Fatalf("%d completions wait after the guest drained its VCQ", len(vq.pendingVCQ))
+	}
+	only(&w.posting, false, "VCQ drained")
+
+	// A dispatch into a full HSQ: its retry is refused again and re-queued
+	// until the device has taken what fills it.
+	for !vq.hqp.SQ.Full() {
+		cmd := nvme.NewRW(nvme.OpRead, 0, 1, 0, 1, 0, 0)
+		vq.hqp.SQ.Push(&cmd)
+	}
+	cmd := nvme.NewRW(nvme.OpRead, 99, 1, vq.vc.part.Start, 1, 0, 0)
+	req := w.admit(vq, &cmd, 0, &work).h.req
+	req.pending, req.waiters = 1, 1
+	w.dispatch(hop{req, dispComplete}, targetHQ)
+	only(&w.retrying, true, "HSQ full")
+	flush()
+	if len(w.vcs[1].retry) != 1 || b.r.Backpressure != 2 {
+		t.Fatalf("after a refused retry: %d retries queued, %d refusals; want 1 and 2", len(w.vcs[1].retry), b.r.Backpressure)
+	}
+	only(&w.retrying, true, "HSQ still full")
+	b.dev.Ring(vq.hqp.SQ.ID)
+	b.advance(1)
+	flush()
+	if len(w.vcs[1].retry) != 0 || b.r.FastPath != 3 || b.r.Backpressure != 2 {
+		t.Fatalf("after the device drained the HSQ: %d retries queued, %d attempts, %d refusals; want 0, 3 and 2",
+			len(w.vcs[1].retry), b.r.FastPath, b.r.Backpressure)
+	}
+	only(&w.retrying, false, "HSQ drained")
 }
 
 // TestLookSeesRewiring: anything that changes the set of things a gather

@@ -31,6 +31,7 @@ func (vc *Controller) AttachUIF(depth uint32) *NotifyQueues {
 		nsq: nvme.NewSQ(0, depth),
 		ncq: nvme.NewCQ(0, depth),
 	}
+	nq.ncq.OnPost = vc.markReady
 	vc.nq = nq
 	vc.w.rewired = true
 	// A notify consumer means the classifier's verdict is about to matter

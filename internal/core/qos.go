@@ -119,22 +119,23 @@ const qosAdmitBatch = 8
 // gatherQoS is the arbitrated submission pass: repeatedly scan every
 // attached VSQ head, pick the eligible tenant with the smallest virtual
 // start tag, and admit its command, until no head is eligible or the
-// round's batch is full. Returns the number of commands admitted and the
-// backlog left behind in the rings (the worker must keep busy-polling
-// while backlog remains, so simulated time advances and buckets refill —
-// parking would deadlock the guest against a bucket that can never
-// refill).
-func (w *worker) gatherQoS(effects *[]effect, work *sim.Duration) (admitted, backlog int) {
+// round's batch is full. Returns the backlog left behind in the rings (the
+// worker must keep busy-polling while backlog remains, so simulated time
+// advances and buckets refill — parking would deadlock the guest against a
+// bucket that can never refill). Both scans walk the ready tenants only: a
+// tenant with a VSQ head is always ready.
+func (w *worker) gatherQoS(effects *[]effect, work *sim.Duration) (backlog int) {
 	q := w.qos
 	now := w.r.env.Now()
 	q.Tick(now)
 	var cmd nvme.Command
 	firstScan := true
-	for admitted < qosAdmitBatch {
+	for admitted := 0; admitted < qosAdmitBatch; admitted++ {
 		var best *vqState
 		var bestCmd nvme.Command
 		var bestBytes int
-		for _, vc := range w.vcs {
+		for i := w.ready.next(0); i >= 0; i = w.ready.next(i + 1) {
+			vc := w.vcs[i]
 			for _, vq := range vc.vqs {
 				if !vq.vsq.Peek(&cmd) {
 					continue
@@ -161,19 +162,15 @@ func (w *worker) gatherQoS(effects *[]effect, work *sim.Duration) (admitted, bac
 			break
 		}
 		best.vsq.Pop(&bestCmd) // consume the admitted head
-		vc := best.vc
-		vc.outstanding++
-		admitted++
-		base := q.Serve(vc.tenant, bestBytes, now)
-		req := &request{vq: best, gcid: bestCmd.CID(), cmd: bestCmd, t0: now, qosBase: base}
-		*effects = append(*effects, w.admit(req, work))
+		base := q.Serve(best.vc.tenant, bestBytes, now)
+		*effects = append(*effects, w.admit(best, &bestCmd, base, work))
 	}
-	for _, vc := range w.vcs {
-		for _, vq := range vc.vqs {
+	for i := w.ready.next(0); i >= 0; i = w.ready.next(i + 1) {
+		for _, vq := range w.vcs[i].vqs {
 			backlog += int(vq.vsq.Len())
 		}
 	}
-	return admitted, backlog
+	return backlog
 }
 
 // chargeClass applies the classifier-tagged scheduling class to the

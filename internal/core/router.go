@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/qos"
@@ -203,10 +204,87 @@ type worker struct {
 	// not be spun across it (see look).
 	rewired bool
 
+	// A round charges a poll of every tenant's queues but visits only the
+	// tenants in these sets. ready holds every tenant whose queues may hold
+	// something a gather takes: a push or post to one of its queues and a
+	// timer's record add it (see markReady), and the gather that leaves it
+	// quiet removes it. posting holds the tenants with VCQ entries waiting,
+	// retrying those with backpressure retries waiting.
+	ready, posting, retrying posSet
+
+	outstanding int // guest commands admitted and not yet released, all tenants
+
 	// Guard staging (see stage), reused from one guarded command to the next.
 	segs    []nvme.Segment
 	entry   [8]byte
 	staging []byte
+}
+
+// posSet is a set of tenant positions — indexes into worker.vcs — walked in
+// attach order.
+type posSet struct {
+	words []uint64
+	n     int
+}
+
+func (s *posSet) add(i int) {
+	for i>>6 >= len(s.words) {
+		s.words = append(s.words, 0)
+	}
+	if b := uint64(1) << (i & 63); s.words[i>>6]&b == 0 {
+		s.words[i>>6] |= b
+		s.n++
+	}
+}
+
+func (s *posSet) remove(i int) {
+	if b := uint64(1) << (i & 63); s.words[i>>6]&b != 0 {
+		s.words[i>>6] &^= b
+		s.n--
+	}
+}
+
+func (s *posSet) empty() bool { return s.n == 0 }
+
+// next returns the smallest position in s at or after i, or -1. A walk
+//
+//	for i := s.next(0); i >= 0; i = s.next(i + 1)
+//
+// visits every position that is in s when the walk reaches it, so one added
+// behind the walk waits for the next.
+func (s *posSet) next(i int) int {
+	wi := i >> 6
+	if wi >= len(s.words) {
+		return -1
+	}
+	if word := s.words[wi] >> (i & 63); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for wi++; wi < len(s.words); wi++ {
+		if s.words[wi] != 0 {
+			return wi<<6 + bits.TrailingZeros64(s.words[wi])
+		}
+	}
+	return -1
+}
+
+// markReady puts vc in its worker's ready set. The hooks of its VSQs, HCQs
+// and NCQ and its queues' deadline timers call it, whatever context they run
+// in: a tenant whose queues hold something is always in the set.
+func (vc *Controller) markReady() { vc.w.ready.add(vc.pos) }
+
+// quiet reports whether a gather would find nothing of vc's to take: no
+// completion on its NCQ or HCQs, no VSQ head, nothing its timers recorded.
+func (vc *Controller) quiet() bool {
+	if vc.nq != nil && vc.nq.ncq.Peek() {
+		return false
+	}
+	for _, vq := range vc.vqs {
+		if !vq.vsq.Empty() || vq.hqp.CQ.Peek() || len(vq.hops.due) > 0 || len(vq.reclaims.due) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // effectKind says what applying an effect does.
@@ -309,7 +387,6 @@ func (w *worker) run(p *sim.Proc) {
 // flight or throttled anywhere, so the worker may park rather than poll on.
 func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 	c := w.r.costs
-	outstanding := 0
 	w.rewired = false
 	clear(*out) // drop the previous round's requests
 	effects := (*out)[:0]
@@ -318,9 +395,11 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 	work += sim.Duration(len(w.comps)) * c.PollVQ
 	effects = drain(&w.comps, effects)
 
-	for _, vc := range w.vcs {
-		work += c.PollVQ
-		outstanding += vc.outstanding
+	// The round polls every tenant's queues; only the ready ones hold
+	// anything, and they are visited in attach order, as a walk of all would.
+	work += sim.Duration(len(w.vcs)) * c.PollVQ
+	for i := w.ready.next(0); i >= 0; i = w.ready.next(i + 1) {
+		vc := w.vcs[i]
 		// Notify-path completions (one NCQ per controller).
 		if vc.nq != nil {
 			var e nvme.Completion
@@ -336,10 +415,7 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 			if w.qos == nil {
 				var cmd nvme.Command
 				for vq.vsq.Pop(&cmd) {
-					vc.outstanding++
-					outstanding++
-					req := &request{vq: vq, gcid: cmd.CID(), cmd: cmd, t0: w.r.env.Now()}
-					effects = append(effects, w.admit(req, &work))
+					effects = append(effects, w.admit(vq, &cmd, 0, &work))
 				}
 			}
 			// Fast-path completions.
@@ -379,12 +455,16 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 	// polling for (time must advance for buckets to refill).
 	backlog := 0
 	if w.qos != nil {
-		var admitted int
-		admitted, backlog = w.gatherQoS(&effects, &work)
-		outstanding += admitted
+		backlog = w.gatherQoS(&effects, &work)
+	}
+	// What the round left behind keeps its tenant ready; the rest leave.
+	for i := w.ready.next(0); i >= 0; i = w.ready.next(i + 1) {
+		if w.vcs[i].quiet() {
+			w.ready.remove(i)
+		}
 	}
 	*out = effects
-	return work, outstanding == 0 && backlog == 0
+	return work, w.outstanding == 0 && backlog == 0
 }
 
 // drain moves an inbox's records onto effects and empties it.
@@ -395,12 +475,17 @@ func drain(inbox *[]effect, effects []effect) []effect {
 	return effects
 }
 
-// admit is a new guest command's routing effect. A promoted tenant's command
-// maps SQ→HSQ directly: the classifier's verdict is a proven constant, so
-// nothing runs and nothing is charged. Any other command is classified, at a
-// cost added to *work.
-func (w *worker) admit(req *request, work *sim.Duration) effect {
-	vc := req.vq.vc
+// admit takes cmd, just popped from vq, in as a request — outstanding until
+// maybeRelease lets it go — and returns its routing effect. A promoted
+// tenant's command maps SQ→HSQ directly: the classifier's verdict is a proven
+// constant, so nothing runs and nothing is charged. Any other command is
+// classified, at a cost added to *work. qosBase is the arbiter's admission
+// charge, 0 without QoS.
+func (w *worker) admit(vq *vqState, cmd *nvme.Command, qosBase float64, work *sim.Duration) effect {
+	vc := vq.vc
+	vc.outstanding++
+	w.outstanding++
+	req := &request{vq: vq, gcid: cmd.CID(), cmd: *cmd, t0: w.r.env.Now(), qosBase: qosBase}
 	if vc.promoted {
 		return effect{kind: effDirect, h: hop{req: req}}
 	}
@@ -410,28 +495,18 @@ func (w *worker) admit(req *request, work *sim.Duration) effect {
 
 // look is the gather of run reduced to looking, for the rounds Spin runs
 // without the worker: zero when a gather now would find something — an inbox
-// entry, a completion on any NCQ or HCQ, a VSQ head (admissible or not: with a
-// QoS backlog every round re-evaluates the token buckets and counts the
-// deferral), a hop deadline or tag reclaim a queue's timer found due — or
-// would walk a different set of queues than the one whose cost the rounds
-// charge; otherwise the end of the current SLO window (Tick evaluates the
-// admission controller once per call, so no round may be skipped across one).
-// Deadlines need no bound here: a due timer is a scheduler event, and an event
-// ends a spin step by itself. Everything else a gather reads is the worker's
-// own and only changes in its effects.
+// entry or a ready tenant: a completion on an NCQ or HCQ, a VSQ head
+// (admissible or not: with a QoS backlog every round re-evaluates the token
+// buckets and counts the deferral), a hop deadline or tag reclaim a queue's
+// timer found due — or would walk a different set of queues than the one
+// whose cost the rounds charge; otherwise the end of the current SLO window
+// (Tick evaluates the admission controller once per call, so no round may be
+// skipped across one). Deadlines need no bound here: a due timer is a
+// scheduler event, and an event ends a spin step by itself. Everything else a
+// gather reads is the worker's own and only changes in its effects.
 func (w *worker) look(int) sim.Time {
-	if w.rewired || len(w.comps) > 0 || len(w.ctrl) > 0 {
+	if w.rewired || len(w.comps) > 0 || len(w.ctrl) > 0 || !w.ready.empty() {
 		return 0
-	}
-	for _, vc := range w.vcs {
-		if vc.nq != nil && vc.nq.ncq.Peek() {
-			return 0
-		}
-		for _, vq := range vc.vqs {
-			if !vq.vsq.Empty() || vq.hqp.CQ.Peek() || len(vq.hops.due) > 0 || len(vq.reclaims.due) > 0 {
-				return 0
-			}
-		}
 	}
 	if w.qos != nil {
 		return w.qos.NextWindowEnd()
@@ -439,10 +514,13 @@ func (w *worker) look(int) sim.Time {
 	return sim.Never
 }
 
-// flushCompletions posts queued VCQ entries and injects interrupts.
+// flushCompletions posts queued VCQ entries and injects interrupts. A tenant
+// leaves the posting set once its VCQs have taken everything.
 func (w *worker) flushCompletions(p *sim.Proc) {
 	c := w.r.costs
-	for _, vc := range w.vcs {
+	for i := w.posting.next(0); i >= 0; i = w.posting.next(i + 1) {
+		vc := w.vcs[i]
+		waiting := false
 		for _, vq := range vc.vqs {
 			if len(vq.pendingVCQ) == 0 {
 				continue
@@ -466,13 +544,20 @@ func (w *worker) flushCompletions(p *sim.Proc) {
 					vq.irq()
 				}
 			}
+			waiting = waiting || len(vq.pendingVCQ) > 0
+		}
+		if !waiting {
+			w.posting.remove(i)
 		}
 	}
 }
 
-// flushRetries re-attempts dispatches that found a full queue earlier.
+// flushRetries re-attempts dispatches that found a full queue earlier. A
+// retry refused again is the next round's.
 func (w *worker) flushRetries() {
-	for _, vc := range w.vcs {
+	for i := w.retrying.next(0); i >= 0; i = w.retrying.next(i + 1) {
+		vc := w.vcs[i]
+		w.retrying.remove(i)
 		pending := vc.retry
 		vc.retry = nil
 		for _, e := range pending {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"nvmetro/internal/metrics"
@@ -32,12 +33,27 @@ type Record struct {
 	Gen uint64 // generation of the stamping write (monotonic per domain)
 }
 
+// pageBlocks is how many consecutive blocks' records one PI page holds: a
+// 4 KiB-aligned run of 512 B blocks, the unit guests write in, so pages fill
+// whole and an aligned 4 KiB verify is one lookup.
+const pageBlocks = 8
+
+// piPage holds the records of blocks [n*pageBlocks, (n+1)*pageBlocks) for
+// its page number n; bit i of has says block i of the page holds one.
+type piPage struct {
+	has  uint64
+	recs [pageBlocks]Record
+}
+
 // Domain is the PI table for one mediated device: the authoritative
 // expected content of every stamped block, shared by every boundary guard
 // on the device's primary and replica paths (a mirror's legs hold the
 // same logical bytes, so they share one expectation). It also owns the
 // quarantine set: ranges whose content is known bad and unrepairable,
 // which must fail guest reads instead of returning wrong data.
+//
+// Records live in pages keyed by page number (see piPage), and every walk
+// over consecutive blocks looks each page up once (see cursor).
 //
 // The domain is driven synchronously from simulation processes under the
 // run token, so — like the rest of the stack — it needs no locking and
@@ -47,7 +63,8 @@ type Domain struct {
 	shift     uint8
 	zeroCRC   uint32 // CRC of one all-zero block (StampZeroes)
 	gen       uint64
-	pi        map[uint64]Record
+	pages     map[uint64]*piPage
+	stamped   uint64 // blocks holding a record
 	quar      storfn.DirtyRegions
 
 	guards []*Guard
@@ -63,7 +80,7 @@ func NewDomain(blockSize uint32) (*Domain, error) {
 		blockSize: blockSize,
 		shift:     uint8(bits.TrailingZeros32(blockSize)),
 		zeroCRC:   crc32.ChecksumIEEE(make([]byte, blockSize)),
-		pi:        make(map[uint64]Record),
+		pages:     make(map[uint64]*piPage),
 	}, nil
 }
 
@@ -86,9 +103,10 @@ func (d *Domain) Stamp(lba uint64, data []byte) {
 	d.gen++
 	bs := int(d.blockSize)
 	blocks := uint64(len(data) / bs)
+	var pg *piPage
 	for i := uint64(0); i < blocks; i++ {
 		off := int(i) * bs
-		d.pi[lba+i] = Record{CRC: crc32.ChecksumIEEE(data[off : off+bs]), Gen: d.gen}
+		pg = d.store(pg, lba+i, Record{CRC: crc32.ChecksumIEEE(data[off : off+bs]), Gen: d.gen})
 	}
 	d.quar.Remove(lba, blocks)
 }
@@ -98,16 +116,65 @@ func (d *Domain) Stamp(lba uint64, data []byte) {
 // CRC, so no buffer the length of the guest's range is ever allocated.
 func (d *Domain) StampZeroes(lba, blocks uint64) {
 	d.gen++
+	var pg *piPage
 	for i := uint64(0); i < blocks; i++ {
-		d.pi[lba+i] = Record{CRC: d.zeroCRC, Gen: d.gen}
+		pg = d.store(pg, lba+i, Record{CRC: d.zeroCRC, Gen: d.gen})
 	}
 	d.quar.Remove(lba, blocks)
 }
 
+// store writes r as block lba's record. pg is the page the previous block of
+// the run went to (nil for the first): it is looked up, and created, only
+// when lba starts a page or the run. It returns the page for the next block.
+func (d *Domain) store(pg *piPage, lba uint64, r Record) *piPage {
+	i := lba % pageBlocks
+	if pg == nil || i == 0 {
+		if pg = d.pages[lba/pageBlocks]; pg == nil {
+			pg = new(piPage)
+			d.pages[lba/pageBlocks] = pg
+		}
+	}
+	if pg.has&(1<<i) == 0 {
+		pg.has |= 1 << i
+		d.stamped++
+	}
+	pg.recs[i] = r
+	return pg
+}
+
+// cursor reads the records of a run of consecutive blocks, looking each page
+// up once whether or not it exists: most guarded reads land on blocks nobody
+// stamped, and a missing page must not cost a probe per block.
+type cursor struct {
+	d      *Domain
+	key    uint64  // page number of pg
+	pg     *piPage // nil when page key holds no record
+	looked bool    // key and pg are valid
+}
+
+// record returns block lba's record.
+func (c *cursor) record(lba uint64) (Record, bool) {
+	if k := lba / pageBlocks; !c.looked || k != c.key {
+		c.key, c.pg, c.looked = k, c.d.pages[k], true
+	}
+	i := lba % pageBlocks
+	if c.pg == nil || c.pg.has&(1<<i) == 0 {
+		return Record{}, false
+	}
+	return c.pg.recs[i], true
+}
+
+// checks reports whether block matches its record; a block without one
+// passes.
+func (c *cursor) checks(lba uint64, block []byte) bool {
+	r, ok := c.record(lba)
+	return !ok || r.CRC == crc32.ChecksumIEEE(block)
+}
+
 // Record returns the PI record for one block.
 func (d *Domain) Record(lba uint64) (Record, bool) {
-	r, ok := d.pi[lba]
-	return r, ok
+	c := cursor{d: d}
+	return c.record(lba)
 }
 
 // Verify checks the blocks of data starting at lba against their PI
@@ -115,8 +182,9 @@ func (d *Domain) Record(lba uint64) (Record, bool) {
 // (never written through the mediation point), not wrong.
 func (d *Domain) Verify(lba uint64, data []byte) bool {
 	bs := int(d.blockSize)
+	c := cursor{d: d}
 	for i := 0; i+bs <= len(data); i += bs {
-		if r, ok := d.pi[lba]; ok && r.CRC != crc32.ChecksumIEEE(data[i:i+bs]) {
+		if !c.checks(lba, data[i:i+bs]) {
 			return false
 		}
 		lba++
@@ -126,29 +194,32 @@ func (d *Domain) Verify(lba uint64, data []byte) bool {
 
 // VerifyBlock checks a single block's payload against its record.
 func (d *Domain) VerifyBlock(lba uint64, block []byte) bool {
-	r, ok := d.pi[lba]
-	return !ok || r.CRC == crc32.ChecksumIEEE(block)
+	c := cursor{d: d}
+	return c.checks(lba, block)
 }
 
 // Stamped returns the number of blocks holding PI records.
-func (d *Domain) Stamped() uint64 { return uint64(len(d.pi)) }
+func (d *Domain) Stamped() uint64 { return d.stamped }
 
 // StampedRanges returns the stamped extents, sorted and coalesced — the
 // scrubber's walk list. Only stamped blocks can be scrubbed: an unstamped
 // block has no expectation to check against.
 func (d *Domain) StampedRanges() []storfn.Range {
-	lbas := make([]uint64, 0, len(d.pi))
-	for lba := range d.pi {
-		lbas = append(lbas, lba)
+	keys := make([]uint64, 0, len(d.pages))
+	for k := range d.pages {
+		keys = append(keys, k)
 	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
+	slices.Sort(keys)
 	var out []storfn.Range
-	for _, lba := range lbas {
-		if n := len(out); n > 0 && out[n-1].LBA+out[n-1].Blocks == lba {
-			out[n-1].Blocks++
-			continue
+	for _, k := range keys {
+		for has := d.pages[k].has; has != 0; has &= has - 1 {
+			lba := k*pageBlocks + uint64(bits.TrailingZeros64(has))
+			if n := len(out); n > 0 && out[n-1].LBA+out[n-1].Blocks == lba {
+				out[n-1].Blocks++
+				continue
+			}
+			out = append(out, storfn.Range{LBA: lba, Blocks: 1})
 		}
-		out = append(out, storfn.Range{LBA: lba, Blocks: 1})
 	}
 	return out
 }
@@ -242,8 +313,9 @@ func (g *Guard) Verify(lba uint64, data []byte) bool {
 	}
 	bs := int(g.d.blockSize)
 	ok := true
+	c := cursor{d: g.d}
 	for i := 0; i+bs <= len(data); i += bs {
-		if g.d.VerifyBlock(lba, data[i:i+bs]) {
+		if c.checks(lba, data[i:i+bs]) {
 			g.OK++
 		} else {
 			g.Bad++

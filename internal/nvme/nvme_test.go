@@ -157,15 +157,42 @@ func TestCQFullDetection(t *testing.T) {
 	}
 }
 
-func TestCQNotificationCoalescing(t *testing.T) {
-	q := NewCQ(1, 64)
-	fired := 0
-	q.OnPost = func() { fired++ }
-	for i := 0; i < 5; i++ {
-		q.Post(uint16(i), 1, 0, SCSuccess, 0)
+// TestQueueHooks: CQ.OnPost and SQ.OnPush fire exactly once per entry the
+// ring accepts, after the entry is visible to the consumer, and never for a
+// push or post a full ring refuses.
+func TestQueueHooks(t *testing.T) {
+	sq, cq := NewSQ(1, 4), NewCQ(1, 4)
+	pushed, posted := 0, 0
+	sq.OnPush = func() {
+		if pushed++; sq.Len() != uint32(pushed) {
+			t.Fatalf("push hook %d ran with %d entries visible", pushed, sq.Len())
+		}
 	}
-	if fired != 5 {
-		t.Fatalf("uncoalesced: fired %d", fired)
+	cq.OnPost = func() {
+		if posted++; cq.Len() != uint32(posted) || !cq.Peek() {
+			t.Fatalf("post hook %d ran with %d entries visible", posted, cq.Len())
+		}
+	}
+	for i := 0; i < 5; i++ {
+		cmd := NewRW(OpRead, uint16(i), 1, 0, 1, 0, 0)
+		if ok := sq.Push(&cmd); ok != (i < 3) {
+			t.Fatalf("push %d into a depth-4 SQ returned %v", i, ok)
+		}
+		if ok := cq.Post(uint16(i), 1, 0, SCSuccess, 0); ok != (i < 3) {
+			t.Fatalf("post %d into a depth-4 CQ returned %v", i, ok)
+		}
+	}
+	if pushed != 3 || posted != 3 {
+		t.Fatalf("hooks fired %d/%d times for 3 accepted entries each", pushed, posted)
+	}
+	// Draining makes room again; the next accepted entry fires once more.
+	var cmd Command
+	var e Completion
+	for sq.Pop(&cmd) && cq.Pop(&e) {
+	}
+	pushed, posted = 0, 0
+	if !sq.Push(&cmd) || !cq.Push(&e) || pushed != 1 || posted != 1 {
+		t.Fatalf("after draining: hooks fired %d/%d times for one entry each", pushed, posted)
 	}
 }
 

@@ -8,11 +8,12 @@ import "fmt"
 // this is exactly the MDev-NVMe/NVMetro shadow-doorbell model where no trap
 // is taken on submission.
 type SQ struct {
-	ID   uint16
-	buf  []byte
-	size uint32
-	head uint32
-	tail uint32
+	ID     uint16
+	buf    []byte
+	size   uint32
+	head   uint32
+	tail   uint32
+	OnPush func() // optional hook, called once per accepted push; nil = polled
 }
 
 // NewSQ creates a submission queue with the given entry count (power of two
@@ -46,6 +47,9 @@ func (q *SQ) Push(c *Command) bool {
 	}
 	copy(q.buf[q.tail*CommandSize:], c[:])
 	q.tail = (q.tail + 1) % q.size
+	if q.OnPush != nil {
+		q.OnPush()
+	}
 	return true
 }
 
@@ -80,16 +84,14 @@ func (q *SQ) String() string {
 // consumer can detect new entries without a producer-updated index —
 // the basis of interrupt-free busy polling.
 type CQ struct {
-	ID       uint16
-	buf      []byte
-	size     uint32
-	head     uint32 // consumer index (doorbell)
-	tail     uint32 // producer index
-	prodPh   bool   // phase the producer writes
-	consPh   bool   // phase the consumer expects
-	OnPost   func() // optional notification hook (interrupt model); nil = polled
-	IRQCoal  uint32 // entries posted since last notification
-	notifyHi uint32 // coalescing threshold (0 = notify every entry)
+	ID     uint16
+	buf    []byte
+	size   uint32
+	head   uint32 // consumer index (doorbell)
+	tail   uint32 // producer index
+	prodPh bool   // phase the producer writes
+	consPh bool   // phase the consumer expects
+	OnPost func() // optional hook (interrupt model), called once per accepted post; nil = polled
 }
 
 // NewCQ creates a completion queue with the given entry count.
@@ -125,11 +127,7 @@ func (q *CQ) Push(e *Completion) bool {
 		q.prodPh = !q.prodPh
 	}
 	if q.OnPost != nil {
-		q.IRQCoal++
-		if q.IRQCoal > q.notifyHi {
-			q.IRQCoal = 0
-			q.OnPost()
-		}
+		q.OnPost()
 	}
 	return true
 }

@@ -398,7 +398,8 @@ func BenchmarkArbiterScan8(b *testing.B) {
 // what an idle-round-eliding worker does. Tick evaluates the admission
 // controller once per call however many windows it rolls, so only that bound
 // keeps the two controllers (clean-run count, sheds, restores, per-tenant
-// window tallies) in step.
+// window tallies) in step. NextWindowEnd is a minimum Tick keeps; it must be
+// the scan of every tenant's window, a tenant joining late included.
 func TestNextWindowEndBoundsTickSkipping(t *testing.T) {
 	const round = 250
 	build := func() (*Arbiter, []*Tenant) {
@@ -417,6 +418,13 @@ func TestNextWindowEndBoundsTickSkipping(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var refNow, gotNow sim.Time
 	for step := 0; step < 4000; step++ {
+		if step == 2000 {
+			refT = append(refT, ref.AddTenant("late", TenantConfig{SLOTargetP99: 60 * sim.Microsecond}))
+			gotT = append(gotT, got.AddTenant("late", TenantConfig{SLOTargetP99: 60 * sim.Microsecond}))
+			if got.NextWindowEnd() != 0 {
+				t.Fatal("a tenant added late must hold the caller to the next round")
+			}
+		}
 		// An event some rounds ahead: a completion with a random latency.
 		event := gotNow + sim.Time(rng.Intn(300)+1)*round
 		lat := sim.Duration(rng.Intn(90)+1) * sim.Microsecond
@@ -426,6 +434,13 @@ func TestNextWindowEndBoundsTickSkipping(t *testing.T) {
 		}
 		for gotNow < event {
 			got.Tick(gotNow)
+			scan := sim.Never
+			for _, tn := range got.tenants {
+				scan = min(scan, tn.winEnd)
+			}
+			if got.NextWindowEnd() != scan {
+				t.Fatalf("step %d: NextWindowEnd %v, the tenants' earliest window end is %v", step, got.NextWindowEnd(), scan)
+			}
 			// Skip to the last round boundary strictly before the bound.
 			h := min(event, got.NextWindowEnd())
 			gotNow += max(1, (h-1-gotNow)/round) * round

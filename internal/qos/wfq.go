@@ -33,6 +33,8 @@ type Arbiter struct {
 	tenants []*Tenant
 	vtime   float64 // global virtual time
 
+	nextEnd sim.Time // the earliest tenant winEnd (see NextWindowEnd)
+
 	overloaded bool // an SLO tenant missed its target last window
 	cleanRuns  int  // consecutive windows with all SLOs met
 	Sheds      uint64
@@ -41,7 +43,7 @@ type Arbiter struct {
 
 // NewArbiter creates an arbiter with the given tuning.
 func NewArbiter(cfg Config) *Arbiter {
-	return &Arbiter{cfg: cfg.withDefaults()}
+	return &Arbiter{cfg: cfg.withDefaults(), nextEnd: sim.Never}
 }
 
 // Config returns the arbiter's tuning after defaulting.
@@ -60,6 +62,7 @@ func (a *Arbiter) AddTenant(name string, cfg TenantConfig) *Tenant {
 	t.rateOps = metrics.NewRate(win, a.cfg.RateAlpha)
 	t.rateBytes = metrics.NewRate(win, a.cfg.RateAlpha)
 	a.tenants = append(a.tenants, t)
+	a.nextEnd = 0 // t's first window opens on the next Tick
 	a.Configure(t, cfg)
 	return t
 }
@@ -197,12 +200,11 @@ func (a *Arbiter) ObserveLatency(t *Tenant, d sim.Duration) {
 // RecoverWindows consecutive clean windows they are restored.
 func (a *Arbiter) Tick(now sim.Time) {
 	rolled, missed := false, false
+	a.nextEnd = sim.Never
 	for _, t := range a.tenants {
 		if t.winEnd == 0 {
 			t.winEnd = now + sim.Time(a.cfg.Window)
-			continue
-		}
-		if now < t.winEnd {
+			a.nextEnd = min(a.nextEnd, t.winEnd)
 			continue
 		}
 		// Roll the tenant's SLO window (possibly several at once after an
@@ -220,6 +222,7 @@ func (a *Arbiter) Tick(now sim.Time) {
 			t.winLat.Reset()
 			t.winEnd += sim.Time(a.cfg.Window)
 		}
+		a.nextEnd = min(a.nextEnd, t.winEnd)
 	}
 	if !rolled {
 		return
@@ -255,16 +258,9 @@ func (a *Arbiter) Tick(now sim.Time) {
 // controller once per call, however many windows that call rolls, so a
 // caller that elides idle poll rounds must not skip a Tick across this
 // instant. A tenant whose first window the next Tick has yet to open
-// reports time zero: nothing may be skipped until it has one.
-func (a *Arbiter) NextWindowEnd() sim.Time {
-	end := sim.Never
-	for _, t := range a.tenants {
-		if t.winEnd < end {
-			end = t.winEnd
-		}
-	}
-	return end
-}
+// reports time zero: nothing may be skipped until it has one. Only Tick
+// moves a window, so it keeps the minimum and this is O(1).
+func (a *Arbiter) NextWindowEnd() sim.Time { return a.nextEnd }
 
 // Overloaded reports whether the admission controller is currently in
 // the shedding state.
