@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt loc bench bench-sim bench-smoke bench-e2e-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt loc bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
@@ -123,13 +123,23 @@ confine-smoke:
 	$(GO) test -race -run 'TestConfinementEveryStack|TestPartitionTranslate' . ./internal/device/
 
 # scale-smoke runs the sharded-router suite under the race detector: the
-# lock-free MPSC ring and static-verdict unit tests, the placement /
+# lock-free MPSC ring, the classifier runtime's tests (the verifier proves
+# the static verdict promotion trusts, checked against the join-based
+# reference analysis it replaced and against execution), the placement /
 # promotion-fence / per-shard QoS-merge tests over core.Router (they live
 # in internal/shard), and the scale experiment's any-workers determinism
 # and near-linear-scaling shape checks.
 scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
+
+# fuzz-smoke explores FuzzVerifiedProgram for 30 s beyond its seed corpus
+# (which every `go test ./...` runs): decoded bytes the verifier accepts must
+# run on both tiers without a fault, fuel or panic, the tiers must agree, and
+# a proved static verdict must be what every invocation returns. A finding
+# is written under internal/ebpf/testdata/fuzz/ and replays as a seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedProgram$$' -fuzztime 30s ./internal/ebpf/
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests (page-granular private

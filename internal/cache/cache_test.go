@@ -188,8 +188,8 @@ func TestEndWriteSkipsWhenWritesOverlap(t *testing.T) {
 
 // TestNestedWriteWindowNeverInstalls is the A.Begin, B.Begin, B.End, A.End
 // interleaving: B's window closes entirely inside A's, and the backend
-// committed B after A (EndWrite order is not commit order — in
-// CachedReplicator it is set by the slow secondary leg). A closing with no
+// committed B after A (EndWrite order is not commit order — a window that
+// waits on a slow second leg closes after the commit). A closing with no
 // *open* overlaps must still not install A's payload over B's.
 func TestNestedWriteWindowNeverInstalls(t *testing.T) {
 	c := New(testCfg(64))

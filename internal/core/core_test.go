@@ -398,6 +398,28 @@ func TestClassifierRejectedByVerifier(t *testing.T) {
 	}
 }
 
+// TestClassifierRejectsWrappingCtxOffset: a ctx pointer moved within 8 bytes
+// of 2^63 makes start+size wrap negative. The verifier used to accept the
+// load, and the router's first guest command then panicked its worker
+// slicing the ctx out of range. The classifier must be refused and the
+// installed one keep serving.
+func TestClassifierRejectsWrappingCtxOffset(t *testing.T) {
+	r := newRig(1)
+	v, vc, disk := r.addVM(0, device.WholeNamespace(r.dev, 1))
+	bad := ebpf.NewBuilder().
+		MovImm64(ebpf.R2, 0x7ffffffffffffffc).ALU(ebpf.ALUAdd, ebpf.R1, ebpf.R2).
+		Load(ebpf.SizeDW, ebpf.R0, ebpf.R1, 0).
+		Exit().MustProgram("wrap")
+	if err := vc.LoadClassifier(bad); err == nil {
+		t.Error("verifier accepted a ctx load at a wrapping offset")
+	}
+	r.run(t, func(p *sim.Proc) {
+		if st := doIO(p, v, disk, vm.OpRead, 0, make([]byte, 512)); !st.OK() {
+			t.Fatalf("read after the refused load: %v", st)
+		}
+	})
+}
+
 func TestLiveClassifierSwap(t *testing.T) {
 	r := newRig(1)
 	part := device.WholeNamespace(r.dev, 1)

@@ -25,7 +25,9 @@ import (
 //   - the runtime kind checks of the interpreter (pointer-ness of memory
 //     operands, scalar-ness of ALU operands and stored values, r0 at exit)
 //     are elided: the verifier's type lattice has already proven them.
-//     Memory bounds checks and the fuel limit stay as defense in depth.
+//     Memory bounds checks and the fuel limit stay as defense in depth,
+//   - the static verdict the verifier proved while it walked the program
+//     rides along (StaticVerdict); the compiler runs no analysis of its own.
 //
 // The interpreter (interp.go) remains the reference implementation, used
 // only by tests: the randomized differential test in compile_test.go holds
@@ -141,6 +143,7 @@ type CompiledProgram struct {
 	arrs   []*ArrayMap // maps[i] when it is an *ArrayMap (inline lookups), else nil
 	insnOf []int32     // op index -> original instruction pc, for diagnostics
 	src    *Program
+	proof  verdict // what Compile's verification proved; zero when unverified
 }
 
 // Name returns the program name.
@@ -152,6 +155,17 @@ func (cp *CompiledProgram) NumOps() int { return len(cp.ops) }
 // Source returns the program this was compiled from.
 func (cp *CompiledProgram) Source() *Program { return cp.src }
 
+// StaticVerdict reports whether the program provably returns the same
+// constant on every invocation with no effect observable outside it, and if
+// so, that constant. The proof is the verifier's (see verdict); a program
+// compiled without verification proves nothing.
+func (cp *CompiledProgram) StaticVerdict() (verdict uint64, ok bool) {
+	if pf := cp.proof; pf.exits > 0 && !pf.spoiled {
+		return pf.r0, true
+	}
+	return 0, false
+}
+
 // Compile verifies p with v (nil for a default Verifier) and translates it
 // into its pre-decoded form. Only verifier-accepted programs compile: the
 // execution engine trusts the verifier's type lattice and elides the
@@ -160,13 +174,16 @@ func Compile(p *Program, v *Verifier) (*CompiledProgram, error) {
 	if v == nil {
 		v = &Verifier{}
 	}
-	if err := v.Verify(p); err != nil {
+	proof, err := v.verify(p)
+	if err != nil {
 		return nil, err
 	}
-	if v.Helpers == nil {
-		v.Helpers = DefaultHelpers()
+	cp, err := compile(p, v.Helpers)
+	if err != nil {
+		return nil, err
 	}
-	return compile(p, v.Helpers)
+	cp.proof = proof
+	return cp, nil
 }
 
 // compile translates without verifying. Internal callers (tests of the
@@ -361,29 +378,13 @@ func compileALU(in Insn) (cop, error) {
 	return o, nil
 }
 
-// compileCall specializes calls to the standard helpers (identified by both
-// id and registered name, so a registry that rebinds an id falls back to the
-// generic bridge).
+// compileCall specializes calls to the standard helpers. Anything else — a
+// custom helper, an id the registry rebinds, an unknown id (which faults at
+// runtime, like the interpreter) — goes through the generic bridge.
 func compileCall(id int32, helpers *HelperRegistry) cop {
-	o := cop{imm: uint64(uint32(id))}
-	_, _, name, ok := helpers.signature(id)
-	if !ok {
-		o.code = cCallGeneric // unknown helper: faults at runtime, like the interpreter
-		return o
-	}
-	switch {
-	case id == HelperMapLookup && name == "map_lookup_elem":
-		o.code = cCallLookup
-	case id == HelperMapUpdate && name == "map_update_elem":
-		o.code = cCallUpdate
-	case id == HelperMapDelete && name == "map_delete_elem":
-		o.code = cCallDelete
-	case id == HelperGetPrandom && name == "get_prandom_u32":
-		o.code = cCallPrandom
-	case id == HelperQoSSetClass && name == "qos_set_class":
-		o.code = cCallQoS
-	default:
-		o.code = cCallGeneric
+	o := cop{code: cCallGeneric, imm: uint64(uint32(id))}
+	if helpers.standard(id) {
+		o.code = standardHelpers[id].code
 	}
 	return o
 }

@@ -128,28 +128,28 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 		case cLd8:
 			s := &r[o.src]
 			pos := int64(s.n) + int64(o.off)
-			if pos < 0 || pos+1 > int64(len(s.data)) {
+			if !inWindow(pos, 1, len(s.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			r[o.dst] = creg{n: uint64(s.data[pos])}
 		case cLd16:
 			s := &r[o.src]
 			pos := int64(s.n) + int64(o.off)
-			if pos < 0 || pos+2 > int64(len(s.data)) {
+			if !inWindow(pos, 2, len(s.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			r[o.dst] = creg{n: uint64(binary.LittleEndian.Uint16(s.data[pos:]))}
 		case cLd32:
 			s := &r[o.src]
 			pos := int64(s.n) + int64(o.off)
-			if pos < 0 || pos+4 > int64(len(s.data)) {
+			if !inWindow(pos, 4, len(s.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			r[o.dst] = creg{n: uint64(binary.LittleEndian.Uint32(s.data[pos:]))}
 		case cLd64:
 			s := &r[o.src]
 			pos := int64(s.n) + int64(o.off)
-			if pos < 0 || pos+8 > int64(len(s.data)) {
+			if !inWindow(pos, 8, len(s.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			r[o.dst] = creg{n: binary.LittleEndian.Uint64(s.data[pos:])}
@@ -157,7 +157,7 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 		case cSt8, cStImm8:
 			d := &r[o.dst]
 			pos := int64(d.n) + int64(o.off)
-			if pos < 0 || pos+1 > int64(len(d.data)) {
+			if !inWindow(pos, 1, len(d.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			v := o.imm
@@ -169,7 +169,7 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 		case cSt16, cStImm16:
 			d := &r[o.dst]
 			pos := int64(d.n) + int64(o.off)
-			if pos < 0 || pos+2 > int64(len(d.data)) {
+			if !inWindow(pos, 2, len(d.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			v := o.imm
@@ -181,7 +181,7 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 		case cSt32, cStImm32:
 			d := &r[o.dst]
 			pos := int64(d.n) + int64(o.off)
-			if pos < 0 || pos+4 > int64(len(d.data)) {
+			if !inWindow(pos, 4, len(d.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			v := o.imm
@@ -193,7 +193,7 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 		case cSt64, cStImm64:
 			d := &r[o.dst]
 			pos := int64(d.n) + int64(o.off)
-			if pos < 0 || pos+8 > int64(len(d.data)) {
+			if !inWindow(pos, 8, len(d.data)) {
 				return vm.cfail(cp, at, cfMem)
 			}
 			v := o.imm
@@ -310,7 +310,7 @@ func (vm *VM) ccallMapKey(cp *CompiledProgram, r *[NumRegs]creg) (Map, []byte, b
 // cwindow bounds-checks an n-byte window at a pointer register.
 func cwindow(r *creg, n int) ([]byte, bool) {
 	pos := int64(r.n)
-	if r.data == nil || pos < 0 || pos+int64(n) > int64(len(r.data)) {
+	if r.data == nil || !inWindow(pos, n, len(r.data)) {
 		return nil, false
 	}
 	return r.data[pos : pos+int64(n)], true

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -433,6 +434,64 @@ func TestVerifierFoldMatchesRun(t *testing.T) {
 		if folded := st.regs[R2]; !folded.known || folded.val != got {
 			t.Errorf("%s: verifier folds %#x (known=%v), runtimes compute %#x", tc.name, folded.val, folded.known, got)
 		}
+	}
+}
+
+// wrapOff is a pointer offset within 8 bytes of 2^63: an 8-byte access at it
+// ends past 2^63, so start+size wraps negative.
+const wrapOff = 0x7ffffffffffffffc
+
+// wrapPrograms move a ctx, map-value or stack pointer to wrapOff and access
+// 8 bytes there.
+func wrapPrograms() map[string]*Program {
+	toWrap := func(b *Builder, ptr uint8, off uint64) *Builder {
+		return b.MovImm64(R2, off).ALU(ALUAdd, ptr, R2)
+	}
+	lookup := NewBuilder().StoreImm(SizeW, R10, -4, 0).LoadMap(R1, NewArrayMap(16, 8)).
+		MovReg(R2, R10).AddImm(R2, -4).Call(HelperMapLookup).JumpImm(JmpEq, R0, 0, "miss")
+	return map[string]*Program{
+		"ctx load":  toWrap(NewBuilder(), R1, wrapOff).Load(SizeDW, R0, R1, 0).Exit().MustProgram("wrap-ctx-load"),
+		"ctx store": toWrap(NewBuilder(), R1, wrapOff).StoreImm(SizeDW, R1, 0, 1).Return(0).MustProgram("wrap-ctx-store"),
+		"map value load": toWrap(lookup, R0, wrapOff).Load(SizeDW, R0, R0, 0).Exit().
+			Label("miss").Return(0).MustProgram("wrap-map-value"),
+		"stack load": toWrap(NewBuilder().MovReg(R3, R10), R3, wrapOff-StackSize).
+			Load(SizeDW, R0, R3, 0).Exit().MustProgram("wrap-stack"),
+	}
+}
+
+// TestVerifierRejectsWrappingOffsets: bounds written as start+size > limit
+// pass when start+size wraps. The verifier accepted the ctx and map-value
+// shapes (and panicked on the stack one), then both tiers sliced out of
+// range. Now the verifier refuses all four, and each tier's backstop faults
+// on the unverified program.
+func TestVerifierRejectsWrappingOffsets(t *testing.T) {
+	for name, p := range wrapPrograms() {
+		if err := (&Verifier{CtxSize: diffCtxSize}).Verify(p); !errors.Is(err, ErrVerify) {
+			t.Errorf("%s: Verify = %v, want a rejection", name, err)
+		}
+		cp, err := compile(p, nil)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		if _, err := NewVM(nil).Run(p, make([]byte, diffCtxSize)); !errors.Is(err, ErrFault) {
+			t.Errorf("%s: interpreter: %v, want ErrFault", name, err)
+		}
+		if _, err := NewVM(nil).RunCompiled(cp, make([]byte, diffCtxSize)); !errors.Is(err, ErrFault) {
+			t.Errorf("%s: compiled tier: %v, want ErrFault", name, err)
+		}
+	}
+}
+
+// TestVerifierRejectsInvalidRegister: the encoding has room for r0..r15 and
+// the verifier indexed its register file with whatever it decoded.
+func TestVerifierRejectsInvalidRegister(t *testing.T) {
+	for _, in := range []Insn{
+		{Op: ClassALU64 | ALUMov | SrcX, Dst: R0, Src: 11},
+		{Op: ClassLDX | SizeDW | ModeMEM, Dst: R0, Src: 15},
+		{Op: ClassST | SizeDW | ModeMEM, Dst: 12, Imm: 1},
+	} {
+		p := &Program{Insns: []Insn{in, {Op: ClassJMP | JmpExit}}}
+		wantReject(t, p, 8, "invalid register")
 	}
 }
 

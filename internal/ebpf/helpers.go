@@ -73,11 +73,40 @@ func (hr *HelperRegistry) Register(id int32, name string, args []ArgType, ret Re
 	hr.impls[id] = &helperImpl{name: name, args: args, ret: ret, fn: fn}
 }
 
-// register installs a standard helper (exempt from the conservative
-// stack-dirtying custom helpers get).
-func (hr *HelperRegistry) register(id int32, name string, args []ArgType, ret RetType, fn func(vm *VM, r []val) (val, error)) {
-	hr.Register(id, name, args, ret, fn)
+// register installs a standard helper under its standard name (exempt from
+// the conservative stack-dirtying custom helpers get).
+func (hr *HelperRegistry) register(id int32, args []ArgType, ret RetType, fn func(vm *VM, r []val) (val, error)) {
+	hr.Register(id, standardHelpers[id].name, args, ret, fn)
 	hr.impls[id].builtin = true
+}
+
+// standardHelpers are the helpers the compiled tier runs directly: the name
+// each id is registered under and the op a call to it compiles to.
+var standardHelpers = map[int32]struct {
+	name string
+	code copCode
+}{
+	HelperMapLookup:   {"map_lookup_elem", cCallLookup},
+	HelperMapUpdate:   {"map_update_elem", cCallUpdate},
+	HelperMapDelete:   {"map_delete_elem", cCallDelete},
+	HelperGetPrandom:  {"get_prandom_u32", cCallPrandom},
+	HelperQoSSetClass: {"qos_set_class", cCallQoS},
+}
+
+// standard reports whether id is bound to the standard helper of that id, by
+// id and registered name: a registry that rebinds an id to a helper of its
+// own does not count.
+func (hr *HelperRegistry) standard(id int32) bool {
+	std, ok := standardHelpers[id]
+	return ok && hr.impls[id] != nil && hr.impls[id].name == std.name
+}
+
+// pure reports whether a call to helper id has no effect outside the
+// invocation: map_lookup_elem returns a value pointer or null and mutates
+// nothing, and get_prandom_u32 derives from the invocation count without
+// advancing state.
+func (hr *HelperRegistry) pure(id int32) bool {
+	return (id == HelperMapLookup || id == HelperGetPrandom) && hr.standard(id)
 }
 
 func stackBytes(v val, n int) ([]byte, error) {
@@ -85,7 +114,7 @@ func stackBytes(v val, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: helper expects pointer argument", ErrFault)
 	}
 	start := int64(v.n)
-	if start < 0 || start+int64(n) > int64(len(v.mem.data)) {
+	if !inWindow(start, n, len(v.mem.data)) {
 		return nil, fmt.Errorf("%w: helper argument out of bounds", ErrFault)
 	}
 	return v.mem.data[start : start+int64(n)], nil
@@ -94,8 +123,7 @@ func stackBytes(v val, n int) ([]byte, error) {
 // DefaultHelpers returns the standard helper set.
 func DefaultHelpers() *HelperRegistry {
 	hr := &HelperRegistry{}
-	hr.register(HelperMapLookup, "map_lookup_elem",
-		[]ArgType{ArgMapPtr, ArgPtrToMapKey}, RetMapValueOrNull,
+	hr.register(HelperMapLookup, []ArgType{ArgMapPtr, ArgPtrToMapKey}, RetMapValueOrNull,
 		func(vm *VM, r []val) (val, error) {
 			m := r[R1].m
 			key, err := stackBytes(r[R2], m.KeySize())
@@ -108,8 +136,7 @@ func DefaultHelpers() *HelperRegistry {
 			}
 			return val{kind: kPtr, mem: &memRegion{data: v, writable: true}}, nil
 		})
-	hr.register(HelperMapUpdate, "map_update_elem",
-		[]ArgType{ArgMapPtr, ArgPtrToMapKey, ArgPtrToMapValue, ArgScalar}, RetScalar,
+	hr.register(HelperMapUpdate, []ArgType{ArgMapPtr, ArgPtrToMapKey, ArgPtrToMapValue, ArgScalar}, RetScalar,
 		func(vm *VM, r []val) (val, error) {
 			m := r[R1].m
 			key, err := stackBytes(r[R2], m.KeySize())
@@ -125,8 +152,7 @@ func DefaultHelpers() *HelperRegistry {
 			}
 			return scalar(0), nil
 		})
-	hr.register(HelperMapDelete, "map_delete_elem",
-		[]ArgType{ArgMapPtr, ArgPtrToMapKey}, RetScalar,
+	hr.register(HelperMapDelete, []ArgType{ArgMapPtr, ArgPtrToMapKey}, RetScalar,
 		func(vm *VM, r []val) (val, error) {
 			m := r[R1].m
 			key, err := stackBytes(r[R2], m.KeySize())
@@ -138,16 +164,14 @@ func DefaultHelpers() *HelperRegistry {
 			}
 			return scalar(0), nil
 		})
-	hr.register(HelperGetPrandom, "get_prandom_u32",
-		nil, RetScalar,
+	hr.register(HelperGetPrandom, nil, RetScalar,
 		func(vm *VM, r []val) (val, error) {
 			// xorshift seeded from invocation count: deterministic across
 			// simulation runs, unlike the kernel's true PRNG. Shared with
 			// the compiled tier (crun.go) so both tiers agree.
 			return scalar(prandomU32(vm.Invocations)), nil
 		})
-	hr.register(HelperQoSSetClass, "qos_set_class",
-		[]ArgType{ArgScalar}, RetScalar,
+	hr.register(HelperQoSSetClass, []ArgType{ArgScalar}, RetScalar,
 		func(vm *VM, r []val) (val, error) {
 			// Tags the in-flight command's QoS scheduling class; the router
 			// reads it back after the classifier returns. Out-of-range

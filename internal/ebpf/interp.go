@@ -190,7 +190,7 @@ func (vm *VM) window(v val, off int64, size int, write bool) ([]byte, error) {
 		return nil, fmt.Errorf("%w: memory access through non-pointer", ErrFault)
 	}
 	start := int64(v.n) + off
-	if start < 0 || start+int64(size) > int64(len(v.mem.data)) {
+	if !inWindow(start, size, len(v.mem.data)) {
 		return nil, fmt.Errorf("%w: access [%d,+%d) outside region of %d bytes", ErrFault, start, size, len(v.mem.data))
 	}
 	if write && !v.mem.writable {

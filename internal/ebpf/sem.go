@@ -2,12 +2,14 @@ package ebpf
 
 import "slices"
 
-// One statement of what an ALU op and a conditional jump mean. Both
-// execution tiers (VM.alu and VM.branch in the interpreter, the cALU and cJmp
-// cases of RunCompiled), the verifier's known-scalar fold (checkALU) and
-// StaticVerdict call aluSem/condSem and compare through cmpOperand; the
+// One statement of what an ALU op and a conditional jump mean, and of which
+// bytes a memory access may touch. Both execution tiers (VM.alu and VM.branch
+// in the interpreter, the cALU and cJmp cases of RunCompiled) and the
+// verifier (its known-scalar fold in checkALU, the branch edges it proves dead
+// in checkBranch) call aluSem/condSem and compare through cmpOperand; the
 // verifier, the compiler, the assembler, the disassembler and Dump index the
-// two op tables. Nothing else in the package states these semantics.
+// two op tables; the verifier, both tiers and the helpers bound every access
+// with inWindow. Nothing else in the package states these semantics.
 
 // opRow is one operation: its opcode nibble and its assembler mnemonic.
 type opRow struct {
@@ -137,6 +139,13 @@ func condSem(op uint8, a, b uint64) (taken, ok bool) {
 		return a&b != 0, true
 	}
 	return false, false
+}
+
+// inWindow reports whether size bytes at start lie inside a window of limit
+// bytes. start is the wrapping int64 sum the runtimes compute, so the test
+// never adds to it: start+size wraps negative for offsets near 2^63.
+func inWindow(start int64, size, limit int) bool {
+	return start >= 0 && start <= int64(limit)-int64(size)
 }
 
 // cmpOperand is a branch operand as condSem sees it: a scalar by value, a

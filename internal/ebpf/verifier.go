@@ -49,7 +49,7 @@ func (t rt) String() string {
 type vreg struct {
 	t     rt
 	off   int64 // constant offset for pointer types
-	known bool  // constant tracking for scalars
+	known bool  // constant tracking for scalars (never set on other types)
 	val   uint64
 	m     Map // for map-derived types
 }
@@ -58,10 +58,27 @@ func (r vreg) pointer() bool {
 	return r.t == rtCtx || r.t == rtStack || r.t == rtMapValue
 }
 
-// vstate is the abstract machine state along one path.
+// vstate is the abstract machine state along one path. dead marks a path
+// that took a branch edge its known scalar operands rule out: no execution
+// follows it, so it is verified like any other but its exits and effects do
+// not count toward the verdict.
 type vstate struct {
 	regs      [NumRegs]vreg
 	stackInit [StackSize]bool
+	dead      bool
+}
+
+// verdict is the static verdict verification proves on the way: the r0
+// every invocation returns, unless a live path spoiled the proof. Path
+// promotion trusts it to skip the classifier, so every live exit must return
+// the same known scalar, and no live path may store anywhere but the stack
+// (which the VM clears between runs) or call a helper but the pure pair
+// (HelperRegistry.pure). An accepted program cannot fault or loop, so "every
+// live exit returns r0" is "every invocation returns r0".
+type verdict struct {
+	r0      uint64
+	exits   int  // live exits seen
+	spoiled bool // a live exit disagreed or a live path had an effect
 }
 
 func (s *vstate) clone() *vstate {
@@ -78,25 +95,36 @@ type Verifier struct {
 
 // Verify checks the program, returning nil if it is safe to run.
 func (v *Verifier) Verify(p *Program) error {
+	_, err := v.verify(p)
+	return err
+}
+
+// verify checks the program and returns the static verdict it proved.
+func (v *Verifier) verify(p *Program) (verdict, error) {
+	var vd verdict
 	if v.Helpers == nil {
 		v.Helpers = DefaultHelpers()
 	}
 	n := len(p.Insns)
 	if n == 0 {
-		return fmt.Errorf("%w: empty program", ErrVerify)
+		return vd, fmt.Errorf("%w: empty program", ErrVerify)
 	}
 	if n > MaxInsns {
-		return fmt.Errorf("%w: program too long (%d > %d)", ErrVerify, n, MaxInsns)
+		return vd, fmt.Errorf("%w: program too long (%d > %d)", ErrVerify, n, MaxInsns)
 	}
-	// Mark ld_imm64 continuation slots; jumping into them is invalid.
+	// Check register numbers (the encoding has room for 16) and mark ld_imm64
+	// continuation slots; jumping into them is invalid.
 	isCont := make([]bool, n)
 	for pc := 0; pc < n; pc++ {
+		if in := p.Insns[pc]; in.Dst >= NumRegs || in.Src >= NumRegs {
+			return vd, fmt.Errorf("%w: invalid register r%d at %d", ErrVerify, max(in.Dst, in.Src), pc)
+		}
 		if p.Insns[pc].Op == OpLdImm64 {
 			if pc+1 >= n {
-				return fmt.Errorf("%w: truncated ld_imm64 at %d", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: truncated ld_imm64 at %d", ErrVerify, pc)
 			}
 			if p.Insns[pc+1].Op != 0 {
-				return fmt.Errorf("%w: ld_imm64 at %d not followed by zero slot", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: ld_imm64 at %d not followed by zero slot", ErrVerify, pc)
 			}
 			isCont[pc+1] = true
 			pc++
@@ -120,32 +148,32 @@ func (v *Verifier) Verify(p *Program) error {
 		pc, st := f.pc, f.st
 		for {
 			if budget--; budget < 0 {
-				return fmt.Errorf("%w: program too complex", ErrVerify)
+				return vd, fmt.Errorf("%w: program too complex", ErrVerify)
 			}
 			if pc < 0 || pc >= n {
-				return fmt.Errorf("%w: control flow falls off the program at %d", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: control flow falls off the program at %d", ErrVerify, pc)
 			}
 			if isCont[pc] {
-				return fmt.Errorf("%w: jump into the middle of ld_imm64 at %d", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: jump into the middle of ld_imm64 at %d", ErrVerify, pc)
 			}
 			in := p.Insns[pc]
 			switch in.Class() {
 			case ClassALU64, ClassALU:
 				if err := v.checkALU(st, in, pc); err != nil {
-					return err
+					return vd, err
 				}
 				pc++
 			case ClassLD:
 				if in.Op != OpLdImm64 {
-					return fmt.Errorf("%w: unsupported LD opcode %#x at %d", ErrVerify, in.Op, pc)
+					return vd, fmt.Errorf("%w: unsupported LD opcode %#x at %d", ErrVerify, in.Op, pc)
 				}
 				if err := checkWritable(in.Dst, pc); err != nil {
-					return err
+					return vd, err
 				}
 				if in.Src == PseudoMapFD {
 					idx := int(in.Imm)
 					if idx < 0 || idx >= len(p.Maps) {
-						return fmt.Errorf("%w: map index %d out of range at %d", ErrVerify, idx, pc)
+						return vd, fmt.Errorf("%w: map index %d out of range at %d", ErrVerify, idx, pc)
 					}
 					st.regs[in.Dst] = vreg{t: rtMapPtr, m: p.Maps[idx]}
 				} else {
@@ -155,10 +183,10 @@ func (v *Verifier) Verify(p *Program) error {
 				pc += 2
 			case ClassLDX:
 				if err := v.checkMem(st, st.regs[in.Src], int64(in.Off), sizeOf(in.Op), false, pc); err != nil {
-					return err
+					return vd, err
 				}
 				if err := checkWritable(in.Dst, pc); err != nil {
-					return err
+					return vd, err
 				}
 				st.regs[in.Dst] = vreg{t: rtScalar}
 				pc++
@@ -166,53 +194,59 @@ func (v *Verifier) Verify(p *Program) error {
 				if in.Class() == ClassSTX {
 					src := st.regs[in.Src]
 					if src.t == rtUninit {
-						return fmt.Errorf("%w: store of uninitialized r%d at %d", ErrVerify, in.Src, pc)
+						return vd, fmt.Errorf("%w: store of uninitialized r%d at %d", ErrVerify, in.Src, pc)
 					}
 					if src.t != rtScalar {
-						return fmt.Errorf("%w: storing %v to memory unsupported at %d", ErrVerify, src.t, pc)
+						return vd, fmt.Errorf("%w: storing %v to memory unsupported at %d", ErrVerify, src.t, pc)
 					}
 				}
 				if err := v.checkMem(st, st.regs[in.Dst], int64(in.Off), sizeOf(in.Op), true, pc); err != nil {
-					return err
+					return vd, err
 				}
+				vd.spoiled = vd.spoiled || (!st.dead && st.regs[in.Dst].t != rtStack)
 				pc++
 			case ClassJMP:
 				op := in.Op & 0xf0
 				switch op {
 				case JmpExit:
 					if st.regs[R0].t != rtScalar {
-						return fmt.Errorf("%w: exit with r0 %v at %d", ErrVerify, st.regs[R0].t, pc)
+						return vd, fmt.Errorf("%w: exit with r0 %v at %d", ErrVerify, st.regs[R0].t, pc)
+					}
+					if r := st.regs[R0]; !st.dead {
+						vd.spoiled = vd.spoiled || !r.known || (vd.exits > 0 && r.val != vd.r0)
+						vd.r0, vd.exits = r.val, vd.exits+1
 					}
 					goto nextPath
 				case JmpCall:
 					if err := v.checkCall(st, in, pc); err != nil {
-						return err
+						return vd, err
 					}
+					vd.spoiled = vd.spoiled || (!st.dead && !v.Helpers.pure(in.Imm))
 					pc++
 				case JmpA:
 					if in.Off < 0 {
-						return fmt.Errorf("%w: back-edge at %d (loops are not allowed)", ErrVerify, pc)
+						return vd, fmt.Errorf("%w: back-edge at %d (loops are not allowed)", ErrVerify, pc)
 					}
 					pc += int(in.Off) + 1
 				default:
 					if in.Off < 0 {
-						return fmt.Errorf("%w: back-edge at %d (loops are not allowed)", ErrVerify, pc)
+						return vd, fmt.Errorf("%w: back-edge at %d (loops are not allowed)", ErrVerify, pc)
 					}
 					taken, fall, err := v.checkBranch(st, in, pc)
 					if err != nil {
-						return err
+						return vd, err
 					}
 					work = append(work, frame{pc + int(in.Off) + 1, taken})
 					st = fall
 					pc++
 				}
 			default:
-				return fmt.Errorf("%w: unknown instruction class %#x at %d", ErrVerify, in.Class(), pc)
+				return vd, fmt.Errorf("%w: unknown instruction class %#x at %d", ErrVerify, in.Class(), pc)
 			}
 		}
 	nextPath:
 	}
-	return nil
+	return vd, nil
 }
 
 func checkWritable(reg uint8, pc int) error {
@@ -291,11 +325,11 @@ func (v *Verifier) checkMem(st *vstate, reg vreg, off int64, size int, write boo
 	start := reg.off + off
 	switch reg.t {
 	case rtCtx:
-		if start < 0 || start+int64(size) > int64(v.CtxSize) {
+		if !inWindow(start, size, v.CtxSize) {
 			return fmt.Errorf("%w: ctx access [%d,+%d) outside %d bytes at %d", ErrVerify, start, size, v.CtxSize, pc)
 		}
 	case rtStack:
-		if start < 0 || start+int64(size) > StackSize {
+		if !inWindow(start, size, StackSize) {
 			return fmt.Errorf("%w: stack access [%d,+%d) out of bounds at %d", ErrVerify, start, size, pc)
 		}
 		if write {
@@ -310,7 +344,7 @@ func (v *Verifier) checkMem(st *vstate, reg vreg, off int64, size int, write boo
 			}
 		}
 	case rtMapValue:
-		if start < 0 || start+int64(size) > int64(reg.m.ValueSize()) {
+		if !inWindow(start, size, reg.m.ValueSize()) {
 			return fmt.Errorf("%w: map value access [%d,+%d) outside %d bytes at %d", ErrVerify, start, size, reg.m.ValueSize(), pc)
 		}
 	case rtMapValueOrNull:
@@ -377,25 +411,22 @@ func (v *Verifier) checkBranch(st *vstate, in Insn, pc int) (taken, fall *vstate
 	if dst.t == rtUninit {
 		return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", ErrVerify, in.Dst, pc)
 	}
-	var srcScalarZero bool
+	src := vreg{t: rtScalar, known: true, val: uint64(int64(in.Imm))}
 	if in.Op&SrcX != 0 {
-		src := st.regs[in.Src]
+		src = st.regs[in.Src]
 		if src.t == rtUninit {
 			return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", ErrVerify, in.Src, pc)
 		}
 		if dst.pointer() || src.pointer() || dst.t == rtMapPtr || src.t == rtMapPtr {
 			return nil, nil, fmt.Errorf("%w: pointer comparison at %d", ErrVerify, pc)
 		}
-		srcScalarZero = src.known && src.val == 0
-	} else {
-		srcScalarZero = in.Imm == 0
 	}
 
 	taken, fall = st.clone(), st
 	// NULL-check refinement: `if (r == 0)` / `if (r != 0)` on a maybe-null
 	// map value narrows the type on each side.
 	if dst.t == rtMapValueOrNull {
-		if (op != JmpEq && op != JmpNe) || !srcScalarZero {
+		if (op != JmpEq && op != JmpNe) || !src.known || src.val != 0 {
 			return nil, nil, fmt.Errorf("%w: %v used in non-null-check comparison at %d", ErrVerify, dst.t, pc)
 		}
 		null := vreg{t: rtScalar, known: true, val: 0}
@@ -411,6 +442,15 @@ func (v *Verifier) checkBranch(st *vstate, in Insn, pc int) (taken, fall *vstate
 	}
 	if dst.t != rtScalar {
 		return nil, nil, fmt.Errorf("%w: comparison on %v at %d", ErrVerify, dst.t, pc)
+	}
+	// Known operands decide the branch: the edge the runtime cannot take is
+	// dead on this path.
+	if dst.known && src.known {
+		if t, _ := condSem(op, dst.val, src.val); t {
+			fall.dead = true
+		} else {
+			taken.dead = true
+		}
 	}
 	return taken, fall, nil
 }

@@ -364,12 +364,14 @@ func (s *NVMetro) wireIntegrity(vol *volume) {
 	case *storfn.ReplicatorSupervision:
 		rep := fn.Replicator()
 		rep.Guard = dom.Guard("replica")
-		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
-			ini.SetVerifier(&integrity.SectorGuard{G: dom.Guard("fabric"), Size: blockdev.SectorSize})
-		}
 		rs, err := storfn.NewResyncer(s.h.Env, rep, bdev, vol.att, s.h.HostThread("resync"), shift, storfn.DefaultResyncConfig())
 		if err != nil {
 			panic(err)
+		}
+		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
+			ini.SetVerifier(&integrity.SectorGuard{G: dom.Guard("fabric"), Size: blockdev.SectorSize})
+			// A closing outage window starts the drain of what it dirtied.
+			ini.OnReconnect(rs.OnLinkUp)
 		}
 		vol.rs = rs
 		fn.SetResyncer(rs)

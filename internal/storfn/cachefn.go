@@ -3,7 +3,6 @@ package storfn
 import (
 	"fmt"
 
-	"nvmetro/internal/blockdev"
 	"nvmetro/internal/cache"
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
@@ -281,146 +280,6 @@ func (c *Cacher) Collect(cs *metrics.CounterSet) {
 	cs.Add("cacher.req_writes", c.ReqWrites)
 	cs.Add("cacher.fill_errors", c.FillErrors)
 	c.cache.Collect(cs)
-}
-
-// CachedReplicator combines the host cache with live disk replication: hot
-// reads are served from the cache (filled from the local primary), writes
-// run both mirror legs from the UIF — the primary through the host block
-// layer, the secondary through the attachment's NVMe-oF ring — inside one
-// cache write window. The guest sees the primary's status; a failing
-// secondary degrades the mirror exactly as in the plain Replicator. Resync
-// traffic only ever writes the secondary, so it cannot touch cached (=
-// primary) contents: a resync copy can never resurrect stale cached data.
-type CachedReplicator struct {
-	*Replicator
-	Primary blockdev.BlockDevice
-	Cache   *cache.Cache
-
-	// Stats
-	ReqHits, ReqFills uint64
-	PrimaryErrors     uint64 // failed primary-leg writes (guest sees them)
-}
-
-// NewCachedReplicator builds the combined UIF. primary is the local mirror
-// leg; the secondary is reached through the uif attachment's ring.
-func NewCachedReplicator(primary blockdev.BlockDevice, c cache.Config) *CachedReplicator {
-	return &CachedReplicator{
-		Replicator: NewReplicator(),
-		Primary:    primary,
-		Cache:      cache.New(c),
-	}
-}
-
-func (c *CachedReplicator) copyCost(n int) sim.Duration {
-	return sim.Duration(float64(n) / c.CopyRate * 1e9)
-}
-
-// Work implements uif.Handler.
-func (c *CachedReplicator) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
-	lba, blocks := req.Cmd.SLBA(), uint64(req.Cmd.Blocks())
-	n := int(req.NBytes())
-	switch req.Cmd.Opcode() {
-	case nvme.OpRead:
-		buf := req.Buffer(n)
-		if c.Cache.Read(lba, blocks, buf) {
-			if c.Guard == nil || c.Guard.Verify(lba, buf) {
-				th.Exec(p, c.copyCost(n))
-				if err := req.WriteData(buf); err != nil {
-					return false, nvme.SCDataXferError
-				}
-				c.ReqHits++
-				return false, nvme.SCSuccess
-			}
-			c.GuardErrors++
-			c.Cache.Invalidate(lba, blocks)
-		}
-		fill := c.Cache.BeginFill(lba, blocks)
-		c.Primary.SubmitBio(p, th, &blockdev.Bio{
-			Op: blockdev.BioRead, Sector: req.Sector(), Data: buf,
-			OnDone: func(st nvme.Status) {
-				req.Attachment().Defer(func(p *sim.Proc, th *sim.Thread) {
-					if !st.OK() {
-						c.Cache.AbortFill(fill)
-						req.CompleteAsync(st)
-						return
-					}
-					if c.Guard != nil && !c.Guard.Verify(lba, buf) {
-						c.GuardErrors++
-						c.Cache.AbortFill(fill)
-						req.CompleteAsync(nvme.SCGuardCheck)
-						return
-					}
-					th.Exec(p, c.copyCost(n))
-					if err := req.WriteData(buf); err != nil {
-						c.Cache.AbortFill(fill)
-						req.CompleteAsync(nvme.SCDataXferError)
-						return
-					}
-					c.Cache.CommitFill(fill, buf)
-					c.ReqFills++
-					req.CompleteAsync(nvme.SCSuccess)
-				})
-			},
-		})
-		return true, 0
-	case nvme.OpWrite:
-		buf := req.Buffer(n)
-		if err := req.ReadData(buf); err != nil {
-			return false, nvme.SCDataXferError
-		}
-		if c.Guard != nil && !c.Guard.Verify(lba, buf) {
-			c.GuardErrors++
-			return false, nvme.SCGuardCheck
-		}
-		th.Exec(p, c.copyCost(n))
-		c.Forwarded++
-		w := c.Cache.BeginWrite(lba, blocks)
-		// Both mirror legs run inside the write window; the join decides
-		// the guest status and what the window leaves in the cache.
-		pending := 2
-		var pst, sst nvme.Status
-		join := func() {
-			pending--
-			if pending > 0 {
-				return
-			}
-			if pst.OK() {
-				c.Cache.EndWrite(w, buf)
-			} else {
-				c.Cache.EndWrite(w, nil)
-				c.PrimaryErrors++
-				// The secondary may now hold data the primary lost.
-				c.Dirty.Add(lba, blocks)
-			}
-			st := pst
-			if !sst.OK() {
-				c.SecondaryErrors++
-				if pst.OK() {
-					// Degraded mode: the primary carries the data.
-					c.Degraded++
-					c.Dirty.Add(lba, blocks)
-					if c.resync != nil {
-						c.resync.noteSecondaryFailure(lba, blocks)
-					}
-					st = nvme.SCSuccess
-				}
-			} else if pst.OK() && c.resync != nil {
-				c.resync.noteGuestWrite(lba, blocks)
-			}
-			req.CompleteAsync(st)
-		}
-		c.Primary.SubmitBio(p, th, &blockdev.Bio{
-			Op: blockdev.BioWrite, Sector: req.Sector(), Data: buf,
-			OnDone: func(st nvme.Status) { pst = st; join() },
-		})
-		req.SubmitBackendWriteThen(p, th, buf, func(p *sim.Proc, th *sim.Thread, st nvme.Status) {
-			sst = st
-			join()
-		})
-		return true, 0
-	default:
-		return false, nvme.SCInvalidOpcode
-	}
 }
 
 func init() {

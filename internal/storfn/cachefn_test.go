@@ -8,7 +8,6 @@ import (
 	"nvmetro/internal/cache"
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
-	"nvmetro/internal/nvmeof"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/storfn"
 	"nvmetro/internal/vm"
@@ -141,135 +140,4 @@ func TestCacheWriteAround(t *testing.T) {
 				cacher.ReqFills, cacher.ReqHits)
 		}
 	})
-}
-
-// cachedReplBed is the replication wiring with the cache storage function
-// stacked on top: CachedReplicator UIF, fabric secondary, resync engine.
-type cachedReplBed struct {
-	h      *host
-	v      *vm.VM
-	disk   *vm.NVMeDisk
-	crep   *storfn.CachedReplicator
-	rs     *storfn.Resyncer
-	link   *nvmeof.Link
-	rstore *device.MemStore
-}
-
-func newCachedReplBed(t *testing.T, rcfg storfn.ResyncConfig) *cachedReplBed {
-	t.Helper()
-	h := newHost()
-	v, vc, disk := h.addVM(t, 0)
-	hints := core.NewHotHints(3, 1<<16)
-	prog, _ := storfn.CacheClassifier(vc.Partition(), hints, 2)
-	if err := vc.LoadClassifier(prog); err != nil {
-		t.Fatal(err)
-	}
-	remoteCPU := sim.NewCPU(h.env, 4)
-	rp := device.Default970EvoPlus()
-	rp.JitterPct, rp.TailProb = 0, 0
-	rstore := device.NewMemStore(512)
-	rdev := device.New(h.env, rp, rstore)
-	rbdev := blockdev.NewNVMeBlockDev(h.env, device.WholeNamespace(rdev, 1), remoteCPU, 3, blockdev.DefaultCosts())
-	link := nvmeof.DefaultLink(h.env)
-	tgt := nvmeof.NewTarget(h.env, rbdev, remoteCPU)
-	ini := nvmeof.NewInitiator(h.env, link, tgt)
-	if err := ini.SetRecovery(tightOfRecovery); err != nil {
-		t.Fatal(err)
-	}
-
-	primary := blockdev.NewNVMeBlockDev(h.env, device.WholeNamespace(h.dev, 1), h.cpu, 12, blockdev.DefaultCosts())
-	crep := storfn.NewCachedReplicator(primary, cache.DefaultConfig())
-	ring := blockdev.NewURing(h.env, ini, blockdev.DefaultURingCosts())
-	att := h.fw.Attach(vc.AttachUIF(256), crep, ring)
-
-	rs, err := storfn.NewResyncer(h.env, crep.Replicator, primary, att, h.cpu.ThreadOn(13, "resync"), h.dev.Params().LBAShift, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ini.OnReconnect(rs.OnLinkUp)
-	return &cachedReplBed{h: h, v: v, disk: disk, crep: crep, rs: rs, link: link, rstore: rstore}
-}
-
-// TestCachedReplicatorCoherentMidResync: a degraded write populates the
-// cache, a write landing mid-resync must invalidate/update it, and hot
-// reads must never observe pre-write data at any point — before, during or
-// after the drain. Both mirror legs converge bit-identical.
-func TestCachedReplicatorCoherentMidResync(t *testing.T) {
-	rcfg := storfn.DefaultResyncConfig()
-	rcfg.Rate = 5e6 // slow drain so the overwrite lands mid-resync
-	rcfg.ChunkBlocks = 8
-	b := newCachedReplBed(t, rcfg)
-	// The outage covers all degraded writes (~0.55 ms each) and the heat-up
-	// reads; the resync drain starts when it lifts.
-	b.link.ScheduleOutage(0, 50*sim.Millisecond)
-
-	dataA := bytes.Repeat([]byte{0x11, 5}, 2048)
-	dataB := bytes.Repeat([]byte{0x22, 6}, 2048)
-	b.h.run(t, func(p *sim.Proc) {
-		// Degraded writes dirty [0, 256) on the secondary.
-		for i := 0; i < 32; i++ {
-			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64(i*8), dataA); !st.OK() {
-				t.Fatalf("degraded write %d: %v", i, st)
-			}
-		}
-		if b.rs.State() != storfn.StateDegraded {
-			t.Fatalf("state=%v, want Degraded", b.rs.State())
-		}
-		got := make([]byte, len(dataA))
-		// Heat LBA 200's bucket: first read cold (fast path = primary),
-		// second hot (cache fill or write-through hit).
-		for r := 0; r < 2; r++ {
-			if st := doIO(p, b.v, b.disk, vm.OpRead, 200, got); !st.OK() || !bytes.Equal(got, dataA) {
-				t.Fatalf("degraded read %d: %v", r, st)
-			}
-		}
-		if b.crep.ReqHits == 0 {
-			t.Fatal("hot read did not hit the cache")
-		}
-
-		// Wait until the drain is actually running, then overwrite a
-		// cached, dirty range mid-resync.
-		for b.rs.State() != storfn.StateResyncing {
-			p.Sleep(100 * sim.Microsecond)
-		}
-		if st := doIO(p, b.v, b.disk, vm.OpWrite, 200, dataB); !st.OK() {
-			t.Fatalf("mid-resync write: %v", st)
-		}
-		// The very next hot read must see dataB — a stale cached dataA
-		// here is exactly the bug the write/fill windows exist to prevent.
-		if st := doIO(p, b.v, b.disk, vm.OpRead, 200, got); !st.OK() {
-			t.Fatalf("mid-resync read: %v", st)
-		}
-		if bytes.Equal(got, dataA) {
-			t.Fatal("stale cached read after a mid-resync write")
-		}
-		if !bytes.Equal(got, dataB) {
-			t.Fatal("mid-resync read returned garbage")
-		}
-
-		b.waitInSync(t, p, 500*sim.Millisecond)
-
-		// After the drain, reads still serve the latest data.
-		if st := doIO(p, b.v, b.disk, vm.OpRead, 200, got); !st.OK() || !bytes.Equal(got, dataB) {
-			t.Fatal("post-resync read lost the mid-resync write")
-		}
-	})
-	if pc, sc := b.h.store.ContentCRC(), b.rstore.ContentCRC(); pc != sc {
-		t.Fatalf("mirror contents diverge: primary=%08x secondary=%08x", pc, sc)
-	}
-	if b.crep.Dirty.Blocks() != 0 {
-		t.Fatalf("leaked dirty blocks: %v", b.crep.Dirty.Ranges())
-	}
-}
-
-// waitInSync mirrors replBed.waitInSync for the cached bed.
-func (b *cachedReplBed) waitInSync(t *testing.T, p *sim.Proc, bound sim.Duration) {
-	t.Helper()
-	deadline := p.Now().Add(bound)
-	for b.rs.State() != storfn.StateInSync && p.Now() < deadline {
-		p.Sleep(sim.Millisecond)
-	}
-	if b.rs.State() != storfn.StateInSync {
-		t.Fatalf("mirror did not converge: state=%v dirty=%d", b.rs.State(), b.crep.Dirty.Blocks())
-	}
 }
