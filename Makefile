@@ -133,13 +133,17 @@ scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
 
-# fuzz-smoke explores FuzzVerifiedProgram for 30 s beyond its seed corpus
-# (which every `go test ./...` runs): decoded bytes the verifier accepts must
-# run on both tiers without a fault, fuel or panic, the tiers must agree, and
-# a proved static verdict must be what every invocation returns. A finding
-# is written under internal/ebpf/testdata/fuzz/ and replays as a seed.
+# fuzz-smoke explores two targets for 30 s each beyond their seed corpora
+# (which every `go test ./...` runs). FuzzVerifiedProgram: decoded bytes the
+# verifier accepts must run on both tiers without a fault, fuel or panic, the
+# tiers must agree, and a proved static verdict must be what every invocation
+# returns. FuzzAppendPRP: the PRP walker must not panic, must agree with its
+# reference walk segment for segment and error for error, and a successful
+# walk must stay inside guest memory and cover the transfer. A finding is
+# written under the package's testdata/fuzz/ and replays as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedProgram$$' -fuzztime 30s ./internal/ebpf/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendPRP$$' -fuzztime 30s ./internal/nvme/
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests (page-granular private

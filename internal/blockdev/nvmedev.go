@@ -127,8 +127,9 @@ type NVMeBlockDev struct {
 	verifier ReadVerifier
 }
 
-// ReadVerifier checks read payloads against per-block protection info at
-// the driver's completion boundary (satisfied by *integrity.SectorGuard).
+// ReadVerifier checks read payloads against per-block protection info at a
+// completion boundary: this driver's, or the NVMe-oF initiator's receive path
+// (satisfied by *integrity.SectorGuard).
 type ReadVerifier interface {
 	VerifySectors(sector uint64, data []byte) bool
 }
@@ -339,8 +340,7 @@ func (d *NVMeBlockDev) onTimeout(id, _ uint32) {
 		d.finishBio(pend, nvme.SCAbortRequested)
 		return
 	}
-	backoff := d.rec.Backoff << (pend.attempts - 1)
-	d.env.After(backoff, func() {
+	d.env.After(sim.Backoff(d.rec.Backoff, 0, pend.attempts, 0, nil), func() {
 		d.retryQ = append(d.retryQ, pend)
 		d.retryCond.Signal(nil)
 	})

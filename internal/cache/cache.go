@@ -28,6 +28,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"nvmetro/internal/metrics"
@@ -58,13 +59,8 @@ type Config struct {
 	BlockSize uint32
 	// CapacityBlocks is the total resident capacity across all shards.
 	CapacityBlocks uint64
-	// Shards is the shard count (rounded up to a power of two; default 8).
-	Shards int
 	// WritePolicy selects write-through or write-around.
 	WritePolicy WritePolicy
-	// NewPolicy builds one shard's replacement policy from its capacity
-	// (default NewARC).
-	NewPolicy func(capacityBlocks int) ReplacementPolicy
 	// OnEvict, when set, observes every evicted block LBA. It runs after
 	// all cache locks are released, so it may call back into the cache or
 	// into classifier hint maps.
@@ -77,11 +73,15 @@ func DefaultConfig() Config {
 	return Config{
 		BlockSize:      512,
 		CapacityBlocks: 32768,
-		Shards:         8,
 		WritePolicy:    WriteThrough,
-		NewPolicy:      NewARC,
 	}
 }
+
+// shardBits is log2 of the shard count: eight ARC-managed lock domains.
+const (
+	shardBits = 3
+	nShards   = 1 << shardBits
+)
 
 // entry is one resident block.
 type entry struct {
@@ -93,7 +93,7 @@ type entry struct {
 type shard struct {
 	mu   sync.Mutex
 	data map[uint64]*entry
-	pol  ReplacementPolicy
+	pol  *arcPolicy
 
 	ops uint64 // per-block access clock
 
@@ -116,9 +116,8 @@ func (w *window) overlaps(lba, blocks uint64) bool {
 // Cache is the sharded block cache. All methods are safe for concurrent
 // use.
 type Cache struct {
-	cfg       Config
-	shards    []*shard
-	shardBits uint
+	cfg    Config
+	shards [nShards]*shard
 
 	mu     sync.Mutex // guards the window tables; outer to shard locks
 	fills  map[uint64]*window
@@ -136,33 +135,21 @@ func New(cfg Config) *Cache {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 512
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	bits := uint(0)
-	for 1<<bits < cfg.Shards {
-		bits++
-	}
-	cfg.Shards = 1 << bits
-	if cfg.CapacityBlocks < uint64(cfg.Shards) {
-		cfg.CapacityBlocks = uint64(cfg.Shards)
-	}
-	if cfg.NewPolicy == nil {
-		cfg.NewPolicy = NewARC
+	if cfg.CapacityBlocks < nShards {
+		cfg.CapacityBlocks = nShards
 	}
 	c := &Cache{
-		cfg:       cfg,
-		shardBits: bits,
-		fills:     make(map[uint64]*window),
-		writes:    make(map[uint64]*window),
+		cfg:    cfg,
+		fills:  make(map[uint64]*window),
+		writes: make(map[uint64]*window),
 	}
-	perShard := int(cfg.CapacityBlocks) / cfg.Shards
-	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, &shard{
+	perShard := int(cfg.CapacityBlocks) / nShards
+	for i := range c.shards {
+		c.shards[i] = &shard{
 			data:  make(map[uint64]*entry),
-			pol:   cfg.NewPolicy(perShard),
+			pol:   newARC(perShard),
 			reuse: metrics.NewHistogram(),
-		})
+		}
 	}
 	return c
 }
@@ -173,51 +160,26 @@ func (c *Cache) BlockSize() uint32 { return c.cfg.BlockSize }
 // shardOf maps a block LBA to its shard by multiplicative hashing, so
 // consecutive blocks spread across lock domains.
 func (c *Cache) shardOf(lba uint64) *shard {
-	if c.shardBits == 0 {
-		return c.shards[0]
-	}
-	return c.shards[(lba*0x9E3779B97F4A7C15)>>(64-c.shardBits)]
+	return c.shards[shardIndex(lba)]
+}
+
+func shardIndex(lba uint64) int {
+	return int((lba * 0x9E3779B97F4A7C15) >> (64 - shardBits))
 }
 
 // lockRange locks every shard covering [lba, lba+blocks) in index order
 // (deadlock-free) and returns the distinct shards locked.
 func (c *Cache) lockRange(lba, blocks uint64) []*shard {
-	var mask uint64 // shard count is <= 64 in practice; fall back to map otherwise
-	var idxs []int
+	var mask uint
 	for b := uint64(0); b < blocks; b++ {
-		i := 0
-		if c.shardBits > 0 {
-			i = int(((lba + b) * 0x9E3779B97F4A7C15) >> (64 - c.shardBits))
-		}
-		if len(c.shards) <= 64 {
-			if mask&(1<<uint(i)) != 0 {
-				continue
-			}
-			mask |= 1 << uint(i)
-		}
-		idxs = append(idxs, i)
+		mask |= 1 << shardIndex(lba+b)
 	}
-	if len(c.shards) > 64 {
-		seen := make(map[int]bool, len(idxs))
-		uniq := idxs[:0]
-		for _, i := range idxs {
-			if !seen[i] {
-				seen[i] = true
-				uniq = append(uniq, i)
-			}
+	out := make([]*shard, 0, bits.OnesCount(mask))
+	for i, sh := range c.shards {
+		if mask&(1<<i) != 0 {
+			sh.mu.Lock()
+			out = append(out, sh)
 		}
-		idxs = uniq
-	}
-	// Insertion sort: the slice is tiny.
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
-	out := make([]*shard, len(idxs))
-	for i, si := range idxs {
-		out[i] = c.shards[si]
-		out[i].mu.Lock()
 	}
 	return out
 }

@@ -260,7 +260,6 @@ func TestAbortFill(t *testing.T) {
 // deadlocks if eviction notification happens under either lock.
 func TestOnEvictRunsOutsideLocks(t *testing.T) {
 	cfg := testCfg(8) // tiny: every install evicts soon
-	cfg.Shards = 1
 	var evicted []uint64
 	var c *Cache
 	cfg.OnEvict = func(lba uint64) {
@@ -358,70 +357,84 @@ func TestViewCountsLikeRead(t *testing.T) {
 	}
 }
 
-// ARC keeps a re-read hot set resident through a one-shot scan; plain LRU
-// flushes it. Both must respect capacity.
-func TestARCScanResistance(t *testing.T) {
-	const capBlocks = 64
-	mk := func(pol func(int) ReplacementPolicy) *Cache {
-		cfg := testCfg(capBlocks)
-		cfg.Shards = 1
-		cfg.NewPolicy = pol
-		return New(cfg)
+// oneShard returns the first n block LBAs that hash to shard 0, so a test
+// can drive one shard's ARC through the whole cache.
+func oneShard(n int) []uint64 {
+	var out []uint64
+	for lba := uint64(0); len(out) < n; lba++ {
+		if shardIndex(lba) == 0 {
+			out = append(out, lba)
+		}
 	}
-	workload := func(c *Cache) int {
-		bs := int(c.BlockSize())
-		touch := func(lba uint64) {
-			buf := make([]byte, bs)
-			if !c.Read(lba, 1, buf) {
-				f := c.BeginFill(lba, 1)
-				c.CommitFill(f, blk(bs, byte(lba)))
-			}
+	return out
+}
+
+// ARC keeps a re-read hot set resident through a one-shot scan. The scan is
+// four times the shard's capacity, so plain LRU would keep none of it.
+func TestARCScanResistance(t *testing.T) {
+	const capBlocks = 64 // per shard
+	c := New(testCfg(capBlocks * nShards))
+	bs := int(c.BlockSize())
+	keys := oneShard(32 + 256)
+	touch := func(lba uint64) {
+		buf := make([]byte, bs)
+		if !c.Read(lba, 1, buf) {
+			f := c.BeginFill(lba, 1)
+			c.CommitFill(f, blk(bs, byte(lba)))
 		}
-		// Establish a hot set re-read many times...
-		for round := 0; round < 8; round++ {
-			for lba := uint64(0); lba < 32; lba++ {
-				touch(lba)
-			}
-		}
-		// ...then scan a large cold range once.
-		for lba := uint64(1000); lba < 1000+256; lba++ {
+	}
+	// Establish a hot set re-read many times...
+	for round := 0; round < 8; round++ {
+		for _, lba := range keys[:32] {
 			touch(lba)
 		}
-		resident := 0
-		for lba := uint64(0); lba < 32; lba++ {
-			if c.Peek(lba) != nil {
-				resident++
-			}
+	}
+	// ...then scan a large cold range once.
+	for _, lba := range keys[32:] {
+		touch(lba)
+	}
+	kept := 0
+	for _, lba := range keys[:32] {
+		if c.Peek(lba) != nil {
+			kept++
 		}
-		return resident
 	}
-	arcKept := workload(mk(NewARC))
-	lruKept := workload(mk(NewLRU))
-	if arcKept <= lruKept {
-		t.Fatalf("ARC kept %d/32 hot blocks, LRU kept %d — ARC should resist the scan", arcKept, lruKept)
+	if kept < 24 {
+		t.Fatalf("ARC kept only %d/32 hot blocks through a scan", kept)
 	}
-	if arcKept < 24 {
-		t.Fatalf("ARC kept only %d/32 hot blocks through a scan", arcKept)
+	if r := c.Resident(); r > capBlocks {
+		t.Fatalf("resident=%d exceeds the shard's capacity %d", r, capBlocks)
 	}
 }
 
+// Refilling the block evicted last is a ghost re-admission. ARC keeps ghosts
+// of T1 evictions only while T2 holds blocks, so part of the shard is
+// re-read first.
 func TestGhostHitsObserved(t *testing.T) {
-	cfg := testCfg(8)
-	cfg.Shards = 1
-	cfg.NewPolicy = NewLRU
+	cfg := testCfg(8 * nShards) // 8 blocks per shard
+	var last uint64
+	cfg.OnEvict = func(lba uint64) { last = lba }
 	c := New(cfg)
 	bs := int(c.BlockSize())
 	fill := func(lba uint64) {
 		f := c.BeginFill(lba, 1)
 		c.CommitFill(f, blk(bs, byte(lba)))
 	}
-	for lba := uint64(0); lba < 12; lba++ {
+	keys := oneShard(12)
+	for _, lba := range keys[:4] {
+		fill(lba)
+		c.Read(lba, 1, make([]byte, bs)) // T1 -> T2
+	}
+	for _, lba := range keys[4:] {
 		fill(lba)
 	}
-	// Blocks 0..3 were evicted into the ghost list; refilling one is a
-	// ghost re-admission.
-	fill(0)
 	var cs metrics.CounterSet
+	c.Collect(&cs)
+	if cs.Get("cache.evictions") == 0 {
+		t.Fatal("shard never evicted")
+	}
+	fill(last)
+	cs = metrics.CounterSet{}
 	c.Collect(&cs)
 	if cs.Get("cache.ghost_hits") == 0 {
 		t.Fatal("ghost re-admission not observed")
@@ -432,7 +445,7 @@ func TestGhostHitsObserved(t *testing.T) {
 // hot set, moves a list element and allocates nothing; the first re-reference
 // (T1 -> T2) keeps the key's entry.
 func TestARCHitAllocatesNothing(t *testing.T) {
-	pol := NewARC(64)
+	pol := newARC(64)
 	for k := uint64(0); k < 32; k++ {
 		pol.Admit(k)
 		pol.Hit(k) // T1 -> T2

@@ -26,9 +26,7 @@ func TestConcurrentCoherence(t *testing.T) {
 	cfg := Config{
 		BlockSize:      32,
 		CapacityBlocks: 48, // below domain: evictions race with everything
-		Shards:         8,
 		WritePolicy:    WriteThrough,
-		NewPolicy:      NewARC,
 	}
 	c := New(cfg)
 	bs := int(cfg.BlockSize)

@@ -2,25 +2,6 @@ package cache
 
 import "container/list"
 
-// ReplacementPolicy tracks residency metadata for one shard. Policies are
-// deterministic: the same call sequence always yields the same evictions.
-// They are not safe for concurrent use; the owning shard serializes calls.
-type ReplacementPolicy interface {
-	// Hit notes an access to a resident key.
-	Hit(key uint64)
-	// Admit makes key resident, returning the keys evicted to make room
-	// (in eviction order). The returned keys no longer hold data.
-	Admit(key uint64) []uint64
-	// Remove forgets key entirely (resident or ghost), e.g. after an
-	// invalidation.
-	Remove(key uint64)
-	// Len is the resident count.
-	Len() int
-	// GhostHits counts admissions of recently evicted keys — the signal
-	// that the resident set is too small for the reuse distance.
-	GhostHits() uint64
-}
-
 // polEntry is one tracked key; home identifies the list it lives on.
 type polEntry struct {
 	key  uint64
@@ -31,79 +12,14 @@ func pushMRU(l *list.List, key uint64) *list.Element {
 	return l.PushFront(&polEntry{key: key, home: l})
 }
 
-// lruPolicy is LRU with a same-sized ghost list: evicted keys linger as
-// ghosts so re-admissions within one cache-size worth of evictions are
-// observable (GhostHits) even though plain LRU ignores the signal.
-type lruPolicy struct {
-	cap       int
-	res       *list.List // resident, MRU at front
-	ghost     *list.List // recently evicted, MRU at front
-	idx       map[uint64]*list.Element
-	ghostHits uint64
-}
-
-// NewLRU returns an LRU policy with the given resident capacity.
-func NewLRU(capacity int) ReplacementPolicy {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &lruPolicy{cap: capacity, res: list.New(), ghost: list.New(), idx: make(map[uint64]*list.Element)}
-}
-
-func (l *lruPolicy) Len() int          { return l.res.Len() }
-func (l *lruPolicy) GhostHits() uint64 { return l.ghostHits }
-
-func (l *lruPolicy) Hit(key uint64) {
-	if e, ok := l.idx[key]; ok && e.Value.(*polEntry).home == l.res {
-		l.res.MoveToFront(e)
-	}
-}
-
-func (l *lruPolicy) Admit(key uint64) []uint64 {
-	if e, ok := l.idx[key]; ok {
-		ent := e.Value.(*polEntry)
-		if ent.home == l.res {
-			l.res.MoveToFront(e)
-			return nil
-		}
-		// Ghost re-admission.
-		l.ghostHits++
-		l.ghost.Remove(e)
-		delete(l.idx, key)
-	}
-	l.idx[key] = pushMRU(l.res, key)
-	var evicted []uint64
-	for l.res.Len() > l.cap {
-		lru := l.res.Back()
-		k := lru.Value.(*polEntry).key
-		l.res.Remove(lru)
-		delete(l.idx, k)
-		evicted = append(evicted, k)
-		l.idx[k] = pushMRU(l.ghost, k)
-		if l.ghost.Len() > l.cap {
-			gb := l.ghost.Back()
-			delete(l.idx, gb.Value.(*polEntry).key)
-			l.ghost.Remove(gb)
-		}
-	}
-	return evicted
-}
-
-func (l *lruPolicy) Remove(key uint64) {
-	e, ok := l.idx[key]
-	if !ok {
-		return
-	}
-	e.Value.(*polEntry).home.Remove(e)
-	delete(l.idx, key)
-}
-
 // arcPolicy is the ARC replacement policy: two resident lists (T1 holds
 // blocks seen once, T2 blocks seen at least twice) and two ghost lists (B1,
 // B2) remembering recent evictions from each. The adaptive target p shifts
 // capacity between recency (T1) and frequency (T2) according to which ghost
 // list is being re-hit, so a zipfian re-read mix keeps its hot set in T2
-// while a scan streams through T1 without flushing it.
+// while a scan streams through T1 without flushing it. It is deterministic
+// (the same call sequence always yields the same evictions) and not safe for
+// concurrent use: the owning shard serializes calls.
 type arcPolicy struct {
 	c              int // total resident capacity
 	p              int // target size of T1
@@ -112,8 +28,8 @@ type arcPolicy struct {
 	ghostHits      uint64
 }
 
-// NewARC returns an ARC policy with the given resident capacity.
-func NewARC(capacity int) ReplacementPolicy {
+// newARC returns an ARC policy with the given resident capacity.
+func newARC(capacity int) *arcPolicy {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -124,7 +40,11 @@ func NewARC(capacity int) ReplacementPolicy {
 	}
 }
 
-func (a *arcPolicy) Len() int          { return a.t1.Len() + a.t2.Len() }
+// Len is the resident count.
+func (a *arcPolicy) Len() int { return a.t1.Len() + a.t2.Len() }
+
+// GhostHits counts admissions of recently evicted keys — the signal that the
+// resident set is too small for the reuse distance.
 func (a *arcPolicy) GhostHits() uint64 { return a.ghostHits }
 
 // promote moves a tracked key to T2's MRU position. The common case, a hit
@@ -141,6 +61,7 @@ func (a *arcPolicy) promote(e *list.Element, key uint64) {
 	a.idx[key] = a.t2.PushFront(ent)
 }
 
+// Hit notes an access to a resident key.
 func (a *arcPolicy) Hit(key uint64) {
 	e, ok := a.idx[key]
 	if !ok {
@@ -179,6 +100,8 @@ func (a *arcPolicy) dropLRU(l *list.List) {
 	}
 }
 
+// Admit makes key resident, returning the keys evicted to make room (in
+// eviction order). The returned keys no longer hold data.
 func (a *arcPolicy) Admit(key uint64) []uint64 {
 	if e, ok := a.idx[key]; ok {
 		ent := e.Value.(*polEntry)
@@ -239,6 +162,8 @@ func (a *arcPolicy) Admit(key uint64) []uint64 {
 	return evicted
 }
 
+// Remove forgets key entirely (resident or ghost), e.g. after an
+// invalidation.
 func (a *arcPolicy) Remove(key uint64) {
 	e, ok := a.idx[key]
 	if !ok {

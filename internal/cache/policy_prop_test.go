@@ -84,187 +84,175 @@ func TestCacheCoherenceProperty(t *testing.T) {
 		domain  = 48 // block LBA space, small to force overlap
 		maxSpan = 4
 	)
-	for _, pol := range []struct {
-		name string
-		mk   func(int) ReplacementPolicy
-	}{{"arc", NewARC}, {"lru", NewLRU}} {
-		for _, wp := range []WritePolicy{WriteThrough, WriteAround} {
-			for trial := 0; trial < trials; trial++ {
-				cfg := Config{
-					BlockSize:      8,
-					CapacityBlocks: 32, // smaller than domain: evictions happen
-					Shards:         4,
-					WritePolicy:    wp,
-					NewPolicy:      pol.mk,
-				}
-				c := New(cfg)
-				model := newNaiveBacking(int(cfg.BlockSize))
-				var fills []openFill
-				var writeIDs []uint64
-				seq := byte(1)
+	for _, wp := range []WritePolicy{WriteThrough, WriteAround} {
+		for trial := 0; trial < trials; trial++ {
+			cfg := Config{
+				BlockSize:      8,
+				CapacityBlocks: 32, // smaller than domain: evictions happen
+				WritePolicy:    wp,
+			}
+			c := New(cfg)
+			model := newNaiveBacking(int(cfg.BlockSize))
+			var fills []openFill
+			var writeIDs []uint64
+			seq := byte(1)
 
-				span := func() (uint64, uint64) {
-					return uint64(rng.Intn(domain)), uint64(1 + rng.Intn(maxSpan))
-				}
-				for op := 0; op < opsPer; op++ {
-					switch rng.Intn(12) {
-					case 0, 1, 2: // guest read: probe cache, fill on miss
-						lba, nbl := span()
-						buf := make([]byte, int(nbl)*model.bs)
-						if c.Read(lba, nbl, buf) {
-							verifyHit(t, model, lba, nbl, buf, pol.name, wp, trial, op)
-						} else {
-							f := c.BeginFill(lba, nbl)
-							// The backend read happens at some point during
-							// the window; snapshot now or later at random.
-							of := openFill{id: f, lba: lba, nbl: nbl}
-							if rng.Intn(2) == 0 {
-								of.snapshot = model.read(lba, nbl)
-							}
-							fills = append(fills, of)
+			span := func() (uint64, uint64) {
+				return uint64(rng.Intn(domain)), uint64(1 + rng.Intn(maxSpan))
+			}
+			for op := 0; op < opsPer; op++ {
+				switch rng.Intn(12) {
+				case 0, 1, 2: // guest read: probe cache, fill on miss
+					lba, nbl := span()
+					buf := make([]byte, int(nbl)*model.bs)
+					if c.Read(lba, nbl, buf) {
+						verifyHit(t, model, lba, nbl, buf, wp, trial, op)
+					} else {
+						f := c.BeginFill(lba, nbl)
+						// The backend read happens at some point during
+						// the window; snapshot now or later at random.
+						of := openFill{id: f, lba: lba, nbl: nbl}
+						if rng.Intn(2) == 0 {
+							of.snapshot = model.read(lba, nbl)
 						}
-					case 3: // commit a random open fill
-						if len(fills) == 0 {
-							continue
-						}
-						i := rng.Intn(len(fills))
-						f := fills[i]
-						fills = append(fills[:i], fills[i+1:]...)
-						if f.snapshot == nil {
-							f.snapshot = model.read(f.lba, f.nbl)
-						}
-						c.CommitFill(f.id, f.snapshot)
-					case 4, 5: // begin a write
-						lba, nbl := span()
-						payload := bytes.Repeat([]byte{seq}, int(nbl)*model.bs)
-						seq++
-						w := c.BeginWrite(lba, nbl)
-						model.inFlt[w] = &pendingWrite{lba: lba, blocks: nbl, payload: payload}
-						writeIDs = append(writeIDs, w)
-					case 6: // backend commit of a random open write (window stays open)
-						if len(writeIDs) == 0 {
-							continue
-						}
-						pw := model.inFlt[writeIDs[rng.Intn(len(writeIDs))]]
+						fills = append(fills, of)
+					}
+				case 3: // commit a random open fill
+					if len(fills) == 0 {
+						continue
+					}
+					i := rng.Intn(len(fills))
+					f := fills[i]
+					fills = append(fills[:i], fills[i+1:]...)
+					if f.snapshot == nil {
+						f.snapshot = model.read(f.lba, f.nbl)
+					}
+					c.CommitFill(f.id, f.snapshot)
+				case 4, 5: // begin a write
+					lba, nbl := span()
+					payload := bytes.Repeat([]byte{seq}, int(nbl)*model.bs)
+					seq++
+					w := c.BeginWrite(lba, nbl)
+					model.inFlt[w] = &pendingWrite{lba: lba, blocks: nbl, payload: payload}
+					writeIDs = append(writeIDs, w)
+				case 6: // backend commit of a random open write (window stays open)
+					if len(writeIDs) == 0 {
+						continue
+					}
+					pw := model.inFlt[writeIDs[rng.Intn(len(writeIDs))]]
+					if !pw.committed {
+						model.commit(pw)
+						pw.committed = true
+					}
+				case 7, 8: // close a random open write window
+					if len(writeIDs) == 0 {
+						continue
+					}
+					i := rng.Intn(len(writeIDs))
+					w := writeIDs[i]
+					writeIDs = append(writeIDs[:i], writeIDs[i+1:]...)
+					pw := model.inFlt[w]
+					delete(model.inFlt, w)
+					if !pw.committed && rng.Intn(8) == 0 {
+						c.EndWrite(w, nil) // backend write failed
+					} else {
 						if !pw.committed {
 							model.commit(pw)
 							pw.committed = true
 						}
-					case 7, 8: // close a random open write window
-						if len(writeIDs) == 0 {
-							continue
-						}
-						i := rng.Intn(len(writeIDs))
-						w := writeIDs[i]
-						writeIDs = append(writeIDs[:i], writeIDs[i+1:]...)
-						pw := model.inFlt[w]
-						delete(model.inFlt, w)
-						if !pw.committed && rng.Intn(8) == 0 {
-							c.EndWrite(w, nil) // backend write failed
-						} else {
-							if !pw.committed {
-								model.commit(pw)
-								pw.committed = true
-							}
-							c.EndWrite(w, pw.payload)
-						}
-					case 9: // external invalidation (e.g. kernel-path write)
-						lba, nbl := span()
-						payload := bytes.Repeat([]byte{seq}, int(nbl)*model.bs)
-						seq++
-						model.commit(&pendingWrite{lba: lba, blocks: nbl, payload: payload})
-						c.Invalidate(lba, nbl)
-					default: // re-read a recently written range
-						lba, nbl := span()
-						buf := make([]byte, int(nbl)*model.bs)
-						if c.Read(lba, nbl, buf) {
-							verifyHit(t, model, lba, nbl, buf, pol.name, wp, trial, op)
-						}
+						c.EndWrite(w, pw.payload)
 					}
-					// Global invariant sweep: every resident block matches
-					// committed backing unless a write over it is in flight
-					// (in which case it must not be resident at all — the
-					// write window invalidated it).
-					for lba := uint64(0); lba < domain; lba++ {
-						got := c.Peek(lba)
-						if got == nil {
-							continue
-						}
-						if model.writePending(lba, 1) {
-							t.Fatalf("%s/%v trial %d op %d: block %d resident under an open write window",
-								pol.name, wp, trial, op, lba)
-						}
-						if !bytes.Equal(got, model.committed(lba)) {
-							t.Fatalf("%s/%v trial %d op %d: block %d stale: cache %v backing %v",
-								pol.name, wp, trial, op, lba, got, model.committed(lba))
-						}
+				case 9: // external invalidation (e.g. kernel-path write)
+					lba, nbl := span()
+					payload := bytes.Repeat([]byte{seq}, int(nbl)*model.bs)
+					seq++
+					model.commit(&pendingWrite{lba: lba, blocks: nbl, payload: payload})
+					c.Invalidate(lba, nbl)
+				default: // re-read a recently written range
+					lba, nbl := span()
+					buf := make([]byte, int(nbl)*model.bs)
+					if c.Read(lba, nbl, buf) {
+						verifyHit(t, model, lba, nbl, buf, wp, trial, op)
 					}
-					if r := c.Resident(); r > int(cfg.CapacityBlocks) {
-						t.Fatalf("%s/%v trial %d op %d: resident %d exceeds capacity %d",
-							pol.name, wp, trial, op, r, cfg.CapacityBlocks)
+				}
+				// Global invariant sweep: every resident block matches
+				// committed backing unless a write over it is in flight
+				// (in which case it must not be resident at all — the
+				// write window invalidated it).
+				for lba := uint64(0); lba < domain; lba++ {
+					got := c.Peek(lba)
+					if got == nil {
+						continue
 					}
+					if model.writePending(lba, 1) {
+						t.Fatalf("%v trial %d op %d: block %d resident under an open write window",
+							wp, trial, op, lba)
+					}
+					if !bytes.Equal(got, model.committed(lba)) {
+						t.Fatalf("%v trial %d op %d: block %d stale: cache %v backing %v",
+							wp, trial, op, lba, got, model.committed(lba))
+					}
+				}
+				if r := c.Resident(); r > int(cfg.CapacityBlocks) {
+					t.Fatalf("%v trial %d op %d: resident %d exceeds capacity %d",
+						wp, trial, op, r, cfg.CapacityBlocks)
 				}
 			}
 		}
 	}
 }
 
-func verifyHit(t *testing.T, model *naiveBacking, lba, nbl uint64, buf []byte, pol string, wp WritePolicy, trial, op int) {
+func verifyHit(t *testing.T, model *naiveBacking, lba, nbl uint64, buf []byte, wp WritePolicy, trial, op int) {
 	t.Helper()
 	if model.writePending(lba, nbl) {
-		t.Fatalf("%s/%v trial %d op %d: hit on [%d,%d) while a write is in flight",
-			pol, wp, trial, op, lba, lba+nbl)
+		t.Fatalf("%v trial %d op %d: hit on [%d,%d) while a write is in flight",
+			wp, trial, op, lba, lba+nbl)
 	}
 	if want := model.read(lba, nbl); !bytes.Equal(buf, want) {
-		t.Fatalf("%s/%v trial %d op %d: stale hit on [%d,%d): got %v want %v",
-			pol, wp, trial, op, lba, lba+nbl, buf, want)
+		t.Fatalf("%v trial %d op %d: stale hit on [%d,%d): got %v want %v",
+			wp, trial, op, lba, lba+nbl, buf, want)
 	}
 }
 
-// TestPolicyModelProperty checks both replacement policies against a naive
-// reference model over random op sequences: Len never exceeds capacity,
-// every reported eviction was resident, and the policy's resident set always
-// equals the model's.
+// TestPolicyModelProperty checks the ARC policy against a naive reference
+// model over random op sequences: Len never exceeds capacity, every reported
+// eviction was resident, and the policy's resident set always equals the
+// model's.
 func TestPolicyModelProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, pol := range []struct {
-		name string
-		mk   func(int) ReplacementPolicy
-	}{{"arc", NewARC}, {"lru", NewLRU}} {
-		for trial := 0; trial < 50; trial++ {
-			capacity := 1 + rng.Intn(16)
-			p := pol.mk(capacity)
-			resident := make(map[uint64]bool)
-			for op := 0; op < 400; op++ {
-				key := uint64(rng.Intn(3 * capacity))
-				switch rng.Intn(4) {
-				case 0: // hit (may be on a non-resident key: must be a no-op)
-					p.Hit(key)
-				case 1: // remove
-					p.Remove(key)
-					delete(resident, key)
-				default: // admit
-					for _, ev := range p.Admit(key) {
-						if !resident[ev] {
-							t.Fatalf("%s cap=%d trial %d op %d: evicted non-resident key %d",
-								pol.name, capacity, trial, op, ev)
-						}
-						if ev == key {
-							t.Fatalf("%s cap=%d trial %d op %d: evicted the key being admitted",
-								pol.name, capacity, trial, op)
-						}
-						delete(resident, ev)
+	for trial := 0; trial < 50; trial++ {
+		capacity := 1 + rng.Intn(16)
+		p := newARC(capacity)
+		resident := make(map[uint64]bool)
+		for op := 0; op < 400; op++ {
+			key := uint64(rng.Intn(3 * capacity))
+			switch rng.Intn(4) {
+			case 0: // hit (may be on a non-resident key: must be a no-op)
+				p.Hit(key)
+			case 1: // remove
+				p.Remove(key)
+				delete(resident, key)
+			default: // admit
+				for _, ev := range p.Admit(key) {
+					if !resident[ev] {
+						t.Fatalf("cap=%d trial %d op %d: evicted non-resident key %d",
+							capacity, trial, op, ev)
 					}
-					resident[key] = true
+					if ev == key {
+						t.Fatalf("cap=%d trial %d op %d: evicted the key being admitted",
+							capacity, trial, op)
+					}
+					delete(resident, ev)
 				}
-				if p.Len() != len(resident) {
-					t.Fatalf("%s cap=%d trial %d op %d: policy Len %d, model %d",
-						pol.name, capacity, trial, op, p.Len(), len(resident))
-				}
-				if p.Len() > capacity {
-					t.Fatalf("%s cap=%d trial %d op %d: Len %d exceeds capacity",
-						pol.name, capacity, trial, op, p.Len())
-				}
+				resident[key] = true
+			}
+			if p.Len() != len(resident) {
+				t.Fatalf("cap=%d trial %d op %d: policy Len %d, model %d",
+					capacity, trial, op, p.Len(), len(resident))
+			}
+			if p.Len() > capacity {
+				t.Fatalf("cap=%d trial %d op %d: Len %d exceeds capacity",
+					capacity, trial, op, p.Len())
 			}
 		}
 	}

@@ -25,17 +25,15 @@ import (
 	"nvmetro/internal/storfn"
 )
 
-// DefaultChunkBlocks is the CoW granule in blocks (64 blocks = 32 KiB at
-// 512-byte LBAs), matching device.MemStore's allocation granule so the
+// chunkBlocks is the CoW granule in blocks (64 blocks = 32 KiB at 512-byte
+// LBAs), matching device.MemStore's allocation granule so the
 // sparse-vs-materialized ContentCRC equivalence holds chunk for chunk.
-const DefaultChunkBlocks = 64
+const chunkBlocks = 64
 
 // Config parameterizes a snapshot/clone domain.
 type Config struct {
 	// BlockSize is the logical block size in bytes (default 512).
 	BlockSize uint32
-	// ChunkBlocks is the CoW granule in blocks (default DefaultChunkBlocks).
-	ChunkBlocks uint32
 	// CacheChunks, when nonzero, fronts the chunk index with a shared
 	// content-addressed cache.Cache of that many chunks.
 	CacheChunks uint64
@@ -45,13 +43,10 @@ func (c Config) withDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 512
 	}
-	if c.ChunkBlocks == 0 {
-		c.ChunkBlocks = DefaultChunkBlocks
-	}
 	return c
 }
 
-func (c Config) chunkBytes() int { return int(c.ChunkBlocks) * int(c.BlockSize) }
+func (c Config) chunkBytes() int { return chunkBlocks * int(c.BlockSize) }
 
 // pageBytes is the granule a private chunk is held in: a guest page, or the
 // whole chunk when pages do not tile it.
@@ -95,7 +90,6 @@ func NewIndex(cfg Config) *Index {
 		ix.cache = cache.New(cache.Config{
 			BlockSize:      uint32(cfg.chunkBytes()),
 			CapacityBlocks: cfg.CacheChunks,
-			Shards:         8,
 			WritePolicy:    cache.WriteAround,
 		})
 	}
@@ -416,7 +410,7 @@ func (s *Store) resolveShared(cn, off uint64, dst []byte) bool {
 	}
 	if s.base != nil {
 		bs := uint64(s.cfg.BlockSize)
-		lba := cn*uint64(s.cfg.ChunkBlocks) + off/bs
+		lba := cn*chunkBlocks + off/bs
 		// Clamp the tail chunk to the device size.
 		nb := uint64(len(dst)) / bs
 		if lba+nb > s.blocks {
@@ -488,13 +482,13 @@ func (s *Store) materialize(cn uint64, fill bool) *private {
 	}
 	delete(s.mutWhite, cn)
 	s.mut[cn] = p
-	s.broken.Add(cn*uint64(s.cfg.ChunkBlocks), uint64(s.cfg.ChunkBlocks))
+	s.broken.Add(cn*chunkBlocks, chunkBlocks)
 	return p
 }
 
 // ReadBlocks implements device.Store.
 func (s *Store) ReadBlocks(lba uint64, buf []byte) {
-	cb := uint64(s.cfg.ChunkBlocks)
+	cb := uint64(chunkBlocks)
 	bs := uint64(s.cfg.BlockSize)
 	for len(buf) > 0 {
 		cn, off := lba/cb, (lba%cb)*bs
@@ -510,7 +504,7 @@ func (s *Store) ReadBlocks(lba uint64, buf []byte) {
 
 // WriteBlocks implements device.Store.
 func (s *Store) WriteBlocks(lba uint64, buf []byte) {
-	cb := uint64(s.cfg.ChunkBlocks)
+	cb := uint64(chunkBlocks)
 	bs := uint64(s.cfg.BlockSize)
 	for len(buf) > 0 {
 		cn, off := lba/cb, (lba%cb)*bs
@@ -528,7 +522,7 @@ func (s *Store) WriteBlocks(lba uint64, buf []byte) {
 // whiteouts (dropping any private buffer and shadowing sealed content);
 // partially covered chunks are broken private and the range zeroed.
 func (s *Store) TrimBlocks(lba uint64, blocks uint32) {
-	cb := uint64(s.cfg.ChunkBlocks)
+	cb := uint64(chunkBlocks)
 	bs := uint64(s.cfg.BlockSize)
 	end := lba + uint64(blocks)
 	for lba < end {
@@ -647,7 +641,7 @@ func allZero(b []byte) bool {
 // chunks skipped — so a cow.Store and a MemStore holding the same bytes
 // produce the same CRC regardless of which chunks are materialized where.
 func (s *Store) ContentCRC() uint32 {
-	cb := uint64(s.cfg.ChunkBlocks)
+	cb := uint64(chunkBlocks)
 	total := (s.blocks + cb - 1) / cb
 	tmp := make([]byte, s.cfg.chunkBytes())
 	var idbuf [8]byte

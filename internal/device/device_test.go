@@ -382,21 +382,6 @@ func TestStoreImplementations(t *testing.T) {
 			t.Fatal("trim")
 		}
 	})
-	t.Run("crc", func(t *testing.T) {
-		s := NewCRCStore(512)
-		s.WriteBlocks(10, data)
-		if !s.Verify(10, data[:512]) || !s.Verify(11, data[512:]) {
-			t.Fatal("verify")
-		}
-		if s.Verify(10, make([]byte, 512)) {
-			t.Fatal("verify should fail for different data")
-		}
-		got := make([]byte, 512)
-		s.ReadBlocks(10, got)
-		if !bytes.Equal(got, make([]byte, 512)) {
-			t.Fatal("crc reads zeros")
-		}
-	})
 	t.Run("null", func(t *testing.T) {
 		var s NullStore
 		s.WriteBlocks(0, data)

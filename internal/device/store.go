@@ -135,45 +135,6 @@ func (s *MemStore) ContentCRC() uint32 {
 	return crc.Sum32()
 }
 
-// CRCStore records a CRC32 per written block but discards contents, bounding
-// host memory during throughput benchmarks. Reads return zeros; Verify lets
-// tests check that the bytes that *would* have been persisted match.
-type CRCStore struct {
-	blockSize uint32
-	sums      map[uint64]uint32
-}
-
-// NewCRCStore creates a checksum-only store.
-func NewCRCStore(blockSize uint32) *CRCStore {
-	return &CRCStore{blockSize: blockSize, sums: make(map[uint64]uint32)}
-}
-
-// ReadBlocks implements Store; contents are not retained, so zeros return.
-func (s *CRCStore) ReadBlocks(lba uint64, buf []byte) { clear(buf) }
-
-// WriteBlocks implements Store.
-func (s *CRCStore) WriteBlocks(lba uint64, buf []byte) {
-	bs := int(s.blockSize)
-	for i := 0; i+bs <= len(buf); i += bs {
-		s.sums[lba] = crc32.ChecksumIEEE(buf[i : i+bs])
-		lba++
-	}
-}
-
-// TrimBlocks implements Store.
-func (s *CRCStore) TrimBlocks(lba uint64, blocks uint32) {
-	for i := uint32(0); i < blocks; i++ {
-		delete(s.sums, lba+uint64(i))
-	}
-}
-
-// Verify reports whether block lba was last written with contents equal to
-// want (length = one block).
-func (s *CRCStore) Verify(lba uint64, want []byte) bool {
-	sum, ok := s.sums[lba]
-	return ok && sum == crc32.ChecksumIEEE(want)
-}
-
 // NullStore discards writes and reads zeros: the cheapest backing for pure
 // throughput benchmarks.
 type NullStore struct{}
@@ -193,7 +154,6 @@ type BackingMode int
 // Backing modes.
 const (
 	BackingMem BackingMode = iota
-	BackingCRC
 	BackingNull
 )
 
@@ -202,8 +162,6 @@ func NewStore(mode BackingMode, blockSize uint32) Store {
 	switch mode {
 	case BackingMem:
 		return NewMemStore(blockSize)
-	case BackingCRC:
-		return NewCRCStore(blockSize)
 	case BackingNull:
 		return NullStore{}
 	}

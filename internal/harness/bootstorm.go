@@ -60,7 +60,7 @@ func bootPayload(blocks uint64) []byte {
 	for i := range buf {
 		buf[i] = byte(i*131 + i>>9)
 	}
-	const chunkBytes = 64 * 512 // the cow layer's default chunking
+	const chunkBytes = 64 * 512 // the cow layer's chunk
 	for c := 0; c*chunkBytes < len(buf); c++ {
 		binary.LittleEndian.PutUint64(buf[c*chunkBytes:], uint64(c)^0x9e3779b97f4a7c15)
 	}

@@ -19,23 +19,25 @@ type ScrubConfig struct {
 	// scavenger-class multiplier, so the actual scrub bandwidth is
 	// Rate / qos.DefaultClassCost(qos.ClassScavenger). Must be positive.
 	Rate float64
-	// Burst is the bucket depth in cost units (0: two chunks' worth).
-	Burst float64
-	// ChunkBlocks is the scrub read granule in device blocks (0: 256).
-	ChunkBlocks uint64
 	// Interval is the pause between passes in continuous mode (0: 5ms).
 	Interval sim.Duration
-	// Recheck is how long a suspect block is allowed to settle before the
-	// confirming re-read — it filters the benign race where a guest write
-	// has been stamped but its device write has not landed yet. Should
-	// exceed the device's write service time (0: 200µs).
-	Recheck sim.Duration
 }
 
+const (
+	// scrubChunkBlocks is the scrub read granule in device blocks; the QoS
+	// bucket holds two chunks' worth of scavenger-class cost.
+	scrubChunkBlocks uint64 = 256
+	// recheckDelay is how long a suspect block is allowed to settle before
+	// the confirming re-read — it filters the benign race where a guest
+	// write has been stamped but its device write has not landed yet. It
+	// exceeds the device's write service time.
+	recheckDelay = 200 * sim.Microsecond
+)
+
 // DefaultScrubConfig returns a moderate policy: ~100 MB/s of actual
-// scrub bandwidth at the scavenger multiplier, 128 KiB chunks.
+// scrub bandwidth at the scavenger multiplier.
 func DefaultScrubConfig() ScrubConfig {
-	return ScrubConfig{Rate: 100e6 * qos.DefaultClassCost(qos.ClassScavenger), ChunkBlocks: 256}
+	return ScrubConfig{Rate: 100e6 * qos.DefaultClassCost(qos.ClassScavenger)}
 }
 
 // Validate rejects policies that cannot work.
@@ -46,21 +48,12 @@ func (c ScrubConfig) Validate() error {
 	return nil
 }
 
-func (c ScrubConfig) withDefaults(shift uint8) (ScrubConfig, error) {
+func (c ScrubConfig) withDefaults() (ScrubConfig, error) {
 	if err := c.Validate(); err != nil {
 		return c, err
 	}
-	if c.ChunkBlocks == 0 {
-		c.ChunkBlocks = 256
-	}
-	if c.Burst <= 0 {
-		c.Burst = 2 * float64(c.ChunkBlocks<<shift) * qos.DefaultClassCost(qos.ClassScavenger)
-	}
 	if c.Interval <= 0 {
 		c.Interval = 5 * sim.Millisecond
-	}
-	if c.Recheck <= 0 {
-		c.Recheck = 200 * sim.Microsecond
 	}
 	return c, nil
 }
@@ -85,26 +78,23 @@ type CacheInvalidator interface {
 //
 // A suspect block is never condemned on one read: the PI is stamped at
 // admission, before the device write lands, so a scrub read can race a
-// legitimate in-flight write. Suspects settle for cfg.Recheck and are
+// legitimate in-flight write. Suspects settle for recheckDelay and are
 // re-read; only a block that still mismatches is treated as corrupt.
 type Scrubber struct {
-	env     *sim.Env
-	dom     *Domain
-	primary blockdev.BlockDevice
-	th      *sim.Thread
-	cfg     ScrubConfig
-	shift   uint8
+	env   *sim.Env
+	dom   *Domain
+	legs  *storfn.MirrorLegs
+	cfg   ScrubConfig
+	shift uint8
 
 	rep    *storfn.Replicator
 	resync *storfn.Resyncer
-	att    *uif.Attachment
 	cache  CacheInvalidator
 
 	bucket *qos.Bucket
 	cost   float64
 
 	kick       *sim.Cond
-	ioDone     *sim.Cond
 	pending    bool
 	continuous bool
 	divergence bool
@@ -129,15 +119,17 @@ type Scrubber struct {
 // blockShift is log2 of the device block size; th is the CPU thread scrub
 // I/O submission is charged to.
 func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *sim.Thread, blockShift uint8, cfg ScrubConfig) (*Scrubber, error) {
-	cfg, err := cfg.withDefaults(blockShift)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	cost := qos.DefaultClassCost(qos.ClassScavenger)
 	s := &Scrubber{
-		env: env, dom: dom, primary: primary, th: th, cfg: cfg, shift: blockShift,
-		bucket: qos.NewBucket(cfg.Rate, cfg.Burst),
-		cost:   qos.DefaultClassCost(qos.ClassScavenger),
-		kick:   sim.NewCond(env), ioDone: sim.NewCond(env),
+		env: env, dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
+		cfg: cfg, shift: blockShift,
+		bucket: qos.NewBucket(cfg.Rate, 2*float64(scrubChunkBlocks<<blockShift)*cost),
+		cost:   cost,
+		kick:   sim.NewCond(env),
 	}
 	env.Go("integrity-scrub", s.run)
 	return s, nil
@@ -149,14 +141,14 @@ func (s *Scrubber) Config() ScrubConfig { return s.cfg }
 // SetReplica attaches the mirror leg: rep/resync drive targeted repair of
 // replica divergence, att is the uif ring the replica is reached through.
 func (s *Scrubber) SetReplica(rep *storfn.Replicator, rs *storfn.Resyncer, att *uif.Attachment) {
-	s.rep, s.resync, s.att = rep, rs, att
+	s.rep, s.resync, s.legs.Secondary = rep, rs, att
 }
 
 // SetAttachment repoints the replica leg at a new uif attachment
 // generation (supervisor restart).
 func (s *Scrubber) SetAttachment(att *uif.Attachment) {
-	if s.att != nil {
-		s.att = att
+	if s.legs.Secondary != nil {
+		s.legs.Secondary = att
 	}
 }
 
@@ -198,8 +190,8 @@ func (s *Scrubber) pass(p *sim.Proc) {
 	for _, r := range s.dom.StampedRanges() {
 		for off := uint64(0); off < r.Blocks; {
 			n := r.Blocks - off
-			if n > s.cfg.ChunkBlocks {
-				n = s.cfg.ChunkBlocks
+			if n > scrubChunkBlocks {
+				n = scrubChunkBlocks
 			}
 			s.scrubChunk(p, r.LBA+off, n)
 			off += n
@@ -220,15 +212,15 @@ func (s *Scrubber) scrubChunk(p *sim.Proc, lba, blocks uint64) {
 	nbytes := blocks << s.shift
 	s.throttle(p, nbytes)
 	pbuf := make([]byte, nbytes)
-	if st := s.primaryIO(p, blockdev.BioRead, lba, pbuf); !st.OK() && st != nvme.SCGuardCheck {
+	if st := s.legs.PrimaryIO(p, blockdev.BioRead, lba, pbuf); !st.OK() && st != nvme.SCGuardCheck {
 		s.Errors++
 		return
 	}
 	var sbuf []byte
-	if s.att != nil {
+	if s.legs.Secondary != nil {
 		s.throttle(p, nbytes)
 		sbuf = make([]byte, nbytes)
-		if st := s.secondaryIO(p, blockdev.BioRead, lba, sbuf); !st.OK() && st != nvme.SCGuardCheck {
+		if st := s.legs.SecondaryIO(blockdev.BioRead, lba, sbuf); !st.OK() && st != nvme.SCGuardCheck {
 			s.Errors++
 			sbuf = nil
 		}
@@ -253,7 +245,7 @@ func (s *Scrubber) scrubChunk(p *sim.Proc, lba, blocks uint64) {
 		return
 	}
 	s.Suspects += uint64(len(suspects))
-	p.Sleep(s.cfg.Recheck)
+	p.Sleep(recheckDelay)
 	for _, sl := range suspects {
 		s.recheck(p, sl)
 	}
@@ -267,17 +259,17 @@ func (s *Scrubber) recheck(p *sim.Proc, lba uint64) {
 	bs := uint64(s.dom.blockSize)
 	s.throttle(p, bs)
 	pblk := make([]byte, bs)
-	if st := s.primaryIO(p, blockdev.BioRead, lba, pblk); !st.OK() && st != nvme.SCGuardCheck {
+	if st := s.legs.PrimaryIO(p, blockdev.BioRead, lba, pblk); !st.OK() && st != nvme.SCGuardCheck {
 		s.Errors++
 		return
 	}
 	pGood := s.dom.VerifyBlock(lba, pblk)
 	var sblk []byte
 	sGood := false
-	if s.att != nil {
+	if s.legs.Secondary != nil {
 		s.throttle(p, bs)
 		sblk = make([]byte, bs)
-		if st := s.secondaryIO(p, blockdev.BioRead, lba, sblk); st.OK() || st == nvme.SCGuardCheck {
+		if st := s.legs.SecondaryIO(blockdev.BioRead, lba, sblk); st.OK() || st == nvme.SCGuardCheck {
 			sGood = s.dom.VerifyBlock(lba, sblk)
 		} else {
 			s.Errors++
@@ -296,7 +288,7 @@ func (s *Scrubber) recheck(p *sim.Proc, lba uint64) {
 		if sGood {
 			// The replica copy matches PI: rewrite the primary block.
 			s.throttle(p, bs)
-			if st := s.primaryIO(p, blockdev.BioWrite, lba, sblk); st.OK() {
+			if st := s.legs.PrimaryIO(p, blockdev.BioWrite, lba, sblk); st.OK() {
 				s.RepairedBlocks++
 				s.dom.Unquarantine(lba, 1)
 				if s.cache != nil {
@@ -333,42 +325,6 @@ func (s *Scrubber) throttle(p *sim.Proc, nbytes uint64) {
 	for !s.bucket.Take(cost, p.Now()) {
 		p.Sleep(s.bucket.WaitTime(cost, p.Now()))
 	}
-}
-
-// sector converts a device LBA to a 512-byte sector.
-func (s *Scrubber) sector(lba uint64) uint64 {
-	return lba << s.shift / blockdev.SectorSize
-}
-
-// primaryIO performs one synchronous bio against the primary leg.
-func (s *Scrubber) primaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
-	var st nvme.Status
-	done := false
-	bio := &blockdev.Bio{Op: op, Sector: s.sector(lba), Data: buf}
-	bio.OnDone = func(v nvme.Status) {
-		st, done = v, true
-		s.ioDone.Signal(nil)
-	}
-	s.primary.SubmitBio(p, s.th, bio)
-	for !done {
-		s.ioDone.Wait()
-	}
-	return st
-}
-
-// secondaryIO performs one synchronous I/O against the replica leg
-// through the mirror's uif backend ring.
-func (s *Scrubber) secondaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
-	var st nvme.Status
-	done := false
-	s.att.SubmitBackendIO(op, s.sector(lba), buf, func(_ *sim.Proc, _ *sim.Thread, v nvme.Status) {
-		st, done = v, true
-		s.ioDone.Signal(nil)
-	})
-	for !done {
-		s.ioDone.Wait()
-	}
-	return st
 }
 
 // Domain returns the protection-info domain this scrubber verifies.

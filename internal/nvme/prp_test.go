@@ -201,3 +201,51 @@ func TestAppendPRPZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAppendPRP walks fuzzed PRP pairs over the guest memory prpTable
+// builds, after writing one fuzzed 8-byte word into it (the seeds write zero
+// at address 0, which no list reaches). Addresses and the word are reduced
+// into guest memory, so every pointer the walker can follow lies inside it.
+// AppendPRP must not panic and must agree with walkPRPReference segment for
+// segment and error for error; on success its segments lie inside guest
+// memory and sum to nbytes. The seeds are the table's rows.
+func FuzzAppendPRP(f *testing.F) {
+	mem := guestmem.New(16 << 20)
+	for _, tc := range prpTable(f, mem) {
+		f.Add(tc.prp1, tc.prp2, tc.nbytes, uint64(0), uint64(0))
+	}
+	size := mem.Size()
+	f.Fuzz(func(t *testing.T, prp1, prp2 uint64, nbytes uint32, at, word uint64) {
+		prp1, prp2, at = prp1%size, prp2%size, at%size&^7
+		var old, w [8]byte
+		if err := mem.ReadAt(old[:], at); err != nil {
+			t.Fatal(err)
+		}
+		putU64(w[:], word%size)
+		if err := mem.WriteAt(w[:], at); err != nil {
+			t.Fatal(err)
+		}
+		defer mem.WriteAt(old[:], at)
+
+		want, wantErr := walkPRPReference(mem, prp1, prp2, nbytes)
+		got, err := AppendPRP(nil, nil, mem, prp1, prp2, nbytes)
+		if (err == nil) != (wantErr == nil) || err != nil &&
+			(err.Error() != wantErr.Error() || errors.Is(err, ErrBadPRP) != errors.Is(wantErr, ErrBadPRP)) {
+			t.Fatalf("err %v, want %v", err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("segments %v, want %v", got, want)
+		}
+		if err != nil {
+			return
+		}
+		for _, s := range got {
+			if s.Addr >= size || uint64(s.Len) > size-s.Addr {
+				t.Fatalf("segment %+v outside %d bytes of guest memory", s, size)
+			}
+		}
+		if n := TotalLen(got); n != nbytes {
+			t.Fatalf("segments cover %d bytes, want %d", n, nbytes)
+		}
+	})
+}

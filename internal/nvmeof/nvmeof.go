@@ -239,13 +239,7 @@ type Initiator struct {
 	StaleResponses uint64 // responses for a superseded or finished attempt
 	GuardErrors    uint64 // read replies failing protection-info verification
 
-	verifier ReadVerifier
-}
-
-// ReadVerifier checks read replies against per-block protection info at
-// the initiator's receive boundary (satisfied by *integrity.SectorGuard).
-type ReadVerifier interface {
-	VerifySectors(sector uint64, data []byte) bool
+	verifier blockdev.ReadVerifier
 }
 
 // NewInitiator connects to tgt over link.
@@ -260,7 +254,7 @@ func NewInitiator(env *sim.Env, link *Link, tgt *Target) *Initiator {
 
 // SetVerifier installs a protection-info verifier on the read receive
 // path (nil detaches).
-func (i *Initiator) SetVerifier(v ReadVerifier) { i.verifier = v }
+func (i *Initiator) SetVerifier(v blockdev.ReadVerifier) { i.verifier = v }
 
 // Validate rejects policies that would silently misbehave rather than
 // recover: retrying a negative number of times or arming negative timers.
@@ -417,31 +411,12 @@ func (i *Initiator) onTimeout(pe *ofPending) {
 		return
 	}
 	attempt := pe.attempt
-	i.env.After(i.backoffDelay(attempt), func() {
+	i.env.After(sim.Backoff(i.rec.Backoff, i.rec.BackoffCap, attempt, i.rec.Jitter, i.env.Rand()), func() {
 		if !pe.fin && pe.attempt == attempt {
 			i.Retries++
 			i.send(pe)
 		}
 	})
-}
-
-// backoffDelay computes the delay before resending attempt+1: Backoff
-// doubled per prior attempt, clamped to BackoffCap, spread by ±Jitter.
-func (i *Initiator) backoffDelay(attempt int) sim.Duration {
-	d := i.rec.Backoff
-	for n := 1; n < attempt; n++ {
-		d *= 2
-		if i.rec.BackoffCap > 0 && d >= i.rec.BackoffCap {
-			break
-		}
-	}
-	if i.rec.BackoffCap > 0 && d > i.rec.BackoffCap {
-		d = i.rec.BackoffCap
-	}
-	if j := i.rec.Jitter; j > 0 && d > 0 {
-		d = sim.Duration(float64(d) * (1 + j*(2*i.env.Rand().Float64()-1)))
-	}
-	return d
 }
 
 // onLinkUp requeues every in-flight command as soon as an outage window

@@ -23,8 +23,9 @@ import (
 //   - QEMU per-request costs are large (coroutine-based block layer,
 //     request plug/unplug, userspace dispatch); they reproduce the ~2.7x
 //     QD1 gap of Fig. 3 and the high QEMU latencies of Fig. 4.
-//   - QEMUMerge: QEMU's block layer coalesces adjacent sequential requests,
-//     which is how it overtakes single-worker NVMetro at 16K/QD128/1 job.
+//   - QEMU's block layer always coalesces adjacent sequential requests (up
+//     to QEMUMergeMax), which is how it overtakes single-worker NVMetro at
+//     16K/QD128/1 job.
 type Params struct {
 	Device device.Params
 	Virt   vm.VirtCosts
@@ -38,8 +39,6 @@ type Params struct {
 
 	// WakeLat is the wake-up latency of a sleeping host service thread.
 	WakeLat sim.Duration
-	// GuestWakeLat is the cost of waking a halted vCPU via virtual IRQ.
-	GuestWakeLat sim.Duration
 
 	// MDev mediation cost per command (in-module LBA translation).
 	MDevMediate sim.Duration
@@ -52,7 +51,6 @@ type Params struct {
 	QEMUSubmit    sim.Duration // coroutine + block layer, per (merged) request
 	QEMUComplete  sim.Duration // completion dispatch, per request
 	QEMUInject    sim.Duration // interrupt injection via KVM ioctl
-	QEMUMerge     bool         // coalesce adjacent sequential requests
 	QEMUMergeMax  int          // max merged size in bytes
 
 	// vhost-scsi model.
@@ -63,11 +61,10 @@ type Params struct {
 	VhostWorkers  int          // kernel worker threads per VM
 
 	// SPDK vhost-user model.
-	SPDKReactors  int          // dedicated polling cores for the SPDK process
-	SPDKParse     sim.Duration // vring pop + bdev dispatch per request
-	SPDKNVMe      sim.Duration // userspace NVMe driver submit per command
-	SPDKInject    sim.Duration // interrupt injection via irqfd
-	SPDKQueueSize uint32
+	SPDKReactors int          // dedicated polling cores for the SPDK process
+	SPDKParse    sim.Duration // vring pop + bdev dispatch per request
+	SPDKNVMe     sim.Duration // userspace NVMe driver submit per command
+	SPDKInject   sim.Duration // interrupt injection via irqfd
 
 	// Passthrough model.
 	PTHostIRQ sim.Duration // host-side cost of forwarding a device IRQ
@@ -86,9 +83,8 @@ func DefaultParams() Params {
 		Crypt:  dm.DefaultCryptParams(),
 		Enc:    storfn.DefaultEncryptorCosts(),
 
-		WakeLat:      15 * sim.Microsecond,
-		GuestWakeLat: 5 * sim.Microsecond,
-		MDevMediate:  150 * sim.Nanosecond,
+		WakeLat:     15 * sim.Microsecond,
+		MDevMediate: 150 * sim.Nanosecond,
 
 		QEMUIOThreads: 4,
 		QEMUPollNS:    32 * sim.Microsecond,
@@ -97,7 +93,6 @@ func DefaultParams() Params {
 		QEMUSubmit:    8 * sim.Microsecond,
 		QEMUComplete:  4 * sim.Microsecond,
 		QEMUInject:    8 * sim.Microsecond,
-		QEMUMerge:     true,
 		QEMUMergeMax:  128 << 10,
 
 		VhostKick:     3 * sim.Microsecond,
@@ -106,11 +101,10 @@ func DefaultParams() Params {
 		VhostInject:   1500 * sim.Nanosecond,
 		VhostWorkers:  1,
 
-		SPDKReactors:  2,
-		SPDKParse:     800 * sim.Nanosecond,
-		SPDKNVMe:      800 * sim.Nanosecond,
-		SPDKInject:    1000 * sim.Nanosecond,
-		SPDKQueueSize: 256,
+		SPDKReactors: 2,
+		SPDKParse:    800 * sim.Nanosecond,
+		SPDKNVMe:     800 * sim.Nanosecond,
+		SPDKInject:   1000 * sim.Nanosecond,
 
 		PTHostIRQ: 1200 * sim.Nanosecond,
 	}

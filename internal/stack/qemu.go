@@ -195,7 +195,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 			if avail == 0 {
 				continue
 			}
-			if par.QEMUMerge && q.inflightN >= 1 && avail < 6 {
+			if q.inflightN >= 1 && avail < 6 {
 				since, seen := q.plugSince[vq]
 				if !seen {
 					q.plugSince[vq] = p.Now()
@@ -260,13 +260,11 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 				// Merge run of adjacent same-type requests.
 				j := i + 1
 				total := r.DataLen()
-				if par.QEMUMerge {
-					for j < len(batch) && types[j] == t &&
-						sectors[j] == sectors[j-1]+uint64(batch[j-1].DataLen())/512 &&
-						total+batch[j].DataLen() <= par.QEMUMergeMax {
-						total += batch[j].DataLen()
-						j++
-					}
+				for j < len(batch) && types[j] == t &&
+					sectors[j] == sectors[j-1]+uint64(batch[j-1].DataLen())/512 &&
+					total+batch[j].DataLen() <= par.QEMUMergeMax {
+					total += batch[j].DataLen()
+					j++
 				}
 				fl := &qemuInflight{reqs: batch[i:j], vq: vq, read: t == virtio.BlkTIn, buf: make([]byte, total)}
 				if t == virtio.BlkTOut {

@@ -162,13 +162,7 @@ func NewCacher(env *sim.Env, p CacheParams) *Cacher {
 		FillLat:  metrics.NewHistogram(),
 		WriteLat: metrics.NewHistogram(),
 	}
-	userEvict := p.Cache.OnEvict
-	p.Cache.OnEvict = func(lba uint64) {
-		c.forgetEvicted(lba)
-		if userEvict != nil {
-			userEvict(lba)
-		}
-	}
+	p.Cache.OnEvict = c.forgetEvicted
 	c.cache = cache.New(p.Cache)
 	return c
 }

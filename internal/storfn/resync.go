@@ -43,37 +43,25 @@ type ResyncConfig struct {
 	// traffic; it bounds how hard resync competes with foreground guest
 	// I/O for the fabric. Must be positive.
 	Rate float64
-	// Burst is the bucket depth in bytes: how much idle credit may
-	// accumulate. Defaults to two chunks.
-	Burst uint64
-	// ChunkBlocks is the copy granule in device blocks. Defaults to 256
-	// (128 KiB at 512-byte blocks).
-	ChunkBlocks uint64
-	// Verify enables the CRC comparison pass over everything copied
-	// before the mirror is declared InSync.
-	Verify bool
 }
 
-// DefaultResyncConfig returns a moderate policy: 200 MB/s copy rate,
-// 128 KiB chunks, verification on.
+// resyncChunkBlocks is the copy and verify granule in device blocks (128 KiB
+// at 512-byte blocks). The token bucket holds two chunks of idle credit.
+const resyncChunkBlocks uint64 = 256
+
+// DefaultResyncConfig returns a moderate policy: a 200 MB/s copy rate.
 func DefaultResyncConfig() ResyncConfig {
-	return ResyncConfig{Rate: 200e6, ChunkBlocks: 256, Verify: true}
+	return ResyncConfig{Rate: 200e6}
 }
 
-// withDefaults fills zero fields and validates the config. A zero or
-// negative rate is rejected at install time: it would silently stall the
-// drain loop forever while the state machine claims to be resyncing.
-func (c ResyncConfig) withDefaults(shift uint8) (ResyncConfig, error) {
+// validate rejects a zero or negative rate at install time: it would
+// silently stall the drain loop forever while the state machine claims to
+// be resyncing.
+func (c ResyncConfig) validate() error {
 	if c.Rate <= 0 {
-		return c, fmt.Errorf("storfn: resync rate limit must be positive, got %g B/s", c.Rate)
+		return fmt.Errorf("storfn: resync rate limit must be positive, got %g B/s", c.Rate)
 	}
-	if c.ChunkBlocks == 0 {
-		c.ChunkBlocks = 256
-	}
-	if c.Burst == 0 {
-		c.Burst = 2 * (c.ChunkBlocks << shift)
-	}
-	return c, nil
+	return nil
 }
 
 // Resyncer drains a degraded Replicator's dirty regions back to a
@@ -91,22 +79,22 @@ func (c ResyncConfig) withDefaults(shift uint8) (ResyncConfig, error) {
 // dirty set unless new guest writes land, the loop converges as soon as
 // foreground write traffic pauses or slows below the resync rate.
 //
+// Every pass ends with a CRC comparison of both legs over everything it
+// copied before the mirror is declared InSync.
+//
 // Any resync-leg error (media error on either side, a renewed outage
 // exhausting the initiator's retries) re-dirties the whole in-flight
 // chunk and drops the state machine back to Degraded: no range is ever
 // lost, and the next trigger resumes where the failed pass stopped.
 type Resyncer struct {
-	env     *sim.Env
-	rep     *Replicator
-	primary blockdev.BlockDevice
-	att     *uif.Attachment
-	th      *sim.Thread
-	cfg     ResyncConfig
-	shift   uint8
+	env   *sim.Env
+	rep   *Replicator
+	legs  *MirrorLegs
+	cfg   ResyncConfig
+	shift uint8
 
-	state  MirrorState
-	kick   *sim.Cond // wakes the worker on a trigger
-	ioDone *sim.Cond // wakes the worker on chunk I/O completion
+	state MirrorState
+	kick  *sim.Cond // wakes the worker on a trigger
 
 	// retrigger records a Trigger that arrived while a pass was still
 	// running (about to abort — e.g. the supervisor promoted a restarted
@@ -149,16 +137,16 @@ type Resyncer struct {
 // Replicator's foreground mirror writes, so resync traffic shares its
 // ordering domain. blockShift is log2 of the device block size.
 func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, att *uif.Attachment, th *sim.Thread, blockShift uint8, cfg ResyncConfig) (*Resyncer, error) {
-	cfg, err := cfg.withDefaults(blockShift)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rs := &Resyncer{
-		env: env, rep: rep, primary: primary, att: att, th: th,
+		env: env, rep: rep, legs: NewMirrorLegs(env, primary, att, th, blockShift),
 		cfg: cfg, shift: blockShift,
-		kick: sim.NewCond(env), ioDone: sim.NewCond(env),
-		tokens: float64(cfg.Burst), lastFill: env.Now(),
+		kick:     sim.NewCond(env),
+		lastFill: env.Now(),
 	}
+	rs.tokens = rs.burst()
 	if rep.Dirty.Blocks() > 0 {
 		// Attaching to an already-degraded mirror.
 		rs.state = StateDegraded
@@ -194,7 +182,7 @@ func (rs *Resyncer) setState(s MirrorState) {
 // SetAttachment repoints the secondary leg at a new uif attachment
 // generation — the supervisor calls this when it promotes a restarted
 // UIF; the dead generation's ring is never touched again.
-func (rs *Resyncer) SetAttachment(att *uif.Attachment) { rs.att = att }
+func (rs *Resyncer) SetAttachment(att *uif.Attachment) { rs.legs.Secondary = att }
 
 // Trigger starts a resync pass if the mirror is degraded; it is a no-op
 // when already in sync. A trigger landing while a pass is running is
@@ -289,7 +277,7 @@ func (rs *Resyncer) pass(p *sim.Proc) {
 	for {
 		ranges := rs.rep.Dirty.Ranges()
 		if len(ranges) == 0 {
-			if rs.cfg.Verify && rs.copied.Blocks() > 0 {
+			if rs.copied.Blocks() > 0 {
 				if !rs.verify(p) {
 					rs.Aborts++
 					rs.setState(StateDegraded)
@@ -304,10 +292,7 @@ func (rs *Resyncer) pass(p *sim.Proc) {
 			return
 		}
 		r := ranges[0]
-		n := r.Blocks
-		if n > rs.cfg.ChunkBlocks {
-			n = rs.cfg.ChunkBlocks
-		}
+		n := min(r.Blocks, resyncChunkBlocks)
 		if !rs.copyChunk(p, r.LBA, n) {
 			rs.Aborts++
 			rs.setState(StateDegraded)
@@ -324,9 +309,9 @@ func (rs *Resyncer) copyChunk(p *sim.Proc, lba, blocks uint64) bool {
 	rs.rep.Dirty.Remove(lba, blocks)
 	rs.openWindow(lba, blocks)
 	buf := make([]byte, nbytes)
-	st := rs.primaryIO(p, blockdev.BioRead, lba, buf)
+	st := rs.legs.PrimaryIO(p, blockdev.BioRead, lba, buf)
 	if st.OK() {
-		st = rs.secondaryIO(p, blockdev.BioWrite, lba, buf)
+		st = rs.legs.SecondaryIO(blockdev.BioWrite, lba, buf)
 	}
 	rs.closeWindow()
 	if !st.OK() {
@@ -348,10 +333,7 @@ func (rs *Resyncer) verify(p *sim.Proc) bool {
 	rs.copied = DirtyRegions{}
 	for _, r := range ranges {
 		for off := uint64(0); off < r.Blocks; {
-			n := r.Blocks - off
-			if n > rs.cfg.ChunkBlocks {
-				n = rs.cfg.ChunkBlocks
-			}
+			n := min(r.Blocks-off, resyncChunkBlocks)
 			lba := r.LBA + off
 			off += n
 			nbytes := n << rs.shift
@@ -359,9 +341,9 @@ func (rs *Resyncer) verify(p *sim.Proc) bool {
 			rs.openWindow(lba, n)
 			pbuf := make([]byte, nbytes)
 			sbuf := make([]byte, nbytes)
-			st := rs.primaryIO(p, blockdev.BioRead, lba, pbuf)
+			st := rs.legs.PrimaryIO(p, blockdev.BioRead, lba, pbuf)
 			if st.OK() {
-				st = rs.secondaryIO(p, blockdev.BioRead, lba, sbuf)
+				st = rs.legs.SecondaryIO(blockdev.BioRead, lba, sbuf)
 			}
 			dirtied := rs.winDirtied
 			rs.closeWindow()
@@ -389,13 +371,14 @@ func (rs *Resyncer) openWindow(lba, blocks uint64) {
 
 func (rs *Resyncer) closeWindow() { rs.winOpen = false }
 
+// burst is the token bucket's depth in bytes: two chunks.
+func (rs *Resyncer) burst() float64 { return float64(2 * (resyncChunkBlocks << rs.shift)) }
+
 // throttle blocks until the token bucket covers nbytes of resync traffic.
 func (rs *Resyncer) throttle(p *sim.Proc, nbytes uint64) {
 	now := p.Now()
 	rs.tokens += rs.cfg.Rate * now.Sub(rs.lastFill).Seconds()
-	if rs.tokens > float64(rs.cfg.Burst) {
-		rs.tokens = float64(rs.cfg.Burst)
-	}
+	rs.tokens = min(rs.tokens, rs.burst())
 	rs.lastFill = now
 	if deficit := float64(nbytes) - rs.tokens; deficit > 0 {
 		d := sim.Duration(deficit / rs.cfg.Rate * 1e9)
@@ -406,38 +389,60 @@ func (rs *Resyncer) throttle(p *sim.Proc, nbytes uint64) {
 	rs.tokens -= float64(nbytes)
 }
 
-// sector converts a device LBA to a 512-byte sector.
-func (rs *Resyncer) sector(lba uint64) uint64 {
-	return lba << rs.shift / blockdev.SectorSize
+// MirrorLegs is synchronous I/O on both legs of a mirror for a background
+// worker that copies or checks data across them (the resync engine, the
+// integrity scrubber): a bio against the primary block device, charged to
+// the worker's thread, and an I/O against the secondary through the
+// Replicator's uif backend ring. Each call parks the worker on the legs' own
+// condition until its I/O completes.
+type MirrorLegs struct {
+	// Secondary is the uif attachment the secondary leg is reached through
+	// (nil while none is attached).
+	Secondary *uif.Attachment
+
+	primary blockdev.BlockDevice
+	th      *sim.Thread
+	shift   uint8
+	done    *sim.Cond
 }
 
-// primaryIO performs one synchronous bio against the primary leg.
-func (rs *Resyncer) primaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
+// NewMirrorLegs returns the legs of a mirror over devices with
+// 1<<blockShift-byte blocks; primary I/O is charged to th.
+func NewMirrorLegs(env *sim.Env, primary blockdev.BlockDevice, secondary *uif.Attachment, th *sim.Thread, blockShift uint8) *MirrorLegs {
+	return &MirrorLegs{Secondary: secondary, primary: primary, th: th, shift: blockShift, done: sim.NewCond(env)}
+}
+
+// sector converts a device LBA to a 512-byte sector.
+func (l *MirrorLegs) sector(lba uint64) uint64 {
+	return lba << l.shift / blockdev.SectorSize
+}
+
+// PrimaryIO performs one synchronous bio against the primary leg.
+func (l *MirrorLegs) PrimaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
 	var st nvme.Status
 	done := false
-	bio := &blockdev.Bio{Op: op, Sector: rs.sector(lba), Data: buf}
+	bio := &blockdev.Bio{Op: op, Sector: l.sector(lba), Data: buf}
 	bio.OnDone = func(s nvme.Status) {
 		st, done = s, true
-		rs.ioDone.Signal(nil)
+		l.done.Signal(nil)
 	}
-	rs.primary.SubmitBio(p, rs.th, bio)
+	l.primary.SubmitBio(p, l.th, bio)
 	for !done {
-		rs.ioDone.Wait()
+		l.done.Wait()
 	}
 	return st
 }
 
-// secondaryIO performs one synchronous I/O against the secondary leg
-// through the Replicator's uif backend ring.
-func (rs *Resyncer) secondaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
+// SecondaryIO performs one synchronous I/O against the secondary leg.
+func (l *MirrorLegs) SecondaryIO(op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
 	var st nvme.Status
 	done := false
-	rs.att.SubmitBackendIO(op, rs.sector(lba), buf, func(_ *sim.Proc, _ *sim.Thread, s nvme.Status) {
+	l.Secondary.SubmitBackendIO(op, l.sector(lba), buf, func(_ *sim.Proc, _ *sim.Thread, s nvme.Status) {
 		st, done = s, true
-		rs.ioDone.Signal(nil)
+		l.done.Signal(nil)
 	})
 	for !done {
-		rs.ioDone.Wait()
+		l.done.Wait()
 	}
 	return st
 }

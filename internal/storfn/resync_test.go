@@ -132,27 +132,26 @@ func TestResyncAfterOutageConverges(t *testing.T) {
 // link-up must resume and converge without losing any range.
 func TestResyncOutageMidResync(t *testing.T) {
 	cfg := storfn.DefaultResyncConfig()
-	cfg.Rate = 10e6 // 10 MB/s: 256 KiB of dirty data takes ~25 ms to copy
-	cfg.ChunkBlocks = 16
+	cfg.Rate = 160e6 // 160 MB/s: 4 MiB of dirty data (32 chunks) takes ~25 ms to copy
 	b := newReplBed(t, cfg)
 	// First outage covers all 64 degraded writes (~0.55 ms each); the
 	// second lands 2 ms into the ~25 ms drain that the first triggers.
 	b.link.ScheduleOutage(0, 50*sim.Millisecond)
 	b.link.ScheduleOutage(sim.Time(0).Add(52*sim.Millisecond), 2*sim.Millisecond)
 
-	const writes = 64
-	data := make([]byte, 4096)
+	const writes, blocks = 64, 128
+	data := make([]byte, blocks*512)
 	b.h.run(t, func(p *sim.Proc) {
 		for i := 0; i < writes; i++ {
 			for j := range data {
 				data[j] = byte(j*5 + i + 1)
 			}
-			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64(i*8), data); !st.OK() {
+			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64(i*blocks), data); !st.OK() {
 				t.Fatalf("write %d failed the guest: %v", i, st)
 			}
 		}
-		if b.rep.Dirty.Blocks() != writes*8 {
-			t.Fatalf("dirty blocks %d, want %d", b.rep.Dirty.Blocks(), writes*8)
+		if b.rep.Dirty.Blocks() != writes*blocks {
+			t.Fatalf("dirty blocks %d, want %d", b.rep.Dirty.Blocks(), writes*blocks)
 		}
 		b.waitInSync(t, p, 500*sim.Millisecond)
 	})
@@ -170,8 +169,8 @@ func TestResyncOutageMidResync(t *testing.T) {
 	if pc, sc := b.h.store.ContentCRC(), b.rstore.ContentCRC(); pc != sc {
 		t.Fatalf("mirror contents diverge after resync: primary=%08x secondary=%08x", pc, sc)
 	}
-	if b.rs.ResyncedBlocks < writes*8 {
-		t.Fatalf("resynced %d blocks, want >= %d", b.rs.ResyncedBlocks, writes*8)
+	if b.rs.ResyncedBlocks < writes*blocks {
+		t.Fatalf("resynced %d blocks, want >= %d", b.rs.ResyncedBlocks, writes*blocks)
 	}
 }
 
@@ -181,19 +180,19 @@ func TestResyncOutageMidResync(t *testing.T) {
 // stores end bit-identical.
 func TestResyncRedirtiesConcurrentWrite(t *testing.T) {
 	cfg := storfn.DefaultResyncConfig()
-	cfg.Rate = 5e6 // slow drain so foreground writes overlap it
-	cfg.ChunkBlocks = 8
+	cfg.Rate = 160e6 // slow drain (~0.8 ms a chunk) so foreground writes overlap it
 	b := newReplBed(t, cfg)
 	b.link.ScheduleOutage(0, 5*sim.Millisecond)
 
-	data := make([]byte, 4096)
+	const blocks = 256 // one resync chunk per write
+	data := make([]byte, blocks*512)
 	b.h.run(t, func(p *sim.Proc) {
-		// Dirty [0, 256) during the outage.
+		// Dirty [0, 32 chunks) during the outage.
 		for i := 0; i < 32; i++ {
 			for j := range data {
 				data[j] = byte(j + i)
 			}
-			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64(i*8), data); !st.OK() {
+			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64(i*blocks), data); !st.OK() {
 				t.Fatalf("write %d: %v", i, st)
 			}
 		}
@@ -202,7 +201,7 @@ func TestResyncRedirtiesConcurrentWrite(t *testing.T) {
 			for j := range data {
 				data[j] = byte(j ^ (i * 3))
 			}
-			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64((i%32)*8), data); !st.OK() {
+			if st := doIO(p, b.v, b.disk, vm.OpWrite, uint64((i%32)*blocks), data); !st.OK() {
 				t.Fatalf("overwrite %d: %v", i, st)
 			}
 			p.Sleep(200 * sim.Microsecond)

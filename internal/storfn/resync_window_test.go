@@ -78,12 +78,12 @@ func TestResyncConfigValidation(t *testing.T) {
 	if _, err := NewResyncer(env, NewReplicator(), nil, nil, nil, 9, ResyncConfig{Rate: -5}); err == nil {
 		t.Fatal("negative rate limit accepted")
 	}
-	cfg, err := ResyncConfig{Rate: 1e6}.withDefaults(9)
+	rs, err := NewResyncer(env, NewReplicator(), nil, nil, nil, 9, ResyncConfig{Rate: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ChunkBlocks == 0 || cfg.Burst == 0 {
-		t.Fatalf("defaults not filled: %+v", cfg)
+	if want := float64(2 * resyncChunkBlocks << 9); rs.tokens != want {
+		t.Fatalf("bucket starts with %v bytes of credit, want two chunks (%v)", rs.tokens, want)
 	}
 }
 

@@ -67,15 +67,10 @@ type Policy struct {
 	// fabric recovery for remote-backed functions.
 	ResidencyDeadline sim.Duration
 	// RestartBackoff is the first restart delay; it doubles per
-	// consecutive failure up to RestartBackoffCap (0 = uncapped).
+	// consecutive failure up to RestartBackoffCap (0 = uncapped), and each
+	// delay is spread by ±restartJitter.
 	RestartBackoff    sim.Duration
 	RestartBackoffCap sim.Duration
-	// RestartJitter is the ± fraction of randomization on each delay,
-	// in [0, 1) — decorrelates restart stampedes across supervisors.
-	RestartJitter float64
-	// MaxRestarts caps consecutive failovers before the supervisor gives
-	// up and leaves the function degraded permanently (0 = unlimited).
-	MaxRestarts int
 	// HealthyReset is the routed uptime after which the consecutive-
 	// failure count (and so the backoff ladder) resets.
 	HealthyReset sim.Duration
@@ -93,7 +88,6 @@ func DefaultPolicy() Policy {
 		ResidencyDeadline: 5 * sim.Millisecond,
 		RestartBackoff:    200 * sim.Microsecond,
 		RestartBackoffCap: 5 * sim.Millisecond,
-		RestartJitter:     0.2,
 		HealthyReset:      10 * sim.Millisecond,
 	}
 }
@@ -112,14 +106,12 @@ func (p Policy) Validate() error {
 	if p.RestartBackoff <= 0 {
 		return fmt.Errorf("supervise: RestartBackoff must be positive, got %v", p.RestartBackoff)
 	}
-	if p.RestartJitter < 0 || p.RestartJitter >= 1 {
-		return fmt.Errorf("supervise: RestartJitter must be in [0,1), got %g", p.RestartJitter)
-	}
-	if p.MaxRestarts < 0 {
-		return fmt.Errorf("supervise: negative MaxRestarts %d", p.MaxRestarts)
-	}
 	return nil
 }
+
+// restartJitter is the ± fraction of randomization on each restart delay:
+// it decorrelates restart stampedes across supervisors.
+const restartJitter = 0.2
 
 // State is the supervisor's view of its function.
 type State int
@@ -131,8 +123,6 @@ const (
 	// StateDegraded: failure detected; commands take the degraded path
 	// while a restart is pending.
 	StateDegraded
-	// StateGaveUp: MaxRestarts exhausted; degraded permanently.
-	StateGaveUp
 )
 
 func (s State) String() string {
@@ -141,8 +131,6 @@ func (s State) String() string {
 		return "routed"
 	case StateDegraded:
 		return "degraded"
-	case StateGaveUp:
-		return "gave-up"
 	}
 	return fmt.Sprintf("State(%d)", int(s))
 }
@@ -176,7 +164,6 @@ type Supervisor struct {
 	ReconciledErr       uint64 // … completed with a (retryable) error
 	Requeued            uint64 // … requeued on the fast path
 	Restarts            uint64 // successful restart+promote cycles
-	GaveUps             uint64 // transitions to StateGaveUp
 	DegradedNanos       uint64 // accumulated wall time off the routed path
 	DetectRate          *metrics.Rate
 }
@@ -242,7 +229,7 @@ func (s *Supervisor) run(p *sim.Proc) {
 // tick takes one watchdog observation.
 func (s *Supervisor) tick() {
 	if s.state != StateRouted {
-		return // failover in progress or given up
+		return // failover in progress
 	}
 	now := s.env.Now()
 	if s.consecFails > 0 && s.pol.HealthyReset > 0 && now.Sub(s.lastFailure) >= s.pol.HealthyReset {
@@ -285,11 +272,6 @@ func (s *Supervisor) failover(now sim.Time) {
 	s.att.Kill()
 	s.fn.Degrade(s.vc)
 	s.vc.ReconcileNotify(s.decide, nil)
-	if s.pol.MaxRestarts > 0 && s.consecFails > s.pol.MaxRestarts {
-		s.state = StateGaveUp
-		s.GaveUps++
-		return
-	}
 	s.env.After(s.backoffDelay(), s.restart)
 }
 
@@ -308,25 +290,10 @@ func (s *Supervisor) decide(cmd nvme.Command) core.ReconcileDecision {
 }
 
 // backoffDelay returns the next restart delay: exponential in the
-// consecutive-failure count, capped, jittered.
+// consecutive-failure count, capped, jittered, and never below 1µs.
 func (s *Supervisor) backoffDelay() sim.Duration {
-	d := s.pol.RestartBackoff
-	for i := 1; i < s.consecFails; i++ {
-		d *= 2
-		if s.pol.RestartBackoffCap > 0 && d >= s.pol.RestartBackoffCap {
-			break
-		}
-	}
-	if s.pol.RestartBackoffCap > 0 && d > s.pol.RestartBackoffCap {
-		d = s.pol.RestartBackoffCap
-	}
-	if j := s.pol.RestartJitter; j > 0 {
-		d = sim.Duration(float64(d) * (1 + j*(2*s.rng.Float64()-1)))
-	}
-	if d < sim.Microsecond {
-		d = sim.Microsecond
-	}
-	return d
+	d := sim.Backoff(s.pol.RestartBackoff, s.pol.RestartBackoffCap, s.consecFails, restartJitter, s.rng)
+	return max(d, sim.Microsecond)
 }
 
 // restart brings up the next attachment generation. The routed classifier
@@ -376,7 +343,6 @@ func (s *Supervisor) Collect(cs *metrics.CounterSet) {
 	cs.Add(p+"reconciled_err", s.ReconciledErr)
 	cs.Add(p+"requeued", s.Requeued)
 	cs.Add(p+"restarts", s.Restarts)
-	cs.Add(p+"gave_ups", s.GaveUps)
 	cs.Add(p+"degraded_us", uint64(s.DegradedTime()/sim.Microsecond))
 }
 

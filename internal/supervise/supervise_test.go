@@ -94,6 +94,12 @@ type toyFn struct {
 	degrades int
 	promotes int
 	handlers []*toyHandler
+
+	// env, when set, has Degrade and Rebuild record the instants they run:
+	// a failover degrades and the restart after its backoff rebuilds.
+	env       *sim.Env
+	degradeAt []sim.Time
+	rebuildAt []sim.Time
 }
 
 func (f *toyFn) Name() string { return "toy" }
@@ -102,6 +108,9 @@ func (f *toyFn) Reconcile(nvme.Command) core.ReconcileDecision { return f.verdic
 
 func (f *toyFn) Degrade(vc *core.Controller) {
 	f.degrades++
+	if f.env != nil {
+		f.degradeAt = append(f.degradeAt, f.env.Now())
+	}
 	prog := ebpf.NewBuilder().
 		MovImm64(ebpf.R0, core.ActSendHQ|core.ActWillCompleteHQ).
 		Exit().
@@ -115,6 +124,9 @@ func (f *toyFn) Rebuild() uif.Handler {
 	h := &toyHandler{cost: 2 * sim.Microsecond, blackhole: f.builds < f.sick}
 	f.builds++
 	f.handlers = append(f.handlers, h)
+	if f.env != nil {
+		f.rebuildAt = append(f.rebuildAt, f.env.Now())
+	}
 	return h
 }
 
@@ -136,7 +148,6 @@ func testPolicy() supervise.Policy {
 	pol.ResidencyDeadline = 0 // stall-only unless a test opts in
 	pol.RestartBackoff = 50 * sim.Microsecond
 	pol.RestartBackoffCap = 200 * sim.Microsecond
-	pol.RestartJitter = 0
 	pol.HealthyReset = 100 * sim.Millisecond
 	return pol
 }
@@ -234,42 +245,38 @@ func TestWatchdogDetectsResidencyOverrun(t *testing.T) {
 	}
 }
 
-// A function that keeps failing walks the exponential backoff ladder and,
-// at MaxRestarts, the supervisor gives up and leaves it degraded — where
-// the fast path keeps serving I/O.
-func TestBackoffLadderAndGiveUp(t *testing.T) {
+// A function that keeps failing walks the exponential backoff ladder — each
+// restart delay doubles up to the cap, spread by at most ±20 % — while the
+// fast path keeps serving I/O.
+func TestBackoffLadder(t *testing.T) {
 	r := newRig()
-	fn := &toyFn{verdict: core.ReconcileDecision{Action: core.ReconcileRequeue}, sick: 1 << 30}
+	fn := &toyFn{verdict: core.ReconcileDecision{Action: core.ReconcileRequeue}, sick: 1 << 30, env: r.env}
 	pol := testPolicy()
-	pol.MaxRestarts = 2
 	sup, err := supervise.Launch(r.env, r.fw, r.vc, nil, 64, fn, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const failovers = 4
 	r.run(t, func(p *sim.Proc) {
-		i := 0
-		for p.Now() < sim.Time(20*sim.Millisecond) && sup.State() != supervise.StateGaveUp {
+		for i := 0; p.Now() < sim.Time(20*sim.Millisecond) && len(fn.rebuildAt) <= failovers; i++ {
 			if st := r.read(p, uint64(8*(i%64))); !st.OK() {
 				t.Fatalf("read %d: %v", i, st)
 			}
-			i++
-		}
-		if sup.State() != supervise.StateGaveUp {
-			t.Fatalf("supervisor never gave up: %s", sup.String())
-		}
-		// Degraded-permanently still serves I/O on the fast path.
-		if st := r.read(p, 0); !st.OK() {
-			t.Fatalf("fast-path read while given up: %v", st)
 		}
 	})
-	if sup.Detections != 3 || sup.GaveUps != 1 {
-		t.Fatalf("want 3 detections (MaxRestarts=2) and 1 give-up, got %s", sup.String())
+	if len(fn.rebuildAt) <= failovers {
+		t.Fatalf("only %d restarts in 20ms: %s", len(fn.rebuildAt)-1, sup.String())
 	}
-	if sup.Restarts != 2 {
-		t.Fatalf("want exactly 2 restart cycles before giving up, got %s", sup.String())
+	want := pol.RestartBackoff
+	for k := 0; k < failovers; k++ {
+		got := fn.rebuildAt[k+1].Sub(fn.degradeAt[k])
+		if float64(got) < 0.8*float64(want) || float64(got) > 1.2*float64(want) {
+			t.Errorf("restart delay after failover %d = %v, want %v ±20%%", k+1, got, want)
+		}
+		want = min(2*want, pol.RestartBackoffCap)
 	}
-	if sup.ConsecutiveFailures() != 3 {
-		t.Fatalf("backoff ladder position = %d, want 3", sup.ConsecutiveFailures())
+	if n := sup.ConsecutiveFailures(); uint64(n) != sup.Detections || n < failovers {
+		t.Fatalf("backoff ladder position = %d, want the %d detections: %s", n, sup.Detections, sup.String())
 	}
 }
 
