@@ -41,9 +41,10 @@ bench:
 # bench-sim measures the DES kernel hot paths (event queue, process switch,
 # timers, resources as processes and as AcquireFunc continuations, an
 # interrupt handler as a WaitFunc/ExecFunc continuation, idle poll rounds
-# alone and beside a second poller) with allocation counts, and what
-# those rounds cost a shard per idle tenant scanned; results/simbench.txt
-# holds the snapshots.
+# alone and beside a second poller, by a process in Spin and by a
+# continuation in SpinFunc) with allocation counts, and what those rounds
+# cost a shard per idle tenant scanned; results/simbench.txt holds the
+# snapshots.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 300ms ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardIdleTenants' -benchmem -benchtime 300ms ./internal/shard/
@@ -51,14 +52,16 @@ bench-sim:
 # bench-smoke compiles and runs every microbenchmark exactly once. It is a
 # CI gate against benchmarks rotting (build or runtime failures), not a
 # performance measurement; use `make bench` or `make bench-sim` for numbers.
-# It also runs the two callback-tier components — the device's command
-# service and the guest driver's interrupt handler — in lockstep with their
-# process-based references once under the race detector: the hop benchmarks'
-# events/op and switches/op mean what they say only while each pair stays
+# It also runs the callback-tier components — the device's command service,
+# the guest drivers' interrupt handler and submission paths, the router
+# worker and the fio job — in lockstep with their process-based references
+# once under the race detector: the hop benchmarks' events/op and
+# switches/op mean what they say only while each pair stays
 # indistinguishable.
 bench-smoke:
 	$(GO) test -race -run 'TestLockstepWithProcessReference' ./internal/device/
-	$(GO) test -race -run 'TestIRQLockstepWithProcessReference' ./internal/vm/
+	$(GO) test -race -run 'TestIRQLockstepWithProcessReference|TestSubmitLockstepWithProcessReference' ./internal/vm/ ./internal/virtio/
+	$(GO) test -race -run 'TestWorkerLockstepWithProcessReference|TestJobLockstepWithProcessReference' ./internal/core/ ./internal/fio/
 	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile|BenchmarkVerifier|BenchmarkInterpreter' -benchtime 1x ./internal/ebpf/
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite|BenchmarkEncryptorWrite4K' -benchtime 1x -benchmem ./internal/storfn/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt4K|BenchmarkDecrypt4K' -benchtime 1x -benchmem ./internal/xts/
@@ -79,14 +82,18 @@ bench-e2e-smoke:
 
 # sim-smoke is the DES-kernel gate: the scheduler and harness under the
 # race detector (property tests against the reference heap and, for
-# Thread.Spin, against the per-round poll loop included; the run token
-# moves by coroutine switch, which carries the detector's happens-before
-# edges, and the Goexit, Close and ExecFunc/WaitFunc tests run here too),
-# the per-hop event/switch budget, plus the golden-CSV determinism check — every experiment with a checked-in
-# quick-mode golden must render byte-identical output.
+# Thread.Spin and SpinFunc, against the per-round poll loop included; the
+# run token moves by coroutine switch, which carries the detector's
+# happens-before edges, and the Goexit, Close and ExecFunc/WaitFunc/
+# WaitTimeoutFunc tests run here too), the per-hop event/switch budget and
+# the hand-off gate on fio-driven topologies (no process spawned, and none
+# resumed on the routed command path), plus the golden-CSV determinism
+# check — every experiment with a checked-in quick-mode golden must render
+# byte-identical output.
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
+	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the

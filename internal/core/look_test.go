@@ -13,7 +13,7 @@ import (
 	"nvmetro/internal/vm"
 )
 
-// lookBench is a multi-tenant worker whose process never runs: the test
+// lookBench is a multi-tenant worker whose loop never starts: the test
 // stands in for it, calling look and gather itself, and stands in for every
 // other party too, so each can be put in any state at any instant.
 type lookBench struct {
@@ -31,7 +31,7 @@ func newLookBench(seed int64, tenants int, withQoS bool) *lookBench {
 	p := device.Default970EvoPlus()
 	b := &lookBench{env: env, cpu: cpu, dev: device.New(env, p, device.NewMemStore(512))}
 	b.r = &Router{env: env, costs: DefaultRouterCosts(), FastPathDeadline: 300 * sim.Microsecond, HTagReclaim: 700 * sim.Microsecond}
-	b.w = &worker{r: b.r, thread: cpu.ThreadOn(3, "router"), wake: sim.NewCond(env)}
+	b.w = newWorker(b.r, 0, cpu.ThreadOn(3, "router"))
 	b.r.workers = []*worker{b.w}
 	if withQoS {
 		b.r.EnableQoS(qos.Config{Window: 20 * sim.Microsecond})
@@ -279,7 +279,8 @@ func TestReadyNeverMissesWork(t *testing.T) {
 // testPostingAndRetrying: a tenant whose VCQ is full keeps its place in the
 // posting set, and one whose HSQ is full keeps its place in the retrying set,
 // across every flush that leaves work behind, and leaves once it is drained;
-// no other tenant is ever in either set.
+// no other tenant is ever in either set. The flush is the reactor's own,
+// driven from a callback as the end of a round drives it.
 func testPostingAndRetrying(t *testing.T) {
 	b := newLookBench(1, 3, false)
 	b.advance(1) // the device looks at its new queues once
@@ -293,11 +294,13 @@ func testPostingAndRetrying(t *testing.T) {
 		}
 	}
 	flush := func() {
-		b.env.Go("flush", func(p *sim.Proc) {
-			w.flushCompletions(p)
-			w.flushRetries()
-		})
+		// The tail of a round: the VCQ flush, then the retries.
+		flushed := false
+		b.env.After(0, func() { w.flushVCQs(func() { w.flushRetries(); flushed = true }) })
 		b.advance(sim.Millisecond)
+		if !flushed {
+			t.Fatal("the flush did not finish")
+		}
 	}
 	var work sim.Duration
 

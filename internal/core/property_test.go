@@ -96,7 +96,7 @@ func TestRouterLivenessUnderArbitraryClassifiers(t *testing.T) {
 				}
 				req := &vm.Req{Op: op, LBA: uint64(rng.Intn(4096)), Blocks: 1, Buf: base, BufPages: pages,
 					OnDone: func(*vm.Req) { done.Signal(nil) }}
-				disk.Submit(p, v.VCPU(0), req)
+				disk.SubmitFunc(v.VCPU(0), req, func() {})
 				deadline := p.Now().Add(100 * sim.Millisecond)
 				for !req.Done() && p.Now() < deadline {
 					done.WaitTimeout(10 * sim.Millisecond)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"nvmetro/internal/nvme"
@@ -113,11 +112,19 @@ func NewRouter(env *sim.Env, costs RouterCosts, threads []*sim.Thread) *Router {
 		HTagReclaim:      200 * sim.Millisecond,
 	}
 	for i, th := range threads {
-		w := &worker{r: r, id: i, thread: th, wake: sim.NewCond(env)}
+		w := newWorker(r, i, th)
 		r.workers = append(r.workers, w)
-		env.Go(fmt.Sprintf("router-w%d", i), w.run)
+		env.After(0, w.stepRound)
 	}
 	return r
+}
+
+// newWorker creates worker id of r on thread th, its loop not yet started.
+func newWorker(r *Router, id int, th *sim.Thread) *worker {
+	w := &worker{r: r, id: id, thread: th, wake: sim.NewCond(r.env)}
+	w.stepRound, w.stepApply, w.stepPosted, w.stepRetry = w.round, w.applyAll, w.posted, w.retryThenRound
+	w.stepLook = w.look
+	return w
 }
 
 // EnablePromotion turns on the adaptive path-promotion tier and
@@ -186,8 +193,14 @@ func (r *Router) ShardInfos() []ShardInfo {
 
 // worker is one router polling thread — a shard. It owns its tenants'
 // queues and QoS arbiter exclusively; the only state other contexts touch
-// are the two inboxes and the parked flag behind the wake cond. One
-// simulated process runs at a time, so none of it takes a lock.
+// are the two inboxes and the parked flag behind the wake cond. Only one
+// simulation context runs at a time, so none of it takes a lock.
+//
+// The worker is a reactor, not a process: its poll loop is continuations on
+// the DES callback tier (round, applyAll, flushVCQs, posted), and it blocks
+// nowhere — its three waits are the wake cond when idle, a spin on its thread
+// when polling on, and its thread's core while it charges a batch or a VCQ
+// post.
 type worker struct {
 	r      *Router
 	id     int
@@ -218,6 +231,26 @@ type worker struct {
 	segs    []nvme.Segment
 	entry   [8]byte
 	staging []byte
+
+	effects []effect    // the round's effects; the backing array is reused
+	flush   flushCursor // where the VCQ flush of the round stands
+
+	// The loop's steps, bound once.
+	stepRound, stepApply, stepPosted, stepRetry func()
+	stepLook                                    func(int) sim.Time
+}
+
+// flushCursor is the position of a VCQ flush between two of its holds on the
+// worker's core: the tenant position in the posting set, the tenant's queue
+// list as the flush found it on reaching the tenant (a queue pair created
+// during a hold is the next flush's), the queue being posted, whether one of
+// the tenant's VCQs refused entries, and what runs once the flush is done.
+type flushCursor struct {
+	pos     int
+	vqs     []*vqState
+	k       int
+	waiting bool
+	then    func()
 }
 
 // posSet is a set of tenant positions — indexes into worker.vcs — walked in
@@ -342,41 +375,43 @@ func (w *worker) post(fn func()) {
 	w.hint()
 }
 
-// run is the worker main loop: a two-phase poll (gather work, charge CPU,
-// apply effects) with adaptive parking when every attached VM is idle.
-func (w *worker) run(p *sim.Proc) {
-	look := w.look
-	var effects []effect // backing array reused across rounds
-	for {
-		// Phase 1: gather. Data-structure work happens instantly; the CPU
-		// time it represents is charged in phase 2 before effects land.
-		work, idle := w.gather(&effects)
-
-		if len(effects) == 0 {
-			if idle {
-				// Nothing in flight anywhere: park until a doorbell hint,
-				// kernel completion or UIF notification arrives. This is
-				// the "stop polling during inactivity" behaviour.
-				w.asleep = true
-				w.wake.Wait()
-				continue
-			}
-			// Busy-poll while requests are in flight or throttled: rounds
-			// of this gather's cost until one has something to look at.
-			w.thread.Spin(p, work, look)
-			continue
-		}
-
-		// Phase 2: charge the CPU for this batch.
-		w.thread.Exec(p, work)
-
-		// Phase 3: apply routing effects and post completions.
-		for _, e := range effects {
-			w.apply(e)
-		}
-		w.flushCompletions(p)
-		w.flushRetries()
+// round is one poll round: gather work, charge its CPU, apply its effects,
+// with adaptive parking when every attached VM is idle. The gather does the
+// data-structure work at once; the CPU time it represents is charged before
+// the effects land.
+func (w *worker) round() {
+	work, idle := w.gather(&w.effects)
+	if len(w.effects) > 0 {
+		w.thread.ExecFunc(work, w.stepApply)
+		return
 	}
+	if idle {
+		// Nothing in flight anywhere: park until a doorbell hint, kernel
+		// completion or UIF notification arrives. This is the "stop polling
+		// during inactivity" behaviour.
+		w.asleep = true
+		w.wake.WaitFunc(w.stepRound)
+		return
+	}
+	// Busy-poll while requests are in flight or throttled: rounds of this
+	// gather's cost until one has something to look at.
+	w.thread.SpinFunc(work, w.stepLook, w.stepRound)
+}
+
+// applyAll applies the round's routing effects once their CPU time is
+// charged, then posts the completions they produced.
+func (w *worker) applyAll() {
+	for _, e := range w.effects {
+		w.apply(e)
+	}
+	w.flushVCQs(w.stepRetry)
+}
+
+// retryThenRound re-attempts the refused dispatches once the round's
+// completions are posted, and starts the next round.
+func (w *worker) retryThenRound() {
+	w.flushRetries()
+	w.round()
 }
 
 // gather is one poll round's look at everything the worker serves: it
@@ -514,14 +549,35 @@ func (w *worker) look(int) sim.Time {
 	return sim.Never
 }
 
-// flushCompletions posts queued VCQ entries and injects interrupts. A tenant
-// leaves the posting set once its VCQs have taken everything.
-func (w *worker) flushCompletions(p *sim.Proc) {
+// flushVCQs posts queued VCQ entries and injects interrupts, walking the
+// posting set in attach order; then runs then. Each queue that takes entries
+// costs one hold of the worker's core (ExecFunc), after which posted raises
+// the interrupt and the walk resumes from the cursor. A tenant leaves the
+// posting set once its VCQs have taken everything.
+func (w *worker) flushVCQs(then func()) {
+	w.flush.then = then
+	w.flushAt(w.posting.next(0))
+	w.flushOn()
+}
+
+// flushAt moves the cursor to the tenant at posting position pos (-1: none
+// left).
+func (w *worker) flushAt(pos int) {
+	f := &w.flush
+	f.pos, f.k, f.waiting, f.vqs = pos, 0, false, nil
+	if pos >= 0 {
+		f.vqs = w.vcs[pos].vqs
+	}
+}
+
+// flushOn walks from the cursor to the next queue that takes entries, whose
+// hold it starts, or to the end of the flush.
+func (w *worker) flushOn() {
 	c := w.r.costs
-	for i := w.posting.next(0); i >= 0; i = w.posting.next(i + 1) {
-		vc := w.vcs[i]
-		waiting := false
-		for _, vq := range vc.vqs {
+	f := &w.flush
+	for f.pos >= 0 {
+		for ; f.k < len(f.vqs); f.k++ {
+			vq := f.vqs[f.k]
 			if len(vq.pendingVCQ) == 0 {
 				continue
 			}
@@ -538,18 +594,32 @@ func (w *worker) flushCompletions(p *sim.Proc) {
 			// front away would make the next append reallocate.
 			vq.pendingVCQ = append(vq.pendingVCQ[:0], vq.pendingVCQ[n:]...)
 			if n > 0 {
-				cost += c.IRQInject
-				w.thread.Exec(p, cost)
-				if vq.irq != nil {
-					vq.irq()
-				}
+				w.thread.ExecFunc(cost+c.IRQInject, w.stepPosted)
+				return
 			}
-			waiting = waiting || len(vq.pendingVCQ) > 0
+			f.waiting = f.waiting || len(vq.pendingVCQ) > 0
 		}
-		if !waiting {
-			w.posting.remove(i)
+		if !f.waiting {
+			w.posting.remove(f.pos)
 		}
+		w.flushAt(w.posting.next(f.pos + 1))
 	}
+	then := f.then
+	f.then, f.vqs = nil, nil
+	then()
+}
+
+// posted ends the hold of a queue that took entries: the interrupt, then the
+// rest of the walk.
+func (w *worker) posted() {
+	f := &w.flush
+	vq := f.vqs[f.k]
+	if vq.irq != nil {
+		vq.irq()
+	}
+	f.waiting = f.waiting || len(vq.pendingVCQ) > 0
+	f.k++
+	w.flushOn()
 }
 
 // flushRetries re-attempts dispatches that found a full queue earlier. A

@@ -20,8 +20,8 @@ type ramDisk struct {
 
 func (d *ramDisk) BlockSize() uint32 { return 512 }
 func (d *ramDisk) Blocks() uint64    { return 1 << 22 }
-func (d *ramDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
-	r.Submitted = p.Now()
+func (d *ramDisk) SubmitFunc(vcpu *sim.Thread, r *vm.Req, then func()) {
+	r.Submitted = d.env.Now()
 	n := int(r.Blocks) * 512
 	buf := make([]byte, n)
 	switch r.Op {
@@ -33,6 +33,7 @@ func (d *ramDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
 		d.v.Mem.WriteAt(buf, r.Buf)
 	}
 	d.env.After(10*sim.Microsecond, func() { r.Complete(d.env, nvme.SCSuccess) })
+	then()
 }
 
 func fsBed() (*sim.Env, *vm.VM, *ramDisk) {

@@ -109,18 +109,18 @@ type Result struct {
 	Configs Config
 }
 
-// job is one fio worker.
+// job is one fio worker: a state machine on the simulator's callback tier
+// (start, submit, resume), never a process. A submission is a continuation
+// of the disk's SubmitFunc, a wait one of the completion condition's.
 type job struct {
 	cfg      Config
 	t        Target
 	env      *sim.Env
-	idx      int
 	regionLB uint64 // region start, in blocks
 	regionNB uint64 // region size, in blocks
 	seqCur   uint64
 	zipf     *rand.Zipf
 
-	inflight int
 	comp     *sim.Cond
 	measFrom sim.Time
 	measTo   sim.Time
@@ -133,6 +133,17 @@ type job struct {
 	bufs  []uint64
 	pages [][]uint64
 	stop  bool
+
+	// Set up by start. One request per queue slot, re-armed at every
+	// submission: a slot is free again only once its OnDone ran.
+	blocks   uint32
+	interval sim.Duration // between submissions when rate-limited, else 0
+	nextAt   sim.Time     // the rate gate's next opening
+	slots    []int        // free queue slots
+	reqs     []vm.Req
+
+	submitFn, resumeFn func()     // submit and resume, bound once
+	wokeFn             func(bool) // woke, bound once
 }
 
 // Run executes cfg with one job per target, returning aggregate results.
@@ -162,56 +173,10 @@ func RunMixed(env *sim.Env, cpu *sim.CPU, groups []Group) []Result {
 	measTo := measFrom.Add(groups[0].Cfg.Duration)
 	window := groups[0].Cfg.Duration
 
-	idx := 0
-	jobsPer := make([][]*job, len(groups))
-	for gi := range groups {
-		cfg := groups[gi].Cfg
-		if cfg.WorkSet == 0 {
-			cfg.WorkSet = 1 << 30
-		}
-		targets := groups[gi].Targets
-		for i, t := range targets {
-			blocksPer := cfg.WorkSet / uint64(t.Disk.BlockSize())
-			total := t.Disk.Blocks()
-			regionLB := uint64(i) * blocksPer
-			if cfg.SharedOffsets {
-				// Every job addresses the same leading extent of its own
-				// disk (tenant disks are clones of one image).
-				if blocksPer > total {
-					blocksPer = total
-				}
-				regionLB = 0
-			} else if blocksPer*uint64(len(targets)) > total {
-				blocksPer = total / uint64(len(targets))
-				regionLB = uint64(i) * blocksPer
-			}
-			j := &job{
-				cfg: cfg, t: t, env: env, idx: idx,
-				regionLB: regionLB,
-				regionNB: blocksPer,
-				comp:     sim.NewCond(env),
-				measFrom: measFrom,
-				measTo:   measTo,
-				lat:      metrics.NewHistogram(),
-			}
-			// Preallocate one guest buffer per queue slot.
-			for s := 0; s < cfg.QD; s++ {
-				base, pages, err := t.VM.Mem.AllocBuffer(cfg.BlockSize)
-				if err != nil {
-					panic(err)
-				}
-				// Non-zero payload so encryption paths work on real data.
-				fill := make([]byte, cfg.BlockSize)
-				for k := range fill {
-					fill[k] = byte(k*7 + i + s)
-				}
-				t.VM.Mem.WriteAt(fill, base)
-				j.bufs = append(j.bufs, base)
-				j.pages = append(j.pages, pages)
-			}
-			jobsPer[gi] = append(jobsPer[gi], j)
-			env.Go(fmt.Sprintf("fio-job%d", idx), j.run)
-			idx++
+	jobsPer := newJobs(env, groups, measFrom, measTo)
+	for _, jobs := range jobsPer {
+		for _, j := range jobs {
+			env.After(0, j.start)
 		}
 	}
 
@@ -238,6 +203,61 @@ func RunMixed(env *sim.Env, cpu *sim.CPU, groups []Group) []Result {
 		out[gi] = res
 	}
 	return out
+}
+
+// newJobs builds one job per target of every group, with its region of the
+// disk and its guest buffers, counting what completes in (measFrom, measTo].
+func newJobs(env *sim.Env, groups []Group, measFrom, measTo sim.Time) [][]*job {
+	jobsPer := make([][]*job, len(groups))
+	for gi := range groups {
+		cfg := groups[gi].Cfg
+		if cfg.WorkSet == 0 {
+			cfg.WorkSet = 1 << 30
+		}
+		targets := groups[gi].Targets
+		for i, t := range targets {
+			blocksPer := cfg.WorkSet / uint64(t.Disk.BlockSize())
+			total := t.Disk.Blocks()
+			regionLB := uint64(i) * blocksPer
+			if cfg.SharedOffsets {
+				// Every job addresses the same leading extent of its own
+				// disk (tenant disks are clones of one image).
+				if blocksPer > total {
+					blocksPer = total
+				}
+				regionLB = 0
+			} else if blocksPer*uint64(len(targets)) > total {
+				blocksPer = total / uint64(len(targets))
+				regionLB = uint64(i) * blocksPer
+			}
+			j := &job{
+				cfg: cfg, t: t, env: env,
+				regionLB: regionLB,
+				regionNB: blocksPer,
+				comp:     sim.NewCond(env),
+				measFrom: measFrom,
+				measTo:   measTo,
+				lat:      metrics.NewHistogram(),
+			}
+			// Preallocate one guest buffer per queue slot.
+			for s := 0; s < cfg.QD; s++ {
+				base, pages, err := t.VM.Mem.AllocBuffer(cfg.BlockSize)
+				if err != nil {
+					panic(err)
+				}
+				// Non-zero payload so encryption paths work on real data.
+				fill := make([]byte, cfg.BlockSize)
+				for k := range fill {
+					fill[k] = byte(k*7 + i + s)
+				}
+				t.VM.Mem.WriteAt(fill, base)
+				j.bufs = append(j.bufs, base)
+				j.pages = append(j.pages, pages)
+			}
+			jobsPer[gi] = append(jobsPer[gi], j)
+		}
+	}
+	return jobsPer
 }
 
 // nextLBA picks the next I/O location, in disk blocks.
@@ -284,26 +304,24 @@ func (j *job) nextOp() vm.Op {
 	}
 }
 
-func (j *job) run(p *sim.Proc) {
+// start is the job's set-up, run where its first event falls.
+func (j *job) start() {
 	bs := j.t.Disk.BlockSize()
-	blocks := j.cfg.BlockSize / bs
-	if blocks == 0 {
-		blocks = 1
+	j.blocks = j.cfg.BlockSize / bs
+	if j.blocks == 0 {
+		j.blocks = 1
 	}
-	var interval sim.Duration
 	if j.cfg.RateIOPS > 0 {
-		interval = sim.Duration(int64(sim.Second) / int64(j.cfg.RateIOPS))
+		j.interval = sim.Duration(int64(sim.Second) / int64(j.cfg.RateIOPS))
 	}
-	nextAt := p.Now()
-	// One request and one completion callback per queue slot, re-armed at
-	// every submission: a slot is free again only once its OnDone ran.
-	slots := make([]int, 0, j.cfg.QD)
-	reqs := make([]vm.Req, j.cfg.QD)
-	for s := range reqs {
+	j.nextAt = j.env.Now()
+	j.slots = make([]int, 0, j.cfg.QD)
+	j.reqs = make([]vm.Req, j.cfg.QD)
+	for s := range j.reqs {
 		slot := s
-		reqs[s] = vm.Req{Blocks: blocks, Buf: j.bufs[s], BufPages: j.pages[s]}
-		reqs[s].OnDone = func(done *vm.Req) {
-			slots = append(slots, slot)
+		j.reqs[s] = vm.Req{Blocks: j.blocks, Buf: j.bufs[s], BufPages: j.pages[s]}
+		j.reqs[s].OnDone = func(done *vm.Req) {
+			j.slots = append(j.slots, slot)
 			if done.Completed > j.measFrom && done.Completed <= j.measTo {
 				if done.Status.OK() {
 					j.ops.Inc()
@@ -315,35 +333,48 @@ func (j *job) run(p *sim.Proc) {
 			}
 			j.comp.Signal(nil)
 		}
-		slots = append(slots, s)
+		j.slots = append(j.slots, s)
 	}
+	j.submitFn, j.resumeFn, j.wokeFn = j.submit, j.resume, j.woke
+	j.resume()
+}
 
-	for !j.stop {
-		// Submit while a slot is free (and the rate gate is open).
-		for len(slots) > 0 && !j.stop {
-			if interval > 0 && p.Now() < nextAt {
-				break
-			}
-			slot := slots[len(slots)-1]
-			slots = slots[:len(slots)-1]
-			nextAt = nextAt.Add(interval)
-			if interval > 0 && nextAt < p.Now() {
-				nextAt = p.Now() // do not accumulate missed slots
-			}
-			r := &reqs[slot]
-			r.Reset()
-			r.Op = j.nextOp()
-			r.LBA = j.nextLBA(blocks)
-			j.t.Disk.Submit(p, j.t.VCPU, r)
-		}
-		// Wait for a completion or the next rate slot.
-		if interval > 0 && len(slots) > 0 {
-			wait := nextAt.Sub(p.Now())
-			if wait > 0 {
-				j.comp.WaitTimeout(wait)
-			}
-		} else {
-			j.comp.Wait()
-		}
+// resume is the top of the job's loop, where a wait ends: it goes on unless
+// the run has stopped it.
+func (j *job) resume() {
+	if !j.stop {
+		j.submit()
 	}
+}
+
+func (j *job) woke(bool) { j.resume() }
+
+// submit submits one request while a slot is free and the rate gate is open,
+// and comes back here once the disk has taken it; otherwise it waits for a
+// completion, or for a completion or the next rate slot, whichever is first.
+func (j *job) submit() {
+	now := j.env.Now()
+	if len(j.slots) > 0 && !j.stop && (j.interval == 0 || now >= j.nextAt) {
+		slot := j.slots[len(j.slots)-1]
+		j.slots = j.slots[:len(j.slots)-1]
+		j.nextAt = j.nextAt.Add(j.interval)
+		if j.interval > 0 && j.nextAt < now {
+			j.nextAt = now // do not accumulate missed slots
+		}
+		r := &j.reqs[slot]
+		r.Reset()
+		r.Op = j.nextOp()
+		r.LBA = j.nextLBA(j.blocks)
+		j.t.Disk.SubmitFunc(j.t.VCPU, r, j.submitFn)
+		return
+	}
+	if j.interval == 0 || len(j.slots) == 0 {
+		j.comp.WaitFunc(j.resumeFn)
+		return
+	}
+	if wait := j.nextAt.Sub(now); wait > 0 {
+		j.comp.WaitTimeoutFunc(wait, j.wokeFn)
+		return
+	}
+	j.resume()
 }

@@ -21,8 +21,8 @@ type instantDisk struct {
 
 func (d *instantDisk) BlockSize() uint32 { return 512 }
 func (d *instantDisk) Blocks() uint64    { return 1 << 30 }
-func (d *instantDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
-	r.Submitted = p.Now()
+func (d *instantDisk) SubmitFunc(vcpu *sim.Thread, r *vm.Req, then func()) {
+	r.Submitted = d.env.Now()
 	if r.Op == vm.OpRead {
 		d.reads++
 	} else {
@@ -30,6 +30,7 @@ func (d *instantDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
 	}
 	d.lbas = append(d.lbas, r.LBA)
 	d.env.After(d.latency, func() { r.Complete(d.env, nvme.SCSuccess) })
+	then()
 }
 
 func bed() (*sim.Env, *sim.CPU, *vm.VM) {

@@ -198,7 +198,15 @@ func (a *Arbiter) ObserveLatency(t *Tenant, d sim.Duration) {
 // it once per poll round. When any non-best-effort tenant's windowed p99
 // exceeds its target, all best-effort tenants are shed; after
 // RecoverWindows consecutive clean windows they are restored.
+//
+// Before the earliest window end no window can roll and the minimum cannot
+// move, so Tick returns at once: a round costs O(tenants) only when a window
+// ends. A tenant that joined since the last pass has no window yet and holds
+// NextWindowEnd at zero (see AddTenant), which forces the pass that opens it.
 func (a *Arbiter) Tick(now sim.Time) {
+	if now < a.nextEnd {
+		return
+	}
 	rolled, missed := false, false
 	a.nextEnd = sim.Never
 	for _, t := range a.tenants {

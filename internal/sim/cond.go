@@ -2,15 +2,26 @@ package sim
 
 // waitTok represents one parked wait. A token fires exactly once — either by
 // a signal or by a timeout — which makes Signal/WaitTimeout races impossible.
-// Tokens are pooled on the environment: the waiter recycles its token after
-// resuming, unless a timeout event may still reference it.
+// Tokens are pooled on the environment: a process recycles its token after
+// resuming, unless a timeout event may still reference it; a continuation's
+// token is recycled when the last of its references — waiter-list slot,
+// timer event — is dropped (Env.unref).
 type waitTok struct {
 	p        *Proc  // parked process, or
-	fn       func() // continuation of an AcquireFunc or WaitFunc waiter
+	fn       func() // continuation of an AcquireFunc, WaitFunc or WaitTimeoutFunc waiter
+	expire   func() // a WaitTimeoutFunc waiter's continuation at the timeout
+	refs     uint8  // a continuation token's live references
 	fired    bool
 	signaled bool
 	hasTimer bool // a queued timeout event references this token
 	val      any  // optional payload handed over by Signal
+}
+
+// funcTok takes a token for a continuation waiter with refs references.
+func (e *Env) funcTok(fn func(), refs uint8) *waitTok {
+	tok := e.getTok(nil)
+	tok.fn, tok.refs = fn, refs
+	return tok
 }
 
 // enqueue appends v to a head-indexed list (entries before *head are
@@ -73,9 +84,47 @@ func (c *Cond) WaitTimeout(d Duration) (any, bool) {
 // process. fn runs in scheduler context and must not block; the signal's
 // value is dropped.
 func (c *Cond) WaitFunc(fn func()) {
-	tok := c.env.getTok(nil)
-	tok.fn = fn
+	c.waiters = enqueue(c.waiters, &c.head, c.env.funcTok(fn, 1))
+}
+
+// WaitTimeoutFunc is WaitTimeout for code that has no process to park: fn
+// joins the waiter list as a WaitFunc waiter does, and a timeout is armed as
+// WaitTimeout arms it. Whichever comes first schedules fn as a callback event
+// where the process's wake would have been queued — at the signal, or as the
+// second step of pushTimer's two-step wake — and fn learns which. fn runs in
+// scheduler context and must not block; the signal's value is dropped. The
+// state is pooled on the environment and its token is recycled once both its
+// waiter slot and its timer event are gone: no allocation in steady state.
+func (c *Cond) WaitTimeoutFunc(d Duration, fn func(signaled bool)) {
+	e := c.env
+	w := takeFree(&e.timedFree)
+	if w == nil {
+		w = &timedWait{env: e}
+		w.signaled, w.expired = w.signal, w.expire
+	}
+	w.fn = fn
+	tok := e.funcTok(w.signaled, 2) // the waiter slot and the timer event
+	tok.expire = w.expired
 	c.waiters = enqueue(c.waiters, &c.head, tok)
+	e.pushTimer(e.now.Add(d), tok)
+}
+
+// timedWait is one WaitTimeoutFunc in flight. It is recycled when its
+// continuation runs; the token, which outlives it, never calls it again.
+type timedWait struct {
+	env               *Env
+	fn                func(signaled bool)
+	signaled, expired func() // signal and expire, bound once
+}
+
+func (w *timedWait) signal() { w.done(true) }
+func (w *timedWait) expire() { w.done(false) }
+
+func (w *timedWait) done(signaled bool) {
+	fn := w.fn
+	w.fn = nil
+	w.env.timedFree = append(w.env.timedFree, w)
+	fn(signaled)
 }
 
 // pop removes and returns the first unfired waiter, or nil. Consumed slots
@@ -93,6 +142,7 @@ func (c *Cond) pop() *waitTok {
 			}
 			return tok
 		}
+		c.env.unref(tok) // a timed-out waiter's slot
 	}
 	c.waiters = c.waiters[:0]
 	c.head = 0
@@ -122,8 +172,8 @@ func (c *Cond) Broadcast() {
 }
 
 // fire marks tok signaled, cancels its pending timeout if any, and queues
-// the wake for its process or its continuation. A callback waiter holds no
-// reference to its token, so it is recycled here.
+// the wake for its process or its continuation. A continuation's waiter slot
+// is gone (pop took it), so its token drops that reference here.
 func (c *Cond) fire(tok *waitTok, val any) {
 	tok.fired = true
 	tok.signaled = true
@@ -132,7 +182,5 @@ func (c *Cond) fire(tok *waitTok, val any) {
 		c.env.cancelTimer(tok)
 	}
 	c.env.push(c.env.now, tok.p, tok.fn)
-	if tok.fn != nil {
-		c.env.putTok(tok)
-	}
+	c.env.unref(tok)
 }

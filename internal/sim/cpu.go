@@ -167,12 +167,8 @@ func (t *Thread) Exec(p *Proc, d Duration) { t.Core.exec(p, t.busy, d) }
 // on the environment and its two continuations are bound once.
 func (t *Thread) ExecFunc(d Duration, then func()) {
 	e := t.Core.env
-	var x *execState
-	if n := len(e.execFree); n > 0 {
-		x = e.execFree[n-1]
-		e.execFree[n-1] = nil
-		e.execFree = e.execFree[:n-1]
-	} else {
+	x := takeFree(&e.execFree)
+	if x == nil {
 		x = &execState{}
 		x.granted, x.expired = x.hold, x.finish
 	}
@@ -271,14 +267,71 @@ func (t *Thread) Spin(p *Proc, round Duration, poll func(rounds int) Time) (roun
 	return rounds
 }
 
-// spinState is a process parked in Thread.Spin: what Env.respin needs to run
-// its round boundaries without it. th is nil outside Spin.
+// spinState is a spin in progress: what a round boundary needs to run
+// without the spinner — a process parked in Thread.Spin (th is nil outside
+// Spin) or a SpinFunc.
 type spinState struct {
 	th     *Thread
 	round  Duration
 	poll   func(rounds int) Time
 	armed  int // rounds the queued wake covers
 	rounds int // rounds completed
+}
+
+// SpinFunc is Spin for code that has no process to park: a reactor — the
+// router worker — runs its poll loop as continuations, and its idle rounds
+// are this. Entry is Spin's: the core taken on the spot and the first step
+// sized from poll(0), or queued for FIFO (Resource.AcquireFunc) and started
+// with a single round once granted. Every boundary reached is one callback
+// event, pushed where Spin pushes the parked process's wake, and is decided
+// by the same step as Spin's (credit the rounds, ask poll, check for a waiter
+// on the core, size the next step). Where Spin would return, SpinFunc
+// releases the core and runs then, in scheduler context. The state is pooled
+// on the environment with its continuations bound once: no allocation in
+// steady state.
+func (t *Thread) SpinFunc(round Duration, poll func(rounds int) Time, then func()) {
+	e := t.Core.env
+	x := takeFree(&e.spinFree)
+	if x == nil {
+		x = &spinFunc{}
+		x.granted, x.reached = x.grant, x.boundary
+	}
+	x.spinState = spinState{th: t, round: round, poll: poll}
+	x.then = then
+	if t.Core.res.AcquireFunc(x.granted) {
+		x.arm(e.spinRounds(round, poll(0)))
+	}
+}
+
+// spinFunc is one SpinFunc in flight.
+type spinFunc struct {
+	spinState
+	then             func()
+	granted, reached func() // grant and boundary, bound once
+}
+
+// grant starts a spin that had to queue for the core: one round, as Spin's.
+func (x *spinFunc) grant() { x.arm(1) }
+
+// arm queues the wake at the end of the next step of rounds.
+func (x *spinFunc) arm(rounds int) {
+	x.armed = rounds
+	x.th.Core.env.After(Duration(rounds)*x.round, x.reached)
+}
+
+// boundary is a round boundary reached: the spin goes on, or it ends where
+// Spin would return.
+func (x *spinFunc) boundary() {
+	e := x.th.Core.env
+	if e.spinStep(&x.spinState) {
+		x.arm(x.armed)
+		return
+	}
+	t, then := x.th, x.then
+	x.spinState, x.then = spinState{}, nil
+	e.spinFree = append(e.spinFree, x)
+	t.Core.res.Release()
+	then()
 }
 
 // spinRounds sizes one step of a spin from a boundary at the current instant:
@@ -305,20 +358,32 @@ func (e *Env) spinRounds(round Duration, until Time) int {
 	return 1
 }
 
-// respin handles the round-boundary wake of p, parked in Thread.Spin, in
-// scheduler context. It reports false when the process has to be resumed;
-// otherwise it has queued the next boundary — the single push the resumed
-// process's next Exec would have made, at the same dispatch position.
-func (e *Env) respin(p *Proc) bool {
-	s := &p.spin
+// spinStep decides a round boundary of a spin in scheduler context, for Spin
+// and SpinFunc alike: it credits the rounds of the step just ended to the
+// thread's tag, hands them to poll and reports false when the spin has to end
+// here — poll has something to look at, or a waiter takes the core. Otherwise
+// it has sized the next step into s.armed, and the caller queues its wake:
+// the single push the per-round loop's next Exec would have made, at the same
+// dispatch position.
+func (e *Env) spinStep(s *spinState) bool {
 	t := s.th
 	*t.busy += Duration(s.armed) * s.round
 	s.rounds += s.armed
 	until := s.poll(s.armed)
 	if res := t.Core.res; until <= e.now || res.head != len(res.q) {
-		return false // something to look at, or a waiter takes the core here
+		return false
 	}
 	s.armed = e.spinRounds(s.round, until)
+	return true
+}
+
+// respin handles the round-boundary wake of p, parked in Thread.Spin. It
+// reports false when the process has to be resumed.
+func (e *Env) respin(p *Proc) bool {
+	s := &p.spin
+	if !e.spinStep(s) {
+		return false
+	}
 	e.push(e.now.Add(Duration(s.armed)*s.round), p, nil)
 	return true
 }

@@ -42,7 +42,7 @@ type event struct {
 	seq uint64
 	// Exactly one behavior applies: run fn in scheduler context, fire tok
 	// (a cancellable timeout), or wake the parked process p. Timer events
-	// carry both tok and p (= tok.p).
+	// carry both tok and p (= tok.p, nil for a WaitTimeoutFunc waiter).
 	p   *Proc
 	fn  func()
 	tok *waitTok
@@ -269,14 +269,17 @@ func deadEvent(ev event) bool {
 }
 
 // compact removes lazily-deleted events from every tier in place,
-// preserving order. Called when dead events exceed half the queue.
-func (q *queue) compact() {
+// preserving order, and hands each removed timer's token to dropTimer.
+// Called when dead events exceed half the queue.
+func (q *queue) compact(dropTimer func(*waitTok)) {
 	filter := func(s []event, head int) []event {
 		w := head
 		for r := head; r < len(s); r++ {
 			if !deadEvent(s[r]) {
 				s[w] = s[r]
 				w++
+			} else if s[r].tok != nil {
+				dropTimer(s[r].tok)
 			}
 		}
 		for z := w; z < len(s); z++ {

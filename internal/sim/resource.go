@@ -70,9 +70,7 @@ func (r *Resource) AcquireFunc(fn func()) bool {
 	if r.TryAcquire() {
 		return true
 	}
-	tok := r.env.getTok(nil)
-	tok.fn = fn
-	r.q = enqueue(r.q, &r.head, tok)
+	r.q = enqueue(r.q, &r.head, r.env.funcTok(fn, 1))
 	return false
 }
 
@@ -94,12 +92,10 @@ func (r *Resource) Release() {
 		}
 		tok.fired = true
 		tok.signaled = true
-		// Hand the unit over without decrementing inUse. A callback waiter
-		// holds no reference to its token, so it is recycled here.
+		// Hand the unit over without decrementing inUse. A callback waiter's
+		// token loses its one reference, the slot, here.
 		r.env.push(r.env.now, tok.p, tok.fn)
-		if tok.fn != nil {
-			r.env.putTok(tok)
-		}
+		r.env.unref(tok)
 		return
 	}
 	r.q = r.q[:0]

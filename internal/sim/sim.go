@@ -107,6 +107,8 @@ type Env struct {
 	rng       *rand.Rand
 	tokFree   []*waitTok   // free list for wait tokens
 	execFree  []*execState // free list for Thread.ExecFunc states
+	spinFree  []*spinFunc  // free list for Thread.SpinFunc states
+	timedFree []*timedWait // free list for Cond.WaitTimeoutFunc states
 	pool      []*worker    // idle worker coroutines awaiting a process
 	procFree  []*Proc      // retired Procs with no queue references, reusable
 }
@@ -169,16 +171,19 @@ func (e *Env) push(t Time, p *Proc, fn func()) {
 }
 
 // pushTimer schedules a cancellable timeout: when it pops unfired, it fires
-// tok and re-queues a wake for tok.p (the two-step wake preserves the exact
-// event ordering of the callback-based implementation it replaces). If tok
-// is fired early by a signal, the queued event is lazily cancelled.
+// tok and re-queues a wake for tok.p, or its expire continuation (the
+// two-step wake preserves the exact event ordering of the callback-based
+// implementation it replaces). If tok is fired early by a signal, the queued
+// event is lazily cancelled.
 func (e *Env) pushTimer(t Time, tok *waitTok) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
 	tok.hasTimer = true
-	tok.p.wakes++
+	if tok.p != nil {
+		tok.p.wakes++
+	}
 	e.q.push(e.now, event{t: t, seq: e.seq, p: tok.p, tok: tok})
 	e.maybeCompact()
 }
@@ -186,7 +191,9 @@ func (e *Env) pushTimer(t Time, tok *waitTok) {
 // cancelTimer accounts for a pending timeout whose token just fired by
 // signal: the queued event is now dead and waits for lazy reclamation.
 func (e *Env) cancelTimer(tok *waitTok) {
-	tok.p.wakes--
+	if tok.p != nil {
+		tok.p.wakes--
+	}
 	e.q.dead++
 }
 
@@ -196,7 +203,7 @@ const compactMinDead = 64
 
 func (e *Env) maybeCompact() {
 	if e.q.dead >= compactMinDead && e.q.dead*2 > e.q.size {
-		e.q.compact()
+		e.q.compact(e.unref)
 	}
 }
 
@@ -264,23 +271,16 @@ func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 		panic("sim: Go after Close")
 	}
 	e.spawns++
-	var w *worker
-	if n := len(e.pool); n > 0 {
-		w = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-	} else {
+	w := takeFree(&e.pool)
+	if w == nil {
 		w = &worker{}
 		w.next, w.stop = iter.Pull(e.workerLoop(w))
 	}
-	var p *Proc
-	if n := len(e.procFree); n > 0 {
-		p = e.procFree[n-1]
-		e.procFree[n-1] = nil
-		e.procFree = e.procFree[:n-1]
-		p.name, p.w, p.done, p.wakes, p.spin = name, w, false, 0, spinState{}
-	} else {
+	p := takeFree(&e.procFree)
+	if p == nil {
 		p = &Proc{env: e, name: name, w: w}
+	} else {
+		p.name, p.w, p.done, p.wakes, p.spin = name, w, false, 0, spinState{}
 	}
 	w.p = p
 	w.body = body
@@ -441,13 +441,16 @@ func (e *Env) dispatch() *Proc {
 			continue
 		}
 		if tok := ev.tok; tok != nil {
-			ev.p.wakes--
+			if ev.p != nil {
+				ev.p.wakes--
+			}
 			if tok.fired {
 				q.dead-- // cancelled timeout, lazily reclaimed
-				continue
+			} else {
+				tok.fired = true
+				e.push(e.now, ev.p, tok.expire) // timeout: two-step wake (see pushTimer)
 			}
-			tok.fired = true
-			e.push(e.now, ev.p, nil) // timeout: two-step wake (see pushTimer)
+			e.unref(tok)
 			continue
 		}
 		p := ev.p
@@ -565,23 +568,48 @@ func (e *Env) current() *Proc {
 
 // getTok takes a wait token from the free list (or allocates one).
 func (e *Env) getTok(p *Proc) *waitTok {
-	if n := len(e.tokFree); n > 0 {
-		tok := e.tokFree[n-1]
-		e.tokFree[n-1] = nil
-		e.tokFree = e.tokFree[:n-1]
+	if tok := takeFree(&e.tokFree); tok != nil {
 		*tok = waitTok{p: p}
 		return tok
 	}
 	return &waitTok{p: p}
 }
 
-// putTok recycles a consumed wait token. Tokens that armed a timeout are
-// never recycled: the queued timer event (and possibly a stale waiter-list
-// slot) may still reference them.
+// takeFree pops the most recently freed entry of a free list, or returns nil
+// when it is empty.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// putTok recycles a process's consumed wait token. Tokens that armed a
+// timeout are never recycled: the queued timer event (and possibly a stale
+// waiter-list slot) may still reference them.
 func (e *Env) putTok(tok *waitTok) {
 	if tok.hasTimer {
 		return
 	}
 	tok.val, tok.fn = nil, nil
 	e.tokFree = append(e.tokFree, tok)
+}
+
+// unref drops one reference to a continuation's token — its waiter-list slot,
+// or its timer event popped or compacted away — and recycles the token with
+// the last one. A continuation keeps no reference to its token, so nothing
+// else can see it. A process's token is left to putTok: the process reads it
+// after its wake.
+func (e *Env) unref(tok *waitTok) {
+	if tok.p != nil {
+		return
+	}
+	if tok.refs--; tok.refs == 0 {
+		tok.val, tok.fn, tok.expire = nil, nil, nil
+		e.tokFree = append(e.tokFree, tok)
+	}
 }

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -645,5 +648,96 @@ func TestWaiterListStaysBounded(t *testing.T) {
 	}
 	if c := cap(r.q); c > 4*waiters {
 		t.Fatalf("waiter storage grew to %d slots for a backlog of %d over %d acquires", c, waiters-1, waiters*rounds)
+	}
+}
+
+// timeoutCrowd is a crowd of timeout waiters on one condition — as
+// WaitTimeout processes or as WaitTimeoutFunc continuations — and a signaller
+// that wakes one of them every few hundred nanoseconds, now and then all of
+// them. Most waits are signalled long before their timeout, so dead timer
+// events pile up until the queue compacts them.
+type timeoutCrowd struct {
+	env   *Env
+	log   []string
+	quiet bool
+}
+
+func newTimeoutCrowd(funcs bool) *timeoutCrowd {
+	w := &timeoutCrowd{env: New(1)}
+	env := w.env
+	c := NewCond(env)
+	rng := rand.New(rand.NewSource(7))
+	timeout := func() Duration { return Duration(rng.Intn(50)+1) * Microsecond }
+	note := func(i int, signaled bool) {
+		if !w.quiet {
+			w.log = append(w.log, fmt.Sprintf("%d %d %v", env.Now(), i, signaled))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		i := i
+		if funcs {
+			var wait func()
+			woke := func(signaled bool) { note(i, signaled); wait() }
+			wait = func() { c.WaitTimeoutFunc(timeout(), woke) }
+			env.After(0, wait)
+		} else {
+			env.Go("waiter", func(p *Proc) {
+				for {
+					_, signaled := c.WaitTimeout(timeout())
+					note(i, signaled)
+				}
+			})
+		}
+	}
+	var tick func()
+	tick = func() {
+		if rng.Intn(40) == 0 {
+			c.Broadcast()
+		} else {
+			c.Signal(nil)
+		}
+		env.After(Duration(rng.Intn(400)+1), tick)
+	}
+	env.After(0, tick)
+	return w
+}
+
+// TestWaitTimeoutFuncMatchesProcess runs the crowd both ways: wake instants,
+// order and signal/timeout verdicts, events dispatched and dead events left
+// queued must be the same. Then the continuations run on without a per-wait
+// allocation: a token is recycled once both its waiter slot and its timer
+// event are gone, compacted timer events included (a WaitTimeout process's
+// token never is: about 1000 allocations per 200 us here). What is left after
+// a warm-up is the event wheel's buckets reaching their high-water marks.
+func TestWaitTimeoutFuncMatchesProcess(t *testing.T) {
+	procs, funcs := newTimeoutCrowd(false), newTimeoutCrowd(true)
+	defer procs.env.Close()
+	defer funcs.env.Close()
+	procs.env.RunUntil(Time(2 * Millisecond))
+	funcs.env.RunUntil(Time(2 * Millisecond))
+	if len(procs.log) < 5000 || !reflect.DeepEqual(procs.log, funcs.log) {
+		t.Fatalf("wake logs differ or are short: %d process wakes, %d continuation wakes", len(procs.log), len(funcs.log))
+	}
+	timedOut := 0
+	for _, l := range procs.log {
+		if strings.HasSuffix(l, "false") {
+			timedOut++
+		}
+	}
+	if timedOut == 0 || timedOut == len(procs.log) {
+		t.Fatalf("%d of %d waits timed out: both outcomes must occur", timedOut, len(procs.log))
+	}
+	pe, fe := procs.env, funcs.env
+	if pe.Dispatched() != fe.Dispatched() || pe.QueueDead() != fe.QueueDead() || pe.QueueLen() != fe.QueueLen() {
+		t.Fatalf("dispatched %d/%d, dead %d/%d, queued %d/%d (processes/continuations)",
+			pe.Dispatched(), fe.Dispatched(), pe.QueueDead(), fe.QueueDead(), pe.QueueLen(), fe.QueueLen())
+	}
+	if fe.Switches() != 0 {
+		t.Fatalf("%d hand-offs among continuations", fe.Switches())
+	}
+	funcs.quiet = true
+	fe.RunUntil(Time(20 * Millisecond))
+	if n := testing.AllocsPerRun(20, func() { fe.RunUntil(fe.Now().Add(200 * Microsecond)) }); n > 10 {
+		t.Fatalf("%.1f allocations per 200 us of continuation waits, want at most 10", n)
 	}
 }

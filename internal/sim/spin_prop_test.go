@@ -22,6 +22,11 @@ import (
 // every boundary reached — the spin that comes back to its process each time
 // — and must dispatch exactly as many events as the one that looks for
 // itself: the predicate moves rounds off the goroutines, not out of the queue.
+// A fourth run has no poller process at all: the same loop as continuations
+// on ExecFunc and SpinFunc, beside a waiter that is a WaitTimeoutFunc
+// continuation instead of a WaitTimeout process. It must show every other
+// party what the others do, dispatch as many events as Spin, and hand the run
+// token over less often.
 
 const (
 	spinRound = 250 * Nanosecond
@@ -41,6 +46,7 @@ const (
 	perRound   = iota // the reference: one Exec per empty poll
 	spinReturn        // Spin, resumed at every boundary reached
 	spinLook          // Spin with the poll's own readiness check
+	spinFuncs         // the poller on SpinFunc/ExecFunc, the waiter on WaitTimeoutFunc
 )
 
 func runSpinWorld(seed int64, limits []Time, mode int) spinObs {
@@ -81,41 +87,69 @@ func runSpinWorld(seed int64, limits []Time, mode int) spinObs {
 		}
 		return deadline
 	}
-	env.Go("poller", func(p *Proc) {
-		rounds := 0
-		for {
-			found := false
-			polls++
-			if pending > 0 {
-				pending--
-				found = true
-				note("poller work after %d rounds", rounds)
-			}
-			if p.Now() >= deadline {
-				deadline = Never
-				found = true
-				note("poller deadline after %d rounds", rounds)
-			}
-			if stale > 0 {
-				// Discarding takes time; work that arrives meanwhile on
-				// the sources checked above goes unseen by this poll.
-				poller.Exec(p, Duration(stale)*3*spinGrain)
-				stale = 0
-			}
-			switch {
-			case found:
-				poller.Exec(p, 2*spinRound)
-			case mode != perRound:
-				// The empty poll may have taken time and be out of date
-				// already: Spin looks again on entry.
-				rounds += poller.Spin(p, spinRound, look)
-				polls-- // the poll at the boundary Spin came back on is the next one above
-			default:
-				poller.Exec(p, spinRound)
-				rounds++
+	rounds := 0
+	sweep := func() (found bool) {
+		polls++
+		if pending > 0 {
+			pending--
+			found = true
+			note("poller work after %d rounds", rounds)
+		}
+		if env.Now() >= deadline {
+			deadline = Never
+			found = true
+			note("poller deadline after %d rounds", rounds)
+		}
+		return found
+	}
+	if mode == spinFuncs {
+		// The loop below as continuations. SpinFunc returns no count: the
+		// rounds reach the books through poll, one step at a time.
+		var found bool
+		var top, discarded, spun func()
+		lookRounds := func(n int) Time { rounds += n; return look(n) }
+		next := func() {
+			if found {
+				poller.ExecFunc(2*spinRound, top)
+			} else {
+				poller.SpinFunc(spinRound, lookRounds, spun)
 			}
 		}
-	})
+		top = func() {
+			if found = sweep(); stale > 0 {
+				poller.ExecFunc(Duration(stale)*3*spinGrain, discarded)
+				return
+			}
+			next()
+		}
+		discarded = func() { stale = 0; next() }
+		spun = func() { polls--; top() }
+		env.After(0, top)
+	} else {
+		env.Go("poller", func(p *Proc) {
+			for {
+				found := sweep()
+				if stale > 0 {
+					// Discarding takes time; work that arrives meanwhile on
+					// the sources checked above goes unseen by this poll.
+					poller.Exec(p, Duration(stale)*3*spinGrain)
+					stale = 0
+				}
+				switch {
+				case found:
+					poller.Exec(p, 2*spinRound)
+				case mode != perRound:
+					// The empty poll may have taken time and be out of date
+					// already: Spin looks again on entry.
+					rounds += poller.Spin(p, spinRound, look)
+					polls-- // the poll at the boundary Spin came back on is the next one above
+				default:
+					poller.Exec(p, spinRound)
+					rounds++
+				}
+			}
+		})
+	}
 
 	// A contender pinned to the poller's core: its Execs queue behind the
 	// poller's round and make the poller's next Acquire park.
@@ -156,13 +190,23 @@ func runSpinWorld(seed int64, limits []Time, mode int) spinObs {
 			}
 		})
 	}
-	env.Go("waiter", func(p *Proc) {
-		for {
-			// Signals that beat the timeout leave dead timer events queued.
-			_, signaled := c.WaitTimeout(delay(4000))
+	// Signals that beat the timeout leave dead timer events queued.
+	if mode == spinFuncs {
+		var wait func()
+		woke := func(signaled bool) {
 			note("waiter signaled=%v", signaled)
+			wait()
 		}
-	})
+		wait = func() { c.WaitTimeoutFunc(delay(4000), woke) }
+		env.After(0, wait)
+	} else {
+		env.Go("waiter", func(p *Proc) {
+			for {
+				_, signaled := c.WaitTimeout(delay(4000))
+				note("waiter signaled=%v", signaled)
+			}
+		})
+	}
 
 	for _, l := range limits {
 		env.RunUntil(l)
@@ -195,7 +239,7 @@ func sameView(t *testing.T, seed int64, name string, ref, got spinObs) {
 }
 
 func TestSpinMatchesPerRoundLoop(t *testing.T) {
-	var refEvents, spinEvents, backSwitches, spinSwitches uint64
+	var refEvents, spinEvents, backSwitches, spinSwitches, funcSwitches uint64
 	for seed := int64(1); seed <= 60; seed++ {
 		lr := rand.New(rand.NewSource(-seed))
 		var limits []Time
@@ -208,16 +252,22 @@ func TestSpinMatchesPerRoundLoop(t *testing.T) {
 		ref := runSpinWorld(seed, limits, perRound)
 		back := runSpinWorld(seed, limits, spinReturn)
 		got := runSpinWorld(seed, limits, spinLook)
+		fn := runSpinWorld(seed, limits, spinFuncs)
 		sameView(t, seed, "spin, resumed", ref, back)
 		sameView(t, seed, "spin", ref, got)
-		if back.disp != got.disp {
-			t.Fatalf("seed %d: looking in scheduler context changed the event count: %d against %d when resumed at every boundary",
-				seed, got.disp, back.disp)
+		sameView(t, seed, "SpinFunc", ref, fn)
+		if back.disp != got.disp || fn.disp != got.disp {
+			t.Fatalf("seed %d: events dispatched: Spin %d, Spin resumed at every boundary %d, SpinFunc %d",
+				seed, got.disp, back.disp, fn.disp)
 		}
 		refEvents += ref.disp
 		spinEvents += got.disp
 		backSwitches += back.switches
 		spinSwitches += got.switches
+		funcSwitches += fn.switches
+	}
+	if funcSwitches >= spinSwitches {
+		t.Fatalf("SpinFunc took %d run-token hand-offs against Spin's %d: the poller and the waiter are no processes", funcSwitches, spinSwitches)
 	}
 	// The point of Spin: the same world for far fewer scheduled events, and
 	// the boundaries still reached handled without the poller's goroutine.
@@ -433,6 +483,54 @@ func BenchmarkSpin(b *testing.B) {
 						}
 					}
 				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.RunUntil(1 << 62)
+			b.ReportMetric(float64(env.Dispatched())/float64(b.N), "events/op")
+			b.ReportMetric(float64(env.Switches())/float64(b.N), "switches/op")
+		})
+	}
+}
+
+// BenchmarkSpinFunc is BenchmarkSpin with the pollers as continuations
+// (SpinFunc and ExecFunc, the router worker's shape): the same events per op
+// as Spin's, and no poller is ever a process to resume.
+func BenchmarkSpinFunc(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		pollers int
+	}{{"alone", 1}, {"pair", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			env := New(1)
+			defer env.Close()
+			cpu := NewCPU(env, bc.pollers)
+			done := false
+			env.Go("device", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Sleep(80 * Microsecond)
+					done = true
+				}
+				env.Stop()
+			})
+			for i := 0; i < bc.pollers; i++ {
+				i, th := i, cpu.ThreadOn(i, "poll")
+				look := func(int) Time {
+					if i == 0 && done {
+						return 0
+					}
+					return Never
+				}
+				var round func()
+				round = func() {
+					if i == 0 && done {
+						done = false
+						th.ExecFunc(2*spinRound, round)
+					} else {
+						th.SpinFunc(spinRound, look, round)
+					}
+				}
+				env.After(0, round)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

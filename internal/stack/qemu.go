@@ -37,6 +37,7 @@ func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 		irqs:      make(map[*virtio.Queue]func()),
 		plugSince: make(map[*virtio.Queue]sim.Time),
 	}
+	q.hint = q.hintAny
 	disk := virtio.NewBlkDisk(v, q, part.Info(), 256, s.h.Params.Driver)
 	q.queues = disk.Queues()
 	for i := 0; i < s.h.Params.QEMUIOThreads; i++ {
@@ -70,8 +71,9 @@ type qemuVM struct {
 	threads   []*qemuIOThread
 	irqs      map[*virtio.Queue]func()
 	plugSince map[*virtio.Queue]sim.Time
-	busy      int // iothreads currently processing (kick suppression)
-	inflightN int // merged submissions in flight across all iothreads
+	hint      func() // hintAny, bound once: what a kick does once it has trapped
+	busy      int    // iothreads currently processing (kick suppression)
+	inflightN int    // merged submissions in flight across all iothreads
 
 	// Stats
 	Requests, Merged uint64
@@ -87,14 +89,13 @@ type qemuIOThread struct {
 }
 
 // Kick implements virtio.Transport: an ioeventfd MMIO write traps the vCPU
-// out of guest mode. Notification is suppressed (EVENT_IDX) while an
-// iothread is already busy.
-func (q *qemuVM) Kick(p *sim.Proc, vcpu *sim.Thread, vq *virtio.Queue) {
+// out of guest mode, and QEMU then wakes an iothread. Notification is
+// suppressed (EVENT_IDX) while an iothread is already busy.
+func (q *qemuVM) Kick(vq *virtio.Queue) (sim.Duration, func()) {
 	if q.busy > 0 {
-		return
+		return 0, nil
 	}
-	vcpu.Exec(p, q.v.Costs.VMExit)
-	q.hintAny()
+	return q.v.Costs.VMExit, q.hint
 }
 
 // SetIRQ implements virtio.Transport.

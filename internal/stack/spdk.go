@@ -49,7 +49,7 @@ type spdkTag struct {
 }
 
 // Kick is never taken: reactors poll, so the driver's kicks are suppressed.
-func (s *SPDK) Kick(p *sim.Proc, vcpu *sim.Thread, vq *virtio.Queue) {}
+func (s *SPDK) Kick(vq *virtio.Queue) (sim.Duration, func()) { return 0, nil }
 
 // SetIRQ implements virtio.Transport. Queues register during driver
 // construction, which always belongs to the most recent session.

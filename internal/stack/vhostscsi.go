@@ -67,6 +67,7 @@ func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
 		wake: sim.NewCond(s.h.Env),
 		irqs: make(map[*virtio.Queue]func()),
 	}
+	w.wakeFn = w.hint
 	disk := virtio.NewSCSIDisk(v, w, part.Info(), 256, s.h.Params.Driver)
 	w.queues = disk.Queues()
 	for i := 0; i < s.h.Params.VhostWorkers; i++ {
@@ -82,6 +83,7 @@ type vhostVM struct {
 	bdev   blockdev.BlockDevice
 	queues []*virtio.Queue
 	wake   *sim.Cond
+	wakeFn func() // hint, bound once: what a kick does once it has trapped
 	irqs   map[*virtio.Queue]func()
 	asleep int
 	busy   int
@@ -99,12 +101,10 @@ type vhostDone struct {
 }
 
 // Kick implements virtio.Transport: an ioeventfd exit, cheaper than a full
-// trap-and-emulate but still a guest-mode exit.
-func (w *vhostVM) Kick(p *sim.Proc, vcpu *sim.Thread, vq *virtio.Queue) {
-	vcpu.Exec(p, w.h.Params.VhostKick)
-	if w.asleep > 0 {
-		w.wake.Signal(nil)
-	}
+// trap-and-emulate but still a guest-mode exit, then a wake for a sleeping
+// worker.
+func (w *vhostVM) Kick(vq *virtio.Queue) (sim.Duration, func()) {
+	return w.h.Params.VhostKick, w.wakeFn
 }
 
 // SetIRQ implements virtio.Transport.

@@ -31,7 +31,12 @@ type Queue struct {
 // a QEMU kick is a vmexit on the vCPU, a vhost kick is an eventfd write,
 // and a polled vhost-user backend suppresses kicks entirely.
 type Transport interface {
-	Kick(p *sim.Proc, vcpu *sim.Thread, q *Queue)
+	// Kick is the driver's notification that q has new chains. It returns
+	// how long the notification keeps the vCPU out of guest mode and what
+	// the backend does once it has it; a nil notify means the kick is not
+	// taken and costs nothing. The driver charges trap to the vCPU
+	// (Thread.ExecFunc) and then calls notify.
+	Kick(q *Queue) (trap sim.Duration, notify func())
 	SetIRQ(q *Queue, fn func())
 }
 
@@ -68,7 +73,7 @@ type driverBase struct {
 	qs     map[*sim.Thread]*queueState
 	order  []*queueState
 	info   nvme.NamespaceInfo
-	encode func(s *slot, r *vm.Req) []Buffer
+	encode func(s *slot, r *vm.Req, bufs []Buffer) []Buffer
 	status func(st *queueState, s *slot) nvme.Status
 }
 
@@ -116,32 +121,76 @@ func (d *driverBase) BlockSize() uint32 { return d.info.BlockSize() }
 // Blocks implements vm.Disk.
 func (d *driverBase) Blocks() uint64 { return d.info.Size }
 
-// Submit implements vm.Disk.
-func (d *driverBase) Submit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
+// submission is one request's way through SubmitFunc, kept on the request
+// (vm.Req.DriverState).
+type submission struct {
+	r      *vm.Req
+	st     *queueState
+	vcpu   *sim.Thread
+	si     int      // the request's slot, once it has one
+	bufs   []Buffer // its descriptor chain, once encoded
+	notify func()   // the transport's side of the kick
+	then   func()
+
+	takeSlot, addChain, kicked func() // bound once
+}
+
+// SubmitFunc implements vm.Disk: the submission cost is an ExecFunc on vcpu;
+// the request then waits on the slot condition until a slot is free, encodes
+// its descriptor chain, waits again until the ring has descriptors for it,
+// publishes the chain and kicks the backend unless kicks are suppressed.
+// Every wait looks again at each wake, as the blocking loops did.
+func (d *driverBase) SubmitFunc(vcpu *sim.Thread, r *vm.Req, then func()) {
 	st := d.qs[vcpu]
 	if st == nil {
 		st = d.order[0]
 	}
-	r.Submitted = p.Now()
-	vcpu.Exec(p, d.costs.Submit)
-	for len(st.free) == 0 {
-		st.slotCnd.Wait()
+	s, ok := r.DriverState.(*submission)
+	if !ok {
+		s = &submission{r: r}
+		s.takeSlot, s.addChain, s.kicked = s.slot, s.chain, s.kick
+		r.DriverState = s
 	}
-	si := st.free[len(st.free)-1]
-	st.free = st.free[:len(st.free)-1]
-	s := &st.slots[si]
-	s.req = r
+	s.st, s.vcpu, s.then = st, vcpu, then
+	r.Submitted = d.v.Env.Now()
+	vcpu.ExecFunc(d.costs.Submit, s.takeSlot)
+}
 
-	bufs := d.encode(s, r)
-	head, ok := st.q.Ring.AddChain(bufs)
-	for !ok {
-		st.slotCnd.Wait()
-		head, ok = st.q.Ring.AddChain(bufs)
+func (s *submission) slot() {
+	st := s.st
+	if len(st.free) == 0 {
+		st.slotCnd.WaitFunc(s.takeSlot)
+		return
 	}
-	st.byHead[head] = si
+	s.si = st.free[len(st.free)-1]
+	st.free = st.free[:len(st.free)-1]
+	sl := &st.slots[s.si]
+	sl.req = s.r
+	s.bufs = st.d.encode(sl, s.r, s.bufs[:0])
+	s.chain()
+}
+
+func (s *submission) chain() {
+	st := s.st
+	head, ok := st.q.Ring.AddChain(s.bufs)
+	if !ok {
+		st.slotCnd.WaitFunc(s.addChain)
+		return
+	}
+	st.byHead[head] = s.si
 	if !st.q.Ring.SuppressKick {
-		d.tr.Kick(p, vcpu, st.q)
+		if trap, notify := st.d.tr.Kick(st.q); notify != nil {
+			s.notify = notify
+			s.vcpu.ExecFunc(trap, s.kicked)
+			return
+		}
 	}
+	s.then()
+}
+
+func (s *submission) kick() {
+	s.notify()
+	s.then()
 }
 
 // The interrupt handler: interrupt -> entry cost on the owning vCPU -> pop
@@ -202,7 +251,7 @@ func NewBlkDisk(v *vm.VM, tr Transport, info nvme.NamespaceInfo, queueSize uint1
 	return d
 }
 
-func (d *BlkDisk) encodeReq(s *slot, r *vm.Req) []Buffer {
+func (d *BlkDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 	var hdr [16]byte
 	t := BlkTIn
 	switch r.Op {
@@ -218,7 +267,7 @@ func (d *BlkDisk) encodeReq(s *slot, r *vm.Req) []Buffer {
 	binary.LittleEndian.PutUint64(hdr[8:16], sector)
 	d.v.Mem.WriteAt(hdr[:], s.hdrAddr)
 
-	bufs := []Buffer{{Addr: s.hdrAddr, Len: 16}}
+	bufs = append(bufs, Buffer{Addr: s.hdrAddr, Len: 16})
 	switch r.Op {
 	case vm.OpRead, vm.OpWrite:
 		nbytes := r.Bytes(d.info.BlockSize())
@@ -275,7 +324,7 @@ func NewSCSIDisk(v *vm.VM, tr Transport, info nvme.NamespaceInfo, queueSize uint
 	return d
 }
 
-func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req) []Buffer {
+func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 	var cdb scsi.CDB
 	lba := r.LBA * uint64(d.info.BlockSize()) / 512
 	blocks := r.Blocks * d.info.BlockSize() / 512
@@ -294,7 +343,7 @@ func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req) []Buffer {
 	hdr[30] = uint8(len(cdb))
 	d.v.Mem.WriteAt(hdr[:], s.hdrAddr)
 
-	bufs := []Buffer{{Addr: s.hdrAddr, Len: scsiHdrSize}}
+	bufs = append(bufs, Buffer{Addr: s.hdrAddr, Len: scsiHdrSize})
 	if r.Op == vm.OpRead || r.Op == vm.OpWrite {
 		nbytes := r.Bytes(d.info.BlockSize())
 		rem := nbytes

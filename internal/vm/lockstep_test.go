@@ -105,14 +105,21 @@ type irqLockResult struct {
 	nextRand   int64
 }
 
-// runIRQLockWorld drives one randomized world against the callback handler
-// or the process reference. Per vCPU a submitter process keeps the queue
-// pair busy and burns CPU on the vCPU's core under a second tag, so the
-// handler queues for the core behind it and it behind the handler.
-// Everything random comes from seed, drawn in an order that depends only
-// on how the world behaves (think times are drawn from Env.Rand in
-// completion context), so two handlers that behave alike see one script.
-func runIRQLockWorld(t *testing.T, seed int64, reference bool) irqLockResult {
+// lockForms picks, for one run of the world, which of the driver's two
+// converted parts runs as the process it was: the completion handler, the
+// submission path.
+type lockForms struct{ procIRQ, procSubmit bool }
+
+// runIRQLockWorld drives one randomized world. Per vCPU a submitter keeps the
+// queue pair busy and burns CPU on the vCPU's core under a second tag, so the
+// handler queues for the core behind it and it behind the handler. The
+// submitter is a process calling the blocking reference submission when
+// forms.procSubmit is set, and otherwise the same loop as continuations on
+// SubmitFunc; forms.procIRQ swaps in the process-based completion handler.
+// Everything random comes from seed, drawn in an order that depends only on
+// how the world behaves (think times are drawn from Env.Rand in completion
+// context), so two worlds that behave alike see one script.
+func runIRQLockWorld(t *testing.T, seed int64, forms lockForms) irqLockResult {
 	env := sim.New(seed)
 	defer env.Close()
 	nq := 1 + int(seed%4)
@@ -128,7 +135,7 @@ func runIRQLockWorld(t *testing.T, seed int64, reference bool) irqLockResult {
 	// An interrupt before the handlers' first event: nobody is waiting yet.
 	env.After(0, raiseAll)
 	var disk *NVMeDisk
-	if reference {
+	if forms.procIRQ {
 		disk = newRefNVMeDisk(v, port, lockDepth, DefaultDriverCosts())
 	} else {
 		disk = NewNVMeDisk(v, port, lockDepth, DefaultDriverCosts())
@@ -142,37 +149,71 @@ func runIRQLockWorld(t *testing.T, seed int64, reference bool) irqLockResult {
 		i := i
 		env.Go(fmt.Sprintf("serve%d", i), func(p *sim.Proc) { port.serve(p, i) })
 		other := cpu.ThreadOn(i, "other")
-		env.Go(fmt.Sprintf("submit%d", i), func(p *sim.Proc) {
-			_, pages, err := v.Mem.AllocBuffer(4096)
-			if err != nil {
-				t.Error(err)
-				return
+		_, pages, err := v.Mem.AllocBuffer(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		think := sim.Duration(0)
+		inflight, idle := 0, sim.NewCond(env)
+		n := 0
+		newReq := func() *Req {
+			r := &Req{Op: Op(rng.Intn(4)), LBA: uint64(rng.Intn(1 << 16)), Blocks: 8, BufPages: pages}
+			id := i*lockPerVCPU + n
+			r.OnDone = func(r *Req) {
+				res.log = append(res.log, done{env.Now(), id, r.Status})
+				think = sim.Duration(env.Rand().Intn(3000))
+				inflight--
+				idle.Signal(nil)
 			}
-			think := sim.Duration(0)
-			inflight, idle := 0, sim.NewCond(env)
-			for n := 0; n < lockPerVCPU; n++ {
-				other.Exec(p, think)
-				r := &Req{Op: Op(rng.Intn(4)), LBA: uint64(rng.Intn(1 << 16)), Blocks: 8, BufPages: pages}
-				id := i*lockPerVCPU + n
-				r.OnDone = func(r *Req) {
-					res.log = append(res.log, done{env.Now(), id, r.Status})
-					think = sim.Duration(env.Rand().Intn(3000))
-					inflight--
-					idle.Signal(nil)
-				}
-				inflight++
-				disk.Submit(p, v.VCPU(i), r)
-				if rng.Intn(6) == 0 {
-					for inflight > 0 {
-						idle.Wait() // let the handler go back to waiting
+			inflight++
+			return r
+		}
+		if forms.procSubmit {
+			env.Go(fmt.Sprintf("submit%d", i), func(p *sim.Proc) {
+				for ; n < lockPerVCPU; n++ {
+					other.Exec(p, think)
+					disk.refSubmit(p, v.VCPU(i), newReq())
+					if rng.Intn(6) == 0 {
+						for inflight > 0 {
+							idle.Wait() // let the handler go back to waiting
+						}
 					}
 				}
+				for inflight > 0 {
+					idle.Wait()
+				}
+				running--
+			})
+			continue
+		}
+		// The loop above as continuations.
+		var next, submit, submitted, drain, afterDrain func()
+		drain = func() {
+			if inflight > 0 {
+				idle.WaitFunc(drain)
+				return
 			}
-			for inflight > 0 {
-				idle.Wait()
+			afterDrain()
+		}
+		next = func() {
+			if n == lockPerVCPU {
+				afterDrain = func() { running-- }
+				drain()
+				return
 			}
-			running--
-		})
+			other.ExecFunc(think, submit)
+		}
+		submit = func() { disk.SubmitFunc(v.VCPU(i), newReq(), submitted) }
+		submitted = func() {
+			n++
+			if rng.Intn(6) == 0 {
+				afterDrain = next
+				drain()
+				return
+			}
+			next()
+		}
+		env.After(0, next)
 	}
 
 	snap := cpu.Snapshot()
@@ -181,7 +222,7 @@ func runIRQLockWorld(t *testing.T, seed int64, reference bool) irqLockResult {
 		env.RunUntil(limit)
 		res.cpu = append(res.cpu, cpu.Since(snap).ByTag)
 		if limit > sim.Time(sim.Second) {
-			t.Fatalf("seed %d reference=%v: %d submitters still running at %v", seed, reference, running, limit)
+			t.Fatalf("seed %d %+v: %d submitters still running at %v", seed, forms, running, limit)
 		}
 	}
 	res.posts = port.posts
@@ -192,6 +233,43 @@ func runIRQLockWorld(t *testing.T, seed int64, reference bool) irqLockResult {
 	return res
 }
 
+// lockstep runs every seed's world in the forms of got and of want and
+// requires that nothing but the number of run-token hand-offs can tell them
+// apart, and that got hands the token over strictly less often.
+func lockstep(t *testing.T, got, want lockForms) {
+	t.Helper()
+	for seed := int64(1); seed <= 12; seed++ {
+		g, w := runIRQLockWorld(t, seed, got), runIRQLockWorld(t, seed, want)
+		if t.Failed() {
+			return
+		}
+		if len(w.log) != (1+int(seed%4))*lockPerVCPU || len(w.cpu) < 10 {
+			t.Fatalf("seed %d: reference completed %d requests over %d limits", seed, len(w.log), len(w.cpu))
+		}
+		if !reflect.DeepEqual(g.posts, w.posts) {
+			t.Fatalf("seed %d: controller post logs differ (%d vs %d entries)", seed, len(g.posts), len(w.posts))
+		}
+		if len(g.log) != len(w.log) {
+			t.Fatalf("seed %d: %d completions on the callback tier, %d with the process", seed, len(g.log), len(w.log))
+		}
+		for i := range w.log {
+			if g.log[i] != w.log[i] {
+				t.Fatalf("seed %d: completion %d: callback %+v, reference %+v", seed, i, g.log[i], w.log[i])
+			}
+		}
+		if !reflect.DeepEqual(g.cpu, w.cpu) {
+			t.Fatalf("seed %d: per-tag CPU at the RunUntil limits differs", seed)
+		}
+		if g.end != w.end || g.dispatched != w.dispatched || g.nextRand != w.nextRand {
+			t.Fatalf("seed %d: end %v/%v, dispatched %d/%d, next rand %d/%d", seed,
+				g.end, w.end, g.dispatched, w.dispatched, g.nextRand, w.nextRand)
+		}
+		if g.switches >= w.switches {
+			t.Fatalf("seed %d: %d switches on the callback tier, %d with the process", seed, g.switches, w.switches)
+		}
+	}
+}
+
 // TestIRQLockstepWithProcessReference runs the guest driver's completion
 // handler as the continuation it is and as the process it was over the same
 // randomized worlds — 1 to 4 queue pairs, a submitter contending for each
@@ -199,36 +277,15 @@ func runIRQLockWorld(t *testing.T, seed int64, reference bool) irqLockResult {
 // the handler's first event — and requires that nothing but the number of
 // run-token hand-offs can tell them apart.
 func TestIRQLockstepWithProcessReference(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		got, want := runIRQLockWorld(t, seed, false), runIRQLockWorld(t, seed, true)
-		if t.Failed() {
-			return
-		}
-		if len(want.log) != (1+int(seed%4))*lockPerVCPU || len(want.cpu) < 10 {
-			t.Fatalf("seed %d: reference completed %d requests over %d limits", seed, len(want.log), len(want.cpu))
-		}
-		if !reflect.DeepEqual(got.posts, want.posts) {
-			t.Fatalf("seed %d: controller post logs differ (%d vs %d entries)", seed, len(got.posts), len(want.posts))
-		}
-		if len(got.log) != len(want.log) {
-			t.Fatalf("seed %d: %d completions on the callback tier, %d with the process", seed, len(got.log), len(want.log))
-		}
-		for i := range want.log {
-			if got.log[i] != want.log[i] {
-				t.Fatalf("seed %d: completion %d: callback %+v, reference %+v", seed, i, got.log[i], want.log[i])
-			}
-		}
-		if !reflect.DeepEqual(got.cpu, want.cpu) {
-			t.Fatalf("seed %d: per-tag CPU at the RunUntil limits differs", seed)
-		}
-		if got.end != want.end || got.dispatched != want.dispatched || got.nextRand != want.nextRand {
-			t.Fatalf("seed %d: end %v/%v, dispatched %d/%d, next rand %d/%d", seed,
-				got.end, want.end, got.dispatched, want.dispatched, got.nextRand, want.nextRand)
-		}
-		if got.switches >= want.switches {
-			t.Fatalf("seed %d: %d switches on the callback tier, %d with the process", seed, got.switches, want.switches)
-		}
-	}
+	lockstep(t, lockForms{}, lockForms{procIRQ: true})
+}
+
+// TestSubmitLockstepWithProcessReference does the same for the submission
+// path: SubmitFunc driven by a continuation submitter against the blocking
+// reference submission driven by a process, over the same worlds, where only
+// 8 tags per queue pair keep submitters waiting on the slot condition.
+func TestSubmitLockstepWithProcessReference(t *testing.T) {
+	lockstep(t, lockForms{}, lockForms{procSubmit: true})
 }
 
 // TestReqResetClearsCompletion: a request an issuer keeps per queue slot

@@ -117,19 +117,48 @@ func (d *NVMeDisk) qpFor(vcpu *sim.Thread) *qpState {
 	return d.order[0]
 }
 
-// Submit implements Disk. It builds the NVMe command (including the PRP
-// chain written into guest memory), pushes it to the per-vCPU submission
-// queue and rings the doorbell. If the queue or tag space is full the
-// calling process waits — matching a guest block layer with a bounded
-// device queue.
-func (d *NVMeDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *Req) {
-	st := d.qpFor(vcpu)
-	r.Submitted = p.Now()
-	vcpu.Exec(p, d.costs.Submit)
+// nvmeSubmission is one request's way through SubmitFunc, kept on the
+// request (Req.DriverState).
+type nvmeSubmission struct {
+	r     *Req
+	st    *qpState
+	then  func()
+	issue func() // issueOrWait, bound once
+}
 
-	for len(st.free) == 0 || st.qp.SQ.Full() {
-		st.slotCond.Wait()
+// SubmitFunc implements Disk. The submission cost is an ExecFunc on vcpu;
+// then, if the queue or tag space is full, the request waits on the slot
+// condition and looks again at every wake — a guest block layer with a
+// bounded device queue. Once there is room it builds the NVMe command
+// (including the PRP chain written into guest memory), pushes it to the
+// per-vCPU submission queue, rings the doorbell and runs then.
+func (d *NVMeDisk) SubmitFunc(vcpu *sim.Thread, r *Req, then func()) {
+	s, ok := r.DriverState.(*nvmeSubmission)
+	if !ok {
+		s = &nvmeSubmission{r: r}
+		s.issue = s.issueOrWait
+		r.DriverState = s
 	}
+	s.st, s.then = d.qpFor(vcpu), then
+	r.Submitted = d.vm.Env.Now()
+	vcpu.ExecFunc(d.costs.Submit, s.issue)
+}
+
+func (s *nvmeSubmission) issueOrWait() {
+	if s.st.full() {
+		s.st.slotCond.WaitFunc(s.issue)
+		return
+	}
+	s.st.issue(s.r)
+	s.then()
+}
+
+// full reports whether a submission has to wait for a tag or for SQ room.
+func (st *qpState) full() bool { return len(st.free) == 0 || st.qp.SQ.Full() }
+
+// issue takes a free tag for r and hands its command to the controller.
+func (st *qpState) issue(r *Req) {
+	d := st.d
 	cid := st.free[len(st.free)-1]
 	st.free = st.free[:len(st.free)-1]
 	st.reqs[cid] = r

@@ -44,3 +44,17 @@ func (d *NVMeDisk) completionLoop(p *sim.Proc, st *qpState) {
 		}
 	}
 }
+
+// refSubmit is the driver's submission as the blocking call it was before
+// SubmitFunc, kept as the oracle for TestSubmitLockstepWithProcessReference:
+// the calling process charges the submission cost, parks on the slot
+// condition while the queue or tag space is full, and issues.
+func (d *NVMeDisk) refSubmit(p *sim.Proc, vcpu *sim.Thread, r *Req) {
+	st := d.qpFor(vcpu)
+	r.Submitted = p.Now()
+	vcpu.Exec(p, d.costs.Submit)
+	for st.full() {
+		st.slotCond.Wait()
+	}
+	st.issue(r)
+}

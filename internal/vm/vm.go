@@ -106,6 +106,11 @@ type Req struct {
 	// sim primitives; signaling conditions is fine).
 	OnDone func(*Req)
 
+	// DriverState is the state a driver keeps for the request while it
+	// submits it, cached here so that resubmitting the request allocates
+	// nothing. Only the driver the request is being submitted to touches it.
+	DriverState any
+
 	done bool
 	cond *sim.Cond
 }
@@ -160,20 +165,27 @@ func (r *Req) Wait2() {
 // Latency returns the request's completion latency.
 func (r *Req) Latency() sim.Duration { return r.Completed.Sub(r.Submitted) }
 
-// Disk is the guest-visible asynchronous block device. Submit must be
-// called from a simulated guest process; the driver charges guest-side
-// submission costs to the given vCPU thread and completes the request
-// (including guest-side completion costs) asynchronously.
+// Disk is the guest-visible asynchronous block device. A command is a
+// request plus continuations, never a thread: SubmitFunc charges the
+// guest-side submission cost to the given vCPU thread, waits for a free
+// queue slot if every one is taken, hands r to the device and then runs then;
+// r completes later (guest-side completion costs included), asynchronously.
+// SubmitFunc may be called from any simulation context; then runs in
+// scheduler context and must not block.
 type Disk interface {
 	BlockSize() uint32
 	Blocks() uint64
-	Submit(p *sim.Proc, vcpu *sim.Thread, r *Req)
+	SubmitFunc(vcpu *sim.Thread, r *Req, then func())
 }
 
-// SubmitAndWait is a synchronous convenience around Disk.Submit.
+// SubmitAndWait submits r and parks the calling process until it completes.
 func SubmitAndWait(p *sim.Proc, d Disk, vcpu *sim.Thread, r *Req) nvme.Status {
 	r.cond = sim.NewCond(p.Env())
-	d.Submit(p, vcpu, r)
+	d.SubmitFunc(vcpu, r, submitted)
 	r.Wait(p.Env())
 	return r.Status
 }
+
+// submitted is SubmitAndWait's continuation: the process waits for the
+// completion, not for the submission.
+func submitted() {}

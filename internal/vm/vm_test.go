@@ -106,7 +106,7 @@ func TestNVMeDiskQueueDepthParallelism(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = &Req{Op: OpRead, LBA: uint64(i), Blocks: 1, Buf: base, BufPages: pages,
 				OnDone: func(*Req) { remaining--; done.Signal(nil) }}
-			disk.Submit(p, v.VCPU(0), reqs[i])
+			disk.SubmitFunc(v.VCPU(0), reqs[i], submitted)
 		}
 		for remaining > 0 {
 			done.Wait()
@@ -128,11 +128,12 @@ func TestNVMeDiskSlotExhaustionBlocks(t *testing.T) {
 	run(t, env, func(p *sim.Proc) {
 		base, pages, _ := v.Mem.AllocBuffer(512)
 		var completed int
-		// Submit 3x the queue depth; all must eventually complete.
+		// Submit 3x the queue depth; the submissions past it wait for
+		// tags in the driver, and all must eventually complete.
 		for i := 0; i < 192; i++ {
 			r := &Req{Op: OpRead, LBA: uint64(i), Blocks: 1, Buf: base, BufPages: pages,
 				OnDone: func(*Req) { completed++ }}
-			disk.Submit(p, v.VCPU(0), r)
+			disk.SubmitFunc(v.VCPU(0), r, submitted)
 		}
 		for completed < 192 {
 			p.Sleep(100 * sim.Microsecond)

@@ -115,7 +115,7 @@ func TestConfinementEveryStack(t *testing.T) {
 				}
 				submit := func(r *nvmetro.Req) (nvme.Status, bool) {
 					r.Buf, r.BufPages = base, pages
-					vol.Disk.Submit(p, vcpu, r)
+					vol.Disk.SubmitFunc(vcpu, r, func() {})
 					ok := await(p, r.Done)
 					return r.Status, ok
 				}
