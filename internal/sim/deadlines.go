@@ -85,7 +85,7 @@ func (d *Deadlines) arm() {
 	if d.head < len(d.q) && d.q[d.head].at < d.armedAt {
 		h := &d.q[d.head]
 		d.armedAt = h.at
-		d.env.q.push(d.env.now, event{t: h.at, seq: h.seq, fn: d.timer})
+		d.env.q.push(d.env.now, h.at, h.seq, payload{fn: d.timer})
 	}
 }
 

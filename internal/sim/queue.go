@@ -5,30 +5,42 @@ import (
 	"slices"
 )
 
-// The event queue is the scheduler's hot data structure. The seed
-// implementation was a container/heap of *event: one heap allocation per
-// scheduled event, interface boxing on every push/pop, and O(log n)
-// comparisons per operation. This version stores events by value in three
-// tiers, ordered strictly by (t, seq) exactly like the old heap:
+// The event queue is the scheduler's hot data structure. An event is kept in
+// two parts. Its payload — what dispatch does with it — is written once, at
+// push, into an entry of a slab, and read and freed once, at dispatch. The
+// tiers hold only a 24-byte key (t, seq, slab index) with no pointers in it:
+// moving a key between tiers is a plain copy that no write barrier sees, and
+// a consumed tier entry is never cleared. Keys are ordered by (t, seq), as
+// the seed implementation's container/heap ordered its events, across four
+// tiers:
 //
-//   - cur: the same-instant batch — every queued event at exactly the
-//     current virtual time, in seq (push) order. Dispatch is a pointer bump.
-//   - wheel: near-future buckets of 64 ns covering a ~131 us window from
-//     the window base — wide enough that device-latency timers (tens of
+//   - slot: the active wheel bucket — every key below slotEnd — sorted once
+//     when the bucket is activated and dispatched in place by bumping
+//     slotHead. A push that lands below slotEnd is merged in by binary
+//     insertion.
+//   - cur: the pushes made at the current instant, in push order.
+//   - wheel: near-future buckets of 64 ns covering a ~131 us window from the
+//     window base — wide enough that device-latency timers (tens of
 //     microseconds) file straight into a bucket instead of staging through
-//     the overflow heap. A bucket is sorted once, when it becomes the
-//     active bucket ("slot"); pushes that land below the active bucket's
-//     end are merged into the slot by binary insertion.
-//   - over: a value-based 4-ary min-heap for everything beyond the window.
-//     When the wheel drains, the window is rebased at the heap's minimum and
-//     the near span migrates into the buckets (each event migrates at most
-//     once).
+//     the overflow heap. Buckets are unsorted until activated.
+//   - over: a 4-ary min-heap for everything beyond the window. When the
+//     wheel drains, the window is rebased at the heap's minimum and the near
+//     span migrates into the buckets (each key migrates at most once).
 //
-// All backing arrays are reused across batches, so steady-state push/pop
-// performs no allocations. Cancelled timers and wakes for finished
-// processes are deleted lazily: they are counted in dead and skipped at
-// dispatch, and the tiers are compacted in place when dead events exceed
-// half the queue.
+// At one instant the order is: the events queued for it before it arrived,
+// in (t, seq) order — they are in the slot — then the pushes made at it, in
+// push order — they are in cur. next takes the slot's head while its time is
+// no later than cur's head (which is the current instant), and cur's head
+// otherwise. A push that takes a fresh sequence number sorts after
+// everything queued, so for it this is (t, seq) order. A push that reuses a
+// reserved one (Deadlines) keeps its (t, seq) place in the slot, wheel and
+// overflow heap, and at the current instant goes to the back of cur like any
+// other push made there.
+//
+// All backing arrays are reused, so steady-state push/pop performs no
+// allocations. Cancelled timers and wakes for finished processes are deleted
+// lazily: they are counted in dead and skipped at dispatch, and the tiers
+// are compacted in place when dead events exceed half the queue.
 const (
 	slotBits  = 6                           // 64 ns per near-future bucket
 	slotGrain = Time(1) << slotBits         // bucket width
@@ -37,116 +49,184 @@ const (
 	wheelSpan = Time(wheelSize) << slotBits // ~131 us near-future window
 )
 
-type event struct {
+// key is an event's place in the order and the slab entry of its payload.
+type key struct {
 	t   Time
 	seq uint64
-	// Exactly one behavior applies: run fn in scheduler context, fire tok
-	// (a cancellable timeout), or wake the parked process p. Timer events
-	// carry both tok and p (= tok.p, nil for a WaitTimeoutFunc waiter).
-	p   *Proc
-	fn  func()
-	tok *waitTok
+	idx uint32
 }
 
 // less is the scheduler's total order: time, then push sequence.
-func less(a, b event) bool {
+func less(a, b key) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
 }
 
+// cmpKey is less as a three-way comparison, for slices.SortFunc. Keys tie
+// only when Deadlines re-arms an entry under its reserved seq; both events
+// are the same timer callback, so their order cannot be observed.
+func cmpKey(a, b key) int {
+	if less(a, b) {
+		return -1
+	}
+	return 1
+}
+
+// payload is what dispatching an event does. Exactly one behavior applies:
+// run fn in scheduler context, fire tok (a cancellable timeout), or wake the
+// parked process p. Timer events carry both tok and p (= tok.p, nil for a
+// WaitTimeoutFunc waiter).
+type payload struct {
+	p   *Proc
+	fn  func()
+	tok *waitTok
+}
+
+// dead reports whether the event was lazily cancelled: a timeout whose token
+// already fired, or a wake for a process that has finished.
+func (ev *payload) dead() bool {
+	if ev.tok != nil {
+		return ev.tok.fired
+	}
+	return ev.fn == nil && ev.p != nil && ev.p.done
+}
+
 type queue struct {
-	cur      []event // events at exactly the current instant, dispatch order
+	cur      []key // pushes made at the current instant, in push order
 	curHead  int
-	slot     []event // sorted (t, seq) events below slotEnd (active bucket)
+	slot     []key // sorted keys below slotEnd: the active bucket
 	slotHead int
 	slotEnd  Time // exclusive upper bound of the active slot's coverage
 
 	winBase   Time // window start, multiple of slotGrain
 	bucketIdx int  // next bucket index to scan (buckets below are empty)
-	wheelN    int  // events currently held in buckets
-	buckets   [wheelSize][]event
+	wheelN    int  // keys currently held in buckets
+	buckets   [wheelSize][]key
 	occ       [wheelSize / 64]uint64 // bucket occupancy bitmap
 
 	over overflowHeap // t >= winBase+wheelSpan
+
+	slab []payload // one entry per queued event
+	free []uint32  // unused slab entries, most recently freed last
 
 	size int // total queued events, including dead ones
 	dead int // lazily-cancelled events still occupying a tier
 }
 
-// push files ev into the tier matching its timestamp. now is the current
-// virtual time; ev.t >= now has already been checked by the caller.
-func (q *queue) push(now Time, ev event) {
+// push queues ev at time t with sequence number seq: the payload goes into a
+// slab entry and the key into the tier matching t. now is the current
+// virtual time; t >= now has already been checked by the caller.
+func (q *queue) push(now, t Time, seq uint64, ev payload) {
+	var idx uint32
+	if n := len(q.free) - 1; n >= 0 {
+		idx = q.free[n]
+		q.free = q.free[:n]
+		q.slab[idx] = ev
+	} else {
+		idx = uint32(len(q.slab))
+		q.slab = append(q.slab, ev)
+	}
 	q.size++
+	k := key{t, seq, idx}
 	switch {
-	case ev.t == now:
-		q.cur = append(q.cur, ev)
-	case ev.t < q.slotEnd:
-		q.slotInsert(ev)
-	case ev.t < q.winBase+wheelSpan:
-		i := int((ev.t - q.winBase) >> slotBits)
-		if len(q.buckets[i]) == 0 {
-			q.occ[i>>6] |= 1 << uint(i&63)
-		}
-		q.buckets[i] = append(q.buckets[i], ev)
-		q.wheelN++
+	case t == now:
+		q.cur = append(q.cur, k)
+	case t < q.slotEnd:
+		q.slotInsert(k)
+	case t < q.winBase+wheelSpan:
+		q.file(k)
 	default:
-		q.over.push(ev)
+		q.over.push(k)
 	}
 }
 
-// slotInsert merges ev into the sorted active slot by binary insertion.
-// Only the unconsumed tail (from slotHead) is searched; ev sorts after
-// everything already dispatched because its time is in the future.
-func (q *queue) slotInsert(ev event) {
+// file puts k into its wheel bucket.
+func (q *queue) file(k key) {
+	i := int((k.t - q.winBase) >> slotBits)
+	if len(q.buckets[i]) == 0 {
+		q.occ[i>>6] |= 1 << uint(i&63)
+	}
+	q.buckets[i] = append(q.buckets[i], k)
+	q.wheelN++
+}
+
+// slotInsert merges k into the sorted active slot by binary insertion. Only
+// the unconsumed tail (from slotHead) is searched; k sorts after everything
+// already dispatched because its time is in the future.
+func (q *queue) slotInsert(k key) {
 	s := q.slot
 	lo, hi := q.slotHead, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if less(s[mid], ev) {
+		if less(s[mid], k) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	q.slot = append(q.slot, event{})
-	copy(q.slot[lo+1:], q.slot[lo:])
-	q.slot[lo] = ev
+	s = append(s, k)
+	if lo < len(s)-1 {
+		copy(s[lo+1:], s[lo:])
+		s[lo] = k
+	}
+	q.slot = s
 }
 
-// next consumes and returns the earliest event if its time is <= limit.
-func (q *queue) next(limit Time) (event, bool) {
+// next consumes and returns the earliest key if its time is <= limit. The
+// caller takes its payload.
+func (q *queue) next(limit Time) (key, bool) {
 	for {
-		if q.curHead < len(q.cur) {
-			ev := q.cur[q.curHead]
-			if ev.t > limit {
-				return event{}, false
+		if q.slotHead < len(q.slot) {
+			k := q.slot[q.slotHead]
+			if q.curHead == len(q.cur) || k.t <= q.cur[q.curHead].t {
+				if k.t > limit {
+					return key{}, false
+				}
+				if q.slotHead++; q.slotHead == len(q.slot) {
+					q.slot, q.slotHead = q.slot[:0], 0
+				}
+				q.size--
+				return k, true
 			}
-			q.cur[q.curHead] = event{} // release fn/tok references
-			q.curHead++
-			if q.curHead == len(q.cur) {
-				// Reset eagerly so a same-instant push/pop chain (ping-pong
-				// at one timestamp) reuses the batch buffer instead of
-				// growing it without bound.
-				q.cur = q.cur[:0]
-				q.curHead = 0
+		}
+		if q.curHead < len(q.cur) {
+			k := q.cur[q.curHead]
+			if k.t > limit {
+				return key{}, false
+			}
+			// Reset eagerly so a same-instant push/pop chain (ping-pong at
+			// one timestamp) reuses the buffer instead of growing it.
+			if q.curHead++; q.curHead == len(q.cur) {
+				q.cur, q.curHead = q.cur[:0], 0
 			}
 			q.size--
-			return ev, true
+			return k, true
 		}
-		q.cur = q.cur[:0]
-		q.curHead = 0
-		if !q.promote(limit) {
-			return event{}, false
+		if !q.activate() {
+			return key{}, false
 		}
 	}
 }
 
+// take returns the payload of a key next returned and frees its slab entry.
+func (q *queue) take(idx uint32) payload {
+	ev := q.slab[idx]
+	q.release(idx)
+	return ev
+}
+
+func (q *queue) release(idx uint32) {
+	q.slab[idx] = payload{}
+	q.free = append(q.free, idx)
+}
+
 // peek returns the timestamp of the earliest queued event (dead ones
-// included) without consuming it or moving anything between tiers. The tiers
-// are ordered — cur <= slot < wheel < over — so the first non-empty one holds
-// the minimum; only the wheel's first occupied bucket needs a (short) scan.
+// included) without consuming it or moving anything between tiers. cur holds
+// the current instant, the slot nothing earlier, and slot < wheel < over, so
+// the first non-empty tier holds the minimum; only the wheel's first
+// occupied bucket needs a (short) scan.
 func (q *queue) peek() (Time, bool) {
 	switch {
 	case q.curHead < len(q.cur):
@@ -156,72 +236,59 @@ func (q *queue) peek() (Time, bool) {
 	case q.wheelN > 0:
 		b := q.buckets[q.nextOccupied(q.bucketIdx)]
 		t := b[0].t
-		for _, ev := range b[1:] {
-			if ev.t < t {
-				t = ev.t
-			}
+		for _, k := range b[1:] {
+			t = min(t, k.t)
 		}
 		return t, true
 	case q.over.len() > 0:
-		return q.over.min().t, true
+		return q.over[0].t, true
 	}
 	return 0, false
 }
 
-// promote refills cur with the next instant's batch: the maximal run of
-// equal-time events at the queue's minimum, in seq order. It reports false
-// when the queue is empty or the next event lies beyond limit.
-func (q *queue) promote(limit Time) bool {
-	for q.slotHead >= len(q.slot) {
-		q.slot = q.slot[:0]
-		q.slotHead = 0
-		switch {
-		case q.wheelN > 0:
-			i := q.nextOccupied(q.bucketIdx)
-			if i < 0 {
-				panic("sim: wheel occupancy corrupt")
-			}
-			b := q.buckets[i]
-			q.slot = append(q.slot, b...)
-			for j := range b {
-				b[j] = event{}
-			}
-			q.buckets[i] = b[:0]
-			q.occ[i>>6] &^= 1 << uint(i&63)
-			q.wheelN -= len(q.slot)
-			q.bucketIdx = i + 1
-			q.slotEnd = q.winBase + Time(i+1)<<slotBits
-			sortEvents(q.slot)
-		case q.over.len() > 0:
-			// Rebase the window at the overflow minimum and migrate the
-			// near span into the buckets.
-			q.winBase = q.over.min().t &^ (slotGrain - 1)
-			q.bucketIdx = 0
-			q.slotEnd = q.winBase
-			end := q.winBase + wheelSpan
-			for q.over.len() > 0 && q.over.min().t < end {
-				ev := q.over.pop()
-				i := int((ev.t - q.winBase) >> slotBits)
-				if len(q.buckets[i]) == 0 {
-					q.occ[i>>6] |= 1 << uint(i&63)
-				}
-				q.buckets[i] = append(q.buckets[i], ev)
-				q.wheelN++
-			}
-		default:
+// activate makes the next occupied bucket the slot, rebasing the window at
+// the overflow minimum first when the wheel is empty. It is called with the
+// slot and cur empty, and reports false when the queue is. The keys are
+// copied and the bucket keeps its array: passing arrays between buckets and
+// the slot was tried, and its extra warm-up allocations failed the shard
+// dispatch allocation budget.
+func (q *queue) activate() bool {
+	if q.wheelN == 0 {
+		if q.over.len() == 0 {
 			return false
 		}
+		q.rebase()
 	}
-	t := q.slot[q.slotHead].t
-	if t > limit {
-		return false
+	i := q.nextOccupied(q.bucketIdx)
+	if i < 0 {
+		panic("sim: wheel occupancy corrupt")
 	}
-	for q.slotHead < len(q.slot) && q.slot[q.slotHead].t == t {
-		q.cur = append(q.cur, q.slot[q.slotHead])
-		q.slot[q.slotHead] = event{}
-		q.slotHead++
+	b := q.buckets[i]
+	q.buckets[i] = b[:0]
+	q.occ[i>>6] &^= 1 << uint(i&63)
+	q.wheelN -= len(b)
+	q.bucketIdx = i + 1
+	q.slotEnd = q.winBase + Time(i+1)<<slotBits
+	q.slotHead = 0
+	if len(b) == 1 {
+		q.slot = append(q.slot[:0], b[0])
+	} else {
+		q.slot = append(q.slot[:0], b...)
+		sortKeys(q.slot)
 	}
 	return true
+}
+
+// rebase moves the window to the overflow minimum and migrates the near span
+// into the buckets.
+func (q *queue) rebase() {
+	q.winBase = q.over[0].t &^ (slotGrain - 1)
+	q.bucketIdx = 0
+	q.slotEnd = q.winBase
+	end := q.winBase + wheelSpan
+	for q.over.len() > 0 && q.over[0].t < end {
+		q.file(q.over.pop())
+	}
 }
 
 // nextOccupied returns the first occupied bucket index at or after from,
@@ -244,66 +311,62 @@ func (q *queue) nextOccupied(from int) int {
 	}
 }
 
-func sortEvents(s []event) {
-	slices.SortFunc(s, func(a, b event) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
-			return 1
-		}
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-}
-
-// deadEvent reports whether ev was lazily cancelled: a timeout whose token
-// already fired, or a wake for a process that has finished.
-func deadEvent(ev event) bool {
-	if ev.tok != nil && ev.tok.fired {
-		return true
+// sortKeys sorts an activated bucket. Most hold a handful of keys, mostly in
+// order already, which insertion sort handles in place without a call.
+func sortKeys(s []key) {
+	if len(s) > 16 {
+		slices.SortFunc(s, cmpKey)
+		return
 	}
-	return ev.fn == nil && ev.tok == nil && ev.p != nil && ev.p.done
+	for i := 1; i < len(s); i++ {
+		k, j := s[i], i
+		for ; j > 0 && less(k, s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = k
+	}
 }
 
 // compact removes lazily-deleted events from every tier in place,
-// preserving order, and hands each removed timer's token to dropTimer.
-// Called when dead events exceed half the queue.
+// preserving order, frees their slab entries and hands each removed timer's
+// token to dropTimer. Called when dead events exceed half the queue.
 func (q *queue) compact(dropTimer func(*waitTok)) {
-	filter := func(s []event, head int) []event {
-		w := head
-		for r := head; r < len(s); r++ {
-			if !deadEvent(s[r]) {
-				s[w] = s[r]
-				w++
-			} else if s[r].tok != nil {
-				dropTimer(s[r].tok)
-			}
-		}
-		for z := w; z < len(s); z++ {
-			s[z] = event{}
-		}
-		return s[:w]
-	}
-	q.cur = filter(q.cur, q.curHead)
-	q.slot = filter(q.slot, q.slotHead)
+	q.cur, q.curHead = q.sweep(q.cur, q.curHead, dropTimer), 0
+	q.slot, q.slotHead = q.sweep(q.slot, q.slotHead, dropTimer), 0
 	q.wheelN = 0
 	for i := range q.buckets {
 		if len(q.buckets[i]) == 0 {
 			continue
 		}
-		q.buckets[i] = filter(q.buckets[i], 0)
+		q.buckets[i] = q.sweep(q.buckets[i], 0, dropTimer)
 		if len(q.buckets[i]) == 0 {
 			q.occ[i>>6] &^= 1 << uint(i&63)
 		}
 		q.wheelN += len(q.buckets[i])
 	}
-	q.over = overflowHeap(filter([]event(q.over), 0))
+	q.over = q.sweep(q.over, 0, dropTimer)
 	q.over.init()
-	q.size = (len(q.cur) - q.curHead) + (len(q.slot) - q.slotHead) + q.wheelN + q.over.len()
+	q.size = len(q.cur) + len(q.slot) + q.wheelN + q.over.len()
 	q.dead = 0
+}
+
+// sweep moves the live keys of s[head:], in order, to the front of s and
+// returns them; the dead ones' slab entries are freed.
+func (q *queue) sweep(s []key, head int, dropTimer func(*waitTok)) []key {
+	w := 0
+	for _, k := range s[head:] {
+		ev := &q.slab[k.idx]
+		if !ev.dead() {
+			s[w] = k
+			w++
+			continue
+		}
+		if ev.tok != nil {
+			dropTimer(ev.tok)
+		}
+		q.release(k.idx)
+	}
+	return s[:w]
 }
 
 // clear drops every queued event (environment shutdown).
@@ -311,16 +374,15 @@ func (q *queue) clear() {
 	*q = queue{}
 }
 
-// overflowHeap is a value-based 4-ary min-heap ordered by (t, seq). Four
+// overflowHeap is a 4-ary min-heap of keys ordered by (t, seq). Four
 // children per node halve the tree depth of a binary heap and keep sift
-// loops within one or two cache lines of events.
-type overflowHeap []event
+// loops within one or two cache lines of keys.
+type overflowHeap []key
 
-func (h overflowHeap) len() int   { return len(h) }
-func (h overflowHeap) min() event { return h[0] }
+func (h overflowHeap) len() int { return len(h) }
 
-func (h *overflowHeap) push(ev event) {
-	s := append(*h, ev)
+func (h *overflowHeap) push(k key) {
+	s := append(*h, k)
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -333,12 +395,11 @@ func (h *overflowHeap) push(ev event) {
 	*h = s
 }
 
-func (h *overflowHeap) pop() event {
+func (h *overflowHeap) pop() key {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{}
 	s = s[:n]
 	*h = s
 	s.siftDown(0)
@@ -353,10 +414,7 @@ func (h overflowHeap) siftDown(i int) {
 			return
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for k := c + 1; k < end; k++ {
 			if less(h[k], h[m]) {
 				m = k

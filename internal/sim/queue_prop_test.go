@@ -6,15 +6,39 @@ import (
 	"testing"
 )
 
-// refHeap is the seed implementation's event queue: a container/heap ordered
-// by (t, seq). The property tests drive it in lockstep with the tiered queue
-// and require identical dispatch order, including RunUntil limit boundaries.
-type refHeap []event
+// refHeap is the reference event queue: a container/heap holding the rule
+// the kernel keeps. Events due at an instant run in (t, seq) order among
+// those queued before the instant arrived, then the pushes made at the
+// instant itself, in push order. With fresh sequence numbers that is plain
+// (t, seq) order; the two differ only for a push that reuses a reserved seq
+// (Deadlines) at the current instant. The property tests drive it in
+// lockstep with the tiered queue and require identical dispatch order,
+// including RunUntil limit boundaries.
+type refHeap []refEvent
 
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return less(h[i], h[j]) }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(event)) }
+type refEvent struct {
+	t    Time
+	seq  uint64
+	late bool   // pushed at the instant it is due
+	ord  uint64 // push order
+	ev   payload
+}
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	switch {
+	case a.t != b.t:
+		return a.t < b.t
+	case a.late != b.late:
+		return b.late
+	case a.late:
+		return a.ord < b.ord
+	}
+	return a.seq < b.seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -23,39 +47,102 @@ func (h *refHeap) Pop() any {
 	return ev
 }
 
-func (h *refHeap) next(limit Time) (event, bool) {
-	if len(*h) == 0 || (*h)[0].t > limit {
-		return event{}, false
-	}
-	return heap.Pop(h).(event), true
+// lockstep drives the tiered queue and the reference side by side, keeping
+// the dead-event accounting Env keeps, and checks the slab after every
+// operation: one entry per queued event, and never more than the peak
+// occupancy.
+type lockstep struct {
+	t    *testing.T
+	q    queue
+	ref  refHeap
+	now  Time
+	seq  uint64 // last sequence number handed out
+	ord  uint64
+	peak int
 }
 
-// popBoth pops one event from both queues under the same limit and fails the
-// test on any divergence — first checking that peek names the reference's
-// minimum without disturbing the queue. It reports whether an event was
-// produced.
-func popBoth(t *testing.T, q *queue, ref *refHeap, now *Time, limit Time) bool {
-	t.Helper()
-	if pt, ok := q.peek(); ok != (len(*ref) > 0) || (ok && pt != (*ref)[0].t) {
-		t.Fatalf("peek = (%d, %v) with %d events queued, earliest reference event %v", pt, ok, len(*ref), (*ref)[:min(1, len(*ref))])
+// push queues ev at t under a fresh sequence number.
+func (l *lockstep) push(t Time, ev payload) {
+	l.seq++
+	l.pushSeq(t, l.seq, ev)
+}
+
+// pushSeq queues ev at t under seq, which may have been reserved earlier.
+func (l *lockstep) pushSeq(t Time, seq uint64, ev payload) {
+	l.t.Helper()
+	if ev.p != nil {
+		ev.p.wakes++
 	}
-	got, okGot := q.next(limit)
-	want, okWant := ref.next(limit)
+	l.q.push(l.now, t, seq, ev)
+	l.ord++
+	heap.Push(&l.ref, refEvent{t: t, seq: seq, late: t == l.now, ord: l.ord, ev: ev})
+	l.peak = max(l.peak, l.q.size)
+	l.check()
+}
+
+// pop consumes one event from both queues under the same limit and fails
+// the test on any divergence — first checking that peek names the
+// reference's minimum without disturbing the queue. It reports whether an
+// event was produced.
+func (l *lockstep) pop(limit Time) bool {
+	l.t.Helper()
+	if pt, ok := l.q.peek(); ok != (len(l.ref) > 0) || (ok && pt != l.ref[0].t) {
+		l.t.Fatalf("peek = (%d, %v) with %d events queued, earliest reference event %v", pt, ok, len(l.ref), l.ref[:min(1, len(l.ref))])
+	}
+	k, okGot := l.q.next(limit)
+	okWant := len(l.ref) > 0 && l.ref[0].t <= limit
 	if okGot != okWant {
-		t.Fatalf("availability diverged at limit %d: queue=%v ref=%v", limit, okGot, okWant)
+		l.t.Fatalf("availability diverged at limit %d: queue=%v ref=%v", limit, okGot, okWant)
 	}
 	if !okGot {
+		l.check()
 		return false
 	}
-	if got.t != want.t || got.seq != want.seq {
-		t.Fatalf("dispatch order diverged: queue=(t=%d seq=%d) ref=(t=%d seq=%d)",
-			got.t, got.seq, want.t, want.seq)
+	want := heap.Pop(&l.ref).(refEvent)
+	got := l.q.take(k.idx)
+	if k.t != want.t || k.seq != want.seq || got.p != want.ev.p || got.tok != want.ev.tok || (got.fn == nil) != (want.ev.fn == nil) {
+		l.t.Fatalf("dispatch order diverged: queue=(t=%d seq=%d) ref=(t=%d seq=%d late=%v)", k.t, k.seq, want.t, want.seq, want.late)
 	}
-	if got.t < *now {
-		t.Fatalf("time went backwards: %d -> %d", *now, got.t)
+	if k.t < l.now {
+		l.t.Fatalf("time went backwards: %d -> %d", l.now, k.t)
 	}
-	*now = got.t
+	l.now = k.t
+	// Env.dispatch's accounting for what it pops.
+	if got.p != nil {
+		got.p.wakes--
+	}
+	if got.dead() {
+		l.q.dead--
+	} else if got.tok != nil {
+		got.tok.fired = true
+	}
+	l.check()
 	return true
+}
+
+// compact sweeps both queues of their dead events.
+func (l *lockstep) compact() {
+	l.q.compact(func(*waitTok) {})
+	live := l.ref[:0]
+	for _, r := range l.ref {
+		if !r.ev.dead() {
+			live = append(live, r)
+		}
+	}
+	l.ref = live
+	heap.Init(&l.ref)
+	l.check()
+}
+
+func (l *lockstep) check() {
+	l.t.Helper()
+	q := &l.q
+	if live := len(q.slab) - len(q.free); live != q.size || q.size != len(l.ref) {
+		l.t.Fatalf("%d live slab entries, QueueLen %d, reference holds %d", live, q.size, len(l.ref))
+	}
+	if len(q.slab) > l.peak {
+		l.t.Fatalf("slab of %d entries past peak occupancy %d", len(q.slab), l.peak)
+	}
 }
 
 // TestQueueMatchesHeapRandom drives random interleaved pushes and pops
@@ -65,44 +152,36 @@ func popBoth(t *testing.T, q *queue, ref *refHeap, now *Time, limit Time) bool {
 func TestQueueMatchesHeapRandom(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		var q queue
-		var ref refHeap
-		var now Time
-		var seq uint64
-		push := func(dt Time) {
-			ev := event{t: now + dt, seq: seq}
-			seq++
-			q.push(now, ev)
-			heap.Push(&ref, ev)
-		}
-		// Offsets spanning same-instant (0), slot/wheel range, and far
-		// overflow; weighted toward the near tiers where ordering is subtle.
-		randDT := func() Time {
-			switch rng.Intn(10) {
-			case 0, 1, 2:
-				return 0
-			case 3, 4, 5:
-				return Time(rng.Intn(64)) // within one bucket grain
-			case 6, 7:
-				return Time(rng.Intn(int(wheelSpan)))
-			case 8:
-				return wheelSpan + Time(rng.Intn(1<<20))
-			default:
-				return Time(rng.Intn(1 << 40))
-			}
-		}
+		l := &lockstep{t: t}
 		for step := 0; step < 4000; step++ {
-			if rng.Intn(3) > 0 || q.size == 0 {
-				push(randDT())
+			if rng.Intn(3) > 0 || l.q.size == 0 {
+				l.push(l.now+randDT(rng), payload{fn: func() {}})
 			} else {
-				popBoth(t, &q, &ref, &now, Never)
+				l.pop(Never)
 			}
 		}
-		for popBoth(t, &q, &ref, &now, Never) {
+		for l.pop(Never) {
 		}
-		if q.size != 0 || len(ref) != 0 {
-			t.Fatalf("trial %d: residual events queue=%d ref=%d", trial, q.size, len(ref))
+		if l.q.size != 0 {
+			t.Fatalf("trial %d: residual events %d", trial, l.q.size)
 		}
+	}
+}
+
+// randDT draws an offset spanning same-instant (0), slot/wheel range, and
+// far overflow, weighted toward the near tiers where ordering is subtle.
+func randDT(rng *rand.Rand) Time {
+	switch rng.Intn(10) {
+	case 0, 1, 2:
+		return 0
+	case 3, 4, 5:
+		return Time(rng.Intn(64)) // within one bucket grain
+	case 6, 7:
+		return Time(rng.Intn(int(wheelSpan)))
+	case 8:
+		return wheelSpan + Time(rng.Intn(1<<20))
+	default:
+		return Time(rng.Intn(1 << 40))
 	}
 }
 
@@ -112,10 +191,7 @@ func TestQueueMatchesHeapRandom(t *testing.T) {
 // instant must match the heap exactly.
 func TestQueueMatchesHeapSameInstantStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var q queue
-	var ref refHeap
-	var now Time
-	var seq uint64
+	l := &lockstep{t: t}
 	for round := 0; round < 300; round++ {
 		burst := 1 + rng.Intn(64)
 		for i := 0; i < burst; i++ {
@@ -123,19 +199,16 @@ func TestQueueMatchesHeapSameInstantStorm(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				dt = Time(1 + rng.Intn(128))
 			}
-			ev := event{t: now + dt, seq: seq}
-			seq++
-			q.push(now, ev)
-			heap.Push(&ref, ev)
+			l.push(l.now+dt, payload{fn: func() {}})
 		}
 		drains := rng.Intn(burst + 1)
 		for i := 0; i < drains; i++ {
-			if !popBoth(t, &q, &ref, &now, Never) {
+			if !l.pop(Never) {
 				break
 			}
 		}
 	}
-	for popBoth(t, &q, &ref, &now, Never) {
+	for l.pop(Never) {
 	}
 }
 
@@ -145,21 +218,15 @@ func TestQueueMatchesHeapSameInstantStorm(t *testing.T) {
 // and just after queued timestamps.
 func TestQueueMatchesHeapLimitBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var q queue
-	var ref refHeap
-	var now Time
-	var seq uint64
+	l := &lockstep{t: t}
 	var stamps []Time
 	for i := 0; i < 500; i++ {
 		dt := Time(rng.Intn(int(wheelSpan) * 2))
-		ev := event{t: dt, seq: seq}
-		seq++
-		q.push(0, ev)
-		heap.Push(&ref, ev)
+		l.push(dt, payload{fn: func() {}})
 		stamps = append(stamps, dt)
 	}
 	limit := Time(0)
-	for i := 0; q.size > 0; i++ {
+	for i := 0; l.q.size > 0; i++ {
 		st := stamps[rng.Intn(len(stamps))]
 		switch i % 3 {
 		case 0:
@@ -171,17 +238,128 @@ func TestQueueMatchesHeapLimitBoundaries(t *testing.T) {
 				limit = st - 1
 			}
 		}
-		if limit < now {
-			limit = now
-		}
-		for popBoth(t, &q, &ref, &now, limit) {
-		}
-		// Both must agree that nothing at or below the limit remains.
-		if _, ok := ref.next(limit); ok {
-			t.Fatal("reference still had an admissible event after drain")
-		}
 		if i > 10000 {
 			limit = Never
+		}
+		limit = max(limit, l.now)
+		for l.pop(limit) {
+		}
+		// Both must agree that nothing at or below the limit remains.
+		if len(l.ref) > 0 && l.ref[0].t <= limit {
+			t.Fatal("reference still had an admissible event after drain")
+		}
+	}
+}
+
+// TestQueueMatchesReferenceWithCancellations is the lockstep test over
+// everything the kernel does to its queue besides plain pushes: sequence
+// numbers reserved and pushed later, the way Deadlines.arm pushes them (in
+// the future and at the current instant); timers cancelled by their signal
+// and wakes whose process finished, both lazily dead; and compaction in the
+// middle of the stream, both when Env would trigger it and at random. Dead
+// events stay in the comparison until a compaction takes them out of both
+// queues.
+func TestQueueMatchesReferenceWithCancellations(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		l := &lockstep{t: t}
+		type reservation struct {
+			at  Time
+			seq uint64
+		}
+		var (
+			reserved []reservation
+			timers   []*waitTok // queued timers not yet cancelled or popped
+			procs    []*Proc    // live processes wakes may target
+			waiters  []*Proc    // processes timers may belong to
+			compacts int
+		)
+		// A process parked on a timer cannot finish, so the processes that
+		// finish and those that own timers are kept apart.
+		for i := 0; i < 8; i++ {
+			procs = append(procs, &Proc{})
+			waiters = append(waiters, &Proc{})
+		}
+		nearDT := func() Time {
+			if rng.Intn(4) == 0 {
+				return randDT(rng)
+			}
+			return Time(rng.Intn(3 * int(slotGrain)))
+		}
+		for step := 0; step < 5000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 15: // callback
+				l.push(l.now+nearDT(), payload{fn: func() {}})
+			case op < 30: // process wake
+				l.push(l.now+nearDT(), payload{p: procs[rng.Intn(len(procs))]})
+			case op < 40: // cancellable timer, of a process or a continuation
+				tok := &waitTok{}
+				if rng.Intn(2) == 0 {
+					tok.p = waiters[rng.Intn(len(waiters))]
+				}
+				timers = append(timers, tok)
+				l.push(l.now+nearDT(), payload{p: tok.p, tok: tok})
+			case op < 47: // Deadlines.Add: take a seq now, push it later
+				l.seq++
+				reserved = append(reserved, reservation{l.now + Time(rng.Intn(2*int(slotGrain))), l.seq})
+			case op < 55: // Deadlines.arm
+				if len(reserved) == 0 {
+					break
+				}
+				j := rng.Intn(len(reserved))
+				r := reserved[j]
+				reserved = append(reserved[:j], reserved[j+1:]...)
+				if r.at >= l.now {
+					l.pushSeq(r.at, r.seq, payload{fn: func() {}})
+				}
+			case op < 62: // a signal beats a timer
+				if len(timers) == 0 {
+					break
+				}
+				j := rng.Intn(len(timers))
+				tok := timers[j]
+				timers = append(timers[:j], timers[j+1:]...)
+				if !tok.fired { // Cond.Signal's cancelTimer
+					tok.fired = true
+					if tok.p != nil {
+						tok.p.wakes--
+					}
+					l.q.dead++
+				}
+			case op < 65: // a process finishes; its queued wakes die
+				j := rng.Intn(len(procs))
+				p := procs[j]
+				p.done = true
+				l.q.dead += p.wakes
+				procs[j] = &Proc{}
+			case op < 67:
+				l.compact()
+				compacts++
+			default:
+				limit := Never
+				if rng.Intn(4) == 0 {
+					limit = l.now + Time(rng.Intn(int(slotGrain)))
+				}
+				l.pop(limit)
+			}
+			if l.q.dead >= compactMinDead && l.q.dead*2 > l.q.size {
+				l.compact()
+				compacts++
+			}
+			dead := 0
+			for _, r := range l.ref {
+				if r.ev.dead() {
+					dead++
+				}
+			}
+			if dead != l.q.dead {
+				t.Fatalf("trial %d step %d: %d dead events queued, QueueDead %d", trial, step, dead, l.q.dead)
+			}
+		}
+		for l.pop(Never) {
+		}
+		if l.q.size != 0 || l.q.dead != 0 || compacts == 0 {
+			t.Fatalf("trial %d: residual events %d (%d dead), %d compactions", trial, l.q.size, l.q.dead, compacts)
 		}
 	}
 }

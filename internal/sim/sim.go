@@ -10,10 +10,11 @@
 // which makes simulations deterministic given a seed and free of data races
 // by construction.
 //
-// The scheduler is built for throughput: events live by value in a tiered
-// timer wheel (see queue.go), so Sleep/At/After are allocation-free in
-// steady state; same-instant callback batches dispatch in a tight loop
-// without touching the run token; a parking process runs the dispatch loop
+// The scheduler is built for throughput: an event's payload is written once
+// into a slab and read once at dispatch, and the tiered timer wheel moves
+// only pointer-free keys (see queue.go), so Sleep/At/After are
+// allocation-free in steady state; same-instant callback batches dispatch in
+// a tight loop without touching the run token; a parking process runs the dispatch loop
 // on its own stack and keeps running when its own timer is the next event;
 // and a real hand-off is the parking coroutine yielding the next process to
 // a trampoline in Run, which enters it — two runtime coroutine switches,
@@ -22,8 +23,10 @@
 // that queues on resources (Resource.AcquireFunc), waits on a condition
 // (Cond.WaitFunc) or charges a CPU thread (Thread.ExecFunc) from a leaf runs
 // as continuations in scheduler context, each costing the event its process
-// form would cost and no switch. Event dispatch order is the exact (t, seq)
-// total order of the original heap scheduler, so traces are bit-identical.
+// form would cost and no switch. Event dispatch order is the (t, seq) total
+// order of the original heap scheduler (a push reusing a reserved seq at the
+// current instant runs after the instant's earlier events, see queue.go), so
+// traces are bit-identical.
 package sim
 
 import (
@@ -166,7 +169,7 @@ func (e *Env) push(t Time, p *Proc, fn func()) {
 	if p != nil {
 		p.wakes++
 	}
-	e.q.push(e.now, event{t: t, seq: e.seq, p: p, fn: fn})
+	e.q.push(e.now, t, e.seq, payload{p: p, fn: fn})
 	e.maybeCompact()
 }
 
@@ -184,7 +187,7 @@ func (e *Env) pushTimer(t Time, tok *waitTok) {
 	if tok.p != nil {
 		tok.p.wakes++
 	}
-	e.q.push(e.now, event{t: t, seq: e.seq, p: tok.p, tok: tok})
+	e.q.push(e.now, t, e.seq, payload{p: tok.p, tok: tok})
 	e.maybeCompact()
 }
 
@@ -430,12 +433,15 @@ func (e *Env) dispatch() *Proc {
 	e.cur = nil
 	q := &e.q
 	for !e.stopped {
-		ev, ok := q.next(e.limit)
+		k, ok := q.next(e.limit)
 		if !ok {
 			return nil
 		}
 		e.dispatched++
-		e.now = ev.t
+		e.now = k.t
+		// The slab entry is freed before anything runs: fn may push, and
+		// the push may grow the slab.
+		ev := q.take(k.idx)
 		if ev.fn != nil {
 			ev.fn()
 			continue

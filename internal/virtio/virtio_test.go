@@ -193,3 +193,56 @@ func TestParseChainAndData(t *testing.T) {
 		t.Fatal("used")
 	}
 }
+
+// TestReadChainRejectsHostileIndices feeds ReadChain what a hostile guest
+// can write: a head or a Next past the descriptor table, a table that runs
+// off the end of guest memory, and a chain longer than the queue (a loop).
+// A chain of exactly the queue size is the longest legal one.
+func TestReadChainRejectsHostileIndices(t *testing.T) {
+	const size = 8
+	// chain links descriptors 0..n-1 in order; loop makes the last one point
+	// back at 0.
+	chain := func(v *Vring, n int, loop bool) {
+		for i := 0; i < n; i++ {
+			d := Desc{Addr: 0x1000, Len: 8}
+			if i < n-1 {
+				d.Flags, d.Next = DescNext, uint16(i+1)
+			} else if loop {
+				d.Flags, d.Next = DescNext, 0
+			}
+			v.writeDesc(uint16(i), d)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(v *Vring) uint16 // returns the head
+		want  int                   // descriptors read; -1: an error
+	}{
+		{"head past table", func(v *Vring) uint16 { chain(v, 1, false); return size }, -1},
+		{"next past table", func(v *Vring) uint16 {
+			v.writeDesc(0, Desc{Addr: 0x1000, Len: 8, Flags: DescNext, Next: size})
+			return 0
+		}, -1},
+		{"table past guest memory", func(v *Vring) uint16 {
+			v.descAddr = v.mem.Size() - 2*descSize // descriptors 2.. lie past the end
+			chain(v, 3, false)
+			return 0
+		}, -1},
+		{"chain of queue size", func(v *Vring) uint16 { chain(v, size, false); return 0 }, size},
+		{"chain of queue size plus one", func(v *Vring) uint16 { chain(v, size, true); return 0 }, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, _ := newRing(size)
+			head := tc.setup(v)
+			got, err := v.ReadChain(head)
+			switch {
+			case tc.want < 0 && err == nil:
+				t.Fatalf("accepted a %d-descriptor chain", len(got))
+			case tc.want >= 0 && err != nil:
+				t.Fatal(err)
+			case tc.want >= 0 && len(got) != tc.want:
+				t.Fatalf("read %d descriptors, want %d", len(got), tc.want)
+			}
+		})
+	}
+}

@@ -101,15 +101,23 @@ func (v *Vring) writeDesc(i uint16, d Desc) {
 	v.mem.WriteAt(b[:], v.descAddr+uint64(i)*descSize)
 }
 
-func (v *Vring) readDesc(i uint16) Desc {
+// readDesc reads descriptor i, which the guest may have named: an index
+// past the table or a table past the end of guest memory is an error, not a
+// zero descriptor.
+func (v *Vring) readDesc(i uint16) (Desc, error) {
+	if i >= v.size {
+		return Desc{}, fmt.Errorf("virtio: descriptor index %d out of range (queue size %d)", i, v.size)
+	}
 	var b [descSize]byte
-	v.mem.ReadAt(b[:], v.descAddr+uint64(i)*descSize)
+	if err := v.mem.ReadAt(b[:], v.descAddr+uint64(i)*descSize); err != nil {
+		return Desc{}, fmt.Errorf("virtio: descriptor %d: %w", i, err)
+	}
 	return Desc{
 		Addr:  binary.LittleEndian.Uint64(b[0:8]),
 		Len:   binary.LittleEndian.Uint32(b[8:12]),
 		Flags: binary.LittleEndian.Uint16(b[12:14]),
 		Next:  binary.LittleEndian.Uint16(b[14:16]),
-	}
+	}, nil
 }
 
 // Buffer is one segment of a descriptor chain.
@@ -171,15 +179,20 @@ func (v *Vring) AvailCount() uint16 {
 	return v.readU16(v.availAddr+2) - v.lastAvail
 }
 
-// ReadChain walks the descriptor chain from head (device side).
+// ReadChain walks the descriptor chain from head (device side). head and
+// every Next come from guest memory, so each is checked against the queue
+// size, and a chain longer than the table (a loop) is refused.
 func (v *Vring) ReadChain(head uint16) ([]Desc, error) {
 	var out []Desc
 	i := head
-	for n := 0; ; n++ {
-		if n > int(v.size) {
-			return nil, fmt.Errorf("virtio: descriptor loop at %d", head)
+	for {
+		if len(out) == int(v.size) {
+			return nil, fmt.Errorf("virtio: descriptor chain from %d longer than queue size %d", head, v.size)
 		}
-		d := v.readDesc(i)
+		d, err := v.readDesc(i)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, d)
 		if d.Flags&DescNext == 0 {
 			return out, nil
@@ -215,8 +228,7 @@ func (v *Vring) PopUsed() (uint16, bool) {
 	chain, err := v.ReadChain(head)
 	if err == nil {
 		i := head
-		for range chain {
-			d := v.readDesc(i)
+		for _, d := range chain {
 			v.free = append(v.free, i)
 			i = d.Next
 		}
