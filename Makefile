@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test fmt loc bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt deadsurface loc bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
-# (fails listing the offending files), the short-seed chaos suite, the
+# (fails listing the offending files), the dead-surface checker, the
+# short-seed chaos suite, the
 # short-seed integrity/scrub suite, the tenant-confinement suite, the
 # short-seed boot-storm suite, the sharded-router scale suite and the
 # end-to-end benchmark's smoke test.
-check: build vet test fmt chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke bench-e2e-smoke
+check: build vet test fmt deadsurface chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,16 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# deadsurface runs the dead-surface checker (deadsurface_test.go) alone and
+# verbosely: per rule, its unlisted and allowlisted hit counts, then every
+# allowlisted unreachable declaration with its length. Rules: (a) an
+# exported internal/ identifier no other package's non-test code uses, (b) a
+# setting-struct field nothing outside its package writes, (c) a
+# declaration no main, init or root-package export reaches, (d) a field
+# written but never read. Any unlisted hit or stale allowlist row fails.
+deadsurface:
+	$(GO) test -run '^TestDeadSurface$$' -v .
 
 # loc prints the repo's Go line counts (all lines, bench/ excluded), non-test
 # and test apart: net-negative non-test LOC is a headline result of the
@@ -140,17 +151,21 @@ scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
 
-# fuzz-smoke explores two targets for 30 s each beyond their seed corpora
-# (which every `go test ./...` runs). FuzzVerifiedProgram: decoded bytes the
-# verifier accepts must run on both tiers without a fault, fuel or panic, the
-# tiers must agree, and a proved static verdict must be what every invocation
-# returns. FuzzAppendPRP: the PRP walker must not panic, must agree with its
-# reference walk segment for segment and error for error, and a successful
-# walk must stay inside guest memory and cover the transfer. A finding is
-# written under the package's testdata/fuzz/ and replays as a seed.
+# fuzz-smoke explores three targets for 30 s each beyond their seed corpora
+# (which every `go test ./...` runs). FuzzVerifiedProgram: Verify accepts
+# exactly what Compile accepts, and decoded bytes it accepts must run on both
+# tiers without a fault, fuel or panic, the tiers must agree, and a proved
+# static verdict must be what every invocation returns. FuzzAppendPRP: the
+# PRP walker must not panic, must agree with its reference walk segment for
+# segment and error for error, and a successful walk must stay inside guest
+# memory and cover the transfer. FuzzParseChain: the virtio device side must
+# not panic on a guest-written descriptor table, avail head and request
+# header, and a chain it accepts fits the queue and guest memory. A finding
+# is written under the package's testdata/fuzz/ and replays as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedProgram$$' -fuzztime 30s ./internal/ebpf/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendPRP$$' -fuzztime 30s ./internal/nvme/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime 30s ./internal/virtio/
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests (page-granular private

@@ -50,8 +50,8 @@ type Bio struct {
 	OnDone func(nvme.Status)
 }
 
-// Sectors returns the bio's length in sectors.
-func (b *Bio) Sectors() uint32 {
+// sectors returns the bio's length in sectors.
+func (b *Bio) sectors() uint32 {
 	if b.Data != nil {
 		return uint32(len(b.Data) / SectorSize)
 	}

@@ -12,12 +12,10 @@ import (
 // including device-mapper stacks — copying data between guest memory and
 // kernel buffers. A small worker pool provides the kernel process context.
 type KernelAdapter struct {
-	env     *sim.Env
-	dev     BlockDevice
-	shift   uint8 // device LBA shift for command interpretation
-	queue   []kaWork
-	wake    *sim.Cond
-	workers int
+	dev   BlockDevice
+	shift uint8 // device LBA shift for command interpretation
+	queue []kaWork
+	wake  *sim.Cond
 
 	// Stats
 	Translated uint64
@@ -31,7 +29,7 @@ type kaWork struct {
 
 // NewKernelAdapter creates the adapter with the given worker threads.
 func NewKernelAdapter(env *sim.Env, dev BlockDevice, lbaShift uint8, threads []*sim.Thread) *KernelAdapter {
-	ka := &KernelAdapter{env: env, dev: dev, shift: lbaShift, wake: sim.NewCond(env), workers: len(threads)}
+	ka := &KernelAdapter{dev: dev, shift: lbaShift, wake: sim.NewCond(env)}
 	for i, th := range threads {
 		th := th
 		env.Go(fmt.Sprintf("kernel/nvmetro-kq%d", i), func(p *sim.Proc) { ka.worker(p, th) })

@@ -39,50 +39,6 @@ func (p *dmaPool) put(pages []uint64) {
 	p.free[len(pages)] = append(p.free[len(pages)], pages)
 }
 
-// Recovery is the host driver's error-recovery policy: a per-command
-// deadline with abort and bounded, exponentially backed-off resubmission —
-// the sim equivalent of the kernel's nvme_timeout/abort/reset ladder. A
-// timed-out CID is quarantined (not reused) until its late completion
-// arrives or the reclaim window expires, so stale completions cannot be
-// misattributed to a new command on the same tag.
-type Recovery struct {
-	Timeout    sim.Duration // per-command deadline (0 disables recovery)
-	MaxRetries int          // resubmissions after a timeout before failing the bio
-	Backoff    sim.Duration // first retry delay; doubles per attempt
-	Reclaim    sim.Duration // quarantine before a lost CID may be reused
-}
-
-// DefaultRecovery returns a conservative policy: a deadline far above any
-// loaded-device latency (bandwidth-bound sequential writes at QD512 can
-// legitimately queue for ~20 ms in the model), so it only ever fires on
-// genuinely lost completions. Fault experiments install tighter policies.
-func DefaultRecovery() Recovery {
-	return Recovery{
-		Timeout:    100 * sim.Millisecond,
-		MaxRetries: 3,
-		Backoff:    100 * sim.Microsecond,
-		Reclaim:    200 * sim.Millisecond,
-	}
-}
-
-// Validate rejects policies that would silently misbehave. A reclaim
-// window shorter than the command deadline is the dangerous one: a tag
-// could be recycled while its first attempt is still within deadline,
-// widening the misattribution window instead of bounding it.
-func (rec Recovery) Validate() error {
-	if rec.MaxRetries < 0 {
-		return fmt.Errorf("blockdev: negative MaxRetries %d", rec.MaxRetries)
-	}
-	if rec.Timeout < 0 || rec.Backoff < 0 || rec.Reclaim < 0 {
-		return fmt.Errorf("blockdev: negative recovery timer (timeout=%v backoff=%v reclaim=%v)",
-			rec.Timeout, rec.Backoff, rec.Reclaim)
-	}
-	if rec.Timeout > 0 && rec.Reclaim < rec.Timeout {
-		return fmt.Errorf("blockdev: reclaim window %v shorter than command deadline %v", rec.Reclaim, rec.Timeout)
-	}
-	return nil
-}
-
 // NVMeBlockDev is the host NVMe driver's block device: bios are translated
 // to NVMe commands on a dedicated host queue pair, data is bounced through
 // kernel DMA buffers, and completions are handled in a simulated interrupt
@@ -137,8 +93,7 @@ type ReadVerifier interface {
 // lostCID is one quarantined tag: the generation of the attempt that lost
 // it, and when the quarantine began.
 type lostCID struct {
-	gen   uint32
-	since sim.Time
+	gen uint32
 }
 
 // genDW is the otherwise-reserved command dword carrying the submission
@@ -151,7 +106,6 @@ type pendingBio struct {
 	bio       *Bio
 	pages     []uint64
 	listPages []uint64
-	base      uint64
 	cmd       nvme.Command // retryable command image (CID rewritten per attempt)
 	attempts  int          // submissions so far
 	gen       uint32       // generation of the current attempt
@@ -192,28 +146,10 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 	return d
 }
 
-// SetRecovery replaces the error-recovery policy (before or between I/O).
-// Invalid policies are rejected and the previous policy stays active.
-// Attempts outstanding at the time keep the deadline they were submitted
-// under.
-func (d *NVMeBlockDev) SetRecovery(rec Recovery) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	d.rec = rec
-	return nil
-}
-
-// Recovery returns the active error-recovery policy.
-func (d *NVMeBlockDev) Recovery() Recovery { return d.rec }
-
 // SetVerifier installs a protection-info verifier on the read completion
 // path (nil detaches). A read whose payload fails verification completes
 // with a guard-check media error instead of delivering wrong data.
 func (d *NVMeBlockDev) SetVerifier(v ReadVerifier) { d.verifier = v }
-
-// Partition returns the device partition this block device covers.
-func (d *NVMeBlockDev) Partition() device.Partition { return d.part }
 
 // NumSectors implements BlockDevice.
 func (d *NVMeBlockDev) NumSectors() uint64 {
@@ -229,7 +165,7 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 	var blocks uint32
 	if b.Op != BioFlush {
 		var ok bool
-		if lba, blocks, ok = d.part.TranslateSectors(b.Sector, b.Sectors()); !ok {
+		if lba, blocks, ok = d.part.TranslateSectors(b.Sector, b.sectors()); !ok {
 			if b.OnDone != nil {
 				b.OnDone(nvme.SCLBAOutOfRange)
 			}
@@ -256,7 +192,6 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 	case BioRead, BioWrite:
 		npages := (len(b.Data) + guestmem.PageSize - 1) / guestmem.PageSize
 		pend.pages = d.pool.get(npages)
-		pend.base = pend.pages[0]
 		if b.Op == BioWrite {
 			// Copy data into the DMA buffer (kernel bounce).
 			for i, pg := range pend.pages {
@@ -352,7 +287,7 @@ func (d *NVMeBlockDev) onTimeout(id, _ uint32) {
 // after reclaim — when the tag may already have a new occupant — can be
 // recognized as stale by its generation echo instead of being delivered.
 func (d *NVMeBlockDev) quarantine(cid uint16, gen uint32) {
-	entry := lostCID{gen: gen, since: d.env.Now()}
+	entry := lostCID{gen: gen}
 	d.lost[cid] = entry
 	d.env.After(d.rec.Reclaim, func() {
 		if e, ok := d.lost[cid]; ok && e == entry {

@@ -10,7 +10,6 @@ import (
 // a queue by polling (no syscall per completion). It is what the UIF
 // framework and the QEMU baseline use for host file I/O.
 type URing struct {
-	env    *sim.Env
 	dev    BlockDevice
 	costs  URingCosts
 	cq     []URingCQE
@@ -40,7 +39,7 @@ func DefaultURingCosts() URingCosts {
 
 // NewURing creates a ring over dev.
 func NewURing(env *sim.Env, dev BlockDevice, costs URingCosts) *URing {
-	return &URing{env: env, dev: dev, costs: costs}
+	return &URing{dev: dev, costs: costs}
 }
 
 // Submit queues an asynchronous read/write of data at sector.

@@ -38,9 +38,9 @@ import (
 type WritePolicy int
 
 const (
-	// WriteThrough installs the write's payload when the backend write
+	// writeThrough installs the write's payload when the backend write
 	// completes, so re-reads of freshly written data hit.
-	WriteThrough WritePolicy = iota
+	writeThrough WritePolicy = iota
 	// WriteAround only invalidates the written range; the next read fills
 	// from the backend. Cheapest for write-once data.
 	WriteAround
@@ -73,7 +73,7 @@ func DefaultConfig() Config {
 	return Config{
 		BlockSize:      512,
 		CapacityBlocks: 32768,
-		WritePolicy:    WriteThrough,
+		WritePolicy:    writeThrough,
 	}
 }
 
@@ -85,8 +85,7 @@ const (
 
 // entry is one resident block.
 type entry struct {
-	data   []byte
-	lastOp uint64 // shard op-clock at the last access, for reuse distance
+	data []byte
 }
 
 // shard is one lock domain of the cache.
@@ -95,11 +94,7 @@ type shard struct {
 	data map[uint64]*entry
 	pol  *arcPolicy
 
-	ops uint64 // per-block access clock
-
 	hits, misses, admissions, evictions, invalidations uint64
-
-	reuse *metrics.Histogram // op-distance between accesses to the same block
 }
 
 // window is one in-flight fill or write over [lba, lba+blocks).
@@ -146,9 +141,8 @@ func New(cfg Config) *Cache {
 	perShard := int(cfg.CapacityBlocks) / nShards
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			data:  make(map[uint64]*entry),
-			pol:   newARC(perShard),
-			reuse: metrics.NewHistogram(),
+			data: make(map[uint64]*entry),
+			pol:  newARC(perShard),
 		}
 	}
 	return c
@@ -205,9 +199,7 @@ func (c *Cache) Read(lba uint64, blocks uint64, buf []byte) bool {
 	// Probe pass: every block must be resident.
 	hit := true
 	for b := uint64(0); b < blocks; b++ {
-		sh := c.shardOf(lba + b)
-		sh.ops++
-		if _, ok := sh.data[lba+b]; !ok {
+		if _, ok := c.shardOf(lba + b).data[lba+b]; !ok {
 			hit = false
 		}
 	}
@@ -227,18 +219,16 @@ func (c *Cache) Read(lba uint64, blocks uint64, buf []byte) bool {
 	return true
 }
 
-// hit books one served read of resident block key: the hit, its reuse
-// distance and the replacement policy's touch. Caller holds sh.mu.
+// hit books one served read of resident block key: the hit and the
+// replacement policy's touch. Caller holds sh.mu.
 func (sh *shard) hit(key uint64, e *entry) {
 	sh.hits++
-	sh.reuse.Record(int64(sh.ops - e.lastOp))
-	e.lastOp = sh.ops
-	sh.pol.Hit(key)
+	sh.pol.hit(key)
 }
 
 // View is Read for one block without the copy: it returns the resident
 // block itself, or nil on a miss, with the access counted exactly as Read
-// counts it (hit or miss, reuse distance, replacement-policy touch). The
+// counts it (hit or miss, replacement-policy touch). The
 // bytes are the cache's own and read-only; they are what the block holds
 // until something installs over, invalidates or evicts it, so a caller whose
 // blocks can change reads them before it lets anything else at the cache. A
@@ -248,7 +238,6 @@ func (c *Cache) View(lba uint64) []byte {
 	sh := c.shardOf(lba)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.ops++
 	e, ok := sh.data[lba]
 	if !ok {
 		sh.misses++
@@ -271,21 +260,6 @@ func (c *Cache) Contains(lba uint64, blocks uint64) bool {
 		}
 	}
 	return true
-}
-
-// Peek returns a copy of one resident block's data, or nil. Test/debug
-// helper; does not touch access stats.
-func (c *Cache) Peek(lba uint64) []byte {
-	sh := c.shardOf(lba)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.data[lba]
-	if !ok {
-		return nil
-	}
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return out
 }
 
 // BeginFill opens a fill window over [lba, lba+blocks) and returns its
@@ -394,7 +368,7 @@ func (c *Cache) EndWrite(writeID uint64, data []byte) {
 		}
 	}
 	var evicted []uint64
-	if data != nil && c.cfg.WritePolicy == WriteThrough {
+	if data != nil && c.cfg.WritePolicy == writeThrough {
 		if w.conflicted {
 			// Another writer overlapped this window's lifetime (even one
 			// that already closed): the final backend contents are decided
@@ -441,7 +415,7 @@ func (c *Cache) invalidateLocked(lba, blocks uint64) {
 			sh.invalidations++
 		}
 		// Drop ghosts too: an invalidated block's history is stale.
-		sh.pol.Remove(key)
+		sh.pol.remove(key)
 		sh.mu.Unlock()
 	}
 }
@@ -458,16 +432,15 @@ func (c *Cache) installLocked(lba, blocks uint64, data []byte) []uint64 {
 		sh.mu.Lock()
 		if e, ok := sh.data[key]; ok {
 			copy(e.data, src)
-			e.lastOp = sh.ops
-			sh.pol.Hit(key)
+			sh.pol.hit(key)
 			sh.mu.Unlock()
 			continue
 		}
-		e := &entry{data: make([]byte, bs), lastOp: sh.ops}
+		e := &entry{data: make([]byte, bs)}
 		copy(e.data, src)
 		sh.data[key] = e
 		sh.admissions++
-		for _, k := range sh.pol.Admit(key) {
+		for _, k := range sh.pol.admit(key) {
 			delete(sh.data, k)
 			sh.evictions++
 			evicted = append(evicted, k)
@@ -486,8 +459,8 @@ func (c *Cache) notifyEvicted(keys []uint64) {
 	}
 }
 
-// Resident returns the resident block count.
-func (c *Cache) Resident() int {
+// resident returns the resident block count.
+func (c *Cache) resident() int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -522,18 +495,6 @@ func (c *Cache) sum(f func(*shard) uint64) uint64 {
 	return n
 }
 
-// ReuseHistogram merges the per-shard reuse-distance histograms (accesses
-// between uses of the same block, in block probes) into one.
-func (c *Cache) ReuseHistogram() *metrics.Histogram {
-	out := metrics.NewHistogram()
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		out.Merge(sh.reuse)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Collect folds the cache's counters into cs under the "cache." prefix, in
 // a deterministic order.
 func (c *Cache) Collect(cs *metrics.CounterSet) {
@@ -542,18 +503,18 @@ func (c *Cache) Collect(cs *metrics.CounterSet) {
 	cs.Add("cache.admissions", c.sum(func(s *shard) uint64 { return s.admissions }))
 	cs.Add("cache.evictions", c.sum(func(s *shard) uint64 { return s.evictions }))
 	cs.Add("cache.invalidations", c.sum(func(s *shard) uint64 { return s.invalidations }))
-	cs.Add("cache.ghost_hits", c.sum(func(s *shard) uint64 { return s.pol.GhostHits() }))
+	cs.Add("cache.ghost_hits", c.sum(func(s *shard) uint64 { return s.pol.ghostHits }))
 	c.mu.Lock()
 	cs.Add("cache.conflicts", c.conflicts)
 	cs.Add("cache.fill_aborts", c.fillAborts)
 	cs.Add("cache.installs", c.installs)
 	cs.Add("cache.write_skips", c.writeSkips)
 	c.mu.Unlock()
-	cs.Add("cache.resident", uint64(c.Resident()))
+	cs.Add("cache.resident", uint64(c.resident()))
 }
 
 // String summarizes the cache state.
 func (c *Cache) String() string {
 	return fmt.Sprintf("cache{%s resident=%d hits=%d misses=%d ratio=%.2f}",
-		c.cfg.WritePolicy, c.Resident(), c.Hits(), c.Misses(), c.HitRatio())
+		c.cfg.WritePolicy, c.resident(), c.Hits(), c.Misses(), c.HitRatio())
 }

@@ -139,7 +139,7 @@ func TestStaleFillInterleavings(t *testing.T) {
 		}
 		// Blocks 0 and 1 are covered only by the fill [0,4), not the write
 		// [2,6): if either is resident the dropped fill leaked data.
-		if c.Peek(0) != nil || c.Peek(1) != nil {
+		if peek(c, 0) != nil || peek(c, 1) != nil {
 			t.Fatalf("%s: stale fill data resident", tc.name)
 		}
 		var cs metrics.CounterSet
@@ -175,7 +175,7 @@ func TestEndWriteSkipsWhenWritesOverlap(t *testing.T) {
 	// install either.
 	c.EndWrite(w2, rng(bs, 4, 2))
 	for lba := uint64(0); lba < 6; lba++ {
-		if c.Peek(lba) != nil {
+		if peek(c, lba) != nil {
 			t.Fatalf("block %d resident after conflicting writes", lba)
 		}
 	}
@@ -200,7 +200,7 @@ func TestNestedWriteWindowNeverInstalls(t *testing.T) {
 	c.EndWrite(b, rng(bs, 2, 0xBB))
 	c.EndWrite(a, rng(bs, 2, 0xAA)) // no open overlaps, but conflicted
 	for lba := uint64(0); lba < 2; lba++ {
-		if got := c.Peek(lba); got != nil {
+		if got := peek(c, lba); got != nil {
 			t.Fatalf("block %d resident (%v) after nested write windows — backing holds B's payload", lba, got[0])
 		}
 	}
@@ -220,7 +220,7 @@ func TestInvalidateConflictsOpenWrite(t *testing.T) {
 	c.Invalidate(2, 1) // external writer touched [2,3) mid-window
 	c.EndWrite(w, rng(bs, 4, 1))
 	for lba := uint64(0); lba < 4; lba++ {
-		if c.Peek(lba) != nil {
+		if peek(c, lba) != nil {
 			t.Fatalf("block %d resident after external write raced the window", lba)
 		}
 	}
@@ -264,7 +264,7 @@ func TestOnEvictRunsOutsideLocks(t *testing.T) {
 	var c *Cache
 	cfg.OnEvict = func(lba uint64) {
 		evicted = append(evicted, lba)
-		c.Peek(lba)
+		peek(c, lba)
 		c.Invalidate(lba, 1) // no-op (already gone), but takes the locks
 	}
 	c = New(cfg)
@@ -276,13 +276,13 @@ func TestOnEvictRunsOutsideLocks(t *testing.T) {
 	if len(evicted) == 0 {
 		t.Fatal("tiny cache never evicted")
 	}
-	if c.Resident() > 8 {
-		t.Fatalf("resident=%d exceeds capacity 8", c.Resident())
+	if c.resident() > 8 {
+		t.Fatalf("resident=%d exceeds capacity 8", c.resident())
 	}
 }
 
 func TestCollectDeterministicAcrossRuns(t *testing.T) {
-	run := func() (*metrics.CounterSet, *metrics.Histogram) {
+	run := func() *metrics.CounterSet {
 		c := New(testCfg(32))
 		bs := int(c.BlockSize())
 		for i := 0; i < 200; i++ {
@@ -302,21 +302,18 @@ func TestCollectDeterministicAcrossRuns(t *testing.T) {
 		}
 		var cs metrics.CounterSet
 		c.Collect(&cs)
-		return &cs, c.ReuseHistogram()
+		return &cs
 	}
-	a, ha := run()
-	b, hb := run()
+	a := run()
+	b := run()
 	if !a.Equal(b) {
 		t.Fatalf("same op sequence produced different counters:\n%s\n%s", a, b)
-	}
-	if !ha.Equal(hb) {
-		t.Fatalf("same op sequence produced different reuse histograms: %v vs %v", ha, hb)
 	}
 }
 
 // TestViewCountsLikeRead runs one op sequence against two caches, reading
 // single blocks by copy (Read) on one and in place (View) on the other: the
-// bytes, every counter, the reuse histogram and — through what later fills
+// bytes, every counter and — through what later fills
 // evict — the replacement state must not be able to tell them apart.
 func TestViewCountsLikeRead(t *testing.T) {
 	byCopy, inPlace := New(testCfg(16)), New(testCfg(16))
@@ -346,9 +343,6 @@ func TestViewCountsLikeRead(t *testing.T) {
 	inPlace.Collect(&b)
 	if !a.Equal(&b) || byCopy.Hits() == 0 || byCopy.Misses() == 0 {
 		t.Fatalf("View is not counted as Read is:\n%s\n%s", &a, &b)
-	}
-	if !byCopy.ReuseHistogram().Equal(inPlace.ReuseHistogram()) {
-		t.Fatalf("reuse histograms differ: %v vs %v", byCopy.ReuseHistogram(), inPlace.ReuseHistogram())
 	}
 	for lba := uint64(0); lba < 48; lba++ {
 		if byCopy.Contains(lba, 1) != inPlace.Contains(lba, 1) {
@@ -395,14 +389,14 @@ func TestARCScanResistance(t *testing.T) {
 	}
 	kept := 0
 	for _, lba := range keys[:32] {
-		if c.Peek(lba) != nil {
+		if peek(c, lba) != nil {
 			kept++
 		}
 	}
 	if kept < 24 {
 		t.Fatalf("ARC kept only %d/32 hot blocks through a scan", kept)
 	}
-	if r := c.Resident(); r > capBlocks {
+	if r := c.resident(); r > capBlocks {
 		t.Fatalf("resident=%d exceeds the shard's capacity %d", r, capBlocks)
 	}
 }
@@ -447,12 +441,12 @@ func TestGhostHitsObserved(t *testing.T) {
 func TestARCHitAllocatesNothing(t *testing.T) {
 	pol := newARC(64)
 	for k := uint64(0); k < 32; k++ {
-		pol.Admit(k)
-		pol.Hit(k) // T1 -> T2
+		pol.admit(k)
+		pol.hit(k) // T1 -> T2
 	}
 	k := uint64(0)
 	if n := testing.AllocsPerRun(1000, func() {
-		pol.Hit(k % 32)
+		pol.hit(k % 32)
 		k += 7
 	}); n != 0 {
 		t.Errorf("%v allocs per hit on a T2 resident, want 0", n)
@@ -460,4 +454,17 @@ func TestARCHitAllocatesNothing(t *testing.T) {
 	if pol.Len() != 32 {
 		t.Errorf("resident count %d after hits only, want 32", pol.Len())
 	}
+}
+
+// peek returns a copy of one resident block's data, or nil, without touching
+// the access stats.
+func peek(c *Cache, lba uint64) []byte {
+	sh := c.shardOf(lba)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.data[lba]
+	if !ok {
+		return nil
+	}
+	return append([]byte(nil), e.data...)
 }

@@ -26,7 +26,7 @@ func TestConcurrentCoherence(t *testing.T) {
 	cfg := Config{
 		BlockSize:      32,
 		CapacityBlocks: 48, // below domain: evictions race with everything
-		WritePolicy:    WriteThrough,
+		WritePolicy:    writeThrough,
 	}
 	c := New(cfg)
 	bs := int(cfg.BlockSize)
@@ -128,7 +128,7 @@ func TestConcurrentCoherence(t *testing.T) {
 	}
 
 	wg.Wait()
-	if c.Resident() > int(cfg.CapacityBlocks) {
-		t.Fatalf("resident %d exceeds capacity %d", c.Resident(), cfg.CapacityBlocks)
+	if c.resident() > int(cfg.CapacityBlocks) {
+		t.Fatalf("resident %d exceeds capacity %d", c.resident(), cfg.CapacityBlocks)
 	}
 }

@@ -43,10 +43,6 @@ func newARC(capacity int) *arcPolicy {
 // Len is the resident count.
 func (a *arcPolicy) Len() int { return a.t1.Len() + a.t2.Len() }
 
-// GhostHits counts admissions of recently evicted keys — the signal that the
-// resident set is too small for the reuse distance.
-func (a *arcPolicy) GhostHits() uint64 { return a.ghostHits }
-
 // promote moves a tracked key to T2's MRU position. The common case, a hit
 // on a T2 resident, moves the element and allocates nothing; a key arriving
 // from another list takes its polEntry along.
@@ -61,8 +57,8 @@ func (a *arcPolicy) promote(e *list.Element, key uint64) {
 	a.idx[key] = a.t2.PushFront(ent)
 }
 
-// Hit notes an access to a resident key.
-func (a *arcPolicy) Hit(key uint64) {
+// hit notes an access to a resident key.
+func (a *arcPolicy) hit(key uint64) {
 	e, ok := a.idx[key]
 	if !ok {
 		return
@@ -100,9 +96,9 @@ func (a *arcPolicy) dropLRU(l *list.List) {
 	}
 }
 
-// Admit makes key resident, returning the keys evicted to make room (in
+// admit makes key resident, returning the keys evicted to make room (in
 // eviction order). The returned keys no longer hold data.
-func (a *arcPolicy) Admit(key uint64) []uint64 {
+func (a *arcPolicy) admit(key uint64) []uint64 {
 	if e, ok := a.idx[key]; ok {
 		ent := e.Value.(*polEntry)
 		switch ent.home {
@@ -162,9 +158,9 @@ func (a *arcPolicy) Admit(key uint64) []uint64 {
 	return evicted
 }
 
-// Remove forgets key entirely (resident or ghost), e.g. after an
+// remove forgets key entirely (resident or ghost), e.g. after an
 // invalidation.
-func (a *arcPolicy) Remove(key uint64) {
+func (a *arcPolicy) remove(key uint64) {
 	e, ok := a.idx[key]
 	if !ok {
 		return

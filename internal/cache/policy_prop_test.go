@@ -84,7 +84,7 @@ func TestCacheCoherenceProperty(t *testing.T) {
 		domain  = 48 // block LBA space, small to force overlap
 		maxSpan = 4
 	)
-	for _, wp := range []WritePolicy{WriteThrough, WriteAround} {
+	for _, wp := range []WritePolicy{writeThrough, WriteAround} {
 		for trial := 0; trial < trials; trial++ {
 			cfg := Config{
 				BlockSize:      8,
@@ -180,7 +180,7 @@ func TestCacheCoherenceProperty(t *testing.T) {
 				// (in which case it must not be resident at all — the
 				// write window invalidated it).
 				for lba := uint64(0); lba < domain; lba++ {
-					got := c.Peek(lba)
+					got := peek(c, lba)
 					if got == nil {
 						continue
 					}
@@ -193,7 +193,7 @@ func TestCacheCoherenceProperty(t *testing.T) {
 							wp, trial, op, lba, got, model.committed(lba))
 					}
 				}
-				if r := c.Resident(); r > int(cfg.CapacityBlocks) {
+				if r := c.resident(); r > int(cfg.CapacityBlocks) {
 					t.Fatalf("%v trial %d op %d: resident %d exceeds capacity %d",
 						wp, trial, op, r, cfg.CapacityBlocks)
 				}
@@ -228,12 +228,12 @@ func TestPolicyModelProperty(t *testing.T) {
 			key := uint64(rng.Intn(3 * capacity))
 			switch rng.Intn(4) {
 			case 0: // hit (may be on a non-resident key: must be a no-op)
-				p.Hit(key)
+				p.hit(key)
 			case 1: // remove
-				p.Remove(key)
+				p.remove(key)
 				delete(resident, key)
 			default: // admit
-				for _, ev := range p.Admit(key) {
+				for _, ev := range p.admit(key) {
 					if !resident[ev] {
 						t.Fatalf("cap=%d trial %d op %d: evicted non-resident key %d",
 							capacity, trial, op, ev)

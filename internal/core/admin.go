@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"nvmetro/internal/nvme"
+	"nvmetro/internal/vm"
 )
 
 // This file implements the virtual controller's admin command surface.
@@ -107,4 +109,17 @@ func (vc *Controller) adminSetFeatures(cmd *nvme.Command) (nvme.Status, uint32) 
 		return nvme.SCSuccess, 0
 	}
 	return nvme.SCInvalidField, 0
+}
+
+// VM returns the attached VM.
+func (vc *Controller) VM() *vm.VM { return vc.vm }
+
+// IdentifyController returns the virtual controller's identify page,
+// implementing the admin Identify command surface.
+func (vc *Controller) IdentifyController() nvme.ControllerInfo {
+	return nvme.ControllerInfo{
+		VID: 0x1b36, Serial: fmt.Sprintf("NVMETRO%08d", vc.vm.ID),
+		Model: "NVMetro Virtual NVMe Controller", Firmware: "1.0",
+		NN: 1, MaxXfer: 5, SQES: 6, CQES: 4,
+	}
 }

@@ -261,9 +261,6 @@ func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
 	return vc
 }
 
-// VM returns the attached VM.
-func (vc *Controller) VM() *vm.VM { return vc.vm }
-
 // Router returns the router servicing this controller (for policy tuning
 // and error-counter inspection).
 func (vc *Controller) Router() *Router { return vc.router }
@@ -355,10 +352,6 @@ func (vc *Controller) refreshPromotion() {
 // commands via the direct SQ→HSQ mapping (classifier execution elided).
 func (vc *Controller) Promoted() bool { return vc.promoted }
 
-// StaticVerdict returns the classifier's statically proven constant
-// verdict, when the analysis holds (control-plane/diagnostics surface).
-func (vc *Controller) StaticVerdict() (uint64, bool) { return vc.staticRet, vc.staticOK }
-
 // WorkerID returns the index of the router worker (shard) serving this
 // controller.
 func (vc *Controller) WorkerID() int { return vc.w.id }
@@ -371,16 +364,6 @@ func (vc *Controller) SetKernelTarget(kt KernelTarget) { vc.kt = kt }
 // Namespace implements vm.Port: the guest sees the partition as a
 // whole namespace.
 func (vc *Controller) Namespace() nvme.NamespaceInfo { return vc.part.Info() }
-
-// IdentifyController returns the virtual controller's identify page,
-// implementing the admin Identify command surface.
-func (vc *Controller) IdentifyController() nvme.ControllerInfo {
-	return nvme.ControllerInfo{
-		VID: 0x1b36, Serial: fmt.Sprintf("NVMETRO%08d", vc.vm.ID),
-		Model: "NVMetro Virtual NVMe Controller", Firmware: "1.0",
-		NN: 1, MaxXfer: 5, SQES: 6, CQES: 4,
-	}
-}
 
 // CreateQP implements vm.Port: allocates a VSQ/VCQ pair plus the shadowing
 // host queue pair on the device.
@@ -921,9 +904,9 @@ func (w *worker) sendKQ(h hop) bool {
 // encode helpers used by classifier config maps (documented layout for the
 // standard partition-translation config entry).
 const (
-	// CfgPartStart and CfgPartBlocks are u64 offsets in config map entry 0.
-	CfgPartStart  = 0
-	CfgPartBlocks = 8
+	// cfgPartStart and CfgPartBlocks are u64 offsets in config map entry 0.
+	cfgPartStart  = 0
+	cfgPartBlocks = 8
 	CfgValueSize  = 16
 )
 
@@ -931,24 +914,9 @@ const (
 // classifiers: entry 0 holds the partition start LBA and size.
 func NewPartitionConfigMap(part device.Partition) *ebpf.ArrayMap {
 	m := ebpf.NewArrayMap(CfgValueSize, 1)
-	m.SetU64(0, CfgPartStart, part.Start)
-	m.SetU64(0, CfgPartBlocks, part.Blocks)
+	m.SetU64(0, cfgPartStart, part.Start)
+	m.SetU64(0, cfgPartBlocks, part.Blocks)
 	return m
 }
 
 var _ vm.Port = (*Controller)(nil)
-
-// DebugState renders the controller's routing-table state for diagnostics
-// (exposed to the control plane and tests).
-func (vc *Controller) DebugState() string {
-	s := fmt.Sprintf("outstanding=%d ntags=%d retry=%d workerAsleep=%v comps=%d ctrl=%d",
-		vc.outstanding, len(vc.ntags), len(vc.retry), vc.w.asleep, len(vc.w.comps), len(vc.w.ctrl))
-	if vc.nq != nil {
-		s += fmt.Sprintf(" nsq=%d ncq=%d", vc.nq.nsq.Len(), vc.nq.ncq.Len())
-	}
-	for _, vq := range vc.vqs {
-		s += fmt.Sprintf(" [q%d vsq=%d hsq=%d hcq=%d pendVCQ=%d freeHTags=%d]",
-			vq.qid, vq.vsq.Len(), vq.hqp.SQ.Len(), vq.hqp.CQ.Len(), len(vq.pendingVCQ), len(vq.freeHTags))
-	}
-	return s
-}

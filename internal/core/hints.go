@@ -9,8 +9,8 @@ import (
 // HotHints wraps the cache classifier's heat map: LBA-bucket keys to access
 // counts, bumped by the classifier on every read and consulted to decide
 // whether a read is hot enough for the notify-path cache UIF. The host side
-// uses this wrapper to inspect heat and to pre-seed or retire buckets from
-// the control plane without touching eBPF byte encoding at call sites.
+// uses this wrapper to retire buckets without touching eBPF byte encoding at
+// call sites.
 //
 // Keys are little-endian uint64 bucket numbers (LBA >> bucketShift), values
 // little-endian uint64 counts — the exact layout the classifier's
@@ -40,28 +40,6 @@ func u64key(v uint64) []byte {
 	return k[:]
 }
 
-// Heat returns the access count recorded for lba's bucket.
-func (h *HotHints) Heat(lba uint64) uint64 {
-	v := h.m.Lookup(u64key(h.Bucket(lba)))
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
-}
-
-// SetHot forces lba's bucket to the given count — the control-plane override
-// to pre-warm a region (count at or above the classifier threshold) or cool
-// it (count below).
-func (h *HotHints) SetHot(lba uint64, count uint64) {
-	var val [8]byte
-	binary.LittleEndian.PutUint64(val[:], count)
-	// A full map keeps its existing buckets, matching classifier behavior.
-	_ = h.m.Update(u64key(h.Bucket(lba)), val[:])
-}
-
 // Forget drops lba's bucket so its heat accumulates from zero again, e.g.
 // after the cached range was evicted or invalidated.
 func (h *HotHints) Forget(lba uint64) { h.m.Delete(u64key(h.Bucket(lba))) }
-
-// Buckets returns the number of tracked buckets.
-func (h *HotHints) Buckets() int { return h.m.Len() }

@@ -62,10 +62,6 @@ func (nq *NotifyQueues) Mem() nvme.Memory { return nq.vc.vm.Mem }
 // interpret command LBA fields.
 func (nq *NotifyQueues) BlockShift() uint8 { return nq.vc.part.Dev.Params().LBAShift }
 
-// VMID identifies the VM this attachment serves (UIF processes can serve
-// several VMs at once).
-func (nq *NotifyQueues) VMID() int { return nq.vc.vm.ID }
-
 // Pop retrieves the next exported command; the returned tag must be passed
 // back to Complete. UIF-side API.
 func (nq *NotifyQueues) Pop(cmd *nvme.Command) (tag uint16, ok bool) {
@@ -87,6 +83,3 @@ func (nq *NotifyQueues) Complete(tag uint16, status nvme.Status) bool {
 	nq.vc.w.hint()
 	return true
 }
-
-// hintRouter is exposed for UIF frameworks that batch completions.
-func (nq *NotifyQueues) hintRouter() { nq.vc.w.hint() }

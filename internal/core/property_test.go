@@ -102,7 +102,7 @@ func TestRouterLivenessUnderArbitraryClassifiers(t *testing.T) {
 					done.WaitTimeout(10 * sim.Millisecond)
 				}
 				if !req.Done() {
-					t.Fatalf("seed %d: request %d (%v) wedged; %s", seed, i, req.Op, vc.DebugState())
+					t.Fatalf("seed %d: request %d (%v) wedged; %d outstanding", seed, i, req.Op, vc.Outstanding())
 				}
 				// Status may legitimately be an error (no-op classifier
 				// word), but the request must COMPLETE either way.

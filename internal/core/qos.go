@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"nvmetro/internal/ebpf"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/qos"
@@ -42,24 +41,6 @@ func (r *Router) EnableQoS(cfg qos.Config) *qos.Arbiter {
 // qosEnabled reports whether EnableQoS has run.
 func (r *Router) qosEnabled() bool { return r.workers[0].qos != nil }
 
-// QoS returns the first worker's arbiter (nil when QoS is disabled).
-// Routers with one worker — every shared-stack evaluation setup — have
-// exactly one arbiter, so this is the complete QoS state there. Sharded
-// fleets use QoSSnapshot/CollectQoS for the merged view.
-func (r *Router) QoS() *qos.Arbiter { return r.workers[0].qos }
-
-// QoSArbiters returns every per-shard arbiter (nil when QoS is disabled).
-func (r *Router) QoSArbiters() []*qos.Arbiter {
-	if !r.qosEnabled() {
-		return nil
-	}
-	out := make([]*qos.Arbiter, len(r.workers))
-	for i, w := range r.workers {
-		out[i] = w.qos
-	}
-	return out
-}
-
 // QoSSnapshot merges the per-shard arbiter snapshots into one fleet-wide
 // view. Tenants are disjoint across shards (a controller registers only
 // with its owning worker's arbiter), so concatenation is the merge.
@@ -95,10 +76,6 @@ func (vc *Controller) SetQoS(cfg qos.TenantConfig) {
 	}
 	vc.w.qos.Configure(vc.tenant, cfg)
 }
-
-// Tenant returns the controller's arbiter state (nil when QoS is
-// disabled).
-func (vc *Controller) Tenant() *qos.Tenant { return vc.tenant }
 
 // cmdBytes is the payload size the arbiter charges for a command;
 // non-I/O commands charge the one-unit minimum.
@@ -179,18 +156,4 @@ func (w *worker) chargeClass(req *request, class qos.Class) {
 	if ten := req.vq.vc.tenant; ten != nil {
 		w.qos.ChargeClass(ten, req.qosBase, class)
 	}
-}
-
-// NewQoSClassMap builds the standard per-opcode class policy map for
-// class-tagging classifiers: the entry index is the NVMe opcode and the
-// first byte of the value is the qos.Class to tag. All opcodes default to
-// ClassDefault; SetOpcodeClass installs exceptions.
-func NewQoSClassMap() *ebpf.ArrayMap {
-	return ebpf.NewArrayMap(8, 256)
-}
-
-// SetOpcodeClass installs a class policy for one opcode in a map built by
-// NewQoSClassMap.
-func SetOpcodeClass(m *ebpf.ArrayMap, op uint8, class qos.Class) {
-	m.SetU64(int(op), 0, uint64(class))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
 	"nvmetro/internal/nvme"
@@ -81,7 +80,7 @@ func TestQoSThrottleBackpressure(t *testing.T) {
 		elapsed = p.Now().Sub(start)
 	})
 
-	ten := vc.Tenant()
+	ten := r.router.QoSSnapshot(r.env.Now())[0]
 	if ten.Admitted != qd*count {
 		t.Fatalf("admitted %d, want %d (throttling must never drop)", ten.Admitted, qd*count)
 	}
@@ -93,7 +92,7 @@ func TestQoSThrottleBackpressure(t *testing.T) {
 	if min := 30 * sim.Millisecond; elapsed < min {
 		t.Fatalf("elapsed %v, want >= %v (rate limit not enforced)", elapsed, min)
 	}
-	if r.router.QoS().Snapshot(r.env.Now())[0].P99 == 0 {
+	if ten.P99 == 0 {
 		t.Fatal("no latency recorded for SLO tracking")
 	}
 }
@@ -108,7 +107,7 @@ func TestQoSClassTagging(t *testing.T) {
 	v, vc, disk := r.addVM(0, device.WholeNamespace(r.dev, 1))
 
 	prog, _, classMap := storfn.QoSClassClassifier(vc.Partition())
-	core.SetOpcodeClass(classMap, nvme.OpWrite, qos.ClassBulk)
+	classMap.SetU64(int(nvme.OpWrite), 0, uint64(qos.ClassBulk))
 	if err := vc.LoadClassifier(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +122,11 @@ func TestQoSClassTagging(t *testing.T) {
 		io(p, vm.OpWrite)
 		io(p, vm.OpRead)
 		// Retune the policy live through the map: writes become scavenger.
-		core.SetOpcodeClass(classMap, nvme.OpWrite, qos.ClassScavenger)
+		classMap.SetU64(int(nvme.OpWrite), 0, uint64(qos.ClassScavenger))
 		io(p, vm.OpWrite)
 	})
 
-	ten := vc.Tenant()
+	ten := r.router.QoSSnapshot(r.env.Now())[0]
 	if got := ten.PerClass[qos.ClassBulk]; got != 1 {
 		t.Fatalf("bulk count = %d, want 1 (the write)", got)
 	}
@@ -170,11 +169,10 @@ func TestQoSWeightedShareUnderContention(t *testing.T) {
 	// Both finish everything; fairness shows in service interleaving, so
 	// compare virtual finish tags instead: equal total service means the
 	// weight-1 tenant's virtual time advanced ~3x further.
-	t1, t2 := vc1.Tenant(), vc2.Tenant()
-	if t1.Admitted != qd*count || t2.Admitted != qd*count {
+	snaps := r.router.QoSSnapshot(r.env.Now())
+	if t1, t2 := snaps[0], snaps[1]; t1.Admitted != qd*count || t2.Admitted != qd*count {
 		t.Fatalf("admitted %d/%d, want %d each", t1.Admitted, t2.Admitted, qd*count)
 	}
-	snaps := r.router.QoS().Snapshot(r.env.Now())
 	if snaps[0].Weight != 3 || snaps[1].Weight != 1 {
 		t.Fatalf("snapshot weights %v/%v", snaps[0].Weight, snaps[1].Weight)
 	}

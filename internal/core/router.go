@@ -16,9 +16,6 @@ type RouterCosts struct {
 	PollVQ      sim.Duration // scanning one virtual queue set per iteration
 	Classify    sim.Duration // one classifier invocation
 	ClassifyNat sim.Duration // one native (compiled) classifier invocation
-	DispatchHQ  sim.Duration // forward to hardware queue + doorbell
-	DispatchNQ  sim.Duration // forward to notify queue + UIF wake
-	DispatchKQ  sim.Duration // translate and submit to the block layer
 	CompleteVCQ sim.Duration // post one VCQ entry
 	IRQInject   sim.Duration // virtual interrupt injection per batch
 }
@@ -29,9 +26,6 @@ func DefaultRouterCosts() RouterCosts {
 		PollVQ:      250 * sim.Nanosecond,
 		Classify:    300 * sim.Nanosecond,
 		ClassifyNat: 80 * sim.Nanosecond,
-		DispatchHQ:  250 * sim.Nanosecond,
-		DispatchNQ:  350 * sim.Nanosecond,
-		DispatchKQ:  600 * sim.Nanosecond,
 		CompleteVCQ: 250 * sim.Nanosecond,
 		IRQInject:   1200 * sim.Nanosecond,
 	}

@@ -26,7 +26,7 @@ import (
 // would roll them in one Tick, count one clean run and never restore.
 func TestSpinRollsQoSWindowsOneAtATime(t *testing.T) {
 	r := newRig(1)
-	arb := r.router.EnableQoS(qos.Config{Window: 20 * sim.Microsecond, RecoverWindows: 2})
+	arb := r.router.EnableQoS(qos.Config{Window: 20 * sim.Microsecond})
 	parts := device.Carve(r.dev, 1, 2)
 	v, vc, disk := r.addVM(1, parts[0])
 	vc.SetQoS(qos.TenantConfig{SLOTargetP99: 50 * sim.Microsecond})

@@ -76,7 +76,6 @@ type Index struct {
 	chunks map[uint64]*idxEnt
 	cache  *cache.Cache // optional, keyed by chunk hash, 1 "block" = 1 chunk
 
-	stored    uint64 // chunks holding bytes right now
 	dedupHits uint64 // Puts that matched an existing chunk
 	released  uint64 // chunks freed by refcount GC
 }
@@ -95,9 +94,6 @@ func NewIndex(cfg Config) *Index {
 	}
 	return ix
 }
-
-// Cache returns the shared content-addressed cache, or nil.
-func (ix *Index) Cache() *cache.Cache { return ix.cache }
 
 // fnv64 is FNV-1a, inlined to keep hashing allocation-free.
 func fnv64(data []byte) uint64 {
@@ -119,7 +115,6 @@ func (ix *Index) put(data []byte) uint64 {
 		e := ix.chunks[key]
 		if e == nil {
 			ix.chunks[key] = &idxEnt{data: data, refs: 1}
-			ix.stored++
 			return key
 		}
 		if bytes.Equal(e.data, data) {
@@ -131,13 +126,6 @@ func (ix *Index) put(data []byte) uint64 {
 	}
 }
 
-// ref adds a reference to an existing slot.
-func (ix *Index) ref(key uint64) {
-	ix.mu.Lock()
-	ix.chunks[key].refs++
-	ix.mu.Unlock()
-}
-
 // release drops a reference, garbage-collecting the chunk at zero.
 func (ix *Index) release(key uint64) {
 	ix.mu.Lock()
@@ -145,7 +133,6 @@ func (ix *Index) release(key uint64) {
 	e.refs--
 	if e.refs == 0 {
 		delete(ix.chunks, key)
-		ix.stored--
 		ix.released++
 		if ix.cache != nil {
 			ix.cache.Invalidate(key, 1)
@@ -225,14 +212,8 @@ type Layer struct {
 	refs    int    // referencing chains; guarded by the owning Index's mu
 }
 
-// Seq returns the layer's sequence number within its domain.
-func (l *Layer) Seq() uint64 { return l.seq }
-
-// Chunks returns the number of chunk mappings (including whiteouts).
-func (l *Layer) Chunks() int { return len(l.entries) }
-
-// Whiteouts returns the number of whiteout mappings.
-func (l *Layer) Whiteouts() int {
+// whiteouts returns the number of whiteout mappings.
+func (l *Layer) whiteouts() int {
 	n := 0
 	for _, e := range l.entries {
 		if e.white {
@@ -371,17 +352,11 @@ func NewStore(idx *Index, blocks uint64, base Backing) *Store {
 // Blocks returns the store's logical size in blocks.
 func (s *Store) Blocks() uint64 { return s.blocks }
 
-// Index returns the chunk index this store is rooted in.
-func (s *Store) Index() *Index { return s.idx }
-
 // Layers returns the sealed chain, bottom to top.
 func (s *Store) Layers() []*Layer { return append([]*Layer(nil), s.chain...) }
 
-// Dirty reports whether the store has unsealed private state.
-func (s *Store) Dirty() bool { return len(s.mut) > 0 || len(s.mutWhite) > 0 }
-
-// BrokenBlocks returns the total CoW-broken block count.
-func (s *Store) BrokenBlocks() uint64 { return s.broken.Blocks() }
+// dirty reports whether the store has unsealed private state.
+func (s *Store) dirty() bool { return len(s.mut) > 0 || len(s.mutWhite) > 0 }
 
 // top returns the chunk's mapping in the newest sealed layer that has one.
 func (s *Store) top(cn uint64) (layerEnt, bool) {
@@ -553,7 +528,7 @@ func (s *Store) TrimBlocks(lba uint64, blocks uint32) {
 // semantics and deduplicating trimmed space for free) and the private maps
 // are reset.
 func (s *Store) Snapshot() *Layer {
-	if !s.Dirty() {
+	if !s.dirty() {
 		return nil
 	}
 	entries := make(map[uint64]layerEnt, len(s.mut)+len(s.mutWhite))
@@ -669,7 +644,7 @@ func (s *Store) ContentCRC() uint32 {
 // clone that never wrote reports 0. O(private state), cheap enough to
 // check hundreds of tenants per run.
 func (s *Store) DivergenceCRC() uint32 {
-	if len(s.chain) == s.shared && !s.Dirty() {
+	if len(s.chain) == s.shared && !s.dirty() {
 		return 0
 	}
 	crc := crc32.NewIEEE()
@@ -722,7 +697,7 @@ func (s *Store) LayerInfos() []LayerInfo {
 	defer s.idx.mu.Unlock()
 	for _, l := range s.chain {
 		out = append(out, LayerInfo{
-			Seq: l.seq, Chunks: len(l.entries), Whiteouts: l.Whiteouts(),
+			Seq: l.seq, Chunks: len(l.entries), Whiteouts: l.whiteouts(),
 			Refs: l.refs, CRC: l.crc,
 		})
 	}

@@ -156,7 +156,7 @@ func TestCowOracleWithCache(t *testing.T) {
 	if got, want := o.cow.ContentCRC(), o.mem.ContentCRC(); got != want {
 		t.Fatalf("cached ContentCRC mismatch: cow %08x mem %08x", got, want)
 	}
-	if o.cow.Index().Cache().Hits() == 0 {
+	if o.cow.idx.cache.Hits() == 0 {
 		t.Fatal("expected shared-cache hits on re-read of sealed chunks")
 	}
 }
@@ -213,7 +213,7 @@ func TestCloneIsolation(t *testing.T) {
 	if a.CowBreaks == 0 || a.ChunkCopies == 0 {
 		t.Fatalf("expected CoW break + RMW copy on partial overwrite, got breaks=%d copies=%d", a.CowBreaks, a.ChunkCopies)
 	}
-	if got := a.BrokenBlocks(); got == 0 {
+	if got := a.broken.Blocks(); got == 0 {
 		t.Fatal("broken extents not tracked")
 	}
 	a.Close()
@@ -292,7 +292,7 @@ func TestTrimWhiteouts(t *testing.T) {
 	}
 	// Seal the trims: all-zero private chunks must become whiteouts.
 	l := o.cow.Snapshot()
-	if l == nil || l.Whiteouts() == 0 {
+	if l == nil || l.whiteouts() == 0 {
 		t.Fatal("trimmed chunks did not seal as whiteouts")
 	}
 	o.check(t, 0, blocks)
@@ -339,10 +339,10 @@ func TestSharedCacheCrossTenant(t *testing.T) {
 	a, b := golden.Clone(), golden.Clone()
 	buf := make([]byte, 64*512)
 	a.ReadBlocks(0, buf) // miss + fill
-	h0 := ix.Cache().Hits()
+	h0 := ix.cache.Hits()
 	b.ReadBlocks(0, buf) // same content hash: hit
-	if ix.Cache().Hits() != h0+1 {
-		t.Fatalf("cross-tenant read did not hit shared cache: hits %d -> %d", h0, ix.Cache().Hits())
+	if ix.cache.Hits() != h0+1 {
+		t.Fatalf("cross-tenant read did not hit shared cache: hits %d -> %d", h0, ix.cache.Hits())
 	}
 	a.Close()
 	b.Close()
@@ -378,7 +378,7 @@ func TestPartialReadCounters(t *testing.T) {
 
 	type counts struct{ private, zero, shared, base, hits, misses uint64 }
 	read := func() counts {
-		return counts{s.PrivateReads, s.ZeroReads, s.SharedReads, s.BaseReads, ix.Cache().Hits(), ix.Cache().Misses()}
+		return counts{s.PrivateReads, s.ZeroReads, s.SharedReads, s.BaseReads, ix.cache.Hits(), ix.cache.Misses()}
 	}
 	for _, tc := range []struct {
 		name  string
@@ -429,7 +429,7 @@ func TestSealedChunkBytesNeverChange(t *testing.T) {
 	clone := golden.Clone()
 
 	key := layer.entries[0].hash
-	if ix.view(key, false); !ix.Cache().Contains(key, 1) {
+	if ix.view(key, false); !ix.cache.Contains(key, 1) {
 		t.Fatal("a miss did not fill the shared cache")
 	}
 	held := ix.view(key, false) // the resident line itself
@@ -445,16 +445,16 @@ func TestSealedChunkBytesNeverChange(t *testing.T) {
 			t.Fatalf("chunk %d block %d read wrong", cn, cn%64)
 		}
 	}
-	if ix.Cache().Contains(key, 1) {
+	if ix.cache.Contains(key, 1) {
 		t.Fatal("chunk 0 was not evicted: the test needs a smaller cache")
 	}
 	if crc32.ChecksumIEEE(held) != want {
 		t.Fatal("an evicted line's bytes changed under a reader holding them")
 	}
-	misses := ix.Cache().Misses()
+	misses := ix.cache.Misses()
 	clone.ReadBlocks(9, got) // refill
-	if ix.Cache().Misses() != misses+1 || !bytes.Equal(got, img[9*512:10*512]) {
-		t.Fatalf("refill: %d misses (want %d), data ok=%v", ix.Cache().Misses(), misses+1, bytes.Equal(got, img[9*512:10*512]))
+	if ix.cache.Misses() != misses+1 || !bytes.Equal(got, img[9*512:10*512]) {
+		t.Fatalf("refill: %d misses (want %d), data ok=%v", ix.cache.Misses(), misses+1, bytes.Equal(got, img[9*512:10*512]))
 	}
 	if crc32.ChecksumIEEE(held) != want || crc32.ChecksumIEEE(ix.view(key, false)) != want {
 		t.Fatal("chunk 0 reads differently across an eviction and refill")
@@ -587,7 +587,7 @@ func TestBreakSourceOutlivesEviction(t *testing.T) {
 	mem.WriteBlocks(0, img)
 	layer := golden.Snapshot()
 	o := &oracle{cow: golden.Clone(), mem: mem}
-	cache := ix.Cache()
+	cache := ix.cache
 
 	key := layer.entries[0].hash
 	h, m := cache.Hits(), cache.Misses()

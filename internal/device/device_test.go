@@ -441,8 +441,8 @@ func TestHostileRangeRejected(t *testing.T) {
 			}
 		}
 	})
-	if store.Resident() != 1 {
-		t.Errorf("%d chunks resident, want only the last block's", store.Resident())
+	if len(store.chunks) != 1 {
+		t.Errorf("%d chunks resident, want only the last block's", len(store.chunks))
 	}
 }
 

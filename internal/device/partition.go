@@ -37,9 +37,6 @@ func Carve(d *Device, nsid uint32, n int) []Partition {
 // BlockSize returns the partition's logical block size.
 func (p Partition) BlockSize() uint32 { return p.Dev.Params().BlockSize() }
 
-// Bytes returns the partition size in bytes.
-func (p Partition) Bytes() uint64 { return p.Blocks << p.Dev.Params().LBAShift }
-
 // Info returns the namespace info a guest should see for this partition.
 func (p Partition) Info() nvme.NamespaceInfo {
 	return nvme.NamespaceInfo{Size: p.Blocks, Capacity: p.Blocks, LBAShift: p.Dev.Params().LBAShift}

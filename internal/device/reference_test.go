@@ -72,7 +72,9 @@ func (d *refDevice) handle(p *sim.Proc, st *refQueue) {
 	status := nvme.SCSuccess
 	result := cmd.CDW(3)
 
-	d.ctrl.Use(p, d.p.CtrlOver)
+	d.ctrl.Acquire()
+	p.Sleep(d.p.CtrlOver)
+	d.ctrl.Release()
 
 	switch cmd.Opcode() {
 	case nvme.OpRead:
@@ -123,7 +125,9 @@ func (d *refDevice) handle(p *sim.Proc, st *refQueue) {
 
 func (d *refDevice) transfer(p *sim.Proc, bus *sim.Resource, nbytes uint32, bw float64) {
 	t := d.p.BusOver + sim.Duration(float64(nbytes)/bw*1e9)
-	bus.Use(p, t)
+	bus.Acquire()
+	p.Sleep(t)
+	bus.Release()
 }
 
 func (d *refDevice) doRead(p *sim.Proc, st *refQueue, cmd *nvme.Command) nvme.Status {

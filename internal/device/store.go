@@ -100,9 +100,6 @@ func (s *MemStore) TrimBlocks(lba uint64, blocks uint32) {
 	}
 }
 
-// Resident reports the number of materialized chunks (for memory tests).
-func (s *MemStore) Resident() int { return len(s.chunks) }
-
 // ContentCRC fingerprints the store's logical contents: chunks are hashed
 // in LBA order and all-zero chunks are skipped, so two stores holding the
 // same bytes produce the same CRC even if one materialized a chunk the
@@ -154,7 +151,7 @@ type BackingMode int
 // Backing modes.
 const (
 	BackingMem BackingMode = iota
-	BackingNull
+	backingNull
 )
 
 // NewStore builds a store of the given mode.
@@ -162,7 +159,7 @@ func NewStore(mode BackingMode, blockSize uint32) Store {
 	switch mode {
 	case BackingMem:
 		return NewMemStore(blockSize)
-	case BackingNull:
+	case backingNull:
 		return NullStore{}
 	}
 	panic(fmt.Sprintf("device: unknown backing mode %d", mode))

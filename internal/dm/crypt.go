@@ -30,7 +30,6 @@ func DefaultCryptParams() CryptParams {
 // worker pool. Tweaks are plain64 sector numbers relative to the target, so
 // output is compatible with the NVMetro encryption UIF given the same key.
 type Crypt struct {
-	env    *sim.Env
 	lower  blockdev.BlockDevice
 	cipher *xts.Cipher
 	params CryptParams
@@ -42,7 +41,7 @@ type Crypt struct {
 }
 
 type cryptWork struct {
-	bio     *Bio
+	bio     *bio
 	decrypt bool
 }
 
@@ -53,7 +52,7 @@ func NewCrypt(env *sim.Env, lower blockdev.BlockDevice, key []byte, params Crypt
 	if err != nil {
 		return nil, err
 	}
-	c := &Crypt{env: env, lower: lower, cipher: cipher, params: params, wake: sim.NewCond(env)}
+	c := &Crypt{lower: lower, cipher: cipher, params: params, wake: sim.NewCond(env)}
 	for i := 0; i < params.Workers; i++ {
 		th := cpu.NewThread("kcryptd")
 		env.Go(fmt.Sprintf("kcryptd/%d", i), func(p *sim.Proc) { c.worker(p, th) })
@@ -65,7 +64,7 @@ func NewCrypt(env *sim.Env, lower blockdev.BlockDevice, key []byte, params Crypt
 func (c *Crypt) NumSectors() uint64 { return c.lower.NumSectors() }
 
 // SubmitBio implements BlockDevice.
-func (c *Crypt) SubmitBio(p *sim.Proc, th *sim.Thread, b *Bio) {
+func (c *Crypt) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 	switch b.Op {
 	case blockdev.BioWrite:
 		// Writes are encrypted by kcryptd before hitting the lower device.
@@ -119,7 +118,7 @@ func (c *Crypt) worker(p *sim.Proc, th *sim.Thread) {
 			continue
 		}
 		c.Encrypted += uint64(len(ct))
-		lower := &Bio{Op: blockdev.BioWrite, Sector: w.bio.Sector, Data: ct, OnDone: w.bio.OnDone}
+		lower := &bio{Op: blockdev.BioWrite, Sector: w.bio.Sector, Data: ct, OnDone: w.bio.OnDone}
 		c.lower.SubmitBio(p, th, lower)
 	}
 }

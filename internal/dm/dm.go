@@ -1,94 +1,11 @@
 // Package dm is the device-mapper layer: stackable block-device targets in
-// the style of Linux DM. It provides dm-linear (offset remapping), dm-crypt
-// (XTS-AES encryption with a kcryptd-style worker pool) and dm-mirror
-// (synchronous two-leg replication), plus a Table for composing targets
-// over sector ranges. These are the kernel building blocks behind the
-// paper's dm-crypt+vhost-scsi and dm-mirror+vhost-scsi baselines.
+// the style of Linux DM. It provides dm-crypt (XTS-AES encryption with a
+// kcryptd-style worker pool) and dm-mirror (synchronous two-leg
+// replication), the kernel building blocks behind the paper's
+// dm-crypt+vhost-scsi and dm-mirror+vhost-scsi baselines.
 package dm
 
-import (
-	"fmt"
+import "nvmetro/internal/blockdev"
 
-	"nvmetro/internal/blockdev"
-	"nvmetro/internal/nvme"
-	"nvmetro/internal/sim"
-)
-
-// Linear remaps a sector range onto a lower device at an offset
-// (dm-linear).
-type Linear struct {
-	Lower   blockdev.BlockDevice
-	Offset  uint64 // sector offset on the lower device
-	Sectors uint64
-}
-
-// NumSectors implements BlockDevice.
-func (l *Linear) NumSectors() uint64 { return l.Sectors }
-
-// SubmitBio implements BlockDevice.
-func (l *Linear) SubmitBio(p *sim.Proc, th *sim.Thread, b *Bio) {
-	if uint64(b.Sectors())+b.Sector > l.Sectors {
-		b.OnDone(nvme.SCLBAOutOfRange)
-		return
-	}
-	nb := *b
-	nb.Sector += l.Offset
-	l.Lower.SubmitBio(p, th, &nb)
-}
-
-// Bio is re-exported for brevity in this package.
-type Bio = blockdev.Bio
-
-// Table composes targets over consecutive sector ranges (a DM table).
-// Bios must not span range boundaries (Linux splits them; callers here are
-// expected to respect boundaries, which real filesystems do).
-type Table struct {
-	entries []tableEntry
-}
-
-type tableEntry struct {
-	start, length uint64
-	target        blockdev.BlockDevice
-}
-
-// Append adds a target covering the next length sectors.
-func (t *Table) Append(length uint64, target blockdev.BlockDevice) *Table {
-	start := t.NumSectors()
-	t.entries = append(t.entries, tableEntry{start: start, length: length, target: target})
-	return t
-}
-
-// NumSectors implements BlockDevice.
-func (t *Table) NumSectors() uint64 {
-	if len(t.entries) == 0 {
-		return 0
-	}
-	last := t.entries[len(t.entries)-1]
-	return last.start + last.length
-}
-
-// SubmitBio implements BlockDevice.
-func (t *Table) SubmitBio(p *sim.Proc, th *sim.Thread, b *Bio) {
-	for _, e := range t.entries {
-		if b.Sector >= e.start && b.Sector < e.start+e.length {
-			if b.Sector+uint64(b.Sectors()) > e.start+e.length {
-				b.OnDone(nvme.SCLBAOutOfRange) // bio spans a boundary
-				return
-			}
-			nb := *b
-			nb.Sector -= e.start
-			e.target.SubmitBio(p, th, &nb)
-			return
-		}
-	}
-	b.OnDone(nvme.SCLBAOutOfRange)
-}
-
-// String renders the table like `dmsetup table`.
-func (t *Table) String() string {
-	s := ""
-	for _, e := range t.entries {
-		s += fmt.Sprintf("%d %d %T\n", e.start, e.length, e.target)
-	}
-	return s
-}
+// bio is re-exported for brevity in this package.
+type bio = blockdev.Bio

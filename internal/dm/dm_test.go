@@ -82,51 +82,6 @@ func TestNVMeBlockDevRoundTrip(t *testing.T) {
 	})
 }
 
-func TestLinearOffset(t *testing.T) {
-	b := newBench()
-	lin := &dm.Linear{Lower: b.bdev, Offset: 1000, Sectors: 5000}
-	b.run(t, func(p *sim.Proc) {
-		data := bytes.Repeat([]byte{0x11}, 512)
-		if st := bioWait(p, b.th, lin, &blockdev.Bio{Op: blockdev.BioWrite, Sector: 7, Data: data}); !st.OK() {
-			t.Fatal(st)
-		}
-		got := make([]byte, 512)
-		b.store.ReadBlocks(1007, got)
-		if !bytes.Equal(data, got) {
-			t.Fatal("linear did not remap")
-		}
-		if st := bioWait(p, b.th, lin, &blockdev.Bio{Op: blockdev.BioRead, Sector: 4999, Data: make([]byte, 1024)}); st != nvme.SCLBAOutOfRange {
-			t.Fatalf("oob: %v", st)
-		}
-	})
-}
-
-func TestTableComposition(t *testing.T) {
-	b := newBench()
-	tab := &dm.Table{}
-	tab.Append(1000, &dm.Linear{Lower: b.bdev, Offset: 0, Sectors: 1000})
-	tab.Append(1000, &dm.Linear{Lower: b.bdev, Offset: 50000, Sectors: 1000})
-	if tab.NumSectors() != 2000 {
-		t.Fatal("table size")
-	}
-	b.run(t, func(p *sim.Proc) {
-		data := bytes.Repeat([]byte{0x77}, 512)
-		// Sector 1500 lands in the second range at lower offset 50500.
-		if st := bioWait(p, b.th, tab, &blockdev.Bio{Op: blockdev.BioWrite, Sector: 1500, Data: data}); !st.OK() {
-			t.Fatal(st)
-		}
-		got := make([]byte, 512)
-		b.store.ReadBlocks(50500, got)
-		if !bytes.Equal(data, got) {
-			t.Fatal("table did not route to second target")
-		}
-		// A bio spanning the boundary is rejected.
-		if st := bioWait(p, b.th, tab, &blockdev.Bio{Op: blockdev.BioWrite, Sector: 999, Data: make([]byte, 1024)}); st != nvme.SCLBAOutOfRange {
-			t.Fatalf("boundary: %v", st)
-		}
-	})
-}
-
 func TestCryptTargetEncryptsOnDisk(t *testing.T) {
 	b := newBench()
 	key := bytes.Repeat([]byte{9}, 64)
@@ -225,7 +180,8 @@ func TestMirrorWriteWaitsForSlowerLeg(t *testing.T) {
 	rp.JitterPct, rp.TailProb = 0, 0
 	rdev := device.New(b.env, rp, device.NullStore{})
 	rbdev := blockdev.NewNVMeBlockDev(b.env, device.WholeNamespace(rdev, 1), remoteCPU, 1, blockdev.DefaultCosts())
-	link := nvmeof.NewLink(b.env, 300*sim.Microsecond, 6e9) // slow WAN-ish link
+	link := nvmeof.DefaultLink(b.env)
+	link.Latency = 300 * sim.Microsecond // slow WAN-ish link
 	tgt := nvmeof.NewTarget(b.env, rbdev, remoteCPU)
 	mir := &dm.Mirror{Primary: b.bdev, Secondary: nvmeof.NewInitiator(b.env, link, tgt)}
 	b.run(t, func(p *sim.Proc) {

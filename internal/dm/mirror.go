@@ -28,7 +28,7 @@ func (m *Mirror) NumSectors() uint64 {
 }
 
 // SubmitBio implements BlockDevice.
-func (m *Mirror) SubmitBio(p *sim.Proc, th *sim.Thread, b *Bio) {
+func (m *Mirror) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 	switch b.Op {
 	case blockdev.BioRead:
 		m.Reads++

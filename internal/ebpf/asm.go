@@ -56,7 +56,7 @@ var sizeSuffix = map[string]uint8{"b": SizeB, "h": SizeH, "w": SizeW, "dw": Size
 // helpers resolves `call` names (nil for DefaultHelpers).
 func Assemble(src, name string, maps map[string]Map, helpers *HelperRegistry) (*Program, error) {
 	if helpers == nil {
-		helpers = DefaultHelpers()
+		helpers = defaultHelpers()
 	}
 	helperByName := make(map[string]int32)
 	for id, h := range helpers.impls {

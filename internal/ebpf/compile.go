@@ -152,9 +152,6 @@ func (cp *CompiledProgram) Name() string { return cp.name }
 // NumOps returns the length of the pre-decoded op stream.
 func (cp *CompiledProgram) NumOps() int { return len(cp.ops) }
 
-// Source returns the program this was compiled from.
-func (cp *CompiledProgram) Source() *Program { return cp.src }
-
 // StaticVerdict reports whether the program provably returns the same
 // constant on every invocation with no effect observable outside it, and if
 // so, that constant. The proof is the verifier's (see verdict); a program
@@ -174,16 +171,7 @@ func Compile(p *Program, v *Verifier) (*CompiledProgram, error) {
 	if v == nil {
 		v = &Verifier{}
 	}
-	proof, err := v.verify(p)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := compile(p, v.Helpers)
-	if err != nil {
-		return nil, err
-	}
-	cp.proof = proof
-	return cp, nil
+	return v.verify(p)
 }
 
 // compile translates without verifying. Internal callers (tests of the
@@ -191,7 +179,7 @@ func Compile(p *Program, v *Verifier) (*CompiledProgram, error) {
 // but unverified programs; everything else must go through Compile.
 func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
 	if helpers == nil {
-		helpers = DefaultHelpers()
+		helpers = defaultHelpers()
 	}
 	n := len(p.Insns)
 	if n == 0 {

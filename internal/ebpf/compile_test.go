@@ -154,7 +154,7 @@ func genProgram(rng *rand.Rand, dm diffMaps, pure bool) *Program {
 			b.MovReg(R3, R10)
 			b.AddImm(R3, -24)
 			b.MovImm(R4, 0)
-			b.Call(HelperMapUpdate)
+			b.Call(helperMapUpdate)
 			b.ALU(ALUAdd, reg(), R0)
 			b.LoadMap(R1, dm.hash)
 			b.MovReg(R2, R10)
@@ -170,14 +170,14 @@ func genProgram(rng *rand.Rand, dm diffMaps, pure bool) *Program {
 			b.LoadMap(R1, dm.hash)
 			b.MovReg(R2, R10)
 			b.AddImm(R2, -4)
-			b.Call(HelperMapDelete)
+			b.Call(helperMapDelete)
 			b.ALU(ALUAdd, reg(), R0)
 		case 11: // qos class tag (sometimes out of range -> -1, tag untouched)
 			b.MovImm(R1, int32(rng.Intn(6)))
 			b.Call(HelperQoSSetClass)
 			b.ALU(ALUAdd, reg(), R0)
 		case 12: // prandom
-			b.Call(HelperGetPrandom)
+			b.Call(helperGetPrandom)
 			b.ALU(ALUAdd, reg(), R0)
 		default:
 			// Stack pointer ± a scalar only the verifier's fold knows: r2 =
@@ -255,9 +255,9 @@ func errClass(err error) string {
 	switch {
 	case err == nil:
 		return "ok"
-	case errors.Is(err, ErrFuel):
+	case errors.Is(err, errFuel):
 		return "fuel"
-	case errors.Is(err, ErrFault):
+	case errors.Is(err, errFault):
 		return "fault"
 	default:
 		return "other"
@@ -619,7 +619,7 @@ func TestCompiledFuelLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if _, err := NewVM(nil).RunCompiled(cp, nil); !errors.Is(err, ErrFuel) {
+	if _, err := NewVM(nil).RunCompiled(cp, nil); !errors.Is(err, errFuel) {
 		t.Fatalf("want ErrFuel, got %v", err)
 	}
 }
@@ -634,7 +634,7 @@ func TestCompiledBoundsDefenseInDepth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if _, err := NewVM(nil).RunCompiled(cp, nil); !errors.Is(err, ErrFault) {
+	if _, err := NewVM(nil).RunCompiled(cp, nil); !errors.Is(err, errFault) {
 		t.Fatalf("want ErrFault, got %v", err)
 	}
 }
@@ -644,8 +644,8 @@ func TestCompiledBoundsDefenseInDepth(t *testing.T) {
 // each faulting op makes its instruction index differ from its op index.
 func TestCompiledFaultsNameTheirInstruction(t *testing.T) {
 	const id = 99
-	reg := DefaultHelpers()
-	reg.Register(id, "custom", nil, RetScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
+	reg := defaultHelpers()
+	reg.define(id, "custom", nil, retScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
 	p := NewBuilder().MovImm64(R6, 1).MovImm(R0, 0).Call(id).Exit().MustProgram("custom")
 	cp, err := Compile(p, &Verifier{Helpers: reg})
 	if err != nil {
@@ -653,7 +653,7 @@ func TestCompiledFaultsNameTheirInstruction(t *testing.T) {
 	}
 	// The VM's registry lacks the helper the program was verified against.
 	_, err = NewVM(nil).RunCompiled(cp, nil)
-	if !errors.Is(err, ErrFault) || !strings.Contains(err.Error(), "unknown helper at insn 3") {
+	if !errors.Is(err, errFault) || !strings.Contains(err.Error(), "unknown helper at insn 3") {
 		t.Errorf("unknown helper: got %v, want a fault citing insn 3", err)
 	}
 
@@ -664,7 +664,7 @@ func TestCompiledFaultsNameTheirInstruction(t *testing.T) {
 	}
 	cp.ops[2].code = cBad
 	_, err = NewVM(nil).RunCompiled(cp, nil)
-	if !errors.Is(err, ErrFault) || !strings.Contains(err.Error(), "undefined op at insn 3") {
+	if !errors.Is(err, errFault) || !strings.Contains(err.Error(), "undefined op at insn 3") {
 		t.Errorf("undefined op: got %v, want a fault citing insn 3", err)
 	}
 }
@@ -841,5 +841,33 @@ func TestParityQoSSetClass(t *testing.T) {
 	vm := NewVM(nil)
 	if _, err := vm.Run(p, nil); err != nil || vm.QoSClass != 2 {
 		t.Fatalf("asm call: class %d err %v", vm.QoSClass, err)
+	}
+}
+
+// TestVerifyRefusesUndefinedDeadInsn: the verifier walks only reachable
+// instructions, but Compile translates every one, so an instruction after
+// the exit that cannot translate must fail Verify as it fails Compile.
+func TestVerifyRefusesUndefinedDeadInsn(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dead Insn
+	}{
+		{"undefined ALU op", Insn{Op: ClassALU64 | 0xf0}},
+		{"undefined jump op", Insn{Op: ClassJMP | 0xe0, Off: -1}},
+		{"jump past the end", Insn{Op: ClassJMP | JmpA, Off: 5}},
+		{"undefined LD op", Insn{Op: ClassLD | 0x08}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Program{Name: tc.name, Insns: []Insn{
+				{Op: ClassALU64 | ALUMov | SrcK, Dst: R0},
+				{Op: ClassJMP | JmpExit},
+				tc.dead,
+			}}
+			verr := (&Verifier{}).Verify(p)
+			_, cerr := Compile(p, nil)
+			if !errors.Is(verr, errVerify) || cerr == nil {
+				t.Fatalf("Verify: %v, Compile: %v; want both to refuse", verr, cerr)
+			}
+		})
 	}
 }

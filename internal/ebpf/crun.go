@@ -53,15 +53,15 @@ func (vm *VM) cfail(cp *CompiledProgram, pc int, k cfaultKind) (uint64, error) {
 	insn := cp.insnOf[pc]
 	switch k {
 	case cfMap:
-		return 0, fmt.Errorf("%w: bad map reference at insn %d", ErrFault, insn)
+		return 0, fmt.Errorf("%w: bad map reference at insn %d", errFault, insn)
 	case cfHelperArg:
-		return 0, fmt.Errorf("%w: helper argument out of bounds at insn %d", ErrFault, insn)
+		return 0, fmt.Errorf("%w: helper argument out of bounds at insn %d", errFault, insn)
 	case cfUnknownHelper:
-		return 0, fmt.Errorf("%w: unknown helper at insn %d", ErrFault, insn)
+		return 0, fmt.Errorf("%w: unknown helper at insn %d", errFault, insn)
 	case cfBadOp:
-		return 0, fmt.Errorf("%w: undefined op at insn %d", ErrFault, insn)
+		return 0, fmt.Errorf("%w: undefined op at insn %d", errFault, insn)
 	default:
-		return 0, fmt.Errorf("%w: memory access out of bounds at insn %d", ErrFault, insn)
+		return 0, fmt.Errorf("%w: memory access out of bounds at insn %d", errFault, insn)
 	}
 }
 
@@ -91,8 +91,8 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 	startInsns := vm.InsnCount
 	pc := 0
 	for {
-		if vm.InsnCount-startInsns >= MaxRuntimeInsns {
-			return 0, ErrFuel
+		if vm.InsnCount-startInsns >= maxRuntimeInsns {
+			return 0, errFuel
 		}
 		vm.InsnCount++
 		o := &ops[pc]

@@ -195,7 +195,7 @@ func TestMapValueWriteThrough(t *testing.T) {
 			t.Fatalf("invocation %d: got %d", i, got)
 		}
 	}
-	if m.U64(0, 0) != 5 {
+	if binary.LittleEndian.Uint64(m.data) != 5 {
 		t.Fatal("map state not persistent")
 	}
 }
@@ -212,7 +212,7 @@ func TestHashMapHelpers(t *testing.T) {
 		MovReg(R2, R10).AddImm(R2, -4).
 		MovReg(R3, R10).AddImm(R3, -16).
 		MovImm(R4, 0).
-		Call(HelperMapUpdate).
+		Call(helperMapUpdate).
 		LoadMap(R1, m).
 		MovReg(R2, R10).AddImm(R2, -4).
 		Call(HelperMapLookup).
@@ -466,17 +466,17 @@ func wrapPrograms() map[string]*Program {
 // on the unverified program.
 func TestVerifierRejectsWrappingOffsets(t *testing.T) {
 	for name, p := range wrapPrograms() {
-		if err := (&Verifier{CtxSize: diffCtxSize}).Verify(p); !errors.Is(err, ErrVerify) {
+		if err := (&Verifier{CtxSize: diffCtxSize}).Verify(p); !errors.Is(err, errVerify) {
 			t.Errorf("%s: Verify = %v, want a rejection", name, err)
 		}
 		cp, err := compile(p, nil)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
-		if _, err := NewVM(nil).Run(p, make([]byte, diffCtxSize)); !errors.Is(err, ErrFault) {
+		if _, err := NewVM(nil).Run(p, make([]byte, diffCtxSize)); !errors.Is(err, errFault) {
 			t.Errorf("%s: interpreter: %v, want ErrFault", name, err)
 		}
-		if _, err := NewVM(nil).RunCompiled(cp, make([]byte, diffCtxSize)); !errors.Is(err, ErrFault) {
+		if _, err := NewVM(nil).RunCompiled(cp, make([]byte, diffCtxSize)); !errors.Is(err, errFault) {
 			t.Errorf("%s: compiled tier: %v, want ErrFault", name, err)
 		}
 	}
@@ -522,7 +522,7 @@ func TestRuntimeFuelLimit(t *testing.T) {
 		{Op: ClassJMP | JmpA, Off: -2},
 	}}
 	vm := NewVM(nil)
-	if _, err := vm.Run(p, nil); err != ErrFuel {
+	if _, err := vm.Run(p, nil); err != errFuel {
 		t.Fatalf("want fuel error, got %v", err)
 	}
 }

@@ -27,3 +27,6 @@ func VerdictCorpus(t *testing.T, n int) []*CompiledProgram {
 	}
 	return out
 }
+
+// Source returns the program cp was compiled from.
+func (cp *CompiledProgram) Source() *Program { return cp.src }

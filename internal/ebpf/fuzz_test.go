@@ -28,10 +28,9 @@ func fuzzCode(p *Program) []byte {
 
 // FuzzVerifiedProgram decodes its input into a program over a fixed pair of
 // maps (diffMaps: an array map at index 0, a hash map at index 1) and a
-// diffCtxSize ctx window and compiles it. A program Compile refuses must only
-// not panic: the verifier rejected it, or the translator found an undefined
-// instruction on no path the verifier walks. One it accepts runs
-// fuzzInvocations times on both tiers, and
+// diffCtxSize ctx window, verifies it and compiles it. Verify must accept
+// exactly what Compile accepts; a refused program must only not panic. One
+// they accept runs fuzzInvocations times on both tiers, and
 //   - neither tier may reach a defense-in-depth check (ErrFault, ErrFuel);
 //   - the tiers agree on r0, ctx bytes, QoS class and map contents;
 //   - a proved StaticVerdict is what every invocation returns.
@@ -61,7 +60,11 @@ func FuzzVerifiedProgram(f *testing.F) {
 		mapsC := mapsI.clone()
 		progI := &Program{Insns: p.Insns, Maps: []Map{mapsI.arr, mapsI.hash}, Name: p.Name}
 		progC := &Program{Insns: p.Insns, Maps: []Map{mapsC.arr, mapsC.hash}, Name: p.Name}
+		verr := (&Verifier{CtxSize: diffCtxSize}).Verify(progI)
 		cp, err := Compile(progC, &Verifier{CtxSize: diffCtxSize})
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("Verify: %v, Compile: %v\n%s", verr, err, Disassemble(progI))
+		}
 		if err != nil {
 			return
 		}

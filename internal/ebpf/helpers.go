@@ -4,35 +4,25 @@ import (
 	"fmt"
 )
 
-// Helper IDs (matching the kernel's numbering where applicable; the NVMetro
-// extensions live above the kernel range).
-const (
-	HelperMapLookup   = 1
-	HelperMapUpdate   = 2
-	HelperMapDelete   = 3
-	HelperGetPrandom  = 7
-	HelperQoSSetClass = 64
-)
-
 // Helper argument types, used by the verifier to type-check calls.
-type ArgType uint8
+type argType uint8
 
 // Argument kinds.
 const (
-	ArgNone ArgType = iota
-	ArgMapPtr
-	ArgPtrToMapKey   // stack pointer to an initialized map key
-	ArgPtrToMapValue // stack pointer to an initialized map value
-	ArgScalar
+	_ argType = iota // the zero value: no argument
+	argMapPtr
+	argPtrToMapKey   // stack pointer to an initialized map key
+	argPtrToMapValue // stack pointer to an initialized map value
+	argScalar
 )
 
-// RetType describes a helper's return value for the verifier.
-type RetType uint8
+// retType describes a helper's return value for the verifier.
+type retType uint8
 
 // Return kinds.
 const (
-	RetScalar RetType = iota
-	RetMapValueOrNull
+	retScalar retType = iota
+	retMapValueOrNull
 )
 
 // helperImpl couples a runtime implementation with its verifier signature.
@@ -41,8 +31,8 @@ const (
 // next invocation — see VM.stackLow).
 type helperImpl struct {
 	name    string
-	args    []ArgType
-	ret     RetType
+	args    []argType
+	ret     retType
 	fn      func(vm *VM, r []val) (val, error)
 	builtin bool
 }
@@ -57,7 +47,7 @@ type HelperRegistry struct {
 func (hr *HelperRegistry) get(id int32) *helperImpl { return hr.impls[id] }
 
 // signature returns the verifier view of helper id.
-func (hr *HelperRegistry) signature(id int32) (args []ArgType, ret RetType, name string, ok bool) {
+func (hr *HelperRegistry) signature(id int32) (args []argType, ret retType, name string, ok bool) {
 	h := hr.impls[id]
 	if h == nil {
 		return nil, 0, "", false
@@ -66,7 +56,7 @@ func (hr *HelperRegistry) signature(id int32) (args []ArgType, ret RetType, name
 }
 
 // Register installs a custom helper.
-func (hr *HelperRegistry) Register(id int32, name string, args []ArgType, ret RetType, fn func(vm *VM, r []val) (val, error)) {
+func (hr *HelperRegistry) define(id int32, name string, args []argType, ret retType, fn func(vm *VM, r []val) (val, error)) {
 	if hr.impls == nil {
 		hr.impls = make(map[int32]*helperImpl)
 	}
@@ -75,8 +65,8 @@ func (hr *HelperRegistry) Register(id int32, name string, args []ArgType, ret Re
 
 // register installs a standard helper under its standard name (exempt from
 // the conservative stack-dirtying custom helpers get).
-func (hr *HelperRegistry) register(id int32, args []ArgType, ret RetType, fn func(vm *VM, r []val) (val, error)) {
-	hr.Register(id, standardHelpers[id].name, args, ret, fn)
+func (hr *HelperRegistry) register(id int32, args []argType, ret retType, fn func(vm *VM, r []val) (val, error)) {
+	hr.define(id, standardHelpers[id].name, args, ret, fn)
 	hr.impls[id].builtin = true
 }
 
@@ -87,9 +77,9 @@ var standardHelpers = map[int32]struct {
 	code copCode
 }{
 	HelperMapLookup:   {"map_lookup_elem", cCallLookup},
-	HelperMapUpdate:   {"map_update_elem", cCallUpdate},
-	HelperMapDelete:   {"map_delete_elem", cCallDelete},
-	HelperGetPrandom:  {"get_prandom_u32", cCallPrandom},
+	helperMapUpdate:   {"map_update_elem", cCallUpdate},
+	helperMapDelete:   {"map_delete_elem", cCallDelete},
+	helperGetPrandom:  {"get_prandom_u32", cCallPrandom},
 	HelperQoSSetClass: {"qos_set_class", cCallQoS},
 }
 
@@ -106,24 +96,24 @@ func (hr *HelperRegistry) standard(id int32) bool {
 // nothing, and get_prandom_u32 derives from the invocation count without
 // advancing state.
 func (hr *HelperRegistry) pure(id int32) bool {
-	return (id == HelperMapLookup || id == HelperGetPrandom) && hr.standard(id)
+	return (id == HelperMapLookup || id == helperGetPrandom) && hr.standard(id)
 }
 
 func stackBytes(v val, n int) ([]byte, error) {
 	if v.kind != kPtr {
-		return nil, fmt.Errorf("%w: helper expects pointer argument", ErrFault)
+		return nil, fmt.Errorf("%w: helper expects pointer argument", errFault)
 	}
 	start := int64(v.n)
 	if !inWindow(start, n, len(v.mem.data)) {
-		return nil, fmt.Errorf("%w: helper argument out of bounds", ErrFault)
+		return nil, fmt.Errorf("%w: helper argument out of bounds", errFault)
 	}
 	return v.mem.data[start : start+int64(n)], nil
 }
 
-// DefaultHelpers returns the standard helper set.
-func DefaultHelpers() *HelperRegistry {
+// defaultHelpers returns the standard helper set.
+func defaultHelpers() *HelperRegistry {
 	hr := &HelperRegistry{}
-	hr.register(HelperMapLookup, []ArgType{ArgMapPtr, ArgPtrToMapKey}, RetMapValueOrNull,
+	hr.register(HelperMapLookup, []argType{argMapPtr, argPtrToMapKey}, retMapValueOrNull,
 		func(vm *VM, r []val) (val, error) {
 			m := r[R1].m
 			key, err := stackBytes(r[R2], m.KeySize())
@@ -136,7 +126,7 @@ func DefaultHelpers() *HelperRegistry {
 			}
 			return val{kind: kPtr, mem: &memRegion{data: v, writable: true}}, nil
 		})
-	hr.register(HelperMapUpdate, []ArgType{ArgMapPtr, ArgPtrToMapKey, ArgPtrToMapValue, ArgScalar}, RetScalar,
+	hr.register(helperMapUpdate, []argType{argMapPtr, argPtrToMapKey, argPtrToMapValue, argScalar}, retScalar,
 		func(vm *VM, r []val) (val, error) {
 			m := r[R1].m
 			key, err := stackBytes(r[R2], m.KeySize())
@@ -152,7 +142,7 @@ func DefaultHelpers() *HelperRegistry {
 			}
 			return scalar(0), nil
 		})
-	hr.register(HelperMapDelete, []ArgType{ArgMapPtr, ArgPtrToMapKey}, RetScalar,
+	hr.register(helperMapDelete, []argType{argMapPtr, argPtrToMapKey}, retScalar,
 		func(vm *VM, r []val) (val, error) {
 			m := r[R1].m
 			key, err := stackBytes(r[R2], m.KeySize())
@@ -164,14 +154,14 @@ func DefaultHelpers() *HelperRegistry {
 			}
 			return scalar(0), nil
 		})
-	hr.register(HelperGetPrandom, nil, RetScalar,
+	hr.register(helperGetPrandom, nil, retScalar,
 		func(vm *VM, r []val) (val, error) {
 			// xorshift seeded from invocation count: deterministic across
 			// simulation runs, unlike the kernel's true PRNG. Shared with
 			// the compiled tier (crun.go) so both tiers agree.
 			return scalar(prandomU32(vm.Invocations)), nil
 		})
-	hr.register(HelperQoSSetClass, []ArgType{ArgScalar}, RetScalar,
+	hr.register(HelperQoSSetClass, []argType{argScalar}, retScalar,
 		func(vm *VM, r []val) (val, error) {
 			// Tags the in-flight command's QoS scheduling class; the router
 			// reads it back after the classifier returns. Out-of-range

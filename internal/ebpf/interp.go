@@ -6,15 +6,15 @@ import (
 	"fmt"
 )
 
-// MaxRuntimeInsns is the interpreter fuel limit: a defense-in-depth bound in
+// maxRuntimeInsns is the interpreter fuel limit: a defense-in-depth bound in
 // case an unverified program is executed directly.
-const MaxRuntimeInsns = 1 << 16
+const maxRuntimeInsns = 1 << 16
 
-// ErrFault is returned for runtime memory violations.
-var ErrFault = errors.New("ebpf: runtime fault")
+// errFault is returned for runtime memory violations.
+var errFault = errors.New("ebpf: runtime fault")
 
-// ErrFuel is returned when a program exceeds the instruction budget.
-var ErrFuel = errors.New("ebpf: instruction budget exceeded")
+// errFuel is returned when a program exceeds the instruction budget.
+var errFuel = errors.New("ebpf: instruction budget exceeded")
 
 type vkind uint8
 
@@ -68,7 +68,7 @@ type VM struct {
 // NewVM creates a VM with the given helper registry (nil for DefaultHelpers).
 func NewVM(helpers *HelperRegistry) *VM {
 	if helpers == nil {
-		helpers = DefaultHelpers()
+		helpers = defaultHelpers()
 	}
 	vm := &VM{helpers: helpers, stackLow: StackSize}
 	vm.stackRegion = memRegion{data: vm.stack[:], writable: true}
@@ -94,11 +94,11 @@ func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 	r := vm.regs[:]
 	pc := 0
 	for fuel := 0; ; fuel++ {
-		if fuel >= MaxRuntimeInsns {
-			return 0, ErrFuel
+		if fuel >= maxRuntimeInsns {
+			return 0, errFuel
 		}
 		if pc < 0 || pc >= len(p.Insns) {
-			return 0, fmt.Errorf("%w: pc %d out of program", ErrFault, pc)
+			return 0, fmt.Errorf("%w: pc %d out of program", errFault, pc)
 		}
 		in := p.Insns[pc]
 		vm.InsnCount++
@@ -109,16 +109,16 @@ func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 			}
 		case ClassLD:
 			if in.Op != OpLdImm64 {
-				return 0, fmt.Errorf("%w: unsupported LD op %#x", ErrFault, in.Op)
+				return 0, fmt.Errorf("%w: unsupported LD op %#x", errFault, in.Op)
 			}
 			if pc+1 >= len(p.Insns) {
-				return 0, fmt.Errorf("%w: truncated ld_imm64", ErrFault)
+				return 0, fmt.Errorf("%w: truncated ld_imm64", errFault)
 			}
 			next := p.Insns[pc+1]
 			if in.Src == PseudoMapFD {
 				idx := int(in.Imm)
 				if idx < 0 || idx >= len(p.Maps) {
-					return 0, fmt.Errorf("%w: bad map index %d", ErrFault, idx)
+					return 0, fmt.Errorf("%w: bad map index %d", errFault, idx)
 				}
 				r[in.Dst] = val{kind: kMap, m: p.Maps[idx]}
 			} else {
@@ -137,7 +137,7 @@ func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 			}
 		case ClassSTX:
 			if r[in.Src].kind != kScalar {
-				return 0, fmt.Errorf("%w: storing non-scalar", ErrFault)
+				return 0, fmt.Errorf("%w: storing non-scalar", errFault)
 			}
 			if err := vm.store(r[in.Dst], int64(in.Off), sizeOf(in.Op), r[in.Src].n); err != nil {
 				return 0, err
@@ -147,7 +147,7 @@ func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 			switch op {
 			case JmpExit:
 				if r[R0].kind != kScalar {
-					return 0, fmt.Errorf("%w: exit with pointer in r0", ErrFault)
+					return 0, fmt.Errorf("%w: exit with pointer in r0", errFault)
 				}
 				return r[R0].n, nil
 			case JmpCall:
@@ -166,7 +166,7 @@ func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 				}
 			}
 		default:
-			return 0, fmt.Errorf("%w: unknown class %#x", ErrFault, in.Class())
+			return 0, fmt.Errorf("%w: unknown class %#x", errFault, in.Class())
 		}
 		pc++
 	}
@@ -187,14 +187,14 @@ func sizeOf(op uint8) int {
 
 func (vm *VM) window(v val, off int64, size int, write bool) ([]byte, error) {
 	if v.kind != kPtr {
-		return nil, fmt.Errorf("%w: memory access through non-pointer", ErrFault)
+		return nil, fmt.Errorf("%w: memory access through non-pointer", errFault)
 	}
 	start := int64(v.n) + off
 	if !inWindow(start, size, len(v.mem.data)) {
-		return nil, fmt.Errorf("%w: access [%d,+%d) outside region of %d bytes", ErrFault, start, size, len(v.mem.data))
+		return nil, fmt.Errorf("%w: access [%d,+%d) outside region of %d bytes", errFault, start, size, len(v.mem.data))
 	}
 	if write && !v.mem.writable {
-		return nil, fmt.Errorf("%w: write to read-only region", ErrFault)
+		return nil, fmt.Errorf("%w: write to read-only region", errFault)
 	}
 	return v.mem.data[start : start+int64(size)], nil
 }
@@ -251,7 +251,7 @@ func (vm *VM) alu(r []val, in Insn) error {
 	if op == ALUMov {
 		if !is64 {
 			if src.kind != kScalar {
-				return fmt.Errorf("%w: 32-bit mov of pointer", ErrFault)
+				return fmt.Errorf("%w: 32-bit mov of pointer", errFault)
 			}
 			src.n = uint64(uint32(src.n))
 		}
@@ -259,20 +259,20 @@ func (vm *VM) alu(r []val, in Insn) error {
 		return nil
 	}
 	if src.kind != kScalar {
-		return fmt.Errorf("%w: ALU on pointer source", ErrFault)
+		return fmt.Errorf("%w: ALU on pointer source", errFault)
 	}
 
 	// Pointer arithmetic: ptr +/- scalar keeps the region and moves n.
 	dst := &r[in.Dst]
 	switch {
 	case dst.kind == kPtr && (!is64 || (op != ALUAdd && op != ALUSub)):
-		return fmt.Errorf("%w: invalid pointer arithmetic", ErrFault)
+		return fmt.Errorf("%w: invalid pointer arithmetic", errFault)
 	case dst.kind == kMap:
-		return fmt.Errorf("%w: ALU on map reference", ErrFault)
+		return fmt.Errorf("%w: ALU on map reference", errFault)
 	}
 	out, ok := aluSem(op, is64, dst.n, src.n)
 	if !ok {
-		return fmt.Errorf("%w: unknown ALU op %#x", ErrFault, op)
+		return fmt.Errorf("%w: unknown ALU op %#x", errFault, op)
 	}
 	dst.n = out
 	return nil
@@ -288,7 +288,7 @@ func (vm *VM) branch(r []val, in Insn) (bool, error) {
 	}
 	taken, ok := condSem(op, a, b)
 	if !ok {
-		return false, fmt.Errorf("%w: unknown jump op %#x", ErrFault, op)
+		return false, fmt.Errorf("%w: unknown jump op %#x", errFault, op)
 	}
 	return taken, nil
 }
@@ -296,7 +296,7 @@ func (vm *VM) branch(r []val, in Insn) (bool, error) {
 func (vm *VM) call(r []val, id int32) error {
 	h := vm.helpers.get(id)
 	if h == nil {
-		return fmt.Errorf("%w: unknown helper %d", ErrFault, id)
+		return fmt.Errorf("%w: unknown helper %d", errFault, id)
 	}
 	ret, err := h.fn(vm, r)
 	if err != nil {

@@ -88,11 +88,6 @@ func (m *ArrayMap) SetU64(idx int, off int, v uint64) {
 	binary.LittleEndian.PutUint64(m.data[idx*m.valueSize+off:], v)
 }
 
-// U64 reads a little-endian uint64 at offset off of entry idx.
-func (m *ArrayMap) U64(idx int, off int) uint64 {
-	return binary.LittleEndian.Uint64(m.data[idx*m.valueSize+off:])
-}
-
 // HashMap is a bounded hash map with fixed-size keys and values.
 type HashMap struct {
 	keySize    int

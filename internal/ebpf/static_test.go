@@ -93,15 +93,15 @@ var staticCases = map[string]staticCase{
 	"update": {func() *Builder {
 		return NewBuilder().StoreImm(SizeW, R10, -4, 0).StoreImm(SizeDW, R10, -16, 1).
 			LoadMap(R1, NewArrayMap(8, 4)).MovReg(R2, R10).AddImm(R2, -4).
-			MovReg(R3, R10).AddImm(R3, -16).MovImm(R4, 0).Call(HelperMapUpdate).
+			MovReg(R3, R10).AddImm(R3, -16).MovImm(R4, 0).Call(helperMapUpdate).
 			MovImm64(R0, 0x410000).Exit()
 	}, false, 0},
 	// The verdict may be computed, as long as every operand folds.
 	"alu": {func() *Builder { return NewBuilder().MovImm(R0, 0x41).ALUImm(ALULsh, R0, 16).Exit() }, true, 0x410000},
 	// prandom is pure but its result is unknown: ignoring it proves, using it
 	// as the verdict must not.
-	"prandom-ignored": {func() *Builder { return NewBuilder().Call(HelperGetPrandom).MovImm64(R0, 0x410000).Exit() }, true, 0x410000},
-	"prandom-verdict": {func() *Builder { return NewBuilder().Call(HelperGetPrandom).Exit() }, false, 0},
+	"prandom-ignored": {func() *Builder { return NewBuilder().Call(helperGetPrandom).MovImm64(R0, 0x410000).Exit() }, true, 0x410000},
+	"prandom-verdict": {func() *Builder { return NewBuilder().Call(helperGetPrandom).Exit() }, false, 0},
 }
 
 // checkStatic compiles the named cases and checks each verdict; a proved
@@ -152,8 +152,8 @@ func TestStaticVerdictUnverified(t *testing.T) {
 // compileCall's specialisation does, so a registry that rebinds
 // get_prandom_u32's id to a helper of its own loses the proof.
 func TestStaticVerdictReboundHelper(t *testing.T) {
-	reg := DefaultHelpers()
-	reg.Register(HelperGetPrandom, "counter", nil, RetScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
+	reg := defaultHelpers()
+	reg.define(helperGetPrandom, "counter", nil, retScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
 	p := staticCases["prandom-ignored"].build().MustProgram("rebound")
 	cp, err := Compile(p, &Verifier{Helpers: reg})
 	if err != nil {

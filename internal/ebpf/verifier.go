@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// ErrVerify wraps all verifier rejections.
-var ErrVerify = errors.New("ebpf: verification failed")
+// errVerify wraps all verifier rejections.
+var errVerify = errors.New("ebpf: verification failed")
 
 // verifyBudget bounds the total instructions simulated across all explored
 // paths, the analogue of the kernel's complexity limit.
@@ -93,38 +93,56 @@ type Verifier struct {
 	Helpers *HelperRegistry
 }
 
-// Verify checks the program, returning nil if it is safe to run.
+// Verify checks the program, returning nil if it is safe to run. It accepts
+// exactly the programs Compile accepts.
 func (v *Verifier) Verify(p *Program) error {
 	_, err := v.verify(p)
 	return err
 }
 
-// verify checks the program and returns the static verdict it proved.
-func (v *Verifier) verify(p *Program) (verdict, error) {
+// verify checks the program and translates it. The walk proves every path
+// safe and the static verdict; every instruction, reachable or not, must
+// also translate, so an undefined instruction on no path is refused too.
+func (v *Verifier) verify(p *Program) (*CompiledProgram, error) {
+	proof, err := v.walk(p)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := compile(p, v.Helpers)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errVerify, err)
+	}
+	cp.proof = proof
+	return cp, nil
+}
+
+// walk checks every path of the program and returns the static verdict it
+// proved.
+func (v *Verifier) walk(p *Program) (verdict, error) {
 	var vd verdict
 	if v.Helpers == nil {
-		v.Helpers = DefaultHelpers()
+		v.Helpers = defaultHelpers()
 	}
 	n := len(p.Insns)
 	if n == 0 {
-		return vd, fmt.Errorf("%w: empty program", ErrVerify)
+		return vd, fmt.Errorf("%w: empty program", errVerify)
 	}
 	if n > MaxInsns {
-		return vd, fmt.Errorf("%w: program too long (%d > %d)", ErrVerify, n, MaxInsns)
+		return vd, fmt.Errorf("%w: program too long (%d > %d)", errVerify, n, MaxInsns)
 	}
 	// Check register numbers (the encoding has room for 16) and mark ld_imm64
 	// continuation slots; jumping into them is invalid.
 	isCont := make([]bool, n)
 	for pc := 0; pc < n; pc++ {
 		if in := p.Insns[pc]; in.Dst >= NumRegs || in.Src >= NumRegs {
-			return vd, fmt.Errorf("%w: invalid register r%d at %d", ErrVerify, max(in.Dst, in.Src), pc)
+			return vd, fmt.Errorf("%w: invalid register r%d at %d", errVerify, max(in.Dst, in.Src), pc)
 		}
 		if p.Insns[pc].Op == OpLdImm64 {
 			if pc+1 >= n {
-				return vd, fmt.Errorf("%w: truncated ld_imm64 at %d", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: truncated ld_imm64 at %d", errVerify, pc)
 			}
 			if p.Insns[pc+1].Op != 0 {
-				return vd, fmt.Errorf("%w: ld_imm64 at %d not followed by zero slot", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: ld_imm64 at %d not followed by zero slot", errVerify, pc)
 			}
 			isCont[pc+1] = true
 			pc++
@@ -148,13 +166,13 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 		pc, st := f.pc, f.st
 		for {
 			if budget--; budget < 0 {
-				return vd, fmt.Errorf("%w: program too complex", ErrVerify)
+				return vd, fmt.Errorf("%w: program too complex", errVerify)
 			}
 			if pc < 0 || pc >= n {
-				return vd, fmt.Errorf("%w: control flow falls off the program at %d", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: control flow falls off the program at %d", errVerify, pc)
 			}
 			if isCont[pc] {
-				return vd, fmt.Errorf("%w: jump into the middle of ld_imm64 at %d", ErrVerify, pc)
+				return vd, fmt.Errorf("%w: jump into the middle of ld_imm64 at %d", errVerify, pc)
 			}
 			in := p.Insns[pc]
 			switch in.Class() {
@@ -165,7 +183,7 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 				pc++
 			case ClassLD:
 				if in.Op != OpLdImm64 {
-					return vd, fmt.Errorf("%w: unsupported LD opcode %#x at %d", ErrVerify, in.Op, pc)
+					return vd, fmt.Errorf("%w: unsupported LD opcode %#x at %d", errVerify, in.Op, pc)
 				}
 				if err := checkWritable(in.Dst, pc); err != nil {
 					return vd, err
@@ -173,7 +191,7 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 				if in.Src == PseudoMapFD {
 					idx := int(in.Imm)
 					if idx < 0 || idx >= len(p.Maps) {
-						return vd, fmt.Errorf("%w: map index %d out of range at %d", ErrVerify, idx, pc)
+						return vd, fmt.Errorf("%w: map index %d out of range at %d", errVerify, idx, pc)
 					}
 					st.regs[in.Dst] = vreg{t: rtMapPtr, m: p.Maps[idx]}
 				} else {
@@ -194,10 +212,10 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 				if in.Class() == ClassSTX {
 					src := st.regs[in.Src]
 					if src.t == rtUninit {
-						return vd, fmt.Errorf("%w: store of uninitialized r%d at %d", ErrVerify, in.Src, pc)
+						return vd, fmt.Errorf("%w: store of uninitialized r%d at %d", errVerify, in.Src, pc)
 					}
 					if src.t != rtScalar {
-						return vd, fmt.Errorf("%w: storing %v to memory unsupported at %d", ErrVerify, src.t, pc)
+						return vd, fmt.Errorf("%w: storing %v to memory unsupported at %d", errVerify, src.t, pc)
 					}
 				}
 				if err := v.checkMem(st, st.regs[in.Dst], int64(in.Off), sizeOf(in.Op), true, pc); err != nil {
@@ -210,7 +228,7 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 				switch op {
 				case JmpExit:
 					if st.regs[R0].t != rtScalar {
-						return vd, fmt.Errorf("%w: exit with r0 %v at %d", ErrVerify, st.regs[R0].t, pc)
+						return vd, fmt.Errorf("%w: exit with r0 %v at %d", errVerify, st.regs[R0].t, pc)
 					}
 					if r := st.regs[R0]; !st.dead {
 						vd.spoiled = vd.spoiled || !r.known || (vd.exits > 0 && r.val != vd.r0)
@@ -225,12 +243,12 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 					pc++
 				case JmpA:
 					if in.Off < 0 {
-						return vd, fmt.Errorf("%w: back-edge at %d (loops are not allowed)", ErrVerify, pc)
+						return vd, fmt.Errorf("%w: back-edge at %d (loops are not allowed)", errVerify, pc)
 					}
 					pc += int(in.Off) + 1
 				default:
 					if in.Off < 0 {
-						return vd, fmt.Errorf("%w: back-edge at %d (loops are not allowed)", ErrVerify, pc)
+						return vd, fmt.Errorf("%w: back-edge at %d (loops are not allowed)", errVerify, pc)
 					}
 					taken, fall, err := v.checkBranch(st, in, pc)
 					if err != nil {
@@ -241,7 +259,7 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 					pc++
 				}
 			default:
-				return vd, fmt.Errorf("%w: unknown instruction class %#x at %d", ErrVerify, in.Class(), pc)
+				return vd, fmt.Errorf("%w: unknown instruction class %#x at %d", errVerify, in.Class(), pc)
 			}
 		}
 	nextPath:
@@ -251,7 +269,7 @@ func (v *Verifier) verify(p *Program) (verdict, error) {
 
 func checkWritable(reg uint8, pc int) error {
 	if reg >= R10 {
-		return fmt.Errorf("%w: write to read-only r%d at %d", ErrVerify, reg, pc)
+		return fmt.Errorf("%w: write to read-only r%d at %d", errVerify, reg, pc)
 	}
 	return nil
 }
@@ -265,7 +283,7 @@ func (v *Verifier) checkALU(st *vstate, in Insn, pc int) error {
 	if in.Op&SrcX != 0 {
 		src = st.regs[in.Src]
 		if src.t == rtUninit {
-			return fmt.Errorf("%w: use of uninitialized r%d at %d", ErrVerify, in.Src, pc)
+			return fmt.Errorf("%w: use of uninitialized r%d at %d", errVerify, in.Src, pc)
 		}
 	} else {
 		src = vreg{t: rtScalar, known: true, val: uint64(int64(in.Imm))}
@@ -275,7 +293,7 @@ func (v *Verifier) checkALU(st *vstate, in Insn, pc int) error {
 	if op == ALUMov {
 		if !is64 {
 			if src.t != rtScalar {
-				return fmt.Errorf("%w: 32-bit mov of %v at %d", ErrVerify, src.t, pc)
+				return fmt.Errorf("%w: 32-bit mov of %v at %d", errVerify, src.t, pc)
 			}
 			src.val = uint64(uint32(src.val))
 		}
@@ -286,14 +304,14 @@ func (v *Verifier) checkALU(st *vstate, in Insn, pc int) error {
 	// Every remaining op, neg included, reads its destination.
 	dst := st.regs[in.Dst]
 	if dst.t == rtUninit {
-		return fmt.Errorf("%w: use of uninitialized r%d at %d", ErrVerify, in.Dst, pc)
+		return fmt.Errorf("%w: use of uninitialized r%d at %d", errVerify, in.Dst, pc)
 	}
 	if dst.pointer() {
 		if !is64 || (op != ALUAdd && op != ALUSub) {
-			return fmt.Errorf("%w: invalid arithmetic on %v at %d", ErrVerify, dst.t, pc)
+			return fmt.Errorf("%w: invalid arithmetic on %v at %d", errVerify, dst.t, pc)
 		}
 		if src.t != rtScalar || !src.known {
-			return fmt.Errorf("%w: pointer arithmetic with unbounded scalar at %d", ErrVerify, pc)
+			return fmt.Errorf("%w: pointer arithmetic with unbounded scalar at %d", errVerify, pc)
 		}
 		off, _ := aluSem(op, true, uint64(dst.off), src.val)
 		dst.off = int64(off)
@@ -301,16 +319,16 @@ func (v *Verifier) checkALU(st *vstate, in Insn, pc int) error {
 		return nil
 	}
 	if dst.t != rtScalar {
-		return fmt.Errorf("%w: arithmetic on %v at %d", ErrVerify, dst.t, pc)
+		return fmt.Errorf("%w: arithmetic on %v at %d", errVerify, dst.t, pc)
 	}
 	if src.t != rtScalar {
-		return fmt.Errorf("%w: arithmetic with %v source at %d", ErrVerify, src.t, pc)
+		return fmt.Errorf("%w: arithmetic with %v source at %d", errVerify, src.t, pc)
 	}
 
 	// Known scalars fold through the same function the runtimes compute with.
 	val, ok := aluSem(op, is64, dst.val, src.val)
 	if !ok {
-		return fmt.Errorf("%w: unknown ALU op %#x at %d", ErrVerify, op, pc)
+		return fmt.Errorf("%w: unknown ALU op %#x at %d", errVerify, op, pc)
 	}
 	out := vreg{t: rtScalar}
 	if dst.known && src.known {
@@ -326,11 +344,11 @@ func (v *Verifier) checkMem(st *vstate, reg vreg, off int64, size int, write boo
 	switch reg.t {
 	case rtCtx:
 		if !inWindow(start, size, v.CtxSize) {
-			return fmt.Errorf("%w: ctx access [%d,+%d) outside %d bytes at %d", ErrVerify, start, size, v.CtxSize, pc)
+			return fmt.Errorf("%w: ctx access [%d,+%d) outside %d bytes at %d", errVerify, start, size, v.CtxSize, pc)
 		}
 	case rtStack:
 		if !inWindow(start, size, StackSize) {
-			return fmt.Errorf("%w: stack access [%d,+%d) out of bounds at %d", ErrVerify, start, size, pc)
+			return fmt.Errorf("%w: stack access [%d,+%d) out of bounds at %d", errVerify, start, size, pc)
 		}
 		if write {
 			for i := int64(0); i < int64(size); i++ {
@@ -339,20 +357,20 @@ func (v *Verifier) checkMem(st *vstate, reg vreg, off int64, size int, write boo
 		} else {
 			for i := int64(0); i < int64(size); i++ {
 				if !st.stackInit[start+i] {
-					return fmt.Errorf("%w: read of uninitialized stack byte %d at %d", ErrVerify, start+i, pc)
+					return fmt.Errorf("%w: read of uninitialized stack byte %d at %d", errVerify, start+i, pc)
 				}
 			}
 		}
 	case rtMapValue:
 		if !inWindow(start, size, reg.m.ValueSize()) {
-			return fmt.Errorf("%w: map value access [%d,+%d) outside %d bytes at %d", ErrVerify, start, size, reg.m.ValueSize(), pc)
+			return fmt.Errorf("%w: map value access [%d,+%d) outside %d bytes at %d", errVerify, start, size, reg.m.ValueSize(), pc)
 		}
 	case rtMapValueOrNull:
-		return fmt.Errorf("%w: possibly-NULL map value dereference at %d (missing null check)", ErrVerify, pc)
+		return fmt.Errorf("%w: possibly-NULL map value dereference at %d (missing null check)", errVerify, pc)
 	case rtUninit:
-		return fmt.Errorf("%w: memory access through uninitialized register at %d", ErrVerify, pc)
+		return fmt.Errorf("%w: memory access through uninitialized register at %d", errVerify, pc)
 	default:
-		return fmt.Errorf("%w: memory access through %v at %d", ErrVerify, reg.t, pc)
+		return fmt.Errorf("%w: memory access through %v at %d", errVerify, reg.t, pc)
 	}
 	return nil
 }
@@ -360,31 +378,31 @@ func (v *Verifier) checkMem(st *vstate, reg vreg, off int64, size int, write boo
 func (v *Verifier) checkCall(st *vstate, in Insn, pc int) error {
 	args, ret, name, ok := v.Helpers.signature(in.Imm)
 	if !ok {
-		return fmt.Errorf("%w: call to unknown helper %d at %d", ErrVerify, in.Imm, pc)
+		return fmt.Errorf("%w: call to unknown helper %d at %d", errVerify, in.Imm, pc)
 	}
 	var m Map
 	for i, at := range args {
 		reg := st.regs[R1+i]
 		switch at {
-		case ArgMapPtr:
+		case argMapPtr:
 			if reg.t != rtMapPtr {
-				return fmt.Errorf("%w: %s arg%d: want map pointer, have %v at %d", ErrVerify, name, i+1, reg.t, pc)
+				return fmt.Errorf("%w: %s arg%d: want map pointer, have %v at %d", errVerify, name, i+1, reg.t, pc)
 			}
 			m = reg.m
-		case ArgPtrToMapKey, ArgPtrToMapValue:
+		case argPtrToMapKey, argPtrToMapValue:
 			if m == nil {
-				return fmt.Errorf("%w: %s arg%d: no map in r1 at %d", ErrVerify, name, i+1, pc)
+				return fmt.Errorf("%w: %s arg%d: no map in r1 at %d", errVerify, name, i+1, pc)
 			}
 			want := m.KeySize()
-			if at == ArgPtrToMapValue {
+			if at == argPtrToMapValue {
 				want = m.ValueSize()
 			}
 			if err := v.checkMem(st, reg, 0, want, false, pc); err != nil {
 				return fmt.Errorf("%s arg%d: %w", name, i+1, err)
 			}
-		case ArgScalar:
+		case argScalar:
 			if reg.t != rtScalar {
-				return fmt.Errorf("%w: %s arg%d: want scalar, have %v at %d", ErrVerify, name, i+1, reg.t, pc)
+				return fmt.Errorf("%w: %s arg%d: want scalar, have %v at %d", errVerify, name, i+1, reg.t, pc)
 			}
 		}
 	}
@@ -392,7 +410,7 @@ func (v *Verifier) checkCall(st *vstate, in Insn, pc int) error {
 		st.regs[i] = vreg{}
 	}
 	switch ret {
-	case RetMapValueOrNull:
+	case retMapValueOrNull:
 		st.regs[R0] = vreg{t: rtMapValueOrNull, m: m}
 	default:
 		st.regs[R0] = vreg{t: rtScalar}
@@ -405,20 +423,20 @@ func (v *Verifier) checkCall(st *vstate, in Insn, pc int) error {
 func (v *Verifier) checkBranch(st *vstate, in Insn, pc int) (taken, fall *vstate, err error) {
 	op := in.Op & 0xf0
 	if rowOf(condTable[:], op) < 0 {
-		return nil, nil, fmt.Errorf("%w: unknown jump op %#x at %d", ErrVerify, op, pc)
+		return nil, nil, fmt.Errorf("%w: unknown jump op %#x at %d", errVerify, op, pc)
 	}
 	dst := st.regs[in.Dst]
 	if dst.t == rtUninit {
-		return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", ErrVerify, in.Dst, pc)
+		return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", errVerify, in.Dst, pc)
 	}
 	src := vreg{t: rtScalar, known: true, val: uint64(int64(in.Imm))}
 	if in.Op&SrcX != 0 {
 		src = st.regs[in.Src]
 		if src.t == rtUninit {
-			return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", ErrVerify, in.Src, pc)
+			return nil, nil, fmt.Errorf("%w: branch on uninitialized r%d at %d", errVerify, in.Src, pc)
 		}
 		if dst.pointer() || src.pointer() || dst.t == rtMapPtr || src.t == rtMapPtr {
-			return nil, nil, fmt.Errorf("%w: pointer comparison at %d", ErrVerify, pc)
+			return nil, nil, fmt.Errorf("%w: pointer comparison at %d", errVerify, pc)
 		}
 	}
 
@@ -427,7 +445,7 @@ func (v *Verifier) checkBranch(st *vstate, in Insn, pc int) (taken, fall *vstate
 	// map value narrows the type on each side.
 	if dst.t == rtMapValueOrNull {
 		if (op != JmpEq && op != JmpNe) || !src.known || src.val != 0 {
-			return nil, nil, fmt.Errorf("%w: %v used in non-null-check comparison at %d", ErrVerify, dst.t, pc)
+			return nil, nil, fmt.Errorf("%w: %v used in non-null-check comparison at %d", errVerify, dst.t, pc)
 		}
 		null := vreg{t: rtScalar, known: true, val: 0}
 		valid := vreg{t: rtMapValue, m: dst.m, off: dst.off}
@@ -441,7 +459,7 @@ func (v *Verifier) checkBranch(st *vstate, in Insn, pc int) (taken, fall *vstate
 		return taken, fall, nil
 	}
 	if dst.t != rtScalar {
-		return nil, nil, fmt.Errorf("%w: comparison on %v at %d", ErrVerify, dst.t, pc)
+		return nil, nil, fmt.Errorf("%w: comparison on %v at %d", errVerify, dst.t, pc)
 	}
 	// Known operands decide the branch: the edge the runtime cannot take is
 	// dead on this path.

@@ -11,41 +11,37 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"nvmetro/internal/sim"
 	"nvmetro/internal/vm"
 )
 
-// CacheBlockSize is the page-cache granule.
-const CacheBlockSize = 4096
+// cacheBlockSize is the page-cache granule.
+const cacheBlockSize = 4096
 
 // Errors.
 var (
-	ErrExists   = errors.New("extfs: file exists")
-	ErrNotFound = errors.New("extfs: file not found")
-	ErrNoSpace  = errors.New("extfs: no space")
-	ErrIO       = errors.New("extfs: I/O error")
+	errExists   = errors.New("extfs: file exists")
+	errNotFound = errors.New("extfs: file not found")
+	errNoSpace  = errors.New("extfs: no space")
+	errIO       = errors.New("extfs: I/O error")
 )
 
-// Params tunes the filesystem model.
-type Params struct {
-	CacheBytes int64        // page cache capacity
-	CopyRate   float64      // guest memcpy bytes/sec for cache hits and staging
-	OpCost     sim.Duration // per-call bookkeeping on the vCPU
-}
-
-// DefaultParams returns the standard guest filesystem configuration.
-func DefaultParams() Params {
-	return Params{CacheBytes: 64 << 20, CopyRate: 8e9, OpCost: 500 * sim.Nanosecond}
-}
+// The guest filesystem model's costs.
+const (
+	pageCacheBytes = 64 << 20             // page cache capacity
+	copyRate       = 8e9                  // guest memcpy bytes/sec for cache hits and staging
+	opCost         = 500 * sim.Nanosecond // per-call bookkeeping on the vCPU
+)
 
 // FS is a mounted filesystem instance.
 type FS struct {
-	v      *vm.VM
-	disk   vm.Disk
-	vcpu   *sim.Thread
-	params Params
+	v    *vm.VM
+	disk vm.Disk
+	vcpu *sim.Thread
+	// cacheCap is the page cache capacity: pageCacheBytes, smaller only in
+	// the eviction tests.
+	cacheCap int64
 
 	blockSize  uint32
 	base       uint64 // first disk block of this instance's window
@@ -65,17 +61,13 @@ type FS struct {
 	Reads, Writes          uint64
 }
 
-// Mount formats a fresh filesystem over the whole disk (the simulation
-// always starts cold, like a freshly mkfs'ed device in the paper's runs).
-func Mount(p *sim.Proc, v *vm.VM, disk vm.Disk, vcpu *sim.Thread, params Params) (*FS, error) {
-	return MountAt(p, v, disk, vcpu, params, 0, disk.Blocks())
-}
-
-// MountAt formats a filesystem over a block window of the disk, so several
-// independent instances (one per benchmark job) can share one device.
-func MountAt(p *sim.Proc, v *vm.VM, disk vm.Disk, vcpu *sim.Thread, params Params, startBlock, blocks uint64) (*FS, error) {
+// MountAt formats a fresh filesystem over a block window of the disk (the
+// simulation always starts cold, like a freshly mkfs'ed device in the
+// paper's runs), so several independent instances (one per benchmark job)
+// can share one device.
+func MountAt(p *sim.Proc, v *vm.VM, disk vm.Disk, vcpu *sim.Thread, startBlock, blocks uint64) (*FS, error) {
 	fs := &FS{
-		v: v, disk: disk, vcpu: vcpu, params: params,
+		v: v, disk: disk, vcpu: vcpu, cacheCap: pageCacheBytes,
 		blockSize:  disk.BlockSize(),
 		base:       startBlock,
 		diskBlocks: startBlock + blocks,
@@ -120,13 +112,13 @@ type File struct {
 // writes in the cache (journal-less ext4 data path); write-through files
 // hit the disk synchronously.
 func (fs *FS) Create(p *sim.Proc, name string, maxBytes uint64, writeBack bool) (*File, error) {
-	fs.vcpu.Exec(p, fs.params.OpCost)
+	fs.vcpu.Exec(p, opCost)
 	if _, ok := fs.files[name]; ok {
-		return nil, ErrExists
+		return nil, errExists
 	}
 	blocks := (maxBytes + uint64(fs.blockSize) - 1) / uint64(fs.blockSize)
 	if fs.nextBlock+blocks > fs.diskBlocks {
-		return nil, ErrNoSpace
+		return nil, errNoSpace
 	}
 	f := &File{fs: fs, name: name, start: fs.nextBlock, maxBytes: blocks * uint64(fs.blockSize), writeBack: writeBack}
 	fs.nextBlock += blocks
@@ -137,27 +129,18 @@ func (fs *FS) Create(p *sim.Proc, name string, maxBytes uint64, writeBack bool) 
 	return f, nil
 }
 
-// Open returns an existing file.
-func (fs *FS) Open(name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return f, nil
-}
-
 // Delete removes a file. Extents are not reclaimed (bump allocation), but a
 // discard is issued so the device can trim — matching the paper disabling
 // online discards but allowing explicit ones.
 func (fs *FS) Delete(p *sim.Proc, name string) error {
 	f, ok := fs.files[name]
 	if !ok {
-		return ErrNotFound
+		return errNotFound
 	}
 	delete(fs.files, name)
 	// Drop cached blocks.
-	first := f.start * uint64(fs.blockSize) / CacheBlockSize
-	last := (f.start*uint64(fs.blockSize) + f.maxBytes) / CacheBlockSize
+	first := f.start * uint64(fs.blockSize) / cacheBlockSize
+	last := (f.start*uint64(fs.blockSize) + f.maxBytes) / cacheBlockSize
 	for cb := first; cb <= last; cb++ {
 		delete(fs.cache, cb)
 		delete(fs.dirty, cb)
@@ -165,25 +148,12 @@ func (fs *FS) Delete(p *sim.Proc, name string) error {
 	return fs.writeSuper(p)
 }
 
-// Files lists file names (sorted).
-func (fs *FS) Files() []string {
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Size returns the file's current size.
-func (f *File) Size() uint64 { return f.size }
-
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
 // copyCost charges guest CPU for staging n bytes.
 func (fs *FS) copyCost(p *sim.Proc, n int) {
-	fs.vcpu.Exec(p, sim.Duration(float64(n)/fs.params.CopyRate*1e9))
+	fs.vcpu.Exec(p, sim.Duration(float64(n)/copyRate*1e9))
 }
 
 // rawWrite writes whole blocks at a disk block address (no cache).
@@ -201,7 +171,7 @@ func (fs *FS) rawWrite(p *sim.Proc, blk uint64, data []byte) error {
 			Blocks: uint32(len(chunk)) / fs.blockSize, Buf: fs.xferBase, BufPages: fs.xferPages,
 		}
 		if st := vm.SubmitAndWait(p, fs.disk, fs.vcpu, r); !st.OK() {
-			return fmt.Errorf("%w: %v", ErrIO, st)
+			return fmt.Errorf("%w: %v", errIO, st)
 		}
 		fs.Writes++
 	}
@@ -221,7 +191,7 @@ func (fs *FS) rawRead(p *sim.Proc, blk uint64, data []byte) error {
 			Blocks: uint32(len(chunk)) / fs.blockSize, Buf: fs.xferBase, BufPages: fs.xferPages,
 		}
 		if st := vm.SubmitAndWait(p, fs.disk, fs.vcpu, r); !st.OK() {
-			return fmt.Errorf("%w: %v", ErrIO, st)
+			return fmt.Errorf("%w: %v", errIO, st)
 		}
 		fs.v.Mem.ReadAt(chunk, fs.xferBase)
 		fs.copyCost(p, len(chunk))
@@ -237,9 +207,9 @@ func (fs *FS) cacheBlock(p *sim.Proc, cb uint64, load bool) ([]byte, error) {
 		return b, nil
 	}
 	fs.CacheMisses++
-	b := make([]byte, CacheBlockSize)
+	b := make([]byte, cacheBlockSize)
 	if load {
-		if err := fs.rawRead(p, cb*CacheBlockSize/uint64(fs.blockSize), b); err != nil {
+		if err := fs.rawRead(p, cb*cacheBlockSize/uint64(fs.blockSize), b); err != nil {
 			return nil, err
 		}
 	}
@@ -250,7 +220,7 @@ func (fs *FS) cacheBlock(p *sim.Proc, cb uint64, load bool) ([]byte, error) {
 func (fs *FS) insertCache(p *sim.Proc, cb uint64, b []byte) {
 	fs.cache[cb] = b
 	fs.cacheLRU = append(fs.cacheLRU, cb)
-	for int64(len(fs.cache))*CacheBlockSize > fs.params.CacheBytes && len(fs.cacheLRU) > 0 {
+	for int64(len(fs.cache))*cacheBlockSize > fs.cacheCap && len(fs.cacheLRU) > 0 {
 		victim := fs.cacheLRU[0]
 		fs.cacheLRU = fs.cacheLRU[1:]
 		if _, ok := fs.cache[victim]; !ok {
@@ -258,7 +228,7 @@ func (fs *FS) insertCache(p *sim.Proc, cb uint64, b []byte) {
 		}
 		if fs.dirty[victim] {
 			// Write back before eviction.
-			fs.rawWrite(p, victim*CacheBlockSize/uint64(fs.blockSize), fs.cache[victim])
+			fs.rawWrite(p, victim*cacheBlockSize/uint64(fs.blockSize), fs.cache[victim])
 			delete(fs.dirty, victim)
 		}
 		delete(fs.cache, victim)
@@ -269,23 +239,23 @@ func (fs *FS) insertCache(p *sim.Proc, cb uint64, b []byte) {
 // write-through files also flush immediately.
 func (f *File) WriteAt(p *sim.Proc, off uint64, data []byte) error {
 	fs := f.fs
-	fs.vcpu.Exec(p, fs.params.OpCost)
+	fs.vcpu.Exec(p, opCost)
 	if off+uint64(len(data)) > f.maxBytes {
-		return ErrNoSpace
+		return errNoSpace
 	}
 	diskOff := f.start*uint64(fs.blockSize) + off
 	// Stage through the cache at cache-block granularity.
 	rem := data
 	pos := diskOff
 	for len(rem) > 0 {
-		cb := pos / CacheBlockSize
-		cbOff := int(pos % CacheBlockSize)
-		n := CacheBlockSize - cbOff
+		cb := pos / cacheBlockSize
+		cbOff := int(pos % cacheBlockSize)
+		n := cacheBlockSize - cbOff
 		if n > len(rem) {
 			n = len(rem)
 		}
 		// Partial overwrite of an unseen block must read it first.
-		load := cbOff != 0 || n != CacheBlockSize
+		load := cbOff != 0 || n != cacheBlockSize
 		b, err := fs.cacheBlock(p, cb, load)
 		if err != nil {
 			return err
@@ -308,16 +278,16 @@ func (f *File) WriteAt(p *sim.Proc, off uint64, data []byte) error {
 // ReadAt fills buf from the byte offset, through the cache.
 func (f *File) ReadAt(p *sim.Proc, off uint64, buf []byte) error {
 	fs := f.fs
-	fs.vcpu.Exec(p, fs.params.OpCost)
+	fs.vcpu.Exec(p, opCost)
 	if off+uint64(len(buf)) > f.maxBytes {
-		return fmt.Errorf("%w: read beyond extent", ErrIO)
+		return fmt.Errorf("%w: read beyond extent", errIO)
 	}
 	pos := f.start*uint64(fs.blockSize) + off
 	rem := buf
 	for len(rem) > 0 {
-		cb := pos / CacheBlockSize
-		cbOff := int(pos % CacheBlockSize)
-		n := CacheBlockSize - cbOff
+		cb := pos / cacheBlockSize
+		cbOff := int(pos % cacheBlockSize)
+		n := cacheBlockSize - cbOff
 		if n > len(rem) {
 			n = len(rem)
 		}
@@ -336,13 +306,13 @@ func (f *File) ReadAt(p *sim.Proc, off uint64, buf []byte) error {
 // syncRange flushes dirty cache blocks covering [diskOff, diskOff+n).
 func (f *File) syncRange(p *sim.Proc, diskOff, n uint64) error {
 	fs := f.fs
-	first := diskOff / CacheBlockSize
-	last := (diskOff + n - 1) / CacheBlockSize
+	first := diskOff / cacheBlockSize
+	last := (diskOff + n - 1) / cacheBlockSize
 	for cb := first; cb <= last; cb++ {
 		if !fs.dirty[cb] {
 			continue
 		}
-		if err := fs.rawWrite(p, cb*CacheBlockSize/uint64(fs.blockSize), fs.cache[cb]); err != nil {
+		if err := fs.rawWrite(p, cb*cacheBlockSize/uint64(fs.blockSize), fs.cache[cb]); err != nil {
 			return err
 		}
 		delete(fs.dirty, cb)
@@ -366,14 +336,14 @@ func (fs *FS) SyncAll(p *sim.Proc) error {
 		if !d {
 			continue
 		}
-		if err := fs.rawWrite(p, cb*CacheBlockSize/uint64(fs.blockSize), fs.cache[cb]); err != nil {
+		if err := fs.rawWrite(p, cb*cacheBlockSize/uint64(fs.blockSize), fs.cache[cb]); err != nil {
 			return err
 		}
 		delete(fs.dirty, cb)
 	}
 	r := &vm.Req{Op: vm.OpFlush}
 	if st := vm.SubmitAndWait(p, fs.disk, fs.vcpu, r); !st.OK() {
-		return fmt.Errorf("%w: flush %v", ErrIO, st)
+		return fmt.Errorf("%w: flush %v", errIO, st)
 	}
 	return nil
 }

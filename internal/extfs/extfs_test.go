@@ -1,11 +1,10 @@
-package extfs_test
+package extfs
 
 import (
 	"bytes"
 	"testing"
 
 	"nvmetro/internal/device"
-	"nvmetro/internal/extfs"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/vm"
@@ -57,7 +56,7 @@ func runP(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) {
 func TestCreateOpenDelete(t *testing.T) {
 	env, v, disk := fsBed()
 	runP(t, env, func(p *sim.Proc) {
-		fs, err := extfs.Mount(p, v, disk, v.VCPU(0), extfs.DefaultParams())
+		fs, err := MountAt(p, v, disk, v.VCPU(0), 0, disk.Blocks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,19 +64,19 @@ func TestCreateOpenDelete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Create(p, "a", 4096, false); err != extfs.ErrExists {
+		if _, err := fs.Create(p, "a", 4096, false); err != errExists {
 			t.Fatalf("dup create: %v", err)
 		}
-		if got, err := fs.Open("a"); err != nil || got != f {
-			t.Fatalf("open: %v", err)
+		if fs.files["a"] != f {
+			t.Fatal("created file not listed")
 		}
 		if err := fs.Delete(p, "a"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Open("a"); err != extfs.ErrNotFound {
-			t.Fatalf("open deleted: %v", err)
+		if _, ok := fs.files["a"]; ok {
+			t.Fatal("deleted file still listed")
 		}
-		if err := fs.Delete(p, "a"); err != extfs.ErrNotFound {
+		if err := fs.Delete(p, "a"); err != errNotFound {
 			t.Fatalf("double delete: %v", err)
 		}
 	})
@@ -86,16 +85,16 @@ func TestCreateOpenDelete(t *testing.T) {
 func TestExtentLimits(t *testing.T) {
 	env, v, disk := fsBed()
 	runP(t, env, func(p *sim.Proc) {
-		fs, _ := extfs.Mount(p, v, disk, v.VCPU(0), extfs.DefaultParams())
+		fs, _ := MountAt(p, v, disk, v.VCPU(0), 0, disk.Blocks())
 		f, _ := fs.Create(p, "small", 1024, false)
-		if err := f.WriteAt(p, 900, make([]byte, 200)); err != extfs.ErrNoSpace {
+		if err := f.WriteAt(p, 900, make([]byte, 200)); err != errNoSpace {
 			t.Fatalf("write past extent: %v", err)
 		}
 		if err := f.ReadAt(p, 1020, make([]byte, 10)); err == nil {
 			t.Fatal("read past extent accepted")
 		}
 		// A file as large as the whole window fails (superblock reserve).
-		if _, err := fs.Create(p, "huge", disk.Blocks()*512, false); err != extfs.ErrNoSpace {
+		if _, err := fs.Create(p, "huge", disk.Blocks()*512, false); err != errNoSpace {
 			t.Fatalf("oversized create: %v", err)
 		}
 	})
@@ -105,11 +104,11 @@ func TestWindowedMountsAreIsolated(t *testing.T) {
 	env, v, disk := fsBed()
 	runP(t, env, func(p *sim.Proc) {
 		half := disk.Blocks() / 2
-		fs1, err := extfs.MountAt(p, v, disk, v.VCPU(0), extfs.DefaultParams(), 0, half)
+		fs1, err := MountAt(p, v, disk, v.VCPU(0), 0, half)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs2, err := extfs.MountAt(p, v, disk, v.VCPU(0), extfs.DefaultParams(), half, half)
+		fs2, err := MountAt(p, v, disk, v.VCPU(0), half, half)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +133,7 @@ func TestWindowedMountsAreIsolated(t *testing.T) {
 func TestCacheHitAvoidsIO(t *testing.T) {
 	env, v, disk := fsBed()
 	runP(t, env, func(p *sim.Proc) {
-		fs, _ := extfs.Mount(p, v, disk, v.VCPU(0), extfs.DefaultParams())
+		fs, _ := MountAt(p, v, disk, v.VCPU(0), 0, disk.Blocks())
 		f, _ := fs.Create(p, "c", 1<<20, false)
 		f.WriteAt(p, 0, make([]byte, 4096))
 		readsBefore := fs.Reads
@@ -154,20 +153,19 @@ func TestCacheHitAvoidsIO(t *testing.T) {
 func TestCacheEvictionWritesBackDirty(t *testing.T) {
 	env, v, disk := fsBed()
 	runP(t, env, func(p *sim.Proc) {
-		params := extfs.DefaultParams()
-		params.CacheBytes = 8 * extfs.CacheBlockSize // tiny cache
-		fs, _ := extfs.Mount(p, v, disk, v.VCPU(0), params)
+		fs, _ := MountAt(p, v, disk, v.VCPU(0), 0, disk.Blocks())
+		fs.cacheCap = 8 * cacheBlockSize // tiny cache
 		f, _ := fs.Create(p, "wb", 1<<20, true)
 		// Dirty far more blocks than the cache holds.
-		data := bytes.Repeat([]byte{0x5e}, extfs.CacheBlockSize)
+		data := bytes.Repeat([]byte{0x5e}, cacheBlockSize)
 		for i := 0; i < 32; i++ {
-			f.WriteAt(p, uint64(i)*extfs.CacheBlockSize, data)
+			f.WriteAt(p, uint64(i)*cacheBlockSize, data)
 		}
 		f.Sync(p)
 		// Everything must be readable back (evicted blocks were written).
-		got := make([]byte, extfs.CacheBlockSize)
+		got := make([]byte, cacheBlockSize)
 		for i := 0; i < 32; i++ {
-			if err := f.ReadAt(p, uint64(i)*extfs.CacheBlockSize, got); err != nil {
+			if err := f.ReadAt(p, uint64(i)*cacheBlockSize, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, data) {

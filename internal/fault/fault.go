@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
-	"strings"
 
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/nvme"
@@ -23,23 +21,23 @@ type Kind int
 
 // Fault kinds.
 const (
-	// MediaReadError fails a read command with SCUnrecoveredRead.
-	MediaReadError Kind = iota
-	// MediaWriteError fails a write command with SCWriteFault.
-	MediaWriteError
-	// DropCompletion executes the command but never posts its completion
+	// mediaReadError fails a read command with SCUnrecoveredRead.
+	mediaReadError Kind = iota
+	// mediaWriteError fails a write command with SCWriteFault.
+	mediaWriteError
+	// dropCompletion executes the command but never posts its completion
 	// (a lost interrupt / lost CQE).
-	DropCompletion
-	// StuckCompletion delays the completion by the rule's Delay.
-	StuckCompletion
-	// UIFCrash kills the userspace I/O function's poll loop: the
+	dropCompletion
+	// stuckCompletion delays the completion by the rule's Delay.
+	stuckCompletion
+	// uifCrash kills the userspace I/O function's poll loop: the
 	// attachment stops servicing its notify queues and all in-process
 	// state is lost, as if the UIF process died.
-	UIFCrash
-	// UIFWedge stalls the poll loop for the rule's Delay (0 = forever):
+	uifCrash
+	// uifWedge stalls the poll loop for the rule's Delay (0 = forever):
 	// the process is alive but makes no progress — a livelock, an
 	// allocator stall, a runaway GC pause.
-	UIFWedge
+	uifWedge
 	// BitRot flips bits in stored data after a successful write: a later
 	// read returns silently corrupted payload with an OK status.
 	BitRot
@@ -56,17 +54,17 @@ const (
 
 func (k Kind) String() string {
 	switch k {
-	case MediaReadError:
+	case mediaReadError:
 		return "media-read"
-	case MediaWriteError:
+	case mediaWriteError:
 		return "media-write"
-	case DropCompletion:
+	case dropCompletion:
 		return "drop-completion"
-	case StuckCompletion:
+	case stuckCompletion:
 		return "stuck-completion"
-	case UIFCrash:
+	case uifCrash:
 		return "uif-crash"
-	case UIFWedge:
+	case uifWedge:
 		return "uif-wedge"
 	case BitRot:
 		return "bit-rot"
@@ -80,15 +78,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Kinds returns every injectable fault kind, in declaration order.
-func Kinds() []Kind {
-	ks := make([]Kind, numKinds)
-	for i := range ks {
-		ks[i] = Kind(i)
-	}
-	return ks
-}
-
 // Class is the command class an injector is asked about.
 type Class int
 
@@ -99,21 +88,21 @@ const (
 	ClassOther
 )
 
-// Rule is one probabilistic injection rule. Rules are evaluated in plan
+// rule is one probabilistic injection rule. Rules are evaluated in plan
 // order on every eligible command; Limit caps how many times the rule fires
 // at one injection site (0 = unlimited).
-type Rule struct {
+type rule struct {
 	Kind  Kind
 	Rate  float64      // probability per eligible command, in [0,1]
 	Limit int          // max firings per site (0 = unlimited)
 	Delay sim.Duration // StuckCompletion hold time
 }
 
-func (r Rule) eligible(c Class) bool {
+func (r rule) eligible(c Class) bool {
 	switch r.Kind {
-	case MediaReadError, BitRot:
+	case mediaReadError, BitRot:
 		return c == ClassRead
-	case MediaWriteError, TornWrite, MisdirectedWrite, LostWrite:
+	case mediaWriteError, TornWrite, MisdirectedWrite, LostWrite:
 		return c == ClassWrite
 	default:
 		return c == ClassRead || c == ClassWrite || c == ClassOther
@@ -131,26 +120,26 @@ type Outage struct {
 // lives in the Injectors it hands out.
 type Plan struct {
 	Seed    int64
-	rules   []Rule
+	rules   []rule
 	outages []Outage
 }
 
 // NewPlan creates an empty plan with the given seed.
 func NewPlan(seed int64) *Plan { return &Plan{Seed: seed} }
 
-// WithRule appends a rule and returns the plan for chaining. Invalid rules
+// withRule appends a rule and returns the plan for chaining. Invalid rules
 // (Rate outside [0,1], negative Delay or Limit) panic here, at plan build
 // time, instead of silently misbehaving at injection time.
-func (p *Plan) WithRule(r Rule) *Plan {
-	if err := r.Validate(); err != nil {
+func (p *Plan) withRule(r rule) *Plan {
+	if err := r.validate(); err != nil {
 		panic("fault: " + err.Error())
 	}
 	p.rules = append(p.rules, r)
 	return p
 }
 
-// Validate checks the rule's parameters for sanity.
-func (r Rule) Validate() error {
+// validate checks the rule's parameters for sanity.
+func (r rule) validate() error {
 	switch {
 	case r.Rate < 0 || r.Rate > 1:
 		return fmt.Errorf("rule %v: rate %v outside [0,1]", r.Kind, r.Rate)
@@ -164,52 +153,52 @@ func (r Rule) Validate() error {
 
 // WithMediaErrors adds read and write media-error rules at the given rate.
 func (p *Plan) WithMediaErrors(rate float64) *Plan {
-	return p.WithRule(Rule{Kind: MediaReadError, Rate: rate}).
-		WithRule(Rule{Kind: MediaWriteError, Rate: rate})
+	return p.withRule(rule{Kind: mediaReadError, Rate: rate}).
+		withRule(rule{Kind: mediaWriteError, Rate: rate})
 }
 
 // WithDrops adds a dropped-completion rule.
 func (p *Plan) WithDrops(rate float64, limit int) *Plan {
-	return p.WithRule(Rule{Kind: DropCompletion, Rate: rate, Limit: limit})
+	return p.withRule(rule{Kind: dropCompletion, Rate: rate, Limit: limit})
 }
 
 // WithStuck adds a stuck-completion rule holding completions for delay.
 func (p *Plan) WithStuck(rate float64, limit int, delay sim.Duration) *Plan {
-	return p.WithRule(Rule{Kind: StuckCompletion, Rate: rate, Limit: limit, Delay: delay})
+	return p.withRule(rule{Kind: stuckCompletion, Rate: rate, Limit: limit, Delay: delay})
 }
 
 // WithUIFCrash adds a UIF poll-loop crash rule.
 func (p *Plan) WithUIFCrash(rate float64, limit int) *Plan {
-	return p.WithRule(Rule{Kind: UIFCrash, Rate: rate, Limit: limit})
+	return p.withRule(rule{Kind: uifCrash, Rate: rate, Limit: limit})
 }
 
 // WithUIFWedge adds a UIF poll-loop stall rule holding the loop for delay
 // (0 = wedged until killed).
 func (p *Plan) WithUIFWedge(rate float64, limit int, delay sim.Duration) *Plan {
-	return p.WithRule(Rule{Kind: UIFWedge, Rate: rate, Limit: limit, Delay: delay})
+	return p.withRule(rule{Kind: uifWedge, Rate: rate, Limit: limit, Delay: delay})
 }
 
 // WithBitRot adds a silent stored-data corruption rule on reads.
 func (p *Plan) WithBitRot(rate float64, limit int) *Plan {
-	return p.WithRule(Rule{Kind: BitRot, Rate: rate, Limit: limit})
+	return p.withRule(rule{Kind: BitRot, Rate: rate, Limit: limit})
 }
 
 // WithTornWrites adds a torn-write rule: only a prefix of the payload
 // persists while the command completes OK.
 func (p *Plan) WithTornWrites(rate float64, limit int) *Plan {
-	return p.WithRule(Rule{Kind: TornWrite, Rate: rate, Limit: limit})
+	return p.withRule(rule{Kind: TornWrite, Rate: rate, Limit: limit})
 }
 
 // WithMisdirectedWrites adds a misdirected-write rule: the payload lands at
 // the wrong LBA and the addressed blocks stay stale.
 func (p *Plan) WithMisdirectedWrites(rate float64, limit int) *Plan {
-	return p.WithRule(Rule{Kind: MisdirectedWrite, Rate: rate, Limit: limit})
+	return p.withRule(rule{Kind: MisdirectedWrite, Rate: rate, Limit: limit})
 }
 
 // WithLostWrites adds a lost-write rule: the write is acknowledged but
 // nothing persists.
 func (p *Plan) WithLostWrites(rate float64, limit int) *Plan {
-	return p.WithRule(Rule{Kind: LostWrite, Rate: rate, Limit: limit})
+	return p.withRule(rule{Kind: LostWrite, Rate: rate, Limit: limit})
 }
 
 // WithOutage schedules a link outage window.
@@ -221,9 +210,6 @@ func (p *Plan) WithOutage(at sim.Time, dur sim.Duration) *Plan {
 // Outages returns the scheduled outage windows.
 func (p *Plan) Outages() []Outage { return p.outages }
 
-// Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool { return p == nil || (len(p.rules) == 0 && len(p.outages) == 0) }
-
 // Injector derives the per-site injector for the named site. The PRNG
 // stream depends only on (plan seed, site name), so the decision sequence
 // at one site is independent of activity at every other site.
@@ -234,13 +220,13 @@ func (p *Plan) Injector(site string) *Injector {
 	inj := &Injector{site: site, rng: rand.New(rand.NewSource(seed))}
 	inj.rules = make([]ruleState, len(p.rules))
 	for i, r := range p.rules {
-		inj.rules[i] = ruleState{Rule: r}
+		inj.rules[i] = ruleState{rule: r}
 	}
 	return inj
 }
 
 type ruleState struct {
-	Rule
+	rule
 	fired int
 }
 
@@ -275,14 +261,6 @@ type Injector struct {
 	Injected [numKinds]uint64 // faults injected, by kind
 }
 
-// Site returns the injection-site name.
-func (inj *Injector) Site() string {
-	if inj == nil {
-		return ""
-	}
-	return inj.site
-}
-
 // Decide evaluates the plan's rules for one command of class c. Every rule
 // draws from the site stream in plan order (even after its limit is
 // exhausted), keeping the stream alignment independent of firing history.
@@ -304,23 +282,23 @@ func (inj *Injector) Decide(c Class) Decision {
 		r.fired++
 		inj.Injected[r.Kind]++
 		switch r.Kind {
-		case MediaReadError:
+		case mediaReadError:
 			if d.Status.OK() {
 				d.Status = nvme.SCUnrecoveredRead
 			}
-		case MediaWriteError:
+		case mediaWriteError:
 			if d.Status.OK() {
 				d.Status = nvme.SCWriteFault
 			}
-		case DropCompletion:
+		case dropCompletion:
 			d.Drop = true
-		case StuckCompletion:
+		case stuckCompletion:
 			if r.Delay > d.Delay {
 				d.Delay = r.Delay
 			}
-		case UIFCrash:
+		case uifCrash:
 			d.Crash = true
-		case UIFWedge:
+		case uifWedge:
 			d.Wedge = true
 			if r.Delay > d.WedgeFor {
 				d.WedgeFor = r.Delay
@@ -349,25 +327,8 @@ func (inj *Injector) InjectedTotal() uint64 {
 	return n
 }
 
-// Counters renders the injector's counts as a stable, sorted string — the
-// comparison unit for fault-trace determinism tests.
-func (inj *Injector) Counters() string {
-	if inj == nil {
-		return ""
-	}
-	parts := []string{fmt.Sprintf("site=%s commands=%d", inj.site, inj.Commands)}
-	var kinds []string
-	for k := Kind(0); k < numKinds; k++ {
-		if inj.Injected[k] > 0 {
-			kinds = append(kinds, fmt.Sprintf("%v=%d", k, inj.Injected[k]))
-		}
-	}
-	sort.Strings(kinds)
-	return strings.Join(append(parts, kinds...), " ")
-}
-
 // Collect exports the per-kind fire counts as counters under the
-// "fault.<site>." prefix — the machine-readable sibling of Counters().
+// "fault.<site>." prefix.
 // Every kind is emitted (zeros included) so the schema, and therefore
 // CounterSet ordering, is identical across runs and plans.
 func (inj *Injector) Collect(cs *metrics.CounterSet) {

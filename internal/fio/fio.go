@@ -45,8 +45,8 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// Random reports whether offsets are random.
-func (m Mode) Random() bool { return m <= RandRW }
+// random reports whether offsets are random.
+func (m Mode) random() bool { return m <= RandRW }
 
 // Config is one benchmark configuration.
 type Config struct {
@@ -265,7 +265,7 @@ func (j *job) nextLBA(blocks uint32) uint64 {
 	if j.regionNB <= uint64(blocks) {
 		return j.regionLB
 	}
-	if j.cfg.Mode.Random() {
+	if j.cfg.Mode.random() {
 		slots := j.regionNB / uint64(blocks)
 		if j.cfg.Zipf > 1 {
 			if j.zipf == nil {

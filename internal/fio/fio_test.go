@@ -47,7 +47,7 @@ func TestClosedLoopThroughputMatchesLatency(t *testing.T) {
 	r := fio.Run(env, cpu, []fio.Target{{Disk: d, VM: v, VCPU: v.VCPU(0)}},
 		fio.Config{Mode: fio.RandRead, BlockSize: 512, QD: 1, Warmup: sim.Millisecond, Duration: 50 * sim.Millisecond})
 	// QD1 at 100us/IO: ~10k IOPS.
-	if got := r.IOPS(); got < 9000 || got > 10100 {
+	if got := 1e3 * r.KIOPS(); got < 9000 || got > 10100 {
 		t.Fatalf("QD1 IOPS %f, want ~10000", got)
 	}
 	if med := r.Lat.Median(); med < 99000 || med > 110000 {
@@ -61,7 +61,7 @@ func TestQDScalesThroughput(t *testing.T) {
 	d := &instantDisk{env: env, latency: 100 * sim.Microsecond}
 	r := fio.Run(env, cpu, []fio.Target{{Disk: d, VM: v, VCPU: v.VCPU(0)}},
 		fio.Config{Mode: fio.RandRead, BlockSize: 512, QD: 16, Warmup: sim.Millisecond, Duration: 20 * sim.Millisecond})
-	if got := r.IOPS(); got < 140000 {
+	if got := 1e3 * r.KIOPS(); got < 140000 {
 		t.Fatalf("QD16 IOPS %f, want ~160k", got)
 	}
 }
@@ -73,7 +73,7 @@ func TestRateLimitedMode(t *testing.T) {
 	r := fio.Run(env, cpu, []fio.Target{{Disk: d, VM: v, VCPU: v.VCPU(0)}},
 		fio.Config{Mode: fio.RandRead, BlockSize: 512, QD: 8, RateIOPS: 10000,
 			Warmup: sim.Millisecond, Duration: 50 * sim.Millisecond})
-	if got := r.IOPS(); got < 9000 || got > 11000 {
+	if got := 1e3 * r.KIOPS(); got < 9000 || got > 11000 {
 		t.Fatalf("rate-limited IOPS %f, want ~10000", got)
 	}
 	// Latency must reflect service time, not the rate interval.

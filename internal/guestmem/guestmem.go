@@ -13,11 +13,11 @@ import (
 // PageSize is the guest page size (matches the NVMe PRP page size).
 const PageSize = 4096
 
-// ErrOutOfRange reports an access beyond the configured memory size.
-var ErrOutOfRange = errors.New("guestmem: access out of range")
+// errOutOfRange reports an access beyond the configured memory size.
+var errOutOfRange = errors.New("guestmem: access out of range")
 
-// ErrOutOfMemory reports allocator exhaustion.
-var ErrOutOfMemory = errors.New("guestmem: out of memory")
+// errOutOfMemory reports allocator exhaustion.
+var errOutOfMemory = errors.New("guestmem: out of memory")
 
 // Memory is a sparse guest-physical address space.
 type Memory struct {
@@ -49,7 +49,7 @@ func (m *Memory) page(pn uint64, create bool) []byte {
 // Reads of never-written pages return zeros.
 func (m *Memory) ReadAt(p []byte, addr uint64) error {
 	if addr+uint64(len(p)) > m.size {
-		return fmt.Errorf("%w: read [%#x,+%d)", ErrOutOfRange, addr, len(p))
+		return fmt.Errorf("%w: read [%#x,+%d)", errOutOfRange, addr, len(p))
 	}
 	for len(p) > 0 {
 		pn, off := addr/PageSize, addr%PageSize
@@ -71,7 +71,7 @@ func (m *Memory) ReadAt(p []byte, addr uint64) error {
 // WriteAt copies p into guest physical memory at addr.
 func (m *Memory) WriteAt(p []byte, addr uint64) error {
 	if addr+uint64(len(p)) > m.size {
-		return fmt.Errorf("%w: write [%#x,+%d)", ErrOutOfRange, addr, len(p))
+		return fmt.Errorf("%w: write [%#x,+%d)", errOutOfRange, addr, len(p))
 	}
 	for len(p) > 0 {
 		pn, off := addr/PageSize, addr%PageSize
@@ -86,11 +86,11 @@ func (m *Memory) WriteAt(p []byte, addr uint64) error {
 	return nil
 }
 
-// AllocPages allocates n contiguous pages and returns the base address.
-func (m *Memory) AllocPages(n int) (uint64, error) {
+// allocPages allocates n contiguous pages and returns the base address.
+func (m *Memory) allocPages(n int) (uint64, error) {
 	need := uint64(n) * PageSize
 	if m.next+need > m.size {
-		return 0, ErrOutOfMemory
+		return 0, errOutOfMemory
 	}
 	base := m.next
 	m.next += need
@@ -100,7 +100,7 @@ func (m *Memory) AllocPages(n int) (uint64, error) {
 // MustAllocPages is AllocPages that panics on exhaustion (guest driver
 // setup paths where failure is a programming error).
 func (m *Memory) MustAllocPages(n int) uint64 {
-	a, err := m.AllocPages(n)
+	a, err := m.allocPages(n)
 	if err != nil {
 		panic(err)
 	}
@@ -114,7 +114,7 @@ func (m *Memory) AllocBuffer(size uint32) (base uint64, pages []uint64, err erro
 	if n == 0 {
 		n = 1
 	}
-	base, err = m.AllocPages(n)
+	base, err = m.allocPages(n)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -126,6 +126,3 @@ func (m *Memory) AllocBuffer(size uint32) (base uint64, pages []uint64, err erro
 
 // Allocated reports how many bytes the bump allocator has handed out.
 func (m *Memory) Allocated() uint64 { return m.next - PageSize }
-
-// Resident reports how many pages are materialized.
-func (m *Memory) Resident() int { return len(m.pages) }

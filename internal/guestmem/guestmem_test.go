@@ -15,7 +15,7 @@ func TestReadUnwrittenReturnsZeros(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, 4)) {
 		t.Fatalf("got %v", buf)
 	}
-	if m.Resident() != 0 {
+	if len(m.pages) != 0 {
 		t.Fatal("read materialized a page")
 	}
 }
@@ -64,7 +64,7 @@ func TestAllocPagesSequentialAligned(t *testing.T) {
 func TestAllocExhaustion(t *testing.T) {
 	m := New(4 * PageSize)
 	m.MustAllocPages(3) // page 0 reserved, 3 allocatable
-	if _, err := m.AllocPages(1); err == nil {
+	if _, err := m.allocPages(1); err == nil {
 		t.Fatal("want exhaustion")
 	}
 }

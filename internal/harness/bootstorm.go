@@ -308,7 +308,7 @@ func bootstormTable(o Options) *Table {
 		stormN = 32
 	}
 	queue(fmt.Sprintf("sharded N=%d", stormN), stormN, imgBlocks, true, scaleShards(stormN))
-	g.Run()
+	g.run()
 	for _, c := range cells {
 		r := *c.r
 		ok := 0.0
@@ -319,7 +319,7 @@ func bootstormTable(o Options) *Table {
 		if r.baseOK {
 			baseOK = 1
 		}
-		t.Add(c.name,
+		t.add(c.name,
 			r.res.KIOPS(),
 			r.hitRatio,
 			float64(r.cowBreaks),

@@ -183,14 +183,14 @@ func cacheTable(o Options) *Table {
 		row := row
 		runs[i] = shard(g, func() cacheRun { return runCache(o, row.cp, row.cfg, 4) })
 	}
-	g.Run()
+	g.run()
 	for i, row := range rows {
 		cr := *runs[i]
 		coherent := 0.0
 		if cr.coherent && cr.drained {
 			coherent = 1
 		}
-		t.Add(row.name,
+		t.add(row.name,
 			cr.res.KIOPS(),
 			cr.hitRatio,
 			float64(cr.hitP50)/1e3,

@@ -286,7 +286,7 @@ func chaosTable(o Options) *Table {
 			})
 		}
 	}
-	g.Run()
+	g.run()
 	for _, row := range rows {
 		base, cr := *row.base, *row.cr
 		cs := &cr.counters
@@ -303,7 +303,7 @@ func chaosTable(o Options) *Table {
 		if chaosOK(row.name, cr) {
 			ok = 1
 		}
-		t.Add(row.name+" "+row.kind,
+		t.add(row.name+" "+row.kind,
 			cr.res.KIOPS(),
 			p99x,
 			float64(cs.Get(site+"uif-crash")+cs.Get(site+"uif-wedge")),

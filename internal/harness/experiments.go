@@ -84,8 +84,8 @@ func fioPair(o Options, idTp, idCPU, title string, sols []namedSol, grid []fioCa
 			tpCells = append(tpCells, cells.tp)
 			cpuCells = append(cpuCells, cells.cpu)
 		}
-		tp.Add(c.label(), tpCells...)
-		cpu.Add(c.label(), cpuCells...)
+		tp.add(c.label(), tpCells...)
+		cpu.add(c.label(), cpuCells...)
 	}
 	return tp, cpu
 }
@@ -173,20 +173,20 @@ func ycsbTable(o Options, id, title string, sols []namedSol) *Table {
 		cells[k] = runYCSB(o, s.mk, rw.w, rw.jobs).KOpsPerSec
 	})
 	for ri, rw := range rows {
-		t.Add(fmt.Sprintf("%v j=%d", rw.w, rw.jobs), cells[ri*len(sols):(ri+1)*len(sols)]...)
+		t.add(fmt.Sprintf("%v j=%d", rw.w, rw.jobs), cells[ri*len(sols):(ri+1)*len(sols)]...)
 	}
 	return t
 }
 
 func init() {
 	register("table1", "Source code sizes of NVMetro classifier and UIF implementations", func(o Options) []*Table {
-		return []*Table{Table1LoC()}
+		return []*Table{table1LoC()}
 	})
 
 	register("table2", "List of fio benchmark configurations", func(o Options) []*Table {
 		t := &Table{ID: "table2", Title: "fio benchmark configurations (Table II)", Cols: []string{"QD", "jobs"}}
 		for _, c := range fig3Grid(Options{}) {
-			t.Add(fmt.Sprintf("bs=%s %v", bsName(c.bs), c.mode), float64(c.qd), float64(c.jobs))
+			t.add(fmt.Sprintf("bs=%s %v", bsName(c.bs), c.mode), float64(c.qd), float64(c.jobs))
 		}
 		return []*Table{t}
 	})
@@ -238,8 +238,8 @@ func init() {
 				p99Cells = append(p99Cells, cells[ci*len(sols)+si].p99)
 			}
 			label := fmt.Sprintf("bs=%s %v qd=%d", bsName(c.bs), c.mode, c.qd)
-			med.Add(label, medCells...)
-			p99.Add(label, p99Cells...)
+			med.add(label, medCells...)
+			p99.add(label, p99Cells...)
 		}
 		return []*Table{med, p99}
 	})
@@ -275,7 +275,7 @@ func init() {
 			cells[k] = runFioScaled(o, n, cfg).KIOPS()
 		})
 		for ri, rw := range rows {
-			t.Add(fmt.Sprintf("%v qd=%d", rw.m, rw.qd), cells[ri*len(vmCounts):(ri+1)*len(vmCounts)]...)
+			t.add(fmt.Sprintf("%v qd=%d", rw.m, rw.qd), cells[ri*len(vmCounts):(ri+1)*len(vmCounts)]...)
 		}
 		return []*Table{t}
 	})

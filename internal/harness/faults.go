@@ -206,7 +206,7 @@ func faultSweep(o Options) *Table {
 			runs[i] = append(runs[i], shard(g, func() faultRun { return run(rate) }))
 		}
 	}
-	g.Run()
+	g.run()
 	for i, s := range stacks {
 		var cells []float64
 		for _, fr := range runs[i] {
@@ -219,7 +219,7 @@ func faultSweep(o Options) *Table {
 			}
 			cells = append(cells, perKop)
 		}
-		t.Add(s.name, cells...)
+		t.add(s.name, cells...)
 	}
 	t.Notes = "errors surface as completions; -1 would mean a hang (commands stuck in flight)"
 	return t
@@ -255,14 +255,14 @@ func faultRecovery(o Options) *Table {
 		plan := row.plan
 		runs[i] = shard(g, func() faultRun { return runFaultNVMetro(o, plan, tightRouter, cfg, 4) })
 	}
-	g.Run()
+	g.run()
 	for i, row := range rows {
 		fr := *runs[i]
 		drained := 0.0
 		if fr.drained {
 			drained = 1
 		}
-		t.Add(row.name,
+		t.add(row.name,
 			float64(fr.counters.Get("dev.injected")),
 			float64(fr.counters.Get("rt.hq_timeouts")),
 			float64(fr.counters.Get("rt.stale_comps")),
@@ -298,14 +298,14 @@ func faultReplication(o Options) *Table {
 		plan := row.plan
 		runs[i] = shard(g, func() faultRun { return runFaultRepl(o, plan, nil, cfg, 4) })
 	}
-	g.Run()
+	g.run()
 	for i, row := range rows {
 		fr := *runs[i]
 		drained := 0.0
 		if fr.drained {
 			drained = 1
 		}
-		t.Add(row.name,
+		t.add(row.name,
 			fr.res.KIOPS(),
 			float64(fr.counters.Get("rep.degraded")),
 			float64(fr.counters.Get("rep.dirty_blocks")),

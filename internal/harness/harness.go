@@ -24,9 +24,9 @@ type Options struct {
 	Workers int
 }
 
-// EffectiveWorkers resolves Workers: values <= 0 (including the default
+// effectiveWorkers resolves Workers: values <= 0 (including the default
 // zero value) mean runtime.GOMAXPROCS(0).
-func (o Options) EffectiveWorkers() int {
+func (o Options) effectiveWorkers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
@@ -39,38 +39,19 @@ type Table struct {
 	Title string
 	Unit  string
 	Cols  []string
-	Rows  []TableRow
+	Rows  []tableRow
 	Notes string
 }
 
-// TableRow is one labeled result row.
-type TableRow struct {
+// tableRow is one labeled result row.
+type tableRow struct {
 	Label string
 	Cells []float64
 }
 
-// Add appends a row.
-func (t *Table) Add(label string, cells ...float64) {
-	t.Rows = append(t.Rows, TableRow{Label: label, Cells: cells})
-}
-
-// Cell returns a named cell (for assertions), or NaN-like -1 if missing.
-func (t *Table) Cell(rowLabel, col string) float64 {
-	ci := -1
-	for i, c := range t.Cols {
-		if c == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return -1
-	}
-	for _, r := range t.Rows {
-		if r.Label == rowLabel && ci < len(r.Cells) {
-			return r.Cells[ci]
-		}
-	}
-	return -1
+// add appends a row.
+func (t *Table) add(label string, cells ...float64) {
+	t.Rows = append(t.Rows, tableRow{Label: label, Cells: cells})
 }
 
 // Fprint renders the table as aligned text.

@@ -12,7 +12,7 @@ import (
 // assembled tables come out identical to a serial run (see
 // TestParallelMatchesSerial).
 func (o Options) forEach(n int, fn func(i int)) {
-	workers := o.EffectiveWorkers()
+	workers := o.effectiveWorkers()
 	if workers > n {
 		workers = n
 	}
@@ -64,9 +64,9 @@ func shard[T any](g *shardGroup, fn func() T) *T {
 	return out
 }
 
-// Run executes every deferred shard across the worker pool and clears the
+// run executes every deferred shard across the worker pool and clears the
 // group. Reading a shard's result pointer before Run returns is a bug.
-func (g *shardGroup) Run() {
+func (g *shardGroup) run() {
 	tasks := g.tasks
 	g.tasks = nil
 	g.o.forEach(len(tasks), func(i int) { tasks[i]() })

@@ -47,9 +47,6 @@ func runQoSPair(o Options, sc qosScenario) (fio.Result, fio.Result) {
 	p.Router.PollVQ *= 4
 	p.Router.Classify *= 4
 	p.Router.ClassifyNat *= 4
-	p.Router.DispatchHQ *= 4
-	p.Router.DispatchNQ *= 4
-	p.Router.DispatchKQ *= 4
 	p.Router.CompleteVCQ *= 4
 	p.Router.IRQInject *= 4
 	h := stack.NewHost(env, 12, 8, p, device.NullStore{})
@@ -129,7 +126,7 @@ func qosTable(o Options) *Table {
 		}}
 	})
 	for i, s := range scenarios {
-		t.Add(s.label, out[i].v[:]...)
+		t.add(s.label, out[i].v[:]...)
 	}
 	return t
 }

@@ -164,7 +164,7 @@ func resyncTable(o Options) *Table {
 		row := row
 		runs[i] = shard(g, func() resyncRun { return runResync(o, row.outages, row.rcfg, cfg, 4) })
 	}
-	g.Run()
+	g.run()
 	for i, row := range rows {
 		rr := *runs[i]
 		converged, mirrorOK := 0.0, 0.0
@@ -174,7 +174,7 @@ func resyncTable(o Options) *Table {
 		if rr.mirrorMatch {
 			mirrorOK = 1
 		}
-		t.Add(row.name,
+		t.add(row.name,
 			rr.res.KIOPS(),
 			float64(rr.counters.Get("rep.degraded")),
 			float64(rr.counters.Get("rs.resynced_blocks")),

@@ -193,7 +193,7 @@ func scaleTable(o Options) *Table {
 		ep := n == episodeAt
 		cells = append(cells, cell{n, shard(g, func() scaleRun { return runScale(o, n, ep) })})
 	}
-	g.Run()
+	g.run()
 	for _, c := range cells {
 		r := *c.r
 		ok, ep := 0.0, 0.0
@@ -203,7 +203,7 @@ func scaleTable(o Options) *Table {
 		if r.episode {
 			ep = 1
 		}
-		t.Add(fmt.Sprintf("N=%d", c.vms),
+		t.add(fmt.Sprintf("N=%d", c.vms),
 			float64(r.shards),
 			r.res.KIOPS(),
 			r.res.KIOPS()/float64(c.vms),

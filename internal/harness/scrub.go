@@ -339,7 +339,7 @@ func scrubTable(o Options) *Table {
 		c := c
 		runs[i] = shard(g, func() scrubRun { return runScrub(o, scrubPlan(o, c.kind), c.replica, true) })
 	}
-	g.Run()
+	g.run()
 	base, on := *basePtr, *onPtr
 	p99x := func(r scrubRun) float64 {
 		if b := base.res.Lat.P99(); b > 0 {
@@ -354,10 +354,10 @@ func scrubTable(o Options) *Table {
 		}
 		return 0
 	}
-	t.Add("healthy scrub-off",
+	t.add("healthy scrub-off",
 		base.res.KIOPS(), float64(base.res.Lat.P99())/1e3, 1, 0, 0, 0, 0, 0,
 		float64(base.auditBad), float64(base.tailErr), healthyOK(base))
-	t.Add("healthy scrub-on",
+	t.add("healthy scrub-on",
 		on.res.KIOPS(), float64(on.res.Lat.P99())/1e3, p99x(on), 0, 0, 0,
 		float64(on.scr.RepairedBlocks), float64(on.quarBlks),
 		float64(on.auditBad), float64(on.tailErr), healthyOK(on))
@@ -367,7 +367,7 @@ func scrubTable(o Options) *Table {
 		if scrubOK(c, sr) {
 			ok = 1
 		}
-		t.Add(c.name,
+		t.add(c.name,
 			sr.res.KIOPS(),
 			float64(sr.res.Lat.P99())/1e3,
 			p99x(sr),

@@ -148,7 +148,6 @@ func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
 	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
 
 	cfg := ycsb.DefaultConfig()
-	cfg.Seed = o.Seed
 	if o.Quick {
 		cfg.Records = 2500
 		cfg.Duration = 20 * sim.Millisecond
@@ -166,12 +165,12 @@ func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
 		j := j
 		env.Go(fmt.Sprintf("ycsb-job%d", j), func(p *sim.Proc) {
 			vcpu := v.VCPU(j % v.NumVCPUs())
-			fs, err := extfs.MountAt(p, v, disk, vcpu, extfs.DefaultParams(), uint64(j)*window, window)
+			fs, err := extfs.MountAt(p, v, disk, vcpu, uint64(j)*window, window)
 			if err != nil {
 				failures++
 				panic(err)
 			}
-			db, err := lsm.Open(p, fs, vcpu, lsm.DefaultParams())
+			db, err := lsm.Open(p, fs, vcpu)
 			if err != nil {
 				failures++
 				panic(err)

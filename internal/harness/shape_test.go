@@ -15,7 +15,7 @@ import (
 var opt = Options{Quick: true, Seed: 7}
 
 func TestShapeTable1(t *testing.T) {
-	tab := Table1LoC()
+	tab := table1LoC()
 	if len(tab.Rows) < 6 {
 		t.Fatal("table1 incomplete")
 	}
@@ -181,7 +181,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "x", Title: "demo", Unit: "u", Cols: []string{"a", "b"}}
-	tab.Add("row1", 1.5, 2.5)
+	tab.add("row1", 1.5, 2.5)
 	if got := tab.Cell("row1", "b"); got != 2.5 {
 		t.Fatalf("cell %v", got)
 	}
@@ -192,4 +192,23 @@ func TestTableRendering(t *testing.T) {
 	if csv != "config,a,b\nrow1,1.500,2.500\n" {
 		t.Fatalf("csv %q", csv)
 	}
+}
+
+// Cell returns a named cell (for assertions), or NaN-like -1 if missing.
+func (t *Table) Cell(rowLabel, col string) float64 {
+	ci := -1
+	for i, c := range t.Cols {
+		if c == col {
+			ci = i
+		}
+	}
+	if ci < 0 {
+		return -1
+	}
+	for _, r := range t.Rows {
+		if r.Label == rowLabel && ci < len(r.Cells) {
+			return r.Cells[ci]
+		}
+	}
+	return -1
 }

@@ -56,9 +56,6 @@ func NewCorruptingStore(inner device.Store, plan *fault.Plan, site string, block
 	}
 }
 
-// Injector returns the store's fault injector (for counter export).
-func (s *CorruptingStore) Injector() *fault.Injector { return s.inj }
-
 // ReadBlocks reads from the wrapped store, possibly rotting a bit first.
 func (s *CorruptingStore) ReadBlocks(lba uint64, buf []byte) {
 	if d := s.inj.Decide(fault.ClassRead); d.HasCorrupt && d.Corrupt == fault.BitRot && len(buf) > 0 {

@@ -90,7 +90,7 @@ func TestDomainStampedRanges(t *testing.T) {
 
 func TestDomainQuarantine(t *testing.T) {
 	d, _ := NewDomain(bs)
-	d.Quarantine(10, 4)
+	d.quarantine(10, 4)
 	if !d.Quarantined(12, 1) || !d.Quarantined(8, 3) {
 		t.Fatal("quarantined range not detected")
 	}
@@ -100,7 +100,7 @@ func TestDomainQuarantine(t *testing.T) {
 	if got := d.QuarantinedBlocks(); got != 4 {
 		t.Fatalf("QuarantinedBlocks() = %d, want 4", got)
 	}
-	d.Unquarantine(11, 1)
+	d.unquarantine(11, 1)
 	if d.Quarantined(11, 1) || !d.Quarantined(10, 1) || !d.Quarantined(12, 2) {
 		t.Fatal("partial unquarantine wrong")
 	}
@@ -166,7 +166,7 @@ func TestStampZeroesMatchesStampOfZeros(t *testing.T) {
 	oldG, newG := oldD.Guard("guest"), newD.Guard("guest")
 	for _, g := range []*Guard{oldG, newG} {
 		g.Stamp(lba+5, fill(0x5a, 3*blockSize)) // earlier contents to supersede
-		g.d.Quarantine(lba+blocks-2, 4)         // straddles the range's end
+		g.d.quarantine(lba+blocks-2, 4)         // straddles the range's end
 	}
 	oldG.Stamp(lba, make([]byte, blocks*blockSize))
 	newG.StampZeroes(lba, blocks)
@@ -229,7 +229,7 @@ func newCorrupting(t *testing.T, plan *fault.Plan, blocks uint64) (*CorruptingSt
 }
 
 func TestCorruptingStoreBitRot(t *testing.T) {
-	plan := fault.NewPlan(42).WithRule(fault.Rule{Kind: fault.BitRot, Rate: 1, Limit: 1})
+	plan := fault.NewPlan(42).WithBitRot(1, 1)
 	cs, mem := newCorrupting(t, plan, 8)
 
 	buf := make([]byte, 2*bs)
@@ -257,7 +257,7 @@ func TestCorruptingStoreBitRot(t *testing.T) {
 }
 
 func TestCorruptingStoreTornWrite(t *testing.T) {
-	plan := fault.NewPlan(7).WithRule(fault.Rule{Kind: fault.TornWrite, Rate: 1, Limit: 2})
+	plan := fault.NewPlan(7).WithTornWrites(1, 2)
 	cs, mem := newCorrupting(t, plan, 8)
 
 	// Multi-block tear: first half lands, tail keeps old content.
@@ -288,8 +288,8 @@ func TestCorruptingStoreMisdirectedAndLost(t *testing.T) {
 	// first-corruption-wins picks the earlier rule), so LostWrite needs a
 	// second firing for the second write.
 	plan := fault.NewPlan(11).
-		WithRule(fault.Rule{Kind: fault.MisdirectedWrite, Rate: 1, Limit: 1}).
-		WithRule(fault.Rule{Kind: fault.LostWrite, Rate: 1, Limit: 2})
+		WithMisdirectedWrites(1, 1).
+		WithLostWrites(1, 2)
 	cs, mem := newCorrupting(t, plan, 64)
 
 	// First write is misdirected: the addressed block stays stale and some
@@ -333,8 +333,8 @@ func TestCorruptingStoreMisdirectedAndLost(t *testing.T) {
 func TestCorruptingStoreDeterminism(t *testing.T) {
 	run := func() uint32 {
 		plan := fault.NewPlan(99).
-			WithRule(fault.Rule{Kind: fault.BitRot, Rate: 0.5, Limit: 3}).
-			WithRule(fault.Rule{Kind: fault.MisdirectedWrite, Rate: 0.5, Limit: 2})
+			WithBitRot(0.5, 3).
+			WithMisdirectedWrites(0.5, 2)
 		cs, mem := newCorrupting(t, plan, 32)
 		buf := make([]byte, bs)
 		for i := 0; i < 20; i++ {

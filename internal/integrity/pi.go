@@ -27,8 +27,8 @@ import (
 	"nvmetro/internal/storfn"
 )
 
-// Record is the protection information for one logical block.
-type Record struct {
+// record is the protection information for one logical block.
+type record struct {
 	CRC uint32 // payload CRC32 (IEEE), same polynomial as MemStore.ContentCRC
 	Gen uint64 // generation of the stamping write (monotonic per domain)
 }
@@ -42,7 +42,7 @@ const pageBlocks = 8
 // its page number n; bit i of has says block i of the page holds one.
 type piPage struct {
 	has  uint64
-	recs [pageBlocks]Record
+	recs [pageBlocks]record
 }
 
 // Domain is the PI table for one mediated device: the authoritative
@@ -106,7 +106,7 @@ func (d *Domain) Stamp(lba uint64, data []byte) {
 	var pg *piPage
 	for i := uint64(0); i < blocks; i++ {
 		off := int(i) * bs
-		pg = d.store(pg, lba+i, Record{CRC: crc32.ChecksumIEEE(data[off : off+bs]), Gen: d.gen})
+		pg = d.store(pg, lba+i, record{CRC: crc32.ChecksumIEEE(data[off : off+bs]), Gen: d.gen})
 	}
 	d.quar.Remove(lba, blocks)
 }
@@ -118,7 +118,7 @@ func (d *Domain) StampZeroes(lba, blocks uint64) {
 	d.gen++
 	var pg *piPage
 	for i := uint64(0); i < blocks; i++ {
-		pg = d.store(pg, lba+i, Record{CRC: d.zeroCRC, Gen: d.gen})
+		pg = d.store(pg, lba+i, record{CRC: d.zeroCRC, Gen: d.gen})
 	}
 	d.quar.Remove(lba, blocks)
 }
@@ -126,7 +126,7 @@ func (d *Domain) StampZeroes(lba, blocks uint64) {
 // store writes r as block lba's record. pg is the page the previous block of
 // the run went to (nil for the first): it is looked up, and created, only
 // when lba starts a page or the run. It returns the page for the next block.
-func (d *Domain) store(pg *piPage, lba uint64, r Record) *piPage {
+func (d *Domain) store(pg *piPage, lba uint64, r record) *piPage {
 	i := lba % pageBlocks
 	if pg == nil || i == 0 {
 		if pg = d.pages[lba/pageBlocks]; pg == nil {
@@ -153,13 +153,13 @@ type cursor struct {
 }
 
 // record returns block lba's record.
-func (c *cursor) record(lba uint64) (Record, bool) {
+func (c *cursor) record(lba uint64) (record, bool) {
 	if k := lba / pageBlocks; !c.looked || k != c.key {
 		c.key, c.pg, c.looked = k, c.d.pages[k], true
 	}
 	i := lba % pageBlocks
 	if c.pg == nil || c.pg.has&(1<<i) == 0 {
-		return Record{}, false
+		return record{}, false
 	}
 	return c.pg.recs[i], true
 }
@@ -172,7 +172,7 @@ func (c *cursor) checks(lba uint64, block []byte) bool {
 }
 
 // Record returns the PI record for one block.
-func (d *Domain) Record(lba uint64) (Record, bool) {
+func (d *Domain) Record(lba uint64) (record, bool) {
 	c := cursor{d: d}
 	return c.record(lba)
 }
@@ -224,13 +224,13 @@ func (d *Domain) StampedRanges() []storfn.Range {
 	return out
 }
 
-// Quarantine marks [lba, lba+blocks) unrepairable: guest reads covering
+// quarantine marks [lba, lba+blocks) unrepairable: guest reads covering
 // any part of it must fail with a media error instead of serving data
 // that cannot be trusted.
-func (d *Domain) Quarantine(lba, blocks uint64) { d.quar.Add(lba, blocks) }
+func (d *Domain) quarantine(lba, blocks uint64) { d.quar.Add(lba, blocks) }
 
-// Unquarantine lifts the quarantine on [lba, lba+blocks).
-func (d *Domain) Unquarantine(lba, blocks uint64) { d.quar.Remove(lba, blocks) }
+// unquarantine lifts the quarantine on [lba, lba+blocks).
+func (d *Domain) unquarantine(lba, blocks uint64) { d.quar.Remove(lba, blocks) }
 
 // Quarantined reports whether any block of [lba, lba+blocks) is
 // quarantined.
@@ -283,9 +283,6 @@ type Guard struct {
 
 // Name returns the boundary name.
 func (g *Guard) Name() string { return g.name }
-
-// Domain returns the guard's PI domain.
-func (g *Guard) Domain() *Domain { return g.d }
 
 // Stamp records PI for data at lba through this boundary.
 func (g *Guard) Stamp(lba uint64, data []byte) {

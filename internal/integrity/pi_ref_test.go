@@ -17,14 +17,14 @@ type refDomain struct {
 	bs      int
 	zeroCRC uint32
 	gen     uint64
-	pi      map[uint64]Record
+	pi      map[uint64]record
 	ok, bad uint64
 }
 
 func (r *refDomain) stamp(lba uint64, data []byte) {
 	r.gen++
 	for i := 0; i+r.bs <= len(data); i += r.bs {
-		r.pi[lba] = Record{CRC: crc32.ChecksumIEEE(data[i : i+r.bs]), Gen: r.gen}
+		r.pi[lba] = record{CRC: crc32.ChecksumIEEE(data[i : i+r.bs]), Gen: r.gen}
 		lba++
 	}
 }
@@ -32,7 +32,7 @@ func (r *refDomain) stamp(lba uint64, data []byte) {
 func (r *refDomain) stampZeroes(lba, blocks uint64) {
 	r.gen++
 	for i := uint64(0); i < blocks; i++ {
-		r.pi[lba+i] = Record{CRC: r.zeroCRC, Gen: r.gen}
+		r.pi[lba+i] = record{CRC: r.zeroCRC, Gen: r.gen}
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPagedPIMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := d.Guard("ref")
-			ref := &refDomain{bs: blockSize, zeroCRC: d.zeroCRC, pi: make(map[uint64]Record)}
+			ref := &refDomain{bs: blockSize, zeroCRC: d.zeroCRC, pi: make(map[uint64]record)}
 			content := make(map[uint64][]byte) // what each block was last stamped with
 			rng := rand.New(rand.NewSource(int64(blockSize)))
 			// Two regions: low LBAs and one near the top of the space, so page

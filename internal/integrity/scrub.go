@@ -81,7 +81,6 @@ type CacheInvalidator interface {
 // legitimate in-flight write. Suspects settle for recheckDelay and are
 // re-read; only a block that still mismatches is treated as corrupt.
 type Scrubber struct {
-	env   *sim.Env
 	dom   *Domain
 	legs  *storfn.MirrorLegs
 	cfg   ScrubConfig
@@ -125,7 +124,7 @@ func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *si
 	}
 	cost := qos.DefaultClassCost(qos.ClassScavenger)
 	s := &Scrubber{
-		env: env, dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
+		dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
 		cfg: cfg, shift: blockShift,
 		bucket: qos.NewBucket(cfg.Rate, 2*float64(scrubChunkBlocks<<blockShift)*cost),
 		cost:   cost,
@@ -135,21 +134,10 @@ func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *si
 	return s, nil
 }
 
-// Config returns the active scrub policy.
-func (s *Scrubber) Config() ScrubConfig { return s.cfg }
-
 // SetReplica attaches the mirror leg: rep/resync drive targeted repair of
 // replica divergence, att is the uif ring the replica is reached through.
 func (s *Scrubber) SetReplica(rep *storfn.Replicator, rs *storfn.Resyncer, att *uif.Attachment) {
 	s.rep, s.resync, s.legs.Secondary = rep, rs, att
-}
-
-// SetAttachment repoints the replica leg at a new uif attachment
-// generation (supervisor restart).
-func (s *Scrubber) SetAttachment(att *uif.Attachment) {
-	if s.legs.Secondary != nil {
-		s.legs.Secondary = att
-	}
 }
 
 // SetCache registers the cache to invalidate on repair or quarantine.
@@ -238,7 +226,7 @@ func (s *Scrubber) scrubChunk(p *sim.Proc, lba, blocks uint64) {
 		} else if s.dom.Quarantined(lba+i, 1) {
 			// The block verifies on every leg again (a racing guest write
 			// landed after the quarantine decision): it is safe to serve.
-			s.dom.Unquarantine(lba+i, 1)
+			s.dom.unquarantine(lba+i, 1)
 		}
 	}
 	if len(suspects) == 0 {
@@ -290,7 +278,7 @@ func (s *Scrubber) recheck(p *sim.Proc, lba uint64) {
 			s.throttle(p, bs)
 			if st := s.legs.PrimaryIO(p, blockdev.BioWrite, lba, sblk); st.OK() {
 				s.RepairedBlocks++
-				s.dom.Unquarantine(lba, 1)
+				s.dom.unquarantine(lba, 1)
 				if s.cache != nil {
 					s.cache.Invalidate(lba, 1)
 				}
@@ -302,7 +290,7 @@ func (s *Scrubber) recheck(p *sim.Proc, lba uint64) {
 		// media error instead of serving wrong data. A later pass can
 		// still repair and lift the quarantine if the replica recovers.
 		s.QuarantineEvents++
-		s.dom.Quarantine(lba, 1)
+		s.dom.quarantine(lba, 1)
 		if s.cache != nil {
 			s.cache.Invalidate(lba, 1)
 		}
@@ -326,9 +314,6 @@ func (s *Scrubber) throttle(p *sim.Proc, nbytes uint64) {
 		p.Sleep(s.bucket.WaitTime(cost, p.Now()))
 	}
 }
-
-// Domain returns the protection-info domain this scrubber verifies.
-func (s *Scrubber) Domain() *Domain { return s.dom }
 
 // Collect folds the scrub counters into cs under the "scrub." prefix.
 func (s *Scrubber) Collect(cs *metrics.CounterSet) {

@@ -19,39 +19,24 @@ import (
 // Errors.
 var (
 	ErrNotFound = errors.New("lsm: key not found")
-	ErrClosed   = errors.New("lsm: db closed")
+	errClosed   = errors.New("lsm: db closed")
 )
 
-// Params tunes the engine.
-type Params struct {
-	MemtableBytes int          // flush threshold
-	CompactAt     int          // L0 table count triggering compaction
-	BlockBytes    int          // SSTable data block size
-	BloomBits     int          // bloom filter bits per key
-	OpCost        sim.Duration // per-operation CPU (hashing, comparisons)
-	WALMaxBytes   uint64
-	TableMaxBytes uint64
-}
-
-// DefaultParams returns a small-footprint configuration whose behaviour
+// The engine's tuning: a small-footprint configuration whose behaviour
 // (memtable absorption, flush bursts, compaction I/O) mirrors RocksDB's.
-func DefaultParams() Params {
-	return Params{
-		MemtableBytes: 512 << 10,
-		CompactAt:     6,
-		BlockBytes:    4096,
-		BloomBits:     10,
-		OpCost:        2 * sim.Microsecond,
-		WALMaxBytes:   8 << 20,
-		TableMaxBytes: 64 << 20,
-	}
-}
+const (
+	memtableBytes = 512 << 10           // flush threshold
+	compactAt     = 6                   // L0 table count triggering compaction
+	blockBytes    = 4096                // SSTable data block size
+	bloomBits     = 10                  // bloom filter bits per key
+	opCost        = 2 * sim.Microsecond // per-operation CPU (hashing, comparisons)
+	walMaxBytes   = 8 << 20
+)
 
 // DB is one database instance.
 type DB struct {
-	fs     *extfs.FS
-	params Params
-	vcpu   threadLike
+	fs   *extfs.FS
+	vcpu threadLike
 
 	mem     map[string][]byte
 	memSize int
@@ -59,7 +44,7 @@ type DB struct {
 	walOff  uint64
 	walGen  int
 
-	tables []*SSTable // newest last
+	tables []*ssTable // newest last
 	nextID int
 	closed bool
 
@@ -74,8 +59,8 @@ type threadLike interface {
 }
 
 // Open creates a DB over a mounted filesystem.
-func Open(p *sim.Proc, fs *extfs.FS, vcpu threadLike, params Params) (*DB, error) {
-	db := &DB{fs: fs, params: params, vcpu: vcpu, mem: make(map[string][]byte)}
+func Open(p *sim.Proc, fs *extfs.FS, vcpu threadLike) (*DB, error) {
+	db := &DB{fs: fs, vcpu: vcpu, mem: make(map[string][]byte)}
 	if err := db.rotateWAL(p); err != nil {
 		return nil, err
 	}
@@ -85,7 +70,7 @@ func Open(p *sim.Proc, fs *extfs.FS, vcpu threadLike, params Params) (*DB, error
 func (db *DB) rotateWAL(p *sim.Proc) error {
 	db.walGen++
 	name := fmt.Sprintf("wal-%06d", db.walGen)
-	f, err := db.fs.Create(p, name, db.params.WALMaxBytes, true)
+	f, err := db.fs.Create(p, name, walMaxBytes, true)
 	if err != nil {
 		return err
 	}
@@ -100,10 +85,10 @@ func (db *DB) rotateWAL(p *sim.Proc) error {
 // Put inserts or updates a key.
 func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
 	if db.closed {
-		return ErrClosed
+		return errClosed
 	}
 	db.Puts++
-	db.vcpu.Exec(p, db.params.OpCost)
+	db.vcpu.Exec(p, opCost)
 
 	// WAL record: klen u16 | vlen u32 | key | value.
 	rec := make([]byte, 6+len(key)+len(value))
@@ -111,7 +96,7 @@ func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
 	binary.LittleEndian.PutUint32(rec[2:6], uint32(len(value)))
 	copy(rec[6:], key)
 	copy(rec[6+len(key):], value)
-	if db.walOff+uint64(len(rec)) > db.params.WALMaxBytes {
+	if db.walOff+uint64(len(rec)) > walMaxBytes {
 		if err := db.rotateWAL(p); err != nil {
 			return err
 		}
@@ -128,7 +113,7 @@ func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
 	}
 	db.mem[key] = v
 	db.memSize += len(key) + len(v)
-	if db.memSize >= db.params.MemtableBytes {
+	if db.memSize >= memtableBytes {
 		return db.flush(p)
 	}
 	return nil
@@ -137,10 +122,10 @@ func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
 // Get returns the value for key.
 func (db *DB) Get(p *sim.Proc, key string) ([]byte, error) {
 	if db.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	db.Gets++
-	db.vcpu.Exec(p, db.params.OpCost)
+	db.vcpu.Exec(p, opCost)
 	if v, ok := db.mem[key]; ok {
 		out := make([]byte, len(v))
 		copy(out, v)
@@ -168,10 +153,10 @@ func (db *DB) Get(p *sim.Proc, key string) ([]byte, error) {
 // the YCSB workload E operation.
 func (db *DB) Scan(p *sim.Proc, start string, limit int) ([]KV, error) {
 	if db.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	db.Scans++
-	db.vcpu.Exec(p, db.params.OpCost*4)
+	db.vcpu.Exec(p, opCost*4)
 	// Merge memtable + all tables (newest shadows oldest).
 	seen := make(map[string]bool)
 	var out []KV
@@ -220,7 +205,7 @@ func (db *DB) flush(p *sim.Proc) error {
 	}
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 	db.nextID++
-	t, err := writeTable(p, db.fs, fmt.Sprintf("sst-%06d", db.nextID), kvs, db.params)
+	t, err := writeTable(p, db.fs, fmt.Sprintf("sst-%06d", db.nextID), kvs)
 	if err != nil {
 		return err
 	}
@@ -230,7 +215,7 @@ func (db *DB) flush(p *sim.Proc) error {
 	if err := db.rotateWAL(p); err != nil {
 		return err
 	}
-	if len(db.tables) >= db.params.CompactAt {
+	if len(db.tables) >= compactAt {
 		return db.compact(p)
 	}
 	return nil
@@ -255,14 +240,14 @@ func (db *DB) compact(p *sim.Proc) error {
 	}
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 	db.nextID++
-	t, err := writeTable(p, db.fs, fmt.Sprintf("sst-%06d", db.nextID), kvs, db.params)
+	t, err := writeTable(p, db.fs, fmt.Sprintf("sst-%06d", db.nextID), kvs)
 	if err != nil {
 		return err
 	}
 	for _, old := range db.tables {
 		db.fs.Delete(p, old.name)
 	}
-	db.tables = []*SSTable{t}
+	db.tables = []*ssTable{t}
 	return nil
 }
 

@@ -66,11 +66,11 @@ func (g *guestRig) run(t *testing.T, fn func(p *sim.Proc)) {
 
 func mountAll(t *testing.T, g *guestRig, p *sim.Proc) (*extfs.FS, *lsm.DB) {
 	t.Helper()
-	fs, err := extfs.Mount(p, g.v, g.disk, g.v.VCPU(0), extfs.DefaultParams())
+	fs, err := extfs.MountAt(p, g.v, g.disk, g.v.VCPU(0), 0, g.disk.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := lsm.Open(p, fs, g.v.VCPU(0), lsm.DefaultParams())
+	db, err := lsm.Open(p, fs, g.v.VCPU(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func mountAll(t *testing.T, g *guestRig, p *sim.Proc) (*extfs.FS, *lsm.DB) {
 func TestFSWriteReadRoundTrip(t *testing.T) {
 	g := newGuestRig(0)
 	g.run(t, func(p *sim.Proc) {
-		fs, err := extfs.Mount(p, g.v, g.disk, g.v.VCPU(0), extfs.DefaultParams())
+		fs, err := extfs.MountAt(p, g.v, g.disk, g.v.VCPU(0), 0, g.disk.Blocks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,9 +112,6 @@ func TestFSWriteReadRoundTrip(t *testing.T) {
 		if err := f.ReadAt(p, 1234, got); err != nil || !bytes.Equal(src, got) {
 			t.Fatal("file isolation broken")
 		}
-		if len(fs.Files()) != 2 {
-			t.Fatal("file listing")
-		}
 		if err := fs.SyncAll(p); err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +121,7 @@ func TestFSWriteReadRoundTrip(t *testing.T) {
 func TestFSWriteBackCachesWrites(t *testing.T) {
 	g := newGuestRig(0)
 	g.run(t, func(p *sim.Proc) {
-		fs, _ := extfs.Mount(p, g.v, g.disk, g.v.VCPU(0), extfs.DefaultParams())
+		fs, _ := extfs.MountAt(p, g.v, g.disk, g.v.VCPU(0), 0, g.disk.Blocks())
 		f, _ := fs.Create(p, "wal", 1<<20, true)
 		before := fs.Writes
 		for i := 0; i < 100; i++ {
@@ -264,7 +261,6 @@ func TestYCSBWorkloadsRun(t *testing.T) {
 				_, db := mountAll(t, g, p)
 				cfg := ycsb.DefaultConfig()
 				cfg.Records = 1000
-				cfg.FieldLength = 200
 				cfg.Duration = 10 * sim.Millisecond
 				cfg.Warmup = 1 * sim.Millisecond
 				c := ycsb.NewClient(db, cfg, 42)
@@ -290,7 +286,6 @@ func TestYCSBZipfSkew(t *testing.T) {
 		_, db := mountAll(t, g, p)
 		cfg := ycsb.DefaultConfig()
 		cfg.Records = 100
-		cfg.FieldLength = 10
 		c := ycsb.NewClient(db, cfg, 1)
 		_ = c
 		// The zipf distribution itself is deterministic and skewed; verify

@@ -10,23 +10,20 @@ import (
 	"nvmetro/internal/sim"
 )
 
-// SSTable file layout:
+// ssTable file layout:
 //
 //	[data block 0][data block 1]...[footer]
 //
 // Each data block holds records `klen u16 | vlen u32 | key | value` packed
-// up to BlockBytes. The block index (first key + offset + length per block)
+// up to blockBytes. The block index (first key + offset + length per block)
 // and the bloom filter stay in memory after a flush, as they would in
 // RocksDB's table cache; the footer persists them for completeness.
-type SSTable struct {
-	fs     *extfs.FS
-	file   *extfs.File
-	name   string
-	params Params
+type ssTable struct {
+	file *extfs.File
+	name string
 
 	index []indexEntry
 	bloom bloomFilter
-	count int
 }
 
 type indexEntry struct {
@@ -36,9 +33,9 @@ type indexEntry struct {
 }
 
 // writeTable serializes sorted kvs into a new table file.
-func writeTable(p *sim.Proc, fs *extfs.FS, name string, kvs []KV, params Params) (*SSTable, error) {
-	t := &SSTable{fs: fs, name: name, params: params, count: len(kvs)}
-	t.bloom = newBloom(len(kvs), params.BloomBits)
+func writeTable(p *sim.Proc, fs *extfs.FS, name string, kvs []KV) (*ssTable, error) {
+	t := &ssTable{name: name}
+	t.bloom = newBloom(len(kvs), bloomBits)
 
 	var blocks [][]byte
 	var cur []byte
@@ -62,7 +59,7 @@ func writeTable(p *sim.Proc, fs *extfs.FS, name string, kvs []KV, params Params)
 		}
 		cur = append(cur, rec...)
 		t.bloom.add(kv.Key)
-		if len(cur) >= params.BlockBytes {
+		if len(cur) >= blockBytes {
 			flushBlock()
 		}
 	}
@@ -108,13 +105,13 @@ func writeTable(p *sim.Proc, fs *extfs.FS, name string, kvs []KV, params Params)
 }
 
 // findBlock locates the index entry that may contain key.
-func (t *SSTable) findBlock(key string) int {
+func (t *ssTable) findBlock(key string) int {
 	i := sort.Search(len(t.index), func(i int) bool { return t.index[i].firstKey > key })
 	return i - 1
 }
 
 // get reads one key from the table.
-func (t *SSTable) get(p *sim.Proc, key string) ([]byte, error) {
+func (t *ssTable) get(p *sim.Proc, key string) ([]byte, error) {
 	bi := t.findBlock(key)
 	if bi < 0 {
 		return nil, ErrNotFound
@@ -145,7 +142,7 @@ func (t *SSTable) get(p *sim.Proc, key string) ([]byte, error) {
 }
 
 // scan returns up to limit pairs with key >= start.
-func (t *SSTable) scan(p *sim.Proc, start string, limit int) ([]KV, error) {
+func (t *ssTable) scan(p *sim.Proc, start string, limit int) ([]KV, error) {
 	bi := t.findBlock(start)
 	if bi < 0 {
 		bi = 0

@@ -17,9 +17,6 @@ func (c *Counter) Add(delta uint64) { c.n += delta }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Since returns the count accumulated since a previous snapshot value.
-func (c *Counter) Since(snap uint64) uint64 { return c.n - snap }
-
 // Summary aggregates throughput and latency results for one workload run;
 // it is what every experiment row ultimately reports.
 type Summary struct {
@@ -30,8 +27,8 @@ type Summary struct {
 	CPUCores  float64 // average busy cores during the window
 }
 
-// IOPS returns operations per second.
-func (s Summary) IOPS() float64 {
+// iops returns operations per second.
+func (s Summary) iops() float64 {
 	if s.WindowSec <= 0 {
 		return 0
 	}
@@ -39,7 +36,7 @@ func (s Summary) IOPS() float64 {
 }
 
 // KIOPS returns thousands of operations per second (the paper's unit).
-func (s Summary) KIOPS() float64 { return s.IOPS() / 1e3 }
+func (s Summary) KIOPS() float64 { return s.iops() / 1e3 }
 
 // MBps returns payload megabytes per second.
 func (s Summary) MBps() float64 {

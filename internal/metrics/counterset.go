@@ -29,15 +29,6 @@ func (s *CounterSet) Add(name string, v uint64) {
 // Get returns the named counter's value (0 if absent).
 func (s *CounterSet) Get(name string) uint64 { return s.vals[name] }
 
-// Total sums every counter.
-func (s *CounterSet) Total() uint64 {
-	var n uint64
-	for _, v := range s.vals {
-		n += v
-	}
-	return n
-}
-
 // Names returns the counter names in insertion order.
 func (s *CounterSet) Names() []string { return append([]string(nil), s.names...) }
 
@@ -48,20 +39,6 @@ func (s *CounterSet) Merge(other *CounterSet) {
 	for _, n := range other.names {
 		s.Add(n, other.vals[n])
 	}
-}
-
-// Equal reports whether both sets hold the same counters with the same
-// values in the same order — the determinism check for same-seed runs.
-func (s *CounterSet) Equal(other *CounterSet) bool {
-	if len(s.names) != len(other.names) {
-		return false
-	}
-	for i, n := range s.names {
-		if other.names[i] != n || s.vals[n] != other.vals[n] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders "name=value" pairs in insertion order — a deterministic

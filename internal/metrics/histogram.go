@@ -153,24 +153,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Equal reports whether h and o hold bit-identical contents (same counts in
-// every bucket, same total/sum/min/max) — the histogram counterpart of
-// CounterSet.Equal for same-seed determinism checks.
-func (h *Histogram) Equal(o *Histogram) bool {
-	if h.total != o.total || h.sum != o.sum || h.min != o.min || h.max != o.max {
-		return false
-	}
-	if len(h.counts) != len(o.counts) {
-		return false
-	}
-	for i, c := range h.counts {
-		if o.counts[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears the histogram. Only the buckets between the smallest and the
 // largest recorded value can be non-zero (bucketIndex is monotonic), so a
 // histogram nothing was recorded into costs nothing to reset and a narrow one

@@ -231,8 +231,8 @@ func TestCounterSince(t *testing.T) {
 	snap := c.Value()
 	c.Inc()
 	c.Add(4)
-	if c.Since(snap) != 5 {
-		t.Fatalf("since %d", c.Since(snap))
+	if c.Value()-snap != 5 {
+		t.Fatalf("since %d", c.Value()-snap)
 	}
 }
 
@@ -241,4 +241,32 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Record(int64(i&0xfffff) + 50000)
 	}
+}
+
+// Merge folds o into r (used when aggregating per-worker gauges): window
+// counts and totals add, and the EWMA combines weighted by completed
+// windows so merging a fresh gauge is a no-op. Both gauges must share the
+// same geometry.
+func (r *Rate) Merge(o *Rate) {
+	if r.window != o.window || r.alpha != o.alpha {
+		panic("metrics: merging rates with different geometry")
+	}
+	if o.windows > 0 {
+		w := float64(o.windows) / float64(r.windows+o.windows)
+		r.ewma = r.ewma*(1-w) + o.ewma*w
+		r.windows += o.windows
+	}
+	r.winCount += o.winCount
+	r.total += o.total
+	if o.winStart > r.winStart {
+		r.winStart = o.winStart
+	}
+}
+
+// Equal reports whether both gauges hold bit-identical state — the rate
+// counterpart of CounterSet.Equal for same-seed determinism checks.
+func (r *Rate) Equal(o *Rate) bool {
+	return r.window == o.window && r.alpha == o.alpha &&
+		r.winStart == o.winStart && r.winCount == o.winCount &&
+		r.ewma == o.ewma && r.windows == o.windows && r.total == o.total
 }

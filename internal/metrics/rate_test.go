@@ -17,8 +17,8 @@ func TestRateSteadyState(t *testing.T) {
 	if math.Abs(got-1e5) > 1e3 {
 		t.Fatalf("steady-state rate = %.0f, want ~100000", got)
 	}
-	if r.Total() != 5000 {
-		t.Fatalf("total = %.0f, want 5000", r.Total())
+	if r.total != 5000 {
+		t.Fatalf("total = %.0f, want 5000", r.total)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestRateMergeAndEqual(t *testing.T) {
 		d.Observe(10, w*1e6)
 	}
 	a.Merge(d)
-	if a.Total() != c.Total()+d.Total() {
-		t.Fatalf("merge total = %.0f", a.Total())
+	if a.total != c.total+d.total {
+		t.Fatalf("merge total = %.0f", a.total)
 	}
 	got, want := a.PerSec(10*1e6), c.PerSec(10*1e6)
 	if math.Abs(got-want) > want/10 {

@@ -70,9 +70,6 @@ func (c *Command) Opcode() uint8 { return c[0] }
 // SetOpcode sets the command opcode.
 func (c *Command) SetOpcode(op uint8) { c[0] = op }
 
-// Flags returns FUSE/PSDT flags.
-func (c *Command) Flags() uint8 { return c[1] }
-
 // CID returns the command identifier (unique within a queue).
 func (c *Command) CID() uint16 { return binary.LittleEndian.Uint16(c[2:4]) }
 
@@ -174,9 +171,6 @@ func (e *Completion) Result() uint32 { return binary.LittleEndian.Uint32(e[0:4])
 
 // SetResult sets DW0.
 func (e *Completion) SetResult(v uint32) { binary.LittleEndian.PutUint32(e[0:4], v) }
-
-// SQHD returns the submission queue head pointer echoed by the controller.
-func (e *Completion) SQHD() uint16 { return binary.LittleEndian.Uint16(e[8:10]) }
 
 // SetSQHD sets the echoed SQ head.
 func (e *Completion) SetSQHD(v uint16) { binary.LittleEndian.PutUint16(e[8:10], v) }

@@ -69,7 +69,7 @@ func TestStatusCodes(t *testing.T) {
 	if StatusOf(nil) != SCSuccess || StatusOf(SCInvalidNS) != SCInvalidNS {
 		t.Fatal("StatusOf")
 	}
-	if StatusOf(ErrBadPRP) != SCInternal {
+	if StatusOf(errBadPRP) != SCInternal {
 		t.Fatal("StatusOf generic error")
 	}
 }

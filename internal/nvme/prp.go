@@ -22,8 +22,8 @@ type Segment struct {
 	Len  uint32
 }
 
-// ErrBadPRP reports a malformed PRP chain.
-var ErrBadPRP = errors.New("nvme: malformed PRP")
+// errBadPRP reports a malformed PRP chain.
+var errBadPRP = errors.New("nvme: malformed PRP")
 
 // maxPRPList bounds PRP list walks (1 MiB transfers at 4 KiB pages).
 const maxPRPList = 512
@@ -64,7 +64,7 @@ func AppendPRP(segs []Segment, entry *[8]byte, mem Memory, prp1, prp2 uint64, nb
 
 	if rem <= PageSize {
 		if prp2 == 0 || prp2%PageSize != 0 {
-			return segs, fmt.Errorf("%w: PRP2 %#x not page aligned", ErrBadPRP, prp2)
+			return segs, fmt.Errorf("%w: PRP2 %#x not page aligned", errBadPRP, prp2)
 		}
 		return append(out, Segment{Addr: prp2, Len: rem}), nil
 	}
@@ -72,7 +72,7 @@ func AppendPRP(segs []Segment, entry *[8]byte, mem Memory, prp1, prp2 uint64, nb
 	// PRP2 is a pointer to a PRP list.
 	listAddr := prp2
 	if listAddr == 0 || listAddr%8 != 0 {
-		return segs, fmt.Errorf("%w: PRP list pointer %#x", ErrBadPRP, listAddr)
+		return segs, fmt.Errorf("%w: PRP list pointer %#x", errBadPRP, listAddr)
 	}
 	if entry == nil {
 		entry = new([8]byte)
@@ -81,7 +81,7 @@ func AppendPRP(segs []Segment, entry *[8]byte, mem Memory, prp1, prp2 uint64, nb
 	avail := entriesInPage(listAddr)
 	for n := 0; rem > 0; n++ {
 		if n >= maxPRPList {
-			return segs, fmt.Errorf("%w: list too long", ErrBadPRP)
+			return segs, fmt.Errorf("%w: list too long", errBadPRP)
 		}
 		if err := mem.ReadAt(entry[:], listAddr); err != nil {
 			return segs, err
@@ -91,14 +91,14 @@ func AppendPRP(segs []Segment, entry *[8]byte, mem Memory, prp1, prp2 uint64, nb
 		// if more entries are still needed.
 		if avail == 1 && rem > PageSize {
 			if ptr == 0 || ptr%PageSize != 0 {
-				return segs, fmt.Errorf("%w: chain pointer %#x", ErrBadPRP, ptr)
+				return segs, fmt.Errorf("%w: chain pointer %#x", errBadPRP, ptr)
 			}
 			listAddr = ptr
 			avail = entriesInPage(listAddr)
 			continue
 		}
 		if ptr == 0 || ptr%PageSize != 0 {
-			return segs, fmt.Errorf("%w: list entry %#x", ErrBadPRP, ptr)
+			return segs, fmt.Errorf("%w: list entry %#x", errBadPRP, ptr)
 		}
 		l := uint32(PageSize)
 		if rem < l {
@@ -167,15 +167,6 @@ func BuildPRP(mem Memory, pages []uint64, alloc func() uint64) (prp1, prp2 uint6
 		}
 	}
 	return prp1, prp2, nil
-}
-
-// TotalLen sums segment lengths.
-func TotalLen(segs []Segment) uint32 {
-	var n uint32
-	for _, s := range segs {
-		n += s.Len
-	}
-	return n
 }
 
 // ReadSegments copies the segments' contents from guest memory into one

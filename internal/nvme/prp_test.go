@@ -26,7 +26,7 @@ func walkPRPReference(mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, 
 
 	if rem <= PageSize {
 		if prp2 == 0 || prp2%PageSize != 0 {
-			return nil, fmt.Errorf("%w: PRP2 %#x not page aligned", ErrBadPRP, prp2)
+			return nil, fmt.Errorf("%w: PRP2 %#x not page aligned", errBadPRP, prp2)
 		}
 		return append(segs, Segment{Addr: prp2, Len: rem}), nil
 	}
@@ -34,14 +34,14 @@ func walkPRPReference(mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, 
 	// PRP2 is a pointer to a PRP list.
 	listAddr := prp2
 	if listAddr == 0 || listAddr%8 != 0 {
-		return nil, fmt.Errorf("%w: PRP list pointer %#x", ErrBadPRP, listAddr)
+		return nil, fmt.Errorf("%w: PRP list pointer %#x", errBadPRP, listAddr)
 	}
 	entry := make([]byte, 8)
 	entriesInPage := func(addr uint64) int { return int((PageSize - addr%PageSize) / 8) }
 	avail := entriesInPage(listAddr)
 	for n := 0; rem > 0; n++ {
 		if n >= maxPRPList {
-			return nil, fmt.Errorf("%w: list too long", ErrBadPRP)
+			return nil, fmt.Errorf("%w: list too long", errBadPRP)
 		}
 		if err := mem.ReadAt(entry, listAddr); err != nil {
 			return nil, err
@@ -51,14 +51,14 @@ func walkPRPReference(mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, 
 		// if more entries are still needed.
 		if avail == 1 && rem > PageSize {
 			if ptr == 0 || ptr%PageSize != 0 {
-				return nil, fmt.Errorf("%w: chain pointer %#x", ErrBadPRP, ptr)
+				return nil, fmt.Errorf("%w: chain pointer %#x", errBadPRP, ptr)
 			}
 			listAddr = ptr
 			avail = entriesInPage(listAddr)
 			continue
 		}
 		if ptr == 0 || ptr%PageSize != 0 {
-			return nil, fmt.Errorf("%w: list entry %#x", ErrBadPRP, ptr)
+			return nil, fmt.Errorf("%w: list entry %#x", errBadPRP, ptr)
 		}
 		l := uint32(PageSize)
 		if rem < l {
@@ -152,7 +152,7 @@ func TestAppendPRPMatchesWalkPRP(t *testing.T) {
 		sameErr := func(how string, err error) {
 			t.Helper()
 			if (err == nil) != (wantErr == nil) || err != nil &&
-				(err.Error() != wantErr.Error() || errors.Is(err, ErrBadPRP) != errors.Is(wantErr, ErrBadPRP)) {
+				(err.Error() != wantErr.Error() || errors.Is(err, errBadPRP) != errors.Is(wantErr, errBadPRP)) {
 				t.Errorf("%s: %s: err %v, want %v", tc.name, how, err, wantErr)
 			}
 		}
@@ -230,7 +230,7 @@ func FuzzAppendPRP(f *testing.F) {
 		want, wantErr := walkPRPReference(mem, prp1, prp2, nbytes)
 		got, err := AppendPRP(nil, nil, mem, prp1, prp2, nbytes)
 		if (err == nil) != (wantErr == nil) || err != nil &&
-			(err.Error() != wantErr.Error() || errors.Is(err, ErrBadPRP) != errors.Is(wantErr, ErrBadPRP)) {
+			(err.Error() != wantErr.Error() || errors.Is(err, errBadPRP) != errors.Is(wantErr, errBadPRP)) {
 			t.Fatalf("err %v, want %v", err, wantErr)
 		}
 		if !slices.Equal(got, want) {
@@ -248,4 +248,13 @@ func FuzzAppendPRP(f *testing.F) {
 			t.Fatalf("segments cover %d bytes, want %d", n, nbytes)
 		}
 	})
+}
+
+// TotalLen sums segment lengths.
+func TotalLen(segs []Segment) uint32 {
+	var n uint32
+	for _, s := range segs {
+		n += s.Len
+	}
+	return n
 }

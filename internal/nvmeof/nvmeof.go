@@ -38,19 +38,19 @@ type Link struct {
 
 // Directions.
 const (
-	DirToTarget = 0
-	DirToHost   = 1
+	dirToTarget = 0
+	dirToHost   = 1
 )
 
-// NewLink creates a link. Defaults approximate FDR Infiniband: ~5 µs
+// newLink creates a link. Defaults approximate FDR Infiniband: ~5 µs
 // one-way latency, ~6 GB/s per direction.
-func NewLink(env *sim.Env, latency sim.Duration, bw float64) *Link {
+func newLink(env *sim.Env, latency sim.Duration, bw float64) *Link {
 	return &Link{env: env, Latency: latency, BW: bw}
 }
 
 // DefaultLink returns the calibrated Infiniband-class link.
 func DefaultLink(env *sim.Env) *Link {
-	return NewLink(env, 5*sim.Microsecond, 6e9)
+	return newLink(env, 5*sim.Microsecond, 6e9)
 }
 
 // ScheduleOutage declares the link down for [at, at+dur): messages whose
@@ -77,9 +77,9 @@ func (l *Link) ApplyPlan(p *fault.Plan) {
 	}
 }
 
-// OnUp registers a callback invoked (in scheduler context) each time an
+// addUpHook registers a callback invoked (in scheduler context) each time an
 // outage window closes.
-func (l *Link) OnUp(fn func()) { l.onUp = append(l.onUp, fn) }
+func (l *Link) addUpHook(fn func()) { l.onUp = append(l.onUp, fn) }
 
 // down reports whether the link is in an outage window at time t.
 func (l *Link) down(t sim.Time) bool {
@@ -91,11 +91,11 @@ func (l *Link) down(t sim.Time) bool {
 	return false
 }
 
-// Send delivers fn after the message of size bytes crosses the link in
+// send delivers fn after the message of size bytes crosses the link in
 // direction dir, honoring serialization and propagation delay. A message
 // that departs or arrives during an outage window is dropped: fn never
 // runs, and recovery is the sender's responsibility.
-func (l *Link) Send(dir int, size int, fn func()) {
+func (l *Link) send(dir int, size int, fn func()) {
 	now := l.env.Now()
 	depart := l.nextTx[dir]
 	if depart < now {
@@ -119,7 +119,6 @@ const capsuleHeader = 72
 // Target is the remote host's NVMe-oF target: a worker thread that services
 // incoming capsules against the remote block device.
 type Target struct {
-	env   *sim.Env
 	bdev  blockdev.BlockDevice
 	th    *sim.Thread
 	queue []capsule
@@ -140,7 +139,7 @@ type capsule struct {
 
 // NewTarget starts a target over bdev using a thread on the remote CPU.
 func NewTarget(env *sim.Env, bdev blockdev.BlockDevice, remoteCPU *sim.CPU) *Target {
-	t := &Target{env: env, bdev: bdev, th: remoteCPU.NewThread("nvmeof-tgt"), wake: sim.NewCond(env), PerCmd: 2 * sim.Microsecond}
+	t := &Target{bdev: bdev, th: remoteCPU.NewThread("nvmeof-tgt"), wake: sim.NewCond(env), PerCmd: 2 * sim.Microsecond}
 	env.Go("nvmeof-target", t.run)
 	return t
 }
@@ -185,9 +184,9 @@ type InitiatorRecovery struct {
 	Jitter float64
 }
 
-// DefaultInitiatorRecovery returns a policy tolerant of deep target queues:
+// defaultInitiatorRecovery returns a policy tolerant of deep target queues:
 // a command only times out if the fabric genuinely lost it.
-func DefaultInitiatorRecovery() InitiatorRecovery {
+func defaultInitiatorRecovery() InitiatorRecovery {
 	return InitiatorRecovery{
 		Timeout:    50 * sim.Millisecond,
 		MaxRetries: 4,
@@ -244,11 +243,11 @@ type Initiator struct {
 
 // NewInitiator connects to tgt over link.
 func NewInitiator(env *sim.Env, link *Link, tgt *Target) *Initiator {
-	i := &Initiator{env: env, link: link, tgt: tgt, PerCmd: 1500 * sim.Nanosecond, rec: DefaultInitiatorRecovery()}
+	i := &Initiator{env: env, link: link, tgt: tgt, PerCmd: 1500 * sim.Nanosecond, rec: defaultInitiatorRecovery()}
 	i.deadlines = sim.NewDeadlines(env,
 		func(id, attempt uint32) bool { return i.awaited(id, attempt) != nil },
 		func(id, attempt uint32) { i.onTimeout(i.awaited(id, attempt)) })
-	link.OnUp(i.onLinkUp)
+	link.addUpHook(i.onLinkUp)
 	return i
 }
 
@@ -256,9 +255,9 @@ func NewInitiator(env *sim.Env, link *Link, tgt *Target) *Initiator {
 // path (nil detaches).
 func (i *Initiator) SetVerifier(v blockdev.ReadVerifier) { i.verifier = v }
 
-// Validate rejects policies that would silently misbehave rather than
+// validate rejects policies that would silently misbehave rather than
 // recover: retrying a negative number of times or arming negative timers.
-func (rec InitiatorRecovery) Validate() error {
+func (rec InitiatorRecovery) validate() error {
 	if rec.MaxRetries < 0 {
 		return fmt.Errorf("nvmeof: negative MaxRetries %d", rec.MaxRetries)
 	}
@@ -281,15 +280,12 @@ func (rec InitiatorRecovery) Validate() error {
 // Invalid policies are rejected and the previous policy stays active.
 // Attempts outstanding at the time keep the deadline they were sent under.
 func (i *Initiator) SetRecovery(rec InitiatorRecovery) error {
-	if err := rec.Validate(); err != nil {
+	if err := rec.validate(); err != nil {
 		return err
 	}
 	i.rec = rec
 	return nil
 }
-
-// Recovery returns the active recovery policy.
-func (i *Initiator) Recovery() InitiatorRecovery { return i.rec }
 
 // OnReconnect registers fn to run each time an outage window closes,
 // *after* the initiator has requeued its own in-flight commands — so a
@@ -325,7 +321,7 @@ func (i *Initiator) SubmitBio(p *sim.Proc, th *sim.Thread, b *blockdev.Bio) {
 func (i *Initiator) send(pe *ofPending) {
 	pe.attempt++
 	attempt := pe.attempt
-	i.link.Send(DirToTarget, pe.size, func() {
+	i.link.send(dirToTarget, pe.size, func() {
 		i.tgt.queue = append(i.tgt.queue, capsule{
 			op: pe.op, sector: pe.sector, data: pe.payload, nsect: pe.nsect,
 			reply: func(st nvme.Status, rdata []byte) {
@@ -333,7 +329,7 @@ func (i *Initiator) send(pe *ofPending) {
 				if pe.op == blockdev.BioRead {
 					rsize += len(rdata)
 				}
-				i.link.Send(DirToHost, rsize, func() {
+				i.link.send(dirToHost, rsize, func() {
 					i.complete(pe, attempt, st, rdata)
 				})
 			},

@@ -22,8 +22,8 @@ func NewBucket(rate, burst float64) *Bucket {
 	return &Bucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// Limited reports whether the bucket enforces a rate.
-func (b *Bucket) Limited() bool { return b != nil && b.rate > 0 }
+// limited reports whether the bucket enforces a rate.
+func (b *Bucket) limited() bool { return b != nil && b.rate > 0 }
 
 // refill accrues tokens for the time elapsed since the last refill.
 func (b *Bucket) refill(now sim.Time) {
@@ -50,9 +50,9 @@ func (b *Bucket) need(n float64) float64 {
 	return n
 }
 
-// Has reports whether n tokens are available at now without consuming.
-func (b *Bucket) Has(n float64, now sim.Time) bool {
-	if !b.Limited() {
+// has reports whether n tokens are available at now without consuming.
+func (b *Bucket) has(n float64, now sim.Time) bool {
+	if !b.limited() {
 		return true
 	}
 	b.refill(now)
@@ -63,7 +63,7 @@ func (b *Bucket) Has(n float64, now sim.Time) bool {
 // fewer than the capacity-clamped charge are available. A granted
 // oversized charge leaves the balance negative (see need).
 func (b *Bucket) Take(n float64, now sim.Time) bool {
-	if !b.Limited() {
+	if !b.limited() {
 		return true
 	}
 	b.refill(now)
@@ -78,7 +78,7 @@ func (b *Bucket) Take(n float64, now sim.Time) bool {
 // available at the refill rate (0 when Take would already succeed). It
 // lets paced background work sleep analytically instead of polling.
 func (b *Bucket) WaitTime(n float64, now sim.Time) sim.Duration {
-	if !b.Limited() {
+	if !b.limited() {
 		return 0
 	}
 	b.refill(now)
@@ -95,11 +95,11 @@ func (b *Bucket) WaitTime(n float64, now sim.Time) sim.Duration {
 	return d
 }
 
-// Level returns the current fill fraction in [0, 1] (1 for unlimited
+// level returns the current fill fraction in [0, 1] (1 for unlimited
 // buckets — an unenforced bucket is never the bottleneck; 0 while a
 // deficit from an oversized charge is being repaid).
-func (b *Bucket) Level(now sim.Time) float64 {
-	if !b.Limited() || b.burst <= 0 {
+func (b *Bucket) level(now sim.Time) float64 {
+	if !b.limited() || b.burst <= 0 {
 		return 1
 	}
 	b.refill(now)

@@ -1,7 +1,7 @@
 // Package qos implements multi-tenant QoS arbitration for the NVMetro I/O
 // router: a virtual-time weighted fair queueing (WFQ) arbiter deciding
-// which VM's pending commands enter each hop, per-tenant token buckets
-// (IOPS and bytes/s, burst-capable) whose exhaustion backpressures into
+// which VM's pending commands enter each hop, per-tenant IOPS token buckets
+// (burst-capable) whose exhaustion backpressures into
 // the shadowed submission queue rather than dropping, and per-tenant SLO
 // tracking (windowed latency histograms against a p99 target) feeding an
 // admission controller that sheds best-effort tenants first under
@@ -55,13 +55,10 @@ type TenantConfig struct {
 	// Weight is the WFQ share (relative to the other tenants' weights);
 	// <= 0 means 1.
 	Weight float64
-	// IOPS and BytesPerSec are token-bucket rate limits (0 = unlimited).
-	// BurstOps/BurstBytes are the bucket capacities; 0 defaults to one
-	// tenth of a second of the respective rate.
-	IOPS        float64
-	BytesPerSec float64
-	BurstOps    float64
-	BurstBytes  float64
+	// IOPS is a token-bucket rate limit (0 = unlimited). BurstOps is the
+	// bucket capacity; 0 defaults to one tenth of a second of the rate.
+	IOPS     float64
+	BurstOps float64
 	// BestEffort marks the tenant as sheddable: the admission controller
 	// defers its commands first when an SLO tenant misses its target.
 	BestEffort bool
@@ -72,54 +69,36 @@ type TenantConfig struct {
 
 // Config tunes the arbiter.
 type Config struct {
-	// BytesPerUnit is the payload size of one virtual service unit; a
-	// command costs max(1, bytes/BytesPerUnit) units before the class
-	// multiplier. <= 0 means 4096.
-	BytesPerUnit float64
-	// ClassCost are the per-class service cost multipliers; zero entries
-	// take the defaults {1, 0.5, 2, 8}.
-	ClassCost [NumClasses]float64
 	// Window is the SLO evaluation and rate-gauge window (<= 0: 1ms).
 	Window sim.Duration
-	// RecoverWindows is how many consecutive windows with every SLO met
-	// must pass before shed best-effort tenants are re-admitted (<= 0: 2).
-	RecoverWindows int
-	// RateAlpha is the EWMA smoothing factor for the rate gauges
-	// (<= 0: 0.5).
-	RateAlpha float64
 }
 
-// DefaultClassCost returns the default service-cost multiplier for a
-// class — the values an unset Config.ClassCost falls back to. Background
-// subsystems (e.g. the scrubber) use it to charge their own token buckets
-// consistently with the arbiter's view of scavenger work.
+// The arbiter's tuning.
+const (
+	// bytesPerUnit is the payload size of one virtual service unit; a
+	// command costs max(1, bytes/bytesPerUnit) units before the class
+	// multiplier.
+	bytesPerUnit = 4096
+	// sloWindow is the default SLO evaluation and rate-gauge window.
+	sloWindow = sim.Millisecond
+	// recoverWindows is how many consecutive windows with every SLO met
+	// must pass before shed best-effort tenants are re-admitted.
+	recoverWindows = 2
+	// rateAlpha is the EWMA smoothing factor for the rate gauges.
+	rateAlpha = 0.5
+)
+
+// classCost holds the per-class service cost multipliers.
+var classCost = [NumClasses]float64{1, 0.5, 2, 8}
+
+// DefaultClassCost returns the service-cost multiplier of a class.
+// Background subsystems (e.g. the scrubber) use it to charge their own
+// token buckets consistently with the arbiter's view of scavenger work.
 func DefaultClassCost(c Class) float64 {
-	def := [NumClasses]float64{1, 0.5, 2, 8}
-	if int(c) < len(def) {
-		return def[c]
+	if int(c) < len(classCost) {
+		return classCost[c]
 	}
 	return 1
-}
-
-func (c Config) withDefaults() Config {
-	if c.BytesPerUnit <= 0 {
-		c.BytesPerUnit = 4096
-	}
-	for i := range c.ClassCost {
-		if c.ClassCost[i] <= 0 {
-			c.ClassCost[i] = DefaultClassCost(Class(i))
-		}
-	}
-	if c.Window <= 0 {
-		c.Window = sim.Millisecond
-	}
-	if c.RecoverWindows <= 0 {
-		c.RecoverWindows = 2
-	}
-	if c.RateAlpha <= 0 || c.RateAlpha > 1 {
-		c.RateAlpha = 0.5
-	}
-	return c
 }
 
 // Tenant is one VM's scheduling state inside the arbiter.
@@ -131,8 +110,7 @@ type Tenant struct {
 	finish float64 // virtual finish tag of the last served unit
 	shed   bool    // deferred by the admission controller
 
-	ops   *Bucket
-	bytes *Bucket
+	ops *Bucket
 
 	rateOps   *metrics.Rate
 	rateBytes *metrics.Rate
@@ -152,10 +130,3 @@ type Tenant struct {
 
 // Name returns the tenant identifier.
 func (t *Tenant) Name() string { return t.name }
-
-// Config returns the tenant's QoS contract.
-func (t *Tenant) Config() TenantConfig { return t.cfg }
-
-// Shed reports whether the admission controller currently defers this
-// tenant.
-func (t *Tenant) Shed() bool { return t.shed }

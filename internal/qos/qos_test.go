@@ -20,12 +20,12 @@ func TestBucketRefillAndTake(t *testing.T) {
 	}
 	// 50 ms -> 50 tokens.
 	now = sim.Time(50 * sim.Millisecond)
-	if !b.Has(50, now) || b.Has(51, now) {
-		t.Fatalf("refill wrong: level=%.2f", b.Level(now))
+	if !b.has(50, now) || b.has(51, now) {
+		t.Fatalf("refill wrong: level=%.2f", b.level(now))
 	}
 	// Refill never exceeds burst.
 	now = sim.Time(10 * sim.Second)
-	if got := b.Level(now); got != 1 {
+	if got := b.level(now); got != 1 {
 		t.Fatalf("level after long idle = %.2f, want 1", got)
 	}
 }
@@ -37,14 +37,14 @@ func TestBucketRefillAndTake(t *testing.T) {
 func TestBucketOversizedCharge(t *testing.T) {
 	b := NewBucket(1000, 100) // 1000/s, burst 100
 	now := sim.Time(0)
-	if !b.Has(250, now) {
+	if !b.has(250, now) {
 		t.Fatal("full bucket must admit an oversized charge")
 	}
 	if !b.Take(250, now) {
 		t.Fatal("full bucket refused an oversized charge")
 	}
-	if b.Level(now) != 0 {
-		t.Fatalf("level during deficit = %.2f, want 0", b.Level(now))
+	if b.level(now) != 0 {
+		t.Fatalf("level during deficit = %.2f, want 0", b.level(now))
 	}
 	// The deficit is 150 tokens; the next 1-token command must wait until
 	// it is repaid: 151 tokens accrue in 151 ms.
@@ -69,13 +69,13 @@ func TestBucketOversizedCharge(t *testing.T) {
 }
 
 // TestArbiterOversizedCommandAdmits is the end-to-end regression for the
-// stall: with the default burst (BytesPerSec/10), a single command whose
-// payload exceeds a tenth of a second of the rate contract must still be
-// admitted eventually, at the contracted rate.
+// stall: with the default burst (IOPS/10), a contract below 10 IOPS has a
+// bucket smaller than one command, which must still be admitted
+// eventually, at the contracted rate.
 func TestArbiterOversizedCommandAdmits(t *testing.T) {
 	a := NewArbiter(Config{})
-	ten := a.AddTenant("t", TenantConfig{BytesPerSec: 1 << 20}) // 1 MB/s, burst 128KB
-	pending := []int{256 << 10}                                 // 256KB writes
+	ten := a.AddTenant("t", TenantConfig{IOPS: 4}) // burst 0.4 commands
+	pending := []int{4096}
 	var admitted uint64
 	for i := 0; i <= 1000; i++ { // 1s of sim time, 1ms steps
 		if admitOne(a, pending, sim.Time(i*int(sim.Millisecond))) == 0 {
@@ -85,7 +85,7 @@ func TestArbiterOversizedCommandAdmits(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("oversized command never admitted: tenant stalled")
 	}
-	// 1 MB/s over 256KB commands = 4/s; allow the initial burst on top.
+	// 4/s; allow the initial burst on top.
 	if admitted > 6 {
 		t.Fatalf("oversized commands admitted %d times in 1s, want ~4 (rate not enforced)", admitted)
 	}
@@ -96,7 +96,7 @@ func TestArbiterOversizedCommandAdmits(t *testing.T) {
 
 func TestBucketUnlimited(t *testing.T) {
 	var b *Bucket // nil bucket: unlimited
-	if b.Limited() || !b.Take(1e9, 0) || !b.Has(1e9, 0) || b.Level(0) != 1 {
+	if b.limited() || !b.Take(1e9, 0) || !b.has(1e9, 0) || b.level(0) != 1 {
 		t.Fatal("nil bucket must behave as unlimited")
 	}
 }
@@ -280,7 +280,7 @@ func TestClassChargeShiftsShare(t *testing.T) {
 }
 
 func TestAdmissionControllerShedsAndRecovers(t *testing.T) {
-	cfg := Config{Window: sim.Millisecond, RecoverWindows: 2}
+	cfg := Config{}
 	a := NewArbiter(cfg)
 	slo := a.AddTenant("slo", TenantConfig{SLOTargetP99: 100 * sim.Microsecond})
 	be := a.AddTenant("be", TenantConfig{BestEffort: true})
@@ -293,10 +293,10 @@ func TestAdmissionControllerShedsAndRecovers(t *testing.T) {
 	}
 	now += sim.Time(sim.Millisecond)
 	a.Tick(now)
-	if !be.Shed() || !a.Overloaded() {
+	if !be.shed || !a.overloaded {
 		t.Fatal("best-effort tenant not shed after SLO miss")
 	}
-	if slo.Shed() {
+	if slo.shed {
 		t.Fatal("SLO tenant must never be shed")
 	}
 	// Shed tenants are ineligible and count deferrals.
@@ -314,7 +314,7 @@ func TestAdmissionControllerShedsAndRecovers(t *testing.T) {
 		now += sim.Time(sim.Millisecond)
 		a.Tick(now)
 	}
-	if be.Shed() || a.Overloaded() {
+	if be.shed || a.overloaded {
 		t.Fatal("best-effort tenant not restored after clean windows")
 	}
 	if a.Sheds != 1 || a.Restores != 1 {
@@ -403,7 +403,7 @@ func BenchmarkArbiterScan8(b *testing.B) {
 func TestNextWindowEndBoundsTickSkipping(t *testing.T) {
 	const round = 250
 	build := func() (*Arbiter, []*Tenant) {
-		a := NewArbiter(Config{Window: 20 * sim.Microsecond, RecoverWindows: 3})
+		a := NewArbiter(Config{Window: 20 * sim.Microsecond})
 		return a, []*Tenant{
 			a.AddTenant("slo", TenantConfig{SLOTargetP99: 50 * sim.Microsecond}),
 			a.AddTenant("be", TenantConfig{BestEffort: true}),

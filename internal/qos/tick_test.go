@@ -15,7 +15,7 @@ func (a *Arbiter) refTick(now sim.Time) {
 	a.nextEnd = sim.Never
 	for _, t := range a.tenants {
 		if t.winEnd == 0 {
-			t.winEnd = now + sim.Time(a.cfg.Window)
+			t.winEnd = now + sim.Time(a.window)
 			a.nextEnd = min(a.nextEnd, t.winEnd)
 			continue
 		}
@@ -30,7 +30,7 @@ func (a *Arbiter) refTick(now sim.Time) {
 				}
 			}
 			t.winLat.Reset()
-			t.winEnd += sim.Time(a.cfg.Window)
+			t.winEnd += sim.Time(a.window)
 		}
 		a.nextEnd = min(a.nextEnd, t.winEnd)
 	}
@@ -50,7 +50,7 @@ func (a *Arbiter) refTick(now sim.Time) {
 	}
 	if a.overloaded {
 		a.cleanRuns++
-		if a.cleanRuns >= a.cfg.RecoverWindows {
+		if a.cleanRuns >= recoverWindows {
 			a.overloaded = false
 			a.cleanRuns = 0
 			for _, t := range a.tenants {
@@ -65,7 +65,7 @@ func (a *Arbiter) refTick(now sim.Time) {
 
 // sameTick reports whether a and b agree on everything a Tick decides.
 func sameTick(a, b *Arbiter) bool {
-	if a.NextWindowEnd() != b.NextWindowEnd() || a.Overloaded() != b.Overloaded() || a.cleanRuns != b.cleanRuns ||
+	if a.NextWindowEnd() != b.NextWindowEnd() || a.overloaded != b.overloaded || a.cleanRuns != b.cleanRuns ||
 		a.Sheds != b.Sheds || a.Restores != b.Restores || len(a.tenants) != len(b.tenants) {
 		return false
 	}
@@ -80,7 +80,7 @@ func sameTick(a, b *Arbiter) bool {
 
 // tickState renders what sameTick compares, for a failure message.
 func tickState(a *Arbiter) string {
-	s := fmt.Sprintf("end=%d over=%v clean=%d sheds=%d restores=%d", a.NextWindowEnd(), a.Overloaded(), a.cleanRuns, a.Sheds, a.Restores)
+	s := fmt.Sprintf("end=%d over=%v clean=%d sheds=%d restores=%d", a.NextWindowEnd(), a.overloaded, a.cleanRuns, a.Sheds, a.Restores)
 	for _, t := range a.tenants {
 		s += fmt.Sprintf(" [%s win=%d met=%d missed=%d shed=%v]", t.name, t.winEnd, t.met, t.missed, t.shed)
 	}
@@ -100,8 +100,8 @@ func TestTickMatchesFullPass(t *testing.T) {
 	var sheds, restores uint64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		fast := NewArbiter(Config{Window: window, RecoverWindows: 1 + int(seed%3)})
-		ref := NewArbiter(Config{Window: window, RecoverWindows: 1 + int(seed%3)})
+		fast := NewArbiter(Config{Window: window})
+		ref := NewArbiter(Config{Window: window})
 		var fastT, refT []*Tenant
 		join := func(i int) {
 			cfg := TenantConfig{}

@@ -29,7 +29,7 @@ import (
 // classifier runs, so Serve charges the base cost and ChargeClass applies
 // the multiplier delta retroactively to the tenant's finish tag.
 type Arbiter struct {
-	cfg     Config
+	window  sim.Duration // SLO evaluation and rate-gauge window
 	tenants []*Tenant
 	vtime   float64 // global virtual time
 
@@ -43,11 +43,12 @@ type Arbiter struct {
 
 // NewArbiter creates an arbiter with the given tuning.
 func NewArbiter(cfg Config) *Arbiter {
-	return &Arbiter{cfg: cfg.withDefaults(), nextEnd: sim.Never}
+	a := &Arbiter{window: cfg.Window, nextEnd: sim.Never}
+	if a.window <= 0 {
+		a.window = sloWindow
+	}
+	return a
 }
-
-// Config returns the arbiter's tuning after defaulting.
-func (a *Arbiter) Config() Config { return a.cfg }
 
 // AddTenant registers a tenant. Tenants joining late start at the
 // current virtual time so they cannot claim service for their absence.
@@ -58,9 +59,8 @@ func (a *Arbiter) AddTenant(name string, cfg TenantConfig) *Tenant {
 		lat:    metrics.NewHistogram(),
 		winLat: metrics.NewHistogram(),
 	}
-	win := int64(a.cfg.Window)
-	t.rateOps = metrics.NewRate(win, a.cfg.RateAlpha)
-	t.rateBytes = metrics.NewRate(win, a.cfg.RateAlpha)
+	t.rateOps = metrics.NewRate(int64(a.window), rateAlpha)
+	t.rateBytes = metrics.NewRate(int64(a.window), rateAlpha)
 	a.tenants = append(a.tenants, t)
 	a.nextEnd = 0 // t's first window opens on the next Tick
 	a.Configure(t, cfg)
@@ -77,20 +77,13 @@ func (a *Arbiter) Configure(t *Tenant, cfg TenantConfig) {
 	}
 	t.cfg = cfg
 	t.weight = w
-	t.ops, t.bytes = nil, nil
+	t.ops = nil
 	if cfg.IOPS > 0 {
 		burst := cfg.BurstOps
 		if burst <= 0 {
 			burst = cfg.IOPS / 10
 		}
 		t.ops = NewBucket(cfg.IOPS, burst)
-	}
-	if cfg.BytesPerSec > 0 {
-		burst := cfg.BurstBytes
-		if burst <= 0 {
-			burst = cfg.BytesPerSec / 10
-		}
-		t.bytes = NewBucket(cfg.BytesPerSec, burst)
 	}
 	if t.finish < a.vtime {
 		t.finish = a.vtime
@@ -102,7 +95,7 @@ func (a *Arbiter) Tenants() []*Tenant { return a.tenants }
 
 // cost converts a payload size to base service units.
 func (a *Arbiter) cost(bytes int) float64 {
-	c := float64(bytes) / a.cfg.BytesPerUnit
+	c := float64(bytes) / bytesPerUnit
 	if c < 1 {
 		c = 1
 	}
@@ -111,7 +104,7 @@ func (a *Arbiter) cost(bytes int) float64 {
 
 // Eligible reports whether tenant t may admit a command of the given
 // payload size at now: it must not be shed by the admission controller,
-// and both token buckets must cover the command. Ineligibility updates
+// and its token bucket must cover the command. Ineligibility updates
 // the tenant's Throttled/Deferred counters so backpressure is visible;
 // callers that rescan the same queue head within one poll round should
 // use Admissible on the rescans so each deferred command counts once per
@@ -121,7 +114,7 @@ func (a *Arbiter) Eligible(t *Tenant, bytes int, now sim.Time) bool {
 		t.Deferred++
 		return false
 	}
-	if !t.ops.Has(1, now) || !t.bytes.Has(float64(bytes), now) {
+	if !t.ops.has(1, now) {
 		t.Throttled++
 		return false
 	}
@@ -131,7 +124,7 @@ func (a *Arbiter) Eligible(t *Tenant, bytes int, now sim.Time) bool {
 // Admissible is Eligible without the counter side effects, for repeated
 // scans of a queue head already counted this poll round.
 func (a *Arbiter) Admissible(t *Tenant, bytes int, now sim.Time) bool {
-	return !t.shed && t.ops.Has(1, now) && t.bytes.Has(float64(bytes), now)
+	return !t.shed && t.ops.has(1, now)
 }
 
 // start returns t's virtual start tag for its next command.
@@ -155,7 +148,6 @@ func (a *Arbiter) Before(t, u *Tenant) bool {
 // ChargeClass adjustment).
 func (a *Arbiter) Serve(t *Tenant, bytes int, now sim.Time) float64 {
 	t.ops.Take(1, now)
-	t.bytes.Take(float64(bytes), now)
 	s := a.start(t)
 	c := a.cost(bytes)
 	t.finish = s + c/t.weight
@@ -177,7 +169,7 @@ func (a *Arbiter) ChargeClass(t *Tenant, baseCost float64, class Class) {
 		class = ClassDefault
 	}
 	t.PerClass[class]++
-	mul := a.cfg.ClassCost[class]
+	mul := classCost[class]
 	if mul == 1 {
 		return
 	}
@@ -197,7 +189,7 @@ func (a *Arbiter) ObserveLatency(t *Tenant, d sim.Duration) {
 // Tick drives SLO windows and the admission controller; the router calls
 // it once per poll round. When any non-best-effort tenant's windowed p99
 // exceeds its target, all best-effort tenants are shed; after
-// RecoverWindows consecutive clean windows they are restored.
+// recoverWindows consecutive clean windows they are restored.
 //
 // Before the earliest window end no window can roll and the minimum cannot
 // move, so Tick returns at once: a round costs O(tenants) only when a window
@@ -211,7 +203,7 @@ func (a *Arbiter) Tick(now sim.Time) {
 	a.nextEnd = sim.Never
 	for _, t := range a.tenants {
 		if t.winEnd == 0 {
-			t.winEnd = now + sim.Time(a.cfg.Window)
+			t.winEnd = now + sim.Time(a.window)
 			a.nextEnd = min(a.nextEnd, t.winEnd)
 			continue
 		}
@@ -228,7 +220,7 @@ func (a *Arbiter) Tick(now sim.Time) {
 				}
 			}
 			t.winLat.Reset()
-			t.winEnd += sim.Time(a.cfg.Window)
+			t.winEnd += sim.Time(a.window)
 		}
 		a.nextEnd = min(a.nextEnd, t.winEnd)
 	}
@@ -248,7 +240,7 @@ func (a *Arbiter) Tick(now sim.Time) {
 	}
 	if a.overloaded {
 		a.cleanRuns++
-		if a.cleanRuns >= a.cfg.RecoverWindows {
+		if a.cleanRuns >= recoverWindows {
 			a.overloaded = false
 			a.cleanRuns = 0
 			for _, t := range a.tenants {
@@ -270,10 +262,6 @@ func (a *Arbiter) Tick(now sim.Time) {
 // moves a window, so it keeps the minimum and this is O(1).
 func (a *Arbiter) NextWindowEnd() sim.Time { return a.nextEnd }
 
-// Overloaded reports whether the admission controller is currently in
-// the shedding state.
-func (a *Arbiter) Overloaded() bool { return a.overloaded }
-
 // TenantSnapshot is a point-in-time view of one tenant's QoS state.
 type TenantSnapshot struct {
 	Name       string
@@ -284,7 +272,7 @@ type TenantSnapshot struct {
 	IOPS     float64 // smoothed admitted ops/s
 	BytesPS  float64 // smoothed admitted bytes/s
 	OpsLevel float64 // ops bucket fill fraction [0,1]
-	BytLevel float64 // bytes bucket fill fraction [0,1]
+	BytLevel float64 // bytes bucket fill fraction: 1, no tenant has a byte-rate bucket
 
 	P99       sim.Duration // cumulative p99 latency
 	SLOTarget sim.Duration
@@ -317,8 +305,8 @@ func (a *Arbiter) Snapshot(now sim.Time) []TenantSnapshot {
 			Shed:       t.shed,
 			IOPS:       t.rateOps.PerSec(int64(now)),
 			BytesPS:    t.rateBytes.PerSec(int64(now)),
-			OpsLevel:   t.ops.Level(now),
-			BytLevel:   t.bytes.Level(now),
+			OpsLevel:   t.ops.level(now),
+			BytLevel:   1,
 			P99:        sim.Duration(t.lat.Quantile(0.99)),
 			SLOTarget:  t.cfg.SLOTargetP99,
 			SLOMet:     t.met,

@@ -1,39 +1,23 @@
 // Package sgx simulates the Intel SGX enclave runtime used by the paper's
-// SGX encryption UIF: a sealed key that never leaves the enclave, expensive
-// synchronous ECALLs, and a "switchless" call path where a dedicated
-// enclave worker thread polls a shared request queue so steady-state
-// operations avoid the enclave transition cost entirely — at the price of
-// one busy thread.
+// SGX encryption UIF: a sealed key that never leaves the enclave, and the
+// "switchless" call path, where a dedicated enclave worker thread polls a
+// shared request queue so operations avoid the enclave transition cost
+// entirely — at the price of one busy thread.
 package sgx
 
 import (
-	"errors"
-
 	"nvmetro/internal/sim"
 	"nvmetro/internal/xts"
 )
 
-// Costs models SGX transition and execution overheads (EENTER/EEXIT are on
-// the order of ~8k cycles; enclave memory encryption slows bulk crypto).
-type Costs struct {
-	ECall         sim.Duration // synchronous enclave transition round trip
-	SwitchlessSub sim.Duration // host-side cost to post a switchless call
-	CryptRate     float64      // bytes/sec of XTS inside the enclave
-	SpinQuantum   sim.Duration // switchless worker poll interval
-	IdlePark      sim.Duration // spin this long on empty queue before sleeping
-}
-
-// DefaultCosts returns the calibrated SGX model: enclave crypto at ~85% of
-// native AES-NI throughput, 8 µs ECALLs, sub-microsecond switchless posts.
-func DefaultCosts() Costs {
-	return Costs{
-		ECall:         8 * sim.Microsecond,
-		SwitchlessSub: 400 * sim.Nanosecond,
-		CryptRate:     2.0e9,
-		SpinQuantum:   500 * sim.Nanosecond,
-		IdlePark:      100 * sim.Microsecond,
-	}
-}
+// The SGX model's costs: enclave crypto at ~85% of native AES-NI
+// throughput and sub-microsecond switchless posts.
+const (
+	switchlessSub = 400 * sim.Nanosecond  // host-side cost to post a switchless call
+	cryptRate     = 2.0e9                 // bytes/sec of XTS inside the enclave
+	spinQuantum   = 500 * sim.Nanosecond  // switchless worker poll interval
+	idlePark      = 100 * sim.Microsecond // spin this long on empty queue before sleeping
+)
 
 // Op selects the enclave crypto operation.
 type Op uint8
@@ -56,54 +40,40 @@ type Job struct {
 
 // Enclave holds the sealed cipher key and runs the switchless worker.
 type Enclave struct {
-	env    *sim.Env
-	costs  Costs
 	cipher *xts.Cipher // key material lives only here
 	queue  []*Job
 	wake   *sim.Cond
 	th     *sim.Thread
 
 	// Stats
-	ECalls, Switchless uint64
-	SpinTime           sim.Duration
+	Switchless uint64
+	SpinTime   sim.Duration
 }
-
-// ErrNotInitialized reports use before key provisioning.
-var ErrNotInitialized = errors.New("sgx: enclave key not provisioned")
 
 // Launch creates the enclave with its switchless worker thread on cpu.
 // The key is provisioned at launch (standing in for sealed-key unwrap).
-func Launch(env *sim.Env, cpu *sim.CPU, key []byte, costs Costs) (*Enclave, error) {
+func Launch(env *sim.Env, cpu *sim.CPU, key []byte) (*Enclave, error) {
 	cipher, err := xts.New(key)
 	if err != nil {
 		return nil, err
 	}
-	e := &Enclave{env: env, costs: costs, cipher: cipher, wake: sim.NewCond(env), th: cpu.NewThread("sgx-switchless")}
+	e := &Enclave{cipher: cipher, wake: sim.NewCond(env), th: cpu.NewThread("sgx-switchless")}
 	env.Go("sgx-switchless", e.worker)
 	return e, nil
-}
-
-// ECallCrypt performs a synchronous, transition-paying crypto call
-// (used for rare control operations; data-path calls go switchless).
-func (e *Enclave) ECallCrypt(p *sim.Proc, caller *sim.Thread, job *Job) error {
-	e.ECalls++
-	caller.Exec(p, e.costs.ECall)
-	caller.Exec(p, e.cryptCost(len(job.Src)))
-	return e.crypt(job)
 }
 
 // SubmitSwitchless posts a job to the enclave worker; Done runs in enclave
 // worker context when finished. The host thread pays only the tiny post
 // cost.
 func (e *Enclave) SubmitSwitchless(p *sim.Proc, caller *sim.Thread, job *Job) {
-	caller.Exec(p, e.costs.SwitchlessSub)
+	caller.Exec(p, switchlessSub)
 	e.Switchless++
 	e.queue = append(e.queue, job)
 	e.wake.Signal(nil)
 }
 
 func (e *Enclave) cryptCost(n int) sim.Duration {
-	return sim.Duration(float64(n) / e.costs.CryptRate * 1e9)
+	return sim.Duration(float64(n) / cryptRate * 1e9)
 }
 
 func (e *Enclave) crypt(job *Job) error {
@@ -122,14 +92,14 @@ func (e *Enclave) worker(p *sim.Proc) {
 	var idle sim.Duration
 	for {
 		if len(e.queue) == 0 {
-			if idle >= e.costs.IdlePark {
+			if idle >= idlePark {
 				e.wake.Wait()
 				idle = 0
 				continue
 			}
-			e.th.Exec(p, e.costs.SpinQuantum)
-			e.SpinTime += e.costs.SpinQuantum
-			idle += e.costs.SpinQuantum
+			e.th.Exec(p, spinQuantum)
+			e.SpinTime += spinQuantum
+			idle += spinQuantum
 			continue
 		}
 		idle = 0

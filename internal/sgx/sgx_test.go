@@ -25,7 +25,7 @@ var key = bytes.Repeat([]byte{0x77}, 64)
 func TestSwitchlessCryptMatchesXTS(t *testing.T) {
 	env := sim.New(1)
 	cpu := sim.NewCPU(env, 4)
-	e, err := sgx.Launch(env, cpu, key, sgx.DefaultCosts())
+	e, err := sgx.Launch(env, cpu, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,36 +54,15 @@ func TestSwitchlessCryptMatchesXTS(t *testing.T) {
 			t.Fatal("enclave ciphertext differs from XTS reference")
 		}
 	})
-	if e.Switchless != 1 || e.ECalls != 0 {
-		t.Fatalf("stats switchless=%d ecalls=%d", e.Switchless, e.ECalls)
-	}
-}
-
-func TestECallPaysTransitionCost(t *testing.T) {
-	env := sim.New(1)
-	cpu := sim.NewCPU(env, 4)
-	costs := sgx.DefaultCosts()
-	e, _ := sgx.Launch(env, cpu, key, costs)
-	caller := cpu.ThreadOn(0, "caller")
-	run(t, env, func(p *sim.Proc) {
-		buf := make([]byte, 512)
-		start := p.Now()
-		if err := e.ECallCrypt(p, caller, &sgx.Job{Op: sgx.OpEncrypt, Dst: buf, Src: buf, Sector: 0, SectorSize: 512}); err != nil {
-			t.Fatal(err)
-		}
-		if el := p.Now().Sub(start); el < costs.ECall {
-			t.Fatalf("ECALL took %v, below the transition cost %v", el, costs.ECall)
-		}
-	})
-	if e.ECalls != 1 {
-		t.Fatal("ecall not counted")
+	if e.Switchless != 1 {
+		t.Fatalf("stats switchless=%d", e.Switchless)
 	}
 }
 
 func TestSwitchlessWorkerParksAfterIdle(t *testing.T) {
 	env := sim.New(1)
 	cpu := sim.NewCPU(env, 4)
-	e, _ := sgx.Launch(env, cpu, key, sgx.DefaultCosts())
+	e, _ := sgx.Launch(env, cpu, key)
 	caller := cpu.ThreadOn(0, "caller")
 	run(t, env, func(p *sim.Proc) {
 		// One job wakes the worker; then it spins IdlePark and sleeps.
@@ -107,7 +86,7 @@ func TestSwitchlessWorkerParksAfterIdle(t *testing.T) {
 func TestLaunchRejectsBadKey(t *testing.T) {
 	env := sim.New(1)
 	cpu := sim.NewCPU(env, 2)
-	if _, err := sgx.Launch(env, cpu, make([]byte, 10), sgx.DefaultCosts()); err == nil {
+	if _, err := sgx.Launch(env, cpu, make([]byte, 10)); err == nil {
 		t.Fatal("bad key accepted")
 	}
 	env.Close()

@@ -296,18 +296,6 @@ func TestQoSMergePerShard(t *testing.T) {
 		}
 	})
 
-	arbs := b.router.QoSArbiters()
-	if len(arbs) != 3 {
-		t.Fatalf("QoSArbiters = %d, want 3", len(arbs))
-	}
-	perShard := 0
-	for _, a := range arbs {
-		perShard += len(a.Snapshot(b.env.Now()))
-	}
-	if perShard != vms {
-		t.Fatalf("per-shard tenants sum to %d, want %d", perShard, vms)
-	}
-
 	snap := b.router.QoSSnapshot(b.env.Now())
 	seen := map[string]bool{}
 	for _, ts := range snap {

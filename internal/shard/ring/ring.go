@@ -68,22 +68,6 @@ func (q *MPSC) Pop() (fn func(), ok bool) {
 	return next.fn, true
 }
 
-// Drain pops every thunk enqueued before the call and hands each to
-// visit, returning the count. Thunks pushed while draining may or may
-// not be included; the loop stops at the first gap so a storm of
-// producers cannot wedge the consumer in its round.
-func (q *MPSC) Drain(visit func(fn func())) int {
-	n := 0
-	for {
-		fn, ok := q.Pop()
-		if !ok {
-			return n
-		}
-		visit(fn)
-		n++
-	}
-}
-
 // Len is the approximate queue depth (exact when producers are quiescent,
 // e.g. read from inside the owning shard's round or a diagnostics dump).
 func (q *MPSC) Len() int {

@@ -21,7 +21,10 @@ func TestFIFOSingleProducer(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", q.Len(), n)
 	}
 	got := 0
-	q.Drain(func(fn func()) { fn(); got++ })
+	for fn, ok := q.Pop(); ok; fn, ok = q.Pop() {
+		fn()
+		got++
+	}
 	if got != n {
 		t.Fatalf("drained %d, want %d", got, n)
 	}
@@ -41,7 +44,9 @@ func TestFIFOOrderValues(t *testing.T) {
 		i := i
 		q.Push(func() { out = append(out, i) })
 	}
-	q.Drain(func(fn func()) { fn() })
+	for fn, ok := q.Pop(); ok; fn, ok = q.Pop() {
+		fn()
+	}
 	for i, v := range out {
 		if v != i {
 			t.Fatalf("out[%d] = %d", i, v)
@@ -134,7 +139,9 @@ func TestMPSCRaceDrain(t *testing.T) {
 	go func() {
 		defer close(done)
 		for popped.Load() < producers*perProducer {
-			q.Drain(func(fn func()) { fn() })
+			for fn, ok := q.Pop(); ok; fn, ok = q.Pop() {
+				fn()
+			}
 		}
 	}()
 	produced.Wait()

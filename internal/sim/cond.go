@@ -64,19 +64,6 @@ func (c *Cond) Wait() any {
 	return val
 }
 
-// WaitTimeout parks the calling process until signaled or until d elapses.
-// It reports whether the wake-up was a signal, and the signal value if so.
-// The timeout is a first-class timer event: if the signal wins, the queued
-// event is lazily cancelled instead of surviving as a dead callback.
-func (c *Cond) WaitTimeout(d Duration) (any, bool) {
-	p := c.env.current()
-	tok := c.env.getTok(p)
-	c.waiters = enqueue(c.waiters, &c.head, tok)
-	c.env.pushTimer(c.env.now.Add(d), tok)
-	p.park()
-	return tok.val, tok.signaled
-}
-
 // WaitFunc is Wait for code that has no process to park (see
 // Resource.AcquireFunc): fn joins the same FIFO waiter list as parked
 // processes, and the Signal or Broadcast that reaches it schedules it as a

@@ -2,10 +2,10 @@ package sim
 
 import "sort"
 
-// Core is a simulated CPU core: unit-capacity FIFO resource plus per-tag
+// core is a simulated CPU core: unit-capacity FIFO resource plus per-tag
 // busy-time accounting. Tags identify who consumed the time (e.g. "guest",
 // "router", "uif", "kernel"), feeding the whole-system CPU figures.
-type Core struct {
+type core struct {
 	env  *Env
 	ID   int
 	res  *Resource
@@ -15,7 +15,7 @@ type Core struct {
 // slot returns the core's busy-time accumulator for tag, creating it on
 // first use. Threads resolve their slot once, so the per-Exec accounting is
 // a pointer add rather than a string-keyed map update.
-func (c *Core) slot(tag string) *Duration {
+func (c *core) slot(tag string) *Duration {
 	b := c.busy[tag]
 	if b == nil {
 		b = new(Duration)
@@ -26,11 +26,11 @@ func (c *Core) slot(tag string) *Duration {
 
 // Exec occupies the core for d and accounts the time under tag. The calling
 // process waits FIFO if the core is busy.
-func (c *Core) Exec(p *Proc, tag string, d Duration) {
+func (c *core) Exec(p *Proc, tag string, d Duration) {
 	c.exec(p, c.slot(tag), d)
 }
 
-func (c *Core) exec(p *Proc, busy *Duration, d Duration) {
+func (c *core) exec(p *Proc, busy *Duration, d Duration) {
 	c.res.Acquire()
 	p.Sleep(d)
 	c.res.Release()
@@ -40,7 +40,7 @@ func (c *Core) exec(p *Proc, busy *Duration, d Duration) {
 // CPU is a set of cores with round-robin assignment for thread placement.
 type CPU struct {
 	env   *Env
-	cores []*Core
+	cores []*core
 	next  int
 }
 
@@ -48,7 +48,7 @@ type CPU struct {
 func NewCPU(env *Env, n int) *CPU {
 	c := &CPU{env: env}
 	for i := 0; i < n; i++ {
-		c.cores = append(c.cores, &Core{env: env, ID: i, res: NewResource(env, 1), busy: make(map[string]*Duration)})
+		c.cores = append(c.cores, &core{env: env, ID: i, res: NewResource(env, 1), busy: make(map[string]*Duration)})
 	}
 	return c
 }
@@ -56,11 +56,8 @@ func NewCPU(env *Env, n int) *CPU {
 // NumCores returns the core count.
 func (c *CPU) NumCores() int { return len(c.cores) }
 
-// Core returns core i.
-func (c *CPU) Core(i int) *Core { return c.cores[i] }
-
-// NextCore returns cores round-robin; used to spread threads.
-func (c *CPU) NextCore() *Core {
+// nextCore returns cores round-robin; used to spread threads.
+func (c *CPU) nextCore() *core {
 	core := c.cores[c.next%len(c.cores)]
 	c.next++
 	return core
@@ -132,14 +129,14 @@ func (c *CPU) Since(s CPUSnapshot) CPUUsage {
 // accounting tag. Create threads with NewThread or ThreadOn: they resolve the
 // core's accounting slot for the tag once.
 type Thread struct {
-	Core *Core
+	Core *core
 	Tag  string
 	busy *Duration // Core's accumulator for Tag
 }
 
 // NewThread pins a new thread on the next core round-robin.
 func (c *CPU) NewThread(tag string) *Thread {
-	return newThread(c.NextCore(), tag)
+	return newThread(c.nextCore(), tag)
 }
 
 // ThreadOn pins a thread to a specific core.
@@ -147,7 +144,7 @@ func (c *CPU) ThreadOn(i int, tag string) *Thread {
 	return newThread(c.cores[i], tag)
 }
 
-func newThread(core *Core, tag string) *Thread {
+func newThread(core *core, tag string) *Thread {
 	return &Thread{Core: core, Tag: tag, busy: core.slot(tag)}
 }
 
@@ -251,7 +248,7 @@ func (x *execState) finish() {
 func (t *Thread) Spin(p *Proc, round Duration, poll func(rounds int) Time) (rounds int) {
 	e, res := p.env, t.Core.res
 	armed := 1
-	if !res.TryAcquire() {
+	if !res.tryAcquire() {
 		res.Acquire()
 	} else {
 		armed = e.spinRounds(round, poll(0))

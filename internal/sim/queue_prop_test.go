@@ -392,7 +392,7 @@ func TestQueueCompaction(t *testing.T) {
 	env.Go("watch", func(p *Proc) {
 		for i := 0; i < waiters; i++ {
 			p.Sleep(Microsecond)
-			if d, n := env.QueueDead(), env.QueueLen(); d > n/2+compactMinDead {
+			if d, n := env.q.dead, env.q.size; d > n/2+compactMinDead {
 				t.Errorf("dead events %d exceed half of queue %d without compaction", d, n)
 			}
 		}
@@ -401,7 +401,7 @@ func TestQueueCompaction(t *testing.T) {
 	if done != waiters {
 		t.Fatalf("only %d/%d waiters signaled", done, waiters)
 	}
-	if env.QueueDead() != 0 || env.QueueLen() != 0 {
-		t.Fatalf("residual events: len=%d dead=%d", env.QueueLen(), env.QueueDead())
+	if env.q.dead != 0 || env.q.size != 0 {
+		t.Fatalf("residual events: len=%d dead=%d", env.q.size, env.q.dead)
 	}
 }

@@ -19,44 +19,13 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, cap: capacity}
 }
 
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiters — processes and AcquireFunc
-// callbacks — queued to acquire.
-func (r *Resource) QueueLen() int {
-	n := 0
-	for _, t := range r.q[r.head:] {
-		if !t.fired {
-			n++
-		}
-	}
-	return n
-}
-
-// TryAcquire acquires a unit without blocking, reporting success.
-func (r *Resource) TryAcquire() bool {
+// tryAcquire acquires a unit without blocking, reporting success.
+func (r *Resource) tryAcquire() bool {
 	if r.inUse < r.cap && r.head == len(r.q) {
 		r.inUse++
 		return true
 	}
 	return false
-}
-
-// Acquire blocks the calling process until a unit is available. Units are
-// granted in FIFO order; releases hand ownership directly to the head
-// waiter, so late arrivals cannot barge.
-func (r *Resource) Acquire() {
-	if r.TryAcquire() {
-		return
-	}
-	p := r.env.current()
-	tok := r.env.getTok(p)
-	r.q = enqueue(r.q, &r.head, tok)
-	p.park()
-	// Ownership was transferred by Release; inUse already accounts for us,
-	// and Release popped the token, so it can be recycled.
-	r.env.putTok(tok)
 }
 
 // AcquireFunc is Acquire for code that has no process to park: a component
@@ -67,7 +36,7 @@ func (r *Resource) Acquire() {
 // hand-over instant, already owning the unit. fn runs in scheduler context
 // and must not block.
 func (r *Resource) AcquireFunc(fn func()) bool {
-	if r.TryAcquire() {
+	if r.tryAcquire() {
 		return true
 	}
 	r.q = enqueue(r.q, &r.head, r.env.funcTok(fn, 1))
@@ -101,11 +70,4 @@ func (r *Resource) Release() {
 	r.q = r.q[:0]
 	r.head = 0
 	r.inUse--
-}
-
-// Use acquires a unit, holds it for d, and releases it.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire()
-	p.Sleep(d)
-	r.Release()
 }

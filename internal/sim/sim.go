@@ -82,10 +82,6 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fus", float64(d)/1e3)
 // Seconds returns the duration in seconds as a float.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
-// ErrStopped is the panic value delivered to a parked process when the
-// environment is closed. Process bodies should not recover from it.
-var ErrStopped = errors.New("sim: environment closed")
-
 // Env is a simulation environment: a virtual clock plus a tiered event
 // queue. It is not safe for concurrent use; all access must come from
 // whoever currently holds the run token (the Run caller or the running
@@ -131,35 +127,6 @@ func (e *Env) Now() Time { return e.now }
 // be used from simulated processes (or between Run calls) so that draws
 // happen in a deterministic order.
 func (e *Env) Rand() *rand.Rand { return e.rng }
-
-// Live reports the number of processes that have been spawned and have not
-// yet finished.
-func (e *Env) Live() int { return e.live }
-
-// QueueLen reports the number of queued events, including lazily-cancelled
-// ones not yet reclaimed (see QueueDead).
-func (e *Env) QueueLen() int { return e.q.size }
-
-// Dispatched reports how many events the scheduler has popped since the
-// environment was created (lazily-cancelled ones included): the host-side
-// work a simulation costs, for events-per-operation benchmarks.
-func (e *Env) Dispatched() uint64 { return e.dispatched }
-
-// Switches reports how many times the run token was handed to a process
-// parked on another coroutine — a yield to the trampoline in Run and its
-// next into the target, two runtime coroutine switches. Fused self-resumes
-// (a process whose own wake is the next event keeps running) and callback
-// events cost none and are not counted.
-func (e *Env) Switches() uint64 { return e.switches }
-
-// Spawns reports how many processes Go has started since the environment
-// was created.
-func (e *Env) Spawns() uint64 { return e.spawns }
-
-// QueueDead reports the number of queued events known to be dead: cancelled
-// timeouts and wakes for finished processes. They are skipped at dispatch
-// and compacted away once they exceed half the queue.
-func (e *Env) QueueDead() int { return e.q.dead }
 
 func (e *Env) push(t Time, p *Proc, fn func()) {
 	if t < e.now {

@@ -190,7 +190,7 @@ func TestResourceCapacityParallelism(t *testing.T) {
 	env := New(1)
 	r := NewResource(env, 4)
 	for i := 0; i < 8; i++ {
-		env.Go("u", func(p *Proc) { r.Use(p, 10*Microsecond) })
+		env.Go("u", func(p *Proc) { r.Acquire(); p.Sleep(10 * Microsecond); r.Release() })
 	}
 	if end := env.Run(); end != Time(20*Microsecond) {
 		t.Fatalf("end %v, want 20us (two waves of four)", end)
@@ -235,8 +235,8 @@ func TestResourceAcquireFuncFIFO(t *testing.T) {
 	hold := func(i int) func() {
 		return func() {
 			grant(i)
-			if r.InUse() != 1 {
-				t.Errorf("waiter %d runs with InUse %d", i, r.InUse())
+			if r.inUse != 1 {
+				t.Errorf("waiter %d runs with InUse %d", i, r.inUse)
 			}
 			env.After(Microsecond, r.Release)
 		}
@@ -264,10 +264,10 @@ func TestResourceAcquireFuncFIFO(t *testing.T) {
 		})
 	}
 	env.After(0, func() {
-		if r.QueueLen() != 4 {
-			t.Errorf("QueueLen %d, want 4", r.QueueLen())
+		if queued(r) != 4 {
+			t.Errorf("QueueLen %d, want 4", queued(r))
 		}
-		if r.TryAcquire() {
+		if r.tryAcquire() {
 			t.Error("TryAcquire barged past queued waiters")
 		}
 	})
@@ -279,8 +279,8 @@ func TestResourceAcquireFuncFIFO(t *testing.T) {
 			t.Fatalf("grant order %v at %v", order, at)
 		}
 	}
-	if len(order) != 5 || r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("order %v, InUse %d, QueueLen %d", order, r.InUse(), r.QueueLen())
+	if len(order) != 5 || r.inUse != 0 || queued(r) != 0 {
+		t.Fatalf("order %v, InUse %d, QueueLen %d", order, r.inUse, queued(r))
 	}
 	free := len(env.tokFree)
 	if !r.AcquireFunc(nil) || r.AcquireFunc(func() {}) {
@@ -316,7 +316,7 @@ func TestCoreAccounting(t *testing.T) {
 func TestCoreContentionSerializes(t *testing.T) {
 	env := New(1)
 	cpu := NewCPU(env, 1)
-	core := cpu.Core(0)
+	core := cpu.cores[0]
 	var end1, end2 Time
 	env.Go("a", func(p *Proc) { core.Exec(p, "x", 10*Microsecond); end1 = p.Now() })
 	env.Go("b", func(p *Proc) { core.Exec(p, "y", 10*Microsecond); end2 = p.Now() })
@@ -360,12 +360,12 @@ func TestCloseReleasesParkedProcesses(t *testing.T) {
 	}
 	env.Go("s", func(p *Proc) { p.Sleep(Second) })
 	env.RunUntil(Time(Microsecond))
-	if env.Live() != 4 {
-		t.Fatalf("live %d", env.Live())
+	if env.live != 4 {
+		t.Fatalf("live %d", env.live)
 	}
 	env.Close()
-	if env.Live() != 0 {
-		t.Fatalf("live after close %d", env.Live())
+	if env.live != 0 {
+		t.Fatalf("live after close %d", env.live)
 	}
 }
 
@@ -373,8 +373,8 @@ func TestCloseNeverStartedProcess(t *testing.T) {
 	env := New(1)
 	env.Go("never", func(p *Proc) { t.Error("body must not run") })
 	env.Close()
-	if env.Live() != 0 {
-		t.Fatalf("live %d", env.Live())
+	if env.live != 0 {
+		t.Fatalf("live %d", env.live)
 	}
 }
 
@@ -593,8 +593,8 @@ func TestGoexitInProcessEndsRun(t *testing.T) {
 		t.Fatalf("Run returned=%v after %d ticks; want its goroutine ended by the Goexit at 10 us", returned, ticks)
 	}
 	env.Close()
-	if env.Live() != 0 {
-		t.Fatalf("live after close %d", env.Live())
+	if env.live != 0 {
+		t.Fatalf("live after close %d", env.live)
 	}
 }
 
@@ -613,8 +613,8 @@ func TestClosePooledWorkerNeverStarted(t *testing.T) {
 		t.Fatal("Go did not reuse the pooled worker")
 	}
 	env.Close()
-	if env.Live() != 0 {
-		t.Fatalf("live %d", env.Live())
+	if env.live != 0 {
+		t.Fatalf("live %d", env.live)
 	}
 }
 
@@ -643,8 +643,8 @@ func TestWaiterListStaysBounded(t *testing.T) {
 		})
 	}
 	env.Run()
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("InUse %d, QueueLen %d at the end", r.InUse(), r.QueueLen())
+	if r.inUse != 0 || queued(r) != 0 {
+		t.Fatalf("InUse %d, QueueLen %d at the end", r.inUse, queued(r))
 	}
 	if c := cap(r.q); c > 4*waiters {
 		t.Fatalf("waiter storage grew to %d slots for a backlog of %d over %d acquires", c, waiters-1, waiters*rounds)
@@ -728,9 +728,9 @@ func TestWaitTimeoutFuncMatchesProcess(t *testing.T) {
 		t.Fatalf("%d of %d waits timed out: both outcomes must occur", timedOut, len(procs.log))
 	}
 	pe, fe := procs.env, funcs.env
-	if pe.Dispatched() != fe.Dispatched() || pe.QueueDead() != fe.QueueDead() || pe.QueueLen() != fe.QueueLen() {
+	if pe.Dispatched() != fe.Dispatched() || pe.q.dead != fe.q.dead || pe.q.size != fe.q.size {
 		t.Fatalf("dispatched %d/%d, dead %d/%d, queued %d/%d (processes/continuations)",
-			pe.Dispatched(), fe.Dispatched(), pe.QueueDead(), fe.QueueDead(), pe.QueueLen(), fe.QueueLen())
+			pe.Dispatched(), fe.Dispatched(), pe.q.dead, fe.q.dead, pe.q.size, fe.q.size)
 	}
 	if fe.Switches() != 0 {
 		t.Fatalf("%d hand-offs among continuations", fe.Switches())
@@ -740,4 +740,15 @@ func TestWaitTimeoutFuncMatchesProcess(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { fe.RunUntil(fe.Now().Add(200 * Microsecond)) }); n > 10 {
 		t.Fatalf("%.1f allocations per 200 us of continuation waits, want at most 10", n)
 	}
+}
+
+// queued counts the processes and AcquireFunc callbacks queued on r.
+func queued(r *Resource) int {
+	n := 0
+	for _, t := range r.q[r.head:] {
+		if !t.fired {
+			n++
+		}
+	}
+	return n
 }

@@ -56,7 +56,6 @@ type mdevPort struct {
 	wake        *sim.Cond
 	asleep      bool
 	outstanding int
-	badQIDs     uint64 // guest SetIRQ calls naming an unknown queue
 }
 
 func (p *mdevPort) Namespace() nvme.NamespaceInfo { return p.part.Info() }
@@ -91,8 +90,7 @@ func (p *mdevPort) SetIRQ(qid uint16, fn func()) {
 			return
 		}
 	}
-	// Guest configuration error: count and ignore rather than panic.
-	p.badQIDs++
+	// A guest configuration error is ignored rather than a panic.
 }
 
 // poll is the MDev polling loop: shadow VSQs into host queues with

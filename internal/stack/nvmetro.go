@@ -65,7 +65,7 @@ type function struct {
 type fnKind int
 
 const (
-	fnNone fnKind = iota
+	_ fnKind = iota // the zero value: no storage function
 	fnEncrypt
 	fnEncryptSGX
 	fnReplicate
@@ -274,7 +274,7 @@ func (s *NVMetro) wireFunction(vol *volume) {
 		// own. It borrows the plain encryptor's for the classifier and runs
 		// 1 UIF worker beside the enclave's switchless thread.
 		ring := blockdev.NewURing(env, s.nsBlockDev(part), s.h.Params.URing)
-		enclave, err := sgx.Launch(env, s.h.CPU, f.key, sgx.DefaultCosts())
+		enclave, err := sgx.Launch(env, s.h.CPU, f.key)
 		if err != nil {
 			panic(err)
 		}

@@ -18,8 +18,7 @@ import (
 // which is how QEMU regains throughput at high queue depths in Fig. 3 while
 // remaining the worst performer at low QD and in latency (Fig. 4).
 type QEMU struct {
-	h      *Host
-	lastVM *qemuVM // test observability
+	h *Host
 }
 
 // NewQEMU creates the solution.
@@ -58,7 +57,6 @@ func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 			q.iothread(p, it)
 		})
 	}
-	s.lastVM = q
 	return disk
 }
 
@@ -213,13 +211,9 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 			var sectors []uint64
 			var types []uint32
 			for len(batch) < 32 {
-				head, ok := vq.Ring.PopAvail()
+				r, ok := vq.PopRequest()
 				if !ok {
 					break
-				}
-				r, err := virtio.ParseChain(vq, head)
-				if err != nil {
-					panic(err)
 				}
 				t, sector := r.BlkHeader(vq)
 				batch = append(batch, r)

@@ -12,7 +12,6 @@ import (
 // once (provisioning the image), sealed, and then cloned onto fresh device
 // namespaces — one per tenant — in O(layers) per clone.
 type GoldenImage struct {
-	h      *Host
 	idx    *cow.Index
 	master *cow.Store
 }
@@ -27,7 +26,6 @@ func NewGoldenImage(h *Host, blocks uint64, cacheChunks uint64) *GoldenImage {
 		CacheChunks: cacheChunks,
 	})
 	return &GoldenImage{
-		h:      h,
 		idx:    idx,
 		master: cow.NewStore(idx, blocks, nil),
 	}
@@ -59,9 +57,9 @@ func (g *GoldenImage) BaseCRC() uint32 {
 // ContentCRC fingerprints the master's full logical content.
 func (g *GoldenImage) ContentCRC() uint32 { return g.master.ContentCRC() }
 
-// CloneStore derives one writable CoW store from the image (sealing first
+// cloneStore derives one writable CoW store from the image (sealing first
 // if needed) without attaching it to anything.
-func (g *GoldenImage) CloneStore() *cow.Store { return g.master.Clone() }
+func (g *GoldenImage) cloneStore() *cow.Store { return g.master.Clone() }
 
 // Collect exports the shared index (and cache) counters.
 func (g *GoldenImage) Collect(cs *metrics.CounterSet) { g.idx.Collect(cs) }
@@ -83,7 +81,7 @@ func (s *NVMetro) CloneFrom(v *vm.VM) vm.Disk {
 	if s.spec.golden == nil {
 		panic("stack: CloneFrom without WithSnapshots")
 	}
-	c := s.spec.golden.CloneStore()
+	c := s.spec.golden.cloneStore()
 	dev := s.h.Dev
 	nsid := dev.NextNSID()
 	dev.AddNamespace(nsid, c.Blocks(), c)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvmetro/internal/device"
+	"nvmetro/internal/metrics"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/vm"
@@ -102,7 +103,9 @@ func TestCloneRoundTrip(t *testing.T) {
 		t.Error("golden image changed under tenant writes")
 	}
 	// Cross-tenant sharing visible to the shared cache.
-	if img.Index().Cache().Hits() == 0 {
+	var cs metrics.CounterSet
+	img.Index().Collect(&cs)
+	if cs.Get("cow.cache.hits") == 0 {
 		t.Error("no shared-cache hits across tenants")
 	}
 }

@@ -30,7 +30,6 @@ func NewSPDK(h *Host) *SPDK { return &SPDK{h: h, spin: 500 * sim.Nanosecond} }
 func (s *SPDK) Name() string { return "SPDK" }
 
 type spdkSession struct {
-	v      *vm.VM
 	part   device.Partition
 	queues []*virtio.Queue
 	irqs   map[*virtio.Queue]func()
@@ -43,9 +42,8 @@ type spdkSession struct {
 }
 
 type spdkTag struct {
-	req  virtio.DeviceReq
-	vq   *virtio.Queue
-	read bool
+	req virtio.DeviceReq
+	vq  *virtio.Queue
 }
 
 // Kick is never taken: reactors poll, so the driver's kicks are suppressed.
@@ -60,7 +58,7 @@ func (s *SPDK) SetIRQ(vq *virtio.Queue, fn func()) {
 
 // Provision implements Solution.
 func (s *SPDK) Provision(v *vm.VM, part device.Partition) vm.Disk {
-	sess := &spdkSession{v: v, part: part, irqs: make(map[*virtio.Queue]func())}
+	sess := &spdkSession{part: part, irqs: make(map[*virtio.Queue]func())}
 	// vhost-user maps the guest's memory into the SPDK process; PRP list
 	// pages live in SPDK's own hugepage arena above the mapping.
 	sess.mem = newMappedMem(v.Mem, 64<<20)
@@ -138,15 +136,11 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 				}
 				// New guest submissions.
 				for len(sess.freeCID[qi]) > 0 {
-					head, ok := vq.Ring.PopAvail()
+					r, ok := vq.PopRequest()
 					if !ok {
 						break
 					}
 					did = true
-					r, err := virtio.ParseChain(vq, head)
-					if err != nil {
-						panic(err)
-					}
 					th.Exec(p, par.SPDKParse+par.SPDKNVMe)
 					if !s.submit(sess, qi, vq, r) {
 						s.complete(p, th, sess, vq, r, false)
@@ -222,7 +216,7 @@ func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.Devi
 		}
 		cmd = nvme.NewRW(op, cid, sess.part.NSID, lba, blocks, prp1, prp2)
 	}
-	sess.inflight[qi][cid] = spdkTag{req: r, vq: vq, read: t == virtio.BlkTIn}
+	sess.inflight[qi][cid] = spdkTag{req: r, vq: vq}
 	if !sess.qps[qi].SQ.Push(&cmd) {
 		panic("stack: spdk SQ full with free CIDs available")
 	}

@@ -109,7 +109,7 @@ func TestFioThroughputOrderingQD1(t *testing.T) {
 		if r.Ops < 20 {
 			t.Fatalf("%s: only %d ops completed", name, r.Ops)
 		}
-		iops[name] = r.IOPS()
+		iops[name] = 1e3 * r.KIOPS()
 		t.Logf("%-12s %8.1f kIOPS p50=%5.1fus p99=%5.1fus cpu=%.2f",
 			name, r.KIOPS(), float64(r.Lat.Median())/1e3, float64(r.Lat.P99())/1e3, r.CPUCores)
 	}
@@ -157,8 +157,8 @@ func TestFioHighQDThroughput(t *testing.T) {
 		}
 		// Device saturates around 615k IOPS; polling stacks should get
 		// most of it with 4 jobs at QD128.
-		if r.IOPS() < 350e3 {
-			t.Errorf("%s: %.0f IOPS at QD128/4jobs, expected near device saturation", name, r.IOPS())
+		if 1e3*r.KIOPS() < 350e3 {
+			t.Errorf("%s: %.0f IOPS at QD128/4jobs, expected near device saturation", name, 1e3*r.KIOPS())
 		}
 		t.Logf("%-12s %8.1f kIOPS cpu=%.2f", name, r.KIOPS(), r.CPUCores)
 	}
@@ -185,8 +185,8 @@ func TestQEMUMergingHelpsSequential(t *testing.T) {
 	nvmetro := runFio(t, allSolutions["NVMetro"], cfg, 1)
 	t.Logf("QEMU %.1f kIOPS vs NVMetro %.1f kIOPS", qemu.KIOPS(), nvmetro.KIOPS())
 	// Fig. 3: QEMU overtakes NVMetro at 16K/QD128/1 job (19-32%).
-	if qemu.IOPS() < nvmetro.IOPS()*1.05 {
-		t.Errorf("QEMU (%.0f) should beat NVMetro (%.0f) at 16K/QD128/1job", qemu.IOPS(), nvmetro.IOPS())
+	if 1e3*qemu.KIOPS() < 1e3*nvmetro.KIOPS()*1.05 {
+		t.Errorf("QEMU (%.0f) should beat NVMetro (%.0f) at 16K/QD128/1job", 1e3*qemu.KIOPS(), 1e3*nvmetro.KIOPS())
 	}
 }
 
@@ -211,7 +211,7 @@ func TestNVMetroScalabilityWithSharedWorker(t *testing.T) {
 		if r.Errors > 0 {
 			t.Fatalf("errors with %d VMs: %d", nvms, r.Errors)
 		}
-		return r.IOPS()
+		return 1e3 * r.KIOPS()
 	}
 	one := run(1)
 	four := run(4)
@@ -238,16 +238,13 @@ func TestWithQoSAfterProvision(t *testing.T) {
 	v1 := h.NewVM(1, 16<<20)
 	sol.Provision(v1, parts[0])
 	sol.WithQoS(qos.Config{})
-	if sol.Router().QoS() == nil {
-		t.Fatal("WithQoS after Provision left the shared router without an arbiter")
-	}
-	if n := len(sol.Router().QoS().Tenants()); n != 1 {
+	if n := len(sol.Router().QoSSnapshot(env.Now())); n != 1 {
 		t.Fatalf("tenants = %d, want 1 (already-provisioned VM must register)", n)
 	}
 	sol.SetQoS(v1, qos.TenantConfig{Weight: 2}) // must not panic
 	v2 := h.NewVM(1, 16<<20)
 	sol.Provision(v2, parts[1])
-	if n := len(sol.Router().QoS().Tenants()); n != 2 {
+	if n := len(sol.Router().QoSSnapshot(env.Now())); n != 2 {
 		t.Fatalf("tenants = %d, want 2 after provisioning another VM", n)
 	}
 
@@ -260,7 +257,7 @@ func TestWithQoSAfterProvision(t *testing.T) {
 	v3 := h2.NewVM(1, 16<<20)
 	solo.Provision(v3, device.WholeNamespace(h2.Dev, 1))
 	solo.WithQoS(qos.Config{})
-	if solo.ControllerFor(v3).Tenant() == nil {
+	if len(solo.ControllerFor(v3).Router().QoSSnapshot(env2.Now())) != 1 {
 		t.Fatal("per-VM router tenant not registered by late WithQoS")
 	}
 	solo.SetQoS(v3, qos.TenantConfig{IOPS: 1000}) // must not panic

@@ -63,7 +63,7 @@ func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
 		bdev = blockdev.NewNVMeBlockDev(s.h.Env, part, s.h.CPU, s.h.guestCores, s.h.Params.Block)
 	}
 	w := &vhostVM{
-		h: s.h, v: v, bdev: bdev,
+		h: s.h, bdev: bdev,
 		wake: sim.NewCond(s.h.Env),
 		irqs: make(map[*virtio.Queue]func()),
 	}
@@ -79,7 +79,6 @@ func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
 
 type vhostVM struct {
 	h      *Host
-	v      *vm.VM
 	bdev   blockdev.BlockDevice
 	queues []*virtio.Queue
 	wake   *sim.Cond
@@ -141,15 +140,11 @@ func (w *vhostVM) worker(p *sim.Proc, th *sim.Thread) {
 		// Service new requests.
 		for _, vq := range w.queues {
 			for {
-				head, ok := vq.Ring.PopAvail()
+				r, ok := vq.PopRequest()
 				if !ok {
 					break
 				}
 				did = true
-				r, err := virtio.ParseChain(vq, head)
-				if err != nil {
-					panic(err)
-				}
 				th.Exec(p, par.VhostParse)
 				cmd, err := virtio.ParseSCSICDB(vq.Mem, r.HdrAddr)
 				if err != nil {

@@ -1,0 +1,5 @@
+package storfn
+
+// StateResyncing is the mirror state while a resync pass copies dirty
+// regions.
+const StateResyncing = stateResyncing

@@ -84,11 +84,12 @@ passthru:
 ` + exitSrc
 
 // QoSClassClassifier returns the class-tagging partition classifier plus
-// its live maps: the partition config and the per-opcode class policy map
-// (see core.NewQoSClassMap / core.SetOpcodeClass).
+// its live maps: the partition config and the per-opcode class policy map,
+// whose entry index is the NVMe opcode and whose first value byte is the
+// qos.Class to tag (zero, ClassDefault, until the control plane writes one).
 func QoSClassClassifier(part device.Partition) (*ebpf.Program, *ebpf.ArrayMap, *ebpf.ArrayMap) {
 	cfg := core.NewPartitionConfigMap(part)
-	class := core.NewQoSClassMap()
+	class := ebpf.NewArrayMap(8, 256)
 	prog := ebpf.MustAssemble(qosClassSrc, "qosclass", map[string]ebpf.Map{"cfg": cfg, "class": class}, nil)
 	return prog, cfg, class
 }

@@ -22,7 +22,7 @@ type MirrorState int
 const (
 	StateInSync MirrorState = iota
 	StateDegraded
-	StateResyncing
+	stateResyncing
 )
 
 func (s MirrorState) String() string {
@@ -31,7 +31,7 @@ func (s MirrorState) String() string {
 		return "InSync"
 	case StateDegraded:
 		return "Degraded"
-	case StateResyncing:
+	case stateResyncing:
 		return "Resyncing"
 	}
 	return fmt.Sprintf("MirrorState(%d)", int(s))
@@ -87,7 +87,6 @@ func (c ResyncConfig) validate() error {
 // chunk and drops the state machine back to Degraded: no range is ever
 // lost, and the next trigger resumes where the failed pass stopped.
 type Resyncer struct {
-	env   *sim.Env
 	rep   *Replicator
 	legs  *MirrorLegs
 	cfg   ResyncConfig
@@ -141,7 +140,7 @@ func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, at
 		return nil, err
 	}
 	rs := &Resyncer{
-		env: env, rep: rep, legs: NewMirrorLegs(env, primary, att, th, blockShift),
+		rep: rep, legs: NewMirrorLegs(env, primary, att, th, blockShift),
 		cfg: cfg, shift: blockShift,
 		kick:     sim.NewCond(env),
 		lastFill: env.Now(),
@@ -160,9 +159,6 @@ func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, at
 // State returns the mirror-consistency state.
 func (rs *Resyncer) State() MirrorState { return rs.state }
 
-// Config returns the active resync policy.
-func (rs *Resyncer) Config() ResyncConfig { return rs.cfg }
-
 // setState applies a transition and counts it.
 func (rs *Resyncer) setState(s MirrorState) {
 	if rs.state == s {
@@ -172,24 +168,24 @@ func (rs *Resyncer) setState(s MirrorState) {
 	switch s {
 	case StateDegraded:
 		rs.ToDegraded++
-	case StateResyncing:
+	case stateResyncing:
 		rs.ToResyncing++
 	case StateInSync:
 		rs.ToInSync++
 	}
 }
 
-// SetAttachment repoints the secondary leg at a new uif attachment
+// setAttachment repoints the secondary leg at a new uif attachment
 // generation — the supervisor calls this when it promotes a restarted
 // UIF; the dead generation's ring is never touched again.
-func (rs *Resyncer) SetAttachment(att *uif.Attachment) { rs.legs.Secondary = att }
+func (rs *Resyncer) setAttachment(att *uif.Attachment) { rs.legs.Secondary = att }
 
 // Trigger starts a resync pass if the mirror is degraded; it is a no-op
 // when already in sync. A trigger landing while a pass is running is
 // remembered and replayed if that pass aborts. Safe from both process
 // and callback context.
 func (rs *Resyncer) Trigger() {
-	if rs.state == StateResyncing {
+	if rs.state == stateResyncing {
 		rs.retrigger = true
 		return
 	}
@@ -197,7 +193,7 @@ func (rs *Resyncer) Trigger() {
 		return
 	}
 	rs.Triggers++
-	rs.setState(StateResyncing)
+	rs.setState(stateResyncing)
 	rs.kick.Signal(nil)
 }
 
@@ -226,7 +222,7 @@ func (rs *Resyncer) noteSecondaryFailure(lba, blocks uint64) {
 	switch rs.state {
 	case StateInSync:
 		rs.setState(StateDegraded)
-	case StateResyncing:
+	case stateResyncing:
 		if rs.winOpen && lba < rs.winEnd && lba+blocks > rs.winLBA {
 			rs.winDirtied = true
 		}
@@ -238,7 +234,7 @@ func (rs *Resyncer) noteSecondaryFailure(lba, blocks uint64) {
 // flight was read before this write and may overwrite it on the
 // secondary, so the overlap is re-dirtied and copied again later.
 func (rs *Resyncer) noteGuestWrite(lba, blocks uint64) {
-	if rs.state != StateResyncing || !rs.winOpen {
+	if rs.state != stateResyncing || !rs.winOpen {
 		return
 	}
 	lo, hi := lba, lba+blocks
@@ -259,7 +255,7 @@ func (rs *Resyncer) noteGuestWrite(lba, blocks uint64) {
 // run is the background worker: park until triggered, then drain.
 func (rs *Resyncer) run(p *sim.Proc) {
 	for {
-		for rs.state != StateResyncing {
+		for rs.state != stateResyncing {
 			rs.kick.Wait()
 		}
 		rs.pass(p)

@@ -16,12 +16,12 @@ import (
 // The types implement supervise.Function structurally; see DESIGN.md's
 // failure-model matrix for the per-function argument.
 
-// FailStopClassifier returns a classifier that completes every command
+// failStopClassifier returns a classifier that completes every command
 // immediately with st — the degraded policy for functions with no safe
 // fast-path bypass (encryption: routing guest writes around the encryptor
 // would persist plaintext). st should be retryable (SCNSNotReady) so
 // guests back off and retry instead of failing I/O permanently.
-func FailStopClassifier(st nvme.Status) *ebpf.Program {
+func failStopClassifier(st nvme.Status) *ebpf.Program {
 	return ebpf.NewBuilder().
 		MovImm64(ebpf.R0, core.ActComplete|uint64(st)).
 		Exit().
@@ -181,7 +181,7 @@ func (s *ReplicatorSupervision) Promote(vc *core.Controller, att *uif.Attachment
 		panic(err)
 	}
 	if s.rs != nil {
-		s.rs.SetAttachment(att)
+		s.rs.setAttachment(att)
 		s.rs.Trigger()
 	}
 }
@@ -196,16 +196,12 @@ type EncryptorSupervision struct {
 	part  device.Partition
 	key   []byte
 	costs EncryptorCosts
-	enc   *Encryptor
 }
 
 // NewEncryptorSupervision builds the policy; key is retained for rebuilds.
 func NewEncryptorSupervision(part device.Partition, key []byte, costs EncryptorCosts) *EncryptorSupervision {
 	return &EncryptorSupervision{part: part, key: append([]byte(nil), key...), costs: costs}
 }
-
-// Encryptor returns the current encryptor generation.
-func (s *EncryptorSupervision) Encryptor() *Encryptor { return s.enc }
 
 // Name implements supervise.Function.
 func (s *EncryptorSupervision) Name() string { return "encryptor" }
@@ -218,7 +214,7 @@ func (s *EncryptorSupervision) Reconcile(nvme.Command) core.ReconcileDecision {
 
 // Degrade installs the fail-stop classifier.
 func (s *EncryptorSupervision) Degrade(vc *core.Controller) {
-	if err := vc.LoadClassifier(FailStopClassifier(nvme.SCNSNotReady)); err != nil {
+	if err := vc.LoadClassifier(failStopClassifier(nvme.SCNSNotReady)); err != nil {
 		panic(err)
 	}
 }
@@ -229,7 +225,6 @@ func (s *EncryptorSupervision) Rebuild() uif.Handler {
 	if err != nil {
 		panic(err)
 	}
-	s.enc = enc
 	return enc
 }
 

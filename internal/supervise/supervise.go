@@ -208,9 +208,6 @@ func (s *Supervisor) Attachment() *uif.Attachment { return s.att }
 // State returns the supervisor's lifecycle state.
 func (s *Supervisor) State() State { return s.state }
 
-// ConsecutiveFailures returns the current backoff ladder position.
-func (s *Supervisor) ConsecutiveFailures() int { return s.consecFails }
-
 // SetFaultInjector arms inj on the current attachment and every restarted
 // generation — the per-attachment UIFCrash/UIFWedge site.
 func (s *Supervisor) SetFaultInjector(inj *fault.Injector) {
@@ -323,9 +320,9 @@ func (s *Supervisor) promote() {
 	s.lastChange = now
 }
 
-// DegradedTime returns accumulated time off the routed path, including
+// degradedTime returns accumulated time off the routed path, including
 // the currently open degradation window.
-func (s *Supervisor) DegradedTime() sim.Duration {
+func (s *Supervisor) degradedTime() sim.Duration {
 	d := sim.Duration(s.DegradedNanos)
 	if s.state != StateRouted {
 		d += s.env.Now().Sub(s.degradedAt)
@@ -343,11 +340,11 @@ func (s *Supervisor) Collect(cs *metrics.CounterSet) {
 	cs.Add(p+"reconciled_err", s.ReconciledErr)
 	cs.Add(p+"requeued", s.Requeued)
 	cs.Add(p+"restarts", s.Restarts)
-	cs.Add(p+"degraded_us", uint64(s.DegradedTime()/sim.Microsecond))
+	cs.Add(p+"degraded_us", uint64(s.degradedTime()/sim.Microsecond))
 }
 
 // String renders the supervisor's state for control-plane dumps.
 func (s *Supervisor) String() string {
 	return fmt.Sprintf("sup{%s %v fails=%d detections=%d restarts=%d degraded=%v}",
-		s.fn.Name(), s.state, s.consecFails, s.Detections, s.Restarts, s.DegradedTime())
+		s.fn.Name(), s.state, s.consecFails, s.Detections, s.Restarts, s.degradedTime())
 }

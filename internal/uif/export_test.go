@@ -6,3 +6,6 @@ func PoisonReleased(on bool) (was bool) {
 	was, poisonReleased = poisonReleased, on
 	return was
 }
+
+// Healthy reports whether the attachment's poll loop is alive and serving.
+func (att *Attachment) Healthy() bool { return att.state == attHealthy }

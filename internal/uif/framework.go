@@ -62,27 +62,27 @@ type Request struct {
 	bufArr [2][]byte
 }
 
-// AttState is the liveness state of one attachment's servicing.
-type AttState int
+// attState is the liveness state of one attachment's servicing.
+type attState int
 
 // Attachment liveness states.
 const (
-	// AttHealthy: the poll loop services this attachment normally.
-	AttHealthy AttState = iota
-	// AttWedged: the poll loop is stalled — alive but making no progress.
-	AttWedged
-	// AttDead: the poll loop died; all in-process state is lost and the
+	// attHealthy: the poll loop services this attachment normally.
+	attHealthy attState = iota
+	// attWedged: the poll loop is stalled — alive but making no progress.
+	attWedged
+	// attDead: the poll loop died; all in-process state is lost and the
 	// attachment never services anything again. Terminal.
-	AttDead
+	attDead
 )
 
-func (s AttState) String() string {
+func (s attState) String() string {
 	switch s {
-	case AttHealthy:
+	case attHealthy:
 		return "healthy"
-	case AttWedged:
+	case attWedged:
 		return "wedged"
-	case AttDead:
+	case attDead:
 		return "dead"
 	}
 	return fmt.Sprintf("AttState(%d)", int(s))
@@ -103,7 +103,7 @@ type Attachment struct {
 	bufs        bufpool.Pool // request payload buffers (Request.Buffer)
 
 	inj          *fault.Injector
-	state        AttState
+	state        attState
 	wedgeUntil   sim.Time
 	wedgeForever bool
 
@@ -258,9 +258,9 @@ func (s *spinner) poll(rounds int) sim.Time {
 	now, until := f.env.Now(), s.parkAt
 	for _, att := range f.atts {
 		switch att.state {
-		case AttDead:
+		case attDead:
 			continue
-		case AttWedged:
+		case attWedged:
 			if att.wedgeForever {
 				continue
 			}
@@ -281,13 +281,13 @@ func (s *spinner) poll(rounds int) sim.Time {
 // sweep services one attachment once, reporting whether any work was found.
 func (f *Framework) sweep(p *sim.Proc, th *sim.Thread, att *Attachment) bool {
 	switch att.state {
-	case AttDead:
+	case attDead:
 		return false
-	case AttWedged:
+	case attWedged:
 		if att.wedgeForever || f.env.Now() < att.wedgeUntil {
 			return false
 		}
-		att.state = AttHealthy
+		att.state = attHealthy
 	}
 	did := false
 
@@ -373,7 +373,7 @@ func (f *Framework) sweep(p *sim.Proc, th *sim.Thread, att *Attachment) bool {
 // rule a handler must keep is that nothing it started still reads or writes
 // a request buffer once it completes the request.
 func (att *Attachment) complete(p *sim.Proc, th *sim.Thread, req *Request, st nvme.Status) {
-	if att.state == AttDead {
+	if att.state == attDead {
 		// A dead process posts nothing; the router's reconciliation owns
 		// the command. Its buffers die with it: backend I/O it left in
 		// flight may still land in them.
@@ -400,9 +400,6 @@ func (att *Attachment) complete(p *sim.Proc, th *sim.Thread, req *Request, st nv
 // that switch it on catch. Set from _test.go only.
 var poisonReleased bool
 
-// State returns the attachment's liveness state.
-func (att *Attachment) State() AttState { return att.state }
-
 // Progress returns a counter that advances whenever the poll loop services
 // anything for this attachment — the watchdog's heartbeat signal. It is
 // observed externally; a dead or wedged loop cannot fake it.
@@ -412,9 +409,6 @@ func (att *Attachment) Progress() uint64 { return att.progress }
 // fault site (UIFCrash/UIFWedge rules). nil disarms.
 func (att *Attachment) SetFaultInjector(inj *fault.Injector) { att.inj = inj }
 
-// FaultInjector returns the armed injector (nil when disarmed).
-func (att *Attachment) FaultInjector() *fault.Injector { return att.inj }
-
 // Kill terminates the attachment's servicing as a process death would:
 // state is lost, queued work is abandoned, and nothing is ever serviced
 // or completed again. Host-side backend waits (SubmitBackendIO) fail with
@@ -422,10 +416,10 @@ func (att *Attachment) FaultInjector() *fault.Injector { return att.inj }
 // guest-request waits are dropped — the router's reconciliation decides
 // their fate. Safe from any simulation context; idempotent.
 func (att *Attachment) Kill() {
-	if att.state == AttDead {
+	if att.state == attDead {
 		return
 	}
-	att.state = AttDead
+	att.state = attDead
 	var fail []func(p *sim.Proc, th *sim.Thread, st nvme.Status)
 	for _, b := range att.backlog {
 		if b.andThen != nil {
@@ -457,10 +451,10 @@ func (att *Attachment) Kill() {
 // process is alive — in-flight state is kept — but nothing moves until
 // the stall expires. No-op on a dead attachment.
 func (att *Attachment) Wedge(d sim.Duration) {
-	if att.state == AttDead {
+	if att.state == attDead {
 		return
 	}
-	att.state = AttWedged
+	att.state = attWedged
 	if d > 0 {
 		att.wedgeUntil = att.f.env.Now().Add(d)
 		att.wedgeForever = false
@@ -470,14 +464,11 @@ func (att *Attachment) Wedge(d sim.Duration) {
 	}
 }
 
-// VMID identifies the VM this attachment serves.
-func (att *Attachment) VMID() int { return att.nq.VMID() }
-
 // Defer queues fn to run on a polling thread; safe from callback contexts.
 // Work deferred to a dead attachment is silently dropped — the process it
 // would have run in no longer exists.
 func (att *Attachment) Defer(fn func(p *sim.Proc, th *sim.Thread)) {
-	if att.state == AttDead {
+	if att.state == attDead {
 		return
 	}
 	att.deferred = append(att.deferred, fn)
@@ -501,7 +492,7 @@ func (att *Attachment) submitRing(p *sim.Proc, th *sim.Thread, op blockdev.BioOp
 // runs from scheduler context with nil p/th and SCPathError. Callers must
 // therefore not touch p/th on a non-OK status.
 func (att *Attachment) SubmitBackendIO(op blockdev.BioOp, sector uint64, data []byte, andThen func(p *sim.Proc, th *sim.Thread, st nvme.Status)) {
-	if att.state == AttDead {
+	if att.state == attDead {
 		if andThen != nil {
 			att.f.env.After(0, func() { andThen(nil, nil, nvme.SCPathError) })
 		}
@@ -517,14 +508,8 @@ func (att *Attachment) SubmitBackendIO(op blockdev.BioOp, sector uint64, data []
 // callback contexts.
 func (r *Request) Attachment() *Attachment { return r.att }
 
-// BlockShift returns log2 of the device block size.
-func (r *Request) BlockShift() uint8 { return r.att.shift }
-
 // NBytes returns the request's transfer size.
 func (r *Request) NBytes() uint32 { return r.Cmd.Blocks() << r.att.shift }
-
-// LBA returns the (mediated, device-absolute) starting LBA.
-func (r *Request) LBA() uint64 { return r.Cmd.SLBA() }
 
 // Sector returns the starting 512-byte sector for backend io_uring I/O.
 func (r *Request) Sector() uint64 { return r.Cmd.SLBA() << r.att.shift / blockdev.SectorSize }

@@ -143,11 +143,11 @@ func TestFrameworkAdaptivePollingParks(t *testing.T) {
 	}
 }
 
-// multiHandler records which VM each event came from.
-type multiHandler struct{ events map[int]int }
+// multiHandler records which attachment each event came from.
+type multiHandler struct{ events map[*uif.Attachment]int }
 
 func (m *multiHandler) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
-	m.events[req.Attachment().VMID()]++
+	m.events[req.Attachment()]++
 	return false, nvme.SCSuccess
 }
 
@@ -161,7 +161,7 @@ func TestFrameworkServesMultipleVMs(t *testing.T) {
 	dev := device.New(env, p, device.NullStore{})
 	router := core.NewRouter(env, core.DefaultRouterCosts(), []*sim.Thread{cpu.ThreadOn(8, "router")})
 	fw := uif.NewFramework(env, uif.DefaultCosts(), []*sim.Thread{cpu.ThreadOn(9, "uif")})
-	h := &multiHandler{events: map[int]int{}}
+	h := &multiHandler{events: map[*uif.Attachment]int{}}
 
 	type ep struct {
 		vc *core.Controller

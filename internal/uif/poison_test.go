@@ -154,7 +154,7 @@ func TestPoisonedBuffersStorageFunctions(t *testing.T) {
 				midway = func() { vol.Supervisor.Attachment().Kill() }
 			}
 			verifyWorkload(t, sys, vol, midway)
-			if spec.Supervise != nil && vol.Supervisor.Attachment().State() != uif.AttHealthy {
+			if spec.Supervise != nil && !vol.Supervisor.Attachment().Healthy() {
 				t.Errorf("the killed UIF was not restarted: %s", vol.Supervisor)
 			}
 			if spec.Replicate != nil && spec.Supervise == nil {

@@ -157,7 +157,7 @@ func TestPollNeverMissesWork(t *testing.T) {
 						p.Sleep(until.Sub(p.Now()))
 					}
 					for _, att := range b.atts {
-						if att.state == AttWedged && att.wedgeUntil == until && p.Now() == until {
+						if att.state == attWedged && att.wedgeUntil == until && p.Now() == until {
 							if sp.poll(0) > until {
 								t.Errorf("seed %d: the wedge ran out at %v and poll still says %v", seed, until, sp.poll(0))
 							}

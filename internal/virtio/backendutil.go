@@ -15,14 +15,21 @@ type DeviceReq struct {
 	StatusAddr uint64
 }
 
-// ParseChain walks a chain popped from the avail ring into its parts.
-func ParseChain(q *Queue, head uint16) (DeviceReq, error) {
-	chain, err := q.Ring.ReadChain(head)
+// parseChain walks a chain popped from the avail ring into its parts. The
+// chain comes from guest memory: besides ReadChain's checks, every buffer
+// must lie inside guest memory.
+func parseChain(q *Queue, head uint16) (DeviceReq, error) {
+	chain, err := q.Ring.readChain(head)
 	if err != nil {
 		return DeviceReq{}, err
 	}
 	if len(chain) < 2 {
 		return DeviceReq{}, fmt.Errorf("virtio: chain too short (%d)", len(chain))
+	}
+	for _, d := range chain {
+		if end := d.Addr + uint64(d.Len); end < d.Addr || end > q.Mem.Size() {
+			return DeviceReq{}, fmt.Errorf("virtio: buffer [%#x, +%d) outside guest memory", d.Addr, d.Len)
+		}
 	}
 	r := DeviceReq{
 		Head:       head,
@@ -32,6 +39,30 @@ func ParseChain(q *Queue, head uint16) (DeviceReq, error) {
 	}
 	r.Data = chain[1 : len(chain)-1]
 	return r, nil
+}
+
+// PopRequest pops the next available chain and parses it (device side); ok
+// is false once the avail ring is empty. A chain the guest built badly — a
+// head or Next past the queue, an unreadable descriptor, a loop, a buffer
+// outside guest memory, too few descriptors — is no request: it counts in
+// GuestErrors and, when its head names a descriptor, goes back to the used
+// ring with nothing written, so the guest's slot is neither leaked nor left
+// hanging.
+func (q *Queue) PopRequest() (DeviceReq, bool) {
+	for {
+		head, ok := q.Ring.popAvail()
+		if !ok {
+			return DeviceReq{}, false
+		}
+		r, err := parseChain(q, head)
+		if err == nil {
+			return r, true
+		}
+		q.GuestErrors++
+		if head < q.Ring.Size() {
+			q.Ring.pushUsed(head, 0)
+		}
+	}
 }
 
 // BlkHeader decodes the virtio-blk header (type + sector).
@@ -82,5 +113,5 @@ func (r *DeviceReq) WriteData(q *Queue, buf []byte) {
 // The caller is responsible for the completion notification (IRQ).
 func (r *DeviceReq) Complete(q *Queue, status byte) {
 	q.Mem.WriteAt([]byte{status}, r.StatusAddr)
-	q.Ring.PushUsed(r.Head, uint32(r.DataLen())+1)
+	q.Ring.pushUsed(r.Head, uint32(r.DataLen())+1)
 }

@@ -24,6 +24,10 @@ type Queue struct {
 	VMID  int
 	Ring  *Vring
 	Mem   *guestmem.Memory
+
+	// GuestErrors counts chains the device side refused as malformed (see
+	// PopRequest).
+	GuestErrors uint64
 }
 
 // Transport is how the driver reaches its backend: notification (kick) and
@@ -73,7 +77,7 @@ type driverBase struct {
 	qs     map[*sim.Thread]*queueState
 	order  []*queueState
 	info   nvme.NamespaceInfo
-	encode func(s *slot, r *vm.Req, bufs []Buffer) []Buffer
+	encode func(s *slot, r *vm.Req, bufs []buffer) []buffer
 	status func(st *queueState, s *slot) nvme.Status
 }
 
@@ -85,7 +89,7 @@ func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16,
 	for i := 0; i < v.NumVCPUs(); i++ {
 		vcpu := v.VCPU(i)
 		st := &queueState{
-			q:       &Queue{Index: i, VMID: vmid, Ring: NewVring(v.Mem, queueSize), Mem: v.Mem},
+			q:       &Queue{Index: i, VMID: vmid, Ring: newVring(v.Mem, queueSize), Mem: v.Mem},
 			vcpu:    vcpu,
 			byHead:  make(map[uint16]int),
 			slotCnd: sim.NewCond(v.Env),
@@ -128,7 +132,7 @@ type submission struct {
 	st     *queueState
 	vcpu   *sim.Thread
 	si     int      // the request's slot, once it has one
-	bufs   []Buffer // its descriptor chain, once encoded
+	bufs   []buffer // its descriptor chain, once encoded
 	notify func()   // the transport's side of the kick
 	then   func()
 
@@ -172,7 +176,7 @@ func (s *submission) slot() {
 
 func (s *submission) chain() {
 	st := s.st
-	head, ok := st.q.Ring.AddChain(s.bufs)
+	head, ok := st.q.Ring.addChain(s.bufs)
 	if !ok {
 		st.slotCnd.WaitFunc(s.addChain)
 		return
@@ -203,7 +207,7 @@ func (st *queueState) irqWait() { st.irqCnd.WaitFunc(st.entry) }
 func (st *queueState) irqEntry() { st.vcpu.ExecFunc(st.d.v.Costs.GuestIRQ, st.drain) }
 
 func (st *queueState) irqDrain() {
-	head, ok := st.q.Ring.PopUsed()
+	head, ok := st.q.Ring.popUsed()
 	if !ok {
 		st.irqWait()
 		return
@@ -215,7 +219,10 @@ func (st *queueState) irqDrain() {
 func (st *queueState) irqComplete() {
 	si, ok := st.byHead[st.head]
 	if !ok {
-		panic("virtio: used element for unknown head")
+		// A chain this driver never posted (a guest that writes its own
+		// avail entries): the device returned it, nothing waits on it.
+		st.irqDrain()
+		return
 	}
 	delete(st.byHead, st.head)
 	s := &st.slots[si]
@@ -251,7 +258,7 @@ func NewBlkDisk(v *vm.VM, tr Transport, info nvme.NamespaceInfo, queueSize uint1
 	return d
 }
 
-func (d *BlkDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
+func (d *BlkDisk) encodeReq(s *slot, r *vm.Req, bufs []buffer) []buffer {
 	var hdr [16]byte
 	t := BlkTIn
 	switch r.Op {
@@ -267,7 +274,7 @@ func (d *BlkDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 	binary.LittleEndian.PutUint64(hdr[8:16], sector)
 	d.v.Mem.WriteAt(hdr[:], s.hdrAddr)
 
-	bufs = append(bufs, Buffer{Addr: s.hdrAddr, Len: 16})
+	bufs = append(bufs, buffer{Addr: s.hdrAddr, Len: 16})
 	switch r.Op {
 	case vm.OpRead, vm.OpWrite:
 		nbytes := r.Bytes(d.info.BlockSize())
@@ -277,7 +284,7 @@ func (d *BlkDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 			if rem < l {
 				l = rem
 			}
-			bufs = append(bufs, Buffer{Addr: pg, Len: l, DevWrit: r.Op == vm.OpRead})
+			bufs = append(bufs, buffer{Addr: pg, Len: l, DevWrit: r.Op == vm.OpRead})
 			rem -= l
 			if rem == 0 {
 				break
@@ -289,9 +296,9 @@ func (d *BlkDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 		binary.LittleEndian.PutUint64(seg[0:8], sector)
 		binary.LittleEndian.PutUint32(seg[8:12], r.Blocks*d.info.BlockSize()/512)
 		d.v.Mem.WriteAt(seg[:], s.hdrAddr+16)
-		bufs = append(bufs, Buffer{Addr: s.hdrAddr + 16, Len: 16})
+		bufs = append(bufs, buffer{Addr: s.hdrAddr + 16, Len: 16})
 	}
-	return append(bufs, Buffer{Addr: s.statusAddr, Len: 1, DevWrit: true})
+	return append(bufs, buffer{Addr: s.statusAddr, Len: 1, DevWrit: true})
 }
 
 func (d *BlkDisk) readStatus(st *queueState, s *slot) nvme.Status {
@@ -324,7 +331,7 @@ func NewSCSIDisk(v *vm.VM, tr Transport, info nvme.NamespaceInfo, queueSize uint
 	return d
 }
 
-func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
+func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req, bufs []buffer) []buffer {
 	var cdb scsi.CDB
 	lba := r.LBA * uint64(d.info.BlockSize()) / 512
 	blocks := r.Blocks * d.info.BlockSize() / 512
@@ -343,7 +350,7 @@ func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 	hdr[30] = uint8(len(cdb))
 	d.v.Mem.WriteAt(hdr[:], s.hdrAddr)
 
-	bufs = append(bufs, Buffer{Addr: s.hdrAddr, Len: scsiHdrSize})
+	bufs = append(bufs, buffer{Addr: s.hdrAddr, Len: scsiHdrSize})
 	if r.Op == vm.OpRead || r.Op == vm.OpWrite {
 		nbytes := r.Bytes(d.info.BlockSize())
 		rem := nbytes
@@ -352,14 +359,14 @@ func (d *SCSIDisk) encodeReq(s *slot, r *vm.Req, bufs []Buffer) []Buffer {
 			if rem < l {
 				l = rem
 			}
-			bufs = append(bufs, Buffer{Addr: pg, Len: l, DevWrit: r.Op == vm.OpRead})
+			bufs = append(bufs, buffer{Addr: pg, Len: l, DevWrit: r.Op == vm.OpRead})
 			rem -= l
 			if rem == 0 {
 				break
 			}
 		}
 	}
-	return append(bufs, Buffer{Addr: s.statusAddr, Len: 1, DevWrit: true})
+	return append(bufs, buffer{Addr: s.statusAddr, Len: 1, DevWrit: true})
 }
 
 func (d *SCSIDisk) readStatus(st *queueState, s *slot) nvme.Status {

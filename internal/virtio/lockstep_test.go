@@ -31,10 +31,10 @@ func (d *driverBase) refSubmit(p *sim.Proc, vcpu *sim.Thread, r *vm.Req) {
 	s := &st.slots[si]
 	s.req = r
 	bufs := d.encode(s, r, nil)
-	head, ok := st.q.Ring.AddChain(bufs)
+	head, ok := st.q.Ring.addChain(bufs)
 	for !ok {
 		st.slotCnd.Wait()
-		head, ok = st.q.Ring.AddChain(bufs)
+		head, ok = st.q.Ring.addChain(bufs)
 	}
 	st.byHead[head] = si
 	if !st.q.Ring.SuppressKick {
@@ -77,11 +77,11 @@ func (b *lockBackend) serve(p *sim.Proc, q *Queue) {
 	var pending []DeviceReq
 	for {
 		for {
-			head, ok := q.Ring.PopAvail()
+			head, ok := q.Ring.popAvail()
 			if !ok {
 				break
 			}
-			r, err := ParseChain(q, head)
+			r, err := parseChain(q, head)
 			if err != nil {
 				panic(err)
 			}

@@ -10,14 +10,14 @@ import (
 
 func newRing(size uint16) (*Vring, *guestmem.Memory) {
 	mem := guestmem.New(8 << 20)
-	return NewVring(mem, size), mem
+	return newVring(mem, size), mem
 }
 
 func TestVringAddPopChain(t *testing.T) {
 	v, mem := newRing(16)
 	dataAddr := mem.MustAllocPages(1)
 	mem.WriteAt([]byte("hello"), dataAddr)
-	head, ok := v.AddChain([]Buffer{
+	head, ok := v.addChain([]buffer{
 		{Addr: 0x100, Len: 16},
 		{Addr: dataAddr, Len: 5},
 		{Addr: 0x200, Len: 1, DevWrit: true},
@@ -28,15 +28,15 @@ func TestVringAddPopChain(t *testing.T) {
 	if !v.AvailPending() || v.AvailCount() != 1 {
 		t.Fatal("avail not visible")
 	}
-	got, ok := v.PopAvail()
+	got, ok := v.popAvail()
 	if !ok || got != head {
 		t.Fatalf("pop %d want %d", got, head)
 	}
-	chain, err := v.ReadChain(head)
+	chain, err := v.readChain(head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chain) != 3 || chain[1].Len != 5 || chain[2].Flags&DescWrite == 0 {
+	if len(chain) != 3 || chain[1].Len != 5 || chain[2].Flags&descWrite == 0 {
 		t.Fatalf("chain %+v", chain)
 	}
 	buf := make([]byte, 5)
@@ -49,36 +49,36 @@ func TestVringAddPopChain(t *testing.T) {
 func TestVringUsedRoundTripAndFreeList(t *testing.T) {
 	v, _ := newRing(8)
 	for round := 0; round < 40; round++ { // force many wraps
-		head, ok := v.AddChain([]Buffer{{Addr: 0x1000, Len: 16}, {Addr: 0x2000, Len: 1, DevWrit: true}})
+		head, ok := v.addChain([]buffer{{Addr: 0x1000, Len: 16}, {Addr: 0x2000, Len: 1, DevWrit: true}})
 		if !ok {
 			t.Fatalf("round %d: ring exhausted (free list leak)", round)
 		}
-		got, ok := v.PopAvail()
+		got, ok := v.popAvail()
 		if !ok || got != head {
 			t.Fatalf("round %d: pop avail", round)
 		}
-		v.PushUsed(head, 1)
-		uh, ok := v.PopUsed()
+		v.pushUsed(head, 1)
+		uh, ok := v.popUsed()
 		if !ok || uh != head {
 			t.Fatalf("round %d: pop used", round)
 		}
-		if v.NumFree() != 8 {
-			t.Fatalf("round %d: free %d, want 8", round, v.NumFree())
+		if len(v.free) != 8 {
+			t.Fatalf("round %d: free %d, want 8", round, len(v.free))
 		}
 	}
 }
 
 func TestVringExhaustion(t *testing.T) {
 	v, _ := newRing(4)
-	if _, ok := v.AddChain([]Buffer{{Addr: 1, Len: 1}, {Addr: 2, Len: 1}, {Addr: 3, Len: 1}, {Addr: 4, Len: 1}, {Addr: 5, Len: 1}}); ok {
+	if _, ok := v.addChain([]buffer{{Addr: 1, Len: 1}, {Addr: 2, Len: 1}, {Addr: 3, Len: 1}, {Addr: 4, Len: 1}, {Addr: 5, Len: 1}}); ok {
 		t.Fatal("oversized chain accepted")
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := v.AddChain([]Buffer{{Addr: 1, Len: 1}, {Addr: 2, Len: 1}}); !ok {
+		if _, ok := v.addChain([]buffer{{Addr: 1, Len: 1}, {Addr: 2, Len: 1}}); !ok {
 			t.Fatal("add failed")
 		}
 	}
-	if _, ok := v.AddChain([]Buffer{{Addr: 1, Len: 1}}); ok {
+	if _, ok := v.addChain([]buffer{{Addr: 1, Len: 1}}); ok {
 		t.Fatal("add to full ring accepted")
 	}
 }
@@ -87,7 +87,7 @@ func TestVringMultipleOutstanding(t *testing.T) {
 	v, _ := newRing(32)
 	var heads []uint16
 	for i := 0; i < 10; i++ {
-		h, ok := v.AddChain([]Buffer{{Addr: uint64(i) * 0x1000, Len: 64}})
+		h, ok := v.addChain([]buffer{{Addr: uint64(i) * 0x1000, Len: 64}})
 		if !ok {
 			t.Fatal("add")
 		}
@@ -95,18 +95,18 @@ func TestVringMultipleOutstanding(t *testing.T) {
 	}
 	// Device consumes in order.
 	for i := 0; i < 10; i++ {
-		h, ok := v.PopAvail()
+		h, ok := v.popAvail()
 		if !ok || h != heads[i] {
 			t.Fatalf("pop %d", i)
 		}
 	}
 	// Completes out of order.
 	for _, i := range []int{3, 0, 9, 5, 1, 2, 4, 6, 7, 8} {
-		v.PushUsed(heads[i], 0)
+		v.pushUsed(heads[i], 0)
 	}
 	seen := map[uint16]bool{}
 	for i := 0; i < 10; i++ {
-		h, ok := v.PopUsed()
+		h, ok := v.popUsed()
 		if !ok {
 			t.Fatal("pop used")
 		}
@@ -123,25 +123,25 @@ func TestVringDescriptorConservation(t *testing.T) {
 		v, _ := newRing(16)
 		outstanding := []uint16{}
 		for _, op := range ops {
-			if op%2 == 0 && v.NumFree() >= 2 {
-				h, ok := v.AddChain([]Buffer{{Addr: 0x1000, Len: 8}, {Addr: 0x2000, Len: 8, DevWrit: true}})
+			if op%2 == 0 && len(v.free) >= 2 {
+				h, ok := v.addChain([]buffer{{Addr: 0x1000, Len: 8}, {Addr: 0x2000, Len: 8, DevWrit: true}})
 				if !ok {
 					return false
 				}
-				if got, ok := v.PopAvail(); !ok || got != h {
+				if got, ok := v.popAvail(); !ok || got != h {
 					return false
 				}
 				outstanding = append(outstanding, h)
 			} else if len(outstanding) > 0 {
 				h := outstanding[0]
 				outstanding = outstanding[1:]
-				v.PushUsed(h, 8)
-				if got, ok := v.PopUsed(); !ok || got != h {
+				v.pushUsed(h, 8)
+				if got, ok := v.popUsed(); !ok || got != h {
 					return false
 				}
 			}
 		}
-		return v.NumFree() == 16-2*len(outstanding)
+		return len(v.free) == 16-2*len(outstanding)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -150,20 +150,20 @@ func TestVringDescriptorConservation(t *testing.T) {
 
 func TestParseChainAndData(t *testing.T) {
 	mem := guestmem.New(8 << 20)
-	ring := NewVring(mem, 16)
+	ring := newVring(mem, 16)
 	q := &Queue{Index: 0, VMID: 7, Ring: ring, Mem: mem}
 	hdr := mem.MustAllocPages(1)
 	data := mem.MustAllocPages(1)
 	status := hdr + 512
 	payload := bytes.Repeat([]byte{0xab}, 600)
 	mem.WriteAt(payload, data)
-	head, _ := ring.AddChain([]Buffer{
+	head, _ := ring.addChain([]buffer{
 		{Addr: hdr, Len: 16},
 		{Addr: data, Len: 600},
 		{Addr: status, Len: 1, DevWrit: true},
 	})
-	ring.PopAvail()
-	r, err := ParseChain(q, head)
+	ring.popAvail()
+	r, err := parseChain(q, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestParseChainAndData(t *testing.T) {
 	if st[0] != 0x55 {
 		t.Fatal("status byte")
 	}
-	if h, ok := ring.PopUsed(); !ok || h != head {
+	if h, ok := ring.popUsed(); !ok || h != head {
 		t.Fatal("used")
 	}
 }
@@ -206,9 +206,9 @@ func TestReadChainRejectsHostileIndices(t *testing.T) {
 		for i := 0; i < n; i++ {
 			d := Desc{Addr: 0x1000, Len: 8}
 			if i < n-1 {
-				d.Flags, d.Next = DescNext, uint16(i+1)
+				d.Flags, d.Next = descNext, uint16(i+1)
 			} else if loop {
-				d.Flags, d.Next = DescNext, 0
+				d.Flags, d.Next = descNext, 0
 			}
 			v.writeDesc(uint16(i), d)
 		}
@@ -220,7 +220,7 @@ func TestReadChainRejectsHostileIndices(t *testing.T) {
 	}{
 		{"head past table", func(v *Vring) uint16 { chain(v, 1, false); return size }, -1},
 		{"next past table", func(v *Vring) uint16 {
-			v.writeDesc(0, Desc{Addr: 0x1000, Len: 8, Flags: DescNext, Next: size})
+			v.writeDesc(0, Desc{Addr: 0x1000, Len: 8, Flags: descNext, Next: size})
 			return 0
 		}, -1},
 		{"table past guest memory", func(v *Vring) uint16 {
@@ -234,7 +234,7 @@ func TestReadChainRejectsHostileIndices(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, _ := newRing(size)
 			head := tc.setup(v)
-			got, err := v.ReadChain(head)
+			got, err := v.readChain(head)
 			switch {
 			case tc.want < 0 && err == nil:
 				t.Fatalf("accepted a %d-descriptor chain", len(got))

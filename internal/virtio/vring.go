@@ -15,8 +15,8 @@ import (
 
 // Descriptor flags.
 const (
-	DescNext  uint16 = 1 // chain continues in .Next
-	DescWrite uint16 = 2 // device writes this buffer (device->driver)
+	descNext  uint16 = 1 // chain continues in .Next
+	descWrite uint16 = 2 // device writes this buffer (device->driver)
 )
 
 // Desc is one descriptor table entry.
@@ -54,8 +54,8 @@ type Vring struct {
 	SuppressKick bool
 }
 
-// NewVring allocates a virtqueue of the given size in guest memory.
-func NewVring(mem *guestmem.Memory, size uint16) *Vring {
+// newVring allocates a virtqueue of the given size in guest memory.
+func newVring(mem *guestmem.Memory, size uint16) *Vring {
 	descBytes := int(size) * descSize
 	availBytes := 4 + 2*int(size)
 	usedBytes := 4 + 8*int(size)
@@ -76,9 +76,6 @@ func NewVring(mem *guestmem.Memory, size uint16) *Vring {
 
 // Size returns the ring size.
 func (v *Vring) Size() uint16 { return v.size }
-
-// NumFree returns available descriptors on the driver side.
-func (v *Vring) NumFree() int { return len(v.free) }
 
 func (v *Vring) readU16(addr uint64) uint16 {
 	var b [2]byte
@@ -120,16 +117,16 @@ func (v *Vring) readDesc(i uint16) (Desc, error) {
 	}, nil
 }
 
-// Buffer is one segment of a descriptor chain.
-type Buffer struct {
+// buffer is one segment of a descriptor chain.
+type buffer struct {
 	Addr    uint64
 	Len     uint32
 	DevWrit bool // device-writable (driver reads the result)
 }
 
-// AddChain publishes a descriptor chain, returning the head descriptor
+// addChain publishes a descriptor chain, returning the head descriptor
 // index, or ok=false if the ring lacks descriptors.
-func (v *Vring) AddChain(bufs []Buffer) (uint16, bool) {
+func (v *Vring) addChain(bufs []buffer) (uint16, bool) {
 	if len(bufs) == 0 || len(v.free) < len(bufs) {
 		return 0, false
 	}
@@ -141,10 +138,10 @@ func (v *Vring) AddChain(bufs []Buffer) (uint16, bool) {
 	for i, b := range bufs {
 		d := Desc{Addr: b.Addr, Len: b.Len}
 		if b.DevWrit {
-			d.Flags |= DescWrite
+			d.Flags |= descWrite
 		}
 		if i < len(bufs)-1 {
-			d.Flags |= DescNext
+			d.Flags |= descNext
 			d.Next = idxs[i+1]
 		}
 		v.writeDesc(idxs[i], d)
@@ -157,8 +154,8 @@ func (v *Vring) AddChain(bufs []Buffer) (uint16, bool) {
 	return idxs[0], true
 }
 
-// PopAvail consumes the next available chain head (device side).
-func (v *Vring) PopAvail() (uint16, bool) {
+// popAvail consumes the next available chain head (device side).
+func (v *Vring) popAvail() (uint16, bool) {
 	avail := v.readU16(v.availAddr + 2)
 	if v.lastAvail == avail {
 		return 0, false
@@ -179,10 +176,10 @@ func (v *Vring) AvailCount() uint16 {
 	return v.readU16(v.availAddr+2) - v.lastAvail
 }
 
-// ReadChain walks the descriptor chain from head (device side). head and
+// readChain walks the descriptor chain from head (device side). head and
 // every Next come from guest memory, so each is checked against the queue
 // size, and a chain longer than the table (a loop) is refused.
-func (v *Vring) ReadChain(head uint16) ([]Desc, error) {
+func (v *Vring) readChain(head uint16) ([]Desc, error) {
 	var out []Desc
 	i := head
 	for {
@@ -194,16 +191,16 @@ func (v *Vring) ReadChain(head uint16) ([]Desc, error) {
 			return nil, err
 		}
 		out = append(out, d)
-		if d.Flags&DescNext == 0 {
+		if d.Flags&descNext == 0 {
 			return out, nil
 		}
 		i = d.Next
 	}
 }
 
-// PushUsed returns a chain to the driver with the written length
+// pushUsed returns a chain to the driver with the written length
 // (device side).
-func (v *Vring) PushUsed(head uint16, length uint32) {
+func (v *Vring) pushUsed(head uint16, length uint32) {
 	slot := v.usedAddr + 4 + uint64(v.usedIdx%v.size)*8
 	var b [8]byte
 	binary.LittleEndian.PutUint32(b[0:4], uint32(head))
@@ -213,8 +210,8 @@ func (v *Vring) PushUsed(head uint16, length uint32) {
 	v.writeU16(v.usedAddr+2, v.usedIdx)
 }
 
-// PopUsed consumes one used element (driver side), freeing its chain.
-func (v *Vring) PopUsed() (uint16, bool) {
+// popUsed consumes one used element (driver side), freeing its chain.
+func (v *Vring) popUsed() (uint16, bool) {
 	used := v.readU16(v.usedAddr + 2)
 	if v.lastUsed == used {
 		return 0, false
@@ -225,7 +222,7 @@ func (v *Vring) PopUsed() (uint16, bool) {
 	head := uint16(binary.LittleEndian.Uint32(b[0:4]))
 	v.lastUsed++
 	// Return the chain's descriptors to the free list.
-	chain, err := v.ReadChain(head)
+	chain, err := v.readChain(head)
 	if err == nil {
 		i := head
 		for _, d := range chain {

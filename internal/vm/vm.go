@@ -22,7 +22,6 @@ import (
 // most expensive delivery path.
 type VirtCosts struct {
 	VMExit       sim.Duration // trap-and-emulate round trip on the vCPU
-	IRQInject    sim.Duration // hypervisor work to inject a virtual IRQ
 	GuestIRQ     sim.Duration // guest interrupt handler entry/exit
 	HWIRQForward sim.Duration // physical IRQ -> host -> guest forwarding
 }
@@ -31,7 +30,6 @@ type VirtCosts struct {
 func DefaultVirtCosts() VirtCosts {
 	return VirtCosts{
 		VMExit:       4 * sim.Microsecond,
-		IRQInject:    1200 * sim.Nanosecond,
 		GuestIRQ:     1500 * sim.Nanosecond,
 		HWIRQForward: 13 * sim.Microsecond,
 	}
@@ -144,19 +142,19 @@ func (r *Req) Reset() {
 // Done reports whether the request has completed.
 func (r *Req) Done() bool { return r.done }
 
-// Wait parks the calling process until the request completes.
-func (r *Req) Wait(env *sim.Env) {
+// wait parks the calling process until the request completes.
+func (r *Req) wait(env *sim.Env) {
 	if r.done {
 		return
 	}
 	if r.cond == nil {
 		r.cond = sim.NewCond(env)
 	}
-	r.Wait2()
+	r.wait2()
 }
 
-// Wait2 is the internal wait (cond must exist).
-func (r *Req) Wait2() {
+// wait2 is the internal wait (cond must exist).
+func (r *Req) wait2() {
 	for !r.done {
 		r.cond.Wait()
 	}
@@ -182,7 +180,7 @@ type Disk interface {
 func SubmitAndWait(p *sim.Proc, d Disk, vcpu *sim.Thread, r *Req) nvme.Status {
 	r.cond = sim.NewCond(p.Env())
 	d.SubmitFunc(vcpu, r, submitted)
-	r.Wait(p.Env())
+	r.wait(p.Env())
 	return r.Status
 }
 

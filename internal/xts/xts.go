@@ -50,18 +50,6 @@ func Must(key []byte) *Cipher {
 	return c
 }
 
-// EncryptSector encrypts plaintext into dst (which may be src itself)
-// using the sector number as the tweak. Data shorter than one AES block is
-// rejected; non-multiples of 16 use ciphertext stealing.
-func (c *Cipher) EncryptSector(dst, src []byte, sector uint64) error {
-	return c.process(dst, src, sector, true)
-}
-
-// DecryptSector is the inverse of EncryptSector.
-func (c *Cipher) DecryptSector(dst, src []byte, sector uint64) error {
-	return c.process(dst, src, sector, false)
-}
-
 // schedBlocks is how many blocks one round of the kernel handles, and so
 // how many tweaks it keeps on the stack: one 512-byte sector's worth.
 const schedBlocks = 32

@@ -21,7 +21,7 @@ func TestIEEEVector1(t *testing.T) {
 	c := Must(make([]byte, 32))
 	src := make([]byte, 32)
 	dst := make([]byte, 32)
-	if err := c.EncryptSector(dst, src, 0); err != nil {
+	if err := c.process(dst, src, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	want := mustHex(t, "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e")
@@ -39,7 +39,7 @@ func TestIEEEVector4(t *testing.T) {
 		src[i] = byte(i)
 	}
 	dst := make([]byte, 512)
-	if err := c.EncryptSector(dst, src, 0); err != nil {
+	if err := c.process(dst, src, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	wantPrefix := mustHex(t, "27a7479befa1d476489f308cd4cfa6e2a96e4bbe3208ff25287dd3819616e89c")
@@ -47,7 +47,7 @@ func TestIEEEVector4(t *testing.T) {
 		t.Fatalf("got %x want %x", dst[:32], wantPrefix)
 	}
 	got := make([]byte, 512)
-	if err := c.DecryptSector(got, dst, 0); err != nil {
+	if err := c.process(got, dst, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, src) {
@@ -61,7 +61,7 @@ func TestIEEEVectorCTS(t *testing.T) {
 	c := Must(key)
 	src := mustHex(t, "000102030405060708090a0b0c0d0e0f10")
 	dst := make([]byte, len(src))
-	if err := c.EncryptSector(dst, src, 0x123456789a); err != nil {
+	if err := c.process(dst, src, 0x123456789a, true); err != nil {
 		t.Fatal(err)
 	}
 	want := mustHex(t, "6c1625db4671522d3d7599601de7ca09ed")
@@ -69,7 +69,7 @@ func TestIEEEVectorCTS(t *testing.T) {
 		t.Fatalf("got %x want %x", dst, want)
 	}
 	back := make([]byte, len(src))
-	if err := c.DecryptSector(back, dst, 0x123456789a); err != nil {
+	if err := c.process(back, dst, 0x123456789a, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, src) {
@@ -91,11 +91,11 @@ func TestRoundTripProperty(t *testing.T) {
 			data = data[:4096]
 		}
 		enc := make([]byte, len(data))
-		if err := c.EncryptSector(enc, data, sector); err != nil {
+		if err := c.process(enc, data, sector, true); err != nil {
 			return false
 		}
 		dec := make([]byte, len(data))
-		if err := c.DecryptSector(dec, enc, sector); err != nil {
+		if err := c.process(dec, enc, sector, false); err != nil {
 			return false
 		}
 		return bytes.Equal(dec, data) && !bytes.Equal(enc, data)
@@ -110,14 +110,14 @@ func TestSectorTweakMatters(t *testing.T) {
 	src := bytes.Repeat([]byte{0xab}, 512)
 	e1 := make([]byte, 512)
 	e2 := make([]byte, 512)
-	c.EncryptSector(e1, src, 1)
-	c.EncryptSector(e2, src, 2)
+	c.process(e1, src, 1, true)
+	c.process(e2, src, 2, true)
 	if bytes.Equal(e1, e2) {
 		t.Fatal("different sectors must produce different ciphertext")
 	}
 	// Decrypting with the wrong sector must not recover plaintext.
 	d := make([]byte, 512)
-	c.DecryptSector(d, e1, 2)
+	c.process(d, e1, 2, false)
 	if bytes.Equal(d, src) {
 		t.Fatal("wrong-sector decrypt recovered plaintext")
 	}
@@ -136,7 +136,7 @@ func TestBulkBlocksMatchesPerSector(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		one := make([]byte, 512)
-		c.EncryptSector(one, src[i*512:(i+1)*512], uint64(100+i))
+		c.process(one, src[i*512:(i+1)*512], uint64(100+i), true)
 		if !bytes.Equal(one, bulk[i*512:(i+1)*512]) {
 			t.Fatalf("sector %d differs between bulk and single", i)
 		}
@@ -154,11 +154,11 @@ func TestInPlaceOperation(t *testing.T) {
 	c := Must(make([]byte, 32))
 	data := bytes.Repeat([]byte{0x42}, 512)
 	orig := append([]byte{}, data...)
-	c.EncryptSector(data, data, 7)
+	c.process(data, data, 7, true)
 	if bytes.Equal(data, orig) {
 		t.Fatal("in-place encrypt did nothing")
 	}
-	c.DecryptSector(data, data, 7)
+	c.process(data, data, 7, false)
 	if !bytes.Equal(data, orig) {
 		t.Fatal("in-place round trip failed")
 	}
@@ -169,10 +169,10 @@ func TestBadInputs(t *testing.T) {
 		t.Fatal("bad key size accepted")
 	}
 	c := Must(make([]byte, 32))
-	if err := c.EncryptSector(make([]byte, 8), make([]byte, 8), 0); err == nil {
+	if err := c.process(make([]byte, 8), make([]byte, 8), 0, true); err == nil {
 		t.Fatal("sub-block data accepted")
 	}
-	if err := c.EncryptSector(make([]byte, 32), make([]byte, 16), 0); err == nil {
+	if err := c.process(make([]byte, 32), make([]byte, 16), 0, true); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	if err := c.EncryptBlocks(make([]byte, 100), make([]byte, 100), 0, 512); err == nil {

@@ -21,10 +21,10 @@ type Workload byte
 // The YCSB core workloads.
 const (
 	WorkloadA Workload = 'A' // 50% read / 50% update, zipfian
-	WorkloadB Workload = 'B' // 95% read / 5% update, zipfian
+	workloadB Workload = 'B' // 95% read / 5% update, zipfian
 	WorkloadC Workload = 'C' // 100% read, zipfian
-	WorkloadD Workload = 'D' // 95% read latest / 5% insert
-	WorkloadE Workload = 'E' // 95% scan / 5% insert
+	workloadD Workload = 'D' // 95% read latest / 5% insert
+	workloadE Workload = 'E' // 95% scan / 5% insert
 	WorkloadF Workload = 'F' // 50% read / 50% read-modify-write, zipfian
 )
 
@@ -32,29 +32,30 @@ func (w Workload) String() string { return string(w) }
 
 // All lists the workloads in evaluation order.
 func All() []Workload {
-	return []Workload{WorkloadA, WorkloadB, WorkloadC, WorkloadD, WorkloadE, WorkloadF}
+	return []Workload{WorkloadA, workloadB, WorkloadC, workloadD, workloadE, WorkloadF}
 }
 
 // Config scales the benchmark.
 type Config struct {
-	Records     int // loaded dataset size per DB instance
-	FieldLength int // value bytes per record
-	MaxScanLen  int
-	Warmup      sim.Duration
-	Duration    sim.Duration
-	Seed        int64
+	Records  int // loaded dataset size per DB instance
+	Warmup   sim.Duration
+	Duration sim.Duration
 }
+
+// The record shape: value bytes per record, and the longest scan.
+const (
+	fieldLength = 1000
+	maxScanLen  = 50
+)
 
 // DefaultConfig returns the scaled-down dataset used by the harness
 // (the paper uses 3M records and 1M operations on real hardware; the
 // simulated runs keep the same access distributions at reduced scale).
 func DefaultConfig() Config {
 	return Config{
-		Records:     8000,
-		FieldLength: 1000,
-		MaxScanLen:  50,
-		Warmup:      5 * sim.Millisecond,
-		Duration:    60 * sim.Millisecond,
+		Records:  8000,
+		Warmup:   5 * sim.Millisecond,
+		Duration: 60 * sim.Millisecond,
 	}
 }
 
@@ -125,7 +126,7 @@ func NewClient(db *lsm.DB, cfg Config, seed int64) *Client {
 
 // Load populates the dataset (the YCSB load phase).
 func (c *Client) Load(p *sim.Proc) error {
-	val := make([]byte, c.cfg.FieldLength)
+	val := make([]byte, fieldLength)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
@@ -138,13 +139,13 @@ func (c *Client) Load(p *sim.Proc) error {
 }
 
 func (c *Client) value() []byte {
-	val := make([]byte, c.cfg.FieldLength)
+	val := make([]byte, fieldLength)
 	c.rng.Read(val)
 	return val
 }
 
-// RunOne executes a single operation of workload w.
-func (c *Client) RunOne(p *sim.Proc, w Workload) error {
+// runOne executes a single operation of workload w.
+func (c *Client) runOne(p *sim.Proc, w Workload) error {
 	pick := c.rng.Intn(100)
 	switch w {
 	case WorkloadA:
@@ -152,19 +153,19 @@ func (c *Client) RunOne(p *sim.Proc, w Workload) error {
 			return c.read(p)
 		}
 		return c.update(p)
-	case WorkloadB:
+	case workloadB:
 		if pick < 95 {
 			return c.read(p)
 		}
 		return c.update(p)
 	case WorkloadC:
 		return c.read(p)
-	case WorkloadD:
+	case workloadD:
 		if pick < 95 {
 			return c.readLatest(p)
 		}
 		return c.insert(p)
-	case WorkloadE:
+	case workloadE:
 		if pick < 95 {
 			return c.scan(p)
 		}
@@ -210,7 +211,7 @@ func (c *Client) insert(p *sim.Proc) error {
 }
 
 func (c *Client) scan(p *sim.Proc) error {
-	n := 1 + c.rng.Intn(c.cfg.MaxScanLen)
+	n := 1 + c.rng.Intn(maxScanLen)
 	_, err := c.db.Scan(p, key(c.zip.next()), n)
 	return err
 }
@@ -227,7 +228,7 @@ func (c *Client) rmw(p *sim.Proc) error {
 // the measurement window.
 func (c *Client) Run(p *sim.Proc, w Workload, measFrom, measTo sim.Time) error {
 	for p.Now() < measTo {
-		if err := c.RunOne(p, w); err != nil {
+		if err := c.runOne(p, w); err != nil {
 			c.Failed.Inc()
 			return err
 		}

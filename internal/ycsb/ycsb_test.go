@@ -66,7 +66,7 @@ func TestWorkloadList(t *testing.T) {
 
 func TestDefaultConfigSane(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Records <= 0 || cfg.FieldLength <= 0 || cfg.MaxScanLen <= 0 {
+	if cfg.Records <= 0 || cfg.Duration <= 0 {
 		t.Fatalf("%+v", cfg)
 	}
 }

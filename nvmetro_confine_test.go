@@ -70,14 +70,14 @@ func TestConfinementEveryStack(t *testing.T) {
 			parts := sys.CarveDisk(3)
 			part := parts[1]
 			for _, nb := range []nvmetro.Partition{parts[0], parts[2]} {
-				fill := make([]byte, nb.Bytes())
+				fill := make([]byte, nb.Blocks*uint64(nb.BlockSize()))
 				for i := range fill {
 					fill[i] = byte(i*7 + i>>9 + 1)
 				}
 				store.WriteBlocks(nb.Start, fill)
 			}
 			extent := func(nb nvmetro.Partition) uint32 {
-				buf := make([]byte, nb.Bytes())
+				buf := make([]byte, nb.Blocks*uint64(nb.BlockSize()))
 				store.ReadBlocks(nb.Start, buf)
 				return crc32.ChecksumIEEE(buf)
 			}

@@ -1,0 +1,6 @@
+// Package fixture is the root of TestDeadSurfaceFixture's module.
+package fixture
+
+import "fixture/internal/lib"
+
+func Run() int { return lib.Used(lib.Config{Size: 1}) + lib.Walk(lib.Impl{}) }

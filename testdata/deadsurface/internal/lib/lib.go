@@ -1,0 +1,32 @@
+// Package lib plants one hit per rule, an allowlisted hit and non-hits.
+package lib
+
+type Config struct {
+	Size  int    // written by the root package
+	Depth int    // (b): nothing outside lib writes it
+	Name  string `json:"name"` // tagged: not a hit
+}
+
+type state struct{ count, seen int } // count is (d): written, never read
+
+func Used(c Config) int {
+	s := state{count: 1}
+	s.seen = c.Size + c.Depth + Helper()
+	return s.seen
+}
+
+func Helper() int { return 1 } // (a): used only inside lib
+
+func dead() int { return 2 } // (c)
+
+func Spare() int { return 3 } // (c), allowlisted
+
+type Visitor interface{ Visit() int }
+
+type Impl struct{}
+
+func (Impl) Visit() int { return 4 } // reached only through Visitor
+
+func Walk(v Visitor) int { return v.Visit() }
+
+func BenchOnly() int { return 5 } // used only by the sibling bench module
