@@ -100,12 +100,14 @@ bench-e2e-smoke:
 # the hand-off gate on fio-driven topologies (no process spawned, and none
 # resumed on the routed command path), plus the golden-CSV determinism
 # check — every experiment with a checked-in quick-mode golden must render
-# byte-identical output.
+# byte-identical output — and the published full-mode CSVs in results/
+# (Table I and the 1024-VM boot-storm and scale fleets, ~5 s without the
+# race detector).
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
-	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial' ./internal/harness/
+	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the
 # watchdog/reconcile unit tests, the per-function crash/wedge recovery

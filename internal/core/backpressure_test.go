@@ -67,7 +67,7 @@ func TestMulticastBackpressureSustained(t *testing.T) {
 	r := newRig(1)
 	part := device.WholeNamespace(r.dev, 1)
 	v, vc, disk := r.addVM(0, part)
-	prog, _ := storfn.ReplicatorClassifier(part)
+	prog := replicatorClassifier(part)
 	if err := vc.LoadClassifier(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,13 @@ type rig struct {
 	store  *device.MemStore
 }
 
+// replicatorClassifier assembles the shipped disk-replication classifier
+// for part, as the replication storage function loads it.
+func replicatorClassifier(part device.Partition) *ebpf.Program {
+	return ebpf.MustAssemble(storfn.ClassifierSources()["replicator"], "replicator",
+		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)}, nil)
+}
+
 func newRig(workers int) *rig {
 	env := sim.New(1)
 	cpu := sim.NewCPU(env, 16)
@@ -213,7 +220,7 @@ func TestMulticastSynchronousMirror(t *testing.T) {
 	r := newRig(1)
 	part := device.WholeNamespace(r.dev, 1)
 	v, vc, disk := r.addVM(0, part)
-	prog, _ := storfn.ReplicatorClassifier(part)
+	prog := replicatorClassifier(part)
 	if err := vc.LoadClassifier(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"nvmetro/internal/device"
 	"nvmetro/internal/sim"
-	"nvmetro/internal/storfn"
 	"nvmetro/internal/vm"
 )
 
@@ -14,7 +13,7 @@ func TestMulticastManyLargeWrites(t *testing.T) {
 	r := newRig(1)
 	part := device.WholeNamespace(r.dev, 1)
 	v, vc, disk := r.addVM(0, part)
-	prog, _ := storfn.ReplicatorClassifier(part)
+	prog := replicatorClassifier(part)
 	if err := vc.LoadClassifier(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@ func shippedClassifiers() []*ebpf.Program {
 	part := device.Partition{Start: 4096, Blocks: 8192}
 	partition, _ := storfn.PartitionClassifier(part)
 	encryptor, _ := storfn.EncryptorClassifier(part)
-	replicator, _ := storfn.ReplicatorClassifier(part)
+	replicator := ebpf.MustAssemble(storfn.ClassifierSources()["replicator"], "replicator",
+		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)}, nil)
 	qos, _, _ := storfn.QoSClassifier(part)
 	qosclass, _, _ := storfn.QoSClassClassifier(part)
 	cache, _ := storfn.CacheClassifier(part, core.NewHotHints(3, 1<<10), 2)

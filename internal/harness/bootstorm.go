@@ -279,26 +279,19 @@ func bootstormTable(o Options) *Table {
 		imgBlocks = bootImageBlocksQuick
 		fleets = []int{8, 16}
 	}
-	// Every cell is an independent shard; rows are assembled in enqueue
-	// order after the group runs, so the table matches a serial sweep.
-	g := o.group()
 	type cell struct {
-		name string
-		vms  int
-		r    *bootstormRun
+		name   string
+		vms    int
+		blocks uint64
+		shared bool
+		shards int
 	}
-	var cells []cell
-	queue := func(name string, vms int, blocks uint64, shared bool, shards int) {
-		r := shard(g, func() bootstormRun {
-			return runBootstorm(o, vms, blocks, bootCacheChunks, shared, shards)
-		})
-		cells = append(cells, cell{name, vms, r})
-	}
+	var cs []cell
 	for _, n := range fleets {
-		queue(fmt.Sprintf("shared N=%d", n), n, imgBlocks, true, 0)
-		queue(fmt.Sprintf("flat N=%d", n), n, imgBlocks, false, 0)
+		cs = append(cs, cell{fmt.Sprintf("shared N=%d", n), n, imgBlocks, true, 0},
+			cell{fmt.Sprintf("flat N=%d", n), n, imgBlocks, false, 0})
 	}
-	queue(fmt.Sprintf("shared N=%d img x4", fleets[0]), fleets[0], imgBlocks*4, true, 0)
+	cs = append(cs, cell{fmt.Sprintf("shared N=%d img x4", fleets[0]), fleets[0], imgBlocks * 4, true, 0})
 	// The sharded cell sends the whole storm through the per-core shard
 	// fleet (scale-sweep sizing rule: one shard per 16 tenants, max 64) —
 	// at the full 1024-tenant fleet this is the paper's boot-storm-at-scale
@@ -307,18 +300,13 @@ func bootstormTable(o Options) *Table {
 	if o.Quick {
 		stormN = 32
 	}
-	queue(fmt.Sprintf("sharded N=%d", stormN), stormN, imgBlocks, true, scaleShards(stormN))
-	g.run()
-	for _, c := range cells {
-		r := *c.r
-		ok := 0.0
-		if bootstormOK(r, c.vms) {
-			ok = 1
-		}
-		baseOK := 0.0
-		if r.baseOK {
-			baseOK = 1
-		}
+	cs = append(cs, cell{fmt.Sprintf("sharded N=%d", stormN), stormN, imgBlocks, true, scaleShards(stormN)})
+	runs := cells(o, len(cs), func(i int) bootstormRun {
+		c := cs[i]
+		return runBootstorm(o, c.vms, c.blocks, bootCacheChunks, c.shared, c.shards)
+	})
+	for i, c := range cs {
+		r := runs[i]
 		t.add(c.name,
 			r.res.KIOPS(),
 			r.hitRatio,
@@ -328,9 +316,9 @@ func bootstormTable(o Options) *Table {
 			float64(r.cloneLayers),
 			float64(r.cloneCopies),
 			float64(r.divergent),
-			baseOK,
+			bit(r.baseOK),
 			float64(r.guardBad),
-			ok)
+			bit(bootstormOK(r, c.vms)))
 	}
 	t.Notes = "same total cache budget per row pair; hit_ratio = content-cache hits/lookups; ok = drained, guard_bad=0, every tenant diverged, golden CRCs unchanged, clone copied zero chunks; sharded row runs the fleet through the per-core shard router (1 shard per 16 VMs, max 64)"
 	return t

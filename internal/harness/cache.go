@@ -82,9 +82,7 @@ func runCache(o Options, cp storfn.CacheParams, cfg fio.Config, jobs int) cacheR
 func probeCache(env *sim.Env, v *vm.VM, disk vm.Disk, cp storfn.CacheParams, ioBytes uint32, out *cacheRun) {
 	const probes = 32
 	hit, fast, fill := metrics.NewHistogram(), metrics.NewHistogram(), metrics.NewHistogram()
-	done := false
-	env.Go("cache-probe", func(p *sim.Proc) {
-		defer func() { done = true }()
+	driveGuest(env, "cache-probe", func(p *sim.Proc) {
 		perIO := uint64(ioBytes / disk.BlockSize())
 		stride := uint64(1) << cp.BucketShift // blocks per heat bucket
 		if perIO > stride {
@@ -142,10 +140,6 @@ func probeCache(env *sim.Env, v *vm.VM, disk vm.Disk, cp storfn.CacheParams, ioB
 		v.Mem.ReadAt(got, bufBase)
 		out.coherent = string(got) == string(pattern)
 	})
-	deadline := env.Now().Add(2 * sim.Second)
-	for !done && env.Now() < deadline {
-		env.RunUntil(env.Now().Add(sim.Millisecond))
-	}
 	out.hitP50 = sim.Duration(hit.Median())
 	out.fastP50 = sim.Duration(fast.Median())
 	out.fillP50 = sim.Duration(fill.Median())
@@ -176,20 +170,9 @@ func cacheTable(o Options) *Table {
 		{"mixed RW WA", wa, mixed(cacheCfg(o))},
 		{"small cache WT", small, cacheCfg(o)},
 	}
-	// One shard per cache configuration; rows assemble in declaration order.
-	g := o.group()
-	runs := make([]*cacheRun, len(rows))
+	runs := cells(o, len(rows), func(i int) cacheRun { return runCache(o, rows[i].cp, rows[i].cfg, 4) })
 	for i, row := range rows {
-		row := row
-		runs[i] = shard(g, func() cacheRun { return runCache(o, row.cp, row.cfg, 4) })
-	}
-	g.run()
-	for i, row := range rows {
-		cr := *runs[i]
-		coherent := 0.0
-		if cr.coherent && cr.drained {
-			coherent = 1
-		}
+		cr := runs[i]
 		t.add(row.name,
 			cr.res.KIOPS(),
 			cr.hitRatio,
@@ -198,7 +181,7 @@ func cacheTable(o Options) *Table {
 			float64(cr.fillP50)/1e3,
 			float64(cr.counters.Get("cache.evictions")),
 			float64(cr.counters.Get("cache.conflicts")),
-			coherent)
+			bit(cr.coherent && cr.drained))
 	}
 	t.Notes = "hit_ratio = cache hits / UIF reads during the fio phase; coherent = a probe overwrite of a cached block was never read back stale"
 	return t

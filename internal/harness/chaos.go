@@ -1,19 +1,14 @@
 package harness
 
 import (
-	"nvmetro/internal/blockdev"
-	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/fault"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/metrics"
-	"nvmetro/internal/nvmeof"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/storfn"
 	"nvmetro/internal/supervise"
-	"nvmetro/internal/uif"
-	"nvmetro/internal/vm"
 )
 
 // The chaos experiment kills or wedges each storage function's UIF in the
@@ -92,121 +87,73 @@ func chaosTailCfg(o Options, cfg fio.Config) fio.Config {
 	return cfg
 }
 
-// awaitRouted drives the simulation until the supervisor has restarted and
-// promoted its function (or a generous bound passes).
-func awaitRouted(env *sim.Env, sup *supervise.Supervisor) bool {
-	deadline := env.Now().Add(100 * sim.Millisecond)
-	for sup.State() != supervise.StateRouted && env.Now() < deadline {
-		env.RunUntil(env.Now().Add(100 * sim.Microsecond))
+// runChaos runs storage function name ("cacher", "encryptor" or
+// "replicator") under supervision, arms plan at its UIF attachment site
+// (nil = healthy baseline), and measures the faulted window plus a
+// post-recovery tail. The mirror is content-backed on both legs, with a
+// fabric outage (so the chaos can land while the resync engine drains) and
+// a slow drain; it must converge to bit-identical stores.
+func runChaos(o Options, name string, plan *fault.Plan, cfg fio.Config, jobs int) chaosRun {
+	var store, rstore *device.MemStore
+	var backing device.Store = device.NullStore{}
+	if name == "replicator" {
+		store, rstore = device.NewMemStore(512), device.NewMemStore(512)
+		backing = store
 	}
-	return sup.State() == supervise.StateRouted
-}
+	env, h := newBed(o, backing)
+	defer env.Close()
+	v := h.NewVM(4, 512<<20)
+	sol := stack.NewNVMetro(h)
+	var m *mirror
+	switch name {
+	case "cacher":
+		sol.WithCache(storfn.DefaultCacheParams())
+	case "encryptor":
+		sol.WithEncryption(encryptionKey, false)
+	case "replicator":
+		// A slow drain keeps the resync engine busy for most of the window,
+		// so a rate-drawn chaos event has a real chance to land mid-resync.
+		h.Params.Resync.Rate = 20e6
+		warm, _ := o.windows()
+		rec := resyncRecovery
+		rec.BackoffCap = 200 * sim.Microsecond
+		rec.Jitter = 0.2
+		m = newMirror(env, h, rstore, []outageSpec{{sim.Time(0).Add(warm + sim.Millisecond), 2 * sim.Millisecond}}, &rec)
+		sol.WithReplication(m.secondary)
+	}
+	disk := sol.WithSupervision(chaosPolicy(o)).Provision(v, device.WholeNamespace(h.Dev, 1))
+	sup, vc := sol.SupervisorFor(v), sol.ControllerFor(v)
+	var inj *fault.Injector
+	if plan != nil {
+		inj = plan.Injector("uif-" + name)
+		sup.SetFaultInjector(inj)
+	}
+	targets := fioTargets(v, disk, jobs)
+	out := chaosRun{converged: true, mirrorOK: true}
+	out.res = fio.Run(env, h.CPU, targets, cfg)
+	out.drained = drainOutstanding(env, vc.Outstanding)
+	out.routed = until(env, 100*sim.Microsecond, env.Now().Add(100*sim.Millisecond),
+		func() bool { return sup.State() == supervise.StateRouted })
+	out.tail = fio.Run(env, h.CPU, targets, chaosTailCfg(o, cfg))
+	out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
+	if m != nil {
+		out.converged = driveInSync(env, sol.ResyncerFor(v), sim.Millisecond, env.Now().Add(2*sim.Second)) &&
+			sol.ReplicatorFor(v).Dirty.Blocks() == 0
+		out.mirrorOK = store.ContentCRC() == rstore.ContentCRC()
+		m.collect(&out.counters, sol, v)
+	}
 
-// collectChaos folds the per-cell counter sources into out.counters.
-func collectChaos(out *chaosRun, sup *supervise.Supervisor, vc *core.Controller, inj *fault.Injector) {
 	sup.Collect(&out.counters)
 	collectRouter(&out.counters, vc.Router())
 	if inj != nil {
 		inj.Collect(&out.counters)
 	}
 	out.counters.Add("fio.errors", out.res.Errors+out.tail.Errors)
-}
-
-// runChaosStack runs a solution-provisioned (cache or encryption) stack
-// under supervision, arms plan at the UIF attachment site (nil = healthy
-// baseline), and measures the faulted window plus a post-recovery tail.
-func runChaosStack(o Options, mkSol func(h *stack.Host) *stack.NVMetro, plan *fault.Plan, site string, cfg fio.Config, jobs int) chaosRun {
-	env, h := newBed(o, device.NullStore{})
-	defer env.Close()
-	v := h.NewVM(4, 512<<20)
-	sol := mkSol(h).WithSupervision(chaosPolicy(o))
-	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	sup := sol.SupervisorFor(v)
-	var inj *fault.Injector
-	if plan != nil {
-		inj = plan.Injector(site)
-		sup.SetFaultInjector(inj)
-	}
-	targets := fioTargets(v, disk, jobs)
-	out := chaosRun{converged: true, mirrorOK: true}
-	out.res = fio.Run(env, h.CPU, targets, cfg)
-	vc := sol.ControllerFor(v)
-	out.drained = drainOutstanding(env, vc.Outstanding)
-	out.routed = awaitRouted(env, sup)
-	out.tail = fio.Run(env, h.CPU, targets, chaosTailCfg(o, cfg))
-	out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
-	collectChaos(&out, sup, vc, inj)
 	return out
 }
 
-// runChaosRepl runs the replication stack under supervision with content-
-// backed stores on both legs, scheduled fabric outages (so the chaos can
-// land while the resync engine is draining) and plan armed at the UIF
-// site, then drives the mirror to convergence and compares the stores.
-func runChaosRepl(o Options, plan *fault.Plan, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fio.Config, jobs int) chaosRun {
-	store := device.NewMemStore(512)
-	env, h := newBed(o, store)
-	defer env.Close()
-	p := h.Params
-	v := h.NewVM(4, 512<<20)
-	router := core.NewRouter(env, p.Router, []*sim.Thread{h.HostThread("router")})
-	vc := router.Attach(v, device.WholeNamespace(h.Dev, 1))
-
-	rstore := device.NewMemStore(512)
-	remote := stack.NewRemoteHost(env, 4, p.Device, rstore)
-	for _, ow := range outages {
-		remote.Link.ScheduleOutage(ow.at, ow.dur)
-	}
-	ini := remote.Secondary()(vc.Partition()).(*nvmeof.Initiator)
-	rec := resyncRecovery
-	rec.BackoffCap = 200 * sim.Microsecond
-	rec.Jitter = 0.2
-	if err := ini.SetRecovery(rec); err != nil {
-		panic(err)
-	}
-	ring := blockdev.NewURing(env, ini, p.URing)
-	fw := uif.NewFramework(env, p.UIF, []*sim.Thread{h.HostThread("uif")})
-	rep := storfn.NewReplicator()
-	fn := storfn.NewReplicatorSupervision(vc.Partition(), rep)
-	pol := chaosPolicy(o)
-	sup, err := supervise.Launch(env, fw, vc, ring, 512, fn, pol)
-	if err != nil {
-		panic(err)
-	}
-	primary := blockdev.NewNVMeBlockDev(env, device.WholeNamespace(h.Dev, 1), h.CPU, 7, p.Block)
-	rs, err := storfn.NewResyncer(env, rep, primary, sup.Attachment(), h.HostThread("resync"), h.Dev.Params().LBAShift, rcfg)
-	if err != nil {
-		panic(err)
-	}
-	fn.SetResyncer(rs)
-	ini.OnReconnect(rs.OnLinkUp)
-	var inj *fault.Injector
-	if plan != nil {
-		inj = plan.Injector("uif-replicator")
-		sup.SetFaultInjector(inj)
-	}
-
-	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
-	targets := fioTargets(v, disk, jobs)
-	out := chaosRun{}
-	out.res = fio.Run(env, h.CPU, targets, cfg)
-	out.drained = drainOutstanding(env, vc.Outstanding)
-	out.routed = awaitRouted(env, sup)
-	out.tail = fio.Run(env, h.CPU, targets, chaosTailCfg(o, cfg))
-	out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
-
-	out.converged = driveInSync(env, rs, sim.Millisecond, env.Now().Add(2*sim.Second)) && rep.Dirty.Blocks() == 0
-	out.mirrorOK = store.ContentCRC() == rstore.ContentCRC()
-
-	collectChaos(&out, sup, vc, inj)
-	collectReplicator(&out.counters, rep)
-	collectInitiator(&out.counters, remote.Link, ini)
-	rs.Collect(&out.counters)
-	return out
-}
-
-// chaosCells returns the (function × fault) grid as labeled closures; each
-// takes a nil plan for the healthy baseline.
+// chaosCell is one storage function of the grid; run takes a nil plan for
+// the healthy baseline.
 type chaosCell struct {
 	name string
 	run  func(plan *fault.Plan) chaosRun
@@ -216,26 +163,10 @@ func chaosCells(o Options) []chaosCell {
 	cfg := chaosCfg(o)
 	wcfg := cfg
 	wcfg.Mode = fio.RandWrite // only writes are mirrored
-	warm, _ := o.windows()
-	at := func(d sim.Duration) sim.Time { return sim.Time(0).Add(warm + d) }
-	// A slow drain keeps the resync engine busy for most of the window, so
-	// a rate-drawn chaos event has a real chance to land mid-resync.
-	slow := storfn.DefaultResyncConfig()
-	slow.Rate = 20e6
-	outages := []outageSpec{{at(sim.Millisecond), 2 * sim.Millisecond}}
-	cacheSol := func(h *stack.Host) *stack.NVMetro { return stack.NewNVMetro(h).WithCache(storfn.DefaultCacheParams()) }
-	encrSol := func(h *stack.Host) *stack.NVMetro { return stack.NewNVMetro(h).WithEncryption(encryptionKey, false) }
-	return []chaosCell{
-		{"cacher", func(plan *fault.Plan) chaosRun {
-			return runChaosStack(o, cacheSol, plan, "uif-cacher", cfg, 4)
-		}},
-		{"encryptor", func(plan *fault.Plan) chaosRun {
-			return runChaosStack(o, encrSol, plan, "uif-encryptor", cfg, 4)
-		}},
-		{"replicator", func(plan *fault.Plan) chaosRun {
-			return runChaosRepl(o, plan, outages, slow, wcfg, 4)
-		}},
+	cell := func(name string, cfg fio.Config) chaosCell {
+		return chaosCell{name, func(plan *fault.Plan) chaosRun { return runChaos(o, name, plan, cfg, 4) }}
 	}
+	return []chaosCell{cell("cacher", cfg), cell("encryptor", cfg), cell("replicator", wcfg)}
 }
 
 // chaosOK applies the per-cell acceptance invariants.
@@ -259,39 +190,26 @@ func chaosTable(o Options) *Table {
 		Title: "Chaos: UIF crash/wedge — detection, reconcile, degraded fast path, restart",
 		Cols:  []string{"kIOPS", "p99x", "inj", "detect", "reconciled", "requeued", "restarts", "degr_us", "tailx", "errors", "ok"},
 	}
-	// Shard layout: per grid point (storage function), one healthy-baseline
-	// shard plus one shard per fault kind — all nine runs are independent
-	// simulations, merged back in (point, shard) order.
-	g := o.group()
-	type faultRow struct {
-		name string
-		kind string
-		base *chaosRun
-		cr   *chaosRun
-	}
-	var rows []faultRow
-	for _, cell := range chaosCells(o) {
-		run := cell.run
-		base := shard(g, func() chaosRun { return run(nil) })
-		for _, f := range []struct {
-			kind  string
-			crash bool
-		}{{"crash", true}, {"wedge", false}} {
-			crash := f.crash
-			rows = append(rows, faultRow{
-				name: cell.name,
-				kind: f.kind,
-				base: base,
-				cr:   shard(g, func() chaosRun { return run(chaosPlan(o, crash)) }),
-			})
+	// Per storage function, a healthy baseline, a crash and a wedge: all
+	// nine runs are independent simulations, merged back in that order.
+	fns := chaosCells(o)
+	runs := cells(o, 3*len(fns), func(k int) chaosRun {
+		if k%3 == 0 {
+			return fns[k/3].run(nil)
 		}
-	}
-	g.run()
-	for _, row := range rows {
-		base, cr := *row.base, *row.cr
+		return fns[k/3].run(chaosPlan(o, k%3 == 1))
+	})
+	for k, cr := range runs {
+		if k%3 == 0 {
+			continue
+		}
+		name, kind, base := fns[k/3].name, "crash", runs[k-k%3]
+		if k%3 == 2 {
+			kind = "wedge"
+		}
 		cs := &cr.counters
-		sup := "sup." + row.name + "."
-		site := "fault.uif-" + row.name + "."
+		sup := "sup." + name + "."
+		site := "fault.uif-" + name + "."
 		p99x, tailx := 0.0, 0.0
 		if b := base.res.Lat.P99(); b > 0 {
 			p99x = float64(cr.res.Lat.P99()) / float64(b)
@@ -299,11 +217,7 @@ func chaosTable(o Options) *Table {
 		if b := base.res.KIOPS(); b > 0 {
 			tailx = cr.tail.KIOPS() / b
 		}
-		ok := 0.0
-		if chaosOK(row.name, cr) {
-			ok = 1
-		}
-		t.add(row.name+" "+row.kind,
+		t.add(name+" "+kind,
 			cr.res.KIOPS(),
 			p99x,
 			float64(cs.Get(site+"uif-crash")+cs.Get(site+"uif-wedge")),
@@ -314,7 +228,7 @@ func chaosTable(o Options) *Table {
 			float64(cs.Get(sup+"degraded_us")),
 			tailx,
 			float64(cs.Get("fio.errors")),
-			ok)
+			bit(chaosOK(name, cr)))
 	}
 	t.Notes = "p99x/tailx vs healthy same-seed baseline; ok = drained, detected, restarted, converged, and (except the fail-stop encryptor) zero guest errors"
 	return t

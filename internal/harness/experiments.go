@@ -69,20 +69,16 @@ func fioPair(o Options, idTp, idCPU, title string, sols []namedSol, grid []fioCa
 	warm, dur := o.windows()
 	// Each (case, solution) cell is an isolated deterministic sim; run them
 	// across workers and assemble in grid order.
-	type cell struct{ tp, cpu float64 }
-	cells := make([]cell, len(grid)*len(sols))
-	o.forEach(len(cells), func(k int) {
+	runs := cells(o, len(grid)*len(sols), func(k int) fio.Result {
 		c, s := grid[k/len(sols)], sols[k%len(sols)]
 		cfg := fio.Config{Mode: c.mode, BlockSize: c.bs, QD: c.qd, Warmup: warm, Duration: dur}
-		r := runFio(o, s.mk, cfg, c.jobs)
-		cells[k] = cell{r.KIOPS(), r.CPUCores}
+		return runFio(o, s.mk, cfg, c.jobs)
 	})
 	for gi, c := range grid {
 		var tpCells, cpuCells []float64
-		for si := range sols {
-			cells := cells[gi*len(sols)+si]
-			tpCells = append(tpCells, cells.tp)
-			cpuCells = append(cpuCells, cells.cpu)
+		for _, r := range runs[gi*len(sols) : (gi+1)*len(sols)] {
+			tpCells = append(tpCells, r.KIOPS())
+			cpuCells = append(cpuCells, r.CPUCores)
 		}
 		tp.add(c.label(), tpCells...)
 		cpu.add(c.label(), cpuCells...)
@@ -167,13 +163,12 @@ func ycsbTable(o Options, id, title string, sols []namedSol) *Table {
 			rows = append(rows, row{w, jobs})
 		}
 	}
-	cells := make([]float64, len(rows)*len(sols))
-	o.forEach(len(cells), func(k int) {
+	kops := cells(o, len(rows)*len(sols), func(k int) float64 {
 		rw, s := rows[k/len(sols)], sols[k%len(sols)]
-		cells[k] = runYCSB(o, s.mk, rw.w, rw.jobs).KOpsPerSec
+		return runYCSB(o, s.mk, rw.w, rw.jobs).KOpsPerSec
 	})
 	for ri, rw := range rows {
-		t.add(fmt.Sprintf("%v j=%d", rw.w, rw.jobs), cells[ri*len(sols):(ri+1)*len(sols)]...)
+		t.add(fmt.Sprintf("%v j=%d", rw.w, rw.jobs), kops[ri*len(sols):(ri+1)*len(sols)]...)
 	}
 	return t
 }
@@ -222,20 +217,17 @@ func init() {
 				}
 			}
 		}
-		type cell struct{ med, p99 float64 }
-		cells := make([]cell, len(cases)*len(sols))
-		o.forEach(len(cells), func(k int) {
+		runs := cells(o, len(cases)*len(sols), func(k int) fio.Result {
 			c, s := cases[k/len(sols)], sols[k%len(sols)]
 			cfg := fio.Config{Mode: c.mode, BlockSize: c.bs, QD: c.qd, RateIOPS: 10000,
 				Warmup: warm, Duration: dur}
-			r := runFio(o, s.mk, cfg, 1)
-			cells[k] = cell{float64(r.Lat.Median()) / 1e3, float64(r.Lat.P99()) / 1e3}
+			return runFio(o, s.mk, cfg, 1)
 		})
 		for ci, c := range cases {
 			var medCells, p99Cells []float64
-			for si := range sols {
-				medCells = append(medCells, cells[ci*len(sols)+si].med)
-				p99Cells = append(p99Cells, cells[ci*len(sols)+si].p99)
+			for _, r := range runs[ci*len(sols) : (ci+1)*len(sols)] {
+				medCells = append(medCells, float64(r.Lat.Median())/1e3)
+				p99Cells = append(p99Cells, float64(r.Lat.P99())/1e3)
 			}
 			label := fmt.Sprintf("bs=%s %v qd=%d", bsName(c.bs), c.mode, c.qd)
 			med.add(label, medCells...)
@@ -268,14 +260,13 @@ func init() {
 				rows = append(rows, row{m, qd})
 			}
 		}
-		cells := make([]float64, len(rows)*len(vmCounts))
-		o.forEach(len(cells), func(k int) {
+		kiops := cells(o, len(rows)*len(vmCounts), func(k int) float64 {
 			rw, n := rows[k/len(vmCounts)], vmCounts[k%len(vmCounts)]
 			cfg := fio.Config{Mode: rw.m, BlockSize: 512, QD: rw.qd, Warmup: warm, Duration: dur}
-			cells[k] = runFioScaled(o, n, cfg).KIOPS()
+			return runFioScaled(o, n, cfg).KIOPS()
 		})
 		for ri, rw := range rows {
-			t.add(fmt.Sprintf("%v qd=%d", rw.m, rw.qd), cells[ri*len(vmCounts):(ri+1)*len(vmCounts)]...)
+			t.add(fmt.Sprintf("%v qd=%d", rw.m, rw.qd), kiops[ri*len(vmCounts):(ri+1)*len(vmCounts)]...)
 		}
 		return []*Table{t}
 	})

@@ -10,9 +10,11 @@ import (
 
 // End-to-end acceptance: a full replication fio run with 1% media errors
 // on the remote device plus a 10 ms fabric outage completes with zero
-// hangs (every accepted guest command produces a completion), the
-// Replicator reports degraded writes with dirty regions, and re-running
-// with the same seed reproduces the identical counter trace.
+// hangs (every accepted guest command produces a completion), runs the
+// degraded path (failed secondary writes, a reconnect, link-up requeues),
+// drains it back (the resync engine copies the dirty regions and the
+// mirror reaches InSync with none left), and re-running with the same
+// seed reproduces the identical counter trace.
 func TestFaultE2EReplicationWithOutage(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
 	cfg := faultCfg(o)
@@ -23,21 +25,17 @@ func TestFaultE2EReplicationWithOutage(t *testing.T) {
 			WithMediaErrors(0.01).
 			WithOutage(sim.Time(0).Add(warm+2*sim.Millisecond), 10*sim.Millisecond)
 	}
-	a := runFaultRepl(o, mk(), nil, cfg, 4)
+	a := runFaultRepl(o, mk(), cfg, 4)
 	if !a.drained {
 		t.Fatal("guest commands stuck in flight after the run (hang)")
 	}
-	if a.counters.Get("rep.degraded") == 0 || a.counters.Get("rep.dirty_blocks") == 0 {
-		t.Fatalf("no degraded writes recorded: %s", a.counters.String())
+	for _, c := range []string{"rep.degraded", "rep.secondary_errors", "of.reconnects", "of.requeues", "rs.resynced_blocks"} {
+		if a.counters.Get(c) == 0 {
+			t.Fatalf("%s is 0: %s", c, a.counters.String())
+		}
 	}
-	if a.counters.Get("rep.dirty_regions") == 0 {
-		t.Fatalf("degraded writes without dirty regions: %s", a.counters.String())
-	}
-	if a.counters.Get("of.reconnects") == 0 {
-		t.Fatalf("outage ended without a reconnect event: %s", a.counters.String())
-	}
-	if a.counters.Get("of.requeues") == 0 {
-		t.Fatalf("no in-flight commands requeued on link-up: %s", a.counters.String())
+	if a.counters.Get("rs.settled") != 1 {
+		t.Fatalf("the mirror did not drain back to InSync with no dirty blocks: %s", a.counters.String())
 	}
 	// Degraded mode masks secondary failures entirely: only the remote
 	// device and the fabric are faulty, so the guest sees zero errors.
@@ -46,7 +44,7 @@ func TestFaultE2EReplicationWithOutage(t *testing.T) {
 			a.res.Errors, a.counters.Get("rt.guest_errors"))
 	}
 
-	b := runFaultRepl(o, mk(), nil, cfg, 4)
+	b := runFaultRepl(o, mk(), cfg, 4)
 	if a.counters.String() != b.counters.String() {
 		t.Fatalf("same seed produced different fault traces:\n%s\n%s", a.counters.String(), b.counters.String())
 	}
@@ -62,8 +60,9 @@ func TestFaultDeterminismFastPath(t *testing.T) {
 	o := Options{Quick: true, Seed: 5}
 	cfg := faultCfg(o)
 	mk := func() *fault.Plan { return fault.NewPlan(o.Seed).WithDrops(0.02, 0) }
-	a := runFaultNVMetro(o, mk(), tightRouter, cfg, 4)
-	b := runFaultNVMetro(o, mk(), tightRouter, cfg, 4)
+	nvmetro := basicSolutions()[0].mk
+	a := runFault(o, nvmetro, mk(), tightRouter, cfg, 4)
+	b := runFault(o, nvmetro, mk(), tightRouter, cfg, 4)
 	if !a.drained || !b.drained {
 		t.Fatal("run did not drain")
 	}
@@ -79,7 +78,7 @@ func TestFaultDeterminismFastPath(t *testing.T) {
 // stack too — error propagation is not NVMetro-specific.
 func TestFaultMediaErrorsSurfaceOnMDev(t *testing.T) {
 	o := Options{Quick: true, Seed: 2}
-	fr := runFaultMDev(o, fault.NewPlan(o.Seed).WithMediaErrors(0.05), faultCfg(o), 4)
+	fr := runFault(o, basicSolutions()[1].mk, fault.NewPlan(o.Seed).WithMediaErrors(0.05), nil, faultCfg(o), 4)
 	if fr.res.Errors == 0 {
 		t.Fatalf("5%% media errors produced no guest errors: %s", fr.counters.String())
 	}

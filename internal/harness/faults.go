@@ -3,18 +3,13 @@ package harness
 import (
 	"fmt"
 
-	"nvmetro/internal/blockdev"
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/fault"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/metrics"
-	"nvmetro/internal/nvmeof"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
-	"nvmetro/internal/storfn"
-	"nvmetro/internal/uif"
-	"nvmetro/internal/vm"
 )
 
 // The fault experiment exercises the robustness machinery end to end: a
@@ -43,16 +38,6 @@ type faultRun struct {
 	drained  bool // every accepted guest command completed
 }
 
-// drainOutstanding runs the simulation until outstanding() reaches zero
-// (or a generous bound passes), reporting whether it drained.
-func drainOutstanding(env *sim.Env, outstanding func() int) bool {
-	deadline := env.Now().Add(2 * sim.Second)
-	for outstanding() > 0 && env.Now() < deadline {
-		env.RunUntil(env.Now().Add(sim.Millisecond))
-	}
-	return outstanding() == 0
-}
-
 // collectDevice folds device-side fault counters into cs.
 func collectDevice(cs *metrics.CounterSet, prefix string, d *device.Device) {
 	cs.Add(prefix+".injected", d.FaultInjector().InjectedTotal())
@@ -73,56 +58,28 @@ func collectRouter(cs *metrics.CounterSet, r *core.Router) {
 	cs.Add("rt.backpressure", r.Backpressure)
 }
 
-// collectInitiator folds fabric recovery counters into cs.
-func collectInitiator(cs *metrics.CounterSet, l *nvmeof.Link, ini *nvmeof.Initiator) {
-	cs.Add("link.drops", l.Drops[0]+l.Drops[1])
-	cs.Add("of.retries", ini.Retries)
-	cs.Add("of.requeues", ini.Requeues)
-	cs.Add("of.reconnects", ini.Reconnects)
-	cs.Add("of.failures", ini.Failures)
-	cs.Add("of.stale_responses", ini.StaleResponses)
-}
-
-// collectReplicator folds degraded-mode counters into cs.
-func collectReplicator(cs *metrics.CounterSet, rep *storfn.Replicator) {
-	cs.Add("rep.degraded", rep.Degraded)
-	cs.Add("rep.secondary_errors", rep.SecondaryErrors)
-	cs.Add("rep.dirty_regions", uint64(rep.Dirty.Regions()))
-	cs.Add("rep.dirty_blocks", rep.Dirty.Blocks())
-}
-
-// runFaultNVMetro runs the fast-path stack with plan injected at the
-// device, optionally tuning the router's recovery policy first.
-func runFaultNVMetro(o Options, plan *fault.Plan, tune func(*core.Router), cfg fio.Config, jobs int) faultRun {
+// runFault runs mk's solution with plan injected at the device. On an
+// NVMetro stack tune (when set) adjusts the router's recovery policy after
+// Provision, and the run drains and reports router counters; the MDev
+// baseline has no drop recovery, so its plans must keep completions
+// flowing.
+func runFault(o Options, mk solFactory, plan *fault.Plan, tune func(*core.Router), cfg fio.Config, jobs int) faultRun {
 	env, h := newBed(o, device.NullStore{})
 	defer env.Close()
 	h.Dev.InjectFaults(plan.Injector("device"))
 	v := h.NewVM(4, 512<<20)
-	router := core.NewRouter(env, h.Params.Router, []*sim.Thread{h.HostThread("router")})
-	if tune != nil {
-		tune(router)
+	sol := mk(env, h)
+	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
+	nv, _ := sol.(*stack.NVMetro)
+	if nv != nil && tune != nil {
+		tune(nv.ControllerFor(v).Router())
 	}
-	vc := router.Attach(v, device.WholeNamespace(h.Dev, 1))
-	disk := vm.NewNVMeDisk(v, vc, 128, h.Params.Driver)
-
-	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
-	out.drained = drainOutstanding(env, vc.Outstanding)
-	collectDevice(&out.counters, "dev", h.Dev)
-	collectRouter(&out.counters, router)
-	out.counters.Add("fio.errors", out.res.Errors)
-	return out
-}
-
-// runFaultMDev runs the MDev baseline with media errors injected at the
-// device (MDev has no drop recovery, so plans must keep completions
-// flowing).
-func runFaultMDev(o Options, plan *fault.Plan, cfg fio.Config, jobs int) faultRun {
-	env, h := newBed(o, device.NullStore{})
-	defer env.Close()
-	h.Dev.InjectFaults(plan.Injector("device"))
-	v := h.NewVM(4, 512<<20)
-	disk := stack.NewMDev(h).Provision(v, device.WholeNamespace(h.Dev, 1))
 	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg), drained: true}
+	if nv != nil {
+		vc := nv.ControllerFor(v)
+		out.drained = drainOutstanding(env, vc.Outstanding)
+		collectRouter(&out.counters, vc.Router())
+	}
 	collectDevice(&out.counters, "dev", h.Dev)
 	out.counters.Add("fio.errors", out.res.Errors)
 	return out
@@ -131,38 +88,29 @@ func runFaultMDev(o Options, plan *fault.Plan, cfg fio.Config, jobs int) faultRu
 // runFaultRepl runs the replication stack: local fast path plus the
 // Replicator UIF mirroring to a remote device over the fabric. plan's
 // media rules are injected at the remote device and its outages on the
-// link, so secondary-leg failures exercise degraded mode.
-func runFaultRepl(o Options, plan *fault.Plan, tune func(*core.Router), cfg fio.Config, jobs int) faultRun {
+// link, so secondary-leg failures exercise degraded mode. After the
+// counters are taken the mirror is driven to InSync: rs.settled counts 1
+// when it gets there with no dirty block left.
+func runFaultRepl(o Options, plan *fault.Plan, cfg fio.Config, jobs int) faultRun {
 	env, h := newBed(o, device.NullStore{})
 	defer env.Close()
-	p := h.Params
 	v := h.NewVM(4, 512<<20)
-	router := core.NewRouter(env, p.Router, []*sim.Thread{h.HostThread("router")})
-	if tune != nil {
-		tune(router)
-	}
-	vc := router.Attach(v, device.WholeNamespace(h.Dev, 1))
-	prog, _ := storfn.ReplicatorClassifier(vc.Partition())
-	if err := vc.LoadClassifier(prog); err != nil {
-		panic(err)
-	}
-	remote := stack.NewRemoteHost(env, 4, p.Device, device.NullStore{})
-	remote.Dev.InjectFaults(plan.Injector("remote-device"))
-	remote.Link.ApplyPlan(plan)
-	ini := remote.Secondary()(vc.Partition()).(*nvmeof.Initiator)
-	ring := blockdev.NewURing(env, ini, p.URing)
-	fw := uif.NewFramework(env, p.UIF, []*sim.Thread{h.HostThread("uif")})
-	rep := storfn.NewReplicator()
-	fw.Attach(vc.AttachUIF(512), rep, ring)
-	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
+	m := newMirror(env, h, device.NullStore{}, nil, nil)
+	m.remote.Dev.InjectFaults(plan.Injector("remote-device"))
+	m.remote.Link.ApplyPlan(plan)
+	sol := stack.NewNVMetro(h).WithReplication(m.secondary)
+	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
+	vc := sol.ControllerFor(v)
 
 	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
-	collectDevice(&out.counters, "rdev", remote.Dev)
-	collectRouter(&out.counters, router)
-	collectInitiator(&out.counters, remote.Link, ini)
-	collectReplicator(&out.counters, rep)
+	collectDevice(&out.counters, "rdev", m.remote.Dev)
+	collectRouter(&out.counters, vc.Router())
+	m.collect(&out.counters, sol, v)
 	out.counters.Add("fio.errors", out.res.Errors)
+	settled := driveInSync(env, sol.ResyncerFor(v), sim.Millisecond, env.Now().Add(2*sim.Second)) &&
+		sol.ReplicatorFor(v).Dirty.Blocks() == 0
+	out.counters.Add("rs.settled", uint64(bit(settled)))
 	return out
 }
 
@@ -183,33 +131,15 @@ func faultSweep(o Options) *Table {
 	for _, r := range rates {
 		t.Cols = append(t.Cols, fmt.Sprintf("%.1f%%", r*100))
 	}
-	type run func(rate float64) faultRun
-	stacks := []struct {
-		name string
-		run  run
-	}{
-		{"NVMetro", func(rate float64) faultRun {
-			return runFaultNVMetro(o, fault.NewPlan(o.Seed).WithMediaErrors(rate), nil, cfg, 4)
-		}},
-		{"MDev", func(rate float64) faultRun {
-			return runFaultMDev(o, fault.NewPlan(o.Seed).WithMediaErrors(rate), cfg, 4)
-		}},
-	}
-	// Shards: one per (stack, rate) grid cell; each row merges its cells in
-	// rate order after the group runs.
-	g := o.group()
-	runs := make([][]*faultRun, len(stacks))
-	for i, s := range stacks {
-		run := s.run
-		for _, rate := range rates {
-			rate := rate
-			runs[i] = append(runs[i], shard(g, func() faultRun { return run(rate) }))
-		}
-	}
-	g.run()
-	for i, s := range stacks {
-		var cells []float64
-		for _, fr := range runs[i] {
+	sols := basicSolutions()[:2] // NVMetro and MDev
+	// One cell per (stack, rate); each row takes its cells in rate order.
+	runs := cells(o, len(sols)*len(rates), func(k int) faultRun {
+		plan := fault.NewPlan(o.Seed).WithMediaErrors(rates[k%len(rates)])
+		return runFault(o, sols[k/len(rates)].mk, plan, nil, cfg, 4)
+	})
+	for i, s := range sols {
+		var row []float64
+		for _, fr := range runs[i*len(rates) : (i+1)*len(rates)] {
 			perKop := 0.0
 			if fr.res.Ops > 0 {
 				perKop = float64(fr.res.Errors) / float64(fr.res.Ops) * 1e3
@@ -217,9 +147,9 @@ func faultSweep(o Options) *Table {
 			if !fr.drained {
 				perKop = -1 // hang marker; must never happen
 			}
-			cells = append(cells, perKop)
+			row = append(row, perKop)
 		}
-		t.add(s.name, cells...)
+		t.add(s.name, row...)
 	}
 	t.Notes = "errors surface as completions; -1 would mean a hang (commands stuck in flight)"
 	return t
@@ -249,25 +179,16 @@ func faultRecovery(o Options) *Table {
 		{"drop 2%", fault.NewPlan(o.Seed).WithDrops(0.02, 0)},
 		{"stuck 2% (5ms)", fault.NewPlan(o.Seed).WithStuck(0.02, 0, 5*sim.Millisecond)},
 	}
-	g := o.group()
-	runs := make([]*faultRun, len(rows))
+	nvmetro := basicSolutions()[0].mk
+	runs := cells(o, len(rows), func(i int) faultRun { return runFault(o, nvmetro, rows[i].plan, tightRouter, cfg, 4) })
 	for i, row := range rows {
-		plan := row.plan
-		runs[i] = shard(g, func() faultRun { return runFaultNVMetro(o, plan, tightRouter, cfg, 4) })
-	}
-	g.run()
-	for i, row := range rows {
-		fr := *runs[i]
-		drained := 0.0
-		if fr.drained {
-			drained = 1
-		}
+		fr := runs[i]
 		t.add(row.name,
 			float64(fr.counters.Get("dev.injected")),
 			float64(fr.counters.Get("rt.hq_timeouts")),
 			float64(fr.counters.Get("rt.stale_comps")),
 			float64(fr.counters.Get("rt.guest_errors")),
-			drained)
+			bit(fr.drained))
 	}
 	t.Notes = "dropped completions resolve via deadline abort; stuck ones arrive late and are counted stale"
 	return t
@@ -292,26 +213,16 @@ func faultReplication(o Options) *Table {
 		{"remote 1% media", fault.NewPlan(o.Seed).WithMediaErrors(0.01)},
 		{"remote 1% media + 10ms outage", fault.NewPlan(o.Seed).WithMediaErrors(0.01).WithOutage(outageAt, 10*sim.Millisecond)},
 	}
-	g := o.group()
-	runs := make([]*faultRun, len(rows))
+	runs := cells(o, len(rows), func(i int) faultRun { return runFaultRepl(o, rows[i].plan, cfg, 4) })
 	for i, row := range rows {
-		plan := row.plan
-		runs[i] = shard(g, func() faultRun { return runFaultRepl(o, plan, nil, cfg, 4) })
-	}
-	g.run()
-	for i, row := range rows {
-		fr := *runs[i]
-		drained := 0.0
-		if fr.drained {
-			drained = 1
-		}
+		fr := runs[i]
 		t.add(row.name,
 			fr.res.KIOPS(),
 			float64(fr.counters.Get("rep.degraded")),
 			float64(fr.counters.Get("rep.dirty_blocks")),
 			float64(fr.counters.Get("of.requeues")),
 			float64(fr.counters.Get("of.failures")),
-			drained)
+			bit(fr.drained))
 	}
 	t.Notes = "guest writes complete from the primary alone when the secondary leg fails"
 	return t

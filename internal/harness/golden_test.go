@@ -24,7 +24,8 @@ func TestGoldenCSVs(t *testing.T) {
 	ids := []string{"fig5", "table2", "qos"}
 	if !testing.Short() && !raceEnabled {
 		ids = []string{
-			"fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "qos", "fault",
+			"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+			"fig11", "fig12", "fig13", "qos", "fault",
 			"resync", "cache", "chaos", "scrub", "bootstorm",
 			"scale", "table2",
 		}

@@ -8,8 +8,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -22,15 +20,6 @@ type Options struct {
 	// parallel unless a caller forces Workers to 1 (serial). Results are
 	// identical either way; see TestParallelMatchesSerial.
 	Workers int
-}
-
-// effectiveWorkers resolves Workers: values <= 0 (including the default
-// zero value) mean runtime.GOMAXPROCS(0).
-func (o Options) effectiveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Table is one rendered result table.
@@ -52,6 +41,14 @@ type tableRow struct {
 // add appends a row.
 func (t *Table) add(label string, cells ...float64) {
 	t.Rows = append(t.Rows, tableRow{Label: label, Cells: cells})
+}
+
+// bit is a 0/1 table cell: 1 when an acceptance predicate holds.
+func bit(ok bool) float64 {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 // Fprint renders the table as aligned text.
@@ -106,39 +103,21 @@ type Experiment struct {
 	Run   func(o Options) []*Table
 }
 
-var registry = map[string]Experiment{}
-var order []string
+var registry []Experiment
 
 func register(id, title string, run func(o Options) []*Table) {
-	registry[id] = Experiment{ID: id, Title: title, Run: run}
-	order = append(order, id)
+	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
 }
 
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
-// List returns all experiment IDs in registration order.
-func List() []Experiment {
-	ids := append([]string(nil), order...)
-	sort.Slice(ids, func(i, j int) bool {
-		// registration order is already curated; keep it stable
-		return indexOf(order, ids[i]) < indexOf(order, ids[j])
-	})
-	out := make([]Experiment, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, registry[id])
-	}
-	return out
-}
-
-func indexOf(s []string, v string) int {
-	for i, x := range s {
-		if x == v {
-			return i
+	for _, e := range registry {
+		if e.ID == id {
+			return e, true
 		}
 	}
-	return -1
+	return Experiment{}, false
 }
+
+// List returns all experiments in registration order.
+func List() []Experiment { return append([]Experiment(nil), registry...) }

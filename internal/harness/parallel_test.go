@@ -37,9 +37,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSerial checks the shard-level fan-out: experiments whose
-// tables are built from a shardGroup (independent cell runs merged in
-// (point, shard) order) must render byte-identically at any worker count.
+// TestShardedMatchesSerial checks the cell-level fan-out of the rig
+// experiments: each table is built from independent cell runs that cells
+// returns in index order, so it must render byte-identically at any worker
+// count.
 func TestShardedMatchesSerial(t *testing.T) {
 	ids := []string{"resync", "cache"}
 	if !testing.Short() {

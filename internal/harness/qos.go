@@ -114,19 +114,12 @@ func qosTable(o Options) *Table {
 		Notes: "victim: rate-gated 512B randread probe; aggressor: closed-loop 512B randwrite.\n" +
 			"last row: both closed-loop at 3:1 WFQ weights (victim = weight-3 tenant).",
 	}
-	type cells struct{ v [4]float64 }
-	out := make([]cells, len(scenarios))
-	o.forEach(len(scenarios), func(i int) {
+	rows := cells(o, len(scenarios), func(i int) []float64 {
 		v, a := runQoSPair(o, scenarios[i].sc)
-		out[i] = cells{[4]float64{
-			v.KIOPS(),
-			float64(v.Lat.Median()) / 1e3,
-			float64(v.Lat.P99()) / 1e3,
-			a.KIOPS(),
-		}}
+		return []float64{v.KIOPS(), float64(v.Lat.Median()) / 1e3, float64(v.Lat.P99()) / 1e3, a.KIOPS()}
 	})
 	for i, s := range scenarios {
-		t.add(s.label, out[i].v[:]...)
+		t.add(s.label, rows[i]...)
 	}
 	return t
 }

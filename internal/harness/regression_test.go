@@ -3,45 +3,36 @@ package harness
 import (
 	"testing"
 
-	"nvmetro/internal/blockdev"
-	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
-	"nvmetro/internal/storfn"
-	"nvmetro/internal/uif"
 	"nvmetro/internal/vm"
 )
 
 // Regression test for a lost wake-up in the UIF adaptive poller: a uring
 // completion landing during the poller's final spin quantum before parking
 // was never reaped, wedging multicast (replication) writes whose PRP used
-// two pages. Forty back-to-back 8 KiB mirrored writes cover the window.
+// two pages. Forty 8 KiB mirrored writes, each after a guest pause that
+// grows by 2 µs per write (0 to 78 µs, across the poller's 50 µs park
+// budget), land their notifications and ring completions on both sides of
+// the park; every write must complete OK within the run.
 func TestReplicationManyTwoPagePRPWrites(t *testing.T) {
+	const writes = 40
 	env := sim.New(8)
 	p := stack.DefaultParams()
 	h := stack.NewHost(env, 12, 4, p, device.NullStore{})
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
-	router := core.NewRouter(env, p.Router, []*sim.Thread{h.HostThread("router")})
-	vc := router.Attach(v, device.WholeNamespace(h.Dev, 1))
-	prog, _ := storfn.ReplicatorClassifier(vc.Partition())
-	if err := vc.LoadClassifier(prog); err != nil {
-		t.Fatal(err)
-	}
 	remote := stack.NewRemoteHost(env, 4, p.Device, device.NullStore{})
-	initiator := remote.Secondary()(vc.Partition())
-	ring := blockdev.NewURing(env, initiator, p.URing)
-	fw := uif.NewFramework(env, p.UIF, []*sim.Thread{h.HostThread("uif")})
-	rep := storfn.NewReplicator()
-	att := fw.Attach(vc.AttachUIF(512), rep, ring)
-	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
+	sol := stack.NewNVMetro(h).WithReplication(remote.Secondary())
+	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
 
 	done := 0
 	env.Go("t", func(pr *sim.Proc) {
 		defer env.Stop()
 		base, pages, _ := v.Mem.AllocBuffer(8192)
-		for i := 0; i < 40; i++ {
+		for i := 0; i < writes; i++ {
+			pr.Sleep(sim.Duration(i) * 2 * sim.Microsecond)
 			r := &vm.Req{Op: vm.OpWrite, LBA: uint64(i) * 16, Blocks: 16, Buf: base, BufPages: pages}
 			if st := vm.SubmitAndWait(pr, disk, v.VCPU(0), r); !st.OK() {
 				t.Errorf("write %d: %v", i, st)
@@ -51,6 +42,8 @@ func TestReplicationManyTwoPagePRPWrites(t *testing.T) {
 		}
 	})
 	env.RunUntil(sim.Time(20 * sim.Millisecond))
-	t.Logf("done=%d events=%d asyncDone=%d ringSub=%d ringReaped=%d ringPend=%d fwd=%d polls=%d wakes=%d",
-		done, att.Events, att.AsyncDone, ring.Submitted, ring.Reaped, ring.Pending(), rep.Forwarded, fw.Polls, fw.Wakes)
+	if done != writes {
+		t.Fatalf("%d of %d mirrored writes completed OK (%d forwarded to the secondary)",
+			done, writes, sol.ReplicatorFor(v).Forwarded)
+	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"nvmetro/internal/blockdev"
-	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/metrics"
@@ -10,14 +9,14 @@ import (
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/storfn"
-	"nvmetro/internal/uif"
 	"nvmetro/internal/vm"
 )
 
 // The resync experiment drives the replication stack through fabric
 // outages and measures the drain back to a consistent mirror: guest
 // writes landing during an outage degrade the mirror and accumulate
-// dirty regions; the link-up callback triggers the Resyncer, which
+// dirty regions; the link-up of the volume's fabric secondary triggers the
+// Resyncer the stack wires for every replicated volume, which
 // copies the dirty ranges from the primary to the secondary under a
 // rate limit, re-dirtying anything the guest overwrites mid-copy, and
 // verifies the result before declaring the mirror InSync. Every row
@@ -46,6 +45,51 @@ type outageSpec struct {
 	dur sim.Duration
 }
 
+// mirror is a replication secondary on a remote host, with the outages
+// scheduled on its link: secondary is the factory WithReplication takes.
+// It applies the experiment's fabric recovery policy (nil keeps the
+// default) to the initiator it opens and keeps that for the counters.
+type mirror struct {
+	remote *stack.RemoteHost
+	rec    *nvmeof.InitiatorRecovery
+	ini    *nvmeof.Initiator
+}
+
+func newMirror(env *sim.Env, h *stack.Host, store device.Store, outages []outageSpec, rec *nvmeof.InitiatorRecovery) *mirror {
+	m := &mirror{remote: stack.NewRemoteHost(env, 4, h.Params.Device, store), rec: rec}
+	for _, ow := range outages {
+		m.remote.Link.ScheduleOutage(ow.at, ow.dur)
+	}
+	return m
+}
+
+func (m *mirror) secondary(part device.Partition) blockdev.BlockDevice {
+	m.ini = m.remote.Secondary()(part).(*nvmeof.Initiator)
+	if m.rec != nil {
+		if err := m.ini.SetRecovery(*m.rec); err != nil {
+			panic(err)
+		}
+	}
+	return m.ini
+}
+
+// collect folds v's degraded-mode replicator state, the fabric's recovery
+// counters and the resync engine's into cs.
+func (m *mirror) collect(cs *metrics.CounterSet, sol *stack.NVMetro, v *vm.VM) {
+	rep := sol.ReplicatorFor(v)
+	cs.Add("rep.degraded", rep.Degraded)
+	cs.Add("rep.secondary_errors", rep.SecondaryErrors)
+	cs.Add("rep.dirty_regions", uint64(rep.Dirty.Regions()))
+	cs.Add("rep.dirty_blocks", rep.Dirty.Blocks())
+	cs.Add("link.drops", m.remote.Link.Drops[0]+m.remote.Link.Drops[1])
+	cs.Add("of.retries", m.ini.Retries)
+	cs.Add("of.requeues", m.ini.Requeues)
+	cs.Add("of.reconnects", m.ini.Reconnects)
+	cs.Add("of.failures", m.ini.Failures)
+	cs.Add("of.stale_responses", m.ini.StaleResponses)
+	sol.ResyncerFor(v).Collect(cs)
+}
+
 // resyncRun is one resync workload outcome.
 type resyncRun struct {
 	res         fio.Result
@@ -57,56 +101,25 @@ type resyncRun struct {
 }
 
 // runResync runs the replication stack with content-backed stores on
-// both legs, a Resyncer wired to the initiator's link-up callback, and
-// the given outage schedule, then drives the simulation until the
-// mirror converges.
+// both legs, the resync engine draining at rcfg's rate and the given
+// outage schedule, then drives the simulation until the mirror converges.
 func runResync(o Options, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fio.Config, jobs int) resyncRun {
-	store := device.NewMemStore(512)
+	store, rstore := device.NewMemStore(512), device.NewMemStore(512)
 	env, h := newBed(o, store)
 	defer env.Close()
-	p := h.Params
+	h.Params.Resync = rcfg
 	v := h.NewVM(4, 512<<20)
-	router := core.NewRouter(env, p.Router, []*sim.Thread{h.HostThread("router")})
-	vc := router.Attach(v, device.WholeNamespace(h.Dev, 1))
-	prog, _ := storfn.ReplicatorClassifier(vc.Partition())
-	if err := vc.LoadClassifier(prog); err != nil {
-		panic(err)
-	}
+	m := newMirror(env, h, rstore, outages, &resyncRecovery)
+	sol := stack.NewNVMetro(h).WithReplication(m.secondary)
+	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
 
-	rstore := device.NewMemStore(512)
-	remote := stack.NewRemoteHost(env, 4, p.Device, rstore)
-	for _, ow := range outages {
-		remote.Link.ScheduleOutage(ow.at, ow.dur)
-	}
-	ini := remote.Secondary()(vc.Partition()).(*nvmeof.Initiator)
-	if err := ini.SetRecovery(resyncRecovery); err != nil {
-		panic(err)
-	}
-	ring := blockdev.NewURing(env, ini, p.URing)
-	fw := uif.NewFramework(env, p.UIF, []*sim.Thread{h.HostThread("uif")})
-	rep := storfn.NewReplicator()
-	att := fw.Attach(vc.AttachUIF(512), rep, ring)
-
-	// The resyncer reads the primary through its own host block device so
-	// drain traffic never contends with the guest's fast-path queues.
-	primary := blockdev.NewNVMeBlockDev(env, device.WholeNamespace(h.Dev, 1), h.CPU, 7, p.Block)
-	rs, err := storfn.NewResyncer(env, rep, primary, att, h.HostThread("resync"), h.Dev.Params().LBAShift, rcfg)
-	if err != nil {
-		panic(err)
-	}
-	ini.OnReconnect(rs.OnLinkUp)
-
-	disk := vm.NewNVMeDisk(v, vc, 128, p.Driver)
 	out := resyncRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
-	out.drained = drainOutstanding(env, vc.Outstanding)
-
-	out.converged = driveInSync(env, rs, sim.Millisecond, env.Now().Add(2*sim.Second))
-	out.finalDirty = rep.Dirty.Blocks()
+	out.drained = drainOutstanding(env, sol.ControllerFor(v).Outstanding)
+	out.converged = driveInSync(env, sol.ResyncerFor(v), sim.Millisecond, env.Now().Add(2*sim.Second))
+	out.finalDirty = sol.ReplicatorFor(v).Dirty.Blocks()
 	out.mirrorMatch = store.ContentCRC() == rstore.ContentCRC()
 
-	collectReplicator(&out.counters, rep)
-	collectInitiator(&out.counters, remote.Link, ini)
-	rs.Collect(&out.counters)
+	m.collect(&out.counters, sol, v)
 	out.counters.Add("fio.errors", out.res.Errors)
 	return out
 }
@@ -116,13 +129,12 @@ func runResync(o Options, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fi
 // sits Degraded: the last outage (or a chaos degradation) may have outlived
 // the workload, leaving no link-up to retrigger the drain.
 func driveInSync(env *sim.Env, rs *storfn.Resyncer, step sim.Duration, deadline sim.Time) bool {
-	for rs.State() != storfn.StateInSync && env.Now() < deadline {
+	return until(env, step, deadline, func() bool {
 		if rs.State() == storfn.StateDegraded {
 			rs.Trigger()
 		}
-		env.RunUntil(env.Now().Add(step))
-	}
-	return rs.State() == storfn.StateInSync
+		return rs.State() == storfn.StateInSync
+	})
 }
 
 // resyncTable exercises the resync engine across outage shapes: a single
@@ -157,31 +169,17 @@ func resyncTable(o Options) *Table {
 			{at(6 * sim.Millisecond), 2 * sim.Millisecond},
 		}, slow},
 	}
-	// One shard per outage shape; rows assemble in declaration order.
-	g := o.group()
-	runs := make([]*resyncRun, len(rows))
+	runs := cells(o, len(rows), func(i int) resyncRun { return runResync(o, rows[i].outages, rows[i].rcfg, cfg, 4) })
 	for i, row := range rows {
-		row := row
-		runs[i] = shard(g, func() resyncRun { return runResync(o, row.outages, row.rcfg, cfg, 4) })
-	}
-	g.run()
-	for i, row := range rows {
-		rr := *runs[i]
-		converged, mirrorOK := 0.0, 0.0
-		if rr.converged && rr.drained && rr.finalDirty == 0 {
-			converged = 1
-		}
-		if rr.mirrorMatch {
-			mirrorOK = 1
-		}
+		rr := runs[i]
 		t.add(row.name,
 			rr.res.KIOPS(),
 			float64(rr.counters.Get("rep.degraded")),
 			float64(rr.counters.Get("rs.resynced_blocks")),
 			float64(rr.counters.Get("rs.redirtied_blocks")),
 			float64(rr.counters.Get("rs.aborts")),
-			converged,
-			mirrorOK)
+			bit(rr.converged && rr.drained && rr.finalDirty == 0),
+			bit(rr.mirrorMatch))
 	}
 	t.Notes = "converged = drained, InSync and zero dirty blocks; mirror_ok = primary and secondary stores bit-identical"
 	return t

@@ -182,39 +182,21 @@ func scaleTable(o Options) *Table {
 		fleets = []int{1, 8, 64}
 		episodeAt = 8
 	}
-	g := o.group()
-	type cell struct {
-		vms int
-		r   *scaleRun
-	}
-	var cells []cell
-	for _, n := range fleets {
-		n := n
-		ep := n == episodeAt
-		cells = append(cells, cell{n, shard(g, func() scaleRun { return runScale(o, n, ep) })})
-	}
-	g.run()
-	for _, c := range cells {
-		r := *c.r
-		ok, ep := 0.0, 0.0
-		if scaleOK(r, c.vms) {
-			ok = 1
-		}
-		if r.episode {
-			ep = 1
-		}
-		t.add(fmt.Sprintf("N=%d", c.vms),
+	runs := cells(o, len(fleets), func(i int) scaleRun { return runScale(o, fleets[i], fleets[i] == episodeAt) })
+	for i, n := range fleets {
+		r := runs[i]
+		t.add(fmt.Sprintf("N=%d", n),
 			float64(r.shards),
 			r.res.KIOPS(),
-			r.res.KIOPS()/float64(c.vms),
+			r.res.KIOPS()/float64(n),
 			float64(r.res.Lat.P99())/1e3,
 			float64(r.promoted),
 			float64(r.promotions),
 			float64(r.demotions),
 			float64(r.promotedOps),
 			float64(r.classifications),
-			ep,
-			ok)
+			bit(r.episode),
+			bit(scaleOK(r, n)))
 	}
 	t.Notes = "one shard per 16 VMs (max 64), one device per shard, whole namespace per VM; episode row hot-swaps VM0's classifier mid-window (demote) and back (re-promote); ok = drained, errors=0, all promoted, classifier fully elided (episode row: fence verified)"
 	return t

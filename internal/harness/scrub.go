@@ -98,23 +98,6 @@ func scrubConfig() integrity.ScrubConfig {
 	return cfg
 }
 
-// driveGuest runs fn as a guest program and drives the simulation until
-// it finishes.
-func driveGuest(env *sim.Env, name string, fn func(p *sim.Proc)) {
-	done := false
-	env.Go(name, func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	deadline := env.Now().Add(2 * sim.Second)
-	for !done && env.Now() < deadline {
-		env.RunUntil(env.Now().Add(sim.Millisecond))
-	}
-	if !done {
-		panic("harness: scrub guest phase did not finish")
-	}
-}
-
 // corruptPattern is the directed-phase payload for op i: nonzero and
 // distinct per op, so torn and lost writes always leave a detectable
 // mismatch against the stamped expectation.
@@ -160,10 +143,11 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 
 	sol := stack.NewNVMetro(h)
 	var rstore *device.MemStore
+	var m *mirror
 	if replica {
 		rstore = device.NewMemStore(512)
-		remote := stack.NewRemoteHost(env, 4, h.Params.Device, rstore)
-		sol = sol.WithReplication(remote.Secondary())
+		m = newMirror(env, h, rstore, nil, nil)
+		sol = sol.WithReplication(m.secondary)
 	}
 	sol = sol.WithIntegrity(scrubConfig())
 	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
@@ -171,7 +155,6 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 	scr := sol.ScrubberFor(v)
 	dom := sol.IntegrityDomainFor(v)
 	rs := sol.ResyncerFor(v)
-	rep := sol.ReplicatorFor(v)
 
 	out := scrubRun{mirrorOK: true, scr: scr}
 
@@ -223,9 +206,7 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 		for stable < 2 && env.Now() < deadline {
 			target := scr.Passes + 1
 			scr.Trigger()
-			for scr.Passes < target && env.Now() < deadline {
-				env.RunUntil(env.Now().Add(step))
-			}
+			until(env, step, deadline, func() bool { return scr.Passes >= target })
 			if rs != nil {
 				driveInSync(env, rs, step, deadline)
 			}
@@ -272,12 +253,9 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 	collectRouter(&out.counters, vc.Router())
 	out.counters.Add("rt.guard_errors", vc.Router().GuardErrors)
 	out.counters.Add("rt.quarantined_reads", vc.Router().QuarantinedReads)
-	if rep != nil {
-		collectReplicator(&out.counters, rep)
-		out.counters.Add("rep.guard_errors", rep.GuardErrors)
-	}
-	if rs != nil {
-		rs.Collect(&out.counters)
+	if replica {
+		m.collect(&out.counters, sol, v)
+		out.counters.Add("rep.guard_errors", sol.ReplicatorFor(v).GuardErrors)
 	}
 	out.counters.Add("fio.errors", out.res.Errors)
 	out.counters.Add("audit.phase_errors", out.phaseErr)
@@ -328,19 +306,17 @@ func scrubTable(o Options) *Table {
 		Title: "Scrub: end-to-end integrity — detection, replica repair, quarantine",
 		Cols:  []string{"kIOPS", "p99us", "p99x", "inj", "detect", "detect_us", "repaired", "quar", "audit_bad", "tail_err", "ok"},
 	}
-	// Shards: the two healthy runs plus one per corruption kind, all
-	// independent; rows assemble in the fixed serial order below.
-	g := o.group()
-	basePtr := shard(g, func() scrubRun { return runScrub(o, nil, true, false) })
-	onPtr := shard(g, func() scrubRun { return runScrub(o, nil, true, true) })
-	cells := scrubCells()
-	runs := make([]*scrubRun, len(cells))
-	for i, c := range cells {
-		c := c
-		runs[i] = shard(g, func() scrubRun { return runScrub(o, scrubPlan(o, c.kind), c.replica, true) })
-	}
-	g.run()
-	base, on := *basePtr, *onPtr
+	// The two healthy runs (scrub off, then on), then one per corruption
+	// kind.
+	kinds := scrubCells()
+	runs := cells(o, 2+len(kinds), func(i int) scrubRun {
+		if i < 2 {
+			return runScrub(o, nil, true, i == 1)
+		}
+		c := kinds[i-2]
+		return runScrub(o, scrubPlan(o, c.kind), c.replica, true)
+	})
+	base, on := runs[0], runs[1]
 	p99x := func(r scrubRun) float64 {
 		if b := base.res.Lat.P99(); b > 0 {
 			return float64(r.res.Lat.P99()) / float64(b)
@@ -348,11 +324,8 @@ func scrubTable(o Options) *Table {
 		return 0
 	}
 	healthyOK := func(r scrubRun) float64 {
-		if r.drained && r.mirrorOK && r.auditBad == 0 && r.res.Errors == 0 &&
-			r.phaseErr == 0 && r.tailErr == 0 {
-			return 1
-		}
-		return 0
+		return bit(r.drained && r.mirrorOK && r.auditBad == 0 && r.res.Errors == 0 &&
+			r.phaseErr == 0 && r.tailErr == 0)
 	}
 	t.add("healthy scrub-off",
 		base.res.KIOPS(), float64(base.res.Lat.P99())/1e3, 1, 0, 0, 0, 0, 0,
@@ -361,12 +334,8 @@ func scrubTable(o Options) *Table {
 		on.res.KIOPS(), float64(on.res.Lat.P99())/1e3, p99x(on), 0, 0, 0,
 		float64(on.scr.RepairedBlocks), float64(on.quarBlks),
 		float64(on.auditBad), float64(on.tailErr), healthyOK(on))
-	for i, c := range cells {
-		sr := *runs[i]
-		ok := 0.0
-		if scrubOK(c, sr) {
-			ok = 1
-		}
+	for i, c := range kinds {
+		sr := runs[2+i]
 		t.add(c.name,
 			sr.res.KIOPS(),
 			float64(sr.res.Lat.P99())/1e3,
@@ -378,7 +347,7 @@ func scrubTable(o Options) *Table {
 			float64(sr.quarBlks),
 			float64(sr.auditBad),
 			float64(sr.tailErr),
-			ok)
+			bit(scrubOK(c, sr)))
 	}
 	t.Notes = "p99x vs healthy scrub-off same-seed baseline; ok = drained, detected, audit-clean, and (replica) repaired to CRC-identical protected content with an error-free guest audit / (no-replica) quarantined with guest-visible media errors"
 	return t

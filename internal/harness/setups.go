@@ -94,6 +94,35 @@ func newBed(o Options, backing device.Store) (*sim.Env, *stack.Host) {
 	return env, stack.NewHost(env, 12, 4, p, backing)
 }
 
+// until steps env in step-sized slices until done holds or deadline
+// passes, and reports done: the one loop every phase that waits on the
+// simulation drives.
+func until(env *sim.Env, step sim.Duration, deadline sim.Time, done func() bool) bool {
+	for !done() && env.Now() < deadline {
+		env.RunUntil(env.Now().Add(step))
+	}
+	return done()
+}
+
+// drainOutstanding runs the simulation until outstanding() reaches zero
+// (or 2 s pass), reporting whether it drained.
+func drainOutstanding(env *sim.Env, outstanding func() int) bool {
+	return until(env, sim.Millisecond, env.Now().Add(2*sim.Second), func() bool { return outstanding() == 0 })
+}
+
+// driveGuest runs fn as a guest program and drives the simulation until
+// it finishes (within 2 s).
+func driveGuest(env *sim.Env, name string, fn func(p *sim.Proc)) {
+	done := false
+	env.Go(name, func(p *sim.Proc) {
+		fn(p)
+		done = true
+	})
+	if !until(env, sim.Millisecond, env.Now().Add(2*sim.Second), func() bool { return done }) {
+		panic("harness: guest program " + name + " did not finish")
+	}
+}
+
 // runFio provisions one 4-vCPU VM under the solution and runs cfg with the
 // given job count.
 func runFio(o Options, mk solFactory, cfg fio.Config, jobs int) fio.Result {
@@ -158,7 +187,6 @@ func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
 	start := sim.NewCond(env)
 	var measFrom, measTo sim.Time
 	clients := make([]*ycsb.Client, jobs)
-	failures := 0
 
 	window := disk.Blocks() / uint64(jobs)
 	for j := 0; j < jobs; j++ {
@@ -167,34 +195,26 @@ func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
 			vcpu := v.VCPU(j % v.NumVCPUs())
 			fs, err := extfs.MountAt(p, v, disk, vcpu, uint64(j)*window, window)
 			if err != nil {
-				failures++
 				panic(err)
 			}
 			db, err := lsm.Open(p, fs, vcpu)
 			if err != nil {
-				failures++
 				panic(err)
 			}
 			c := ycsb.NewClient(db, cfg, o.Seed+int64(j))
 			clients[j] = c
 			if err := c.Load(p); err != nil {
-				failures++
 				panic(err)
 			}
 			loaded++
 			start.Wait()
 			if err := c.Run(p, w, measFrom, measTo); err != nil {
-				failures++
 				panic(err)
 			}
 		})
 	}
-	// Drive the load phase to completion.
-	for loaded < jobs {
-		env.RunUntil(env.Now().Add(50 * sim.Millisecond))
-		if env.Now() > sim.Time(1000*sim.Second) {
-			panic("harness: YCSB load phase did not converge")
-		}
+	if !until(env, 50*sim.Millisecond, sim.Time(1000*sim.Second), func() bool { return loaded == jobs }) {
+		panic("harness: YCSB load phase did not converge")
 	}
 	measFrom = env.Now().Add(cfg.Warmup)
 	measTo = measFrom.Add(cfg.Duration)

@@ -52,8 +52,8 @@ func (h *Host) NewVM(vcpus int, memBytes uint64) *vm.VM {
 	return v
 }
 
-// HostThread allocates a host service thread round-robin over host cores.
-func (h *Host) HostThread(tag string) *sim.Thread {
+// hostThread allocates a host service thread round-robin over host cores.
+func (h *Host) hostThread(tag string) *sim.Thread {
 	core := h.nextHost
 	h.nextHost++
 	if h.nextHost >= h.CPU.NumCores() {

@@ -30,7 +30,7 @@ func (s *MDev) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	port := &mdevPort{
 		h: s.h, v: v, part: part,
 		wake: sim.NewCond(s.h.Env),
-		th:   s.h.HostThread("mdev"),
+		th:   s.h.hostThread("mdev"),
 	}
 	s.h.Env.Go(fmt.Sprintf("mdev-poll-vm%d", v.ID), port.poll)
 	return vm.NewNVMeDisk(v, port, 128, s.h.Params.Driver)

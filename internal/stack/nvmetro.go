@@ -74,15 +74,16 @@ const (
 
 // volume is everything Provision built for one VM.
 type volume struct {
-	vc    *core.Controller
-	fn    supervise.Function    // the storage function's storfn declaration
-	att   *uif.Attachment       // its first UIF attachment generation
-	sup   *supervise.Supervisor // nil unless supervised
-	sec   blockdev.BlockDevice  // the replication secondary
-	dom   *integrity.Domain
-	scr   *integrity.Scrubber
-	rs    *storfn.Resyncer
-	clone *cow.Store // nil unless provisioned via CloneFrom
+	vc      *core.Controller
+	fn      supervise.Function     // the storage function's storfn declaration
+	att     *uif.Attachment        // its first UIF attachment generation
+	sup     *supervise.Supervisor  // nil unless supervised
+	sec     blockdev.BlockDevice   // the replication secondary
+	primary *blockdev.NVMeBlockDev // the replication resync leg
+	dom     *integrity.Domain
+	scr     *integrity.Scrubber
+	rs      *storfn.Resyncer
+	clone   *cow.Store // nil unless provisioned via CloneFrom
 }
 
 // uifDepth is the notify queue depth of every storage-function attachment.
@@ -141,7 +142,7 @@ func (s *NVMetro) router() *core.Router {
 	}
 	threads := make([]*sim.Thread, max(rt.workers, 1))
 	for i := range threads {
-		threads[i] = s.h.HostThread(tag)
+		threads[i] = s.h.hostThread(tag)
 	}
 	r := core.NewRouter(s.h.Env, s.h.Params.Router, threads)
 	if rt.promote {
@@ -283,7 +284,22 @@ func (s *NVMetro) wireFunction(vol *volume) {
 	case fnReplicate:
 		vol.sec = f.secondary(part)
 		ring := blockdev.NewURing(env, vol.sec, s.h.Params.URing)
-		s.launch(vol, 1, ring, storfn.NewReplicatorSupervision(part, storfn.NewReplicator()))
+		fn := storfn.NewReplicatorSupervision(part, storfn.NewReplicator())
+		s.launch(vol, 1, ring, fn)
+		// The resync leg: a host queue pair of its own onto the primary, so
+		// drain traffic never contends with the guest's fast-path queues,
+		// started by the link-up of a secondary across the fabric.
+		vol.primary = s.nsBlockDev(part)
+		rs, err := storfn.NewResyncer(env, fn.Replicator(), vol.primary, vol.att,
+			s.h.hostThread("resync"), part.Dev.Params().LBAShift, s.h.Params.Resync)
+		if err != nil {
+			panic(err)
+		}
+		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
+			ini.OnReconnect(rs.OnLinkUp)
+		}
+		vol.rs = rs
+		fn.SetResyncer(rs)
 	case fnCache:
 		p := f.cache
 		p.Cache.BlockSize = uint32(1) << part.Dev.Params().LBAShift
@@ -323,7 +339,7 @@ func (s *NVMetro) framework(threads int) *uif.Framework {
 	if s.fw == nil {
 		var ths []*sim.Thread
 		for i := 0; i < threads; i++ {
-			ths = append(ths, s.h.HostThread("uif"))
+			ths = append(ths, s.h.hostThread("uif"))
 		}
 		s.fw = uif.NewFramework(s.h.Env, s.h.Params.UIF, ths)
 	}
@@ -344,13 +360,16 @@ func (s *NVMetro) wireIntegrity(vol *volume) {
 	if k := s.spec.fn.kind; k == fnEncrypt || k == fnEncryptSGX {
 		return // ciphertext below the UIF: no device-side expectation
 	}
-	shift := part.Dev.Params().LBAShift
 
-	// The scrub leg: a dedicated host queue pair onto the same device,
-	// verifying read completions like any kernel-path consumer would.
-	bdev := s.nsBlockDev(part)
+	// The scrub leg: a dedicated host queue pair onto the same device (a
+	// mirror's resync leg when it has one), verifying read completions like
+	// any kernel-path consumer would.
+	bdev := vol.primary
+	if bdev == nil {
+		bdev = s.nsBlockDev(part)
+	}
 	bdev.SetVerifier(&integrity.SectorGuard{G: dom.Guard("blockdev"), Size: blockdev.SectorSize})
-	scr, err := integrity.NewScrubber(s.h.Env, dom, bdev, s.h.HostThread("scrub"), shift, *s.spec.integrity)
+	scr, err := integrity.NewScrubber(s.h.Env, dom, bdev, s.h.hostThread("scrub"), part.Dev.Params().LBAShift, *s.spec.integrity)
 	if err != nil {
 		panic(err)
 	}
@@ -364,18 +383,10 @@ func (s *NVMetro) wireIntegrity(vol *volume) {
 	case *storfn.ReplicatorSupervision:
 		rep := fn.Replicator()
 		rep.Guard = dom.Guard("replica")
-		rs, err := storfn.NewResyncer(s.h.Env, rep, bdev, vol.att, s.h.HostThread("resync"), shift, storfn.DefaultResyncConfig())
-		if err != nil {
-			panic(err)
-		}
 		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
 			ini.SetVerifier(&integrity.SectorGuard{G: dom.Guard("fabric"), Size: blockdev.SectorSize})
-			// A closing outage window starts the drain of what it dirtied.
-			ini.OnReconnect(rs.OnLinkUp)
 		}
-		vol.rs = rs
-		fn.SetResyncer(rs)
-		scr.SetReplica(rep, rs, vol.att)
+		scr.SetReplica(rep, vol.rs, vol.att)
 	}
 }
 
@@ -405,7 +416,7 @@ func (s *NVMetro) IntegrityDomainFor(v *vm.VM) *integrity.Domain { return s.vol(
 func (s *NVMetro) ScrubberFor(v *vm.VM) *integrity.Scrubber { return s.vol(v).scr }
 
 // ResyncerFor returns the mirror-consistency engine created for v's
-// replicated, integrity-wired controller (nil otherwise).
+// replicated controller (nil when WithReplication is not configured).
 func (s *NVMetro) ResyncerFor(v *vm.VM) *storfn.Resyncer { return s.vol(v).rs }
 
 // ReplicatorFor returns the replication state for v's controller, or nil

@@ -36,6 +36,7 @@ type Params struct {
 	UIF    uif.Costs
 	Crypt  dm.CryptParams
 	Enc    storfn.EncryptorCosts
+	Resync storfn.ResyncConfig // a replicated volume's drain after an outage
 
 	// WakeLat is the wake-up latency of a sleeping host service thread.
 	WakeLat sim.Duration
@@ -82,6 +83,7 @@ func DefaultParams() Params {
 		UIF:    uif.DefaultCosts(),
 		Crypt:  dm.DefaultCryptParams(),
 		Enc:    storfn.DefaultEncryptorCosts(),
+		Resync: storfn.DefaultResyncConfig(),
 
 		WakeLat:     15 * sim.Microsecond,
 		MDevMediate: 150 * sim.Nanosecond,

@@ -57,7 +57,7 @@ func (p *ptPort) SetIRQ(qid uint16, fn func()) {
 	qp := p.qps[qid]
 	cond := sim.NewCond(p.h.Env)
 	qp.CQ.OnPost = func() { cond.Signal(nil) }
-	th := p.h.HostThread("kernel/irq")
+	th := p.h.hostThread("kernel/irq")
 	fwd := p.v.Costs.HWIRQForward
 	hostCost := p.h.Params.PTHostIRQ
 	// The forwarder is a continuation (Cond.WaitFunc, Thread.ExecFunc), not

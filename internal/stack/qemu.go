@@ -41,7 +41,7 @@ func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	q.queues = disk.Queues()
 	for i := 0; i < s.h.Params.QEMUIOThreads; i++ {
 		it := &qemuIOThread{
-			th:   s.h.HostThread("qemu"),
+			th:   s.h.hostThread("qemu"),
 			ring: blockdev.NewURing(s.h.Env, q.bdev, s.h.Params.URing),
 			wake: sim.NewCond(s.h.Env),
 		}

@@ -82,7 +82,7 @@ func (s *SPDK) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	if !s.started {
 		s.started = true
 		for i := 0; i < s.h.Params.SPDKReactors; i++ {
-			th := s.h.HostThread("spdk")
+			th := s.h.hostThread("spdk")
 			idx := i
 			s.h.Env.Go(fmt.Sprintf("spdk-reactor%d", i), func(p *sim.Proc) { s.reactor(p, th, idx) })
 		}

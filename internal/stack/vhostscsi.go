@@ -71,7 +71,7 @@ func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	disk := virtio.NewSCSIDisk(v, w, part.Info(), 256, s.h.Params.Driver)
 	w.queues = disk.Queues()
 	for i := 0; i < s.h.Params.VhostWorkers; i++ {
-		th := s.h.HostThread("vhost")
+		th := s.h.hostThread("vhost")
 		s.h.Env.Go(fmt.Sprintf("vhost-%d-vm%d", i, v.ID), func(p *sim.Proc) { w.worker(p, th) })
 	}
 	return disk

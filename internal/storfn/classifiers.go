@@ -135,8 +135,8 @@ func EncryptorClassifier(part device.Partition) (*ebpf.Program, *ebpf.ArrayMap) 
 	return buildWithConfig(encryptorSrc, "encryptor", cfg), cfg
 }
 
-// ReplicatorClassifier returns the disk-replication classifier.
-func ReplicatorClassifier(part device.Partition) (*ebpf.Program, *ebpf.ArrayMap) {
+// replicatorClassifier returns the disk-replication classifier.
+func replicatorClassifier(part device.Partition) (*ebpf.Program, *ebpf.ArrayMap) {
 	cfg := core.NewPartitionConfigMap(part)
 	return buildWithConfig(replicatorSrc, "replicator", cfg), cfg
 }

@@ -176,7 +176,7 @@ func (s *ReplicatorSupervision) Rebuild() uif.Handler { return s.rep }
 // new attachment generation and kicks the drain.
 func (s *ReplicatorSupervision) Promote(vc *core.Controller, att *uif.Attachment) {
 	vc.SetNativeClassifier(nil)
-	prog, _ := ReplicatorClassifier(s.part)
+	prog, _ := replicatorClassifier(s.part)
 	if err := vc.LoadClassifier(prog); err != nil {
 		panic(err)
 	}

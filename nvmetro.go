@@ -242,7 +242,8 @@ type Spec struct {
 	// the UIF, on-disk format compatible with dm-crypt.
 	Encrypt *Encryption
 	// Replicate mirrors writes synchronously to the remote host; reads stay
-	// local.
+	// local. Writes the secondary misses while it is unreachable are
+	// tracked dirty and drained to it after the link returns (Resyncer).
 	Replicate *RemoteHost
 	// Cache steers hot reads to a caching UIF (an eBPF classifier counts
 	// per-bucket read heat) while every write passes through the UIF's
@@ -338,7 +339,7 @@ type Volume struct {
 	Supervisor *Supervisor      // Spec.Supervise
 	Domain     *IntegrityDomain // Spec.Integrity
 	Scrubber   *Scrubber        // Spec.Integrity, except under Encrypt
-	Resyncer   *Resyncer        // Spec.Integrity with Spec.Replicate
+	Resyncer   *Resyncer        // Spec.Replicate
 	Store      *CowStore        // Spec.CloneOf: the clone's CoW store
 
 	sol *stack.NVMetro

@@ -293,6 +293,10 @@ func TestAttachMatchesStackBuilder(t *testing.T) {
 			if !fh[0] {
 				t.Error("Volume.Ctrl is nil")
 			}
+			// Every mirror drains after an outage, integrity or not.
+			if v.replicate && !fh[5] {
+				t.Error("Volume.Resyncer is nil for a Spec{Replicate} volume")
+			}
 			if fr.Ops == 0 || fr.Ops != br.Ops || fr.Errors != br.Errors || !fr.Lat.Equal(br.Lat) {
 				t.Errorf("fio diverged: facade ops=%d errors=%d p99=%d, builder ops=%d errors=%d p99=%d",
 					fr.Ops, fr.Errors, fr.Lat.P99(), br.Ops, br.Errors, br.Lat.P99())
