@@ -54,33 +54,40 @@ bench:
 # interrupt handler as a WaitFunc/ExecFunc continuation, idle poll rounds
 # alone and beside a second poller, by a process in Spin and by a
 # continuation in SpinFunc) with allocation counts, and what those rounds
-# cost a shard per idle tenant scanned; results/simbench.txt holds the
-# snapshots.
+# cost a shard per idle tenant scanned, plus the notify path's two prices:
+# the host cache under uif_mix's cached op mix and one notify-path command
+# end to end; results/simbench.txt holds the snapshots.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 300ms ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardIdleTenants' -benchmem -benchtime 300ms ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheMix' -benchmem -benchtime 300ms ./internal/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkNotifyHop' -benchmem -benchtime 300ms ./internal/storfn/
 
 # bench-smoke compiles and runs every microbenchmark exactly once. It is a
 # CI gate against benchmarks rotting (build or runtime failures), not a
 # performance measurement; use `make bench` or `make bench-sim` for numbers.
 # It also runs the callback-tier components — the device's command service,
 # the guest drivers' interrupt handler and submission paths, the router
-# worker and the fio job — in lockstep with their process-based references
-# once under the race detector: the hop benchmarks' events/op and
-# switches/op mean what they say only while each pair stays
-# indistinguishable.
+# worker, the fio job, the UIF poll loop, the NVMe-oF target and the host
+# block device's submission — in lockstep with their process-based
+# references, and the host cache's ARC with its list-based reference, once
+# under the race detector: the hop benchmarks' events/op and switches/op
+# mean what they say only while each pair stays indistinguishable.
 bench-smoke:
 	$(GO) test -race -run 'TestLockstepWithProcessReference' ./internal/device/
 	$(GO) test -race -run 'TestIRQLockstepWithProcessReference|TestSubmitLockstepWithProcessReference' ./internal/vm/ ./internal/virtio/
 	$(GO) test -race -run 'TestWorkerLockstepWithProcessReference|TestJobLockstepWithProcessReference' ./internal/core/ ./internal/fio/
+	$(GO) test -race -run 'TestReactorLockstepWithProcessLoop|TestTargetLockstepWithProcess|TestSubmitFuncLockstepWithProcess|TestAwaitIsEventNeutral' ./internal/uif/ ./internal/nvmeof/ ./internal/blockdev/ ./internal/sim/
+	$(GO) test -race -run 'TestARCLockstepWithReference' ./internal/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile|BenchmarkVerifier|BenchmarkInterpreter' -benchtime 1x ./internal/ebpf/
-	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite|BenchmarkEncryptorWrite4K' -benchtime 1x -benchmem ./internal/storfn/
+	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite|BenchmarkEncryptorWrite4K|BenchmarkNotifyHop' -benchtime 1x -benchmem ./internal/storfn/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncrypt4K|BenchmarkDecrypt4K' -benchtime 1x -benchmem ./internal/xts/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/
 	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x -benchmem ./internal/cow/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch|BenchmarkShardIdleTenants' -benchtime 1x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkGuardVerify4K' -benchtime 1x -benchmem ./internal/integrity/
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheMix' -benchtime 1x -benchmem ./internal/cache/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
 # bench-e2e-smoke runs the host-clock benchmark's own smoke test (bench/ is

@@ -61,11 +61,24 @@ func (b *Bio) sectors() uint32 {
 // BlockDevice is a host-side block device: the stackable unit of the block
 // layer. Submission charges the calling thread; completion is asynchronous.
 type BlockDevice interface {
-	// SubmitBio queues the bio. p/thread identify the submitting kernel
-	// context for CPU accounting.
+	// SubmitFunc queues the bio on behalf of thread, which identifies the
+	// submitting kernel context for CPU accounting. It runs in scheduler
+	// context and blocks nowhere: then runs once the submitter may go on,
+	// as the last act of the event that lets it, and b.OnDone runs at
+	// completion.
+	SubmitFunc(thread *sim.Thread, b *Bio, then func())
+	// SubmitBio is SubmitFunc for a submitter that is a process: every
+	// implementation is SubmitAndWait.
 	SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio)
 	// NumSectors is the device size in 512-byte sectors.
 	NumSectors() uint64
+}
+
+// SubmitAndWait submits b to dev from process p and parks p until then
+// would run. The process resumes as part of that event (sim.Proc.Await), so
+// its view is that of a blocking submission.
+func SubmitAndWait(p *sim.Proc, dev BlockDevice, thread *sim.Thread, b *Bio) {
+	p.Await(func(then func()) { dev.SubmitFunc(thread, b, then) })
 }
 
 // Costs models per-bio block layer CPU costs (submission path through the

@@ -126,7 +126,7 @@ func TestURingReapSurvivesInterleaving(t *testing.T) {
 	reaper := func(th *sim.Thread) func(*sim.Proc) {
 		return func(p *sim.Proc) {
 			for {
-				for _, cqe := range ring.Reap(p, th, 8) {
+				for _, cqe := range ringReap(p, ring, th, 8) {
 					th.Exec(p, 7*sim.Microsecond) // the other reaper and the device run here
 					seen[cqe.UserData]++
 				}
@@ -138,7 +138,7 @@ func TestURingReapSurvivesInterleaving(t *testing.T) {
 	env.Go("reaper-b", reaper(cpu.NewThread("b")))
 	runP(t, env, func(p *sim.Proc) {
 		for i := uint64(0); i < n; i++ {
-			ring.Submit(p, th, blockdev.BioWrite, i*8, make([]byte, 4096), i)
+			ringSubmit(p, ring, th, blockdev.BioWrite, i*8, make([]byte, 4096), i)
 		}
 		p.Sleep(2 * sim.Millisecond)
 	})
@@ -158,11 +158,11 @@ func TestURingUserDataAndOrdering(t *testing.T) {
 	ring := blockdev.NewURing(env, bdev, blockdev.DefaultURingCosts())
 	runP(t, env, func(p *sim.Proc) {
 		for i := uint64(0); i < 16; i++ {
-			ring.Submit(p, th, blockdev.BioWrite, i*8, make([]byte, 4096), 1000+i)
+			ringSubmit(p, ring, th, blockdev.BioWrite, i*8, make([]byte, 4096), 1000+i)
 		}
 		seen := map[uint64]bool{}
 		for len(seen) < 16 {
-			for _, cqe := range ring.Reap(p, th, 4) {
+			for _, cqe := range ringReap(p, ring, th, 4) {
 				if cqe.UserData < 1000 || cqe.UserData >= 1016 {
 					t.Fatalf("bad user data %d", cqe.UserData)
 				}
@@ -177,4 +177,16 @@ func TestURingUserDataAndOrdering(t *testing.T) {
 			t.Fatal("stale completions")
 		}
 	})
+}
+
+// ringSubmit and ringReap are the ring's calls made from a process.
+func ringSubmit(p *sim.Proc, ring *blockdev.URing, th *sim.Thread, op blockdev.BioOp, sector uint64, data []byte, userData uint64) {
+	p.Await(func(then func()) { ring.Submit(th, op, sector, data, userData, then) })
+}
+
+func ringReap(p *sim.Proc, ring *blockdev.URing, th *sim.Thread, max int) (out []blockdev.URingCQE) {
+	if ring.Pending() > 0 {
+		p.Await(func(then func()) { out = ring.Reap(th, nil, max, then) })
+	}
+	return out
 }

@@ -101,5 +101,5 @@ func (ka *KernelAdapter) process(p *sim.Proc, th *sim.Thread, w kaWork) {
 // worker can pipeline further requests.
 func (ka *KernelAdapter) submitWait(p *sim.Proc, th *sim.Thread, b *Bio, done func(nvme.Status)) {
 	b.OnDone = done
-	ka.dev.SubmitBio(p, th, b)
+	SubmitAndWait(p, ka.dev, th, b)
 }

@@ -1,8 +1,6 @@
 package blockdev
 
 import (
-	"fmt"
-
 	"nvmetro/internal/device"
 	"nvmetro/internal/guestmem"
 	"nvmetro/internal/nvme"
@@ -58,16 +56,22 @@ type NVMeBlockDev struct {
 	cqe      nvme.Completion // entry the irq handler is completing
 	irqDrain func()          // the handler's steps, bound once
 	irqDone  func()
-	inflight map[uint16]*pendingBio
-	freeCIDs []uint16
+	inflight []pendingBio // by CID, grown as CIDs come into use; a nil bio is a free slot
+	freeCIDs []uint16     // a stack: the lowest CIDs come into use first
 	waitCID  *sim.Cond
+	subFree  []*submission
+	building *pendingBio // the entry whose PRP list listPage extends
+	listPage func() uint64
 	shift    uint8
 
 	lost      map[uint16]lostCID // quarantined CIDs: timed out, completion pending
 	genSeq    uint32             // submission-generation sequence (stamped in CDW3)
 	deadlines *sim.Deadlines     // per-attempt timeouts, keyed (CID, generation)
-	retryQ    []*pendingBio
+	retryQ    []pendingBio
 	retryCond *sim.Cond
+	retrying  pendingBio // the resubmission between its charge and its CID
+
+	stepRetry, stepResubmit func() // retry and resubmit, bound once
 
 	// Stats
 	Submitted, Completed uint64
@@ -116,18 +120,17 @@ type pendingBio struct {
 func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore int, costs Costs) *NVMeBlockDev {
 	hostmem := guestmem.New(512 << 20)
 	d := &NVMeBlockDev{
-		env:      env,
-		dev:      part.Dev,
-		nsid:     part.NSID,
-		part:     part,
-		costs:    costs,
-		hostmem:  hostmem,
-		pool:     newDMAPool(hostmem),
-		irq:      cpu.ThreadOn(irqCore, "kernel/irq"),
-		irqCond:  sim.NewCond(env),
-		inflight: make(map[uint16]*pendingBio),
-		waitCID:  sim.NewCond(env),
-		shift:    part.Dev.Params().LBAShift,
+		env:     env,
+		dev:     part.Dev,
+		nsid:    part.NSID,
+		part:    part,
+		costs:   costs,
+		hostmem: hostmem,
+		pool:    newDMAPool(hostmem),
+		irq:     cpu.ThreadOn(irqCore, "kernel/irq"),
+		irqCond: sim.NewCond(env),
+		waitCID: sim.NewCond(env),
+		shift:   part.Dev.Params().LBAShift,
 
 		rec:       DefaultRecovery(),
 		lost:      make(map[uint16]lostCID),
@@ -135,14 +138,20 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 	}
 	d.deadlines = sim.NewDeadlines(env, d.awaited, d.onTimeout)
 	d.qp = part.Dev.CreateQueuePair(1024, hostmem)
-	for i := uint16(0); i < 1023; i++ {
-		d.freeCIDs = append(d.freeCIDs, i)
+	for i := 1022; i >= 0; i-- {
+		d.freeCIDs = append(d.freeCIDs, uint16(i))
 	}
 	d.qp.CQ.OnPost = func() { d.irqCond.Signal(nil) }
 	d.irqDrain, d.irqDone = d.drainCQ, d.completeCQE
-	// The irq handler starts waiting one event from now.
+	d.listPage = func() uint64 {
+		pg := d.pool.get(1)
+		d.building.listPages = append(d.building.listPages, pg[0])
+		return pg[0]
+	}
+	d.stepRetry, d.stepResubmit = d.retry, d.resubmit
+	// The irq handler and the retry path start waiting one event from now.
 	env.After(0, d.irqWait)
-	env.Go(fmt.Sprintf("kernel/nvme-retry-ns%d", part.NSID), d.retryLoop)
+	env.After(0, d.stepRetry)
 	return d
 }
 
@@ -156,29 +165,78 @@ func (d *NVMeBlockDev) NumSectors() uint64 {
 	return d.part.Blocks << d.shift / SectorSize
 }
 
-// SubmitBio implements BlockDevice. A bio reaching outside the partition
-// fails LBAOutOfRange without touching the device: the sectors come from
-// whoever sits above — for the virtio baselines, the guest.
+// SubmitBio implements BlockDevice.
 func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
-	thread.Exec(p, d.costs.Submit)
-	var lba uint64
-	var blocks uint32
+	SubmitAndWait(p, d, thread, b)
+}
+
+// submission is one SubmitFunc between its continuations: charged, then
+// waiting for a CID. Recycled; its steps are bound once.
+type submission struct {
+	d       *NVMeBlockDev
+	b       *Bio
+	then    func()
+	lba     uint64
+	blocks  uint32
+	charged func() // charge, bound once
+	gated   func() // gate, bound once
+}
+
+// SubmitFunc implements BlockDevice: the submission cost is charged to
+// thread, then the bio waits for a free CID and a free SQ slot, and then
+// runs once the command is on the queue. A bio reaching outside the
+// partition fails LBAOutOfRange without touching the device: the sectors
+// come from whoever sits above — for the virtio baselines, the guest.
+func (d *NVMeBlockDev) SubmitFunc(thread *sim.Thread, b *Bio, then func()) {
+	var s *submission
+	if n := len(d.subFree); n > 0 {
+		s, d.subFree = d.subFree[n-1], d.subFree[:n-1]
+	} else {
+		s = &submission{d: d}
+		s.charged, s.gated = s.charge, s.gate
+	}
+	s.b, s.then = b, then
+	thread.ExecFunc(d.costs.Submit, s.charged)
+}
+
+// release recycles s and returns what its caller still needs.
+func (s *submission) release() (*Bio, func()) {
+	b, then := s.b, s.then
+	s.b, s.then = nil, nil
+	s.d.subFree = append(s.d.subFree, s)
+	return b, then
+}
+
+func (s *submission) charge() {
+	d, b := s.d, s.b
 	if b.Op != BioFlush {
 		var ok bool
-		if lba, blocks, ok = d.part.TranslateSectors(b.Sector, b.sectors()); !ok {
+		if s.lba, s.blocks, ok = d.part.TranslateSectors(b.Sector, b.sectors()); !ok {
+			b, then := s.release()
 			if b.OnDone != nil {
 				b.OnDone(nvme.SCLBAOutOfRange)
 			}
+			then()
 			return
 		}
 	}
-	for len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
-		d.waitCID.Wait()
-	}
-	cid := d.freeCIDs[len(d.freeCIDs)-1]
-	d.freeCIDs = d.freeCIDs[:len(d.freeCIDs)-1]
+	s.gate()
+}
 
-	pend := &pendingBio{bio: b}
+// gate waits, as often as it takes, for a free CID and SQ slot, then builds
+// and queues the command.
+func (s *submission) gate() {
+	d := s.d
+	if len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
+		d.waitCID.WaitFunc(s.gated)
+		return
+	}
+	lba, blocks := s.lba, s.blocks
+	b, then := s.release()
+	cid := d.takeCID()
+
+	pend := &d.inflight[cid]
+	*pend = pendingBio{bio: b, listPages: pend.listPages[:0]}
 	var cmd nvme.Command
 	switch b.Op {
 	case BioFlush:
@@ -207,42 +265,53 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 		if b.Op == BioWrite {
 			op = nvme.OpWrite
 		}
-		prp1, prp2, err := nvme.BuildPRP(d.hostmem, pend.pages, func() uint64 {
-			pg := d.pool.get(1)
-			pend.listPages = append(pend.listPages, pg[0])
-			return pg[0]
-		})
+		d.building = pend
+		prp1, prp2, err := nvme.BuildPRP(d.hostmem, pend.pages, d.listPage)
+		d.building = nil
 		if err != nil {
 			// A malformed transfer fails this one bio, not the whole sim.
 			d.PRPErrors++
 			d.releaseDMA(pend)
+			pend.bio = nil
 			d.freeCIDs = append(d.freeCIDs, cid)
 			d.waitCID.Signal(nil)
 			if b.OnDone != nil {
 				b.OnDone(nvme.SCInternal)
 			}
+			then()
 			return
 		}
 		cmd = nvme.NewRW(op, cid, d.nsid, lba, blocks, prp1, prp2)
 	}
 	pend.cmd = cmd
-	d.push(cid, pend)
+	d.push(cid)
+	then()
 }
 
-// push installs pend under cid, submits its command and arms the deadline.
-// Every attempt is stamped with a fresh generation so the irq handler can
-// match completions to the attempt that earned them.
-func (d *NVMeBlockDev) push(cid uint16, pend *pendingBio) {
+// takeCID takes a free CID, growing the in-flight table to cover it.
+func (d *NVMeBlockDev) takeCID() uint16 {
+	cid := d.freeCIDs[len(d.freeCIDs)-1]
+	d.freeCIDs = d.freeCIDs[:len(d.freeCIDs)-1]
+	for int(cid) >= len(d.inflight) {
+		d.inflight = append(d.inflight, pendingBio{})
+	}
+	return cid
+}
+
+// push submits the command of the entry installed under cid and arms the
+// deadline. Every attempt is stamped with a fresh generation so the irq
+// handler can match completions to the attempt that earned them. The caller
+// has passed the free-CID gate, which checks the SQ too, and nothing ran
+// since: the push cannot find the SQ full.
+func (d *NVMeBlockDev) push(cid uint16) {
+	pend := &d.inflight[cid]
 	pend.attempts++
 	d.genSeq++
 	pend.gen = d.genSeq
 	pend.cmd.SetCDW(genDW, pend.gen)
 	pend.cmd.SetCID(cid)
-	d.inflight[cid] = pend
-	for !d.qp.SQ.Push(&pend.cmd) {
-		// SQ full despite the free-CID gate: back off and retry rather
-		// than panicking; the next completion drains the queue.
-		d.waitCID.Wait()
+	if !d.qp.SQ.Push(&pend.cmd) {
+		panic("blockdev: SQ full past the free-CID gate")
 	}
 	d.Submitted++
 	d.dev.Ring(d.qp.SQ.ID)
@@ -256,8 +325,7 @@ func (d *NVMeBlockDev) push(cid uint16, pend *pendingBio) {
 
 // awaited reports whether attempt gen still occupies cid.
 func (d *NVMeBlockDev) awaited(cid, gen uint32) bool {
-	pend := d.inflight[uint16(cid)]
-	return pend != nil && pend.gen == gen
+	return int(cid) < len(d.inflight) && d.inflight[cid].bio != nil && d.inflight[cid].gen == gen
 }
 
 // onTimeout aborts an attempt that missed its deadline: the CID is
@@ -268,11 +336,11 @@ func (d *NVMeBlockDev) onTimeout(id, _ uint32) {
 	cid := uint16(id)
 	pend := d.inflight[cid]
 	d.Timeouts++
-	delete(d.inflight, cid)
+	d.inflight[cid] = pendingBio{listPages: pend.listPages[:0:0]}
 	d.quarantine(cid, pend.gen)
 	if pend.attempts > d.rec.MaxRetries {
 		d.Aborts++
-		d.finishBio(pend, nvme.SCAbortRequested)
+		d.finishBio(&pend, nvme.SCAbortRequested)
 		return
 	}
 	d.env.After(sim.Backoff(d.rec.Backoff, 0, pend.attempts, 0, nil), func() {
@@ -299,24 +367,30 @@ func (d *NVMeBlockDev) quarantine(cid uint16, gen uint32) {
 	})
 }
 
-// retryLoop resubmits timed-out commands once their backoff elapses.
-func (d *NVMeBlockDev) retryLoop(p *sim.Proc) {
-	for {
-		if len(d.retryQ) == 0 {
-			d.retryCond.Wait()
-			continue
-		}
-		pend := d.retryQ[0]
-		d.retryQ = d.retryQ[1:]
-		d.irq.Exec(p, d.costs.Submit)
-		for len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
-			d.waitCID.Wait()
-		}
-		cid := d.freeCIDs[len(d.freeCIDs)-1]
-		d.freeCIDs = d.freeCIDs[:len(d.freeCIDs)-1]
-		d.Retries++
-		d.push(cid, pend)
+// retry resubmits timed-out commands once their backoff elapses, as a
+// continuation on the irq thread like the interrupt handler: wait for one,
+// charge Submit, wait for a CID, push it, and look again.
+func (d *NVMeBlockDev) retry() {
+	if len(d.retryQ) == 0 {
+		d.retryCond.WaitFunc(d.stepRetry)
+		return
 	}
+	d.retrying = d.retryQ[0]
+	d.retryQ[0] = pendingBio{}
+	d.retryQ = d.retryQ[1:]
+	d.irq.ExecFunc(d.costs.Submit, d.stepResubmit)
+}
+
+func (d *NVMeBlockDev) resubmit() {
+	if len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
+		d.waitCID.WaitFunc(d.stepResubmit)
+		return
+	}
+	cid := d.takeCID()
+	d.Retries++
+	d.inflight[cid], d.retrying = d.retrying, pendingBio{}
+	d.push(cid)
+	d.retry()
 }
 
 // The completion interrupt handler is a continuation on the irq thread
@@ -337,11 +411,12 @@ func (d *NVMeBlockDev) drainCQ() {
 func (d *NVMeBlockDev) completeCQE() {
 	cid := d.cqe.CID()
 	gen := d.cqe.Result() // the device echoes the submission generation
-	if pend := d.inflight[cid]; pend != nil && pend.gen == gen {
-		delete(d.inflight, cid)
+	if int(cid) < len(d.inflight) && d.inflight[cid].bio != nil && d.inflight[cid].gen == gen {
+		pend := d.inflight[cid]
+		d.inflight[cid] = pendingBio{listPages: pend.listPages[:0]}
 		d.freeCIDs = append(d.freeCIDs, cid)
 		d.waitCID.Signal(nil)
-		d.finishBio(pend, d.cqe.Status())
+		d.finishBio(&pend, d.cqe.Status())
 	} else if le, ok := d.lost[cid]; ok && le.gen == gen {
 		// A completion that doesn't belong to the tag's current occupant:
 		// the late arrival of a timed-out attempt. Still quarantined:
@@ -395,5 +470,5 @@ func (d *NVMeBlockDev) releaseDMA(pend *pendingBio) {
 	for _, lp := range pend.listPages {
 		d.pool.put([]uint64{lp})
 	}
-	pend.listPages = nil
+	pend.listPages = pend.listPages[:0]
 }

@@ -28,7 +28,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"nvmetro/internal/metrics"
@@ -57,7 +56,9 @@ func (w WritePolicy) String() string {
 type Config struct {
 	// BlockSize is the cached block size in bytes (the device block size).
 	BlockSize uint32
-	// CapacityBlocks is the total resident capacity across all shards.
+	// CapacityBlocks is the total resident capacity across all shards, with
+	// a floor of eight (one line per shard): shard i holds
+	// CapacityBlocks/8 lines, plus one if i < CapacityBlocks%8.
 	CapacityBlocks uint64
 	// WritePolicy selects write-through or write-around.
 	WritePolicy WritePolicy
@@ -83,25 +84,19 @@ const (
 	nShards   = 1 << shardBits
 )
 
-// entry is one resident block.
-type entry struct {
-	data []byte
-}
-
-// shard is one lock domain of the cache.
+// shard is one lock domain of the cache: a block store under ARC.
 type shard struct {
-	mu   sync.Mutex
-	data map[uint64]*entry
-	pol  *arcPolicy
+	mu sync.Mutex
+	arc
 
 	hits, misses, admissions, evictions, invalidations uint64
 }
 
 // window is one in-flight fill or write over [lba, lba+blocks).
 type window struct {
-	lba, blocks uint64
-	cancelled   bool // fills: a write overlapped the lifetime; drop at commit
-	conflicted  bool // writes: another writer overlapped the lifetime; skip install
+	id, lba, blocks uint64
+	cancelled       bool // fills: a write overlapped the lifetime; drop at commit
+	conflicted      bool // writes: another writer overlapped the lifetime; skip install
 }
 
 func (w *window) overlaps(lba, blocks uint64) bool {
@@ -115,8 +110,8 @@ type Cache struct {
 	shards [nShards]*shard
 
 	mu     sync.Mutex // guards the window tables; outer to shard locks
-	fills  map[uint64]*window
-	writes map[uint64]*window
+	fills  []window   // a handful are open at a time: scanned, not indexed
+	writes []window
 	nextID uint64
 
 	conflicts  uint64 // fills dropped because a write window overlapped
@@ -133,17 +128,13 @@ func New(cfg Config) *Cache {
 	if cfg.CapacityBlocks < nShards {
 		cfg.CapacityBlocks = nShards
 	}
-	c := &Cache{
-		cfg:    cfg,
-		fills:  make(map[uint64]*window),
-		writes: make(map[uint64]*window),
-	}
-	perShard := int(cfg.CapacityBlocks) / nShards
+	c := &Cache{cfg: cfg}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			data: make(map[uint64]*entry),
-			pol:  newARC(perShard),
+		lines := cfg.CapacityBlocks / nShards
+		if uint64(i) < cfg.CapacityBlocks%nShards {
+			lines++
 		}
+		c.shards[i] = &shard{arc: newARC(int(lines))}
 	}
 	return c
 }
@@ -162,25 +153,25 @@ func shardIndex(lba uint64) int {
 }
 
 // lockRange locks every shard covering [lba, lba+blocks) in index order
-// (deadlock-free) and returns the distinct shards locked.
-func (c *Cache) lockRange(lba, blocks uint64) []*shard {
+// (deadlock-free) and returns the locked shards as a bitmask.
+func (c *Cache) lockRange(lba, blocks uint64) uint {
 	var mask uint
 	for b := uint64(0); b < blocks; b++ {
 		mask |= 1 << shardIndex(lba+b)
 	}
-	out := make([]*shard, 0, bits.OnesCount(mask))
 	for i, sh := range c.shards {
 		if mask&(1<<i) != 0 {
 			sh.mu.Lock()
-			out = append(out, sh)
 		}
 	}
-	return out
+	return mask
 }
 
-func unlockAll(shards []*shard) {
-	for i := len(shards) - 1; i >= 0; i-- {
-		shards[i].mu.Unlock()
+func (c *Cache) unlock(mask uint) {
+	for i := nShards - 1; i >= 0; i-- {
+		if mask&(1<<i) != 0 {
+			c.shards[i].mu.Unlock()
+		}
 	}
 }
 
@@ -193,37 +184,38 @@ func (c *Cache) Read(lba uint64, blocks uint64, buf []byte) bool {
 		return false
 	}
 	bs := int(c.cfg.BlockSize)
-	locked := c.lockRange(lba, blocks)
-	defer unlockAll(locked)
+	defer c.unlock(c.lockRange(lba, blocks))
 
-	// Probe pass: every block must be resident.
-	hit := true
-	for b := uint64(0); b < blocks; b++ {
-		if _, ok := c.shardOf(lba + b).data[lba+b]; !ok {
-			hit = false
-		}
-	}
-	if !hit {
-		for b := uint64(0); b < blocks; b++ {
-			c.shardOf(lba+b).misses++
-		}
-		return false
+	// Probe pass: every block must be resident. The copy pass reuses the
+	// nodes it found.
+	var stash [32]int32
+	nodes := stash[:0]
+	if blocks > uint64(len(stash)) {
+		nodes = make([]int32, 0, blocks)
 	}
 	for b := uint64(0); b < blocks; b++ {
-		key := lba + b
-		sh := c.shardOf(key)
-		e := sh.data[key]
-		copy(buf[int(b)*bs:(int(b)+1)*bs], e.data)
-		sh.hit(key, e)
+		n, ok := c.shardOf(lba + b).lookup(lba + b)
+		if !ok {
+			for b := uint64(0); b < blocks; b++ {
+				c.shardOf(lba+b).misses++
+			}
+			return false
+		}
+		nodes = append(nodes, n)
+	}
+	for b, n := range nodes {
+		sh := c.shardOf(lba + uint64(b))
+		copy(buf[b*bs:(b+1)*bs], sh.nodes[n].line)
+		sh.hit(n)
 	}
 	return true
 }
 
-// hit books one served read of resident block key: the hit and the
+// hit books one served read of resident node n: the hit and the
 // replacement policy's touch. Caller holds sh.mu.
-func (sh *shard) hit(key uint64, e *entry) {
+func (sh *shard) hit(n int32) {
 	sh.hits++
-	sh.pol.hit(key)
+	sh.touch(n)
 }
 
 // View is Read for one block without the copy: it returns the resident
@@ -233,18 +225,20 @@ func (sh *shard) hit(key uint64, e *entry) {
 // until something installs over, invalidates or evicts it, so a caller whose
 // blocks can change reads them before it lets anything else at the cache. A
 // caller whose blocks are immutable (content-addressed chunks) may hold them
-// as long as it likes: an evicted line is dropped, never recycled.
+// as long as it likes: a line View has lent is never recycled.
 func (c *Cache) View(lba uint64) []byte {
 	sh := c.shardOf(lba)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.data[lba]
+	n, ok := sh.lookup(lba)
 	if !ok {
 		sh.misses++
 		return nil
 	}
-	sh.hit(lba, e)
-	return e.data
+	sh.hit(n)
+	nd := &sh.nodes[n]
+	nd.lent = true
+	return nd.line
 }
 
 // Contains reports whether every block of [lba, lba+blocks) is resident,
@@ -253,7 +247,7 @@ func (c *Cache) Contains(lba uint64, blocks uint64) bool {
 	for b := uint64(0); b < blocks; b++ {
 		sh := c.shardOf(lba + b)
 		sh.mu.Lock()
-		_, ok := sh.data[lba+b]
+		_, ok := sh.lookup(lba + b)
 		sh.mu.Unlock()
 		if !ok {
 			return false
@@ -269,15 +263,56 @@ func (c *Cache) BeginFill(lba, blocks uint64) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	w := &window{lba: lba, blocks: blocks}
-	for _, ww := range c.writes {
-		if ww.overlaps(lba, blocks) {
-			w.cancelled = true
-			break
+	c.fills = append(c.fills, window{id: c.nextID, lba: lba, blocks: blocks, cancelled: c.writeOpen(lba, blocks)})
+	return c.nextID
+}
+
+// take removes the window with handle id from *ws and returns it.
+func take(ws *[]window, id uint64) (window, bool) {
+	s := *ws
+	for i := range s {
+		if s[i].id == id {
+			w, last := s[i], len(s)-1
+			s[i] = s[last]
+			*ws = s[:last]
+			return w, true
 		}
 	}
-	c.fills[c.nextID] = w
-	return c.nextID
+	return window{}, false
+}
+
+// writeOpen reports whether a write window overlaps the range. Caller holds
+// c.mu.
+func (c *Cache) writeOpen(lba, blocks uint64) bool {
+	for i := range c.writes {
+		if c.writes[i].overlaps(lba, blocks) {
+			return true
+		}
+	}
+	return false
+}
+
+// conflictWrites marks every write window overlapping the range conflicted,
+// reporting whether there was one. Caller holds c.mu.
+func (c *Cache) conflictWrites(lba, blocks uint64) bool {
+	found := false
+	for i := range c.writes {
+		if c.writes[i].overlaps(lba, blocks) {
+			c.writes[i].conflicted = true
+			found = true
+		}
+	}
+	return found
+}
+
+// cancelFills cancels every fill window overlapping the range. Caller holds
+// c.mu.
+func (c *Cache) cancelFills(lba, blocks uint64) {
+	for i := range c.fills {
+		if c.fills[i].overlaps(lba, blocks) {
+			c.fills[i].cancelled = true
+		}
+	}
 }
 
 // CommitFill installs data for the fill window unless a write overlapped
@@ -285,26 +320,18 @@ func (c *Cache) BeginFill(lba, blocks uint64) uint64 {
 // window's blocks*BlockSize bytes read from the backend.
 func (c *Cache) CommitFill(fillID uint64, data []byte) bool {
 	c.mu.Lock()
-	w, ok := c.fills[fillID]
+	w, ok := take(&c.fills, fillID)
 	if !ok {
 		c.mu.Unlock()
 		return false
 	}
-	delete(c.fills, fillID)
-	if !w.cancelled {
-		for _, ww := range c.writes {
-			if ww.overlaps(w.lba, w.blocks) {
-				w.cancelled = true
-				break
-			}
-		}
-	}
-	if w.cancelled {
+	if w.cancelled || c.writeOpen(w.lba, w.blocks) {
 		c.conflicts++
 		c.mu.Unlock()
 		return false
 	}
-	evicted := c.installLocked(w.lba, w.blocks, data)
+	var ev [16]uint64
+	evicted := c.installLocked(w.lba, w.blocks, data, ev[:0])
 	c.mu.Unlock()
 	c.notifyEvicted(evicted)
 	return true
@@ -314,8 +341,7 @@ func (c *Cache) CommitFill(fillID uint64, data []byte) bool {
 func (c *Cache) AbortFill(fillID uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.fills[fillID]; ok {
-		delete(c.fills, fillID)
+	if _, ok := take(&c.fills, fillID); ok {
 		c.fillAborts++
 	}
 }
@@ -328,23 +354,13 @@ func (c *Cache) BeginWrite(lba, blocks uint64) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	w := &window{lba: lba, blocks: blocks}
-	for _, ow := range c.writes {
-		if ow.overlaps(lba, blocks) {
-			// Overlapping write windows: neither side may install at close,
-			// because the backend's final contents are decided by a commit
-			// order the cache cannot observe — even if one window has
-			// closed by the time the other does.
-			ow.conflicted = true
-			w.conflicted = true
-		}
-	}
-	c.writes[c.nextID] = w
-	for _, f := range c.fills {
-		if f.overlaps(lba, blocks) {
-			f.cancelled = true
-		}
-	}
+	// Overlapping write windows: neither side may install at close, because
+	// the backend's final contents are decided by a commit order the cache
+	// cannot observe — even if one window has closed by the time the other
+	// does.
+	conflicted := c.conflictWrites(lba, blocks)
+	c.writes = append(c.writes, window{id: c.nextID, lba: lba, blocks: blocks, conflicted: conflicted})
+	c.cancelFills(lba, blocks)
 	c.invalidateLocked(lba, blocks)
 	return c.nextID
 }
@@ -356,18 +372,14 @@ func (c *Cache) BeginWrite(lba, blocks uint64) uint64 {
 // overlapped the write's lifetime are cancelled.
 func (c *Cache) EndWrite(writeID uint64, data []byte) {
 	c.mu.Lock()
-	w, ok := c.writes[writeID]
+	w, ok := take(&c.writes, writeID)
 	if !ok {
 		c.mu.Unlock()
 		return
 	}
-	delete(c.writes, writeID)
-	for _, f := range c.fills {
-		if f.overlaps(w.lba, w.blocks) {
-			f.cancelled = true
-		}
-	}
-	var evicted []uint64
+	c.cancelFills(w.lba, w.blocks)
+	var ev [16]uint64
+	evicted := ev[:0]
 	if data != nil && c.cfg.WritePolicy == writeThrough {
 		if w.conflicted {
 			// Another writer overlapped this window's lifetime (even one
@@ -376,7 +388,7 @@ func (c *Cache) EndWrite(writeID uint64, data []byte) {
 			// invalid rather than guess.
 			c.writeSkips++
 		} else {
-			evicted = c.installLocked(w.lba, w.blocks, data)
+			evicted = c.installLocked(w.lba, w.blocks, data, evicted)
 			c.installs++
 		}
 	}
@@ -390,64 +402,46 @@ func (c *Cache) EndWrite(writeID uint64, data []byte) {
 // conflicted: the external writer raced them, so they must not install.
 func (c *Cache) Invalidate(lba, blocks uint64) {
 	c.mu.Lock()
-	for _, f := range c.fills {
-		if f.overlaps(lba, blocks) {
-			f.cancelled = true
-		}
-	}
-	for _, w := range c.writes {
-		if w.overlaps(lba, blocks) {
-			w.conflicted = true
-		}
-	}
+	c.cancelFills(lba, blocks)
+	c.conflictWrites(lba, blocks)
 	c.invalidateLocked(lba, blocks)
 	c.mu.Unlock()
 }
 
-// invalidateLocked removes residents in the range. Caller holds c.mu.
+// invalidateLocked removes residents in the range, and their ghosts: an
+// invalidated block's history is stale. Caller holds c.mu.
 func (c *Cache) invalidateLocked(lba, blocks uint64) {
 	for b := uint64(0); b < blocks; b++ {
-		key := lba + b
-		sh := c.shardOf(key)
+		sh := c.shardOf(lba + b)
 		sh.mu.Lock()
-		if _, ok := sh.data[key]; ok {
-			delete(sh.data, key)
+		if sh.remove(lba + b) {
 			sh.invalidations++
 		}
-		// Drop ghosts too: an invalidated block's history is stale.
-		sh.pol.remove(key)
 		sh.mu.Unlock()
 	}
 }
 
-// installLocked admits the range's blocks, returning every evicted LBA.
-// Caller holds c.mu; shard locks are taken per block.
-func (c *Cache) installLocked(lba, blocks uint64, data []byte) []uint64 {
+// installLocked admits the range's blocks, appending every evicted LBA to
+// ev. Caller holds c.mu; shard locks are taken per block.
+func (c *Cache) installLocked(lba, blocks uint64, data []byte, ev []uint64) []uint64 {
 	bs := int(c.cfg.BlockSize)
-	var evicted []uint64
 	for b := uint64(0); b < blocks; b++ {
 		key := lba + b
-		src := data[int(b)*bs : (int(b)+1)*bs]
 		sh := c.shardOf(key)
 		sh.mu.Lock()
-		if e, ok := sh.data[key]; ok {
-			copy(e.data, src)
-			sh.pol.hit(key)
-			sh.mu.Unlock()
-			continue
+		n, ok := sh.lookup(key)
+		if ok {
+			sh.touch(n)
+		} else {
+			had := len(ev)
+			n, ev = sh.admit(key, ev)
+			sh.admissions++
+			sh.evictions += uint64(len(ev) - had)
 		}
-		e := &entry{data: make([]byte, bs)}
-		copy(e.data, src)
-		sh.data[key] = e
-		sh.admissions++
-		for _, k := range sh.pol.admit(key) {
-			delete(sh.data, k)
-			sh.evictions++
-			evicted = append(evicted, k)
-		}
+		copy(sh.line(n, bs), data[int(b)*bs:(int(b)+1)*bs])
 		sh.mu.Unlock()
 	}
-	return evicted
+	return ev
 }
 
 func (c *Cache) notifyEvicted(keys []uint64) {
@@ -464,7 +458,7 @@ func (c *Cache) resident() int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += len(sh.data)
+		n += sh.resident()
 		sh.mu.Unlock()
 	}
 	return n
@@ -503,7 +497,7 @@ func (c *Cache) Collect(cs *metrics.CounterSet) {
 	cs.Add("cache.admissions", c.sum(func(s *shard) uint64 { return s.admissions }))
 	cs.Add("cache.evictions", c.sum(func(s *shard) uint64 { return s.evictions }))
 	cs.Add("cache.invalidations", c.sum(func(s *shard) uint64 { return s.invalidations }))
-	cs.Add("cache.ghost_hits", c.sum(func(s *shard) uint64 { return s.pol.ghostHits }))
+	cs.Add("cache.ghost_hits", c.sum(func(s *shard) uint64 { return s.ghostHits }))
 	c.mu.Lock()
 	cs.Add("cache.conflicts", c.conflicts)
 	cs.Add("cache.fill_aborts", c.fillAborts)

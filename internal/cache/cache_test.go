@@ -351,6 +351,34 @@ func TestViewCountsLikeRead(t *testing.T) {
 	}
 }
 
+// TestShardCapacitiesSumToConfig: the shards split CapacityBlocks exactly,
+// the first CapacityBlocks%8 one line larger, down to the floor of one line
+// per shard.
+func TestShardCapacitiesSumToConfig(t *testing.T) {
+	for _, tc := range []struct {
+		capBlocks uint64
+		want      [nShards]int
+	}{
+		{0, [nShards]int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{5, [nShards]int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{8, [nShards]int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{9, [nShards]int{2, 1, 1, 1, 1, 1, 1, 1}},
+		{15, [nShards]int{2, 2, 2, 2, 2, 2, 2, 1}},
+		{16, [nShards]int{2, 2, 2, 2, 2, 2, 2, 2}},
+		{100, [nShards]int{13, 13, 13, 13, 12, 12, 12, 12}},
+		{32768, [nShards]int{4096, 4096, 4096, 4096, 4096, 4096, 4096, 4096}},
+	} {
+		c := New(testCfg(tc.capBlocks))
+		var got [nShards]int
+		for i, sh := range c.shards {
+			got[i] = sh.c
+		}
+		if got != tc.want {
+			t.Errorf("CapacityBlocks %d: shard capacities %v, want %v", tc.capBlocks, got, tc.want)
+		}
+	}
+}
+
 // oneShard returns the first n block LBAs that hash to shard 0, so a test
 // can drive one shard's ARC through the whole cache.
 func oneShard(n int) []uint64 {
@@ -436,23 +464,75 @@ func TestGhostHitsObserved(t *testing.T) {
 }
 
 // TestARCHitAllocatesNothing: a hit on a T2 resident, the steady state of a
-// hot set, moves a list element and allocates nothing; the first re-reference
-// (T1 -> T2) keeps the key's entry.
+// hot set, relinks a slab node and allocates nothing; so does the first
+// re-reference (T1 -> T2).
 func TestARCHitAllocatesNothing(t *testing.T) {
-	pol := newARC(64)
+	a := newARC(64)
 	for k := uint64(0); k < 32; k++ {
-		pol.admit(k)
-		pol.hit(k) // T1 -> T2
+		a.admit(k, nil)
+		a.hitKey(k) // T1 -> T2
 	}
 	k := uint64(0)
 	if n := testing.AllocsPerRun(1000, func() {
-		pol.hit(k % 32)
+		a.hitKey(k % 32)
 		k += 7
 	}); n != 0 {
 		t.Errorf("%v allocs per hit on a T2 resident, want 0", n)
 	}
-	if pol.Len() != 32 {
-		t.Errorf("resident count %d after hits only, want 32", pol.Len())
+	if a.resident() != 32 {
+		t.Errorf("resident count %d after hits only, want 32", a.resident())
+	}
+}
+
+// TestCacheSteadyStateAllocs: once the lines, slab nodes, window slices and
+// index slots a workload needs exist, no cache operation allocates. Each op
+// walks a range four times the capacity, so every install evicts and takes
+// the evicted block's line; View runs last because a line it lends is never
+// recycled.
+func TestCacheSteadyStateAllocs(t *testing.T) {
+	c := New(testCfg(64))
+	bs := int(c.BlockSize())
+	data, buf := rng(bs, 4, 1), make([]byte, 4*bs)
+	var lba uint64
+	next := func() uint64 {
+		lba = (lba + 4) % 256
+		return lba
+	}
+	ops := []struct {
+		name string
+		fn   func()
+	}{
+		{"Read miss, BeginFill, CommitFill", func() {
+			l := next()
+			if !c.Read(l, 4, buf) {
+				c.CommitFill(c.BeginFill(l, 4), data)
+			}
+		}},
+		{"BeginWrite, EndWrite", func() { c.EndWrite(c.BeginWrite(next(), 4), data) }},
+		{"Invalidate, refill", func() {
+			l := next()
+			c.Invalidate(l, 4)
+			c.CommitFill(c.BeginFill(l, 4), data)
+		}},
+		{"Read hit", func() {
+			if !c.Read(0, 4, buf) {
+				t.Fatal("resident range missed")
+			}
+		}},
+		{"View", func() {
+			if c.View(0) == nil {
+				t.Fatal("resident block missed")
+			}
+		}},
+	}
+	for _, op := range ops {
+		c.CommitFill(c.BeginFill(0, 4), data)
+		for i := 0; i < 1000; i++ {
+			op.fn()
+		}
+		if n := testing.AllocsPerRun(500, op.fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", op.name, n)
+		}
 	}
 }
 
@@ -462,9 +542,9 @@ func peek(c *Cache, lba uint64) []byte {
 	sh := c.shardOf(lba)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.data[lba]
+	n, ok := sh.lookup(lba)
 	if !ok {
 		return nil
 	}
-	return append([]byte(nil), e.data...)
+	return append([]byte(nil), sh.nodes[n].line...)
 }

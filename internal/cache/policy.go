@@ -1,170 +1,254 @@
 package cache
 
-import "container/list"
+import "nvmetro/internal/bufpool"
 
-// polEntry is one tracked key; home identifies the list it lives on.
-type polEntry struct {
-	key  uint64
-	home *list.List
+// listID names the list a slab node is on.
+type listID uint8
+
+const (
+	t1   listID = iota // resident, seen once
+	t2                 // resident, seen at least twice
+	b1                 // ghost of a T1 eviction
+	b2                 // ghost of a T2 eviction
+	free               // on the slab's free list
+)
+
+// nilNode ends a chain and the free list.
+const nilNode int32 = -1
+
+// node is one slab slot: a tracked key, linked by slab index into the list
+// home names. A resident node holds its block's line; a ghost holds none.
+type node struct {
+	key        uint64
+	prev, next int32
+	home       listID
+	lent       bool // View handed the line out: it is never recycled
+	line       []byte
 }
 
-func pushMRU(l *list.List, key uint64) *list.Element {
-	return l.PushFront(&polEntry{key: key, home: l})
+// chain is an intrusive doubly linked list over the slab, MRU at head.
+type chain struct {
+	head, tail int32
+	n          int
 }
 
-// arcPolicy is the ARC replacement policy: two resident lists (T1 holds
-// blocks seen once, T2 blocks seen at least twice) and two ghost lists (B1,
-// B2) remembering recent evictions from each. The adaptive target p shifts
-// capacity between recency (T1) and frequency (T2) according to which ghost
-// list is being re-hit, so a zipfian re-read mix keeps its hot set in T2
-// while a scan streams through T1 without flushing it. It is deterministic
-// (the same call sequence always yields the same evictions) and not safe for
-// concurrent use: the owning shard serializes calls.
-type arcPolicy struct {
-	c              int // total resident capacity
-	p              int // target size of T1
-	t1, t2, b1, b2 *list.List
-	idx            map[uint64]*list.Element
-	ghostHits      uint64
+// arc is one shard's block store under the ARC replacement policy: two
+// resident lists (T1 holds blocks seen once, T2 blocks seen at least twice)
+// and two ghost lists (B1, B2) remembering recent evictions from each. The
+// adaptive target p shifts capacity between recency (T1) and frequency (T2)
+// according to which ghost list is being re-hit, so a zipfian re-read mix
+// keeps its hot set in T2 while a scan streams through T1 without flushing
+// it. The four lists are chains over one slab of nodes with a free list, and
+// one index maps a key to its node, so a block costs one lookup and no
+// allocation once the slab and its lines exist: a line freed by eviction or
+// invalidation waits on spare for the next admission, unless View lent it.
+// It is deterministic (the same call sequence always yields the same
+// evictions) and not safe for concurrent use: the owning shard serializes
+// calls.
+type arc struct {
+	c, p      int // total resident capacity; target size of T1
+	nodes     []node
+	free      int32
+	l         [free]chain // T1, T2, B1, B2
+	idx       map[uint64]int32
+	spare     [][]byte
+	ghostHits uint64
 }
 
-// newARC returns an ARC policy with the given resident capacity.
-func newARC(capacity int) *arcPolicy {
-	if capacity < 1 {
-		capacity = 1
+// newARC returns an empty store with the given resident capacity.
+func newARC(capacity int) arc {
+	a := arc{c: max(capacity, 1), free: nilNode, idx: make(map[uint64]int32)}
+	for i := range a.l {
+		a.l[i] = chain{nilNode, nilNode, 0}
 	}
-	return &arcPolicy{
-		c:  capacity,
-		t1: list.New(), t2: list.New(), b1: list.New(), b2: list.New(),
-		idx: make(map[uint64]*list.Element),
-	}
+	return a
 }
 
-// Len is the resident count.
-func (a *arcPolicy) Len() int { return a.t1.Len() + a.t2.Len() }
+// resident is the resident block count.
+func (a *arc) resident() int { return a.l[t1].n + a.l[t2].n }
 
-// promote moves a tracked key to T2's MRU position. The common case, a hit
-// on a T2 resident, moves the element and allocates nothing; a key arriving
-// from another list takes its polEntry along.
-func (a *arcPolicy) promote(e *list.Element, key uint64) {
-	ent := e.Value.(*polEntry)
-	if ent.home == a.t2 {
-		a.t2.MoveToFront(e)
-		return
-	}
-	ent.home.Remove(e)
-	ent.home = a.t2
-	a.idx[key] = a.t2.PushFront(ent)
+// lookup returns key's node if key is resident.
+func (a *arc) lookup(key uint64) (int32, bool) {
+	n, ok := a.idx[key]
+	return n, ok && a.nodes[n].home <= t2
 }
 
-// hit notes an access to a resident key.
-func (a *arcPolicy) hit(key uint64) {
-	e, ok := a.idx[key]
-	if !ok {
-		return
-	}
-	home := e.Value.(*polEntry).home
-	if home == a.t1 || home == a.t2 {
-		a.promote(e, key)
-	}
-}
-
-// replace demotes one resident block to the matching ghost list and returns
-// its key, implementing ARC's REPLACE subroutine.
-func (a *arcPolicy) replace(hitB2 bool) []uint64 {
-	var victim *list.Element
-	var ghost *list.List
-	if a.t1.Len() >= 1 && (a.t1.Len() > a.p || (hitB2 && a.t1.Len() == a.p)) {
-		victim, ghost = a.t1.Back(), a.b1
-	} else if a.t2.Len() > 0 {
-		victim, ghost = a.t2.Back(), a.b2
-	} else if a.t1.Len() > 0 {
-		victim, ghost = a.t1.Back(), a.b1
+func (a *arc) unlink(n int32) {
+	nd := &a.nodes[n]
+	l := &a.l[nd.home]
+	if nd.prev != nilNode {
+		a.nodes[nd.prev].next = nd.next
 	} else {
-		return nil
+		l.head = nd.next
 	}
-	k := victim.Value.(*polEntry).key
-	victim.Value.(*polEntry).home.Remove(victim)
-	a.idx[k] = pushMRU(ghost, k)
-	return []uint64{k}
+	if nd.next != nilNode {
+		a.nodes[nd.next].prev = nd.prev
+	} else {
+		l.tail = nd.prev
+	}
+	l.n--
 }
 
-func (a *arcPolicy) dropLRU(l *list.List) {
-	if b := l.Back(); b != nil {
-		delete(a.idx, b.Value.(*polEntry).key)
-		l.Remove(b)
+func (a *arc) pushMRU(n int32, h listID) {
+	nd, l := &a.nodes[n], &a.l[h]
+	nd.home, nd.prev, nd.next = h, nilNode, l.head
+	if l.head != nilNode {
+		a.nodes[l.head].prev = n
+	} else {
+		l.tail = n
+	}
+	l.head = n
+	l.n++
+}
+
+// touch moves a tracked node to T2's MRU position: a hit on a resident, or
+// the re-admission of a ghost.
+func (a *arc) touch(n int32) {
+	a.unlink(n)
+	a.pushMRU(n, t2)
+}
+
+// release takes node n's line off it, onto spare unless View lent it out.
+func (a *arc) release(n int32) {
+	nd := &a.nodes[n]
+	if nd.line != nil && !nd.lent {
+		if bufpool.Poison {
+			for i := range nd.line {
+				nd.line[i] = 0xDB
+			}
+		}
+		a.spare = append(a.spare, nd.line)
+	}
+	nd.line, nd.lent = nil, false
+}
+
+// drop forgets node n: off its list and the index, onto the free list.
+func (a *arc) drop(n int32) {
+	a.unlink(n)
+	a.release(n)
+	nd := &a.nodes[n]
+	delete(a.idx, nd.key)
+	nd.home, nd.next = free, a.free
+	a.free = n
+}
+
+// line returns resident node n's line, giving it a spare or a new bs-byte
+// one if it has none.
+func (a *arc) line(n int32, bs int) []byte {
+	nd := &a.nodes[n]
+	if nd.line == nil {
+		if k := len(a.spare) - 1; k >= 0 {
+			nd.line = a.spare[k]
+			a.spare[k] = nil
+			a.spare = a.spare[:k]
+		} else {
+			nd.line = make([]byte, bs)
+		}
+	}
+	return nd.line
+}
+
+// replace demotes one resident block to the matching ghost list and appends
+// its key to ev, implementing ARC's REPLACE subroutine.
+func (a *arc) replace(hitB2 bool, ev []uint64) []uint64 {
+	n1 := a.l[t1].n
+	var victim int32
+	var ghost listID
+	switch {
+	case n1 >= 1 && (n1 > a.p || hitB2 && n1 == a.p):
+		victim, ghost = a.l[t1].tail, b1
+	case a.l[t2].n > 0:
+		victim, ghost = a.l[t2].tail, b2
+	case n1 > 0:
+		victim, ghost = a.l[t1].tail, b1
+	default:
+		return ev
+	}
+	a.release(victim)
+	a.unlink(victim)
+	a.pushMRU(victim, ghost)
+	return append(ev, a.nodes[victim].key)
+}
+
+func (a *arc) dropLRU(h listID) {
+	if n := a.l[h].tail; n != nilNode {
+		a.drop(n)
 	}
 }
 
-// admit makes key resident, returning the keys evicted to make room (in
-// eviction order). The returned keys no longer hold data.
-func (a *arcPolicy) admit(key uint64) []uint64 {
-	if e, ok := a.idx[key]; ok {
-		ent := e.Value.(*polEntry)
-		switch ent.home {
-		case a.t1, a.t2:
+// step is ARC's adaptation of p on a ghost hit: other/own when that exceeds
+// one, else one.
+func step(other, own int) int {
+	if own > 0 && other/own > 1 {
+		return other / own
+	}
+	return 1
+}
+
+// admit makes key resident and returns its node, appending the keys evicted
+// to make room to ev in eviction order. The node has no line unless key was
+// already resident.
+func (a *arc) admit(key uint64, ev []uint64) (int32, []uint64) {
+	if n, ok := a.idx[key]; ok {
+		switch a.nodes[n].home {
+		case t1, t2:
 			// Already resident: treat as a hit.
-			a.promote(e, key)
-			return nil
-		case a.b1:
+		case b1:
 			// Recency ghost hit: grow the T1 target.
 			a.ghostHits++
-			delta := 1
-			if a.b1.Len() > 0 && a.b2.Len()/a.b1.Len() > 1 {
-				delta = a.b2.Len() / a.b1.Len()
-			}
-			a.p = min(a.c, a.p+delta)
-			ev := a.replace(false)
-			a.promote(e, key)
-			return ev
+			a.p = min(a.c, a.p+step(a.l[b2].n, a.l[b1].n))
+			ev = a.replace(false, ev)
 		default: // b2
 			// Frequency ghost hit: shrink the T1 target.
 			a.ghostHits++
-			delta := 1
-			if a.b2.Len() > 0 && a.b1.Len()/a.b2.Len() > 1 {
-				delta = a.b1.Len() / a.b2.Len()
-			}
-			a.p = max(0, a.p-delta)
-			ev := a.replace(true)
-			a.promote(e, key)
-			return ev
+			a.p = max(0, a.p-step(a.l[b1].n, a.l[b2].n))
+			ev = a.replace(true, ev)
 		}
+		a.touch(n)
+		return n, ev
 	}
 	// Brand-new key.
-	var evicted []uint64
-	l1 := a.t1.Len() + a.b1.Len()
+	l1 := a.l[t1].n + a.l[b1].n
 	if l1 == a.c {
-		if a.t1.Len() < a.c {
-			a.dropLRU(a.b1)
-			evicted = a.replace(false)
+		if a.l[t1].n < a.c {
+			a.dropLRU(b1)
+			ev = a.replace(false, ev)
 		} else {
 			// B1 is empty and T1 full: evict T1's LRU outright.
-			lru := a.t1.Back()
-			k := lru.Value.(*polEntry).key
-			a.t1.Remove(lru)
-			delete(a.idx, k)
-			evicted = append(evicted, k)
+			lru := a.l[t1].tail
+			ev = append(ev, a.nodes[lru].key)
+			a.drop(lru)
 		}
 	} else if l1 < a.c {
-		total := l1 + a.t2.Len() + a.b2.Len()
+		total := l1 + a.l[t2].n + a.l[b2].n
 		if total >= a.c {
 			if total == 2*a.c {
-				a.dropLRU(a.b2)
+				a.dropLRU(b2)
 			}
-			evicted = a.replace(false)
+			ev = a.replace(false, ev)
 		}
 	}
-	a.idx[key] = pushMRU(a.t1, key)
-	return evicted
+	n := a.free
+	if n != nilNode {
+		a.free = a.nodes[n].next
+	} else {
+		n = int32(len(a.nodes))
+		a.nodes = append(a.nodes, node{})
+	}
+	a.nodes[n].key = key
+	a.idx[key] = n
+	a.pushMRU(n, t1)
+	return n, ev
 }
 
 // remove forgets key entirely (resident or ghost), e.g. after an
-// invalidation.
-func (a *arcPolicy) remove(key uint64) {
-	e, ok := a.idx[key]
+// invalidation, reporting whether it was resident.
+func (a *arc) remove(key uint64) bool {
+	n, ok := a.idx[key]
 	if !ok {
-		return
+		return false
 	}
-	e.Value.(*polEntry).home.Remove(e)
-	delete(a.idx, key)
+	was := a.nodes[n].home <= t2
+	a.drop(n)
+	return was
 }

@@ -215,25 +215,27 @@ func verifyHit(t *testing.T, model *naiveBacking, lba, nbl uint64, buf []byte, w
 }
 
 // TestPolicyModelProperty checks the ARC policy against a naive reference
-// model over random op sequences: Len never exceeds capacity, every reported
-// eviction was resident, and the policy's resident set always equals the
-// model's.
+// model over random op sequences: the resident count never exceeds
+// capacity, every reported eviction was resident, and the policy's resident
+// set always equals the model's.
 func TestPolicyModelProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		capacity := 1 + rng.Intn(16)
 		p := newARC(capacity)
+		var evicted []uint64
 		resident := make(map[uint64]bool)
 		for op := 0; op < 400; op++ {
 			key := uint64(rng.Intn(3 * capacity))
 			switch rng.Intn(4) {
 			case 0: // hit (may be on a non-resident key: must be a no-op)
-				p.hit(key)
+				p.hitKey(key)
 			case 1: // remove
 				p.remove(key)
 				delete(resident, key)
 			default: // admit
-				for _, ev := range p.admit(key) {
+				_, evicted = p.admit(key, evicted[:0])
+				for _, ev := range evicted {
 					if !resident[ev] {
 						t.Fatalf("cap=%d trial %d op %d: evicted non-resident key %d",
 							capacity, trial, op, ev)
@@ -246,13 +248,13 @@ func TestPolicyModelProperty(t *testing.T) {
 				}
 				resident[key] = true
 			}
-			if p.Len() != len(resident) {
-				t.Fatalf("cap=%d trial %d op %d: policy Len %d, model %d",
-					capacity, trial, op, p.Len(), len(resident))
+			if p.resident() != len(resident) {
+				t.Fatalf("cap=%d trial %d op %d: policy resident %d, model %d",
+					capacity, trial, op, p.resident(), len(resident))
 			}
-			if p.Len() > capacity {
-				t.Fatalf("cap=%d trial %d op %d: Len %d exceeds capacity",
-					capacity, trial, op, p.Len())
+			if p.resident() > capacity {
+				t.Fatalf("cap=%d trial %d op %d: resident %d exceeds capacity",
+					capacity, trial, op, p.resident())
 			}
 		}
 	}

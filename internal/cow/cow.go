@@ -147,7 +147,7 @@ func (ix *Index) release(key uint64) {
 // immutable so there are no coherence windows to arbitrate). Either way the
 // bytes are read-only and stay what they are for as long as the caller's
 // layer holds its reference — a chunk is content-addressed, never rewritten
-// in place, and an evicted cache line is dropped, not recycled — so a reader
+// in place, and a line cache.View has lent is never recycled — so a reader
 // takes the part it wants and nothing is staged. With own set the cache sees
 // the same access but the index's own bytes come back even on a hit: what a
 // CoW break keeps as its source, which the index holds anyway while the chain

@@ -77,7 +77,7 @@ type Device struct {
 	rbus   *sim.Resource // read DMA engine (bandwidth)
 	wbus   *sim.Resource // write DMA engine
 	ns     map[uint32]*Namespace
-	queues map[uint16]*queueState
+	queues []*queueState // by queue id: CreateQueuePair counts them from 1
 	nextQ  uint16
 	inj    *fault.Injector
 	free   []*cmdState // idle command states; in-flight ones are bounded by queue depth
@@ -105,7 +105,7 @@ func New(env *sim.Env, p Params, store Store) *Device {
 		rbus:   sim.NewResource(env, 1),
 		wbus:   sim.NewResource(env, 1),
 		ns:     make(map[uint32]*Namespace),
-		queues: make(map[uint16]*queueState),
+		queues: make([]*queueState, 1),
 	}
 	d.AddNamespace(1, p.Blocks, store)
 	return d
@@ -175,7 +175,7 @@ func (d *Device) CreateQueuePair(depth uint32, mem nvme.Memory) *nvme.QueuePair 
 	qp := nvme.NewQueuePair(id, depth)
 	st := &queueState{qp: qp, mem: mem}
 	st.fetch = func() { d.fetch(st) }
-	d.queues[id] = st
+	d.queues = append(d.queues, st)
 	d.env.After(0, st.fetch) // the controller looks at a new SQ once unprompted
 	return qp
 }
@@ -184,6 +184,9 @@ func (d *Device) CreateQueuePair(depth uint32, mem nvme.Memory) *nvme.QueuePair 
 // (the submission doorbell write). It is asynchronous and free for the
 // caller: MMIO posted writes cost nothing on the CPU side.
 func (d *Device) Ring(qid uint16) {
+	if int(qid) >= len(d.queues) {
+		return // no such queue
+	}
 	if st := d.queues[qid]; st != nil && st.armed {
 		st.armed = false
 		d.env.After(0, st.fetch)

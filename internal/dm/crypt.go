@@ -65,12 +65,19 @@ func (c *Crypt) NumSectors() uint64 { return c.lower.NumSectors() }
 
 // SubmitBio implements BlockDevice.
 func (c *Crypt) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
+	blockdev.SubmitAndWait(p, c, th, b)
+}
+
+// SubmitFunc implements blockdev.BlockDevice.
+func (c *Crypt) SubmitFunc(th *sim.Thread, b *bio, then func()) {
 	switch b.Op {
 	case blockdev.BioWrite:
 		// Writes are encrypted by kcryptd before hitting the lower device.
-		th.Exec(p, c.params.QueueCost)
-		c.queue = append(c.queue, cryptWork{bio: b})
-		c.wake.Signal(nil)
+		th.ExecFunc(c.params.QueueCost, func() {
+			c.queue = append(c.queue, cryptWork{bio: b})
+			c.wake.Signal(nil)
+			then()
+		})
 	case blockdev.BioRead:
 		// Reads complete on the lower device first, then kcryptd decrypts.
 		orig := b.OnDone
@@ -85,9 +92,9 @@ func (c *Crypt) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 			c.queue = append(c.queue, cryptWork{bio: &done, decrypt: true})
 			c.wake.Signal(nil)
 		}
-		c.lower.SubmitBio(p, th, &nb)
+		c.lower.SubmitFunc(th, &nb, then)
 	default:
-		c.lower.SubmitBio(p, th, b)
+		c.lower.SubmitFunc(th, b, then)
 	}
 }
 

@@ -201,11 +201,15 @@ func TestURingSubmitReap(t *testing.T) {
 	b.run(t, func(p *sim.Proc) {
 		data := bytes.Repeat([]byte{1}, 512)
 		for i := uint64(0); i < 8; i++ {
-			ring.Submit(p, b.th, blockdev.BioWrite, i, data, i)
+			p.Await(func(then func()) { ring.Submit(b.th, blockdev.BioWrite, i, data, i, then) })
 		}
 		var seen []uint64
 		for len(seen) < 8 {
-			for _, cqe := range ring.Reap(p, b.th, 0) {
+			var reaped []blockdev.URingCQE
+			if ring.Pending() > 0 {
+				p.Await(func(then func()) { reaped = ring.Reap(b.th, nil, 0, then) })
+			}
+			for _, cqe := range reaped {
 				if !cqe.Status.OK() {
 					t.Fatalf("cqe status %v", cqe.Status)
 				}

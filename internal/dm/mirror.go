@@ -29,10 +29,17 @@ func (m *Mirror) NumSectors() uint64 {
 
 // SubmitBio implements BlockDevice.
 func (m *Mirror) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
+	blockdev.SubmitAndWait(p, m, th, b)
+}
+
+// SubmitFunc implements blockdev.BlockDevice: reads go to the primary;
+// writes, flushes and discards go to both legs, one after the other, and
+// complete when both do.
+func (m *Mirror) SubmitFunc(th *sim.Thread, b *bio, then func()) {
 	switch b.Op {
 	case blockdev.BioRead:
 		m.Reads++
-		m.Primary.SubmitBio(p, th, b)
+		m.Primary.SubmitFunc(th, b, then)
 	case blockdev.BioWrite, blockdev.BioFlush, blockdev.BioDiscard:
 		if b.Op == blockdev.BioWrite {
 			m.Writes++
@@ -53,7 +60,8 @@ func (m *Mirror) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 		b1.OnDone = join
 		b2 := *b
 		b2.OnDone = join
-		m.Primary.SubmitBio(p, th, &b1)
-		m.Secondary.SubmitBio(p, th, &b2)
+		m.Primary.SubmitFunc(th, &b1, func() { m.Secondary.SubmitFunc(th, &b2, then) })
+	default:
+		then()
 	}
 }

@@ -25,7 +25,9 @@ import (
 //     tenant's reads; tenant writes CoW-break into private chunks.
 //   - flat: every tenant gets its own full copy of the image with a private
 //     index and a 1/N slice of the cache budget — the conventional
-//     image-per-VM layout.
+//     image-per-VM layout. A cache holds at least eight lines (one per
+//     shard), so past N = 32 a slice is eight chunks: the flat fleet holds
+//     2x the budget at N = 64 and 4x at N = 128, and still loses.
 //
 // Every cell runs with end-to-end integrity armed (PI stamped at the
 // mediation point, verified at the guest boundary), so the table doubles as
@@ -47,7 +49,8 @@ const (
 	bootImageBlocksQuick = 2048
 	bootImageBlocksFull  = 8192
 	// bootCacheChunks is the total content-cache budget in chunks, shared
-	// by the whole tenant fleet (the flat regime splits it N ways).
+	// by the whole tenant fleet (the flat regime splits it N ways, down to
+	// the cache's floor of eight chunks per tenant).
 	bootCacheChunks = 256
 )
 
@@ -320,6 +323,6 @@ func bootstormTable(o Options) *Table {
 			float64(r.guardBad),
 			bit(bootstormOK(r, c.vms)))
 	}
-	t.Notes = "same total cache budget per row pair; hit_ratio = content-cache hits/lookups; ok = drained, guard_bad=0, every tenant diverged, golden CRCs unchanged, clone copied zero chunks; sharded row runs the fleet through the per-core shard router (1 shard per 16 VMs, max 64)"
+	t.Notes = "same total cache budget per row pair, except that a flat tenant's slice floors at 8 chunks (N=64: 2x, N=128: 4x the budget); hit_ratio = content-cache hits/lookups; ok = drained, guard_bad=0, every tenant diverged, golden CRCs unchanged, clone copied zero chunks; sharded row runs the fleet through the per-core shard router (1 shard per 16 VMs, max 64)"
 	return t
 }

@@ -118,56 +118,96 @@ const capsuleHeader = 72
 
 // Target is the remote host's NVMe-oF target: a worker thread that services
 // incoming capsules against the remote block device.
+//
+// The worker is a reactor, not a process: it waits for a capsule on its wake
+// cond, charges PerCmd to its thread and submits the capsule's bio, each step
+// a continuation on the DES callback tier.
 type Target struct {
 	bdev  blockdev.BlockDevice
 	th    *sim.Thread
-	queue []capsule
+	queue []capsule // popped from head
+	head  int
 	wake  *sim.Cond
+	cur   capsule // the capsule being charged
+	free  []*targetCmd
 	// PerCmd is the target-side processing cost per capsule.
 	PerCmd sim.Duration
 
 	Served uint64
+
+	stepRun, stepCharged func() // run and charged, bound once
 }
 
+// capsule is one command attempt at the target: the bio's parameters and the
+// flight its reply goes back on.
 type capsule struct {
 	op     blockdev.BioOp
 	sector uint64
 	data   []byte
 	nsect  uint32
-	reply  func(nvme.Status, []byte)
+	fl     *flight
+}
+
+// targetCmd is one capsule being serviced: its bio, recycled when the bio
+// completes (OnDone is bound once, to done).
+type targetCmd struct {
+	bio blockdev.Bio
+	t   *Target
+	c   capsule
 }
 
 // NewTarget starts a target over bdev using a thread on the remote CPU.
 func NewTarget(env *sim.Env, bdev blockdev.BlockDevice, remoteCPU *sim.CPU) *Target {
 	t := &Target{bdev: bdev, th: remoteCPU.NewThread("nvmeof-tgt"), wake: sim.NewCond(env), PerCmd: 2 * sim.Microsecond}
-	env.Go("nvmeof-target", t.run)
+	t.stepRun, t.stepCharged = t.run, t.charged
+	env.After(0, t.stepRun)
 	return t
 }
 
-func (t *Target) run(p *sim.Proc) {
-	for {
-		if len(t.queue) == 0 {
-			t.wake.Wait()
-			continue
-		}
-		c := t.queue[0]
-		t.queue[0] = capsule{} // the consumed slot must not keep the payload reachable
-		t.queue = t.queue[1:]
-		t.th.Exec(p, t.PerCmd)
-		t.Served++
-		bio := &blockdev.Bio{Op: c.op, Sector: c.sector, Data: c.data, NSect: c.nsect}
-		reply := c.reply
-		data := c.data
-		isRead := c.op == blockdev.BioRead
-		bio.OnDone = func(st nvme.Status) {
-			if isRead {
-				reply(st, data)
-			} else {
-				reply(st, nil)
-			}
-		}
-		t.bdev.SubmitBio(p, t.th, bio)
+// run takes the next capsule, or waits for one.
+func (t *Target) run() {
+	if t.head == len(t.queue) {
+		t.wake.WaitFunc(t.stepRun)
+		return
 	}
+	t.cur = t.queue[t.head]
+	t.queue[t.head] = capsule{} // the consumed slot must not keep the payload reachable
+	if t.head++; t.head == len(t.queue) {
+		t.queue, t.head = t.queue[:0], 0
+	}
+	t.th.ExecFunc(t.PerCmd, t.stepCharged)
+}
+
+// charged submits the capsule's bio once PerCmd is charged.
+func (t *Target) charged() {
+	t.Served++
+	tc := t.take()
+	tc.c, t.cur = t.cur, capsule{}
+	tc.bio.Op, tc.bio.Sector, tc.bio.Data, tc.bio.NSect = tc.c.op, tc.c.sector, tc.c.data, tc.c.nsect
+	t.bdev.SubmitFunc(t.th, &tc.bio, t.stepRun)
+}
+
+func (t *Target) take() *targetCmd {
+	if n := len(t.free); n > 0 {
+		tc := t.free[n-1]
+		t.free = t.free[:n-1]
+		return tc
+	}
+	tc := &targetCmd{t: t}
+	tc.bio.OnDone = tc.done
+	return tc
+}
+
+// done replies to the capsule's initiator and recycles the command.
+func (tc *targetCmd) done(st nvme.Status) {
+	c := tc.c
+	tc.c, tc.bio.Data = capsule{}, nil
+	tc.t.free = append(tc.t.free, tc)
+	var rdata []byte
+	if c.op == blockdev.BioRead {
+		rdata = c.data
+	}
+	c.fl.reply(st, rdata)
 }
 
 // InitiatorRecovery is the initiator's command-recovery policy.
@@ -196,8 +236,10 @@ func defaultInitiatorRecovery() InitiatorRecovery {
 	}
 }
 
-// ofPending is one in-flight command on the initiator.
+// ofPending is one in-flight command on the initiator, recycled once its one
+// capsule is answered.
 type ofPending struct {
+	i       *Initiator
 	id      uint32 // submission sequence; i.pend is ordered by it
 	op      blockdev.BioOp
 	sector  uint64
@@ -208,6 +250,21 @@ type ofPending struct {
 	size    int // request capsule size
 	attempt int
 	fin     bool
+	timeout bool // an attempt timed out: a backoff timer may still reach it
+
+	then        func() // the submitter's continuation, until charged
+	stepCharged func() // charged, bound once
+}
+
+// flight is one attempt of a command on the fabric, from the capsule's send
+// to its response's arrival, when it is recycled (one the link drops is left
+// to the garbage collector). Its continuations are bound once.
+type flight struct {
+	pe               *ofPending
+	attempt          int
+	st               nvme.Status // the target's response, crossing back
+	rdata            []byte
+	arrived, replied func() // arrive and land, bound once
 }
 
 // Initiator exposes the remote namespace as a local BlockDevice. It keeps
@@ -223,7 +280,9 @@ type Initiator struct {
 	PerCmd sim.Duration
 	rec    InitiatorRecovery
 	pend   []*ofPending // FIFO; deterministic requeue order
-	onUp   []func()     // upper-layer reconnect hooks (e.g. resync triggers)
+	free   []*ofPending
+	fls    []*flight // free flights
+	onUp   []func()  // upper-layer reconnect hooks (e.g. resync triggers)
 
 	bufs      bufpool.Pool // capsule payloads and read-reply scratch
 	pendSeq   uint32
@@ -296,52 +355,104 @@ func (i *Initiator) OnReconnect(fn func()) { i.onUp = append(i.onUp, fn) }
 // NumSectors implements BlockDevice.
 func (i *Initiator) NumSectors() uint64 { return i.tgt.bdev.NumSectors() }
 
-// SubmitBio implements BlockDevice: the bio crosses the fabric as a
-// capsule, is serviced remotely, and the response (with data for reads)
-// crosses back.
+// SubmitBio implements BlockDevice.
 func (i *Initiator) SubmitBio(p *sim.Proc, th *sim.Thread, b *blockdev.Bio) {
-	th.Exec(p, i.PerCmd)
+	blockdev.SubmitAndWait(p, i, th, b)
+}
+
+// SubmitFunc implements BlockDevice: the bio crosses the fabric as a
+// capsule, is serviced remotely, and the response (with data for reads)
+// crosses back. then runs once PerCmd is charged and the capsule is sent.
+func (i *Initiator) SubmitFunc(th *sim.Thread, b *blockdev.Bio, then func()) {
+	pe := i.take()
+	pe.op, pe.sector, pe.nsect, pe.dst, pe.done = b.Op, b.Sector, b.NSect, b.Data, b.OnDone
+	pe.then = then
+	th.ExecFunc(i.PerCmd, pe.stepCharged)
+}
+
+func (i *Initiator) take() *ofPending {
+	if n := len(i.free); n > 0 {
+		pe := i.free[n-1]
+		i.free = i.free[:n-1]
+		return pe
+	}
+	pe := &ofPending{i: i}
+	pe.stepCharged = pe.charged
+	return pe
+}
+
+// charged sends the capsule once PerCmd is charged.
+func (pe *ofPending) charged() {
+	i, then := pe.i, pe.then
+	pe.then = nil
 	i.Sent++
 	i.pendSeq++
-	pe := &ofPending{id: i.pendSeq, op: b.Op, sector: b.Sector, nsect: b.NSect, dst: b.Data, done: b.OnDone, size: capsuleHeader}
-	if b.Op == blockdev.BioWrite {
+	pe.id, pe.size = i.pendSeq, capsuleHeader
+	if pe.op == blockdev.BioWrite {
 		// In-capsule data (RDMA write); copy because the caller may reuse
 		// its buffer after completion.
-		pe.payload = i.bufs.Get(len(b.Data))
-		copy(pe.payload, b.Data)
+		pe.payload = i.bufs.Get(len(pe.dst))
+		copy(pe.payload, pe.dst)
 		pe.size += len(pe.payload)
-	} else if b.Op == blockdev.BioRead {
-		pe.payload = i.bufs.Get(len(b.Data))
+	} else if pe.op == blockdev.BioRead {
+		pe.payload = i.bufs.Get(len(pe.dst))
 	}
 	i.pend = append(i.pend, pe)
 	i.send(pe)
+	then()
 }
 
 // send transmits one attempt of pe and arms its response deadline.
 func (i *Initiator) send(pe *ofPending) {
 	pe.attempt++
 	attempt := pe.attempt
-	i.link.send(dirToTarget, pe.size, func() {
-		i.tgt.queue = append(i.tgt.queue, capsule{
-			op: pe.op, sector: pe.sector, data: pe.payload, nsect: pe.nsect,
-			reply: func(st nvme.Status, rdata []byte) {
-				rsize := capsuleHeader
-				if pe.op == blockdev.BioRead {
-					rsize += len(rdata)
-				}
-				i.link.send(dirToHost, rsize, func() {
-					i.complete(pe, attempt, st, rdata)
-				})
-			},
-		})
-		i.tgt.wake.Signal(nil)
-	})
+	var fl *flight
+	if n := len(i.fls); n > 0 {
+		fl, i.fls = i.fls[n-1], i.fls[:n-1]
+	} else {
+		fl = &flight{}
+		fl.arrived, fl.replied = fl.arrive, fl.land
+	}
+	fl.pe, fl.attempt = pe, attempt
+	i.link.send(dirToTarget, pe.size, fl.arrived)
 	// The deadline is queued by (id, attempt), never as a closure over pe:
 	// a timer that can reach pe keeps the payload alive for the whole
 	// Timeout after the command finished.
 	if i.rec.Timeout > 0 {
 		i.deadlines.Add(pe.id, uint32(attempt), i.env.Now().Add(i.rec.Timeout))
 	}
+}
+
+// arrive is the capsule reaching the target.
+func (fl *flight) arrive() {
+	pe, t := fl.pe, fl.pe.i.tgt
+	if h := t.head; h > 0 && len(t.queue) == cap(t.queue) && h >= len(t.queue)/2 {
+		// The queue never drained: slide its live entries to the front
+		// rather than grow the array.
+		n := copy(t.queue, t.queue[h:])
+		clear(t.queue[n:])
+		t.queue, t.head = t.queue[:n], 0
+	}
+	t.queue = append(t.queue, capsule{op: pe.op, sector: pe.sector, data: pe.payload, nsect: pe.nsect, fl: fl})
+	t.wake.Signal(nil)
+}
+
+// reply sends the target's response back across the link.
+func (fl *flight) reply(st nvme.Status, rdata []byte) {
+	rsize := capsuleHeader
+	if fl.pe.op == blockdev.BioRead {
+		rsize += len(rdata)
+	}
+	fl.st, fl.rdata = st, rdata
+	fl.pe.i.link.send(dirToHost, rsize, fl.replied)
+}
+
+// land is the response reaching the host.
+func (fl *flight) land() {
+	pe, attempt, st, rdata := fl.pe, fl.attempt, fl.st, fl.rdata
+	*fl = flight{arrived: fl.arrived, replied: fl.replied}
+	pe.i.fls = append(pe.i.fls, fl)
+	pe.i.complete(pe, attempt, st, rdata)
 }
 
 // awaited returns the pending command id if its current attempt is the
@@ -365,10 +476,15 @@ func (i *Initiator) complete(pe *ofPending, attempt int, st nvme.Status, rdata [
 	i.finish(pe, st, rdata)
 	if pe.attempt == 1 {
 		// The one capsule that ever carried the payload has been answered,
-		// so the target is done with it. After a resend an earlier
+		// so the target is done with it, and nothing else reaches pe unless
+		// a timeout armed a backoff timer. After a resend an earlier
 		// attempt's capsule may still sit in the fabric or the target's
-		// queue: that payload is left to the garbage collector.
+		// queue: that payload, and pe, are left to the garbage collector.
 		i.bufs.Put(pe.payload)
+		if !pe.timeout {
+			*pe = ofPending{i: i, stepCharged: pe.stepCharged}
+			i.free = append(i.free, pe)
+		}
 	}
 }
 
@@ -401,6 +517,7 @@ func (i *Initiator) unqueue(pe *ofPending) {
 // onTimeout handles a lost attempt: resend with capped, jittered
 // exponential backoff, or fail the command once retries are exhausted.
 func (i *Initiator) onTimeout(pe *ofPending) {
+	pe.timeout = true
 	if pe.attempt > i.rec.MaxRetries {
 		i.Failures++
 		i.finish(pe, nvme.SCPathError, nil)

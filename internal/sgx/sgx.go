@@ -44,6 +44,10 @@ type Enclave struct {
 	queue  []*Job
 	wake   *sim.Cond
 	th     *sim.Thread
+	idle   sim.Duration // spun since the last job
+	job    *Job         // the job being run
+
+	stepWoken, stepSpun, stepCrypted func() // woken, spun and crypted, bound once
 
 	// Stats
 	Switchless uint64
@@ -58,18 +62,21 @@ func Launch(env *sim.Env, cpu *sim.CPU, key []byte) (*Enclave, error) {
 		return nil, err
 	}
 	e := &Enclave{cipher: cipher, wake: sim.NewCond(env), th: cpu.NewThread("sgx-switchless")}
-	env.Go("sgx-switchless", e.worker)
+	e.stepWoken, e.stepSpun, e.stepCrypted = e.woken, e.spun, e.crypted
+	env.After(0, e.run)
 	return e, nil
 }
 
 // SubmitSwitchless posts a job to the enclave worker; Done runs in enclave
 // worker context when finished. The host thread pays only the tiny post
-// cost.
-func (e *Enclave) SubmitSwitchless(p *sim.Proc, caller *sim.Thread, job *Job) {
-	caller.Exec(p, switchlessSub)
-	e.Switchless++
-	e.queue = append(e.queue, job)
-	e.wake.Signal(nil)
+// cost, after which then runs, in scheduler context.
+func (e *Enclave) SubmitSwitchless(caller *sim.Thread, job *Job, then func()) {
+	caller.ExecFunc(switchlessSub, func() {
+		e.Switchless++
+		e.queue = append(e.queue, job)
+		e.wake.Signal(nil)
+		then()
+	})
 }
 
 func (e *Enclave) cryptCost(n int) sim.Duration {
@@ -86,27 +93,38 @@ func (e *Enclave) crypt(job *Job) error {
 	return err
 }
 
-// worker is the switchless thread: it spins on the call queue (burning CPU,
-// visible in the evaluation's CPU figures) and parks after a long idle.
-func (e *Enclave) worker(p *sim.Proc) {
-	var idle sim.Duration
-	for {
-		if len(e.queue) == 0 {
-			if idle >= idlePark {
-				e.wake.Wait()
-				idle = 0
-				continue
-			}
-			e.th.Exec(p, spinQuantum)
-			e.SpinTime += spinQuantum
-			idle += spinQuantum
-			continue
+// run is the switchless thread, a continuation on its own thread: it spins
+// on the call queue (burning CPU, visible in the evaluation's CPU figures),
+// parks after a long idle, and runs each job's crypto on the thread.
+func (e *Enclave) run() {
+	if len(e.queue) == 0 {
+		if e.idle >= idlePark {
+			e.wake.WaitFunc(e.stepWoken)
+			return
 		}
-		idle = 0
-		job := e.queue[0]
-		e.queue = e.queue[1:]
-		e.th.Exec(p, e.cryptCost(len(job.Src)))
-		err := e.crypt(job)
-		job.Done(err)
+		e.th.ExecFunc(spinQuantum, e.stepSpun)
+		return
 	}
+	e.idle = 0
+	e.job = e.queue[0]
+	e.queue = e.queue[1:]
+	e.th.ExecFunc(e.cryptCost(len(e.job.Src)), e.stepCrypted)
+}
+
+func (e *Enclave) woken() {
+	e.idle = 0
+	e.run()
+}
+
+func (e *Enclave) spun() {
+	e.SpinTime += spinQuantum
+	e.idle += spinQuantum
+	e.run()
+}
+
+func (e *Enclave) crypted() {
+	job := e.job
+	e.job = nil
+	job.Done(e.crypt(job))
+	e.run()
 }

@@ -35,15 +35,17 @@ func TestSwitchlessCryptMatchesXTS(t *testing.T) {
 		dst := make([]byte, 1024)
 		done := sim.NewCond(env)
 		finished := false
-		e.SubmitSwitchless(p, caller, &sgx.Job{
-			Op: sgx.OpEncrypt, Dst: dst, Src: src, Sector: 33, SectorSize: 512,
-			Done: func(err error) {
-				if err != nil {
-					t.Error(err)
-				}
-				finished = true
-				done.Signal(nil)
-			},
+		p.Await(func(then func()) {
+			e.SubmitSwitchless(caller, &sgx.Job{
+				Op: sgx.OpEncrypt, Dst: dst, Src: src, Sector: 33, SectorSize: 512,
+				Done: func(err error) {
+					if err != nil {
+						t.Error(err)
+					}
+					finished = true
+					done.Signal(nil)
+				},
+			}, then)
 		})
 		for !finished {
 			done.Wait()
@@ -69,8 +71,10 @@ func TestSwitchlessWorkerParksAfterIdle(t *testing.T) {
 		buf := make([]byte, 512)
 		done := false
 		cond := sim.NewCond(env)
-		e.SubmitSwitchless(p, caller, &sgx.Job{Op: sgx.OpDecrypt, Dst: buf, Src: buf, Sector: 0, SectorSize: 512,
-			Done: func(error) { done = true; cond.Signal(nil) }})
+		p.Await(func(then func()) {
+			e.SubmitSwitchless(caller, &sgx.Job{Op: sgx.OpDecrypt, Dst: buf, Src: buf, Sector: 0, SectorSize: 512,
+				Done: func(error) { done = true; cond.Signal(nil) }}, then)
+		})
 		for !done {
 			cond.Wait()
 		}

@@ -32,3 +32,37 @@ func (c *Cond) WaitTimeout(d Duration) (any, bool) {
 	p.park()
 	return tok.val, tok.signaled
 }
+
+// Await is how a process calls a component that exists only as
+// continuations: it runs start with a continuation and parks p until start's
+// work calls it. The call must be the last act of the callback event that
+// makes it (or come before start returns): p then resumes as the rest of that
+// event, with no event of its own, so virtual time, per-tag CPU and the
+// (t, seq) order of everything p does next are those of the blocking form the
+// continuation replaced — whose last wake was that event.
+func (p *Proc) Await(start func(then func())) {
+	if p.resume == nil {
+		p.resume = p.resumed
+	}
+	p.awaiting = true
+	start(p.resume)
+	if p.awaiting {
+		p.park()
+	}
+}
+
+// resumed is an Await's continuation.
+func (p *Proc) resumed() {
+	if !p.awaiting {
+		panic("sim: Await continuation called twice")
+	}
+	p.awaiting = false
+	e := p.env
+	if e.cur == p {
+		return // start finished before returning: p never parked
+	}
+	if e.cur != nil || e.handoff != nil {
+		panic("sim: Await continuation called outside a callback event")
+	}
+	e.handoff = p
+}

@@ -97,6 +97,7 @@ type Env struct {
 	spawns     uint64 // Go calls
 
 	cur       *Proc
+	handoff   *Proc   // an Await-ing process the running callback event resumes
 	procs     []*Proc // every spawned, unfinished process (Close needs them)
 	procsDead int
 	live      int
@@ -203,6 +204,9 @@ type Proc struct {
 	done  bool
 	wakes int       // queued events targeting this process
 	spin  spinState // set while parked in Thread.Spin
+
+	awaiting bool   // parked in Await, its continuation not yet called
+	resume   func() // resumed, bound once (Procs are pooled)
 }
 
 // worker is one pooled process coroutine (iter.Pull over workerLoop). The
@@ -411,6 +415,10 @@ func (e *Env) dispatch() *Proc {
 		ev := q.take(k.idx)
 		if ev.fn != nil {
 			ev.fn()
+			if p := e.handoff; p != nil {
+				e.handoff = nil
+				return p // the rest of this event is an Await-ing process's
+			}
 			continue
 		}
 		if tok := ev.tok; tok != nil {

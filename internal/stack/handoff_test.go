@@ -9,6 +9,7 @@ import (
 	"nvmetro/internal/qos"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
+	"nvmetro/internal/storfn"
 )
 
 // handOffRig is a topology driven by fio.
@@ -63,6 +64,39 @@ func qemuRig() handOffRig {
 		Cfg: fio.Config{Mode: fio.RandRW, BlockSize: 4096, QD: 8, RateIOPS: 20000}}}}
 }
 
+// notifyRig is the notify path: three single-vCPU VMs on thirds of one disk,
+// behind the encryption, replication (over NVMe-oF) and cache storage
+// functions, each a closed-loop QD16 job of 4 KiB I/O as in uif_mix, and a
+// cache of cacheBlocks 512-byte lines.
+func notifyRig(cacheBlocks uint64) handOffRig {
+	env := sim.New(1)
+	h := stack.NewHost(env, 16, 6, stack.DefaultParams(), device.NewStore(device.BackingMem, 512))
+	remote := stack.NewRemoteHost(env, 4, h.Params.Device, device.NewStore(device.BackingMem, 512))
+	key := make([]byte, 64)
+	for i := range key {
+		key[i] = byte(i*11 + 3)
+	}
+	const workSet = 4 << 20
+	cachep := storfn.DefaultCacheParams()
+	cachep.Cache.CapacityBlocks = cacheBlocks
+	sols := []*stack.NVMetro{
+		stack.NewNVMetro(h).WithEncryption(key, false),
+		stack.NewNVMetro(h).WithReplication(remote.Secondary()),
+		stack.NewNVMetro(h).WithCache(cachep),
+	}
+	cfgs := []fio.Config{
+		{Mode: fio.RandRW, BlockSize: 4096, QD: 16, WorkSet: workSet},
+		{Mode: fio.RandWrite, BlockSize: 4096, QD: 16, WorkSet: workSet},
+		{Mode: fio.RandRW, BlockSize: 4096, QD: 16, WorkSet: workSet, Zipf: 1.2, WritePct: 20},
+	}
+	var groups []fio.Group
+	for i, part := range device.Carve(h.Dev, 1, 3) {
+		v := h.NewVM(1, 64<<20)
+		groups = append(groups, fio.Group{Cfg: cfgs[i], Targets: []fio.Target{{Disk: sols[i].Provision(v, part), VM: v, VCPU: v.VCPU(0)}}})
+	}
+	return handOffRig{env, h, groups}
+}
+
 // TestNoHandOffOnCommandPath is the command path's hand-off gate, in counts
 // that do not depend on the host's timing: over a measured fio call, after a
 // warm-up call as the benchmark makes one, no process may be spawned, and on
@@ -70,7 +104,9 @@ func qemuRig() handOffRig {
 // device and interrupt handlers are all continuations — the run token may
 // never be handed to a process. QEMU's iothreads are processes by design, so
 // its rate-limited run is held to the hand-offs they take: 3356 (4692 while
-// the fio job and the virtio submission were processes too, 1 spawn).
+// the fio job and the virtio submission were processes too, 1 spawn). On the
+// notify path the UIF poll loops and the NVMe-oF target are reactors too, so
+// its row is held to none.
 func TestNoHandOffOnCommandPath(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -80,6 +116,7 @@ func TestNoHandOffOnCommandPath(t *testing.T) {
 	}{
 		{"routed QD128", routedRig, 2 * sim.Millisecond, 0},
 		{"sharded clone fleet", fleetRig, 2 * sim.Millisecond, 0},
+		{"notify path", func() handOffRig { return notifyRig(storfn.DefaultCacheParams().Cache.CapacityBlocks) }, 2 * sim.Millisecond, 0},
 		{"QEMU rate-limited", qemuRig, 20 * sim.Millisecond, 3356},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -140,6 +140,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 	// The event-loop turn (ppoll return, fd dispatch, bottom halves) is
 	// paid when a sleeping thread wakes to process work; a thread in the
 	// adaptive-polling window picks work up without it.
+	var reapBuf []blockdev.URingCQE
 	payTurn := func() {
 		if turnDue {
 			turnDue = false
@@ -155,7 +156,11 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 
 		// Reap io_uring completions: copy read data into guest pages,
 		// complete chains, inject the interrupt.
-		reaped := ring.Reap(p, th, 32)
+		var reaped []blockdev.URingCQE
+		if ring.Pending() > 0 {
+			p.Await(func(then func()) { reaped = ring.Reap(th, reapBuf[:0], 32, then) })
+			reapBuf = reaped
+		}
 		if len(reaped) > 0 {
 			payTurn()
 		}
@@ -280,7 +285,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 				if t == virtio.BlkTOut {
 					op = blockdev.BioWrite
 				}
-				ring.Submit(p, th, op, sectors[i], fl.buf, nextID)
+				p.Await(func(then func()) { ring.Submit(th, op, sectors[i], fl.buf, nextID, then) })
 				i = j
 			}
 		}

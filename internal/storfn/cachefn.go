@@ -147,6 +147,10 @@ type Cacher struct {
 	// Stats (request granularity; the cache's own counters are per block).
 	ReqHits, ReqFills, ReqWrites, FillErrors uint64
 	GuardErrors                              uint64 // failed verifications at either boundary
+
+	// The request's continuations, bound once.
+	stepHit, stepFillCopied, stepWrite uif.Step
+	stepFilled, stepWritten            uif.RingStep
 }
 
 // NewCacher builds the UIF around a cache sized by p. Evictions feed back
@@ -164,6 +168,8 @@ func NewCacher(env *sim.Env, p CacheParams) *Cacher {
 	}
 	p.Cache.OnEvict = c.forgetEvicted
 	c.cache = cache.New(p.Cache)
+	c.stepHit, c.stepFillCopied, c.stepWrite = c.hit, c.fillCopied, c.write
+	c.stepFilled, c.stepWritten = c.filled, c.written
 	return c
 }
 
@@ -192,79 +198,99 @@ func (c *Cacher) copyCost(n int) sim.Duration {
 }
 
 // Work implements uif.Handler.
-func (c *Cacher) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
+func (c *Cacher) Work(th *sim.Thread, req *uif.Request) {
 	lba, blocks := req.Cmd.SLBA(), uint64(req.Cmd.Blocks())
 	n := int(req.NBytes())
-	start := c.env.Now()
 	switch req.Cmd.Opcode() {
 	case nvme.OpRead:
-		buf := req.Buffer(n)
-		if c.cache.Read(lba, blocks, buf) {
-			if c.Guard == nil || c.Guard.Verify(lba, buf) {
-				th.Exec(p, c.copyCost(n))
-				if err := req.WriteData(buf); err != nil {
-					return false, nvme.SCDataXferError
-				}
-				c.ReqHits++
-				c.HitLat.Record(int64(c.env.Now() - start))
-				return false, nvme.SCSuccess
+		req.Buf = req.Buffer(n)
+		if c.cache.Read(lba, blocks, req.Buf) {
+			if c.Guard == nil || c.Guard.Verify(lba, req.Buf) {
+				th.ExecFunc(c.copyCost(n), req.Then(c.stepHit))
+				return
 			}
 			// The cached copy fails verification: drop it and refill
 			// from the backing store instead of serving it.
 			c.GuardErrors++
 			c.cache.Invalidate(lba, blocks)
 		}
-		fill := c.cache.BeginFill(lba, blocks)
-		req.SubmitBackendReadThen(p, th, buf, func(p *sim.Proc, th *sim.Thread, st nvme.Status) {
-			if !st.OK() {
-				c.cache.AbortFill(fill)
-				c.FillErrors++
-				req.CompleteAsync(st)
-				return
-			}
-			if c.Guard != nil && !c.Guard.Verify(lba, buf) {
-				c.GuardErrors++
-				c.cache.AbortFill(fill)
-				req.CompleteAsync(nvme.SCGuardCheck)
-				return
-			}
-			th.Exec(p, c.copyCost(n))
-			if err := req.WriteData(buf); err != nil {
-				c.cache.AbortFill(fill)
-				req.CompleteAsync(nvme.SCDataXferError)
-				return
-			}
-			c.cache.CommitFill(fill, buf)
-			c.ReqFills++
-			c.FillLat.Record(int64(c.env.Now() - start))
-			req.CompleteAsync(nvme.SCSuccess)
-		})
-		return true, 0
+		req.Token = c.cache.BeginFill(lba, blocks)
+		req.SubmitBackendReadThen(th, req.Buf, c.stepFilled)
 	case nvme.OpWrite:
-		buf := req.Buffer(n)
-		if err := req.ReadData(buf); err != nil {
-			return false, nvme.SCDataXferError
+		req.Buf = req.Buffer(n)
+		if err := req.ReadData(req.Buf); err != nil {
+			req.Done(nvme.SCDataXferError)
+			return
 		}
-		if c.Guard != nil && !c.Guard.Verify(lba, buf) {
+		if c.Guard != nil && !c.Guard.Verify(lba, req.Buf) {
 			c.GuardErrors++
-			return false, nvme.SCGuardCheck
+			req.Done(nvme.SCGuardCheck)
+			return
 		}
-		th.Exec(p, c.copyCost(n))
-		w := c.cache.BeginWrite(lba, blocks)
-		req.SubmitBackendWriteThen(p, th, buf, func(p *sim.Proc, th *sim.Thread, st nvme.Status) {
-			if st.OK() {
-				c.cache.EndWrite(w, buf)
-			} else {
-				c.cache.EndWrite(w, nil)
-			}
-			c.ReqWrites++
-			c.WriteLat.Record(int64(c.env.Now() - start))
-			req.CompleteAsync(st)
-		})
-		return true, 0
+		th.ExecFunc(c.copyCost(n), req.Then(c.stepWrite))
 	default:
-		return false, nvme.SCInvalidOpcode
+		req.Done(nvme.SCInvalidOpcode)
 	}
+}
+
+// hit serves a read from the copy the cache held.
+func (c *Cacher) hit(_ *sim.Thread, req *uif.Request) {
+	if err := req.WriteData(req.Buf); err != nil {
+		req.Done(nvme.SCDataXferError)
+		return
+	}
+	c.ReqHits++
+	c.HitLat.Record(int64(c.env.Now() - req.Start))
+	req.Done(nvme.SCSuccess)
+}
+
+// filled is a miss's backend read landing.
+func (c *Cacher) filled(th *sim.Thread, req *uif.Request, st nvme.Status) {
+	if !st.OK() {
+		c.cache.AbortFill(req.Token)
+		c.FillErrors++
+		req.CompleteAsync(st)
+		return
+	}
+	if c.Guard != nil && !c.Guard.Verify(req.Cmd.SLBA(), req.Buf) {
+		c.GuardErrors++
+		c.cache.AbortFill(req.Token)
+		req.CompleteAsync(nvme.SCGuardCheck)
+		return
+	}
+	th.ExecFunc(c.copyCost(int(req.NBytes())), req.Then(c.stepFillCopied))
+}
+
+// fillCopied serves a miss once its data is copied to the guest, and
+// installs it.
+func (c *Cacher) fillCopied(_ *sim.Thread, req *uif.Request) {
+	if err := req.WriteData(req.Buf); err != nil {
+		c.cache.AbortFill(req.Token)
+		req.CompleteAsync(nvme.SCDataXferError)
+		return
+	}
+	c.cache.CommitFill(req.Token, req.Buf)
+	c.ReqFills++
+	c.FillLat.Record(int64(c.env.Now() - req.Start))
+	req.CompleteAsync(nvme.SCSuccess)
+}
+
+// write opens the write window and writes the backend.
+func (c *Cacher) write(th *sim.Thread, req *uif.Request) {
+	req.Token = c.cache.BeginWrite(req.Cmd.SLBA(), uint64(req.Cmd.Blocks()))
+	req.SubmitBackendWriteThen(th, req.Buf, c.stepWritten)
+}
+
+// written closes the write window once the backend write lands.
+func (c *Cacher) written(_ *sim.Thread, req *uif.Request, st nvme.Status) {
+	if st.OK() {
+		c.cache.EndWrite(req.Token, req.Buf)
+	} else {
+		c.cache.EndWrite(req.Token, nil)
+	}
+	c.ReqWrites++
+	c.WriteLat.Record(int64(c.env.Now() - req.Start))
+	req.CompleteAsync(st)
 }
 
 // Collect folds the UIF's and the cache's counters into cs.

@@ -28,6 +28,8 @@ type Encryptor struct {
 	cipher *xts.Cipher
 	costs  EncryptorCosts
 
+	stepDecrypt, stepEncrypt uif.Step // decrypt and encrypt, bound once
+
 	// Stats
 	Reads, Writes uint64
 }
@@ -38,7 +40,9 @@ func NewEncryptor(key []byte, costs EncryptorCosts) (*Encryptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Encryptor{cipher: c, costs: costs}, nil
+	e := &Encryptor{cipher: c, costs: costs}
+	e.stepDecrypt, e.stepEncrypt = e.decrypt, e.encrypt
+	return e, nil
 }
 
 func (e *Encryptor) cryptCost(n int) sim.Duration {
@@ -50,44 +54,53 @@ func (e *Encryptor) copyCost(n int) sim.Duration {
 }
 
 // Work implements uif.Handler.
-func (e *Encryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
+func (e *Encryptor) Work(th *sim.Thread, req *uif.Request) {
+	n := int(req.NBytes())
 	switch req.Cmd.Opcode() {
 	case nvme.OpRead:
 		// do_read: iterate the data blocks and decrypt in place.
-		n := int(req.NBytes())
-		buf := req.Buffer(n)
-		if err := req.ReadData(buf); err != nil {
-			return false, nvme.SCDataXferError
+		req.Buf = req.Buffer(n)
+		if err := req.ReadData(req.Buf); err != nil {
+			req.Done(nvme.SCDataXferError)
+			return
 		}
-		th.Exec(p, e.cryptCost(n)+e.copyCost(2*n))
-		if err := e.cipher.DecryptBlocks(buf, buf, req.Sector(), 512); err != nil {
-			return false, nvme.SCInternal
-		}
-		if err := req.WriteData(buf); err != nil {
-			return false, nvme.SCDataXferError
-		}
-		e.Reads++
-		return false, nvme.SCSuccess
+		th.ExecFunc(e.cryptCost(n)+e.copyCost(2*n), req.Then(e.stepDecrypt))
 	case nvme.OpWrite:
 		// do_write_async: encrypt the copy pulled from the guest in place,
 		// then write the ciphertext to disk with io_uring; respond when the
 		// write lands.
-		n := int(req.NBytes())
-		buf := req.Buffer(n)
-		if err := req.ReadData(buf); err != nil {
-			return false, nvme.SCDataXferError
+		req.Buf = req.Buffer(n)
+		if err := req.ReadData(req.Buf); err != nil {
+			req.Done(nvme.SCDataXferError)
+			return
 		}
-		th.Exec(p, e.cryptCost(n)+e.copyCost(n))
-		if err := e.cipher.EncryptBlocks(buf, buf, req.Sector(), 512); err != nil {
-			return false, nvme.SCInternal
-		}
-		e.Writes++
-		req.SubmitBackendWrite(p, th, buf)
-		return true, 0
+		th.ExecFunc(e.cryptCost(n)+e.copyCost(n), req.Then(e.stepEncrypt))
 	default:
 		// The classifier only routes reads and writes here.
-		return false, nvme.SCInvalidOpcode
+		req.Done(nvme.SCInvalidOpcode)
 	}
+}
+
+func (e *Encryptor) decrypt(_ *sim.Thread, req *uif.Request) {
+	if err := e.cipher.DecryptBlocks(req.Buf, req.Buf, req.Sector(), 512); err != nil {
+		req.Done(nvme.SCInternal)
+		return
+	}
+	if err := req.WriteData(req.Buf); err != nil {
+		req.Done(nvme.SCDataXferError)
+		return
+	}
+	e.Reads++
+	req.Done(nvme.SCSuccess)
+}
+
+func (e *Encryptor) encrypt(th *sim.Thread, req *uif.Request) {
+	if err := e.cipher.EncryptBlocks(req.Buf, req.Buf, req.Sector(), 512); err != nil {
+		req.Done(nvme.SCInternal)
+		return
+	}
+	e.Writes++
+	req.SubmitBackendWriteThen(th, req.Buf, nil)
 }
 
 // SGXEncryptor is the enclave variant: identical request flow, but all
@@ -99,12 +112,16 @@ type SGXEncryptor struct {
 	enclave *sgx.Enclave
 	costs   EncryptorCosts
 
+	stepDecrypt, stepEncrypt, stepWrite uif.Step // bound once
+
 	Reads, Writes uint64
 }
 
 // NewSGXEncryptor wraps a launched enclave.
 func NewSGXEncryptor(enclave *sgx.Enclave, costs EncryptorCosts) *SGXEncryptor {
-	return &SGXEncryptor{enclave: enclave, costs: costs}
+	e := &SGXEncryptor{enclave: enclave, costs: costs}
+	e.stepDecrypt, e.stepEncrypt, e.stepWrite = e.decrypt, e.encrypt, e.write
+	return e
 }
 
 func (e *SGXEncryptor) copyCost(n int) sim.Duration {
@@ -112,52 +129,64 @@ func (e *SGXEncryptor) copyCost(n int) sim.Duration {
 }
 
 // Work implements uif.Handler.
-func (e *SGXEncryptor) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
+func (e *SGXEncryptor) Work(th *sim.Thread, req *uif.Request) {
+	n := int(req.NBytes())
 	switch req.Cmd.Opcode() {
 	case nvme.OpRead:
-		n := int(req.NBytes())
-		buf := req.Buffer(n)
-		if err := req.ReadData(buf); err != nil {
-			return false, nvme.SCDataXferError
+		req.Buf = req.Buffer(n)
+		if err := req.ReadData(req.Buf); err != nil {
+			req.Done(nvme.SCDataXferError)
+			return
 		}
-		th.Exec(p, e.copyCost(2*n))
-		e.enclave.SubmitSwitchless(p, th, &sgx.Job{
-			Op: sgx.OpDecrypt, Dst: buf, Src: buf, Sector: req.Sector(), SectorSize: 512,
-			Done: func(err error) {
-				st := nvme.SCSuccess
-				if err != nil {
-					st = nvme.SCInternal
-				} else if werr := req.WriteData(buf); werr != nil {
-					st = nvme.SCDataXferError
-				}
-				e.Reads++
-				req.CompleteAsync(st)
-			},
-		})
-		return true, 0
+		th.ExecFunc(e.copyCost(2*n), req.Then(e.stepDecrypt))
 	case nvme.OpWrite:
-		n := int(req.NBytes())
-		buf := req.Buffer(n)
-		if err := req.ReadData(buf); err != nil {
-			return false, nvme.SCDataXferError
+		req.Buf = req.Buffer(n)
+		if err := req.ReadData(req.Buf); err != nil {
+			req.Done(nvme.SCDataXferError)
+			return
 		}
-		th.Exec(p, e.copyCost(n))
-		e.enclave.SubmitSwitchless(p, th, &sgx.Job{
-			Op: sgx.OpEncrypt, Dst: buf, Src: buf, Sector: req.Sector(), SectorSize: 512,
-			Done: func(err error) {
-				if err != nil {
-					req.CompleteAsync(nvme.SCInternal)
-					return
-				}
-				e.Writes++
-				// Hop back onto a UIF polling thread for the io_uring write.
-				req.Attachment().Defer(func(p *sim.Proc, th *sim.Thread) {
-					req.SubmitBackendWrite(p, th, buf)
-				})
-			},
-		})
-		return true, 0
+		th.ExecFunc(e.copyCost(n), req.Then(e.stepEncrypt))
 	default:
-		return false, nvme.SCInvalidOpcode
+		req.Done(nvme.SCInvalidOpcode)
 	}
+}
+
+// pend hands a request back with its completion left to the enclave job.
+func pend(_ *sim.Thread, req *uif.Request) { req.Pend() }
+
+func (e *SGXEncryptor) decrypt(th *sim.Thread, req *uif.Request) {
+	buf := req.Buf
+	e.enclave.SubmitSwitchless(th, &sgx.Job{
+		Op: sgx.OpDecrypt, Dst: buf, Src: buf, Sector: req.Sector(), SectorSize: 512,
+		Done: func(err error) {
+			st := nvme.SCSuccess
+			if err != nil {
+				st = nvme.SCInternal
+			} else if werr := req.WriteData(buf); werr != nil {
+				st = nvme.SCDataXferError
+			}
+			e.Reads++
+			req.CompleteAsync(st)
+		},
+	}, req.Then(pend))
+}
+
+func (e *SGXEncryptor) encrypt(th *sim.Thread, req *uif.Request) {
+	buf := req.Buf
+	e.enclave.SubmitSwitchless(th, &sgx.Job{
+		Op: sgx.OpEncrypt, Dst: buf, Src: buf, Sector: req.Sector(), SectorSize: 512,
+		Done: func(err error) {
+			if err != nil {
+				req.CompleteAsync(nvme.SCInternal)
+				return
+			}
+			e.Writes++
+			// Hop back onto a UIF polling thread for the io_uring write.
+			req.Defer(e.stepWrite)
+		},
+	}, req.Then(pend))
+}
+
+func (e *SGXEncryptor) write(th *sim.Thread, req *uif.Request) {
+	req.SubmitBackendWriteThen(th, req.Buf, nil)
 }

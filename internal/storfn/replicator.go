@@ -40,6 +40,9 @@ type Replicator struct {
 	Degraded        uint64 // guest writes acknowledged from the primary alone
 	SecondaryErrors uint64 // non-OK secondary-leg completions observed
 	GuardErrors     uint64 // payloads failing protection-info verification
+
+	stepForward  uif.Step     // forward, bound once
+	stepMirrored uif.RingStep // mirrored, bound once
 }
 
 // BlockVerifier checks a payload against per-block protection info,
@@ -49,22 +52,32 @@ type BlockVerifier interface {
 }
 
 // NewReplicator creates the mirroring UIF.
-func NewReplicator() *Replicator { return &Replicator{CopyRate: 10e9} }
+func NewReplicator() *Replicator {
+	r := &Replicator{CopyRate: 10e9}
+	r.stepForward, r.stepMirrored = r.forward, r.mirrored
+	return r
+}
 
 // Work implements uif.Handler.
-func (r *Replicator) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
+func (r *Replicator) Work(th *sim.Thread, req *uif.Request) {
 	if req.Cmd.Opcode() != nvme.OpWrite {
 		// Reads are filtered out by the classifier and never reach us.
-		return false, nvme.SCInvalidOpcode
+		req.Done(nvme.SCInvalidOpcode)
+		return
 	}
 	n := int(req.NBytes())
-	buf := req.Buffer(n)
-	if err := req.ReadData(buf); err != nil {
-		return false, nvme.SCDataXferError
+	req.Buf = req.Buffer(n)
+	if err := req.ReadData(req.Buf); err != nil {
+		req.Done(nvme.SCDataXferError)
+		return
 	}
-	th.Exec(p, sim.Duration(float64(n)/r.CopyRate*1e9))
+	th.ExecFunc(sim.Duration(float64(n)/r.CopyRate*1e9), req.Then(r.stepForward))
+}
+
+// forward sends the payload pulled from the guest to the secondary.
+func (r *Replicator) forward(th *sim.Thread, req *uif.Request) {
 	lba, blocks := req.Cmd.SLBA(), uint64(req.Cmd.Blocks())
-	if r.Guard != nil && !r.Guard.Verify(lba, buf) {
+	if r.Guard != nil && !r.Guard.Verify(lba, req.Buf) {
 		// The payload no longer matches its protection info: either it was
 		// corrupted between stamping and forwarding, or a racing guest
 		// write re-stamped the range after this payload was captured. Both
@@ -78,23 +91,26 @@ func (r *Replicator) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, 
 		}
 	}
 	r.Forwarded++
-	req.SubmitBackendWriteThen(p, th, buf, func(p *sim.Proc, th *sim.Thread, st nvme.Status) {
-		if !st.OK() {
-			// Degraded mode: the primary write (fast path) carries the
-			// data; mark the region dirty and acknowledge the guest.
-			r.SecondaryErrors++
-			r.Degraded++
-			r.Dirty.Add(lba, blocks)
-			if r.resync != nil {
-				r.resync.noteSecondaryFailure(lba, blocks)
-			}
-			st = nvme.SCSuccess
-		} else if r.resync != nil {
-			// A mirrored write that lands inside the in-flight resync
-			// window may be clobbered by the stale copy; re-dirty it.
-			r.resync.noteGuestWrite(lba, blocks)
+	req.SubmitBackendWriteThen(th, req.Buf, r.stepMirrored)
+}
+
+// mirrored is the secondary leg's write landing.
+func (r *Replicator) mirrored(_ *sim.Thread, req *uif.Request, st nvme.Status) {
+	lba, blocks := req.Cmd.SLBA(), uint64(req.Cmd.Blocks())
+	if !st.OK() {
+		// Degraded mode: the primary write (fast path) carries the
+		// data; mark the region dirty and acknowledge the guest.
+		r.SecondaryErrors++
+		r.Degraded++
+		r.Dirty.Add(lba, blocks)
+		if r.resync != nil {
+			r.resync.noteSecondaryFailure(lba, blocks)
 		}
-		req.CompleteAsync(st)
-	})
-	return true, 0
+		st = nvme.SCSuccess
+	} else if r.resync != nil {
+		// A mirrored write that lands inside the in-flight resync
+		// window may be clobbered by the stale copy; re-dirty it.
+		r.resync.noteGuestWrite(lba, blocks)
+	}
+	req.CompleteAsync(st)
 }

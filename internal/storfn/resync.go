@@ -433,7 +433,7 @@ func (l *MirrorLegs) PrimaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf [
 func (l *MirrorLegs) SecondaryIO(op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
 	var st nvme.Status
 	done := false
-	l.Secondary.SubmitBackendIO(op, l.sector(lba), buf, func(_ *sim.Proc, _ *sim.Thread, s nvme.Status) {
+	l.Secondary.SubmitBackendIO(op, l.sector(lba), buf, func(s nvme.Status) {
 		st, done = s, true
 		l.done.Signal(nil)
 	})

@@ -346,3 +346,57 @@ func TestQoSClassifierThrottles(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkNotifyHop is one notify-path command end to end, QD1: an
+// encrypted 4 KiB guest write through the router to the notify queue, the
+// UIF's poll loop and handler, io_uring and the host block device to the
+// NVMe device, and back through the NCQ. The driver is a continuation, like
+// everything it drives, resubmitting one vm.Req from a callback event at
+// each completion; it reports the scheduler events, run-token hand-offs and
+// heap allocations one command costs.
+func BenchmarkNotifyHop(b *testing.B) {
+	h := newHost()
+	defer h.env.Close()
+	v, vc, disk := h.addVM(b, 0)
+	setupEncryption(b, h, vc)
+	base, pages, err := v.Mem.AllocBuffer(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const warm = 64 // free lists, rings, the event wheel's buckets and the backing store warm
+	req := &vm.Req{Op: vm.OpWrite, Blocks: 8, Buf: base, BufPages: pages}
+	var events, switches uint64
+	done, i := false, 0
+	var next func()
+	next = func() {
+		if i > 0 && !req.Status.OK() {
+			b.Errorf("write %d: %v", i, req.Status)
+			h.env.Stop()
+			return
+		}
+		switch i {
+		case warm:
+			b.ReportAllocs()
+			b.ResetTimer()
+			events, switches = h.env.Dispatched(), h.env.Switches()
+		case warm + b.N:
+			b.StopTimer()
+			events, switches = h.env.Dispatched()-events, h.env.Switches()-switches
+			done = true
+			h.env.Stop()
+			return
+		}
+		i++
+		req.Reset()
+		req.LBA = uint64(i%4096) * 8
+		disk.SubmitFunc(v.VCPU(0), req, func() {})
+	}
+	req.OnDone = func(*vm.Req) { h.env.After(0, next) }
+	h.env.After(0, next)
+	h.env.Run()
+	if !done {
+		b.Fatal("commands did not finish")
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+}

@@ -73,16 +73,22 @@ type toyHandler struct {
 	swallowed int
 }
 
-func (h *toyHandler) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
+func (h *toyHandler) Work(th *sim.Thread, req *uif.Request) {
 	if h.blackhole {
 		h.swallowed++
-		return true, nvme.SCSuccess // async, never completed
+		req.Pend() // async, never completed
+		return
 	}
 	if h.cost > 0 {
-		th.Exec(p, h.cost)
+		th.ExecFunc(h.cost, req.Then(h.serve))
+		return
 	}
+	h.serve(th, req)
+}
+
+func (h *toyHandler) serve(_ *sim.Thread, req *uif.Request) {
 	h.served++
-	return false, nvme.SCSuccess
+	req.Done(nvme.SCSuccess)
 }
 
 // toyFn is a scriptable supervise.Function: route-everything-to-NQ when

@@ -146,9 +146,9 @@ func TestFrameworkAdaptivePollingParks(t *testing.T) {
 // multiHandler records which attachment each event came from.
 type multiHandler struct{ events map[*uif.Attachment]int }
 
-func (m *multiHandler) Work(p *sim.Proc, th *sim.Thread, req *uif.Request) (bool, nvme.Status) {
+func (m *multiHandler) Work(th *sim.Thread, req *uif.Request) {
 	m.events[req.Attachment()]++
-	return false, nvme.SCSuccess
+	req.Done(nvme.SCSuccess)
 }
 
 // VMID passthrough requires the attachment; check the single-process
@@ -222,4 +222,33 @@ func TestFrameworkLoC(t *testing.T) {
 	if n < 150 || n > 2000 {
 		t.Fatalf("framework line count %d implausible", n)
 	}
+}
+
+// TestCompleteAsyncAllocatesNothing: an async completion is a record on the
+// attachment's deferred queue, not a closure, and the sweep that posts it
+// pops the queue by index and keeps its array, so once warm a burst of
+// completions and the sweep that drains them allocate nothing. No polling
+// thread runs: the test's own process sweeps.
+func TestCompleteAsyncAllocatesNothing(t *testing.T) {
+	r := newUIFRigOn(t, nil, nil)
+	r.run(t, func(p *sim.Proc) {
+		th := r.cpu.ThreadOn(9, "sweep")
+		step := func() {
+			for tag := uint16(1); tag <= 3; tag++ {
+				r.att.NewRequest(tag).CompleteAsync(nvme.SCSuccess)
+			}
+			if !r.fw.Sweep(p, th, r.att) {
+				t.Error("the sweep found no deferred completions")
+			}
+		}
+		// Warm up over many laps of the simulator's timer wheel (a lap is
+		// 131 µs, a step 750 ns): its buckets grow their arrays on first
+		// use.
+		for i := 0; i < 5000; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(100, step); n != 0 {
+			t.Errorf("%v allocs per three CompleteAsync and a sweep, want 0", n)
+		}
+	})
 }

@@ -16,9 +16,9 @@ import (
 // okHandler completes every exported command on the spot.
 type okHandler struct{ served []sim.Time }
 
-func (h *okHandler) Work(p *sim.Proc, th *sim.Thread, req *Request) (bool, nvme.Status) {
-	h.served = append(h.served, p.Now())
-	return false, nvme.SCSuccess
+func (h *okHandler) Work(th *sim.Thread, req *Request) {
+	h.served = append(h.served, req.Start)
+	req.Done(nvme.SCSuccess)
 }
 
 // pollBench is a framework without polling threads over two attachments of
@@ -69,7 +69,7 @@ func (b *pollBench) books() string {
 	s := fmt.Sprintf("stale=%d ring=%d", b.f.StaleRingComps, b.ring.Pending())
 	for _, att := range b.atts {
 		s += fmt.Sprintf(" [%v progress=%d events=%d async=%d deferred=%d backlog=%d nsq=%d waits=%d]", att.state,
-			att.progress, att.Events, att.AsyncDone, len(att.deferred), len(att.backlog), att.nq.Pending(), len(att.pendingRing))
+			att.progress, att.Events, att.AsyncDone, len(att.deferred), len(att.backlog), att.nq.Pending(), len(att.waits)-len(att.freeSlots))
 	}
 	return s
 }
@@ -79,13 +79,13 @@ func (b *pollBench) books() string {
 // nothing, is charged nothing (the clock stands still) and changes no state.
 // It runs in a simulated process, so a violation is reported and the run
 // stopped, for the test's own goroutine to fail on.
-func (b *pollBench) check(t *testing.T, p *sim.Proc, th *sim.Thread, sp *spinner, what string) (ready bool) {
+func (b *pollBench) check(t *testing.T, p *sim.Proc, th *sim.Thread, sp *poller, what string) (ready bool) {
 	t0 := p.Now()
 	until := sp.poll(0)
 	before := b.books()
 	did := false
 	for _, att := range b.f.atts {
-		if b.f.sweep(p, th, att) {
+		if b.f.Sweep(p, th, att) {
 			did = true
 		}
 	}
@@ -109,7 +109,7 @@ func TestPollNeverMissesWork(t *testing.T) {
 		b := newPollBench(seed, nil)
 		th := b.cpu.ThreadOn(9, "uif")
 		other := b.cpu.ThreadOn(10, "other")
-		sp := b.f.newSpinner(th)
+		sp := newPoller(b.f, th)
 		sp.parkAt = sim.Never
 		b.env.Go("disturb", func(p *sim.Proc) {
 			for step := 0; ; step++ {
@@ -119,13 +119,15 @@ func TestPollNeverMissesWork(t *testing.T) {
 				case 0, 1:
 					b.guestSubmit(rng.Intn(2), uint16(step))
 				case 2:
-					att.Defer(func(*sim.Proc, *sim.Thread) {})
+					att.Defer(func() {})
 				case 3:
 					att.SubmitBackendIO(blockdev.BioRead, 0, make([]byte, 512), nil)
 				case 4:
 					// A completion no attachment waits for: reaping it is
 					// charged, and is not work.
-					b.ring.Submit(p, other, blockdev.BioRead, 0, make([]byte, 512), 1<<40+uint64(step))
+					p.Await(func(then func()) {
+						b.ring.Submit(other, blockdev.BioRead, 0, make([]byte, 512), 1<<40+uint64(step), then)
+					})
 				case 5:
 					att.Wedge(sim.Duration(1 + rng.Intn(30000)))
 				case 6:
@@ -188,7 +190,7 @@ func TestPollNeverMissesWork(t *testing.T) {
 func TestSpinAcrossWedgeExpiry(t *testing.T) {
 	b := newPollBench(1, nil)
 	th := b.cpu.ThreadOn(9, "uif")
-	b.env.Go("uif-poll", func(p *sim.Proc) { b.f.pollLoop(p, th) })
+	b.env.After(0, newPoller(b.f, th).stepSweep)
 	costs := b.f.costs
 	var wedgeEnd sim.Time
 	var pollsAtWedge uint64

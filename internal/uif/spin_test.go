@@ -73,13 +73,15 @@ func TestSpinAfterTimedEmptySweep(t *testing.T) {
 		hint()
 		r.env.After(wakeLatency+reap/2, func() {
 			deferredAt = r.env.Now()
-			r.att.Defer(func(p *sim.Proc, th *sim.Thread) { ranAt = p.Now() })
+			r.att.Defer(func() { ranAt = r.env.Now() })
 		})
 	}
 	r.run(t, func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond) // the poller has parked
 		// A backend read no attachment is waiting for: a stale CQE.
-		r.ring.Submit(p, r.cpu.ThreadOn(12, "test"), blockdev.BioRead, 0, make([]byte, 512), 1<<40)
+		p.Await(func(then func()) {
+			r.ring.Submit(r.cpu.ThreadOn(12, "test"), blockdev.BioRead, 0, make([]byte, 512), 1<<40, then)
+		})
 		p.Sleep(sim.Millisecond)
 	})
 	if r.fw.StaleRingComps != 1 || deferredAt == 0 {
