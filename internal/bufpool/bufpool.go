@@ -16,9 +16,9 @@ const (
 
 // Poison makes the components that recycle payloads and per-command state —
 // a UIF attachment's request buffers and requests, the io_uring's bios, the
-// host cache's lines — overwrite what they take back (0xDB), so a late reader
-// sees garbage, which the data checks of the tests that set it catch. Tests
-// set it; nothing else does.
+// host cache's lines, the router's request records — overwrite what they take
+// back (0xDB), so a late reader sees garbage, which the data checks of the
+// tests that set it catch. Tests set it; nothing else does.
 var Poison bool
 
 // Pool is a set of per-class free lists. The zero value is empty and ready.

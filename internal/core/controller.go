@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nvmetro/internal/sim"
 
+	"nvmetro/internal/bufpool"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
 	"nvmetro/internal/nvme"
@@ -44,9 +46,12 @@ const (
 )
 
 // request is one routing-table entry: the state of a guest command as it
-// traverses hops ("iterative routing").
+// traverses hops ("iterative routing"). Records are their queue's and are
+// recycled: admit takes a free one, release hands it back (see vqState.reqs).
 type request struct {
 	vq     *vqState
+	slot   int  // index in vq.reqs
+	live   bool // taken by admit, not yet released
 	gcid   uint16
 	cmd    nvme.Command
 	s0, s1 uint64 // classifier scratch, persists across hooks
@@ -54,7 +59,7 @@ type request struct {
 	t0      sim.Time // admission time, for QoS latency tracking
 	qosBase float64  // base service units charged at admission
 
-	pending   int         // outstanding hops of any disposition
+	pending   int         // references: outstanding hops, plus the routing step running
 	waiters   int         // outstanding dispComplete hops
 	status    nvme.Status // first error seen on any hop
 	completed bool        // guest completion posted
@@ -70,7 +75,16 @@ type hop struct {
 	disp disposition
 }
 
-// vqState is one virtual queue pair and its shadowing host queue pair.
+// htag is one host tag: the hop it carries (none while free or quarantined),
+// its dispatch epoch and the epoch it was quarantined in (0 if it is not).
+type htag struct {
+	hop
+	epoch, lost uint32
+}
+
+// vqState is one virtual queue pair and its shadowing host queue pair. Its
+// request records never move (hops point at them): reqs[:nlive] are live,
+// reqs[nlive:] free. cids holds the guest CIDs live on the VSQ.
 type vqState struct {
 	vc         *Controller
 	qid        uint16
@@ -78,10 +92,11 @@ type vqState struct {
 	vcq        *nvme.CQ
 	hqp        *nvme.QueuePair
 	irq        func()
-	htags      []hop
-	htagSeq    []uint32 // dispatch epoch per tag: which hop a deadline is for
-	lost       []uint32 // per tag, the epoch it was quarantined in; 0 if it is not
+	htags      []htag
 	freeHTags  []uint16
+	reqs       []*request
+	nlive      int
+	cids       posSet
 	pendingVCQ []nvme.Completion
 
 	dispatchSeq uint32
@@ -111,16 +126,16 @@ func (tt *tagTimer) record(tag, epoch uint32) {
 // inFlight reports whether the hop dispatched on tag in epoch is still
 // awaited.
 func (vq *vqState) inFlight(tag, epoch uint32) bool {
-	return vq.htagSeq[tag] == epoch && vq.htags[tag].req != nil
+	return vq.htags[tag].epoch == epoch && vq.htags[tag].req != nil
 }
 
 // quarantined reports whether tag is still quarantined since epoch.
-func (vq *vqState) quarantined(tag, epoch uint32) bool { return vq.lost[tag] == epoch }
+func (vq *vqState) quarantined(tag, epoch uint32) bool { return vq.htags[tag].lost == epoch }
 
 // releaseLost frees cid if it is quarantined (its late completion arrived).
 func (vq *vqState) releaseLost(cid uint16) {
-	if vq.lost[cid] != 0 {
-		vq.lost[cid] = 0
+	if vq.htags[cid].lost != 0 {
+		vq.htags[cid].lost = 0
 		vq.freeHTags = append(vq.freeHTags, cid)
 	}
 }
@@ -135,9 +150,9 @@ func (w *worker) expire(vq *vqState, effects []effect) []effect {
 		if !vq.inFlight(d.tag, d.epoch) {
 			continue
 		}
-		h := vq.htags[d.tag]
-		vq.htags[d.tag] = hop{}
-		vq.lost[d.tag] = d.epoch
+		t := &vq.htags[d.tag]
+		h := t.hop
+		t.hop, t.lost = hop{}, d.epoch
 		vq.reclaims.Add(d.tag, d.epoch, w.r.env.Now().Add(w.r.HTagReclaim))
 		w.r.HQTimeouts++
 		effects = append(effects, effect{kind: effFinish, t: targetHQ, st: nvme.SCAbortRequested, h: h})
@@ -145,8 +160,7 @@ func (w *worker) expire(vq *vqState, effects []effect) []effect {
 	vq.hops.due = vq.hops.due[:0]
 	for _, d := range vq.reclaims.due {
 		if vq.quarantined(d.tag, d.epoch) {
-			vq.lost[d.tag] = 0
-			vq.freeHTags = append(vq.freeHTags, uint16(d.tag))
+			vq.releaseLost(uint16(d.tag))
 			w.r.HTagsReclaimed++
 		}
 	}
@@ -370,14 +384,12 @@ func (vc *Controller) Namespace() nvme.NamespaceInfo { return vc.part.Info() }
 func (vc *Controller) CreateQP(depth uint32) *nvme.QueuePair {
 	vc.nextQID++
 	vq := &vqState{
-		vc:      vc,
-		qid:     vc.nextQID,
-		vsq:     nvme.NewSQ(vc.nextQID, depth),
-		vcq:     nvme.NewCQ(vc.nextQID, depth),
-		hqp:     vc.part.Dev.CreateQueuePair(depth, vc.vm.Mem),
-		htags:   make([]hop, depth),
-		htagSeq: make([]uint32, depth),
-		lost:    make([]uint32, depth),
+		vc:    vc,
+		qid:   vc.nextQID,
+		vsq:   nvme.NewSQ(vc.nextQID, depth),
+		vcq:   nvme.NewCQ(vc.nextQID, depth),
+		hqp:   vc.part.Dev.CreateQueuePair(depth, vc.vm.Mem),
+		htags: make([]htag, depth),
 	}
 	vq.hops.Deadlines = sim.NewDeadlines(vc.router.env, vq.inFlight, vq.hops.record)
 	vq.reclaims.Deadlines = sim.NewDeadlines(vc.router.env, vq.quarantined, vq.reclaims.record)
@@ -418,12 +430,9 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 	w.r.Classifications++
 	vc.ctx.set(hook, uint32(errStatus), uint32(vc.vm.ID), uint32(req.vq.qid), req.s0, req.s1, req.cmd[:])
 	var ret uint64
+	class := qos.ClassDefault // native classifiers cannot tag a class
 	if vc.native != nil {
 		ret = vc.native(vc.ctx[:])
-		if hook == HookVSQ {
-			// Native classifiers cannot tag a class; charge the default.
-			w.chargeClass(req, qos.ClassDefault)
-		}
 	} else {
 		var err error
 		if ret, err = vc.cvm.RunCompiled(vc.cprog, vc.ctx[:]); err != nil {
@@ -432,12 +441,12 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 			w.completeReq(req, nvme.SCInternal)
 			return
 		}
-		if hook == HookVSQ {
-			// The qos_set_class helper tagged the command's scheduling
-			// class (0 when untagged); settle the class-multiplier delta
-			// against the tenant's admission charge.
-			w.chargeClass(req, qos.Class(vc.cvm.QoSClass))
-		}
+		class = qos.Class(vc.cvm.QoSClass) // qos_set_class's tag, 0 when untagged
+	}
+	if hook == HookVSQ {
+		// Settle the class-multiplier delta against the tenant's
+		// admission charge.
+		w.chargeClass(req, class)
 	}
 	// Direct mediation: copy back the (possibly rewritten) command and
 	// scratch space.
@@ -573,12 +582,7 @@ func (vc *Controller) writeInFlight(lba, blocks uint64) bool {
 // settle time: a read admitted before it settled raced it and may carry
 // either generation.
 func (vc *Controller) settleWrite(req *request, now sim.Time) {
-	for i, wr := range vc.activeWrites {
-		if wr == req {
-			vc.activeWrites = append(vc.activeWrites[:i], vc.activeWrites[i+1:]...)
-			break
-		}
-	}
+	vc.activeWrites = slices.DeleteFunc(vc.activeWrites, func(wr *request) bool { return wr == req })
 	if len(vc.guardReads) > 0 {
 		vc.recentWrites = append(vc.recentWrites,
 			settledRange{lba: req.cmd.SLBA(), blocks: uint64(req.cmd.Blocks()), at: now})
@@ -591,12 +595,7 @@ func (vc *Controller) settleWrite(req *request, now sim.Time) {
 // carry the pre-write generation). Settled extents no read can race
 // anymore are dropped.
 func (vc *Controller) retireRead(req *request) bool {
-	for i, rd := range vc.guardReads {
-		if rd == req {
-			vc.guardReads = append(vc.guardReads[:i], vc.guardReads[i+1:]...)
-			break
-		}
-	}
+	vc.guardReads = slices.DeleteFunc(vc.guardReads, func(rd *request) bool { return rd == req })
 	raced := false
 	lba, blocks := req.cmd.SLBA(), uint64(req.cmd.Blocks())
 	for _, sw := range vc.recentWrites {
@@ -605,23 +604,11 @@ func (vc *Controller) retireRead(req *request) bool {
 			break
 		}
 	}
-	minT0 := sim.Time(0)
-	for i, rd := range vc.guardReads {
-		if i == 0 || rd.t0 < minT0 {
-			minT0 = rd.t0
-		}
+	minT0 := sim.Never
+	for _, rd := range vc.guardReads {
+		minT0 = min(minT0, rd.t0)
 	}
-	if len(vc.guardReads) == 0 {
-		vc.recentWrites = vc.recentWrites[:0]
-	} else {
-		kept := vc.recentWrites[:0]
-		for _, sw := range vc.recentWrites {
-			if sw.at >= minT0 {
-				kept = append(kept, sw)
-			}
-		}
-		vc.recentWrites = kept
-	}
+	vc.recentWrites = slices.DeleteFunc(vc.recentWrites, func(sw settledRange) bool { return sw.at < minT0 })
 	return raced
 }
 
@@ -668,10 +655,10 @@ func (w *worker) stage(req *request) (buf []byte, ok bool) {
 	return buf, nvme.ReadSegments(mem, segs, buf) == nil
 }
 
-// finishHop handles completion of one routed hop.
+// finishHop handles completion of one routed hop and drops the hop's
+// reference to its request.
 func (w *worker) finishHop(h hop, t target, status nvme.Status) {
 	req := h.req
-	req.pending--
 	if !status.OK() {
 		_, errs := w.r.path(t)
 		(*errs)++
@@ -692,11 +679,10 @@ func (w *worker) finishHop(h hop, t target, status nvme.Status) {
 			w.completeReq(req, st)
 		}
 	}
-	w.maybeRelease(req)
+	w.put(req)
 }
 
-// completeReq posts the guest completion (once) and releases the entry when
-// no hops remain outstanding.
+// completeReq posts the guest completion, once.
 func (w *worker) completeReq(req *request, status nvme.Status) {
 	if req.completed {
 		return
@@ -712,39 +698,63 @@ func (w *worker) completeReq(req *request, status nvme.Status) {
 			status = w.verifyGuestRead(req)
 		}
 	}
+	if ten := vc.tenant; ten != nil {
+		w.qos.ObserveLatency(ten, w.r.env.Now().Sub(req.t0))
+	}
+	req.vq.cids.remove(int(req.gcid))
+	w.postVCQ(req.vq, req.gcid, status)
+}
+
+// postVCQ queues the completion of guest command cid for vq's VCQ, which the
+// round's flush posts.
+func (w *worker) postVCQ(vq *vqState, cid uint16, status nvme.Status) {
 	if !status.OK() {
 		w.r.GuestErrors++
 	}
-	if ten := req.vq.vc.tenant; ten != nil {
-		w.qos.ObserveLatency(ten, w.r.env.Now().Sub(req.t0))
-	}
 	var e nvme.Completion
-	e.SetCID(req.gcid)
-	e.SetSQID(req.vq.qid)
-	e.SetSQHD(uint16(req.vq.vsq.Head()))
+	e.SetCID(cid)
+	e.SetSQID(vq.qid)
+	e.SetSQHD(uint16(vq.vsq.Head()))
 	e.SetStatus(status)
-	req.vq.pendingVCQ = append(req.vq.pendingVCQ, e)
-	w.posting.add(vc.pos)
-	w.maybeRelease(req)
+	vq.pendingVCQ = append(vq.pendingVCQ, e)
+	w.posting.add(vq.vc.pos)
 }
 
-func (w *worker) maybeRelease(req *request) {
-	if !req.completed && req.pending == 0 {
-		// Every leg has finished but nothing completed the request: the
-		// classifier orphaned it with fire-and-forget-only routing. Fail
-		// it to the guest rather than wedging — a buggy classifier must
-		// cost at most its own VM's request, never the router.
-		w.completeReq(req, nvme.SCInternal)
+// put drops one reference to req — a finished hop's, or the routing step's
+// admit took — and settles req on the last: a request no leg completed (the
+// classifier orphaned it with fire-and-forget-only routing) fails to the
+// guest rather than wedging, and the record is released.
+func (w *worker) put(req *request) {
+	if req.pending--; req.pending > 0 {
 		return
 	}
-	if req.completed && req.pending == 0 {
-		req.vq.vc.outstanding--
-		w.outstanding--
-		if req.vq.vc.outstanding < 0 {
-			panic("core: outstanding underflow")
+	if !req.completed {
+		w.completeReq(req, nvme.SCInternal)
+	}
+	w.release(req)
+}
+
+// release hands req's record back to its queue: the record swaps places with
+// the last live one. Releasing a free record is a programmer error and
+// panics. Under bufpool.Poison the record is overwritten, so a late user
+// finds no queue and an impossible command.
+func (w *worker) release(req *request) {
+	if !req.live {
+		panic("core: request released twice")
+	}
+	vq := req.vq
+	vq.vc.outstanding--
+	w.outstanding--
+	vq.nlive--
+	last := vq.reqs[vq.nlive]
+	vq.reqs[req.slot], vq.reqs[vq.nlive] = last, req
+	req.slot, last.slot = vq.nlive, req.slot
+	req.live = false
+	if bufpool.Poison {
+		*req = request{slot: req.slot, gcid: 0xDBDB, status: 0xDBDB}
+		for i := range req.cmd {
+			req.cmd[i] = 0xDB
 		}
-		// Mark released so double release is caught in tests.
-		req.pending = -1
 	}
 }
 
@@ -801,26 +811,21 @@ func (w *worker) sendHQ(h hop) bool {
 	if len(vq.freeHTags) == 0 || vq.hqp.SQ.Full() {
 		return false
 	}
-	htag := vq.freeHTags[len(vq.freeHTags)-1]
-	vq.freeHTags = vq.freeHTags[:len(vq.freeHTags)-1]
-	vq.htags[htag] = h
+	tag := vq.freeHTags[len(vq.freeHTags)-1]
 	cmd := h.req.cmd
-	cmd.SetCID(htag)
+	cmd.SetCID(tag)
 	// The guest driver always addresses NSID 1 of its virtual controller;
 	// the attachment's partition says which device namespace that maps to
 	// (clone namespaces sit at NSID >= 2).
 	cmd.SetNSID(vc.part.NSID)
 	if !vq.hqp.SQ.Push(&cmd) {
-		// Backpressure, not a panic: give the tag back, exactly like the
-		// full-before-check case.
-		vq.htags[htag] = hop{}
-		vq.freeHTags = append(vq.freeHTags, htag)
-		return false
+		return false // backpressure, not a panic, as when the HSQ was full
 	}
+	vq.freeHTags = vq.freeHTags[:len(vq.freeHTags)-1]
 	vq.dispatchSeq++
-	vq.htagSeq[htag] = vq.dispatchSeq
+	vq.htags[tag] = htag{hop: h, epoch: vq.dispatchSeq}
 	if dl := w.r.FastPathDeadline; dl > 0 {
-		vq.hops.Add(uint32(htag), vq.dispatchSeq, w.r.env.Now().Add(dl))
+		vq.hops.Add(uint32(tag), vq.dispatchSeq, w.r.env.Now().Add(dl))
 	}
 	vc.part.Dev.Ring(vq.hqp.SQ.ID)
 	return true
@@ -847,7 +852,9 @@ func (w *worker) sendNQ(h hop) bool {
 		delete(vc.ntags, tag)
 		return false
 	}
-	vc.nq.notify()
+	if vc.nq.OnNotify != nil {
+		vc.nq.OnNotify()
+	}
 	return true
 }
 
@@ -856,13 +863,6 @@ func (w *worker) sendNQ(h hop) bool {
 type ntagEntry struct {
 	h  hop
 	at sim.Time
-}
-
-// takeNTag claims the hop for a notify completion tag.
-func (vc *Controller) takeNTag(tag uint16) (hop, bool) {
-	ent, ok := vc.ntags[tag]
-	delete(vc.ntags, tag)
-	return ent.h, ok
 }
 
 // NotifyInFlight returns the number of notify-path hops dispatched and not

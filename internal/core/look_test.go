@@ -67,8 +67,8 @@ func (b *lookBench) books() string {
 	}
 	for i, vq := range b.vqs {
 		lost := 0
-		for _, e := range vq.lost {
-			if e != 0 {
+		for _, e := range vq.htags {
+			if e.lost != 0 {
 				lost++
 			}
 		}
@@ -224,8 +224,7 @@ func TestReadyNeverMissesWork(t *testing.T) {
 					cid := vq.freeHTags[len(vq.freeHTags)-1]
 					vq.freeHTags = vq.freeHTags[:len(vq.freeHTags)-1]
 					vq.dispatchSeq++
-					vq.htags[cid] = hop{req: &request{vq: vq, pending: 1}}
-					vq.htagSeq[cid] = vq.dispatchSeq
+					vq.htags[cid] = htag{hop: hop{req: &request{vq: vq, pending: 1}}, epoch: vq.dispatchSeq}
 					vq.hops.Add(uint32(cid), vq.dispatchSeq, b.env.Now().Add(sim.Duration(rng.Intn(3000))))
 				}
 			case 5:
@@ -307,7 +306,9 @@ func testPostingAndRetrying(t *testing.T) {
 	// Twelve completions for a VCQ that holds seven.
 	for i := 0; i < 12; i++ {
 		cmd := nvme.NewRW(nvme.OpRead, uint16(i), 1, 0, 1, 0, 0)
-		w.completeReq(w.admit(vq, &cmd, 0, &work).h.req, nvme.SCSuccess)
+		req := w.admit(vq, &cmd, 0, &work).h.req
+		w.completeReq(req, nvme.SCSuccess)
+		w.put(req)
 	}
 	only(&w.posting, true, "completions waiting")
 	flush()

@@ -48,12 +48,6 @@ func (vc *Controller) DetachUIF() {
 	vc.refreshPromotion()
 }
 
-func (nq *NotifyQueues) notify() {
-	if nq.OnNotify != nil {
-		nq.OnNotify()
-	}
-}
-
 // Mem returns the VM's memory, which the UIF maps to read and write request
 // data pages in place (zero-copy, as in the paper).
 func (nq *NotifyQueues) Mem() nvme.Memory { return nq.vc.vm.Mem }

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"nvmetro/internal/nvme"
 )
@@ -45,26 +47,14 @@ type ReconcileDecision struct {
 // classifier continuation out of context could re-trigger routing.
 func (vc *Controller) ReconcileNotify(decide func(cmd nvme.Command) ReconcileDecision, done func(n int)) {
 	vc.w.post(func() {
-		type swept struct {
-			tag uint16
-			ent ntagEntry
-		}
-		ents := make([]swept, 0, len(vc.ntags))
-		for tag, ent := range vc.ntags {
-			ents = append(ents, swept{tag, ent})
-		}
 		// Dispatch order, tag-broken: map iteration must not leak
 		// nondeterminism into completion order.
-		sort.Slice(ents, func(i, j int) bool {
-			if ents[i].ent.at != ents[j].ent.at {
-				return ents[i].ent.at < ents[j].ent.at
-			}
-			return ents[i].tag < ents[j].tag
-		})
+		tags := slices.Sorted(maps.Keys(vc.ntags))
+		slices.SortStableFunc(tags, func(a, b uint16) int { return cmp.Compare(vc.ntags[a].at, vc.ntags[b].at) })
 		w := vc.w
-		for _, s := range ents {
-			delete(vc.ntags, s.tag)
-			h := s.ent.h
+		for _, tag := range tags {
+			h := vc.ntags[tag].h
+			delete(vc.ntags, tag)
 			req := h.req
 			if req.completed {
 				w.r.NotifyReconciled++
@@ -74,10 +64,9 @@ func (vc *Controller) ReconcileNotify(decide func(cmd nvme.Command) ReconcileDec
 			d := decide(req.cmd)
 			if d.Action == ReconcileRequeue && h.disp != dispHook {
 				w.r.NotifyRequeued++
-				nh := hop{req: req, disp: dispComplete}
 				req.pending++
 				req.waiters++
-				w.dispatch(nh, targetHQ)
+				w.dispatch(hop{req, dispComplete}, targetHQ)
 				w.finishHop(h, targetNQ, nvme.SCSuccess)
 				continue
 			}
@@ -85,7 +74,7 @@ func (vc *Controller) ReconcileNotify(decide func(cmd nvme.Command) ReconcileDec
 			w.finishHop(h, targetNQ, d.Status)
 		}
 		if done != nil {
-			done(len(ents))
+			done(len(tags))
 		}
 	})
 }

@@ -247,8 +247,8 @@ type flushCursor struct {
 	then    func()
 }
 
-// posSet is a set of tenant positions — indexes into worker.vcs — walked in
-// attach order.
+// posSet is a set of small integers walked in order: tenant positions —
+// indexes into worker.vcs, walked in attach order — or a queue's live CIDs.
 type posSet struct {
 	words []uint64
 	n     int
@@ -270,6 +270,8 @@ func (s *posSet) remove(i int) {
 		s.n--
 	}
 }
+
+func (s *posSet) has(i int) bool { return i>>6 < len(s.words) && s.words[i>>6]&(1<<(i&63)) != 0 }
 
 func (s *posSet) empty() bool { return s.n == 0 }
 
@@ -323,6 +325,7 @@ const (
 	effFinish                     // hop h completed on path t with status st
 	effDispatch                   // send hop h down path t again (backpressure retry)
 	effPost                       // run fn, a control-plane post
+	effNone                       // nothing: the gather queued a completion (a CID conflict) for the flush
 )
 
 // effect is a piece of work the worker has found and not yet done: a
@@ -341,8 +344,10 @@ func (w *worker) apply(e effect) {
 	switch e.kind {
 	case effRoute:
 		w.classifyAndRoute(e.h.req, HookVSQ, 0)
+		w.put(e.h.req) // the routing step's reference, taken at admit
 	case effDirect:
 		w.directDispatch(e.h.req)
+		w.put(e.h.req)
 	case effFinish:
 		w.finishHop(e.h, e.t, e.st)
 	case effDispatch:
@@ -433,8 +438,9 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 		if vc.nq != nil {
 			var e nvme.Completion
 			for vc.nq.ncq.Pop(&e) {
-				if h, ok := vc.takeNTag(e.CID()); ok {
-					effects = append(effects, effect{kind: effFinish, t: targetNQ, st: e.Status(), h: h})
+				if ent, ok := vc.ntags[e.CID()]; ok {
+					delete(vc.ntags, e.CID())
+					effects = append(effects, effect{kind: effFinish, t: targetNQ, st: e.Status(), h: ent.h})
 				}
 			}
 		}
@@ -451,8 +457,8 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 			var e nvme.Completion
 			for vq.hqp.CQ.Pop(&e) {
 				cid := e.CID()
-				h := vq.htags[cid]
-				if h.req == nil {
+				t := &vq.htags[cid]
+				if t.req == nil {
 					// No live host tag: the late completion of a hop
 					// whose deadline already aborted it. Count it
 					// (silent drops would hide injected faults) and
@@ -461,9 +467,9 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 					vq.releaseLost(cid)
 					continue
 				}
-				vq.htags[cid] = hop{}
+				effects = append(effects, effect{kind: effFinish, t: targetHQ, st: e.Status(), h: t.hop})
+				t.hop = hop{}
 				vq.freeHTags = append(vq.freeHTags, cid)
-				effects = append(effects, effect{kind: effFinish, t: targetHQ, st: e.Status(), h: h})
 			}
 			// Then what the queue's timers found due: a completion
 			// popped above beats a deadline that passed since the last
@@ -504,17 +510,28 @@ func drain(inbox *[]effect, effects []effect) []effect {
 	return effects
 }
 
-// admit takes cmd, just popped from vq, in as a request — outstanding until
-// maybeRelease lets it go — and returns its routing effect. A promoted
+// admit takes cmd, just popped from vq, in as a request — a record of vq's,
+// outstanding until released — and returns its routing effect. A promoted
 // tenant's command maps SQ→HSQ directly: the classifier's verdict is a proven
 // constant, so nothing runs and nothing is charged. Any other command is
 // classified, at a cost added to *work. qosBase is the arbiter's admission
-// charge, 0 without QoS.
+// charge, 0 without QoS. A command whose CID is still live on vq is no second
+// request: it fails with SCIDConflict.
 func (w *worker) admit(vq *vqState, cmd *nvme.Command, qosBase float64, work *sim.Duration) effect {
 	vc := vq.vc
+	if vq.cids.has(int(cmd.CID())) {
+		w.postVCQ(vq, cmd.CID(), nvme.SCIDConflict)
+		return effect{kind: effNone}
+	}
+	vq.cids.add(int(cmd.CID()))
 	vc.outstanding++
 	w.outstanding++
-	req := &request{vq: vq, gcid: cmd.CID(), cmd: *cmd, t0: w.r.env.Now(), qosBase: qosBase}
+	if vq.nlive == len(vq.reqs) { // records are made on first use
+		vq.reqs = append(vq.reqs, &request{slot: vq.nlive})
+	}
+	req := vq.reqs[vq.nlive]
+	vq.nlive++
+	*req = request{vq: vq, slot: req.slot, live: true, gcid: cmd.CID(), cmd: *cmd, t0: w.r.env.Now(), qosBase: qosBase, pending: 1}
 	if vc.promoted {
 		return effect{kind: effDirect, h: hop{req: req}}
 	}

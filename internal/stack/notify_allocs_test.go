@@ -61,10 +61,10 @@ func contains(set []string, s string) bool {
 // path's packages: requests, ring bios, ring waits, pending commands,
 // capsules, target commands and cache lines are recycled, and every
 // continuation is bound once. The cached volume's working set is twice its
-// capacity, so it evicts and recycles lines throughout. The router's per-hop
-// request and the DES kernel's own books are outside these packages. The
-// race detector's instrumentation allocates, so the gate is not checked
-// under -race.
+// capacity, so it evicts and recycles lines throughout. The router has its
+// own gate (TestRoutedPathAllocs), and the DES kernel's own books are outside
+// these packages. The race detector's instrumentation allocates, so the gate
+// is not checked under -race.
 func TestNotifyPathAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation gates are not checked under the race detector")
