@@ -31,7 +31,8 @@ fmt:
 # exported internal/ identifier no other package's non-test code uses, (b) a
 # setting-struct field nothing outside its package writes, (c) a
 # declaration no main, init or root-package export reaches, (d) a field
-# written but never read. Any unlisted hit or stale allowlist row fails.
+# written but never read, (e) an exported field no file reads, tests
+# included. Any unlisted hit or stale allowlist row fails.
 deadsurface:
 	$(GO) test -run '^TestDeadSurface$$' -v .
 

@@ -559,17 +559,17 @@ func qosCmd(args []string) {
 
 // printQoSTable renders per-tenant arbiter state as an aligned table.
 func printQoSTable(snaps []nvmetro.QoSTenantSnapshot) {
-	fmt.Printf("%-8s %6s %4s %4s %9s %8s %8s %9s %9s %8s %9s %8s %10s\n",
-		"tenant", "weight", "BE", "shed", "IOPS", "ops-lvl", "byt-lvl",
+	fmt.Printf("%-8s %6s %4s %4s %9s %8s %9s %9s %8s %9s %8s %10s\n",
+		"tenant", "weight", "BE", "shed", "IOPS", "ops-lvl",
 		"admitted", "throttled", "deferred", "p99(us)", "SLO(us)", "attainment")
 	for _, t := range snaps {
 		slo := "-"
 		if t.SLOTarget > 0 {
 			slo = fmt.Sprintf("%.0f", float64(t.SLOTarget)/1e3)
 		}
-		fmt.Printf("%-8s %6.1f %4v %4v %9.0f %7.0f%% %7.0f%% %9d %9d %8d %9.1f %8s %9.0f%%\n",
+		fmt.Printf("%-8s %6.1f %4v %4v %9.0f %7.0f%% %9d %9d %8d %9.1f %8s %9.0f%%\n",
 			t.Name, t.Weight, t.BestEffort, t.Shed,
-			t.IOPS, t.OpsLevel*100, t.BytLevel*100,
+			t.IOPS, t.OpsLevel*100,
 			t.Admitted, t.Throttled, t.Deferred,
 			float64(t.P99)/1e3, slo, t.Attainment()*100)
 	}

@@ -13,7 +13,11 @@ package nvmetro_test
 //	(c) a declaration that no main, init, root-package export or blank
 //	    declaration reaches: delete it;
 //	(d) a field that non-test code writes but never reads, when it is
-//	    unexported or belongs to a rule-(b) struct: delete it.
+//	    unexported or belongs to a rule-(b) struct: delete it;
+//	(e) any other exported field that no file of the module reads, test
+//	    files included (each package type-checked with its tests, in a
+//	    second pass): delete it. Handing a struct to reflect.ValueOf or
+//	    reflect.TypeOf reads every field of it.
 //
 // A method whose name some interface declares (module or standard library)
 // is never a hit, nor is a field with a struct tag. Every hit is either fixed
@@ -24,6 +28,7 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -53,7 +58,6 @@ var deadSurfaceAllow = []surfaceEntry{
 	{File: "internal/blockdev/kerneladapter.go", Reason: "the kernel path's backend (PAPER.md §1), driven by the core and dm tests"},
 	{ID: "core.Controller.SetKernelTarget", Reason: "installs the kernel path's backend"},
 	{ID: "core.KernelTarget", Reason: "the kernel path's backend contract"},
-	{File: "internal/storfn/qos.go", Reason: "the QoS classifiers, pinned by TestCompiledGolden"},
 	{File: "internal/storfn/encryptor.go", Reason: "the encryption UIF the uif framework tests drive"},
 	{File: "internal/storfn/cachefn.go", Reason: "the cache UIF and the facade's Spec.Cache, whose validation the attach tests exercise"},
 	// Instruments tests read across packages.
@@ -77,7 +81,7 @@ var deadSurfaceAllow = []surfaceEntry{
 	{File: "internal/scsi/scsi.go", Reason: "SCSI opcodes and status bytes"},
 	// Settings with more than one value.
 	{Struct: "stack.Params", Reason: "the calibration the sensitivity sweep varies (ROADMAP item 8)"},
-	{File: "internal/qos/qos.go", Reason: "the qos_set_class vocabulary, and Config.Window, which tests shrink to roll several windows per I/O"},
+	{ID: "qos.Config.Window", Reason: "tests shrink it to roll several windows per I/O"},
 	{ID: "fio.Config.SharedOffsets", Reason: "BootProfile sets it; every other profile leaves it off"},
 }
 
@@ -97,8 +101,9 @@ func TestDeadSurface(t *testing.T) {
 
 // TestDeadSurfaceFixture runs the checker over testdata/deadsurface, a
 // module that plants one hit per rule, an allowlisted hit, a stale entry and
-// three non-hits: a method reached only through an interface, a tagged field
-// and a function only a sibling bench module calls.
+// five non-hits: a method reached only through an interface, a tagged field,
+// a function only a sibling bench module calls, a field only a test file
+// reads and one only reflection reads.
 func TestDeadSurfaceFixture(t *testing.T) {
 	allow := []surfaceEntry{
 		{ID: "lib.Spare", Reason: "planted: allowlisted"},
@@ -123,6 +128,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		"(b) lib.Config.Depth internal/lib/lib.go:6",
 		"(c) lib.dead internal/lib/lib.go:20 (1 lines)",
 		"(d) lib.state.count internal/lib/lib.go:10",
+		"(e) lib.Counts.Misses internal/lib/lib.go:37",
 		"listed (c) lib.Spare internal/lib/lib.go:22 (1 lines)",
 		"stale id lib.Gone",
 	}
@@ -132,7 +138,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 }
 
 type surfaceHit struct {
-	rule  byte   // 'a'..'d'
+	rule  byte   // 'a'..'e'
 	key   string // package path relative to internal/, then .Name[.Member]
 	file  string // slash path relative to the module root
 	line  int
@@ -164,7 +170,7 @@ type surfaceReport struct {
 // log prints each rule's unlisted and allowlisted counts, then the
 // allowlisted rule-(c) declarations with their lengths.
 func (r *surfaceReport) log(t *testing.T) {
-	for _, rule := range []byte("abcd") {
+	for _, rule := range []byte("abcde") {
 		var n, m int
 		for _, h := range r.unlisted {
 			if h.rule == rule {
@@ -199,7 +205,9 @@ type surfacePkg struct {
 
 // surfaceLoader type-checks the module's packages from source, resolving
 // module import paths by directory (so a nested module such as bench/ is
-// loaded as a caller) and everything else with the source importer.
+// loaded as a caller) and everything else with the source importer. With
+// tests, a package's in-package test files are checked with it and its
+// external test package is one more package, at its path plus "_test".
 type surfaceLoader struct {
 	root, mod string
 	fset      *token.FileSet
@@ -261,14 +269,12 @@ func readModulePath(root string) (string, error) {
 	return "", fmt.Errorf("%s/go.mod: no module line", root)
 }
 
-func loadSurface(root string) (*surfaceLoader, error) {
+func loadSurface(root string, fset *token.FileSet, std types.Importer, tests bool) (*surfaceLoader, error) {
 	mod, err := readModulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	l := &surfaceLoader{root: root, mod: mod, fset: fset,
-		std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*surfacePkg{}}
+	l := &surfaceLoader{root: root, mod: mod, fset: fset, std: std, pkgs: map[string]*surfacePkg{}}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -280,8 +286,11 @@ func loadSurface(root string) (*surfaceLoader, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") && !tests {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), name); err != nil || !ok {
+			return err
 		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
@@ -296,6 +305,9 @@ func loadSurface(root string) (*surfaceLoader, error) {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ip += "_test"
 		}
 		p := l.pkgs[ip]
 		if p == nil {
@@ -358,10 +370,120 @@ func isSettingStruct(tn *types.TypeName) bool {
 	return false
 }
 
-// deadSurface runs the four rules over the module rooted at root and sorts
+// fieldWrites marks the field selectors p's files assign to (writes) or take
+// the address of (addrs), and calls unkeyed on each field an unkeyed
+// composite literal writes. Any other use of a field reads it.
+func fieldWrites(p *surfacePkg, unkeyed func(*types.Var)) (writes, addrs map[*ast.Ident]bool) {
+	writes, addrs = map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+	var markWrite func(ast.Expr, map[*ast.Ident]bool)
+	markWrite = func(e ast.Expr, set map[*ast.Ident]bool) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			set[e.Sel] = true
+		case *ast.IndexExpr:
+			markWrite(e.X, set)
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					markWrite(lhs, writes)
+				}
+			case *ast.IncDecStmt:
+				markWrite(n.X, writes)
+			case *ast.RangeStmt:
+				if n.Key != nil {
+					markWrite(n.Key, writes)
+				}
+				if n.Value != nil {
+					markWrite(n.Value, writes)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					markWrite(n.X, addrs)
+				}
+			case *ast.CompositeLit:
+				tv, ok := p.info.Types[n]
+				if !ok {
+					break
+				}
+				st, ok := tv.Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+						continue
+					}
+					// An unkeyed literal writes every field in order.
+					unkeyed(st.Field(i).Origin())
+				}
+			}
+			return true
+		})
+	}
+	return writes, addrs
+}
+
+// fieldReads returns the declaration positions of the fields some file of
+// the module reads, test files included.
+func fieldReads(root string, fset *token.FileSet, std types.Importer) (map[token.Position]bool, error) {
+	l, err := loadSurface(root, fset, std, true)
+	if err != nil {
+		return nil, err
+	}
+	read := map[token.Position]bool{}
+	for _, p := range l.pkgs {
+		writes, _ := fieldWrites(p, func(*types.Var) {})
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[fset.Position(v.Origin().Pos())] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "ValueOf" && sel.Sel.Name != "TypeOf" {
+					return true
+				}
+				if fn, ok := p.info.Uses[sel.Sel].(*types.Func); !ok || fn.Pkg().Path() != "reflect" {
+					return true
+				}
+				t := p.info.TypeOf(call.Args[0])
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				if st, ok := t.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						read[fset.Position(st.Field(i).Origin().Pos())] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return read, nil
+}
+
+// deadSurface runs the five rules over the module rooted at root and sorts
 // the hits by the allowlist.
 func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
-	l, err := loadSurface(root)
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	l, err := loadSurface(root, fset, std, false)
+	if err != nil {
+		return nil, err
+	}
+	read, err := fieldReads(root, fset, std)
 	if err != nil {
 		return nil, err
 	}
@@ -446,64 +568,14 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 	for _, ip := range paths {
 		p := l.pkgs[ip]
 		info := p.info
-		writes := map[*ast.Ident]bool{}
-		addrs := map[*ast.Ident]bool{}
-		var markWrite func(ast.Expr, map[*ast.Ident]bool)
-		markWrite = func(e ast.Expr, set map[*ast.Ident]bool) {
-			switch e := ast.Unparen(e).(type) {
-			case *ast.SelectorExpr:
-				set[e.Sel] = true
-			case *ast.IndexExpr:
-				markWrite(e.X, set)
+		writes, addrs := fieldWrites(p, func(v *types.Var) {
+			u := fieldUseOf(v)
+			u.writes++
+			if v.Pkg() != p.pkg {
+				u.outsideWrites++
 			}
-		}
+		})
 		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						markWrite(lhs, writes)
-					}
-				case *ast.IncDecStmt:
-					markWrite(n.X, writes)
-				case *ast.RangeStmt:
-					if n.Key != nil {
-						markWrite(n.Key, writes)
-					}
-					if n.Value != nil {
-						markWrite(n.Value, writes)
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						markWrite(n.X, addrs)
-					}
-				case *ast.CompositeLit:
-					tv, ok := info.Types[n]
-					if !ok {
-						break
-					}
-					st, ok := tv.Type.Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					for i, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								writes[id] = true
-							}
-							continue
-						}
-						// An unkeyed literal writes every field in order.
-						v := st.Field(i).Origin()
-						u := fieldUseOf(v)
-						u.writes++
-						if v.Pkg() != p.pkg {
-							u.outsideWrites++
-						}
-					}
-				}
-				return true
-			})
 			for _, d := range f.Decls {
 				decls = append(decls, collectDecls(p, d, declOf)...)
 			}
@@ -605,7 +677,7 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 		hits = append(hits, surfaceHit{rule: 'c', key: key(d.obj), file: file, line: line, lines: last - line + 1})
 	}
 
-	// Rules (a), (b), (d) over the internal packages' declarations.
+	// Rules (a), (b), (d), (e) over the internal packages' declarations.
 	var settings []*types.TypeName
 	for _, ip := range paths {
 		if !strings.HasPrefix(ip, internal) {
@@ -656,6 +728,9 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 				}
 				if (setting || !v.Exported()) && u.writes > 0 && u.reads == 0 {
 					hits = append(hits, surfaceHit{rule: 'd', key: k, file: file, line: line})
+				}
+				if !setting && !dead[tn] && v.Exported() && !read[l.fset.Position(v.Pos())] {
+					hits = append(hits, surfaceHit{rule: 'e', key: k, file: file, line: line})
 				}
 			}
 		}

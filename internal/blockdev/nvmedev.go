@@ -81,8 +81,6 @@ type NVMeBlockDev struct {
 	Stale                uint64 // late completions for quarantined CIDs
 	StaleReclaimed       uint64 // late completions for already-reclaimed tags
 	Reclaimed            uint64 // quarantined CIDs recycled without a completion
-	PRPErrors            uint64 // bios failed at PRP build
-	GuardErrors          uint64 // reads failing protection-info verification
 
 	verifier ReadVerifier
 }
@@ -270,7 +268,6 @@ func (s *submission) gate() {
 		d.building = nil
 		if err != nil {
 			// A malformed transfer fails this one bio, not the whole sim.
-			d.PRPErrors++
 			d.releaseDMA(pend)
 			pend.bio = nil
 			d.freeCIDs = append(d.freeCIDs, cid)
@@ -450,7 +447,6 @@ func (d *NVMeBlockDev) finishBio(pend *pendingBio, st nvme.Status) {
 			// info: surface a guard error instead of wrong data. The
 			// payload stays in bio.Data for layers (the scrubber) that
 			// diagnose the damage.
-			d.GuardErrors++
 			st = nvme.SCGuardCheck
 		}
 	}

@@ -56,8 +56,7 @@ type request struct {
 	cmd    nvme.Command
 	s0, s1 uint64 // classifier scratch, persists across hooks
 
-	t0      sim.Time // admission time, for QoS latency tracking
-	qosBase float64  // base service units charged at admission
+	t0 sim.Time // admission time, for QoS latency tracking
 
 	pending   int         // references: outstanding hops, plus the routing step running
 	waiters   int         // outstanding dispComplete hops
@@ -430,7 +429,6 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 	w.r.Classifications++
 	vc.ctx.set(hook, uint32(errStatus), uint32(vc.vm.ID), uint32(req.vq.qid), req.s0, req.s1, req.cmd[:])
 	var ret uint64
-	class := qos.ClassDefault // native classifiers cannot tag a class
 	if vc.native != nil {
 		ret = vc.native(vc.ctx[:])
 	} else {
@@ -441,12 +439,6 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 			w.completeReq(req, nvme.SCInternal)
 			return
 		}
-		class = qos.Class(vc.cvm.QoSClass) // qos_set_class's tag, 0 when untagged
-	}
-	if hook == HookVSQ {
-		// Settle the class-multiplier delta against the tenant's
-		// admission charge.
-		w.chargeClass(req, class)
 	}
 	// Direct mediation: copy back the (possibly rewritten) command and
 	// scratch space.
@@ -499,7 +491,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 
 // directDispatch is the promoted tier's dispatch: the classifier's verdict
 // is a proven constant equal to ActSendHQ|ActWillCompleteHQ and the
-// program is pure (no ctx writes, no map mutation, no class tagging), so
+// program is pure (no ctx writes, no map mutation), so
 // the command maps SQ→HSQ directly with no classifier execution, no ctx
 // marshalling and no copy-back. Everything downstream of classification —
 // confinement, guard admission, tag allocation, deadlines, backpressure —
@@ -515,9 +507,6 @@ func (w *worker) directDispatch(req *request) {
 		return
 	}
 	w.r.PromotedOps++
-	// A pure classifier cannot invoke qos_set_class; the admission charge
-	// settles at the default class, as it would after execution.
-	w.chargeClass(req, qos.ClassDefault)
 	if vc.guard != nil && !w.guardAdmit(req) {
 		return
 	}

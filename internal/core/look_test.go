@@ -306,7 +306,7 @@ func testPostingAndRetrying(t *testing.T) {
 	// Twelve completions for a VCQ that holds seven.
 	for i := 0; i < 12; i++ {
 		cmd := nvme.NewRW(nvme.OpRead, uint16(i), 1, 0, 1, 0, 0)
-		req := w.admit(vq, &cmd, 0, &work).h.req
+		req := w.admit(vq, &cmd, &work).h.req
 		w.completeReq(req, nvme.SCSuccess)
 		w.put(req)
 	}
@@ -334,7 +334,7 @@ func testPostingAndRetrying(t *testing.T) {
 		vq.hqp.SQ.Push(&cmd)
 	}
 	cmd := nvme.NewRW(nvme.OpRead, 99, 1, vq.vc.part.Start, 1, 0, 0)
-	req := w.admit(vq, &cmd, 0, &work).h.req
+	req := w.admit(vq, &cmd, &work).h.req
 	req.pending, req.waiters = 1, 1
 	w.dispatch(hop{req, dispComplete}, targetHQ)
 	only(&w.retrying, true, "HSQ full")

@@ -139,8 +139,8 @@ func (w *worker) gatherQoS(effects *[]effect, work *sim.Duration) (backlog int) 
 			break
 		}
 		best.vsq.Pop(&bestCmd) // consume the admitted head
-		base := q.Serve(best.vc.tenant, bestBytes, now)
-		*effects = append(*effects, w.admit(best, &bestCmd, base, work))
+		q.Serve(best.vc.tenant, bestBytes, now)
+		*effects = append(*effects, w.admit(best, &bestCmd, work))
 	}
 	for i := w.ready.next(0); i >= 0; i = w.ready.next(i + 1) {
 		for _, vq := range w.vcs[i].vqs {
@@ -148,12 +148,4 @@ func (w *worker) gatherQoS(effects *[]effect, work *sim.Duration) (backlog int) 
 		}
 	}
 	return backlog
-}
-
-// chargeClass applies the classifier-tagged scheduling class to the
-// request's admission charge; runs right after the HookVSQ classification.
-func (w *worker) chargeClass(req *request, class qos.Class) {
-	if ten := req.vq.vc.tenant; ten != nil {
-		w.qos.ChargeClass(ten, req.qosBase, class)
-	}
 }

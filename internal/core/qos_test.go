@@ -5,37 +5,11 @@ import (
 	"testing"
 
 	"nvmetro/internal/device"
-	"nvmetro/internal/ebpf"
-	"nvmetro/internal/nvme"
 	"nvmetro/internal/qos"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/storfn"
 	"nvmetro/internal/vm"
 )
-
-// TestQoSHelperRangeMatchesClasses pins the ebpf helper's class range to
-// qos.NumClasses: tagging the last class succeeds, tagging one past it is
-// rejected. If either constant drifts, this fails.
-func TestQoSHelperRangeMatchesClasses(t *testing.T) {
-	run := func(class int32) uint64 {
-		p := ebpf.NewBuilder().
-			MovImm(ebpf.R1, class).
-			Call(ebpf.HelperQoSSetClass).
-			Exit().
-			MustProgram("range")
-		ret, err := ebpf.NewVM(nil).Run(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ret
-	}
-	if run(qos.NumClasses-1) != 0 {
-		t.Fatal("last class rejected: helper range below qos.NumClasses")
-	}
-	if run(qos.NumClasses) != ^uint64(0) {
-		t.Fatal("class past the end accepted: helper range above qos.NumClasses")
-	}
-}
 
 // pump spawns qd submitter processes that issue count sequential 512 B
 // writes each, and returns a wait function for the test process.
@@ -94,47 +68,6 @@ func TestQoSThrottleBackpressure(t *testing.T) {
 	}
 	if ten.P99 == 0 {
 		t.Fatal("no latency recorded for SLO tracking")
-	}
-}
-
-// TestQoSClassTagging checks the classifier→arbiter class plumbing: a
-// class-tagging classifier maps writes to the bulk class via the policy
-// map, and the tenant's per-class counters reflect it. (Class-tag parity
-// between the execution tiers is the ebpf and storfn parity tests' job.)
-func TestQoSClassTagging(t *testing.T) {
-	r := newRig(1)
-	r.router.EnableQoS(qos.Config{})
-	v, vc, disk := r.addVM(0, device.WholeNamespace(r.dev, 1))
-
-	prog, _, classMap := storfn.QoSClassClassifier(vc.Partition())
-	classMap.SetU64(int(nvme.OpWrite), 0, uint64(qos.ClassBulk))
-	if err := vc.LoadClassifier(prog); err != nil {
-		t.Fatal(err)
-	}
-
-	io := func(p *sim.Proc, op vm.Op) {
-		buf := make([]byte, 512)
-		if st := doIO(p, v, disk, op, 3, buf); !st.OK() {
-			t.Fatalf("%v failed: %v", op, st)
-		}
-	}
-	r.run(t, func(p *sim.Proc) {
-		io(p, vm.OpWrite)
-		io(p, vm.OpRead)
-		// Retune the policy live through the map: writes become scavenger.
-		classMap.SetU64(int(nvme.OpWrite), 0, uint64(qos.ClassScavenger))
-		io(p, vm.OpWrite)
-	})
-
-	ten := r.router.QoSSnapshot(r.env.Now())[0]
-	if got := ten.PerClass[qos.ClassBulk]; got != 1 {
-		t.Fatalf("bulk count = %d, want 1 (the write)", got)
-	}
-	if got := ten.PerClass[qos.ClassDefault]; got != 1 {
-		t.Fatalf("default count = %d, want 1 (the read, untagged)", got)
-	}
-	if got := ten.PerClass[qos.ClassScavenger]; got != 1 {
-		t.Fatalf("scavenger count = %d, want 1 (live retune)", got)
 	}
 }
 

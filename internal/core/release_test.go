@@ -13,7 +13,7 @@ func TestReleaseTwicePanics(t *testing.T) {
 	b := newLookBench(1, 1, false)
 	var work sim.Duration
 	cmd := nvme.NewRW(nvme.OpRead, 1, 1, 0, 1, 0, 0)
-	req := b.w.admit(b.vqs[0], &cmd, 0, &work).h.req
+	req := b.w.admit(b.vqs[0], &cmd, &work).h.req
 	b.w.completeReq(req, nvme.SCSuccess)
 	b.w.put(req)
 	defer func() {

@@ -450,7 +450,7 @@ func (w *worker) gather(out *[]effect) (work sim.Duration, idle bool) {
 			if w.qos == nil {
 				var cmd nvme.Command
 				for vq.vsq.Pop(&cmd) {
-					effects = append(effects, w.admit(vq, &cmd, 0, &work))
+					effects = append(effects, w.admit(vq, &cmd, &work))
 				}
 			}
 			// Fast-path completions.
@@ -514,10 +514,9 @@ func drain(inbox *[]effect, effects []effect) []effect {
 // outstanding until released — and returns its routing effect. A promoted
 // tenant's command maps SQ→HSQ directly: the classifier's verdict is a proven
 // constant, so nothing runs and nothing is charged. Any other command is
-// classified, at a cost added to *work. qosBase is the arbiter's admission
-// charge, 0 without QoS. A command whose CID is still live on vq is no second
-// request: it fails with SCIDConflict.
-func (w *worker) admit(vq *vqState, cmd *nvme.Command, qosBase float64, work *sim.Duration) effect {
+// classified, at a cost added to *work. A command whose CID is still live on vq
+// is no second request: it fails with SCIDConflict.
+func (w *worker) admit(vq *vqState, cmd *nvme.Command, work *sim.Duration) effect {
 	vc := vq.vc
 	if vq.cids.has(int(cmd.CID())) {
 		w.postVCQ(vq, cmd.CID(), nvme.SCIDConflict)
@@ -531,7 +530,7 @@ func (w *worker) admit(vq *vqState, cmd *nvme.Command, qosBase float64, work *si
 	}
 	req := vq.reqs[vq.nlive]
 	vq.nlive++
-	*req = request{vq: vq, slot: req.slot, live: true, gcid: cmd.CID(), cmd: *cmd, t0: w.r.env.Now(), qosBase: qosBase, pending: 1}
+	*req = request{vq: vq, slot: req.slot, live: true, gcid: cmd.CID(), cmd: *cmd, t0: w.r.env.Now(), pending: 1}
 	if vc.promoted {
 		return effect{kind: effDirect, h: hop{req: req}}
 	}

@@ -55,7 +55,6 @@ func (p Params) BlockSize() uint32 { return 1 << p.LBAShift }
 
 // Namespace is one NVM namespace on the device.
 type Namespace struct {
-	ID    uint32
 	Info  nvme.NamespaceInfo
 	Store Store
 }
@@ -136,7 +135,6 @@ func classOf(op uint8) fault.Class {
 // AddNamespace attaches an additional namespace.
 func (d *Device) AddNamespace(id uint32, blocks uint64, store Store) *Namespace {
 	n := &Namespace{
-		ID:    id,
 		Info:  nvme.NamespaceInfo{Size: blocks, Capacity: blocks, LBAShift: d.p.LBAShift},
 		Store: store,
 	}

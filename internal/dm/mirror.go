@@ -13,9 +13,6 @@ import (
 type Mirror struct {
 	Primary   blockdev.BlockDevice
 	Secondary blockdev.BlockDevice
-
-	// Stats
-	Reads, Writes uint64
 }
 
 // NumSectors implements BlockDevice (the smaller leg bounds the mirror).
@@ -38,12 +35,8 @@ func (m *Mirror) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 func (m *Mirror) SubmitFunc(th *sim.Thread, b *bio, then func()) {
 	switch b.Op {
 	case blockdev.BioRead:
-		m.Reads++
 		m.Primary.SubmitFunc(th, b, then)
 	case blockdev.BioWrite, blockdev.BioFlush, blockdev.BioDiscard:
-		if b.Op == blockdev.BioWrite {
-			m.Writes++
-		}
 		remaining := 2
 		var firstErr nvme.Status = nvme.SCSuccess
 		orig := b.OnDone

@@ -75,7 +75,6 @@ const (
 	cCallUpdate
 	cCallDelete
 	cCallPrandom
-	cCallQoS
 	cCallGeneric // imm = helper id
 )
 
@@ -87,8 +86,7 @@ var copNames = map[copCode]string{
 	cSt8: "st8", cSt16: "st16", cSt32: "st32", cSt64: "st64",
 	cStImm8: "st8_imm", cStImm16: "st16_imm", cStImm32: "st32_imm", cStImm64: "st64_imm",
 	cJa: "ja", cCallLookup: "call_map_lookup", cCallUpdate: "call_map_update",
-	cCallDelete: "call_map_delete", cCallPrandom: "call_prandom",
-	cCallQoS: "call_qos_set_class", cCallGeneric: "call_generic",
+	cCallDelete: "call_map_delete", cCallPrandom: "call_prandom", cCallGeneric: "call_generic",
 }
 
 // cop is one pre-decoded operation. op is the source instruction's opcode

@@ -85,7 +85,7 @@ func genProgram(rng *rand.Rand, dm diffMaps, pure bool) *Program {
 	b.Store(SizeDW, R10, -24, R9)
 
 	emitSnippet := func() {
-		kinds := 14
+		kinds := 13
 		if pure {
 			kinds = 5
 		}
@@ -172,11 +172,7 @@ func genProgram(rng *rand.Rand, dm diffMaps, pure bool) *Program {
 			b.AddImm(R2, -4)
 			b.Call(helperMapDelete)
 			b.ALU(ALUAdd, reg(), R0)
-		case 11: // qos class tag (sometimes out of range -> -1, tag untouched)
-			b.MovImm(R1, int32(rng.Intn(6)))
-			b.Call(HelperQoSSetClass)
-			b.ALU(ALUAdd, reg(), R0)
-		case 12: // prandom
+		case 11: // prandom
 			b.Call(helperGetPrandom)
 			b.ALU(ALUAdd, reg(), R0)
 		default:
@@ -339,10 +335,6 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 			if !bytes.Equal(ctxI, ctxC) {
 				t.Fatalf("seed %d inv %d: ctx diverged\ninterp:   %x\ncompiled: %x\n%s",
 					seed, inv, ctxI, ctxC, Disassemble(progI))
-			}
-			if vmI.QoSClass != vmC.QoSClass {
-				t.Fatalf("seed %d inv %d: QoS class %d (interp) != %d (compiled)\n%s",
-					seed, inv, vmI.QoSClass, vmC.QoSClass, Disassemble(progI))
 			}
 		}
 		if err := mapsI.equal(mapsC); err != nil {
@@ -788,85 +780,30 @@ func TestCompiledDump(t *testing.T) {
 	}
 }
 
-// TestParityQoSSetClass checks the qos_set_class helper on both tiers:
-// valid classes tag the VM and return 0, out-of-range classes return -1
-// and leave the tag untouched, and every invocation starts untagged.
-func TestParityQoSSetClass(t *testing.T) {
-	for _, tc := range []struct {
-		class   int32
-		wantRet uint64
-		wantTag uint8
-	}{
-		{0, 0, 0}, {1, 0, 1}, {3, 0, 3}, {4, ^uint64(0), 0}, {255, ^uint64(0), 0},
-	} {
-		p := NewBuilder().
-			MovImm(R1, tc.class).
-			Call(HelperQoSSetClass).
-			Exit().
-			MustProgram("qostag")
-		cp, err := Compile(p, &Verifier{})
-		if err != nil {
-			t.Fatalf("class %d: compile: %v", tc.class, err)
-		}
-		vmI, vmC := NewVM(nil), NewVM(nil)
-		retI, errI := vmI.Run(p, nil)
-		retC, errC := vmC.RunCompiled(cp, nil)
-		if errI != nil || errC != nil {
-			t.Fatalf("class %d: errors %v / %v", tc.class, errI, errC)
-		}
-		if retI != tc.wantRet || retC != tc.wantRet {
-			t.Errorf("class %d: r0 interp %#x compiled %#x, want %#x", tc.class, retI, retC, tc.wantRet)
-		}
-		if vmI.QoSClass != tc.wantTag || vmC.QoSClass != tc.wantTag {
-			t.Errorf("class %d: tag interp %d compiled %d, want %d", tc.class, vmI.QoSClass, vmC.QoSClass, tc.wantTag)
-		}
-		// A following invocation that does not tag must reset the class.
-		clear := NewBuilder().MovImm(R0, 0).Exit().MustProgram("noop")
-		if _, err := vmI.Run(clear, nil); err != nil {
-			t.Fatal(err)
-		}
-		ccp, _ := Compile(clear, &Verifier{})
-		if _, err := vmC.RunCompiled(ccp, nil); err != nil {
-			t.Fatal(err)
-		}
-		if vmI.QoSClass != 0 || vmC.QoSClass != 0 {
-			t.Errorf("class %d: tag survived into next invocation", tc.class)
-		}
-	}
-	// The assembler resolves the helper by name.
-	p, err := Assemble("mov r1, 2\ncall qos_set_class\nexit\n", "asmqos", nil, nil)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	vm := NewVM(nil)
-	if _, err := vm.Run(p, nil); err != nil || vm.QoSClass != 2 {
-		t.Fatalf("asm call: class %d err %v", vm.QoSClass, err)
-	}
-}
-
 // TestVerifyRefusesUndefinedDeadInsn: the verifier walks only reachable
 // instructions, but Compile translates every one, so an instruction after
-// the exit that cannot translate must fail Verify as it fails Compile.
+// the exit that cannot translate must fail Verify as it fails Compile. A
+// call to helper 64 (no kernel helper) is refused by both alike.
 func TestVerifyRefusesUndefinedDeadInsn(t *testing.T) {
+	dead := func(in Insn) []Insn {
+		return []Insn{{Op: ClassALU64 | ALUMov | SrcK, Dst: R0}, {Op: ClassJMP | JmpExit}, in}
+	}
 	for _, tc := range []struct {
-		name string
-		dead Insn
+		name  string
+		insns []Insn
 	}{
-		{"undefined ALU op", Insn{Op: ClassALU64 | 0xf0}},
-		{"undefined jump op", Insn{Op: ClassJMP | 0xe0, Off: -1}},
-		{"jump past the end", Insn{Op: ClassJMP | JmpA, Off: 5}},
-		{"undefined LD op", Insn{Op: ClassLD | 0x08}},
+		{"undefined ALU op", dead(Insn{Op: ClassALU64 | 0xf0})},
+		{"undefined jump op", dead(Insn{Op: ClassJMP | 0xe0, Off: -1})},
+		{"jump past the end", dead(Insn{Op: ClassJMP | JmpA, Off: 5})},
+		{"undefined LD op", dead(Insn{Op: ClassLD | 0x08})},
+		{"call to helper 64", NewBuilder().MovImm(R1, 1).Call(64).MovImm(R0, 0).Exit().MustProgram("h64").Insns},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &Program{Name: tc.name, Insns: []Insn{
-				{Op: ClassALU64 | ALUMov | SrcK, Dst: R0},
-				{Op: ClassJMP | JmpExit},
-				tc.dead,
-			}}
+			p := &Program{Name: tc.name, Insns: tc.insns}
 			verr := (&Verifier{}).Verify(p)
 			_, cerr := Compile(p, nil)
-			if !errors.Is(verr, errVerify) || cerr == nil {
-				t.Fatalf("Verify: %v, Compile: %v; want both to refuse", verr, cerr)
+			if !errors.Is(verr, errVerify) || cerr == nil || verr.Error() != cerr.Error() {
+				t.Fatalf("Verify: %v, Compile: %v; want both to refuse alike", verr, cerr)
 			}
 		})
 	}

@@ -72,7 +72,6 @@ func (vm *VM) cfail(cp *CompiledProgram, pc int, k cfaultKind) (uint64, error) {
 // memory bounds and the fuel limit remain as defense in depth.
 func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 	vm.Invocations++
-	vm.QoSClass = 0
 	if vm.stackLow < StackSize {
 		clear(vm.stack[vm.stackLow:])
 		vm.stackLow = StackSize
@@ -260,14 +259,6 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
 		case cCallPrandom:
 			r[R0] = creg{n: prandomU32(vm.Invocations)}
-			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
-		case cCallQoS:
-			if c := r[R1].n; c < qosNumClasses {
-				vm.QoSClass = uint8(c)
-				r[R0] = creg{}
-			} else {
-				r[R0] = creg{n: ^uint64(0)}
-			}
 			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
 		case cCallGeneric:
 			h := vm.helpers.get(int32(uint32(o.imm)))

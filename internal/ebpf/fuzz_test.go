@@ -32,12 +32,12 @@ func fuzzCode(p *Program) []byte {
 // exactly what Compile accepts; a refused program must only not panic. One
 // they accept runs fuzzInvocations times on both tiers, and
 //   - neither tier may reach a defense-in-depth check (ErrFault, ErrFuel);
-//   - the tiers agree on r0, ctx bytes, QoS class and map contents;
+//   - the tiers agree on r0, ctx bytes and map contents;
 //   - a proved StaticVerdict is what every invocation returns.
 //
-// The seed corpus (the staticCases programs, genProgram outputs and the
-// wrapping-offset programs) runs with every `go test`; `make fuzz-smoke`
-// explores beyond it.
+// The seed corpus (the staticCases programs, genProgram outputs, the
+// wrapping-offset programs and a call to helper 64, which no kernel helper
+// has) runs with every `go test`; `make fuzz-smoke` explores beyond it.
 func FuzzVerifiedProgram(f *testing.F) {
 	for _, c := range staticCases {
 		f.Add(fuzzCode(c.build().MustProgram("seed")))
@@ -48,6 +48,7 @@ func FuzzVerifiedProgram(f *testing.F) {
 	for _, p := range wrapPrograms() {
 		f.Add(fuzzCode(p))
 	}
+	f.Add(fuzzCode(NewBuilder().MovImm(R1, 1).Call(64).MovImm(R0, 0).Exit().MustProgram("h64")))
 	f.Fuzz(func(t *testing.T, code []byte) {
 		p, err := Decode(code[:len(code)/InsnSize*InsnSize], "fuzz")
 		if err != nil {
@@ -87,8 +88,6 @@ func FuzzVerifiedProgram(f *testing.F) {
 				t.Fatalf("inv %d: StaticVerdict proved %#x, invocation returned %#x\n%s", inv, verdict, retC, Disassemble(progI))
 			case !bytes.Equal(ctxI, ctxC):
 				t.Fatalf("inv %d: ctx diverged\ninterp:   %x\ncompiled: %x\n%s", inv, ctxI, ctxC, Disassemble(progI))
-			case vmI.QoSClass != vmC.QoSClass:
-				t.Fatalf("inv %d: QoS class %d (interp) != %d (compiled)\n%s", inv, vmI.QoSClass, vmC.QoSClass, Disassemble(progI))
 			}
 		}
 		if err := mapsI.equal(mapsC); err != nil {

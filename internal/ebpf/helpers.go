@@ -76,11 +76,10 @@ var standardHelpers = map[int32]struct {
 	name string
 	code copCode
 }{
-	HelperMapLookup:   {"map_lookup_elem", cCallLookup},
-	helperMapUpdate:   {"map_update_elem", cCallUpdate},
-	helperMapDelete:   {"map_delete_elem", cCallDelete},
-	helperGetPrandom:  {"get_prandom_u32", cCallPrandom},
-	HelperQoSSetClass: {"qos_set_class", cCallQoS},
+	HelperMapLookup:  {"map_lookup_elem", cCallLookup},
+	helperMapUpdate:  {"map_update_elem", cCallUpdate},
+	helperMapDelete:  {"map_delete_elem", cCallDelete},
+	helperGetPrandom: {"get_prandom_u32", cCallPrandom},
 }
 
 // standard reports whether id is bound to the standard helper of that id, by
@@ -161,23 +160,5 @@ func defaultHelpers() *HelperRegistry {
 			// the compiled tier (crun.go) so both tiers agree.
 			return scalar(prandomU32(vm.Invocations)), nil
 		})
-	hr.register(HelperQoSSetClass, []argType{argScalar}, retScalar,
-		func(vm *VM, r []val) (val, error) {
-			// Tags the in-flight command's QoS scheduling class; the router
-			// reads it back after the classifier returns. Out-of-range
-			// classes are rejected (-1) and leave the tag untouched, so a
-			// buggy program degrades to class-default scheduling.
-			c := r[R1].n
-			if c >= qosNumClasses {
-				return scalar(^uint64(0)), nil
-			}
-			vm.QoSClass = uint8(c)
-			return scalar(0), nil
-		})
 	return hr
 }
-
-// qosNumClasses mirrors qos.NumClasses, kept local so the generic VM layer
-// stays decoupled from the scheduler; the core wiring tests assert the two
-// stay equal.
-const qosNumClasses = 4

@@ -56,10 +56,6 @@ type VM struct {
 	// (the stack grows down): the next invocation only clears [stackLow:).
 	stackLow int
 	helpers  *HelperRegistry
-	// QoSClass is the scheduling class tagged by the last invocation's
-	// qos_set_class helper call (0 when the program did not tag one).
-	// Cleared at the start of every Run/RunCompiled.
-	QoSClass uint8
 	// Stats
 	Invocations uint64
 	InsnCount   uint64
@@ -79,7 +75,6 @@ func NewVM(helpers *HelperRegistry) *VM {
 // It returns the program's r0 exit value.
 func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 	vm.Invocations++
-	vm.QoSClass = 0
 	if vm.stackLow < StackSize {
 		clear(vm.stack[vm.stackLow:])
 		vm.stackLow = StackSize

@@ -185,12 +185,10 @@ func (i Insn) String() string {
 	return fmt.Sprintf("insn{op=%#02x dst=r%d src=r%d off=%d imm=%d}", i.Op, i.Dst, i.Src, i.Off, i.Imm)
 }
 
-// Helper IDs (matching the kernel's numbering where applicable; the NVMetro
-// extensions live above the kernel range).
+// Helper IDs (the kernel's numbering).
 const (
-	HelperMapLookup   = 1
-	helperMapUpdate   = 2
-	helperMapDelete   = 3
-	helperGetPrandom  = 7
-	HelperQoSSetClass = 64
+	HelperMapLookup  = 1
+	helperMapUpdate  = 2
+	helperMapDelete  = 3
+	helperGetPrandom = 7
 )

@@ -84,11 +84,6 @@ var staticCases = map[string]staticCase{
 			MovImm64(R0, 0x410000).Exit().
 			Label("miss").MovImm64(R0, 0x20000).Exit()
 	}, false, 0},
-	// qos_set_class overrides the command's QoS class: observable by the
-	// arbiter even with a constant return.
-	"qos": {func() *Builder {
-		return NewBuilder().MovImm(R1, 1).Call(HelperQoSSetClass).MovImm64(R0, 0x410000).Exit()
-	}, false, 0},
 	// Map mutation.
 	"update": {func() *Builder {
 		return NewBuilder().StoreImm(SizeW, R10, -4, 0).StoreImm(SizeDW, R10, -16, 1).
@@ -131,7 +126,6 @@ func TestStaticVerdictCtxStoreImpure(t *testing.T)      { checkStatic(t, "ctx-st
 func TestStaticVerdictStackStorePure(t *testing.T)      { checkStatic(t, "stack-store") }
 func TestStaticVerdictLookupPure(t *testing.T)          { checkStatic(t, "lookup") }
 func TestStaticVerdictLookupBranchImpure(t *testing.T)  { checkStatic(t, "lookup-branch") }
-func TestStaticVerdictQoSImpure(t *testing.T)           { checkStatic(t, "qos") }
 func TestStaticVerdictUpdateImpure(t *testing.T)        { checkStatic(t, "update") }
 func TestStaticVerdictFoldedALU(t *testing.T)           { checkStatic(t, "alu") }
 func TestStaticVerdictPrandomPure(t *testing.T)         { checkStatic(t, "prandom-ignored", "prandom-verdict") }

@@ -196,9 +196,9 @@ func staticVerdictReference(cp *CompiledProgram) (verdict uint64, ok bool) {
 				s[reg] = aval{k: avUnknown}
 			}
 
-		case cCallUpdate, cCallDelete, cCallQoS, cCallGeneric:
-			// Map mutation, per-command QoS class override, or an arbitrary
-			// registered helper: externally observable.
+		case cCallUpdate, cCallDelete, cCallGeneric:
+			// Map mutation or an arbitrary registered helper: externally
+			// observable.
 			return 0, false
 
 		default:

@@ -9,7 +9,7 @@ import (
 	"nvmetro/internal/storfn"
 )
 
-// shippedClassifiers are the router's default classifier and the six
+// shippedClassifiers are the router's default classifier and the four
 // storage-function classifiers.
 func shippedClassifiers() []*ebpf.Program {
 	part := device.Partition{Start: 4096, Blocks: 8192}
@@ -17,10 +17,8 @@ func shippedClassifiers() []*ebpf.Program {
 	encryptor, _ := storfn.EncryptorClassifier(part)
 	replicator := ebpf.MustAssemble(storfn.ClassifierSources()["replicator"], "replicator",
 		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)}, nil)
-	qos, _, _ := storfn.QoSClassifier(part)
-	qosclass, _, _ := storfn.QoSClassClassifier(part)
 	cache, _ := storfn.CacheClassifier(part, core.NewHotHints(3, 1<<10), 2)
-	return []*ebpf.Program{core.DefaultClassifier(), partition, encryptor, replicator, qos, qosclass, cache}
+	return []*ebpf.Program{core.DefaultClassifier(), partition, encryptor, replicator, cache}
 }
 
 // TestVerdictMatchesReference holds the verifier's static verdict to the

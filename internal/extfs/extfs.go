@@ -57,8 +57,8 @@ type FS struct {
 	xferSize  uint32
 
 	// Stats
-	CacheHits, CacheMisses uint64
-	Reads, Writes          uint64
+	CacheHits     uint64
+	Reads, Writes uint64
 }
 
 // MountAt formats a fresh filesystem over a block window of the disk (the
@@ -206,7 +206,6 @@ func (fs *FS) cacheBlock(p *sim.Proc, cb uint64, load bool) ([]byte, error) {
 		fs.CacheHits++
 		return b, nil
 	}
-	fs.CacheMisses++
 	b := make([]byte, cacheBlockSize)
 	if load {
 		if err := fs.rawRead(p, cb*cacheBlockSize/uint64(fs.blockSize), b); err != nil {

@@ -103,10 +103,9 @@ type Target struct {
 // Result aggregates a run.
 type Result struct {
 	metrics.Summary
-	CPU     sim.CPUUsage
-	PerJob  []metrics.Summary
-	Errors  uint64
-	Configs Config
+	CPU    sim.CPUUsage
+	PerJob []metrics.Summary
+	Errors uint64
 }
 
 // job is one fio worker: a state machine on the simulator's callback tier
@@ -187,7 +186,7 @@ func RunMixed(env *sim.Env, cpu *sim.CPU, groups []Group) []Result {
 
 	out := make([]Result, len(groups))
 	for gi, jobs := range jobsPer {
-		res := Result{Configs: groups[gi].Cfg, CPU: usage}
+		res := Result{CPU: usage}
 		res.Lat = metrics.NewHistogram()
 		res.WindowSec = window.Seconds()
 		for _, j := range jobs {

@@ -165,7 +165,7 @@ func ycsbTable(o Options, id, title string, sols []namedSol) *Table {
 	}
 	kops := cells(o, len(rows)*len(sols), func(k int) float64 {
 		rw, s := rows[k/len(sols)], sols[k%len(sols)]
-		return runYCSB(o, s.mk, rw.w, rw.jobs).KOpsPerSec
+		return runYCSB(o, s.mk, rw.w, rw.jobs)
 	})
 	for ri, rw := range rows {
 		t.add(fmt.Sprintf("%v j=%d", rw.w, rw.jobs), kops[ri*len(sols):(ri+1)*len(sols)]...)

@@ -9,7 +9,6 @@ import (
 	"nvmetro/internal/fio"
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/metrics"
-	"nvmetro/internal/qos"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/vm"
@@ -88,12 +87,12 @@ type scrubRun struct {
 	scr      *integrity.Scrubber
 }
 
-// scrubConfig returns the scrub policy for the harness: ~400 MB/s of
-// effective bandwidth so passes over the stamped extents finish well
-// inside the run, with short pass intervals.
+// scrubConfig returns the scrub policy for the harness: 400 MB/s of
+// bandwidth so passes over the stamped extents finish well inside the run,
+// with short pass intervals.
 func scrubConfig() integrity.ScrubConfig {
 	cfg := integrity.DefaultScrubConfig()
-	cfg.Rate = 400e6 * qos.DefaultClassCost(qos.ClassScavenger)
+	cfg.Rate = 400e6
 	cfg.Interval = sim.Millisecond
 	return cfg
 }

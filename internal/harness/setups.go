@@ -161,15 +161,10 @@ func runFioScaled(o Options, n int, cfg fio.Config) fio.Result {
 	return fio.Run(env, h.CPU, targets, cfg)
 }
 
-// ycsbResult is one YCSB run's outcome.
-type ycsbResult struct {
-	KOpsPerSec float64
-	CPUCores   float64
-}
-
 // runYCSB runs one workload with the given job count (each job its own DB
-// instance on its own filesystem window, as in the paper).
-func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
+// instance on its own filesystem window, as in the paper) and returns its
+// throughput in kops/s.
+func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) float64 {
 	env, h := newBed(o, device.NewMemStore(512))
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
@@ -220,9 +215,7 @@ func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
 	measTo = measFrom.Add(cfg.Duration)
 	start.Broadcast()
 	env.RunUntil(measFrom)
-	snap := h.CPU.Snapshot()
 	env.RunUntil(measTo)
-	usage := h.CPU.Since(snap)
 
 	var ops uint64
 	for _, c := range clients {
@@ -230,8 +223,5 @@ func runYCSB(o Options, mk solFactory, w ycsb.Workload, jobs int) ycsbResult {
 			ops += c.Ops.Value()
 		}
 	}
-	return ycsbResult{
-		KOpsPerSec: float64(ops) / cfg.Duration.Seconds() / 1e3,
-		CPUCores:   usage.Cores(),
-	}
+	return float64(ops) / cfg.Duration.Seconds() / 1e3
 }

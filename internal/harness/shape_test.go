@@ -111,7 +111,7 @@ func TestShapeYCSBBasic(t *testing.T) {
 	get := func(name string, jobs int) float64 {
 		for _, s := range sols {
 			if s.name == name {
-				return runYCSB(opt, s.mk, ycsb.WorkloadA, jobs).KOpsPerSec
+				return runYCSB(opt, s.mk, ycsb.WorkloadA, jobs)
 			}
 		}
 		t.Fatalf("no solution %q", name)

@@ -14,18 +14,17 @@ import (
 
 // ScrubConfig tunes the background scrubber.
 type ScrubConfig struct {
-	// Rate is the token refill rate of the scrubber's QoS bucket, in
-	// service-cost units per second. Scrub bytes are charged at the
-	// scavenger-class multiplier, so the actual scrub bandwidth is
-	// Rate / qos.DefaultClassCost(qos.ClassScavenger). Must be positive.
+	// Rate is the scrub bandwidth in bytes per second: the refill rate of
+	// the scrubber's token bucket, charged one token per byte read. Must be
+	// positive.
 	Rate float64
 	// Interval is the pause between passes in continuous mode (0: 5ms).
 	Interval sim.Duration
 }
 
 const (
-	// scrubChunkBlocks is the scrub read granule in device blocks; the QoS
-	// bucket holds two chunks' worth of scavenger-class cost.
+	// scrubChunkBlocks is the scrub read granule in device blocks; the
+	// token bucket holds two chunks' worth of bytes.
 	scrubChunkBlocks uint64 = 256
 	// recheckDelay is how long a suspect block is allowed to settle before
 	// the confirming re-read — it filters the benign race where a guest
@@ -34,10 +33,10 @@ const (
 	recheckDelay = 200 * sim.Microsecond
 )
 
-// DefaultScrubConfig returns a moderate policy: ~100 MB/s of actual
-// scrub bandwidth at the scavenger multiplier.
+// DefaultScrubConfig returns a moderate policy: 100 MB/s of scrub
+// bandwidth.
 func DefaultScrubConfig() ScrubConfig {
-	return ScrubConfig{Rate: 100e6 * qos.DefaultClassCost(qos.ClassScavenger)}
+	return ScrubConfig{Rate: 100e6}
 }
 
 // Validate rejects policies that cannot work.
@@ -72,9 +71,8 @@ type CacheInvalidator interface {
 // with no good copy anywhere are quarantined so guest reads fail honestly
 // instead of returning wrong data.
 //
-// Pacing reuses the QoS token-bucket primitive charged at the
-// scavenger-class cost multiplier, so scrub I/O is shaped like any other
-// background-class work instead of by a bespoke limiter.
+// Pacing reuses the QoS token-bucket primitive, one token per byte, instead
+// of a bespoke limiter.
 //
 // A suspect block is never condemned on one read: the PI is stamped at
 // admission, before the device write lands, so a scrub read can race a
@@ -91,7 +89,6 @@ type Scrubber struct {
 	cache  CacheInvalidator
 
 	bucket *qos.Bucket
-	cost   float64
 
 	kick       *sim.Cond
 	pending    bool
@@ -122,12 +119,10 @@ func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *si
 	if err != nil {
 		return nil, err
 	}
-	cost := qos.DefaultClassCost(qos.ClassScavenger)
 	s := &Scrubber{
 		dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
 		cfg: cfg, shift: blockShift,
-		bucket: qos.NewBucket(cfg.Rate, 2*float64(scrubChunkBlocks<<blockShift)*cost),
-		cost:   cost,
+		bucket: qos.NewBucket(cfg.Rate, 2*float64(scrubChunkBlocks<<blockShift)),
 		kick:   sim.NewCond(env),
 	}
 	env.Go("integrity-scrub", s.run)
@@ -306,12 +301,12 @@ func (s *Scrubber) recheck(p *sim.Proc, lba uint64) {
 	}
 }
 
-// throttle charges nbytes of scrub traffic at the scavenger cost
-// multiplier against the QoS bucket, sleeping out any deficit.
+// throttle charges nbytes of scrub traffic against the token bucket,
+// sleeping out any deficit.
 func (s *Scrubber) throttle(p *sim.Proc, nbytes uint64) {
-	cost := float64(nbytes) * s.cost
-	for !s.bucket.Take(cost, p.Now()) {
-		p.Sleep(s.bucket.WaitTime(cost, p.Now()))
+	n := float64(nbytes)
+	for !s.bucket.Take(n, p.Now()) {
+		p.Sleep(s.bucket.WaitTime(n, p.Now()))
 	}
 }
 

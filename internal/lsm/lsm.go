@@ -49,8 +49,8 @@ type DB struct {
 	closed bool
 
 	// Stats
-	Puts, Gets, Scans, Flushes, Compactions uint64
-	BloomNegatives                          uint64
+	Flushes, Compactions uint64
+	BloomNegatives       uint64
 }
 
 // threadLike decouples lsm from sim.Thread for testing.
@@ -87,7 +87,6 @@ func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
 	if db.closed {
 		return errClosed
 	}
-	db.Puts++
 	db.vcpu.Exec(p, opCost)
 
 	// WAL record: klen u16 | vlen u32 | key | value.
@@ -124,7 +123,6 @@ func (db *DB) Get(p *sim.Proc, key string) ([]byte, error) {
 	if db.closed {
 		return nil, errClosed
 	}
-	db.Gets++
 	db.vcpu.Exec(p, opCost)
 	if v, ok := db.mem[key]; ok {
 		out := make([]byte, len(v))
@@ -155,7 +153,6 @@ func (db *DB) Scan(p *sim.Proc, start string, limit int) ([]KV, error) {
 	if db.closed {
 		return nil, errClosed
 	}
-	db.Scans++
 	db.vcpu.Exec(p, opCost*4)
 	// Merge memtable + all tables (newest shadows oldest).
 	seen := make(map[string]bool)

@@ -33,7 +33,6 @@ type Link struct {
 	Messages [2]uint64
 	Bytes    [2]uint64
 	Drops    [2]uint64 // messages lost to outage windows
-	Outages  uint64    // scheduled outage windows
 }
 
 // Directions.
@@ -59,7 +58,6 @@ func DefaultLink(env *sim.Env) *Link {
 // requeue in-flight commands.
 func (l *Link) ScheduleOutage(at sim.Time, dur sim.Duration) {
 	l.outages = append(l.outages, fault.Outage{At: at, Dur: dur})
-	l.Outages++
 	l.env.At(at.Add(dur), func() {
 		for _, fn := range l.onUp {
 			fn()
@@ -295,7 +293,6 @@ type Initiator struct {
 	Reconnects     uint64 // outage-end events observed
 	Failures       uint64 // commands failed with SCPathError
 	StaleResponses uint64 // responses for a superseded or finished attempt
-	GuardErrors    uint64 // read replies failing protection-info verification
 
 	verifier blockdev.ReadVerifier
 }
@@ -497,7 +494,6 @@ func (i *Initiator) finish(pe *ofPending, st nvme.Status, rdata []byte) {
 			// The fabric delivered data the protection info disowns:
 			// report a guard error. The payload stays in the caller's
 			// buffer for diagnosing layers (the scrubber).
-			i.GuardErrors++
 			st = nvme.SCGuardCheck
 		}
 	}

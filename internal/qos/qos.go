@@ -10,45 +10,15 @@
 // The arbiter is driven synchronously from the router worker loop under
 // the simulation run token, so — like the eBPF VM — it needs no internal
 // locking, and all of its state evolves deterministically from the
-// observation sequence. Classifiers participate through the qos_set_class
-// eBPF helper: the sandboxed policy that picks a command's I/O path also
-// tags its scheduling class, and the arbiter scales the command's virtual
-// service cost by the class multiplier.
+// observation sequence. Each command is charged once, at admission, in
+// payload-proportional service units; the classifier that runs after
+// admission picks only the command's I/O path.
 package qos
 
 import (
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/sim"
 )
-
-// Class is a per-command scheduling class, tagged by the classifier via
-// the qos_set_class helper. The class scales the command's virtual
-// service cost: low multipliers are scheduled sooner under contention.
-type Class uint8
-
-// Scheduling classes.
-const (
-	ClassDefault   Class = 0 // tenant's native weight
-	ClassLatency   Class = 1 // boosted: half service cost
-	ClassBulk      Class = 2 // deprioritized: double service cost
-	ClassScavenger Class = 3 // strongly deprioritized background work
-
-	NumClasses = 4
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassDefault:
-		return "default"
-	case ClassLatency:
-		return "latency"
-	case ClassBulk:
-		return "bulk"
-	case ClassScavenger:
-		return "scavenger"
-	}
-	return "?"
-}
 
 // TenantConfig is one tenant's QoS contract.
 type TenantConfig struct {
@@ -76,30 +46,16 @@ type Config struct {
 // The arbiter's tuning.
 const (
 	// bytesPerUnit is the payload size of one virtual service unit; a
-	// command costs max(1, bytes/bytesPerUnit) units before the class
-	// multiplier.
+	// command costs max(1, bytes/bytesPerUnit) units.
 	bytesPerUnit = 4096
 	// sloWindow is the default SLO evaluation and rate-gauge window.
 	sloWindow = sim.Millisecond
 	// recoverWindows is how many consecutive windows with every SLO met
 	// must pass before shed best-effort tenants are re-admitted.
 	recoverWindows = 2
-	// rateAlpha is the EWMA smoothing factor for the rate gauges.
+	// rateAlpha is the EWMA smoothing factor for the rate gauge.
 	rateAlpha = 0.5
 )
-
-// classCost holds the per-class service cost multipliers.
-var classCost = [NumClasses]float64{1, 0.5, 2, 8}
-
-// DefaultClassCost returns the service-cost multiplier of a class.
-// Background subsystems (e.g. the scrubber) use it to charge their own
-// token buckets consistently with the arbiter's view of scavenger work.
-func DefaultClassCost(c Class) float64 {
-	if int(c) < len(classCost) {
-		return classCost[c]
-	}
-	return 1
-}
 
 // Tenant is one VM's scheduling state inside the arbiter.
 type Tenant struct {
@@ -112,8 +68,7 @@ type Tenant struct {
 
 	ops *Bucket
 
-	rateOps   *metrics.Rate
-	rateBytes *metrics.Rate
+	rateOps *metrics.Rate
 
 	lat    *metrics.Histogram // cumulative
 	winLat *metrics.Histogram // current SLO window
@@ -125,7 +80,6 @@ type Tenant struct {
 	Admitted  uint64 // commands granted entry by the arbiter
 	Throttled uint64 // admission attempts deferred by a token bucket
 	Deferred  uint64 // admission attempts deferred while shed
-	PerClass  [NumClasses]uint64
 }
 
 // Name returns the tenant identifier.

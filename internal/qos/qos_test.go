@@ -254,31 +254,6 @@ func TestAdmissibleDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestClassChargeShiftsShare(t *testing.T) {
-	// Two equal-weight tenants; one's commands are tagged scavenger after
-	// admission. Its effective share must drop by the class multiplier.
-	a := NewArbiter(Config{})
-	norm := a.AddTenant("norm", TenantConfig{Weight: 1})
-	scav := a.AddTenant("scav", TenantConfig{Weight: 1})
-	pending := []int{4096, 4096}
-	for g := 0; g < 3000; g++ {
-		i := admitOne(a, pending, 0)
-		if a.Tenants()[i] == scav {
-			a.ChargeClass(scav, 1, ClassScavenger)
-		} else {
-			a.ChargeClass(norm, 1, ClassDefault)
-		}
-	}
-	// Scavenger multiplier is 8: expect roughly a 1:8 split.
-	ratio := float64(norm.Admitted) / float64(scav.Admitted)
-	if ratio < 6 || ratio > 10 {
-		t.Fatalf("norm:scav = %d:%d (ratio %.1f), want ~8", norm.Admitted, scav.Admitted, ratio)
-	}
-	if scav.PerClass[ClassScavenger] != scav.Admitted {
-		t.Fatal("per-class counter mismatch")
-	}
-}
-
 func TestAdmissionControllerShedsAndRecovers(t *testing.T) {
 	cfg := Config{}
 	a := NewArbiter(cfg)
@@ -327,7 +302,6 @@ func TestSnapshotAndCollect(t *testing.T) {
 	v := a.AddTenant("v", TenantConfig{Weight: 3, IOPS: 1000, SLOTargetP99: sim.Millisecond})
 	a.AddTenant("b", TenantConfig{BestEffort: true})
 	a.Serve(v, 8192, 0)
-	a.ChargeClass(v, 2, ClassLatency)
 	a.ObserveLatency(v, 50*sim.Microsecond)
 
 	snaps := a.Snapshot(0)
@@ -335,7 +309,7 @@ func TestSnapshotAndCollect(t *testing.T) {
 		t.Fatalf("snapshot order wrong: %+v", snaps)
 	}
 	s := snaps[0]
-	if s.Weight != 3 || s.Admitted != 1 || s.PerClass[ClassLatency] != 1 {
+	if s.Weight != 3 || s.Admitted != 1 {
 		t.Fatalf("snapshot fields wrong: %+v", s)
 	}
 	if s.OpsLevel >= 1 {
@@ -347,7 +321,7 @@ func TestSnapshotAndCollect(t *testing.T) {
 
 	cs := &metrics.CounterSet{}
 	a.Collect(cs)
-	if cs.Get("qos_v_admitted") != 1 || cs.Get("qos_v_class_latency") != 1 {
+	if cs.Get("qos_v_admitted") != 1 {
 		t.Fatalf("collect wrong: %v", cs)
 	}
 	// Determinism: an identical arbiter collects an equal set.
@@ -355,7 +329,6 @@ func TestSnapshotAndCollect(t *testing.T) {
 	v2 := a2.AddTenant("v", TenantConfig{Weight: 3, IOPS: 1000, SLOTargetP99: sim.Millisecond})
 	a2.AddTenant("b", TenantConfig{BestEffort: true})
 	a2.Serve(v2, 8192, 0)
-	a2.ChargeClass(v2, 2, ClassLatency)
 	cs2 := &metrics.CounterSet{}
 	a2.Collect(cs2)
 	if !cs.Equal(cs2) {

@@ -1,8 +1,6 @@
 package qos
 
 import (
-	"fmt"
-
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/sim"
 )
@@ -24,10 +22,8 @@ import (
 //
 // Virtual time follows SFQ: a command's start tag is max(V, F_tenant),
 // its finish tag start + cost/weight, and V advances to the served start
-// tag. Costs are payload-proportional service units scaled by the
-// command's class multiplier; the class is only known after the
-// classifier runs, so Serve charges the base cost and ChargeClass applies
-// the multiplier delta retroactively to the tenant's finish tag.
+// tag. Costs are payload-proportional service units, charged once by
+// Serve.
 type Arbiter struct {
 	window  sim.Duration // SLO evaluation and rate-gauge window
 	tenants []*Tenant
@@ -60,7 +56,6 @@ func (a *Arbiter) AddTenant(name string, cfg TenantConfig) *Tenant {
 		winLat: metrics.NewHistogram(),
 	}
 	t.rateOps = metrics.NewRate(int64(a.window), rateAlpha)
-	t.rateBytes = metrics.NewRate(int64(a.window), rateAlpha)
 	a.tenants = append(a.tenants, t)
 	a.nextEnd = 0 // t's first window opens on the next Tick
 	a.Configure(t, cfg)
@@ -144,9 +139,8 @@ func (a *Arbiter) Before(t, u *Tenant) bool {
 
 // Serve admits one command of the given payload size for t: consumes its
 // tokens, advances the tenant finish tag and global virtual time, and
-// feeds the rate gauges. Returns the base cost charged (for a later
-// ChargeClass adjustment).
-func (a *Arbiter) Serve(t *Tenant, bytes int, now sim.Time) float64 {
+// feeds the rate gauge.
+func (a *Arbiter) Serve(t *Tenant, bytes int, now sim.Time) {
 	t.ops.Take(1, now)
 	s := a.start(t)
 	c := a.cost(bytes)
@@ -154,29 +148,6 @@ func (a *Arbiter) Serve(t *Tenant, bytes int, now sim.Time) float64 {
 	a.vtime = s
 	t.Admitted++
 	t.rateOps.Observe(1, int64(now))
-	t.rateBytes.Observe(float64(bytes), int64(now))
-	return c
-}
-
-// ChargeClass applies a command's class cost multiplier retroactively:
-// Serve charged baseCost at class-default weighting, and the classifier
-// only tags the class afterwards, so the finish tag is adjusted by the
-// multiplier delta. A latency-class command refunds service, a bulk or
-// scavenger command charges extra, pushing the tenant's next start tag
-// out in proportion.
-func (a *Arbiter) ChargeClass(t *Tenant, baseCost float64, class Class) {
-	if class >= NumClasses {
-		class = ClassDefault
-	}
-	t.PerClass[class]++
-	mul := classCost[class]
-	if mul == 1 {
-		return
-	}
-	t.finish += baseCost * (mul - 1) / t.weight
-	if t.finish < a.vtime {
-		t.finish = a.vtime
-	}
 }
 
 // ObserveLatency records a completed command's submit-to-complete latency
@@ -270,9 +241,7 @@ type TenantSnapshot struct {
 	Shed       bool
 
 	IOPS     float64 // smoothed admitted ops/s
-	BytesPS  float64 // smoothed admitted bytes/s
 	OpsLevel float64 // ops bucket fill fraction [0,1]
-	BytLevel float64 // bytes bucket fill fraction: 1, no tenant has a byte-rate bucket
 
 	P99       sim.Duration // cumulative p99 latency
 	SLOTarget sim.Duration
@@ -282,7 +251,6 @@ type TenantSnapshot struct {
 	Admitted  uint64
 	Throttled uint64
 	Deferred  uint64
-	PerClass  [NumClasses]uint64
 }
 
 // Attainment returns the fraction of SLO windows that met the target,
@@ -304,9 +272,7 @@ func (a *Arbiter) Snapshot(now sim.Time) []TenantSnapshot {
 			BestEffort: t.cfg.BestEffort,
 			Shed:       t.shed,
 			IOPS:       t.rateOps.PerSec(int64(now)),
-			BytesPS:    t.rateBytes.PerSec(int64(now)),
 			OpsLevel:   t.ops.level(now),
-			BytLevel:   1,
 			P99:        sim.Duration(t.lat.Quantile(0.99)),
 			SLOTarget:  t.cfg.SLOTargetP99,
 			SLOMet:     t.met,
@@ -314,7 +280,6 @@ func (a *Arbiter) Snapshot(now sim.Time) []TenantSnapshot {
 			Admitted:   t.Admitted,
 			Throttled:  t.Throttled,
 			Deferred:   t.Deferred,
-			PerClass:   t.PerClass,
 		})
 	}
 	return out
@@ -330,8 +295,5 @@ func (a *Arbiter) Collect(cs *metrics.CounterSet) {
 		cs.Add(p+"admitted", t.Admitted)
 		cs.Add(p+"throttled", t.Throttled)
 		cs.Add(p+"deferred", t.Deferred)
-		for c := Class(0); c < NumClasses; c++ {
-			cs.Add(fmt.Sprintf("%sclass_%s", p, c), t.PerClass[c])
-		}
 	}
 }

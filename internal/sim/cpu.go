@@ -7,7 +7,6 @@ import "sort"
 // "router", "uif", "kernel"), feeding the whole-system CPU figures.
 type core struct {
 	env  *Env
-	ID   int
 	res  *Resource
 	busy map[string]*Duration
 }
@@ -47,8 +46,8 @@ type CPU struct {
 // NewCPU creates n cores.
 func NewCPU(env *Env, n int) *CPU {
 	c := &CPU{env: env}
-	for i := 0; i < n; i++ {
-		c.cores = append(c.cores, &core{env: env, ID: i, res: NewResource(env, 1), busy: make(map[string]*Duration)})
+	for range n {
+		c.cores = append(c.cores, &core{env: env, res: NewResource(env, 1), busy: make(map[string]*Duration)})
 	}
 	return c
 }
@@ -130,8 +129,7 @@ func (c *CPU) Since(s CPUSnapshot) CPUUsage {
 // core's accounting slot for the tag once.
 type Thread struct {
 	Core *core
-	Tag  string
-	busy *Duration // Core's accumulator for Tag
+	busy *Duration // Core's accumulator for the thread's tag
 }
 
 // NewThread pins a new thread on the next core round-robin.
@@ -145,7 +143,7 @@ func (c *CPU) ThreadOn(i int, tag string) *Thread {
 }
 
 func newThread(core *core, tag string) *Thread {
-	return &Thread{Core: core, Tag: tag, busy: core.slot(tag)}
+	return &Thread{Core: core, busy: core.slot(tag)}
 }
 
 // Exec runs d of work on the thread's core, accounted under the thread tag.

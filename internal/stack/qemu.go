@@ -72,10 +72,6 @@ type qemuVM struct {
 	hint      func() // hintAny, bound once: what a kick does once it has trapped
 	busy      int    // iothreads currently processing (kick suppression)
 	inflightN int    // merged submissions in flight across all iothreads
-
-	// Stats
-	Requests, Merged uint64
-	Sleeps, Turns    uint64
 }
 
 // qemuIOThread is one event-loop thread with its own io_uring.
@@ -144,7 +140,6 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 	payTurn := func() {
 		if turnDue {
 			turnDue = false
-			q.Turns++
 			th.Exec(p, par.QEMUBatch)
 		}
 	}
@@ -229,7 +224,6 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 				continue
 			}
 			did = true
-			q.Requests += uint64(len(batch))
 			payTurn()
 			th.Exec(p, par.QEMUElem*sim.Duration(len(batch)))
 
@@ -274,9 +268,6 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 						off += batch[k].DataLen()
 					}
 				}
-				if j > i+1 {
-					q.Merged += uint64(j - i - 1)
-				}
 				nextID++
 				inflight[nextID] = fl
 				q.inflightN++
@@ -313,7 +304,6 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 			}
 			pollWorthwhile = false
 			it.asleep = true
-			q.Sleeps++
 			wakeWait(p, it.wake, par.WakeLat)
 			it.asleep = false
 			turnDue = true

@@ -88,7 +88,6 @@ type vhostVM struct {
 	busy   int
 
 	completions []vhostDone
-	inflight    int
 }
 
 type vhostDone struct {
@@ -133,7 +132,6 @@ func (w *vhostVM) worker(p *sim.Proc, th *sim.Thread) {
 			if fn := w.irqs[d.vq]; fn != nil {
 				fn()
 			}
-			w.inflight--
 			did = true
 		}
 
@@ -151,23 +149,16 @@ func (w *vhostVM) worker(p *sim.Proc, th *sim.Thread) {
 					w.finish(vhostDone{req: r, vq: vq, status: scsi.StatusCheckCondition})
 					continue
 				}
-				w.inflight++
 				w.dispatch(p, th, vq, r, cmd)
 			}
 		}
 
 		if !did {
-			if w.inflight == 0 && len(w.completions) == 0 {
-				w.asleep++
-				wakeWait(p, w.wake, par.WakeLat)
-				w.asleep--
-			} else {
-				// Block until bio completions arrive (finish() hints),
-				// paying the full scheduler wake-up like a real kthread.
-				w.asleep++
-				wakeWait(p, w.wake, par.WakeLat)
-				w.asleep--
-			}
+			// Block until a kick or a bio completion (finish() hints)
+			// arrives, paying the full scheduler wake-up like a real kthread.
+			w.asleep++
+			wakeWait(p, w.wake, par.WakeLat)
+			w.asleep--
 		}
 	}
 }

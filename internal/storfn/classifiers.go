@@ -141,6 +141,9 @@ func replicatorClassifier(part device.Partition) (*ebpf.Program, *ebpf.ArrayMap)
 	return buildWithConfig(replicatorSrc, "replicator", cfg), cfg
 }
 
+// classifierExtra holds classifiers registered outside the core trio.
+var classifierExtra = map[string]string{}
+
 // ClassifierSources exposes the assembly sources for Table I (source code
 // size accounting) and for the nvmetro-asm tool's examples.
 func ClassifierSources() map[string]string {

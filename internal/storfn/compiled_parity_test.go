@@ -31,14 +31,6 @@ func shippedClassifiers() map[string]func() *ebpf.Program {
 			p, _ := storfn.ReplicatorClassifier(part)
 			return p
 		},
-		"qos": func() *ebpf.Program {
-			p, _, _ := storfn.QoSClassifier(part)
-			return p
-		},
-		"qosclass": func() *ebpf.Program {
-			p, _, _ := storfn.QoSClassClassifier(part)
-			return p
-		},
 		"cache": func() *ebpf.Program {
 			p, _ := storfn.CacheClassifier(part, core.NewHotHints(3, 1<<10), 2)
 			return p

@@ -315,38 +315,6 @@ func TestClassifierSourcesVerify(t *testing.T) {
 	}
 }
 
-func TestQoSClassifierThrottles(t *testing.T) {
-	h := newHost()
-	v, vc, disk := h.addVM(t, 0)
-	prog, _, bucket := storfn.QoSClassifier(vc.Partition())
-	if err := vc.LoadClassifier(prog); err != nil {
-		t.Fatal(err)
-	}
-	bucket.SetU64(0, 0, 10) // budget: 10 blocks
-	h.run(t, func(p *sim.Proc) {
-		buf := make([]byte, 512)
-		okCnt, throttled := 0, 0
-		for i := 0; i < 20; i++ {
-			switch st := doIO(p, v, disk, vm.OpWrite, uint64(i), buf); st {
-			case nvme.SCSuccess:
-				okCnt++
-			case nvme.SCNSNotReady:
-				throttled++
-			default:
-				t.Fatalf("unexpected status %v", st)
-			}
-		}
-		if okCnt != 10 || throttled != 10 {
-			t.Fatalf("ok=%d throttled=%d, want 10/10", okCnt, throttled)
-		}
-		// Live refill from the control plane: budget restored, I/O flows.
-		bucket.SetU64(0, 0, 1000)
-		if st := doIO(p, v, disk, vm.OpWrite, 0, buf); !st.OK() {
-			t.Fatalf("after refill: %v", st)
-		}
-	})
-}
-
 // BenchmarkNotifyHop is one notify-path command end to end, QD1: an
 // encrypted 4 KiB guest write through the router to the notify queue, the
 // UIF's poll loop and handler, io_uring and the host block device to the

@@ -18,10 +18,9 @@ const (
 	BlkTDiscard uint32 = 11
 )
 
-// Queue couples a vring with its index and owner, for backend wiring.
+// Queue couples a vring with its index and guest memory, for backend wiring.
 type Queue struct {
 	Index int
-	VMID  int
 	Ring  *Vring
 	Mem   *guestmem.Memory
 
@@ -81,7 +80,7 @@ type driverBase struct {
 	status func(st *queueState, s *slot) nvme.Status
 }
 
-func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16, depth int, costs vm.DriverCosts, vmid int) {
+func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16, depth int, costs vm.DriverCosts) {
 	d.v = v
 	d.tr = tr
 	d.costs = costs
@@ -89,7 +88,7 @@ func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16,
 	for i := 0; i < v.NumVCPUs(); i++ {
 		vcpu := v.VCPU(i)
 		st := &queueState{
-			q:       &Queue{Index: i, VMID: vmid, Ring: newVring(v.Mem, queueSize), Mem: v.Mem},
+			q:       &Queue{Index: i, Ring: newVring(v.Mem, queueSize), Mem: v.Mem},
 			vcpu:    vcpu,
 			byHead:  make(map[uint16]int),
 			slotCnd: sim.NewCond(v.Env),
@@ -254,7 +253,7 @@ func NewBlkDisk(v *vm.VM, tr Transport, info nvme.NamespaceInfo, queueSize uint1
 	d.info = info
 	d.encode = d.encodeReq
 	d.status = d.readStatus
-	d.init("vblk", v, tr, queueSize, int(queueSize)/2, costs, v.ID)
+	d.init("vblk", v, tr, queueSize, int(queueSize)/2, costs)
 	return d
 }
 
@@ -327,7 +326,7 @@ func NewSCSIDisk(v *vm.VM, tr Transport, info nvme.NamespaceInfo, queueSize uint
 	d.status = d.readStatus
 	// CDB construction adds a little work per request versus virtio-blk.
 	costs.Submit += 300 * sim.Nanosecond
-	d.init("vscsi", v, tr, queueSize, int(queueSize)/2, costs, v.ID)
+	d.init("vscsi", v, tr, queueSize, int(queueSize)/2, costs)
 	return d
 }
 

@@ -151,7 +151,7 @@ func TestVringDescriptorConservation(t *testing.T) {
 func TestParseChainAndData(t *testing.T) {
 	mem := guestmem.New(8 << 20)
 	ring := newVring(mem, 16)
-	q := &Queue{Index: 0, VMID: 7, Ring: ring, Mem: mem}
+	q := &Queue{Index: 0, Ring: ring, Mem: mem}
 	hdr := mem.MustAllocPages(1)
 	data := mem.MustAllocPages(1)
 	status := hdr + 512

@@ -114,8 +114,8 @@ type (
 	// MemStore is the content-keeping backing store (required for
 	// data-integrity work).
 	MemStore = device.MemStore
-	// ScrubConfig tunes the background integrity scrubber (pacing and the
-	// pause between continuous passes).
+	// ScrubConfig tunes the background integrity scrubber (pacing in bytes
+	// per second and the pause between continuous passes).
 	ScrubConfig = integrity.ScrubConfig
 	// Scrubber is the background scrub engine of a protected attachment.
 	Scrubber = integrity.Scrubber

@@ -3,4 +3,8 @@ package fixture
 
 import "fixture/internal/lib"
 
-func Run() int { return lib.Used(lib.Config{Size: 1}) + lib.Walk(lib.Impl{}) }
+func Run() int {
+	lib.Tally()
+	lib.Take()
+	return lib.Used(lib.Config{Size: 1}) + lib.Walk(lib.Impl{})
+}

@@ -30,3 +30,16 @@ func (Impl) Visit() int { return 4 } // reached only through Visitor
 func Walk(v Visitor) int { return v.Visit() }
 
 func BenchOnly() int { return 5 } // used only by the sibling bench module
+
+// Counts is returned by Tally.
+type Counts struct {
+	Hits   int // read only by a test file
+	Misses int // (e): written, read by no file
+}
+
+func Tally() Counts { return Counts{Hits: 1, Misses: 2} }
+
+// Snap is read only through reflection.
+type Snap struct{ N int }
+
+func Take() Snap { return Snap{N: 1} }
