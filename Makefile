@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check build vet test fmt deadsurface loc bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
 
-# check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
-# (fails listing the offending files), the dead-surface checker, the
+# check is the CI gate: build, vet (natively and for arm64, so that the
+# Go-only build of internal/xts keeps compiling), race-enabled tests, gofmt
+# cleanliness (fails listing the offending files), the dead-surface checker, the
 # short-seed chaos suite, the
 # short-seed integrity/scrub suite, the tenant-confinement suite, the
 # short-seed boot-storm suite, the sharded-router scale suite and the
@@ -15,6 +16,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test -race -timeout 30m ./...
@@ -161,7 +163,7 @@ scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
 
-# fuzz-smoke explores three targets for 30 s each beyond their seed corpora
+# fuzz-smoke explores four targets for 30 s each beyond their seed corpora
 # (which every `go test ./...` runs). FuzzVerifiedProgram: Verify accepts
 # exactly what Compile accepts, and decoded bytes it accepts must run on both
 # tiers without a fault, fuel or panic, the tiers must agree, and a proved
@@ -170,12 +172,16 @@ scale-smoke:
 # segment and error for error, and a successful walk must stay inside guest
 # memory and cover the transfer. FuzzParseChain: the virtio device side must
 # not panic on a guest-written descriptor table, avail head and request
-# header, and a chain it accepts fits the queue and guest memory. A finding
-# is written under the package's testdata/fuzz/ and replays as a seed.
+# header, and a chain it accepts fits the queue and guest memory.
+# FuzzXTSKernel: the AES-NI kernel, the Go kernel and the byte-wise reference
+# must produce the same bytes for any key, sector run, direction and
+# aliasing, and the round trip must give the input back. A finding is
+# written under the package's testdata/fuzz/ and replays as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedProgram$$' -fuzztime 30s ./internal/ebpf/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendPRP$$' -fuzztime 30s ./internal/nvme/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime 30s ./internal/virtio/
+	$(GO) test -run '^$$' -fuzz '^FuzzXTSKernel$$' -fuzztime 30s ./internal/xts/
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests (page-granular private

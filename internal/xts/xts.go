@@ -1,7 +1,9 @@
 // Package xts implements the XTS-AES tweakable block cipher mode
 // (IEEE P1619), the mode used by dm-crypt and by the paper's encryption
 // UIFs. The Go standard library provides AES but not XTS, so the XEX
-// construction with ciphertext stealing is implemented here.
+// construction with ciphertext stealing is implemented here, twice: an
+// AES-NI kernel in assembly (amd64 with AES-NI, sectors a whole number of
+// blocks) and the portable Go kernel, process, for everything else.
 //
 // Compatibility: with the same 512-bit key and sector numbering, output
 // matches dm-crypt's aes-xts-plain64 format.
@@ -13,14 +15,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // blockSize is the AES block size.
 const blockSize = 16
 
-// Cipher is an XTS-AES cipher for a fixed key pair.
+// Cipher is an XTS-AES cipher for a fixed key pair. It is immutable after
+// New and safe for concurrent use.
 type Cipher struct {
-	k1, k2 cipher.Block
+	k1, k2 cipher.Block // the Go kernel's data and tweak keys
+	ni     niKeys       // the AES-NI kernel's round keys, when it runs here
 }
 
 // New creates an XTS cipher from a 32- or 64-byte key (AES-128 or AES-256
@@ -38,7 +43,11 @@ func New(key []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xts: %w", err)
 	}
-	return &Cipher{k1: k1, k2: k2}, nil
+	c := &Cipher{k1: k1, k2: k2}
+	if hasAESNI {
+		c.ni.expand(key)
+	}
+	return c, nil
 }
 
 // Must creates an XTS cipher, panicking on bad key sizes (static keys).
@@ -104,8 +113,8 @@ func (c *Cipher) aes(b []byte, enc bool) {
 // slower, measured). Every source block is loaded before the dst bytes at
 // its offset are written, which is what lets dst be src.
 func (c *Cipher) process(dst, src []byte, sector uint64, enc bool) error {
-	if len(dst) != len(src) {
-		return errors.New("xts: dst/src length mismatch")
+	if err := checkBuffers(dst, src); err != nil {
+		return err
 	}
 	if len(src) < blockSize {
 		return errors.New("xts: data shorter than one AES block")
@@ -175,20 +184,48 @@ func (c *Cipher) DecryptBlocks(dst, src []byte, firstSector uint64, sectorSize i
 	return c.bulk(dst, src, firstSector, sectorSize, false)
 }
 
+// bulk runs every sector through the AES-NI kernel in one call when it can:
+// the CPU has AES-NI and sectors are whole blocks, so no sector steals.
+// Otherwise each sector goes through the Go kernel.
 func (c *Cipher) bulk(dst, src []byte, firstSector uint64, sectorSize int, enc bool) error {
 	if sectorSize < blockSize {
 		return fmt.Errorf("xts: sector size %d shorter than one AES block", sectorSize)
 	}
-	if len(dst) != len(src) {
-		return errors.New("xts: dst/src length mismatch")
+	if err := checkBuffers(dst, src); err != nil {
+		return err
 	}
 	if len(src)%sectorSize != 0 {
 		return fmt.Errorf("xts: data length %d not a multiple of sector size %d", len(src), sectorSize)
+	}
+	if len(src) == 0 {
+		return nil
+	}
+	if hasAESNI && sectorSize%blockSize == 0 {
+		c.ni.sectors(dst, src, firstSector, sectorSize, enc)
+		return nil
 	}
 	for off, s := 0, firstSector; off < len(src); off, s = off+sectorSize, s+1 {
 		if err := c.process(dst[off:off+sectorSize], src[off:off+sectorSize], s, enc); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkBuffers accepts dst and src of equal length that are either the same
+// bytes or share none. Both kernels load a group of blocks before storing
+// any of it, which makes dst == src safe; a dst shifted against src would
+// overwrite source blocks before they are read.
+func checkBuffers(dst, src []byte) error {
+	if len(dst) != len(src) {
+		return errors.New("xts: dst/src length mismatch")
+	}
+	if len(src) == 0 || &dst[0] == &src[0] {
+		return nil
+	}
+	d, s := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&src[0]))
+	if d < s+uintptr(len(src)) && s < d+uintptr(len(dst)) {
+		return errors.New("xts: dst and src overlap inexactly")
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package xts
 import (
 	"bytes"
 	"encoding/hex"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,57 @@ func TestBadInputs(t *testing.T) {
 	if err := c.DecryptBlocks(make([]byte, 512), make([]byte, 1024), 0, 512); err == nil {
 		t.Fatal("bulk length mismatch accepted")
 	}
+	// sgx.Job.Dst and Src are caller-supplied too: a dst shifted against
+	// src overwrites source blocks before they are read, so only exact
+	// aliasing is accepted.
+	buf := make([]byte, 2048)
+	const lo = 512
+	for _, shift := range []int{-16, 8, 16, 256} {
+		dst, src := buf[lo+shift:lo+shift+512], buf[lo:lo+512]
+		if err := c.EncryptBlocks(dst, src, 3, 512); err == nil {
+			t.Errorf("EncryptBlocks with dst shifted %+d against src accepted", shift)
+		}
+		if err := c.DecryptBlocks(dst, src, 3, 512); err == nil {
+			t.Errorf("DecryptBlocks with dst shifted %+d against src accepted", shift)
+		}
+		if err := c.process(dst, src, 3, true); err == nil {
+			t.Errorf("process with dst shifted %+d against src accepted", shift)
+		}
+	}
+	if err := c.EncryptBlocks(buf[lo:lo+512], buf[lo-512:lo], 3, 512); err != nil {
+		t.Errorf("adjacent dst and src refused: %v", err)
+	}
+}
+
+// TestConcurrentUse shares one Cipher between goroutines, as the SGX
+// enclave's worker threads do: a Cipher is read-only after New.
+func TestConcurrentUse(t *testing.T) {
+	c := Must(bytes.Repeat([]byte{5}, 64))
+	plain := bytes.Repeat([]byte{0x6b}, 4096)
+	want := make([]byte, len(plain))
+	if err := c.EncryptBlocks(want, plain, 40, 512); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, len(plain))
+			for range 200 {
+				copy(buf, plain)
+				if err := c.EncryptBlocks(buf, buf, 40, 512); err != nil || !bytes.Equal(buf, want) {
+					t.Errorf("concurrent EncryptBlocks: err %v, ciphertext differs %v", err, !bytes.Equal(buf, want))
+					return
+				}
+				if err := c.DecryptBlocks(buf, buf, 40, 512); err != nil || !bytes.Equal(buf, plain) {
+					t.Errorf("concurrent DecryptBlocks: err %v, plaintext differs %v", err, !bytes.Equal(buf, plain))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkEncrypt4K(b *testing.B) {
