@@ -81,7 +81,7 @@ func main() {
 			}
 		}
 	}
-	prog, err := ebpf.Assemble(string(src), flag.Arg(0), maps, nil)
+	prog, err := ebpf.Assemble(string(src), flag.Arg(0), maps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "assemble: %v\n", err)
 		os.Exit(1)

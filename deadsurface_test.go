@@ -80,7 +80,7 @@ var deadSurfaceAllow = []surfaceEntry{
 	{File: "internal/nvme/status.go", Reason: "NVMe status codes"},
 	{File: "internal/scsi/scsi.go", Reason: "SCSI opcodes and status bytes"},
 	// Settings with more than one value.
-	{Struct: "stack.Params", Reason: "the calibration the sensitivity sweep varies (ROADMAP item 8)"},
+	{Struct: "stack.Params", Reason: "the calibration the sensitivity sweep varies (ROADMAP item 9)"},
 	{ID: "qos.Config.Window", Reason: "tests shrink it to roll several windows per I/O"},
 	{ID: "fio.Config.SharedOffsets", Reason: "BootProfile sets it; every other profile leaves it off"},
 }

@@ -26,7 +26,7 @@ type rig struct {
 // for part, as the replication storage function loads it.
 func replicatorClassifier(part device.Partition) *ebpf.Program {
 	return ebpf.MustAssemble(storfn.ClassifierSources()["replicator"], "replicator",
-		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)}, nil)
+		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)})
 }
 
 func newRig(workers int) *rig {

@@ -52,16 +52,9 @@ func aluName(class, op uint8) string {
 
 var sizeSuffix = map[string]uint8{"b": SizeB, "h": SizeH, "w": SizeW, "dw": SizeDW}
 
-// Assemble parses source into a program. maps resolves `ldmap` names;
-// helpers resolves `call` names (nil for DefaultHelpers).
-func Assemble(src, name string, maps map[string]Map, helpers *HelperRegistry) (*Program, error) {
-	if helpers == nil {
-		helpers = defaultHelpers()
-	}
-	helperByName := make(map[string]int32)
-	for id, h := range helpers.impls {
-		helperByName[h.name] = id
-	}
+// Assemble parses source into a program. maps resolves `ldmap` names; `call`
+// takes a kernel helper's name or any number.
+func Assemble(src, name string, maps map[string]Map) (*Program, error) {
 	b := NewBuilder()
 	lineNo := 0
 	for _, raw := range strings.Split(src, "\n") {
@@ -78,7 +71,7 @@ func Assemble(src, name string, maps map[string]Map, helpers *HelperRegistry) (*
 			b.Label(strings.TrimSuffix(line, ":"))
 			continue
 		}
-		if err := asmLine(b, line, maps, helperByName); err != nil {
+		if err := asmLine(b, line, maps); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
@@ -86,15 +79,15 @@ func Assemble(src, name string, maps map[string]Map, helpers *HelperRegistry) (*
 }
 
 // MustAssemble panics on assembly failure (static program definitions).
-func MustAssemble(src, name string, maps map[string]Map, helpers *HelperRegistry) *Program {
-	p, err := Assemble(src, name, maps, helpers)
+func MustAssemble(src, name string, maps map[string]Map) *Program {
+	p, err := Assemble(src, name, maps)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
 
-func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[string]int32) error {
+func asmLine(b *Builder, line string, maps map[string]Map) error {
 	fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
 	op := strings.ToLower(fields[0])
 	args := fields[1:]
@@ -163,7 +156,7 @@ func asmLine(b *Builder, line string, maps map[string]Map, helperByName map[stri
 		if err := need(1); err != nil {
 			return err
 		}
-		if id, ok := helperByName[args[0]]; ok {
+		if id, ok := helperNamed(args[0]); ok {
 			b.Call(id)
 		} else if v, err := imm(args[0]); err == nil {
 			b.Call(int32(v))

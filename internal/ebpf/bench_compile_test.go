@@ -88,7 +88,7 @@ func BenchmarkCompile(b *testing.B) {
 	p := benchMapProgram(arr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := compile(p, nil); err != nil {
+		if _, err := compile(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,9 +19,9 @@ import (
 //     carrying the instruction's opcode byte and executes through aluSem or
 //     condSem (sem.go), the same functions the interpreter and the verifier
 //     compute with,
-//   - helper calls to the standard map helpers compile to direct
-//     implementations — ArrayMap lookups additionally inline the index
-//     computation and skip the helper dispatch entirely,
+//   - each helper call compiles to its helper's own op (helpers.go), and a
+//     call to an id outside the kernel's helper set does not compile —
+//     ArrayMap lookups additionally inline the index computation,
 //   - the runtime kind checks of the interpreter (pointer-ness of memory
 //     operands, scalar-ness of ALU operands and stored values, r0 at exit)
 //     are elided: the verifier's type lattice has already proven them.
@@ -69,13 +69,11 @@ const (
 	cJa
 	cJmp // taken iff condSem(op, r[dst], r[src] or imm)
 
-	// Helper calls. The standard map helpers compile to direct
-	// implementations; anything else goes through the registry bridge.
+	// Helper calls, one op per kernel helper (imm = helper id).
 	cCallLookup
 	cCallUpdate
 	cCallDelete
 	cCallPrandom
-	cCallGeneric // imm = helper id
 )
 
 // copNames names the ops that do not take their name from a table row.
@@ -86,7 +84,7 @@ var copNames = map[copCode]string{
 	cSt8: "st8", cSt16: "st16", cSt32: "st32", cSt64: "st64",
 	cStImm8: "st8_imm", cStImm16: "st16_imm", cStImm32: "st32_imm", cStImm64: "st64_imm",
 	cJa: "ja", cCallLookup: "call_map_lookup", cCallUpdate: "call_map_update",
-	cCallDelete: "call_map_delete", cCallPrandom: "call_prandom", cCallGeneric: "call_generic",
+	cCallDelete: "call_map_delete", cCallPrandom: "call_prandom",
 }
 
 // cop is one pre-decoded operation. op is the source instruction's opcode
@@ -175,10 +173,7 @@ func Compile(p *Program, v *Verifier) (*CompiledProgram, error) {
 // compile translates without verifying. Internal callers (tests of the
 // defense-in-depth bounds and fuel checks) may compile structurally valid
 // but unverified programs; everything else must go through Compile.
-func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
-	if helpers == nil {
-		helpers = defaultHelpers()
-	}
+func compile(p *Program) (*CompiledProgram, error) {
 	n := len(p.Insns)
 	if n == 0 {
 		return nil, fmt.Errorf("ebpf compile: empty program")
@@ -297,7 +292,11 @@ func compile(p *Program, helpers *HelperRegistry) (*CompiledProgram, error) {
 			case JmpExit:
 				o.code = cExit
 			case JmpCall:
-				o = compileCall(in.Imm, helpers)
+				h, ok := helpers[in.Imm]
+				if !ok {
+					return nil, fmt.Errorf("ebpf compile: unknown helper %d at %d", in.Imm, pc)
+				}
+				o = cop{code: h.code, imm: uint64(uint32(in.Imm))}
 			case JmpA:
 				t, err := target(pc, in.Off)
 				if err != nil {
@@ -362,17 +361,6 @@ func compileALU(in Insn) (cop, error) {
 		}
 	}
 	return o, nil
-}
-
-// compileCall specializes calls to the standard helpers. Anything else — a
-// custom helper, an id the registry rebinds, an unknown id (which faults at
-// runtime, like the interpreter) — goes through the generic bridge.
-func compileCall(id int32, helpers *HelperRegistry) cop {
-	o := cop{code: cCallGeneric, imm: uint64(uint32(id))}
-	if helpers.standard(id) {
-		o.code = standardHelpers[id].code
-	}
-	return o
 }
 
 // Dump renders the pre-decoded op stream for debugging classifier

@@ -591,11 +591,11 @@ func TestParityLdImm64AtEnd(t *testing.T) {
 		{Op: OpLdImm64, Dst: R0, Imm: 1},
 		{Imm: 0},
 	}}
-	if _, err := compile(trunc, nil); err == nil {
+	if _, err := compile(trunc); err == nil {
 		t.Fatal("compile accepted program falling off the end")
 	}
 	truncHard := &Program{Insns: []Insn{{Op: OpLdImm64, Dst: R0, Imm: 1}}}
-	if _, err := compile(truncHard, nil); err == nil {
+	if _, err := compile(truncHard); err == nil {
 		t.Fatal("compile accepted truncated ld_imm64")
 	}
 }
@@ -607,7 +607,7 @@ func TestCompiledFuelLimit(t *testing.T) {
 		{Op: ClassALU64 | ALUMov | SrcK, Dst: R0, Imm: 0}, // 0: r0 = 0
 		{Op: ClassJMP | JmpA, Off: -2},                    // 1: goto 0
 	}, Name: "loop"}
-	cp, err := compile(loop, nil)
+	cp, err := compile(loop)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -622,7 +622,7 @@ func TestCompiledBoundsDefenseInDepth(t *testing.T) {
 		{Op: ClassLDX | SizeDW | ModeMEM, Dst: R0, Src: R10, Off: 8}, // past stack top
 		{Op: ClassJMP | JmpExit},
 	}, Name: "oob"}
-	cp, err := compile(oob, nil)
+	cp, err := compile(oob)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -633,24 +633,10 @@ func TestCompiledBoundsDefenseInDepth(t *testing.T) {
 
 // TestCompiledFaultsNameTheirInstruction: a compiled-tier fault says what
 // went wrong and cites the instruction that raised it. The ld_imm64 ahead of
-// each faulting op makes its instruction index differ from its op index.
+// the faulting op makes its instruction index differ from its op index.
 func TestCompiledFaultsNameTheirInstruction(t *testing.T) {
-	const id = 99
-	reg := defaultHelpers()
-	reg.define(id, "custom", nil, retScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
-	p := NewBuilder().MovImm64(R6, 1).MovImm(R0, 0).Call(id).Exit().MustProgram("custom")
-	cp, err := Compile(p, &Verifier{Helpers: reg})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	// The VM's registry lacks the helper the program was verified against.
-	_, err = NewVM(nil).RunCompiled(cp, nil)
-	if !errors.Is(err, errFault) || !strings.Contains(err.Error(), "unknown helper at insn 3") {
-		t.Errorf("unknown helper: got %v, want a fault citing insn 3", err)
-	}
-
-	p = NewBuilder().MovImm64(R6, 1).MovImm(R0, 0).MovImm(R1, 0).Exit().MustProgram("badop")
-	cp, err = Compile(p, nil)
+	p := NewBuilder().MovImm64(R6, 1).MovImm(R0, 0).MovImm(R1, 0).Exit().MustProgram("badop")
+	cp, err := Compile(p, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -719,7 +705,7 @@ func TestStackClearedBetweenInvocations(t *testing.T) {
 			t.Fatalf("interp run %d: stale stack data %#x", i, ret)
 		}
 	}
-	cp, err := compile(p, nil)
+	cp, err := compile(p)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -783,7 +769,8 @@ func TestCompiledDump(t *testing.T) {
 // TestVerifyRefusesUndefinedDeadInsn: the verifier walks only reachable
 // instructions, but Compile translates every one, so an instruction after
 // the exit that cannot translate must fail Verify as it fails Compile. A
-// call to helper 64 (no kernel helper) is refused by both alike.
+// call to helper 64 or 99 (no kernel helper) is refused by both alike, on a
+// live path or a dead one.
 func TestVerifyRefusesUndefinedDeadInsn(t *testing.T) {
 	dead := func(in Insn) []Insn {
 		return []Insn{{Op: ClassALU64 | ALUMov | SrcK, Dst: R0}, {Op: ClassJMP | JmpExit}, in}
@@ -797,6 +784,7 @@ func TestVerifyRefusesUndefinedDeadInsn(t *testing.T) {
 		{"jump past the end", dead(Insn{Op: ClassJMP | JmpA, Off: 5})},
 		{"undefined LD op", dead(Insn{Op: ClassLD | 0x08})},
 		{"call to helper 64", NewBuilder().MovImm(R1, 1).Call(64).MovImm(R0, 0).Exit().MustProgram("h64").Insns},
+		{"dead call to helper 99", NewBuilder().MovImm(R0, 0).Jump("out").Call(99).Label("out").Exit().MustProgram("h99").Insns},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{Name: tc.name, Insns: tc.insns}

@@ -29,23 +29,12 @@ const (
 	cfMem cfaultKind = iota + 1
 	cfMap
 	cfHelperArg
-	cfUnknownHelper
 	cfBadOp
 )
 
 // emptyCtx substitutes for a nil ctx so that r1 still carries a (zero-length)
 // window rather than looking like a scalar.
 var emptyCtx = make([]byte, 0)
-
-// prandomU32 is the deterministic PRNG shared by both tiers (see the
-// get_prandom_u32 helper): xorshift seeded from the invocation count.
-func prandomU32(invocations uint64) uint64 {
-	x := invocations*2654435761 + 12345
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	return uint64(uint32(x))
-}
 
 // cfail builds the fault error; kept out of RunCompiled so the hot loop has
 // no fmt machinery on the success path.
@@ -56,8 +45,6 @@ func (vm *VM) cfail(cp *CompiledProgram, pc int, k cfaultKind) (uint64, error) {
 		return 0, fmt.Errorf("%w: bad map reference at insn %d", errFault, insn)
 	case cfHelperArg:
 		return 0, fmt.Errorf("%w: helper argument out of bounds at insn %d", errFault, insn)
-	case cfUnknownHelper:
-		return 0, fmt.Errorf("%w: unknown helper at insn %d", errFault, insn)
 	case cfBadOp:
 		return 0, fmt.Errorf("%w: undefined op at insn %d", errFault, insn)
 	default:
@@ -240,34 +227,18 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 			if !ok {
 				return vm.cfail(cp, at, cfHelperArg)
 			}
-			if m.Update(key, value) != nil {
-				r[R0] = creg{n: ^uint64(0)} // -1
-			} else {
-				r[R0] = creg{}
-			}
+			r[R0] = creg{n: mapUpdate(m, key, value)}
 			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
 		case cCallDelete:
 			m, key, ok := vm.ccallMapKey(cp, r)
 			if !ok {
 				return vm.cfail(cp, at, cfHelperArg)
 			}
-			if !m.Delete(key) {
-				r[R0] = creg{n: ^uint64(0)}
-			} else {
-				r[R0] = creg{}
-			}
+			r[R0] = creg{n: mapDelete(m, key)}
 			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
 		case cCallPrandom:
 			r[R0] = creg{n: prandomU32(vm.Invocations)}
 			r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
-		case cCallGeneric:
-			h := vm.helpers.get(int32(uint32(o.imm)))
-			if h == nil {
-				return vm.cfail(cp, at, cfUnknownHelper)
-			}
-			if err := vm.ccallGeneric(cp, r, h); err != nil {
-				return 0, err
-			}
 
 		default:
 			return vm.cfail(cp, at, cfBadOp)
@@ -305,39 +276,4 @@ func cwindow(r *creg, n int) ([]byte, bool) {
 		return nil, false
 	}
 	return r.data[pos : pos+int64(n)], true
-}
-
-// ccallGeneric calls h, a non-specialized helper from the VM's registry,
-// converting between compiled and tagged register forms. This
-// path may allocate; no shipped classifier uses custom helpers.
-func (vm *VM) ccallGeneric(cp *CompiledProgram, r *[NumRegs]creg, h *helperImpl) error {
-	var tagged [NumRegs]val
-	for i := range r {
-		c := &r[i]
-		switch {
-		case c.mapIdx > 0 && int(c.mapIdx) <= len(cp.maps):
-			tagged[i] = val{kind: kMap, m: cp.maps[c.mapIdx-1]}
-		case c.data != nil:
-			tagged[i] = val{kind: kPtr, n: c.n, mem: &memRegion{data: c.data, writable: true}}
-		default:
-			tagged[i] = scalar(c.n)
-		}
-	}
-	ret, err := h.fn(vm, tagged[:])
-	if err != nil {
-		return err
-	}
-	switch ret.kind {
-	case kPtr:
-		r[R0] = creg{n: ret.n, data: ret.mem.data}
-	case kMap:
-		r[R0] = creg{} // helpers never return map refs in this subset
-	default:
-		r[R0] = creg{n: ret.n}
-	}
-	r[R1], r[R2], r[R3], r[R4], r[R5] = creg{}, creg{}, creg{}, creg{}, creg{}
-	// A custom helper may have written anywhere in the stack window it was
-	// handed; be conservative about the next invocation's clear.
-	vm.stackLow = 0
-	return nil
 }

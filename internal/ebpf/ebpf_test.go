@@ -469,7 +469,7 @@ func TestVerifierRejectsWrappingOffsets(t *testing.T) {
 		if err := (&Verifier{CtxSize: diffCtxSize}).Verify(p); !errors.Is(err, errVerify) {
 			t.Errorf("%s: Verify = %v, want a rejection", name, err)
 		}
-		cp, err := compile(p, nil)
+		cp, err := compile(p)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
@@ -482,16 +482,47 @@ func TestVerifierRejectsWrappingOffsets(t *testing.T) {
 	}
 }
 
-// TestVerifierRejectsInvalidRegister: the encoding has room for r0..r15 and
-// the verifier indexed its register file with whatever it decoded.
+// TestVerifierRejectsInvalidRegister: the encoding has room for r0..r15, and
+// the verifier and the interpreter indexed their register files with
+// whatever they decoded. The verifier refuses, and the interpreter faults.
 func TestVerifierRejectsInvalidRegister(t *testing.T) {
 	for _, in := range []Insn{
 		{Op: ClassALU64 | ALUMov | SrcX, Dst: R0, Src: 11},
+		{Op: ClassALU64 | ALUMov | SrcK, Dst: 12},
 		{Op: ClassLDX | SizeDW | ModeMEM, Dst: R0, Src: 15},
 		{Op: ClassST | SizeDW | ModeMEM, Dst: 12, Imm: 1},
 	} {
 		p := &Program{Insns: []Insn{in, {Op: ClassJMP | JmpExit}}}
 		wantReject(t, p, 8, "invalid register")
+		if _, err := NewVM(nil).Run(p, make([]byte, 8)); !errors.Is(err, errFault) {
+			t.Errorf("%v: interpreter: %v, want ErrFault", in, err)
+		}
+	}
+}
+
+// TestVerifierRejectsHelperWithoutMap: a map helper whose r1 is not a map
+// reference. The verifier refuses it, and each tier faults on the unverified
+// program (the interpreter used to dereference a nil map).
+func TestVerifierRejectsHelperWithoutMap(t *testing.T) {
+	key := func(b *Builder) *Builder { return b.MovReg(R2, R10).AddImm(R2, -8) }
+	for name, p := range map[string]*Program{
+		"lookup, scalar r1": key(NewBuilder().MovImm(R1, 0)).Call(HelperMapLookup).Return(0).MustProgram("lookup"),
+		"update, ctx r1":    key(NewBuilder()).MovReg(R3, R2).MovImm(R4, 0).Call(helperMapUpdate).Return(0).MustProgram("update"),
+		"delete, stack r1":  key(NewBuilder().MovReg(R1, R10)).Call(helperMapDelete).Return(0).MustProgram("delete"),
+	} {
+		if err := (&Verifier{CtxSize: diffCtxSize}).Verify(p); !errors.Is(err, errVerify) || !strings.Contains(err.Error(), "want map pointer") {
+			t.Errorf("%s: Verify = %v, want a map-pointer rejection", name, err)
+		}
+		cp, err := compile(p)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		if _, err := NewVM(nil).Run(p, make([]byte, diffCtxSize)); !errors.Is(err, errFault) {
+			t.Errorf("%s: interpreter: %v, want ErrFault", name, err)
+		}
+		if _, err := NewVM(nil).RunCompiled(cp, make([]byte, diffCtxSize)); !errors.Is(err, errFault) {
+			t.Errorf("%s: compiled tier: %v, want ErrFault", name, err)
+		}
 	}
 }
 
@@ -574,7 +605,7 @@ miss:
 	mov r0, -1
 	exit
 `
-	p, err := Assemble(src, "asmtest", map[string]Map{"config": m}, nil)
+	p, err := Assemble(src, "asmtest", map[string]Map{"config": m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +624,7 @@ func TestAssemblerErrors(t *testing.T) {
 		"ldmap r1, nosuchmap",
 		"call nosuchhelper",
 	} {
-		if _, err := Assemble(src, "bad", nil, nil); err == nil {
+		if _, err := Assemble(src, "bad", nil); err == nil {
 			t.Errorf("assembled invalid source %q", src)
 		}
 	}
@@ -610,7 +641,7 @@ func TestDisassembleReassemble(t *testing.T) {
 		Load(SizeW, R0, R10, -4).
 		Exit().MustProgram("roundtrip")
 	text := Disassemble(p)
-	p2, err := Assemble(text, "roundtrip2", nil, nil)
+	p2, err := Assemble(text, "roundtrip2", nil)
 	if err != nil {
 		t.Fatalf("reassemble: %v\n%s", err, text)
 	}
@@ -643,7 +674,7 @@ func TestDisassembleReassemble(t *testing.T) {
 	}
 	p = b.Exit().MustProgram("everyop")
 	text = Disassemble(p)
-	if p2, err = Assemble(text, "everyop2", nil, nil); err != nil {
+	if p2, err = Assemble(text, "everyop2", nil); err != nil {
 		t.Fatalf("reassemble: %v\n%s", err, text)
 	}
 	if !bytes.Equal(p.Encode(), p2.Encode()) {

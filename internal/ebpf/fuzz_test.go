@@ -2,6 +2,7 @@ package ebpf
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -29,8 +30,10 @@ func fuzzCode(p *Program) []byte {
 // FuzzVerifiedProgram decodes its input into a program over a fixed pair of
 // maps (diffMaps: an array map at index 0, a hash map at index 1) and a
 // diffCtxSize ctx window, verifies it and compiles it. Verify must accept
-// exactly what Compile accepts; a refused program must only not panic. One
-// they accept runs fuzzInvocations times on both tiers, and
+// exactly what Compile accepts. A refused program runs once on the
+// interpreter, the reference for unverified input, which must return a
+// value, ErrFault or ErrFuel and never panic. One they accept runs
+// fuzzInvocations times on both tiers, and
 //   - neither tier may reach a defense-in-depth check (ErrFault, ErrFuel);
 //   - the tiers agree on r0, ctx bytes and map contents;
 //   - a proved StaticVerdict is what every invocation returns.
@@ -67,6 +70,9 @@ func FuzzVerifiedProgram(f *testing.F) {
 			t.Fatalf("Verify: %v, Compile: %v\n%s", verr, err, Disassemble(progI))
 		}
 		if err != nil {
+			if _, err := NewVM(nil).Run(progI, make([]byte, diffCtxSize)); err != nil && !errors.Is(err, errFault) && !errors.Is(err, errFuel) {
+				t.Fatalf("refused program: interpreter returned %v\n%s", err, Disassemble(progI))
+			}
 			return
 		}
 		verdict, proved := cp.StaticVerdict()

@@ -1,9 +1,5 @@
 package ebpf
 
-import (
-	"fmt"
-)
-
 // Helper argument types, used by the verifier to type-check calls.
 type argType uint8
 
@@ -25,140 +21,70 @@ const (
 	retMapValueOrNull
 )
 
-// helperImpl couples a runtime implementation with its verifier signature.
-// builtin marks the standard helpers, which are known not to write to the
-// VM stack (custom helpers force a conservative full-stack clear on the
-// next invocation — see VM.stackLow).
-type helperImpl struct {
-	name    string
-	args    []argType
-	ret     retType
-	fn      func(vm *VM, r []val) (val, error)
-	builtin bool
-}
-
-// HelperRegistry maps helper IDs to implementations. The paper notes that
-// extending the kernel helper set requires recompiling the verifier; here
-// the registry makes the analogous extension point explicit.
-type HelperRegistry struct {
-	impls map[int32]*helperImpl
-}
-
-func (hr *HelperRegistry) get(id int32) *helperImpl { return hr.impls[id] }
-
-// signature returns the verifier view of helper id.
-func (hr *HelperRegistry) signature(id int32) (args []argType, ret retType, name string, ok bool) {
-	h := hr.impls[id]
-	if h == nil {
-		return nil, 0, "", false
-	}
-	return h.args, h.ret, h.name, true
-}
-
-// Register installs a custom helper.
-func (hr *HelperRegistry) define(id int32, name string, args []argType, ret retType, fn func(vm *VM, r []val) (val, error)) {
-	if hr.impls == nil {
-		hr.impls = make(map[int32]*helperImpl)
-	}
-	hr.impls[id] = &helperImpl{name: name, args: args, ret: ret, fn: fn}
-}
-
-// register installs a standard helper under its standard name (exempt from
-// the conservative stack-dirtying custom helpers get).
-func (hr *HelperRegistry) register(id int32, args []argType, ret retType, fn func(vm *VM, r []val) (val, error)) {
-	hr.define(id, standardHelpers[id].name, args, ret, fn)
-	hr.impls[id].builtin = true
-}
-
-// standardHelpers are the helpers the compiled tier runs directly: the name
-// each id is registered under and the op a call to it compiles to.
-var standardHelpers = map[int32]struct {
+// helper is one kernel helper: the name the assembler knows it by, its
+// verifier signature and the compiled op a call to it becomes.
+type helper struct {
 	name string
+	args []argType
+	ret  retType
 	code copCode
-}{
-	HelperMapLookup:  {"map_lookup_elem", cCallLookup},
-	helperMapUpdate:  {"map_update_elem", cCallUpdate},
-	helperMapDelete:  {"map_delete_elem", cCallDelete},
-	helperGetPrandom: {"get_prandom_u32", cCallPrandom},
 }
 
-// standard reports whether id is bound to the standard helper of that id, by
-// id and registered name: a registry that rebinds an id to a helper of its
-// own does not count.
-func (hr *HelperRegistry) standard(id int32) bool {
-	std, ok := standardHelpers[id]
-	return ok && hr.impls[id] != nil && hr.impls[id].name == std.name
+// helpers is the kernel's helper set, by id. It is fixed: in the kernel,
+// adding a helper means recompiling the verifier. The verifier, the
+// assembler, the compiler and the interpreter all read this table; an id
+// outside it is refused by Compile on any path, reachable or not.
+var helpers = map[int32]helper{
+	HelperMapLookup:  {"map_lookup_elem", []argType{argMapPtr, argPtrToMapKey}, retMapValueOrNull, cCallLookup},
+	helperMapUpdate:  {"map_update_elem", []argType{argMapPtr, argPtrToMapKey, argPtrToMapValue, argScalar}, retScalar, cCallUpdate},
+	helperMapDelete:  {"map_delete_elem", []argType{argMapPtr, argPtrToMapKey}, retScalar, cCallDelete},
+	helperGetPrandom: {"get_prandom_u32", nil, retScalar, cCallPrandom},
+}
+
+// helperNamed returns the id of the helper called name, for the assembler.
+func helperNamed(name string) (int32, bool) {
+	for id, h := range helpers {
+		if h.name == name {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // pure reports whether a call to helper id has no effect outside the
 // invocation: map_lookup_elem returns a value pointer or null and mutates
 // nothing, and get_prandom_u32 derives from the invocation count without
 // advancing state.
-func (hr *HelperRegistry) pure(id int32) bool {
-	return (id == HelperMapLookup || id == helperGetPrandom) && hr.standard(id)
+func pure(id int32) bool {
+	c := helpers[id].code
+	return c == cCallLookup || c == cCallPrandom
 }
 
-func stackBytes(v val, n int) ([]byte, error) {
-	if v.kind != kPtr {
-		return nil, fmt.Errorf("%w: helper expects pointer argument", errFault)
+// The helpers' effects, shared by both tiers. map_lookup_elem is Map.Lookup
+// itself (the compiled tier inlines it for array maps).
+
+// mapUpdate is map_update_elem: 0, or -1 when the map refuses the entry.
+func mapUpdate(m Map, key, value []byte) uint64 {
+	if m.Update(key, value) != nil {
+		return ^uint64(0)
 	}
-	start := int64(v.n)
-	if !inWindow(start, n, len(v.mem.data)) {
-		return nil, fmt.Errorf("%w: helper argument out of bounds", errFault)
-	}
-	return v.mem.data[start : start+int64(n)], nil
+	return 0
 }
 
-// defaultHelpers returns the standard helper set.
-func defaultHelpers() *HelperRegistry {
-	hr := &HelperRegistry{}
-	hr.register(HelperMapLookup, []argType{argMapPtr, argPtrToMapKey}, retMapValueOrNull,
-		func(vm *VM, r []val) (val, error) {
-			m := r[R1].m
-			key, err := stackBytes(r[R2], m.KeySize())
-			if err != nil {
-				return val{}, err
-			}
-			v := m.Lookup(key)
-			if v == nil {
-				return scalar(0), nil
-			}
-			return val{kind: kPtr, mem: &memRegion{data: v, writable: true}}, nil
-		})
-	hr.register(helperMapUpdate, []argType{argMapPtr, argPtrToMapKey, argPtrToMapValue, argScalar}, retScalar,
-		func(vm *VM, r []val) (val, error) {
-			m := r[R1].m
-			key, err := stackBytes(r[R2], m.KeySize())
-			if err != nil {
-				return val{}, err
-			}
-			value, err := stackBytes(r[R3], m.ValueSize())
-			if err != nil {
-				return val{}, err
-			}
-			if err := m.Update(key, value); err != nil {
-				return scalar(^uint64(0)), nil // -1
-			}
-			return scalar(0), nil
-		})
-	hr.register(helperMapDelete, []argType{argMapPtr, argPtrToMapKey}, retScalar,
-		func(vm *VM, r []val) (val, error) {
-			m := r[R1].m
-			key, err := stackBytes(r[R2], m.KeySize())
-			if err != nil {
-				return val{}, err
-			}
-			if !m.Delete(key) {
-				return scalar(^uint64(0)), nil
-			}
-			return scalar(0), nil
-		})
-	hr.register(helperGetPrandom, nil, retScalar,
-		func(vm *VM, r []val) (val, error) {
-			// xorshift seeded from invocation count: deterministic across
-			// simulation runs, unlike the kernel's true PRNG. Shared with
-			// the compiled tier (crun.go) so both tiers agree.
-			return scalar(prandomU32(vm.Invocations)), nil
-		})
-	return hr
+// mapDelete is map_delete_elem: 0, or -1 when key was absent.
+func mapDelete(m Map, key []byte) uint64 {
+	if !m.Delete(key) {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// prandomU32 is get_prandom_u32: xorshift seeded from the invocation count,
+// deterministic across simulation runs, unlike the kernel's true PRNG.
+func prandomU32(invocations uint64) uint64 {
+	x := invocations*2654435761 + 12345
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return uint64(uint32(x))
 }

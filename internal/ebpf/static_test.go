@@ -133,27 +133,11 @@ func TestStaticVerdictPrandomPure(t *testing.T)         { checkStatic(t, "prando
 // TestStaticVerdictUnverified: a program compiled without verification
 // proves nothing, however constant it is.
 func TestStaticVerdictUnverified(t *testing.T) {
-	cp, err := compile(staticCases["const"].build().MustProgram("const"), nil)
+	cp, err := compile(staticCases["const"].build().MustProgram("const"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := cp.StaticVerdict(); ok {
 		t.Fatalf("unverified program proved %#x", v)
-	}
-}
-
-// TestStaticVerdictReboundHelper: purity goes by id and registered name, as
-// compileCall's specialisation does, so a registry that rebinds
-// get_prandom_u32's id to a helper of its own loses the proof.
-func TestStaticVerdictReboundHelper(t *testing.T) {
-	reg := defaultHelpers()
-	reg.define(helperGetPrandom, "counter", nil, retScalar, func(*VM, []val) (val, error) { return scalar(0), nil })
-	p := staticCases["prandom-ignored"].build().MustProgram("rebound")
-	cp, err := Compile(p, &Verifier{Helpers: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := cp.StaticVerdict(); ok {
-		t.Fatalf("a rebound helper id proved %#x", v)
 	}
 }

@@ -196,9 +196,8 @@ func staticVerdictReference(cp *CompiledProgram) (verdict uint64, ok bool) {
 				s[reg] = aval{k: avUnknown}
 			}
 
-		case cCallUpdate, cCallDelete, cCallGeneric:
-			// Map mutation or an arbitrary registered helper: externally
-			// observable.
+		case cCallUpdate, cCallDelete:
+			// Map mutation: externally observable.
 			return 0, false
 
 		default:

@@ -16,7 +16,7 @@ func shippedClassifiers() []*ebpf.Program {
 	partition, _ := storfn.PartitionClassifier(part)
 	encryptor, _ := storfn.EncryptorClassifier(part)
 	replicator := ebpf.MustAssemble(storfn.ClassifierSources()["replicator"], "replicator",
-		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)}, nil)
+		map[string]ebpf.Map{"cfg": core.NewPartitionConfigMap(part)})
 	cache, _ := storfn.CacheClassifier(part, core.NewHotHints(3, 1<<10), 2)
 	return []*ebpf.Program{core.DefaultClassifier(), partition, encryptor, replicator, cache}
 }

@@ -73,8 +73,8 @@ type vstate struct {
 // promotion trusts it to skip the classifier, so every live exit must return
 // the same known scalar, and no live path may store anywhere but the stack
 // (which the VM clears between runs) or call a helper but the pure pair
-// (HelperRegistry.pure). An accepted program cannot fault or loop, so "every
-// live exit returns r0" is "every invocation returns r0".
+// (see pure). An accepted program cannot fault or loop, so "every live exit
+// returns r0" is "every invocation returns r0".
 type verdict struct {
 	r0      uint64
 	exits   int  // live exits seen
@@ -90,7 +90,6 @@ func (s *vstate) clone() *vstate {
 // router. ctxSize is the size of the context window passed in r1.
 type Verifier struct {
 	CtxSize int
-	Helpers *HelperRegistry
 }
 
 // Verify checks the program, returning nil if it is safe to run. It accepts
@@ -108,7 +107,7 @@ func (v *Verifier) verify(p *Program) (*CompiledProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := compile(p, v.Helpers)
+	cp, err := compile(p)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errVerify, err)
 	}
@@ -120,9 +119,6 @@ func (v *Verifier) verify(p *Program) (*CompiledProgram, error) {
 // proved.
 func (v *Verifier) walk(p *Program) (verdict, error) {
 	var vd verdict
-	if v.Helpers == nil {
-		v.Helpers = defaultHelpers()
-	}
 	n := len(p.Insns)
 	if n == 0 {
 		return vd, fmt.Errorf("%w: empty program", errVerify)
@@ -239,7 +235,7 @@ func (v *Verifier) walk(p *Program) (verdict, error) {
 					if err := v.checkCall(st, in, pc); err != nil {
 						return vd, err
 					}
-					vd.spoiled = vd.spoiled || (!st.dead && !v.Helpers.pure(in.Imm))
+					vd.spoiled = vd.spoiled || (!st.dead && !pure(in.Imm))
 					pc++
 				case JmpA:
 					if in.Off < 0 {
@@ -376,40 +372,40 @@ func (v *Verifier) checkMem(st *vstate, reg vreg, off int64, size int, write boo
 }
 
 func (v *Verifier) checkCall(st *vstate, in Insn, pc int) error {
-	args, ret, name, ok := v.Helpers.signature(in.Imm)
+	h, ok := helpers[in.Imm]
 	if !ok {
 		return fmt.Errorf("%w: call to unknown helper %d at %d", errVerify, in.Imm, pc)
 	}
 	var m Map
-	for i, at := range args {
+	for i, at := range h.args {
 		reg := st.regs[R1+i]
 		switch at {
 		case argMapPtr:
 			if reg.t != rtMapPtr {
-				return fmt.Errorf("%w: %s arg%d: want map pointer, have %v at %d", errVerify, name, i+1, reg.t, pc)
+				return fmt.Errorf("%w: %s arg%d: want map pointer, have %v at %d", errVerify, h.name, i+1, reg.t, pc)
 			}
 			m = reg.m
 		case argPtrToMapKey, argPtrToMapValue:
 			if m == nil {
-				return fmt.Errorf("%w: %s arg%d: no map in r1 at %d", errVerify, name, i+1, pc)
+				return fmt.Errorf("%w: %s arg%d: no map in r1 at %d", errVerify, h.name, i+1, pc)
 			}
 			want := m.KeySize()
 			if at == argPtrToMapValue {
 				want = m.ValueSize()
 			}
 			if err := v.checkMem(st, reg, 0, want, false, pc); err != nil {
-				return fmt.Errorf("%s arg%d: %w", name, i+1, err)
+				return fmt.Errorf("%s arg%d: %w", h.name, i+1, err)
 			}
 		case argScalar:
 			if reg.t != rtScalar {
-				return fmt.Errorf("%w: %s arg%d: want scalar, have %v at %d", errVerify, name, i+1, reg.t, pc)
+				return fmt.Errorf("%w: %s arg%d: want scalar, have %v at %d", errVerify, h.name, i+1, reg.t, pc)
 			}
 		}
 	}
 	for i := R1; i <= R5; i++ {
 		st.regs[i] = vreg{}
 	}
-	switch ret {
+	switch h.ret {
 	case retMapValueOrNull:
 		st.regs[R0] = vreg{t: rtMapValueOrNull, m: m}
 	default:

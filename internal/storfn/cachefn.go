@@ -118,7 +118,7 @@ func CacheClassifier(part device.Partition, hints *core.HotHints, hotThreshold u
 	ccfg.SetU64(0, 0, uint64(hints.BucketShift()))
 	ccfg.SetU64(0, 8, hotThreshold)
 	prog := ebpf.MustAssemble(cacheSrc, "cache",
-		map[string]ebpf.Map{"cfg": cfg, "cache": ccfg, "heat": hints.Map()}, nil)
+		map[string]ebpf.Map{"cfg": cfg, "cache": ccfg, "heat": hints.Map()})
 	return prog, cfg
 }
 

@@ -119,7 +119,7 @@ is_write:
 
 // buildWithConfig assembles src with the partition config map attached.
 func buildWithConfig(src, name string, cfg *ebpf.ArrayMap) *ebpf.Program {
-	return ebpf.MustAssemble(src, name, map[string]ebpf.Map{"cfg": cfg}, nil)
+	return ebpf.MustAssemble(src, name, map[string]ebpf.Map{"cfg": cfg})
 }
 
 // PartitionClassifier returns the baseline (fast-path-only) classifier for

@@ -589,7 +589,7 @@ func (s *System) Run(deadline Duration, fn func(p *Proc)) bool {
 // AssembleClassifier assembles eBPF classifier source text (see
 // internal/ebpf's assembler syntax) with the given named maps.
 func AssembleClassifier(src, name string, maps map[string]ebpf.Map) (*Program, error) {
-	return ebpf.Assemble(src, name, maps, nil)
+	return ebpf.Assemble(src, name, maps)
 }
 
 // NewConfigMap creates the standard partition config map (entry 0 holds
