@@ -53,10 +53,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-sim measures the DES kernel hot paths (event queue, process switch,
-# timers, resources as processes and as AcquireFunc continuations, an
-# interrupt handler as a WaitFunc/ExecFunc continuation, idle poll rounds
-# alone and beside a second poller, by a process in Spin and by a
-# continuation in SpinFunc) with allocation counts, and what those rounds
+# timers, resources as processes — blocked on their own continuation — and
+# as AcquireFunc continuations, an interrupt handler as a WaitFunc/ExecFunc
+# continuation, idle poll rounds alone and beside a second poller, by a
+# process in Spin and by a continuation in SpinFunc, which are one
+# implementation) with allocation counts, and what those rounds
 # cost a shard per idle tenant scanned, plus the notify path's two prices:
 # the host cache under uif_mix's cached op mix and one notify-path command
 # end to end; results/simbench.txt holds the snapshots.
@@ -105,18 +106,24 @@ bench-e2e-smoke:
 # race detector (property tests against the reference heap and, for
 # Thread.Spin and SpinFunc, against the per-round poll loop included; the
 # run token moves by coroutine switch, which carries the detector's
-# happens-before edges, and the Goexit, Close and ExecFunc/WaitFunc/
-# WaitTimeoutFunc tests run here too), the per-hop event/switch budget and
-# the hand-off gate on fio-driven topologies (no process spawned, and none
-# resumed on the routed command path), plus the golden-CSV determinism
-# check — every experiment with a checked-in quick-mode golden must render
-# byte-identical output — and the published full-mode CSVs in results/
-# (Table I and the 1024-VM boot-storm and scale fleets, ~5 s without the
-# race detector).
+# happens-before edges, and the Goexit, Close, ExecFunc/WaitFunc/
+# WaitTimeoutFunc tests and the primitives' event-order golden run here
+# too), the per-hop event/switch budget and the hand-off gate on fio-driven
+# topologies (no process spawned, and none resumed on the routed command
+# path). Then, without the race detector, whose instrumentation allocates
+# so that every allocation budget skips itself under it: the allocation
+# gates (the process forms' blocking primitives, the bare event queue, the
+# routed and notify paths' warm commands, a router hop plain and guarded, a
+# shard dispatch) beside the primitives' golden once more, the golden-CSV
+# determinism check — every experiment with a checked-in quick-mode golden
+# must render byte-identical output — and the published full-mode CSVs in
+# results/ (Table I and the 1024-VM boot-storm and scale fleets, ~5 s
+# without the race detector).
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
+	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the

@@ -1,8 +1,39 @@
 package sim
 
-// Blocking forms that park a process. The model's components run as
-// continuations (AcquireFunc, WaitTimeoutFunc); the process-based references
-// their lockstep tests compare against still block.
+// Blocking forms. A process blocks by calling a primitive's continuation
+// form with its own continuation (cont) and parking: it resumes as the rest
+// of the callback event that calls the continuation, so each blocking form
+// costs exactly the events of its continuation form, and a component and
+// its process-based reference (kept beside their lockstep tests) see the
+// same order of events. They must be called from the process's own
+// coroutine.
+
+// Sleep suspends the process for d virtual time. Negative or zero d yields
+// the token and resumes at the current time.
+func (p *Proc) Sleep(d Duration) {
+	p.env.After(max(d, 0), p.cont())
+	p.park()
+}
+
+// Yield gives other runnable processes scheduled at the current instant a
+// chance to run.
+func (p *Proc) Yield() { p.Sleep(0) }
+
+// Exec runs d of work on the thread's core, accounted under the thread tag:
+// ExecFunc, with p waiting FIFO if the core is busy.
+func (t *Thread) Exec(p *Proc, d Duration) {
+	t.ExecFunc(d, p.cont())
+	p.park()
+}
+
+// Spin is SpinFunc for a process: it returns the rounds elapsed (>= 1) when
+// the spin ends, and the caller polls for real and calls Spin again if that
+// finds nothing.
+func (t *Thread) Spin(p *Proc, round Duration, poll func(rounds int) Time) (rounds int) {
+	t.SpinFunc(round, poll, p.cont())
+	p.park()
+	return p.env.spun
+}
 
 // Acquire blocks the calling process until a unit is available. Units are
 // granted in FIFO order; releases hand ownership directly to the head
@@ -12,57 +43,64 @@ func (r *Resource) Acquire() {
 		return
 	}
 	p := r.env.current()
-	tok := r.env.getTok(p)
-	r.q = enqueue(r.q, &r.head, tok)
+	r.AcquireFunc(p.cont())
 	p.park()
-	// Ownership was transferred by Release; inUse already accounts for us,
-	// and Release popped the token, so it can be recycled.
-	r.env.putTok(tok)
+}
+
+// Wait parks the calling process until Signal or Broadcast wakes it.
+// It returns the value passed to Signal (nil for Broadcast).
+func (c *Cond) Wait() any {
+	p := c.env.current()
+	tok := c.join(p.cont(), 2) // the waiter slot and p, which reads the value
+	p.park()
+	val := tok.val
+	c.env.unref(tok)
+	return val
 }
 
 // WaitTimeout parks the calling process until signaled or until d elapses.
 // It reports whether the wake-up was a signal, and the signal value if so.
-// The timeout is a first-class timer event: if the signal wins, the queued
-// event is lazily cancelled instead of surviving as a dead callback.
 func (c *Cond) WaitTimeout(d Duration) (any, bool) {
 	p := c.env.current()
-	tok := c.env.getTok(p)
-	c.waiters = enqueue(c.waiters, &c.head, tok)
-	c.env.pushTimer(c.env.now.Add(d), tok)
+	cont := p.cont()
+	tok := c.joinTimed(d, cont, cont, 3) // slot, timer event and p
 	p.park()
-	return tok.val, tok.signaled
+	val, signaled := tok.val, tok.signaled
+	c.env.unref(tok)
+	return val, signaled
 }
 
 // Await is how a process calls a component that exists only as
 // continuations: it runs start with a continuation and parks p until start's
 // work calls it. The call must be the last act of the callback event that
 // makes it (or come before start returns): p then resumes as the rest of that
-// event, with no event of its own, so virtual time, per-tag CPU and the
-// (t, seq) order of everything p does next are those of the blocking form the
-// continuation replaced — whose last wake was that event.
+// event, with no event of its own, as every blocking form resumes.
 func (p *Proc) Await(start func(then func())) {
-	if p.resume == nil {
-		p.resume = p.resumed
-	}
-	p.awaiting = true
-	start(p.resume)
+	start(p.cont())
 	if p.awaiting {
 		p.park()
 	}
 }
 
-// resumed is an Await's continuation.
+// cont arms and returns p's continuation: called as the last act of a
+// callback event, it resumes p as the rest of that event.
+func (p *Proc) cont() func() {
+	p.awaiting = true
+	return p.resume
+}
+
+// resumed is a process's continuation.
 func (p *Proc) resumed() {
 	if !p.awaiting {
-		panic("sim: Await continuation called twice")
+		panic("sim: process continuation called twice")
 	}
 	p.awaiting = false
 	e := p.env
 	if e.cur == p {
-		return // start finished before returning: p never parked
+		return // Await's start finished before returning: p never parked
 	}
 	if e.cur != nil || e.handoff != nil {
-		panic("sim: Await continuation called outside a callback event")
+		panic("sim: process continuation called outside a callback event")
 	}
 	e.handoff = p
 }

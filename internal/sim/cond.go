@@ -1,27 +1,17 @@
 package sim
 
-// waitTok represents one parked wait. A token fires exactly once — either by
-// a signal or by a timeout — which makes Signal/WaitTimeout races impossible.
-// Tokens are pooled on the environment: a process recycles its token after
-// resuming, unless a timeout event may still reference it; a continuation's
-// token is recycled when the last of its references — waiter-list slot,
-// timer event — is dropped (Env.unref).
+// waitTok represents one wait on a Cond. A token fires exactly once — either
+// by a signal or by a timeout — which makes Signal/WaitTimeout races
+// impossible. Tokens are pooled on the environment and recycled when the
+// last of their references — waiter-list slot, timer event, the process that
+// reads the result — is dropped (Env.unref).
 type waitTok struct {
-	p        *Proc  // parked process, or
-	fn       func() // continuation of an AcquireFunc, WaitFunc or WaitTimeoutFunc waiter
-	expire   func() // a WaitTimeoutFunc waiter's continuation at the timeout
-	refs     uint8  // a continuation token's live references
+	fn       func() // the waiter's continuation at a signal
+	expire   func() // a timed waiter's continuation at the timeout (nil: no timer)
+	refs     uint8  // live references
 	fired    bool
 	signaled bool
-	hasTimer bool // a queued timeout event references this token
-	val      any  // optional payload handed over by Signal
-}
-
-// funcTok takes a token for a continuation waiter with refs references.
-func (e *Env) funcTok(fn func(), refs uint8) *waitTok {
-	tok := e.getTok(nil)
-	tok.fn, tok.refs = fn, refs
-	return tok
+	val      any // optional payload handed over by Signal
 }
 
 // enqueue appends v to a head-indexed list (entries before *head are
@@ -40,9 +30,9 @@ func enqueue[T any](q []T, head *int, v T) []T {
 	return append(q, v)
 }
 
-// Cond is a FIFO condition variable for simulated processes. Unlike
-// sync.Cond there is no associated lock: only one process runs at a time,
-// so checking the predicate and calling Wait is already atomic.
+// Cond is a FIFO condition variable for processes and continuations. Unlike
+// sync.Cond there is no associated lock: only one party runs at a time, so
+// checking the predicate and calling Wait is already atomic.
 type Cond struct {
 	env     *Env
 	waiters []*waitTok
@@ -52,33 +42,32 @@ type Cond struct {
 // NewCond returns a condition bound to env.
 func NewCond(env *Env) *Cond { return &Cond{env: env} }
 
-// Wait parks the calling process until Signal or Broadcast wakes it.
-// It returns the value passed to Signal (nil for Broadcast).
-func (c *Cond) Wait() any {
-	p := c.env.current()
-	tok := c.env.getTok(p)
-	c.waiters = enqueue(c.waiters, &c.head, tok)
-	p.park()
-	val := tok.val
-	c.env.putTok(tok) // fired tokens are popped from waiters before the wake
-	return val
-}
-
 // WaitFunc is Wait for code that has no process to park (see
-// Resource.AcquireFunc): fn joins the same FIFO waiter list as parked
-// processes, and the Signal or Broadcast that reaches it schedules it as a
-// callback event at that instant — the event that would have woken the
-// process. fn runs in scheduler context and must not block; the signal's
+// Resource.AcquireFunc): fn joins the FIFO waiter list, and the Signal or
+// Broadcast that reaches it schedules it as a callback event at that
+// instant. fn runs in scheduler context and must not block; the signal's
 // value is dropped.
 func (c *Cond) WaitFunc(fn func()) {
-	c.waiters = enqueue(c.waiters, &c.head, c.env.funcTok(fn, 1))
+	c.join(fn, 1)
+}
+
+// join queues a waiter whose token holds refs references, the waiter-list
+// slot among them.
+func (c *Cond) join(fn func(), refs uint8) *waitTok {
+	tok := takeFree(&c.env.tokFree)
+	if tok == nil {
+		tok = new(waitTok)
+	}
+	tok.fn, tok.refs = fn, refs
+	c.waiters = enqueue(c.waiters, &c.head, tok)
+	return tok
 }
 
 // WaitTimeoutFunc is WaitTimeout for code that has no process to park: fn
-// joins the waiter list as a WaitFunc waiter does, and a timeout is armed as
-// WaitTimeout arms it. Whichever comes first schedules fn as a callback event
-// where the process's wake would have been queued — at the signal, or as the
-// second step of pushTimer's two-step wake — and fn learns which. fn runs in
+// joins the waiter list as a WaitFunc waiter does, and a timeout is armed.
+// Whichever comes first schedules fn as a callback event — at the signal, or
+// at the timeout as the second step of a two-step wake: the timer event
+// fires the token, then queues fn — and fn learns which. fn runs in
 // scheduler context and must not block; the signal's value is dropped. The
 // state is pooled on the environment and its token is recycled once both its
 // waiter slot and its timer event are gone: no allocation in steady state.
@@ -90,10 +79,18 @@ func (c *Cond) WaitTimeoutFunc(d Duration, fn func(signaled bool)) {
 		w.signaled, w.expired = w.signal, w.expire
 	}
 	w.fn = fn
-	tok := e.funcTok(w.signaled, 2) // the waiter slot and the timer event
-	tok.expire = w.expired
-	c.waiters = enqueue(c.waiters, &c.head, tok)
-	e.pushTimer(e.now.Add(d), tok)
+	c.joinTimed(d, w.signaled, w.expired, 2) // the waiter slot and the timer event
+}
+
+// joinTimed queues a waiter that runs fn at a signal and expire when d
+// elapses first, its token holding refs references: the waiter-list slot and
+// the timer event among them. If the signal wins, the timer event is lazily
+// cancelled.
+func (c *Cond) joinTimed(d Duration, fn, expire func(), refs uint8) *waitTok {
+	tok := c.join(fn, refs)
+	tok.expire = expire
+	c.env.push(c.env.now.Add(d), payload{tok: tok})
+	return tok
 }
 
 // timedWait is one WaitTimeoutFunc in flight. It is recycled when its
@@ -136,7 +133,7 @@ func (c *Cond) pop() *waitTok {
 	return nil
 }
 
-// Signal wakes the longest-waiting process, handing it val. It reports
+// Signal wakes the longest waiter, handing it val. It reports
 // whether a waiter was woken. Safe from both process and callback context.
 func (c *Cond) Signal(val any) bool {
 	tok := c.pop()
@@ -147,7 +144,7 @@ func (c *Cond) Signal(val any) bool {
 	return true
 }
 
-// Broadcast wakes every parked process.
+// Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
 	for {
 		tok := c.pop()
@@ -159,15 +156,15 @@ func (c *Cond) Broadcast() {
 }
 
 // fire marks tok signaled, cancels its pending timeout if any, and queues
-// the wake for its process or its continuation. A continuation's waiter slot
-// is gone (pop took it), so its token drops that reference here.
+// its continuation. The waiter slot is gone (pop took it), so the token
+// drops that reference here.
 func (c *Cond) fire(tok *waitTok, val any) {
 	tok.fired = true
 	tok.signaled = true
 	tok.val = val
-	if tok.hasTimer {
-		c.env.cancelTimer(tok)
+	if tok.expire != nil {
+		c.env.q.dead++ // the timer event, reclaimed lazily
 	}
-	c.env.push(c.env.now, tok.p, tok.fn)
+	c.env.At(c.env.now, tok.fn)
 	c.env.unref(tok)
 }

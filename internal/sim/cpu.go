@@ -23,19 +23,6 @@ func (c *core) slot(tag string) *Duration {
 	return b
 }
 
-// Exec occupies the core for d and accounts the time under tag. The calling
-// process waits FIFO if the core is busy.
-func (c *core) Exec(p *Proc, tag string, d Duration) {
-	c.exec(p, c.slot(tag), d)
-}
-
-func (c *core) exec(p *Proc, busy *Duration, d Duration) {
-	c.res.Acquire()
-	p.Sleep(d)
-	c.res.Release()
-	*busy += d
-}
-
 // CPU is a set of cores with round-robin assignment for thread placement.
 type CPU struct {
 	env   *Env
@@ -146,20 +133,16 @@ func newThread(core *core, tag string) *Thread {
 	return &Thread{Core: core, busy: core.slot(tag)}
 }
 
-// Exec runs d of work on the thread's core, accounted under the thread tag.
-func (t *Thread) Exec(p *Proc, d Duration) { t.Core.exec(p, t.busy, d) }
-
-// ExecFunc is Exec for code that has no process to park: an interrupt
-// handler is a leaf — it waits on one condition, charges CPU and calls
-// non-blocking completion callbacks — so it is a continuation, not a stack.
-// ExecFunc queues for the core FIFO among processes and continuations alike
-// (Resource.AcquireFunc), holds it for d (negative d clamped like Sleep),
-// releases it, credits d to the thread's tag and runs then in scheduler
-// context. Each wake of the process it replaces — the core grant when the
-// core was busy, the end of the hold — is one callback event pushed where
-// Exec would push it, so the (t, seq) order of a converted component is that
-// of its process form. Steady state allocates nothing: the state is pooled
-// on the environment and its two continuations are bound once.
+// ExecFunc runs d of work on the thread's core, accounted under the thread
+// tag, for code that has no process to park: an interrupt handler is a leaf
+// — it waits on one condition, charges CPU and calls non-blocking completion
+// callbacks — so it is a continuation, not a stack. ExecFunc queues for the
+// core FIFO (Resource.AcquireFunc), holds it for d (negative d clamped like
+// Sleep), releases it, credits d to the thread's tag and runs then in
+// scheduler context. It costs one callback event for the grant when the core
+// was busy and one for the end of the hold. Steady state allocates nothing:
+// the state is pooled on the environment and its two continuations are
+// bound once.
 func (t *Thread) ExecFunc(d Duration, then func()) {
 	e := t.Core.env
 	x := takeFree(&e.execFree)
@@ -186,8 +169,8 @@ func (x *execState) hold() {
 	x.th.Core.env.After(max(x.d, 0), x.expired)
 }
 
-// finish is the end of the hold: what Exec does after its Sleep, then the
-// caller's continuation.
+// finish is the end of the hold: release, credit, then the caller's
+// continuation.
 func (x *execState) finish() {
 	t, then := x.th, x.then
 	t.Core.res.Release()
@@ -198,16 +181,18 @@ func (x *execState) finish() {
 	then()
 }
 
-// Spin busy-polls on the thread's core in rounds of length round until the
-// caller's poll has something to look at. It is the loop
+// SpinFunc busy-polls on the thread's core in rounds of length round until
+// the caller's poll has something to look at, for code that has no process
+// to park: a reactor — the router worker — runs its poll loop as
+// continuations, and its idle rounds are this. It is the loop
 //
 //	for { t.Exec(p, round); if poll(1) <= p.Now() { return } }
 //
-// with the rounds that look at nothing run in scheduler context: the wake at
-// a round boundary is handled inside the event dispatch, and the process is
-// resumed — a run-token hand-off, then the caller's full gather — only when
-// there is a reason to. It returns the rounds elapsed (>= 1); the caller
-// polls for real and calls Spin again if that finds nothing.
+// run in scheduler context, where only the rounds that could look at
+// something cost an event. When the spin ends it releases the core and runs
+// then, in scheduler context; the caller polls for real and spins again if
+// that finds nothing. Thread.Spin is this for a process, returning the rounds
+// elapsed (>= 1).
 //
 // poll is the caller's poll reduced to looking. It reports the earliest
 // instant at which the real poll could find something to do, given what is
@@ -217,7 +202,7 @@ func (x *execState) finish() {
 // "look now" buys the single round Exec would run, which is the right answer
 // when the caller's own empty poll took virtual time and something arrived
 // behind its back — and again at every round boundary reached, so a bound
-// another event moves mid-spin is honoured. It runs with no current process
+// another event moves mid-spin is honoured. It runs in scheduler context
 // (entry excepted) and must change nothing another party can observe:
 // no event, no random draw, no blocking primitive. It may say "look" when the
 // real poll would then find nothing (that costs what every round used to
@@ -226,62 +211,23 @@ func (x *execState) finish() {
 //
 // rounds is how many rounds have completed since the previous call (0 on
 // entry). A caller that keeps books per round — polls counted, an idle
-// budget — credits them there, the way Spin credits CPU time, and not from
-// the return value: a spin outlives the instants at which other processes
-// and RunUntil limits read those books.
+// budget — credits them there, the way the spin credits CPU time, and not at
+// the end: a spin outlives the instants at which other parties and RunUntil
+// limits read those books.
 //
 // Three rules keep every other party's view — virtual times, per-tag CPU at
 // every RunUntil limit, the (t, seq) order of all events — that of the
 // per-round loop. Each boundary reached costs exactly the one event the
 // loop's next Exec would push, pushed at the same point of the dispatch
-// order; what is elided are boundaries nothing can observe: the wake is set
-// at the last boundary strictly before the horizon — the earliest of the
-// next queued event, the limit of the run in progress and poll's answer — so
-// the round that crosses the horizon is scheduled on its own, as the loop
-// would schedule it, and same-instant ties dispatch in the same order. A
-// process queued for the core gets it at the next boundary: a non-empty wait
-// list returns the spinner, whose release hands the core over. And a spin
-// that itself had to queue for the core starts with a single round, because
-// the caller's empty poll is stale by the time the core is granted.
-func (t *Thread) Spin(p *Proc, round Duration, poll func(rounds int) Time) (rounds int) {
-	e, res := p.env, t.Core.res
-	armed := 1
-	if !res.tryAcquire() {
-		res.Acquire()
-	} else {
-		armed = e.spinRounds(round, poll(0))
-	}
-	s := &p.spin
-	*s = spinState{th: t, round: round, poll: poll, armed: armed}
-	p.Sleep(Duration(armed) * round)
-	// Env.respin credited the rounds and decided the process had to come
-	// back; it left the core held, as Exec does across its Sleep.
-	rounds = s.rounds
-	*s = spinState{}
-	res.Release()
-	return rounds
-}
-
-// spinState is a spin in progress: what a round boundary needs to run
-// without the spinner — a process parked in Thread.Spin (th is nil outside
-// Spin) or a SpinFunc.
-type spinState struct {
-	th     *Thread
-	round  Duration
-	poll   func(rounds int) Time
-	armed  int // rounds the queued wake covers
-	rounds int // rounds completed
-}
-
-// SpinFunc is Spin for code that has no process to park: a reactor — the
-// router worker — runs its poll loop as continuations, and its idle rounds
-// are this. Entry is Spin's: the core taken on the spot and the first step
-// sized from poll(0), or queued for FIFO (Resource.AcquireFunc) and started
-// with a single round once granted. Every boundary reached is one callback
-// event, pushed where Spin pushes the parked process's wake, and is decided
-// by the same step as Spin's (credit the rounds, ask poll, check for a waiter
-// on the core, size the next step). Where Spin would return, SpinFunc
-// releases the core and runs then, in scheduler context. The state is pooled
+// order; what is elided are boundaries nothing can observe: the boundary is
+// set at the last one strictly before the horizon — the earliest of the next
+// queued event, the limit of the run in progress and poll's answer — so the
+// round that crosses the horizon is scheduled on its own, as the loop would
+// schedule it, and same-instant ties dispatch in the same order. A waiter
+// queued for the core gets it at the next boundary: a non-empty wait list
+// ends the spin, whose release hands the core over. And a spin that itself
+// had to queue for the core starts with a single round, because the caller's
+// empty poll is stale by the time the core is granted. The state is pooled
 // on the environment with its continuations bound once: no allocation in
 // steady state.
 func (t *Thread) SpinFunc(round Duration, poll func(rounds int) Time, then func()) {
@@ -291,8 +237,7 @@ func (t *Thread) SpinFunc(round Duration, poll func(rounds int) Time, then func(
 		x = &spinFunc{}
 		x.granted, x.reached = x.grant, x.boundary
 	}
-	x.spinState = spinState{th: t, round: round, poll: poll}
-	x.then = then
+	x.th, x.round, x.poll, x.then = t, round, poll, then
 	if t.Core.res.AcquireFunc(x.granted) {
 		x.arm(e.spinRounds(round, poll(0)))
 	}
@@ -300,30 +245,44 @@ func (t *Thread) SpinFunc(round Duration, poll func(rounds int) Time, then func(
 
 // spinFunc is one SpinFunc in flight.
 type spinFunc struct {
-	spinState
+	th               *Thread
+	round            Duration
+	poll             func(rounds int) Time
+	armed            int // rounds the queued boundary event covers
+	rounds           int // rounds completed
 	then             func()
 	granted, reached func() // grant and boundary, bound once
 }
 
-// grant starts a spin that had to queue for the core: one round, as Spin's.
+// grant starts a spin that had to queue for the core: one round.
 func (x *spinFunc) grant() { x.arm(1) }
 
-// arm queues the wake at the end of the next step of rounds.
+// arm queues the boundary at the end of the next step of rounds: the single
+// push the per-round loop's next Exec would have made, at the same dispatch
+// position.
 func (x *spinFunc) arm(rounds int) {
 	x.armed = rounds
 	x.th.Core.env.After(Duration(rounds)*x.round, x.reached)
 }
 
-// boundary is a round boundary reached: the spin goes on, or it ends where
-// Spin would return.
+// boundary is a round boundary reached. It credits the rounds of the step
+// just ended to the thread's tag and hands them to poll; the spin goes on
+// unless poll has something to look at or a waiter takes the core, and then
+// it ends: the core is released and then runs, the rounds left on the
+// environment for Thread.Spin.
 func (x *spinFunc) boundary() {
-	e := x.th.Core.env
-	if e.spinStep(&x.spinState) {
-		x.arm(x.armed)
+	t := x.th
+	e := t.Core.env
+	*t.busy += Duration(x.armed) * x.round
+	x.rounds += x.armed
+	until := x.poll(x.armed)
+	if res := t.Core.res; until > e.now && res.head == len(res.q) {
+		x.arm(e.spinRounds(x.round, until))
 		return
 	}
-	t, then := x.th, x.then
-	x.spinState, x.then = spinState{}, nil
+	then := x.then
+	e.spun = x.rounds
+	x.th, x.poll, x.then, x.rounds = nil, nil, nil, 0
 	e.spinFree = append(e.spinFree, x)
 	t.Core.res.Release()
 	then()
@@ -351,34 +310,4 @@ func (e *Env) spinRounds(round Duration, until Time) int {
 		return int(span / Time(round))
 	}
 	return 1
-}
-
-// spinStep decides a round boundary of a spin in scheduler context, for Spin
-// and SpinFunc alike: it credits the rounds of the step just ended to the
-// thread's tag, hands them to poll and reports false when the spin has to end
-// here — poll has something to look at, or a waiter takes the core. Otherwise
-// it has sized the next step into s.armed, and the caller queues its wake:
-// the single push the per-round loop's next Exec would have made, at the same
-// dispatch position.
-func (e *Env) spinStep(s *spinState) bool {
-	t := s.th
-	*t.busy += Duration(s.armed) * s.round
-	s.rounds += s.armed
-	until := s.poll(s.armed)
-	if res := t.Core.res; until <= e.now || res.head != len(res.q) {
-		return false
-	}
-	s.armed = e.spinRounds(s.round, until)
-	return true
-}
-
-// respin handles the round-boundary wake of p, parked in Thread.Spin. It
-// reports false when the process has to be resumed.
-func (e *Env) respin(p *Proc) bool {
-	s := &p.spin
-	if !e.spinStep(s) {
-		return false
-	}
-	e.push(e.now.Add(Duration(s.armed)*s.round), p, nil)
-	return true
 }

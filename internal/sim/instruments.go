@@ -15,7 +15,7 @@ func (e *Env) Dispatched() uint64 { return e.dispatched }
 // Switches reports how many times the run token was handed to a process
 // parked on another coroutine — a yield to the trampoline in Run and its
 // next into the target, two runtime coroutine switches. Fused self-resumes
-// (a process whose own wake is the next event keeps running) and callback
+// (a parking process that the next event resumes keeps running) and callback
 // events cost none and are not counted.
 func (e *Env) Switches() uint64 { return e.switches }
 

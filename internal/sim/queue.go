@@ -38,9 +38,9 @@ import (
 // other push made there.
 //
 // All backing arrays are reused, so steady-state push/pop performs no
-// allocations. Cancelled timers and wakes for finished processes are deleted
-// lazily: they are counted in dead and skipped at dispatch, and the tiers
-// are compacted in place when dead events exceed half the queue.
+// allocations. Cancelled timers — a timed wait's timeout when the signal won
+// — are deleted lazily: they are counted in dead and skipped at dispatch, and
+// the tiers are compacted in place when dead events exceed half the queue.
 const (
 	slotBits  = 6                           // 64 ns per near-future bucket
 	slotGrain = Time(1) << slotBits         // bucket width
@@ -74,23 +74,17 @@ func cmpKey(a, b key) int {
 	return 1
 }
 
-// payload is what dispatching an event does. Exactly one behavior applies:
-// run fn in scheduler context, fire tok (a cancellable timeout), or wake the
-// parked process p. Timer events carry both tok and p (= tok.p, nil for a
-// WaitTimeoutFunc waiter).
+// payload is what dispatching an event does: run the callback fn in
+// scheduler context, or fire tok, a timed wait's cancellable timeout.
 type payload struct {
-	p   *Proc
 	fn  func()
 	tok *waitTok
 }
 
 // dead reports whether the event was lazily cancelled: a timeout whose token
-// already fired, or a wake for a process that has finished.
+// already fired.
 func (ev *payload) dead() bool {
-	if ev.tok != nil {
-		return ev.tok.fired
-	}
-	return ev.fn == nil && ev.p != nil && ev.p.done
+	return ev.tok != nil && ev.tok.fired
 }
 
 type queue struct {

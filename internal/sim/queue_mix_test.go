@@ -132,8 +132,8 @@ func (r *mixRig) push(d mixDraw) {
 	}
 	q.push(r.now, r.now+d.dt, r.seq, payload{tok: tok})
 	if len(r.pending) > 4 {
-		// The oldest pending timeout's signal arrives (Cond.Signal's
-		// cancelTimer, when the timer has not fired yet).
+		// The oldest pending timeout's signal arrives (Cond.fire, when the
+		// timer has not fired yet).
 		s := r.pending[0]
 		r.pending = append(r.pending[:0], r.pending[1:]...)
 		if !s.fired {

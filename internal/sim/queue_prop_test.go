@@ -70,9 +70,6 @@ func (l *lockstep) push(t Time, ev payload) {
 // pushSeq queues ev at t under seq, which may have been reserved earlier.
 func (l *lockstep) pushSeq(t Time, seq uint64, ev payload) {
 	l.t.Helper()
-	if ev.p != nil {
-		ev.p.wakes++
-	}
 	l.q.push(l.now, t, seq, ev)
 	l.ord++
 	heap.Push(&l.ref, refEvent{t: t, seq: seq, late: t == l.now, ord: l.ord, ev: ev})
@@ -100,7 +97,7 @@ func (l *lockstep) pop(limit Time) bool {
 	}
 	want := heap.Pop(&l.ref).(refEvent)
 	got := l.q.take(k.idx)
-	if k.t != want.t || k.seq != want.seq || got.p != want.ev.p || got.tok != want.ev.tok || (got.fn == nil) != (want.ev.fn == nil) {
+	if k.t != want.t || k.seq != want.seq || got.tok != want.ev.tok || (got.fn == nil) != (want.ev.fn == nil) {
 		l.t.Fatalf("dispatch order diverged: queue=(t=%d seq=%d) ref=(t=%d seq=%d late=%v)", k.t, k.seq, want.t, want.seq, want.late)
 	}
 	if k.t < l.now {
@@ -108,9 +105,6 @@ func (l *lockstep) pop(limit Time) bool {
 	}
 	l.now = k.t
 	// Env.dispatch's accounting for what it pops.
-	if got.p != nil {
-		got.p.wakes--
-	}
 	if got.dead() {
 		l.q.dead--
 	} else if got.tok != nil {
@@ -254,8 +248,8 @@ func TestQueueMatchesHeapLimitBoundaries(t *testing.T) {
 // TestQueueMatchesReferenceWithCancellations is the lockstep test over
 // everything the kernel does to its queue besides plain pushes: sequence
 // numbers reserved and pushed later, the way Deadlines.arm pushes them (in
-// the future and at the current instant); timers cancelled by their signal
-// and wakes whose process finished, both lazily dead; and compaction in the
+// the future and at the current instant); timers cancelled by their signal,
+// lazily dead; and compaction in the
 // middle of the stream, both when Env would trigger it and at random. Dead
 // events stay in the comparison until a compaction takes them out of both
 // queues.
@@ -270,16 +264,8 @@ func TestQueueMatchesReferenceWithCancellations(t *testing.T) {
 		var (
 			reserved []reservation
 			timers   []*waitTok // queued timers not yet cancelled or popped
-			procs    []*Proc    // live processes wakes may target
-			waiters  []*Proc    // processes timers may belong to
 			compacts int
 		)
-		// A process parked on a timer cannot finish, so the processes that
-		// finish and those that own timers are kept apart.
-		for i := 0; i < 8; i++ {
-			procs = append(procs, &Proc{})
-			waiters = append(waiters, &Proc{})
-		}
 		nearDT := func() Time {
 			if rng.Intn(4) == 0 {
 				return randDT(rng)
@@ -288,17 +274,12 @@ func TestQueueMatchesReferenceWithCancellations(t *testing.T) {
 		}
 		for step := 0; step < 5000; step++ {
 			switch op := rng.Intn(100); {
-			case op < 15: // callback
+			case op < 30: // callback
 				l.push(l.now+nearDT(), payload{fn: func() {}})
-			case op < 30: // process wake
-				l.push(l.now+nearDT(), payload{p: procs[rng.Intn(len(procs))]})
-			case op < 40: // cancellable timer, of a process or a continuation
+			case op < 40: // cancellable timer
 				tok := &waitTok{}
-				if rng.Intn(2) == 0 {
-					tok.p = waiters[rng.Intn(len(waiters))]
-				}
 				timers = append(timers, tok)
-				l.push(l.now+nearDT(), payload{p: tok.p, tok: tok})
+				l.push(l.now+nearDT(), payload{tok: tok})
 			case op < 47: // Deadlines.Add: take a seq now, push it later
 				l.seq++
 				reserved = append(reserved, reservation{l.now + Time(rng.Intn(2*int(slotGrain))), l.seq})
@@ -319,20 +300,11 @@ func TestQueueMatchesReferenceWithCancellations(t *testing.T) {
 				j := rng.Intn(len(timers))
 				tok := timers[j]
 				timers = append(timers[:j], timers[j+1:]...)
-				if !tok.fired { // Cond.Signal's cancelTimer
+				if !tok.fired { // Cond.fire
 					tok.fired = true
-					if tok.p != nil {
-						tok.p.wakes--
-					}
 					l.q.dead++
 				}
-			case op < 65: // a process finishes; its queued wakes die
-				j := rng.Intn(len(procs))
-				p := procs[j]
-				p.done = true
-				l.q.dead += p.wakes
-				procs[j] = &Proc{}
-			case op < 67:
+			case op < 64:
 				l.compact()
 				compacts++
 			default:

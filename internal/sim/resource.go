@@ -7,8 +7,8 @@ type Resource struct {
 	env   *Env
 	cap   int
 	inUse int
-	q     []*waitTok
-	head  int // index of the first live waiter; storage before it is consumed
+	q     []func() // waiters' continuations, FIFO
+	head  int      // index of the first live waiter; storage before it is consumed
 }
 
 // NewResource returns a resource with the given capacity.
@@ -31,43 +31,32 @@ func (r *Resource) tryAcquire() bool {
 // AcquireFunc is Acquire for code that has no process to park: a component
 // that never runs on a CPU thread and only queues on resources and timers
 // (a device command) is a continuation, not a stack. It reports true when a
-// unit was taken on the spot. Otherwise fn joins the same FIFO waiter list
-// as parked processes and Release runs it as a callback event at the
-// hand-over instant, already owning the unit. fn runs in scheduler context
-// and must not block.
+// unit was taken on the spot. Otherwise fn joins the FIFO waiter list and
+// Release runs it as a callback event at the hand-over instant, already
+// owning the unit. fn runs in scheduler context and must not block.
 func (r *Resource) AcquireFunc(fn func()) bool {
 	if r.tryAcquire() {
 		return true
 	}
-	r.q = enqueue(r.q, &r.head, r.env.funcTok(fn, 1))
+	r.q = enqueue(r.q, &r.head, fn)
 	return false
 }
 
-// Release returns a unit, waking the head waiter if any.
+// Release returns a unit, handing it to the head waiter if any: the
+// waiter's continuation runs as a callback event at this instant, already
+// owning the unit.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release without Acquire")
 	}
-	for r.head < len(r.q) {
-		tok := r.q[r.head]
-		r.q[r.head] = nil
-		r.head++
-		if tok.fired {
-			continue
-		}
-		if r.head == len(r.q) {
-			r.q = r.q[:0]
-			r.head = 0
-		}
-		tok.fired = true
-		tok.signaled = true
-		// Hand the unit over without decrementing inUse. A callback waiter's
-		// token loses its one reference, the slot, here.
-		r.env.push(r.env.now, tok.p, tok.fn)
-		r.env.unref(tok)
+	if r.head == len(r.q) {
+		r.inUse--
 		return
 	}
-	r.q = r.q[:0]
-	r.head = 0
-	r.inUse--
+	fn := r.q[r.head]
+	r.q[r.head] = nil
+	if r.head++; r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	}
+	r.env.At(r.env.now, fn)
 }

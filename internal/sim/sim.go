@@ -1,29 +1,29 @@
-// Package sim implements a deterministic, process-based discrete-event
-// simulation (DES) kernel. It is the time substrate for the whole NVMetro
-// reproduction: every host thread, vCPU, device and fabric link runs as a
-// simulated process on a virtual clock.
+// Package sim implements a deterministic discrete-event simulation (DES)
+// kernel. It is the time substrate for the whole NVMetro reproduction: every
+// host thread, vCPU, device and fabric link runs on its virtual clock, as a
+// chain of continuations or as a simulated process.
 //
-// The model follows SimPy-style process interaction: processes are
-// coroutines (iter.Pull), and the scheduler hands out a single run token,
-// so exactly one process executes at any instant. All cross-process
-// interaction goes through sim primitives (Sleep, Cond, Resource, events),
-// which makes simulations deterministic given a seed and free of data races
-// by construction.
+// The kernel has one kind of work, a callback run in scheduler context, and
+// one exception, a cancellable timer. A component that queues on resources
+// (Resource.AcquireFunc), waits on a condition (Cond.WaitFunc,
+// WaitTimeoutFunc), charges a CPU thread (Thread.ExecFunc) or polls
+// (Thread.SpinFunc) is a continuation. A process — a coroutine (iter.Pull)
+// holding the single run token, so exactly one runs at any instant — blocks
+// by calling the same continuation form with its own continuation (see
+// blocking.go): it resumes as the rest of the callback event that calls it,
+// so each blocking form costs exactly the events of its continuation form.
+// All interaction goes through these primitives, which makes simulations
+// deterministic given a seed and free of data races by construction.
 //
 // The scheduler is built for throughput: an event's payload is written once
 // into a slab and read once at dispatch, and the tiered timer wheel moves
 // only pointer-free keys (see queue.go), so Sleep/At/After are
 // allocation-free in steady state; same-instant callback batches dispatch in
-// a tight loop without touching the run token; a parking process runs the dispatch loop
-// on its own stack and keeps running when its own timer is the next event;
-// and a real hand-off is the parking coroutine yielding the next process to
-// a trampoline in Run, which enters it — two runtime coroutine switches,
-// half the price of the one channel rendezvous through the Go scheduler
-// they replaced. Code that only waits has no process at all: a component
-// that queues on resources (Resource.AcquireFunc), waits on a condition
-// (Cond.WaitFunc) or charges a CPU thread (Thread.ExecFunc) from a leaf runs
-// as continuations in scheduler context, each costing the event its process
-// form would cost and no switch. Event dispatch order is the (t, seq) total
+// a tight loop without touching the run token; a parking process runs the
+// dispatch loop on its own stack and keeps running when the next event is
+// the one that resumes it; and a real hand-off is the parking coroutine
+// yielding the next process to a trampoline in Run, which enters it — two
+// runtime coroutine switches. Event dispatch order is the (t, seq) total
 // order of the original heap scheduler (a push reusing a reserved seq at the
 // current instant runs after the instant's earlier events, see queue.go), so
 // traces are bit-identical.
@@ -97,7 +97,8 @@ type Env struct {
 	spawns     uint64 // Go calls
 
 	cur       *Proc
-	handoff   *Proc   // an Await-ing process the running callback event resumes
+	handoff   *Proc   // the process the running callback event resumes
+	spun      int     // rounds of the spin that just ended, for Thread.Spin
 	procs     []*Proc // every spawned, unfinished process (Close needs them)
 	procsDead int
 	live      int
@@ -110,7 +111,7 @@ type Env struct {
 	spinFree  []*spinFunc  // free list for Thread.SpinFunc states
 	timedFree []*timedWait // free list for Cond.WaitTimeoutFunc states
 	pool      []*worker    // idle worker coroutines awaiting a process
-	procFree  []*Proc      // retired Procs with no queue references, reusable
+	procFree  []*Proc      // retired Procs, reusable
 }
 
 // New creates an environment whose random source is seeded with seed.
@@ -129,43 +130,15 @@ func (e *Env) Now() Time { return e.now }
 // happen in a deterministic order.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-func (e *Env) push(t Time, p *Proc, fn func()) {
+// push queues ev at t: a callback, or a cancellable timeout (see
+// Cond.WaitTimeoutFunc).
+func (e *Env) push(t Time, ev payload) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	if p != nil {
-		p.wakes++
-	}
-	e.q.push(e.now, t, e.seq, payload{p: p, fn: fn})
+	e.q.push(e.now, t, e.seq, ev)
 	e.maybeCompact()
-}
-
-// pushTimer schedules a cancellable timeout: when it pops unfired, it fires
-// tok and re-queues a wake for tok.p, or its expire continuation (the
-// two-step wake preserves the exact event ordering of the callback-based
-// implementation it replaces). If tok is fired early by a signal, the queued
-// event is lazily cancelled.
-func (e *Env) pushTimer(t Time, tok *waitTok) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
-	}
-	e.seq++
-	tok.hasTimer = true
-	if tok.p != nil {
-		tok.p.wakes++
-	}
-	e.q.push(e.now, t, e.seq, payload{p: tok.p, tok: tok})
-	e.maybeCompact()
-}
-
-// cancelTimer accounts for a pending timeout whose token just fired by
-// signal: the queued event is now dead and waits for lazy reclamation.
-func (e *Env) cancelTimer(tok *waitTok) {
-	if tok.p != nil {
-		tok.p.wakes--
-	}
-	e.q.dead++
 }
 
 // compactMinDead is the floor below which lazy deletions are never worth a
@@ -181,31 +154,29 @@ func (e *Env) maybeCompact() {
 // At schedules fn to run in scheduler context at time t. fn must not block
 // on simulation primitives; it may signal conditions and spawn processes.
 func (e *Env) At(t Time, fn func()) {
-	e.push(t, nil, fn)
+	e.push(t, payload{fn: fn})
 }
 
 // After schedules fn to run d from now (see At).
 func (e *Env) After(d Duration, fn func()) {
-	e.push(e.now.Add(d), nil, fn)
+	e.At(e.now.Add(d), fn)
 }
 
 // Proc is a simulated process. Its methods must be called from the process's
 // own coroutine while it holds the run token.
 //
-// A Proc is a fresh identity per Go call — queued wakes reference it, and a
-// stale wake for a finished Proc must stay dead — but the coroutine running
-// it is a pooled worker whose (already grown) stack is recycled across
-// processes.
+// Nothing queued can resume a finished process — the only event that may
+// still name it is the timer of a timed wait its signal cancelled — so both
+// the Proc and the pooled worker coroutine running it (with its already
+// grown stack) are recycled across Go calls.
 type Proc struct {
-	env   *Env
-	name  string
-	w     *worker
-	idx   int // position in env.procs
-	done  bool
-	wakes int       // queued events targeting this process
-	spin  spinState // set while parked in Thread.Spin
+	env  *Env
+	name string
+	w    *worker
+	idx  int // position in env.procs
+	done bool
 
-	awaiting bool   // parked in Await, its continuation not yet called
+	awaiting bool   // blocked, its continuation not yet called
 	resume   func() // resumed, bound once (Procs are pooled)
 }
 
@@ -253,14 +224,15 @@ func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 	p := takeFree(&e.procFree)
 	if p == nil {
 		p = &Proc{env: e, name: name, w: w}
+		p.resume = p.resumed
 	} else {
-		p.name, p.w, p.done, p.wakes, p.spin = name, w, false, 0, spinState{}
+		p.name, p.w, p.done = name, w, false
 	}
 	w.p = p
 	w.body = body
 	e.live++
 	e.addProc(p)
-	e.push(e.now, p, nil)
+	e.At(e.now, p.cont()) // the body starts as the rest of this event
 	return p
 }
 
@@ -341,19 +313,17 @@ func (e *Env) execBody(p *Proc, body func(*Proc)) (r any) {
 }
 
 // retire marks a process finished and records a non-sentinel panic for the
-// Run caller to re-raise, so test output points at the process body. A
-// process with no outstanding wakes has no queue or token references left,
-// so its Proc can be recycled by a later Go — except during Close, whose
-// sweep over e.procs must not see entries move.
+// Run caller to re-raise, so test output points at the process body. The
+// Proc is recycled by a later Go — except during Close, whose sweep over
+// e.procs must not see entries move.
 func (e *Env) retire(p *Proc, r any) {
 	p.done = true
 	e.live--
 	e.cur = nil
-	e.q.dead += p.wakes // any leftover wakes for p are now dead
 	if r != nil && r != errStopSentinel {
 		e.fail = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 	}
-	if p.wakes == 0 && !e.closed {
+	if !e.closed {
 		e.removeProc(p)
 		e.procFree = append(e.procFree, p)
 	} else {
@@ -363,11 +333,11 @@ func (e *Env) retire(p *Proc, r any) {
 
 var errStopSentinel = errors.New("sim: stop")
 
-// park blocks the calling process until the scheduler resumes it. Callers
-// must have arranged a wake-up (event or condition) beforehand. The parking
-// process itself runs the dispatch loop: if its own wake-up is the next
-// process event, it simply keeps running (no switch); otherwise it yields
-// the next runnable process to the trampoline in runLoop, which enters it.
+// park blocks the calling process until the event that calls its armed
+// continuation (cont) resumes it. The parking process itself runs the
+// dispatch loop: if it is the next process resumed, it simply keeps running
+// (no switch); otherwise it yields that process to the trampoline in
+// runLoop, which enters it.
 func (p *Proc) park() {
 	e := p.env
 	next := e.dispatchSafe()
@@ -380,26 +350,12 @@ func (p *Proc) park() {
 	}
 }
 
-// Sleep suspends the process for d virtual time. Negative or zero d yields
-// the token and resumes at the current time.
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.env.push(p.env.now.Add(d), p, nil)
-	p.park()
-}
-
-// Yield gives other runnable processes scheduled at the current instant a
-// chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// dispatch pops and runs events in (t, seq) order until a process must be
-// resumed or the queue is exhausted up to the run limit. Callback events and
-// timer firings run inline on the caller's stack, so same-instant callback
-// batches never touch the run token. Returns the process to hand
-// the run token to (which may be the caller itself — it should just keep
-// running), or nil when the run is over (drained, limit, or Stop).
+// dispatch pops and runs events in (t, seq) order until a callback resumes a
+// process or the queue is exhausted up to the run limit. Events run inline on
+// the caller's stack, so same-instant callback batches never touch the run
+// token. Returns the process to hand the run token to (which may be the
+// caller itself — it should just keep running), or nil when the run is over
+// (drained, limit, or Stop).
 func (e *Env) dispatch() *Proc {
 	e.cur = nil
 	q := &e.q
@@ -413,37 +369,21 @@ func (e *Env) dispatch() *Proc {
 		// The slab entry is freed before anything runs: fn may push, and
 		// the push may grow the slab.
 		ev := q.take(k.idx)
-		if ev.fn != nil {
-			ev.fn()
-			if p := e.handoff; p != nil {
-				e.handoff = nil
-				return p // the rest of this event is an Await-ing process's
-			}
-			continue
-		}
 		if tok := ev.tok; tok != nil {
-			if ev.p != nil {
-				ev.p.wakes--
-			}
 			if tok.fired {
 				q.dead-- // cancelled timeout, lazily reclaimed
 			} else {
 				tok.fired = true
-				e.push(e.now, ev.p, tok.expire) // timeout: two-step wake (see pushTimer)
+				e.At(e.now, tok.expire) // timeout: the two-step wake (see WaitTimeoutFunc)
 			}
 			e.unref(tok)
 			continue
 		}
-		p := ev.p
-		p.wakes--
-		if p.done {
-			q.dead-- // stale wake for a finished process
-			continue
+		ev.fn()
+		if p := e.handoff; p != nil {
+			e.handoff = nil
+			return p // the rest of this event is p's
 		}
-		if p.spin.th != nil && e.respin(p) {
-			continue // an idle poll round: stays in scheduler context
-		}
-		return p
 	}
 	return nil
 }
@@ -547,15 +487,6 @@ func (e *Env) current() *Proc {
 	return e.cur
 }
 
-// getTok takes a wait token from the free list (or allocates one).
-func (e *Env) getTok(p *Proc) *waitTok {
-	if tok := takeFree(&e.tokFree); tok != nil {
-		*tok = waitTok{p: p}
-		return tok
-	}
-	return &waitTok{p: p}
-}
-
 // takeFree pops the most recently freed entry of a free list, or returns nil
 // when it is empty.
 func takeFree[T any](free *[]*T) *T {
@@ -569,28 +500,12 @@ func takeFree[T any](free *[]*T) *T {
 	return x
 }
 
-// putTok recycles a process's consumed wait token. Tokens that armed a
-// timeout are never recycled: the queued timer event (and possibly a stale
-// waiter-list slot) may still reference them.
-func (e *Env) putTok(tok *waitTok) {
-	if tok.hasTimer {
-		return
-	}
-	tok.val, tok.fn = nil, nil
-	e.tokFree = append(e.tokFree, tok)
-}
-
-// unref drops one reference to a continuation's token — its waiter-list slot,
-// or its timer event popped or compacted away — and recycles the token with
-// the last one. A continuation keeps no reference to its token, so nothing
-// else can see it. A process's token is left to putTok: the process reads it
-// after its wake.
+// unref drops one reference to a wait token — its waiter-list slot, its
+// timer event popped or compacted away, or the process that read its result
+// — and recycles the token with the last one.
 func (e *Env) unref(tok *waitTok) {
-	if tok.p != nil {
-		return
-	}
 	if tok.refs--; tok.refs == 0 {
-		tok.val, tok.fn, tok.expire = nil, nil, nil
+		*tok = waitTok{}
 		e.tokFree = append(e.tokFree, tok)
 	}
 }

@@ -222,7 +222,8 @@ func TestResourceFIFOHandoff(t *testing.T) {
 // continuations in one waiter list: grants follow arrival order whatever
 // the waiter's kind, a late TryAcquire cannot barge past a queued callback,
 // QueueLen counts both, the continuation runs at the hand-over instant
-// already owning the unit, and its token goes back to the free list.
+// already owning the unit, and the hand-over empties the waiter list without
+// giving up its storage.
 func TestResourceAcquireFuncFIFO(t *testing.T) {
 	env := New(1)
 	r := NewResource(env, 1)
@@ -282,16 +283,16 @@ func TestResourceAcquireFuncFIFO(t *testing.T) {
 	if len(order) != 5 || r.inUse != 0 || queued(r) != 0 {
 		t.Fatalf("order %v, InUse %d, QueueLen %d", order, r.inUse, queued(r))
 	}
-	free := len(env.tokFree)
 	if !r.AcquireFunc(nil) || r.AcquireFunc(func() {}) {
 		t.Fatal("second AcquireFunc on a held unit must queue")
 	}
-	if len(env.tokFree) != free-1 {
-		t.Fatalf("queued callback took no pooled token: free list %d -> %d", free, len(env.tokFree))
+	c := cap(r.q)
+	if queued(r) != 1 || c == 0 {
+		t.Fatalf("QueueLen %d, storage %d after one queued callback", queued(r), c)
 	}
 	r.Release()
-	if len(env.tokFree) != free {
-		t.Fatalf("token not recycled at hand-over: free list %d, want %d", len(env.tokFree), free)
+	if queued(r) != 0 || r.head != 0 || cap(r.q) != c {
+		t.Fatalf("after the hand-over: QueueLen %d, head %d, storage %d (was %d)", queued(r), r.head, cap(r.q), c)
 	}
 }
 
@@ -316,10 +317,10 @@ func TestCoreAccounting(t *testing.T) {
 func TestCoreContentionSerializes(t *testing.T) {
 	env := New(1)
 	cpu := NewCPU(env, 1)
-	core := cpu.cores[0]
+	x, y := cpu.ThreadOn(0, "x"), cpu.ThreadOn(0, "y")
 	var end1, end2 Time
-	env.Go("a", func(p *Proc) { core.Exec(p, "x", 10*Microsecond); end1 = p.Now() })
-	env.Go("b", func(p *Proc) { core.Exec(p, "y", 10*Microsecond); end2 = p.Now() })
+	env.Go("a", func(p *Proc) { x.Exec(p, 10*Microsecond); end1 = p.Now() })
+	env.Go("b", func(p *Proc) { y.Exec(p, 10*Microsecond); end2 = p.Now() })
 	env.Run()
 	if end1 != Time(10*Microsecond) || end2 != Time(20*Microsecond) {
 		t.Fatalf("ends %v %v", end1, end2)
@@ -522,8 +523,8 @@ func TestExecFuncFIFOWithProcesses(t *testing.T) {
 	if end2 := env.Run(); !ran || end2 != end || busy("irq") != 3*Microsecond-5 {
 		t.Fatalf("negative hold: ran %v, end %v (was %v), irq busy %v", ran, end2, end, busy("irq"))
 	}
-	if len(env.execFree) != 3 {
-		t.Fatalf("%d pooled exec states, want the 3 that were in flight at once", len(env.execFree))
+	if len(env.execFree) != 6 {
+		t.Fatalf("%d pooled exec states, want the 6 that were in flight at once", len(env.execFree))
 	}
 }
 
@@ -706,9 +707,8 @@ func newTimeoutCrowd(funcs bool) *timeoutCrowd {
 // order and signal/timeout verdicts, events dispatched and dead events left
 // queued must be the same. Then the continuations run on without a per-wait
 // allocation: a token is recycled once both its waiter slot and its timer
-// event are gone, compacted timer events included (a WaitTimeout process's
-// token never is: about 1000 allocations per 200 us here). What is left after
-// a warm-up is the event wheel's buckets reaching their high-water marks.
+// event are gone, compacted timer events included. What is left after a
+// warm-up is the event wheel's buckets reaching their high-water marks.
 func TestWaitTimeoutFuncMatchesProcess(t *testing.T) {
 	procs, funcs := newTimeoutCrowd(false), newTimeoutCrowd(true)
 	defer procs.env.Close()
@@ -742,13 +742,5 @@ func TestWaitTimeoutFuncMatchesProcess(t *testing.T) {
 	}
 }
 
-// queued counts the processes and AcquireFunc callbacks queued on r.
-func queued(r *Resource) int {
-	n := 0
-	for _, t := range r.q[r.head:] {
-		if !t.fired {
-			n++
-		}
-	}
-	return n
-}
+// queued counts the waiters queued on r.
+func queued(r *Resource) int { return len(r.q) - r.head }
