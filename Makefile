@@ -34,7 +34,9 @@ fmt:
 # setting-struct field nothing outside its package writes, (c) a
 # declaration no main, init or root-package export reaches, (d) a field
 # written but never read, (e) an exported field no file reads, tests
-# included. Any unlisted hit or stale allowlist row fails.
+# included, (f) an internal/ interface method no non-test file calls,
+# through the interface or on an implementation. Any unlisted hit or stale
+# allowlist row fails.
 deadsurface:
 	$(GO) test -run '^TestDeadSurface$$' -v .
 

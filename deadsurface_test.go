@@ -17,10 +17,13 @@ package nvmetro_test
 //	(e) any other exported field that no file of the module reads, test
 //	    files included (each package type-checked with its tests, in a
 //	    second pass): delete it. Handing a struct to reflect.ValueOf or
-//	    reflect.TypeOf reads every field of it.
+//	    reflect.TypeOf reads every field of it;
+//	(f) a method of an interface declared in internal/ that no non-test
+//	    file calls, neither through the interface nor on a type that
+//	    implements it: delete it from the interface and its implementations.
 //
-// A method whose name some interface declares (module or standard library)
-// is never a hit, nor is a field with a struct tag. Every hit is either fixed
+// Apart from rule (f), a method whose name some interface declares (module
+// or standard library) is never a hit, nor is a field with a struct tag. Every hit is either fixed
 // or covered by a row of deadSurfaceAllow; a row that covers no hit fails the
 // test too, so the list cannot outlive what it excuses.
 
@@ -129,6 +132,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		"(c) lib.dead internal/lib/lib.go:20 (1 lines)",
 		"(d) lib.state.count internal/lib/lib.go:10",
 		"(e) lib.Counts.Misses internal/lib/lib.go:37",
+		"(f) lib.Labeler.Label internal/lib/lib.go:48",
 		"listed (c) lib.Spare internal/lib/lib.go:22 (1 lines)",
 		"stale id lib.Gone",
 	}
@@ -138,7 +142,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 }
 
 type surfaceHit struct {
-	rule  byte   // 'a'..'e'
+	rule  byte   // 'a'..'f'
 	key   string // package path relative to internal/, then .Name[.Member]
 	file  string // slash path relative to the module root
 	line  int
@@ -170,7 +174,7 @@ type surfaceReport struct {
 // log prints each rule's unlisted and allowlisted counts, then the
 // allowlisted rule-(c) declarations with their lengths.
 func (r *surfaceReport) log(t *testing.T) {
-	for _, rule := range []byte("abcde") {
+	for _, rule := range []byte("abcdef") {
 		var n, m int
 		for _, h := range r.unlisted {
 			if h.rule == rule {
@@ -474,7 +478,7 @@ func fieldReads(root string, fset *token.FileSet, std types.Importer) (map[token
 	return read, nil
 }
 
-// deadSurface runs the five rules over the module rooted at root and sorts
+// deadSurface runs the six rules over the module rooted at root and sorts
 // the hits by the allowlist.
 func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 	fset := token.NewFileSet()
@@ -554,6 +558,7 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 	// declaring package, field writes and reads, and the declarations of
 	// rule (c).
 	usedOutside := map[types.Object]bool{}
+	called := map[string][]*types.Func{} // methods non-test code calls, by name
 	fields := map[*types.Var]*fieldUse{}
 	fieldUseOf := func(v *types.Var) *fieldUse {
 		u := fields[v]
@@ -585,6 +590,9 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 				continue
 			}
 			obj = origin(obj)
+			if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+				called[fn.Name()] = append(called[fn.Name()], fn)
+			}
 			outside := obj.Pkg() != p.pkg
 			if outside {
 				// A type that others' calls and variables carry is part of
@@ -677,7 +685,23 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 		hits = append(hits, surfaceHit{rule: 'c', key: key(d.obj), file: file, line: line, lines: last - line + 1})
 	}
 
-	// Rules (a), (b), (d), (e) over the internal packages' declarations.
+	// calledVia reports whether some call reaches interface method m: on the
+	// interface itself, or on a named type that implements it.
+	calledVia := func(it *types.Interface, m *types.Func) bool {
+		for _, fn := range called[m.Name()] {
+			if fn == m {
+				return true
+			}
+			if tn := recvTypeName(fn); tn != nil {
+				if t := tn.Type(); types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	// Rules (a), (b), (d), (e), (f) over the internal packages' declarations.
 	var settings []*types.TypeName
 	for _, ip := range paths {
 		if !strings.HasPrefix(ip, internal) {
@@ -694,6 +718,14 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && !dead[tn] {
+				for i := 0; i < it.NumExplicitMethods(); i++ {
+					if m := it.ExplicitMethod(i); !calledVia(it, m) {
+						file, line := position(m.Pos())
+						hits = append(hits, surfaceHit{rule: 'f', key: key(m), file: file, line: line})
+					}
+				}
 			}
 			if named, ok := tn.Type().(*types.Named); ok {
 				for i := 0; i < named.NumMethods(); i++ {

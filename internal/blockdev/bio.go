@@ -68,7 +68,8 @@ type BlockDevice interface {
 	// completion.
 	SubmitFunc(thread *sim.Thread, b *Bio, then func())
 	// SubmitBio is SubmitFunc for a submitter that is a process: every
-	// implementation is SubmitAndWait.
+	// implementation is SubmitAndWait, which the module's process callers
+	// call directly (bench/ still calls this form).
 	SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio)
 	// NumSectors is the device size in 512-byte sectors.
 	NumSectors() uint64

@@ -37,7 +37,7 @@ func wait(p *sim.Proc, th *sim.Thread, d blockdev.BlockDevice, b *blockdev.Bio) 
 	var st nvme.Status
 	done := false
 	b.OnDone = func(s nvme.Status) { st = s; done = true; c.Signal(nil) }
-	d.SubmitBio(p, th, b)
+	blockdev.SubmitAndWait(p, d, th, b)
 	for !done {
 		c.Wait()
 	}
@@ -80,7 +80,7 @@ func TestManyOutstandingBiosPipelining(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b := &blockdev.Bio{Op: blockdev.BioRead, Sector: uint64(i * 8), Data: make([]byte, 4096)}
 			b.OnDone = func(st nvme.Status) { done++; c.Signal(nil) }
-			bdev.SubmitBio(p, th, b)
+			blockdev.SubmitAndWait(p, bdev, th, b)
 		}
 		for done < n {
 			c.Wait()

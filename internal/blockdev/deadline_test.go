@@ -27,7 +27,7 @@ func completeBatch(t *testing.T, p *sim.Proc, th *sim.Thread, dev blockdev.Block
 		if i%2 == 0 {
 			op = blockdev.BioWrite
 		}
-		dev.SubmitBio(p, th, &blockdev.Bio{Op: op, Sector: uint64(i) * 8, Data: data[:], OnDone: func(st nvme.Status) {
+		blockdev.SubmitAndWait(p, dev, th, &blockdev.Bio{Op: op, Sector: uint64(i) * 8, Data: data[:], OnDone: func(st nvme.Status) {
 			if !st.OK() {
 				t.Errorf("bio %d: %v", i, st)
 			}
@@ -80,7 +80,7 @@ func TestDeadlinesStayBounded(t *testing.T) {
 				slot.Wait()
 			}
 			inflight++
-			bdev.SubmitBio(p, th, &blockdev.Bio{Op: blockdev.BioRead, Sector: uint64(i % 4096), Data: data, OnDone: func(nvme.Status) {
+			blockdev.SubmitAndWait(p, bdev, th, &blockdev.Bio{Op: blockdev.BioRead, Sector: uint64(i % 4096), Data: data, OnDone: func(nvme.Status) {
 				inflight--
 				slot.Signal(nil)
 			}})
@@ -105,7 +105,7 @@ func TestDeadlinesStayBounded(t *testing.T) {
 // where its abort time will be recorded.
 func lostBio(p *sim.Proc, th *sim.Thread, bdev *blockdev.NVMeBlockDev, sector uint64) (submitted sim.Time, aborted *sim.Time, st *nvme.Status) {
 	aborted, st = new(sim.Time), new(nvme.Status)
-	bdev.SubmitBio(p, th, &blockdev.Bio{Op: blockdev.BioWrite, Sector: sector, Data: make([]byte, 4096), OnDone: func(s nvme.Status) {
+	blockdev.SubmitAndWait(p, bdev, th, &blockdev.Bio{Op: blockdev.BioWrite, Sector: sector, Data: make([]byte, 4096), OnDone: func(s nvme.Status) {
 		*aborted, *st = p.Now(), s
 	}})
 	return p.Now(), aborted, st

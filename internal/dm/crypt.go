@@ -126,6 +126,6 @@ func (c *Crypt) worker(p *sim.Proc, th *sim.Thread) {
 		}
 		c.Encrypted += uint64(len(ct))
 		lower := &bio{Op: blockdev.BioWrite, Sector: w.bio.Sector, Data: ct, OnDone: w.bio.OnDone}
-		c.lower.SubmitBio(p, th, lower)
+		blockdev.SubmitAndWait(p, c.lower, th, lower)
 	}
 }

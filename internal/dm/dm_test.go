@@ -55,7 +55,7 @@ func bioWait(p *sim.Proc, th *sim.Thread, d blockdev.BlockDevice, b *blockdev.Bi
 	var status nvme.Status
 	done := false
 	b.OnDone = func(st nvme.Status) { status = st; done = true; cond.Signal(nil) }
-	d.SubmitBio(p, th, b)
+	blockdev.SubmitAndWait(p, d, th, b)
 	for !done {
 		cond.Wait()
 	}

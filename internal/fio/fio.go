@@ -100,6 +100,15 @@ type Target struct {
 	VCPU *sim.Thread
 }
 
+// Targets places n jobs on v's disk, round-robin over its vCPUs.
+func Targets(v *vm.VM, disk vm.Disk, n int) []Target {
+	targets := make([]Target, n)
+	for i := range targets {
+		targets[i] = Target{Disk: disk, VM: v, VCPU: v.VCPU(i % v.NumVCPUs())}
+	}
+	return targets
+}
+
 // Result aggregates a run.
 type Result struct {
 	metrics.Summary

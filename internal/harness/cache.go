@@ -55,12 +55,10 @@ func runCache(o Options, cp storfn.CacheParams, cfg fio.Config, jobs int) cacheR
 	env, h := newBed(o, device.NewMemStore(512))
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
-	sol := stack.NewNVMetro(h).WithCache(cp)
-	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	cacher := sol.CacherFor(v)
-	vc := sol.ControllerFor(v)
+	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), stack.Spec{Cache: &cp})
+	disk, cacher, vc := vol.Disk, vol.Cacher(), vol.Ctrl
 
-	out := cacheRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
+	out := cacheRun{res: fio.Run(env, h.CPU, fio.Targets(v, disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
 
 	// Workload-phase hit ratio, before the probes skew the request mix.

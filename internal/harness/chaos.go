@@ -103,13 +103,15 @@ func runChaos(o Options, name string, plan *fault.Plan, cfg fio.Config, jobs int
 	env, h := newBed(o, backing)
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
-	sol := stack.NewNVMetro(h)
+	pol := chaosPolicy(o)
+	spec := stack.Spec{Supervise: &pol}
 	var m *mirror
 	switch name {
 	case "cacher":
-		sol.WithCache(storfn.DefaultCacheParams())
+		cp := storfn.DefaultCacheParams()
+		spec.Cache = &cp
 	case "encryptor":
-		sol.WithEncryption(encryptionKey, false)
+		spec.Encrypt = &stack.Encryption{Key: encryptionKey}
 	case "replicator":
 		// A slow drain keeps the resync engine busy for most of the window,
 		// so a rate-drawn chaos event has a real chance to land mid-resync.
@@ -119,16 +121,16 @@ func runChaos(o Options, name string, plan *fault.Plan, cfg fio.Config, jobs int
 		rec.BackoffCap = 200 * sim.Microsecond
 		rec.Jitter = 0.2
 		m = newMirror(env, h, rstore, []outageSpec{{sim.Time(0).Add(warm + sim.Millisecond), 2 * sim.Millisecond}}, &rec)
-		sol.WithReplication(m.secondary)
+		spec.Replicate = m.secondary
 	}
-	disk := sol.WithSupervision(chaosPolicy(o)).Provision(v, device.WholeNamespace(h.Dev, 1))
-	sup, vc := sol.SupervisorFor(v), sol.ControllerFor(v)
+	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), spec)
+	sup, vc := vol.Supervisor, vol.Ctrl
 	var inj *fault.Injector
 	if plan != nil {
 		inj = plan.Injector("uif-" + name)
 		sup.SetFaultInjector(inj)
 	}
-	targets := fioTargets(v, disk, jobs)
+	targets := fio.Targets(v, vol.Disk, jobs)
 	out := chaosRun{converged: true, mirrorOK: true}
 	out.res = fio.Run(env, h.CPU, targets, cfg)
 	out.drained = drainOutstanding(env, vc.Outstanding)
@@ -137,10 +139,10 @@ func runChaos(o Options, name string, plan *fault.Plan, cfg fio.Config, jobs int
 	out.tail = fio.Run(env, h.CPU, targets, chaosTailCfg(o, cfg))
 	out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
 	if m != nil {
-		out.converged = driveInSync(env, sol.ResyncerFor(v), sim.Millisecond, env.Now().Add(2*sim.Second)) &&
-			sol.ReplicatorFor(v).Dirty.Blocks() == 0
+		out.converged = driveInSync(env, vol.Resyncer, sim.Millisecond, env.Now().Add(2*sim.Second)) &&
+			vol.Replicator().Dirty.Blocks() == 0
 		out.mirrorOK = store.ContentCRC() == rstore.ContentCRC()
-		m.collect(&out.counters, sol, v)
+		m.collect(&out.counters, vol)
 	}
 
 	sup.Collect(&out.counters)

@@ -74,7 +74,7 @@ func runFault(o Options, mk solFactory, plan *fault.Plan, tune func(*core.Router
 	if nv != nil && tune != nil {
 		tune(nv.ControllerFor(v).Router())
 	}
-	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg), drained: true}
+	out := faultRun{res: fio.Run(env, h.CPU, fio.Targets(v, disk, jobs), cfg), drained: true}
 	if nv != nil {
 		vc := nv.ControllerFor(v)
 		out.drained = drainOutstanding(env, vc.Outstanding)
@@ -98,18 +98,17 @@ func runFaultRepl(o Options, plan *fault.Plan, cfg fio.Config, jobs int) faultRu
 	m := newMirror(env, h, device.NullStore{}, nil, nil)
 	m.remote.Dev.InjectFaults(plan.Injector("remote-device"))
 	m.remote.Link.ApplyPlan(plan)
-	sol := stack.NewNVMetro(h).WithReplication(m.secondary)
-	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	vc := sol.ControllerFor(v)
+	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), stack.Spec{Replicate: m.secondary})
+	vc := vol.Ctrl
 
-	out := faultRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
+	out := faultRun{res: fio.Run(env, h.CPU, fio.Targets(v, vol.Disk, jobs), cfg)}
 	out.drained = drainOutstanding(env, vc.Outstanding)
 	collectDevice(&out.counters, "rdev", m.remote.Dev)
 	collectRouter(&out.counters, vc.Router())
-	m.collect(&out.counters, sol, v)
+	m.collect(&out.counters, vol)
 	out.counters.Add("fio.errors", out.res.Errors)
-	settled := driveInSync(env, sol.ResyncerFor(v), sim.Millisecond, env.Now().Add(2*sim.Second)) &&
-		sol.ReplicatorFor(v).Dirty.Blocks() == 0
+	settled := driveInSync(env, vol.Resyncer, sim.Millisecond, env.Now().Add(2*sim.Second)) &&
+		vol.Replicator().Dirty.Blocks() == 0
 	out.counters.Add("rs.settled", uint64(bit(settled)))
 	return out
 }

@@ -56,14 +56,15 @@ func runQoSPair(o Options, sc qosScenario) (fio.Result, fio.Result) {
 	}
 	parts := device.Carve(h.Dev, 1, 2)
 
-	vVM := h.NewVM(1, 16<<20)
-	vDisk := sol.Provision(vVM, parts[0])
-	aVM := h.NewVM(1, 16<<20)
-	aDisk := sol.Provision(aVM, parts[1])
+	var vSpec, aSpec stack.Spec
 	if sc.useQoS {
-		sol.SetQoS(vVM, sc.vQoS)
-		sol.SetQoS(aVM, sc.aQoS)
+		vSpec.QoS, aSpec.QoS = &sc.vQoS, &sc.aQoS
 	}
+
+	vVM := h.NewVM(1, 16<<20)
+	vDisk := sol.Attach(vVM, parts[0], vSpec).Disk
+	aVM := h.NewVM(1, 16<<20)
+	aDisk := sol.Attach(aVM, parts[1], aSpec).Disk
 
 	groups := []fio.Group{
 		{Name: "victim", Targets: []fio.Target{{Disk: vDisk, VM: vVM, VCPU: vVM.VCPU(0)}}, Cfg: sc.vCfg},

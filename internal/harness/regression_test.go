@@ -24,8 +24,8 @@ func TestReplicationManyTwoPagePRPWrites(t *testing.T) {
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
 	remote := stack.NewRemoteHost(env, 4, p.Device, device.NullStore{})
-	sol := stack.NewNVMetro(h).WithReplication(remote.Secondary())
-	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
+	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), stack.Spec{Replicate: remote.Secondary()})
+	disk := vol.Disk
 
 	done := 0
 	env.Go("t", func(pr *sim.Proc) {
@@ -44,6 +44,6 @@ func TestReplicationManyTwoPagePRPWrites(t *testing.T) {
 	env.RunUntil(sim.Time(20 * sim.Millisecond))
 	if done != writes {
 		t.Fatalf("%d of %d mirrored writes completed OK (%d forwarded to the secondary)",
-			done, writes, sol.ReplicatorFor(v).Forwarded)
+			done, writes, vol.Replicator().Forwarded)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/storfn"
-	"nvmetro/internal/vm"
 )
 
 // The resync experiment drives the replication stack through fabric
@@ -46,7 +45,7 @@ type outageSpec struct {
 }
 
 // mirror is a replication secondary on a remote host, with the outages
-// scheduled on its link: secondary is the factory WithReplication takes.
+// scheduled on its link: secondary is the factory Spec.Replicate takes.
 // It applies the experiment's fabric recovery policy (nil keeps the
 // default) to the initiator it opens and keeps that for the counters.
 type mirror struct {
@@ -73,10 +72,10 @@ func (m *mirror) secondary(part device.Partition) blockdev.BlockDevice {
 	return m.ini
 }
 
-// collect folds v's degraded-mode replicator state, the fabric's recovery
+// collect folds vol's degraded-mode replicator state, the fabric's recovery
 // counters and the resync engine's into cs.
-func (m *mirror) collect(cs *metrics.CounterSet, sol *stack.NVMetro, v *vm.VM) {
-	rep := sol.ReplicatorFor(v)
+func (m *mirror) collect(cs *metrics.CounterSet, vol *stack.Volume) {
+	rep := vol.Replicator()
 	cs.Add("rep.degraded", rep.Degraded)
 	cs.Add("rep.secondary_errors", rep.SecondaryErrors)
 	cs.Add("rep.dirty_regions", uint64(rep.Dirty.Regions()))
@@ -87,7 +86,7 @@ func (m *mirror) collect(cs *metrics.CounterSet, sol *stack.NVMetro, v *vm.VM) {
 	cs.Add("of.reconnects", m.ini.Reconnects)
 	cs.Add("of.failures", m.ini.Failures)
 	cs.Add("of.stale_responses", m.ini.StaleResponses)
-	sol.ResyncerFor(v).Collect(cs)
+	vol.Resyncer.Collect(cs)
 }
 
 // resyncRun is one resync workload outcome.
@@ -110,16 +109,15 @@ func runResync(o Options, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fi
 	h.Params.Resync = rcfg
 	v := h.NewVM(4, 512<<20)
 	m := newMirror(env, h, rstore, outages, &resyncRecovery)
-	sol := stack.NewNVMetro(h).WithReplication(m.secondary)
-	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
+	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), stack.Spec{Replicate: m.secondary})
 
-	out := resyncRun{res: fio.Run(env, h.CPU, fioTargets(v, disk, jobs), cfg)}
-	out.drained = drainOutstanding(env, sol.ControllerFor(v).Outstanding)
-	out.converged = driveInSync(env, sol.ResyncerFor(v), sim.Millisecond, env.Now().Add(2*sim.Second))
-	out.finalDirty = sol.ReplicatorFor(v).Dirty.Blocks()
+	out := resyncRun{res: fio.Run(env, h.CPU, fio.Targets(v, vol.Disk, jobs), cfg)}
+	out.drained = drainOutstanding(env, vol.Ctrl.Outstanding)
+	out.converged = driveInSync(env, vol.Resyncer, sim.Millisecond, env.Now().Add(2*sim.Second))
+	out.finalDirty = vol.Replicator().Dirty.Blocks()
 	out.mirrorMatch = store.ContentCRC() == rstore.ContentCRC()
 
-	m.collect(&out.counters, sol, v)
+	m.collect(&out.counters, vol)
 	out.counters.Add("fio.errors", out.res.Errors)
 	return out
 }

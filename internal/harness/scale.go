@@ -103,9 +103,9 @@ func runScale(o Options, vms int, episode bool) scaleRun {
 			dev.AddNamespace(nsid, scaleNSBlocks, device.NullStore{})
 		}
 		v := h.NewVM(1, 16<<20)
-		disk := sol.Provision(v, device.WholeNamespace(dev, nsid))
-		vcs[i] = sol.ControllerFor(v)
-		targets[i] = fio.Target{Disk: disk, VM: v, VCPU: v.VCPU(0)}
+		vol := sol.Attach(v, device.WholeNamespace(dev, nsid), stack.Spec{})
+		vcs[i] = vol.Ctrl
+		targets[i] = fio.Target{Disk: vol.Disk, VM: v, VCPU: v.VCPU(0)}
 	}
 
 	warm, dur := o.windows()

@@ -140,20 +140,17 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
 
-	sol := stack.NewNVMetro(h)
+	scrub := scrubConfig()
+	spec := stack.Spec{Integrity: &scrub}
 	var rstore *device.MemStore
 	var m *mirror
 	if replica {
 		rstore = device.NewMemStore(512)
 		m = newMirror(env, h, rstore, nil, nil)
-		sol = sol.WithReplication(m.secondary)
+		spec.Replicate = m.secondary
 	}
-	sol = sol.WithIntegrity(scrubConfig())
-	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	vc := sol.ControllerFor(v)
-	scr := sol.ScrubberFor(v)
-	dom := sol.IntegrityDomainFor(v)
-	rs := sol.ResyncerFor(v)
+	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), spec)
+	disk, vc, scr, dom, rs := vol.Disk, vol.Ctrl, vol.Scrubber, vol.Domain, vol.Resyncer
 
 	out := scrubRun{mirrorOK: true, scr: scr}
 
@@ -192,7 +189,7 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 		scr.Start()
 	}
 	cfg := scrubCfg(o)
-	out.res = fio.Run(env, h.CPU, fioTargets(v, disk, 4), cfg)
+	out.res = fio.Run(env, h.CPU, fio.Targets(v, disk, 4), cfg)
 	out.drained = drainOutstanding(env, vc.Outstanding)
 
 	// Drive scrub (and resync) to a fixpoint: repeat passes until one
@@ -253,8 +250,8 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 	out.counters.Add("rt.guard_errors", vc.Router().GuardErrors)
 	out.counters.Add("rt.quarantined_reads", vc.Router().QuarantinedReads)
 	if replica {
-		m.collect(&out.counters, sol, v)
-		out.counters.Add("rep.guard_errors", sol.ReplicatorFor(v).GuardErrors)
+		m.collect(&out.counters, vol)
+		out.counters.Add("rep.guard_errors", vol.Replicator().GuardErrors)
 	}
 	out.counters.Add("fio.errors", out.res.Errors)
 	out.counters.Add("audit.phase_errors", out.phaseErr)

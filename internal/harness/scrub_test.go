@@ -114,11 +114,10 @@ func TestScrubQoSContract(t *testing.T) {
 		env, h := newBed(o, device.NewMemStore(512))
 		defer env.Close()
 		v := h.NewVM(4, 512<<20)
-		sol := stack.NewNVMetro(h).WithQoS(qos.Config{}).WithIntegrity(scrubConfig())
-		disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-		sol.SetQoS(v, qos.TenantConfig{IOPS: contractIOPS, BurstOps: 64})
-		vc := sol.ControllerFor(v)
-		scr := sol.ScrubberFor(v)
+		scrub := scrubConfig()
+		vol := stack.NewNVMetro(h).WithQoS(qos.Config{}).Attach(v, device.WholeNamespace(h.Dev, 1),
+			stack.Spec{Integrity: &scrub, QoS: &qos.TenantConfig{IOPS: contractIOPS, BurstOps: 64}})
+		disk, vc, scr := vol.Disk, vol.Ctrl, vol.Scrubber
 		if scrubOn {
 			scr.Start()
 		}

@@ -41,7 +41,7 @@ func bioWait(p *sim.Proc, th *sim.Thread, d blockdev.BlockDevice, b *blockdev.Bi
 	var st nvme.Status
 	done := false
 	b.OnDone = func(s nvme.Status) { st = s; done = true; c.Signal(nil) }
-	d.SubmitBio(p, th, b)
+	blockdev.SubmitAndWait(p, d, th, b)
 	for !done {
 		c.Wait()
 	}

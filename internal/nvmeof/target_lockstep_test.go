@@ -35,7 +35,7 @@ func (t *Target) runProcess(p *sim.Proc) {
 			}
 			c.fl.reply(st, rdata)
 		}
-		t.bdev.SubmitBio(p, t.th, bio)
+		blockdev.SubmitAndWait(p, t.bdev, t.th, bio)
 	}
 }
 

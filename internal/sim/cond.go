@@ -52,8 +52,23 @@ func (c *Cond) WaitFunc(fn func()) {
 }
 
 // join queues a waiter whose token holds refs references, the waiter-list
-// slot among them.
+// slot among them. When the list's storage is full, the slots of timed
+// waiters that expired go first: only a Signal or Broadcast pops them
+// otherwise, and a condition that only ever times out would keep them all.
 func (c *Cond) join(fn func(), refs uint8) *waitTok {
+	if len(c.waiters) == cap(c.waiters) {
+		n := c.head
+		for _, tok := range c.waiters[c.head:] {
+			if tok.fired {
+				c.env.unref(tok)
+				continue
+			}
+			c.waiters[n] = tok
+			n++
+		}
+		clear(c.waiters[n:])
+		c.waiters = c.waiters[:n]
+	}
 	tok := takeFree(&c.env.tokFree)
 	if tok == nil {
 		tok = new(waitTok)

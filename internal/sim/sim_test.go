@@ -652,6 +652,36 @@ func TestWaiterListStaysBounded(t *testing.T) {
 	}
 }
 
+// TestExpiredWaitersDoNotAccumulate: a timed waiter that expires keeps its
+// waiter-list slot until a Signal or Broadcast pops it, so a condition that
+// is never signalled must drop expired slots itself. A chain of waits on
+// such a condition, each starting when the last one expires, must keep its
+// list bounded, not one slot per wait ever made.
+func TestExpiredWaitersDoNotAccumulate(t *testing.T) {
+	env := New(1)
+	c := NewCond(env)
+	const waits = 10000
+	left := waits
+	var wait func()
+	woke := func(signaled bool) {
+		if signaled {
+			t.Fatal("a condition nobody signals woke a waiter by a signal")
+		}
+		if left--; left > 0 {
+			wait()
+		}
+	}
+	wait = func() { c.WaitTimeoutFunc(Microsecond, woke) }
+	env.After(0, wait)
+	env.Run()
+	if left != 0 {
+		t.Fatalf("%d of %d waits never expired", left, waits)
+	}
+	if n := len(c.waiters) - c.head; n > 4 || cap(c.waiters) > 8 {
+		t.Fatalf("waiter list holds %d slots in storage of %d after %d expired waits", n, cap(c.waiters), waits)
+	}
+}
+
 // timeoutCrowd is a crowd of timeout waiters on one condition — as
 // WaitTimeout processes or as WaitTimeoutFunc continuations — and a signaller
 // that wakes one of them every few hundred nanoseconds, now and then all of

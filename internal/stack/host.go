@@ -2,8 +2,10 @@
 // paper evaluates — NVMetro, MDev-NVMe, device passthrough, QEMU
 // virtio-blk (io_uring), in-kernel vhost-scsi and SPDK vhost-user — behind
 // one Solution interface, plus the encrypted (dm-crypt) and mirrored
-// (dm-mirror) compositions used in Sections V-C/V-D. All calibration
-// constants live in params.go.
+// (dm-mirror) compositions used in Sections V-C/V-D. An NVMetro volume is
+// declared as a Spec and resolved by NVMetro.Attach into a Volume record;
+// NVMetro's Provision and CloneFrom are the same resolver behind Solution.
+// All calibration constants live in params.go.
 package stack
 
 import (
@@ -65,7 +67,6 @@ func (h *Host) hostThread(tag string) *sim.Thread {
 // Solution provisions virtual disks for VMs over partitions of the host
 // device.
 type Solution interface {
-	Name() string
 	Provision(v *vm.VM, part device.Partition) vm.Disk
 }
 

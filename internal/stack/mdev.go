@@ -22,9 +22,6 @@ type MDev struct {
 // paper's main evaluations).
 func NewMDev(h *Host) *MDev { return &MDev{h: h} }
 
-// Name implements Solution.
-func (s *MDev) Name() string { return "MDev" }
-
 // Provision implements Solution.
 func (s *MDev) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	port := &mdevPort{

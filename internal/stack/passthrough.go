@@ -19,9 +19,6 @@ type Passthrough struct {
 // NewPassthrough creates the solution.
 func NewPassthrough(h *Host) *Passthrough { return &Passthrough{h: h} }
 
-// Name implements Solution.
-func (s *Passthrough) Name() string { return "Passthrough" }
-
 // Provision implements Solution. Passthrough exposes the namespace as-is
 // (no mediation layer exists to translate partitions), so part must start
 // at LBA 0.

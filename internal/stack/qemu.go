@@ -24,9 +24,6 @@ type QEMU struct {
 // NewQEMU creates the solution.
 func NewQEMU(h *Host) *QEMU { return &QEMU{h: h} }
 
-// Name implements Solution.
-func (s *QEMU) Name() string { return "QEMU" }
-
 // Provision implements Solution.
 func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	q := &qemuVM{
@@ -247,7 +244,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 						bio.Op = blockdev.BioDiscard
 						bio.Sector, bio.NSect = r.DiscardSegment(vq)
 					}
-					q.bdev.SubmitBio(p, th, bio)
+					blockdev.SubmitAndWait(p, q.bdev, th, bio)
 					i++
 					continue
 				}

@@ -34,7 +34,7 @@ func TestProtectedMirrorResyncsAfterOutage(t *testing.T) {
 			remote := stack.NewRemoteHost(env, 4, p.Device, sstore)
 			remote.Link.ScheduleOutage(sim.Time(2*sim.Millisecond), 3*sim.Millisecond)
 			secondary := remote.Secondary()
-			sol := stack.NewNVMetro(h).WithReplication(func(part device.Partition) blockdev.BlockDevice {
+			spec := stack.Spec{Replicate: func(part device.Partition) blockdev.BlockDevice {
 				ini := secondary(part).(*nvmeof.Initiator)
 				// One 500 µs attempt, no retries: outage writes fail over to
 				// degraded mode instead of waiting for the link-up requeue.
@@ -42,17 +42,18 @@ func TestProtectedMirrorResyncsAfterOutage(t *testing.T) {
 					t.Fatal(err)
 				}
 				return ini
-			})
+			}}
 			if integ {
-				sol.WithIntegrity(integrity.DefaultScrubConfig())
+				scrub := integrity.DefaultScrubConfig()
+				spec.Integrity = &scrub
 			}
-			disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
+			vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), spec)
 
-			fio.Run(env, h.CPU, []fio.Target{{Disk: disk, VM: v, VCPU: v.VCPU(0)}},
+			fio.Run(env, h.CPU, []fio.Target{{Disk: vol.Disk, VM: v, VCPU: v.VCPU(0)}},
 				fio.Config{Mode: fio.RandWrite, BlockSize: 4096, QD: 4, Duration: 10 * sim.Millisecond})
 			env.RunUntil(env.Now().Add(200 * sim.Millisecond))
 
-			rep, rs := sol.ReplicatorFor(v), sol.ResyncerFor(v)
+			rep, rs := vol.Replicator(), vol.Resyncer
 			if rep.Degraded == 0 {
 				t.Fatal("no write ran degraded: the outage did not bite")
 			}

@@ -57,9 +57,16 @@ func (g *GoldenImage) BaseCRC() uint32 {
 // ContentCRC fingerprints the master's full logical content.
 func (g *GoldenImage) ContentCRC() uint32 { return g.master.ContentCRC() }
 
-// cloneStore derives one writable CoW store from the image (sealing first
-// if needed) without attaching it to anything.
-func (g *GoldenImage) cloneStore() *cow.Store { return g.master.Clone() }
+// cloneNamespace clones the image onto a fresh namespace of dev and returns
+// the partition covering it with the clone's CoW store. The clone itself
+// copies no data; the namespace is ready as soon as the metadata references
+// are taken.
+func (g *GoldenImage) cloneNamespace(dev *device.Device) (device.Partition, *cow.Store) {
+	c := g.master.Clone()
+	nsid := dev.NextNSID()
+	dev.AddNamespace(nsid, c.Blocks(), c)
+	return device.WholeNamespace(dev, nsid), c
+}
 
 // Collect exports the shared index (and cache) counters.
 func (g *GoldenImage) Collect(cs *metrics.CounterSet) { g.idx.Collect(cs) }
@@ -68,28 +75,20 @@ func (g *GoldenImage) Collect(cs *metrics.CounterSet) { g.idx.Collect(cs) }
 // via CloneFrom get a freshly cloned namespace instead of a partition of
 // the device's flat namespace 1.
 func (s *NVMetro) WithSnapshots(g *GoldenImage) *NVMetro {
-	s.spec.golden = g
+	s.spec.CloneOf = g
 	return s
 }
 
-// CloneFrom clones the golden image onto a fresh namespace of the host
-// device and provisions v over the whole of it, composing with whatever
-// else the solution wires (cache, QoS, integrity, supervision). The clone
-// itself copies no data; the namespace is ready as soon as the metadata
-// references are taken.
+// CloneFrom attaches the declared Spec for v over a fresh clone of the
+// golden image, composing with whatever else the solution declares (cache,
+// QoS, integrity).
 func (s *NVMetro) CloneFrom(v *vm.VM) vm.Disk {
-	if s.spec.golden == nil {
+	if s.spec.CloneOf == nil {
 		panic("stack: CloneFrom without WithSnapshots")
 	}
-	c := s.spec.golden.cloneStore()
-	dev := s.h.Dev
-	nsid := dev.NextNSID()
-	dev.AddNamespace(nsid, c.Blocks(), c)
-	disk := s.Provision(v, device.WholeNamespace(dev, nsid))
-	s.vols[v].clone = c
-	return disk
+	return s.Attach(v, device.Partition{}, s.spec).Disk
 }
 
 // CloneStoreFor returns the CoW store backing v's cloned namespace (nil
-// when v was not provisioned via CloneFrom).
-func (s *NVMetro) CloneStoreFor(v *vm.VM) *cow.Store { return s.vol(v).clone }
+// when v was not attached as a clone).
+func (s *NVMetro) CloneStoreFor(v *vm.VM) *cow.Store { return s.vol(v).Store }

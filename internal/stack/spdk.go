@@ -26,9 +26,6 @@ type SPDK struct {
 // NewSPDK creates the solution.
 func NewSPDK(h *Host) *SPDK { return &SPDK{h: h, spin: 500 * sim.Nanosecond} }
 
-// Name implements Solution.
-func (s *SPDK) Name() string { return "SPDK" }
-
 type spdkSession struct {
 	part   device.Partition
 	queues []*virtio.Queue

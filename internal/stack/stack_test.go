@@ -241,7 +241,7 @@ func TestWithQoSAfterProvision(t *testing.T) {
 	if n := len(sol.Router().QoSSnapshot(env.Now())); n != 1 {
 		t.Fatalf("tenants = %d, want 1 (already-provisioned VM must register)", n)
 	}
-	sol.SetQoS(v1, qos.TenantConfig{Weight: 2}) // must not panic
+	sol.ControllerFor(v1).SetQoS(qos.TenantConfig{Weight: 2}) // must not panic
 	v2 := h.NewVM(1, 16<<20)
 	sol.Provision(v2, parts[1])
 	if n := len(sol.Router().QoSSnapshot(env.Now())); n != 2 {
@@ -260,7 +260,7 @@ func TestWithQoSAfterProvision(t *testing.T) {
 	if len(solo.ControllerFor(v3).Router().QoSSnapshot(env2.Now())) != 1 {
 		t.Fatal("per-VM router tenant not registered by late WithQoS")
 	}
-	solo.SetQoS(v3, qos.TenantConfig{IOPS: 1000}) // must not panic
+	solo.ControllerFor(v3).SetQoS(qos.TenantConfig{IOPS: 1000}) // must not panic
 }
 
 // TestEncryptedStacksAgree writes with NVMetro encryption and reads back

@@ -23,16 +23,15 @@ type VhostSCSI struct {
 	// Backend builds the block device a VM's LUN maps to; nil = raw device
 	// partition.
 	Backend func(part device.Partition) blockdev.BlockDevice
-	name    string
 }
 
 // NewVhostSCSI creates the plain configuration.
-func NewVhostSCSI(h *Host) *VhostSCSI { return &VhostSCSI{h: h, name: "Vhost"} }
+func NewVhostSCSI(h *Host) *VhostSCSI { return &VhostSCSI{h: h} }
 
 // NewVhostDMCrypt stacks dm-crypt under vhost-scsi (the paper's encryption
 // baseline).
 func NewVhostDMCrypt(h *Host, key []byte) *VhostSCSI {
-	return &VhostSCSI{h: h, name: "dm-crypt", Backend: func(part device.Partition) blockdev.BlockDevice {
+	return &VhostSCSI{h: h, Backend: func(part device.Partition) blockdev.BlockDevice {
 		lower := blockdev.NewNVMeBlockDev(h.Env, part, h.CPU, h.guestCores, h.Params.Block)
 		crypt, err := dm.NewCrypt(h.Env, lower, key, h.Params.Crypt, h.CPU)
 		if err != nil {
@@ -45,14 +44,11 @@ func NewVhostDMCrypt(h *Host, key []byte) *VhostSCSI {
 // NewVhostDMMirror stacks dm-mirror under vhost-scsi (the replication
 // baseline); secondary provides the remote leg.
 func NewVhostDMMirror(h *Host, secondary func(part device.Partition) blockdev.BlockDevice) *VhostSCSI {
-	return &VhostSCSI{h: h, name: "dm-mirror", Backend: func(part device.Partition) blockdev.BlockDevice {
+	return &VhostSCSI{h: h, Backend: func(part device.Partition) blockdev.BlockDevice {
 		lower := blockdev.NewNVMeBlockDev(h.Env, part, h.CPU, h.guestCores, h.Params.Block)
 		return &dm.Mirror{Primary: lower, Secondary: secondary(part)}
 	}}
 }
-
-// Name implements Solution.
-func (s *VhostSCSI) Name() string { return s.name }
 
 // Provision implements Solution.
 func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
@@ -182,7 +178,7 @@ func (w *vhostVM) dispatch(p *sim.Proc, th *sim.Thread, vq *virtio.Queue, r virt
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st), read: true, buf: buf})
 		}
-		w.bdev.SubmitBio(p, th, bio)
+		blockdev.SubmitAndWait(p, w.bdev, th, bio)
 	case cmd.IsWrite():
 		buf := make([]byte, r.DataLen())
 		r.ReadData(vq, buf)
@@ -190,19 +186,19 @@ func (w *vhostVM) dispatch(p *sim.Proc, th *sim.Thread, vq *virtio.Queue, r virt
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st)})
 		}
-		w.bdev.SubmitBio(p, th, bio)
+		blockdev.SubmitAndWait(p, w.bdev, th, bio)
 	case cmd.Op == scsi.OpSyncCache10:
 		bio := &blockdev.Bio{Op: blockdev.BioFlush}
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st)})
 		}
-		w.bdev.SubmitBio(p, th, bio)
+		blockdev.SubmitAndWait(p, w.bdev, th, bio)
 	case cmd.Op == scsi.OpUnmap:
 		bio := &blockdev.Bio{Op: blockdev.BioDiscard, Sector: cmd.LBA, NSect: cmd.Blocks}
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st)})
 		}
-		w.bdev.SubmitBio(p, th, bio)
+		blockdev.SubmitAndWait(p, w.bdev, th, bio)
 	default:
 		w.finish(vhostDone{req: r, vq: vq, status: scsi.StatusGood})
 	}

@@ -422,7 +422,7 @@ func (l *MirrorLegs) PrimaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf [
 		st, done = s, true
 		l.done.Signal(nil)
 	}
-	l.primary.SubmitBio(p, l.th, bio)
+	blockdev.SubmitAndWait(p, l.primary, l.th, bio)
 	for !done {
 		l.done.Wait()
 	}

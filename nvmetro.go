@@ -192,6 +192,7 @@ type System struct {
 	Env  *sim.Env
 	Host *stack.Host
 	cfg  Config
+	nv   *stack.NVMetro // where a volume without a Pool attaches: a router of its own
 }
 
 // NewSystem builds a testbed.
@@ -202,7 +203,7 @@ func NewSystem(cfg Config) *System {
 		backing = device.NewStore(cfg.Backing, cfg.Params.Device.BlockSize())
 	}
 	h := stack.NewHost(env, cfg.Cores, cfg.GuestCores, cfg.Params, backing)
-	return &System{Env: env, Host: h, cfg: cfg}
+	return &System{Env: env, Host: h, cfg: cfg, nv: stack.NewNVMetro(h)}
 }
 
 // Close releases all simulated processes.
@@ -223,12 +224,7 @@ func (s *System) NewVM(vcpus int, memBytes uint64) *VM {
 }
 
 // Encryption selects the transparent XTS-AES encryption storage function.
-type Encryption struct {
-	// Key is the 256- or 512-bit XTS key (two AES keys).
-	Key []byte
-	// SGX runs the cipher in the enclave-backed UIF variant.
-	SGX bool
-}
+type Encryption = stack.Encryption
 
 // Spec declares what one NVMetro volume is made of; the zero Spec is a
 // plain routed disk running the default fast-path classifier
@@ -326,43 +322,9 @@ func (spec Spec) validate(part Partition) error {
 	return nil
 }
 
-// Volume is one attached disk with every handle its Spec produced. Handles
+// Volume is one attached disk with every handle its Spec produced; handles
 // of features the Spec left out are nil.
-type Volume struct {
-	VM   *VM
-	Disk Disk
-	// Ctrl is the volume's virtual NVMe controller — the control-plane
-	// handle for loading classifiers and attaching UIFs live. Set for every
-	// Attach; nil only for AttachBaseline's comparison stacks.
-	Ctrl *Controller
-
-	Supervisor *Supervisor      // Spec.Supervise
-	Domain     *IntegrityDomain // Spec.Integrity
-	Scrubber   *Scrubber        // Spec.Integrity, except under Encrypt
-	Resyncer   *Resyncer        // Spec.Replicate
-	Store      *CowStore        // Spec.CloneOf: the clone's CoW store
-
-	sol *stack.NVMetro
-}
-
-// Cacher returns the cache UIF of a Spec.Cache volume (hit/miss statistics,
-// the cache itself, the classifier's heat map), nil otherwise. Under
-// supervision it is the current generation: a restart replaces it.
-func (d *Volume) Cacher() *Cacher {
-	if d.sol == nil {
-		return nil
-	}
-	return d.sol.CacherFor(d.VM)
-}
-
-// Targets builds fio job placements on the first n vCPUs.
-func (d *Volume) Targets(n int) []FIOTarget {
-	var out []FIOTarget
-	for i := 0; i < n; i++ {
-		out = append(out, FIOTarget{Disk: d.Disk, VM: d.VM, VCPU: d.VM.VCPU(i % d.VM.NumVCPUs())})
-	}
-	return out
-}
+type Volume = stack.Volume
 
 // Attach gives v an NVMetro virtual controller over part, composed as spec
 // declares.
@@ -370,42 +332,22 @@ func (s *System) Attach(v *VM, part Partition, spec Spec) (*Volume, error) {
 	if err := spec.validate(part); err != nil {
 		return nil, fmt.Errorf("nvmetro: invalid volume spec: %w", err)
 	}
-	sol := stack.NewNVMetro(s.Host)
+	pool := s.nv
 	if spec.Pool != nil {
-		sol = stack.NewNVMetroOn(spec.Pool.sol)
+		pool = spec.Pool.sol
 	}
-	switch {
-	case spec.Encrypt != nil:
-		sol.WithEncryption(spec.Encrypt.Key, spec.Encrypt.SGX)
-	case spec.Replicate != nil:
-		sol.WithReplication(spec.Replicate.Secondary())
-	case spec.Cache != nil:
-		sol.WithCache(*spec.Cache)
+	return pool.Attach(v, part, spec.declaration()), nil
+}
+
+// declaration is spec as internal/stack resolves it: the remote host becomes
+// its secondary factory, and the pool is Attach's to pick.
+func (spec Spec) declaration() stack.Spec {
+	d := stack.Spec{Encrypt: spec.Encrypt, Cache: spec.Cache, Supervise: spec.Supervise,
+		Integrity: spec.Integrity, CloneOf: spec.CloneOf, QoS: spec.QoS}
+	if spec.Replicate != nil {
+		d.Replicate = spec.Replicate.Secondary()
 	}
-	if spec.Supervise != nil {
-		sol.WithSupervision(*spec.Supervise)
-	}
-	if spec.Integrity != nil {
-		sol.WithIntegrity(*spec.Integrity)
-	}
-	var disk Disk
-	if spec.CloneOf != nil {
-		disk = sol.WithSnapshots(spec.CloneOf).CloneFrom(v)
-	} else {
-		disk = sol.Provision(v, part)
-	}
-	if spec.QoS != nil {
-		sol.SetQoS(v, *spec.QoS)
-	}
-	return &Volume{
-		VM: v, Disk: disk, Ctrl: sol.ControllerFor(v),
-		Supervisor: sol.SupervisorFor(v),
-		Domain:     sol.IntegrityDomainFor(v),
-		Scrubber:   sol.ScrubberFor(v),
-		Resyncer:   sol.ResyncerFor(v),
-		Store:      sol.CloneStoreFor(v),
-		sol:        sol,
-	}, nil
+	return d
 }
 
 // Pool is a set of router workers shared by every volume attached with

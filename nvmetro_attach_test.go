@@ -130,22 +130,26 @@ func TestAttachRejectsInvalidSpec(t *testing.T) {
 // Ctrl, Cacher, Supervisor, Domain, Scrubber, Resyncer, Store.
 type handles [7]bool
 
-func volumeHandles(d *nvmetro.Volume) handles {
+func volumeHandles(d *stack.Volume) handles {
 	return handles{d.Ctrl != nil, d.Cacher() != nil, d.Supervisor != nil, d.Domain != nil,
 		d.Scrubber != nil, d.Resyncer != nil, d.Store != nil}
 }
 
-func builderHandles(sol *stack.NVMetro, v *nvmetro.VM) handles {
-	return handles{sol.ControllerFor(v) != nil, sol.CacherFor(v) != nil, sol.SupervisorFor(v) != nil,
-		sol.IntegrityDomainFor(v) != nil, sol.ScrubberFor(v) != nil, sol.ResyncerFor(v) != nil,
-		sol.CloneStoreFor(v) != nil}
+// accessorHandles is what the *For lookups of a With* chain show of v's
+// volume; the handles they do not reach stay false.
+func accessorHandles(sol *stack.NVMetro, v *nvmetro.VM) handles {
+	return handles{0: sol.ControllerFor(v) != nil, 1: sol.CacherFor(v) != nil,
+		3: sol.IntegrityDomainFor(v) != nil, 6: sol.CloneStoreFor(v) != nil}
 }
 
 // TestAttachMatchesStackBuilder: for the Spec equivalent of every attach
-// entry point the facade used to have, Attach builds the same system as the
-// internal/stack builder chain that entry point ran (and that the
-// experiments and the benchmark still use) — same handles, and a same-seed
-// fio run that is indistinguishable op for op.
+// entry point the facade used to have, System.Attach builds the same system
+// as internal/stack does without the facade — same handles, and a same-seed
+// fio run that is indistinguishable op for op. Where a With* chain declares
+// the volume (the path the experiments' solution lineups and the benchmark
+// take), the stack side is that chain and Provision/CloneFrom; the
+// supervised and QoS-contract volumes, which no chain declares, attach the
+// equivalent stack.Spec through stack.NVMetro.Attach.
 func TestAttachMatchesStackBuilder(t *testing.T) {
 	const imgBlocks = 4096
 	pol, scrub, cache := nvmetro.DefaultSupervisePolicy(), nvmetro.DefaultScrubConfig(), nvmetro.DefaultCacheParams()
@@ -169,67 +173,69 @@ func TestAttachMatchesStackBuilder(t *testing.T) {
 		}
 		return sp
 	}
+	newNVMetro := func(h *stack.Host) *stack.NVMetro { return stack.NewNVMetro(h) }
 	for _, v := range []struct {
 		name             string
 		spec             nvmetro.Spec
 		replicate, clone bool
 		pool             func(*nvmetro.System) *nvmetro.Pool
-		// build is the builder chain of the deleted entry point; sp is the
+		// chain is the With* chain of the deleted entry point; sp is the
 		// prepared Spec, for the remote host and image it names.
-		build func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro
+		chain func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro
+		// Without a chain, the volume attaches stackSpec(sp) to sol(h).
+		sol       func(h *stack.Host) *stack.NVMetro
+		stackSpec func(sp nvmetro.Spec) stack.Spec
 	}{
-		{name: "NVMetro",
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro { return stack.NewNVMetro(h) }},
+		{name: "NVMetro", chain: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro { return stack.NewNVMetro(h) }},
 		{name: "Encrypted", spec: nvmetro.Spec{Encrypt: enc},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetro(h).WithEncryption(testKey, false)
 			}},
 		{name: "EncryptedSGX", spec: nvmetro.Spec{Encrypt: sgx},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetro(h).WithEncryption(testKey, true)
 			}},
 		{name: "Replicated", replicate: true,
-			build: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetro(h).WithReplication(sp.Replicate.Secondary())
 			}},
 		{name: "Cached", spec: nvmetro.Spec{Cache: &cache},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro { return stack.NewNVMetro(h).WithCache(cache) }},
-		{name: "EncryptedSupervised", spec: nvmetro.Spec{Encrypt: enc, Supervise: &pol},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
-				return stack.NewNVMetro(h).WithEncryption(testKey, false).WithSupervision(pol)
+			chain: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro { return stack.NewNVMetro(h).WithCache(cache) }},
+		{name: "EncryptedSupervised", spec: nvmetro.Spec{Encrypt: enc, Supervise: &pol}, sol: newNVMetro,
+			stackSpec: func(nvmetro.Spec) stack.Spec {
+				return stack.Spec{Encrypt: &stack.Encryption{Key: testKey}, Supervise: &pol}
 			}},
-		{name: "CachedSupervised", spec: nvmetro.Spec{Cache: &cache, Supervise: &pol},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
-				return stack.NewNVMetro(h).WithCache(cache).WithSupervision(pol)
-			}},
-		{name: "ReplicatedSupervised", spec: nvmetro.Spec{Supervise: &pol}, replicate: true,
-			build: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
-				return stack.NewNVMetro(h).WithReplication(sp.Replicate.Secondary()).WithSupervision(pol)
+		{name: "CachedSupervised", spec: nvmetro.Spec{Cache: &cache, Supervise: &pol}, sol: newNVMetro,
+			stackSpec: func(nvmetro.Spec) stack.Spec { return stack.Spec{Cache: &cache, Supervise: &pol} }},
+		{name: "ReplicatedSupervised", spec: nvmetro.Spec{Supervise: &pol}, replicate: true, sol: newNVMetro,
+			stackSpec: func(sp nvmetro.Spec) stack.Spec {
+				return stack.Spec{Replicate: sp.Replicate.Secondary(), Supervise: &pol}
 			}},
 		{name: "Protected", spec: nvmetro.Spec{Integrity: &scrub},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro { return stack.NewNVMetro(h).WithIntegrity(scrub) }},
+			chain: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro { return stack.NewNVMetro(h).WithIntegrity(scrub) }},
 		{name: "ReplicatedProtected", spec: nvmetro.Spec{Integrity: &scrub}, replicate: true,
-			build: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetro(h).WithReplication(sp.Replicate.Secondary()).WithIntegrity(scrub)
 			}},
 		{name: "Cloned", clone: true,
-			build: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetro(h).WithSnapshots(sp.CloneOf)
 			}},
 		{name: "ClonedProtected", spec: nvmetro.Spec{Integrity: &scrub}, clone: true,
-			build: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, sp nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetro(h).WithSnapshots(sp.CloneOf).WithIntegrity(scrub)
 			}},
 		{name: "SharedQoS", spec: nvmetro.Spec{QoS: &contract},
 			pool: func(sys *nvmetro.System) *nvmetro.Pool {
 				return sys.NewNVMetroShared(1).WithQoS(nvmetro.QoSConfig{})
 			},
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
+			sol: func(h *stack.Host) *stack.NVMetro {
 				return stack.NewNVMetroShared(h, 1).WithQoS(nvmetro.QoSConfig{})
-			}},
+			},
+			stackSpec: func(nvmetro.Spec) stack.Spec { return stack.Spec{QoS: &contract} }},
 		{name: "Sharded",
 			pool: func(sys *nvmetro.System) *nvmetro.Pool { return sys.NewNVMetroSharded(2) },
-			build: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
+			chain: func(h *stack.Host, _ nvmetro.Spec) *stack.NVMetro {
 				return stack.NewNVMetroSharded(h, 2)
 			}},
 	} {
@@ -273,8 +279,16 @@ func TestAttachMatchesStackBuilder(t *testing.T) {
 			})
 			var sol *stack.NVMetro
 			br, bh := run(func(sys *nvmetro.System, sp nvmetro.Spec, guest *nvmetro.VM, part nvmetro.Partition) (nvmetro.Disk, handles) {
-				if sol == nil || sp.Pool == nil {
-					sol = v.build(sys.Host, sp) // the old entry points built one solution per attach, pools excepted
+				fresh := sol == nil || sp.Pool == nil // one solution per attach, pools excepted
+				if v.chain == nil {
+					if fresh {
+						sol = v.sol(sys.Host)
+					}
+					vol := sol.Attach(guest, part, v.stackSpec(sp))
+					return vol.Disk, volumeHandles(vol)
+				}
+				if fresh {
+					sol = v.chain(sys.Host, sp)
 				}
 				var disk nvmetro.Disk
 				if v.clone {
@@ -282,14 +296,8 @@ func TestAttachMatchesStackBuilder(t *testing.T) {
 				} else {
 					disk = sol.Provision(guest, part)
 				}
-				if sp.QoS != nil {
-					sol.SetQoS(guest, *sp.QoS)
-				}
-				return disk, builderHandles(sol, guest)
+				return disk, accessorHandles(sol, guest)
 			})
-			if fh != bh {
-				t.Errorf("non-nil handles (Ctrl, Cacher, Supervisor, Domain, Scrubber, Resyncer, Store): facade %v, builder %v", fh, bh)
-			}
 			if !fh[0] {
 				t.Error("Volume.Ctrl is nil")
 			}
@@ -297,8 +305,14 @@ func TestAttachMatchesStackBuilder(t *testing.T) {
 			if v.replicate && !fh[5] {
 				t.Error("Volume.Resyncer is nil for a Spec{Replicate} volume")
 			}
+			if v.chain != nil {
+				fh[2], fh[4], fh[5] = false, false, false // handles no accessor reaches
+			}
+			if fh != bh {
+				t.Errorf("non-nil handles (Ctrl, Cacher, Supervisor, Domain, Scrubber, Resyncer, Store): facade %v, stack %v", fh, bh)
+			}
 			if fr.Ops == 0 || fr.Ops != br.Ops || fr.Errors != br.Errors || !fr.Lat.Equal(br.Lat) {
-				t.Errorf("fio diverged: facade ops=%d errors=%d p99=%d, builder ops=%d errors=%d p99=%d",
+				t.Errorf("fio diverged: facade ops=%d errors=%d p99=%d, stack ops=%d errors=%d p99=%d",
 					fr.Ops, fr.Errors, fr.Lat.P99(), br.Ops, br.Errors, br.Lat.P99())
 			}
 		})

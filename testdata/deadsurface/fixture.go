@@ -3,6 +3,8 @@ package fixture
 
 import "fixture/internal/lib"
 
+var _ lib.Labeler = lib.Impl{}
+
 func Run() int {
 	lib.Tally()
 	lib.Take()

@@ -43,3 +43,8 @@ func Tally() Counts { return Counts{Hits: 1, Misses: 2} }
 type Snap struct{ N int }
 
 func Take() Snap { return Snap{N: 1} }
+
+// Labeler is implemented by Impl, but no file calls Label: (f).
+type Labeler interface{ Label() string }
+
+func (Impl) Label() string { return "impl" }
