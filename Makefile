@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt deadsurface loc bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt deadsurface loc prodcover bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet (natively and for arm64, so that the
 # Go-only build of internal/xts keeps compiling), race-enabled tests, gofmt
@@ -50,6 +50,14 @@ loc:
 	@printf 'test Go lines:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 	@printf 'internal/ebpf non-test Go lines: %s\n' "$$(find ./internal/ebpf -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/core non-test Go lines: %s\n' "$$(find ./internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
+
+# prodcover prints, per file, the statements no shipped program runs: the
+# binaries under cmd/ and examples/ and the bench/ binary, built with
+# coverage and run as CI and TestCLIGolden run them (scripts/prodcover.sh
+# lists the runs). Code none of them reaches is the first candidate for
+# deletion. Informational, not part of check; it writes nothing in the tree.
+prodcover:
+	bash scripts/prodcover.sh
 
 bench:
 	$(GO) test -bench=. -benchmem

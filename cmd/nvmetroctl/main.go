@@ -99,7 +99,7 @@ func main() {
 	sys := nvmetro.NewSystem(cfg)
 	defer sys.Close()
 
-	fmt.Printf("host: %d cores, device %q\n", cfg.Cores, sys.DeviceUnderTest().Identify().Model)
+	fmt.Printf("host: %d cores, device %q\n", cfg.Cores, sys.DeviceUnderTest().Model())
 
 	var remote *nvmetro.RemoteHost
 	if *function == "replication" {

@@ -56,8 +56,6 @@ type surfaceEntry struct {
 
 var deadSurfaceAllow = []surfaceEntry{
 	// Paper features no experiment drives yet.
-	{File: "internal/core/admin.go", Reason: "admin command emulation: guests probe Identify/Features before creating I/O queues"},
-	{File: "internal/nvme/identify.go", Reason: "the Identify data structures admin emulation serves"},
 	{File: "internal/blockdev/kerneladapter.go", Reason: "the kernel path's backend (PAPER.md §1), driven by the core and dm tests"},
 	{ID: "core.Controller.SetKernelTarget", Reason: "installs the kernel path's backend"},
 	{ID: "core.KernelTarget", Reason: "the kernel path's backend contract"},

@@ -22,7 +22,8 @@ type Recovery struct {
 // DefaultRecovery returns a conservative policy: a deadline far above any
 // loaded-device latency (bandwidth-bound sequential writes at QD512 can
 // legitimately queue for ~20 ms in the model), so it only ever fires on
-// genuinely lost completions. Fault experiments install tighter policies.
+// genuinely lost completions. Every host block device runs it; only the
+// blockdev tests install tighter policies, through SetRecovery.
 func DefaultRecovery() Recovery {
 	return Recovery{
 		Timeout:    100 * sim.Millisecond,

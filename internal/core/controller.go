@@ -58,6 +58,8 @@ type request struct {
 
 	t0 sim.Time // admission time, for QoS latency tracking
 
+	classified int // classifier invocations so far, bounded by maxClassifications
+
 	pending   int         // references: outstanding hops, plus the routing step running
 	waiters   int         // outstanding dispComplete hops
 	status    nvme.Status // first error seen on any hop
@@ -422,10 +424,26 @@ func (vc *Controller) SetIRQ(qid uint16, fn func()) {
 
 // --- classification and routing ----------------------------------------
 
+// maxClassifications bounds the classifier invocations of one request. The
+// verifier bounds one invocation, but a completion hook may send and hook
+// again, so a verified classifier could otherwise chain or fan out without
+// end. The shipped classifiers need two (the encryptor's HOOK_HCQ); a VSQ
+// verdict that hooks all three paths needs four.
+const maxClassifications = 4
+
 // classifyAndRoute invokes the classifier for req at the given hook and
-// applies the returned actions. Runs in worker effect context.
+// applies the returned actions. A request past maxClassifications, or whose
+// classifier faults, fails with SCInternal and dispatches nothing: a
+// classifier fault. Runs in worker effect context.
 func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Status) {
 	vc := req.vq.vc
+	if req.classified++; req.classified > maxClassifications {
+		if req.classified == maxClassifications+1 {
+			w.r.ClassifierFaults++
+		}
+		w.completeReq(req, nvme.SCInternal)
+		return
+	}
 	w.r.Classifications++
 	vc.ctx.set(hook, uint32(errStatus), uint32(vc.vm.ID), uint32(req.vq.qid), req.s0, req.s1, req.cmd[:])
 	var ret uint64
@@ -436,6 +454,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 		if ret, err = vc.cvm.RunCompiled(vc.cprog, vc.ctx[:]); err != nil {
 			// A faulting classifier fails the request rather than the
 			// host — the isolation property eBPF buys us.
+			w.r.ClassifierFaults++
 			w.completeReq(req, nvme.SCInternal)
 			return
 		}

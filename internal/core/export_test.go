@@ -60,3 +60,6 @@ func Records(vc *Controller) (n int) {
 	}
 	return n
 }
+
+// MaxClassifications is the bound on one request's classifier invocations.
+const MaxClassifications = maxClassifications

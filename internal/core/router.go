@@ -88,6 +88,7 @@ type Router struct {
 	NotifyRequeued   uint64 // notify hops requeued through the classifier
 	GuardErrors      uint64 // guest reads failing protection-info verification
 	QuarantinedReads uint64 // guest reads refused on quarantined ranges
+	ClassifierFaults uint64 // requests failed by a faulting classifier or past maxClassifications
 
 	// Path-promotion accounting.
 	Promotions  uint64 // routed→direct transitions granted

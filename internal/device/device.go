@@ -135,7 +135,7 @@ func classOf(op uint8) fault.Class {
 // AddNamespace attaches an additional namespace.
 func (d *Device) AddNamespace(id uint32, blocks uint64, store Store) *Namespace {
 	n := &Namespace{
-		Info:  nvme.NamespaceInfo{Size: blocks, Capacity: blocks, LBAShift: d.p.LBAShift},
+		Info:  nvme.NamespaceInfo{Size: blocks, LBAShift: d.p.LBAShift},
 		Store: store,
 	}
 	d.ns[id] = n
@@ -155,13 +155,8 @@ func (d *Device) NextNSID() uint32 {
 	return id
 }
 
-// Identify returns the controller identify page contents.
-func (d *Device) Identify() nvme.ControllerInfo {
-	return nvme.ControllerInfo{
-		VID: 0x144d, Serial: "S4EVNF0M970EVO+", Model: "Samsung SSD 970 EVO Plus 1TB (simulated)",
-		Firmware: "2B2QEXM7", NN: uint32(len(d.ns)), MaxXfer: 5, SQES: 6, CQES: 4,
-	}
-}
+// Model returns the controller's model string.
+func (d *Device) Model() string { return "Samsung SSD 970 EVO Plus 1TB (simulated)" }
 
 // CreateQueuePair allocates a hardware I/O queue pair of the given depth,
 // with DMA performed against mem. It returns the pair; the caller rings the

@@ -39,7 +39,7 @@ func (p Partition) BlockSize() uint32 { return p.Dev.Params().BlockSize() }
 
 // Info returns the namespace info a guest should see for this partition.
 func (p Partition) Info() nvme.NamespaceInfo {
-	return nvme.NamespaceInfo{Size: p.Blocks, Capacity: p.Blocks, LBAShift: p.Dev.Params().LBAShift}
+	return nvme.NamespaceInfo{Size: p.Blocks, LBAShift: p.Dev.Params().LBAShift}
 }
 
 // Translate converts a partition-relative LBA range to device LBAs,

@@ -1,7 +1,8 @@
 // Package nvme implements the subset of the NVM Express protocol that
 // NVMetro mediates: 64-byte submission commands, 16-byte completions with
 // phase bits, submission/completion ring queues, PRP data pointers and the
-// identify structures used by the admin command set.
+// NVM command set's opcodes. There is no admin queue: a guest driver creates
+// its I/O queues through its port (vm.Port.CreateQP).
 //
 // Commands are kept in wire format ([64]byte, little-endian) because both
 // the queue rings and the eBPF classifiers operate on raw command memory,
@@ -36,19 +37,6 @@ const (
 	// OpVendorStart is the first vendor-specific I/O opcode. NVMetro can
 	// pass vendor commands straight to hardware when the classifier allows.
 	OpVendorStart uint8 = 0x80
-)
-
-// Admin opcodes.
-const (
-	AdminDeleteSQ   uint8 = 0x00
-	AdminCreateSQ   uint8 = 0x01
-	AdminGetLogPage uint8 = 0x02
-	AdminDeleteCQ   uint8 = 0x04
-	AdminCreateCQ   uint8 = 0x05
-	AdminIdentify   uint8 = 0x06
-	AdminAbort      uint8 = 0x08
-	AdminSetFeature uint8 = 0x09
-	AdminGetFeature uint8 = 0x0A
 )
 
 // Command is one 64-byte NVMe submission queue entry in wire format.

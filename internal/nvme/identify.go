@@ -1,107 +1,10 @@
 package nvme
 
-import "encoding/binary"
-
-// IdentifyPageSize is the size of identify data structures.
-const IdentifyPageSize = 4096
-
-// CNS values for the Identify command (CDW10[7:0]).
-const (
-	CNSNamespace  uint32 = 0x00
-	CNSController uint32 = 0x01
-	CNSActiveNS   uint32 = 0x02
-)
-
-// ControllerInfo is the subset of the Identify Controller data structure
-// that the virtual controller exposes to guests.
-type ControllerInfo struct {
-	VID      uint16 // PCI vendor ID
-	Serial   string // 20 chars
-	Model    string // 40 chars
-	Firmware string // 8 chars
-	NN       uint32 // number of namespaces
-	MaxXfer  uint8  // MDTS, as a power-of-two multiple of the page size
-	SQES     uint8  // submission queue entry size (log2), 6 for 64B
-	CQES     uint8  // completion queue entry size (log2), 4 for 16B
-}
-
-// Marshal encodes the structure at the spec-defined offsets of a 4 KiB
-// identify page.
-func (c ControllerInfo) Marshal() []byte {
-	p := make([]byte, IdentifyPageSize)
-	binary.LittleEndian.PutUint16(p[0:2], c.VID)
-	padCopy(p[4:24], c.Serial)
-	padCopy(p[24:64], c.Model)
-	padCopy(p[64:72], c.Firmware)
-	p[77] = c.MaxXfer
-	p[512] = c.SQES<<4 | c.SQES
-	p[513] = c.CQES<<4 | c.CQES
-	binary.LittleEndian.PutUint32(p[516:520], c.NN)
-	return p
-}
-
-// ParseControllerInfo decodes an identify controller page.
-func ParseControllerInfo(p []byte) ControllerInfo {
-	return ControllerInfo{
-		VID:      binary.LittleEndian.Uint16(p[0:2]),
-		Serial:   trimPad(p[4:24]),
-		Model:    trimPad(p[24:64]),
-		Firmware: trimPad(p[64:72]),
-		MaxXfer:  p[77],
-		SQES:     p[512] & 0xf,
-		CQES:     p[513] & 0xf,
-		NN:       binary.LittleEndian.Uint32(p[516:520]),
-	}
-}
-
 // NamespaceInfo is the subset of Identify Namespace the stack uses.
 type NamespaceInfo struct {
 	Size     uint64 // NSZE, in logical blocks
-	Capacity uint64 // NCAP
-	Used     uint64 // NUSE
 	LBAShift uint8  // log2 of the LBA data size (9 = 512B, 12 = 4K)
 }
 
 // BlockSize returns the logical block size in bytes.
 func (n NamespaceInfo) BlockSize() uint32 { return 1 << n.LBAShift }
-
-// Bytes returns the namespace size in bytes.
-func (n NamespaceInfo) Bytes() uint64 { return n.Size << n.LBAShift }
-
-// Marshal encodes the namespace page (single LBA format, FLBAS=0).
-func (n NamespaceInfo) Marshal() []byte {
-	p := make([]byte, IdentifyPageSize)
-	binary.LittleEndian.PutUint64(p[0:8], n.Size)
-	binary.LittleEndian.PutUint64(p[8:16], n.Capacity)
-	binary.LittleEndian.PutUint64(p[16:24], n.Used)
-	p[25] = 0 // NLBAF: one format
-	p[26] = 0 // FLBAS: format 0
-	// LBAF0 at offset 128: MS[15:0] LBADS[23:16] RP[25:24].
-	p[130] = n.LBAShift
-	return p
-}
-
-// ParseNamespaceInfo decodes an identify namespace page.
-func ParseNamespaceInfo(p []byte) NamespaceInfo {
-	return NamespaceInfo{
-		Size:     binary.LittleEndian.Uint64(p[0:8]),
-		Capacity: binary.LittleEndian.Uint64(p[8:16]),
-		Used:     binary.LittleEndian.Uint64(p[16:24]),
-		LBAShift: p[130],
-	}
-}
-
-func padCopy(dst []byte, s string) {
-	for i := range dst {
-		dst[i] = ' '
-	}
-	copy(dst, s)
-}
-
-func trimPad(b []byte) string {
-	end := len(b)
-	for end > 0 && (b[end-1] == ' ' || b[end-1] == 0) {
-		end--
-	}
-	return string(b[:end])
-}

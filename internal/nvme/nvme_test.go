@@ -270,25 +270,6 @@ func TestReadWriteSegments(t *testing.T) {
 	}
 }
 
-func TestIdentifyControllerRoundTrip(t *testing.T) {
-	in := ControllerInfo{VID: 0x1b36, Serial: "NVMETRO0001", Model: "NVMetro Virtual Controller", Firmware: "1.0", NN: 4, MaxXfer: 5, SQES: 6, CQES: 4}
-	out := ParseControllerInfo(in.Marshal())
-	if out != in {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-}
-
-func TestIdentifyNamespaceRoundTrip(t *testing.T) {
-	in := NamespaceInfo{Size: 1 << 30, Capacity: 1 << 30, Used: 42, LBAShift: 9}
-	out := ParseNamespaceInfo(in.Marshal())
-	if out != in {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-	if out.BlockSize() != 512 || out.Bytes() != 512<<30 {
-		t.Fatal("derived sizes")
-	}
-}
-
 func BenchmarkSQPushPop(b *testing.B) {
 	q := NewSQ(1, 1024)
 	c := NewRW(OpRead, 1, 1, 0, 8, 0x1000, 0)

@@ -139,7 +139,7 @@ func runSubmitLockWorld(t *testing.T, seed int64, reference bool) submitLockResu
 	v := vm.New(env, 0, cpu, 0, nq, 16<<20, vm.DefaultVirtCosts())
 	rng := rand.New(rand.NewSource(seed ^ 0xb1c))
 	be := &lockBackend{env: env, rng: rng, bell: map[*Queue]*sim.Cond{}, irq: map[*Queue]func(){}, busy: map[*Queue]bool{}}
-	disk := NewBlkDisk(v, be, nvme.NamespaceInfo{Size: 1 << 20, Capacity: 1 << 20, LBAShift: 9}, 16, vm.DefaultDriverCosts())
+	disk := NewBlkDisk(v, be, nvme.NamespaceInfo{Size: 1 << 20, LBAShift: 9}, 16, vm.DefaultDriverCosts())
 	if seed%2 == 0 {
 		be.qs[0].Ring.SuppressKick = true
 	}

@@ -36,7 +36,7 @@ type post struct {
 }
 
 func (lp *lockPort) Namespace() nvme.NamespaceInfo {
-	return nvme.NamespaceInfo{Size: 1 << 20, Capacity: 1 << 20, LBAShift: 9}
+	return nvme.NamespaceInfo{Size: 1 << 20, LBAShift: 9}
 }
 
 func (lp *lockPort) CreateQP(depth uint32) *nvme.QueuePair {
