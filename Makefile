@@ -70,12 +70,14 @@ bench:
 # implementation) with allocation counts, and what those rounds
 # cost a shard per idle tenant scanned, plus the notify path's two prices:
 # the host cache under uif_mix's cached op mix and one notify-path command
-# end to end; results/simbench.txt holds the snapshots.
+# end to end, and the CoW store's shared and private reads and its
+# read-modify-write break; results/simbench.txt holds the snapshots.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 300ms ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkShardIdleTenants' -benchmem -benchtime 300ms ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheMix' -benchmem -benchtime 300ms ./internal/cache/
 	$(GO) test -run '^$$' -bench 'BenchmarkNotifyHop' -benchmem -benchtime 300ms ./internal/storfn/
+	$(GO) test -run '^$$' -bench 'BenchmarkCow' -benchmem -benchtime 300ms ./internal/cow/
 
 # bench-smoke compiles and runs every microbenchmark exactly once. It is a
 # CI gate against benchmarks rotting (build or runtime failures), not a
@@ -202,7 +204,9 @@ fuzz-smoke:
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests (page-granular private
-# chunks and their break source across a cache eviction included), the
+# chunks and their break source across a cache eviction, and private pages
+# interned once per distinct content across clones, shared pages never
+# changed by a sub-page write and every entry released by close, included), the
 # stack-level clone round trip through the router fast path, and the
 # small-fleet boot-storm experiment (shared-vs-flat table, clone-cost
 # flatness, determinism).

@@ -498,6 +498,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 	}
 	if n == 0 {
 		// No action at all: a buggy classifier must not wedge the guest.
+		w.r.ClassifierFaults++
 		w.completeReq(req, nvme.SCInternal)
 		return
 	}
@@ -730,13 +731,15 @@ func (w *worker) postVCQ(vq *vqState, cid uint16, status nvme.Status) {
 
 // put drops one reference to req — a finished hop's, or the routing step's
 // admit took — and settles req on the last: a request no leg completed (the
-// classifier orphaned it with fire-and-forget-only routing) fails to the
-// guest rather than wedging, and the record is released.
+// classifier orphaned it with fire-and-forget-only routing) is a classifier
+// fault and fails to the guest rather than wedging, and the record is
+// released.
 func (w *worker) put(req *request) {
 	if req.pending--; req.pending > 0 {
 		return
 	}
 	if !req.completed {
+		w.r.ClassifierFaults++
 		w.completeReq(req, nvme.SCInternal)
 	}
 	w.release(req)

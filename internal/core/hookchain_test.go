@@ -66,3 +66,46 @@ func TestHookChainBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestClassifierFaultsCounted: a verdict that sends nowhere, and one whose
+// only leg is fire-and-forget so no leg completes the request, both fail the
+// guest with SCInternal rather than wedging it, and each counts one
+// classifier fault per request, as a faulting or runaway classifier does.
+func TestClassifierFaultsCounted(t *testing.T) {
+	const reqs = 3
+	for _, tc := range []struct {
+		name    string
+		verdict uint64
+	}{
+		{"no-send", 0},
+		{"fire-and-forget", core.ActSendHQ},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(1)
+			v, vc, disk := r.addVM(0, device.WholeNamespace(r.dev, 1))
+			prog := ebpf.NewBuilder().MovImm64(ebpf.R0, tc.verdict).Exit().MustProgram("fault-" + tc.name)
+			if err := vc.LoadClassifier(prog); err != nil {
+				t.Fatal(err)
+			}
+			r.run(t, func(p *sim.Proc) {
+				for i := 0; i < reqs; i++ {
+					base, pages, _ := v.Mem.AllocBuffer(512)
+					req := &vm.Req{Op: vm.OpRead, LBA: uint64(7 + i), Blocks: 1, Buf: base, BufPages: pages}
+					if st := vm.SubmitAndWait(p, disk, v.VCPU(0), req); st != nvme.SCInternal {
+						t.Errorf("request %d: status %v, want SCInternal", i, st)
+					}
+				}
+				p.Sleep(sim.Millisecond)
+			})
+			if r.router.ClassifierFaults != reqs {
+				t.Errorf("ClassifierFaults = %d for %d requests, want %d", r.router.ClassifierFaults, reqs, reqs)
+			}
+			if vc.Outstanding() != 0 {
+				t.Errorf("%d requests outstanding at quiesce", vc.Outstanding())
+			}
+			if err := core.CheckRecords(vc); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}

@@ -88,7 +88,7 @@ type Router struct {
 	NotifyRequeued   uint64 // notify hops requeued through the classifier
 	GuardErrors      uint64 // guest reads failing protection-info verification
 	QuarantinedReads uint64 // guest reads refused on quarantined ranges
-	ClassifierFaults uint64 // requests failed by a faulting classifier or past maxClassifications
+	ClassifierFaults uint64 // requests failed by a faulting classifier, past maxClassifications, or left with no leg to complete them
 
 	// Path-promotion accounting.
 	Promotions  uint64 // routed→direct transitions granted

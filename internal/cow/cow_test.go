@@ -64,15 +64,20 @@ func (o *oracle) pageWrite(rng *rand.Rand, blocks int, sub bool) uint64 {
 	return lba
 }
 
-// privateBytes is what the store's private chunks hold of their own: every
-// page buffer plus each record's header (the record and its page table).
+// privateBytes is what the store's private chunks hold of their own: each
+// record's header (the record and its page table) plus every page entry they
+// reference, counted once however many pages share it.
 func (s *Store) privateBytes() int {
-	const sliceHeader = 24
+	const sliceHeader, pointer, entry = 24, 8, 40
 	n := 0
+	seen := make(map[*page]bool)
 	for _, p := range s.mut {
-		n += 2*sliceHeader + len(p.pages)*sliceHeader
+		n += 2*sliceHeader + len(p.pages)*pointer
 		for _, pg := range p.pages {
-			n += cap(pg)
+			if pg != nil && !seen[pg] {
+				seen[pg] = true
+				n += entry + cap(pg.data)
+			}
 		}
 	}
 	return n

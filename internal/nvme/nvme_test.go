@@ -196,6 +196,53 @@ func TestQueueHooks(t *testing.T) {
 	}
 }
 
+// TestIdleQueueHoldsNoRing: a queue nothing was pushed to holds no ring
+// memory — peeking and popping it do not allocate one — and a queue that
+// takes its ring on the first push keeps the full/empty and phase-tag
+// behaviour over several wraps.
+func TestIdleQueueHoldsNoRing(t *testing.T) {
+	sq, cq := NewSQ(1, 1024), NewCQ(1, 1024)
+	var cmd Command
+	var e Completion
+	if sq.Peek(&cmd) || sq.Pop(&cmd) || cq.Peek() || cq.Pop(&e) {
+		t.Fatal("an empty queue returned an entry")
+	}
+	if sq.buf != nil || cq.buf != nil {
+		t.Fatalf("never-pushed queues hold %d + %d ring bytes", len(sq.buf), len(cq.buf))
+	}
+	if !sq.Empty() || sq.Full() || sq.Len() != 0 || cq.Full() || cq.Len() != 0 {
+		t.Fatal("a never-pushed queue does not read empty")
+	}
+
+	sq, cq = NewSQ(2, 4), NewCQ(2, 4)
+	for round := 0; round < 5; round++ { // 15 entries: five wraps of a depth-4 ring
+		for i := 0; i < 3; i++ {
+			c := NewRW(OpRead, uint16(round*3+i), 1, 0, 1, 0, 0)
+			if !sq.Push(&c) || !cq.Post(uint16(round*3+i), 2, 0, SCSuccess, 0) {
+				t.Fatalf("round %d: entry %d refused", round, i)
+			}
+		}
+		if !sq.Full() || !cq.Full() || sq.Push(&cmd) || cq.Post(99, 2, 0, SCSuccess, 0) {
+			t.Fatalf("round %d: a full ring took a fourth entry", round)
+		}
+		if len(sq.buf) != 4*CommandSize || len(cq.buf) != 4*CompletionSize {
+			t.Fatalf("round %d: rings of %d/%d bytes", round, len(sq.buf), len(cq.buf))
+		}
+		for i := 0; i < 3; i++ {
+			want := uint16(round*3 + i)
+			if !sq.Pop(&cmd) || cmd.CID() != want {
+				t.Fatalf("round %d: SQ pop %d got cid %d", round, i, cmd.CID())
+			}
+			if !cq.Peek() || !cq.Pop(&e) || e.CID() != want {
+				t.Fatalf("round %d: CQ pop %d got cid %d", round, i, e.CID())
+			}
+		}
+		if !sq.Empty() || cq.Len() != 0 || cq.Peek() || cq.Pop(&e) {
+			t.Fatalf("round %d: drained rings are not empty", round)
+		}
+	}
+}
+
 func TestWalkPRPSinglePage(t *testing.T) {
 	mem := guestmem.New(1 << 20)
 	segs, err := WalkPRP(mem, 0x3000, 0, 512)

@@ -9,7 +9,7 @@ import "fmt"
 // is taken on submission.
 type SQ struct {
 	ID     uint16
-	buf    []byte
+	buf    []byte // the ring, allocated by the first Push
 	size   uint32
 	head   uint32
 	tail   uint32
@@ -18,11 +18,13 @@ type SQ struct {
 
 // NewSQ creates a submission queue with the given entry count (power of two
 // not required; one slot is kept unused to distinguish full from empty).
+// The ring's memory is taken by the first Push, so a queue nothing submits
+// to holds none.
 func NewSQ(id uint16, entries uint32) *SQ {
 	if entries < 2 {
 		panic("nvme: SQ needs at least 2 entries")
 	}
-	return &SQ{ID: id, buf: make([]byte, entries*CommandSize), size: entries}
+	return &SQ{ID: id, size: entries}
 }
 
 // Size returns the entry count.
@@ -44,6 +46,9 @@ func (q *SQ) Empty() bool { return q.head == q.tail }
 func (q *SQ) Push(c *Command) bool {
 	if q.Full() {
 		return false
+	}
+	if q.buf == nil {
+		q.buf = make([]byte, q.size*CommandSize)
 	}
 	copy(q.buf[q.tail*CommandSize:], c[:])
 	q.tail = (q.tail + 1) % q.size
@@ -85,7 +90,7 @@ func (q *SQ) String() string {
 // the basis of interrupt-free busy polling.
 type CQ struct {
 	ID     uint16
-	buf    []byte
+	buf    []byte // the ring, allocated by the first Push
 	size   uint32
 	head   uint32 // consumer index (doorbell)
 	tail   uint32 // producer index
@@ -94,12 +99,13 @@ type CQ struct {
 	OnPost func() // optional hook (interrupt model), called once per accepted post; nil = polled
 }
 
-// NewCQ creates a completion queue with the given entry count.
+// NewCQ creates a completion queue with the given entry count. Like an
+// SQ's, the ring's memory is taken by the first Push.
 func NewCQ(id uint16, entries uint32) *CQ {
 	if entries < 2 {
 		panic("nvme: CQ needs at least 2 entries")
 	}
-	return &CQ{ID: id, buf: make([]byte, entries*CompletionSize), size: entries, prodPh: true, consPh: true}
+	return &CQ{ID: id, size: entries, prodPh: true, consPh: true}
 }
 
 // Size returns the entry count.
@@ -117,6 +123,9 @@ func (q *CQ) Full() bool { return (q.tail+1)%q.size == q.head }
 func (q *CQ) Push(e *Completion) bool {
 	if q.Full() {
 		return false
+	}
+	if q.buf == nil {
+		q.buf = make([]byte, q.size*CompletionSize)
 	}
 	var entry Completion
 	copy(entry[:], e[:])

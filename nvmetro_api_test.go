@@ -2,6 +2,7 @@ package nvmetro_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +64,58 @@ func TestPublicAPIEncryptionAndFIO(t *testing.T) {
 	}, disk.Targets(2))
 	if res.Errors > 0 || res.Ops == 0 {
 		t.Fatalf("encrypted fio: ops=%d errors=%d", res.Ops, res.Errors)
+	}
+}
+
+// TestPublicAPIRunFIOMixed runs two differently configured groups over one
+// shared window through the facade: 512 B random reads on the fast path and
+// 4 KiB random writes through the encryptor, each on its own partition. Each
+// group completes work without errors at its own block size, and a second
+// System built the same way returns identical results.
+func TestPublicAPIRunFIOMixed(t *testing.T) {
+	run := func() []nvmetro.FIOResult {
+		sys := nvmetro.NewSystem(nvmetro.Defaults())
+		defer sys.Close()
+		parts := sys.CarveDisk(2)
+		fast := sys.NewVM(1, 32<<20)
+		enc := sys.NewVM(1, 32<<20)
+		fv, err := sys.Attach(fast, parts[0], nvmetro.Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := sys.Attach(enc, parts[1], nvmetro.Spec{Encrypt: &nvmetro.Encryption{Key: bytes.Repeat([]byte{5}, 64)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := func(cfg nvmetro.FIOConfig) nvmetro.FIOConfig {
+			cfg.Warmup, cfg.Duration = nvmetro.Millisecond, 4*nvmetro.Millisecond
+			return cfg
+		}
+		return sys.RunFIOMixed([]nvmetro.FIOGroup{
+			{Name: "fast", Targets: fv.Targets(1), Cfg: window(nvmetro.FIOConfig{Mode: nvmetro.RandRead, BlockSize: 512, QD: 4})},
+			{Name: "enc", Targets: ev.Targets(1), Cfg: window(nvmetro.FIOConfig{Mode: nvmetro.RandWrite, BlockSize: 4096, QD: 8})},
+		})
+	}
+	res := run()
+	if len(res) != 2 {
+		t.Fatalf("%d results for 2 groups", len(res))
+	}
+	for i, bs := range []uint64{512, 4096} {
+		r := res[i]
+		if r.Ops == 0 || r.Errors != 0 {
+			t.Fatalf("group %d: ops=%d errors=%d", i, r.Ops, r.Errors)
+		}
+		if r.Bytes != r.Ops*bs {
+			t.Errorf("group %d: %d bytes in %d ops, want %d B each", i, r.Bytes, r.Ops, bs)
+		}
+	}
+	again := run()
+	for i := range res {
+		a, b := res[i], again[i]
+		if a.Ops != b.Ops || a.Bytes != b.Bytes || a.Errors != b.Errors || !a.Lat.Equal(b.Lat) ||
+			!reflect.DeepEqual(a.CPU, b.CPU) {
+			t.Errorf("group %d differs between identical systems: %+v vs %+v", i, a.Summary, b.Summary)
+		}
 	}
 }
 
