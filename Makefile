@@ -29,12 +29,12 @@ fmt:
 
 # deadsurface runs the dead-surface checker (deadsurface_test.go) alone and
 # verbosely: per rule, its unlisted and allowlisted hit counts, then every
-# allowlisted unreachable declaration with its length. Rules: (a) an
-# exported internal/ identifier no other package's non-test code uses, (b) a
-# setting-struct field nothing outside its package writes, (c) a
-# declaration no main, init or root-package export reaches, (d) a field
-# written but never read, (e) an exported field no file reads, tests
-# included, (f) an internal/ interface method no non-test file calls,
+# allowlisted hit with its rule (an unreachable declaration with its
+# length). Rules: (a) an exported internal/ identifier no other package's
+# non-test code uses, (b) a setting-struct field nothing outside its package
+# writes, (c) a declaration no main, init or root-package export reaches,
+# (d) a field written but never read, (e) an exported field no file reads,
+# tests included, (f) an internal/ interface method no non-test file calls,
 # through the interface or on an implementation. Any unlisted hit or stale
 # allowlist row fails.
 deadsurface:

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	cfg := nvmetro.Defaults() // BackingMem: the device keeps real contents
+	cfg := nvmetro.Defaults() // the device's in-memory store keeps real contents
 	sys := nvmetro.NewSystem(cfg)
 	defer sys.Close()
 

@@ -82,6 +82,53 @@ func SubmitAndWait(p *sim.Proc, dev BlockDevice, thread *sim.Thread, b *Bio) {
 	p.Await(func(then func()) { dev.SubmitFunc(thread, b, then) })
 }
 
+// SubmitNVMe is NVMetro's kernel path: it translates an NVMe I/O command
+// against guest memory mem into one bio on dev, submitted from thread.
+// lbaShift is the command's LBA size. Data moves through a kernel bounce
+// buffer: a write's payload is copied in from the command's PRPs before
+// submission, a read's is copied back on completion. Flush and DSM become
+// flush and discard bios. The kernel path only understands Linux storage
+// semantics, so any other opcode completes SCInvalidOpcode at once (the
+// paper sends NVMe- and vendor-specific commands down the fast path), and a
+// transfer whose PRPs do not walk completes SCDataXferError. done runs in
+// completion context and must not block.
+func SubmitNVMe(dev BlockDevice, thread *sim.Thread, lbaShift uint8, cmd nvme.Command, mem nvme.Memory, done func(nvme.Status)) {
+	b := &Bio{Sector: cmd.SLBA() << lbaShift / SectorSize, OnDone: done}
+	switch op := cmd.Opcode(); op {
+	case nvme.OpFlush:
+		b.Op, b.Sector = BioFlush, 0
+	case nvme.OpDSM:
+		b.Op, b.NSect = BioDiscard, uint32(uint64(cmd.Blocks())<<lbaShift/SectorSize)
+	case nvme.OpRead, nvme.OpWrite:
+		n := cmd.Blocks() << lbaShift
+		segs, err := nvme.WalkPRP(mem, cmd.PRP1(), cmd.PRP2(), n)
+		if err != nil {
+			done(nvme.SCDataXferError)
+			return
+		}
+		b.Data = make([]byte, n)
+		if op == nvme.OpWrite {
+			if err := nvme.ReadSegments(mem, segs, b.Data); err != nil {
+				done(nvme.SCDataXferError)
+				return
+			}
+			b.Op = BioWrite
+			break
+		}
+		b.Op = BioRead
+		b.OnDone = func(st nvme.Status) {
+			if st.OK() && nvme.WriteSegments(mem, segs, b.Data) != nil {
+				st = nvme.SCDataXferError
+			}
+			done(st)
+		}
+	default:
+		done(nvme.SCInvalidOpcode)
+		return
+	}
+	dev.SubmitFunc(thread, b, func() {})
+}
+
 // Costs models per-bio block layer CPU costs (submission path through the
 // request queue and NVMe driver; completion handling in IRQ context).
 type Costs struct {

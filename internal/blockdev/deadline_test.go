@@ -49,8 +49,8 @@ func TestDeadlineDoesNotPinBio(t *testing.T) {
 	env, _, bdev, _, th := bed()
 	runP(t, env, func(p *sim.Proc) {
 		weaks := completeBatch(t, p, th, bdev, 64)
-		if now, timeout := p.Now(), bdev.Recovery().Timeout; sim.Duration(now) > timeout/10 {
-			t.Fatalf("batch took until %v; the test must end long before the %v deadline", now, timeout)
+		if now := p.Now(); sim.Duration(now) > blockdev.CmdTimeout/10 {
+			t.Fatalf("batch took until %v; the test must end long before the %v deadline", now, blockdev.CmdTimeout)
 		}
 		runtime.GC()
 		runtime.GC()
@@ -92,7 +92,7 @@ func TestDeadlinesStayBounded(t *testing.T) {
 		if deepest > 2*depth {
 			t.Errorf("deadline queue reached %d entries with at most %d bios in flight over %d bios", deepest, depth, total)
 		}
-		if sim.Duration(p.Now()) < bdev.Recovery().Timeout {
+		if sim.Duration(p.Now()) < blockdev.CmdTimeout {
 			t.Errorf("run ended at %v, inside the first deadline: the test shows nothing", p.Now())
 		}
 	})
@@ -112,80 +112,32 @@ func lostBio(p *sim.Proc, th *sim.Thread, bdev *blockdev.NVMeBlockDev, sector ui
 }
 
 // TestTimeoutsFireAtSubmitPlusTimeout: lost completions with several
-// deadlines outstanding at once — each attempt is failed at exactly its own
-// submission instant plus Timeout, and a retry ladder takes exactly
-// Timeout x attempts + the backoffs + the resubmission costs, as with one
-// timer per attempt.
+// deadlines outstanding at once — each attempt times out at exactly its own
+// submission instant plus the deadline, and each retry ladder takes exactly
+// the deadline x attempts + the backoffs + the resubmission costs, as with
+// one timer per attempt.
 func TestTimeoutsFireAtSubmitPlusTimeout(t *testing.T) {
 	env, bdev, th := faultBed(fault.NewPlan(1).WithDrops(1, 0))
-	rec := blockdev.Recovery{Timeout: 500 * sim.Microsecond, MaxRetries: 0, Backoff: 50 * sim.Microsecond, Reclaim: 2 * sim.Millisecond}
-	if err := bdev.SetRecovery(rec); err != nil {
-		t.Fatal(err)
-	}
 	runP(t, env, func(p *sim.Proc) {
 		var submitted []sim.Time
 		var aborted []*sim.Time
+		var status []*nvme.Status
 		for i, gap := range []sim.Duration{0, 7 * sim.Microsecond, 0, 123 * sim.Microsecond, 1} {
 			p.Sleep(gap)
-			s, a, _ := lostBio(p, th, bdev, uint64(i)*8)
-			submitted, aborted = append(submitted, s), append(aborted, a)
+			s, a, st := lostBio(p, th, bdev, uint64(i)*8)
+			submitted, aborted, status = append(submitted, s), append(aborted, a), append(status, st)
 		}
-		p.Sleep(sim.Millisecond)
+		p.Sleep(sim.Second)
+		want := 4*blockdev.CmdTimeout + (1+2+4)*blockdev.RetryBackoff + 3*blockdev.DefaultCosts().Submit
 		for i := range submitted {
-			if got := aborted[i].Sub(submitted[i]); got != rec.Timeout {
-				t.Errorf("bio %d submitted at %v aborted after %v, want exactly %v", i, submitted[i], got, rec.Timeout)
+			if got := aborted[i].Sub(submitted[i]); got != want || *status[i] != nvme.SCAbortRequested {
+				t.Errorf("bio %d submitted at %v: ladder ended after %v with %v, want %v with AbortRequested", i, submitted[i], got, *status[i], want)
 			}
 		}
-
-		// The full ladder: three resubmissions from the retry thread.
-		rec.MaxRetries = 3
-		if err := bdev.SetRecovery(rec); err != nil {
-			t.Fatal(err)
-		}
-		s, a, st := lostBio(p, th, bdev, 64)
-		p.Sleep(5 * sim.Millisecond)
-		want := 4*rec.Timeout + (1+2+4)*rec.Backoff + 3*blockdev.DefaultCosts().Submit
-		if got := a.Sub(s); got != want || *st != nvme.SCAbortRequested {
-			t.Errorf("retry ladder ended after %v with %v, want %v with AbortRequested", got, *st, want)
-		}
 	})
-	if bdev.Timeouts != 5+4 || bdev.Retries != 3 || bdev.Aborts != 6 {
-		t.Errorf("timeouts=%d retries=%d aborts=%d, want 9/3/6", bdev.Timeouts, bdev.Retries, bdev.Aborts)
+	if bdev.Timeouts != 5*4 || bdev.Retries != 5*3 || bdev.Aborts != 5 {
+		t.Errorf("timeouts=%d retries=%d aborts=%d, want 20/15/5", bdev.Timeouts, bdev.Retries, bdev.Aborts)
 	}
-}
-
-// TestSetRecoveryShortensTimeoutWithEntriesLive: a shorter Timeout installed
-// while an attempt is outstanding under the longer one. The new attempt's
-// deadline is the earlier instant; it must fire then, not behind the older
-// entry, and the older attempt keeps the deadline it was submitted under.
-func TestSetRecoveryShortensTimeoutWithEntriesLive(t *testing.T) {
-	env, bdev, th := faultBed(fault.NewPlan(1).WithDrops(1, 0))
-	long := blockdev.Recovery{Timeout: 10 * sim.Millisecond, MaxRetries: 0, Reclaim: 20 * sim.Millisecond}
-	short := blockdev.Recovery{Timeout: sim.Millisecond, MaxRetries: 0, Reclaim: 20 * sim.Millisecond}
-	runP(t, env, func(p *sim.Proc) {
-		if err := bdev.SetRecovery(long); err != nil {
-			t.Fatal(err)
-		}
-		s0, a0, _ := lostBio(p, th, bdev, 0)
-		p.Sleep(100 * sim.Microsecond)
-		if err := bdev.SetRecovery(short); err != nil {
-			t.Fatal(err)
-		}
-		s1, a1, _ := lostBio(p, th, bdev, 8)
-		p.Sleep(100 * sim.Microsecond)
-		if err := bdev.SetRecovery(long); err != nil {
-			t.Fatal(err)
-		}
-		s2, a2, _ := lostBio(p, th, bdev, 16)
-		p.Sleep(30 * sim.Millisecond)
-		for i, c := range []struct {
-			got, want sim.Duration
-		}{{a0.Sub(s0), long.Timeout}, {a1.Sub(s1), short.Timeout}, {a2.Sub(s2), long.Timeout}} {
-			if c.got != c.want {
-				t.Errorf("bio %d aborted after %v, want exactly %v", i, c.got, c.want)
-			}
-		}
-	})
 	if bdev.DeadlineLen() != 0 {
 		t.Errorf("%d deadline entries left", bdev.DeadlineLen())
 	}

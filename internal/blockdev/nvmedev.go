@@ -37,6 +37,24 @@ func (p *dmaPool) put(pages []uint64) {
 	p.free[len(pages)] = append(p.free[len(pages)], pages)
 }
 
+// The driver's error recovery, the sim equivalent of the kernel's
+// nvme_timeout/abort/reset ladder: each command has a deadline, and a
+// command that misses it is aborted and resubmitted, with exponential
+// backoff, a bounded number of times before its bio fails. A timed-out CID
+// is quarantined (not reused) until its late completion arrives or the
+// reclaim window expires, so a stale completion cannot be misattributed to
+// a new command on the same tag; the window is longer than the deadline, so
+// a tag never recirculates while its first attempt could still complete in
+// time. The deadline sits far above any loaded-device latency
+// (bandwidth-bound sequential writes at QD512 can legitimately queue for
+// ~20 ms in the model), so it only ever fires on genuinely lost completions.
+const (
+	cmdTimeout   = 100 * sim.Millisecond // per-attempt deadline
+	maxRetries   = 3                     // resubmissions before the bio fails
+	retryBackoff = 100 * sim.Microsecond // first retry delay; doubles per attempt
+	cidReclaim   = 200 * sim.Millisecond // quarantine before a lost CID is reused
+)
+
 // NVMeBlockDev is the host NVMe driver's block device: bios are translated
 // to NVMe commands on a dedicated host queue pair, data is bounced through
 // kernel DMA buffers, and completions are handled in a simulated interrupt
@@ -47,7 +65,6 @@ type NVMeBlockDev struct {
 	nsid     uint32
 	part     device.Partition
 	costs    Costs
-	rec      Recovery
 	qp       *nvme.QueuePair
 	hostmem  *guestmem.Memory
 	pool     *dmaPool
@@ -130,7 +147,6 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 		waitCID: sim.NewCond(env),
 		shift:   part.Dev.Params().LBAShift,
 
-		rec:       DefaultRecovery(),
 		lost:      make(map[uint16]lostCID),
 		retryCond: sim.NewCond(env),
 	}
@@ -315,9 +331,7 @@ func (d *NVMeBlockDev) push(cid uint16) {
 	// The deadline is queued by (CID, generation), never as a closure over
 	// pend: a timer that can reach pend keeps the bio's payload alive for
 	// the whole Timeout after the bio completed.
-	if d.rec.Timeout > 0 {
-		d.deadlines.Add(uint32(cid), pend.gen, d.env.Now().Add(d.rec.Timeout))
-	}
+	d.deadlines.Add(uint32(cid), pend.gen, d.env.Now().Add(cmdTimeout))
 }
 
 // awaited reports whether attempt gen still occupies cid.
@@ -335,12 +349,12 @@ func (d *NVMeBlockDev) onTimeout(id, _ uint32) {
 	d.Timeouts++
 	d.inflight[cid] = pendingBio{listPages: pend.listPages[:0:0]}
 	d.quarantine(cid, pend.gen)
-	if pend.attempts > d.rec.MaxRetries {
+	if pend.attempts > maxRetries {
 		d.Aborts++
 		d.finishBio(&pend, nvme.SCAbortRequested)
 		return
 	}
-	d.env.After(sim.Backoff(d.rec.Backoff, 0, pend.attempts, 0, nil), func() {
+	d.env.After(sim.Backoff(retryBackoff, 0, pend.attempts, 0, nil), func() {
 		d.retryQ = append(d.retryQ, pend)
 		d.retryCond.Signal(nil)
 	})
@@ -354,7 +368,7 @@ func (d *NVMeBlockDev) onTimeout(id, _ uint32) {
 func (d *NVMeBlockDev) quarantine(cid uint16, gen uint32) {
 	entry := lostCID{gen: gen}
 	d.lost[cid] = entry
-	d.env.After(d.rec.Reclaim, func() {
+	d.env.After(cidReclaim, func() {
 		if e, ok := d.lost[cid]; ok && e == entry {
 			delete(d.lost, cid)
 			d.Reclaimed++

@@ -10,8 +10,9 @@ import (
 	"nvmetro/internal/sim"
 )
 
-// faultBed is bed() with a fault plan injected at the device and a tight
-// recovery policy so timeouts resolve in microseconds, not milliseconds.
+// faultBed is bed() with a fault plan injected at the device. The driver's
+// recovery ladder is fixed: a 100 ms deadline, three retries backing off from
+// 100 µs, a 200 ms reclaim window.
 func faultBed(plan *fault.Plan) (*sim.Env, *blockdev.NVMeBlockDev, *sim.Thread) {
 	env := sim.New(1)
 	cpu := sim.NewCPU(env, 4)
@@ -20,12 +21,6 @@ func faultBed(plan *fault.Plan) (*sim.Env, *blockdev.NVMeBlockDev, *sim.Thread) 
 	dev := device.New(env, p, device.NewMemStore(512))
 	dev.InjectFaults(plan.Injector("device"))
 	bdev := blockdev.NewNVMeBlockDev(env, device.WholeNamespace(dev, 1), cpu, 3, blockdev.DefaultCosts())
-	bdev.SetRecovery(blockdev.Recovery{
-		Timeout:    500 * sim.Microsecond,
-		MaxRetries: 3,
-		Backoff:    50 * sim.Microsecond,
-		Reclaim:    2 * sim.Millisecond,
-	})
 	return env, bdev, cpu.ThreadOn(0, "test")
 }
 
@@ -66,19 +61,16 @@ func TestTimeoutExhaustsRetries(t *testing.T) {
 // bio, and the late original is absorbed by the CID quarantine rather than
 // being misattributed.
 func TestStuckCompletionCountedStale(t *testing.T) {
-	env, bdev, th := faultBed(fault.NewPlan(1).WithStuck(1, 1, sim.Millisecond))
-	// Leave headroom above the deadline for the retry even if the device
-	// head-of-line blocks behind the stuck original's hold time.
-	rec := bdev.Recovery()
-	rec.Timeout = 600 * sim.Microsecond
-	bdev.SetRecovery(rec)
+	// The original is held past its deadline but surfaces well inside the
+	// reclaim window, while its CID is still quarantined.
+	env, bdev, th := faultBed(fault.NewPlan(1).WithStuck(1, 1, 150*sim.Millisecond))
 	runP(t, env, func(p *sim.Proc) {
 		st := wait(p, th, bdev, &blockdev.Bio{Op: blockdev.BioRead, Sector: 8, Data: make([]byte, 4096)})
 		if !st.OK() {
 			t.Fatalf("read: %v", st)
 		}
 		// Let the stuck original surface.
-		p.Sleep(5 * sim.Millisecond)
+		p.Sleep(100 * sim.Millisecond)
 	})
 	if bdev.Timeouts != 1 || bdev.Retries != 1 {
 		t.Fatalf("timeouts=%d retries=%d, want 1/1", bdev.Timeouts, bdev.Retries)
@@ -94,34 +86,27 @@ func TestStuckCompletionCountedStale(t *testing.T) {
 // The generation stamp carried in the command (and echoed in the
 // completion) is what disambiguates the two uses of the tag.
 func TestReclaimedTagNotMisattributed(t *testing.T) {
-	env, bdev, th := faultBed(fault.NewPlan(1).WithStuck(1, 1, 3*sim.Millisecond))
-	// No retries and a short quarantine: the stuck command's tag is back in
-	// circulation long before its held completion surfaces at ~3 ms.
-	if err := bdev.SetRecovery(blockdev.Recovery{
-		Timeout:    200 * sim.Microsecond,
-		MaxRetries: 0,
-		Backoff:    50 * sim.Microsecond,
-		Reclaim:    500 * sim.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// The write's completion is held for 400 ms: its first attempt times out
+	// at 100 ms, its CID is quarantined and the retry completes the write on
+	// another CID; the quarantined tag is reclaimed at 300 ms, long before
+	// the held completion surfaces.
+	const held = 400 * sim.Millisecond
+	env, bdev, th := faultBed(fault.NewPlan(1).WithStuck(1, 1, held))
 	runP(t, env, func(p *sim.Proc) {
-		// The write's completion is held for 3 ms; it aborts at ~200 µs and
-		// its CID is quarantined, then reclaimed at ~700 µs.
-		if st := wait(p, th, bdev, &blockdev.Bio{Op: blockdev.BioWrite, Sector: 8, Data: make([]byte, 4096)}); st != nvme.SCAbortRequested {
-			t.Fatalf("stuck write: %v, want AbortRequested", st)
+		if st := wait(p, th, bdev, &blockdev.Bio{Op: blockdev.BioWrite, Sector: 8, Data: make([]byte, 4096)}); !st.OK() {
+			t.Fatalf("stuck write: %v", st)
 		}
 		// Reissue the reclaimed tag, timed so the read is in flight when the
 		// held completion for the tag's previous occupant finally surfaces.
-		p.Sleep(2750 * sim.Microsecond)
+		p.Sleep(held - 50*sim.Microsecond - sim.Duration(p.Now()))
 		if st := wait(p, th, bdev, &blockdev.Bio{Op: blockdev.BioRead, Sector: 8, Data: make([]byte, 4096)}); !st.OK() {
 			t.Fatalf("read on reused tag: %v", st)
 		}
 		// Let any residual completions surface.
 		p.Sleep(5 * sim.Millisecond)
 	})
-	if bdev.Aborts != 1 || bdev.Reclaimed != 1 {
-		t.Fatalf("aborts=%d reclaimed=%d, want 1/1", bdev.Aborts, bdev.Reclaimed)
+	if bdev.Timeouts != 1 || bdev.Retries != 1 || bdev.Reclaimed != 1 {
+		t.Fatalf("timeouts=%d retries=%d reclaimed=%d, want 1/1/1", bdev.Timeouts, bdev.Retries, bdev.Reclaimed)
 	}
 	if bdev.StaleReclaimed != 1 {
 		t.Fatalf("stale_reclaimed=%d, want 1: the held completion was not absorbed", bdev.StaleReclaimed)
@@ -130,31 +115,7 @@ func TestReclaimedTagNotMisattributed(t *testing.T) {
 		t.Fatalf("stale=%d: the held completion matched a live quarantine entry", bdev.Stale)
 	}
 	if bdev.Completed != 2 {
-		t.Fatalf("completed=%d, want exactly the abort and the reissued read", bdev.Completed)
-	}
-}
-
-// Install-time validation of the driver's recovery policy.
-func TestRecoveryValidation(t *testing.T) {
-	env, bdev, _ := faultBed(fault.NewPlan(1))
-	defer env.Close()
-	old := bdev.Recovery()
-	if err := bdev.SetRecovery(blockdev.Recovery{Timeout: sim.Millisecond, MaxRetries: -1}); err == nil {
-		t.Fatal("negative MaxRetries accepted")
-	}
-	if err := bdev.SetRecovery(blockdev.Recovery{Timeout: -sim.Millisecond}); err == nil {
-		t.Fatal("negative Timeout accepted")
-	}
-	// Reclaim shorter than the timeout reopens the misattribution window:
-	// a tag could recirculate while its completion is merely late.
-	if err := bdev.SetRecovery(blockdev.Recovery{
-		Timeout: sim.Millisecond,
-		Reclaim: 500 * sim.Microsecond,
-	}); err == nil {
-		t.Fatal("Reclaim < Timeout accepted")
-	}
-	if bdev.Recovery() != old {
-		t.Fatal("rejected policy replaced the active one")
+		t.Fatalf("completed=%d, want exactly the retried write and the reissued read", bdev.Completed)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"nvmetro/internal/sim"
 
+	"nvmetro/internal/blockdev"
 	"nvmetro/internal/bufpool"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
@@ -200,7 +201,7 @@ type Controller struct {
 	nq       *NotifyQueues
 	ntags    map[uint16]ntagEntry
 	nextNTag uint16
-	kt       KernelTarget
+	kdev     blockdev.BlockDevice // the kernel path's block device
 
 	retry       []effect // dispatches a full queue refused, retried after the round
 	outstanding int
@@ -371,8 +372,11 @@ func (vc *Controller) Promoted() bool { return vc.promoted }
 // controller.
 func (vc *Controller) WorkerID() int { return vc.w.id }
 
-// SetKernelTarget installs the kernel-path backend.
-func (vc *Controller) SetKernelTarget(kt KernelTarget) { vc.kt = kt }
+// SetKernelTarget installs the block device the kernel path submits to. It
+// is addressed in device LBAs, as the classifier's translated command is
+// (the router confines that to the partition first): a device over the
+// whole namespace, or a dm table on one.
+func (vc *Controller) SetKernelTarget(dev blockdev.BlockDevice) { vc.kdev = dev }
 
 // --- vm.Port implementation -------------------------------------------
 
@@ -895,15 +899,17 @@ func (vc *Controller) OldestNotifyAge(now sim.Time) sim.Duration {
 	return oldest
 }
 
-// sendKQ sends the hop's command down the host kernel block layer, which
-// never refuses one; with no kernel target installed the hop fails.
+// sendKQ translates the hop's command into a bio and submits it to the
+// host block layer from the worker's own thread, as an in-kernel router's
+// submit_bio would; the block layer never refuses one. With no block device
+// installed the hop fails.
 func (w *worker) sendKQ(h hop) bool {
 	vc := h.req.vq.vc
-	if vc.kt == nil {
+	if vc.kdev == nil {
 		w.finishHop(h, targetKQ, nvme.SCInternal)
 		return true
 	}
-	vc.kt.Submit(h.req.cmd, vc.vm.Mem, func(st nvme.Status) {
+	blockdev.SubmitNVMe(vc.kdev, w.thread, vc.part.Dev.Params().LBAShift, h.req.cmd, vc.vm.Mem, func(st nvme.Status) {
 		// The block layer completes on its own context; the completion
 		// joins the owning shard's inbox.
 		w.comps = append(w.comps, effect{kind: effFinish, t: targetKQ, st: st, h: h})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nvmetro/internal/blockdev"
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
@@ -278,23 +279,26 @@ func TestNotifyWithoutUIFFails(t *testing.T) {
 	})
 }
 
-// fakeKernelTarget completes commands after a fixed delay.
-type fakeKernelTarget struct {
+// fakeKernelDev is a kernel-path block device completing each bio after a
+// fixed delay; the kernel path calls SubmitFunc only.
+type fakeKernelDev struct {
+	blockdev.BlockDevice
 	env   *sim.Env
 	delay sim.Duration
 	count int
 }
 
-func (k *fakeKernelTarget) Submit(cmd nvme.Command, mem nvme.Memory, done func(nvme.Status)) {
+func (k *fakeKernelDev) SubmitFunc(_ *sim.Thread, b *blockdev.Bio, then func()) {
 	k.count++
-	k.env.After(k.delay, func() { done(nvme.SCSuccess) })
+	k.env.After(k.delay, func() { b.OnDone(nvme.SCSuccess) })
+	then()
 }
 
 func TestKernelPath(t *testing.T) {
 	r := newRig(1)
 	part := device.WholeNamespace(r.dev, 1)
 	v, vc, disk := r.addVM(0, part)
-	kt := &fakeKernelTarget{env: r.env, delay: 30 * sim.Microsecond}
+	kt := &fakeKernelDev{env: r.env, delay: 30 * sim.Microsecond}
 	vc.SetKernelTarget(kt)
 	prog := ebpf.NewBuilder().
 		MovImm64(ebpf.R0, core.ActSendKQ|core.ActWillCompleteKQ).
@@ -338,7 +342,7 @@ func TestRestrictRejectsUntranslatedOOB(t *testing.T) {
 				t.Fatal(err)
 			}
 			u := attachFakeUIF(r.env, vc)
-			kt := &fakeKernelTarget{env: r.env, delay: 30 * sim.Microsecond}
+			kt := &fakeKernelDev{env: r.env, delay: 30 * sim.Microsecond}
 			vc.SetKernelTarget(kt)
 			guard := &recordingGuard{}
 			vc.SetGuard(guard)

@@ -28,7 +28,7 @@ func TestHookChainBounded(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(1)
 			v, vc, disk := r.addVM(0, device.WholeNamespace(r.dev, 1))
-			vc.SetKernelTarget(&fakeKernelTarget{env: r.env, delay: 30 * sim.Microsecond})
+			vc.SetKernelTarget(&fakeKernelDev{env: r.env, delay: 30 * sim.Microsecond})
 			prog := ebpf.NewBuilder().MovImm64(ebpf.R0, tc.verdict).Exit().MustProgram("hook-" + tc.name)
 			if err := vc.LoadClassifier(prog); err != nil {
 				t.Fatal(err)

@@ -26,7 +26,7 @@ func TestRouterLivenessUnderArbitraryClassifiers(t *testing.T) {
 		v, vc, disk := r.addVM(0, part)
 		u := attachFakeUIF(r.env, vc)
 		u.delay = 20 * sim.Microsecond
-		kt := &fakeKernelTarget{env: r.env, delay: 15 * sim.Microsecond}
+		kt := &fakeKernelDev{env: r.env, delay: 15 * sim.Microsecond}
 		vc.SetKernelTarget(kt)
 
 		depth := 0

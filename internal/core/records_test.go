@@ -101,7 +101,7 @@ func TestRecordsReleasedOnce(t *testing.T) {
 	v, vc, disk := r.addVM(1, device.WholeNamespace(r.dev, 1))
 	u := attachFakeUIF(r.env, vc)
 	u.delay = 20 * sim.Microsecond
-	kt := &fakeKernelTarget{env: r.env, delay: 15 * sim.Microsecond}
+	kt := &fakeKernelDev{env: r.env, delay: 15 * sim.Microsecond}
 	vc.SetKernelTarget(kt)
 	vc.SetNativeClassifier(routeByLBA)
 

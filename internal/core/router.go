@@ -10,12 +10,12 @@ import (
 
 // RouterCosts models the per-operation CPU cost of the router data plane.
 // Values reflect a lean kernel module: a few hundred nanoseconds per queue
-// scan and per dispatched request, with the eBPF interpreter dominating the
-// classification step.
+// scan and per dispatched request. Classification runs the classifier's
+// compiled program (the router runs no interpreter), or a native function.
 type RouterCosts struct {
 	PollVQ      sim.Duration // scanning one virtual queue set per iteration
-	Classify    sim.Duration // one classifier invocation
-	ClassifyNat sim.Duration // one native (compiled) classifier invocation
+	Classify    sim.Duration // one eBPF classifier invocation (its compiled program)
+	ClassifyNat sim.Duration // one native (compiled-in Go) classifier invocation
 	CompleteVCQ sim.Duration // post one VCQ entry
 	IRQInject   sim.Duration // virtual interrupt injection per batch
 }
@@ -29,16 +29,6 @@ func DefaultRouterCosts() RouterCosts {
 		CompleteVCQ: 250 * sim.Nanosecond,
 		IRQInject:   1200 * sim.Nanosecond,
 	}
-}
-
-// KernelTarget is the kernel I/O path: anything that can service a
-// translated NVMe command through the host block layer (package blockdev
-// provides the implementation over bios and device-mapper tables).
-type KernelTarget interface {
-	// Submit services cmd against guest memory mem and calls done with the
-	// final status. done runs in an arbitrary simulation context and must
-	// not block.
-	Submit(cmd nvme.Command, mem nvme.Memory, done func(nvme.Status))
 }
 
 // Router is the NVMetro I/O router: a set of worker threads ("shards"),

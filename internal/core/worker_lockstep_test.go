@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nvmetro/internal/blockdev"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
 	"nvmetro/internal/fault"
@@ -335,14 +336,17 @@ func attachLockUIF(env *sim.Env, vc *Controller, rng *rand.Rand, note func(strin
 	})
 }
 
-// lockKernel is a kernel target completing each command after a random delay.
+// lockKernel is a kernel-path block device completing each bio after a
+// random delay; the kernel path calls SubmitFunc only.
 type lockKernel struct {
+	blockdev.BlockDevice
 	env *sim.Env
 	rng *rand.Rand
 }
 
-func (k *lockKernel) Submit(_ nvme.Command, _ nvme.Memory, done func(nvme.Status)) {
-	k.env.After(sim.Duration(k.rng.Intn(40))*sim.Microsecond, func() { done(nvme.SCSuccess) })
+func (k *lockKernel) SubmitFunc(_ *sim.Thread, b *blockdev.Bio, then func()) {
+	k.env.After(sim.Duration(k.rng.Intn(40))*sim.Microsecond, func() { b.OnDone(nvme.SCSuccess) })
+	then()
 }
 
 // TestWorkerLockstepWithProcessReference runs the router worker as the

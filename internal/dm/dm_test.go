@@ -223,51 +223,68 @@ func TestURingSubmitReap(t *testing.T) {
 	})
 }
 
-func TestKernelAdapterTranslation(t *testing.T) {
-	b := newBench()
-	gm := newGuestMem()
-	ka := blockdev.NewKernelAdapter(b.env, b.bdev, 9, []*sim.Thread{b.cpu.ThreadOn(6, "kernel/kq")})
-	b.run(t, func(p *sim.Proc) {
-		// Build a write command against guest memory.
-		base := gm.MustAllocPages(1)
-		data := bytes.Repeat([]byte{0xf0}, 512)
-		gm.WriteAt(data, base)
-		cmd := nvme.NewRW(nvme.OpWrite, 1, 1, 40, 1, base, 0)
-		st := submitKA(p, ka, cmd, gm)
-		if !st.OK() {
-			t.Fatalf("write: %v", st)
+// TestKernelPathTranslation drives blockdev.SubmitNVMe, the router's kernel
+// path, over the NVMe block device and over a dm-crypt table on it: a write
+// lands (in the clear, or encrypted), reads back through the same path,
+// flush and DSM translate, and a vendor opcode is refused.
+func TestKernelPathTranslation(t *testing.T) {
+	for _, stacked := range []bool{false, true} {
+		b := newBench()
+		var dev blockdev.BlockDevice = b.bdev
+		if stacked {
+			crypt, err := dm.NewCrypt(b.env, b.bdev, bytes.Repeat([]byte{7}, 32), dm.DefaultCryptParams(), b.cpu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev = crypt
 		}
-		got := make([]byte, 512)
-		b.store.ReadBlocks(40, got)
-		if !bytes.Equal(got, data) {
-			t.Fatal("kernel path write lost data")
-		}
-		// Read back through the kernel path.
-		base2 := gm.MustAllocPages(1)
-		cmd2 := nvme.NewRW(nvme.OpRead, 2, 1, 40, 1, base2, 0)
-		if st := submitKA(p, ka, cmd2, gm); !st.OK() {
-			t.Fatalf("read: %v", st)
-		}
-		gm.ReadAt(got, base2)
-		if !bytes.Equal(got, data) {
-			t.Fatal("kernel path read mismatch")
-		}
-		// Unsupported opcodes are rejected (vendor commands need fast path).
-		var vc nvme.Command
-		vc.SetOpcode(0xc1)
-		if st := submitKA(p, ka, vc, gm); st != nvme.SCInvalidOpcode {
-			t.Fatalf("vendor via kernel path: %v", st)
-		}
-	})
-}
-
-func submitKA(p *sim.Proc, ka *blockdev.KernelAdapter, cmd nvme.Command, mem nvme.Memory) nvme.Status {
-	cond := sim.NewCond(p.Env())
-	var status nvme.Status
-	done := false
-	ka.Submit(cmd, mem, func(st nvme.Status) { status = st; done = true; cond.Signal(nil) })
-	for !done {
-		cond.Wait()
+		gm := newGuestMem()
+		th := b.cpu.ThreadOn(6, "router")
+		b.run(t, func(p *sim.Proc) {
+			submit := func(cmd nvme.Command) nvme.Status {
+				cond := sim.NewCond(b.env)
+				var st nvme.Status
+				done := false
+				blockdev.SubmitNVMe(dev, th, 9, cmd, gm, func(s nvme.Status) { st, done = s, true; cond.Signal(nil) })
+				for !done {
+					cond.Wait()
+				}
+				return st
+			}
+			base := gm.MustAllocPages(1)
+			data := bytes.Repeat([]byte{0xf0}, 512)
+			gm.WriteAt(data, base)
+			if st := submit(nvme.NewRW(nvme.OpWrite, 1, 1, 40, 1, base, 0)); !st.OK() {
+				t.Fatalf("stacked=%v write: %v", stacked, st)
+			}
+			got := make([]byte, 512)
+			b.store.ReadBlocks(40, got)
+			if bytes.Equal(got, data) == stacked {
+				t.Fatalf("stacked=%v: the write did not land as the stack stores it", stacked)
+			}
+			base2 := gm.MustAllocPages(1)
+			if st := submit(nvme.NewRW(nvme.OpRead, 2, 1, 40, 1, base2, 0)); !st.OK() {
+				t.Fatalf("stacked=%v read: %v", stacked, st)
+			}
+			gm.ReadAt(got, base2)
+			if !bytes.Equal(got, data) {
+				t.Fatalf("stacked=%v: kernel path read mismatch", stacked)
+			}
+			if st := submit(nvme.NewFlush(3, 1)); !st.OK() {
+				t.Fatalf("stacked=%v flush: %v", stacked, st)
+			}
+			var dsm nvme.Command
+			dsm.SetOpcode(nvme.OpDSM)
+			dsm.SetSLBA(40)
+			if st := submit(dsm); !st.OK() {
+				t.Fatalf("stacked=%v discard: %v", stacked, st)
+			}
+			// Vendor commands need the fast path.
+			var vc nvme.Command
+			vc.SetOpcode(0xc1)
+			if st := submit(vc); st != nvme.SCInvalidOpcode {
+				t.Fatalf("stacked=%v vendor via kernel path: %v", stacked, st)
+			}
+		})
 	}
-	return status
 }

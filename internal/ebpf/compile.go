@@ -25,7 +25,8 @@ import (
 //   - the runtime kind checks of the interpreter (pointer-ness of memory
 //     operands, scalar-ness of ALU operands and stored values, r0 at exit)
 //     are elided: the verifier's type lattice has already proven them.
-//     Memory bounds checks and the fuel limit stay as defense in depth,
+//     Memory bounds checks stay as defense in depth; there is no fuel, since
+//     a verified program has no back-edge and runs each op at most once,
 //   - the static verdict the verifier proved while it walked the program
 //     rides along (StaticVerdict); the compiler runs no analysis of its own.
 //
@@ -171,7 +172,7 @@ func Compile(p *Program, v *Verifier) (*CompiledProgram, error) {
 }
 
 // compile translates without verifying. Internal callers (tests of the
-// defense-in-depth bounds and fuel checks) may compile structurally valid
+// defense-in-depth bounds checks) may compile structurally valid
 // but unverified programs; everything else must go through Compile.
 func compile(p *Program) (*CompiledProgram, error) {
 	n := len(p.Insns)

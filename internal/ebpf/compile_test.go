@@ -600,22 +600,6 @@ func TestParityLdImm64AtEnd(t *testing.T) {
 	}
 }
 
-func TestCompiledFuelLimit(t *testing.T) {
-	// The compiled tier keeps the fuel limit as defense in depth. The
-	// verifier rejects loops, so build the loop unverified via compile().
-	loop := &Program{Insns: []Insn{
-		{Op: ClassALU64 | ALUMov | SrcK, Dst: R0, Imm: 0}, // 0: r0 = 0
-		{Op: ClassJMP | JmpA, Off: -2},                    // 1: goto 0
-	}, Name: "loop"}
-	cp, err := compile(loop)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if _, err := NewVM(nil).RunCompiled(cp, nil); !errors.Is(err, errFuel) {
-		t.Fatalf("want ErrFuel, got %v", err)
-	}
-}
-
 func TestCompiledBoundsDefenseInDepth(t *testing.T) {
 	// Unverified programs still cannot escape their memory windows.
 	oob := &Program{Insns: []Insn{

@@ -56,7 +56,9 @@ func (vm *VM) cfail(cp *CompiledProgram, pc int, k cfaultKind) (uint64, error) {
 // returning the program's r0 exit value. Semantics are identical to Run on
 // the same program (the randomized differential test enforces this); the
 // tagged-value checks are elided because the verifier proved them, while
-// memory bounds and the fuel limit remain as defense in depth.
+// memory bounds remain as defense in depth. The tier keeps no fuel: the
+// verifier rejects back-edges and caps a program at MaxInsns, so a compiled
+// program runs each op at most once.
 func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 	vm.Invocations++
 	if vm.stackLow < StackSize {
@@ -74,13 +76,8 @@ func (vm *VM) RunCompiled(cp *CompiledProgram, ctx []byte) (uint64, error) {
 	r[R10] = creg{n: StackSize, data: vm.stack[:]}
 
 	ops := cp.ops
-	startInsns := vm.InsnCount
 	pc := 0
 	for {
-		if vm.InsnCount-startInsns >= maxRuntimeInsns {
-			return 0, errFuel
-		}
-		vm.InsnCount++
 		o := &ops[pc]
 		at := pc
 		pc++

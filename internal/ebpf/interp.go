@@ -57,7 +57,6 @@ type VM struct {
 	stackLow int
 	// Stats
 	Invocations uint64
-	InsnCount   uint64
 }
 
 // NewVM creates a VM. The argument is ignored; pass nil. It goes once the
@@ -93,7 +92,6 @@ func (vm *VM) Run(p *Program, ctx []byte) (uint64, error) {
 			return 0, fmt.Errorf("%w: pc %d out of program", errFault, pc)
 		}
 		in := p.Insns[pc]
-		vm.InsnCount++
 		if in.Dst >= NumRegs || in.Src >= NumRegs {
 			return 0, fmt.Errorf("%w: invalid register at %d", errFault, pc)
 		}

@@ -49,7 +49,7 @@ func WalkPRP(mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, error) {
 // read when nil), so a caller that keeps both from one command to the next —
 // the router's guard staging, the device's command state — walks without
 // allocating. On error it returns segs as passed. Callers whose segments
-// outlive the next walk (the UIF framework's requests, the kernel adapter's
+// outlive the next walk (the UIF framework's requests, the kernel path's
 // bios) keep calling WalkPRP.
 func AppendPRP(segs []Segment, entry *[8]byte, mem Memory, prp1, prp2 uint64, nbytes uint32) ([]Segment, error) {
 	if nbytes == 0 {

@@ -3,6 +3,8 @@ package stack_test
 import (
 	"testing"
 
+	"nvmetro/internal/blockdev"
+	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/integrity"
@@ -51,6 +53,21 @@ func fleetRig() handOffRig {
 	cfg := fio.BootProfile(0, 0)
 	cfg.WorkSet, cfg.QD = blocks*512, 1
 	return handOffRig{env, h, []fio.Group{{Targets: targets, Cfg: cfg}}}
+}
+
+// kernelRig is the kernel path: a native classifier sends every command of a
+// closed-loop QD32 4 KiB random read/write job down the host block layer,
+// an NVMe block device over the same namespace.
+func kernelRig() handOffRig {
+	env := sim.New(1)
+	h := stack.NewHost(env, 12, 4, stack.DefaultParams(), device.NewStore(device.BackingMem, 512))
+	v := h.NewVM(1, 64<<20)
+	part := device.WholeNamespace(h.Dev, 1)
+	vol := stack.NewNVMetro(h).Attach(v, part, stack.Spec{})
+	vol.Ctrl.SetNativeClassifier(func([]byte) uint64 { return core.ActSendKQ | core.ActWillCompleteKQ })
+	vol.Ctrl.SetKernelTarget(blockdev.NewNVMeBlockDev(env, part, h.CPU, 11, h.Params.Block))
+	return handOffRig{env, h, []fio.Group{{Targets: []fio.Target{{Disk: vol.Disk, VM: v, VCPU: v.VCPU(0)}},
+		Cfg: fio.Config{Mode: fio.RandRW, BlockSize: 4096, QD: 32}}}}
 }
 
 // qemuRig is a rate-limited job on virtio-blk under QEMU, whose iothreads are
@@ -107,7 +124,8 @@ func notifyRig(cacheBlocks uint64) handOffRig {
 // a contended core grant woke an iothread only so that it could sleep, 4692
 // while the fio job and the virtio submission were processes too, 1 spawn).
 // On the notify path the UIF poll loops and the NVMe-oF target are reactors
-// too, so its row is held to none.
+// too, and the kernel path's router submits its bios from the worker itself,
+// so both rows are held to none.
 func TestNoHandOffOnCommandPath(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -117,27 +135,28 @@ func TestNoHandOffOnCommandPath(t *testing.T) {
 	}{
 		{"routed QD128", routedRig, 2 * sim.Millisecond, 0},
 		{"sharded clone fleet", fleetRig, 2 * sim.Millisecond, 0},
+		{"kernel path", kernelRig, 2 * sim.Millisecond, 0},
 		{"notify path", func() handOffRig { return notifyRig(storfn.DefaultCacheParams().Cache.CapacityBlocks) }, 2 * sim.Millisecond, 0},
 		{"QEMU rate-limited", qemuRig, 20 * sim.Millisecond, 3208},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.rig()
 			defer r.env.Close()
-			run := func(d sim.Duration) uint64 {
+			run := func(d sim.Duration) (ios, errs uint64) {
 				groups := append([]fio.Group(nil), r.groups...)
 				groups[0].Cfg.Duration = d
-				var ios uint64
 				for _, res := range fio.RunMixed(r.env, r.host.CPU, groups) {
 					ios += res.Ops + res.Errors
+					errs += res.Errors
 				}
-				return ios
+				return ios, errs
 			}
 			run(tc.window / 10)
 			switches, spawns := r.env.Switches(), r.env.Spawns()
-			ios := run(tc.window)
+			ios, errs := run(tc.window)
 			switches, spawns = r.env.Switches()-switches, r.env.Spawns()-spawns
-			if ios < 100 {
-				t.Fatalf("only %d I/Os in the measured call", ios)
+			if ios < 100 || errs != 0 {
+				t.Fatalf("%d I/Os in the measured call, %d failed", ios, errs)
 			}
 			if spawns != 0 || switches > tc.switches {
 				t.Errorf("%d I/Os took %d hand-offs and %d spawns; want at most %d and none", ios, switches, spawns, tc.switches)

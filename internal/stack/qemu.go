@@ -30,7 +30,6 @@ func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 		h:         s.h,
 		v:         v,
 		bdev:      blockdev.NewNVMeBlockDev(s.h.Env, part, s.h.CPU, s.h.guestCores, s.h.Params.Block),
-		irqs:      make(map[*virtio.Queue]func()),
 		plugSince: make(map[*virtio.Queue]sim.Time),
 	}
 	q.hint = q.hintAny
@@ -64,7 +63,6 @@ type qemuVM struct {
 	bdev      *blockdev.NVMeBlockDev
 	queues    []*virtio.Queue
 	threads   []*qemuIOThread
-	irqs      map[*virtio.Queue]func()
 	plugSince map[*virtio.Queue]sim.Time
 	hint      func() // hintAny, bound once: what a kick does once it has trapped
 	busy      int    // iothreads currently processing (kick suppression)
@@ -88,9 +86,6 @@ func (q *qemuVM) Kick(vq *virtio.Queue) (sim.Duration, func()) {
 	}
 	return q.v.Costs.VMExit, q.hint
 }
-
-// SetIRQ implements virtio.Transport.
-func (q *qemuVM) SetIRQ(vq *virtio.Queue, fn func()) { q.irqs[vq] = fn }
 
 // hintAny wakes one sleeping iothread to pick up new vring work.
 func (q *qemuVM) hintAny() {
@@ -177,9 +172,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 				r.Complete(fl.vq, status)
 			}
 			th.Exec(p, par.QEMUInject) // KVM interrupt injection ioctl
-			if fn := q.irqs[fl.vq]; fn != nil {
-				fn()
-			}
+			fl.vq.Interrupt()
 			did = true
 		}
 
@@ -236,9 +229,7 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 							status = 1
 						}
 						fr.Complete(fvq, status)
-						if fn := q.irqs[fvq]; fn != nil {
-							fn()
-						}
+						fvq.Interrupt()
 					}}
 					if t == virtio.BlkTDiscard {
 						bio.Op = blockdev.BioDiscard

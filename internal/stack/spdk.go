@@ -29,7 +29,6 @@ func NewSPDK(h *Host) *SPDK { return &SPDK{h: h, spin: 500 * sim.Nanosecond} }
 type spdkSession struct {
 	part   device.Partition
 	queues []*virtio.Queue
-	irqs   map[*virtio.Queue]func()
 	// Per-queue exclusive userspace NVMe queue pair + tag tracking.
 	qps       []*nvme.QueuePair
 	mem       *mappedMem
@@ -46,16 +45,9 @@ type spdkTag struct {
 // Kick is never taken: reactors poll, so the driver's kicks are suppressed.
 func (s *SPDK) Kick(vq *virtio.Queue) (sim.Duration, func()) { return 0, nil }
 
-// SetIRQ implements virtio.Transport. Queues register during driver
-// construction, which always belongs to the most recent session.
-func (s *SPDK) SetIRQ(vq *virtio.Queue, fn func()) {
-	sess := s.sessions[len(s.sessions)-1]
-	sess.irqs[vq] = fn
-}
-
 // Provision implements Solution.
 func (s *SPDK) Provision(v *vm.VM, part device.Partition) vm.Disk {
-	sess := &spdkSession{part: part, irqs: make(map[*virtio.Queue]func())}
+	sess := &spdkSession{part: part}
 	// vhost-user maps the guest's memory into the SPDK process; PRP list
 	// pages live in SPDK's own hugepage arena above the mapping.
 	sess.mem = newMappedMem(v.Mem, 64<<20)
@@ -160,9 +152,7 @@ func (s *SPDK) complete(p *sim.Proc, th *sim.Thread, sess *spdkSession, vq *virt
 	}
 	r.Complete(vq, status)
 	th.Exec(p, s.h.Params.SPDKInject)
-	if fn := sess.irqs[vq]; fn != nil {
-		fn()
-	}
+	vq.Interrupt()
 }
 
 // submit translates a virtio-blk request into an NVMe command on the

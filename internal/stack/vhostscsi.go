@@ -61,7 +61,6 @@ func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	w := &vhostVM{
 		h: s.h, bdev: bdev,
 		wake: sim.NewCond(s.h.Env),
-		irqs: make(map[*virtio.Queue]func()),
 	}
 	w.wakeFn = w.hint
 	disk := virtio.NewSCSIDisk(v, w, part.Info(), 256, s.h.Params.Driver)
@@ -79,7 +78,6 @@ type vhostVM struct {
 	queues []*virtio.Queue
 	wake   *sim.Cond
 	wakeFn func() // hint, bound once: what a kick does once it has trapped
-	irqs   map[*virtio.Queue]func()
 	asleep int
 	busy   int
 
@@ -100,9 +98,6 @@ type vhostDone struct {
 func (w *vhostVM) Kick(vq *virtio.Queue) (sim.Duration, func()) {
 	return w.h.Params.VhostKick, w.wakeFn
 }
-
-// SetIRQ implements virtio.Transport.
-func (w *vhostVM) SetIRQ(vq *virtio.Queue, fn func()) { w.irqs[vq] = fn }
 
 func (w *vhostVM) hint() {
 	if w.asleep > 0 {
@@ -125,9 +120,7 @@ func (w *vhostVM) worker(p *sim.Proc, th *sim.Thread) {
 			}
 			d.req.Complete(d.vq, d.status)
 			th.Exec(p, par.VhostInject)
-			if fn := w.irqs[d.vq]; fn != nil {
-				fn()
-			}
+			d.vq.Interrupt()
 			did = true
 		}
 

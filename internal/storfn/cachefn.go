@@ -146,7 +146,6 @@ type Cacher struct {
 
 	// Stats (request granularity; the cache's own counters are per block).
 	ReqHits, ReqFills, ReqWrites, FillErrors uint64
-	GuardErrors                              uint64 // failed verifications at either boundary
 
 	// The request's continuations, bound once.
 	stepHit, stepFillCopied, stepWrite uif.Step
@@ -211,7 +210,6 @@ func (c *Cacher) Work(th *sim.Thread, req *uif.Request) {
 			}
 			// The cached copy fails verification: drop it and refill
 			// from the backing store instead of serving it.
-			c.GuardErrors++
 			c.cache.Invalidate(lba, blocks)
 		}
 		req.Token = c.cache.BeginFill(lba, blocks)
@@ -223,7 +221,6 @@ func (c *Cacher) Work(th *sim.Thread, req *uif.Request) {
 			return
 		}
 		if c.Guard != nil && !c.Guard.Verify(lba, req.Buf) {
-			c.GuardErrors++
 			req.Done(nvme.SCGuardCheck)
 			return
 		}
@@ -253,7 +250,6 @@ func (c *Cacher) filled(th *sim.Thread, req *uif.Request, st nvme.Status) {
 		return
 	}
 	if c.Guard != nil && !c.Guard.Verify(req.Cmd.SLBA(), req.Buf) {
-		c.GuardErrors++
 		c.cache.AbortFill(req.Token)
 		req.CompleteAsync(nvme.SCGuardCheck)
 		return

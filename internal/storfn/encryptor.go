@@ -113,8 +113,6 @@ type SGXEncryptor struct {
 	costs   EncryptorCosts
 
 	stepDecrypt, stepEncrypt, stepWrite uif.Step // bound once
-
-	Reads, Writes uint64
 }
 
 // NewSGXEncryptor wraps a launched enclave.
@@ -165,7 +163,6 @@ func (e *SGXEncryptor) decrypt(th *sim.Thread, req *uif.Request) {
 			} else if werr := req.WriteData(buf); werr != nil {
 				st = nvme.SCDataXferError
 			}
-			e.Reads++
 			req.CompleteAsync(st)
 		},
 	}, req.Then(pend))
@@ -180,7 +177,6 @@ func (e *SGXEncryptor) encrypt(th *sim.Thread, req *uif.Request) {
 				req.CompleteAsync(nvme.SCInternal)
 				return
 			}
-			e.Writes++
 			// Hop back onto a UIF polling thread for the io_uring write.
 			req.Defer(e.stepWrite)
 		},

@@ -27,12 +27,18 @@ type Queue struct {
 	// GuestErrors counts chains the device side refused as malformed (see
 	// PopRequest).
 	GuestErrors uint64
+
+	irq func() // the driver's completion interrupt, set at init
 }
 
-// Transport is how the driver reaches its backend: notification (kick) and
-// completion interrupt registration. Backends model their own costs —
-// a QEMU kick is a vmexit on the vCPU, a vhost kick is an eventfd write,
-// and a polled vhost-user backend suppresses kicks entirely.
+// Interrupt raises the queue's completion interrupt in the guest: the
+// backend calls it after putting used entries on the ring.
+func (q *Queue) Interrupt() { q.irq() }
+
+// Transport is how the driver notifies its backend (kick); the completion
+// interrupt is the queue's own (Queue.Interrupt). Backends model their own
+// costs — a QEMU kick is a vmexit on the vCPU, a vhost kick is an eventfd
+// write, and a polled vhost-user backend suppresses kicks entirely.
 type Transport interface {
 	// Kick is the driver's notification that q has new chains. It returns
 	// how long the notification keeps the vCPU out of guest mode and what
@@ -40,7 +46,6 @@ type Transport interface {
 	// taken and costs nothing. The driver charges trap to the vCPU
 	// (Thread.ExecFunc) and then calls notify.
 	Kick(q *Queue) (trap sim.Duration, notify func())
-	SetIRQ(q *Queue, fn func())
 }
 
 // slot is preallocated per-request metadata space in guest memory.
@@ -101,7 +106,7 @@ func (d *driverBase) init(name string, v *vm.VM, tr Transport, queueSize uint16,
 			st.slots = append(st.slots, slot{hdrAddr: page, statusAddr: page + 256})
 			st.free = append(st.free, j)
 		}
-		tr.SetIRQ(st.q, func() { st.irqCnd.Signal(nil) })
+		st.q.irq = func() { st.irqCnd.Signal(nil) }
 		d.qs[vcpu] = st
 		d.order = append(d.order, st)
 		// The handler starts waiting one event from now.

@@ -55,7 +55,6 @@ type lockBackend struct {
 	rng  *rand.Rand
 	qs   []*Queue
 	bell map[*Queue]*sim.Cond
-	irq  map[*Queue]func()
 	busy map[*Queue]bool
 	log  []string
 }
@@ -65,12 +64,6 @@ func (b *lockBackend) Kick(q *Queue) (sim.Duration, func()) {
 		return 0, nil
 	}
 	return sim.Duration(b.rng.Intn(4000)), func() { b.bell[q].Signal(nil) }
-}
-
-func (b *lockBackend) SetIRQ(q *Queue, fn func()) {
-	b.qs = append(b.qs, q)
-	b.bell[q] = sim.NewCond(b.env)
-	b.irq[q] = fn
 }
 
 func (b *lockBackend) serve(p *sim.Proc, q *Queue) {
@@ -109,7 +102,7 @@ func (b *lockBackend) serve(p *sim.Proc, q *Queue) {
 			pending[k].Complete(q, status)
 			pending = append(pending[:k], pending[k+1:]...)
 		}
-		b.irq[q]()
+		q.Interrupt()
 	}
 }
 
@@ -138,8 +131,12 @@ func runSubmitLockWorld(t *testing.T, seed int64, reference bool) submitLockResu
 	cpu := sim.NewCPU(env, nq)
 	v := vm.New(env, 0, cpu, 0, nq, 16<<20, vm.DefaultVirtCosts())
 	rng := rand.New(rand.NewSource(seed ^ 0xb1c))
-	be := &lockBackend{env: env, rng: rng, bell: map[*Queue]*sim.Cond{}, irq: map[*Queue]func(){}, busy: map[*Queue]bool{}}
+	be := &lockBackend{env: env, rng: rng, bell: map[*Queue]*sim.Cond{}, busy: map[*Queue]bool{}}
 	disk := NewBlkDisk(v, be, nvme.NamespaceInfo{Size: 1 << 20, LBAShift: 9}, 16, vm.DefaultDriverCosts())
+	be.qs = disk.Queues()
+	for _, q := range be.qs {
+		be.bell[q] = sim.NewCond(env)
+	}
 	if seed%2 == 0 {
 		be.qs[0].Ring.SuppressKick = true
 	}

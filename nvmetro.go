@@ -164,12 +164,9 @@ type Config struct {
 	Cores int
 	// GuestCores are reserved for vCPUs.
 	GuestCores int
-	// Backing selects how the simulated SSD stores data: BackingMem keeps
-	// full contents (required for data-integrity work), BackingNull is the
-	// cheapest for pure benchmarking.
-	Backing device.BackingMode
-	// Store, when non-nil, overrides Backing with an explicit backing store
-	// — e.g. a CorruptingStore for silent-corruption experiments.
+	// Store, when non-nil, replaces the simulated SSD's in-memory store,
+	// which keeps full contents, as the system disk's backing store — e.g.
+	// a CorruptingStore for silent-corruption experiments.
 	Store Store
 	// Params exposes every calibration constant.
 	Params stack.Params
@@ -181,7 +178,6 @@ func Defaults() Config {
 		Seed:       1,
 		Cores:      12,
 		GuestCores: 4,
-		Backing:    device.BackingMem,
 		Params:     stack.DefaultParams(),
 	}
 }
@@ -200,7 +196,7 @@ func NewSystem(cfg Config) *System {
 	env := sim.New(cfg.Seed)
 	backing := cfg.Store
 	if backing == nil {
-		backing = device.NewStore(cfg.Backing, cfg.Params.Device.BlockSize())
+		backing = device.NewMemStore(cfg.Params.Device.BlockSize())
 	}
 	h := stack.NewHost(env, cfg.Cores, cfg.GuestCores, cfg.Params, backing)
 	return &System{Env: env, Host: h, cfg: cfg, nv: stack.NewNVMetro(h)}
@@ -398,8 +394,7 @@ type RemoteHost = stack.RemoteHost
 // NewRemoteHost creates the remote machine for replication setups, with its
 // own CPU, NVMe drive and fabric link back to this host.
 func (s *System) NewRemoteHost(cores int) *RemoteHost {
-	mode := s.cfg.Backing
-	return stack.NewRemoteHost(s.Env, cores, s.cfg.Params.Device, device.NewStore(mode, s.cfg.Params.Device.BlockSize()))
+	return stack.NewRemoteHost(s.Env, cores, s.cfg.Params.Device, device.NewMemStore(s.cfg.Params.Device.BlockSize()))
 }
 
 // CacheParams configures the classifier-steered host block cache storage
@@ -479,7 +474,7 @@ func (s *System) AttachBaseline(name string, v *VM, part Partition) (*Volume, er
 func (s *System) AddNamespace(blocks uint64) Partition {
 	dev := s.Host.Dev
 	nsid := dev.NextNSID()
-	dev.AddNamespace(nsid, blocks, device.NewStore(s.cfg.Backing, s.cfg.Params.Device.BlockSize()))
+	dev.AddNamespace(nsid, blocks, device.NewMemStore(s.cfg.Params.Device.BlockSize()))
 	return device.WholeNamespace(dev, nsid)
 }
 
