@@ -126,7 +126,9 @@ bench-e2e-smoke:
 # so that every allocation budget skips itself under it: the allocation
 # gates (the process forms' blocking primitives, the bare event queue, the
 # routed and notify paths' warm commands, a router hop plain and guarded, a
-# shard dispatch) beside the primitives' golden once more, the golden-CSV
+# shard dispatch) and the per-tenant footprint tests (a histogram's counts,
+# the cow content cache's adopted lines, the device's write staging pool)
+# beside the primitives' golden once more, the golden-CSV
 # determinism check — every experiment with a checked-in quick-mode golden
 # must render byte-identical output — and the published full-mode CSVs in
 # results/ (Table I and the 1024-VM boot-storm and scale fleets, ~5 s
@@ -135,7 +137,7 @@ sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
-	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/
+	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the
@@ -150,7 +152,7 @@ chaos-smoke:
 	$(GO) test -race -run 'TestWatchdog|TestBackoff|TestHealthy|TestClassifierHotSwap' ./internal/supervise/ ./internal/nvmeof/
 	$(GO) test -race -run 'TestSupervised' ./internal/storfn/
 	$(GO) test -race -run 'TestChaos' ./internal/harness/
-	$(GO) test -race -run 'Deadline|TestTimeoutsFire|TestSetRecoveryShortens|TestResends' ./internal/sim/ ./internal/blockdev/ ./internal/nvmeof/
+	$(GO) test -race -run 'Deadline|TestTimeoutsFire|TestResends' ./internal/sim/ ./internal/blockdev/ ./internal/nvmeof/
 	$(GO) test -race -run 'TestPoisoned' ./internal/uif/
 
 # scrub-smoke runs the end-to-end data-integrity suite under the race

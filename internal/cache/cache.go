@@ -220,12 +220,12 @@ func (sh *shard) hit(n int32) {
 
 // View is Read for one block without the copy: it returns the resident
 // block itself, or nil on a miss, with the access counted exactly as Read
-// counts it (hit or miss, replacement-policy touch). The
-// bytes are the cache's own and read-only; they are what the block holds
-// until something installs over, invalidates or evicts it, so a caller whose
-// blocks can change reads them before it lets anything else at the cache. A
-// caller whose blocks are immutable (content-addressed chunks) may hold them
-// as long as it likes: a line View has lent is never recycled.
+// counts it (hit or miss, replacement-policy touch). The bytes are
+// read-only; they are what the block holds until something installs over,
+// invalidates or evicts it, so a caller whose blocks can change reads them
+// before it lets anything else at the cache. A line AdoptFill installed is
+// its owner's immutable bytes and is never recycled, so that owner may hold
+// it as long as it likes.
 func (c *Cache) View(lba uint64) []byte {
 	sh := c.shardOf(lba)
 	sh.mu.Lock()
@@ -236,9 +236,7 @@ func (c *Cache) View(lba uint64) []byte {
 		return nil
 	}
 	sh.hit(n)
-	nd := &sh.nodes[n]
-	nd.lent = true
-	return nd.line
+	return sh.nodes[n].line
 }
 
 // Contains reports whether every block of [lba, lba+blocks) is resident,
@@ -319,6 +317,18 @@ func (c *Cache) cancelFills(lba, blocks uint64) {
 // its lifetime, reporting whether the install happened. data must hold the
 // window's blocks*BlockSize bytes read from the backend.
 func (c *Cache) CommitFill(fillID uint64, data []byte) bool {
+	return c.commitFill(fillID, data, false)
+}
+
+// AdoptFill is CommitFill without the copy: data itself becomes the lines,
+// lent, so the cache never poisons, recycles or writes over them. The
+// caller keeps data unchanged for as long as the cache may hold it —
+// immutable, content-addressed bytes.
+func (c *Cache) AdoptFill(fillID uint64, data []byte) bool {
+	return c.commitFill(fillID, data, true)
+}
+
+func (c *Cache) commitFill(fillID uint64, data []byte, adopt bool) bool {
 	c.mu.Lock()
 	w, ok := take(&c.fills, fillID)
 	if !ok {
@@ -331,7 +341,7 @@ func (c *Cache) CommitFill(fillID uint64, data []byte) bool {
 		return false
 	}
 	var ev [16]uint64
-	evicted := c.installLocked(w.lba, w.blocks, data, ev[:0])
+	evicted := c.installLocked(w.lba, w.blocks, data, ev[:0], adopt)
 	c.mu.Unlock()
 	c.notifyEvicted(evicted)
 	return true
@@ -388,7 +398,7 @@ func (c *Cache) EndWrite(writeID uint64, data []byte) {
 			// invalid rather than guess.
 			c.writeSkips++
 		} else {
-			evicted = c.installLocked(w.lba, w.blocks, data, evicted)
+			evicted = c.installLocked(w.lba, w.blocks, data, evicted, false)
 			c.installs++
 		}
 	}
@@ -422,8 +432,9 @@ func (c *Cache) invalidateLocked(lba, blocks uint64) {
 }
 
 // installLocked admits the range's blocks, appending every evicted LBA to
-// ev. Caller holds c.mu; shard locks are taken per block.
-func (c *Cache) installLocked(lba, blocks uint64, data []byte, ev []uint64) []uint64 {
+// ev, and copies data into their lines, or with adopt makes data's blocks
+// the lines. Caller holds c.mu; shard locks are taken per block.
+func (c *Cache) installLocked(lba, blocks uint64, data []byte, ev []uint64, adopt bool) []uint64 {
 	bs := int(c.cfg.BlockSize)
 	for b := uint64(0); b < blocks; b++ {
 		key := lba + b
@@ -438,7 +449,11 @@ func (c *Cache) installLocked(lba, blocks uint64, data []byte, ev []uint64) []ui
 			sh.admissions++
 			sh.evictions += uint64(len(ev) - had)
 		}
-		copy(sh.line(n, bs), data[int(b)*bs:(int(b)+1)*bs])
+		if blk := data[int(b)*bs : (int(b)+1)*bs]; adopt {
+			sh.adopt(n, blk)
+		} else {
+			copy(sh.line(n, bs), blk)
+		}
 		sh.mu.Unlock()
 	}
 	return ev

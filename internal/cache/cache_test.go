@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nvmetro/internal/bufpool"
 	"nvmetro/internal/metrics"
 )
 
@@ -347,6 +348,46 @@ func TestViewCountsLikeRead(t *testing.T) {
 	for lba := uint64(0); lba < 48; lba++ {
 		if byCopy.Contains(lba, 1) != inPlace.Contains(lba, 1) {
 			t.Fatalf("resident sets differ at lba %d: the replacement policy saw different hits", lba)
+		}
+	}
+}
+
+// TestAdoptedLineNeverRecycled: AdoptFill makes the caller's bytes the line
+// without a copy, and the line stays lent: a fill over it takes a line of
+// its own, and evicting it under bufpool.Poison neither overwrites it nor
+// hands it to a later admission.
+func TestAdoptedLineNeverRecycled(t *testing.T) {
+	defer func(p bool) { bufpool.Poison = p }(bufpool.Poison)
+	bufpool.Poison = true
+	const bs = 64
+	c := New(Config{BlockSize: bs, CapacityBlocks: 8, WritePolicy: WriteAround})
+	data := blk(bs, 0x5a)
+	if !c.AdoptFill(c.BeginFill(0, 1), data) {
+		t.Fatal("fill not installed")
+	}
+	if line := c.View(0); &line[0] != &data[0] {
+		t.Fatal("the adopted line is a copy")
+	}
+	// A copy installed over the adopted block takes a line of its own.
+	c.CommitFill(c.BeginFill(0, 1), blk(bs, 0x11))
+	if line := c.View(0); &line[0] == &data[0] || line[0] != 0x11 || data[0] != 0x5a {
+		t.Fatal("a fill over an adopted line wrote into its owner's bytes")
+	}
+	c.AdoptFill(c.BeginFill(0, 1), data)
+	for lba := uint64(1); lba < 100; lba++ {
+		c.CommitFill(c.BeginFill(lba, 1), blk(bs, byte(lba)))
+	}
+	if c.Contains(0, 1) {
+		t.Fatal("block 0 was not evicted: the test needs a smaller cache")
+	}
+	if !bytes.Equal(data, blk(bs, 0x5a)) {
+		t.Fatal("evicting an adopted line overwrote its owner's bytes")
+	}
+	for _, sh := range c.shards {
+		for _, l := range sh.spare {
+			if &l[0] == &data[0] {
+				t.Fatal("an adopted line went on the spare list")
+			}
 		}
 	}
 }

@@ -22,7 +22,7 @@ type node struct {
 	key        uint64
 	prev, next int32
 	home       listID
-	lent       bool // View handed the line out: it is never recycled
+	lent       bool // AdoptFill installed its owner's bytes as the line: never recycled
 	line       []byte
 }
 
@@ -41,7 +41,8 @@ type chain struct {
 // it. The four lists are chains over one slab of nodes with a free list, and
 // one index maps a key to its node, so a block costs one lookup and no
 // allocation once the slab and its lines exist: a line freed by eviction or
-// invalidation waits on spare for the next admission, unless View lent it.
+// invalidation waits on spare for the next admission, unless it is lent:
+// AdoptFill installed its owner's immutable bytes as the line.
 // It is deterministic (the same call sequence always yields the same
 // evictions) and not safe for concurrent use: the owning shard serializes
 // calls.
@@ -108,7 +109,7 @@ func (a *arc) touch(n int32) {
 	a.pushMRU(n, t2)
 }
 
-// release takes node n's line off it, onto spare unless View lent it out.
+// release takes node n's line off it, onto spare unless it is lent.
 func (a *arc) release(n int32) {
 	nd := &a.nodes[n]
 	if nd.line != nil && !nd.lent {
@@ -122,6 +123,14 @@ func (a *arc) release(n int32) {
 	nd.line, nd.lent = nil, false
 }
 
+// adopt makes blk resident node n's line, lent: its owner keeps it
+// unchanged, and release never poisons or recycles it.
+func (a *arc) adopt(n int32, blk []byte) {
+	a.release(n)
+	nd := &a.nodes[n]
+	nd.line, nd.lent = blk, true
+}
+
 // drop forgets node n: off its list and the index, onto the free list.
 func (a *arc) drop(n int32) {
 	a.unlink(n)
@@ -132,10 +141,14 @@ func (a *arc) drop(n int32) {
 	a.free = n
 }
 
-// line returns resident node n's line, giving it a spare or a new bs-byte
-// one if it has none.
+// line returns resident node n's line to copy into, giving it a spare or a
+// new bs-byte one if it has none or a lent one, which is not the cache's to
+// write.
 func (a *arc) line(n int32, bs int) []byte {
 	nd := &a.nodes[n]
+	if nd.lent {
+		a.release(n)
+	}
 	if nd.line == nil {
 		if k := len(a.spare) - 1; k >= 0 {
 			nd.line = a.spare[k]

@@ -230,28 +230,26 @@ func (ix *Index) drop(pages ...*page) {
 }
 
 // view returns the sealed chunk at key without copying it, going through
-// the shared cache when one is configured: the resident line on a hit, else
-// the index's own bytes, which fill the cache on the way (sealed chunks are
-// immutable so there are no coherence windows to arbitrate). Either way the
-// bytes are read-only and stay what they are for as long as the caller's
-// layer holds its reference — a chunk is content-addressed, never rewritten
-// in place, and a line cache.View has lent is never recycled — so a reader
-// takes the part it wants and nothing is staged. With own set the cache sees
-// the same access but the index's own bytes come back even on a hit: what a
-// CoW break keeps as its source, which the index holds anyway while the chain
-// references the chunk, where a kept cache line would outlive its eviction.
-func (ix *Index) view(key uint64, own bool) []byte {
-	var line []byte
+// the shared cache when one is configured, which sees the access as a read.
+// The bytes are the index's own either way: on a miss the cache adopts them
+// as the line, so it holds each sealed chunk once and never copies one
+// (sealed chunks are immutable: there are no coherence windows to arbitrate),
+// and the line it hands back on a hit is that chunk, lent, so evicting it
+// neither poisons nor recycles it. The bytes are read-only and stay what they
+// are for as long as the caller's layer holds its reference — a chunk is
+// content-addressed, never rewritten in place — so a reader takes the part it
+// wants and nothing is staged, and a CoW break keeps the chunk as its source.
+func (ix *Index) view(key uint64) []byte {
 	if ix.cache != nil {
-		if line = ix.cache.View(key); line != nil && !own {
+		if line := ix.cache.View(key); line != nil {
 			return line
 		}
 	}
 	ix.mu.Lock()
 	data := ix.chunks[key].data
 	ix.mu.Unlock()
-	if ix.cache != nil && line == nil {
-		ix.cache.CommitFill(ix.cache.BeginFill(key, 1), data)
+	if ix.cache != nil {
+		ix.cache.AdoptFill(ix.cache.BeginFill(key, 1), data)
 	}
 	return data
 }
@@ -470,7 +468,7 @@ func (s *Store) resolveShared(cn, off uint64, dst []byte) bool {
 			clear(dst)
 			return false
 		}
-		copy(dst, s.idx.view(e.hash, false)[off:])
+		copy(dst, s.idx.view(e.hash)[off:])
 		s.SharedReads++
 		return true
 	}
@@ -535,7 +533,7 @@ func (s *Store) materialize(cn uint64, fill bool) *private {
 		if fill {
 			s.ChunkCopies++
 			if e, ok := s.top(cn); ok {
-				p.src = s.idx.view(e.hash, true)
+				p.src = s.idx.view(e.hash)
 				s.SharedReads++
 			} else {
 				flat := make([]byte, s.cfg.chunkBytes())

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nvmetro/internal/bufpool"
 	"nvmetro/internal/device"
 	"nvmetro/internal/metrics"
 )
@@ -434,10 +435,10 @@ func TestSealedChunkBytesNeverChange(t *testing.T) {
 	clone := golden.Clone()
 
 	key := layer.entries[0].hash
-	if ix.view(key, false); !ix.cache.Contains(key, 1) {
+	if ix.view(key); !ix.cache.Contains(key, 1) {
 		t.Fatal("a miss did not fill the shared cache")
 	}
-	held := ix.view(key, false) // the resident line itself
+	held := ix.view(key) // the resident line itself
 	want := crc32.ChecksumIEEE(img[:64*512])
 	if crc32.ChecksumIEEE(held) != want {
 		t.Fatal("view of chunk 0 does not hold chunk 0")
@@ -461,8 +462,56 @@ func TestSealedChunkBytesNeverChange(t *testing.T) {
 	if ix.cache.Misses() != misses+1 || !bytes.Equal(got, img[9*512:10*512]) {
 		t.Fatalf("refill: %d misses (want %d), data ok=%v", ix.cache.Misses(), misses+1, bytes.Equal(got, img[9*512:10*512]))
 	}
-	if crc32.ChecksumIEEE(held) != want || crc32.ChecksumIEEE(ix.view(key, false)) != want {
+	if crc32.ChecksumIEEE(held) != want || crc32.ChecksumIEEE(ix.view(key)) != want {
 		t.Fatal("chunk 0 reads differently across an eviction and refill")
+	}
+	clone.Close()
+	golden.Close()
+}
+
+// TestCacheLinesAreIndexChunks: the content cache holds each sealed chunk
+// once (DESIGN §11). Every resident line is the index's own chunk, sharing
+// its backing array, not a copy of it; and evicting a line neither poisons
+// nor recycles the chunk — with bufpool.Poison set a released line is
+// overwritten with 0xDB, so a chunk the cache let go of as its own would read
+// differently afterwards.
+func TestCacheLinesAreIndexChunks(t *testing.T) {
+	defer func(p bool) { bufpool.Poison = p }(bufpool.Poison)
+	bufpool.Poison = true
+	const chunks = 64
+	rng := rand.New(rand.NewSource(23))
+	ix := NewIndex(Config{BlockSize: 512, CacheChunks: 16})
+	golden := NewStore(ix, chunks*64, nil)
+	img := fill(rng, chunks*64*512)
+	golden.WriteBlocks(0, img)
+	layer := golden.Snapshot()
+	clone := golden.Clone()
+	got := make([]byte, 512)
+	for pass := 0; pass < 4; pass++ {
+		for cn := uint64(0); cn < chunks; cn++ {
+			lba := cn*64 + uint64(rng.Intn(64))
+			if clone.ReadBlocks(lba, got); !bytes.Equal(got, img[lba*512:(lba+1)*512]) {
+				t.Fatalf("pass %d: block %d read wrong", pass, lba)
+			}
+		}
+		resident := 0
+		for cn := uint64(0); cn < chunks; cn++ {
+			key := layer.entries[cn].hash
+			data := ix.chunks[key].data
+			if !bytes.Equal(data, img[cn*64*512:(cn+1)*64*512]) {
+				t.Fatalf("pass %d: chunk %d changed after the cache evicted it", pass, cn)
+			}
+			if !ix.cache.Contains(key, 1) {
+				continue
+			}
+			resident++
+			if line := ix.cache.View(key); &line[0] != &data[0] {
+				t.Fatalf("pass %d: chunk %d's cache line is a copy, not the index's chunk", pass, cn)
+			}
+		}
+		if resident == 0 || resident == chunks {
+			t.Fatalf("pass %d: %d of %d chunks resident: the test needs evictions", pass, resident, chunks)
+		}
 	}
 	clone.Close()
 	golden.Close()

@@ -80,6 +80,7 @@ type Device struct {
 	nextQ  uint16
 	inj    *fault.Injector
 	free   []*cmdState // idle command states; in-flight ones are bounded by queue depth
+	stage  [][]byte    // idle write staging buffers: one is out per write in flight
 
 	// Reusable read-side buffers. Only valid within one callback: every
 	// Store.ReadBlocks fully overwrites its buffer, and no other command
@@ -252,7 +253,7 @@ type cmdState struct {
 	ns     *Namespace
 	segs   []nvme.Segment // the command's PRP walk, appended into from one command to the next
 	entry  [8]byte        // PRP list entry scratch for the walk
-	buf    []byte         // write payload, grow-only: it outlives the bus and media legs
+	buf    []byte         // write payload from the device's staging pool: it outlives the bus and media legs
 }
 
 func (d *Device) getCmd(st *queueState, cmd *nvme.Command) *cmdState {
@@ -271,8 +272,25 @@ func (d *Device) getCmd(st *queueState, cmd *nvme.Command) *cmdState {
 }
 
 func (d *Device) putCmd(c *cmdState) {
-	c.st, c.ns, c.segs = nil, nil, c.segs[:0]
+	if c.buf != nil {
+		d.stage = append(d.stage, c.buf)
+	}
+	c.st, c.ns, c.segs, c.buf = nil, nil, c.segs[:0], nil
 	d.free = append(d.free, c)
+}
+
+// takeStage returns an n-byte write staging buffer from the pool, growing
+// the one it takes if that is too small, or a new one when the pool is
+// empty; putCmd gives it back. Callers must fully overwrite the buffer
+// (stale contents survive reuse).
+func (d *Device) takeStage(n uint32) []byte {
+	var buf []byte
+	if k := len(d.stage) - 1; k >= 0 {
+		buf = d.stage[k]
+		d.stage[k] = nil
+		d.stage = d.stage[:k]
+	}
+	return scratchBuf(&buf, n)
 }
 
 func (c *cmdState) run() {
@@ -369,15 +387,16 @@ func (c *cmdState) decode() {
 			c.legs[1] = leg{res: d.units, dur: d.p.ReadBase, jit: true}
 			c.legs[2], c.n = bus(d.rbus, d.p.ReadBW), 3
 		case nvme.OpWrite:
-			buf := scratchBuf(&c.buf, nbytes)
-			if err := nvme.ReadSegments(c.st.mem, c.segs, buf); err != nil {
+			c.buf = d.takeStage(nbytes)
+			if err := nvme.ReadSegments(c.st.mem, c.segs, c.buf); err != nil {
 				c.status = nvme.SCDataXferError
 				return
 			}
 			c.legs[1] = bus(d.wbus, d.p.WriteBW)
 			c.legs[2], c.n = leg{res: d.units, dur: d.p.WriteBase, jit: true}, 3
 		case nvme.OpWriteZeroes:
-			clear(scratchBuf(&c.buf, nbytes))
+			c.buf = d.takeStage(nbytes)
+			clear(c.buf)
 			c.legs[1], c.n = leg{res: d.units, dur: d.p.WriteBase, jit: true}, 2
 		}
 	case nvme.OpFlush:
@@ -413,7 +432,7 @@ func (c *cmdState) finish() {
 		d.Reads++
 		d.BytesRead += uint64(nbytes)
 	case nvme.OpWrite, nvme.OpWriteZeroes:
-		c.ns.Store.WriteBlocks(cmd.SLBA(), c.buf[:nbytes])
+		c.ns.Store.WriteBlocks(cmd.SLBA(), c.buf)
 		d.Writes++
 		d.BytesWrit += uint64(nbytes)
 	case nvme.OpCompare:

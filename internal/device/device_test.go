@@ -477,20 +477,25 @@ func TestPartitionTranslateHostile(t *testing.T) {
 	}
 }
 
-// TestWriteZeroesAfterWriteReusesBuffer: the write payload buffer rides on
-// the pooled command state, so a WriteZeroes picking up the state of a
-// preceding non-zero write of the same size must clear it.
+// TestWriteZeroesAfterWriteReusesBuffer: a write's staging buffer goes back
+// to the device's pool at completion, payload intact, so a WriteZeroes that
+// takes the buffer a preceding 0xee write of the same size returned must
+// clear it.
 func TestWriteZeroesAfterWriteReusesBuffer(t *testing.T) {
 	r := newRig(t, Default970EvoPlus(), NewMemStore(512))
 	r.run(t, func(pr *sim.Proc) {
 		if st := r.rw(pr, nvme.OpWrite, 40, bytes.Repeat([]byte{0xee}, 4096)); !st.OK() {
 			t.Error(st)
 		}
-		if len(r.dev.free) != 1 || len(r.dev.free[0].buf) != 4096 || r.dev.free[0].buf[0] != 0xee {
-			t.Errorf("want the write's state, payload intact, on the free list; %d states", len(r.dev.free))
+		if len(r.dev.stage) != 1 || len(r.dev.stage[0]) != 4096 || r.dev.stage[0][0] != 0xee {
+			t.Errorf("want the write's buffer, payload intact, in the staging pool; %d buffers", len(r.dev.stage))
 		}
+		held := &r.dev.stage[0][0]
 		if st := r.submit(pr, nvme.NewRW(nvme.OpWriteZeroes, 0, 1, 80, 8, 0, 0)); !st.OK() {
 			t.Error(st)
+		}
+		if len(r.dev.stage) != 1 || &r.dev.stage[0][0] != held {
+			t.Error("the WriteZeroes did not take the write's buffer")
 		}
 		got := bytes.Repeat([]byte{1}, 4096)
 		if st := r.rw(pr, nvme.OpRead, 80, got); !st.OK() {
@@ -498,6 +503,62 @@ func TestWriteZeroesAfterWriteReusesBuffer(t *testing.T) {
 		}
 		if !bytes.Equal(got, make([]byte, 4096)) {
 			t.Error("write zeroes stored a stale payload")
+		}
+	})
+}
+
+// TestStagingPoolBoundedByWritesInFlight: write staging buffers belong to
+// the device, not to its command states, so however many commands have been
+// in flight the pool never holds more buffers than writes were in flight at
+// once, reads take none, and no idle command state keeps one.
+func TestStagingPoolBoundedByWritesInFlight(t *testing.T) {
+	r := newRig(t, Default970EvoPlus(), NewMemStore(512))
+	r.run(t, func(pr *sim.Proc) {
+		const workers, ops = 32, 40
+		var writes, peak, live int
+		done := sim.NewCond(r.env)
+		phase := func(writeEvery int) {
+			live = workers
+			for w := 0; w < workers; w++ {
+				r.env.Go("worker", func(p *sim.Proc) {
+					buf := make([]byte, 4096)
+					for i := 0; i < ops; i++ {
+						op := nvme.OpRead
+						if writeEvery > 0 && (w+i)%writeEvery == 0 {
+							op = nvme.OpWrite
+							writes++
+							peak = max(peak, writes)
+						}
+						if st := r.rw(p, op, uint64(w*ops+i)*8, buf); !st.OK() {
+							t.Error(st)
+						}
+						if op == nvme.OpWrite {
+							writes--
+						}
+						if len(r.dev.stage) > peak {
+							t.Errorf("%d idle staging buffers, %d writes ever in flight at once", len(r.dev.stage), peak)
+						}
+					}
+					if live--; live == 0 {
+						done.Signal(nil)
+					}
+				})
+			}
+			done.Wait()
+		}
+		phase(0)
+		if len(r.dev.stage) != 0 {
+			t.Errorf("reads left %d staging buffers", len(r.dev.stage))
+		}
+		phase(8)
+		if n := len(r.dev.stage); n == 0 || n > peak || peak >= workers {
+			t.Errorf("%d staging buffers after writes at most %d of %d commands in flight", n, peak, workers)
+		}
+		t.Logf("%d staging buffers, peak %d writes in flight", len(r.dev.stage), peak)
+		for _, c := range r.dev.free {
+			if c.buf != nil {
+				t.Fatal("an idle command state holds a staging buffer")
+			}
 		}
 	})
 }

@@ -217,6 +217,7 @@ func RunMixed(env *sim.Env, cpu *sim.CPU, groups []Group) []Result {
 // disk and its guest buffers, counting what completes in (measFrom, measTo].
 func newJobs(env *sim.Env, groups []Group, measFrom, measTo sim.Time) [][]*job {
 	jobsPer := make([][]*job, len(groups))
+	var fill []byte // each slot's pattern, built here and copied into guest memory
 	for gi := range groups {
 		cfg := groups[gi].Cfg
 		if cfg.WorkSet == 0 {
@@ -254,7 +255,10 @@ func newJobs(env *sim.Env, groups []Group, measFrom, measTo sim.Time) [][]*job {
 					panic(err)
 				}
 				// Non-zero payload so encryption paths work on real data.
-				fill := make([]byte, cfg.BlockSize)
+				if cap(fill) < int(cfg.BlockSize) {
+					fill = make([]byte, cfg.BlockSize)
+				}
+				fill = fill[:cfg.BlockSize]
 				for k := range fill {
 					fill[k] = byte(k*7 + i + s)
 				}

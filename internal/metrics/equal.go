@@ -18,16 +18,18 @@ func (s *CounterSet) Equal(other *CounterSet) bool {
 
 // Equal reports whether h and o hold bit-identical contents (same counts in
 // every bucket, same total/sum/min/max) — the histogram counterpart of
-// CounterSet.Equal for same-seed determinism checks.
+// CounterSet.Equal for same-seed determinism checks. The spans the two
+// allocated do not matter: equal extremes bound the non-zero buckets alike.
 func (h *Histogram) Equal(o *Histogram) bool {
 	if h.total != o.total || h.sum != o.sum || h.min != o.min || h.max != o.max {
 		return false
 	}
-	if len(h.counts) != len(o.counts) {
-		return false
+	if h.total == 0 {
+		return true
 	}
-	for i, c := range h.counts {
-		if o.counts[i] != c {
+	lo, hi := h.span()
+	for i := lo; i <= hi; i++ {
+		if h.counts[i-h.base] != o.counts[i-o.base] {
 			return false
 		}
 	}

@@ -2,6 +2,12 @@
 // harness: HDR-style log-linear latency histograms, counters and simple
 // summaries. Values are int64 and unit-agnostic (the harness records
 // nanoseconds).
+//
+// A histogram's footprint follows what it has recorded: counts exist only for
+// the power-of-two magnitude groups between its smallest and largest value
+// (256 bytes a group), so one of latencies between 1 µs and 1 ms holds 2.75
+// KiB of counts and an empty one none, where a dense table of every magnitude
+// would hold 16 KiB whatever it records.
 package metrics
 
 import (
@@ -16,23 +22,22 @@ const subBuckets = 32
 
 // Histogram is a log-linear histogram of non-negative int64 values, in the
 // spirit of HdrHistogram: values are grouped into power-of-two magnitude
-// buckets, each split into linear sub-buckets. Recording is O(1) and
-// allocation-free after construction.
+// buckets, each split into linear sub-buckets. counts holds the buckets of
+// whole magnitude groups from base on and grows to take in a value outside
+// them, so recording is O(1) and allocation-free once the span covers what
+// is recorded; Reset keeps the span.
 type Histogram struct {
-	counts []uint64
+	counts []uint64 // buckets base, base+1, ...: whole magnitude groups
+	base   int      // bucket index of counts[0], a multiple of subBuckets
 	total  uint64
 	sum    int64
 	min    int64
 	max    int64
 }
 
-// NewHistogram returns an empty histogram covering [0, 2^62].
+// NewHistogram returns an empty histogram covering [0, 2^63).
 func NewHistogram() *Histogram {
-	return &Histogram{
-		// 63 magnitude groups x subBuckets is more than enough for ns values.
-		counts: make([]uint64, 64*subBuckets),
-		min:    math.MaxInt64,
-	}
+	return &Histogram{min: math.MaxInt64}
 }
 
 func bucketIndex(v int64) int {
@@ -59,12 +64,32 @@ func bucketMid(i int) int64 {
 	return int64(sub+subBuckets) << uint(shift)
 }
 
+// cover grows counts, if it must, to span buckets lo through hi as well as
+// those it spans already, rounded out to whole magnitude groups.
+func (h *Histogram) cover(lo, hi int) {
+	if len(h.counts) > 0 {
+		if lo >= h.base && hi < h.base+len(h.counts) {
+			return
+		}
+		lo, hi = min(lo, h.base), max(hi, h.base+len(h.counts)-1)
+	}
+	lo -= lo % subBuckets
+	hi += subBuckets - 1 - hi%subBuckets
+	counts := make([]uint64, hi-lo+1)
+	copy(counts[max(h.base-lo, 0):], h.counts)
+	h.counts, h.base = counts, lo
+}
+
 // Record adds one observation.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	if uint(i-h.base) >= uint(len(h.counts)) {
+		h.cover(i, i)
+	}
+	h.counts[i-h.base]++
 	h.total++
 	h.sum += v
 	if v < h.min {
@@ -117,7 +142,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen > target {
-			v := bucketMid(i)
+			v := bucketMid(h.base + i)
 			if v > h.max {
 				v = h.max
 			}
@@ -136,14 +161,23 @@ func (h *Histogram) Median() int64 { return h.Quantile(0.5) }
 // P99 is Quantile(0.99).
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
+// span returns the bucket indices of the smallest and the largest recorded
+// value: only the buckets between them can be non-zero (bucketIndex is
+// monotonic). The histogram must not be empty.
+func (h *Histogram) span() (lo, hi int) {
+	return bucketIndex(h.min), bucketIndex(h.max)
+}
+
 // Merge adds all observations of o into h.
 func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
 	h.total += o.total
 	h.sum += o.sum
 	if o.total > 0 {
+		lo, hi := o.span()
+		h.cover(lo, hi)
+		for i, c := range o.counts[lo-o.base : hi-o.base+1] {
+			h.counts[lo-h.base+i] += c
+		}
 		if o.min < h.min {
 			h.min = o.min
 		}
@@ -153,15 +187,16 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset clears the histogram. Only the buckets between the smallest and the
-// largest recorded value can be non-zero (bucketIndex is monotonic), so a
-// histogram nothing was recorded into costs nothing to reset and a narrow one
-// little: the QoS arbiter resets one per tenant per SLO window.
+// Reset clears the histogram, keeping the span of its counts. Only the
+// buckets span returns can be non-zero, so a histogram nothing was recorded
+// into costs nothing to reset and a narrow one little: the QoS arbiter resets
+// one per tenant per SLO window.
 func (h *Histogram) Reset() {
 	if h.total == 0 {
 		return
 	}
-	clear(h.counts[bucketIndex(h.min) : bucketIndex(h.max)+1])
+	lo, hi := h.span()
+	clear(h.counts[lo-h.base : hi-h.base+1])
 	h.total, h.sum, h.max = 0, 0, 0
 	h.min = math.MaxInt64
 }

@@ -172,6 +172,38 @@ func TestHistogramResetLeavesNothingBehind(t *testing.T) {
 	}
 }
 
+// TestHistogramFootprint: a histogram holds counts only for the magnitude
+// groups its values span. Latencies from 1 µs to 1 ms take eleven groups,
+// 2.75 KiB, where a dense table of every magnitude takes 16 KiB; an empty
+// histogram holds none, and Reset and re-recording the same span add none.
+func TestHistogramFootprint(t *testing.T) {
+	h := NewHistogram()
+	if cap(h.counts) != 0 {
+		t.Fatalf("an empty histogram holds %d counts", cap(h.counts))
+	}
+	rng := rand.New(rand.NewSource(9))
+	record := func() {
+		h.Record(1000)
+		h.Record(1000000)
+		for i := 0; i < 10000; i++ {
+			h.Record(1000 + rng.Int63n(999001))
+		}
+	}
+	record()
+	if got := cap(h.counts) * 8; got > 3<<10 {
+		t.Errorf("1 µs..1 ms values hold %d bytes of counts, want <= 3 KiB", got)
+	}
+	span := cap(h.counts)
+	h.Reset()
+	record()
+	if cap(h.counts) != span {
+		t.Errorf("re-recording the span after Reset grew it from %d to %d counts", span, cap(h.counts))
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Record(1000 + rng.Int63n(999001)) }); n != 0 {
+		t.Errorf("recording inside the span allocates %v objects", n)
+	}
+}
+
 // Property: bucketMid(bucketIndex(v)) is within 1/32 relative error of v,
 // and bucket indexing is monotonic.
 func TestBucketRoundTripProperty(t *testing.T) {

@@ -43,11 +43,11 @@ type qpState struct {
 	d         *NVMeDisk
 	qp        *nvme.QueuePair
 	vcpu      *sim.Thread
-	reqs      []*Req     // by CID
-	listPages [][]uint64 // preallocated PRP list pages by CID
-	free      []uint16   // free CIDs
-	slotCond  *sim.Cond  // waiters for a free slot
-	irqCond   *sim.Cond  // completion notification
+	reqs      []*Req    // by CID
+	listPages []uint64  // preallocated PRP list page address by CID
+	free      []uint16  // free CIDs
+	slotCond  *sim.Cond // waiters for a free slot
+	irqCond   *sim.Cond // completion notification
 
 	// The interrupt handler is a continuation on the vCPU (Cond.WaitFunc,
 	// Thread.ExecFunc), not a process; cqe is the entry it is completing.
@@ -91,11 +91,11 @@ func (d *NVMeDisk) newQP(vcpu *sim.Thread, depth uint32) *qpState {
 		slotCond: sim.NewCond(v.Env),
 		irqCond:  sim.NewCond(v.Env),
 	}
-	st.listPages = make([][]uint64, depth)
+	st.listPages = make([]uint64, depth)
 	for cid := uint16(0); cid < uint16(depth); cid++ {
 		st.free = append(st.free, cid)
 		// One PRP list page per slot supports transfers to 2 MiB.
-		st.listPages[cid] = []uint64{v.Mem.MustAllocPages(1)}
+		st.listPages[cid] = v.Mem.MustAllocPages(1)
 	}
 	st.entry, st.drain, st.complete = st.irqEntry, st.irqDrain, st.irqComplete
 	d.qps[vcpu] = st
@@ -180,13 +180,12 @@ func (st *qpState) issue(r *Req) {
 			op = nvme.OpWrite
 		}
 		lp := st.listPages[cid]
-		li := 0
 		alloc := func() uint64 {
-			if li >= len(lp) {
+			if lp == 0 { // taken already: guest address 0 is never a page
 				panic("vm: transfer exceeds preallocated PRP list pages")
 			}
-			a := lp[li]
-			li++
+			a := lp
+			lp = 0
 			return a
 		}
 		prp1, prp2, err := nvme.BuildPRP(d.vm.Mem, r.BufPages, alloc)
