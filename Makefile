@@ -32,10 +32,12 @@ fmt:
 # allowlisted hit with its rule (an unreachable declaration with its
 # length). Rules: (a) an exported internal/ identifier no other package's
 # non-test code uses, (b) a setting-struct field nothing outside its package
-# writes, (c) a declaration no main, init or root-package export reaches,
-# (d) a field written but never read, (e) an exported field no file reads,
-# tests included, (f) an internal/ interface method no non-test file calls,
-# through the interface or on an implementation. Any unlisted hit or stale
+# writes, (c) a declaration no main, init, blank declaration or root-package
+# type, alias or constant reaches, (d) a field written but never read, (e)
+# an exported field no file reads, tests included, (f) an internal/
+# interface method no non-test file calls, through the interface or on an
+# implementation, (g) a root-package function or method that no main or
+# init under cmd/, examples/ or bench/ reaches. Any unlisted hit or stale
 # allowlist row fails.
 deadsurface:
 	$(GO) test -run '^TestDeadSurface$$' -v .
@@ -51,11 +53,14 @@ loc:
 	@printf 'internal/ebpf non-test Go lines: %s\n' "$$(find ./internal/ebpf -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/core non-test Go lines: %s\n' "$$(find ./internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 
-# prodcover prints, per file, the statements no shipped program runs: the
+# prodcover is a gate on the functions no shipped program enters: the
 # binaries under cmd/ and examples/ and the bench/ binary, built with
 # coverage and run as CI and TestCLIGolden run them (scripts/prodcover.sh
-# lists the runs). Code none of them reaches is the first candidate for
-# deletion. Informational, not part of check; it writes nothing in the tree.
+# lists the runs). Every function with statements that none of them enters
+# needs a classed row in testdata/prodcover.txt (error, paper, diag, bench
+# or ref); an unlisted one fails, and so does a row whose function now runs.
+# Not part of check (it takes ~30 s); CI runs it. It writes nothing in the
+# tree.
 prodcover:
 	bash scripts/prodcover.sh
 

@@ -83,3 +83,27 @@ func TestCLIGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestBenchCLIFailsOnUnwritableCSV: nvmetro-bench reports a -csv directory
+// it cannot create on stderr and exits 1, after printing the table.
+func TestBenchCLIFailsOnUnwritableCSV(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "nvmetro-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/nvmetro-bench").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-run", "table1", "-quick", "-csv", filepath.Join(file, "csv"))
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1", err)
+	}
+	if !strings.Contains(stdout.String(), "Classifier") || !strings.Contains(stderr.String(), "not a directory") {
+		t.Fatalf("stdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+	}
+}

@@ -10,8 +10,8 @@ package nvmetro_test
 //	(b) an exported field of an exported *Config/*Params/*Policy/*Spec/
 //	    *Costs/*Recovery struct that no non-test file outside its package
 //	    writes: a setting with one value is a constant;
-//	(c) a declaration that no main, init, root-package export or blank
-//	    declaration reaches: delete it;
+//	(c) a declaration that no main, init, blank declaration or root-package
+//	    type, alias or constant reaches: delete it;
 //	(d) a field that non-test code writes but never reads, when it is
 //	    unexported or belongs to a rule-(b) struct: delete it;
 //	(e) any other exported field that no file of the module reads, test
@@ -20,7 +20,12 @@ package nvmetro_test
 //	    reflect.TypeOf reads every field of it;
 //	(f) a method of an interface declared in internal/ that no non-test
 //	    file calls, neither through the interface nor on a type that
-//	    implements it: delete it from the interface and its implementations.
+//	    implements it: delete it from the interface and its implementations;
+//	(g) a function or method of the root package that no main or init
+//	    reaches: the shipped binaries under cmd/, examples/ and bench/ are
+//	    what a root export serves, not the root package's own tests. Its
+//	    types, aliases and constants are exempt: they name the internal
+//	    types and values that reached exports take and return.
 //
 // Apart from rule (f), a method whose name some interface declares (module
 // or standard library) is never a hit, nor is a field with a struct tag. Every hit is either fixed
@@ -78,7 +83,7 @@ var deadSurfaceAllow = []surfaceEntry{
 	{File: "internal/nvme/status.go", Reason: "NVMe status codes"},
 	{File: "internal/scsi/scsi.go", Reason: "SCSI opcodes and status bytes"},
 	// Settings with more than one value.
-	{Struct: "stack.Params", Reason: "the calibration the sensitivity sweep varies (ROADMAP item 14(b))"},
+	{Struct: "stack.Params", Reason: "the calibration the sensitivity sweep varies (ROADMAP item 17(b))"},
 	{ID: "qos.Config.Window", Reason: "tests shrink it to roll several windows per I/O"},
 	{ID: "fio.Config.SharedOffsets", Reason: "BootProfile sets it; every other profile leaves it off"},
 }
@@ -99,9 +104,10 @@ func TestDeadSurface(t *testing.T) {
 
 // TestDeadSurfaceFixture runs the checker over testdata/deadsurface, a
 // module that plants one hit per rule, an allowlisted hit, a stale entry and
-// five non-hits: a method reached only through an interface, a tagged field,
+// seven non-hits: a method reached only through an interface, a tagged field,
 // a function only a sibling bench module calls, a field only a test file
-// reads and one only reflection reads.
+// reads and one only reflection reads, a root function a fixture main calls
+// and a root alias nothing reaches.
 func TestDeadSurfaceFixture(t *testing.T) {
 	allow := []surfaceEntry{
 		{ID: "lib.Spare", Reason: "planted: allowlisted"},
@@ -128,6 +134,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		"(d) lib.state.count internal/lib/lib.go:10",
 		"(e) lib.Counts.Misses internal/lib/lib.go:37",
 		"(f) lib.Labeler.Label internal/lib/lib.go:48",
+		"(g) fixture.Probe fixture.go:19",
 		"listed (c) lib.Spare internal/lib/lib.go:22 (1 lines)",
 		"stale id lib.Gone",
 	}
@@ -137,7 +144,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 }
 
 type surfaceHit struct {
-	rule  byte   // 'a'..'f'
+	rule  byte   // 'a'..'g'
 	key   string // package path relative to internal/, then .Name[.Member]
 	file  string // slash path relative to the module root
 	line  int
@@ -170,7 +177,7 @@ type surfaceReport struct {
 // allowlisted hit with its rule (a rule-(c) declaration with its length), and
 // the allowlisted rule-(c) lines in all.
 func (r *surfaceReport) log(t *testing.T) {
-	for _, rule := range []byte("abcdef") {
+	for _, rule := range []byte("abcdefg") {
 		var n, m int
 		for _, h := range r.unlisted {
 			if h.rule == rule {
@@ -328,7 +335,8 @@ func loadSurface(root string, fset *token.FileSet, std types.Importer, tests boo
 	return l, nil
 }
 
-// surfaceDecl is one package-level declaration (or method) for rule (c).
+// surfaceDecl is one package-level declaration (or method) for rules (c)
+// and (g).
 type surfaceDecl struct {
 	obj      types.Object // nil for a blank declaration
 	pkg      *surfacePkg
@@ -474,7 +482,7 @@ func fieldReads(root string, fset *token.FileSet, std types.Importer) (map[token
 	return read, nil
 }
 
-// deadSurface runs the six rules over the module rooted at root and sorts
+// deadSurface runs the seven rules over the module rooted at root and sorts
 // the hits by the allowlist.
 func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 	fset := token.NewFileSet()
@@ -624,7 +632,7 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 		}
 	}
 
-	// Rule (c): reachability from the roots.
+	// Rules (c) and (g): reachability from the roots.
 	var work []*surfaceDecl
 	mark := func(d *surfaceDecl) {
 		if d != nil && !d.reached {
@@ -640,16 +648,12 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 			}
 		}
 	}
+	// A root-package function or method is reached like any other
+	// declaration (rule (g)); its types, aliases and constants are roots.
+	inRoot := func(d *surfaceDecl) bool { return d.obj != nil && d.pkg.path == l.mod }
 	for _, d := range decls {
-		if d.root {
-			mark(d)
-		}
-		if d.obj != nil && d.pkg.path == l.mod && d.obj.Exported() {
-			if fn, ok := d.obj.(*types.Func); ok {
-				if tn := recvTypeName(fn); tn != nil && !tn.Exported() {
-					continue
-				}
-			}
+		_, fn := d.obj.(*types.Func)
+		if d.root || inRoot(d) && !fn {
 			mark(d)
 		}
 	}
@@ -669,14 +673,18 @@ func deadSurface(root string, allow []surfaceEntry) (*surfaceReport, error) {
 	var hits []surfaceHit
 	dead := map[types.Object]bool{}
 	for _, d := range decls {
-		if d.reached || d.obj == nil || !isInternal(d.obj) {
+		if d.reached || d.obj == nil || !isInternal(d.obj) && !inRoot(d) {
 			continue
 		}
 		if fn, ok := d.obj.(*types.Func); ok && fn.Signature().Recv() != nil && ifaceNames[fn.Name()] {
 			continue
 		}
-		dead[d.obj] = true
 		file, line := position(d.pos)
+		if inRoot(d) {
+			hits = append(hits, surfaceHit{rule: 'g', key: key(d.obj), file: file, line: line})
+			continue
+		}
+		dead[d.obj] = true
 		_, last := position(d.end)
 		hits = append(hits, surfaceHit{rule: 'c', key: key(d.obj), file: file, line: line, lines: last - line + 1})
 	}

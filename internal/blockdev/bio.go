@@ -71,8 +71,6 @@ type BlockDevice interface {
 	// implementation is SubmitAndWait, which the module's process callers
 	// call directly (bench/ still calls this form).
 	SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio)
-	// NumSectors is the device size in 512-byte sectors.
-	NumSectors() uint64
 }
 
 // SubmitAndWait submits b to dev from process p and parks p until then

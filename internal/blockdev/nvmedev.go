@@ -79,7 +79,6 @@ type NVMeBlockDev struct {
 	subFree  []*submission
 	building *pendingBio // the entry whose PRP list listPage extends
 	listPage func() uint64
-	shift    uint8
 
 	lost      map[uint16]lostCID // quarantined CIDs: timed out, completion pending
 	genSeq    uint32             // submission-generation sequence (stamped in CDW3)
@@ -145,7 +144,6 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 		irq:     cpu.ThreadOn(irqCore, "kernel/irq"),
 		irqCond: sim.NewCond(env),
 		waitCID: sim.NewCond(env),
-		shift:   part.Dev.Params().LBAShift,
 
 		lost:      make(map[uint16]lostCID),
 		retryCond: sim.NewCond(env),
@@ -173,11 +171,6 @@ func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore 
 // path (nil detaches). A read whose payload fails verification completes
 // with a guard-check media error instead of delivering wrong data.
 func (d *NVMeBlockDev) SetVerifier(v ReadVerifier) { d.verifier = v }
-
-// NumSectors implements BlockDevice.
-func (d *NVMeBlockDev) NumSectors() uint64 {
-	return d.part.Blocks << d.shift / SectorSize
-}
 
 // SubmitBio implements BlockDevice.
 func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {

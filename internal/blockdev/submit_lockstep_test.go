@@ -86,7 +86,7 @@ func runSubmitLockstep(seed int64, process bool) (books, log []string) {
 			b.Data, b.NSect = nil, 16
 		}
 		if i%11 == 5 {
-			b.Sector = d.NumSectors() // outside the partition
+			b.Sector = d.part.Blocks * uint64(d.part.BlockSize()) / SectorSize // outside the partition
 		}
 		b.OnDone = func(st nvme.Status) { log = append(log, fmt.Sprintf("%v w%d #%d %v %v", env.Now(), w, i, b.Op, st)) }
 		return b

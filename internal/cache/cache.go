@@ -139,9 +139,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// BlockSize returns the cached block size in bytes.
-func (c *Cache) BlockSize() uint32 { return c.cfg.BlockSize }
-
 // shardOf maps a block LBA to its shard by multiplicative hashing, so
 // consecutive blocks spread across lock domains.
 func (c *Cache) shardOf(lba uint64) *shard {

@@ -589,3 +589,6 @@ func peek(c *Cache, lba uint64) []byte {
 	}
 	return append([]byte(nil), sh.nodes[n].line...)
 }
+
+// BlockSize returns the cached block size in bytes.
+func (c *Cache) BlockSize() uint32 { return c.cfg.BlockSize }

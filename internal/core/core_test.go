@@ -417,10 +417,15 @@ func TestClassifierRejectedByVerifier(t *testing.T) {
 func TestClassifierRejectsWrappingCtxOffset(t *testing.T) {
 	r := newRig(1)
 	v, vc, disk := r.addVM(0, device.WholeNamespace(r.dev, 1))
-	bad := ebpf.NewBuilder().
-		MovImm64(ebpf.R2, 0x7ffffffffffffffc).ALU(ebpf.ALUAdd, ebpf.R1, ebpf.R2).
-		Load(ebpf.SizeDW, ebpf.R0, ebpf.R1, 0).
-		Exit().MustProgram("wrap")
+	bad, err := ebpf.Assemble(`
+	lddw  r2, 0x7ffffffffffffffc
+	add   r1, r2
+	ldxdw r0, [r1+0]
+	exit
+`, "wrap", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := vc.LoadClassifier(bad); err == nil {
 		t.Error("verifier accepted a ctx load at a wrapping offset")
 	}

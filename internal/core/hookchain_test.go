@@ -35,15 +35,15 @@ func TestHookChainBounded(t *testing.T) {
 			}
 			r.run(t, func(p *sim.Proc) {
 				base, pages, _ := v.Mem.AllocBuffer(512)
-				done := sim.NewCond(r.env)
+				done, completed := sim.NewCond(r.env), false
 				req := &vm.Req{Op: vm.OpRead, LBA: 7, Blocks: 1, Buf: base, BufPages: pages,
-					OnDone: func(*vm.Req) { done.Signal(nil) }}
+					OnDone: func(*vm.Req) { completed = true; done.Signal(nil) }}
 				disk.SubmitFunc(v.VCPU(0), req, func() {})
 				deadline := p.Now().Add(10 * sim.Millisecond)
-				for !req.Done() && p.Now() < deadline {
+				for !completed && p.Now() < deadline {
 					done.WaitTimeout(sim.Millisecond)
 				}
-				if !req.Done() {
+				if !completed {
 					t.Fatalf("read not completed after %d classifications", r.router.Classifications)
 				}
 				if req.Status != nvme.SCInternal {

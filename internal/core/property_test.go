@@ -94,14 +94,15 @@ func TestRouterLivenessUnderArbitraryClassifiers(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					op = vm.OpWrite
 				}
+				finished := false
 				req := &vm.Req{Op: op, LBA: uint64(rng.Intn(4096)), Blocks: 1, Buf: base, BufPages: pages,
-					OnDone: func(*vm.Req) { done.Signal(nil) }}
+					OnDone: func(*vm.Req) { finished = true; done.Signal(nil) }}
 				disk.SubmitFunc(v.VCPU(0), req, func() {})
 				deadline := p.Now().Add(100 * sim.Millisecond)
-				for !req.Done() && p.Now() < deadline {
+				for !finished && p.Now() < deadline {
 					done.WaitTimeout(10 * sim.Millisecond)
 				}
-				if !req.Done() {
+				if !finished {
 					t.Fatalf("seed %d: request %d (%v) wedged; %d outstanding", seed, i, req.Op, vc.Outstanding())
 				}
 				// Status may legitimately be an error (no-op classifier

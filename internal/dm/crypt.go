@@ -60,9 +60,6 @@ func NewCrypt(env *sim.Env, lower blockdev.BlockDevice, key []byte, params Crypt
 	return c, nil
 }
 
-// NumSectors implements BlockDevice.
-func (c *Crypt) NumSectors() uint64 { return c.lower.NumSectors() }
-
 // SubmitBio implements BlockDevice.
 func (c *Crypt) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 	blockdev.SubmitAndWait(p, c, th, b)

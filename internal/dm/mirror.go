@@ -15,15 +15,6 @@ type Mirror struct {
 	Secondary blockdev.BlockDevice
 }
 
-// NumSectors implements BlockDevice (the smaller leg bounds the mirror).
-func (m *Mirror) NumSectors() uint64 {
-	a, b := m.Primary.NumSectors(), m.Secondary.NumSectors()
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SubmitBio implements BlockDevice.
 func (m *Mirror) SubmitBio(p *sim.Proc, th *sim.Thread, b *bio) {
 	blockdev.SubmitAndWait(p, m, th, b)

@@ -26,17 +26,11 @@ func (b *Builder) emit(in Insn) *Builder {
 
 // Label defines a jump target at the current position.
 func (b *Builder) Label(name string) *Builder {
-	if _, dup := b.labels[name]; dup {
-		b.fail("duplicate label %q", name)
+	if _, dup := b.labels[name]; dup && b.err == nil {
+		b.err = fmt.Errorf("ebpf builder: duplicate label %q", name)
 	}
 	b.labels[name] = len(b.insns)
 	return b
-}
-
-func (b *Builder) fail(format string, args ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf("ebpf builder: "+format, args...)
-	}
 }
 
 // MovImm sets dst to a 32-bit immediate (sign-extended).
@@ -68,19 +62,9 @@ func (b *Builder) LoadMap(dst uint8, m Map) *Builder {
 	return b.emit(Insn{})
 }
 
-// ALU emits a 64-bit ALU op with register source (e.g. ALUAdd).
-func (b *Builder) ALU(op uint8, dst, src uint8) *Builder {
-	return b.emit(Insn{Op: ClassALU64 | op | SrcX, Dst: dst, Src: src})
-}
-
 // ALUImm emits a 64-bit ALU op with an immediate source.
 func (b *Builder) ALUImm(op uint8, dst uint8, imm int32) *Builder {
 	return b.emit(Insn{Op: ClassALU64 | op | SrcK, Dst: dst, Imm: imm})
-}
-
-// ALU32Imm emits a 32-bit ALU op with an immediate source.
-func (b *Builder) ALU32Imm(op uint8, dst uint8, imm int32) *Builder {
-	return b.emit(Insn{Op: ClassALU | op | SrcK, Dst: dst, Imm: imm})
 }
 
 // AddImm is shorthand for ALUImm(ALUAdd, ...).

@@ -134,7 +134,6 @@ func (o cop) String() string {
 // CompiledProgram is the pre-decoded form of a verifier-accepted program,
 // executed by VM.RunCompiled.
 type CompiledProgram struct {
-	name   string
 	ops    []cop
 	maps   []Map
 	arrs   []*ArrayMap // maps[i] when it is an *ArrayMap (inline lookups), else nil
@@ -142,9 +141,6 @@ type CompiledProgram struct {
 	src    *Program
 	proof  verdict // what Compile's verification proved; zero when unverified
 }
-
-// Name returns the program name.
-func (cp *CompiledProgram) Name() string { return cp.name }
 
 // NumOps returns the length of the pre-decoded op stream.
 func (cp *CompiledProgram) NumOps() int { return len(cp.ops) }
@@ -198,7 +194,6 @@ func compile(p *Program) (*CompiledProgram, error) {
 	}
 
 	cp := &CompiledProgram{
-		name:   p.Name,
 		ops:    make([]cop, 0, nops),
 		maps:   p.Maps,
 		arrs:   make([]*ArrayMap, len(p.Maps)),

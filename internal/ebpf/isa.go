@@ -137,17 +137,6 @@ func (i Insn) Encode() [InsnSize]byte {
 	return b
 }
 
-// DecodeInsn parses one encoded instruction.
-func DecodeInsn(b []byte) Insn {
-	return Insn{
-		Op:  b[0],
-		Dst: b[1] & 0xf,
-		Src: b[1] >> 4,
-		Off: int16(binary.LittleEndian.Uint16(b[2:4])),
-		Imm: int32(binary.LittleEndian.Uint32(b[4:8])),
-	}
-}
-
 // Program is a verified-or-not sequence of instructions plus the maps it
 // references (indexed by the imm of PseudoMapFD loads).
 type Program struct {
@@ -164,18 +153,6 @@ func (p *Program) Encode() []byte {
 		out = append(out, b[:]...)
 	}
 	return out
-}
-
-// Decode parses an encoded program. Maps must be attached separately.
-func Decode(code []byte, name string) (*Program, error) {
-	if len(code)%InsnSize != 0 {
-		return nil, fmt.Errorf("ebpf: code size %d not a multiple of %d", len(code), InsnSize)
-	}
-	p := &Program{Name: name}
-	for off := 0; off < len(code); off += InsnSize {
-		p.Insns = append(p.Insns, DecodeInsn(code[off:]))
-	}
-	return p, nil
 }
 
 func (i Insn) String() string {

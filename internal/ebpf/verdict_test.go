@@ -42,7 +42,7 @@ func TestVerdictMatchesReference(t *testing.T) {
 		switch {
 		case refOK && (!ok || got != want):
 			t.Fatalf("program %d (%s): reference proves %#x, verifier (%#x, %v)\n%s",
-				i, cp.Name(), want, got, ok, ebpf.Disassemble(cp.Source()))
+				i, cp.Source().Name, want, got, ok, ebpf.Disassemble(cp.Source()))
 		case refOK:
 			both++
 		case ok:

@@ -328,21 +328,3 @@ func (f *File) Sync(p *sim.Proc) error {
 }
 
 func (fs *FS) blockSize2() uint64 { return uint64(fs.blockSize) }
-
-// SyncAll flushes every dirty block plus a device flush.
-func (fs *FS) SyncAll(p *sim.Proc) error {
-	for cb, d := range fs.dirty {
-		if !d {
-			continue
-		}
-		if err := fs.rawWrite(p, cb*cacheBlockSize/uint64(fs.blockSize), fs.cache[cb]); err != nil {
-			return err
-		}
-		delete(fs.dirty, cb)
-	}
-	r := &vm.Req{Op: vm.OpFlush}
-	if st := vm.SubmitAndWait(p, fs.disk, fs.vcpu, r); !st.OK() {
-		return fmt.Errorf("%w: flush %v", errIO, st)
-	}
-	return nil
-}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"nvmetro/internal/fio"
@@ -176,6 +177,29 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 	if len(List()) != len(want) {
 		t.Errorf("registry has %d entries, want %d", len(List()), len(want))
+	}
+}
+
+// TestExperimentRegistryLookup: the registry holds at least the paper's
+// thirteen artifacts (Tables I-II, Figures 3-13), an unknown id is not
+// found, and table1 renders.
+func TestExperimentRegistryLookup(t *testing.T) {
+	if n := len(List()); n < 13 {
+		t.Fatalf("%d experiments, want at least the paper's 13", n)
+	}
+	if _, ok := Get("nope"); ok {
+		t.Fatal("unknown experiment found")
+	}
+	e, ok := Get("table1")
+	if !ok {
+		t.Fatal("table1 not registered")
+	}
+	var sb strings.Builder
+	for _, tab := range e.Run(Options{Quick: true, Seed: 1}) {
+		tab.Fprint(&sb)
+	}
+	if !strings.Contains(sb.String(), "Classifier") {
+		t.Fatalf("table1 output missing:\n%s", sb.String())
 	}
 }
 

@@ -347,3 +347,18 @@ func TestCorruptingStoreDeterminism(t *testing.T) {
 		t.Fatalf("same-seed runs diverge: %08x vs %08x", a, b)
 	}
 }
+
+// Verify checks the blocks of data starting at lba against their PI
+// records. Blocks without a record pass: unstamped means unprotected
+// (never written through the mediation point), not wrong.
+func (d *Domain) Verify(lba uint64, data []byte) bool {
+	bs := int(d.blockSize)
+	c := cursor{d: d}
+	for i := 0; i+bs <= len(data); i += bs {
+		if !c.checks(lba, data[i:i+bs]) {
+			return false
+		}
+		lba++
+	}
+	return true
+}

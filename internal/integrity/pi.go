@@ -84,9 +84,6 @@ func NewDomain(blockSize uint32) (*Domain, error) {
 	}, nil
 }
 
-// BlockSize returns the domain's logical block size in bytes.
-func (d *Domain) BlockSize() uint32 { return d.blockSize }
-
 // Guard creates a named boundary guard sharing this domain's PI table.
 // The name keys the guard's counters in Collect.
 func (d *Domain) Guard(name string) *Guard {
@@ -177,21 +174,6 @@ func (d *Domain) Record(lba uint64) (record, bool) {
 	return c.record(lba)
 }
 
-// Verify checks the blocks of data starting at lba against their PI
-// records. Blocks without a record pass: unstamped means unprotected
-// (never written through the mediation point), not wrong.
-func (d *Domain) Verify(lba uint64, data []byte) bool {
-	bs := int(d.blockSize)
-	c := cursor{d: d}
-	for i := 0; i+bs <= len(data); i += bs {
-		if !c.checks(lba, data[i:i+bs]) {
-			return false
-		}
-		lba++
-	}
-	return true
-}
-
 // VerifyBlock checks a single block's payload against its record.
 func (d *Domain) VerifyBlock(lba uint64, block []byte) bool {
 	c := cursor{d: d}
@@ -280,9 +262,6 @@ type Guard struct {
 	OK      uint64 // verified blocks that passed
 	Bad     uint64 // verified blocks that failed
 }
-
-// Name returns the boundary name.
-func (g *Guard) Name() string { return g.name }
 
 // Stamp records PI for data at lba through this boundary.
 func (g *Guard) Stamp(lba uint64, data []byte) {

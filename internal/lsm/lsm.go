@@ -19,7 +19,6 @@ import (
 // Errors.
 var (
 	ErrNotFound = errors.New("lsm: key not found")
-	errClosed   = errors.New("lsm: db closed")
 )
 
 // The engine's tuning: a small-footprint configuration whose behaviour
@@ -46,7 +45,6 @@ type DB struct {
 
 	tables []*ssTable // newest last
 	nextID int
-	closed bool
 
 	// Stats
 	Flushes, Compactions uint64
@@ -84,9 +82,6 @@ func (db *DB) rotateWAL(p *sim.Proc) error {
 
 // Put inserts or updates a key.
 func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
-	if db.closed {
-		return errClosed
-	}
 	db.vcpu.Exec(p, opCost)
 
 	// WAL record: klen u16 | vlen u32 | key | value.
@@ -120,9 +115,6 @@ func (db *DB) Put(p *sim.Proc, key string, value []byte) error {
 
 // Get returns the value for key.
 func (db *DB) Get(p *sim.Proc, key string) ([]byte, error) {
-	if db.closed {
-		return nil, errClosed
-	}
 	db.vcpu.Exec(p, opCost)
 	if v, ok := db.mem[key]; ok {
 		out := make([]byte, len(v))
@@ -150,9 +142,6 @@ func (db *DB) Get(p *sim.Proc, key string) ([]byte, error) {
 // Scan returns up to limit key/value pairs with key >= start, in order —
 // the YCSB workload E operation.
 func (db *DB) Scan(p *sim.Proc, start string, limit int) ([]KV, error) {
-	if db.closed {
-		return nil, errClosed
-	}
 	db.vcpu.Exec(p, opCost*4)
 	// Merge memtable + all tables (newest shadows oldest).
 	seen := make(map[string]bool)
@@ -250,12 +239,3 @@ func (db *DB) compact(p *sim.Proc) error {
 
 // Flush forces the memtable to disk (used by loaders).
 func (db *DB) Flush(p *sim.Proc) error { return db.flush(p) }
-
-// Close flushes and marks the DB unusable.
-func (db *DB) Close(p *sim.Proc) error {
-	if err := db.flush(p); err != nil {
-		return err
-	}
-	db.closed = true
-	return db.fs.SyncAll(p)
-}

@@ -112,9 +112,6 @@ func TestFSWriteReadRoundTrip(t *testing.T) {
 		if err := f.ReadAt(p, 1234, got); err != nil || !bytes.Equal(src, got) {
 			t.Fatal("file isolation broken")
 		}
-		if err := fs.SyncAll(p); err != nil {
-			t.Fatal(err)
-		}
 	})
 }
 

@@ -66,12 +66,6 @@ func TestStatusCodes(t *testing.T) {
 	if SCWriteFault.SCT() != 2 || SCWriteFault.SC() != 0x80 {
 		t.Fatalf("write fault sct=%d sc=%#x", SCWriteFault.SCT(), SCWriteFault.SC())
 	}
-	if StatusOf(nil) != SCSuccess || StatusOf(SCInvalidNS) != SCInvalidNS {
-		t.Fatal("StatusOf")
-	}
-	if StatusOf(errBadPRP) != SCInternal {
-		t.Fatal("StatusOf generic error")
-	}
 }
 
 func TestSQPushPopFIFO(t *testing.T) {

@@ -27,9 +27,6 @@ func NewSQ(id uint16, entries uint32) *SQ {
 	return &SQ{ID: id, size: entries}
 }
 
-// Size returns the entry count.
-func (q *SQ) Size() uint32 { return q.size }
-
 // Head returns the consumer index.
 func (q *SQ) Head() uint32 { return q.head }
 
@@ -107,9 +104,6 @@ func NewCQ(id uint16, entries uint32) *CQ {
 	}
 	return &CQ{ID: id, size: entries, prodPh: true, consPh: true}
 }
-
-// Size returns the entry count.
-func (q *CQ) Size() uint32 { return q.size }
 
 // Len returns the number of unconsumed entries.
 func (q *CQ) Len() uint32 { return (q.tail + q.size - q.head) % q.size }

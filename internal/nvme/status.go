@@ -92,15 +92,3 @@ func (s Status) String() string {
 
 // Error lets a Status be used where an error is expected.
 func (s Status) Error() string { return "nvme: " + s.String() }
-
-// StatusOf converts an error into a Status: nil maps to success, a Status
-// passes through, anything else maps to an internal error.
-func StatusOf(err error) Status {
-	if err == nil {
-		return SCSuccess
-	}
-	if s, ok := err.(Status); ok {
-		return s
-	}
-	return SCInternal
-}

@@ -349,9 +349,6 @@ func (i *Initiator) SetRecovery(rec InitiatorRecovery) error {
 // the requeued foreground traffic.
 func (i *Initiator) OnReconnect(fn func()) { i.onUp = append(i.onUp, fn) }
 
-// NumSectors implements BlockDevice.
-func (i *Initiator) NumSectors() uint64 { return i.tgt.bdev.NumSectors() }
-
 // SubmitBio implements BlockDevice.
 func (i *Initiator) SubmitBio(p *sim.Proc, th *sim.Thread, b *blockdev.Bio) {
 	blockdev.SubmitAndWait(p, i, th, b)

@@ -81,6 +81,3 @@ type Tenant struct {
 	Throttled uint64 // admission attempts deferred by a token bucket
 	Deferred  uint64 // admission attempts deferred while shed
 }
-
-// Name returns the tenant identifier.
-func (t *Tenant) Name() string { return t.name }

@@ -195,9 +195,6 @@ type worker struct {
 	body  func(*Proc)
 }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Env returns the owning environment.
 func (p *Proc) Env() *Env { return p.env }
 

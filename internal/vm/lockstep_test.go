@@ -299,7 +299,7 @@ func TestReqResetClearsCompletion(t *testing.T) {
 	r.Complete(env, nvme.SCInternal)
 	env.RunUntil(sim.Time(5 * sim.Microsecond))
 	r.Reset()
-	if r.Done() || r.Status != nvme.SCSuccess || r.Completed != 0 || r.Submitted != 0 {
+	if r.done || r.Status != nvme.SCSuccess || r.Completed != 0 || r.Submitted != 0 {
 		t.Fatalf("after Reset: %+v", r)
 	}
 	if r.Op != OpRead || r.LBA != 7 || r.Blocks != 8 || r.Buf != 4096 || r.OnDone == nil {
@@ -307,7 +307,7 @@ func TestReqResetClearsCompletion(t *testing.T) {
 	}
 	r.Submitted = env.Now()
 	r.Complete(env, nvme.SCSuccess)
-	if !r.Done() || !r.Status.OK() || r.Completed != sim.Time(5*sim.Microsecond) || r.Latency() != 0 || calls != 2 {
+	if !r.done || !r.Status.OK() || r.Completed != sim.Time(5*sim.Microsecond) || r.Latency() != 0 || calls != 2 {
 		t.Fatalf("second completion: %+v, %d OnDone calls", r, calls)
 	}
 	defer func() {

@@ -139,9 +139,6 @@ func (r *Req) Reset() {
 	r.Status, r.Submitted, r.Completed, r.done = nvme.SCSuccess, 0, 0, false
 }
 
-// Done reports whether the request has completed.
-func (r *Req) Done() bool { return r.done }
-
 // wait parks the calling process until the request completes.
 func (r *Req) wait(env *sim.Env) {
 	if r.done {

@@ -14,14 +14,13 @@
 // integrity, the golden image to clone and the worker pool to join, and
 // Attach resolves the whole declaration in one call. Custom eBPF
 // classifiers can be assembled from text and loaded live through
-// Volume.Ctrl, and every table/figure of the paper's evaluation can be
-// regenerated through RunExperiment.
+// Volume.Ctrl. The paper's evaluation is a separate program built on the
+// same internals: cmd/nvmetro-bench regenerates every table and figure.
 package nvmetro
 
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"nvmetro/internal/core"
 	"nvmetro/internal/cow"
@@ -29,7 +28,6 @@ import (
 	"nvmetro/internal/ebpf"
 	"nvmetro/internal/fault"
 	"nvmetro/internal/fio"
-	"nvmetro/internal/harness"
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/qos"
@@ -83,8 +81,6 @@ type (
 	FIOResult = fio.Result
 	// FIOTarget places one fio job.
 	FIOTarget = fio.Target
-	// FIOGroup pairs targets with their own workload for mixed runs.
-	FIOGroup = fio.Group
 
 	// QoSConfig tunes the router's WFQ arbiter.
 	QoSConfig = qos.Config
@@ -436,37 +432,6 @@ func (s *System) NewGoldenImage(blocks, cacheChunks uint64) *GoldenImage {
 	return stack.NewGoldenImage(s.Host, blocks, cacheChunks)
 }
 
-// Baseline names accepted by AttachBaseline.
-const (
-	BaselineMDev        = "mdev"
-	BaselinePassthrough = "passthrough"
-	BaselineQEMU        = "qemu"
-	BaselineVhostSCSI   = "vhost-scsi"
-	BaselineSPDK        = "spdk"
-)
-
-// AttachBaseline provisions one of the paper's comparison stacks. They are
-// different systems, not NVMetro compositions: no Spec applies, and the
-// returned Volume carries only VM and Disk.
-func (s *System) AttachBaseline(name string, v *VM, part Partition) (*Volume, error) {
-	var sol stack.Solution
-	switch name {
-	case BaselineMDev:
-		sol = stack.NewMDev(s.Host)
-	case BaselinePassthrough:
-		sol = stack.NewPassthrough(s.Host)
-	case BaselineQEMU:
-		sol = stack.NewQEMU(s.Host)
-	case BaselineVhostSCSI:
-		sol = stack.NewVhostSCSI(s.Host)
-	case BaselineSPDK:
-		sol = stack.NewSPDK(s.Host)
-	default:
-		return nil, fmt.Errorf("nvmetro: unknown baseline %q", name)
-	}
-	return &Volume{VM: v, Disk: sol.Provision(v, part)}, nil
-}
-
 // AddNamespace creates a fresh namespace of the given size (in device
 // blocks) on the device under test and returns a partition covering it.
 // Per-tenant whole namespaces are the sharded fleet's promotable layout:
@@ -503,12 +468,6 @@ func (s *System) RunFIO(cfg FIOConfig, targets []FIOTarget) FIOResult {
 	return fio.Run(s.Env, s.Host.CPU, targets, cfg)
 }
 
-// RunFIOMixed executes several differently-configured workload groups
-// concurrently over one shared measurement window (see fio.RunMixed).
-func (s *System) RunFIOMixed(groups []FIOGroup) []FIOResult {
-	return fio.RunMixed(s.Env, s.Host.CPU, groups)
-}
-
 // Run executes fn as a simulated guest program and drives the simulation
 // until it finishes (or the virtual deadline passes). It reports whether fn
 // completed.
@@ -537,25 +496,3 @@ func NewConfigMap(part Partition) *ebpf.ArrayMap {
 
 // VerifyClassifier runs the router's verifier over a program.
 func VerifyClassifier(p *Program) error { return core.NewVerifier().Verify(p) }
-
-// Experiments lists the reproducible paper artifacts (tables and figures).
-func Experiments() []string {
-	var ids []string
-	for _, e := range harness.List() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
-// RunExperiment regenerates one paper table/figure, writing rendered tables
-// to w. quick trims the grid for fast runs.
-func RunExperiment(id string, quick bool, seed int64, w io.Writer) error {
-	e, ok := harness.Get(id)
-	if !ok {
-		return fmt.Errorf("nvmetro: unknown experiment %q (have %v)", id, Experiments())
-	}
-	for _, tab := range e.Run(harness.Options{Quick: quick, Seed: seed}) {
-		tab.Fprint(w)
-	}
-	return nil
-}

@@ -2,12 +2,15 @@ package nvmetro_test
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 
 	"nvmetro"
 	"nvmetro/internal/ebpf"
+	"nvmetro/internal/fio"
+	"nvmetro/internal/stack"
 	"nvmetro/internal/vm"
 )
 
@@ -68,10 +71,10 @@ func TestPublicAPIEncryptionAndFIO(t *testing.T) {
 }
 
 // TestPublicAPIRunFIOMixed runs two differently configured groups over one
-// shared window through the facade: 512 B random reads on the fast path and
-// 4 KiB random writes through the encryptor, each on its own partition. Each
-// group completes work without errors at its own block size, and a second
-// System built the same way returns identical results.
+// shared window on volumes the facade attached: 512 B random reads on the
+// fast path and 4 KiB random writes through the encryptor, each on its own
+// partition. Each group completes work without errors at its own block
+// size, and a second System built the same way returns identical results.
 func TestPublicAPIRunFIOMixed(t *testing.T) {
 	run := func() []nvmetro.FIOResult {
 		sys := nvmetro.NewSystem(nvmetro.Defaults())
@@ -91,7 +94,7 @@ func TestPublicAPIRunFIOMixed(t *testing.T) {
 			cfg.Warmup, cfg.Duration = nvmetro.Millisecond, 4*nvmetro.Millisecond
 			return cfg
 		}
-		return sys.RunFIOMixed([]nvmetro.FIOGroup{
+		return fio.RunMixed(sys.Env, sys.Host.CPU, []fio.Group{
 			{Name: "fast", Targets: fv.Targets(1), Cfg: window(nvmetro.FIOConfig{Mode: nvmetro.RandRead, BlockSize: 512, QD: 4})},
 			{Name: "enc", Targets: ev.Targets(1), Cfg: window(nvmetro.FIOConfig{Mode: nvmetro.RandWrite, BlockSize: 4096, QD: 8})},
 		})
@@ -119,29 +122,33 @@ func TestPublicAPIRunFIOMixed(t *testing.T) {
 	}
 }
 
+// TestPublicAPIBaselines runs fio over each of the paper's comparison
+// stacks on a System's host.
 func TestPublicAPIBaselines(t *testing.T) {
-	for _, name := range []string{
-		nvmetro.BaselineMDev, nvmetro.BaselinePassthrough, nvmetro.BaselineQEMU,
-		nvmetro.BaselineVhostSCSI, nvmetro.BaselineSPDK,
-	} {
+	for _, name := range slices.Sorted(maps.Keys(baselines)) {
 		sys := nvmetro.NewSystem(nvmetro.Defaults())
 		guest := sys.NewVM(1, 32<<20)
-		disk, err := sys.AttachBaseline(name, guest, sys.WholeDisk())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		disk := baselines[name](sys.Host).Provision(guest, sys.WholeDisk())
 		res := sys.RunFIO(nvmetro.FIOConfig{
 			Mode: nvmetro.RandRead, BlockSize: 512, QD: 4,
 			Warmup: nvmetro.Millisecond, Duration: 4 * nvmetro.Millisecond,
-		}, disk.Targets(1))
+		}, fio.Targets(guest, disk, 1))
 		if res.Ops == 0 || res.Errors > 0 {
 			t.Errorf("%s: ops=%d errors=%d", name, res.Ops, res.Errors)
 		}
 		sys.Close()
 	}
-	if _, err := (&struct{ *nvmetro.System }{nvmetro.NewSystem(nvmetro.Defaults())}).AttachBaseline("bogus", nil, nvmetro.Partition{}); err == nil {
-		t.Fatal("unknown baseline accepted")
-	}
+}
+
+// baselines are the paper's comparison stacks, by name. They are different
+// systems, not NVMetro compositions: they provision through internal/stack,
+// and no Spec applies.
+var baselines = map[string]func(*stack.Host) stack.Solution{
+	"mdev":        func(h *stack.Host) stack.Solution { return stack.NewMDev(h) },
+	"passthrough": func(h *stack.Host) stack.Solution { return stack.NewPassthrough(h) },
+	"qemu":        func(h *stack.Host) stack.Solution { return stack.NewQEMU(h) },
+	"vhost-scsi":  func(h *stack.Host) stack.Solution { return stack.NewVhostSCSI(h) },
+	"spdk":        func(h *stack.Host) stack.Solution { return stack.NewSPDK(h) },
 }
 
 func TestPublicAPIClassifierTools(t *testing.T) {
@@ -166,22 +173,5 @@ func TestPublicAPIClassifierTools(t *testing.T) {
 	}
 	if err := nvmetro.VerifyClassifier(bad); err == nil {
 		t.Fatal("verifier accepted an out-of-bounds classifier")
-	}
-}
-
-func TestPublicAPIExperimentRegistry(t *testing.T) {
-	ids := nvmetro.Experiments()
-	if len(ids) != 21 {
-		t.Fatalf("experiments: %v", ids)
-	}
-	var sb strings.Builder
-	if err := nvmetro.RunExperiment("table1", true, 1, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Classifier") {
-		t.Fatal("table1 output missing")
-	}
-	if err := nvmetro.RunExperiment("nope", true, 1, &sb); err == nil {
-		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"nvmetro/internal/ebpf"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/stack"
+	"nvmetro/internal/storfn"
 	"nvmetro/internal/vm"
 )
 
@@ -25,7 +26,7 @@ func TestAttachSurface(t *testing.T) {
 			got = append(got, name)
 		}
 	}
-	if want := []string{"Attach", "AttachBaseline"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"Attach"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("*System Attach* methods = %v, want %v", got, want)
 	}
 }
@@ -316,5 +317,54 @@ func TestAttachMatchesStackBuilder(t *testing.T) {
 					fr.Ops, fr.Errors, fr.Lat.P99(), br.Ops, br.Errors, br.Lat.P99())
 			}
 		})
+	}
+}
+
+// TestScrubReplicaDivergenceResyncs: a replica block that rots behind a
+// good primary is found by a scrub pass, handed to the resync engine and
+// rewritten from the primary, and the mirror ends in sync.
+func TestScrubReplicaDivergenceResyncs(t *testing.T) {
+	sys := nvmetro.NewSystem(nvmetro.Defaults())
+	defer sys.Close()
+	remote := sys.NewRemoteHost(2)
+	secondary := remote.Dev.Namespace(1).Store.(*nvmetro.MemStore)
+	scrub := nvmetro.DefaultScrubConfig()
+	guest := sys.NewVM(1, 32<<20)
+	vol, err := sys.Attach(guest, sys.WholeDisk(), nvmetro.Spec{Replicate: remote, Integrity: &scrub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := int(sys.DeviceUnderTest().Params().BlockSize())
+	data := bytes.Repeat([]byte{0x5a}, 8*bs)
+	const lba, rotten = 64, 66
+	finished := sys.Run(10*nvmetro.Second, func(p *nvmetro.Proc) {
+		base, pages, err := guest.Mem.AllocBuffer(uint32(len(data)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		guest.Mem.WriteAt(data, base)
+		w := &nvmetro.Req{Op: vm.OpWrite, LBA: lba, Blocks: 8, Buf: base, BufPages: pages}
+		if st := vm.SubmitAndWait(p, vol.Disk, guest.VCPU(0), w); !st.OK() {
+			t.Errorf("write: %v", st)
+			return
+		}
+		secondary.WriteBlocks(rotten, bytes.Repeat([]byte{0xee}, bs))
+		vol.Scrubber.Trigger()
+		p.Sleep(nvmetro.Second)
+	})
+	if !finished {
+		t.Fatal("did not finish")
+	}
+	if vol.Scrubber.Passes != 1 || vol.Scrubber.ReplicaBad != 1 {
+		t.Fatalf("passes %d, replica-bad blocks %d; want 1 and 1", vol.Scrubber.Passes, vol.Scrubber.ReplicaBad)
+	}
+	got := make([]byte, bs)
+	secondary.ReadBlocks(rotten, got)
+	if !bytes.Equal(got, data[:bs]) {
+		t.Errorf("replica block %d not repaired: % x...", rotten, got[:8])
+	}
+	if st := vol.Resyncer.State(); st != storfn.StateInSync {
+		t.Errorf("mirror %v, want in sync", st)
 	}
 }

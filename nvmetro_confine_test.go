@@ -55,10 +55,10 @@ func TestConfinementEveryStack(t *testing.T) {
 		{name: "replicate-degraded", killFirst: true, spec: func(r *nvmetro.RemoteHost) nvmetro.Spec {
 			return nvmetro.Spec{Replicate: r, Supervise: &degraded}
 		}},
-		{name: "mdev", baseline: nvmetro.BaselineMDev},
-		{name: "qemu", baseline: nvmetro.BaselineQEMU},
-		{name: "vhost-scsi", baseline: nvmetro.BaselineVhostSCSI},
-		{name: "spdk", baseline: nvmetro.BaselineSPDK},
+		{name: "mdev", baseline: "mdev"},
+		{name: "qemu", baseline: "qemu"},
+		{name: "vhost-scsi", baseline: "vhost-scsi"},
+		{name: "spdk", baseline: "spdk"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := nvmetro.Defaults()
@@ -85,16 +85,15 @@ func TestConfinementEveryStack(t *testing.T) {
 			guest := sys.NewVM(1, 64<<20)
 			var vol *nvmetro.Volume
 			var secondary *nvmetro.MemStore
-			var err error
 			if tc.baseline != "" {
-				vol, err = sys.AttachBaseline(tc.baseline, guest, part)
+				vol = &nvmetro.Volume{VM: guest, Disk: baselines[tc.baseline](sys.Host).Provision(guest, part)}
 			} else {
 				remote := sys.NewRemoteHost(2)
 				secondary = remote.Dev.Namespace(1).Store.(*nvmetro.MemStore)
-				vol, err = sys.Attach(guest, part, tc.spec(remote))
-			}
-			if err != nil {
-				t.Fatal(err)
+				var err error
+				if vol, err = sys.Attach(guest, part, tc.spec(remote)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// What a hostile command may not move.
 			untouched := func() [3]uint32 {
@@ -114,9 +113,10 @@ func TestConfinementEveryStack(t *testing.T) {
 					return
 				}
 				submit := func(r *nvmetro.Req) (nvme.Status, bool) {
-					r.Buf, r.BufPages = base, pages
+					completed := false
+					r.Buf, r.BufPages, r.OnDone = base, pages, func(*nvmetro.Req) { completed = true }
 					vol.Disk.SubmitFunc(vcpu, r, func() {})
-					ok := await(p, r.Done)
+					ok := await(p, func() bool { return completed })
 					return r.Status, ok
 				}
 				// roundTrip is the tenant's in-range traffic: it must keep
