@@ -42,14 +42,15 @@ fmt:
 deadsurface:
 	$(GO) test -run '^TestDeadSurface$$' -v .
 
-# loc prints the repo's Go line counts (all lines, bench/ excluded), non-test
+# loc prints the repo's Go line counts (all lines; bench/ and the
+# dead-surface fixture under testdata/ excluded), non-test
 # and test apart: net-negative non-test LOC is a headline result of the
 # simplification round (ROADMAP), so CHANGES.md entries cite it before/after.
 # The last two lines are the non-test counts of the classifier runtime, which
 # the ROADMAP holds under 3,000 lines, and of the router.
 loc:
-	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
-	@printf 'test Go lines:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './testdata/*' | xargs cat | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './testdata/*' | xargs cat | wc -l)"
 	@printf 'internal/ebpf non-test Go lines: %s\n' "$$(find ./internal/ebpf -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/core non-test Go lines: %s\n' "$$(find ./internal/core -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 
@@ -132,7 +133,9 @@ bench-e2e-smoke:
 # gates (the process forms' blocking primitives, the bare event queue, the
 # routed and notify paths' warm commands, a router hop plain and guarded, a
 # shard dispatch) and the per-tenant footprint tests (a histogram's counts,
-# the cow content cache's adopted lines, the device's write staging pool)
+# the backing store's pages against a flat image and its zero elision, the
+# block cache's shared zero line, the cow content cache's adopted lines, the
+# device's write staging pool)
 # beside the primitives' golden once more, the golden-CSV
 # determinism check — every experiment with a checked-in quick-mode golden
 # must render byte-identical output — and the published full-mode CSVs in
@@ -142,7 +145,7 @@ sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
-	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/
+	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the

@@ -68,15 +68,41 @@ func BenchmarkAblationFastPathLatency(b *testing.B) {
 }
 
 // BenchmarkAblationSharedVsPerVMWorker compares router worker sharing
-// (Fig. 5's configuration) against per-VM workers at 4 VMs.
+// (Fig. 5's configuration) against per-VM workers at 4 VMs: one
+// single-vCPU VM per quarter of the disk, QD-saturated 512 B random reads
+// over a fixed virtual window, on one shared worker and on a worker each.
+// Both reach the device's ceiling, so the busy host cores are the price
+// of a worker per VM.
 func BenchmarkAblationSharedVsPerVMWorker(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, _ := harness.Get("fig5")
-		tabs := e.Run(harness.Options{Quick: true, Seed: 1})
-		if len(tabs[0].Rows) == 0 {
-			b.Fatal("no data")
+	run := func(shared bool) nvmetro.FIOResult {
+		sys := nvmetro.NewSystem(nvmetro.Defaults())
+		defer sys.Close()
+		var spec nvmetro.Spec
+		if shared {
+			spec.Pool = sys.NewNVMetroShared(1)
 		}
+		var targets []nvmetro.FIOTarget
+		for _, part := range sys.CarveDisk(4) {
+			disk, err := sys.Attach(sys.NewVM(1, 32<<20), part, spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			targets = append(targets, disk.Targets(1)...)
+		}
+		return sys.RunFIO(nvmetro.FIOConfig{
+			Mode: nvmetro.RandRead, BlockSize: 512, QD: 128,
+			Warmup: nvmetro.Millisecond, Duration: 8 * nvmetro.Millisecond,
+		}, targets)
 	}
+	var shared, perVM nvmetro.FIOResult
+	for i := 0; i < b.N; i++ {
+		shared = run(true)
+		perVM = run(false)
+	}
+	b.ReportMetric(shared.KIOPS(), "shared-kIOPS")
+	b.ReportMetric(perVM.KIOPS(), "pervm-kIOPS")
+	b.ReportMetric(shared.CPU.Cores(), "shared-cores")
+	b.ReportMetric(perVM.CPU.Cores(), "pervm-cores")
 }
 
 // BenchmarkAblationCompiledVsNativeClassifier quantifies the cost of

@@ -27,6 +27,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -108,6 +109,7 @@ func (w *window) overlaps(lba, blocks uint64) bool {
 type Cache struct {
 	cfg    Config
 	shards [nShards]*shard
+	zero   []byte // the one line every all-zero copy-install adopts: never written
 
 	mu     sync.Mutex // guards the window tables; outer to shard locks
 	fills  []window   // a handful are open at a time: scanned, not indexed
@@ -128,7 +130,7 @@ func New(cfg Config) *Cache {
 	if cfg.CapacityBlocks < nShards {
 		cfg.CapacityBlocks = nShards
 	}
-	c := &Cache{cfg: cfg}
+	c := &Cache{cfg: cfg, zero: make([]byte, cfg.BlockSize)}
 	for i := range c.shards {
 		lines := cfg.CapacityBlocks / nShards
 		if uint64(i) < cfg.CapacityBlocks%nShards {
@@ -430,7 +432,10 @@ func (c *Cache) invalidateLocked(lba, blocks uint64) {
 
 // installLocked admits the range's blocks, appending every evicted LBA to
 // ev, and copies data into their lines, or with adopt makes data's blocks
-// the lines. Caller holds c.mu; shard locks are taken per block.
+// the lines. An all-zero block is not copied: its node adopts c.zero, so
+// every zero block shares one line, and a later non-zero install takes a
+// line of its own as over any lent one. Caller holds c.mu; shard locks are
+// taken per block.
 func (c *Cache) installLocked(lba, blocks uint64, data []byte, ev []uint64, adopt bool) []uint64 {
 	bs := int(c.cfg.BlockSize)
 	for b := uint64(0); b < blocks; b++ {
@@ -448,6 +453,8 @@ func (c *Cache) installLocked(lba, blocks uint64, data []byte, ev []uint64, adop
 		}
 		if blk := data[int(b)*bs : (int(b)+1)*bs]; adopt {
 			sh.adopt(n, blk)
+		} else if bytes.Equal(blk, c.zero) {
+			sh.adopt(n, c.zero)
 		} else {
 			copy(sh.line(n, bs), blk)
 		}

@@ -392,6 +392,124 @@ func TestAdoptedLineNeverRecycled(t *testing.T) {
 	}
 }
 
+// TestZeroLinesShareOneBlock: an all-zero block, filled or written through,
+// is installed as the cache's one zero line rather than copied, and a
+// non-zero install over it takes a line of its own. Random fills, write-
+// throughs, invalidations and reads, half of them all zero, run under
+// bufpool.Poison on a cache small enough to evict; after every op each
+// resident block holds its last install, the zero blocks on the shared
+// line, which stays all zero and never reaches a spare list, and the hits,
+// misses, admissions and evictions are those of the list-based ARC
+// reference driven with the same accesses.
+func TestZeroLinesShareOneBlock(t *testing.T) {
+	defer func(p bool) { bufpool.Poison = p }(bufpool.Poison)
+	bufpool.Poison = true
+	const bs, span = 64, 64
+	cfg := Config{BlockSize: bs, CapacityBlocks: 24}
+	c := New(cfg)
+	zero := make([]byte, bs)
+
+	c.CommitFill(c.BeginFill(0, 1), zero)
+	c.EndWrite(c.BeginWrite(1, 1), zero)
+	a, b := c.View(0), c.View(1)
+	if a == nil || b == nil || &a[0] != &b[0] || &a[0] == &zero[0] {
+		t.Fatal("a zero fill and a zero write-through do not share the cache's zero line")
+	}
+	c.EndWrite(c.BeginWrite(1, 1), blk(bs, 0x77))
+	if line := c.View(1); &line[0] == &a[0] || line[0] != 0x77 || !bytes.Equal(a, zero) {
+		t.Fatal("a non-zero write-through over a zero block did not get its own line")
+	}
+
+	c = New(cfg)
+	var ref [nShards]*arcPolicy
+	for i, sh := range c.shards {
+		ref[i] = newARCPolicy(sh.c)
+	}
+	var hits, misses, admissions, evictions uint64
+	resident := func(lba uint64) bool {
+		r := ref[shardIndex(lba)]
+		e, ok := r.idx[lba]
+		return ok && (e.Value.(*polEntry).home == r.t1 || e.Value.(*polEntry).home == r.t2)
+	}
+	model := map[uint64][]byte{}
+	install := func(lba uint64, data []byte) {
+		r := ref[shardIndex(lba)]
+		if resident(lba) {
+			r.hit(lba)
+		} else {
+			ev := r.admit(lba)
+			admissions++
+			evictions += uint64(len(ev))
+			for _, k := range ev {
+				delete(model, k)
+			}
+		}
+		model[lba] = data
+	}
+	invalidate := func(lba uint64) {
+		ref[shardIndex(lba)].remove(lba)
+		delete(model, lba)
+	}
+	r := rand.New(rand.NewSource(11))
+	buf := make([]byte, bs)
+	for op := 0; op < 20000; op++ {
+		lba := uint64(r.Intn(span))
+		data := zero
+		if r.Intn(2) == 0 {
+			data = blk(bs, byte(1+r.Intn(255)))
+		}
+		switch r.Intn(6) {
+		case 0:
+			c.CommitFill(c.BeginFill(lba, 1), data)
+			install(lba, data)
+		case 1:
+			c.EndWrite(c.BeginWrite(lba, 1), data)
+			invalidate(lba)
+			install(lba, data)
+		case 2:
+			c.Invalidate(lba, 1)
+			invalidate(lba)
+		default:
+			hit := c.Read(lba, 1, buf)
+			if hit != resident(lba) {
+				t.Fatalf("op %d: read of %d hit=%v, reference %v", op, lba, hit, !hit)
+			}
+			if hit {
+				hits++
+				ref[shardIndex(lba)].hit(lba)
+			} else {
+				misses++
+			}
+		}
+		if !bytes.Equal(c.zero, zero) {
+			t.Fatalf("op %d: the shared zero line was written", op)
+		}
+		for k := uint64(0); k < span; k++ {
+			sh := c.shardOf(k)
+			n, ok := sh.lookup(k)
+			if want, in := model[k]; ok != in || ok && !bytes.Equal(sh.nodes[n].line, want) {
+				t.Fatalf("op %d: block %d resident=%v, reference %v, or holds the wrong bytes", op, k, ok, in)
+			} else if shared := ok && &sh.nodes[n].line[0] == &c.zero[0]; ok && shared != (&want[0] == &zero[0]) {
+				t.Fatalf("op %d: block %d on the zero line=%v, want %v", op, k, shared, !shared)
+			}
+		}
+		got := [4]uint64{c.Hits(), c.Misses(), c.sum(func(s *shard) uint64 { return s.admissions }), c.sum(func(s *shard) uint64 { return s.evictions })}
+		if want := [4]uint64{hits, misses, admissions, evictions}; got != want {
+			t.Fatalf("op %d: hits/misses/admissions/evictions %v, reference %v", op, got, want)
+		}
+	}
+	for _, sh := range c.shards {
+		for _, l := range sh.spare {
+			if &l[0] == &c.zero[0] {
+				t.Fatal("the zero line went on a spare list")
+			}
+		}
+	}
+	if evictions == 0 || hits == 0 {
+		t.Fatalf("test vacuous: %d evictions, %d hits", evictions, hits)
+	}
+}
+
 // TestShardCapacitiesSumToConfig: the shards split CapacityBlocks exactly,
 // the first CapacityBlocks%8 one line larger, down to the floor of one line
 // per shard.

@@ -22,7 +22,7 @@ type node struct {
 	key        uint64
 	prev, next int32
 	home       listID
-	lent       bool // AdoptFill installed its owner's bytes as the line: never recycled
+	lent       bool // the line is AdoptFill's owner's bytes or the cache's zero line: never recycled
 	line       []byte
 }
 
@@ -42,7 +42,8 @@ type chain struct {
 // one index maps a key to its node, so a block costs one lookup and no
 // allocation once the slab and its lines exist: a line freed by eviction or
 // invalidation waits on spare for the next admission, unless it is lent:
-// AdoptFill installed its owner's immutable bytes as the line.
+// AdoptFill installed its owner's immutable bytes as the line, or the block
+// is all zero and shares the cache's one zero line.
 // It is deterministic (the same call sequence always yields the same
 // evictions) and not safe for concurrent use: the owning shard serializes
 // calls.

@@ -409,7 +409,8 @@ func TestMemStoreCrossChunk(t *testing.T) {
 
 // TestHostileRangeRejected: the guest owns SLBA and NLB, so the range check
 // must not wrap. At SLBA = 2^64-1 a wrapped sum passes, and a write
-// materialises a store chunk far outside the namespace.
+// materialises a store page far outside the namespace. The write payload is
+// non-zero: the store keeps no page an all-zero write lands on.
 func TestHostileRangeRejected(t *testing.T) {
 	p := Default970EvoPlus()
 	p.Blocks = 1000
@@ -430,20 +431,28 @@ func TestHostileRangeRejected(t *testing.T) {
 	}
 	r.run(t, func(pr *sim.Proc) {
 		buf := r.mem.MustAllocPages(1)
+		payload := bytes.Repeat([]byte{0xA5}, 512)
 		for _, tc := range cases {
 			for _, op := range []uint8{nvme.OpRead, nvme.OpWrite, nvme.OpCompare, nvme.OpWriteZeroes, nvme.OpDSM} {
 				if tc.want.OK() && op == nvme.OpCompare {
 					continue // would fail on content, not on range
 				}
+				if op == nvme.OpWrite {
+					if err := r.mem.WriteAt(payload, buf); err != nil { // the read before it left zeros
+						t.Fatal(err)
+					}
+				}
 				if st := r.submit(pr, nvme.NewRW(op, 0, 1, tc.slba, tc.blocks, buf, 0)); st != tc.want {
 					t.Errorf("%s, opcode %#x: %v, want %v", tc.name, op, st, tc.want)
 				}
 			}
+			// Checked per case: a later case's zero write or trim over
+			// whole pages would drop a page an earlier one materialised.
+			if len(store.pages) != 1 {
+				t.Errorf("%s: %d pages resident, want only the last block's", tc.name, len(store.pages))
+			}
 		}
 	})
-	if len(store.chunks) != 1 {
-		t.Errorf("%d chunks resident, want only the last block's", len(store.chunks))
-	}
 }
 
 func TestPartitionTranslateHostile(t *testing.T) {

@@ -6,10 +6,11 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // Store is the persistence layer behind a namespace, addressed in logical
@@ -23,42 +24,67 @@ type Store interface {
 	TrimBlocks(lba uint64, blocks uint32)
 }
 
-// chunkBlocks is the allocation granule of MemStore (64 blocks = 32 KiB at
-// 512-byte LBAs), balancing map overhead against sparse-write waste.
+// chunkBlocks is ContentCRC's framing granule (64 blocks = 32 KiB at
+// 512-byte LBAs): the fingerprint hashes the logical contents chunk by
+// chunk, whatever pages happen to be resident.
 const chunkBlocks = 64
 
-// MemStore keeps full data contents in sparse chunks; reads of never-written
-// blocks return zeros. Used by correctness tests and the KV-store workloads.
+// pageBytes is MemStore's allocation granule, rounded up to whole blocks.
+const pageBytes = 4096
+
+// zeroPage is what an absent page holds; isZero compares against it.
+var zeroPage [pageBytes]byte
+
+// isZero reports whether b is all zero bytes. bytes.Equal is the runtime's
+// vectorised memequal, so a non-zero page leaves at its first non-zero word.
+func isZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), pageBytes)
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// MemStore keeps full data contents in sparse pages of max(4 KiB, one
+// block): a page exists only once a write has put a non-zero byte into it,
+// and a whole-page zero write or trim drops it, as a thin-provisioned disk
+// keeps no all-zero block. Reads of absent pages return zeros. Used by
+// correctness tests and the KV-store workloads.
 type MemStore struct {
-	blockSize uint32
-	chunks    map[uint64][]byte
+	blockSize  uint32
+	pageBlocks uint64 // blocks per page
+	pageLen    int    // bytes per page
+	pages      map[uint64][]byte
 }
 
 // NewMemStore creates a memory-backed store with the given block size.
 func NewMemStore(blockSize uint32) *MemStore {
-	return &MemStore{blockSize: blockSize, chunks: make(map[uint64][]byte)}
+	pb := max(1, pageBytes/blockSize)
+	return &MemStore{
+		blockSize:  blockSize,
+		pageBlocks: uint64(pb),
+		pageLen:    int(pb * blockSize),
+		pages:      make(map[uint64][]byte),
+	}
 }
 
-func (s *MemStore) chunk(lba uint64, create bool) ([]byte, uint64) {
-	cn, off := lba/chunkBlocks, lba%chunkBlocks
-	c := s.chunks[cn]
-	if c == nil && create {
-		c = make([]byte, chunkBlocks*int(s.blockSize))
-		s.chunks[cn] = c
-	}
-	return c, off * uint64(s.blockSize)
+// span locates lba: its page number, its byte offset in the page, and how
+// many of want bytes fit in the page from there.
+func (s *MemStore) span(lba uint64, want int) (pn uint64, off, n int) {
+	pn = lba / s.pageBlocks
+	off = int(lba%s.pageBlocks) * int(s.blockSize)
+	return pn, off, min(want, s.pageLen-off)
 }
 
 // ReadBlocks implements Store.
 func (s *MemStore) ReadBlocks(lba uint64, buf []byte) {
 	for len(buf) > 0 {
-		c, off := s.chunk(lba, false)
-		n := chunkBlocks*int(s.blockSize) - int(off)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if c != nil {
-			copy(buf[:n], c[off:])
+		pn, off, n := s.span(lba, len(buf))
+		if p := s.pages[pn]; p != nil {
+			copy(buf[:n], p[off:])
 		} else {
 			clear(buf[:n])
 		}
@@ -67,62 +93,66 @@ func (s *MemStore) ReadBlocks(lba uint64, buf []byte) {
 	}
 }
 
-// WriteBlocks implements Store.
+// WriteBlocks implements Store. An all-zero write allocates no page, and
+// one covering a whole resident page drops it; a partial write into a
+// resident page copies, zeros or not.
 func (s *MemStore) WriteBlocks(lba uint64, buf []byte) {
 	for len(buf) > 0 {
-		c, off := s.chunk(lba, true)
-		n := chunkBlocks*int(s.blockSize) - int(off)
-		if n > len(buf) {
-			n = len(buf)
+		pn, off, n := s.span(lba, len(buf))
+		seg := buf[:n]
+		p := s.pages[pn]
+		switch {
+		case p == nil && isZero(seg):
+			// Already what an absent page reads as.
+		case p == nil:
+			p = make([]byte, s.pageLen)
+			s.pages[pn] = p
+			copy(p[off:], seg)
+		case n == s.pageLen && isZero(seg):
+			delete(s.pages, pn)
+		default:
+			copy(p[off:], seg)
 		}
-		copy(c[off:], buf[:n])
 		buf = buf[n:]
 		lba += uint64(n) / uint64(s.blockSize)
 	}
 }
 
-// TrimBlocks implements Store. Whole covered chunks are dropped; partial
-// chunks are zeroed.
+// TrimBlocks implements Store. Whole covered pages are dropped; partial
+// pages are zeroed.
 func (s *MemStore) TrimBlocks(lba uint64, blocks uint32) {
-	end := lba + uint64(blocks)
-	for lba < end {
-		cn, off := lba/chunkBlocks, lba%chunkBlocks
-		n := uint64(chunkBlocks) - off
-		if lba+n > end {
-			n = end - lba
+	bs := uint64(s.blockSize)
+	for left := uint64(blocks) * bs; left > 0; {
+		pn, off, n := s.span(lba, int(min(left, uint64(s.pageLen))))
+		if n == s.pageLen {
+			delete(s.pages, pn)
+		} else if p := s.pages[pn]; p != nil {
+			clear(p[off : off+n])
 		}
-		if off == 0 && n == chunkBlocks {
-			delete(s.chunks, cn)
-		} else if c := s.chunks[cn]; c != nil {
-			clear(c[off*uint64(s.blockSize) : (off+n)*uint64(s.blockSize)])
-		}
-		lba += n
+		left -= uint64(n)
+		lba += uint64(n) / bs
 	}
 }
 
-// ContentCRC fingerprints the store's logical contents: chunks are hashed
-// in LBA order and all-zero chunks are skipped, so two stores holding the
-// same bytes produce the same CRC even if one materialized a chunk the
-// other never touched. Mirror-consistency tests compare primary and
-// secondary with it.
+// ContentCRC fingerprints the store's logical contents: 64-block chunks
+// are hashed in LBA order and all-zero chunks are skipped, so two stores
+// holding the same bytes produce the same CRC even if one materialized a
+// page the other never touched. Mirror-consistency tests compare primary
+// and secondary with it.
 func (s *MemStore) ContentCRC() uint32 {
-	ids := make([]uint64, 0, len(s.chunks))
-	for cn := range s.chunks {
-		ids = append(ids, cn)
+	ids := make([]uint64, 0, len(s.pages))
+	for pn := range s.pages {
+		first := pn * s.pageBlocks
+		ids = append(ids, first/chunkBlocks, (first+s.pageBlocks-1)/chunkBlocks)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	var idbuf [8]byte
+	c := make([]byte, chunkBlocks*int(s.blockSize))
 	crc := crc32.NewIEEE()
 	for _, cn := range ids {
-		c := s.chunks[cn]
-		allZero := true
-		for _, b := range c {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
+		s.ReadBlocks(cn*chunkBlocks, c)
+		if isZero(c) {
 			continue
 		}
 		binary.LittleEndian.PutUint64(idbuf[:], cn)
