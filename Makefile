@@ -135,7 +135,8 @@ bench-e2e-smoke:
 # shard dispatch) and the per-tenant footprint tests (a histogram's counts,
 # the backing store's pages against a flat image and its zero elision, the
 # block cache's shared zero line, the cow content cache's adopted lines, the
-# device's write staging pool)
+# device's write staging pool, NVMe ring backings at their high-water mark,
+# fio's packed job buffers, an allocation-free PRP list build)
 # beside the primitives' golden once more, the golden-CSV
 # determinism check — every experiment with a checked-in quick-mode golden
 # must render byte-identical output — and the published full-mode CSVs in
@@ -145,7 +146,7 @@ sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
-	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/
+	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight|TestRingBackingTracksHighWater|TestJobBuffersPackLikeIomem|TestBuildPRPZeroAlloc' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/ ./internal/nvme/ ./internal/fio/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the
@@ -192,16 +193,20 @@ scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
 
-# fuzz-smoke explores four targets for 30 s each beyond their seed corpora
+# fuzz-smoke explores five targets for 30 s each beyond their seed corpora
 # (which every `go test ./...` runs). FuzzVerifiedProgram: Verify accepts
 # exactly what Compile accepts, and decoded bytes it accepts must run on both
 # tiers without a fault, fuel or panic, the tiers must agree, and a proved
 # static verdict must be what every invocation returns. FuzzAppendPRP: the
 # PRP walker must not panic, must agree with its reference walk segment for
 # segment and error for error, and a successful walk must stay inside guest
-# memory and cover the transfer. FuzzParseChain: the virtio device side must
-# not panic on a guest-written descriptor table, avail head and request
-# header, and a chain it accepts fits the queue and guest memory.
+# memory and cover the transfer. FuzzQueueMatchesFIFO: an SQ and a CQ
+# under any push/pop/peek sequence, at depths 2, 4, 128 and 6, must match a
+# slice FIFO entry for entry (Head, Len, Full and the CQ phase included)
+# while their backings grow to the most entries held. FuzzParseChain: the
+# virtio device side must not panic on a guest-written descriptor table,
+# avail head and request header, and a chain it accepts fits the queue and
+# guest memory.
 # FuzzXTSKernel: the AES-NI kernel, the Go kernel and the byte-wise reference
 # must produce the same bytes for any key, sector run, direction and
 # aliasing, and the round trip must give the input back. A finding is
@@ -209,6 +214,7 @@ scale-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedProgram$$' -fuzztime 30s ./internal/ebpf/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendPRP$$' -fuzztime 30s ./internal/nvme/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueMatchesFIFO$$' -fuzztime 30s ./internal/nvme/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime 30s ./internal/virtio/
 	$(GO) test -run '^$$' -fuzz '^FuzzXTSKernel$$' -fuzztime 30s ./internal/xts/
 

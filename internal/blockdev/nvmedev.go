@@ -79,6 +79,7 @@ type NVMeBlockDev struct {
 	subFree  []*submission
 	building *pendingBio // the entry whose PRP list listPage extends
 	listPage func() uint64
+	prpEntry [8]byte // BuildPRP's list-entry scratch
 
 	lost      map[uint16]lostCID // quarantined CIDs: timed out, completion pending
 	genSeq    uint32             // submission-generation sequence (stamped in CDW3)
@@ -273,7 +274,7 @@ func (s *submission) gate() {
 			op = nvme.OpWrite
 		}
 		d.building = pend
-		prp1, prp2, err := nvme.BuildPRP(d.hostmem, pend.pages, d.listPage)
+		prp1, prp2, err := nvme.BuildPRP(d.hostmem, pend.pages, d.listPage, &d.prpEntry)
 		d.building = nil
 		if err != nil {
 			// A malformed transfer fails this one bio, not the whole sim.

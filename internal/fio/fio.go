@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"nvmetro/internal/guestmem"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/vm"
@@ -215,6 +216,16 @@ func RunMixed(env *sim.Env, cpu *sim.CPU, groups []Group) []Result {
 
 // newJobs builds one job per target of every group, with its region of the
 // disk and its guest buffers, counting what completes in (measFrom, measTo].
+//
+// A job's buffers are one guest region of QD slots. When the block size
+// divides the guest page (and is whole disk blocks, so a transfer is exactly
+// one slot), slot s lies at region + s·BlockSize, packed as fio's iomem lays
+// out io_u buffers: a 512 B, QD128 job takes 16 pages, not 128, and each
+// slot stays inside one page. Any other block size keeps a page-aligned slot
+// of whole pages, as it always had, so a buffer spans the same pages and
+// every PRP list and virtio chain keeps its length. Buffers are not reused
+// from one RunMixed to the next: the previous call's in-flight commands still
+// DMA into its buffers, and nothing drains them between calls.
 func newJobs(env *sim.Env, groups []Group, measFrom, measTo sim.Time) [][]*job {
 	jobsPer := make([][]*job, len(groups))
 	var fill []byte // each slot's pattern, built here and copied into guest memory
@@ -248,23 +259,37 @@ func newJobs(env *sim.Env, groups []Group, measFrom, measTo sim.Time) [][]*job {
 				measTo:   measTo,
 				lat:      metrics.NewHistogram(),
 			}
-			// Preallocate one guest buffer per queue slot.
-			for s := 0; s < cfg.QD; s++ {
-				base, pages, err := t.VM.Mem.AllocBuffer(cfg.BlockSize)
+			bs := cfg.BlockSize
+			if bs != 0 && guestmem.PageSize%bs == 0 && bs%t.Disk.BlockSize() == 0 {
+				region, _, err := t.VM.Mem.AllocBuffer(uint32(cfg.QD) * bs)
 				if err != nil {
 					panic(err)
 				}
-				// Non-zero payload so encryption paths work on real data.
-				if cap(fill) < int(cfg.BlockSize) {
-					fill = make([]byte, cfg.BlockSize)
+				j.bufs = make([]uint64, cfg.QD)
+				for s := range j.bufs {
+					j.bufs[s] = region + uint64(s)*uint64(bs)
+					j.pages = append(j.pages, j.bufs[s:s+1:s+1])
 				}
-				fill = fill[:cfg.BlockSize]
+			} else {
+				for range cfg.QD {
+					base, pages, err := t.VM.Mem.AllocBuffer(bs)
+					if err != nil {
+						panic(err)
+					}
+					j.bufs = append(j.bufs, base)
+					j.pages = append(j.pages, pages)
+				}
+			}
+			// Non-zero payload so encryption paths work on real data.
+			if cap(fill) < int(bs) {
+				fill = make([]byte, bs)
+			}
+			fill = fill[:bs]
+			for s, base := range j.bufs {
 				for k := range fill {
 					fill[k] = byte(k*7 + i + s)
 				}
 				t.VM.Mem.WriteAt(fill, base)
-				j.bufs = append(j.bufs, base)
-				j.pages = append(j.pages, pages)
 			}
 			jobsPer[gi] = append(jobsPer[gi], j)
 		}

@@ -321,6 +321,46 @@ func BenchmarkSQPushPop(b *testing.B) {
 	}
 }
 
+// BenchmarkSQPushPopQD128 is BenchmarkSQPushPop with 127 commands queued
+// ahead of each push, so the ring wraps through a full-size backing.
+func BenchmarkSQPushPopQD128(b *testing.B) {
+	q := NewSQ(1, 1024)
+	c := NewRW(OpRead, 1, 1, 0, 8, 0x1000, 0)
+	var got Command
+	for i := 0; i < 127; i++ {
+		q.Push(&c)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Push(&c)
+		q.Pop(&got)
+	}
+}
+
+func BenchmarkCQPushPop(b *testing.B) {
+	q := NewCQ(1, 1024)
+	var e Completion
+	for i := 0; i < b.N; i++ {
+		q.Post(1, 1, 0, SCSuccess, 0)
+		q.Pop(&e)
+	}
+}
+
+// BenchmarkCQPushPopQD128 is BenchmarkCQPushPop with 127 completions
+// waiting ahead of each post.
+func BenchmarkCQPushPopQD128(b *testing.B) {
+	q := NewCQ(1, 1024)
+	var e Completion
+	for i := 0; i < 127; i++ {
+		q.Post(1, 1, 0, SCSuccess, 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Post(1, 1, 0, SCSuccess, 0)
+		q.Pop(&e)
+	}
+}
+
 func BenchmarkWalkPRP128K(b *testing.B) {
 	mem := guestmem.New(16 << 20)
 	var pages []uint64

@@ -123,11 +123,16 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// BuildPRP constructs PRP1/PRP2 for a transfer over the given page-aligned
-// data pages (each PageSize long except possibly the last). When more than
-// two pages are needed, list pages are allocated via alloc and the list is
-// written into guest memory. It returns the PRP pair.
-func BuildPRP(mem Memory, pages []uint64, alloc func() uint64) (prp1, prp2 uint64, err error) {
+// BuildPRP constructs PRP1/PRP2 for a transfer over the given data pages
+// (each PageSize long and page aligned except that the first may start, and
+// the last end, inside its page). When more than two pages are needed, list
+// pages are allocated via alloc and the list is written into guest memory.
+// It returns the PRP pair. entry, when given, is the caller's scratch for
+// the list entries, as AppendPRP's is for reading them, so a caller that
+// keeps one from one command to the next builds without allocating; it is
+// optional because the bench module's PRP probe calls the three-argument
+// form.
+func BuildPRP(mem Memory, pages []uint64, alloc func() uint64, entry ...*[8]byte) (prp1, prp2 uint64, err error) {
 	switch len(pages) {
 	case 0:
 		return 0, 0, nil
@@ -140,7 +145,12 @@ func BuildPRP(mem Memory, pages []uint64, alloc func() uint64) (prp1, prp2 uint6
 	rest := pages[1:]
 	listAddr := alloc()
 	prp2 = listAddr
-	buf := make([]byte, 8)
+	var buf *[8]byte
+	if len(entry) > 0 {
+		buf = entry[0]
+	} else {
+		buf = new([8]byte)
+	}
 	perPage := PageSize / 8
 	for i := 0; i < len(rest); {
 		slot := listAddr
@@ -151,16 +161,16 @@ func BuildPRP(mem Memory, pages []uint64, alloc func() uint64) (prp1, prp2 uint6
 			n = len(rest) - i
 		}
 		for j := 0; j < n; j++ {
-			putU64(buf, rest[i+j])
-			if err := mem.WriteAt(buf, slot+uint64(j*8)); err != nil {
+			putU64(buf[:], rest[i+j])
+			if err := mem.WriteAt(buf[:], slot+uint64(j*8)); err != nil {
 				return 0, 0, err
 			}
 		}
 		i += n
 		if i < len(rest) {
 			next := alloc()
-			putU64(buf, next)
-			if err := mem.WriteAt(buf, slot+uint64((perPage-1)*8)); err != nil {
+			putU64(buf[:], next)
+			if err := mem.WriteAt(buf[:], slot+uint64((perPage-1)*8)); err != nil {
 				return 0, 0, err
 			}
 			listAddr = next

@@ -202,6 +202,39 @@ func TestAppendPRPZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBuildPRPZeroAlloc: with the caller's list-entry scratch, building a
+// 128 KiB transfer's PRP list (32 pages, so PRP2 points at a list) allocates
+// nothing, and the list walks back to the pages it was built from.
+func TestBuildPRPZeroAlloc(t *testing.T) {
+	mem := guestmem.New(16 << 20)
+	pages := make([]uint64, 32)
+	for i := range pages {
+		pages[i] = mem.MustAllocPages(1)
+	}
+	list := mem.MustAllocPages(1)
+	alloc := func() uint64 { return list }
+	var entry [8]byte
+	var prp1, prp2 uint64
+	var err error
+	if n := testing.AllocsPerRun(20, func() {
+		prp1, prp2, err = BuildPRP(mem, pages, alloc, &entry)
+	}); n != 0 {
+		t.Errorf("%.1f allocations per 128 KiB build, want 0", n)
+	}
+	if err != nil || prp2 != list {
+		t.Fatalf("build: prp2 %#x, err %v; want the list page %#x", prp2, err, list)
+	}
+	segs, err := WalkPRP(mem, prp1, prp2, 128<<10)
+	if err != nil || len(segs) != len(pages) {
+		t.Fatalf("walk: %d segments, err %v", len(segs), err)
+	}
+	for i, s := range segs {
+		if s.Addr != pages[i] || s.Len != PageSize {
+			t.Fatalf("segment %d = %+v, want page %#x", i, s, pages[i])
+		}
+	}
+}
+
 // FuzzAppendPRP walks fuzzed PRP pairs over the guest memory prpTable
 // builds, after writing one fuzzed 8-byte word into it (the seeds write zero
 // at address 0, which no list reaches). Addresses and the word are reduced

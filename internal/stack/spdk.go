@@ -35,6 +35,8 @@ type spdkSession struct {
 	inflight  []map[uint16]spdkTag
 	freeCID   [][]uint16
 	listPages [][]uint64 // one preallocated PRP list page per (queue, CID)
+	pages     []uint64   // the data pages of the command being built
+	prpEntry  [8]byte    // BuildPRP's list-entry scratch
 }
 
 type spdkTag struct {
@@ -192,12 +194,12 @@ func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.Devi
 		if t == virtio.BlkTOut {
 			op = nvme.OpWrite
 		}
-		pages := make([]uint64, 0, len(r.Data))
+		sess.pages = sess.pages[:0]
 		for _, d := range r.Data {
-			pages = append(pages, d.Addr)
+			sess.pages = append(sess.pages, d.Addr)
 		}
 		listPage := sess.listPages[qi][cid]
-		prp1, prp2, err := nvme.BuildPRP(sess.mem, pages, func() uint64 { return listPage })
+		prp1, prp2, err := nvme.BuildPRP(sess.mem, sess.pages, func() uint64 { return listPage }, &sess.prpEntry)
 		if err != nil {
 			panic(err)
 		}

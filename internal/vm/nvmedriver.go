@@ -45,6 +45,7 @@ type qpState struct {
 	vcpu      *sim.Thread
 	reqs      []*Req    // by CID
 	listPages []uint64  // preallocated PRP list page address by CID
+	prpEntry  [8]byte   // BuildPRP's list-entry scratch
 	free      []uint16  // free CIDs
 	slotCond  *sim.Cond // waiters for a free slot
 	irqCond   *sim.Cond // completion notification
@@ -188,7 +189,7 @@ func (st *qpState) issue(r *Req) {
 			lp = 0
 			return a
 		}
-		prp1, prp2, err := nvme.BuildPRP(d.vm.Mem, r.BufPages, alloc)
+		prp1, prp2, err := nvme.BuildPRP(d.vm.Mem, r.BufPages, alloc, &st.prpEntry)
 		if err != nil {
 			panic(err)
 		}

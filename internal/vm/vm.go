@@ -86,9 +86,11 @@ func (o Op) String() string {
 }
 
 // Req is one asynchronous guest block request. Buffers live in guest
-// memory; BufPages lists the page-aligned data pages (as handed out by
+// memory; BufPages lists the data pages (as handed out by
 // guestmem.AllocBuffer) so drivers can build PRPs or descriptor chains
-// without copying.
+// without copying. A buffer that lies inside one page, packed beside others
+// in it, is the single entry Buf: its first page may start inside the page,
+// as a PRP1 may.
 type Req struct {
 	Op       Op
 	LBA      uint64 // in disk logical blocks
