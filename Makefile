@@ -127,9 +127,10 @@ bench-e2e-smoke:
 # happens-before edges, and the Goexit, Close, ExecFunc/WaitFunc/
 # WaitTimeoutFunc tests and the primitives' event-order golden run here
 # too), the per-hop event/switch budget and the hand-off gate on fio-driven
-# topologies (no process spawned, and none resumed on the routed command
-# path). Then, without the race detector, whose instrumentation allocates
-# so that every allocation budget skips itself under it: the allocation
+# topologies (no process spawned, and none resumed on the command path:
+# routed, kernel, notify and every baseline's). Then, without the race
+# detector, whose instrumentation allocates so that every allocation
+# budget skips itself under it: the allocation
 # gates (the process forms' blocking primitives, the bare event queue, the
 # routed and notify paths' warm commands, a router hop plain and guarded, a
 # shard dispatch) and the per-tenant footprint tests (a histogram's counts,
@@ -137,8 +138,9 @@ bench-e2e-smoke:
 # block cache's shared zero line, the cow content cache's adopted lines, the
 # device's write staging pool, NVMe ring backings at their high-water mark,
 # fio's packed job buffers, an allocation-free PRP list build)
-# beside the primitives' golden once more, the golden-CSV
-# determinism check — every experiment with a checked-in quick-mode golden
+# beside the primitives' golden once more, the baselines' event golden
+# (MDev, QEMU, vhost-scsi plain and over dm-crypt and dm-mirror, SPDK),
+# the golden-CSV determinism check — every experiment with a checked-in quick-mode golden
 # must render byte-identical output — and the published full-mode CSVs in
 # results/ (Table I and the 1024-VM boot-storm and scale fleets, ~5 s
 # without the race detector).
@@ -146,7 +148,7 @@ sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
 	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
-	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight|TestRingBackingTracksHighWater|TestJobBuffersPackLikeIomem|TestBuildPRPZeroAlloc' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/ ./internal/nvme/ ./internal/fio/
+	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight|TestRingBackingTracksHighWater|TestJobBuffersPackLikeIomem|TestBuildPRPZeroAlloc|TestBaselineEventGolden' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/ ./internal/nvme/ ./internal/fio/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the

@@ -1,8 +1,6 @@
 package dm
 
 import (
-	"fmt"
-
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/sim"
@@ -54,8 +52,9 @@ func NewCrypt(env *sim.Env, lower blockdev.BlockDevice, key []byte, params Crypt
 	}
 	c := &Crypt{lower: lower, cipher: cipher, params: params, wake: sim.NewCond(env)}
 	for i := 0; i < params.Workers; i++ {
-		th := cpu.NewThread("kcryptd")
-		env.Go(fmt.Sprintf("kcryptd/%d", i), func(p *sim.Proc) { c.worker(p, th) })
+		k := &kcryptd{c: c, th: cpu.NewThread("kcryptd")}
+		k.stepNext, k.stepCrypt = k.next, k.crypt
+		env.After(0, k.stepNext)
 	}
 	return c, nil
 }
@@ -95,34 +94,50 @@ func (c *Crypt) SubmitFunc(th *sim.Thread, b *bio, then func()) {
 	}
 }
 
-func (c *Crypt) worker(p *sim.Proc, th *sim.Thread) {
-	for {
-		if len(c.queue) == 0 {
-			c.wake.Wait()
-			continue
-		}
-		w := c.queue[0]
-		c.queue = c.queue[1:]
-		cost := sim.Duration(float64(len(w.bio.Data)) / c.params.CryptRate * 1e9)
-		th.Exec(p, cost)
-		if w.decrypt {
-			if err := c.cipher.DecryptBlocks(w.bio.Data, w.bio.Data, w.bio.Sector, blockdev.SectorSize); err != nil {
-				w.bio.OnDone(nvme.SCInternal)
-				continue
-			}
-			c.Decrypted += uint64(len(w.bio.Data))
-			w.bio.OnDone(nvme.SCSuccess)
-			continue
-		}
-		// Encrypt into a bounce buffer: the caller's plaintext must not be
-		// clobbered (dm-crypt does the same).
-		ct := make([]byte, len(w.bio.Data))
-		if err := c.cipher.EncryptBlocks(ct, w.bio.Data, w.bio.Sector, blockdev.SectorSize); err != nil {
-			w.bio.OnDone(nvme.SCInternal)
-			continue
-		}
-		c.Encrypted += uint64(len(ct))
-		lower := &bio{Op: blockdev.BioWrite, Sector: w.bio.Sector, Data: ct, OnDone: w.bio.OnDone}
-		blockdev.SubmitAndWait(p, c.lower, th, lower)
+// kcryptd is one worker of the pool. Its loop runs as continuations: take
+// the next queued bio, charge its crypto, then do it.
+type kcryptd struct {
+	c  *Crypt
+	th *sim.Thread
+	w  cryptWork // the bio between its charge and its crypto
+
+	stepNext, stepCrypt func() // next and crypt, bound once
+}
+
+// next charges the crypto of the next queued bio, or waits for one.
+func (k *kcryptd) next() {
+	c := k.c
+	if len(c.queue) == 0 {
+		c.wake.WaitFunc(k.stepNext)
+		return
 	}
+	k.w = c.queue[0]
+	c.queue = c.queue[1:]
+	k.th.ExecFunc(sim.Duration(float64(len(k.w.bio.Data))/c.params.CryptRate*1e9), k.stepCrypt)
+}
+
+// crypt decrypts a read in place and completes it, or encrypts a write into
+// a bounce buffer — the caller's plaintext must not be clobbered (dm-crypt
+// does the same) — and submits that to the lower device.
+func (k *kcryptd) crypt() {
+	c, w := k.c, k.w
+	k.w = cryptWork{}
+	if w.decrypt {
+		st := nvme.SCInternal
+		if err := c.cipher.DecryptBlocks(w.bio.Data, w.bio.Data, w.bio.Sector, blockdev.SectorSize); err == nil {
+			st = nvme.SCSuccess
+			c.Decrypted += uint64(len(w.bio.Data))
+		}
+		w.bio.OnDone(st)
+		k.next()
+		return
+	}
+	ct := make([]byte, len(w.bio.Data))
+	if err := c.cipher.EncryptBlocks(ct, w.bio.Data, w.bio.Sector, blockdev.SectorSize); err != nil {
+		w.bio.OnDone(nvme.SCInternal)
+		k.next()
+		return
+	}
+	c.Encrypted += uint64(len(ct))
+	c.lower.SubmitFunc(k.th, &bio{Op: blockdev.BioWrite, Sector: w.bio.Sector, Data: ct, OnDone: w.bio.OnDone}, k.stepNext)
 }

@@ -70,12 +70,13 @@ type Solution interface {
 	Provision(v *vm.VM, part device.Partition) vm.Disk
 }
 
-// wakeWait parks the process on c and charges the thread-wake latency once
-// resumed — the cost event-driven (non-polling) host threads pay that
-// polling solutions avoid.
-func wakeWait(p *sim.Proc, c *sim.Cond, lat sim.Duration) {
-	c.Wait()
-	if lat > 0 {
-		p.Sleep(lat)
+// afterWake runs then once a host thread that a Cond.WaitFunc woke is
+// running again: the scheduler wake-up event-driven (non-polling) host
+// threads pay and polling solutions avoid.
+func (h *Host) afterWake(then func()) {
+	if lat := h.Params.WakeLat; lat > 0 {
+		h.Env.After(lat, then)
+		return
 	}
+	then()
 }

@@ -1,8 +1,6 @@
 package stack
 
 import (
-	"fmt"
-
 	"nvmetro/internal/device"
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/sim"
@@ -29,7 +27,8 @@ func (s *MDev) Provision(v *vm.VM, part device.Partition) vm.Disk {
 		wake: sim.NewCond(s.h.Env),
 		th:   s.h.hostThread("mdev"),
 	}
-	s.h.Env.Go(fmt.Sprintf("mdev-poll-vm%d", v.ID), port.poll)
+	port.stepRound, port.stepApply, port.stepLook = port.round, port.apply, port.look
+	s.h.Env.After(0, port.stepRound)
 	return vm.NewNVMeDisk(v, port, 128, s.h.Params.Driver)
 }
 
@@ -53,6 +52,13 @@ type mdevPort struct {
 	wake        *sim.Cond
 	asleep      bool
 	outstanding int
+
+	gathered int      // queue pairs the last gather walked
+	effects  []func() // the round's effects; the backing array is reused
+
+	// The poll loop's steps, bound once.
+	stepRound, stepApply func()
+	stepLook             func(int) sim.Time
 }
 
 func (p *mdevPort) Namespace() nvme.NamespaceInfo { return p.part.Info() }
@@ -90,101 +96,112 @@ func (p *mdevPort) SetIRQ(qid uint16, fn func()) {
 	// A guest configuration error is ignored rather than a panic.
 }
 
-// poll is the MDev polling loop: shadow VSQs into host queues with
-// in-module mediation, shadow HCQs back into VCQs.
-func (p *mdevPort) poll(pr *sim.Proc) {
-	c := p.h.Params
-	// look is the gather below reduced to looking, for the rounds Spin runs
-	// without this process. Every gather condition is event-driven; a queue
-	// pair created since the last gather changes what a round costs.
-	gathered := 0
-	look := func(int) sim.Time {
-		if len(p.vqs) != gathered {
+// round is one pass of the MDev polling loop: shadow VSQs into host queues
+// with in-module mediation, shadow HCQs back into VCQs, charge the pass and
+// then apply its effects; with nothing found it spins while commands are in
+// flight and parks otherwise.
+func (p *mdevPort) round() {
+	work := p.gather()
+	if len(p.effects) == 0 {
+		if p.outstanding == 0 {
+			p.asleep = true
+			p.wake.WaitFunc(p.stepRound)
+			return
+		}
+		// Commands are in flight: spin until a round has something
+		// to look at.
+		p.th.SpinFunc(work, p.stepLook, p.stepRound)
+		return
+	}
+	p.th.ExecFunc(work, p.stepApply)
+}
+
+// apply lands the round's effects once its CPU time is charged, and starts
+// the next round.
+func (p *mdevPort) apply() {
+	for _, fn := range p.effects {
+		fn()
+	}
+	p.round()
+}
+
+// look is the gather reduced to looking, for the rounds SpinFunc runs.
+// Every gather condition is event-driven; a queue pair created since the
+// last gather changes what a round costs.
+func (p *mdevPort) look(int) sim.Time {
+	if len(p.vqs) != p.gathered {
+		return 0
+	}
+	for _, vq := range p.vqs {
+		if vq.hqp.CQ.Peek() || !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
 			return 0
 		}
-		for _, vq := range p.vqs {
-			if vq.hqp.CQ.Peek() || !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
-				return 0
-			}
-		}
-		return sim.Never
 	}
-	var effects []func() // backing array reused across rounds
-	for {
-		var work sim.Duration
-		gathered = len(p.vqs)
-		clear(effects) // drop the previous round's closures
-		effects = effects[:0]
-		for _, vq := range p.vqs {
-			vq := vq
-			work += c.Router.PollVQ
-			var cmd nvme.Command
-			newDone := 0 // VCQ entries this round posts, rejections included: each is owed the interrupt
-			for !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
-				vq.vsq.Pop(&cmd)
-				p.outstanding++
-				work += c.MDevMediate
-				gcid := cmd.CID()
-				// In-module mediation: bounds check + LBA translation.
-				if cmd.Ranged() {
-					dlba, ok := p.part.Translate(cmd.SLBA(), cmd.Blocks())
-					if !ok {
-						work += c.Router.CompleteVCQ
-						effects = append(effects, func() {
-							vq.vcq.Post(gcid, vq.qid, vq.vsq.Head(), nvme.SCLBAOutOfRange, 0)
-							p.outstanding--
-						})
-						newDone++
-						continue
-					}
-					cmd.SetSLBA(dlba)
+	return sim.Never
+}
+
+// gather takes what every queue pair has to offer, leaving the effects in
+// p.effects, and returns the CPU time the round costs.
+func (p *mdevPort) gather() (work sim.Duration) {
+	c := p.h.Params
+	p.gathered = len(p.vqs)
+	clear(p.effects) // drop the previous round's closures
+	p.effects = p.effects[:0]
+	for _, vq := range p.vqs {
+		vq := vq
+		work += c.Router.PollVQ
+		var cmd nvme.Command
+		newDone := 0 // VCQ entries this round posts, rejections included: each is owed the interrupt
+		for !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
+			vq.vsq.Pop(&cmd)
+			p.outstanding++
+			work += c.MDevMediate
+			gcid := cmd.CID()
+			// In-module mediation: bounds check + LBA translation.
+			if cmd.Ranged() {
+				dlba, ok := p.part.Translate(cmd.SLBA(), cmd.Blocks())
+				if !ok {
+					work += c.Router.CompleteVCQ
+					p.effects = append(p.effects, func() {
+						vq.vcq.Post(gcid, vq.qid, vq.vsq.Head(), nvme.SCLBAOutOfRange, 0)
+						p.outstanding--
+					})
+					newDone++
+					continue
 				}
-				htag := vq.freeTags[len(vq.freeTags)-1]
-				vq.freeTags = vq.freeTags[:len(vq.freeTags)-1]
-				vq.guestCIDs[htag] = gcid
-				cmd.SetCID(htag)
-				hc := cmd
-				effects = append(effects, func() {
-					vq.hqp.SQ.Push(&hc)
-					p.part.Dev.Ring(vq.hqp.SQ.ID)
-				})
+				cmd.SetSLBA(dlba)
 			}
-			var e nvme.Completion
-			for vq.hqp.CQ.Pop(&e) {
-				htag := e.CID()
-				gcid := vq.guestCIDs[htag]
-				vq.freeTags = append(vq.freeTags, htag)
-				st := e.Status()
-				work += c.Router.CompleteVCQ
-				effects = append(effects, func() {
-					vq.vcq.Post(gcid, vq.qid, vq.vsq.Head(), st, 0)
-					p.outstanding--
-				})
-				newDone++
-			}
-			if newDone > 0 {
-				work += c.Router.IRQInject
-				effects = append(effects, func() {
-					if vq.irq != nil {
-						vq.irq()
-					}
-				})
-			}
+			htag := vq.freeTags[len(vq.freeTags)-1]
+			vq.freeTags = vq.freeTags[:len(vq.freeTags)-1]
+			vq.guestCIDs[htag] = gcid
+			cmd.SetCID(htag)
+			hc := cmd
+			p.effects = append(p.effects, func() {
+				vq.hqp.SQ.Push(&hc)
+				p.part.Dev.Ring(vq.hqp.SQ.ID)
+			})
 		}
-		if len(effects) == 0 {
-			if p.outstanding == 0 {
-				p.asleep = true
-				p.wake.Wait()
-				continue
-			}
-			// Commands are in flight: spin until a round has something
-			// to look at.
-			p.th.Spin(pr, work, look)
-			continue
+		var e nvme.Completion
+		for vq.hqp.CQ.Pop(&e) {
+			htag := e.CID()
+			gcid := vq.guestCIDs[htag]
+			vq.freeTags = append(vq.freeTags, htag)
+			st := e.Status()
+			work += c.Router.CompleteVCQ
+			p.effects = append(p.effects, func() {
+				vq.vcq.Post(gcid, vq.qid, vq.vsq.Head(), st, 0)
+				p.outstanding--
+			})
+			newDone++
 		}
-		p.th.Exec(pr, work)
-		for _, fn := range effects {
-			fn()
+		if newDone > 0 {
+			work += c.Router.IRQInject
+			p.effects = append(p.effects, func() {
+				if vq.irq != nil {
+					vq.irq()
+				}
+			})
 		}
 	}
+	return work
 }

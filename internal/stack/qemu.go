@@ -1,8 +1,6 @@
 package stack
 
 import (
-	"fmt"
-
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/device"
 	"nvmetro/internal/nvme"
@@ -37,10 +35,16 @@ func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	q.queues = disk.Queues()
 	for i := 0; i < s.h.Params.QEMUIOThreads; i++ {
 		it := &qemuIOThread{
-			th:   s.h.hostThread("qemu"),
-			ring: blockdev.NewURing(s.h.Env, q.bdev, s.h.Params.URing),
-			wake: sim.NewCond(s.h.Env),
+			q:        q,
+			th:       s.h.hostThread("qemu"),
+			ring:     blockdev.NewURing(s.h.Env, q.bdev, s.h.Params.URing),
+			wake:     sim.NewCond(s.h.Env),
+			inflight: make(map[uint64]*qemuInflight),
+			turnDue:  true,
 		}
+		it.stepTurn, it.stepReaped, it.stepComplete, it.stepCompleted = it.turn, it.reapedAll, it.complete, it.completed
+		it.stepInjected, it.stepElem, it.stepNext, it.stepSubmit = it.injected, it.elem, it.next, it.submit
+		it.stepWoken, it.stepAwake, it.stepLook = it.woken, it.awake, it.look
 		// io_uring completions wake the iothread that owns the ring.
 		it.ring.OnComp = func() {
 			if it.asleep {
@@ -49,9 +53,7 @@ func (s *QEMU) Provision(v *vm.VM, part device.Partition) vm.Disk {
 			}
 		}
 		q.threads = append(q.threads, it)
-		s.h.Env.Go(fmt.Sprintf("qemu-iothread%d-vm%d", i, v.ID), func(p *sim.Proc) {
-			q.iothread(p, it)
-		})
+		s.h.Env.After(0, it.stepTurn)
 	}
 	return disk
 }
@@ -69,12 +71,41 @@ type qemuVM struct {
 	inflightN int    // merged submissions in flight across all iothreads
 }
 
-// qemuIOThread is one event-loop thread with its own io_uring.
+// qemuIOThread is one event-loop thread with its own io_uring. Its loop runs
+// as continuations: each step resumes the turn at its cursor.
 type qemuIOThread struct {
+	q      *qemuVM
 	th     *sim.Thread
 	ring   *blockdev.URing
 	wake   *sim.Cond
 	asleep bool
+
+	inflight map[uint64]*qemuInflight // merged submissions by io_uring user data
+	nextID   uint64
+
+	// Carried from turn to turn: whether the event-loop turn is owed (see
+	// payTurn), and the adaptive-polling state.
+	turnDue, pollWorthwhile bool
+	lastWork, pollEnd       sim.Time
+	idleSpin                sim.Duration
+
+	// The turn's cursor: what it found so far, the completions it reaped and
+	// the next one, the queue it is popping, the batch popped there (its
+	// requests' types and sectors) and the run of it being merged, and the
+	// merged request between its charges.
+	did, plugged bool
+	reaped       []blockdev.URingCQE
+	k, vi, i, j  int
+	batch        []virtio.DeviceReq
+	sectors      []uint64
+	types        []uint32
+	fl           *qemuInflight
+	status       byte
+
+	// The loop's steps, bound once.
+	stepTurn, stepReaped, stepComplete, stepCompleted, stepInjected func()
+	stepElem, stepNext, stepSubmit, stepWoken, stepAwake            func()
+	stepLook                                                        func(int) sim.Time
 }
 
 // Kick implements virtio.Transport: an ioeventfd MMIO write traps the vCPU
@@ -106,204 +137,249 @@ type qemuInflight struct {
 	buf  []byte
 }
 
-func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
-	th, ring := it.th, it.ring
-	par := q.h.Params
-	inflight := make(map[uint64]*qemuInflight)
-	var nextID uint64
-	var idleSpin sim.Duration
-	turnDue := true
-	var lastWork sim.Time
-	pollWorthwhile := false
-	// look is the unplugged loop body reduced to looking, for the rounds of
-	// the poll window that Spin runs without this process.
-	var pollEnd sim.Time
-	look := func(int) sim.Time {
-		if ring.Pending() > 0 || q.anyAvail() {
-			return 0
-		}
-		return pollEnd
+// turn is the top of the event loop: reap io_uring completions, then copy
+// read data into guest pages, complete chains and inject the interrupt.
+func (it *qemuIOThread) turn() {
+	it.did, it.plugged = false, false
+	it.q.busy++
+	it.reaped, it.k = it.reaped[:0], 0
+	if it.ring.Pending() == 0 {
+		it.complete() // nothing reaped: on to the queues
+		return
 	}
+	it.reaped = it.ring.Reap(it.th, it.reaped, 32, it.stepReaped)
+}
 
-	// The event-loop turn (ppoll return, fd dispatch, bottom halves) is
-	// paid when a sleeping thread wakes to process work; a thread in the
-	// adaptive-polling window picks work up without it.
-	var reapBuf []blockdev.URingCQE
-	payTurn := func() {
-		if turnDue {
-			turnDue = false
-			th.Exec(p, par.QEMUBatch)
-		}
+func (it *qemuIOThread) reapedAll() { it.payTurn(it.stepComplete) }
+
+// payTurn charges the event-loop turn (ppoll return, fd dispatch, bottom
+// halves) before then when it is owed: a sleeping thread woken to process
+// work pays it, a thread in the adaptive-polling window picks work up
+// without it.
+func (it *qemuIOThread) payTurn(then func()) {
+	if it.turnDue {
+		it.turnDue = false
+		it.th.ExecFunc(it.q.h.Params.QEMUBatch, then)
+		return
 	}
+	then()
+}
 
-	for {
-		did := false
-		plugged := false
-		q.busy++
+// complete charges the dispatch of the next reaped completion — one per
+// (merged) request, plus a small per-element cost to unmap and return each
+// chain — or moves on to the queues.
+func (it *qemuIOThread) complete() {
+	if it.k == len(it.reaped) {
+		it.vi = 0
+		it.pop()
+		return
+	}
+	cqe := it.reaped[it.k]
+	it.k++
+	fl := it.inflight[cqe.UserData]
+	delete(it.inflight, cqe.UserData)
+	it.q.inflightN--
+	it.fl, it.status = fl, 0
+	if !cqe.Status.OK() {
+		it.status = 1
+	}
+	it.th.ExecFunc(it.q.h.Params.QEMUComplete+sim.Microsecond*sim.Duration(len(fl.reqs)), it.stepCompleted)
+}
 
-		// Reap io_uring completions: copy read data into guest pages,
-		// complete chains, inject the interrupt.
-		var reaped []blockdev.URingCQE
-		if ring.Pending() > 0 {
-			p.Await(func(then func()) { reaped = ring.Reap(th, reapBuf[:0], 32, then) })
-			reapBuf = reaped
+func (it *qemuIOThread) completed() {
+	fl := it.fl
+	off := 0
+	for i := range fl.reqs {
+		r := &fl.reqs[i]
+		if fl.read && it.status == 0 {
+			r.WriteData(fl.vq, fl.buf[off:off+r.DataLen()])
 		}
-		if len(reaped) > 0 {
-			payTurn()
+		off += r.DataLen()
+		r.Complete(fl.vq, it.status)
+	}
+	it.th.ExecFunc(it.q.h.Params.QEMUInject, it.stepInjected) // KVM interrupt injection ioctl
+}
+
+func (it *qemuIOThread) injected() {
+	it.fl.vq.Interrupt()
+	it.fl = nil
+	it.did = true
+	it.complete()
+}
+
+// pop pops the available chains of the queues from the cursor on, merging
+// sequential neighbours, and charges each batch. Under load (a deep device
+// pipeline) it plugs briefly so sequential requests accumulate and merge, as
+// QEMU's blk_io_plug does. Past the last queue the turn ends.
+func (it *qemuIOThread) pop() {
+	q := it.q
+	now := q.h.Env.Now()
+	for ; it.vi < len(q.queues); it.vi++ {
+		vq := q.queues[it.vi]
+		avail := int(vq.Ring.AvailCount())
+		if avail == 0 {
+			continue
 		}
-		for _, cqe := range reaped {
-			fl := inflight[cqe.UserData]
-			delete(inflight, cqe.UserData)
-			q.inflightN--
-			// One completion dispatch per (merged) request, plus a small
-			// per-element cost to unmap and return each chain.
-			th.Exec(p, par.QEMUComplete+sim.Microsecond*sim.Duration(len(fl.reqs)))
+		if q.inflightN >= 1 && avail < 6 {
+			since, seen := q.plugSince[vq]
+			if !seen {
+				q.plugSince[vq] = now
+				it.plugged = true
+				continue
+			}
+			if now.Sub(since) < 10*sim.Microsecond {
+				it.plugged = true
+				continue
+			}
+		}
+		delete(q.plugSince, vq)
+		// A merged request keeps its run of the batch, so each batch is
+		// new.
+		it.batch, it.sectors, it.types = nil, it.sectors[:0], it.types[:0]
+		for len(it.batch) < 32 {
+			r, ok := vq.PopRequest()
+			if !ok {
+				break
+			}
+			t, sector := r.BlkHeader(vq)
+			it.batch = append(it.batch, r)
+			it.sectors = append(it.sectors, sector)
+			it.types = append(it.types, t)
+		}
+		if len(it.batch) == 0 {
+			continue
+		}
+		it.did = true
+		it.i = 0
+		it.payTurn(it.stepElem)
+		return
+	}
+	it.idle()
+}
+
+func (it *qemuIOThread) elem() {
+	it.th.ExecFunc(it.q.h.Params.QEMUElem*sim.Duration(len(it.batch)), it.stepNext)
+}
+
+// next submits the batch from the cursor on: a flush or discard as a bio of
+// its own, a run of adjacent same-type requests as one merged io_uring
+// submission, charged to the block layer first. Past the batch's end it
+// moves on to the next queue.
+func (it *qemuIOThread) next() {
+	q, par := it.q, it.q.h.Params
+	if it.i == len(it.batch) {
+		it.batch = nil
+		it.vi++
+		it.pop()
+		return
+	}
+	vq := q.queues[it.vi]
+	i := it.i
+	r, t := it.batch[i], it.types[i]
+	if t == virtio.BlkTFlush || t == virtio.BlkTDiscard {
+		bio := &blockdev.Bio{Op: blockdev.BioFlush, OnDone: func(st nvme.Status) {
 			status := byte(0)
-			if !cqe.Status.OK() {
+			if !st.OK() {
 				status = 1
 			}
-			off := 0
-			for i := range fl.reqs {
-				r := &fl.reqs[i]
-				if fl.read && status == 0 {
-					r.WriteData(fl.vq, fl.buf[off:off+r.DataLen()])
-				}
-				off += r.DataLen()
-				r.Complete(fl.vq, status)
-			}
-			th.Exec(p, par.QEMUInject) // KVM interrupt injection ioctl
-			fl.vq.Interrupt()
-			did = true
+			r.Complete(vq, status)
+			vq.Interrupt()
+		}}
+		if t == virtio.BlkTDiscard {
+			bio.Op = blockdev.BioDiscard
+			bio.Sector, bio.NSect = r.DiscardSegment(vq)
 		}
-
-		// Pop available chains, merging sequential neighbours. Under load
-		// (a deep device pipeline) plug briefly so sequential requests
-		// accumulate and merge, as QEMU's blk_io_plug does.
-		for _, vq := range q.queues {
-			avail := int(vq.Ring.AvailCount())
-			if avail == 0 {
-				continue
-			}
-			if q.inflightN >= 1 && avail < 6 {
-				since, seen := q.plugSince[vq]
-				if !seen {
-					q.plugSince[vq] = p.Now()
-					plugged = true
-					continue
-				}
-				if p.Now().Sub(since) < 10*sim.Microsecond {
-					plugged = true
-					continue
-				}
-			}
-			delete(q.plugSince, vq)
-			var batch []virtio.DeviceReq
-			var sectors []uint64
-			var types []uint32
-			for len(batch) < 32 {
-				r, ok := vq.PopRequest()
-				if !ok {
-					break
-				}
-				t, sector := r.BlkHeader(vq)
-				batch = append(batch, r)
-				sectors = append(sectors, sector)
-				types = append(types, t)
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			did = true
-			payTurn()
-			th.Exec(p, par.QEMUElem*sim.Duration(len(batch)))
-
-			for i := 0; i < len(batch); {
-				r := batch[i]
-				t := types[i]
-				if t == virtio.BlkTFlush || t == virtio.BlkTDiscard {
-					fr := r
-					fvq := vq
-					bio := &blockdev.Bio{Op: blockdev.BioFlush, OnDone: func(st nvme.Status) {
-						status := byte(0)
-						if !st.OK() {
-							status = 1
-						}
-						fr.Complete(fvq, status)
-						fvq.Interrupt()
-					}}
-					if t == virtio.BlkTDiscard {
-						bio.Op = blockdev.BioDiscard
-						bio.Sector, bio.NSect = r.DiscardSegment(vq)
-					}
-					blockdev.SubmitAndWait(p, q.bdev, th, bio)
-					i++
-					continue
-				}
-				// Merge run of adjacent same-type requests.
-				j := i + 1
-				total := r.DataLen()
-				for j < len(batch) && types[j] == t &&
-					sectors[j] == sectors[j-1]+uint64(batch[j-1].DataLen())/512 &&
-					total+batch[j].DataLen() <= par.QEMUMergeMax {
-					total += batch[j].DataLen()
-					j++
-				}
-				fl := &qemuInflight{reqs: batch[i:j], vq: vq, read: t == virtio.BlkTIn, buf: make([]byte, total)}
-				if t == virtio.BlkTOut {
-					off := 0
-					for k := i; k < j; k++ {
-						batch[k].ReadData(vq, fl.buf[off:off+batch[k].DataLen()])
-						off += batch[k].DataLen()
-					}
-				}
-				nextID++
-				inflight[nextID] = fl
-				q.inflightN++
-				th.Exec(p, par.QEMUSubmit) // block layer, per merged request
-				op := blockdev.BioRead
-				if t == virtio.BlkTOut {
-					op = blockdev.BioWrite
-				}
-				p.Await(func(then func()) { ring.Submit(th, op, sectors[i], fl.buf, nextID, then) })
-				i = j
-			}
-		}
-
-		q.busy--
-		if !did {
-			// Adaptive polling (iothread poll-max-ns): spin only while
-			// recent event spacing suggests polling will succeed;
-			// otherwise block in ppoll and pay the wake-up plus a fresh
-			// event-loop turn — the QD1 regime.
-			if plugged {
-				// Keep polling: a plug timer is running.
-				th.Exec(p, sim.Microsecond)
-				continue
-			}
-			if pollWorthwhile && idleSpin < par.QEMUPollNS {
-				// Event spacing suggests more work is imminent: spin out
-				// the poll window (nothing is plugged, so only a completion,
-				// an available chain or the window's end changes what the
-				// next round finds).
-				pollEnd = p.Now().Add(par.QEMUPollNS - idleSpin)
-				n := th.Spin(p, sim.Microsecond, look)
-				idleSpin += sim.Duration(n) * sim.Microsecond
-				continue
-			}
-			pollWorthwhile = false
-			it.asleep = true
-			wakeWait(p, it.wake, par.WakeLat)
-			it.asleep = false
-			turnDue = true
-			idleSpin = 0
-		} else {
-			if gap := p.Now().Sub(lastWork); gap < par.QEMUPollNS {
-				pollWorthwhile = true
-			}
-			lastWork = p.Now()
-			idleSpin = 0
+		it.i++
+		q.bdev.SubmitFunc(it.th, bio, it.stepNext)
+		return
+	}
+	// Merge run of adjacent same-type requests.
+	j := i + 1
+	total := r.DataLen()
+	for j < len(it.batch) && it.types[j] == t &&
+		it.sectors[j] == it.sectors[j-1]+uint64(it.batch[j-1].DataLen())/512 &&
+		total+it.batch[j].DataLen() <= par.QEMUMergeMax {
+		total += it.batch[j].DataLen()
+		j++
+	}
+	fl := &qemuInflight{reqs: it.batch[i:j], vq: vq, read: t == virtio.BlkTIn, buf: make([]byte, total)}
+	if t == virtio.BlkTOut {
+		off := 0
+		for k := i; k < j; k++ {
+			it.batch[k].ReadData(vq, fl.buf[off:off+it.batch[k].DataLen()])
+			off += it.batch[k].DataLen()
 		}
 	}
+	it.nextID++
+	it.inflight[it.nextID] = fl
+	q.inflightN++
+	it.fl, it.j = fl, j
+	it.th.ExecFunc(par.QEMUSubmit, it.stepSubmit) // block layer, per merged request
+}
+
+func (it *qemuIOThread) submit() {
+	op := blockdev.BioRead
+	if it.types[it.i] == virtio.BlkTOut {
+		op = blockdev.BioWrite
+	}
+	sector, buf := it.sectors[it.i], it.fl.buf
+	it.fl, it.i = nil, it.j
+	it.ring.Submit(it.th, op, sector, buf, it.nextID, it.stepNext)
+}
+
+// idle ends the turn. A turn that did nothing polls on while a plug timer
+// runs, spins out the adaptive-polling window (iothread poll-max-ns) while
+// recent event spacing suggests polling will succeed, and otherwise blocks
+// in ppoll and pays the wake-up plus a fresh event-loop turn — the QD1
+// regime.
+func (it *qemuIOThread) idle() {
+	q, par := it.q, it.q.h.Params
+	now := q.h.Env.Now()
+	q.busy--
+	if it.did {
+		if gap := now.Sub(it.lastWork); gap < par.QEMUPollNS {
+			it.pollWorthwhile = true
+		}
+		it.lastWork = now
+		it.idleSpin = 0
+		it.turn()
+		return
+	}
+	if it.plugged {
+		// Keep polling: a plug timer is running.
+		it.th.ExecFunc(sim.Microsecond, it.stepTurn)
+		return
+	}
+	if it.pollWorthwhile && it.idleSpin < par.QEMUPollNS {
+		// Event spacing suggests more work is imminent: spin out the poll
+		// window (nothing is plugged, so only a completion, an available
+		// chain or the window's end changes what the next round finds).
+		it.pollEnd = now.Add(par.QEMUPollNS - it.idleSpin)
+		it.th.SpinFunc(sim.Microsecond, it.stepLook, it.stepTurn)
+		return
+	}
+	it.pollWorthwhile = false
+	it.asleep = true
+	it.wake.WaitFunc(it.stepWoken)
+}
+
+// look is the unplugged turn reduced to looking, for the rounds of the poll
+// window that SpinFunc runs; it credits the rounds to the window.
+func (it *qemuIOThread) look(rounds int) sim.Time {
+	it.idleSpin += sim.Duration(rounds) * sim.Microsecond
+	if it.ring.Pending() > 0 || it.q.anyAvail() {
+		return 0
+	}
+	return it.pollEnd
+}
+
+func (it *qemuIOThread) woken() { it.q.h.afterWake(it.stepAwake) }
+
+func (it *qemuIOThread) awake() {
+	it.asleep = false
+	it.turnDue = true
+	it.idleSpin = 0
+	it.turn()
 }
 
 func (q *qemuVM) anyAvail() bool {

@@ -1,8 +1,6 @@
 package stack
 
 import (
-	"fmt"
-
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/device"
 	"nvmetro/internal/dm"
@@ -66,8 +64,10 @@ func (s *VhostSCSI) Provision(v *vm.VM, part device.Partition) vm.Disk {
 	disk := virtio.NewSCSIDisk(v, w, part.Info(), 256, s.h.Params.Driver)
 	w.queues = disk.Queues()
 	for i := 0; i < s.h.Params.VhostWorkers; i++ {
-		th := s.h.hostThread("vhost")
-		s.h.Env.Go(fmt.Sprintf("vhost-%d-vm%d", i, v.ID), func(p *sim.Proc) { w.worker(p, th) })
+		k := &vhostWorker{w: w, th: s.h.hostThread("vhost")}
+		k.stepTurn, k.stepDelivered, k.stepInjected = k.turn, k.delivered, k.injected
+		k.stepParsed, k.stepService, k.stepWoken, k.stepAwake = k.parsed, k.service, k.woken, k.awake
+		s.h.Env.After(0, k.stepTurn)
 	}
 	return disk
 }
@@ -105,51 +105,99 @@ func (w *vhostVM) hint() {
 	}
 }
 
-func (w *vhostVM) worker(p *sim.Proc, th *sim.Thread) {
-	par := w.h.Params
-	for {
-		did := false
+// vhostWorker is one kernel vhost worker thread. Its loop runs as
+// continuations: each step resumes the turn at its cursor.
+type vhostWorker struct {
+	w  *vhostVM
+	th *sim.Thread
 
-		// Deliver finished commands back to the guest.
-		for len(w.completions) > 0 {
-			d := w.completions[0]
-			w.completions = w.completions[1:]
-			th.Exec(p, par.VhostComplete)
-			if d.read && d.status == scsi.StatusGood {
-				d.req.WriteData(d.vq, d.buf)
-			}
-			d.req.Complete(d.vq, d.status)
-			th.Exec(p, par.VhostInject)
-			d.vq.Interrupt()
-			did = true
-		}
+	// The turn's cursor: the queue it is popping, whether it found work, and
+	// the finished command or new request between its charges.
+	vi   int
+	did  bool
+	done vhostDone
+	req  virtio.DeviceReq
 
-		// Service new requests.
-		for _, vq := range w.queues {
-			for {
-				r, ok := vq.PopRequest()
-				if !ok {
-					break
-				}
-				did = true
-				th.Exec(p, par.VhostParse)
-				cmd, err := virtio.ParseSCSICDB(vq.Mem, r.HdrAddr)
-				if err != nil {
-					w.finish(vhostDone{req: r, vq: vq, status: scsi.StatusCheckCondition})
-					continue
-				}
-				w.dispatch(p, th, vq, r, cmd)
-			}
-		}
+	// The loop's steps, bound once.
+	stepTurn, stepDelivered, stepInjected, stepParsed, stepService, stepWoken, stepAwake func()
+}
 
-		if !did {
-			// Block until a kick or a bio completion (finish() hints)
-			// arrives, paying the full scheduler wake-up like a real kthread.
-			w.asleep++
-			wakeWait(p, w.wake, par.WakeLat)
-			w.asleep--
+// turn is one pass of the worker: deliver finished commands back to the
+// guest, then service new requests.
+func (k *vhostWorker) turn() {
+	k.did = false
+	k.deliver()
+}
+
+// deliver charges the next finished command's completion, or moves on to
+// the queues.
+func (k *vhostWorker) deliver() {
+	w := k.w
+	if len(w.completions) == 0 {
+		k.vi = 0
+		k.service()
+		return
+	}
+	k.done = w.completions[0]
+	w.completions = w.completions[1:]
+	k.th.ExecFunc(w.h.Params.VhostComplete, k.stepDelivered)
+}
+
+func (k *vhostWorker) delivered() {
+	d := k.done
+	if d.read && d.status == scsi.StatusGood {
+		d.req.WriteData(d.vq, d.buf)
+	}
+	d.req.Complete(d.vq, d.status)
+	k.th.ExecFunc(k.w.h.Params.VhostInject, k.stepInjected)
+}
+
+func (k *vhostWorker) injected() {
+	k.done.vq.Interrupt()
+	k.done = vhostDone{}
+	k.did = true
+	k.deliver()
+}
+
+// service charges the parse of the next request the queues at the cursor
+// hold. With none left, a turn that found work starts the next one; one that
+// found nothing blocks until a kick or a bio completion (finish hints)
+// arrives, paying the full scheduler wake-up like a real kthread.
+func (k *vhostWorker) service() {
+	w := k.w
+	for ; k.vi < len(w.queues); k.vi++ {
+		if r, ok := w.queues[k.vi].PopRequest(); ok {
+			k.did = true
+			k.req = r
+			k.th.ExecFunc(w.h.Params.VhostParse, k.stepParsed)
+			return
 		}
 	}
+	if k.did {
+		k.turn()
+		return
+	}
+	w.asleep++
+	w.wake.WaitFunc(k.stepWoken)
+}
+
+func (k *vhostWorker) parsed() {
+	w, vq, r := k.w, k.w.queues[k.vi], k.req
+	k.req = virtio.DeviceReq{}
+	cmd, err := virtio.ParseSCSICDB(vq.Mem, r.HdrAddr)
+	if err != nil {
+		w.finish(vhostDone{req: r, vq: vq, status: scsi.StatusCheckCondition})
+		k.service()
+		return
+	}
+	w.dispatch(k.th, vq, r, cmd, k.stepService)
+}
+
+func (k *vhostWorker) woken() { k.w.h.afterWake(k.stepAwake) }
+
+func (k *vhostWorker) awake() {
+	k.w.asleep--
+	k.turn()
 }
 
 func (w *vhostVM) finish(d vhostDone) {
@@ -157,7 +205,9 @@ func (w *vhostVM) finish(d vhostDone) {
 	w.hint()
 }
 
-func (w *vhostVM) dispatch(p *sim.Proc, th *sim.Thread, vq *virtio.Queue, r virtio.DeviceReq, cmd scsi.Cmd) {
+// dispatch submits cmd's bio from th, and runs then once the submitter may
+// go on.
+func (w *vhostVM) dispatch(th *sim.Thread, vq *virtio.Queue, r virtio.DeviceReq, cmd scsi.Cmd, then func()) {
 	toStatus := func(st nvme.Status) byte {
 		if st.OK() {
 			return scsi.StatusGood
@@ -171,7 +221,7 @@ func (w *vhostVM) dispatch(p *sim.Proc, th *sim.Thread, vq *virtio.Queue, r virt
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st), read: true, buf: buf})
 		}
-		blockdev.SubmitAndWait(p, w.bdev, th, bio)
+		w.bdev.SubmitFunc(th, bio, then)
 	case cmd.IsWrite():
 		buf := make([]byte, r.DataLen())
 		r.ReadData(vq, buf)
@@ -179,20 +229,21 @@ func (w *vhostVM) dispatch(p *sim.Proc, th *sim.Thread, vq *virtio.Queue, r virt
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st)})
 		}
-		blockdev.SubmitAndWait(p, w.bdev, th, bio)
+		w.bdev.SubmitFunc(th, bio, then)
 	case cmd.Op == scsi.OpSyncCache10:
 		bio := &blockdev.Bio{Op: blockdev.BioFlush}
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st)})
 		}
-		blockdev.SubmitAndWait(p, w.bdev, th, bio)
+		w.bdev.SubmitFunc(th, bio, then)
 	case cmd.Op == scsi.OpUnmap:
 		bio := &blockdev.Bio{Op: blockdev.BioDiscard, Sector: cmd.LBA, NSect: cmd.Blocks}
 		bio.OnDone = func(st nvme.Status) {
 			w.finish(vhostDone{req: r, vq: vq, status: toStatus(st)})
 		}
-		blockdev.SubmitAndWait(p, w.bdev, th, bio)
+		w.bdev.SubmitFunc(th, bio, then)
 	default:
 		w.finish(vhostDone{req: r, vq: vq, status: scsi.StatusGood})
+		then()
 	}
 }
