@@ -18,7 +18,7 @@ import (
 	"nvmetro/internal/vm"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/baseline_events.golden from the current stacks")
+var update = flag.Bool("update", false, "rewrite the event goldens under testdata/ from the current stacks")
 
 // recDisk is a disk that hashes the instant and status of each completion,
 // in completion order. It pushes no event of its own.
@@ -113,7 +113,14 @@ func TestBaselineEventGolden(t *testing.T) {
 	} {
 		got = append(got, baselineEvents(b.name, b.mk)...)
 	}
-	path := filepath.Join("testdata", "baseline_events.golden")
+	checkGolden(t, "baseline_events.golden", got)
+}
+
+// checkGolden compares got, line by line, with testdata/name, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name string, got []string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
