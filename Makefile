@@ -128,7 +128,9 @@ bench-e2e-smoke:
 # WaitTimeoutFunc tests and the primitives' event-order golden run here
 # too), the per-hop event/switch budget and the hand-off gate on fio-driven
 # topologies (no process spawned, and none resumed on the command path:
-# routed, kernel, notify and every baseline's). Then, without the race
+# routed, kernel, notify and every baseline's), and the background daemons'
+# gate (a mirrored, supervised, scrubbed volume through a scrub, a resync
+# and a failover spawns nothing and hands nothing off). Then, without the race
 # detector, whose instrumentation allocates so that every allocation
 # budget skips itself under it: the allocation
 # gates (the process forms' blocking primitives, the bare event queue, the
@@ -139,7 +141,9 @@ bench-e2e-smoke:
 # device's write staging pool, NVMe ring backings at their high-water mark,
 # fio's packed job buffers, an allocation-free PRP list build)
 # beside the primitives' golden once more, the baselines' event golden
-# (MDev, QEMU, vhost-scsi plain and over dm-crypt and dm-mirror, SPDK),
+# (MDev, QEMU, vhost-scsi plain and over dm-crypt and dm-mirror, SPDK), the
+# daemons' event golden (scrub, resync and supervision scenarios at seeds 1,
+# 3 and 7),
 # the golden-CSV determinism check — every experiment with a checked-in quick-mode golden
 # must render byte-identical output — and the published full-mode CSVs in
 # results/ (Table I and the 1024-VM boot-storm and scale fleets, ~5 s
@@ -147,8 +151,8 @@ bench-e2e-smoke:
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
-	$(GO) test -race -run 'TestNoHandOffOnCommandPath' ./internal/stack/
-	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight|TestRingBackingTracksHighWater|TestJobBuffersPackLikeIomem|TestBuildPRPZeroAlloc|TestBaselineEventGolden' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/ ./internal/nvme/ ./internal/fio/
+	$(GO) test -race -run 'TestNoHandOffOnCommandPath|TestDaemonsSpawnNothing' ./internal/stack/
+	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight|TestRingBackingTracksHighWater|TestJobBuffersPackLikeIomem|TestBuildPRPZeroAlloc|TestBaselineEventGolden|TestDaemonEventGolden' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/ ./internal/nvme/ ./internal/fio/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the

@@ -116,17 +116,19 @@ func runScale(o Options, vms int, episode bool) scaleRun {
 		// The hot-swap episode runs inside the measurement window so the
 		// row's numbers include the demoted stretch.
 		prog, _ := storfn.PartitionClassifier(vcs[0].Partition())
-		env.Go("scale-episode", func(pr *sim.Proc) {
-			pr.Sleep(sim.Duration(warm) + dur/3)
-			if err := vcs[0].LoadClassifier(prog); err != nil {
-				panic(err)
-			}
-			demoted := !vcs[0].Promoted()
-			pr.Sleep(dur / 3)
-			if err := vcs[0].LoadClassifier(core.DefaultClassifier()); err != nil {
-				panic(err)
-			}
-			out.episodeOK = demoted
+		env.After(0, func() {
+			env.After(sim.Duration(warm)+dur/3, func() {
+				if err := vcs[0].LoadClassifier(prog); err != nil {
+					panic(err)
+				}
+				demoted := !vcs[0].Promoted()
+				env.After(dur/3, func() {
+					if err := vcs[0].LoadClassifier(core.DefaultClassifier()); err != nil {
+						panic(err)
+					}
+					out.episodeOK = demoted
+				})
+			})
 		})
 	}
 

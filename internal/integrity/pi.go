@@ -55,7 +55,7 @@ type piPage struct {
 // Records live in pages keyed by page number (see piPage), and every walk
 // over consecutive blocks looks each page up once (see cursor).
 //
-// The domain is driven synchronously from simulation processes under the
+// The domain is driven synchronously from simulation events under the
 // run token, so — like the rest of the stack — it needs no locking and
 // evolves deterministically from the I/O sequence.
 type Domain struct {

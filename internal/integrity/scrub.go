@@ -79,6 +79,7 @@ type CacheInvalidator interface {
 // legitimate in-flight write. Suspects settle for recheckDelay and are
 // re-read; only a block that still mismatches is treated as corrupt.
 type Scrubber struct {
+	env   *sim.Env
 	dom   *Domain
 	legs  *storfn.MirrorLegs
 	cfg   ScrubConfig
@@ -94,6 +95,10 @@ type Scrubber struct {
 	pending    bool
 	continuous bool
 	divergence bool
+
+	// The pass in flight: extents left to read, suspects left to recheck.
+	left     []storfn.Range
+	suspects []uint64
 
 	// Detection latency: the first confirmed-corrupt block of the run.
 	Detected      bool
@@ -120,12 +125,12 @@ func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *si
 		return nil, err
 	}
 	s := &Scrubber{
-		dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
+		env: env, dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
 		cfg: cfg, shift: blockShift,
 		bucket: qos.NewBucket(cfg.Rate, 2*float64(scrubChunkBlocks<<blockShift)),
 		kick:   sim.NewCond(env),
 	}
-	env.Go("integrity-scrub", s.run)
+	env.After(0, s.wait)
 	return s, nil
 }
 
@@ -150,164 +155,199 @@ func (s *Scrubber) Start() {
 	s.Trigger()
 }
 
-// Stop ends continuous mode after the current pass.
+// Stop ends continuous mode after the pass in flight. During the pause
+// after a pass, the next pass is already scheduled, and it still runs.
 func (s *Scrubber) Stop() { s.continuous = false }
 
-func (s *Scrubber) run(p *sim.Proc) {
-	for {
-		for !s.pending {
-			s.kick.Wait()
-		}
-		s.pending = false
-		s.pass(p)
-		if s.continuous {
-			p.Sleep(s.cfg.Interval)
-			s.pending = true
-		}
+// wait is the background worker: park until a pass is pending, then walk
+// every stamped extent once.
+func (s *Scrubber) wait() {
+	if !s.pending {
+		s.kick.WaitFunc(s.wait)
+		return
 	}
+	s.pending = false
+	s.left = s.dom.StampedRanges()
+	s.next()
 }
 
-// pass walks every stamped extent once, then hands accumulated replica
-// divergence to the resync engine.
-func (s *Scrubber) pass(p *sim.Proc) {
-	for _, r := range s.dom.StampedRanges() {
-		for off := uint64(0); off < r.Blocks; {
-			n := r.Blocks - off
-			if n > scrubChunkBlocks {
-				n = scrubChunkBlocks
-			}
-			s.scrubChunk(p, r.LBA+off, n)
-			off += n
-		}
+// next scrubs the pass's next chunk. At the end of the pass it hands
+// accumulated replica divergence to the resync engine, and in continuous
+// mode schedules the next pass cfg.Interval later.
+func (s *Scrubber) next() {
+	if c, ok := storfn.NextChunk(&s.left, scrubChunkBlocks); ok {
+		s.scrubChunk(c.LBA, c.Blocks)
+		return
 	}
 	s.Passes++
 	if s.divergence && s.resync != nil {
 		s.divergence = false
 		s.resync.Trigger()
 	}
+	if s.continuous {
+		s.pending = true // the pass after the pause: Stop does not cancel it
+		s.env.After(s.cfg.Interval, s.wait)
+		return
+	}
+	s.wait()
 }
 
-// scrubChunk reads one chunk from the primary (and replica, when
-// attached), checks every block against PI, and sends mismatches to the
-// recheck protocol. A guard-check status from a verifying lower layer is
-// a detection signal, not an I/O error: the payload was still delivered.
-func (s *Scrubber) scrubChunk(p *sim.Proc, lba, blocks uint64) {
+// scrubChunk reads one chunk from every leg, checks every block against
+// PI, and sends mismatches to the recheck protocol.
+func (s *Scrubber) scrubChunk(lba, blocks uint64) {
+	s.readLegs(lba, blocks, nil, func(pbuf, sbuf []byte) {
+		bs := uint64(s.dom.blockSize)
+		for i := uint64(0); i < blocks; i++ {
+			s.ScrubbedBlocks++
+			ok := s.dom.VerifyBlock(lba+i, pbuf[i*bs:(i+1)*bs])
+			if ok && sbuf != nil {
+				ok = s.dom.VerifyBlock(lba+i, sbuf[i*bs:(i+1)*bs])
+			}
+			if !ok {
+				s.suspects = append(s.suspects, lba+i)
+			} else if s.dom.Quarantined(lba+i, 1) {
+				// The block verifies on every leg again (a racing guest
+				// write landed after the quarantine decision): it is safe
+				// to serve.
+				s.dom.unquarantine(lba+i, 1)
+			}
+		}
+		if n := len(s.suspects); n > 0 {
+			s.Suspects += uint64(n)
+			s.env.After(recheckDelay, s.recheckNext)
+			return
+		}
+		s.next()
+	})
+}
+
+// readLegs reads blocks at lba from the primary, then from the replica if
+// one is attached, each read charged to the token bucket first, and passes
+// then both payloads (the replica's nil if it has none). landed, if set,
+// gets the primary's as its read lands. A failed read is counted, and a
+// failed primary read skips the chunk or suspect: recheckNext moves on (a
+// chunk is read only while no suspect is left).
+func (s *Scrubber) readLegs(lba, blocks uint64, landed func(pbuf []byte), then func(pbuf, sbuf []byte)) {
 	nbytes := blocks << s.shift
-	s.throttle(p, nbytes)
-	pbuf := make([]byte, nbytes)
-	if st := s.legs.PrimaryIO(p, blockdev.BioRead, lba, pbuf); !st.OK() && st != nvme.SCGuardCheck {
-		s.Errors++
-		return
-	}
-	var sbuf []byte
-	if s.legs.Secondary != nil {
-		s.throttle(p, nbytes)
-		sbuf = make([]byte, nbytes)
-		if st := s.legs.SecondaryIO(blockdev.BioRead, lba, sbuf); !st.OK() && st != nvme.SCGuardCheck {
-			s.Errors++
-			sbuf = nil
-		}
-	}
-	bs := uint64(s.dom.blockSize)
-	var suspects []uint64
-	for i := uint64(0); i < blocks; i++ {
-		s.ScrubbedBlocks++
-		ok := s.dom.VerifyBlock(lba+i, pbuf[i*bs:(i+1)*bs])
-		if ok && sbuf != nil {
-			ok = s.dom.VerifyBlock(lba+i, sbuf[i*bs:(i+1)*bs])
-		}
-		if !ok {
-			suspects = append(suspects, lba+i)
-		} else if s.dom.Quarantined(lba+i, 1) {
-			// The block verifies on every leg again (a racing guest write
-			// landed after the quarantine decision): it is safe to serve.
-			s.dom.unquarantine(lba+i, 1)
-		}
-	}
-	if len(suspects) == 0 {
-		return
-	}
-	s.Suspects += uint64(len(suspects))
-	p.Sleep(recheckDelay)
-	for _, sl := range suspects {
-		s.recheck(p, sl)
-	}
+	s.throttle(nbytes, func() {
+		pbuf := make([]byte, nbytes)
+		s.legs.PrimaryIO(blockdev.BioRead, lba, pbuf, func(st nvme.Status) {
+			if !delivered(st) {
+				s.Errors++
+				s.recheckNext()
+				return
+			}
+			if landed != nil {
+				landed(pbuf)
+			}
+			if s.legs.Secondary == nil {
+				then(pbuf, nil)
+				return
+			}
+			s.throttle(nbytes, func() {
+				sbuf := make([]byte, nbytes)
+				s.legs.SecondaryIO(blockdev.BioRead, lba, sbuf, func(st nvme.Status) {
+					if !delivered(st) {
+						s.Errors++
+						sbuf = nil
+					}
+					then(pbuf, sbuf)
+				})
+			})
+		})
+	})
 }
 
-// recheck re-reads one settled suspect block on both legs and acts on
-// what is still wrong: repair the primary from a verified replica copy,
-// re-dirty a diverged replica for the resync engine, or quarantine when
-// no good copy exists.
-func (s *Scrubber) recheck(p *sim.Proc, lba uint64) {
-	bs := uint64(s.dom.blockSize)
-	s.throttle(p, bs)
-	pblk := make([]byte, bs)
-	if st := s.legs.PrimaryIO(p, blockdev.BioRead, lba, pblk); !st.OK() && st != nvme.SCGuardCheck {
-		s.Errors++
+// delivered reports whether a scrub read delivered its payload: a
+// guard-check status from a verifying lower layer is a detection signal,
+// not an I/O error.
+func delivered(st nvme.Status) bool { return st.OK() || st == nvme.SCGuardCheck }
+
+// recheckNext rechecks the chunk's next settled suspect, or goes on with
+// the pass once none is left.
+func (s *Scrubber) recheckNext() {
+	if len(s.suspects) == 0 {
+		s.next()
 		return
 	}
-	pGood := s.dom.VerifyBlock(lba, pblk)
-	var sblk []byte
-	sGood := false
-	if s.legs.Secondary != nil {
-		s.throttle(p, bs)
-		sblk = make([]byte, bs)
-		if st := s.legs.SecondaryIO(blockdev.BioRead, lba, sblk); st.OK() || st == nvme.SCGuardCheck {
-			sGood = s.dom.VerifyBlock(lba, sblk)
-		} else {
-			s.Errors++
-			sblk = nil
-		}
-	}
+	lba := s.suspects[0]
+	s.suspects = s.suspects[1:]
+	// The primary is judged by its read, before the replica's lands: a
+	// guest write in between re-stamps the block's PI.
+	var pGood bool
+	s.readLegs(lba, 1, func(pblk []byte) { pGood = s.dom.VerifyBlock(lba, pblk) }, func(_, sblk []byte) {
+		s.recheck(lba, pGood, sblk)
+	})
+}
+
+// recheck acts on what is still wrong with a re-read suspect block: repair
+// the primary from a verified replica copy, re-dirty a diverged replica for
+// the resync engine, or quarantine when no good copy exists.
+func (s *Scrubber) recheck(lba uint64, pGood bool, sblk []byte) {
+	sGood := sblk != nil && s.dom.VerifyBlock(lba, sblk)
 	if pGood && (sblk == nil || sGood) {
 		s.Races++ // an in-flight guest write; nothing is wrong
+		s.recheckNext()
 		return
 	}
 	if !s.Detected {
-		s.Detected, s.FirstDetectAt = true, p.Now()
+		s.Detected, s.FirstDetectAt = true, s.env.Now()
 	}
-	if !pGood {
+	switch {
+	case !pGood && sGood:
+		// The replica copy matches PI: rewrite the primary block.
 		s.DetectedBlocks++
-		if sGood {
-			// The replica copy matches PI: rewrite the primary block.
-			s.throttle(p, bs)
-			if st := s.legs.PrimaryIO(p, blockdev.BioWrite, lba, sblk); st.OK() {
-				s.RepairedBlocks++
-				s.dom.unquarantine(lba, 1)
-				if s.cache != nil {
-					s.cache.Invalidate(lba, 1)
+		s.throttle(uint64(s.dom.blockSize), func() {
+			s.legs.PrimaryIO(blockdev.BioWrite, lba, sblk, func(st nvme.Status) {
+				if st.OK() {
+					s.RepairedBlocks++
+					s.dom.unquarantine(lba, 1)
+					if s.cache != nil {
+						s.cache.Invalidate(lba, 1)
+					}
+				} else {
+					s.Errors++
+					s.quarantine(lba)
 				}
-				return
-			}
-			s.Errors++
-		}
-		// No good copy anywhere: quarantine so guest reads fail with a
-		// media error instead of serving wrong data. A later pass can
-		// still repair and lift the quarantine if the replica recovers.
-		s.QuarantineEvents++
-		s.dom.quarantine(lba, 1)
-		if s.cache != nil {
-			s.cache.Invalidate(lba, 1)
-		}
+				s.recheckNext()
+			})
+		})
 		return
+	case !pGood:
+		s.DetectedBlocks++
+		s.quarantine(lba)
+	default:
+		// Primary good, replica diverged: targeted resync repairs it.
+		s.ReplicaBad++
+		if s.resync != nil {
+			s.resync.NoteDivergence(lba, 1)
+			s.divergence = true
+		} else if s.rep != nil {
+			s.rep.Dirty.Add(lba, 1)
+		}
 	}
-	// Primary good, replica diverged: targeted resync repairs it.
-	s.ReplicaBad++
-	if s.resync != nil {
-		s.resync.NoteDivergence(lba, 1)
-		s.divergence = true
-	} else if s.rep != nil {
-		s.rep.Dirty.Add(lba, 1)
+	s.recheckNext()
+}
+
+// quarantine marks lba as having no good copy anywhere: guest reads fail
+// with a media error instead of serving wrong data until a later pass
+// repairs it.
+func (s *Scrubber) quarantine(lba uint64) {
+	s.QuarantineEvents++
+	s.dom.quarantine(lba, 1)
+	if s.cache != nil {
+		s.cache.Invalidate(lba, 1)
 	}
 }
 
-// throttle charges nbytes of scrub traffic against the token bucket,
-// sleeping out any deficit.
-func (s *Scrubber) throttle(p *sim.Proc, nbytes uint64) {
+// throttle runs then once the token bucket covers nbytes of scrub traffic.
+func (s *Scrubber) throttle(nbytes uint64, then func()) {
 	n := float64(nbytes)
-	for !s.bucket.Take(n, p.Now()) {
-		p.Sleep(s.bucket.WaitTime(n, p.Now()))
+	if s.bucket.Take(n, s.env.Now()) {
+		then()
+		return
 	}
+	s.env.After(s.bucket.WaitTime(n, s.env.Now()), func() { s.throttle(nbytes, then) })
 }
 
 // Collect folds the scrub counters into cs under the "scrub." prefix.

@@ -6,12 +6,14 @@ import (
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
+	"nvmetro/internal/fault"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/qos"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/storfn"
+	"nvmetro/internal/supervise"
 )
 
 // handOffRig is a topology driven by fio.
@@ -169,5 +171,37 @@ func TestNoHandOffOnCommandPath(t *testing.T) {
 				t.Errorf("%d I/Os took %d hand-offs and %d spawns; want none", ios, switches, spawns)
 			}
 		})
+	}
+}
+
+// TestDaemonsSpawnNothing is the background daemons' hand-off gate: on one
+// volume with a mirror, a supervised replicator and integrity, from sim.New
+// through the attach and a window in which the scrubber runs continuously,
+// a fabric outage sends the mirror through a resync and the UIF crashes
+// and is failed over and restarted, no process may be spawned and the run
+// token may never be handed to one. The scrubber, the resync engine and
+// the watchdog are timers and condition waiters, and fio drives the guest.
+func TestDaemonsSpawnNothing(t *testing.T) {
+	env := sim.New(1)
+	defer env.Close()
+	pol := supervise.DefaultPolicy()
+	pol.HeartbeatInterval, pol.StallThreshold = 50*sim.Microsecond, 300*sim.Microsecond
+	scrub := integrity.ScrubConfig{Rate: 400e6, Interval: sim.Millisecond}
+	spec := stack.Spec{
+		Replicate: mirrorTo(env, device.NewMemStore(512), [2]sim.Duration{2 * sim.Millisecond, sim.Millisecond}),
+		Supervise: &pol,
+		Integrity: &scrub,
+	}
+	r := newDaemonRig(env, device.NewMemStore(512), spec, nil)
+	r.vol.Supervisor.SetFaultInjector(fault.NewPlan(1).WithUIFCrash(0.005, 1).Injector("uif-replicator"))
+	r.vol.Scrubber.Start()
+	res := r.run(fio.RandRW, 8*sim.Millisecond)
+	r.settle(4 * sim.Millisecond)
+	scr, rs, sup := r.vol.Scrubber, r.vol.Resyncer, r.vol.Supervisor
+	if res.Ops < 100 || scr.Passes == 0 || rs.ResyncedBlocks == 0 || sup.Restarts == 0 {
+		t.Fatalf("%d I/Os, %d scrub passes, %d blocks resynced, %d restarts; want all", res.Ops, scr.Passes, rs.ResyncedBlocks, sup.Restarts)
+	}
+	if env.Spawns() != 0 || env.Switches() != 0 {
+		t.Errorf("%d spawns and %d hand-offs; want none", env.Spawns(), env.Switches())
 	}
 }

@@ -302,7 +302,7 @@ func (s *NVMetro) wireFunction(vol *Volume, spec Spec) {
 			panic(err)
 		}
 		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
-			ini.OnReconnect(rs.OnLinkUp)
+			ini.OnReconnect(rs.Trigger)
 		}
 		vol.Resyncer = rs
 		fn.SetResyncer(rs)

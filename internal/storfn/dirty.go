@@ -98,6 +98,20 @@ func (d *DirtyRegions) Contains(lba uint64) bool {
 	return i < len(d.regions) && d.regions[i].lba <= lba
 }
 
+// NextChunk takes the first chunk of at most max blocks off the front of
+// *rs, a snapshot such as Ranges returns; ok is false once *rs is empty.
+func NextChunk(rs *[]Range, max uint64) (c Range, ok bool) {
+	if len(*rs) == 0 {
+		return Range{}, false
+	}
+	r := &(*rs)[0]
+	c = Range{LBA: r.LBA, Blocks: min(r.Blocks, max)}
+	if r.LBA, r.Blocks = r.LBA+c.Blocks, r.Blocks-c.Blocks; r.Blocks == 0 {
+		*rs = (*rs)[1:]
+	}
+	return c, true
+}
+
 // Ranges returns a snapshot of the dirty extents in LBA order.
 func (d *DirtyRegions) Ranges() []Range {
 	out := make([]Range, len(d.regions))

@@ -92,6 +92,7 @@ type Resyncer struct {
 	cfg   ResyncConfig
 	shift uint8
 
+	env   *sim.Env
 	state MirrorState
 	kick  *sim.Cond // wakes the worker on a trigger
 
@@ -113,8 +114,9 @@ type Resyncer struct {
 	lastFill sim.Time
 
 	// copied accumulates the ranges copied in the current pass, pending
-	// verification.
-	copied DirtyRegions
+	// verification; verifying holds what is left to verify of them.
+	copied    DirtyRegions
+	verifying []Range
 
 	// Stats
 	ToDegraded       uint64 // InSync/Resyncing → Degraded transitions
@@ -140,7 +142,7 @@ func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, at
 		return nil, err
 	}
 	rs := &Resyncer{
-		rep: rep, legs: NewMirrorLegs(env, primary, att, th, blockShift),
+		env: env, rep: rep, legs: NewMirrorLegs(env, primary, att, th, blockShift),
 		cfg: cfg, shift: blockShift,
 		kick:     sim.NewCond(env),
 		lastFill: env.Now(),
@@ -152,7 +154,7 @@ func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, at
 		rs.ToDegraded++
 	}
 	rep.resync = rs
-	env.Go("storfn-resync", rs.run)
+	env.After(0, rs.wait)
 	return rs, nil
 }
 
@@ -182,8 +184,9 @@ func (rs *Resyncer) setAttachment(att *uif.Attachment) { rs.legs.Secondary = att
 
 // Trigger starts a resync pass if the mirror is degraded; it is a no-op
 // when already in sync. A trigger landing while a pass is running is
-// remembered and replayed if that pass aborts. Safe from both process
-// and callback context.
+// remembered and replayed if that pass aborts. Register it with the NVMe-oF
+// initiator (Initiator.OnReconnect) so a closing outage window starts the
+// drain as soon as the initiator has requeued its own in-flight commands.
 func (rs *Resyncer) Trigger() {
 	if rs.state == stateResyncing {
 		rs.retrigger = true
@@ -208,11 +211,6 @@ func (rs *Resyncer) NoteDivergence(lba, blocks uint64) {
 		rs.setState(StateDegraded)
 	}
 }
-
-// OnLinkUp is the fabric-recovery hook: register it with the NVMe-oF
-// initiator (Initiator.OnReconnect) so a closing outage window starts the
-// drain as soon as the initiator has requeued its own in-flight commands.
-func (rs *Resyncer) OnLinkUp() { rs.Trigger() }
 
 // noteSecondaryFailure records a degraded guest write: the Replicator has
 // already added the range to the dirty set; here the state machine reacts.
@@ -252,160 +250,160 @@ func (rs *Resyncer) noteGuestWrite(lba, blocks uint64) {
 	rs.winDirtied = true
 }
 
-// run is the background worker: park until triggered, then drain.
-func (rs *Resyncer) run(p *sim.Proc) {
-	for {
-		for rs.state != stateResyncing {
-			rs.kick.Wait()
-		}
-		rs.pass(p)
-		if rs.retrigger {
-			rs.retrigger = false
-			rs.Trigger()
-		}
+// wait is the background worker: park until triggered, then drain.
+func (rs *Resyncer) wait() {
+	if rs.state != stateResyncing {
+		rs.kick.WaitFunc(rs.wait)
+		return
 	}
-}
-
-// pass drains the dirty set, then verifies; it returns with the state
-// machine at InSync (success) or Degraded (resync-leg error).
-func (rs *Resyncer) pass(p *sim.Proc) {
 	rs.copied = DirtyRegions{}
-	for {
-		ranges := rs.rep.Dirty.Ranges()
-		if len(ranges) == 0 {
-			if rs.copied.Blocks() > 0 {
-				if !rs.verify(p) {
-					rs.Aborts++
-					rs.setState(StateDegraded)
-					return
-				}
-				if rs.rep.Dirty.Blocks() > 0 {
-					continue // mismatches were re-dirtied: drain again
-				}
-			}
-			rs.Passes++
-			rs.setState(StateInSync)
-			return
-		}
-		r := ranges[0]
-		n := min(r.Blocks, resyncChunkBlocks)
-		if !rs.copyChunk(p, r.LBA, n) {
-			rs.Aborts++
-			rs.setState(StateDegraded)
-			return
-		}
-	}
+	rs.drain()
 }
 
-// copyChunk copies [lba, lba+blocks) primary → secondary under the
-// in-flight window. On failure the chunk is re-dirtied in full.
-func (rs *Resyncer) copyChunk(p *sim.Proc, lba, blocks uint64) bool {
+// drain copies the next dirty chunk, or verifies what the pass copied once
+// the dirty set is empty; the pass ends with the state machine at InSync
+// (success) or Degraded (resync-leg error).
+func (rs *Resyncer) drain() {
+	ranges := rs.rep.Dirty.Ranges()
+	if c, ok := NextChunk(&ranges, resyncChunkBlocks); ok {
+		rs.copyChunk(c.LBA, c.Blocks)
+		return
+	}
+	if rs.copied.Blocks() > 0 {
+		rs.verifying = rs.copied.Ranges()
+		rs.copied = DirtyRegions{}
+		rs.verify()
+		return
+	}
+	rs.Passes++
+	rs.end(StateInSync)
+}
+
+// end closes the pass at state s and parks the worker, first replaying a
+// trigger that arrived during the pass.
+func (rs *Resyncer) end(s MirrorState) {
+	rs.setState(s)
+	if rs.retrigger {
+		rs.retrigger = false
+		rs.Trigger()
+	}
+	rs.wait()
+}
+
+// copyChunk copies [lba, lba+blocks) primary → secondary.
+func (rs *Resyncer) copyChunk(lba, blocks uint64) {
 	nbytes := blocks << rs.shift
-	rs.throttle(p, nbytes)
-	rs.rep.Dirty.Remove(lba, blocks)
-	rs.openWindow(lba, blocks)
-	buf := make([]byte, nbytes)
-	st := rs.legs.PrimaryIO(p, blockdev.BioRead, lba, buf)
-	if st.OK() {
-		st = rs.legs.SecondaryIO(blockdev.BioWrite, lba, buf)
-	}
-	rs.closeWindow()
-	if !st.OK() {
-		rs.Errors++
-		rs.rep.Dirty.Add(lba, blocks) // nothing lost: the chunk stays dirty
-		return false
-	}
-	rs.ResyncedBlocks += blocks
-	rs.copied.Add(lba, blocks)
-	return true
+	rs.throttle(nbytes, func() {
+		rs.rep.Dirty.Remove(lba, blocks)
+		buf := make([]byte, nbytes)
+		rs.chunkIO(lba, blocks, blockdev.BioWrite, buf, buf, func() {
+			rs.ResyncedBlocks += blocks
+			rs.copied.Add(lba, blocks)
+			rs.drain()
+		})
+	})
 }
 
-// verify CRC-compares both legs over everything the pass copied. A clean
-// mismatch is re-dirtied (the caller drains again); a compare poisoned by
-// a concurrent guest write is skipped — the hook already re-dirtied the
-// overlap. Returns false on a resync-leg I/O error.
-func (rs *Resyncer) verify(p *sim.Proc) bool {
-	ranges := rs.copied.Ranges()
-	rs.copied = DirtyRegions{}
-	for _, r := range ranges {
-		for off := uint64(0); off < r.Blocks; {
-			n := min(r.Blocks-off, resyncChunkBlocks)
-			lba := r.LBA + off
-			off += n
-			nbytes := n << rs.shift
-			rs.throttle(p, 2*nbytes) // both legs are read
-			rs.openWindow(lba, n)
-			pbuf := make([]byte, nbytes)
-			sbuf := make([]byte, nbytes)
-			st := rs.legs.PrimaryIO(p, blockdev.BioRead, lba, pbuf)
-			if st.OK() {
-				st = rs.legs.SecondaryIO(blockdev.BioRead, lba, sbuf)
-			}
-			dirtied := rs.winDirtied
-			rs.closeWindow()
-			if !st.OK() {
-				rs.Errors++
-				rs.rep.Dirty.Add(lba, n)
-				return false
-			}
-			rs.VerifiedBlocks += n
-			if dirtied {
-				continue // racing guest write; overlap already re-dirtied
-			}
-			if crc32.ChecksumIEEE(pbuf) != crc32.ChecksumIEEE(sbuf) {
-				rs.VerifyMismatches++
-				rs.rep.Dirty.Add(lba, n)
-			}
-		}
+// verify CRC-compares both legs over the next chunk of what the pass
+// copied. A clean mismatch is re-dirtied (the pass drains again); a
+// compare poisoned by a concurrent guest write is skipped — the hook
+// already re-dirtied the overlap.
+func (rs *Resyncer) verify() {
+	c, ok := NextChunk(&rs.verifying, resyncChunkBlocks)
+	if !ok {
+		rs.drain() // mismatches were re-dirtied: drain them again
+		return
 	}
-	return true
+	nbytes := c.Blocks << rs.shift
+	rs.throttle(2*nbytes, func() { // both legs are read
+		pbuf, sbuf := make([]byte, nbytes), make([]byte, nbytes)
+		rs.chunkIO(c.LBA, c.Blocks, blockdev.BioRead, pbuf, sbuf, func() {
+			rs.VerifiedBlocks += c.Blocks
+			if !rs.winDirtied && crc32.ChecksumIEEE(pbuf) != crc32.ChecksumIEEE(sbuf) {
+				rs.VerifyMismatches++
+				rs.rep.Dirty.Add(c.LBA, c.Blocks)
+			}
+			rs.verify()
+		})
+	})
+}
+
+// chunkIO reads [lba, lba+blocks) from the primary into pbuf, then runs sop
+// on the secondary with sbuf, under the in-flight window, and runs then
+// when both succeeded. A resync-leg error re-dirties the chunk in full —
+// nothing is lost — and ends the pass.
+func (rs *Resyncer) chunkIO(lba, blocks uint64, sop blockdev.BioOp, pbuf, sbuf []byte, then func()) {
+	rs.openWindow(lba, blocks)
+	done := func(st nvme.Status) {
+		rs.closeWindow()
+		if st.OK() {
+			then()
+			return
+		}
+		rs.Errors++
+		rs.Aborts++
+		rs.rep.Dirty.Add(lba, blocks)
+		rs.end(StateDegraded)
+	}
+	rs.legs.PrimaryIO(blockdev.BioRead, lba, pbuf, func(st nvme.Status) {
+		if !st.OK() {
+			done(st)
+			return
+		}
+		rs.legs.SecondaryIO(sop, lba, sbuf, done)
+	})
 }
 
 func (rs *Resyncer) openWindow(lba, blocks uint64) {
 	rs.winOpen, rs.winLBA, rs.winEnd, rs.winDirtied = true, lba, lba+blocks, false
 }
 
+// closeWindow closes the in-flight window; winDirtied keeps its verdict.
 func (rs *Resyncer) closeWindow() { rs.winOpen = false }
 
 // burst is the token bucket's depth in bytes: two chunks.
 func (rs *Resyncer) burst() float64 { return float64(2 * (resyncChunkBlocks << rs.shift)) }
 
-// throttle blocks until the token bucket covers nbytes of resync traffic.
-func (rs *Resyncer) throttle(p *sim.Proc, nbytes uint64) {
-	now := p.Now()
+// throttle runs then once the token bucket covers nbytes of resync traffic.
+func (rs *Resyncer) throttle(nbytes uint64, then func()) {
+	now := rs.env.Now()
 	rs.tokens += rs.cfg.Rate * now.Sub(rs.lastFill).Seconds()
 	rs.tokens = min(rs.tokens, rs.burst())
 	rs.lastFill = now
 	if deficit := float64(nbytes) - rs.tokens; deficit > 0 {
 		d := sim.Duration(deficit / rs.cfg.Rate * 1e9)
-		p.Sleep(d)
-		rs.tokens += rs.cfg.Rate * d.Seconds()
-		rs.lastFill = p.Now()
+		rs.env.After(d, func() {
+			rs.tokens += rs.cfg.Rate * d.Seconds()
+			rs.lastFill = rs.env.Now()
+			rs.tokens -= float64(nbytes)
+			then()
+		})
+		return
 	}
 	rs.tokens -= float64(nbytes)
+	then()
 }
 
-// MirrorLegs is synchronous I/O on both legs of a mirror for a background
-// worker that copies or checks data across them (the resync engine, the
-// integrity scrubber): a bio against the primary block device, charged to
-// the worker's thread, and an I/O against the secondary through the
-// Replicator's uif backend ring. Each call parks the worker on the legs' own
-// condition until its I/O completes.
+// MirrorLegs is I/O on both legs of a mirror for a background worker that
+// copies or checks data across them (the resync engine, the integrity
+// scrubber): a bio against the primary block device, charged
+// to the worker's thread, and an I/O against the secondary through the
+// Replicator's uif backend ring.
 type MirrorLegs struct {
 	// Secondary is the uif attachment the secondary leg is reached through
 	// (nil while none is attached).
 	Secondary *uif.Attachment
 
+	env     *sim.Env
 	primary blockdev.BlockDevice
 	th      *sim.Thread
 	shift   uint8
-	done    *sim.Cond
 }
 
 // NewMirrorLegs returns the legs of a mirror over devices with
 // 1<<blockShift-byte blocks; primary I/O is charged to th.
 func NewMirrorLegs(env *sim.Env, primary blockdev.BlockDevice, secondary *uif.Attachment, th *sim.Thread, blockShift uint8) *MirrorLegs {
-	return &MirrorLegs{Secondary: secondary, primary: primary, th: th, shift: blockShift, done: sim.NewCond(env)}
+	return &MirrorLegs{Secondary: secondary, env: env, primary: primary, th: th, shift: blockShift}
 }
 
 // sector converts a device LBA to a 512-byte sector.
@@ -413,34 +411,41 @@ func (l *MirrorLegs) sector(lba uint64) uint64 {
 	return lba << l.shift / blockdev.SectorSize
 }
 
-// PrimaryIO performs one synchronous bio against the primary leg.
-func (l *MirrorLegs) PrimaryIO(p *sim.Proc, op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
-	var st nvme.Status
-	done := false
-	bio := &blockdev.Bio{Op: op, Sector: l.sector(lba), Data: buf}
-	bio.OnDone = func(s nvme.Status) {
-		st, done = s, true
-		l.done.Signal(nil)
-	}
-	blockdev.SubmitAndWait(p, l.primary, l.th, bio)
-	for !done {
-		l.done.Wait()
-	}
-	return st
+// PrimaryIO submits one bio against the primary leg; then gets its status.
+func (l *MirrorLegs) PrimaryIO(op blockdev.BioOp, lba uint64, buf []byte, then func(nvme.Status)) {
+	done, submitted := l.await(then)
+	l.primary.SubmitFunc(l.th, &blockdev.Bio{Op: op, Sector: l.sector(lba), Data: buf, OnDone: done}, submitted)
 }
 
-// SecondaryIO performs one synchronous I/O against the secondary leg.
-func (l *MirrorLegs) SecondaryIO(op blockdev.BioOp, lba uint64, buf []byte) nvme.Status {
+// SecondaryIO submits one I/O against the secondary leg; then gets its
+// status.
+func (l *MirrorLegs) SecondaryIO(op blockdev.BioOp, lba uint64, buf []byte, then func(nvme.Status)) {
+	done, submitted := l.await(then)
+	l.Secondary.SubmitBackendIO(op, l.sector(lba), buf, done)
+	submitted()
+}
+
+// await returns an I/O's completion callback and the continuation of its
+// submission. then gets the status inline if the I/O is done by the time
+// its submission lets the worker go on, and otherwise as one event at the
+// completion: the wake a worker parked on the completion takes.
+func (l *MirrorLegs) await(then func(nvme.Status)) (done func(nvme.Status), submitted func()) {
 	var st nvme.Status
-	done := false
-	l.Secondary.SubmitBackendIO(op, l.sector(lba), buf, func(s nvme.Status) {
-		st, done = s, true
-		l.done.Signal(nil)
-	})
-	for !done {
-		l.done.Wait()
+	finished, waiting := false, false
+	done = func(s nvme.Status) {
+		st, finished = s, true
+		if waiting {
+			l.env.After(0, func() { then(st) })
+		}
 	}
-	return st
+	submitted = func() {
+		if finished {
+			then(st)
+		} else {
+			waiting = true
+		}
+	}
+	return done, submitted
 }
 
 // Collect folds the resync counters into cs under the "rs." prefix.

@@ -66,7 +66,7 @@ func newReplBed(t *testing.T, rcfg storfn.ResyncConfig) *replBed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ini.OnReconnect(rs.OnLinkUp)
+	ini.OnReconnect(rs.Trigger)
 	return &replBed{h: h, v: v, disk: disk, rep: rep, rs: rs, ini: ini, link: link, rstore: rstore}
 }
 

@@ -234,7 +234,7 @@ func TestSupervisedReplicatorCrashMidResyncConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn.SetResyncer(rs)
-	ini.OnReconnect(rs.OnLinkUp)
+	ini.OnReconnect(rs.Trigger)
 
 	link.ScheduleOutage(0, 2*sim.Millisecond)
 	dataA := make([]byte, 64<<10) // big enough that the slow resync pass is interruptible
@@ -338,7 +338,7 @@ func TestSupervisedReplicatorMirrorsAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn.SetResyncer(rs)
-	ini.OnReconnect(rs.OnLinkUp)
+	ini.OnReconnect(rs.Trigger)
 
 	data := bytes.Repeat([]byte{0x5a, 0xa5}, 2048)
 	h.run(t, func(p *sim.Proc) {

@@ -33,7 +33,7 @@ import (
 // implements it per function; the contract encodes each function's
 // idempotency and fallback semantics.
 type Function interface {
-	// Name labels the supervisor (metrics prefix, process name).
+	// Name labels the supervisor (metrics prefix, jitter stream salt).
 	Name() string
 	// Reconcile decides the fate of one stranded in-flight command:
 	// complete it (with a success status when the effect is already
@@ -170,8 +170,8 @@ type Supervisor struct {
 
 // Launch wires a supervisor: it performs the initial attach (notify
 // queues, framework attachment, classifier promotion) through fn and
-// starts the watchdog process. ring may be nil for handlers that never
-// touch the backend.
+// starts the watchdog's heartbeat timer. ring may be nil for handlers that
+// never touch the backend.
 func Launch(env *sim.Env, fw *uif.Framework, vc *core.Controller, ring *blockdev.URing, depth uint32, fn Function, pol Policy) (*Supervisor, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
@@ -186,7 +186,12 @@ func Launch(env *sim.Env, fw *uif.Framework, vc *core.Controller, ring *blockdev
 	s.attach()
 	s.fn.Promote(vc, s.att)
 	s.lastChange = env.Now()
-	env.Go("supervise-"+fn.Name(), s.run)
+	var beat func()
+	beat = func() {
+		s.tick()
+		env.After(s.pol.HeartbeatInterval, beat)
+	}
+	env.After(0, func() { env.After(s.pol.HeartbeatInterval, beat) })
 	return s, nil
 }
 
@@ -215,15 +220,7 @@ func (s *Supervisor) SetFaultInjector(inj *fault.Injector) {
 	s.att.SetFaultInjector(inj)
 }
 
-// run is the watchdog process.
-func (s *Supervisor) run(p *sim.Proc) {
-	for {
-		p.Sleep(s.pol.HeartbeatInterval)
-		s.tick()
-	}
-}
-
-// tick takes one watchdog observation.
+// tick takes one watchdog observation, every HeartbeatInterval.
 func (s *Supervisor) tick() {
 	if s.state != StateRouted {
 		return // failover in progress
