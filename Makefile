@@ -124,13 +124,15 @@ bench-e2e-smoke:
 # race detector (property tests against the reference heap and, for
 # Thread.Spin and SpinFunc, against the per-round poll loop included; the
 # run token moves by coroutine switch, which carries the detector's
-# happens-before edges, and the Goexit, Close, ExecFunc/WaitFunc/
-# WaitTimeoutFunc tests and the primitives' event-order golden run here
-# too), the per-hop event/switch budget and the hand-off gate on fio-driven
+# happens-before edges, and the Goexit, Close, finished-process goroutine,
+# ExecFunc/WaitFunc/WaitTimeoutFunc tests and the primitives' event-order
+# golden run here too), the per-hop event/switch budget and the hand-off gate on fio-driven
 # topologies (no process spawned, and none resumed on the command path:
 # routed, kernel, notify and every baseline's), and the background daemons'
 # gate (a mirrored, supervised, scrubbed volume through a scrub, a resync
-# and a failover spawns nothing and hands nothing off). Then, without the race
+# and a failover spawns nothing and hands nothing off) with, on the same
+# volume, the scrubber finding a replica block corrupted after the failover
+# without a read error. Then, without the race
 # detector, whose instrumentation allocates so that every allocation
 # budget skips itself under it: the allocation
 # gates (the process forms' blocking primitives, the bare event queue, the
@@ -151,7 +153,7 @@ bench-e2e-smoke:
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -race -run 'TestHopSwitchBudget' ./internal/core/
-	$(GO) test -race -run 'TestNoHandOffOnCommandPath|TestDaemonsSpawnNothing' ./internal/stack/
+	$(GO) test -race -run 'TestNoHandOffOnCommandPath|TestDaemonsSpawnNothing|TestScrubChecksReplicaAfterFailover' ./internal/stack/
 	$(GO) test -run 'Allocs$$|AllocBudget$$|TestHopSwitchBudget|TestPrimitivesTraceGolden|TestHistogramFootprint|TestMemStoreMatchesFlatReference|TestMemStoreHoldsOnlyNonZeroPages|TestZeroLinesShareOneBlock|TestCacheLinesAreIndexChunks|TestStagingPoolBoundedByWritesInFlight|TestRingBackingTracksHighWater|TestJobBuffersPackLikeIomem|TestBuildPRPZeroAlloc|TestBaselineEventGolden|TestDaemonEventGolden' ./internal/sim/ ./internal/stack/ ./internal/core/ ./internal/shard/ ./internal/metrics/ ./internal/cow/ ./internal/device/ ./internal/cache/ ./internal/nvme/ ./internal/fio/
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial|TestResultsCSVs' ./internal/harness/
 

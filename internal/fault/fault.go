@@ -115,13 +115,13 @@ type Outage struct {
 	Dur sim.Duration
 }
 
-// Plan is a reusable fault plan: a rule set plus scheduled link outages.
-// A Plan is a template — per-site state (rule fire counts, PRNG streams)
-// lives in the Injectors it hands out.
+// Plan is a reusable fault plan: a rule set. A Plan is a template —
+// per-site state (rule fire counts, PRNG streams) lives in the Injectors it
+// hands out. Fabric outages are scheduled on the link itself
+// (nvmeof.Link.ScheduleOutage).
 type Plan struct {
-	Seed    int64
-	rules   []rule
-	outages []Outage
+	Seed  int64
+	rules []rule
 }
 
 // NewPlan creates an empty plan with the given seed.
@@ -200,15 +200,6 @@ func (p *Plan) WithMisdirectedWrites(rate float64, limit int) *Plan {
 func (p *Plan) WithLostWrites(rate float64, limit int) *Plan {
 	return p.withRule(rule{Kind: LostWrite, Rate: rate, Limit: limit})
 }
-
-// WithOutage schedules a link outage window.
-func (p *Plan) WithOutage(at sim.Time, dur sim.Duration) *Plan {
-	p.outages = append(p.outages, Outage{At: at, Dur: dur})
-	return p
-}
-
-// Outages returns the scheduled outage windows.
-func (p *Plan) Outages() []Outage { return p.outages }
 
 // Injector derives the per-site injector for the named site. The PRNG
 // stream depends only on (plan seed, site name), so the decision sequence

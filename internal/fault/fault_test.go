@@ -105,15 +105,10 @@ func TestStreamAlignmentAcrossLimits(t *testing.T) {
 	}
 }
 
-func TestStuckDelayAndOutages(t *testing.T) {
-	p := NewPlan(1).
-		WithStuck(1, 0, 5*sim.Millisecond).
-		WithOutage(sim.Time(10*sim.Millisecond), 2*sim.Millisecond)
+func TestStuckDelay(t *testing.T) {
+	p := NewPlan(1).WithStuck(1, 0, 5*sim.Millisecond)
 	if d := p.Injector("d").Decide(ClassRead); d.Delay != 5*sim.Millisecond {
 		t.Fatalf("delay: %+v", d)
-	}
-	if n := len(p.Outages()); n != 1 {
-		t.Fatalf("outages: %d", n)
 	}
 }
 

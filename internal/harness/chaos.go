@@ -120,7 +120,7 @@ func runChaos(o Options, name string, plan *fault.Plan, cfg fio.Config, jobs int
 		rec := resyncRecovery
 		rec.BackoffCap = 200 * sim.Microsecond
 		rec.Jitter = 0.2
-		m = newMirror(env, h, rstore, []outageSpec{{sim.Time(0).Add(warm + sim.Millisecond), 2 * sim.Millisecond}}, &rec)
+		m = newMirror(env, h, rstore, []fault.Outage{{At: sim.Time(0).Add(warm + sim.Millisecond), Dur: 2 * sim.Millisecond}}, &rec)
 		spec.Replicate = m.secondary
 	}
 	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), spec)

@@ -20,12 +20,9 @@ func TestFaultE2EReplicationWithOutage(t *testing.T) {
 	cfg := faultCfg(o)
 	cfg.Mode = fio.RandWrite
 	warm, _ := o.windows()
-	mk := func() *fault.Plan {
-		return fault.NewPlan(o.Seed).
-			WithMediaErrors(0.01).
-			WithOutage(sim.Time(0).Add(warm+2*sim.Millisecond), 10*sim.Millisecond)
-	}
-	a := runFaultRepl(o, mk(), cfg, 4)
+	mk := func() *fault.Plan { return fault.NewPlan(o.Seed).WithMediaErrors(0.01) }
+	outages := []fault.Outage{{At: sim.Time(0).Add(warm + 2*sim.Millisecond), Dur: 10 * sim.Millisecond}}
+	a := runFaultRepl(o, mk(), outages, cfg, 4)
 	if !a.drained {
 		t.Fatal("guest commands stuck in flight after the run (hang)")
 	}
@@ -44,7 +41,7 @@ func TestFaultE2EReplicationWithOutage(t *testing.T) {
 			a.res.Errors, a.counters.Get("rt.guest_errors"))
 	}
 
-	b := runFaultRepl(o, mk(), cfg, 4)
+	b := runFaultRepl(o, mk(), outages, cfg, 4)
 	if a.counters.String() != b.counters.String() {
 		t.Fatalf("same seed produced different fault traces:\n%s\n%s", a.counters.String(), b.counters.String())
 	}

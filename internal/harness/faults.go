@@ -87,17 +87,16 @@ func runFault(o Options, mk solFactory, plan *fault.Plan, tune func(*core.Router
 
 // runFaultRepl runs the replication stack: local fast path plus the
 // Replicator UIF mirroring to a remote device over the fabric. plan's
-// media rules are injected at the remote device and its outages on the
-// link, so secondary-leg failures exercise degraded mode. After the
+// media rules are injected at the remote device and outages are scheduled
+// on the link, so secondary-leg failures exercise degraded mode. After the
 // counters are taken the mirror is driven to InSync: rs.settled counts 1
 // when it gets there with no dirty block left.
-func runFaultRepl(o Options, plan *fault.Plan, cfg fio.Config, jobs int) faultRun {
+func runFaultRepl(o Options, plan *fault.Plan, outages []fault.Outage, cfg fio.Config, jobs int) faultRun {
 	env, h := newBed(o, device.NullStore{})
 	defer env.Close()
 	v := h.NewVM(4, 512<<20)
-	m := newMirror(env, h, device.NullStore{}, nil, nil)
+	m := newMirror(env, h, device.NullStore{}, outages, nil)
 	m.remote.Dev.InjectFaults(plan.Injector("remote-device"))
-	m.remote.Link.ApplyPlan(plan)
 	vol := stack.NewNVMetro(h).Attach(v, device.WholeNamespace(h.Dev, 1), stack.Spec{Replicate: m.secondary})
 	vc := vol.Ctrl
 
@@ -206,13 +205,14 @@ func faultReplication(o Options) *Table {
 		Cols:  []string{"kIOPS", "degraded", "dirty_blocks", "requeues", "failures", "drained"},
 	}
 	rows := []struct {
-		name string
-		plan *fault.Plan
+		name    string
+		plan    *fault.Plan
+		outages []fault.Outage
 	}{
-		{"remote 1% media", fault.NewPlan(o.Seed).WithMediaErrors(0.01)},
-		{"remote 1% media + 10ms outage", fault.NewPlan(o.Seed).WithMediaErrors(0.01).WithOutage(outageAt, 10*sim.Millisecond)},
+		{"remote 1% media", fault.NewPlan(o.Seed).WithMediaErrors(0.01), nil},
+		{"remote 1% media + 10ms outage", fault.NewPlan(o.Seed).WithMediaErrors(0.01), []fault.Outage{{At: outageAt, Dur: 10 * sim.Millisecond}}},
 	}
-	runs := cells(o, len(rows), func(i int) faultRun { return runFaultRepl(o, rows[i].plan, cfg, 4) })
+	runs := cells(o, len(rows), func(i int) faultRun { return runFaultRepl(o, rows[i].plan, rows[i].outages, cfg, 4) })
 	for i, row := range rows {
 		fr := runs[i]
 		t.add(row.name,

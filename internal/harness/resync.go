@@ -3,6 +3,7 @@ package harness
 import (
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/device"
+	"nvmetro/internal/fault"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/nvmeof"
@@ -38,12 +39,6 @@ var resyncRecovery = nvmeof.InitiatorRecovery{
 	Backoff:    50 * sim.Microsecond,
 }
 
-// outageSpec is one scheduled fabric outage.
-type outageSpec struct {
-	at  sim.Time
-	dur sim.Duration
-}
-
 // mirror is a replication secondary on a remote host, with the outages
 // scheduled on its link: secondary is the factory Spec.Replicate takes.
 // It applies the experiment's fabric recovery policy (nil keeps the
@@ -54,10 +49,10 @@ type mirror struct {
 	ini    *nvmeof.Initiator
 }
 
-func newMirror(env *sim.Env, h *stack.Host, store device.Store, outages []outageSpec, rec *nvmeof.InitiatorRecovery) *mirror {
+func newMirror(env *sim.Env, h *stack.Host, store device.Store, outages []fault.Outage, rec *nvmeof.InitiatorRecovery) *mirror {
 	m := &mirror{remote: stack.NewRemoteHost(env, 4, h.Params.Device, store), rec: rec}
 	for _, ow := range outages {
-		m.remote.Link.ScheduleOutage(ow.at, ow.dur)
+		m.remote.Link.ScheduleOutage(ow.At, ow.Dur)
 	}
 	return m
 }
@@ -102,7 +97,7 @@ type resyncRun struct {
 // runResync runs the replication stack with content-backed stores on
 // both legs, the resync engine draining at rcfg's rate and the given
 // outage schedule, then drives the simulation until the mirror converges.
-func runResync(o Options, outages []outageSpec, rcfg storfn.ResyncConfig, cfg fio.Config, jobs int) resyncRun {
+func runResync(o Options, outages []fault.Outage, rcfg storfn.ResyncConfig, cfg fio.Config, jobs int) resyncRun {
 	store, rstore := device.NewMemStore(512), device.NewMemStore(512)
 	env, h := newBed(o, store)
 	defer env.Close()
@@ -153,18 +148,18 @@ func resyncTable(o Options) *Table {
 	slow.Rate = 20e6 // 20 MB/s: the drain outlives the second outage
 	rows := []struct {
 		name    string
-		outages []outageSpec
+		outages []fault.Outage
 		rcfg    storfn.ResyncConfig
 	}{
-		{"one 3ms outage", []outageSpec{{at(sim.Millisecond), 3 * sim.Millisecond}}, storfn.DefaultResyncConfig()},
-		{"outage mid-resync", []outageSpec{
-			{at(sim.Millisecond), 3 * sim.Millisecond},
-			{at(6 * sim.Millisecond), 2 * sim.Millisecond},
+		{"one 3ms outage", []fault.Outage{{At: at(sim.Millisecond), Dur: 3 * sim.Millisecond}}, storfn.DefaultResyncConfig()},
+		{"outage mid-resync", []fault.Outage{
+			{At: at(sim.Millisecond), Dur: 3 * sim.Millisecond},
+			{At: at(6 * sim.Millisecond), Dur: 2 * sim.Millisecond},
 		}, slow},
-		{"three outages", []outageSpec{
-			{at(sim.Millisecond), 2 * sim.Millisecond},
-			{at(4 * sim.Millisecond), sim.Millisecond},
-			{at(6 * sim.Millisecond), 2 * sim.Millisecond},
+		{"three outages", []fault.Outage{
+			{At: at(sim.Millisecond), Dur: 2 * sim.Millisecond},
+			{At: at(4 * sim.Millisecond), Dur: sim.Millisecond},
+			{At: at(6 * sim.Millisecond), Dur: 2 * sim.Millisecond},
 		}, slow},
 	}
 	runs := cells(o, len(rows), func(i int) resyncRun { return runResync(o, rows[i].outages, rows[i].rcfg, cfg, 4) })

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"nvmetro/internal/fault"
 	"nvmetro/internal/fio"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/storfn"
@@ -22,9 +23,9 @@ func TestResyncE2EOutageMidResync(t *testing.T) {
 	at := func(d sim.Duration) sim.Time { return sim.Time(0).Add(warm + d) }
 	rcfg := storfn.DefaultResyncConfig()
 	rcfg.Rate = 20e6 // slow drain so the second outage lands mid-resync
-	outages := []outageSpec{
-		{at(sim.Millisecond), 3 * sim.Millisecond},
-		{at(6 * sim.Millisecond), 2 * sim.Millisecond},
+	outages := []fault.Outage{
+		{At: at(sim.Millisecond), Dur: 3 * sim.Millisecond},
+		{At: at(6 * sim.Millisecond), Dur: 2 * sim.Millisecond},
 	}
 
 	a := runResync(o, outages, rcfg, cfg, 4)

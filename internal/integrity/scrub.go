@@ -9,7 +9,6 @@ import (
 	"nvmetro/internal/qos"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/storfn"
-	"nvmetro/internal/uif"
 )
 
 // ScrubConfig tunes the background scrubber.
@@ -85,7 +84,6 @@ type Scrubber struct {
 	cfg   ScrubConfig
 	shift uint8
 
-	rep    *storfn.Replicator
 	resync *storfn.Resyncer
 	cache  CacheInvalidator
 
@@ -125,7 +123,7 @@ func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *si
 		return nil, err
 	}
 	s := &Scrubber{
-		env: env, dom: dom, legs: storfn.NewMirrorLegs(env, primary, nil, th, blockShift),
+		env: env, dom: dom, legs: storfn.NewMirrorLegs(env, primary, th, blockShift),
 		cfg: cfg, shift: blockShift,
 		bucket: qos.NewBucket(cfg.Rate, 2*float64(scrubChunkBlocks<<blockShift)),
 		kick:   sim.NewCond(env),
@@ -134,11 +132,10 @@ func NewScrubber(env *sim.Env, dom *Domain, primary blockdev.BlockDevice, th *si
 	return s, nil
 }
 
-// SetReplica attaches the mirror leg: rep/resync drive targeted repair of
-// replica divergence, att is the uif ring the replica is reached through.
-func (s *Scrubber) SetReplica(rep *storfn.Replicator, rs *storfn.Resyncer, att *uif.Attachment) {
-	s.rep, s.resync, s.legs.Secondary = rep, rs, att
-}
+// SetReplica attaches the mirror's resync engine. The scrubber reads the
+// replica through the engine's legs, which the supervisor re-points at each
+// restarted UIF, and hands replica divergence to the engine to repair.
+func (s *Scrubber) SetReplica(rs *storfn.Resyncer) { s.resync = rs }
 
 // SetCache registers the cache to invalidate on repair or quarantine.
 func (s *Scrubber) SetCache(c CacheInvalidator) { s.cache = c }
@@ -180,7 +177,7 @@ func (s *Scrubber) next() {
 		return
 	}
 	s.Passes++
-	if s.divergence && s.resync != nil {
+	if s.divergence {
 		s.divergence = false
 		s.resync.Trigger()
 	}
@@ -240,13 +237,13 @@ func (s *Scrubber) readLegs(lba, blocks uint64, landed func(pbuf []byte), then f
 			if landed != nil {
 				landed(pbuf)
 			}
-			if s.legs.Secondary == nil {
+			if s.resync == nil {
 				then(pbuf, nil)
 				return
 			}
 			s.throttle(nbytes, func() {
 				sbuf := make([]byte, nbytes)
-				s.legs.SecondaryIO(blockdev.BioRead, lba, sbuf, func(st nvme.Status) {
+				s.resync.Legs().SecondaryIO(blockdev.BioRead, lba, sbuf, func(st nvme.Status) {
 					if !delivered(st) {
 						s.Errors++
 						sbuf = nil
@@ -319,12 +316,8 @@ func (s *Scrubber) recheck(lba uint64, pGood bool, sblk []byte) {
 	default:
 		// Primary good, replica diverged: targeted resync repairs it.
 		s.ReplicaBad++
-		if s.resync != nil {
-			s.resync.NoteDivergence(lba, 1)
-			s.divergence = true
-		} else if s.rep != nil {
-			s.rep.Dirty.Add(lba, 1)
-		}
+		s.resync.NoteDivergence(lba, 1)
+		s.divergence = true
 	}
 	s.recheckNext()
 }

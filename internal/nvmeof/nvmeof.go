@@ -65,16 +65,6 @@ func (l *Link) ScheduleOutage(at sim.Time, dur sim.Duration) {
 	})
 }
 
-// ApplyPlan schedules every outage in the fault plan on this link.
-func (l *Link) ApplyPlan(p *fault.Plan) {
-	if p == nil {
-		return
-	}
-	for _, o := range p.Outages() {
-		l.ScheduleOutage(o.At, o.Dur)
-	}
-}
-
 // addUpHook registers a callback invoked (in scheduler context) each time an
 // outage window closes.
 func (l *Link) addUpHook(fn func()) { l.onUp = append(l.onUp, fn) }

@@ -23,7 +23,9 @@
 // dispatch loop on its own stack and keeps running when the next event is
 // the one that resumes it; and a real hand-off is the parking coroutine
 // yielding the next process to a trampoline in Run, which enters it — two
-// runtime coroutine switches. Event dispatch order is the (t, seq) total
+// runtime coroutine switches. Processes are rare (user code that really
+// blocks, none spawned per I/O), so each is one coroutine of its own, which
+// ends with its body. Event dispatch order is the (t, seq) total
 // order of the original heap scheduler (a push reusing a reserved seq at the
 // current instant runs after the instant's earlier events, see queue.go), so
 // traces are bit-identical.
@@ -34,23 +36,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"runtime"
 )
-
-// growStack forces one stack growth at worker-coroutine birth, while the
-// stack is still empty and the copy is nearly free. Because the parking
-// process itself runs the dispatch loop, scheduler frames stack on top of
-// arbitrarily deep user code; without the pre-grow, every process pays
-// several stack doublings — each copying a deep live stack — as soon as it
-// parks (runtime.copystack showed up at ~16% of a full fig5 sweep). Workers
-// are pooled (see workerLoop), so the cost is paid once per pool slot, not
-// once per process.
-//
-//go:noinline
-func growStack() {
-	var pad [8 << 10]byte
-	runtime.KeepAlive(&pad)
-}
 
 // Time is an absolute virtual timestamp in nanoseconds since simulation start.
 type Time int64
@@ -100,7 +86,6 @@ type Env struct {
 	handoff   *Proc   // the process the running callback event resumes
 	spun      int     // rounds of the spin that just ended, for Thread.Spin
 	procs     []*Proc // every spawned, unfinished process (Close needs them)
-	procsDead int
 	live      int
 	closed    bool
 	fail      any // panic value captured from a process or callback
@@ -110,8 +95,6 @@ type Env struct {
 	execFree  []*execState // free list for Thread.ExecFunc states
 	spinFree  []*spinFunc  // free list for Thread.SpinFunc states
 	timedFree []*timedWait // free list for Cond.WaitTimeoutFunc states
-	pool      []*worker    // idle worker coroutines awaiting a process
-	procFree  []*Proc      // retired Procs, reusable
 }
 
 // New creates an environment whose random source is seeded with seed.
@@ -162,37 +145,23 @@ func (e *Env) After(d Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
-// Proc is a simulated process. Its methods must be called from the process's
-// own coroutine while it holds the run token.
-//
-// Nothing queued can resume a finished process — the only event that may
-// still name it is the timer of a timed wait its signal cancelled — so both
-// the Proc and the pooled worker coroutine running it (with its already
-// grown stack) are recycled across Go calls.
+// Proc is a simulated process: one coroutine (iter.Pull) that runs the body,
+// retires the process and ends. The trampoline in runLoop enters it with
+// next; it leaves with yield, naming the process the run token goes to (nil:
+// the run is over). Its methods must be called from the process's own
+// coroutine while it holds the run token.
 type Proc struct {
 	env  *Env
 	name string
-	w    *worker
 	idx  int // position in env.procs
 	done bool
 
-	awaiting bool   // blocked, its continuation not yet called
-	resume   func() // resumed, bound once (Procs are pooled)
-}
-
-// worker is one pooled process coroutine (iter.Pull over workerLoop). The
-// trampoline in runLoop enters it with next; the coroutine leaves with
-// yield, naming the process the run token goes to (nil: the run is over).
-// While idle it sits in yield with p == nil; Go assigns p/body and the
-// trampoline's next call starts the body. Only the holder of the run token
-// touches p and body, and a coroutine switch orders the two sides (for the
-// race detector too), so the hand-over is race-free.
-type worker struct {
 	next  func() (*Proc, bool)
 	stop  func()
 	yield func(*Proc) bool
-	p     *Proc
-	body  func(*Proc)
+
+	awaiting bool   // blocked, its continuation not yet called
+	resume   func() // resumed, bound once
 }
 
 // Env returns the owning environment.
@@ -205,54 +174,24 @@ func (p *Proc) Now() Time { return p.env.now }
 // after the currently running process yields. Safe to call from process
 // context, callback context, or before Run.
 //
-// The process runs on a pooled worker coroutine when one is idle, so
-// spawn-heavy workloads (one process per request) pay neither a coroutine
-// launch nor the one-time stack pre-grow per process.
+// Each process is a coroutine of its own, started by its first resume and
+// ended with its body: a spawn costs a coroutine launch, which is fine for
+// the few processes a model has (user code that blocks, never one per I/O).
 func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go after Close")
 	}
 	e.spawns++
-	w := takeFree(&e.pool)
-	if w == nil {
-		w = &worker{}
-		w.next, w.stop = iter.Pull(e.workerLoop(w))
-	}
-	p := takeFree(&e.procFree)
-	if p == nil {
-		p = &Proc{env: e, name: name, w: w}
-		p.resume = p.resumed
-	} else {
-		p.name, p.w, p.done = name, w, false
-	}
-	w.p = p
-	w.body = body
+	p := &Proc{env: e, name: name, idx: len(e.procs)}
+	p.resume = p.resumed
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
+		e.retire(p, e.execBody(p, body))
+	})
 	e.live++
-	e.addProc(p)
+	e.procs = append(e.procs, p)
 	e.At(e.now, p.cont()) // the body starts as the rest of this event
 	return p
-}
-
-// addProc registers p for Close, compacting finished entries when they
-// dominate the list.
-func (e *Env) addProc(p *Proc) {
-	if e.procsDead >= 64 && e.procsDead*2 > len(e.procs) {
-		w := 0
-		for _, q := range e.procs {
-			if !q.done {
-				e.procs[w] = q
-				q.idx = w
-				w++
-			}
-		}
-		for z := w; z < len(e.procs); z++ {
-			e.procs[z] = nil
-		}
-		e.procs = e.procs[:w]
-		e.procsDead = 0
-	}
-	p.idx = len(e.procs)
-	e.procs = append(e.procs, p)
 }
 
 // removeProc drops p from the registry by swapping in the last entry.
@@ -267,40 +206,6 @@ func (e *Env) removeProc(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// workerLoop is the body of a pooled process coroutine. Each iteration runs
-// one process to completion, retires it, and keeps the simulation moving:
-// the worker returns itself to the pool, continues the dispatch loop on its
-// own stack, and yields the next runnable process to the trampoline (nil
-// when the queue drains or the run stops). The coroutine ends on Close or a
-// failure; otherwise it sits in yield awaiting the next assignment.
-func (e *Env) workerLoop(w *worker) iter.Seq[*Proc] {
-	return func(yield func(*Proc) bool) {
-		w.yield = yield
-		growStack()
-		for {
-			p, body := w.p, w.body
-			w.p, w.body = nil, nil
-			e.retire(p, e.execBody(p, body))
-			if e.closed || e.fail != nil {
-				return
-			}
-			// Pool before dispatching so a callback that spawns can reuse
-			// this worker immediately.
-			e.pool = append(e.pool, w)
-			next := e.dispatchSafe()
-			if next != nil && next.w == w {
-				// A dispatch callback assigned our own next process: run it
-				// inline, no switch.
-				e.cur = next
-				continue
-			}
-			if !yield(next) {
-				return // Close; it retires an assigned process unrun
-			}
-		}
-	}
-}
-
 // execBody runs a process body, returning the panic value that terminated it
 // (nil for a clean return, errStopSentinel when Close unwound it in park).
 func (e *Env) execBody(p *Proc, body func(*Proc)) (r any) {
@@ -310,9 +215,9 @@ func (e *Env) execBody(p *Proc, body func(*Proc)) (r any) {
 }
 
 // retire marks a process finished and records a non-sentinel panic for the
-// Run caller to re-raise, so test output points at the process body. The
-// Proc is recycled by a later Go — except during Close, whose sweep over
-// e.procs must not see entries move.
+// Run caller to re-raise, so test output points at the process body. It
+// leaves the registry alone during Close, whose sweep over e.procs must not
+// see entries move.
 func (e *Env) retire(p *Proc, r any) {
 	p.done = true
 	e.live--
@@ -322,9 +227,6 @@ func (e *Env) retire(p *Proc, r any) {
 	}
 	if !e.closed {
 		e.removeProc(p)
-		e.procFree = append(e.procFree, p)
-	} else {
-		e.procsDead++
 	}
 }
 
@@ -342,7 +244,7 @@ func (p *Proc) park() {
 		e.cur = p
 		return // fused self-resume: no coroutine switch
 	}
-	if !p.w.yield(next) {
+	if !p.yield(next) {
 		panic(errStopSentinel)
 	}
 }
@@ -400,15 +302,19 @@ func (e *Env) dispatchSafe() (next *Proc) {
 
 // runLoop drives dispatch from the Run caller's goroutine and is the
 // trampoline the run token bounces off: a process that parks yields the
-// next one to run, and the loop enters it. A hand-off is therefore two
-// coroutine switches and never passes through the Go scheduler. A panic in a
-// process or callback is re-raised here; runtime.Goexit in a process (a
-// test's t.Fatal) ends the Run caller's goroutine the same way.
+// next one to run, and the loop enters it; a process that ends leaves the
+// dispatch to the loop. A hand-off is therefore two coroutine switches and
+// never passes through the Go scheduler. A panic in a process or callback is
+// re-raised here; runtime.Goexit in a process (a test's t.Fatal) ends the
+// Run caller's goroutine the same way.
 func (e *Env) runLoop() Time {
 	for p := e.dispatch(); p != nil; {
 		e.cur = p
 		e.switches++
-		p, _ = p.w.next()
+		var parked bool
+		if p, parked = p.next(); !parked && e.fail == nil {
+			p = e.dispatch()
+		}
 	}
 	e.cur = nil
 	if f := e.fail; f != nil {
@@ -455,23 +361,16 @@ func (e *Env) Close() {
 		if p.done {
 			continue
 		}
-		// Every unfinished process sits in a yield — parked, or assigned to
-		// a pooled worker — or on a coroutine that has not started. stop
-		// unwinds a parked body; the other two never ran one (nor did a
-		// process whose coroutine runtime.Goexit ended), so they are
-		// retired here.
-		p.w.stop()
+		// Every unfinished process sits in a yield (parked) or on a
+		// coroutine that has not started. stop unwinds a parked body; an
+		// unstarted one never ran (nor did the rest of a process whose
+		// coroutine runtime.Goexit ended), so it is retired here.
+		p.stop()
 		if !p.done {
-			p.w.p, p.w.body = nil, nil
 			e.retire(p, nil)
 		}
 	}
-	for _, w := range e.pool {
-		w.stop()
-	}
-	e.pool = nil
 	e.procs = nil
-	e.procsDead = 0
 	e.fail = nil
 	e.q.clear()
 }

@@ -599,23 +599,21 @@ func TestGoexitInProcessEndsRun(t *testing.T) {
 	}
 }
 
-// TestClosePooledWorkerNeverStarted: a process assigned to a pooled worker
-// (one that already ran a body) and never started is retired unrun by Close,
-// like one on a fresh worker.
-func TestClosePooledWorkerNeverStarted(t *testing.T) {
+// TestFinishedProcessesLeaveNoGoroutine: a process's coroutine ends with its
+// body, so a run whose processes all finished holds no goroutine for them,
+// Close or not.
+func TestFinishedProcessesLeaveNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
 	env := New(1)
-	env.Go("first", func(p *Proc) {})
+	for i := range 8 {
+		env.Go(fmt.Sprint("short", i), func(p *Proc) { p.Sleep(Duration(i)) })
+	}
 	env.Run()
-	if len(env.pool) != 1 {
-		t.Fatalf("pool %d, want the retired worker", len(env.pool))
-	}
-	env.Go("never", func(p *Proc) { t.Error("body must not run") })
-	if len(env.pool) != 0 {
-		t.Fatal("Go did not reuse the pooled worker")
-	}
-	env.Close()
 	if env.live != 0 {
 		t.Fatalf("live %d", env.live)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after the run, %d before the first Go", n, before)
 	}
 }
 

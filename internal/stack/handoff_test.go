@@ -184,11 +184,21 @@ func TestNoHandOffOnCommandPath(t *testing.T) {
 func TestDaemonsSpawnNothing(t *testing.T) {
 	env := sim.New(1)
 	defer env.Close()
+	runDaemonsRig(t, env, device.NewMemStore(512))
+	if env.Spawns() != 0 || env.Switches() != 0 {
+		t.Errorf("%d spawns and %d hand-offs; want none", env.Spawns(), env.Switches())
+	}
+}
+
+// runDaemonsRig builds TestDaemonsSpawnNothing's volume, mirrored onto a
+// remote host over remote, and runs its guest phase and settle window.
+func runDaemonsRig(t *testing.T, env *sim.Env, remote device.Store) *daemonRig {
+	t.Helper()
 	pol := supervise.DefaultPolicy()
 	pol.HeartbeatInterval, pol.StallThreshold = 50*sim.Microsecond, 300*sim.Microsecond
 	scrub := integrity.ScrubConfig{Rate: 400e6, Interval: sim.Millisecond}
 	spec := stack.Spec{
-		Replicate: mirrorTo(env, device.NewMemStore(512), [2]sim.Duration{2 * sim.Millisecond, sim.Millisecond}),
+		Replicate: mirrorTo(env, remote, [2]sim.Duration{2 * sim.Millisecond, sim.Millisecond}),
 		Supervise: &pol,
 		Integrity: &scrub,
 	}
@@ -201,7 +211,33 @@ func TestDaemonsSpawnNothing(t *testing.T) {
 	if res.Ops < 100 || scr.Passes == 0 || rs.ResyncedBlocks == 0 || sup.Restarts == 0 {
 		t.Fatalf("%d I/Os, %d scrub passes, %d blocks resynced, %d restarts; want all", res.Ops, scr.Passes, rs.ResyncedBlocks, sup.Restarts)
 	}
-	if env.Spawns() != 0 || env.Switches() != 0 {
-		t.Errorf("%d spawns and %d hand-offs; want none", env.Spawns(), env.Switches())
+	return r
+}
+
+// TestScrubChecksReplicaAfterFailover: once the supervisor has restarted the
+// replicator's UIF, the scrubber reads the replica through the live
+// attachment generation, so a block corrupted in the remote store is found
+// and handed to resync without a scrub read failing.
+func TestScrubChecksReplicaAfterFailover(t *testing.T) {
+	env := sim.New(1)
+	defer env.Close()
+	remote := device.NewMemStore(512)
+	r := runDaemonsRig(t, env, remote)
+	scr := r.vol.Scrubber
+	bad, errs, passes := scr.ReplicaBad, scr.Errors, scr.Passes
+	lba := r.vol.Domain.StampedRanges()[0].LBA
+	blk := make([]byte, 512)
+	remote.ReadBlocks(lba, blk)
+	blk[0] ^= 0xff
+	remote.WriteBlocks(lba, blk)
+	// The pass in flight may be past lba: wait for the one after it.
+	for i := 0; scr.Passes < passes+2 && i < 100; i++ {
+		env.RunUntil(env.Now().Add(sim.Millisecond))
+	}
+	if scr.Passes < passes+2 {
+		t.Fatalf("%d scrub passes in 100 ms; want 2", scr.Passes-passes)
+	}
+	if scr.ReplicaBad == bad || scr.Errors != errs {
+		t.Errorf("replica_bad %d -> %d, errors %d -> %d; want the corrupt replica block found and no new errors", bad, scr.ReplicaBad, errs, scr.Errors)
 	}
 }

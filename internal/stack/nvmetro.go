@@ -388,7 +388,7 @@ func (s *NVMetro) wireIntegrity(vol *Volume, spec Spec) {
 		if ini, ok := vol.sec.(*nvmeof.Initiator); ok {
 			ini.SetVerifier(&integrity.SectorGuard{G: dom.Guard("fabric"), Size: blockdev.SectorSize})
 		}
-		scr.SetReplica(rep, vol.Resyncer, vol.att)
+		scr.SetReplica(vol.Resyncer)
 	}
 }
 

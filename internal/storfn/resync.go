@@ -142,7 +142,7 @@ func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, at
 		return nil, err
 	}
 	rs := &Resyncer{
-		env: env, rep: rep, legs: NewMirrorLegs(env, primary, att, th, blockShift),
+		env: env, rep: rep, legs: NewMirrorLegs(env, primary, th, blockShift),
 		cfg: cfg, shift: blockShift,
 		kick:     sim.NewCond(env),
 		lastFill: env.Now(),
@@ -153,6 +153,7 @@ func NewResyncer(env *sim.Env, rep *Replicator, primary blockdev.BlockDevice, at
 		rs.state = StateDegraded
 		rs.ToDegraded++
 	}
+	rs.legs.secondary = att
 	rep.resync = rs
 	env.After(0, rs.wait)
 	return rs, nil
@@ -180,7 +181,11 @@ func (rs *Resyncer) setState(s MirrorState) {
 // setAttachment repoints the secondary leg at a new uif attachment
 // generation — the supervisor calls this when it promotes a restarted
 // UIF; the dead generation's ring is never touched again.
-func (rs *Resyncer) setAttachment(att *uif.Attachment) { rs.legs.Secondary = att }
+func (rs *Resyncer) setAttachment(att *uif.Attachment) { rs.legs.secondary = att }
+
+// Legs returns the mirror's legs, the secondary at its live attachment
+// generation.
+func (rs *Resyncer) Legs() *MirrorLegs { return rs.legs }
 
 // Trigger starts a resync pass if the mirror is degraded; it is a no-op
 // when already in sync. A trigger landing while a pass is running is
@@ -390,20 +395,18 @@ func (rs *Resyncer) throttle(nbytes uint64, then func()) {
 // to the worker's thread, and an I/O against the secondary through the
 // Replicator's uif backend ring.
 type MirrorLegs struct {
-	// Secondary is the uif attachment the secondary leg is reached through
-	// (nil while none is attached).
-	Secondary *uif.Attachment
-
-	env     *sim.Env
-	primary blockdev.BlockDevice
-	th      *sim.Thread
-	shift   uint8
+	secondary *uif.Attachment // the resync engine's live generation; nil on a scrubber's legs
+	env       *sim.Env
+	primary   blockdev.BlockDevice
+	th        *sim.Thread
+	shift     uint8
 }
 
 // NewMirrorLegs returns the legs of a mirror over devices with
-// 1<<blockShift-byte blocks; primary I/O is charged to th.
-func NewMirrorLegs(env *sim.Env, primary blockdev.BlockDevice, secondary *uif.Attachment, th *sim.Thread, blockShift uint8) *MirrorLegs {
-	return &MirrorLegs{Secondary: secondary, env: env, primary: primary, th: th, shift: blockShift}
+// 1<<blockShift-byte blocks; primary I/O is charged to th. Only the resync
+// engine attaches a secondary (its Legs are the mirror's).
+func NewMirrorLegs(env *sim.Env, primary blockdev.BlockDevice, th *sim.Thread, blockShift uint8) *MirrorLegs {
+	return &MirrorLegs{env: env, primary: primary, th: th, shift: blockShift}
 }
 
 // sector converts a device LBA to a 512-byte sector.
@@ -421,7 +424,7 @@ func (l *MirrorLegs) PrimaryIO(op blockdev.BioOp, lba uint64, buf []byte, then f
 // status.
 func (l *MirrorLegs) SecondaryIO(op blockdev.BioOp, lba uint64, buf []byte, then func(nvme.Status)) {
 	done, submitted := l.await(then)
-	l.Secondary.SubmitBackendIO(op, l.sector(lba), buf, done)
+	l.secondary.SubmitBackendIO(op, l.sector(lba), buf, done)
 	submitted()
 }
 

@@ -98,7 +98,7 @@ type (
 	// reconciliation, degraded routing and supervised restarts.
 	Supervisor = supervise.Supervisor
 	// FaultPlan is a deterministic per-site fault schedule (media errors,
-	// fabric outages, UIF crashes/wedges).
+	// dropped and stuck completions, UIF crashes/wedges).
 	FaultPlan = fault.Plan
 	// FaultInjector is one site's armed view of a FaultPlan.
 	FaultInjector = fault.Injector
