@@ -201,7 +201,7 @@ scale-smoke:
 	$(GO) test -race ./internal/shard/... ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
 
-# fuzz-smoke explores five targets for 30 s each beyond their seed corpora
+# fuzz-smoke explores six targets for 30 s each beyond their seed corpora
 # (which every `go test ./...` runs). FuzzVerifiedProgram: Verify accepts
 # exactly what Compile accepts, and decoded bytes it accepts must run on both
 # tiers without a fault, fuel or panic, the tiers must agree, and a proved
@@ -217,14 +217,22 @@ scale-smoke:
 # guest memory.
 # FuzzXTSKernel: the AES-NI kernel, the Go kernel and the byte-wise reference
 # must produce the same bytes for any key, sector run, direction and
-# aliasing, and the round trip must give the input back. A finding is
-# written under the package's testdata/fuzz/ and replays as a seed.
+# aliasing, and the round trip must give the input back.
+# FuzzMemStoreMatchesModel: any sequence of whole-page, partial, zero and
+# trim writes to a MemStore, at 512-byte and 4 KiB blocks across a
+# page-table leaf seam, must read back and fingerprint (ContentCRC) as a
+# flat byte image does, and the interned page set's books must balance after
+# every step: references equal resident pages, no indexed entry is unheld,
+# no freed entry shares a live page's buffer (under bufpool.Poison). A
+# finding is written under the package's testdata/fuzz/ and replays as a
+# seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedProgram$$' -fuzztime 30s ./internal/ebpf/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendPRP$$' -fuzztime 30s ./internal/nvme/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueMatchesFIFO$$' -fuzztime 30s ./internal/nvme/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime 30s ./internal/virtio/
 	$(GO) test -run '^$$' -fuzz '^FuzzXTSKernel$$' -fuzztime 30s ./internal/xts/
+	$(GO) test -run '^$$' -fuzz '^FuzzMemStoreMatchesModel$$' -fuzztime 30s ./internal/device/
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests (page-granular private

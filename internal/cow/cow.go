@@ -16,12 +16,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"hash/maphash"
 	"sort"
 	"sync"
 
-	"nvmetro/internal/bufpool"
 	"nvmetro/internal/cache"
+	"nvmetro/internal/device"
 	"nvmetro/internal/guestmem"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/storfn"
@@ -65,15 +64,6 @@ type idxEnt struct {
 	refs int
 }
 
-// page is one private page's content, interned in the Index: immutable,
-// held once however many private chunks hold the same bytes, and freed when
-// the last of them lets go.
-type page struct {
-	data []byte
-	key  uint64 // slot in Index.pages
-	refs int
-}
-
 // Index is the content-addressed chunk store shared by a golden image and
 // all of its clones. Chunks are keyed by a 64-bit FNV-1a hash of their
 // contents; hash collisions are resolved by deterministic linear probing
@@ -82,18 +72,15 @@ type page struct {
 // per chunk it maps; Release drops a reference and frees the chunk when
 // the count reaches zero (GC on trim/close).
 //
-// The private pages of every store in the domain are interned here too, the
-// same way but keyed by maphash: a page's key never leaves the index, so it
-// need not be stable across runs the way a chunk's hash (which layer CRCs
-// fold in) must.
+// The Index owns chunks only. The private pages of every store in the
+// domain live in one device.Pages set beside them, so a page content any
+// number of private chunks hold is kept once.
 type Index struct {
 	mu     sync.Mutex
 	cfg    Config
 	chunks map[uint64]*idxEnt
 	cache  *cache.Cache // optional, keyed by chunk hash, 1 "block" = 1 chunk
-
-	pages map[uint64]*page
-	seed  maphash.Seed
+	pages  *device.Pages
 
 	dedupHits uint64 // Puts that matched an existing chunk
 	released  uint64 // chunks freed by refcount GC
@@ -103,7 +90,7 @@ type Index struct {
 // the index is fronted by a shared content-addressed cache.
 func NewIndex(cfg Config) *Index {
 	cfg = cfg.withDefaults()
-	ix := &Index{cfg: cfg, chunks: make(map[uint64]*idxEnt), pages: make(map[uint64]*page), seed: maphash.MakeSeed()}
+	ix := &Index{cfg: cfg, chunks: make(map[uint64]*idxEnt), pages: device.NewPages(cfg.pageBytes())}
 	if cfg.CacheChunks > 0 {
 		ix.cache = cache.New(cache.Config{
 			BlockSize:      uint32(cfg.chunkBytes()),
@@ -160,72 +147,22 @@ func (ix *Index) release(key uint64) {
 	ix.mu.Unlock()
 }
 
-// intern returns the page entry holding data's bytes with one reference
-// added, making one when no entry holds them: it keeps data itself when own
-// is set, else a copy. Callers hold mu.
-func (ix *Index) intern(data []byte, own bool) *page {
-	key := maphash.Bytes(ix.seed, data)
-	for {
-		pg := ix.pages[key]
-		if pg == nil {
-			if !own {
-				data = append([]byte(nil), data...)
-			}
-			pg = &page{data: data, key: key, refs: 1}
-			ix.pages[key] = pg
-			return pg
-		}
-		if bytes.Equal(pg.data, data) {
-			pg.refs++
-			return pg
-		}
-		key++ // linear probe on collision
-	}
-}
-
 // writePage returns the entry for a page whose content is base (nil for
 // zeros) with k bytes at po replaced by data's (zeros when data is nil), and
-// releases old, the entry it replaces (nil for none). A whole page of data
-// is interned as it stands; anything else is built in a fresh buffer.
-func (ix *Index) writePage(old *page, base []byte, po, k int, data []byte) *page {
-	built := k < ix.cfg.pageBytes() || data == nil
-	if built {
-		buf := make([]byte, ix.cfg.pageBytes())
-		copy(buf, base)
-		if data == nil {
-			clear(buf[po : po+k])
-		} else {
-			copy(buf[po:], data)
-		}
-		data = buf
-	}
+// releases old, the entry it replaces (nil for none; when set, its bytes
+// are the base).
+func (ix *Index) writePage(old *device.Page, base []byte, po, k int, data []byte) *device.Page {
 	ix.mu.Lock()
-	pg := ix.intern(data, built)
-	ix.mu.Unlock()
-	if old != nil {
-		ix.drop(old)
-	}
-	return pg
+	defer ix.mu.Unlock()
+	return ix.pages.Write(old, base, po, k, data)
 }
 
-// drop releases page entries (nil ones are skipped), freeing each at zero
-// references — overwritten first under bufpool.Poison, so a reader the
-// books missed sees garbage.
-func (ix *Index) drop(pages ...*page) {
+// drop releases page entries (nil ones are skipped).
+func (ix *Index) drop(pages ...*device.Page) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, pg := range pages {
-		if pg == nil {
-			continue
-		}
-		if pg.refs--; pg.refs == 0 {
-			delete(ix.pages, pg.key)
-			if bufpool.Poison {
-				for i := range pg.data {
-					pg.data[i] = 0xDB
-				}
-			}
-		}
+		ix.pages.Release(pg)
 	}
 }
 
@@ -338,14 +275,14 @@ func sealCRC(entries map[uint64]layerEnt) uint32 {
 
 // private is a chunk broken off the shared chain (or first written in fresh
 // space), held one page at a time: a write gives only the pages it touches
-// content of their own, an interned page entry, and a page not yet written
+// content of their own, an entry in the Index's page set, and a page not yet written
 // still reads from src — the chunk's content at the break, the index's own
 // bytes (Index.view), or nil for zeros. A chunk broken over a Backing has
 // every page filled at the break instead: unlike sealed chunks, a backing
 // store's bytes may change under it.
 type private struct {
 	src   []byte
-	pages []*page
+	pages []*device.Page
 }
 
 // read copies the chunk's bytes from off on into dst; ps is the page size.
@@ -355,7 +292,7 @@ func (p *private) read(off int, dst []byte, ps int) {
 		n := min(len(dst), ps-po)
 		switch pg := p.pages[off/ps]; {
 		case pg != nil:
-			copy(dst[:n], pg.data[po:])
+			copy(dst[:n], pg.Bytes()[po:])
 		case p.src != nil:
 			copy(dst[:n], p.src[off:])
 		default:
@@ -367,27 +304,23 @@ func (p *private) read(off int, dst []byte, ps int) {
 
 // write overwrites n bytes from off with data, or with zeros when data is
 // nil. Each page it touches gets new content — a page it covers in part is
-// its current content with the new bytes laid over it — interned in ix, and
-// lets go of the entry it held. No entry is ever changed in place: another
-// chunk, of this store or another, may hold the same one.
+// its current content with the new bytes laid over it — interned in ix's
+// page set, which lets go of the entry it held. An entry another chunk, of
+// this store or another, also holds never changes.
 func (p *private) write(ix *Index, off, n int, data []byte) {
 	ps := ix.cfg.pageBytes()
 	for n > 0 {
 		i, po := off/ps, off%ps
 		k := min(n, ps-po)
-		old := p.pages[i]
 		var base []byte
-		switch {
-		case old != nil:
-			base = old.data
-		case p.src != nil:
+		if p.src != nil {
 			base = p.src[i*ps : (i+1)*ps]
 		}
 		var d []byte
 		if data != nil {
 			d, data = data[:k], data[k:]
 		}
-		p.pages[i] = ix.writePage(old, base, po, k, d)
+		p.pages[i] = ix.writePage(p.pages[i], base, po, k, d)
 		off, n = off+k, n-k
 	}
 }
@@ -527,7 +460,7 @@ func (s *Store) materialize(cn uint64, fill bool) *private {
 		return p
 	}
 	ps := s.cfg.pageBytes()
-	p := &private{pages: make([]*page, s.cfg.chunkBytes()/ps)}
+	p := &private{pages: make([]*device.Page, s.cfg.chunkBytes()/ps)}
 	if !s.mutWhite[cn] && s.sharedHas(cn) {
 		s.CowBreaks++
 		if fill {

@@ -69,15 +69,15 @@ func (o *oracle) pageWrite(rng *rand.Rand, blocks int, sub bool) uint64 {
 // record's header (the record and its page table) plus every page entry they
 // reference, counted once however many pages share it.
 func (s *Store) privateBytes() int {
-	const sliceHeader, pointer, entry = 24, 8, 40
+	const sliceHeader, pointer, entry = 24, 8, 56
 	n := 0
-	seen := make(map[*page]bool)
+	seen := make(map[*device.Page]bool)
 	for _, p := range s.mut {
 		n += 2*sliceHeader + len(p.pages)*pointer
 		for _, pg := range p.pages {
 			if pg != nil && !seen[pg] {
 				seen[pg] = true
-				n += entry + cap(pg.data)
+				n += entry + cap(pg.Bytes())
 			}
 		}
 	}

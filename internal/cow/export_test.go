@@ -5,5 +5,5 @@ package cow
 func (ix *Index) residentPages() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return len(ix.pages)
+	return ix.pages.Live
 }

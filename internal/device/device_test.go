@@ -252,8 +252,10 @@ func TestDeviceErrors(t *testing.T) {
 		if st := r.submit(pr, nvme.NewRW(nvme.OpRead, 0, 1, 999, 2, buf, 0)); st != nvme.SCLBAOutOfRange {
 			t.Errorf("out of range: %v", st)
 		}
-		if st := r.submit(pr, nvme.NewRW(nvme.OpRead, 0, 9, 0, 1, buf, 0)); st != nvme.SCInvalidNS {
-			t.Errorf("bad nsid: %v", st)
+		for _, nsid := range []uint32{9, 0, 0xFFFFFFFF} {
+			if st := r.submit(pr, nvme.NewRW(nvme.OpRead, 0, nsid, 0, 1, buf, 0)); st != nvme.SCInvalidNS {
+				t.Errorf("bad nsid %#x: %v", nsid, st)
+			}
 		}
 		var c nvme.Command
 		c.SetOpcode(0x55)
@@ -448,8 +450,8 @@ func TestHostileRangeRejected(t *testing.T) {
 			}
 			// Checked per case: a later case's zero write or trim over
 			// whole pages would drop a page an earlier one materialised.
-			if len(store.pages) != 1 {
-				t.Errorf("%s: %d pages resident, want only the last block's", tc.name, len(store.pages))
+			if store.residentPages() != 1 {
+				t.Errorf("%s: %d pages resident, want only the last block's", tc.name, store.residentPages())
 			}
 		}
 	})

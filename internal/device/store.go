@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"slices"
 )
 
@@ -51,13 +52,29 @@ func isZero(b []byte) bool {
 // MemStore keeps full data contents in sparse pages of max(4 KiB, one
 // block): a page exists only once a write has put a non-zero byte into it,
 // and a whole-page zero write or trim drops it, as a thin-provisioned disk
-// keeps no all-zero block. Reads of absent pages return zeros. Used by
+// keeps no all-zero block. Reads of absent pages return zeros. Resident
+// pages are interned in one Pages set, so pages holding the same bytes are
+// stored once, and found through a two-level page table: a directory of
+// leaves of leafPages pages, the last leaf used kept at hand. Used by
 // correctness tests and the KV-store workloads.
 type MemStore struct {
 	blockSize  uint32
 	pageBlocks uint64 // blocks per page
 	pageLen    int    // bytes per page
-	pages      map[uint64][]byte
+	set        *Pages
+	dir        map[uint64]*leaf // by page number / leafPages
+	lastID     uint64
+	last       *leaf // dir[lastID], or nil
+}
+
+// leafPages is the number of pages one page-table leaf maps.
+const leafPages = 512
+
+// leaf is one page-table leaf: its resident pages and how many there are.
+// A leaf that holds none is dropped.
+type leaf struct {
+	pages [leafPages]*Page
+	n     int
 }
 
 // NewMemStore creates a memory-backed store with the given block size.
@@ -67,7 +84,8 @@ func NewMemStore(blockSize uint32) *MemStore {
 		blockSize:  blockSize,
 		pageBlocks: uint64(pb),
 		pageLen:    int(pb * blockSize),
-		pages:      make(map[uint64][]byte),
+		set:        NewPages(int(pb * blockSize)),
+		dir:        make(map[uint64]*leaf),
 	}
 }
 
@@ -79,12 +97,52 @@ func (s *MemStore) span(lba uint64, want int) (pn uint64, off, n int) {
 	return pn, off, min(want, s.pageLen-off)
 }
 
+// leafOf returns the leaf that maps page pn, making it when grow is set;
+// nil when there is none.
+func (s *MemStore) leafOf(pn uint64, grow bool) *leaf {
+	id := pn / leafPages
+	if s.last != nil && s.lastID == id {
+		return s.last
+	}
+	l := s.dir[id]
+	if l == nil {
+		if !grow {
+			return nil
+		}
+		l = new(leaf)
+		s.dir[id] = l
+	}
+	s.last, s.lastID = l, id
+	return l
+}
+
+// page returns the leaf that maps page pn and the page, each nil when
+// absent.
+func (s *MemStore) page(pn uint64) (*leaf, *Page) {
+	l := s.leafOf(pn, false)
+	if l == nil {
+		return nil, nil
+	}
+	return l, l.pages[pn%leafPages]
+}
+
+// drop releases page pn of l, dropping l once it maps no page.
+func (s *MemStore) drop(l *leaf, pn uint64) {
+	i := pn % leafPages
+	s.set.Release(l.pages[i])
+	l.pages[i] = nil
+	if l.n--; l.n == 0 {
+		delete(s.dir, pn/leafPages)
+		s.last = nil
+	}
+}
+
 // ReadBlocks implements Store.
 func (s *MemStore) ReadBlocks(lba uint64, buf []byte) {
 	for len(buf) > 0 {
 		pn, off, n := s.span(lba, len(buf))
-		if p := s.pages[pn]; p != nil {
-			copy(buf[:n], p[off:])
+		if _, p := s.page(pn); p != nil {
+			copy(buf[:n], p.data[off:])
 		} else {
 			clear(buf[:n])
 		}
@@ -95,23 +153,22 @@ func (s *MemStore) ReadBlocks(lba uint64, buf []byte) {
 
 // WriteBlocks implements Store. An all-zero write allocates no page, and
 // one covering a whole resident page drops it; a partial write into a
-// resident page copies, zeros or not.
+// resident page rewrites it, zeros or not.
 func (s *MemStore) WriteBlocks(lba uint64, buf []byte) {
 	for len(buf) > 0 {
 		pn, off, n := s.span(lba, len(buf))
 		seg := buf[:n]
-		p := s.pages[pn]
-		switch {
+		switch l, p := s.page(pn); {
 		case p == nil && isZero(seg):
 			// Already what an absent page reads as.
 		case p == nil:
-			p = make([]byte, s.pageLen)
-			s.pages[pn] = p
-			copy(p[off:], seg)
+			l = s.leafOf(pn, true)
+			l.pages[pn%leafPages] = s.set.Write(nil, nil, off, n, seg)
+			l.n++
 		case n == s.pageLen && isZero(seg):
-			delete(s.pages, pn)
+			s.drop(l, pn)
 		default:
-			copy(p[off:], seg)
+			l.pages[pn%leafPages] = s.set.Write(p, nil, off, n, seg)
 		}
 		buf = buf[n:]
 		lba += uint64(n) / uint64(s.blockSize)
@@ -124,10 +181,12 @@ func (s *MemStore) TrimBlocks(lba uint64, blocks uint32) {
 	bs := uint64(s.blockSize)
 	for left := uint64(blocks) * bs; left > 0; {
 		pn, off, n := s.span(lba, int(min(left, uint64(s.pageLen))))
-		if n == s.pageLen {
-			delete(s.pages, pn)
-		} else if p := s.pages[pn]; p != nil {
-			clear(p[off : off+n])
+		if l, p := s.page(pn); p != nil {
+			if n == s.pageLen {
+				s.drop(l, pn)
+			} else {
+				l.pages[pn%leafPages] = s.set.Write(p, nil, off, n, nil)
+			}
 		}
 		left -= uint64(n)
 		lba += uint64(n) / bs
@@ -140,12 +199,16 @@ func (s *MemStore) TrimBlocks(lba uint64, blocks uint32) {
 // page the other never touched. Mirror-consistency tests compare primary
 // and secondary with it.
 func (s *MemStore) ContentCRC() uint32 {
-	ids := make([]uint64, 0, len(s.pages))
-	for pn := range s.pages {
-		first := pn * s.pageBlocks
-		ids = append(ids, first/chunkBlocks, (first+s.pageBlocks-1)/chunkBlocks)
+	var ids []uint64
+	for _, id := range slices.Sorted(maps.Keys(s.dir)) {
+		for i, p := range s.dir[id].pages {
+			if p == nil {
+				continue
+			}
+			first := (id*leafPages + uint64(i)) * s.pageBlocks
+			ids = append(ids, first/chunkBlocks, (first+s.pageBlocks-1)/chunkBlocks)
+		}
 	}
-	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	var idbuf [8]byte
 	c := make([]byte, chunkBlocks*int(s.blockSize))

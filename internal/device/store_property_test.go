@@ -114,8 +114,8 @@ func TestContentCRCSparseEquivalence(t *testing.T) {
 	dense.TrimBlocks(1800, 1)
 	dense.TrimBlocks(1801, 31) // sub-page on the first page, whole pages after
 
-	if len(dense.pages) != len(sparse.pages)+2 {
-		t.Fatalf("test vacuous: dense holds %d pages, sparse %d; want 2 logically-zero extras", len(dense.pages), len(sparse.pages))
+	if dense.residentPages() != sparse.residentPages()+2 {
+		t.Fatalf("test vacuous: dense holds %d pages, sparse %d; want 2 logically-zero extras", dense.residentPages(), sparse.residentPages())
 	}
 	if got, want := dense.ContentCRC(), sparse.ContentCRC(); got != want {
 		t.Fatalf("sparse-vs-materialized ContentCRC mismatch: %08x vs %08x", got, want)
@@ -235,21 +235,21 @@ func TestMemStoreHoldsOnlyNonZeroPages(t *testing.T) {
 		zeros, data := make([]byte, pageBytes), bytes.Repeat([]byte{0x5a}, pageBytes)
 		s.WriteBlocks(pb, zeros)
 		s.WriteBlocks(3*pb-1, zeros) // at 512 B blocks, straddles two absent pages
-		if len(s.pages) != 0 {
-			t.Fatalf("bs %d: all-zero writes left %d pages, want 0", bs, len(s.pages))
+		if s.residentPages() != 0 {
+			t.Fatalf("bs %d: all-zero writes left %d pages, want 0", bs, s.residentPages())
 		}
 		s.WriteBlocks(pb, data)
 		s.WriteBlocks(4*pb, data)
-		if len(s.pages) != 2 {
-			t.Fatalf("bs %d: two page writes left %d pages, want 2", bs, len(s.pages))
+		if s.residentPages() != 2 {
+			t.Fatalf("bs %d: two page writes left %d pages, want 2", bs, s.residentPages())
 		}
 		s.WriteBlocks(pb, zeros)
-		if _, ok := s.pages[1]; ok || len(s.pages) != 1 {
-			t.Fatalf("bs %d: a whole-page zero write kept its page (%d resident)", bs, len(s.pages))
+		if _, p := s.page(1); p != nil || s.residentPages() != 1 {
+			t.Fatalf("bs %d: a whole-page zero write kept its page (%d resident)", bs, s.residentPages())
 		}
 		s.TrimBlocks(4*pb, uint32(pb))
-		if len(s.pages) != 0 {
-			t.Fatalf("bs %d: a whole-page trim kept its page (%d resident)", bs, len(s.pages))
+		if s.residentPages() != 0 {
+			t.Fatalf("bs %d: a whole-page trim kept its page (%d resident)", bs, s.residentPages())
 		}
 	}
 }
