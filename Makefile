@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt deadsurface loc prodcover bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt deadsurface loc prodcover equiv bench bench-sim bench-smoke bench-e2e-smoke fuzz-smoke sim-smoke chaos-smoke scrub-smoke confine-smoke bootstorm-smoke scale-smoke
 
 # check is the CI gate: build, vet (natively and for arm64, so that the
 # Go-only build of internal/xts keeps compiling), race-enabled tests, gofmt
@@ -64,6 +64,16 @@ loc:
 # tree.
 prodcover:
 	bash scripts/prodcover.sh
+
+# equiv checks that the working tree models exactly what revision PARENT
+# (default HEAD) models: every experiment's CSVs, full and quick at seeds 1
+# and 3, and each bench workload's attempted, failed and model.digest at
+# seeds 1, 3 and 7 (scripts/equiv.sh). It prints "identical" or the first
+# differing line per item and fails on any difference. Not part of check (it
+# takes about twenty minutes on 2 CPUs); it writes nothing in the tree.
+PARENT ?= HEAD
+equiv:
+	bash scripts/equiv.sh $(PARENT)
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -263,6 +263,14 @@ func TestDeviceErrors(t *testing.T) {
 		if st := r.submit(pr, c); st != nvme.SCInvalidOpcode {
 			t.Errorf("bad opcode: %v", st)
 		}
+		// A 4 KiB transfer on the top page of the 64-bit address space ends
+		// at 2^64: guest memory must refuse it, not wrap to address 0.
+		const top = 0xFFFFFFFFFFFFF000
+		for _, op := range []uint8{nvme.OpRead, nvme.OpWrite} {
+			if st := r.submit(pr, nvme.NewRW(op, 0, 1, 0, 8, top, 0)); st != nvme.SCDataXferError {
+				t.Errorf("opcode %#x at PRP1 %#x: %v, want %v", op, uint64(top), st, nvme.SCDataXferError)
+			}
+		}
 	})
 }
 

@@ -2,7 +2,9 @@
 // address space that devices, the I/O router and userspace I/O functions
 // access via DMA-style reads and writes. Pages are allocated lazily so large
 // sparse address spaces stay cheap, and a simple bump allocator hands out
-// DMA buffers and PRP list pages to the guest driver.
+// DMA buffers and PRP list pages to the guest driver. A page is found through
+// a dense index by page number, grown to the highest page written: the bump
+// allocator hands out memory from the bottom, so the index stays short.
 package guestmem
 
 import (
@@ -22,7 +24,7 @@ var errOutOfMemory = errors.New("guestmem: out of memory")
 // Memory is a sparse guest-physical address space.
 type Memory struct {
 	size  uint64
-	pages map[uint64][]byte // page number -> page data
+	pages []*[PageSize]byte // by page number, up to the highest page written; nil: never written
 	next  uint64            // bump allocator cursor (page-aligned)
 }
 
@@ -30,35 +32,29 @@ type Memory struct {
 // page). Allocation starts above the first page to keep address 0 invalid.
 func New(size uint64) *Memory {
 	size = (size + PageSize - 1) &^ uint64(PageSize-1)
-	return &Memory{size: size, pages: make(map[uint64][]byte), next: PageSize}
+	return &Memory{size: size, next: PageSize}
 }
 
 // Size returns the memory size in bytes.
 func (m *Memory) Size() uint64 { return m.size }
 
-func (m *Memory) page(pn uint64, create bool) []byte {
-	p := m.pages[pn]
-	if p == nil && create {
-		p = make([]byte, PageSize)
-		m.pages[pn] = p
-	}
-	return p
+// inRange reports whether [addr, addr+n) lies inside the memory. The guest
+// owns addr: addr+n may wrap, size-addr cannot.
+func (m *Memory) inRange(addr uint64, n int) bool {
+	return addr <= m.size && uint64(n) <= m.size-addr
 }
 
 // ReadAt copies len(p) bytes from guest physical address addr.
 // Reads of never-written pages return zeros.
 func (m *Memory) ReadAt(p []byte, addr uint64) error {
-	if addr+uint64(len(p)) > m.size {
+	if !m.inRange(addr, len(p)) {
 		return fmt.Errorf("%w: read [%#x,+%d)", errOutOfRange, addr, len(p))
 	}
 	for len(p) > 0 {
 		pn, off := addr/PageSize, addr%PageSize
-		n := PageSize - off
-		if uint64(len(p)) < n {
-			n = uint64(len(p))
-		}
-		if pg := m.page(pn, false); pg != nil {
-			copy(p[:n], pg[off:])
+		n := copyLen(p, off)
+		if pn < uint64(len(m.pages)) && m.pages[pn] != nil {
+			copy(p[:n], m.pages[pn][off:])
 		} else {
 			clear(p[:n])
 		}
@@ -70,20 +66,30 @@ func (m *Memory) ReadAt(p []byte, addr uint64) error {
 
 // WriteAt copies p into guest physical memory at addr.
 func (m *Memory) WriteAt(p []byte, addr uint64) error {
-	if addr+uint64(len(p)) > m.size {
+	if !m.inRange(addr, len(p)) {
 		return fmt.Errorf("%w: write [%#x,+%d)", errOutOfRange, addr, len(p))
 	}
 	for len(p) > 0 {
 		pn, off := addr/PageSize, addr%PageSize
-		n := PageSize - off
-		if uint64(len(p)) < n {
-			n = uint64(len(p))
+		n := copyLen(p, off)
+		if pn >= uint64(len(m.pages)) {
+			m.pages = append(m.pages, make([]*[PageSize]byte, pn+1-uint64(len(m.pages)))...)
 		}
-		copy(m.page(pn, true)[off:], p[:n])
+		pg := m.pages[pn]
+		if pg == nil {
+			pg = new([PageSize]byte)
+			m.pages[pn] = pg
+		}
+		copy(pg[off:], p[:n])
 		p = p[n:]
 		addr += n
 	}
 	return nil
+}
+
+// copyLen is how many bytes of p the page holding offset off takes.
+func copyLen(p []byte, off uint64) uint64 {
+	return min(PageSize-off, uint64(len(p)))
 }
 
 // allocPages allocates n contiguous pages and returns the base address.
